@@ -1,7 +1,7 @@
 """Population-scale aggregation: O(P) server memory at growing cohort sizes.
 
-The streaming aggregation tier promises that server memory for one round is
-bounded by the model size P, not by the cohort size K.  This benchmark folds
+The fold-and-release server aggregation promises that server memory for one
+round is bounded by the model size P, not by the cohort size K.  This benchmark folds
 K client updates (P = 20,000 parameters) into a
 :class:`~repro.fl.aggregation.StreamingAccumulator` for K from 1e2 to 1e5 and
 measures the peak traced allocation of each round:
@@ -10,8 +10,9 @@ measures the peak traced allocation of each round:
   (the parity buffer plus one running sum dominate, both independent of K);
 * **near-linear time** — per-fold cost must not grow with K (each fold is
   one axpy);
-* **contrast** — the historical GEMV path materializes the (K, P) work
-  matrix, so its peak grows linearly in K; the K=1e3 row shows the gap.
+* **contrast** — the reference ``weighted_average`` GEMV, called directly,
+  materializes the (K, P) work matrix, so its peak grows linearly in K; the
+  K=1e3 row shows the gap.
 
 A second measurement drives an actual sampled round loop over a virtualized
 10,000-client population (cohort 9, 2 rounds) and asserts the laziness
@@ -36,7 +37,7 @@ from repro.fl import (
     FederatedServer,
     FLConfig,
     SeededModelFactory,
-    create_aggregator,
+    StreamingAccumulator,
     create_algorithm,
     create_scheduler,
 )
@@ -73,10 +74,13 @@ def update_layout() -> StateLayout:
 
 
 def fold_round(mode: str, cohort: int) -> Dict[str, object]:
-    """One aggregation round of ``cohort`` synthetic updates, measured."""
+    """One aggregation round of ``cohort`` synthetic updates, measured.
+
+    ``streaming`` folds through the server's accumulator; ``gemv`` is the
+    (K, P) reference, ``weighted_average`` over the whole cohort at once.
+    """
     layout = update_layout()
     base = np.random.default_rng(7).standard_normal(MODEL_SIZE)
-    aggregator = create_aggregator(mode)
 
     def make_update(index: int) -> np.ndarray:
         # Deterministic per-client variation without per-fold RNG cost.
@@ -89,7 +93,7 @@ def fold_round(mode: str, cohort: int) -> Dict[str, object]:
             states = [wrap_flat(layout, make_update(k)) for k in range(cohort)]
             result = weighted_average(states, [1.0 + (k % 7) for k in range(cohort)])
         else:
-            accumulator = aggregator.accumulator()
+            accumulator = StreamingAccumulator()
             for k in range(cohort):
                 accumulator.fold(wrap_flat(layout, make_update(k)), 1.0 + (k % 7))
             result = accumulator.result()
@@ -118,7 +122,7 @@ class PopulationModelBuilder:
 
 
 def population_round_loop() -> Dict[str, object]:
-    """A sampled streaming round loop over a 10,000-client population."""
+    """A sampled round loop over a 10,000-client population."""
     base = [
         ClientData(
             ClientSpec(client_id, "synthetic", 1, 1, 8, 2),
@@ -129,7 +133,7 @@ def population_round_loop() -> Dict[str, object]:
     ]
     factory = SeededModelFactory(PopulationModelBuilder(), base_seed=0)
     directory = ClientDirectory(base, factory, POPULATION_CONFIG, population=POPULATION)
-    server = FederatedServer(aggregator=create_aggregator("streaming"))
+    server = FederatedServer()
     eager_before = directory.eager_clients
     with MemoryProbe() as probe:
         start = time.perf_counter()
@@ -202,7 +206,7 @@ def test_population_scale():
         f"gemv peak / streaming peak at K=1e3: {gemv_contrast:.1f}x (the O(K*P) matrix)",
         "",
         f"Virtualized population round loop ({POPULATION:,} clients, cohort {COHORT}, "
-        f"{ROUNDS} rounds, streaming):",
+        f"{ROUNDS} rounds):",
         f"  round loop ms: {loop['ms']:.0f}",
         f"  eager clients before sampling: {loop['eager_clients_before_sampling']}",
         f"  peak materialized: {loop['peak_materialized']} (cohort bound: {COHORT})",

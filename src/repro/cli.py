@@ -53,7 +53,6 @@ from repro.eda.global_router import GlobalRouterConfig, route_placement
 from repro.eda.placement import PlacementConfig, Placer
 from repro.eda.quality import placement_quality, routing_quality
 from repro.fl import (
-    AGGREGATION_CHOICES,
     ALGORITHMS,
     AVAILABILITY_CHOICES,
     COMPRESSION_CHOICES,
@@ -309,16 +308,6 @@ def _add_reproduce(subparsers) -> None:
         "is ever built",
     )
     parser.add_argument(
-        "--aggregation",
-        choices=AGGREGATION_CHOICES,
-        default="gemv",
-        help="server aggregation mode: gemv (historical (K,P) matrix), "
-        "streaming (O(P) running fold, releases each update after folding), "
-        "sharded (parallel sub-aggregators with a deterministic merge); "
-        "streaming/sharded are bit-identical to gemv for cohorts up to the "
-        "parity limit",
-    )
-    parser.add_argument(
         "--quorum",
         type=float,
         default=1.0,
@@ -442,7 +431,6 @@ def _cmd_reproduce(args) -> int:
             buffer_size=args.buffer_size,
         ).with_population(
             population=args.population,
-            aggregation=args.aggregation,
         ).with_resilience(
             quorum=args.quorum,
             max_retries=args.max_retries,
@@ -508,7 +496,6 @@ def _cmd_reproduce(args) -> int:
                 continue
             text += (
                 f"  {outcome.algorithm}: population={summary['population']} "
-                f"aggregation={summary['aggregation']} "
                 f"eager_before_sampling={summary['eager_clients_before_sampling']} "
                 f"peak_materialized={summary['peak_materialized']} "
                 f"total_materializations={summary['total_materializations']} "

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.data.clients import ClientSpec, CorpusConfig, TABLE2_CLIENTS
-from repro.fl.aggregation import AGGREGATION_CHOICES
 from repro.fl.config import FLConfig
 from repro.fl.execution import BACKENDS as EXECUTION_BACKENDS
 from repro.fl.scheduling import (
@@ -39,8 +38,46 @@ from repro.fl.transport import COMPRESSION_CHOICES
 from repro.models.registry import available_models
 from repro.utils.threadpools import check_blas_policy
 
-#: Sentinel for "keep the current value" in :meth:`ExperimentConfig.with_execution`.
-_KEEP = object()
+#: The options each ``ExperimentConfig.with_<group>`` builder may set.  All
+#: are fields of the configuration itself except ``compute_dtype``, which
+#: lives on the nested :class:`~repro.fl.FLConfig`.
+_BUILDER_OPTIONS: Dict[str, Tuple[str, ...]] = {
+    "execution": ("backend", "workers", "blas_threads", "checkpoint_dir", "compute_dtype"),
+    "transport": ("compression", "compression_bits", "topk_fraction"),
+    "scheduling": (
+        "participation",
+        "clients_per_round",
+        "sampler",
+        "availability",
+        "availability_rate",
+        "straggler_model",
+        "round_policy",
+        "deadline",
+        "over_selection",
+        "buffer_size",
+    ),
+    "population": ("population",),
+    "resilience": (
+        "quorum",
+        "max_retries",
+        "task_timeout",
+        "fault_crash_rate",
+        "fault_exception_rate",
+        "fault_timeout_rate",
+        "fault_corruption_rate",
+    ),
+    "wire": (
+        "wire_host",
+        "wire_port",
+        "heartbeat_interval",
+        "client_timeout",
+        "wire_journal_dir",
+        "wire_fault_disconnect_rate",
+        "wire_fault_delay_rate",
+        "wire_fault_corrupt_rate",
+        "wire_delay_seconds",
+    ),
+}
 
 #: Global-state algorithms that can train over a virtualized population
 #: (lazy client construction; one shared global model, no per-client state).
@@ -141,7 +178,6 @@ class ExperimentConfig:
     over_selection: float = 1.0
     buffer_size: int = 2
     population: Optional[int] = None
-    aggregation: str = "gemv"
     quorum: float = 1.0
     max_retries: Optional[int] = None
     task_timeout: Optional[float] = None
@@ -256,11 +292,6 @@ class ExperimentConfig:
             )
         if self.buffer_size < 1:
             raise ValueError(f"buffer_size must be positive, got {self.buffer_size}")
-        if self.aggregation not in AGGREGATION_CHOICES:
-            raise ValueError(
-                f"unknown aggregation mode {self.aggregation!r}; "
-                f"available: {AGGREGATION_CHOICES}"
-            )
         if not 0.0 < self.quorum <= 1.0:
             raise ValueError(f"quorum must be in (0, 1], got {self.quorum}")
         if self.max_retries is not None and self.max_retries < 0:
@@ -378,215 +409,102 @@ class ExperimentConfig:
             corruption_rate=self.fault_corruption_rate,
         )
 
-    def with_resilience(
-        self,
-        quorum: object = _KEEP,
-        max_retries: object = _KEEP,
-        task_timeout: object = _KEEP,
-        fault_crash_rate: object = _KEEP,
-        fault_exception_rate: object = _KEEP,
-        fault_timeout_rate: object = _KEEP,
-        fault_corruption_rate: object = _KEEP,
-    ) -> "ExperimentConfig":
+    def _with(self, group: str, options: Dict[str, object]) -> "ExperimentConfig":
+        """A copy with ``options`` replaced — the body of every ``with_<group>``.
+
+        Only the options passed are touched, so an omitted one keeps its
+        current value and an explicit ``None`` resets it; a keyword outside
+        the group raises ``TypeError`` like any unexpected argument.
+        """
+        unknown = sorted(set(options) - set(_BUILDER_OPTIONS[group]))
+        if unknown:
+            raise TypeError(
+                f"with_{group}() got an unexpected keyword argument {unknown[0]!r}"
+            )
+        if "compute_dtype" in options:
+            dtype = options.pop("compute_dtype")
+            options["fl"] = replace(
+                self.fl, compute_dtype=dtype if dtype is not None else "float64"
+            )
+        return replace(self, **options)
+
+    def with_resilience(self, **options) -> "ExperimentConfig":
         """A copy of this configuration with different fault-tolerance options.
 
         ``quorum`` is the fraction of the per-round cohort that must deliver
         an update before the round commits (permanently failed clients are
-        dropped and the aggregation weights renormalized); the ``fault_*``
-        rates inject deterministic seeded faults for chaos testing; and
-        ``max_retries`` / ``task_timeout`` control the supervised retry loop.
-        Omitted options keep their current value; the all-defaults
-        configuration (quorum 1, no faults, no retry overrides) runs the
-        pre-resilience code path bit-identically.
+        dropped and the aggregation weights renormalized); the
+        ``fault_crash_rate`` / ``fault_exception_rate`` / ``fault_timeout_rate``
+        / ``fault_corruption_rate`` knobs inject deterministic seeded faults
+        for chaos testing; and ``max_retries`` / ``task_timeout`` control
+        the supervised retry loop.  Omitted options keep their current
+        value; the all-defaults configuration (quorum 1, no faults, no retry
+        overrides) runs the pre-resilience code path bit-identically.
         """
-        return replace(
-            self,
-            quorum=self.quorum if quorum is _KEEP else quorum,
-            max_retries=self.max_retries if max_retries is _KEEP else max_retries,
-            task_timeout=self.task_timeout if task_timeout is _KEEP else task_timeout,
-            fault_crash_rate=(
-                self.fault_crash_rate if fault_crash_rate is _KEEP else fault_crash_rate
-            ),
-            fault_exception_rate=(
-                self.fault_exception_rate
-                if fault_exception_rate is _KEEP
-                else fault_exception_rate
-            ),
-            fault_timeout_rate=(
-                self.fault_timeout_rate
-                if fault_timeout_rate is _KEEP
-                else fault_timeout_rate
-            ),
-            fault_corruption_rate=(
-                self.fault_corruption_rate
-                if fault_corruption_rate is _KEEP
-                else fault_corruption_rate
-            ),
-        )
+        return self._with("resilience", options)
 
-    def with_wire(
-        self,
-        wire_host: object = _KEEP,
-        wire_port: object = _KEEP,
-        heartbeat_interval: object = _KEEP,
-        client_timeout: object = _KEEP,
-        wire_journal_dir: object = _KEEP,
-        wire_fault_disconnect_rate: object = _KEEP,
-        wire_fault_delay_rate: object = _KEEP,
-        wire_fault_corrupt_rate: object = _KEEP,
-        wire_delay_seconds: object = _KEEP,
-    ) -> "ExperimentConfig":
+    def with_wire(self, **options) -> "ExperimentConfig":
         """A copy of this configuration with different wire-backend options.
 
         These only take effect when ``backend == "wire"`` (set it via
-        :meth:`with_execution`): the bind address, heartbeat cadence and
-        liveness deadline, the on-disk journal directory backing
-        reconnect-with-resume (a temporary directory when ``None``), and the
-        seeded frame-level fault rates for chaos runs.  Omitted options keep
+        :meth:`with_execution`): the bind address (``wire_host`` /
+        ``wire_port``), heartbeat cadence and liveness deadline
+        (``heartbeat_interval`` / ``client_timeout``), the on-disk journal
+        directory backing reconnect-with-resume (``wire_journal_dir``; a
+        temporary directory when ``None``), and the seeded frame-level fault
+        rates for chaos runs (``wire_fault_disconnect_rate`` /
+        ``wire_fault_delay_rate`` / ``wire_fault_corrupt_rate``, with
+        ``wire_delay_seconds`` per injected delay).  Omitted options keep
         their current value.
         """
-        return replace(
-            self,
-            wire_host=self.wire_host if wire_host is _KEEP else wire_host,
-            wire_port=self.wire_port if wire_port is _KEEP else wire_port,
-            heartbeat_interval=(
-                self.heartbeat_interval if heartbeat_interval is _KEEP else heartbeat_interval
-            ),
-            client_timeout=(
-                self.client_timeout if client_timeout is _KEEP else client_timeout
-            ),
-            wire_journal_dir=(
-                self.wire_journal_dir if wire_journal_dir is _KEEP else wire_journal_dir
-            ),
-            wire_fault_disconnect_rate=(
-                self.wire_fault_disconnect_rate
-                if wire_fault_disconnect_rate is _KEEP
-                else wire_fault_disconnect_rate
-            ),
-            wire_fault_delay_rate=(
-                self.wire_fault_delay_rate
-                if wire_fault_delay_rate is _KEEP
-                else wire_fault_delay_rate
-            ),
-            wire_fault_corrupt_rate=(
-                self.wire_fault_corrupt_rate
-                if wire_fault_corrupt_rate is _KEEP
-                else wire_fault_corrupt_rate
-            ),
-            wire_delay_seconds=(
-                self.wire_delay_seconds if wire_delay_seconds is _KEEP else wire_delay_seconds
-            ),
-        )
+        return self._with("wire", options)
 
-    def with_execution(
-        self,
-        backend: object = _KEEP,
-        workers: object = _KEEP,
-        blas_threads: object = _KEEP,
-        checkpoint_dir: object = _KEEP,
-        compute_dtype: object = _KEEP,
-    ) -> "ExperimentConfig":
+    def with_execution(self, **options) -> "ExperimentConfig":
         """A copy of this configuration with different execution options.
 
-        Omitted options keep their current value; pass ``None`` explicitly to
-        reset one (e.g. ``with_execution(checkpoint_dir=None)`` disables
-        checkpointing without touching the backend choice).  ``compute_dtype``
-        selects the local-training arithmetic dtype and lives on the nested
+        Accepts ``backend``, ``workers``, ``blas_threads``,
+        ``checkpoint_dir`` and ``compute_dtype``.  Omitted options keep
+        their current value; pass ``None`` explicitly to reset one (e.g.
+        ``with_execution(checkpoint_dir=None)`` disables checkpointing
+        without touching the backend choice).  ``compute_dtype`` selects the
+        local-training arithmetic dtype and lives on the nested
         :class:`~repro.fl.FLConfig` (``None`` resets to float64).
         ``blas_threads`` is the BLAS thread policy handed to the execution
         backend (``"auto"``, an exact count, or ``None`` to leave the BLAS
         pool unmanaged).
         """
-        fl = self.fl
-        if compute_dtype is not _KEEP:
-            fl = replace(fl, compute_dtype=compute_dtype if compute_dtype is not None else "float64")
-        return replace(
-            self,
-            fl=fl,
-            backend=self.backend if backend is _KEEP else backend,
-            workers=self.workers if workers is _KEEP else workers,
-            blas_threads=self.blas_threads if blas_threads is _KEEP else blas_threads,
-            checkpoint_dir=self.checkpoint_dir if checkpoint_dir is _KEEP else checkpoint_dir,
-        )
+        return self._with("execution", options)
 
-    def with_transport(
-        self,
-        compression: object = _KEEP,
-        compression_bits: object = _KEEP,
-        topk_fraction: object = _KEEP,
-    ) -> "ExperimentConfig":
+    def with_transport(self, **options) -> "ExperimentConfig":
         """A copy of this configuration with different transport options.
 
+        Accepts ``compression``, ``compression_bits`` and ``topk_fraction``.
         Omitted options keep their current value; pass ``None`` explicitly
         as ``compression`` to disable the transport layer.
         """
-        return replace(
-            self,
-            compression=self.compression if compression is _KEEP else compression,
-            compression_bits=(
-                self.compression_bits if compression_bits is _KEEP else compression_bits
-            ),
-            topk_fraction=self.topk_fraction if topk_fraction is _KEEP else topk_fraction,
-        )
+        return self._with("transport", options)
 
-    def with_scheduling(
-        self,
-        participation: object = _KEEP,
-        clients_per_round: object = _KEEP,
-        sampler: object = _KEEP,
-        availability: object = _KEEP,
-        availability_rate: object = _KEEP,
-        straggler_model: object = _KEEP,
-        round_policy: object = _KEEP,
-        deadline: object = _KEEP,
-        over_selection: object = _KEEP,
-        buffer_size: object = _KEEP,
-    ) -> "ExperimentConfig":
+    def with_scheduling(self, **options) -> "ExperimentConfig":
         """A copy of this configuration with different scheduling options.
 
-        Omitted options keep their current value; pass ``None`` explicitly
-        to reset one (e.g. ``with_scheduling(participation=None)`` restores
-        full participation).
+        Accepts ``participation``, ``clients_per_round``, ``sampler``,
+        ``availability``, ``availability_rate``, ``straggler_model``,
+        ``round_policy``, ``deadline``, ``over_selection`` and
+        ``buffer_size``.  Omitted options keep their current value; pass
+        ``None`` explicitly to reset one (e.g.
+        ``with_scheduling(participation=None)`` restores full
+        participation).
         """
-        return replace(
-            self,
-            participation=self.participation if participation is _KEEP else participation,
-            clients_per_round=(
-                self.clients_per_round if clients_per_round is _KEEP else clients_per_round
-            ),
-            sampler=self.sampler if sampler is _KEEP else sampler,
-            availability=self.availability if availability is _KEEP else availability,
-            availability_rate=(
-                self.availability_rate if availability_rate is _KEEP else availability_rate
-            ),
-            straggler_model=(
-                self.straggler_model if straggler_model is _KEEP else straggler_model
-            ),
-            round_policy=self.round_policy if round_policy is _KEEP else round_policy,
-            deadline=self.deadline if deadline is _KEEP else deadline,
-            over_selection=self.over_selection if over_selection is _KEEP else over_selection,
-            buffer_size=self.buffer_size if buffer_size is _KEEP else buffer_size,
-        )
+        return self._with("scheduling", options)
 
-    def with_population(
-        self,
-        population: object = _KEEP,
-        aggregation: object = _KEEP,
-    ) -> "ExperimentConfig":
-        """A copy of this configuration with different population options.
+    def with_population(self, **options) -> "ExperimentConfig":
+        """A copy of this configuration with a different ``population``.
 
         ``population`` virtualizes the client roster to that many lazily
         constructed clients (each reusing one of the base data partitions
-        round-robin); ``aggregation`` selects the server fold
-        (``gemv`` / ``streaming`` / ``sharded`` — see
-        :mod:`repro.fl.aggregation`).  Omitted options keep their current
-        value; pass ``None`` as ``population`` to restore the eager roster.
+        round-robin); pass ``None`` to restore the eager roster.
         """
-        return replace(
-            self,
-            population=self.population if population is _KEEP else population,
-            aggregation=self.aggregation if aggregation is _KEEP else aggregation,
-        )
+        return self._with("population", options)
 
     def with_model(self, model: str, **model_kwargs) -> "ExperimentConfig":
         """A copy of this configuration targeting a different estimator."""

@@ -23,7 +23,6 @@ from repro.fl import (
     SchedulingSummary,
     SeededModelFactory,
     TrainingResult,
-    create_aggregator,
     create_algorithm,
     create_backend,
     create_channel,
@@ -68,8 +67,8 @@ class AlgorithmOutcome:
     #: used no round scheduler, or the algorithm ignores scheduling).
     scheduling: Optional[SchedulingSummary] = None
     #: Population-scale accounting (None without a virtualized population):
-    #: aggregation mode, eager clients before sampling, peak concurrently
-    #: materialized clients, total materializations/releases, folded updates.
+    #: eager clients before sampling, peak concurrently materialized
+    #: clients, total materializations/releases, folded updates.
     population: Optional[Dict[str, object]] = None
     #: Fault-tolerance accounting (None when the run used no resilience
     #: manager, or the algorithm ignores it): retries, give-ups, pool
@@ -170,10 +169,6 @@ class ExperimentRunner:
             FederatedClient.from_client_data(data, factory, self.config.fl)
             for data in self.client_data()
         ]
-
-    def federated_server(self) -> FederatedServer:
-        """A fresh server carrying the configured aggregation mode."""
-        return FederatedServer(aggregator=create_aggregator(self.config.aggregation))
 
     # -- execution ----------------------------------------------------------------
     def wire_fingerprint(self) -> Dict[str, object]:
@@ -324,7 +319,7 @@ class ExperimentRunner:
         backend = backend if backend is not None else self.execution_backend()
         channel = self.transport_channel()
         scheduler = self.round_scheduler()
-        server = self.federated_server()
+        server = FederatedServer()
         directory = self.client_directory()
         # The witness the population smoke test asserts: nothing has been
         # built before the sampler selected anything.
@@ -367,7 +362,6 @@ class ExperimentRunner:
         if directory is not None:
             population_summary = {
                 "population": directory.population,
-                "aggregation": server.aggregator.name,
                 "eager_clients_before_sampling": eager_before,
                 "peak_materialized": directory.peak_materialized,
                 "total_materializations": directory.total_materializations,

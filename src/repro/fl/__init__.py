@@ -16,7 +16,9 @@ clients and local computation
     loss summaries ever leave a client.
 server-side aggregation
     :class:`FederatedServer` implements every aggregation rule used by the
-    paper (weighted averaging, per-cluster, per-partition, alpha-portion).
+    paper (weighted averaging, per-cluster, per-partition, alpha-portion);
+    the global model is folded one update at a time
+    (:mod:`repro.fl.aggregation`).
 training algorithms
     :data:`ALGORITHMS` maps a configuration name to an algorithm class; see
     the table below for which paper result each one reproduces.  Instantiate
@@ -72,15 +74,9 @@ from repro.fl.algorithms import (
     normalization_parameter_names,
 )
 from repro.fl.aggregation import (
-    AGGREGATION_CHOICES,
-    Aggregator,
-    GemvAggregator,
-    ShardedAggregator,
     StreamingAccumulator,
-    StreamingAggregator,
     StreamingDeltaAccumulator,
     UpdateAccumulator,
-    create_aggregator,
 )
 from repro.fl.client import FederatedClient, initial_rng_state
 from repro.fl.population import ClientDirectory, ClientHandle, VirtualClientSpec
@@ -251,9 +247,13 @@ def create_algorithm(
     clients / model_factory / config:
         Forwarded to the algorithm constructor.
     server:
-        Optional :class:`FederatedServer` carrying the aggregation mode
-        (gemv / streaming / sharded — see :mod:`repro.fl.aggregation`);
-        defaults to a fresh GEMV server.
+        Optional :class:`FederatedServer` (pass one to read its
+        ``folded_updates`` counter afterwards); defaults to a fresh server.
+        There is one aggregation: each update is folded into a per-round
+        accumulator and its client released right after; up to 32 updates
+        are buffered and averaged by ``weighted_average`` bit for bit,
+        beyond that the fold is an O(P) running sum (see
+        :mod:`repro.fl.aggregation`).
     backend:
         Execution backend running the per-round client updates; defaults to
         :class:`SerialBackend`.  Pass :class:`ProcessPoolBackend` (or use
@@ -356,15 +356,9 @@ __all__ = [
     "ClientDirectory",
     "ClientHandle",
     "VirtualClientSpec",
-    "AGGREGATION_CHOICES",
-    "Aggregator",
     "UpdateAccumulator",
-    "GemvAggregator",
-    "StreamingAggregator",
     "StreamingAccumulator",
     "StreamingDeltaAccumulator",
-    "ShardedAggregator",
-    "create_aggregator",
     "LocalTrainer",
     "StepStatistics",
     "predict_dataset",

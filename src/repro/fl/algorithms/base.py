@@ -210,7 +210,7 @@ class FederatedAlgorithm:
         returned update in the coordinating process (decoding backend-encoded
         payloads; applying delta references and error feedback; recording
         measured bytes) — a no-op without a channel.  Shared by the batch
-        (:meth:`map_client_updates`) and streaming
+        (:meth:`map_client_updates`) and per-arrival
         (:meth:`iter_client_updates`) entry points so both dispatch — and
         account transport bytes — identically.
         """
@@ -335,11 +335,11 @@ class FederatedAlgorithm:
         upload_names: Optional[Sequence[str]] = None,
         cohort: Optional[Sequence[int]] = None,
     ):
-        """Streaming variant of :meth:`map_client_updates`.
+        """Per-arrival variant of :meth:`map_client_updates`.
 
         Yields each :class:`ClientUpdate` in participant order as soon as
-        its computation completes (via the backend's ``imap``), so a
-        streaming server can fold — and release — update ``i`` while
+        its computation completes (via the backend's ``imap``), so the
+        scheduled round loop can fold — and release — update ``i`` while
         updates ``i+1..`` are still training.  Values are identical to the
         batch entry point; only the delivery is incremental.
         """
@@ -388,12 +388,6 @@ class FederatedAlgorithm:
             # (float64) runs omit the key so pre-engine checkpoints stay
             # resumable.
             fingerprint["compute_dtype"] = self.config.compute_dtype
-        if self.server.aggregator.name != "gemv":
-            # Streaming/sharded runs fold in a different summation order
-            # past the parity limit; mixing modes across a resume could
-            # silently blend trajectories.  GEMV runs omit the key so
-            # checkpoints from before the aggregation tier stay resumable.
-            fingerprint["aggregation"] = self.server.aggregator.name
         if self.resilience is not None and self.resilience.plan.any_faults:
             # Resuming a chaos run under a different fault plan would
             # silently change which clients fail; fault-free (or
@@ -538,10 +532,6 @@ class FederatedAlgorithm:
         """
         return str(self.checkpoint.directory) if self.checkpoint is not None else None
 
-    def _begin_fold(self, global_state: State):
-        """A fresh accumulator for one round's server aggregation."""
-        return self.server.accumulator()
-
     def _fold_update(self, accumulator, global_state: State, update: ClientUpdate) -> None:
         """Fold one kept update into the round's accumulator.
 
@@ -549,7 +539,7 @@ class FederatedAlgorithm:
         state weighted by sample count, DP-FedProx privatizes it first.
         Called in arrival order — which equals cohort order on every
         backend — so sequential server-side RNG streams (DP noise) are
-        backend- and mode-independent.
+        backend-independent.
         """
         raise NotImplementedError(
             f"{self.__class__.__name__} does not implement the scheduled round loop"
@@ -575,19 +565,14 @@ class FederatedAlgorithm:
     ) -> "tuple[State, Dict[str, object]]":
         """Aggregate one round's kept updates into the global state.
 
-        Expressed through the fold hooks so every aggregation mode shares
-        one code path: the ``gemv`` accumulator simply buffers the updates
-        it is folded (reproducing the historical batch aggregation bit for
-        bit), while the streaming/sharded accumulators consume them one at
-        a time — in which case each update's state is dropped, and its
-        (possibly virtual) client released, as soon as it is folded.
+        Each update's state is dropped, and its (possibly virtual) client
+        released, as soon as it is folded.
         """
-        accumulator = self._begin_fold(global_state)
+        accumulator = self.server.accumulator()
         for update in kept:
             self._fold_update(accumulator, global_state, update)
-            if self.server.streaming:
-                update.state = None
-                self._release_client(update.client_index)
+            update.state = None
+            self._release_client(update.client_index)
         self.server.record_folds(accumulator.count)
         return self._finalize_round(round_index, global_state, accumulator)
 
@@ -599,7 +584,7 @@ class FederatedAlgorithm:
         Dispatches to the scheduler-driven loop when a round scheduler is
         attached, and to the historical full-cohort loop (bit-identical to
         pre-scheduling behavior) otherwise.  Both express the server step
-        through the :meth:`_global_round` hook.
+        through the fold hooks.
         """
         if self.scheduler is None:
             return self._run_unscheduled_rounds(result, global_state, start_round)
@@ -663,14 +648,16 @@ class FederatedAlgorithm:
         """Barrier-style (sync / deadline) rounds driven by the scheduler.
 
         Each round: ask the scheduler for a cohort (sampling over the
-        clients available at the current virtual time), run the cohort's
-        client passes through the execution backend, let the round policy
-        keep or drop each update (drawing straggler latencies and advancing
-        the virtual clock), and aggregate whatever survived via
-        :meth:`_global_round`.
+        clients available at the current virtual time), pre-draw the
+        cohort's straggler latencies, and run the cohort's client passes
+        through the execution backend.  Each update is folded — or, past
+        the deadline, discarded — the moment it comes off the backend, and
+        its state and client are released immediately after, so peak
+        coordinator memory is O(P), independent of the cohort size.
         """
         scheduler = self.scheduler
         resilience = self.resilience
+        deadline = scheduler.deadline if scheduler.policy == "deadline" else None
         for round_index in range(start_round, self.config.rounds):
             plan = scheduler.begin_round(round_index)
             if resilience is not None:
@@ -680,99 +667,54 @@ class FederatedAlgorithm:
                 # clients that cannot participate.
                 plan.cohort = resilience.active_cohort(plan.cohort)
             attempted = len(plan.cohort)
-            if self.server.streaming and plan.cohort:
-                global_state, extra, per_client_loss = self._stream_scheduled_round(
-                    round_index, global_state, plan
+            latencies = scheduler.arrival_schedule(plan)
+            accumulator = self.server.accumulator()
+            updates: List[ClientUpdate] = []
+            per_client_loss: Dict[int, float] = {}
+            arrivals = (
+                self.iter_client_updates(
+                    global_state,
+                    steps=self.config.local_steps,
+                    proximal_mu=self._local_proximal_mu(),
+                    cohort=plan.cohort,
                 )
-            else:
-                updates = (
-                    self.map_client_updates(
-                        global_state,
-                        steps=self.config.local_steps,
-                        proximal_mu=self._local_proximal_mu(),
-                        cohort=plan.cohort,
-                    )
-                    if plan.cohort
-                    else []
+                if plan.cohort
+                else ()
+            )
+            for update in arrivals:
+                updates.append(update)
+                if deadline is None or latencies[update.client_index] <= deadline:
+                    self._fold_update(accumulator, global_state, update)
+                    per_client_loss[update.client_id] = update.stats.mean_loss
+                update.state = None
+                self._release_client(update.client_index)
+            if resilience is not None:
+                # Clients that exhausted their retries produced no update;
+                # shrink the plan (and its pre-drawn latencies) to the
+                # arrivals so the scheduler's alignment contract holds, and
+                # gate the commit on the number of updates actually *folded*.
+                plan.cohort = [update.client_index for update in updates]
+                latencies = {index: latencies[index] for index in plan.cohort}
+                resilience.check_quorum(
+                    round_index,
+                    arrived=accumulator.count,
+                    cohort_size=attempted,
+                    checkpoint_dir=self._auto_checkpoint_dir(),
                 )
-                if resilience is not None:
-                    # Clients that exhausted their retries produced no
-                    # update; shrink the plan to the arrivals so the
-                    # scheduler's alignment contract holds.
-                    plan.cohort = [update.client_index for update in updates]
-                outcome = scheduler.complete_round(plan, updates)
-                if resilience is not None:
-                    resilience.check_quorum(
-                        round_index,
-                        arrived=len(outcome.kept),
-                        cohort_size=attempted,
-                        checkpoint_dir=self._auto_checkpoint_dir(),
-                    )
-                # Drops commit *before* the aggregation step so the round's
-                # checkpoint (saved inside _finalize_round) already carries
-                # the updated permanent-failure set.
-                commit_extra = resilience.commit_round(self.client_weights()) if resilience else {}
-                global_state, extra = self._global_round(round_index, global_state, outcome.kept)
-                extra = {**extra, **outcome.record_extra, **commit_extra}
-                per_client_loss = {
-                    update.client_id: update.stats.mean_loss for update in outcome.kept
-                }
+            outcome = scheduler.complete_round(plan, updates, latencies=latencies)
+            # Drops commit *before* _finalize_round so the round's checkpoint
+            # already carries the updated permanent-failure set.
+            commit_extra = resilience.commit_round(self.client_weights()) if resilience else {}
+            self.server.record_folds(accumulator.count)
+            global_state, extra = self._finalize_round(round_index, global_state, accumulator)
             result.history.append(
-                self._round_record(round_index, per_client_loss, extra=extra)
+                self._round_record(
+                    round_index,
+                    per_client_loss,
+                    extra={**extra, **outcome.record_extra, **commit_extra},
+                )
             )
         return global_state
-
-    def _stream_scheduled_round(self, round_index: int, global_state: State, plan):
-        """One scheduled round with per-arrival folding (streaming server).
-
-        The cohort's straggler latencies are pre-drawn (consuming the
-        latency RNG exactly as the batch path's ``complete_round`` would,
-        so every drawn value stays bit-identical), each update is folded —
-        or, past the deadline, discarded — the moment it comes off the
-        backend, and its state and client are released immediately after.
-        Peak coordinator memory is therefore O(P), independent of the
-        cohort size.
-        """
-        scheduler = self.scheduler
-        resilience = self.resilience
-        attempted = len(plan.cohort)
-        latencies = scheduler.arrival_schedule(plan)
-        deadline = scheduler.deadline if scheduler.policy == "deadline" else None
-        accumulator = self._begin_fold(global_state)
-        updates: List[ClientUpdate] = []
-        per_client_loss: Dict[int, float] = {}
-        for update in self.iter_client_updates(
-            global_state,
-            steps=self.config.local_steps,
-            proximal_mu=self._local_proximal_mu(),
-            cohort=plan.cohort,
-        ):
-            updates.append(update)
-            if deadline is None or latencies[update.client_index] <= deadline:
-                self._fold_update(accumulator, global_state, update)
-                per_client_loss[update.client_id] = update.stats.mean_loss
-            update.state = None
-            self._release_client(update.client_index)
-        if resilience is not None:
-            # Clients that exhausted their retries produced no update;
-            # shrink the plan (and its pre-drawn latencies) to the arrivals
-            # so the scheduler's alignment contract holds, and gate the
-            # commit on the number of updates actually *folded*.
-            plan.cohort = [update.client_index for update in updates]
-            latencies = {index: latencies[index] for index in plan.cohort}
-            resilience.check_quorum(
-                round_index,
-                arrived=accumulator.count,
-                cohort_size=attempted,
-                checkpoint_dir=self._auto_checkpoint_dir(),
-            )
-        outcome = scheduler.complete_round(plan, updates, latencies=latencies)
-        # Drops commit *before* _finalize_round so the round's checkpoint
-        # already carries the updated permanent-failure set.
-        commit_extra = resilience.commit_round(self.client_weights()) if resilience else {}
-        self.server.record_folds(accumulator.count)
-        global_state, extra = self._finalize_round(round_index, global_state, accumulator)
-        return global_state, {**extra, **outcome.record_extra, **commit_extra}, per_client_loss
 
     # -- interface ------------------------------------------------------------------
     def run(self) -> TrainingResult:

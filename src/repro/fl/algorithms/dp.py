@@ -57,7 +57,7 @@ class DPFedProx(FederatedAlgorithm):
         # The clipping + noising of each returned update happens on the
         # server side with one sequential RNG stream, in fold (= cohort)
         # order, so the noise draws are identical under any execution
-        # backend and any aggregation mode.
+        # backend.
         private_state, raw_norm = privatize_update(
             global_state, update.state, self.privacy, self._noise_rng
         )

@@ -23,14 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.fl.algorithms.base import FederatedAlgorithm, TrainingResult
 from repro.fl.execution import ClientUpdate
-from repro.fl.parameters import (
-    FlatState,
-    State,
-    average_pairwise_distance,
-    state_vector,
-    weighted_average,
-    wrap_flat,
-)
+from repro.fl.parameters import State, average_pairwise_distance
 
 
 @dataclass
@@ -79,9 +72,9 @@ class FedProx(FederatedAlgorithm):
         if accumulator.count:
             client_states = accumulator.states()
             if client_states is not None:
-                # Drift needs the individual states; a spilled streaming
-                # accumulator no longer holds them, so the diagnostic is
-                # simply omitted at population scale.
+                # Drift needs the individual states; a spilled accumulator
+                # no longer holds them, so the diagnostic is simply omitted
+                # at population scale.
                 extra["client_drift"] = average_pairwise_distance(client_states)
             global_state = accumulator.result()
         self.save_checkpoint(round_index, global_state)
@@ -185,51 +178,11 @@ class FedProx(FederatedAlgorithm):
         concurrency = len(initial)
         dispatch(initial)
 
-        buffer: List[Tuple[_InFlight, float, int]] = []  # (entry, weight, staleness)
+        # Each arrival's delta is folded (and its client released) at arrival
+        # time; the buffer itself only remembers what the round record needs.
+        delta_accumulator = self.server.delta_accumulator()
+        buffered_staleness: List[int] = []
         buffer_losses: Dict[int, float] = {}
-        # Streaming servers fold each buffered delta at arrival time (and
-        # release the update's state immediately); the gemv path keeps the
-        # historical batch fold below, bit for bit.
-        delta_accumulator = self.server.delta_accumulator() if self.server.streaming else None
-
-        def aggregate_buffer() -> State:
-            """Fold the buffered updates into the global model."""
-            entries = [entry for entry, _, _ in buffer]
-            weights = [weight for _, weight, _ in buffer]
-            if all(
-                staleness == 0 and entry.dispatch_state is global_state
-                for entry, _, staleness in buffer
-            ):
-                # Every update is fresh: identical to the synchronous
-                # sample-weighted average over the buffered clients.
-                return weighted_average([entry.update.state for entry in entries], weights)
-            total = float(sum(weights))
-            if isinstance(global_state, FlatState) and all(
-                isinstance(entry.update.state, FlatState)
-                and isinstance(entry.dispatch_state, FlatState)
-                for entry, _, _ in buffer
-            ):
-                # Staleness-weighted folding over the contiguous buffers:
-                # one axpy per buffered update, in arrival order — the same
-                # elementwise operations as the per-name loop below, so the
-                # two paths stay bit-identical.
-                layout = global_state.layout
-                folded_vector = global_state.vector.copy()
-                for entry, weight, _ in buffer:
-                    scale = weight / total
-                    folded_vector += scale * (
-                        state_vector(entry.update.state, layout)
-                        - state_vector(entry.dispatch_state, layout)
-                    )
-                return wrap_flat(layout, folded_vector)
-            folded = {name: values.copy() for name, values in global_state.items()}
-            for entry, weight, _ in buffer:
-                scale = weight / total
-                for name in folded:
-                    folded[name] += scale * (
-                        entry.update.state[name] - entry.dispatch_state[name]
-                    )
-            return folded
 
         while version < self.config.rounds:
             if not heap:
@@ -252,34 +205,23 @@ class FedProx(FederatedAlgorithm):
                 weight = float(
                     self.clients[entry.client_index].num_samples
                 ) * scheduler.staleness_weight(staleness)
-                buffer.append((entry, weight, staleness))
+                buffered_staleness.append(staleness)
                 buffer_losses[entry.update.client_id] = entry.update.stats.mean_loss
                 scheduler.record_buffered(staleness)
-                if delta_accumulator is not None:
-                    # Fresh at fold time stays fresh at aggregation time: the
-                    # global model only rebinds at an aggregation, which also
-                    # resets the buffer and the accumulator.
-                    delta_accumulator.fold(
-                        entry.update.state,
-                        entry.dispatch_state,
-                        weight,
-                        fresh=staleness == 0 and entry.dispatch_state is global_state,
-                    )
-                    if delta_accumulator.spilled:
-                        # Past the parity buffer the delta is captured in the
-                        # running sum; drop the references so coordinator
-                        # memory stays O(P) regardless of buffer size.
-                        entry.update.state = None
-                        entry.dispatch_state = None
-                    self._release_client(entry.client_index)
-                if len(buffer) >= scheduler.buffer_size:
-                    if delta_accumulator is not None:
-                        global_state = delta_accumulator.result(global_state)
-                        delta_accumulator.reset()
-                    else:
-                        global_state = aggregate_buffer()
-                    self.server.record_folds(len(buffer))
-                    staleness_values = [staleness for _, _, staleness in buffer]
+                # Fresh at fold time stays fresh at aggregation time: the
+                # global model only rebinds at an aggregation, which also
+                # resets the buffer and the accumulator.
+                delta_accumulator.fold(
+                    entry.update.state,
+                    entry.dispatch_state,
+                    weight,
+                    fresh=staleness == 0 and entry.dispatch_state is global_state,
+                )
+                self._release_client(entry.client_index)
+                if len(buffered_staleness) >= scheduler.buffer_size:
+                    global_state = delta_accumulator.result(global_state)
+                    delta_accumulator.reset()
+                    self.server.record_folds(len(buffered_staleness))
                     round_index = version
                     version += 1
                     scheduler.record_aggregation()
@@ -287,18 +229,18 @@ class FedProx(FederatedAlgorithm):
                     result.history.append(
                         self._round_record(
                             round_index,
-                            dict(buffer_losses),
+                            buffer_losses,
                             extra={
-                                "buffered_updates": len(buffer),
+                                "buffered_updates": len(buffered_staleness),
                                 "mean_staleness": float(
-                                    sum(staleness_values) / len(staleness_values)
+                                    sum(buffered_staleness) / len(buffered_staleness)
                                 ),
-                                "max_staleness": int(max(staleness_values)),
+                                "max_staleness": int(max(buffered_staleness)),
                                 "simulated_time_s": scheduler.clock.now,
                             },
                         )
                     )
-                    buffer = []
+                    buffered_staleness = []
                     buffer_losses = {}
             if version >= self.config.rounds:
                 break

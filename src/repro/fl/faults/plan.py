@@ -21,6 +21,7 @@ CRC framing check rejects the payload at decode).
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -39,7 +40,8 @@ class FaultDecision:
     """One fault draw: the kind to inject (``None`` = healthy) and a salt.
 
     ``salt`` parameterizes the fault deterministically — for corruption it
-    picks which byte of the payload is flipped.
+    picks which byte of the payload (or wire frame) is flipped, for a wire
+    ``delay`` it scales the hold time.
     """
 
     kind: Optional[str]
@@ -56,7 +58,18 @@ class FaultPlan:
     seed:
         Base seed; combined with :data:`FAULT_SEED_TAG`, the client id, and
         a per-client draw counter for every decision.
+
+    The draw itself is parameterised by four class attributes, which is all
+    a subclass (the wire plan) overrides: the fault ``kinds`` in
+    cumulative-threshold order, the domain-separation ``seed_tag``, the
+    ``salted_kinds`` whose decisions carry a salt, and the ``label`` used
+    in error messages.
     """
+
+    kinds = FAULT_KINDS
+    seed_tag = FAULT_SEED_TAG
+    salted_kinds = ("corruption",)
+    label = "fault"
 
     def __init__(
         self,
@@ -66,25 +79,23 @@ class FaultPlan:
         corruption_rate: float = 0.0,
         seed: int = 0,
     ):
-        rates = {
-            "crash": float(crash_rate),
-            "exception": float(exception_rate),
-            "timeout": float(timeout_rate),
-            "corruption": float(corruption_rate),
-        }
-        for kind, rate in rates.items():
+        self._configure((crash_rate, exception_rate, timeout_rate, corruption_rate), seed)
+
+    def _configure(self, rates, seed: int) -> None:
+        """Validate one rate per kind (in ``kinds`` order) and zero the counters."""
+        self.rates = {kind: float(rate) for kind, rate in zip(self.kinds, rates)}
+        for kind, rate in self.rates.items():
             if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"fault {kind} rate must be in [0, 1], got {rate}")
-        if sum(rates.values()) > 1.0 + 1e-12:
+                raise ValueError(f"{self.label} {kind} rate must be in [0, 1], got {rate}")
+        if sum(self.rates.values()) > 1.0 + 1e-12:
             raise ValueError(
-                f"fault rates must sum to at most 1, got {sum(rates.values()):g}"
+                f"{self.label} rates must sum to at most 1, got {sum(self.rates.values()):g}"
             )
-        self.rates = rates
         self.seed = int(seed)
         #: Per-client draw counters (the mutable, checkpointable state).
         self._draws: Dict[str, int] = {}
         #: Per-kind injected-fault counts (diagnostics, also checkpointed).
-        self._injected: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
+        self._injected: Dict[str, int] = {kind: 0 for kind in self.kinds}
 
     @property
     def any_faults(self) -> bool:
@@ -95,11 +106,13 @@ class FaultPlan:
         """Per-kind counts of faults injected so far (a copy)."""
         return dict(self._injected)
 
-    def draw(self, client_id: str) -> FaultDecision:
+    def draw(self, client_id) -> FaultDecision:
         """The next fault decision for ``client_id``.
 
         Each call advances that client's draw counter, so retries of the
-        same client re-roll (a retried task can fail again, or heal).
+        same client re-roll (a retried task can fail again, or heal).  The
+        n-th draw for a client is a pure function of ``(seed, client_id,
+        n)``, independent of backend or connection interleaving.
         """
         if not self.any_faults:
             return FaultDecision(kind=None)
@@ -109,15 +122,15 @@ class FaultPlan:
         key = str(client_id)
         counter = self._draws.get(key, 0)
         self._draws[key] = counter + 1
-        entropy = [self.seed, FAULT_SEED_TAG, _client_key(client_id), counter]
+        entropy = [self.seed, self.seed_tag, _client_key(client_id), counter]
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
         uniform = float(rng.uniform())
         threshold = 0.0
-        for kind in FAULT_KINDS:
+        for kind in self.kinds:
             threshold += self.rates[kind]
             if uniform < threshold:
                 self._injected[kind] += 1
-                salt = int(rng.integers(0, 2**31 - 1)) if kind == "corruption" else 0
+                salt = int(rng.integers(0, 2**31 - 1)) if kind in self.salted_kinds else 0
                 return FaultDecision(kind=kind, salt=salt)
         return FaultDecision(kind=None)
 
@@ -139,21 +152,19 @@ class FaultPlan:
         """Restore counters captured by :meth:`state`."""
         self._draws = {str(key): int(value) for key, value in dict(state["draws"]).items()}
         injected = dict(state.get("injected", {}))
-        self._injected = {kind: int(injected.get(kind, 0)) for kind in FAULT_KINDS}
+        self._injected = {kind: int(injected.get(kind, 0)) for kind in self.kinds}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         active = {kind: rate for kind, rate in self.rates.items() if rate > 0.0}
-        return f"FaultPlan(seed={self.seed}, rates={active})"
+        return f"{self.__class__.__name__}(seed={self.seed}, rates={active})"
 
 
-def _client_key(client_id: str) -> int:
+def _client_key(client_id) -> int:
     """A stable non-negative integer key for a client id.
 
     ``hash`` is salted per interpreter run, so derive the key from the
     id's bytes (CRC-32 is stable across processes and platforms).
     """
-    import zlib
-
     return zlib.crc32(str(client_id).encode("utf-8"))
 
 

@@ -25,11 +25,9 @@ vocabulary, above the socket):
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-import numpy as np
+from repro.fl.faults.plan import FaultDecision, FaultPlan
 
 #: Domain-separation tag for wire fault draws (disjoint from the execution
 #: fault plan's 0x4FA7 and every other seed stream in the project).
@@ -39,25 +37,22 @@ WIRE_FAULT_SEED_TAG = 0x37E1
 WIRE_FAULT_KINDS = ("disconnect", "delay", "corrupt")
 
 
-@dataclass(frozen=True)
-class WireFaultDecision:
-    """One draw: the kind to inject (``None`` = deliver cleanly) and a salt.
-
-    The salt picks the flipped byte for ``corrupt`` and scales the hold
-    time for ``delay``.
-    """
-
-    kind: Optional[str]
-    salt: int = 0
-
-
-class WireFaultPlan:
+class WireFaultPlan(FaultPlan):
     """Seeded per-client frame fault probabilities.
 
-    Parameters mirror :class:`~repro.fl.faults.FaultPlan`: per-send
-    probabilities in ``[0, 1]`` summing to at most 1, plus the base seed
-    and the maximum ``delay`` hold time in (real) seconds.
+    The :class:`~repro.fl.faults.FaultPlan` draw over the wire kinds and
+    seed tag, with a salt on every decision (it picks the flipped byte for
+    ``corrupt`` and scales the hold time for ``delay``): per-send
+    probabilities in ``[0, 1]`` summing to at most 1, the base seed, and
+    the maximum ``delay`` hold time in (real) seconds.  Replays after a
+    reconnect re-roll deterministically, so an injected disconnect can heal
+    on replay.
     """
+
+    kinds = WIRE_FAULT_KINDS
+    seed_tag = WIRE_FAULT_SEED_TAG
+    salted_kinds = WIRE_FAULT_KINDS
+    label = "wire fault"
 
     def __init__(
         self,
@@ -67,59 +62,12 @@ class WireFaultPlan:
         delay_seconds: float = 0.05,
         seed: int = 0,
     ):
-        rates = {
-            "disconnect": float(disconnect_rate),
-            "delay": float(delay_rate),
-            "corrupt": float(corrupt_rate),
-        }
-        for kind, rate in rates.items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"wire fault {kind} rate must be in [0, 1], got {rate}")
-        if sum(rates.values()) > 1.0 + 1e-12:
-            raise ValueError(f"wire fault rates must sum to at most 1, got {sum(rates.values()):g}")
+        self._configure((disconnect_rate, delay_rate, corrupt_rate), seed)
         if delay_seconds < 0:
             raise ValueError(f"delay_seconds must be >= 0, got {delay_seconds}")
-        self.rates = rates
         self.delay_seconds = float(delay_seconds)
-        self.seed = int(seed)
-        self._draws: Dict[str, int] = {}
-        self._injected: Dict[str, int] = {kind: 0 for kind in WIRE_FAULT_KINDS}
 
-    @property
-    def any_faults(self) -> bool:
-        """Whether any wire fault kind has a nonzero probability."""
-        return any(rate > 0.0 for rate in self.rates.values())
-
-    def injected_counts(self) -> Dict[str, int]:
-        """Per-kind counts of wire faults injected so far (a copy)."""
-        return dict(self._injected)
-
-    def draw(self, client_id) -> WireFaultDecision:
-        """The next decision for a task send to ``client_id``.
-
-        Counter-based like the execution fault plan: the n-th draw for a
-        client is a pure function of ``(seed, client_id, n)``, independent
-        of connection interleaving, so replays after a reconnect re-roll
-        deterministically (an injected disconnect can heal on replay).
-        """
-        if not self.any_faults:
-            return WireFaultDecision(kind=None)
-        key = str(client_id)
-        counter = self._draws.get(key, 0)
-        self._draws[key] = counter + 1
-        entropy = [self.seed, WIRE_FAULT_SEED_TAG, _client_key(client_id), counter]
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        uniform = float(rng.uniform())
-        threshold = 0.0
-        for kind in WIRE_FAULT_KINDS:
-            threshold += self.rates[kind]
-            if uniform < threshold:
-                self._injected[kind] += 1
-                salt = int(rng.integers(0, 2**31 - 1))
-                return WireFaultDecision(kind=kind, salt=salt)
-        return WireFaultDecision(kind=None)
-
-    def hold_seconds(self, decision: WireFaultDecision) -> float:
+    def hold_seconds(self, decision: FaultDecision) -> float:
         """Deterministic hold time for a ``delay`` decision."""
         if decision.kind != "delay" or self.delay_seconds <= 0:
             return 0.0
@@ -128,15 +76,8 @@ class WireFaultPlan:
         return self.delay_seconds * fraction
 
     def describe(self) -> Dict[str, float]:
-        """Static identity of the plan (rates + seed)."""
-        summary: Dict[str, float] = {f"{kind}_rate": rate for kind, rate in self.rates.items()}
-        summary["delay_seconds"] = self.delay_seconds
-        summary["seed"] = self.seed
-        return summary
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        active = {kind: rate for kind, rate in self.rates.items() if rate > 0.0}
-        return f"WireFaultPlan(seed={self.seed}, rates={active})"
+        """Static identity of the plan (rates + delay + seed)."""
+        return {**super().describe(), "delay_seconds": self.delay_seconds}
 
 
 def corrupt_frame(frame: bytes, salt: int) -> bytes:
@@ -153,15 +94,9 @@ def corrupt_frame(frame: bytes, salt: int) -> bytes:
     return bytes(data)
 
 
-def _client_key(client_id) -> int:
-    """Stable non-negative integer key for a client id (process-stable)."""
-    return zlib.crc32(str(client_id).encode("utf-8"))
-
-
 __all__ = [
     "WIRE_FAULT_KINDS",
     "WIRE_FAULT_SEED_TAG",
-    "WireFaultDecision",
     "WireFaultPlan",
     "corrupt_frame",
 ]

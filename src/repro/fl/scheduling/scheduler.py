@@ -279,12 +279,12 @@ class RoundScheduler:
     def arrival_schedule(self, plan: RoundPlan) -> Dict[int, float]:
         """Pre-draw the cohort's latencies, in cohort order.
 
-        Streaming aggregation needs each client's arrival time *before* its
-        update is folded (to apply the deadline policy one update at a time).
+        The round loop needs each client's arrival time *before* its update
+        is folded (to apply the deadline policy one update at a time).
         Drawing here consumes the latency RNG in exactly the order
-        :meth:`complete_round` would, so passing the result back via its
-        ``latencies=`` parameter leaves every drawn value — and all later
-        RNG consumption — bit-identical to the batch path.
+        :meth:`complete_round` would on its own, so passing the result back
+        via its ``latencies=`` parameter leaves every drawn value — and all
+        later RNG consumption — unchanged.
         """
         return {index: self.draw_latency(index) for index in plan.cohort}
 

@@ -7,10 +7,15 @@ alpha-portion sync), and redistributes the results.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
+from repro.fl.aggregation import (
+    StreamingAccumulator,
+    StreamingDeltaAccumulator,
+    UpdateAccumulator,
+)
 from repro.fl.parameters import (
     FlatState,
     State,
@@ -23,45 +28,27 @@ from repro.fl.parameters import (
     wrap_flat,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.fl.aggregation import (
-        Aggregator,
-        StreamingDeltaAccumulator,
-        UpdateAccumulator,
-    )
-
 
 class FederatedServer:
     """Parameter-aggregation logic used by every algorithm in this package.
 
-    The global-model aggregation is delegated to a pluggable
-    :class:`~repro.fl.aggregation.Aggregator` (default: the historical
-    (K, P) GEMV).  The streaming/sharded aggregators expose accumulators
-    that fold one update at a time so the round loop never needs the whole
-    cohort in memory; ``streaming`` tells the algorithm whether the server
-    wants updates released as soon as they are folded.
+    Round loops fold the global model one update at a time through
+    :meth:`accumulator` (see :mod:`repro.fl.aggregation`): up to 32 updates
+    are buffered and averaged by ``weighted_average`` bit for bit, beyond
+    that the fold is an O(P) running sum, and each client is released as
+    soon as its update is folded.
     """
 
-    def __init__(self, aggregator: Optional["Aggregator"] = None):
-        if aggregator is None:
-            from repro.fl.aggregation import GemvAggregator
-
-            aggregator = GemvAggregator()
-        self.aggregator = aggregator
+    def __init__(self):
         self.folded_updates = 0
 
-    @property
-    def streaming(self) -> bool:
-        """True when updates should be folded (and released) as they arrive."""
-        return self.aggregator.streaming
-
-    def accumulator(self) -> "UpdateAccumulator":
+    def accumulator(self) -> UpdateAccumulator:
         """A fresh per-round accumulator for the global aggregation."""
-        return self.aggregator.accumulator()
+        return StreamingAccumulator()
 
-    def delta_accumulator(self) -> "StreamingDeltaAccumulator":
+    def delta_accumulator(self) -> StreamingDeltaAccumulator:
         """A fresh delta accumulator (FedBuff staleness folds)."""
-        return self.aggregator.delta_accumulator()
+        return StreamingDeltaAccumulator()
 
     def record_folds(self, count: int) -> None:
         """Count updates folded into the global model (for run summaries)."""
@@ -69,7 +56,7 @@ class FederatedServer:
 
     def aggregate(self, states: Sequence[State], weights: Sequence[float]) -> State:
         """Sample-count-weighted average: ``W^{r+1} = sum_k (n_k / n) w_k^r``."""
-        return self.aggregator.aggregate(states, weights)
+        return weighted_average(states, weights)
 
     def aggregate_partition(
         self,

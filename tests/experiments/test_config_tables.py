@@ -63,6 +63,15 @@ class TestPresets:
         assert cleared.checkpoint_dir is None  # explicit None -> reset
         assert cleared.workers == 4
 
+    def test_builders_reject_options_of_another_group(self):
+        config = default("flnet")
+        with pytest.raises(TypeError, match="unexpected keyword argument 'aggregation'"):
+            config.with_population(aggregation="streaming")
+        with pytest.raises(TypeError, match="with_transport.*'workers'"):
+            config.with_transport(workers=2)
+        with pytest.raises(TypeError, match="'compute_dtype'"):
+            config.with_scheduling(compute_dtype="float32")
+
     def test_execution_options_validated(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
             default("flnet").with_execution(backend="threads")

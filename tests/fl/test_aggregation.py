@@ -1,15 +1,17 @@
-"""Property/parity tests for the streaming aggregation tier.
+"""Property/parity tests for the fold-and-release server aggregation.
 
-The aggregation tier's contract has two halves, and both are asserted here
-over seeded random layouts, weights, cohort sizes, and input dtypes:
+:func:`weighted_average` — the (K, P) GEMV — is the reference throughout.
+The accumulators' contract has two halves, and both are asserted here over
+seeded random layouts, weights, cohort sizes, input dtypes and dict/flat
+states:
 
-* **exact parity** — while a streaming/sharded accumulator is inside its
-  parity buffer (``count <= parity_limit``), its result is bit-identical
-  (0 ulp) to :func:`weighted_average`'s GEMV, including through the DP
-  privatize-then-fold and FedAvgM momentum compositions;
+* **exact parity** — while an accumulator is inside its parity buffer
+  (``count <= PARITY_LIMIT``), its result is bit-identical (0 ulp) to
+  ``weighted_average``, including through the DP privatize-then-fold and
+  FedAvgM momentum compositions, and for an all-fresh FedBuff buffer;
 * **spilled accuracy** — once spilled to the running O(P) form, results
-  agree with the GEMV to ``<= 1e-12`` relative error, and the incremental
-  fold is bitwise identical to the one-shot batch ``aggregate``.
+  agree with ``weighted_average`` to ``<= 1e-12`` relative error, memory
+  stays flat, and inputs are validated exactly as in the parity phase.
 """
 
 from __future__ import annotations
@@ -17,17 +19,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.fl import FederatedServer
 from repro.fl.aggregation import (
-    AGGREGATION_CHOICES,
-    GemvAggregator,
-    ShardedAccumulator,
-    ShardedAggregator,
+    PARITY_LIMIT,
     StreamingAccumulator,
-    StreamingAggregator,
     StreamingDeltaAccumulator,
-    create_aggregator,
 )
 from repro.fl.parameters import (
+    FlatState,
     StateLayout,
     aggregation_scratch_bytes,
     release_aggregation_scratch,
@@ -66,101 +65,84 @@ def relative_error(left, right):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(a)), 1e-30)
 
 
+def fold_all(kind, states, weights):
+    """Fold a cohort through one accumulator kind; returns (accumulator, result).
+
+    ``streaming`` is the barrier accumulator; ``delta`` is the FedBuff delta
+    accumulator fed an all-fresh buffer (every update dispatched from the
+    current global model), which must reduce to the synchronous average.
+    """
+    if kind == "streaming":
+        accumulator = StreamingAccumulator()
+        for state, weight in zip(states, weights):
+            accumulator.fold(state, weight)
+        return accumulator, accumulator.result()
+    global_state = FlatState.from_state(states[0])
+    accumulator = StreamingDeltaAccumulator()
+    for state, weight in zip(states, weights):
+        accumulator.fold(state, global_state, weight, fresh=True)
+    return accumulator, accumulator.result(global_state)
+
+
+def spilled(kind, states, weights):
+    """An accumulator of ``kind`` pushed past the parity buffer."""
+    assert len(states) > PARITY_LIMIT
+    accumulator, _ = fold_all(kind, states, weights)
+    assert accumulator.spilled
+    return accumulator
+
+
+def fold_one(accumulator, state, weight):
+    """One more fold into either accumulator kind."""
+    if isinstance(accumulator, StreamingDeltaAccumulator):
+        accumulator.fold(state, state, weight, fresh=False)
+    else:
+        accumulator.fold(state, weight)
+
+
 # ---------------------------------------------------------------------------
-# exact-parity mode (count <= parity_limit): 0 ulp against the GEMV
+# exact-parity mode (count <= PARITY_LIMIT): 0 ulp against weighted_average
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("count", [1, 2, 9, 32])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("mode", ["streaming", "sharded"])
-def test_parity_mode_is_bit_identical_to_gemv(seed, count, dtype, mode):
+@pytest.mark.parametrize("kind", ["streaming", "delta"])
+def test_parity_mode_is_bit_identical_to_gemv(seed, count, dtype, kind):
     states, weights = random_layout_states(seed, count, dtype=dtype)
     reference = weighted_average(states, weights)
-    aggregator = create_aggregator(mode)
-    # Batch one-shot path.
-    assert vectors_equal(aggregator.aggregate(states, weights), reference)
-    # Incremental fold path.
-    accumulator = aggregator.accumulator()
-    for state, weight in zip(states, weights):
-        accumulator.fold(state, weight)
-    assert not accumulator.spilled
-    assert vectors_equal(accumulator.result(), reference)
-
-
-@pytest.mark.parametrize("mode", AGGREGATION_CHOICES)
-def test_every_mode_handles_flat_states(mode):
-    states, weights = random_layout_states(7, 5)
-    flat = [weighted_average([s], [1.0]) for s in states]  # FlatState inputs
-    reference = weighted_average(flat, weights)
-    assert vectors_equal(create_aggregator(mode).aggregate(flat, weights), reference)
-
-
-def test_gemv_accumulator_matches_direct_weighted_average():
-    states, weights = random_layout_states(11, 6)
-    accumulator = GemvAggregator().accumulator()
-    for state, weight in zip(states, weights):
-        accumulator.fold(state, weight)
-    assert accumulator.count == 6
-    assert accumulator.weight_total == pytest.approx(sum(weights))
-    assert accumulator.states() is not None
-    assert vectors_equal(accumulator.result(), weighted_average(states, weights))
+    for inputs in (states, [FlatState.from_state(state) for state in states]):
+        accumulator, result = fold_all(kind, inputs, weights)
+        assert not accumulator.spilled
+        assert vectors_equal(result, reference)
 
 
 # ---------------------------------------------------------------------------
-# spilled O(P) form: <= 1e-12 relative, incremental == batch bitwise
+# spilled O(P) form: <= 1e-12 relative, memory flat
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", [0, 5, 9])
 @pytest.mark.parametrize("count", [33, 64, 111])
-@pytest.mark.parametrize("mode", ["streaming", "sharded"])
-def test_spilled_fold_agrees_with_gemv(seed, count, mode):
+@pytest.mark.parametrize("kind", ["streaming", "delta"])
+def test_spilled_fold_agrees_with_gemv(seed, count, kind):
     states, weights = random_layout_states(seed, count)
     reference = weighted_average(states, weights)
-    aggregator = create_aggregator(mode)
-    accumulator = aggregator.accumulator()
-    for state, weight in zip(states, weights):
-        accumulator.fold(state, weight)
+    accumulator, result = fold_all(kind, states, weights)
     assert accumulator.spilled
-    assert accumulator.states() is None  # the buffered inputs are gone
-    incremental = accumulator.result()
-    assert relative_error(incremental, reference) <= 1e-12
-    # The batch path runs the identical summation order: bitwise equal.
-    assert vectors_equal(aggregator.aggregate(states, weights), incremental)
-
-
-def test_small_parity_limit_spills_early_but_stays_close():
-    states, weights = random_layout_states(3, 10)
-    reference = weighted_average(states, weights)
-    accumulator = StreamingAccumulator(parity_limit=2)
-    for state, weight in zip(states, weights):
-        accumulator.fold(state, weight)
-    assert accumulator.spilled
-    assert relative_error(accumulator.result(), reference) <= 1e-12
-
-
-def test_sharded_incremental_matches_batch_bitwise_any_shard_count():
-    states, weights = random_layout_states(21, 50)
-    for shards in (1, 3, 7):
-        aggregator = ShardedAggregator(shards=shards, parity_limit=8)
-        accumulator = aggregator.accumulator()
-        for state, weight in zip(states, weights):
-            accumulator.fold(state, weight)
-        assert vectors_equal(accumulator.result(), aggregator.aggregate(states, weights))
+    assert accumulator.count == count
+    assert relative_error(result, reference) <= 1e-12
 
 
 def test_streaming_memory_is_flat_after_spill():
     """The running form holds one O(P) vector regardless of fold count."""
     states, weights = random_layout_states(2, 40)
-    accumulator = StreamingAccumulator(parity_limit=4)
-    for state, weight in zip(states, weights):
-        accumulator.fold(state, weight)
-    snapshot = accumulator.state()
+    accumulator = spilled("streaming", states, weights)
     layout = StateLayout.from_state(states[0])
-    assert snapshot["pending"] == []
-    assert snapshot["sum"].nbytes == layout.total_size * 8
+    assert accumulator.states() is None  # the buffered inputs are gone
+    assert accumulator._pending == []
+    assert accumulator._sum.nbytes == layout.total_size * 8
     assert accumulator.count == 40
 
 
@@ -267,7 +249,7 @@ def test_delta_accumulator_mixed_staleness_is_exact_arrival_order_fold():
 
 def test_delta_accumulator_spilled_stays_close():
     global_state, layout, updates, dispatches, weights = _delta_cohort(41, 40)
-    accumulator = StreamingDeltaAccumulator(parity_limit=4)
+    accumulator = StreamingDeltaAccumulator()
     for update, dispatch, weight in zip(updates, dispatches, weights):
         accumulator.fold(update, dispatch, weight, fresh=False)
     assert accumulator.spilled
@@ -297,107 +279,82 @@ def test_delta_accumulator_reset_clears_the_buffer():
 
 
 # ---------------------------------------------------------------------------
-# mid-fold checkpoint state round-trips (bit-identical resume)
+# error paths: the same rejections inside the parity buffer and after a spill
 # ---------------------------------------------------------------------------
 
-
-@pytest.mark.parametrize("interrupt_at,parity_limit", [(3, 32), (20, 4)])
-def test_streaming_accumulator_state_roundtrip(interrupt_at, parity_limit):
-    states, weights = random_layout_states(53, 30)
-    continuous = StreamingAccumulator(parity_limit=parity_limit)
-    resumed = StreamingAccumulator(parity_limit=parity_limit)
-    for state, weight in zip(states[:interrupt_at], weights[:interrupt_at]):
-        continuous.fold(state, weight)
-        resumed.fold(state, weight)
-    fresh = StreamingAccumulator()
-    fresh.set_state(resumed.state())  # snapshot -> brand-new accumulator
-    for state, weight in zip(states[interrupt_at:], weights[interrupt_at:]):
-        continuous.fold(state, weight)
-        fresh.fold(state, weight)
-    assert fresh.count == continuous.count == 30
-    assert vectors_equal(fresh.result(), continuous.result())
+PHASES = ["parity", "spilled"]
 
 
-@pytest.mark.parametrize("interrupt_at,parity_limit", [(2, 32), (10, 3)])
-def test_delta_accumulator_state_roundtrip(interrupt_at, parity_limit):
-    global_state, _, updates, dispatches, weights = _delta_cohort(59, 15)
-    continuous = StreamingDeltaAccumulator(parity_limit=parity_limit)
-    resumed = StreamingDeltaAccumulator(parity_limit=parity_limit)
-    entries = list(zip(updates, dispatches, weights))
-    for update, dispatch, weight in entries[:interrupt_at]:
-        continuous.fold(update, dispatch, weight, fresh=False)
-        resumed.fold(update, dispatch, weight, fresh=False)
-    fresh = StreamingDeltaAccumulator()
-    fresh.set_state(resumed.state())
-    for update, dispatch, weight in entries[interrupt_at:]:
-        continuous.fold(update, dispatch, weight, fresh=False)
-        fresh.fold(update, dispatch, weight, fresh=False)
-    assert vectors_equal(fresh.result(global_state), continuous.result(global_state))
-
-
-# ---------------------------------------------------------------------------
-# error paths and the registry
-# ---------------------------------------------------------------------------
-
-
-def test_registry_names_and_streaming_flags():
-    assert create_aggregator(None).name == "gemv"
-    for name in AGGREGATION_CHOICES:
-        aggregator = create_aggregator(name)
-        assert aggregator.name == name
-        assert aggregator.streaming == (name != "gemv")
-        assert name in aggregator.describe()
-
-
-def test_unknown_aggregation_mode_is_rejected():
-    with pytest.raises(ValueError, match="unknown aggregation mode"):
-        create_aggregator("quantum")
+def accumulators_in(phase, seed):
+    """Both accumulator kinds in ``phase``, plus the layout's states."""
+    states, weights = random_layout_states(seed, PARITY_LIMIT + 1)
+    if phase == "parity":
+        return [StreamingAccumulator(), StreamingDeltaAccumulator()], states
+    return [spilled(kind, states, weights) for kind in ("streaming", "delta")], states
 
 
 def test_negative_weights_are_rejected():
-    states, _ = random_layout_states(61, 1)
-    for accumulator in (
-        StreamingAccumulator(),
-        ShardedAccumulator(),
-        GemvAggregator().accumulator(),
-    ):
-        with pytest.raises(ValueError, match="non-negative"):
-            accumulator.fold(states[0], -1.0)
-    with pytest.raises(ValueError, match="non-negative"):
-        StreamingDeltaAccumulator().fold(states[0], states[0], -0.5, fresh=True)
+    for phase in PHASES:
+        accumulators, states = accumulators_in(phase, 61)
+        for accumulator in accumulators:
+            with pytest.raises(ValueError, match="non-negative"):
+                fold_one(accumulator, states[0], -1.0)
+
+
+def test_non_finite_weights_are_rejected():
+    """A NaN/inf weight must not silently poison the global model."""
+    for phase in PHASES:
+        accumulators, states = accumulators_in(phase, 63)
+        for accumulator in accumulators:
+            folded = accumulator.count
+            for weight in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ValueError, match="finite"):
+                    fold_one(accumulator, states[0], weight)
+            assert accumulator.count == folded  # a rejected fold leaves no trace
 
 
 def test_all_zero_weights_are_rejected_after_spill():
-    states, _ = random_layout_states(67, 3)
-    accumulator = StreamingAccumulator(parity_limit=0)
-    for state in states:
-        accumulator.fold(state, 0.0)
+    states, _ = random_layout_states(67, PARITY_LIMIT + 1)
+    zeros = [0.0] * len(states)
     with pytest.raises(ValueError, match="must not all be zero"):
-        accumulator.result()
-    delta = StreamingDeltaAccumulator(parity_limit=0)
-    delta.fold(states[0], states[1], 0.0, fresh=False)
+        spilled("streaming", states, zeros).result()
     with pytest.raises(ValueError, match="must not all be zero"):
-        delta.result(states[0])
+        spilled("delta", states, zeros).result(states[0])
 
 
 def test_mismatched_states_and_weights_are_rejected():
     states, weights = random_layout_states(71, 4)
-    for mode in ("streaming", "sharded"):
-        with pytest.raises(ValueError, match="states but"):
-            create_aggregator(mode).aggregate(states, weights[:-1])
+    with pytest.raises(ValueError, match="states but"):
+        FederatedServer().aggregate(states, weights[:-1])
 
 
-def test_invalid_construction_parameters_are_rejected():
-    with pytest.raises(ValueError, match="parity_limit"):
-        StreamingAccumulator(parity_limit=-1)
-    with pytest.raises(ValueError, match="parity_limit"):
-        StreamingAggregator(parity_limit=-2)
-    with pytest.raises(ValueError, match="shards"):
-        ShardedAccumulator(shards=0)
-    with pytest.raises(ValueError, match="shards"):
-        ShardedAggregator(shards=-1)
-    with pytest.raises(NotImplementedError, match="has no streaming delta accumulator"):
-        GemvAggregator().delta_accumulator()
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("defect", ["missing entry", "extra entry", "wrong shape"])
+def test_mismatched_state_layouts_are_rejected(defect, phase):
+    """Spilled folds validate exactly like ``weighted_average`` does."""
+    states, weights = random_layout_states(73, PARITY_LIMIT + 1)
+    name = next(iter(states[0]))
+    bad = dict(states[0])
+    if defect == "missing entry":
+        del bad[name]
+    elif defect == "extra entry":
+        bad["intruder"] = np.zeros(3)
+    else:
+        bad[name] = np.zeros(bad[name].shape + (2,))
+    with pytest.raises(ValueError) as reference:
+        weighted_average([states[0], bad], [1.0, 1.0])
+    if phase == "parity":
+        accumulator = StreamingAccumulator()
+        accumulator.fold(states[0], 1.0)
+        accumulator.fold(bad, 1.0)
+        with pytest.raises(ValueError) as raised:
+            accumulator.result()
+        assert str(raised.value) == str(reference.value)
+    else:
+        for accumulator in accumulators_in("spilled", 73)[0]:
+            with pytest.raises(ValueError) as raised:
+                fold_one(accumulator, bad, 1.0)
+            assert str(raised.value) == str(reference.value)
 
 
 # ---------------------------------------------------------------------------

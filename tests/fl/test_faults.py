@@ -46,6 +46,7 @@ from repro.fl import (
     create_algorithm,
     create_channel,
     create_resilience,
+    create_scheduler,
     resilience_requested,
 )
 from repro.fl.faults.plan import FaultDecision
@@ -460,6 +461,30 @@ class TestQuorum:
             "fedavg", [make_clients()[1]], make_factory(num_channels), TINY_CONFIG
         ).run()
         assert states_equal(training.global_state, solo.global_state)
+
+
+    def test_scheduled_round_with_an_empty_cohort_keeps_the_model(
+        self, make_clients, num_channels
+    ):
+        """Every sampled client already dropped for good: the scheduled loop
+        dispatches nothing, folds nothing and leaves the model unchanged."""
+        manager = ResilienceManager(quorum=0.5)
+        algorithm = create_algorithm(
+            "fedavg",
+            make_clients(),
+            make_factory(num_channels),
+            TINY_CONFIG,
+            scheduler=create_scheduler(participation=1.0, straggler="lognormal", seed=0),
+            resilience=manager,
+        )
+        manager._failed = {0, 1}
+        initial = create_algorithm(
+            "fedavg", make_clients(), make_factory(num_channels), TINY_CONFIG
+        ).initial_state()
+        training = algorithm.run()
+        assert states_equal(training.global_state, initial)
+        assert algorithm.server.folded_updates == 0
+        assert [r.per_client_loss for r in training.history] == [{}] * TINY_CONFIG.rounds
 
 
 class TestChaosResume:

@@ -3,11 +3,11 @@
 Lazy client virtualization (:mod:`repro.fl.population`) promises two things:
 
 * **laziness** — nothing is materialized before the sampler selects a
-  client, and streaming rounds release each client right after its update
-  is folded, so peak materialization is bounded by the cohort;
-* **bit-parity** — a sampled run over a virtualized population under
-  ``--aggregation streaming``/``sharded`` produces the *identical* global
-  state as the historical GEMV path, across execution backends and through
+  client, and every round releases each client right after its update is
+  folded, so peak materialization is bounded by the cohort;
+* **bit-parity** — a sampled run over a virtualized population folds to the
+  *identical* global state as averaging each cohort with the reference
+  ``weighted_average`` GEMV, across execution backends and through
   checkpoint resume (the parity buffer covers every small cohort).
 """
 
@@ -26,12 +26,12 @@ from repro.fl import (
     ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
-    create_aggregator,
     create_algorithm,
     create_scheduler,
     initial_rng_state,
 )
 from repro.fl import SeededModelFactory
+from repro.fl.parameters import state_vector, weighted_average, wrap_flat
 from repro.models import FLNet
 
 POPULATION_ALGORITHMS = ("fedavg", "fedprox", "fedavgm", "dp_fedprox")
@@ -96,18 +96,74 @@ def make_directory(client_data, num_channels):
     return build
 
 
+class ReferenceAccumulator:
+    """The test oracle: keep every folded state, average with the GEMV."""
+
+    def __init__(self):
+        self.folded = []
+
+    def fold(self, state, weight):
+        self.folded.append((state, weight))
+
+    @property
+    def count(self):
+        return len(self.folded)
+
+    def states(self):
+        return [state for state, _ in self.folded]
+
+    def result(self):
+        return weighted_average(self.states(), [weight for _, weight in self.folded])
+
+
+class ReferenceDeltaAccumulator:
+    """The FedBuff oracle: the buffered fold written out entry by entry."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.folded = []
+
+    def fold(self, update, dispatch, weight, fresh):
+        self.folded.append((update, dispatch, weight, fresh))
+
+    def result(self, global_state):
+        if all(fresh for _, _, _, fresh in self.folded):
+            return weighted_average(
+                [update for update, _, _, _ in self.folded],
+                [weight for _, _, weight, _ in self.folded],
+            )
+        layout = global_state.layout
+        total = sum(weight for _, _, weight, _ in self.folded)
+        folded = global_state.vector.copy()
+        for update, dispatch, weight, _ in self.folded:
+            folded += (weight / total) * (
+                state_vector(update, layout) - state_vector(dispatch, layout)
+            )
+        return wrap_flat(layout, folded)
+
+
+def reference_server():
+    """A server whose folds go through the oracles instead of the accumulators."""
+    server = FederatedServer()
+    server.accumulator = ReferenceAccumulator
+    server.delta_accumulator = ReferenceDeltaAccumulator
+    return server
+
+
 def run_population(
     name,
     directory,
     num_channels,
     config=TINY_CONFIG,
-    aggregation="gemv",
+    server=None,
     backend=None,
     checkpoint=None,
     scheduler=None,
 ):
     """One algorithm run over a virtualized population; returns (training, server)."""
-    server = FederatedServer(aggregator=create_aggregator(aggregation))
+    server = server if server is not None else FederatedServer()
     algorithm = create_algorithm(
         name,
         list(directory.handles),
@@ -189,7 +245,6 @@ class TestLaziness:
             "fedavg",
             directory,
             num_channels,
-            aggregation="streaming",
             scheduler=sampling_scheduler(clients_per_round=3),
         )
         assert training.global_state is not None
@@ -203,39 +258,24 @@ class TestLaziness:
 class TestStreamingParity:
     @pytest.mark.parametrize("algorithm", POPULATION_ALGORITHMS)
     def test_streaming_matches_gemv_bitwise(self, algorithm, make_directory, num_channels):
-        """The tentpole guarantee: sampled population runs are mode-invariant."""
+        """The tentpole guarantee: a sampled population run folds to exactly
+        what averaging each cohort with ``weighted_average`` gives."""
         population = 10_000 if algorithm == "fedavg" else 200
         gemv, _ = run_population(
             algorithm,
             make_directory(population),
             num_channels,
+            server=reference_server(),
             scheduler=sampling_scheduler(clients_per_round=9),
         )
         streamed, _ = run_population(
             algorithm,
             make_directory(population),
             num_channels,
-            aggregation="streaming",
             scheduler=sampling_scheduler(clients_per_round=9),
         )
         assert states_equal(gemv.global_state, streamed.global_state)
         assert [r.mean_loss for r in gemv.history] == [r.mean_loss for r in streamed.history]
-
-    def test_sharded_matches_gemv_bitwise(self, make_directory, num_channels):
-        gemv, _ = run_population(
-            "fedavg",
-            make_directory(200),
-            num_channels,
-            scheduler=sampling_scheduler(clients_per_round=9),
-        )
-        sharded, _ = run_population(
-            "fedavg",
-            make_directory(200),
-            num_channels,
-            aggregation="sharded",
-            scheduler=sampling_scheduler(clients_per_round=9),
-        )
-        assert states_equal(gemv.global_state, sharded.global_state)
 
     @pytest.mark.parametrize(
         "backend_factory", [ThreadPoolBackend, lambda: ProcessPoolBackend(workers=2)]
@@ -247,7 +287,6 @@ class TestStreamingParity:
             "fedavg",
             make_directory(200),
             num_channels,
-            aggregation="streaming",
             backend=SerialBackend(),
             scheduler=sampling_scheduler(clients_per_round=5),
         )
@@ -255,7 +294,6 @@ class TestStreamingParity:
             "fedavg",
             make_directory(200),
             num_channels,
-            aggregation="streaming",
             backend=backend_factory(),
             scheduler=sampling_scheduler(clients_per_round=5),
         )
@@ -275,16 +313,17 @@ class TestStreamingParity:
             )
 
         gemv, _ = run_population(
-            "fedavg", make_directory(50), num_channels, scheduler=scheduler()
-        )
-        streamed, _ = run_population(
             "fedavg",
             make_directory(50),
             num_channels,
-            aggregation="streaming",
+            server=reference_server(),
             scheduler=scheduler(),
         )
+        streamed, server = run_population(
+            "fedavg", make_directory(50), num_channels, scheduler=scheduler()
+        )
         assert states_equal(gemv.global_state, streamed.global_state)
+        assert 0 < server.folded_updates < TINY_CONFIG.rounds * 5  # some were dropped
 
     def test_streaming_matches_gemv_under_fedbuff(self, make_directory, num_channels):
         """The staleness-weighted delta fold agrees at parity buffer sizes."""
@@ -298,31 +337,70 @@ class TestStreamingParity:
             )
 
         gemv, _ = run_population(
-            "fedavg", make_directory(50), num_channels, scheduler=scheduler()
-        )
-        streamed, _ = run_population(
             "fedavg",
             make_directory(50),
             num_channels,
-            aggregation="streaming",
+            server=reference_server(),
             scheduler=scheduler(),
+        )
+        streamed, _ = run_population(
+            "fedavg", make_directory(50), num_channels, scheduler=scheduler()
         )
         assert states_equal(gemv.global_state, streamed.global_state)
         assert [r.mean_loss for r in gemv.history] == [r.mean_loss for r in streamed.history]
+        assert any(r.extra["max_staleness"] > 0 for r in streamed.history)
+
+    def test_default_run_spills_and_releases_past_the_parity_buffer(
+        self, make_directory, num_channels
+    ):
+        """A 40-client cohort leaves the parity buffer: the fold is the O(P)
+        running sum, within 1e-12 of the GEMV, and clients are still released
+        one by one."""
+        from repro.fl.aggregation import PARITY_LIMIT
+
+        clients_per_round = PARITY_LIMIT + 8
+        gemv, _ = run_population(
+            "fedavg",
+            make_directory(10_000),
+            num_channels,
+            server=reference_server(),
+            scheduler=sampling_scheduler(clients_per_round=clients_per_round),
+        )
+        directory = make_directory(10_000)
+        streamed, server = run_population(
+            "fedavg",
+            directory,
+            num_channels,
+            scheduler=sampling_scheduler(clients_per_round=clients_per_round),
+        )
+        assert server.folded_updates == TINY_CONFIG.rounds * clients_per_round
+        assert directory.peak_materialized < clients_per_round
+        assert "client_drift" not in streamed.history[-1].extra  # spilled: no states kept
+        assert not states_equal(gemv.global_state, streamed.global_state)
+        for name, reference in gemv.global_state.items():
+            np.testing.assert_allclose(
+                streamed.global_state[name], reference, rtol=0, atol=1e-12 * np.abs(reference).max()
+            )
 
 
 class TestCheckpointResume:
     def test_streaming_resume_is_bit_identical(
         self, tmp_path, make_directory, num_channels
     ):
-        """Interrupt a streaming population run; resume must match gemv."""
+        """Interrupt a deadline-policy population run; resume must match the
+        uninterrupted run."""
         from dataclasses import replace
 
         long_config = replace(TINY_CONFIG, rounds=4)
         short_config = replace(TINY_CONFIG, rounds=2)
 
         def scheduler():
-            return sampling_scheduler(clients_per_round=3, straggler="lognormal")
+            return sampling_scheduler(
+                clients_per_round=3,
+                straggler="lognormal",
+                round_policy="deadline",
+                deadline=12.0,
+            )
 
         uninterrupted, _ = run_population(
             "fedavg",
@@ -336,7 +414,6 @@ class TestCheckpointResume:
             make_directory(50, short_config),
             num_channels,
             config=short_config,
-            aggregation="streaming",
             checkpoint=CheckpointManager(tmp_path),
             scheduler=scheduler(),
         )
@@ -345,7 +422,6 @@ class TestCheckpointResume:
             make_directory(50, long_config),
             num_channels,
             config=long_config,
-            aggregation="streaming",
             checkpoint=CheckpointManager(tmp_path),
             scheduler=scheduler(),
         )
@@ -355,8 +431,10 @@ class TestCheckpointResume:
     def test_fedbuff_resume_parity_between_modes(
         self, tmp_path, make_directory, num_channels
     ):
-        """FedBuff resume is deterministic (not uninterrupted-identical);
-        the streaming delta fold must land exactly where the gemv fold does."""
+        """FedBuff checkpoints cover aggregations, not in-flight updates: the
+        interrupted half matches the uninterrupted run bit for bit, and the
+        resumed half re-dispatches from the checkpoint — deterministically,
+        landing exactly where the reference fold does."""
         from dataclasses import replace
 
         long_config = replace(TINY_CONFIG, rounds=4)
@@ -370,13 +448,13 @@ class TestCheckpointResume:
                 straggler="lognormal",
             )
 
-        def interrupted_then_resumed(aggregation, directory_path):
-            run_population(
+        def interrupted_then_resumed(server, directory_path):
+            interrupted, _ = run_population(
                 "fedavg",
                 make_directory(50, short_config),
                 num_channels,
                 config=short_config,
-                aggregation=aggregation,
+                server=server(),
                 checkpoint=CheckpointManager(directory_path),
                 scheduler=scheduler(),
             )
@@ -385,38 +463,26 @@ class TestCheckpointResume:
                 make_directory(50, long_config),
                 num_channels,
                 config=long_config,
-                aggregation=aggregation,
+                server=server(),
                 checkpoint=CheckpointManager(directory_path),
                 scheduler=scheduler(),
             )
-            return resumed
+            return interrupted, resumed
 
-        gemv = interrupted_then_resumed("gemv", tmp_path / "gemv")
-        streamed = interrupted_then_resumed("streaming", tmp_path / "streaming")
+        uninterrupted, _ = run_population(
+            "fedavg",
+            make_directory(50, long_config),
+            num_channels,
+            config=long_config,
+            scheduler=scheduler(),
+        )
+        _, gemv = interrupted_then_resumed(reference_server, tmp_path / "gemv")
+        interrupted, streamed = interrupted_then_resumed(FederatedServer, tmp_path / "streaming")
+        assert [r.mean_loss for r in interrupted.history] == [
+            r.mean_loss for r in uninterrupted.history[:2]
+        ]
         assert states_equal(gemv.global_state, streamed.global_state)
         assert [r.round_index for r in streamed.history] == [2, 3]
-
-    def test_aggregation_mode_is_fingerprinted(
-        self, tmp_path, make_directory, num_channels
-    ):
-        """A sharded checkpoint must not silently resume a streaming run."""
-        run_population(
-            "fedavg",
-            make_directory(20),
-            num_channels,
-            aggregation="sharded",
-            checkpoint=CheckpointManager(tmp_path),
-            scheduler=sampling_scheduler(clients_per_round=3),
-        )
-        with pytest.raises(ValueError, match="written by a different run"):
-            run_population(
-                "fedavg",
-                make_directory(20),
-                num_channels,
-                aggregation="streaming",
-                checkpoint=CheckpointManager(tmp_path),
-                scheduler=sampling_scheduler(clients_per_round=3),
-            )
 
 
 class TestHandleTransport:

@@ -54,6 +54,27 @@ class TestSmokeExperiment:
         with pytest.raises(KeyError):
             result.row("ifca")
 
+    def test_default_population_run_spills_and_releases(self):
+        """A 40-client cohort leaves the 32-update parity buffer: the default
+        fold becomes the O(P) running sum and every client is released right
+        after its update is folded."""
+        config = (
+            smoke("flnet")
+            .with_algorithms(["fedavg"])
+            .with_scheduling(clients_per_round=40)
+            .with_population(population=10_000)
+        )
+        outcome = ExperimentRunner(config).run().outcomes[0]
+        summary = outcome.population
+        assert summary["eager_clients_before_sampling"] == 0
+        assert summary["folded_updates"] == config.fl.rounds * 40
+        assert summary["peak_materialized"] < 40
+        for record in outcome.training.history:
+            assert np.isfinite(record.mean_loss)
+            assert len(record.per_client_loss) == 40
+            # Drift needs the individual states; a spilled fold kept none.
+            assert "client_drift" not in record.extra
+
 
 class TestUtils:
     def test_new_rng_accepts_generator(self):
