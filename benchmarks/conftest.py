@@ -5,8 +5,10 @@ Every benchmark regenerates one table (or ablation) of the paper using the
 comparative structure of the results (see DESIGN.md section 6).  The
 synthesized corpus is cached on disk under ``benchmarks/.corpus_cache`` so the
 per-table benches share one data-generation pass, and every regenerated table
-is also written to ``benchmarks/results/`` so the numbers survive pytest's
-output capture.
+is also written to the git-ignored ``benchmarks/out/`` so the numbers survive
+pytest's output capture and a test run leaves ``git status`` clean.  The
+committed copies in ``benchmarks/results/`` are refreshed by hand:
+``cp benchmarks/out/<name>.* benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -31,26 +33,26 @@ from repro.experiments import (
 
 BENCH_DIR = Path(__file__).parent
 CACHE_DIR = BENCH_DIR / ".corpus_cache"
-RESULTS_DIR = BENCH_DIR / "results"
+OUTPUT_DIR = BENCH_DIR / "out"
 
 
 def write_result(name: str, text: str) -> Path:
-    """Persist a regenerated table to benchmarks/results/<name>.txt."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+    """Persist a regenerated table to benchmarks/out/<name>.txt."""
+    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
+    path = OUTPUT_DIR / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf-8")
     return path
 
 
 def write_records(name: str, records: Sequence[Dict[str, object]]) -> Path:
-    """Persist machine-readable benchmark records to benchmarks/results/<name>.json.
+    """Persist machine-readable benchmark records to benchmarks/out/<name>.json.
 
     Each record is one measurement: at minimum ``{"op": ..., "config": ...,
     "ms": ...}``, plus ``"speedup"`` (and anything else) where meaningful.
     A small environment header makes runs comparable across machines, so
     the perf trajectory is trackable across PRs.
     """
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     from repro.utils.threadpools import blas_info
 
     info = blas_info()
@@ -69,7 +71,7 @@ def write_records(name: str, records: Sequence[Dict[str, object]]) -> Path:
         },
         "records": list(records),
     }
-    path = RESULTS_DIR / f"{name}.json"
+    path = OUTPUT_DIR / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 

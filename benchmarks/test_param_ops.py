@@ -15,7 +15,7 @@ the per-name Python overhead the dict path pays K times per tensor
 dominates) and the shallower RouteNet (32 larger tensors — both paths are
 close to memory bandwidth, so the flat win is smaller).
 
-Results go to ``benchmarks/results/param_ops.txt``.  The CI perf-smoke job
+Results go to ``benchmarks/out/param_ops.txt``.  The CI perf-smoke job
 runs this module; the assertions require flat ≥ dict throughput on every
 row and a ≥ 5x speedup on 256-client weighted averaging of the deep state.
 """

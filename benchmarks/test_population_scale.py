@@ -19,7 +19,7 @@ A second measurement drives an actual sampled round loop over a virtualized
 contract end-to-end: zero clients materialized before sampling, peak
 materialization bounded by the cohort, every fold released.
 
-Results go to ``benchmarks/results/population_scale.{txt,json}``; the CI
+Results go to ``benchmarks/out/population_scale.{txt,json}``; the CI
 perf-smoke job runs this module.
 """
 

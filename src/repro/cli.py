@@ -31,7 +31,7 @@ entry points without writing any Python:
     injection, retries with deterministic backoff, quorum commits with
     weight renormalization) and report the resilience accounting.
 ``repro bench diff``
-    Diff fresh ``benchmarks/results/*.json`` records against the committed
+    Diff fresh ``benchmarks/out/*.json`` records against the committed
     baselines under ``benchmarks/baselines/`` per (op, config) key and exit
     nonzero on a regression beyond ``--tolerance`` — the CI perf gate.
 ``repro communication``
@@ -832,13 +832,13 @@ def _add_bench(subparsers) -> None:
     bench_subparsers = parser.add_subparsers(dest="bench_command", required=True)
     diff = bench_subparsers.add_parser(
         "diff",
-        help="diff fresh benchmarks/results/*.json against committed baselines; "
+        help="diff fresh benchmarks/out/*.json against committed baselines; "
         "exits nonzero on a regression beyond tolerance",
     )
     diff.add_argument(
         "--results",
-        default="benchmarks/results",
-        help="directory of fresh benchmark records (default: benchmarks/results)",
+        default="benchmarks/out",
+        help="directory of fresh benchmark records (default: benchmarks/out)",
     )
     diff.add_argument(
         "--baselines",

@@ -1,8 +1,9 @@
 """Reporting: turn experiment results and bench outputs into markdown.
 
-The benchmark harness writes every regenerated table to
-``benchmarks/results/``; this module assembles those text artifacts — and,
-when available, live :class:`~repro.experiments.runner.ExperimentResult`
+The benchmark harness writes every regenerated table to ``benchmarks/out/``
+(committed copies: ``benchmarks/results/``); this module assembles those
+text artifacts — and, when available, live
+:class:`~repro.experiments.runner.ExperimentResult`
 objects — into a single markdown report of the kind EXPERIMENTS.md is built
 from, so the paper-vs-measured summary can be refreshed with one call after a
 benchmark run instead of by hand.

@@ -693,8 +693,11 @@ class ThreadPoolBackend(ExecutionBackend):
 
     Safety rests on the roster invariants the backend contract already
     guarantees: at most one task per client per ``map`` call, and every
-    mutable object a task touches (model, trainer, optimizer scratch,
-    per-layer workspaces, RNG) is owned by exactly one client.  Shared
+    mutable object a task touches (model, trainer, optimizer scratch, RNG)
+    is owned by exactly one client — or, for layer workspaces, lent to it
+    for the task from the *worker thread's* scratch pool
+    (:mod:`repro.nn.workspace`: one pool per thread, so no buffer is ever
+    handed to two threads).  Shared
     read-mostly structures (interned :class:`~repro.fl.parameters.StateLayout`
     objects, memoized im2col indices) are immutable after construction and
     their caches are race-free (atomic ``setdefault`` / ``lru_cache``).

@@ -3,9 +3,10 @@
 Cross-device federated settings assume populations of tens of thousands of
 clients, of which a sampler selects a small cohort each round.  Eagerly
 instantiating a :class:`~repro.fl.client.FederatedClient` per population
-member — model, trainer, optimizer scratch, layer workspaces — is both
-impossible at that scale and pointless: a client that is never sampled
-never computes anything.
+member — model, trainer, optimizer scratch — is both impossible at that
+scale and pointless: a client that is never sampled never computes
+anything.  (Layer workspaces are not per client: they are lent from one
+pool per thread, see :mod:`repro.nn.workspace`.)
 
 :class:`ClientDirectory` therefore holds only per-client *specs*
 (:class:`VirtualClientSpec`: id, data partition, sample counts) and hands

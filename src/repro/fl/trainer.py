@@ -129,6 +129,9 @@ class LocalTrainer:
             if reference is not None:
                 self._add_proximal_gradient(named_params, reference, proximal_mu)
             optimizer.step()
+        # Local computation is over: lend the scratch to whoever trains next
+        # on this thread (see repro.nn.workspace).
+        model.release_workspaces()
         return StepStatistics(
             steps=steps,
             mean_loss=float(losses.mean()),
@@ -161,6 +164,7 @@ class LocalTrainer:
             predictions = model.forward(features)
             losses.append(loss_fn.forward(predictions, labels))
         model.train()
+        model.release_workspaces()
         if not losses:
             raise ValueError("evaluate_loss processed no batches")
         return float(np.mean(losses))
@@ -185,4 +189,5 @@ def predict_dataset(
         chunk = features_all[start : start + batch_size]
         predictions = model.predict(chunk)
         scores.append(np.asarray(predictions, dtype=np.float64).reshape(-1))
+    model.release_workspaces()
     return np.concatenate(scores), labels_all.reshape(-1)

@@ -39,11 +39,14 @@ class Conv2d(Module):
     geometry and input spatial shape (see
     :func:`repro.nn.functional._im2col_indices`), and the large per-step
     temporaries — the padded input, the im2col ``cols`` matrix,
-    ``grad_cols``, and the weight-gradient staging buffer — live in a
-    persistent per-layer :class:`~repro.nn.workspace.Workspace`, reused via
-    ``out=`` on every step instead of being reallocated.  Workspace buffers
-    are internal scratch only: the layer's outputs and input gradients are
-    always freshly allocated, so callers may hold them across steps.
+    ``grad_cols``, and the weight-gradient staging buffer — live in the
+    layer's :class:`~repro.nn.workspace.Workspace`, reused via ``out=`` on
+    every step instead of being reallocated.  The layer holds those buffers
+    only until :meth:`~repro.nn.Module.release_workspaces` lends them to the
+    thread's pool (and resets ``_cache``, which references ``cols``).
+    Workspace buffers are internal scratch only: the layer's outputs and
+    input gradients are always freshly allocated, so callers may hold them
+    across steps.
     """
 
     def __init__(
@@ -158,7 +161,8 @@ class ConvTranspose2d(Module):
     upsampling operator used by encoder/decoder routability models such as
     RouteNet.  As with :class:`Conv2d`, the col2im/im2col gather indices are
     memoized per layer geometry and input spatial shape, and the column
-    matrices are staged in a persistent per-layer workspace.
+    matrices are staged in the layer's workspace — held, like
+    :class:`Conv2d`'s, until ``release_workspaces()`` lends it on.
     """
 
     def __init__(

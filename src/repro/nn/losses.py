@@ -54,9 +54,9 @@ class Loss:
 class MSELoss(Loss):
     """Mean squared error, the paper's per-sample training objective.
 
-    The residual and its square are staged in a persistent workspace (the
-    batch shape is fixed across a run), so a training step allocates no loss
-    temporaries; the returned gradient is always a fresh array.
+    The residual and its square are staged in the loss object's workspace
+    (the batch shape is fixed across a run), so a training step allocates no
+    loss temporaries; the returned gradient is always a fresh array.
     """
 
     def __init__(self):

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.nn.dtypes import resolve_compute_dtype
 from repro.nn.parameter import Parameter
+from repro.nn.workspace import release_scratch
 
 
 class Module:
@@ -138,9 +139,9 @@ class Module:
         """Switch the whole hierarchy to ``dtype`` (float64 / float32), in place.
 
         Casts every parameter (with its gradient buffer) and every
-        registered buffer, and drops any per-layer workspaces so scratch is
-        re-grown in the new dtype.  A no-op when the hierarchy is already in
-        ``dtype``, so callers may invoke it unconditionally on a hot path.
+        registered buffer, and drops the old-dtype scratch (it is not pooled:
+        nothing would take it again).  A no-op when the hierarchy is already
+        in ``dtype``, so callers may invoke it unconditionally on a hot path.
         """
         dtype = resolve_compute_dtype(dtype)
         for _, module in self.named_modules():
@@ -155,10 +156,29 @@ class Module:
                     cast = buffer.astype(dtype)
                     module._buffers[name] = cast
                     object.__setattr__(module, name, cast)
-            workspace = getattr(module, "_ws", None)
-            if workspace is not None:
-                workspace.clear()
+            release_scratch(module, pool=False)
         return self
+
+    def release_workspaces(self) -> None:
+        """Hand every layer's scratch back to the calling thread's pool.
+
+        Called where local computation ends, so the next model to train on
+        this thread reuses the same warm buffers (see
+        :mod:`repro.nn.workspace`).  Each releasing layer also forgets its
+        backward cache: ``backward`` needs a new ``forward`` first.
+        """
+        for _, module in self.named_modules():
+            release_scratch(module)
+
+    # -- pickling ---------------------------------------------------------------
+    #: What a ``forward`` leaves behind for its ``backward``.
+    _ACTIVATIONS = ("_cache", "_mask", "_output", "_input", "_input_shape")
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle parameters and configuration, never a step's activations."""
+        state = self.__dict__.copy()
+        state.update((name, None) for name in self._ACTIVATIONS if name in state)
+        return state
 
     # -- training state ------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":

@@ -1,4 +1,4 @@
-"""Persistent per-layer workspaces for the training hot path.
+"""Layer workspaces for the training hot path, lent from one scratch pool per thread.
 
 Every training step used to reallocate the same large temporaries — the
 padded input, the im2col ``cols`` matrix, ``grad_cols``, matmul staging
@@ -8,10 +8,24 @@ served by the allocator as new pages, so the first write of every step pays
 page faults, exactly the memory-bound regime the PR 4 ``param_ops``
 benchmark flagged).
 
-A :class:`Workspace` is a small per-layer pool of named scratch buffers
+A :class:`Workspace` is a layer's (or loss's) set of named scratch buffers
 keyed by ``(tag, shape, dtype)``.  Because the batch shape is fixed across
 a training run, every step after the first reuses the same warm pages via
 ``out=`` kwargs instead of reallocating.
+
+Lend and release
+----------------
+Scratch belongs to whoever is computing, not to a client.  Each thread has
+one **free pool** of buffers keyed by ``(shape, dtype)``; a workspace miss
+takes a matching buffer from the calling thread's pool and allocates only
+when there is none, and :meth:`repro.nn.Module.release_workspaces` — called
+wherever local computation ends (``LocalTrainer.train_steps`` /
+``evaluate_loss``, ``predict_dataset``) — hands every buffer back.  Nine
+clients trained one after another therefore share one client's worth of
+warm pages instead of keeping nine.  The pool is thread-local state of this
+module: one per worker thread on the thread backend, one per worker process
+on the process backend.  It holds at most one buffer per distinct
+``(shape, dtype)`` per simultaneous holder, and is never trimmed.
 
 Aliasing rules (see ``docs/performance.md``)
 --------------------------------------------
@@ -23,8 +37,10 @@ Aliasing rules (see ``docs/performance.md``)
   freshly allocated — callers may keep them across steps (e.g.
   ``predict_dataset`` collects per-batch outputs), so they must never alias
   a workspace.
-* Workspaces never cross layer instances, so thread-parallel clients (each
-  with their own model) never share scratch.
+* Between two release points a layer owns its buffers exclusively: a buffer
+  is either in exactly one workspace or in exactly one thread's pool, and a
+  release also forgets the owner's backward cache, so nothing keeps reading
+  a buffer that has been lent on.
 
 The global switch :func:`workspaces_disabled` restores the pre-workspace
 allocating behavior (``np.pad`` + fresh fancy-indexing + fresh matmuls).
@@ -36,8 +52,9 @@ result lands.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,20 +78,55 @@ def workspaces_disabled():
         _ENABLED = previous
 
 
-class Workspace:
-    """A pool of reusable scratch buffers owned by one layer (or loss).
+class _FreePool(threading.local):
+    """Per-thread free lists of released buffers, by ``(shape, dtype)``."""
 
-    ``get`` returns a persistent buffer for ``(tag, shape, dtype)``,
-    allocating it on first use; ``zeros`` additionally guarantees the buffer
-    was zero-filled **at allocation time** (callers rely on untouched
-    regions staying zero — e.g. the padding border of a padded-input
-    buffer, whose interior is rewritten every step while the border is
-    written only once).
+    def __init__(self):
+        self.free: Dict[Tuple[Tuple[int, ...], np.dtype], List[np.ndarray]] = {}
+
+
+_POOL = _FreePool()
+
+
+def _nbytes(buffers: Iterable[np.ndarray]) -> int:
+    return sum(buffer.nbytes for buffer in buffers)
+
+
+def pool_nbytes() -> int:
+    """Bytes parked in the calling thread's free pool."""
+    return _nbytes(buffer for free in _POOL.free.values() for buffer in free)
+
+
+def release_scratch(owner, pool: bool = True) -> None:
+    """End ``owner``'s hold on its scratch: buffers pooled (or dropped), cache reset.
+
+    ``owner`` is a module; one without a ``_ws`` workspace is left alone.
+    Its ``_cache`` may reference the buffers just given away, so it
+    is reset: a ``backward`` without a new ``forward`` raises the usual
+    "called before forward" error instead of reading lent-on memory.
+    """
+    workspace = getattr(owner, "_ws", None)
+    if workspace is not None:
+        workspace.clear(pool=pool)
+        owner._cache = None
+
+
+class Workspace:
+    """The scratch buffers one layer (or loss) holds between two release points.
+
+    ``get`` returns the buffer for ``(tag, shape, dtype)``, on a miss taking
+    one of that ``(shape, dtype)`` from the thread's free pool or, failing
+    that, allocating it; ``zeros`` additionally guarantees the buffer was
+    zero-filled **when it was acquired** (callers rely on untouched regions
+    staying zero — e.g. the padding border of a padded-input buffer, whose
+    interior is rewritten every step while the border is written only
+    once).  A recycled buffer is therefore re-zeroed: it may come from a
+    layer with a different border.
 
     When workspaces are globally disabled both methods return ``None`` and
     callers fall back to their allocating expressions.
 
-    The pool intentionally does not survive pickling: models travel to
+    A workspace intentionally does not survive pickling: models travel to
     process-pool workers as part of a client, and shipping warm scratch
     would only bloat the payload.  The receiving side re-grows its own
     buffers on first use.
@@ -86,30 +138,50 @@ class Workspace:
         self._buffers: Dict[Tuple[str, Tuple[int, ...], np.dtype], np.ndarray] = {}
 
     def get(self, tag: str, shape: Tuple[int, ...], dtype=np.float64) -> Optional[np.ndarray]:
-        """The persistent buffer for ``(tag, shape, dtype)`` (lazy, reused)."""
+        """The held buffer for ``(tag, shape, dtype)`` (acquired lazily, reused)."""
         if not _ENABLED:
             return None
         key = (tag, tuple(shape), np.dtype(dtype))
         buffer = self._buffers.get(key)
         if buffer is None:
-            buffer = np.empty(key[1], dtype=key[2])
-            self._buffers[key] = buffer
+            buffer = self._acquire(key, zeroed=False)
         return buffer
 
     def zeros(self, tag: str, shape: Tuple[int, ...], dtype=np.float64) -> Optional[np.ndarray]:
-        """Like :meth:`get`, but the buffer is zero-filled when first allocated."""
+        """Like :meth:`get`, but the buffer is zero-filled when first acquired."""
         if not _ENABLED:
             return None
         key = (tag, tuple(shape), np.dtype(dtype))
         buffer = self._buffers.get(key)
         if buffer is None:
-            buffer = np.zeros(key[1], dtype=key[2])
-            self._buffers[key] = buffer
+            buffer = self._acquire(key, zeroed=True)
         return buffer
 
-    def clear(self) -> None:
-        """Drop every buffer (e.g. after a dtype switch, to release memory)."""
+    def _acquire(self, key, zeroed: bool) -> np.ndarray:
+        """The miss path: recycle from the thread's pool, else allocate."""
+        _, shape, dtype = key
+        free = _POOL.free.get((shape, dtype))
+        if free:
+            buffer = free.pop()
+            if zeroed:
+                buffer.fill(0)
+        else:
+            buffer = (np.zeros if zeroed else np.empty)(shape, dtype=dtype)
+        self._buffers[key] = buffer
+        return buffer
+
+    def clear(self, pool: bool = False) -> None:
+        """Give up every buffer: dropped (a dtype switch), or parked in the thread's pool."""
+        if pool:
+            free = _POOL.free
+            for (_, shape, dtype), buffer in self._buffers.items():
+                free.setdefault((shape, dtype), []).append(buffer)
         self._buffers.clear()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of scratch currently held."""
+        return _nbytes(self._buffers.values())
 
     def __len__(self) -> int:
         return len(self._buffers)
@@ -121,5 +193,4 @@ class Workspace:
         return (Workspace, ())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        total = sum(buf.nbytes for buf in self._buffers.values())
-        return f"Workspace({len(self._buffers)} buffers, {total} bytes)"
+        return f"Workspace({len(self._buffers)} buffers, {self.nbytes} bytes)"

@@ -1,7 +1,7 @@
 """The perf-regression gate: diff fresh benchmark records against baselines.
 
 PR 5 made every benchmark emit machine-readable records
-(``benchmarks/results/<name>.json``, written by
+(``benchmarks/out/<name>.json``, written by
 ``benchmarks/conftest.write_records``).  This module makes those records
 load-bearing: curated known-good copies live under
 ``benchmarks/baselines/``, and ``repro bench diff`` compares a fresh

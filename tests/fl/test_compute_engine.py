@@ -6,7 +6,9 @@ Pins the PR's cross-layer guarantees:
   workers exactly once per backend lifetime, however many rounds run.
 * **Thread backend** — bit-identical to serial (with and without a wire
   channel), because each client's operation sequence is independent of
-  scheduling.
+  scheduling — and of where scratch comes from: the threaded side of every
+  parity case releases its workspaces to the thread's pool after *every*
+  step (``release_each_step``), not only at the end of a client task.
 * **float32 engine** — identical across backends, loss curves within
   tolerance of float64, float64 at every state boundary (FlatState, wire
   codecs, checkpoints), and checkpoint fingerprints that refuse to resume
@@ -60,14 +62,30 @@ def make_clients(
     tiny_test_dataset_itc,
     num_channels,
 ):
-    def build(config: FLConfig = TINY_CONFIG):
+    def build(config: FLConfig = TINY_CONFIG, release_each_step: bool = False):
         factory = make_factory(num_channels)
-        return [
+        clients = [
             FederatedClient(1, tiny_train_dataset, tiny_test_dataset, factory, config),
             FederatedClient(2, tiny_train_dataset_itc, tiny_test_dataset_itc, factory, config),
         ]
+        if release_each_step:
+            for client in clients:
+                _release_after_backward(client._model)
+        return clients
 
     return build
+
+
+def _release_after_backward(model) -> None:
+    """Make every step of ``model`` a release point: each one re-borrows pooled scratch."""
+    backward = model.backward
+
+    def backward_then_release(grad_output):
+        grad_input = backward(grad_output)
+        model.release_workspaces()
+        return grad_input
+
+    model.backward = backward_then_release
 
 
 class TestWarmPoolLifecycle:
@@ -141,7 +159,10 @@ class TestThreadBackendBitIdentity:
     def test_matches_serial(self, algorithm, make_clients, num_channels):
         serial = run_named(algorithm, make_clients(), num_channels, backend=SerialBackend())
         threaded = run_named(
-            algorithm, make_clients(), num_channels, backend=ThreadPoolBackend(workers=2)
+            algorithm,
+            make_clients(release_each_step=True),
+            num_channels,
+            backend=ThreadPoolBackend(workers=2),
         )
         assert states_equal(serial.global_state, threaded.global_state)
         assert [r.mean_loss for r in serial.history] == [r.mean_loss for r in threaded.history]
@@ -150,7 +171,7 @@ class TestThreadBackendBitIdentity:
         def run(backend):
             algorithm = create_algorithm(
                 "fedavg",
-                make_clients(),
+                make_clients(release_each_step=backend.name == "thread"),
                 make_factory(num_channels),
                 TINY_CONFIG,
                 backend=backend,
@@ -177,7 +198,7 @@ class TestFloat32Engine:
             config=TINY_FLOAT32, backend=ProcessPoolBackend(workers=2),
         )
         threaded = run_named(
-            "fedavg", make_clients(TINY_FLOAT32), num_channels,
+            "fedavg", make_clients(TINY_FLOAT32, release_each_step=True), num_channels,
             config=TINY_FLOAT32, backend=ThreadPoolBackend(workers=2),
         )
         assert states_equal(serial.global_state, process.global_state)

@@ -33,7 +33,8 @@ from repro.nn import (
     workspaces_enabled,
 )
 from repro.nn import functional as F
-from repro.models import FLNet
+from repro.fl import LocalTrainer
+from repro.models import FLNet, available_models, create_model
 from repro.models.routenet import RouteNet
 
 
@@ -239,6 +240,35 @@ class TestWorkspaceObject:
         np.testing.assert_array_equal(
             clone.input_conv.weight.data, model.input_conv.weight.data
         )
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_model_pickles_at_cold_size_after_forward_backward(self, name):
+        """No layer of any registered model pickles what forward left for backward."""
+        model = create_model(name, 3, seed=0)
+        cold = len(pickle.dumps(model))
+        out = model.forward(rng(15).normal(size=(2, 3, 16, 16)))
+        model.backward(np.ones_like(out))
+        assert len(pickle.dumps(model)) == cold
+        # Pickling is a read: the live model can still run its backward.
+        model.backward(np.ones_like(out))
+
+    def test_model_pickles_at_cold_size_after_train_steps(self, tiny_train_dataset, num_channels):
+        model = FLNet(num_channels, hidden_filters=4, seed=1)
+        cold = len(pickle.dumps(model))
+        LocalTrainer(batch_size=2, rng=rng(16)).train_steps(model, tiny_train_dataset, steps=2)
+        assert len(pickle.dumps(model)) == cold
+
+    def test_unpickled_model_trains_bit_identically(self, tiny_train_dataset, num_channels):
+        model = FLNet(num_channels, hidden_filters=4, seed=2)
+        LocalTrainer(batch_size=2, rng=rng(17)).train_steps(model, tiny_train_dataset, steps=1)
+        out = model.forward(rng(18).normal(size=(2, num_channels, 8, 8)))
+        clone = pickle.loads(pickle.dumps(model))
+        with pytest.raises(RuntimeError, match="before forward"):
+            clone.backward(np.ones_like(out))
+        for net in (model, clone):
+            LocalTrainer(batch_size=2, rng=rng(19)).train_steps(net, tiny_train_dataset, steps=3)
+        for (key, mine), (_, theirs) in zip(model.named_parameters(), clone.named_parameters()):
+            np.testing.assert_array_equal(mine.data, theirs.data, err_msg=key)
 
 
 class TestFloat32ModelParity:

@@ -1,0 +1,267 @@
+"""Invariants of the per-thread scratch pool (see ``repro.nn.workspace``).
+
+Workspace buffers are lent: a layer holds them between two release points
+and ``release_workspaces()`` parks them in the calling thread's free pool
+for whichever model computes next.  These tests pin what that must never
+change — values, ownership — and what it must achieve: one client's worth
+of scratch however many clients train.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.data.dataset import PlacementSample, RoutabilityDataset
+from repro.fl import (
+    FederatedClient,
+    FLConfig,
+    SeededModelFactory,
+    SerialBackend,
+    ThreadPoolBackend,
+    create_algorithm,
+)
+from repro.fl.parameters import state_digest
+from repro.models import FLNet
+from repro.nn import Conv2d
+from repro.nn.workspace import _POOL, pool_nbytes, workspaces_disabled
+
+CHANNELS = 3
+GRID = 8
+CONFIG = FLConfig(rounds=1, local_steps=2, batch_size=2, learning_rate=3e-3)
+
+
+def rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(seed)
+
+
+class Builder:
+    def __call__(self, seed: int) -> FLNet:
+        return FLNet(CHANNELS, hidden_filters=4, kernel_size=5, seed=seed)
+
+
+def dataset(seed: int, samples: int = 4) -> RoutabilityDataset:
+    draw = rng(seed)
+    return RoutabilityDataset(
+        [
+            PlacementSample(
+                draw.normal(size=(CHANNELS, GRID, GRID)),
+                (draw.random((GRID, GRID)) < 0.2).astype(np.float64),
+                f"d{seed}",
+                "synthetic",
+                index,
+            )
+            for index in range(samples)
+        ],
+        name=f"pool_{seed}",
+    )
+
+
+def roster(count: int):
+    factory = SeededModelFactory(Builder(), base_seed=0)
+    return [
+        FederatedClient(client_id, dataset(client_id), dataset(100 + client_id, 2), factory, CONFIG)
+        for client_id in range(1, count + 1)
+    ]
+
+
+def one_round(clients, backend):
+    algorithm = create_algorithm(
+        "fedavg", clients, SeededModelFactory(Builder(), base_seed=0), CONFIG, backend=backend
+    )
+    try:
+        return algorithm.run()
+    finally:
+        backend.close()
+
+
+def held_nbytes(clients) -> int:
+    """Scratch bytes the clients' layers still hold (not in any pool)."""
+    return sum(
+        module._ws.nbytes
+        for client in clients
+        for _, module in client._model.named_modules()
+        if hasattr(module, "_ws")
+    )
+
+
+def pooled_ids() -> set:
+    return {id(buffer) for free in _POOL.free.values() for buffer in free}
+
+
+@pytest.fixture(autouse=True)
+def empty_pool():
+    """Each test starts (and leaves the main thread) with an empty pool."""
+    _POOL.free.clear()
+    yield
+    _POOL.free.clear()
+
+
+class TestPoolBound:
+    def test_nine_serial_clients_hold_one_clients_scratch(self):
+        one_round(roster(1), SerialBackend())
+        one_set = pool_nbytes()
+        assert one_set > 0
+        _POOL.free.clear()
+
+        clients = roster(9)
+        one_round(clients, SerialBackend())
+        assert held_nbytes(clients) == 0
+        assert pool_nbytes() == one_set
+
+    def test_evaluation_releases_too(self):
+        (client,) = roster(1)
+        state = client.initial_state()
+        client.evaluate_auc(state)
+        client.training_loss(state)
+        assert held_nbytes([client]) == 0
+        assert pool_nbytes() > 0
+
+    def test_disabled_workspaces_never_reach_the_pool(self):
+        clients = roster(2)
+        with workspaces_disabled():
+            one_round(clients, SerialBackend())
+            clients[0].evaluate_auc(clients[0].initial_state())
+        assert _POOL.free == {}
+        assert pool_nbytes() == 0
+        assert held_nbytes(clients) == 0
+
+
+class TestRecycledValues:
+    def test_padded_buffer_recycled_across_borders(self):
+        """Same padded shape, different border: a recycled buffer is re-zeroed."""
+        n, c = 2, 3
+        wide = dict(kernel_size=9, padding=4)  # 16x16 -> padded (n, c, 24, 24)
+        narrow = dict(kernel_size=5, padding=2)  # 20x20 -> padded (n, c, 24, 24)
+        cases = [(wide, 16, 1), (narrow, 20, 2), (wide, 16, 3)]
+        padded_shape = (n, c, 24, 24)
+        lent = set()
+        for geometry, size, seed in cases:
+            x = rng(seed).normal(size=(n, c, size, size))
+            grad = rng(10 + seed).normal(size=(n, c, size, size))
+            pooled = Conv2d(c, c, rng=rng(20 + seed), **geometry)
+            reference = Conv2d(c, c, rng=rng(20 + seed), **geometry)
+            out = pooled.forward(x)
+            if lent:  # the previous conv's buffer, stale interior and all
+                assert id(pooled._ws.get("padded", padded_shape)) in lent
+            grad_in = pooled.backward(grad)
+            with workspaces_disabled():
+                out_ref = reference.forward(x)
+                grad_ref = reference.backward(grad)
+            np.testing.assert_array_equal(out, out_ref)
+            np.testing.assert_array_equal(grad_in, grad_ref)
+            np.testing.assert_array_equal(pooled.weight.grad, reference.weight.grad)
+            pooled.release_workspaces()
+            lent = pooled_ids()
+
+    def test_backward_after_release_raises_then_recovers(self):
+        x = rng(1).normal(size=(2, CHANNELS, GRID, GRID))
+        grad = rng(2).normal(size=(2, 1, GRID, GRID))
+        released, kept = Builder()(7), Builder()(7)
+        for model in (released, kept):
+            model.forward(x)
+            model.backward(grad)
+            model.zero_grad()
+        released.release_workspaces()
+        assert released.output_conv._cache is None
+        with pytest.raises(RuntimeError, match="before forward"):
+            released.backward(grad)
+        out, out_kept = released.forward(x), kept.forward(x)
+        grad_in, grad_kept = released.backward(grad), kept.backward(grad)
+        np.testing.assert_array_equal(out, out_kept)
+        np.testing.assert_array_equal(grad_in, grad_kept)
+        for mine, theirs in zip(released.parameters(), kept.parameters()):
+            np.testing.assert_array_equal(mine.grad, theirs.grad)
+
+    def test_dtype_switch_drops_instead_of_pooling(self):
+        model = Builder()(3)
+        model.forward(rng(4).normal(size=(2, CHANNELS, GRID, GRID)))
+        model.set_compute_dtype("float32")
+        assert pool_nbytes() == 0
+        assert model.input_conv._cache is None
+        assert len(model.input_conv._ws) == 0
+
+
+class TestThreads:
+    def test_no_buffer_is_handed_to_two_threads(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)  # the backend clamps to cores
+        serial = one_round(roster(2), SerialBackend())
+        _POOL.free.clear()
+
+        clients = roster(2)
+        together = threading.Barrier(2, timeout=30)
+        for client in clients:
+            # Both tasks in flight at once: each must run on its own thread.
+            def local_train(*args, _train=client.local_train, **kwargs):
+                together.wait()
+                return _train(*args, **kwargs)
+
+            client.local_train = local_train
+
+        def probe():
+            together.wait()
+            return threading.get_ident(), pooled_ids()
+
+        backend = ThreadPoolBackend(workers=2)
+        algorithm = create_algorithm(
+            "fedavg", clients, SeededModelFactory(Builder(), base_seed=0), CONFIG, backend=backend
+        )
+        try:
+            threaded = algorithm.run()
+            futures = [backend._executor.submit(probe) for _ in range(2)]
+            pools = dict(future.result(timeout=30) for future in futures)
+        finally:
+            backend.close()
+        assert len(pools) == 2 and threading.get_ident() not in pools
+        first, second = pools.values()
+        assert first and second
+        assert not first & second
+        assert not (first | second) & pooled_ids()  # nor to the coordinating thread
+        assert held_nbytes(clients) == 0
+        assert state_digest(threaded.global_state) == state_digest(serial.global_state)
+
+    def test_more_threads_than_cores_keep_values_and_buffers_apart(self):
+        """Stress: threads that acquire and release all the time never share a buffer."""
+        workers, rounds = 4, 25
+        inputs = [rng(30 + index).normal(size=(2, CHANNELS, GRID, GRID)) for index in range(workers)]
+
+        def run(index: int, releasing: bool):
+            model = Builder()(index)
+            for _ in range(rounds):
+                out = model.forward(inputs[index])
+                grad = model.backward(out)
+                if releasing:
+                    model.release_workspaces()
+            return out, grad
+
+        expected = [run(index, releasing=False) for index in range(workers)]
+        _POOL.free.clear()
+        results, pools = {}, {}
+        all_recorded = threading.Barrier(workers, timeout=60)
+
+        def work(index: int) -> None:
+            results[index] = run(index, releasing=True)
+            pools[index] = pooled_ids()
+            all_recorded.wait()  # a dead thread's buffers are freed and their ids reused
+
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for index in range(workers):
+            np.testing.assert_array_equal(results[index][0], expected[index][0])
+            np.testing.assert_array_equal(results[index][1], expected[index][1])
+        assert all(pools[index] for index in range(workers))
+        assert sum(len(ids) for ids in pools.values()) == len(set().union(*pools.values()))
+        assert pool_nbytes() == 0  # nothing leaked into the coordinating thread's pool
+
