@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -28,6 +31,11 @@ from repro.utils.rng import hash_str
 from repro.utils.validation import check_positive
 
 PathLike = Union[str, Path]
+
+logger = logging.getLogger(__name__)
+
+#: What ``np.load`` and reading its members raise on a damaged ``.npz``.
+_UNREADABLE_ARCHIVE = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error)
 
 
 @dataclass(frozen=True)
@@ -261,11 +269,18 @@ class CorpusBuilder:
         train_path, test_path = self._cache_paths(spec, cache_dir)
         if not (train_path.exists() and test_path.exists()):
             return None
-        return ClientData(
-            spec=spec,
-            train=RoutabilityDataset.load(train_path),
-            test=RoutabilityDataset.load(test_path),
-        )
+        datasets = []
+        for path in (train_path, test_path):
+            try:
+                datasets.append(RoutabilityDataset.load(path))
+            except _UNREADABLE_ARCHIVE as error:
+                # A miss, not a failure: build_all rebuilds the client and overwrites the pair.
+                logger.warning(
+                    "corpus cache file %s is unreadable (%s: %s); rebuilding %s",
+                    path, type(error).__name__, error, spec.name,
+                )
+                return None
+        return ClientData(spec=spec, train=datasets[0], test=datasets[1])
 
     def _store_cached(self, client: ClientData, cache_dir: PathLike) -> None:
         train_path, test_path = self._cache_paths(client.spec, cache_dir)

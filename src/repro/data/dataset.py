@@ -14,6 +14,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
+from repro.utils.files import atomic_write
+
 PathLike = Union[str, Path]
 
 
@@ -206,22 +208,23 @@ class RoutabilityDataset:
 
     # -- persistence -------------------------------------------------------------
     def save(self, path: PathLike) -> Path:
-        """Serialize the dataset to a ``.npz`` archive."""
+        """Serialize the dataset to a ``.npz`` archive (a killed run leaves no partial file)."""
         path = Path(path)
         if path.suffix != ".npz":
             path = path.with_suffix(path.suffix + ".npz")
         path.parent.mkdir(parents=True, exist_ok=True)
         if not self._samples:
             raise ValueError(f"refusing to save empty dataset {self.name!r}")
-        np.savez_compressed(
-            path,
-            features=self.features_array(),
-            labels=self.labels_array(),
-            design_names=np.array([s.design_name for s in self._samples]),
-            suites=np.array([s.suite for s in self._samples]),
-            placement_indices=np.array([s.placement_index for s in self._samples]),
-            name=np.array(self.name),
-        )
+        with atomic_write(path) as handle:
+            np.savez_compressed(
+                handle,
+                features=self.features_array(),
+                labels=self.labels_array(),
+                design_names=np.array([s.design_name for s in self._samples]),
+                suites=np.array([s.suite for s in self._samples]),
+                placement_indices=np.array([s.placement_index for s in self._samples]),
+                name=np.array(self.name),
+            )
         return path
 
     @classmethod

@@ -271,7 +271,6 @@ def generate_design(
 
     # Ordinary nets: each cell drives one net whose sinks are mostly local.
     net_id = 0
-    all_indices = np.arange(n_cells)
     for driver_index in range(n_cells):
         if rng.random() > 0.92:
             continue
@@ -281,9 +280,9 @@ def generate_design(
         sinks: List[int] = []
         for _ in range(fanout):
             if len(local) > 1 and rng.random() < style.locality:
-                sink = int(rng.choice(local))
+                sink = local[int(rng.integers(0, len(local)))]
             else:
-                sink = int(rng.choice(all_indices))
+                sink = int(rng.integers(0, n_cells))
             if sink != driver_index:
                 sinks.append(sink)
         if not sinks:
@@ -298,7 +297,7 @@ def generate_design(
     for g in range(style.global_net_count):
         if len(sequential_indices) < 4:
             break
-        driver_index = int(rng.choice(all_indices))
+        driver_index = int(rng.integers(0, n_cells))
         n_sinks = min(len(sequential_indices), int(rng.integers(8, 40)))
         sink_indices = rng.choice(sequential_indices, size=n_sinks, replace=False)
         pins = [Pin(cells[driver_index].name, "o", "output")]

@@ -415,26 +415,14 @@ class GlobalRouter:
     @staticmethod
     def _net_pin_bins(placement: Placement, grid: RoutingGrid) -> Dict[str, Tuple[GridNode, ...]]:
         """Map every routable net to the distinct gcells containing its pins."""
-        centers = placement.centers_um()
-        bin_w = placement.bin_width_um
-        bin_h = placement.bin_height_um
+        cell_rows, table = placement.net_cell_rows()
+        bin_rows, bin_cols = map_ext.cell_center_bins(placement)
+        nodes = list(zip(bin_rows[cell_rows].tolist(), bin_cols[cell_rows].tolist()))
         result: Dict[str, Tuple[GridNode, ...]] = {}
-        for net in placement.design.netlist.iter_nets():
-            cell_names = net.cell_names()
-            if len(cell_names) < 2:
-                continue
-            bins: List[GridNode] = []
-            seen: Set[GridNode] = set()
-            for name in cell_names:
-                index = placement.cell_index(name)
-                col = int(np.clip(centers[index, 0] // bin_w, 0, grid.width - 1))
-                row = int(np.clip(centers[index, 1] // bin_h, 0, grid.height - 1))
-                node = (row, col)
-                if node not in seen:
-                    seen.add(node)
-                    bins.append(node)
+        for name, start, stop in table.spans():
+            bins = tuple(dict.fromkeys(nodes[start:stop]))
             if len(bins) >= 2:
-                result[net.name] = tuple(bins)
+                result[name] = bins
         return result
 
     # -- single-net routing -----------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.utils.validation import check_positive
 
@@ -98,11 +99,28 @@ class Net:
 
     def cell_names(self) -> List[str]:
         """Names of the distinct cells touched by this net."""
-        seen: List[str] = []
-        for pin in self.pins:
-            if pin.cell_name not in seen:
-                seen.append(pin.cell_name)
-        return seen
+        return list(dict.fromkeys(pin.cell_name for pin in self.pins))
+
+
+@dataclass(frozen=True)
+class NetMembership:
+    """Connectivity of a netlist as flat arrays over netlist-order cell indices.
+
+    ``cells[offsets[i]:offsets[i + 1]]`` are the distinct cells of net
+    ``names[i]`` in pin order; only nets touching at least two distinct cells
+    are listed, in netlist order.  ``pin_counts[c]`` counts every pin on cell
+    ``c`` over *all* nets (a net may touch a cell twice).
+    """
+
+    names: List[str]
+    cells: np.ndarray
+    offsets: np.ndarray
+    pin_counts: np.ndarray
+
+    def spans(self) -> Iterator[Tuple[str, int, int]]:
+        """``(name, start, stop)`` per listed net; ``cells[start:stop]`` are its members."""
+        bounds = self.offsets.tolist()
+        return zip(self.names, bounds[:-1], bounds[1:])
 
 
 class Netlist:
@@ -112,12 +130,14 @@ class Netlist:
         self.name = name
         self._cells: Dict[str, Cell] = {}
         self._nets: Dict[str, Net] = {}
+        self._membership: Optional[NetMembership] = None
 
     # -- construction --------------------------------------------------------
     def add_cell(self, cell: Cell) -> Cell:
         if cell.name in self._cells:
             raise ValueError(f"duplicate cell name {cell.name!r} in netlist {self.name!r}")
         self._cells[cell.name] = cell
+        self._membership = None
         return cell
 
     def add_net(self, net: Net) -> Net:
@@ -129,6 +149,7 @@ class Netlist:
                     f"net {net.name!r} references unknown cell {pin.cell_name!r}"
                 )
         self._nets[net.name] = net
+        self._membership = None
         return net
 
     # -- access ----------------------------------------------------------------
@@ -178,13 +199,37 @@ class Netlist:
             return 0.0
         return self.num_pins / self.num_nets
 
+    def net_membership(self) -> NetMembership:
+        """The :class:`NetMembership` table, built once and cached.
+
+        ``add_cell`` / ``add_net`` drop the cache; editing ``Net.pins`` in
+        place after the net was added is not seen.
+        """
+        if self._membership is None:
+            index = {name: i for i, name in enumerate(self._cells)}
+            names: List[str] = []
+            members: List[int] = []
+            offsets = [0]
+            pin_cells: List[int] = []
+            for net in self._nets.values():
+                cells = [index[pin.cell_name] for pin in net.pins]
+                pin_cells.extend(cells)
+                distinct = dict.fromkeys(cells)
+                if len(distinct) >= 2:
+                    names.append(net.name)
+                    members.extend(distinct)
+                    offsets.append(len(members))
+            self._membership = NetMembership(
+                names=names,
+                cells=np.asarray(members, dtype=np.intp),
+                offsets=np.asarray(offsets, dtype=np.intp),
+                pin_counts=np.bincount(np.asarray(pin_cells, dtype=np.intp), minlength=len(index)),
+            )
+        return self._membership
+
     def pin_counts_per_cell(self) -> Dict[str, int]:
         """Number of net pins landing on each cell."""
-        counts = {name: 0 for name in self._cells}
-        for net in self._nets.values():
-            for pin in net.pins:
-                counts[pin.cell_name] += 1
-        return counts
+        return dict(zip(self._cells, self.net_membership().pin_counts.tolist()))
 
     def validate(self) -> None:
         """Raise ``ValueError`` if the netlist violates basic structural rules."""
@@ -193,10 +238,10 @@ class Netlist:
                 raise ValueError(f"net {net.name!r} has fewer than 2 pins")
             if net.driver is None:
                 raise ValueError(f"net {net.name!r} has no driver pin")
-        isolated = [name for name, count in self.pin_counts_per_cell().items() if count == 0]
-        if len(isolated) > max(2, self.num_cells // 10):
+        isolated = int((self.net_membership().pin_counts == 0).sum())
+        if isolated > max(2, self.num_cells // 10):
             raise ValueError(
-                f"netlist {self.name!r} has {len(isolated)} unconnected cells; "
+                f"netlist {self.name!r} has {isolated} unconnected cells; "
                 "generation likely went wrong"
             )
 
@@ -205,10 +250,10 @@ class Netlist:
         """Cell-level connectivity graph (clique model per net, weighted)."""
         graph = nx.Graph()
         graph.add_nodes_from(self._cells)
-        for net in self._nets.values():
-            members = net.cell_names()
-            if len(members) < 2:
-                continue
+        table = self.net_membership()
+        cell_names = list(self._cells)
+        for _, start, stop in table.spans():
+            members = [cell_names[i] for i in table.cells[start:stop].tolist()]
             weight = 2.0 / len(members)
             for index, left in enumerate(members):
                 for right in members[index + 1 :]:

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.eda.benchmarks import Design
+from repro.eda.netlist import NetMembership
 from repro.eda.technology import Technology, nangate45
 from repro.utils.rng import new_rng
 from repro.utils.validation import check_positive, check_probability
@@ -100,6 +101,20 @@ class Placement:
 
     def cell_index(self, name: str) -> int:
         return self._name_to_index[name]
+
+    def netlist_rows(self) -> np.ndarray:
+        """Row of every netlist cell in this placement's arrays, in netlist order.
+
+        ``cell_names`` may be any permutation of the netlist's cells, so code
+        indexing by :class:`~repro.eda.netlist.NetMembership` goes through this.
+        """
+        names = self.design.netlist.cells
+        return np.fromiter(map(self._name_to_index.__getitem__, names), dtype=np.intp, count=len(names))
+
+    def net_cell_rows(self) -> Tuple[np.ndarray, NetMembership]:
+        """The netlist's membership table and its ``cells`` as rows of this placement's arrays."""
+        table = self.design.netlist.net_membership()
+        return self.netlist_rows()[table.cells], table
 
     def cell_center_um(self, name: str) -> Tuple[float, float]:
         index = self.cell_index(name)

@@ -19,21 +19,18 @@ import numpy as np
 from repro.eda import maps as map_ext
 from repro.eda.global_router import RoutingResult
 from repro.eda.placement import Placement
-from repro.eda.steiner import hpwl, rsmt_length_estimate
+from repro.eda.steiner import rsmt_length_estimate
 
 
 def net_wirelengths(placement: Placement, steiner: bool = False) -> Dict[str, float]:
     """Per-net wirelength estimate (HPWL by default, RSMT estimate otherwise)."""
-    centers = placement.centers_um()
-    lengths: Dict[str, float] = {}
-    estimator = rsmt_length_estimate if steiner else hpwl
-    for net in placement.design.netlist.iter_nets():
-        cell_names = net.cell_names()
-        if len(cell_names) < 2:
-            continue
-        points = centers[[placement.cell_index(name) for name in cell_names]]
-        lengths[net.name] = float(estimator(points))
-    return lengths
+    if not steiner:
+        boxes, names = map_ext.net_bounding_boxes(placement)
+        spans = (boxes[:, 2] - boxes[:, 0]) + (boxes[:, 3] - boxes[:, 1])
+        return dict(zip(names, spans.tolist()))
+    rows, table = placement.net_cell_rows()
+    points = placement.centers_um()[rows]
+    return {name: float(rsmt_length_estimate(points[start:stop])) for name, start, stop in table.spans()}
 
 
 def total_hpwl(placement: Placement) -> float:

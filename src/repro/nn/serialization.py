@@ -7,11 +7,12 @@ portable and dependency-free.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Dict, Union
 
 import numpy as np
+
+from repro.utils.files import atomic_write
 
 PathLike = Union[str, Path]
 
@@ -19,25 +20,17 @@ PathLike = Union[str, Path]
 def save_state_dict(state: Dict[str, np.ndarray], path: PathLike) -> Path:
     """Write a state dictionary to ``path`` (``.npz`` appended if missing).
 
-    The write is **atomic**: the archive is serialized to a sibling
-    temporary file and moved into place with ``os.replace``, so a crash
-    mid-save can truncate only the temporary file — readers always see
-    either the previous complete archive or the new one, never a partial
-    write.  This is what makes checkpoint directories safe to resume from
-    after a hard kill.
+    The write is **atomic** (:func:`repro.utils.files.atomic_write`): a
+    crash mid-save leaves either the previous complete archive or the new
+    one, never a partial write.  This is what makes checkpoint directories
+    safe to resume from after a hard kill.
     """
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp_path, "wb") as handle:
-            np.savez(handle, **{key: np.asarray(value) for key, value in state.items()})
-        os.replace(tmp_path, path)
-    finally:
-        if tmp_path.exists():
-            tmp_path.unlink()
+    with atomic_write(path) as handle:
+        np.savez(handle, **{key: np.asarray(value) for key, value in state.items()})
     return path
 
 

@@ -119,6 +119,32 @@ class TestCorpusBuilder:
         second = builder.build_all(SMALL_SPECS[:1], cache_dir=tmp_path)
         assert len(second[0].train) == len(first[0].train)
 
+    @pytest.mark.parametrize("damage", ["stale_tmp", "truncated"])
+    def test_damaged_cache_is_rebuilt(self, tmp_path, caplog, damage):
+        """A killed run's leftovers (a ``*.tmp``, a cut-off archive) cost a rebuild, not the cache dir."""
+        import numpy as np
+
+        builder = CorpusBuilder(SMALL_CONFIG)
+        fresh = builder.build_client(SMALL_SPECS[0])
+        train_path, test_path = builder._cache_paths(SMALL_SPECS[0], tmp_path)
+        if damage == "stale_tmp":
+            train_path.parent.mkdir(parents=True)
+            test_path.with_name(test_path.name + ".tmp").write_bytes(b"half a zip")
+        else:
+            builder.build_all(SMALL_SPECS[:1], cache_dir=tmp_path)
+            test_path.write_bytes(test_path.read_bytes()[: test_path.stat().st_size // 2])
+        with caplog.at_level("WARNING", logger="repro.data.clients"):
+            rebuilt = builder.build_all(SMALL_SPECS[:1], cache_dir=tmp_path)[0]
+        warnings = [r for r in caplog.records if "unreadable" in r.getMessage()]
+        assert len(warnings) == (1 if damage == "truncated" else 0)
+        assert all(str(test_path) in r.getMessage() for r in warnings)
+        assert not list(tmp_path.rglob("*.tmp"))
+        reloaded = builder._load_cached(SMALL_SPECS[0], tmp_path)
+        for client in (rebuilt, reloaded):
+            for got, want in ((client.train, fresh.train), (client.test, fresh.test)):
+                assert got.features_array().tobytes() == want.features_array().tobytes()
+                assert got.labels_array().tobytes() == want.labels_array().tobytes()
+
     def test_deterministic_rebuild(self):
         a = CorpusBuilder(SMALL_CONFIG).build_client(SMALL_SPECS[0])
         b = CorpusBuilder(SMALL_CONFIG).build_client(SMALL_SPECS[0])

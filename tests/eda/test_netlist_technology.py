@@ -58,6 +58,24 @@ class TestNetlist:
         counts = self.make_netlist().pin_counts_per_cell()
         assert counts == {"a": 2, "b": 2, "c": 1}
 
+    def test_net_membership_table(self):
+        """Distinct cells per multi-cell net; pins (not cells) counted; dropped by add_cell/add_net."""
+        netlist = self.make_netlist()
+        netlist.add_net(Net("loop", [Pin("c", "o", "output"), Pin("c", "i", "input")]))
+        netlist.add_net(Net("twice", [Pin("a", "o", "output"), Pin("c", "i0", "input"), Pin("c", "i1", "input")]))
+        table = netlist.net_membership()
+        assert table is netlist.net_membership()
+        assert table.names == ["n1", "n2", "twice"]
+        assert table.offsets.tolist() == [0, 2, 5, 7]
+        assert table.cells.tolist() == [0, 1, 1, 2, 0, 0, 2]
+        assert table.pin_counts.tolist() == [3, 2, 5]
+        assert list(table.spans()) == [("n1", 0, 2), ("n2", 2, 5), ("twice", 5, 7)]
+        netlist.add_cell(Cell("d"))
+        assert netlist.net_membership().pin_counts.tolist() == [3, 2, 5, 0]
+        netlist.add_net(Net("n3", [Pin("d", "o", "output"), Pin("a", "i3", "input")]))
+        assert netlist.net_membership().names[-1] == "n3"
+        assert netlist.pin_counts_per_cell() == {"a": 4, "b": 2, "c": 5, "d": 1}
+
     def test_validate_accepts_good_netlist(self):
         self.make_netlist().validate()
 

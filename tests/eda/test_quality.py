@@ -37,6 +37,19 @@ class TestNetWirelengths:
         for name, value in plain.items():
             assert steiner[name] >= value - 1e-9
 
+    def test_hpwl_bit_equal_to_per_net_estimator(self, small_placement, macro_placement):
+        """The boxes-derived HPWL is the per-net ``hpwl(points)`` value, and sums in net order."""
+        for placement in (small_placement, macro_placement):
+            centers = placement.centers_um()
+            expected = {}
+            for net in placement.design.netlist.iter_nets():
+                names = net.cell_names()
+                if len(names) >= 2:
+                    expected[net.name] = hpwl(centers[[placement.cell_index(n) for n in names]])
+            lengths = net_wirelengths(placement)
+            assert list(lengths.items()) == list(expected.items())
+            assert total_hpwl(placement) == float(sum(expected.values()))
+
     def test_totals_are_sums(self, small_placement):
         assert total_hpwl(small_placement) == pytest.approx(
             sum(net_wirelengths(small_placement).values())
