@@ -62,9 +62,8 @@ def write_records(name: str, records: Sequence[Dict[str, object]]) -> Path:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
-            # BLAS identity makes records comparable across machines: the
-            # perf gate (repro bench diff) skips cross-environment
-            # comparisons with a warning instead of failing on them.
+            # BLAS identity says which machine a record came from: timings
+            # from different environments are not comparable.
             "blas_vendor": info.vendor,
             "blas_version": info.version,
             "blas_max_threads": info.max_threads,

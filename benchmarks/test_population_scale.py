@@ -42,10 +42,10 @@ from repro.fl import (
     create_scheduler,
 )
 from repro.fl.parameters import (
+    FlatState,
     StateLayout,
     release_aggregation_scratch,
     weighted_average,
-    wrap_flat,
 )
 
 MODEL_SIZE = 20_000
@@ -90,12 +90,12 @@ def fold_round(mode: str, cohort: int) -> Dict[str, object]:
     with MemoryProbe() as probe:
         start = time.perf_counter()
         if mode == "gemv":
-            states = [wrap_flat(layout, make_update(k)) for k in range(cohort)]
+            states = [FlatState(layout, make_update(k)) for k in range(cohort)]
             result = weighted_average(states, [1.0 + (k % 7) for k in range(cohort)])
         else:
             accumulator = StreamingAccumulator()
             for k in range(cohort):
-                accumulator.fold(wrap_flat(layout, make_update(k)), 1.0 + (k % 7))
+                accumulator.fold(FlatState(layout, make_update(k)), 1.0 + (k % 7))
             result = accumulator.result()
         seconds = time.perf_counter() - start
     release_aggregation_scratch()

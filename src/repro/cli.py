@@ -30,10 +30,6 @@ entry points without writing any Python:
     round loop under the fault-tolerant supervisor (seeded chaos
     injection, retries with deterministic backoff, quorum commits with
     weight renormalization) and report the resilience accounting.
-``repro bench diff``
-    Diff fresh ``benchmarks/out/*.json`` records against the committed
-    baselines under ``benchmarks/baselines/`` per (op, config) key and exit
-    nonzero on a regression beyond ``--tolerance`` — the CI perf gate.
 ``repro communication``
     Print the analytic communication cost of every algorithm for a model.
 
@@ -825,69 +821,6 @@ def _cmd_join(args) -> int:
     return 0
 
 
-def _add_bench(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "bench", help="benchmark record tooling (perf-regression gate)"
-    )
-    bench_subparsers = parser.add_subparsers(dest="bench_command", required=True)
-    diff = bench_subparsers.add_parser(
-        "diff",
-        help="diff fresh benchmarks/out/*.json against committed baselines; "
-        "exits nonzero on a regression beyond tolerance",
-    )
-    diff.add_argument(
-        "--results",
-        default="benchmarks/out",
-        help="directory of fresh benchmark records (default: benchmarks/out)",
-    )
-    diff.add_argument(
-        "--baselines",
-        default="benchmarks/baselines",
-        help="directory of committed baseline records (default: benchmarks/baselines)",
-    )
-    diff.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="relative slowdown tolerated before a record counts as a "
-        "regression (default 0.25, i.e. 25%% slower fails)",
-    )
-    diff.add_argument(
-        "--names",
-        nargs="*",
-        default=None,
-        help="compare only these benchmark names (default: every committed baseline)",
-    )
-    diff.set_defaults(handler=_cmd_bench_diff)
-
-
-def _cmd_bench_diff(args) -> int:
-    from repro.utils.benchgate import (
-        DEFAULT_TOLERANCE,
-        diff_directories,
-        format_table,
-        has_regression,
-    )
-
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    try:
-        rows, warnings = diff_directories(
-            args.baselines, args.results, tolerance=tolerance, names=args.names
-        )
-    except (FileNotFoundError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    print(f"benchmark gate: tolerance {tolerance:.0%}")
-    print(format_table(rows))
-    if has_regression(rows):
-        print("\nFAIL: at least one benchmark regressed beyond tolerance", file=sys.stderr)
-        return 1
-    print("\nOK: no regression beyond tolerance")
-    return 0
-
-
 def _add_communication(subparsers) -> None:
     parser = subparsers.add_parser(
         "communication", help="analytic communication cost of every algorithm"
@@ -940,7 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_reproduce(subparsers)
     _add_serve(subparsers)
     _add_join(subparsers)
-    _add_bench(subparsers)
     _add_communication(subparsers)
     return parser
 

@@ -10,11 +10,8 @@ Aliasing contract
 A returned ``(features, labels)`` pair is valid until the **next** batch is
 drawn from the same loader (the training loop's consume-then-advance
 pattern); callers that keep batches across draws must copy.  The gathered
-values are identical to the historical stack-based collation, bit for bit
-(``tests/data`` asserts the parity); the reference implementation survives
-as :meth:`DataLoader._collate_stacked` and is selected when
-:func:`repro.nn.workspace.workspaces_disabled` is active, which is also how
-the training-engine benchmark reconstructs the pre-engine baseline.
+values are those of a per-sample ``np.stack`` collation, bit for bit
+(``tests/data`` asserts the parity).
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.data.dataset import RoutabilityDataset
-from repro.nn.workspace import workspaces_enabled
 from repro.utils.rng import new_rng
 from repro.utils.validation import check_positive
 
@@ -88,8 +84,6 @@ class DataLoader:
         return self._feature_buffer[:size], self._label_buffer[:size]
 
     def _collate(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if not workspaces_enabled():
-            return self._collate_stacked(indices)
         indices = np.asarray(indices, dtype=np.intp)
         features, labels = self.dataset.packed_arrays(self.dtype)
         feature_batch, label_batch = self._batch_buffers(indices.size)
@@ -98,15 +92,6 @@ class DataLoader:
         np.take(features, indices, axis=0, out=feature_batch, mode="clip")
         np.take(labels, indices, axis=0, out=label_batch[:, 0], mode="clip")
         return feature_batch, label_batch
-
-    def _collate_stacked(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The historical per-sample collation (parity reference, pre-engine path)."""
-        features = np.stack([self.dataset[int(i)].features for i in indices], axis=0)
-        labels = np.stack([self.dataset[int(i)].label for i in indices], axis=0)
-        if self.dtype != features.dtype:
-            features = features.astype(self.dtype)
-            labels = labels.astype(self.dtype)
-        return features, labels[:, None, :, :]
 
     def sample_batch(self) -> Tuple[np.ndarray, np.ndarray]:
         """Draw one random batch (used for single-step training loops)."""
@@ -117,5 +102,10 @@ class DataLoader:
 
 def infinite_batches(loader: DataLoader) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Yield batches forever, reshuffling at each epoch boundary."""
+    if len(loader) == 0:
+        raise ValueError(
+            f"batch_size {loader.batch_size} with drop_last leaves no full batch "
+            f"in a dataset of {len(loader.dataset)} samples"
+        )
     while True:
         yield from loader

@@ -166,11 +166,9 @@ from repro.fl.parameters import (
     clone_state,
     filter_state,
     flat_model_state,
-    flat_states_disabled,
     flatten_state,
     interpolate,
     merge_partition,
-    reference_mode,
     state_distance,
     state_norm,
     state_vector,
@@ -439,8 +437,6 @@ __all__ = [
     "StateLayout",
     "as_flat_state",
     "flat_model_state",
-    "flat_states_disabled",
-    "reference_mode",
     "state_vector",
     "weighted_average",
     "interpolate",

@@ -21,7 +21,6 @@ and whose memory no longer depends on the cohort size.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -31,9 +30,9 @@ from repro.fl.parameters import (
     State,
     StateLayout,
     check_compatible,
+    check_weight,
     state_vector,
     weighted_average,
-    wrap_flat,
 )
 
 #: Updates buffered before an accumulator spills into its running O(P) form.
@@ -49,13 +48,6 @@ def _layout_of(state: State) -> StateLayout:
 
 def _delta(update: State, dispatch: State, layout: StateLayout) -> np.ndarray:
     return state_vector(update, layout) - state_vector(dispatch, layout)
-
-
-def _check_weight(weight: float) -> float:
-    weight = float(weight)
-    if not (math.isfinite(weight) and weight >= 0):
-        raise ValueError(f"weights must be finite and non-negative, got {weight}")
-    return weight
 
 
 class UpdateAccumulator:
@@ -107,7 +99,7 @@ class StreamingAccumulator(UpdateAccumulator):
         return self._count
 
     def fold(self, state: State, weight: float) -> None:
-        weight = _check_weight(weight)
+        weight = check_weight(weight)
         if self._sum is None and len(self._pending) < PARITY_LIMIT:
             self._pending.append((state, weight))
         else:
@@ -124,7 +116,7 @@ class StreamingAccumulator(UpdateAccumulator):
         check_compatible(states)
         self._layout = _layout_of(states[0])
         self._sum = np.zeros(self._layout.total_size, dtype=np.float64)
-        self._sum_state = wrap_flat(self._layout, self._sum)
+        self._sum_state = FlatState(self._layout, self._sum)
         for state, weight in self._pending:
             self._sum += weight * state_vector(state, self._layout)
         self._pending = []
@@ -137,7 +129,7 @@ class StreamingAccumulator(UpdateAccumulator):
             )
         if self._weight_total <= 0:
             raise ValueError("weights must not all be zero")
-        return wrap_flat(self._layout, self._sum / self._weight_total)
+        return FlatState(self._layout, self._sum / self._weight_total)
 
     def states(self) -> Optional[List[State]]:
         if self._sum is not None:
@@ -188,7 +180,7 @@ class StreamingDeltaAccumulator:
         (staleness zero); an all-fresh parity buffer takes the synchronous
         ``weighted_average`` special case.
         """
-        weight = _check_weight(weight)
+        weight = check_weight(weight)
         if self._delta_sum is None and len(self._pending) < PARITY_LIMIT:
             self._pending.append((update, dispatch, weight, fresh))
         else:
@@ -205,7 +197,7 @@ class StreamingDeltaAccumulator:
         )
         self._layout = _layout_of(self._pending[0][0])
         self._delta_sum = np.zeros(self._layout.total_size, dtype=np.float64)
-        self._sum_state = wrap_flat(self._layout, self._delta_sum)
+        self._sum_state = FlatState(self._layout, self._delta_sum)
         for update, dispatch, weight, _ in self._pending:
             self._delta_sum += weight * _delta(update, dispatch, self._layout)
         self._pending = []
@@ -218,7 +210,7 @@ class StreamingDeltaAccumulator:
             raise ValueError("weights must not all be zero")
         total = self._weight_total
         if self._delta_sum is not None:
-            return wrap_flat(
+            return FlatState(
                 self._layout,
                 state_vector(global_state, self._layout) + self._delta_sum / total,
             )
@@ -234,4 +226,4 @@ class StreamingDeltaAccumulator:
         folded = state_vector(global_state, layout).copy()
         for update, dispatch, weight, _ in self._pending:
             folded += (weight / total) * _delta(update, dispatch, layout)
-        return wrap_flat(layout, folded)
+        return FlatState(layout, folded)

@@ -25,7 +25,6 @@ from repro.fl.parameters import (
     State,
     average_pairwise_distance,
     state_vector,
-    wrap_flat,
     zeros_like_state,
 )
 
@@ -57,20 +56,13 @@ class FedAvgM(FederatedAlgorithm):
             average = accumulator.result()
 
             # Pseudo-gradient: how far the average moved away from the global
-            # model this round; momentum accumulates it across rounds.  The
-            # flat path runs the identical elementwise update on the whole
-            # contiguous buffer instead of per name.
-            if isinstance(global_state, FlatState) and isinstance(self._velocity, FlatState):
-                layout = global_state.layout
-                delta = global_state.vector - state_vector(average, layout)
-                velocity = self.server_momentum * state_vector(self._velocity, layout) + delta
-                self._velocity = wrap_flat(layout, velocity)
-                global_state = wrap_flat(layout, global_state.vector - velocity)
-            else:
-                for name in global_state:
-                    delta = global_state[name] - average[name]
-                    self._velocity[name] = self.server_momentum * self._velocity[name] + delta
-                    global_state[name] = global_state[name] - self._velocity[name]
+            # model this round; momentum accumulates it across rounds, one
+            # elementwise update over the whole contiguous buffer.
+            layout = global_state.layout
+            delta = global_state.vector - state_vector(average, layout)
+            velocity = self.server_momentum * state_vector(self._velocity, layout) + delta
+            self._velocity = FlatState(layout, velocity)
+            global_state = FlatState(layout, global_state.vector - velocity)
 
         self.save_checkpoint(round_index, global_state, extra_states={"velocity": self._velocity})
         return global_state, extra

@@ -44,9 +44,9 @@ class FedBN(FederatedAlgorithm):
 
     def run(self) -> TrainingResult:
         result = TrainingResult(algorithm=self.name)
-        reference_model = self.model_factory()
-        local_names = normalization_parameter_names(reference_model)
-        global_names = [name for name in reference_model.state_dict() if name not in local_names]
+        template_model = self.model_factory()
+        local_names = normalization_parameter_names(template_model)
+        global_names = [name for name in template_model.state_dict() if name not in local_names]
         weights = self.client_weights()
         mu = self.config.proximal_mu
 

@@ -85,7 +85,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.fl.faults.errors import ClientExecutionError, TaskFailure
-from repro.fl.parameters import State, flat_pair, wrap_flat
+from repro.fl.parameters import FlatState, State, flat_pair
 from repro.fl.trainer import StepStatistics
 from repro.utils.threadpools import (
     BLAS_AUTO,
@@ -175,7 +175,7 @@ def run_client_task(client, task: ClientTask):
             pair = flat_pair(start_state, new_state)
             if pair is not None:
                 layout, start_vector, new_vector = pair
-                target = wrap_flat(layout, new_vector - start_vector)
+                target = FlatState(layout, new_vector - start_vector)
             else:
                 target = {name: new_state[name] - start_state[name] for name in new_state}
         else:

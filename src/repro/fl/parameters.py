@@ -39,10 +39,14 @@ the same IEEE operations run on the same values in the same order.
 :func:`weighted_average` is the one deliberate exception: the single GEMV
 may differ from the per-name ``np.tensordot`` loop at the last ulp (BLAS
 kernel tails), which is why the pre-refactor implementation is kept as
-:func:`reference_weighted_average` behind the :func:`reference_mode` test
-flag and asserted against at ``1e-12``.  Flat and plain-dict inputs always
-produce identical results because both are routed through the same packed
-GEMV.
+:func:`reference_weighted_average` and asserted against at ``1e-12``.  Flat
+and plain-dict inputs always produce identical results because both are
+routed through the same packed GEMV.
+
+Flat is the only representation the engine produces: every function here
+that builds a state from a vector returns a :class:`FlatState`.  Plain
+dicts are accepted as *inputs* wherever a state is (packed for the GEMV,
+per-name loops elsewhere).
 
 ``sorted`` vs. state order
 --------------------------
@@ -55,7 +59,7 @@ cached gather indices between the two orders.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,49 +68,6 @@ State = Dict[str, np.ndarray]
 
 #: One layout entry: ``(name, shape)``.
 LayoutEntry = Tuple[str, Tuple[int, ...]]
-
-# -- engine switches (test flags) ------------------------------------------------
-#
-# ``_FLAT_ENABLED`` controls the *representation*: when off, the conversion
-# points (initial states, client results, codec decodes, checkpoint loads)
-# hand out plain dicts, reproducing the pre-refactor dict path with the same
-# arithmetic.  ``_REFERENCE`` additionally routes ``weighted_average``
-# through the pre-refactor stack/tensordot loop for parity assertions and
-# benchmarks.  Both are module-global so forked worker processes inherit
-# them.
-
-_FLAT_ENABLED = True
-_REFERENCE = False
-
-
-def flat_states_enabled() -> bool:
-    """Whether the conversion points produce :class:`FlatState` objects."""
-    return _FLAT_ENABLED
-
-
-@contextmanager
-def flat_states_disabled():
-    """Run with plain-dict states (the dict path) for parity tests."""
-    global _FLAT_ENABLED
-    previous = _FLAT_ENABLED
-    _FLAT_ENABLED = False
-    try:
-        yield
-    finally:
-        _FLAT_ENABLED = previous
-
-
-@contextmanager
-def reference_mode():
-    """Run with the pre-refactor aggregation arithmetic (parity/benchmarks)."""
-    global _REFERENCE
-    previous = _REFERENCE
-    _REFERENCE = True
-    try:
-        yield
-    finally:
-        _REFERENCE = previous
-
 
 # -- the frozen layout -----------------------------------------------------------
 
@@ -357,33 +318,24 @@ def _restore_flat_state(entries: Tuple[LayoutEntry, ...], vector: np.ndarray) ->
 # -- conversion points -----------------------------------------------------------
 
 
-def as_flat_state(state: State) -> State:
-    """Wrap a plain state into a :class:`FlatState` (no-op when disabled)."""
-    if isinstance(state, FlatState) or not _FLAT_ENABLED:
+def as_flat_state(state: State) -> FlatState:
+    """``state`` itself when already flat, else packed into a :class:`FlatState`."""
+    if isinstance(state, FlatState):
         return state
     return FlatState.from_state(state)
 
 
-def flat_model_state(model) -> State:
+def flat_model_state(model) -> FlatState:
     """A model's ``state_dict`` packed straight into a flat buffer.
 
     One copy from the parameters/buffers into the contiguous vector —
     instead of ``state_dict()``'s per-tensor copies followed by a pack.
     Value-identical to :meth:`repro.nn.Module.state_dict` (same names, same
-    order, same float64 values); falls back to it when the engine is off.
+    order, same float64 values).
     """
-    if not _FLAT_ENABLED:
-        return model.state_dict()
     pairs = [(name, param.data) for name, param in model.named_parameters()]
     pairs += [(name, np.asarray(buf)) for name, buf in model.named_buffers()]
     return FlatState.from_items(pairs)
-
-
-def wrap_flat(layout: StateLayout, vector: np.ndarray) -> State:
-    """A state over ``vector``: a :class:`FlatState`, or views when disabled."""
-    if _FLAT_ENABLED:
-        return FlatState(layout, vector)
-    return layout.view_dict(vector)
 
 
 def state_vector(state: State, layout: Optional[StateLayout] = None) -> np.ndarray:
@@ -520,11 +472,23 @@ def release_aggregation_scratch() -> None:
     _MATRIX_SCRATCH = None
 
 
+def check_weight(weight: float) -> float:
+    """``weight`` as a float; anything but a finite, non-negative number is rejected.
+
+    One NaN or infinite aggregation weight turns every entry of the average
+    into NaN, so it must not get as far as the arithmetic.
+    """
+    weight = float(weight)
+    if not (math.isfinite(weight) and weight >= 0):
+        raise ValueError(f"weights must be finite and non-negative, got {weight}")
+    return weight
+
+
 def _check_weights(states: List[State], weights: np.ndarray) -> np.ndarray:
     if len(states) != weights.size:
         raise ValueError(f"got {len(states)} states but {weights.size} weights")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
+    for weight in weights:
+        check_weight(weight)
     total = float(weights.sum())
     if total <= 0:
         raise ValueError("weights must not all be zero")
@@ -534,9 +498,8 @@ def _check_weights(states: List[State], weights: np.ndarray) -> np.ndarray:
 def reference_weighted_average(states: Sequence[State], weights: Sequence[float]) -> State:
     """The pre-refactor per-name stack/tensordot aggregation.
 
-    Kept as the parity/benchmark reference for :func:`weighted_average`
-    (also reachable through :func:`reference_mode`); may differ from the
-    flat GEMV at the last ulp.
+    Kept as the parity reference for :func:`weighted_average`; may differ
+    from the flat GEMV at the last ulp.
     """
     states = list(states)
     normalized = _check_weights(states, np.asarray(list(weights), dtype=np.float64))
@@ -558,8 +521,6 @@ def weighted_average(states: Sequence[State], weights: Sequence[float]) -> State
     produce bit-identical results (both route through the same GEMV).
     """
     states = list(states)
-    if _REFERENCE:
-        return reference_weighted_average(states, weights)
     normalized = _check_weights(states, np.asarray(list(weights), dtype=np.float64))
     check_compatible(states)
     first = states[0]
@@ -573,7 +534,7 @@ def weighted_average(states: Sequence[State], weights: Sequence[float]) -> State
                 matrix[row] = state.vector[layout.gather_from(state.layout)]
         else:
             layout.pack(state, out=matrix[row])
-    return wrap_flat(layout, normalized @ matrix)
+    return FlatState(layout, normalized @ matrix)
 
 
 def interpolate(state_a: State, state_b: State, weight_a: float) -> State:
@@ -584,7 +545,7 @@ def interpolate(state_a: State, state_b: State, weight_a: float) -> State:
     pair = flat_pair(state_a, state_b)
     if pair is not None:
         layout, vector_a, vector_b = pair
-        return wrap_flat(layout, weight_a * vector_a + (1.0 - weight_a) * vector_b)
+        return FlatState(layout, weight_a * vector_a + (1.0 - weight_a) * vector_b)
     return {
         name: weight_a * state_a[name] + (1.0 - weight_a) * state_b[name]
         for name in state_a
@@ -617,7 +578,7 @@ def filter_state(state: State, names: Iterable[str]) -> State:
     missing = [name for name in names if name not in state]
     if missing:
         raise ValueError(f"state does not contain {missing}")
-    if isinstance(state, FlatState) and _FLAT_ENABLED:
+    if isinstance(state, FlatState):
         return FlatState.from_items((name, state[name]) for name in names)
     return {name: np.array(state[name], copy=True) for name in names}
 

@@ -22,16 +22,16 @@ class FedProxLG(FederatedAlgorithm):
 
     def run(self) -> TrainingResult:
         result = TrainingResult(algorithm=self.name)
-        reference_model = self.model_factory()
-        local_names = reference_model.local_parameter_names()
-        global_names = reference_model.global_parameter_names()
+        template_model = self.model_factory()
+        local_names = template_model.local_parameter_names()
+        global_names = template_model.global_parameter_names()
         # Buffers (e.g. BatchNorm running statistics) travel with the global part.
         buffer_names = [
-            name for name in reference_model.state_dict() if name not in local_names and name not in global_names
+            name for name in template_model.state_dict() if name not in local_names and name not in global_names
         ]
         shared_names = list(global_names) + buffer_names
 
-        initial = flat_model_state(reference_model)
+        initial = flat_model_state(template_model)
         global_part = filter_state(initial, shared_names)
         client_full_states: Dict[int, State] = {
             client.client_id: clone_state(initial) for client in self.clients

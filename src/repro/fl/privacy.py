@@ -31,7 +31,6 @@ from repro.fl.parameters import (
     clone_state,
     flat_pair,
     state_norm,
-    wrap_flat,
     zeros_like_state,
 )
 from repro.utils.rng import new_rng
@@ -81,7 +80,7 @@ def state_update(reference: State, new_state: State) -> State:
     pair = flat_pair(reference, new_state)
     if pair is not None:
         layout, reference_vector, new_vector = pair
-        return wrap_flat(layout, new_vector - reference_vector)
+        return FlatState(layout, new_vector - reference_vector)
     return {name: new_state[name] - reference[name] for name in reference}
 
 
@@ -91,7 +90,7 @@ def apply_update(reference: State, update: State) -> State:
     pair = flat_pair(reference, update)
     if pair is not None:
         layout, reference_vector, update_vector = pair
-        return wrap_flat(layout, reference_vector + update_vector)
+        return FlatState(layout, reference_vector + update_vector)
     return {name: reference[name] + update[name] for name in reference}
 
 
@@ -107,7 +106,7 @@ def clip_update(update: State, clip_norm: float) -> Tuple[State, float]:
         return clone_state(update), norm
     scale = clip_norm / norm
     if isinstance(update, FlatState):
-        return wrap_flat(update.layout, update.vector * scale), norm
+        return FlatState(update.layout, update.vector * scale), norm
     return {name: values * scale for name, values in update.items()}, norm
 
 
@@ -123,7 +122,7 @@ def add_gaussian_noise(state: State, sigma: float, rng: np.random.Generator) -> 
         # per-name draws in state order — the dict path below — and the two
         # stay bit-identical (guarded by a test).
         noise = rng.normal(0.0, sigma, size=state.layout.total_size)
-        return wrap_flat(state.layout, state.vector + noise)
+        return FlatState(state.layout, state.vector + noise)
     return {name: values + rng.normal(0.0, sigma, size=values.shape) for name, values in state.items()}
 
 

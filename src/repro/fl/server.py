@@ -20,12 +20,12 @@ from repro.fl.parameters import (
     FlatState,
     State,
     check_compatible,
+    check_weight,
     clone_state,
     filter_state,
     merge_partition,
     state_vector,
     weighted_average,
-    wrap_flat,
 )
 
 
@@ -128,9 +128,7 @@ class FederatedServer:
             only = client_ids[0]
             return {only: clone_state(client_states[only])}
         check_compatible([client_states[cid] for cid in client_ids])
-        weights = {cid: float(client_weights[cid]) for cid in client_ids}
-        if any(weight < 0 for weight in weights.values()):
-            raise ValueError("weights must be non-negative")
+        weights = {cid: check_weight(client_weights[cid]) for cid in client_ids}
         total_weight = sum(weights.values())
         reference = client_states[client_ids[0]]
         if isinstance(reference, FlatState) and all(
@@ -189,7 +187,7 @@ class FederatedServer:
             mixed = alpha * own + (1.0 - alpha) * (
                 (weighted_sum - weights[client_id] * own) / remaining
             )
-            result[client_id] = wrap_flat(layout, mixed)
+            result[client_id] = FlatState(layout, mixed)
         return result
 
     def partition_merge(self, global_state: State, local_state: State, local_names: Iterable[str]) -> State:

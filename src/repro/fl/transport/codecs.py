@@ -38,10 +38,10 @@ Flat-buffer fast paths
 A :class:`~repro.fl.parameters.FlatState` flattens to the wire's sorted
 name order without a per-tensor concatenation loop (zero-copy when the
 layout already is sorted — the case for every codec-decoded state), and
-every ``decode`` builds its result directly over one contiguous buffer
-(:func:`repro.fl.parameters.wrap_flat`) instead of materializing per-name
-copies.  The produced bytes and decoded values are bit-identical to the
-per-tensor dict path, which remains the fallback for plain dict states.
+every ``decode`` returns a :class:`~repro.fl.parameters.FlatState` built
+directly over one contiguous buffer instead of materializing per-name
+copies.  ``encode`` also accepts plain dict states, flattening them per
+tensor; the produced bytes are identical for the same values.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from repro.fl.parameters import (
     State,
     StateLayout,
     sorted_state_vector,
-    wrap_flat,
 )
 from repro.fl.transport.errors import TransportDecodeError
 
@@ -124,7 +123,7 @@ def _schema_sizes(schema: Tuple[TensorSpec, ...]) -> List[int]:
 
 def _state_from_flat(flat: np.ndarray, schema: Tuple[TensorSpec, ...]) -> State:
     """A decoded state over one owned float64 buffer (zero-copy views)."""
-    return wrap_flat(StateLayout.of(schema), flat)
+    return FlatState(StateLayout.of(schema), flat)
 
 
 def _pack_codes(codes: np.ndarray, num_bits: int) -> bytes:

@@ -64,13 +64,8 @@ from repro.nn.schedulers import (
 )
 from repro.nn.serialization import load_state_dict, save_state_dict, state_dicts_allclose
 from repro.nn.dtypes import COMPUTE_DTYPE_CHOICES, resolve_compute_dtype
-from repro.nn.kernels import (
-    compiled_kernels_disabled,
-    compiled_kernels_enabled,
-    kernel_backend,
-)
 from repro.nn.parameter import Parameter
-from repro.nn.workspace import Workspace, workspaces_disabled, workspaces_enabled
+from repro.nn.workspace import Workspace
 
 __all__ = [
     "functional",
@@ -78,11 +73,6 @@ __all__ = [
     "COMPUTE_DTYPE_CHOICES",
     "resolve_compute_dtype",
     "Workspace",
-    "workspaces_disabled",
-    "workspaces_enabled",
-    "compiled_kernels_disabled",
-    "compiled_kernels_enabled",
-    "kernel_backend",
     "Parameter",
     "Module",
     "Sequential",

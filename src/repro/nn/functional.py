@@ -7,30 +7,29 @@ the only way to get acceptable throughput out of NumPy.  All functions work on
 
 The im2col/col2im gather indices depend only on the layer geometry and the
 input spatial shape — both fixed across a training run — so they are built
-once and memoized (:func:`_im2col_indices`, :func:`_col2im_flat_index`,
-:func:`_col2im_batch_index`) instead of being recomputed on every
-forward/backward call.  Cached arrays are marked read-only; they are only
-ever used as gather/scatter indices.
+once and memoized (:func:`_im2col_indices`, :func:`_col2im_flat_index`)
+instead of being recomputed on every forward/backward call.  Cached arrays
+are marked read-only; they are only ever used as gather indices.
 
-Workspace fast path
--------------------
-:func:`im2col` accepts ``out=`` / ``padded_out=`` buffers (persistent
-per-layer workspaces, see :mod:`repro.nn.workspace`): the patch gather then
-runs as one ``np.take`` straight into the reused buffer (``mode="clip"``
-selects NumPy's unbuffered write-through path; the memoized indices are
-always in range, so clipping never engages) and padding becomes an interior
-copy into a border-zeroed buffer instead of a fresh ``np.pad`` allocation.
-Both paths gather exactly the same elements — results are bit-identical —
-the workspace path just stops paying an allocation + page-fault per call.
+One gather, one scatter
+-----------------------
+:func:`im2col` is one flat ``np.take`` into a ``cols`` buffer
+(``mode="clip"`` selects NumPy's unbuffered write-through path; the
+memoized indices are always in range, so clipping never engages), and
+padding is an interior copy into a border-zeroed buffer.  Layers pass
+``out=`` / ``padded_out=`` buffers from their workspace (see
+:mod:`repro.nn.workspace`) so a step stops paying an allocation and page
+faults per call; a caller that passes none gets them allocated and runs the
+same lines.  :func:`col2im` scatters each kernel tap straight into the
+unpadded result.  ``tests/nn`` holds both to a few-line oracle (``np.pad`` +
+fancy-index gather, flattened ordered scatter) bit for bit.
 
 Dtype rules
 -----------
 Everything here is dtype-preserving: float32 inputs produce float32
 outputs (the compute-dtype fast path), float64 stays float64 bit for bit.
-:func:`col2im` accumulates in the columns' own dtype on the engine path
-(bit-identical to the historical float64 bincount for float64 inputs — the
-per-cell addition order is the same; see its docstring) and falls back to
-the float64 bincount scatter when workspaces are disabled.
+:func:`col2im` accumulates in the columns' own dtype, adding each cell's
+contributions in ascending tap order.
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
-
-from repro.nn.kernels import compiled_kernels_enabled, fused_col2im, gather_into
-from repro.nn.workspace import workspaces_enabled
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int, dilation: int = 1) -> int:
@@ -112,11 +108,10 @@ def _col2im_flat_index(
     h_padded: int,
     w_padded: int,
 ) -> np.ndarray:
-    """Flattened per-image gather/scatter indices into ``(c, h_padded, w_padded)``.
+    """Flattened per-image indices into ``(c, h_padded, w_padded)``.
 
-    Used both as :func:`col2im`'s scatter target and as :func:`im2col`'s
-    flat gather source (the two operations are adjoint, so the index map is
-    the same).  Memoized; read-only.
+    :func:`im2col`'s flat gather source — and, the two operations being
+    adjoint, the scatter target of a flattened col2im.  Memoized; read-only.
     """
     k, i, j = _im2col_indices(channels, kernel_h, kernel_w, out_h, out_w, stride, dilation)
     base_index = (k * h_padded + i) * w_padded + j  # (c*kh*kw, out_h*out_w)
@@ -141,16 +136,16 @@ def im2col(
     x:
         Input of shape ``(N, C, H, W)``.
     out:
-        Optional persistent destination of shape
+        Optional persistent C-contiguous destination of shape
         ``(N, C * kernel_h * kernel_w, out_h * out_w)`` and ``x``'s dtype;
-        the gather then writes straight into it (no fresh allocation) and
-        returns it.
+        the gather writes straight into it and returns it.  Allocated when
+        omitted.
     padded_out:
-        Optional persistent padded-input buffer of shape
+        Optional persistent C-contiguous padded-input buffer of shape
         ``(N, C, H + 2 * padding, W + 2 * padding)`` whose border is
-        already zero (see :meth:`repro.nn.workspace.Workspace.zeros`); the
-        interior is overwritten with ``x`` each call instead of building a
-        fresh ``np.pad`` copy.
+        already zero (see :meth:`repro.nn.workspace.Workspace.zeros`); only
+        the interior is overwritten with ``x``.  Allocated (zeroed) when
+        omitted and ``padding > 0``.
 
     Returns
     -------
@@ -161,29 +156,38 @@ def im2col(
     out_h = conv_output_size(h, kernel_h, stride, padding, dilation)
     out_w = conv_output_size(w, kernel_w, stride, padding, dilation)
     if padding > 0:
-        if padded_out is not None:
-            # The buffer's border is zero by contract and only the interior
-            # is ever written, so this is equivalent to np.pad, minus the
-            # allocation.
-            padded_out[:, :, padding : padding + h, padding : padding + w] = x
-            x = padded_out
-        else:
-            x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
-    if out is not None and x.flags.c_contiguous:
-        flat_index = _col2im_flat_index(
-            c, kernel_h, kernel_w, out_h, out_w, stride, dilation, h + 2 * padding, w + 2 * padding
-        )
-        # One flat gather straight into the reused buffer (compiled when
-        # numba is available, else np.take's unbuffered mode="clip" path;
-        # the memoized indices are in range by construction).
-        gather_into(x.reshape(n, -1), flat_index.reshape(-1), out.reshape(n, -1))
-        return out
-    k, i, j = _im2col_indices(c, kernel_h, kernel_w, out_h, out_w, stride, dilation)
-    cols = x[:, k, i, j]
-    if out is not None:
-        np.copyto(out, cols)
-        return out
-    return cols
+        if padded_out is None:
+            padded_out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        # The border is zero and only the interior is ever written: np.pad
+        # without the allocation.
+        padded_out[:, :, padding : padding + h, padding : padding + w] = x
+        x = padded_out
+    elif not x.flags.c_contiguous:
+        x = np.ascontiguousarray(x)  # the flat gather below indexes raw memory order
+    if out is None:
+        out = np.empty((n, c * kernel_h * kernel_w, out_h * out_w), dtype=x.dtype)
+    flat_index = _col2im_flat_index(
+        c, kernel_h, kernel_w, out_h, out_w, stride, dilation, h + 2 * padding, w + 2 * padding
+    )
+    np.take(x.reshape(n, -1), flat_index.reshape(-1), axis=1, out=out.reshape(n, -1), mode="clip")
+    return out
+
+
+def _tap_range(offset: int, stride: int, size: int, out_size: int) -> Tuple[int, int]:
+    """Output-pixel range ``[lo, hi)`` of one kernel tap that lands inside
+    an unpadded axis of length ``size``.
+
+    A tap at kernel position ``k`` writes destination index
+    ``offset + stride * o`` (``offset = k * dilation - padding``) for output
+    pixel ``o``; the range keeps exactly the ``o`` with destination in
+    ``[0, size)`` — the contributions that do not fall in the padding.
+    """
+    if offset >= 0:
+        lo = 0
+    else:
+        lo = (-offset + stride - 1) // stride
+    hi = min(out_size, (size - 1 - offset) // stride + 1)
+    return lo, hi
 
 
 def col2im(
@@ -202,27 +206,14 @@ def col2im(
     The result has ``cols``'s dtype and is always freshly allocated (it is
     a layer's returned value, never workspace scratch).
 
-    Three equivalent accumulation engines, selected by the parity flags:
-
-    * **Fused clipped scatter** (the default): col2im fused with the unpad
-      slice — each tap lands directly in the unpadded result over the
-      clipped output range the slice would keep (see
-      :func:`repro.nn.kernels.fused_col2im`; compiled via numba where
-      available).  Same per-cell addition order as tap accumulation, so
-      bit-identical, without the padded temporary.
-    * **Tap accumulation** (under
-      :func:`repro.nn.kernels.compiled_kernels_disabled`, the PR 5/6
-      engine): one vectorized ``+=`` per kernel
-      position into strided slices of the padded image.  For every output
-      cell the contributions arrive in ascending ``(ki, kj)`` order —
-      exactly the order the flattened-bincount scatter visits them — so for
-      a given dtype the result is **bit-identical** to the historical
-      bincount path (asserted by ``tests/nn``); float32 columns accumulate
-      natively in float32, which is where the fast path's bandwidth win
-      comes from.
-    * **Flattened bincount** (the pre-engine path, float64 accumulation),
-      kept under :func:`repro.nn.workspace.workspaces_disabled` as the
-      reproducible baseline.
+    Each kernel tap is one vectorized ``+=`` straight into the unpadded
+    result, over the output range clipped to the rows and columns that do
+    not fall in the padding — no padded temporary, no unpad copy (for the
+    paper's 9x9/padding-4 layers that temporary would be ~19% larger than
+    the result).  For every cell the contributions arrive in ascending
+    ``(ki, kj)`` order, the order a flattened scatter over the columns
+    visits them, so the result is bit-identical to that scatter in either
+    dtype.
     """
     n, c, h, w = x_shape
     out_h = conv_output_size(h, kernel_h, stride, padding, dilation)
@@ -230,44 +221,29 @@ def col2im(
     expected = (n, c * kernel_h * kernel_w, out_h * out_w)
     if cols.shape != expected:
         raise ValueError(f"col2im expected columns of shape {expected}, got {cols.shape}")
-    h_padded, w_padded = h + 2 * padding, w + 2 * padding
-    if workspaces_enabled() and compiled_kernels_enabled():
-        # Fused engine: scatter each tap directly into the unpadded result,
-        # clipping tap ranges to the rows/columns the unpad slice would
-        # keep.  Same per-cell addition order as the padded tap path below,
-        # so bit-identical — minus the padded temporary and interior copy.
-        return fused_col2im(
-            cols, x_shape, kernel_h, kernel_w, out_h, out_w, stride, padding, dilation
-        )
-    if workspaces_enabled():
-        padded = np.zeros((n, c, h_padded, w_padded), dtype=cols.dtype)
-        taps = cols.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
-        for ki in range(kernel_h):
-            row = ki * dilation
-            for kj in range(kernel_w):
-                col = kj * dilation
-                padded[
-                    :,
-                    :,
-                    row : row + stride * out_h : stride,
-                    col : col + stride * out_w : stride,
-                ] += taps[:, :, ki, kj]
-    else:
-        # Scatter-add via bincount over flattened indices: the historical
-        # engine (always accumulates in float64, then casts).
-        per_image = c * h_padded * w_padded
-        base_index = _col2im_flat_index(
-            c, kernel_h, kernel_w, out_h, out_w, stride, dilation, h_padded, w_padded
-        )
-        offsets = np.arange(n) * per_image
-        flat_index = (offsets[:, None, None] + base_index[None, :, :]).ravel()
-        flat = np.bincount(flat_index, weights=cols.ravel(), minlength=n * per_image)
-        if flat.dtype != cols.dtype:
-            flat = flat.astype(cols.dtype)
-        padded = flat.reshape(n, c, h_padded, w_padded)
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    out = np.zeros((n, c, h, w), dtype=cols.dtype)
+    taps = cols.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
+    for ki in range(kernel_h):
+        row_offset = ki * dilation - padding
+        row_lo, row_hi = _tap_range(row_offset, stride, h, out_h)
+        if row_lo >= row_hi:
+            continue
+        row_start = row_offset + stride * row_lo
+        row_stop = row_offset + stride * (row_hi - 1) + 1
+        for kj in range(kernel_w):
+            col_offset = kj * dilation - padding
+            col_lo, col_hi = _tap_range(col_offset, stride, w, out_w)
+            if col_lo >= col_hi:
+                continue
+            col_start = col_offset + stride * col_lo
+            col_stop = col_offset + stride * (col_hi - 1) + 1
+            out[
+                :,
+                :,
+                row_start:row_stop:stride,
+                col_start:col_stop:stride,
+            ] += taps[:, :, ki, kj, row_lo:row_hi, col_lo:col_hi]
+    return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

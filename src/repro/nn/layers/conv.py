@@ -13,7 +13,6 @@ from repro.nn.functional import (
     conv_transpose_output_size,
     im2col,
 )
-from repro.nn.kernels import grad_weight_gemm
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.nn.workspace import Workspace
@@ -25,6 +24,31 @@ def _pair(value: KernelSize) -> Tuple[int, int]:
     if isinstance(value, tuple):
         return int(value[0]), int(value[1])
     return int(value), int(value)
+
+
+def grad_weight_gemm(grad_flat: np.ndarray, cols: np.ndarray, stage: np.ndarray) -> np.ndarray:
+    """The conv weight-gradient contraction ``sum_i grad_flat[i] @ cols[i].T``.
+
+    One batched matmul into ``stage``, the layer's ``(n, rows, cols)``
+    workspace buffer, then a ``sum(axis=0)`` reduction pass.  When the batch
+    holds a single image the reduction is the identity and the whole thing
+    is one 2-D GEMM over the same operands — same BLAS call, same IEEE
+    sequence, no reduction pass.  Larger batches are not collapsed: that
+    would reassociate the per-image partial sums, and flattened single-GEMM
+    reformulations drift in the last ulp on some shapes under OpenBLAS.
+
+    The batch-1 result aliases ``stage`` and must be consumed before the
+    owning layer's next step (the standard workspace contract).
+
+    This contraction runs over ``L`` while the ``grad_cols`` product of the
+    same backward contracts over ``O``; no stacking of operands turns the
+    two into one batched matmul without zero-padding one of them, and
+    padding changes the GEMM's reduction tree — so they stay two GEMMs.
+    """
+    if grad_flat.shape[0] == 1:
+        return np.matmul(grad_flat[0], cols[0].transpose(), out=stage[0])
+    np.matmul(grad_flat, cols.transpose(0, 2, 1), out=stage)
+    return stage.sum(axis=0)
 
 
 class Conv2d(Module):
@@ -129,16 +153,14 @@ class Conv2d(Module):
         dtype = cols.dtype
 
         stage = self._ws.get("grad_weight_stage", (n,) + weight_matrix.shape, dtype)
-        grad_weight = grad_weight_gemm(grad_flat, cols, stage=stage)
+        grad_weight = grad_weight_gemm(grad_flat, cols, stage)
         self.weight.grad += grad_weight.reshape(self.weight.data.shape)
         if self.use_bias:
             self.bias.grad += grad_flat.sum(axis=(0, 2))
 
-        grad_cols_buf = self._ws.get("grad_cols", cols.shape, dtype)
-        if grad_cols_buf is None:
-            grad_cols = np.matmul(weight_matrix.T, grad_flat)
-        else:
-            grad_cols = np.matmul(weight_matrix.T, grad_flat, out=grad_cols_buf)
+        grad_cols = np.matmul(
+            weight_matrix.T, grad_flat, out=self._ws.get("grad_cols", cols.shape, dtype)
+        )
         kh, kw = self.kernel_size
         grad_input = col2im(
             grad_cols, x_shape, kh, kw, self.stride, self.padding, self.dilation
@@ -218,11 +240,11 @@ class ConvTranspose2d(Module):
         out_h, out_w = self.output_shape(h, w)
         x_flat = x.reshape(n, self.in_channels, h * w)
         weight_matrix = self.weight.data.reshape(self.in_channels, -1)
-        cols_buf = self._ws.get("cols", (n, weight_matrix.shape[1], h * w), x.dtype)
-        if cols_buf is None:
-            cols = np.matmul(weight_matrix.T, x_flat)
-        else:
-            cols = np.matmul(weight_matrix.T, x_flat, out=cols_buf)
+        cols = np.matmul(
+            weight_matrix.T,
+            x_flat,
+            out=self._ws.get("cols", (n, weight_matrix.shape[1], h * w), x.dtype),
+        )
         out = col2im(
             cols,
             (n, self.out_channels, out_h, out_w),
@@ -269,7 +291,7 @@ class ConvTranspose2d(Module):
 
         weight_matrix = self.weight.data.reshape(self.in_channels, -1)
         stage = self._ws.get("grad_weight_stage", (n,) + weight_matrix.shape, dtype)
-        grad_weight = grad_weight_gemm(x_flat, grad_cols, stage=stage)
+        grad_weight = grad_weight_gemm(x_flat, grad_cols, stage)
         self.weight.grad += grad_weight.reshape(self.weight.data.shape)
         if self.use_bias:
             self.bias.grad += grad_output.sum(axis=(0, 2, 3))

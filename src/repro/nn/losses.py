@@ -67,16 +67,11 @@ class MSELoss(Loss):
         prediction, target = _as_float_pair(prediction, target)
         self._validate(prediction, target)
         diff = self._ws.get("diff", prediction.shape, prediction.dtype)
-        if diff is None:
-            diff = prediction - target
-        else:
-            np.subtract(prediction, target, out=diff)
+        np.subtract(prediction, target, out=diff)
         self._cache = (diff,)
         square = self._ws.get("square", prediction.shape, prediction.dtype)
-        if square is None:
-            return float(np.mean(diff**2))
         # diff**2 with the integer exponent lowers to diff * diff, so the
-        # staged form is bit-identical to the expression form.
+        # staged form is bit-identical to np.mean((prediction - target) ** 2).
         np.multiply(diff, diff, out=square)
         return float(np.mean(square))
 

@@ -5,8 +5,7 @@ padded input, the im2col ``cols`` matrix, ``grad_cols``, matmul staging
 buffers — once per layer per step.  For the model sizes of the paper those
 allocations dominate the step wall-clock (fresh multi-megabyte buffers are
 served by the allocator as new pages, so the first write of every step pays
-page faults, exactly the memory-bound regime the PR 4 ``param_ops``
-benchmark flagged).
+page faults).
 
 A :class:`Workspace` is a layer's (or loss's) set of named scratch buffers
 keyed by ``(tag, shape, dtype)``.  Because the batch shape is fixed across
@@ -42,40 +41,18 @@ Aliasing rules (see ``docs/performance.md``)
   release also forgets the owner's backward cache, so nothing keeps reading
   a buffer that has been lent on.
 
-The global switch :func:`workspaces_disabled` restores the pre-workspace
-allocating behavior (``np.pad`` + fresh fancy-indexing + fresh matmuls).
-It exists for parity tests and as the reproducible "pre-PR" baseline of
-``benchmarks/test_training_engine.py``; both paths compute bit-identical
-values — buffer reuse never changes an IEEE operation, only where the
-result lands.
+Buffer reuse never changes an IEEE operation, only where the result lands:
+``tests/nn`` compares a warm, recycled layer bit for bit with a cold copy —
+the same weights on an emptied pool, where every buffer is a first
+allocation.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
-
-_ENABLED = True
-
-
-def workspaces_enabled() -> bool:
-    """Whether layers reuse persistent scratch buffers (the default)."""
-    return _ENABLED
-
-
-@contextmanager
-def workspaces_disabled():
-    """Run with per-call allocations (the pre-workspace path) for parity tests."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 class _FreePool(threading.local):
@@ -123,9 +100,6 @@ class Workspace:
     once).  A recycled buffer is therefore re-zeroed: it may come from a
     layer with a different border.
 
-    When workspaces are globally disabled both methods return ``None`` and
-    callers fall back to their allocating expressions.
-
     A workspace intentionally does not survive pickling: models travel to
     process-pool workers as part of a client, and shipping warm scratch
     would only bloat the payload.  The receiving side re-grows its own
@@ -137,20 +111,16 @@ class Workspace:
     def __init__(self):
         self._buffers: Dict[Tuple[str, Tuple[int, ...], np.dtype], np.ndarray] = {}
 
-    def get(self, tag: str, shape: Tuple[int, ...], dtype=np.float64) -> Optional[np.ndarray]:
+    def get(self, tag: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """The held buffer for ``(tag, shape, dtype)`` (acquired lazily, reused)."""
-        if not _ENABLED:
-            return None
         key = (tag, tuple(shape), np.dtype(dtype))
         buffer = self._buffers.get(key)
         if buffer is None:
             buffer = self._acquire(key, zeroed=False)
         return buffer
 
-    def zeros(self, tag: str, shape: Tuple[int, ...], dtype=np.float64) -> Optional[np.ndarray]:
+    def zeros(self, tag: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """Like :meth:`get`, but the buffer is zero-filled when first acquired."""
-        if not _ENABLED:
-            return None
         key = (tag, tuple(shape), np.dtype(dtype))
         buffer = self._buffers.get(key)
         if buffer is None:

@@ -160,6 +160,14 @@ class TestDataLoader:
         batches = [next(iterator) for _ in range(5)]
         assert len(batches) == 5
 
+    def test_infinite_batches_rejects_a_loader_without_a_full_batch(self):
+        # Used to spin forever, reshuffling an epoch that yields nothing.
+        dataset = make_dataset(n_designs=1)  # 3 samples
+        loader = DataLoader(dataset, batch_size=8, drop_last=True)
+        assert len(loader) == 0
+        with pytest.raises(ValueError, match="batch_size 8 .* 3 samples"):
+            next(infinite_batches(loader))
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             DataLoader(RoutabilityDataset(), batch_size=2)
@@ -213,28 +221,34 @@ class TestPackedArrays:
             RoutabilityDataset().packed_arrays()
 
 
+class StackedLoader(DataLoader):
+    """The oracle: the same index stream, collated per sample into fresh arrays."""
+
+    def _collate(self, indices):
+        features = np.stack([self.dataset[int(i)].features for i in indices]).astype(self.dtype)
+        labels = np.stack([self.dataset[int(i)].label for i in indices]).astype(self.dtype)
+        return features, labels[:, None, :, :]
+
+
 class TestCollateParity:
-    """The take-based collation must match the historical stack-based path."""
+    """The take-based collation must match a per-sample ``np.stack``."""
 
     def test_collate_matches_stacked_reference(self):
         dataset = make_dataset()
-        loader = DataLoader(dataset, batch_size=5)
         indices = np.array([7, 0, 3, 11, 5])
-        features, labels = loader._collate(indices)
-        ref_features, ref_labels = loader._collate_stacked(indices)
-        np.testing.assert_array_equal(features, ref_features)
-        np.testing.assert_array_equal(labels, ref_labels)
-        assert features.dtype == ref_features.dtype == np.float64
+        for dtype in (np.float64, np.float32):
+            features, labels = DataLoader(dataset, batch_size=5, dtype=dtype)._collate(indices)
+            reference = StackedLoader(dataset, batch_size=5, dtype=dtype)._collate(indices)
+            np.testing.assert_array_equal(features, reference[0])
+            np.testing.assert_array_equal(labels, reference[1])
+            assert features.dtype == reference[0].dtype == dtype
 
     def test_full_epoch_matches_stacked_reference(self):
         dataset = make_dataset()
         fast = DataLoader(dataset, batch_size=5, shuffle=True, rng=np.random.default_rng(3))
-        from repro.nn.workspace import workspaces_disabled
-
-        slow = DataLoader(dataset, batch_size=5, shuffle=True, rng=np.random.default_rng(3))
+        slow = StackedLoader(dataset, batch_size=5, shuffle=True, rng=np.random.default_rng(3))
         fast_batches = [(f.copy(), y.copy()) for f, y in fast]
-        with workspaces_disabled():
-            slow_batches = list(slow)
+        slow_batches = list(slow)
         assert len(fast_batches) == len(slow_batches)
         for (fa, ya), (fb, yb) in zip(fast_batches, slow_batches):
             np.testing.assert_array_equal(fa, fb)
@@ -243,12 +257,9 @@ class TestCollateParity:
     def test_sample_batch_matches_stacked_reference(self):
         dataset = make_dataset()
         fast = DataLoader(dataset, batch_size=4, rng=np.random.default_rng(9))
-        from repro.nn.workspace import workspaces_disabled
-
-        slow = DataLoader(dataset, batch_size=4, rng=np.random.default_rng(9))
+        slow = StackedLoader(dataset, batch_size=4, rng=np.random.default_rng(9))
         f_fast, y_fast = fast.sample_batch()
-        with workspaces_disabled():
-            f_slow, y_slow = slow.sample_batch()
+        f_slow, y_slow = slow.sample_batch()
         np.testing.assert_array_equal(f_fast, f_slow)
         np.testing.assert_array_equal(y_fast, y_slow)
 

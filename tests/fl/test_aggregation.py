@@ -32,7 +32,6 @@ from repro.fl.parameters import (
     release_aggregation_scratch,
     state_vector,
     weighted_average,
-    wrap_flat,
 )
 from repro.fl.privacy import PrivacyConfig, privatize_update
 
@@ -190,7 +189,7 @@ def test_fedavgm_momentum_fold_parity(count, exact):
     def momentum_step(average):
         delta = state_vector(global_state, layout) - state_vector(average, layout)
         new_velocity = momentum * velocity + delta
-        return wrap_flat(layout, state_vector(global_state, layout) - new_velocity)
+        return FlatState(layout, state_vector(global_state, layout) - new_velocity)
 
     reference = momentum_step(weighted_average(states, weights))
     accumulator = StreamingAccumulator()
@@ -214,11 +213,11 @@ def _delta_cohort(seed, count):
     global_state = weighted_average(layout_states[:1], [1.0])
     layout = global_state.layout
     updates = [
-        wrap_flat(layout, state_vector(global_state, layout) + rng.standard_normal(layout.total_size))
+        FlatState(layout, state_vector(global_state, layout) + rng.standard_normal(layout.total_size))
         for _ in range(count)
     ]
     dispatches = [
-        wrap_flat(layout, state_vector(global_state, layout) + 0.1 * rng.standard_normal(layout.total_size))
+        FlatState(layout, state_vector(global_state, layout) + 0.1 * rng.standard_normal(layout.total_size))
         for _ in range(count)
     ]
     return global_state, layout, updates, dispatches, weights[:count]
@@ -244,7 +243,7 @@ def test_delta_accumulator_mixed_staleness_is_exact_arrival_order_fold():
         folded += (weight / total) * (
             state_vector(update, layout) - state_vector(dispatch, layout)
         )
-    assert vectors_equal(accumulator.result(global_state), wrap_flat(layout, folded))
+    assert vectors_equal(accumulator.result(global_state), FlatState(layout, folded))
 
 
 def test_delta_accumulator_spilled_stays_close():
@@ -259,7 +258,7 @@ def test_delta_accumulator_spilled_stays_close():
         folded += (weight / total) * (
             state_vector(update, layout) - state_vector(dispatch, layout)
         )
-    assert relative_error(accumulator.result(global_state), wrap_flat(layout, folded)) <= 1e-12
+    assert relative_error(accumulator.result(global_state), FlatState(layout, folded)) <= 1e-12
 
 
 def test_delta_accumulator_empty_returns_global_unchanged():
@@ -311,6 +310,13 @@ def test_non_finite_weights_are_rejected():
                 with pytest.raises(ValueError, match="finite"):
                     fold_one(accumulator, states[0], weight)
             assert accumulator.count == folded  # a rejected fold leaves no trace
+    # The one-shot averages take the same weights through the same check.
+    states, _ = random_layout_states(63, 2)
+    for weight in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            weighted_average(states, [weight, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            FederatedServer().alpha_portion_sync(dict(enumerate(states)), {0: weight, 1: 1.0}, 0.5)
 
 
 def test_all_zero_weights_are_rejected_after_spill():

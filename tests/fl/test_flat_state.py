@@ -9,11 +9,8 @@ The guarantees under test:
   alpha-portion sync, momentum, FedBuff folds) is bit-identical to the
   per-name dict loop,
 * all wire codecs produce bit-identical payload bytes for flat and dict
-  states,
-* the four checkpointable algorithms are bit-identical between the flat
-  path and the plain-dict path, on both backends, under every codec,
-* checkpoints written by the pre-refactor dict path resume onto the flat
-  engine bit-identically.
+  states, and decode to flat states,
+* FedAvgM's server momentum buffer survives a checkpoint and resumes flat.
 """
 
 from __future__ import annotations
@@ -29,20 +26,16 @@ from repro.fl import (
     FederatedServer,
     FLConfig,
     FlatState,
-    ProcessPoolBackend,
     SeededModelFactory,
     SerialBackend,
     StateLayout,
     create_algorithm,
-    create_channel,
 )
 from repro.fl import parameters as P
 from repro.fl.parameters import (
     as_flat_state,
     clone_state,
-    flat_states_disabled,
     interpolate,
-    reference_mode,
     reference_weighted_average,
     state_vector,
     weighted_average,
@@ -179,21 +172,6 @@ class TestWeightedAverageGEMV:
         mixed = [flats[0], FlatState.from_items(list(states[1].items())[::-1])] + flats[2:]
         assert states_equal(weighted_average(flats, weights), weighted_average(mixed, weights))
 
-    def test_reference_mode_routes_to_old_loop(self):
-        states = [random_state(seed) for seed in range(3)]
-        weights = [1.0, 2.0, 3.0]
-        with reference_mode():
-            via_mode = weighted_average(states, weights)
-        assert states_equal(via_mode, reference_weighted_average(states, weights))
-
-    def test_result_is_plain_dict_when_engine_disabled(self):
-        states = [random_state(seed) for seed in range(3)]
-        flat_result = weighted_average(states, [1.0, 1.0, 1.0])
-        with flat_states_disabled():
-            dict_result = weighted_average(states, [1.0, 1.0, 1.0])
-        assert not isinstance(dict_result, FlatState)
-        assert states_equal(dict_result, flat_result)
-
 
 class TestElementwiseBitParity:
     """Flat vector ops must equal the per-name dict loops bit for bit."""
@@ -275,12 +253,6 @@ class TestCodecFlatParity:
         assert isinstance(decoded, FlatState)
         # Sorted wire order: the decoded layout is already in sorted order.
         assert decoded.layout.sorted_permutation() is None
-        # Round-trip values agree with a dict-path decode under the
-        # disabled engine (value parity of the two representations).
-        with flat_states_disabled():
-            plain = codec.decode(codec.encode(state))
-        assert not isinstance(plain, FlatState)
-        assert states_equal(decoded, plain)
 
 
 TINY_CONFIG = FLConfig(
@@ -337,95 +309,7 @@ def run_algorithm(name, make_clients, num_channels, backend=None, channel=None, 
             backend.close()
 
 
-def results_bit_identical(left, right) -> bool:
-    if (left.global_state is None) != (right.global_state is None):
-        return False
-    if left.global_state is not None and not states_equal(left.global_state, right.global_state):
-        return False
-    if [r.mean_loss for r in left.history] != [r.mean_loss for r in right.history]:
-        return False
-    if set(left.client_states) != set(right.client_states):
-        return False
-    return all(
-        states_equal(left.client_states[cid], right.client_states[cid])
-        for cid in left.client_states
-    )
-
-
-ALGORITHMS = ["fedavg", "fedprox", "fedavgm", "dp_fedprox"]
-COMPRESSIONS = [None, "none", "float16", "quantize", "topk"]
-
-
-class TestFlatVsDictPathBitIdentity:
-    """The flat engine and the plain-dict representation must agree bit for
-    bit on every checkpointable algorithm, backend, and codec."""
-
-    @pytest.mark.parametrize("compression", COMPRESSIONS, ids=lambda c: str(c))
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_serial(self, algorithm, compression, make_clients, num_channels):
-        flat = run_algorithm(
-            algorithm, make_clients, num_channels, channel=create_channel(compression)
-        )
-        assert isinstance(flat.global_state, FlatState)
-        with flat_states_disabled():
-            plain = run_algorithm(
-                algorithm, make_clients, num_channels, channel=create_channel(compression)
-            )
-        assert not isinstance(plain.global_state, FlatState)
-        assert results_bit_identical(flat, plain)
-
-    @pytest.mark.parametrize("compression", [None, "quantize", "topk"], ids=lambda c: str(c))
-    def test_process_backend(self, compression, make_clients, num_channels):
-        flat = run_algorithm(
-            "fedavg",
-            make_clients,
-            num_channels,
-            backend=ProcessPoolBackend(workers=2),
-            channel=create_channel(compression),
-        )
-        with flat_states_disabled():
-            plain = run_algorithm(
-                "fedavg",
-                make_clients,
-                num_channels,
-                backend=ProcessPoolBackend(workers=2),
-                channel=create_channel(compression),
-            )
-        assert results_bit_identical(flat, plain)
-
-
 class TestCheckpointCompatibility:
-    def test_resume_from_pre_refactor_checkpoint(self, tmp_path, make_clients, num_channels):
-        """A checkpoint written by the plain-dict path (the pre-refactor
-        on-disk format: one per-tensor .npz archive) must resume onto the
-        flat engine bit-identically to an uninterrupted dict-path run."""
-        from dataclasses import replace
-
-        long_config = replace(TINY_CONFIG, rounds=4)
-        short_config = replace(TINY_CONFIG, rounds=2)
-
-        with flat_states_disabled():
-            uninterrupted = run_algorithm(
-                "fedavg", make_clients, num_channels, config=long_config
-            )
-            run_algorithm(
-                "fedavg",
-                make_clients,
-                num_channels,
-                config=short_config,
-                checkpoint=CheckpointManager(tmp_path),
-            )
-
-        resumed = run_algorithm(
-            "fedavg",
-            make_clients,
-            num_channels,
-            config=long_config,
-            checkpoint=CheckpointManager(tmp_path),
-        )
-        assert isinstance(resumed.global_state, FlatState)
-        assert states_equal(uninterrupted.global_state, resumed.global_state)
-
     def test_fedavgm_velocity_resumes_flat(self, tmp_path, make_clients, num_channels):
         from dataclasses import replace
 
@@ -488,11 +372,11 @@ class TestEngineHelpers:
             aligned, np.concatenate([state[n].ravel() for n, _ in reversed_layout.entries])
         )
 
-    def test_as_flat_state_respects_flag(self):
+    def test_as_flat_state_packs_dicts_and_passes_flat_through(self):
         state = random_state(31)
-        assert isinstance(as_flat_state(state), FlatState)
-        with flat_states_disabled():
-            assert as_flat_state(state) is state
+        flat = as_flat_state(state)
+        assert isinstance(flat, FlatState) and states_equal(flat, state)
+        assert as_flat_state(flat) is flat
 
     def test_flat_model_state_matches_state_dict(self, num_channels):
         model = FLNet(num_channels, hidden_filters=8, kernel_size=5, seed=0)

@@ -31,7 +31,7 @@ from repro.fl import (
     initial_rng_state,
 )
 from repro.fl import SeededModelFactory
-from repro.fl.parameters import state_vector, weighted_average, wrap_flat
+from repro.fl.parameters import FlatState, state_vector, weighted_average
 from repro.models import FLNet
 
 POPULATION_ALGORITHMS = ("fedavg", "fedprox", "fedavgm", "dp_fedprox")
@@ -141,7 +141,7 @@ class ReferenceDeltaAccumulator:
             folded += (weight / total) * (
                 state_vector(update, layout) - state_vector(dispatch, layout)
             )
-        return wrap_flat(layout, folded)
+        return FlatState(layout, folded)
 
 
 def reference_server():

@@ -1,0 +1,85 @@
+"""The references ``tests/nn`` holds the engine to: each a few allocating lines.
+
+None of this is reachable from ``src/``; the engine has one body per kernel
+and these say what that body must compute, bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.nn import functional as F
+from repro.nn.workspace import _POOL
+
+
+def _indices(x_shape, kh, kw, stride, padding, dilation):
+    _, c, h, w = x_shape
+    out_h = F.conv_output_size(h, kh, stride, padding, dilation)
+    out_w = F.conv_output_size(w, kw, stride, padding, dilation)
+    return F._im2col_indices(c, kh, kw, out_h, out_w, stride, dilation)
+
+
+def im2col_oracle(x, kh, kw, stride=1, padding=0, dilation=1):
+    """``np.pad`` and one fancy-index gather into a fresh array."""
+    k, i, j = _indices(x.shape, kh, kw, stride, padding, dilation)
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))[:, k, i, j]
+
+
+def col2im_oracle(cols, x_shape, kh, kw, stride=1, padding=0, dilation=1):
+    """An ordered scatter of the columns, as they lie in memory, into the padded image.
+
+    ``np.add.at`` adds one element at a time in ``cols``'s dtype, so every
+    cell receives its taps in ascending ``(ki, kj)`` order in either dtype
+    (``np.bincount``, the historical engine, visits the same order but only
+    accumulates in float64).
+    """
+    n, c, h, w = x_shape
+    k, i, j = _indices(x_shape, kh, kw, stride, padding, dilation)
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    np.add.at(padded, (np.arange(n)[:, None, None], k, i, j), cols)
+    return padded[:, :, padding : padding + h, padding : padding + w]
+
+
+def grad_weight_oracle(grad_flat, cols):
+    return np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
+
+
+def conv2d_step_oracle(layer, x, grad):
+    """``(out, grad_input, grad_weight, grad_bias)`` of one ``Conv2d`` step."""
+    geometry = (*layer.kernel_size, layer.stride, layer.padding, layer.dilation)
+    x, grad = x.astype(layer.compute_dtype), grad.astype(layer.compute_dtype)
+    weight = layer.weight.data.reshape(layer.out_channels, -1)
+    cols = im2col_oracle(x, *geometry)
+    out = np.matmul(weight, cols).reshape(grad.shape) + layer.bias.data.reshape(1, -1, 1, 1)
+    grad_flat = grad.reshape(len(x), layer.out_channels, -1)
+    grad_input = col2im_oracle(np.matmul(weight.T, grad_flat), x.shape, *geometry)
+    grad_weight = grad_weight_oracle(grad_flat, cols).reshape(layer.weight.data.shape)
+    return out, grad_input, grad_weight, grad_flat.sum(axis=(0, 2))
+
+
+def conv_transpose2d_step_oracle(layer, x, grad):
+    """``(out, grad_input, grad_weight, grad_bias)`` of one ``ConvTranspose2d`` step."""
+    geometry = (*layer.kernel_size, layer.stride, layer.padding)
+    x, grad = x.astype(layer.compute_dtype), grad.astype(layer.compute_dtype)
+    weight = layer.weight.data.reshape(layer.in_channels, -1)
+    x_flat = x.reshape(len(x), layer.in_channels, -1)
+    cols = np.matmul(weight.T, x_flat)
+    out = col2im_oracle(cols, grad.shape, *geometry) + layer.bias.data.reshape(1, -1, 1, 1)
+    grad_cols = im2col_oracle(grad, *geometry)
+    grad_input = np.matmul(weight, grad_cols).reshape(x.shape)
+    grad_weight = grad_weight_oracle(x_flat, grad_cols).reshape(layer.weight.data.shape)
+    return out, grad_input, grad_weight, grad.sum(axis=(0, 2, 3))
+
+
+def on_cold_pool(compute):
+    """``compute()`` on an emptied scratch pool, which is then put back.
+
+    What a freshly built layer computes there is the oracle for "buffer
+    reuse never changes a value": every buffer it touches is a first
+    allocation, and keeping the layer alive keeps them out of the pool.
+    """
+    parked, _POOL.free = _POOL.free, {}
+    try:
+        return compute()
+    finally:
+        _POOL.free = parked

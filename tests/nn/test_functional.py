@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import col2im_oracle
 
 from repro.nn import functional as F
 
@@ -98,25 +99,21 @@ class TestGatherIndexCaching:
     """The im2col/col2im index arrays are memoized per geometry key."""
 
     def test_repeated_calls_hit_the_cache(self):
-        from repro.nn.workspace import workspaces_disabled
-
         F._im2col_indices.cache_clear()
         F._col2im_flat_index.cache_clear()
         x = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
         first = F.im2col(x, 3, 3, stride=1, padding=1)
         second = F.im2col(x, 3, 3, stride=1, padding=1)
         np.testing.assert_array_equal(first, second)
-        info = F._im2col_indices.cache_info()
-        assert info.hits >= 1 and info.misses == 1
-        cols = np.random.default_rng(1).normal(size=first.shape)
-        # The bincount reference path (workspaces disabled) memoizes the
-        # flattened scatter index; the tap-accumulation engine path must
-        # reproduce it bit for bit.
-        with workspaces_disabled():
-            reference = F.col2im(cols, x.shape, 3, 3, stride=1, padding=1)
-            F.col2im(cols, x.shape, 3, 3, stride=1, padding=1)
+        # The flat gather index is built once, from one (k, i, j) triple.
         flat_info = F._col2im_flat_index.cache_info()
         assert flat_info.hits >= 1 and flat_info.misses == 1
+        assert F._im2col_indices.cache_info().misses == 1
+        # The oracle scatters through the same memoized triple; the
+        # clipped-tap engine must reproduce it bit for bit.
+        cols = np.random.default_rng(1).normal(size=first.shape)
+        reference = col2im_oracle(cols, x.shape, 3, 3, stride=1, padding=1)
+        assert F._im2col_indices.cache_info().hits >= 1
         engine = F.col2im(cols, x.shape, 3, 3, stride=1, padding=1)
         np.testing.assert_array_equal(engine, reference)
 

@@ -1,33 +1,35 @@
-"""Parity suite for the fused/compiled convolution kernels.
+"""Parity suite for the convolution kernels.
 
-The compute-saturation engine (``repro.nn.kernels``) promises that the
-fused col2im scatter and the single-image weight-gradient GEMM collapse are
-**bit-identical** to the reference paths — float64 exactly, and float32
-exactly too (the fusions never reassociate an IEEE operation, they only
-skip buffer traffic).  This suite pins that promise across seeded random
-geometries (stride/padding/dilation/odd shapes), both dtypes, the flag
-round-trips, the stacked pre-PR-5 reproduction, and a numerical gradcheck
-through the fused path.
+``functional.im2col`` / ``col2im`` and the conv layers' weight-gradient GEMM
+are held **bit for bit** — float64 and float32 — to the few-line references
+in ``oracles.py``: the clipped-tap scatter never reassociates an IEEE
+operation, it only skips buffer traffic, and the single-image GEMM collapse
+is the same BLAS call without the reduction pass.  Pinned across seeded
+random geometries (stride/padding/dilation/odd shapes), both dtypes,
+batch 1 / n, whole layer steps, and a numerical gradcheck.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import (
+    col2im_oracle,
+    conv2d_step_oracle,
+    conv_transpose2d_step_oracle,
+    grad_weight_oracle,
+    im2col_oracle,
+)
 
 from repro.nn import (
     Conv2d,
     ConvTranspose2d,
     check_layer_input_gradient,
     check_layer_parameter_gradients,
-    compiled_kernels_disabled,
-    compiled_kernels_enabled,
-    kernel_backend,
     max_relative_error,
-    workspaces_disabled,
 )
-from repro.nn.functional import col2im, conv_output_size
-from repro.nn.kernels import fused_col2im, grad_weight_gemm
+from repro.nn.functional import _col2im_flat_index, col2im, conv_output_size, im2col
+from repro.nn.layers.conv import grad_weight_gemm
 
 
 def random_geometries(seed: int, count: int):
@@ -61,52 +63,65 @@ class TestFusedCol2im:
             out_w = conv_output_size(w, kw, stride, padding, dilation)
             cols = rng.standard_normal((n, c * kh * kw, out_h * out_w)).astype(dtype)
             fused = col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
-            with compiled_kernels_disabled():
-                reference = col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
+            reference = col2im_oracle(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
             assert fused.dtype == reference.dtype == dtype
-            # Bit-identity, not allclose: the fusion must not change a
-            # single IEEE operation.
+            # Bit-identity, not allclose: clipping the taps must not change
+            # a single IEEE operation.
             assert np.array_equal(fused, reference, equal_nan=True), (
                 n, c, h, w, kh, kw, stride, padding, dilation, dtype,
             )
 
     def test_float64_matches_pre_pr5_bincount_path(self):
-        # compiled_kernels_disabled() + workspaces_disabled() is the pre-PR-5
-        # engine (float64 bincount scatter); the fused default must still
-        # reproduce it bit for bit in float64.
+        # The pre-PR-5 engine: one float64 bincount over the flattened
+        # scatter index of the padded image, then the unpad slice.
         rng = np.random.default_rng(13)
         for n, c, h, w, kh, kw, stride, padding, dilation in random_geometries(17, 15):
             out_h = conv_output_size(h, kh, stride, padding, dilation)
             out_w = conv_output_size(w, kw, stride, padding, dilation)
             cols = rng.standard_normal((n, c * kh * kw, out_h * out_w))
             fused = col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
-            with compiled_kernels_disabled(), workspaces_disabled():
-                historical = col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
+            hp, wp = h + 2 * padding, w + 2 * padding
+            index = _col2im_flat_index(c, kh, kw, out_h, out_w, stride, dilation, hp, wp)
+            index = (np.arange(n)[:, None, None] * (c * hp * wp) + index).ravel()
+            flat = np.bincount(index, weights=cols.ravel(), minlength=n * c * hp * wp)
+            historical = flat.reshape(n, c, hp, wp)[:, :, padding : padding + h, padding : padding + w]
             assert np.array_equal(fused, historical)
 
-    def test_direct_kernel_matches_col2im_dispatch(self):
-        # fused_col2im is also callable directly (ConvTranspose2d forward
-        # uses the same dispatch); pin the raw kernel too.
-        rng = np.random.default_rng(3)
-        n, c, h, w, kh, kw, stride, padding, dilation = 2, 3, 9, 7, 3, 5, 2, 3, 1
-        out_h = conv_output_size(h, kh, stride, padding, dilation)
-        out_w = conv_output_size(w, kw, stride, padding, dilation)
-        cols = rng.standard_normal((n, c * kh * kw, out_h * out_w))
-        direct = fused_col2im(cols, (n, c, h, w), kh, kw, out_h, out_w, stride, padding, dilation)
-        via_dispatch = col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
-        assert np.array_equal(direct, via_dispatch)
-
     def test_zero_padding_geometry(self):
-        # padding=0 means no tap is ever clipped; the fused path must still
+        # padding=0 means no tap is ever clipped; the scatter must still
         # agree exactly.
         rng = np.random.default_rng(5)
         n, c, h, w, kh, kw = 2, 2, 8, 8, 3, 3
         out_h = conv_output_size(h, kh, 1, 0, 1)
         cols = rng.standard_normal((n, c * kh * kw, out_h * out_h))
         fused = col2im(cols, (n, c, h, w), kh, kw, 1, 0, 1)
-        with compiled_kernels_disabled():
-            reference = col2im(cols, (n, c, h, w), kh, kw, 1, 0, 1)
-        assert np.array_equal(fused, reference)
+        assert np.array_equal(fused, col2im_oracle(cols, (n, c, h, w), kh, kw, 1, 0, 1))
+
+
+class TestIm2colGather:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_with_and_without_buffers_match_the_oracle(self, dtype):
+        rng = np.random.default_rng(59)
+        for n, c, h, w, kh, kw, stride, padding, dilation in random_geometries(61, 40):
+            x = rng.standard_normal((n, c, h, w)).astype(dtype)
+            reference = im2col_oracle(x, kh, kw, stride, padding, dilation)
+            allocated = im2col(x, kh, kw, stride, padding, dilation)
+            out = np.full_like(reference, np.nan)
+            padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)
+            staged = im2col(x, kh, kw, stride, padding, dilation, out=out, padded_out=padded)
+            assert staged is out and allocated.dtype == dtype
+            assert np.array_equal(allocated, reference)
+            assert np.array_equal(staged, reference)
+
+    @pytest.mark.parametrize("view", ["reversed", "transposed"])
+    def test_non_contiguous_input_into_a_buffer(self, view):
+        base = np.random.default_rng(67).standard_normal((2, 3, 7, 7))
+        x = base[:, :, ::-1] if view == "reversed" else base.transpose(0, 1, 3, 2)
+        assert not x.flags.c_contiguous
+        reference = im2col_oracle(x, 3, 2, stride=2)
+        out = np.full_like(reference, np.nan)
+        assert im2col(x, 3, 2, stride=2, padding=0, out=out) is out
+        assert np.array_equal(out, reference)
 
 
 class TestGradWeightGemm:
@@ -116,100 +131,68 @@ class TestGradWeightGemm:
         for out_channels, ck, length in ((4, 18, 25), (1, 1, 1), (7, 150, 196)):
             grad_flat = rng.standard_normal((1, out_channels, length)).astype(dtype)
             cols = rng.standard_normal((1, ck, length)).astype(dtype)
-            collapsed = grad_weight_gemm(grad_flat, cols)
-            with compiled_kernels_disabled():
-                reference = grad_weight_gemm(grad_flat, cols)
-            assert collapsed.shape == (out_channels, ck)
-            assert np.array_equal(collapsed, reference)
+            stage = np.empty((1, out_channels, ck), dtype=dtype)
+            collapsed = grad_weight_gemm(grad_flat, cols, stage)
+            assert collapsed.shape == (out_channels, ck) and collapsed.dtype == dtype
+            assert np.array_equal(collapsed, grad_weight_oracle(grad_flat, cols))
 
     def test_staged_variant_matches_unstaged(self):
+        # Whatever the stage buffer held before, the result is that of the
+        # allocating expression.
         rng = np.random.default_rng(29)
         for n in (1, 3):
             grad_flat = rng.standard_normal((n, 4, 10))
             cols = rng.standard_normal((n, 6, 10))
-            stage = np.empty((n, 4, 6))
-            staged = grad_weight_gemm(grad_flat, cols, stage=stage)
-            unstaged = grad_weight_gemm(grad_flat, cols)
-            assert np.array_equal(np.asarray(staged), unstaged)
+            stage = np.full((n, 4, 6), np.nan)
+            staged = grad_weight_gemm(grad_flat, cols, stage)
+            assert np.array_equal(staged, grad_weight_oracle(grad_flat, cols))
 
     def test_multi_image_batches_keep_reference_form(self):
         # Batches larger than one must not be collapsed (that would
-        # reassociate the per-image partial sums); enabled and disabled
-        # paths are literally the same computation.
+        # reassociate the per-image partial sums).
         rng = np.random.default_rng(31)
         grad_flat = rng.standard_normal((4, 5, 12))
         cols = rng.standard_normal((4, 9, 12))
-        enabled = grad_weight_gemm(grad_flat, cols)
-        with compiled_kernels_disabled():
-            disabled = grad_weight_gemm(grad_flat, cols)
-        assert np.array_equal(enabled, disabled)
+        staged = grad_weight_gemm(grad_flat, cols, np.empty((4, 5, 9)))
+        assert np.array_equal(staged, grad_weight_oracle(grad_flat, cols))
+
+
+def assert_step_matches(layer, x, grad, oracle):
+    """Two steps: the second runs on warm buffers holding the first's values."""
+    expected = oracle(layer, x, grad)
+    for _ in range(2):
+        layer.zero_grad()
+        out = layer(x)
+        grad_in = layer.backward(grad)
+        for got, want in zip((out, grad_in, layer.weight.grad, layer.bias.grad), expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestLayerParity:
     @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
     @pytest.mark.parametrize("batch", [1, 2])
     def test_conv2d_full_step_bit_identity(self, dtype_name, batch):
-        fused = Conv2d(3, 5, 3, stride=1, padding=2, dilation=2, rng=np.random.default_rng(41))
-        reference = Conv2d(3, 5, 3, stride=1, padding=2, dilation=2, rng=np.random.default_rng(41))
-        if dtype_name == "float32":
-            fused.set_compute_dtype(np.float32)
-            reference.set_compute_dtype(np.float32)
+        layer = Conv2d(3, 5, 3, stride=1, padding=2, dilation=2, rng=np.random.default_rng(41))
+        layer.set_compute_dtype(dtype_name)
         x = np.random.default_rng(43).standard_normal((batch, 3, 11, 11))
-        grad = np.random.default_rng(44).standard_normal(fused(x).shape)
-        grad_in_fused = fused.backward(grad)
-        with compiled_kernels_disabled():
-            reference(x)
-            grad_in_reference = reference.backward(grad)
-        assert np.array_equal(grad_in_fused, grad_in_reference)
-        assert np.array_equal(fused.weight.grad, reference.weight.grad)
-        assert np.array_equal(fused.bias.grad, reference.bias.grad)
+        grad = np.random.default_rng(44).standard_normal(layer(x).shape)
+        assert_step_matches(layer, x, grad, conv2d_step_oracle)
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_conv_transpose2d_full_step_bit_identity(self, batch):
-        fused = ConvTranspose2d(4, 2, 4, stride=2, padding=1, rng=np.random.default_rng(47))
-        reference = ConvTranspose2d(4, 2, 4, stride=2, padding=1, rng=np.random.default_rng(47))
+        layer = ConvTranspose2d(4, 2, 4, stride=2, padding=1, rng=np.random.default_rng(47))
         x = np.random.default_rng(48).standard_normal((batch, 4, 6, 6))
-        grad = np.random.default_rng(49).standard_normal(fused(x).shape)
-        grad_in_fused = fused.backward(grad)
-        with compiled_kernels_disabled():
-            reference(x)
-            grad_in_reference = reference.backward(grad)
-        assert np.array_equal(grad_in_fused, grad_in_reference)
-        assert np.array_equal(fused.weight.grad, reference.weight.grad)
-        assert np.array_equal(fused.bias.grad, reference.bias.grad)
+        grad = np.random.default_rng(49).standard_normal(layer(x).shape)
+        assert_step_matches(layer, x, grad, conv_transpose2d_step_oracle)
 
     def test_gradcheck_through_fused_path(self):
-        # The fused backward must agree with numerical differentiation, not
-        # just with the reference implementation.  batch=1 also drives the
+        # The backward must agree with numerical differentiation, not just
+        # with the reference implementation.  batch=1 also drives the
         # grad_weight GEMM collapse through the numerical check.
-        assert compiled_kernels_enabled()
         layer = Conv2d(2, 3, 3, stride=2, padding=1, rng=np.random.default_rng(53))
         x = np.random.default_rng(54).standard_normal((1, 2, 7, 7))
         analytic, numeric = check_layer_input_gradient(layer, x)
         assert max_relative_error(analytic, numeric) < 1e-6
         for name, (analytic, numeric) in check_layer_parameter_gradients(layer, x).items():
             assert max_relative_error(analytic, numeric) < 1e-6, name
-
-
-class TestFlags:
-    def test_flag_round_trip(self):
-        assert compiled_kernels_enabled()
-        with compiled_kernels_disabled():
-            assert not compiled_kernels_enabled()
-            with compiled_kernels_disabled():
-                assert not compiled_kernels_enabled()
-            assert not compiled_kernels_enabled()
-        assert compiled_kernels_enabled()
-
-    def test_flag_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with compiled_kernels_disabled():
-                raise RuntimeError("boom")
-        assert compiled_kernels_enabled()
-
-    def test_kernel_backend_reports_available_engine(self):
-        # numba is optional; whichever engine is active, the report must be
-        # one of the two known backends and honor the disable flag.
-        assert kernel_backend() in ("numba", "numpy")
-        with compiled_kernels_disabled():
-            assert kernel_backend() == "numpy"

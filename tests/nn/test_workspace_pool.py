@@ -14,6 +14,7 @@ import threading
 
 import numpy as np
 import pytest
+from oracles import on_cold_pool
 
 from repro.data.dataset import PlacementSample, RoutabilityDataset
 from repro.fl import (
@@ -27,7 +28,7 @@ from repro.fl import (
 from repro.fl.parameters import state_digest
 from repro.models import FLNet
 from repro.nn import Conv2d
-from repro.nn.workspace import _POOL, pool_nbytes, workspaces_disabled
+from repro.nn.workspace import _POOL, pool_nbytes
 
 CHANNELS = 3
 GRID = 8
@@ -120,15 +121,6 @@ class TestPoolBound:
         assert held_nbytes([client]) == 0
         assert pool_nbytes() > 0
 
-    def test_disabled_workspaces_never_reach_the_pool(self):
-        clients = roster(2)
-        with workspaces_disabled():
-            one_round(clients, SerialBackend())
-            clients[0].evaluate_auc(clients[0].initial_state())
-        assert _POOL.free == {}
-        assert pool_nbytes() == 0
-        assert held_nbytes(clients) == 0
-
 
 class TestRecycledValues:
     def test_padded_buffer_recycled_across_borders(self):
@@ -143,17 +135,16 @@ class TestRecycledValues:
             x = rng(seed).normal(size=(n, c, size, size))
             grad = rng(10 + seed).normal(size=(n, c, size, size))
             pooled = Conv2d(c, c, rng=rng(20 + seed), **geometry)
-            reference = Conv2d(c, c, rng=rng(20 + seed), **geometry)
+            cold = Conv2d(c, c, rng=rng(20 + seed), **geometry)
             out = pooled.forward(x)
             if lent:  # the previous conv's buffer, stale interior and all
                 assert id(pooled._ws.get("padded", padded_shape)) in lent
             grad_in = pooled.backward(grad)
-            with workspaces_disabled():
-                out_ref = reference.forward(x)
-                grad_ref = reference.backward(grad)
+            out_ref, grad_ref = on_cold_pool(lambda: (cold.forward(x), cold.backward(grad)))
+            assert not {id(buffer) for buffer in cold._ws._buffers.values()} & lent
             np.testing.assert_array_equal(out, out_ref)
             np.testing.assert_array_equal(grad_in, grad_ref)
-            np.testing.assert_array_equal(pooled.weight.grad, reference.weight.grad)
+            np.testing.assert_array_equal(pooled.weight.grad, cold.weight.grad)
             pooled.release_workspaces()
             lent = pooled_ids()
 
