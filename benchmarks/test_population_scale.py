@@ -36,6 +36,7 @@ from repro.fl import (
     ClientDirectory,
     FederatedServer,
     FLConfig,
+    SchedulingOptions,
     SeededModelFactory,
     StreamingAccumulator,
     create_algorithm,
@@ -143,7 +144,7 @@ def population_round_loop() -> Dict[str, object]:
             factory,
             POPULATION_CONFIG,
             server=server,
-            scheduler=create_scheduler(clients_per_round=COHORT, seed=0),
+            scheduler=create_scheduler(SchedulingOptions(clients_per_round=COHORT), seed=0),
         )
         training = algorithm.run()
         seconds = time.perf_counter() - start

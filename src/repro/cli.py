@@ -16,20 +16,12 @@ entry points without writing any Python:
 ``repro reproduce``
     Re-run one of the paper's result tables (Table 3, 4, or 5) under a
     preset and print the per-client ROC AUC rows next to the paper's values.
-    ``--workers N`` fans each round's client updates out over N worker
-    processes (bit-identical to serial execution); ``--checkpoint-dir``
-    enables per-round checkpoint/resume; ``--compression`` routes every
-    broadcast/upload through a wire codec (identity casts, packed
-    quantization, top-k sparsification) and reports *measured* payload
-    bytes per round; ``--participation`` / ``--straggler-model`` /
-    ``--round-policy {sync,deadline,fedbuff}`` simulate a real client
-    population (partial cohorts, availability, stragglers on a virtual
-    clock, deadline drops, buffered-asynchronous aggregation) and report
-    participation and simulated wall-clock time; ``--quorum`` /
-    ``--max-retries`` / ``--task-timeout`` / ``--fault-*-rate`` run the
-    round loop under the fault-tolerant supervisor (seeded chaos
-    injection, retries with deterministic backoff, quorum commits with
-    weight renormalization) and report the resilience accounting.
+    Its run options are the option groups ``ExperimentConfig`` composes
+    (execution, transport, scheduling, population, resilience): each
+    declared field becomes one flag, each active group a report section.
+``repro serve`` / ``repro join``
+    The same run over the framed TCP protocol: a federation server that
+    dispatches each round's client tasks to joiner processes.
 ``repro communication``
     Print the analytic communication cost of every algorithm for a model.
 
@@ -40,25 +32,94 @@ Every command accepts ``--help`` for its full set of options; see
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
+import typing
 from typing import List, Optional, Sequence
 
 from repro.eda.benchmarks import generate_design, suite_names
 from repro.eda.global_router import GlobalRouterConfig, route_placement
 from repro.eda.placement import PlacementConfig, Placer
 from repro.eda.quality import placement_quality, routing_quality
+from repro.experiments.config import ExperimentConfig, preset
 from repro.fl import (
     ALGORITHMS,
-    AVAILABILITY_CHOICES,
-    COMPRESSION_CHOICES,
-    ROUND_POLICY_CHOICES,
-    SAMPLER_CHOICES,
-    STRAGGLER_CHOICES,
+    ExecutionOptions,
+    ResilienceOptions,
+    SchedulingOptions,
+    TransportOptions,
+    WireOptions,
     estimate_communication,
 )
 from repro.models.registry import available_models, create_model
-from repro.utils.threadpools import parse_blas_threads
+
+
+def _options(group, only=None) -> list:
+    """The fields of an option group that declare a flag (``help`` metadata)."""
+    return [
+        option
+        for option in dataclasses.fields(group)
+        if "help" in option.metadata and (only is None or option.name in only)
+    ]
+
+
+def _flag(option) -> str:
+    return option.metadata.get("flag", "--" + option.name.replace("_", "-"))
+
+
+def _add_options(parser, group, only=None) -> None:
+    """Add one flag per declared option of ``group`` (``only``: a subset).
+
+    Everything comes from the declaration: the flag from the field name (or
+    ``flag`` metadata), the value type from the annotation (``Optional``
+    unwrapped; ``type`` metadata overrides), the rest from the field.
+    """
+    annotations = typing.get_type_hints(group)
+    for option in _options(group, only):
+        kind = annotations[option.name]
+        if typing.get_origin(kind) is typing.Union:
+            kind = next(arg for arg in typing.get_args(kind) if arg is not type(None))
+        parser.add_argument(
+            _flag(option),
+            type=option.metadata.get("type", None if kind is str else kind),
+            default=option.default,
+            choices=option.metadata.get("choices"),
+            metavar=option.metadata.get("metavar"),
+            help=option.metadata["help"],
+        )
+
+
+def _picked(args, group) -> dict:
+    """The ``with_<group>`` keywords parsed for the options this subcommand offers."""
+    dests = {option.name: _flag(option)[2:].replace("-", "_") for option in _options(group)}
+    return {name: getattr(args, dest) for name, dest in dests.items() if hasattr(args, dest)}
+
+
+def _add_run_options(parser) -> None:
+    """The flags `reproduce`, `serve` and `join` share: they name the run."""
+    parser.add_argument("--model", choices=available_models(), default="flnet")
+    parser.add_argument("--preset", choices=("paper", "default", "smoke"), default="smoke")
+    parser.add_argument("--cache-dir", default=None, help="directory to cache the synthesized corpus")
+    parser.add_argument(
+        "--compute-dtype",
+        choices=("float64", "float32"),
+        default=None,
+        help="local-training arithmetic dtype (default float64, bit-identical to "
+        "previous releases; float32 is the fast path — states, aggregation, and "
+        "checkpoints stay float64 either way; server and joiners must agree)",
+    )
+
+
+def _preset_config(args, algorithms=None) -> ExperimentConfig:
+    """The preset named by the run flags, narrowed to ``algorithms``."""
+    config = preset(args.preset, model=args.model)
+    if algorithms:
+        unknown = [name for name in algorithms if name not in ALGORITHMS]
+        if unknown:
+            raise ValueError(f"unknown algorithms {unknown}; available: {sorted(ALGORITHMS)}")
+        config = config.with_algorithms(algorithms)
+    return config
 
 
 def _add_list_models(subparsers) -> None:
@@ -100,7 +161,6 @@ def _add_generate_data(subparsers) -> None:
 
 def _cmd_generate_data(args) -> int:
     from repro.data.clients import CorpusBuilder
-    from repro.experiments import preset
 
     config = preset(args.preset)
     builder = CorpusBuilder(config.corpus)
@@ -156,210 +216,40 @@ def _add_reproduce(subparsers) -> None:
     parser = subparsers.add_parser(
         "reproduce", help="re-run one of the paper's result tables (Tables 3-5)"
     )
-    parser.add_argument("--model", choices=available_models(), default="flnet")
-    parser.add_argument("--preset", choices=("paper", "default", "smoke"), default="smoke")
+    _add_run_options(parser)
     parser.add_argument(
         "--algorithms",
         nargs="*",
         default=None,
         help="subset of algorithms to run (default: the full table)",
     )
-    parser.add_argument("--cache-dir", default=None, help="directory to cache the synthesized corpus")
-    parser.add_argument("--output", default=None, help="write the rendered table to this file")
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "serial", "process", "thread"),
-        default="auto",
-        help="execution backend for client updates (auto: process when --workers > 1; "
-        "thread overlaps clients via GIL-releasing NumPy kernels with zero pickling)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="workers per round; 1 forces serial execution, >1 fans client "
-        "updates out over the process/thread pool (results are bit-identical)",
-    )
-    parser.add_argument(
-        "--blas-threads",
-        type=parse_blas_threads,
-        default="auto",
-        metavar="{auto,N}",
-        help="BLAS threads per worker: 'auto' (default) leaves serial runs to "
-        "BLAS's own all-core threading and pins each pool worker to "
-        "cores // workers threads so workers x BLAS-threads never "
-        "oversubscribes; an integer pins every worker exactly",
-    )
-    parser.add_argument(
-        "--compute-dtype",
-        choices=("float64", "float32"),
-        default=None,
-        help="local-training arithmetic dtype (default float64, bit-identical to "
-        "previous releases; float32 is the fast path — states, aggregation, and "
-        "checkpoints stay float64 either way)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="directory for per-round checkpoints; re-running with the same "
-        "directory resumes interrupted global-state algorithms",
-    )
-    parser.add_argument(
-        "--compression",
-        choices=COMPRESSION_CHOICES,
-        default=None,
-        help="route every broadcast/upload through a wire codec and report "
-        "measured bytes: none (bit-exact float64 identity), float32/float16 "
-        "(cast), quantize (packed uniform quantization + DEFLATE, delta "
-        "uploads), topk (sparsified delta uploads with error feedback)",
-    )
-    parser.add_argument(
-        "--compression-bits",
-        type=int,
-        default=8,
-        help="bits per value for --compression quantize (1-16, default 8)",
-    )
-    parser.add_argument(
-        "--topk-fraction",
-        type=float,
-        default=0.1,
-        help="fraction of entries kept by --compression topk (default 0.1)",
-    )
-    parser.add_argument(
-        "--participation",
-        type=float,
-        default=None,
-        help="fraction of clients sampled per round (partial participation; "
-        "cohorts are seeded from the run seed and bit-reproducible)",
-    )
-    parser.add_argument(
-        "--clients-per-round",
-        type=int,
-        default=None,
-        help="absolute cohort size per round (alternative to --participation)",
-    )
-    parser.add_argument(
-        "--sampler",
-        choices=SAMPLER_CHOICES,
-        default=None,
-        help="cohort sampling rule: full, uniform, or weighted "
-        "(importance sampling by client sample count)",
-    )
-    parser.add_argument(
-        "--availability",
-        choices=AVAILABILITY_CHOICES,
-        default=None,
-        help="per-client availability model: always (default), bernoulli "
-        "(each query succeeds with --availability-rate), daynight "
-        "(phased duty cycles on the virtual clock)",
-    )
-    parser.add_argument(
-        "--availability-rate",
-        type=float,
-        default=0.9,
-        help="bernoulli success probability / daynight duty fraction (default 0.9)",
-    )
-    parser.add_argument(
-        "--straggler-model",
-        choices=STRAGGLER_CHOICES,
-        default=None,
-        help="simulated round-trip latency per dispatched client: none, "
-        "uniform, lognormal, heavytail (Pareto); drives the virtual clock "
-        "and the deadline/fedbuff policies",
-    )
-    parser.add_argument(
-        "--round-policy",
-        choices=ROUND_POLICY_CHOICES,
-        default="sync",
-        help="what the server does with straggler updates: sync (barrier), "
-        "deadline (drop updates later than --deadline, over-selecting by "
-        "--over-selection), fedbuff (buffered-asynchronous aggregation)",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="round cutoff in virtual seconds for --round-policy deadline",
-    )
-    parser.add_argument(
-        "--over-selection",
-        type=float,
-        default=1.0,
-        help="cohort inflation factor under the deadline policy (default 1.0; "
-        "1.3 selects 30%% extra clients expecting drops)",
-    )
-    parser.add_argument(
-        "--buffer-size",
-        type=int,
-        default=2,
-        help="updates buffered per aggregation for --round-policy fedbuff (default 2)",
-    )
-    parser.add_argument(
-        "--population",
-        type=int,
-        default=None,
-        help="virtualize the roster to this many lazily constructed clients "
-        "(each reusing one base data partition round-robin); requires "
-        "--clients-per-round or --participation so only the sampled cohort "
-        "is ever built",
-    )
-    parser.add_argument(
-        "--quorum",
-        type=float,
-        default=1.0,
-        help="fraction of the per-round cohort that must deliver an update "
-        "before the round commits (default 1.0); clients that exhaust their "
-        "retries are dropped permanently with the aggregation weights "
-        "renormalized, and a sub-quorum round checkpoints and aborts",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        help="supervised retries per client task before it counts as failed "
-        "(default 2 once any fault-tolerance option is active)",
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        help="wall-clock seconds allowed per client task before the "
-        "supervisor retries it (process/thread backends)",
-    )
-    parser.add_argument(
-        "--fault-crash-rate",
-        type=float,
-        default=0.0,
-        help="chaos testing: per-attempt probability of a simulated worker "
-        "crash (deterministic for a given seed)",
-    )
-    parser.add_argument(
-        "--fault-exception-rate",
-        type=float,
-        default=0.0,
-        help="chaos testing: per-attempt probability of a simulated client "
-        "exception",
-    )
-    parser.add_argument(
-        "--fault-timeout-rate",
-        type=float,
-        default=0.0,
-        help="chaos testing: per-attempt probability of a simulated task "
-        "timeout",
-    )
-    parser.add_argument(
-        "--fault-corruption-rate",
-        type=float,
-        default=0.0,
-        help="chaos testing: per-attempt probability of flipping one byte of "
-        "the upload payload (caught by the transport CRC and retried; "
-        "needs --compression for a wire payload to corrupt)",
-    )
-    _add_state_digest_option(parser)
+    # ExperimentConfig itself declares --population.
+    for group in (
+        ExecutionOptions,
+        TransportOptions,
+        SchedulingOptions,
+        ExperimentConfig,
+        ResilienceOptions,
+    ):
+        _add_options(parser, group)
+    _add_report_options(parser)
     parser.set_defaults(handler=_cmd_reproduce)
 
 
-def _add_state_digest_option(parser) -> None:
+def _reproduce_config(args) -> ExperimentConfig:
+    """The configuration `repro reproduce` was asked for (``ValueError`` if invalid)."""
+    return (
+        _preset_config(args, args.algorithms)
+        .with_execution(compute_dtype=args.compute_dtype, **_picked(args, ExecutionOptions))
+        .with_transport(**_picked(args, TransportOptions))
+        .with_scheduling(**_picked(args, SchedulingOptions))
+        .with_population(**_picked(args, ExperimentConfig))
+        .with_resilience(**_picked(args, ResilienceOptions))
+    )
+
+
+def _add_report_options(parser) -> None:
+    parser.add_argument("--output", default=None, help="write the rendered table to this file")
     parser.add_argument(
         "--state-digest",
         action="store_true",
@@ -384,58 +274,48 @@ def _print_state_digests(outcomes) -> None:
             )
 
 
+def _emit(args, text: str, outcomes) -> int:
+    """Print a finished run's report, its digests and the ``--output`` copy; exit 0."""
+    print(text)
+    if args.state_digest:
+        _print_state_digests(outcomes)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+        print(f"\nwritten to {args.output}")
+    return 0
+
+
+def _quorum_failure(failure) -> int:
+    """Report a round that could not gather its quorum; exit 3."""
+    print(
+        f"error: quorum failure at round {failure.round_index}: "
+        f"{failure.arrived}/{failure.cohort_size} clients delivered an "
+        f"update but {failure.required} were required",
+        file=sys.stderr,
+    )
+    if failure.checkpoint_dir is not None:
+        print(
+            f"progress up to the failed round is checkpointed under "
+            f"{failure.checkpoint_dir}; re-run the same command to resume",
+            file=sys.stderr,
+        )
+    return 3
+
+
 def _cmd_reproduce(args) -> int:
     from repro.experiments import (
         ExperimentRunner,
         communication_text,
         comparison_table,
         format_rows,
-        preset,
         resilience_text,
         scheduling_text,
     )
     from repro.fl import QuorumFailure
 
-    config = preset(args.preset, model=args.model)
-    if args.algorithms:
-        unknown = [name for name in args.algorithms if name not in ALGORITHMS]
-        if unknown:
-            print(f"error: unknown algorithms {unknown}; available: {sorted(ALGORITHMS)}", file=sys.stderr)
-            return 2
-        config = config.with_algorithms(args.algorithms)
     try:
-        config = config.with_execution(
-            backend=args.backend,
-            workers=args.workers,
-            blas_threads=args.blas_threads,
-            checkpoint_dir=args.checkpoint_dir,
-            compute_dtype=args.compute_dtype,
-        ).with_transport(
-            compression=args.compression,
-            compression_bits=args.compression_bits,
-            topk_fraction=args.topk_fraction,
-        ).with_scheduling(
-            participation=args.participation,
-            clients_per_round=args.clients_per_round,
-            sampler=args.sampler,
-            availability=args.availability,
-            availability_rate=args.availability_rate,
-            straggler_model=args.straggler_model,
-            round_policy=args.round_policy,
-            deadline=args.deadline,
-            over_selection=args.over_selection,
-            buffer_size=args.buffer_size,
-        ).with_population(
-            population=args.population,
-        ).with_resilience(
-            quorum=args.quorum,
-            max_retries=args.max_retries,
-            task_timeout=args.task_timeout,
-            fault_crash_rate=args.fault_crash_rate,
-            fault_exception_rate=args.fault_exception_rate,
-            fault_timeout_rate=args.fault_timeout_rate,
-            fault_corruption_rate=args.fault_corruption_rate,
-        )
+        config = _reproduce_config(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -447,19 +327,7 @@ def _cmd_reproduce(args) -> int:
         # enough updates even after retries and drops.  The run state up to
         # the failed round is already checkpointed (when --checkpoint-dir
         # is set), so re-running the same command resumes from there.
-        print(
-            f"error: quorum failure at round {failure.round_index}: "
-            f"{failure.arrived}/{failure.cohort_size} clients delivered an "
-            f"update but {failure.required} were required",
-            file=sys.stderr,
-        )
-        if failure.checkpoint_dir is not None:
-            print(
-                f"progress up to the failed round is checkpointed under "
-                f"{failure.checkpoint_dir}; re-run the same command to resume",
-                file=sys.stderr,
-            )
-        return 3
+        return _quorum_failure(failure)
     except ValueError as error:
         # e.g. resuming from a checkpoint directory written by a different run
         print(f"error: {error}", file=sys.stderr)
@@ -472,10 +340,10 @@ def _cmd_reproduce(args) -> int:
     if args.compression is not None:
         text += f"\n\nMeasured communication (--compression {args.compression}):\n"
         text += communication_text(result)
-    if config.scheduling_requested:
+    if config.scheduling.requested:
         text += f"\n\nClient scheduling (--round-policy {args.round_policy}):\n"
         text += scheduling_text(result)
-    if config.resilience_requested:
+    if config.resilience.requested:
         text += f"\n\nFault tolerance (--quorum {args.quorum}):\n"
         text += resilience_text(result)
     if config.fl.compute_dtype != "float64":
@@ -497,14 +365,7 @@ def _cmd_reproduce(args) -> int:
                 f"total_materializations={summary['total_materializations']} "
                 f"folded_updates={summary['folded_updates']}\n"
             )
-    print(text)
-    if args.state_digest:
-        _print_state_digests(result.outcomes)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"\nwritten to {args.output}")
-    return 0
+    return _emit(args, text, result.outcomes)
 
 
 def _add_serve(subparsers) -> None:
@@ -513,50 +374,14 @@ def _add_serve(subparsers) -> None:
         help="run a federation server: dispatch rounds to repro-join processes "
         "over the framed wire protocol (bit-identical to an in-process run)",
     )
-    parser.add_argument("--model", choices=available_models(), default="flnet")
-    parser.add_argument("--preset", choices=("paper", "default", "smoke"), default="smoke")
+    _add_run_options(parser)
     parser.add_argument(
         "--algorithms",
         nargs="*",
         default=None,
         help="algorithms to run over the wire (default: fedprox)",
     )
-    parser.add_argument("--cache-dir", default=None, help="directory to cache the synthesized corpus")
-    parser.add_argument(
-        "--compute-dtype",
-        choices=("float64", "float32"),
-        default=None,
-        help="local-training arithmetic dtype (must match the joiners')",
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="address to bind (default 127.0.0.1)")
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=7733,
-        help="TCP port to listen on (default 7733; 0 picks a free port, "
-        "printed on the `serving federation` line)",
-    )
-    parser.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=2.0,
-        help="seconds between liveness probes to each connected joiner (default 2)",
-    )
-    parser.add_argument(
-        "--client-timeout",
-        type=float,
-        default=10.0,
-        help="seconds of silence before a joiner counts as lost, and how long "
-        "a lost joiner may take to reconnect before its in-flight tasks fail "
-        "over to the retry machinery (default 10; must exceed the heartbeat "
-        "interval)",
-    )
-    parser.add_argument(
-        "--journal-dir",
-        default=None,
-        help="directory for the append-only dispatch journal backing "
-        "reconnect-with-resume (default: a temporary directory)",
-    )
+    _add_options(parser, WireOptions)
     parser.add_argument(
         "--wait-clients",
         type=float,
@@ -564,102 +389,47 @@ def _add_serve(subparsers) -> None:
         help="seconds to wait for every roster client to connect before the "
         "first round (default 60; 0 starts dispatching immediately)",
     )
-    parser.add_argument(
-        "--quorum",
-        type=float,
-        default=1.0,
-        help="fraction of the cohort that must deliver an update per round "
-        "(see `repro reproduce --quorum`)",
+    _add_options(parser, ResilienceOptions, only=("quorum", "max_retries", "task_timeout"))
+    _add_report_options(parser)
+    # A library WireBackend picks a free port (0); the command has a well-known one.
+    parser.set_defaults(handler=_cmd_serve, port=7733)
+
+
+def _serve_config(args) -> ExperimentConfig:
+    """The configuration `repro serve` was asked for (``ValueError`` if invalid)."""
+    return (
+        _preset_config(args, args.algorithms or ["fedprox"])
+        .with_execution(backend="wire", compute_dtype=args.compute_dtype)
+        .with_resilience(**_picked(args, ResilienceOptions))
+        .with_wire(**_picked(args, WireOptions))
     )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        help="supervised retries per client task before it counts as failed",
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        help="wall-clock seconds allowed per dispatched task before the "
-        "supervisor abandons and retries it",
-    )
-    parser.add_argument(
-        "--wire-fault-disconnect-rate",
-        type=float,
-        default=0.0,
-        help="chaos testing: per-send probability of dropping the connection "
-        "instead of delivering a task frame (seeded; heals via replay)",
-    )
-    parser.add_argument(
-        "--wire-fault-delay-rate",
-        type=float,
-        default=0.0,
-        help="chaos testing: per-send probability of withholding a task frame "
-        "for up to --wire-delay-seconds",
-    )
-    parser.add_argument(
-        "--wire-fault-corrupt-rate",
-        type=float,
-        default=0.0,
-        help="chaos testing: per-send probability of flipping one byte of a "
-        "task frame (rejected by the peer's CRC check; heals via replay)",
-    )
-    parser.add_argument(
-        "--wire-delay-seconds",
-        type=float,
-        default=0.05,
-        help="maximum hold time for injected delays (default 0.05)",
-    )
-    parser.add_argument("--output", default=None, help="write the rendered table to this file")
-    _add_state_digest_option(parser)
-    parser.set_defaults(handler=_cmd_serve)
 
 
 def _cmd_serve(args) -> int:
-    from repro.experiments import ExperimentRunner, format_rows, preset, resilience_text
+    from repro.experiments import ExperimentRunner, format_rows, resilience_text
     from repro.experiments.runner import ExperimentResult
     from repro.fl import QuorumFailure
 
-    config = preset(args.preset, model=args.model)
-    algorithms = args.algorithms if args.algorithms else ["fedprox"]
-    unknown = [name for name in algorithms if name not in ALGORITHMS]
-    if unknown:
-        print(f"error: unknown algorithms {unknown}; available: {sorted(ALGORITHMS)}", file=sys.stderr)
-        return 2
     try:
-        config = config.with_algorithms(algorithms).with_execution(
-            backend="wire",
-            compute_dtype=args.compute_dtype,
-        ).with_resilience(
-            quorum=args.quorum,
-            max_retries=args.max_retries,
-            task_timeout=args.task_timeout,
-        ).with_wire(
-            wire_host=args.host,
-            wire_port=args.port,
-            heartbeat_interval=args.heartbeat_interval,
-            client_timeout=args.client_timeout,
-            wire_journal_dir=args.journal_dir,
-            wire_fault_disconnect_rate=args.wire_fault_disconnect_rate,
-            wire_fault_delay_rate=args.wire_fault_delay_rate,
-            wire_fault_corrupt_rate=args.wire_fault_corrupt_rate,
-            wire_delay_seconds=args.wire_delay_seconds,
-        )
+        config = _serve_config(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     runner = ExperimentRunner(config, cache_dir=args.cache_dir)
-    clients = runner.federated_clients()
     backend = runner.execution_backend()
     result = ExperimentResult(config=config)
+    client_ids = [spec.client_id for spec in config.client_specs]
     try:
-        port = backend.listen([client.client_id for client in clients])
-        print(
-            f"serving federation on {config.wire_host}:{port} for clients "
-            f"{[client.client_id for client in clients]}",
-            flush=True,
-        )
+        # Listen before the corpus is built, so a taken port fails at once.
+        try:
+            port = backend.listen(client_ids)
+        except OSError as error:
+            print(
+                f"error: cannot listen on {backend.host}:{backend.port}: {error}", file=sys.stderr
+            )
+            return 2
+        print(f"serving federation on {backend.host}:{port} for clients {client_ids}", flush=True)
+        clients = runner.federated_clients()
         if args.wait_clients > 0:
             if not backend.wait_for_clients(args.wait_clients):
                 print(
@@ -671,13 +441,7 @@ def _cmd_serve(args) -> int:
         for name in config.algorithms:
             result.outcomes.append(runner.run_algorithm(name, clients, backend=backend))
     except QuorumFailure as failure:
-        print(
-            f"error: quorum failure at round {failure.round_index}: "
-            f"{failure.arrived}/{failure.cohort_size} clients delivered an "
-            f"update but {failure.required} were required",
-            file=sys.stderr,
-        )
-        return 3
+        return _quorum_failure(failure)
     finally:
         network = backend.network_summary()
         backend.close()
@@ -699,14 +463,7 @@ def _cmd_serve(args) -> int:
     text = format_rows(result.rows, title=title)
     text += "\n\nFault tolerance (wire runtime):\n"
     text += resilience_text(result)
-    print(text)
-    if args.state_digest:
-        _print_state_digests(result.outcomes)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"\nwritten to {args.output}")
-    return 0
+    return _emit(args, text, result.outcomes)
 
 
 def _add_join(subparsers) -> None:
@@ -715,15 +472,7 @@ def _add_join(subparsers) -> None:
         help="join a federation as one or more clients: connect to a repro-serve "
         "process, train dispatched tasks, and resume over reconnects",
     )
-    parser.add_argument("--model", choices=available_models(), default="flnet")
-    parser.add_argument("--preset", choices=("paper", "default", "smoke"), default="smoke")
-    parser.add_argument("--cache-dir", default=None, help="directory to cache the synthesized corpus")
-    parser.add_argument(
-        "--compute-dtype",
-        choices=("float64", "float32"),
-        default=None,
-        help="local-training arithmetic dtype (must match the server's)",
-    )
+    _add_run_options(parser)
     parser.add_argument("--host", default="127.0.0.1", help="server address (default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=7733, help="server port (default 7733)")
     parser.add_argument(
@@ -763,16 +512,10 @@ def _add_join(subparsers) -> None:
 
 
 def _cmd_join(args) -> int:
-    from repro.experiments import ExperimentRunner, preset
+    from repro.experiments import ExperimentRunner
     from repro.fl.net import HandshakeError, SessionLost, run_client
 
-    config = preset(args.preset, model=args.model)
-    try:
-        if args.compute_dtype is not None:
-            config = config.with_execution(compute_dtype=args.compute_dtype)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    config = _preset_config(args).with_execution(compute_dtype=args.compute_dtype)
     runner = ExperimentRunner(config, cache_dir=args.cache_dir)
     clients = runner.federated_clients()
     if args.clients:

@@ -23,6 +23,7 @@ from repro.fl import (
     SchedulingSummary,
     SeededModelFactory,
     TrainingResult,
+    WireBackend,
     create_algorithm,
     create_backend,
     create_channel,
@@ -200,36 +201,16 @@ class ExperimentRunner:
         and the wire backend holds the federation server (listening socket,
         journal, client sessions).
         """
-        if self.config.backend == "wire":
-            from repro.fl.net import WireBackend, WireFaultPlan
-
-            fault_plan = None
-            if (
-                self.config.wire_fault_disconnect_rate > 0
-                or self.config.wire_fault_delay_rate > 0
-                or self.config.wire_fault_corrupt_rate > 0
-            ):
-                fault_plan = WireFaultPlan(
-                    disconnect_rate=self.config.wire_fault_disconnect_rate,
-                    delay_rate=self.config.wire_fault_delay_rate,
-                    corrupt_rate=self.config.wire_fault_corrupt_rate,
-                    delay_seconds=self.config.wire_delay_seconds,
-                    seed=self.config.seed,
-                )
-            return WireBackend(
-                host=self.config.wire_host,
-                port=self.config.wire_port,
-                heartbeat_interval=self.config.heartbeat_interval,
-                client_timeout=self.config.client_timeout,
-                journal_dir=self.config.wire_journal_dir,
-                fault_plan=fault_plan,
+        execution = self.config.execution
+        if execution.backend == "wire":
+            return WireBackend.from_options(
+                self.config.wire,
+                seed=self.config.seed,
                 fingerprint=self.wire_fingerprint(),
-                blas_threads=self.config.blas_threads,
+                blas_threads=execution.blas_threads,
             )
         return create_backend(
-            self.config.backend,
-            workers=self.config.workers,
-            blas_threads=self.config.blas_threads,
+            execution.backend, workers=execution.workers, blas_threads=execution.blas_threads
         )
 
     def transport_channel(self) -> Optional[Channel]:
@@ -239,10 +220,11 @@ class ExperimentRunner:
         residuals, and the measured-byte tracker), so every algorithm run
         gets its own.
         """
+        transport = self.config.transport
         return create_channel(
-            self.config.compression,
-            compression_bits=self.config.compression_bits,
-            topk_fraction=self.config.topk_fraction,
+            transport.compression,
+            compression_bits=transport.compression_bits,
+            topk_fraction=transport.topk_fraction,
         )
 
     def round_scheduler(self) -> Optional[RoundScheduler]:
@@ -254,19 +236,7 @@ class ExperimentRunner:
         identical across algorithms, execution backends, and checkpoint
         resume.
         """
-        return create_scheduler(
-            participation=self.config.participation,
-            clients_per_round=self.config.clients_per_round,
-            sampler=self.config.sampler,
-            availability=self.config.availability,
-            availability_rate=self.config.availability_rate,
-            straggler=self.config.straggler_model,
-            round_policy=self.config.round_policy,
-            deadline=self.config.deadline,
-            over_selection=self.config.over_selection,
-            buffer_size=self.config.buffer_size,
-            seed=self.config.seed,
-        )
+        return create_scheduler(self.config.scheduling, seed=self.config.seed)
 
     def resilience_manager(self) -> Optional[ResilienceManager]:
         """A fresh resilience manager for one algorithm run (or ``None``).
@@ -277,17 +247,8 @@ class ExperimentRunner:
         injected faults identical across algorithms, execution backends,
         and checkpoint resume.
         """
-        manager = create_resilience(
-            quorum=self.config.quorum,
-            max_retries=self.config.max_retries,
-            task_timeout=self.config.task_timeout,
-            crash_rate=self.config.fault_crash_rate,
-            exception_rate=self.config.fault_exception_rate,
-            timeout_rate=self.config.fault_timeout_rate,
-            corruption_rate=self.config.fault_corruption_rate,
-            seed=self.config.seed,
-        )
-        if manager is None and self.config.backend == "wire":
+        manager = create_resilience(self.config.resilience, seed=self.config.seed)
+        if manager is None and self.config.execution.backend == "wire":
             # A wire run always gets a supervisor: network faults (socket
             # death, heartbeat loss, decode failure) are TaskFailures that
             # should retry from pre-captured RNG snapshots, not abort the
@@ -298,9 +259,8 @@ class ExperimentRunner:
 
     def _checkpoint_manager(self, algorithm: str) -> Optional[CheckpointManager]:
         """Per-algorithm checkpoint manager under the configured directory."""
-        if self.config.checkpoint_dir is None:
-            return None
-        return CheckpointManager(Path(self.config.checkpoint_dir) / algorithm)
+        directory = self.config.execution.checkpoint_dir
+        return CheckpointManager(Path(directory) / algorithm) if directory is not None else None
 
     def run_algorithm(
         self,

@@ -103,6 +103,7 @@ from repro.fl.transport import (
     QuantizationCodec,
     TopKCodec,
     TransportDecodeError,
+    TransportOptions,
     create_channel,
 )
 from repro.fl.scheduling import (
@@ -115,6 +116,7 @@ from repro.fl.scheduling import (
     FullParticipation,
     LatencyModel,
     RoundScheduler,
+    SchedulingOptions,
     SchedulingSummary,
     UniformSampler,
     VirtualClock,
@@ -131,6 +133,7 @@ from repro.fl.execution import (
     ClientTask,
     ClientUpdate,
     ExecutionBackend,
+    ExecutionOptions,
     ProcessPoolBackend,
     ThreadPoolBackend,
     RoundCheckpoint,
@@ -144,11 +147,11 @@ from repro.fl.faults import (
     InjectedFault,
     QuorumFailure,
     ResilienceManager,
+    ResilienceOptions,
     ResilienceSummary,
     RetryPolicy,
     TaskFailure,
     create_resilience,
-    resilience_requested,
 )
 from repro.fl.evaluation import (
     EvaluationRow,
@@ -204,6 +207,7 @@ from repro.fl.net import (
     JoinReport,
     WireBackend,
     WireFaultPlan,
+    WireOptions,
     run_client,
 )
 
@@ -273,7 +277,8 @@ def create_algorithm(
         Optional :class:`~repro.fl.faults.ResilienceManager` enabling the
         fault-tolerant runtime (deterministic fault injection, supervised
         retries with backoff, quorum-gated round commits).  Stateful; use a
-        fresh one per algorithm run (or build via
+        fresh one per algorithm run (or build one from a
+        :class:`~repro.fl.faults.ResilienceOptions` via
         :func:`~repro.fl.faults.create_resilience`).  Ignored (with a
         warning) by the algorithms whose round loops cannot degrade
         gracefully yet.
@@ -319,6 +324,7 @@ def create_algorithm(
 __all__ = [
     "BACKENDS",
     "ExecutionBackend",
+    "ExecutionOptions",
     "SerialBackend",
     "ProcessPoolBackend",
     "ThreadPoolBackend",
@@ -328,6 +334,7 @@ __all__ = [
     "default_worker_count",
     "WireBackend",
     "WireFaultPlan",
+    "WireOptions",
     "WireFederationServer",
     "FederationClientRunner",
     "JoinReport",
@@ -335,9 +342,9 @@ __all__ = [
     "FaultPlan",
     "RetryPolicy",
     "ResilienceManager",
+    "ResilienceOptions",
     "ResilienceSummary",
     "create_resilience",
-    "resilience_requested",
     "InjectedFault",
     "TaskFailure",
     "ClientExecutionError",
@@ -411,6 +418,7 @@ __all__ = [
     "LatencyModel",
     "VirtualClock",
     "RoundScheduler",
+    "SchedulingOptions",
     "SchedulingSummary",
     "create_sampler",
     "create_availability",
@@ -426,6 +434,7 @@ __all__ = [
     "Payload",
     "Channel",
     "ChannelSummary",
+    "TransportOptions",
     "create_channel",
     "EvaluationRow",
     "evaluate_result",

@@ -11,6 +11,7 @@ from repro.fl.execution.backend import (
     ClientTask,
     ClientUpdate,
     ExecutionBackend,
+    ExecutionOptions,
     ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
@@ -29,6 +30,7 @@ __all__ = [
     "ClientExecutionError",
     "TaskFailure",
     "ExecutionBackend",
+    "ExecutionOptions",
     "SerialBackend",
     "ProcessPoolBackend",
     "ThreadPoolBackend",

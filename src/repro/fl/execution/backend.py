@@ -81,7 +81,7 @@ import pickle
 import traceback as traceback_module
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.fl.faults.errors import ClientExecutionError, TaskFailure
@@ -92,9 +92,11 @@ from repro.utils.threadpools import (
     BlasPolicy,
     blas_thread_limit,
     check_blas_policy,
+    parse_blas_threads,
     resolve_blas_threads,
     set_blas_threads,
 )
+from repro.utils.validation import check_choice, check_positive
 
 logger = logging.getLogger(__name__)
 
@@ -801,6 +803,56 @@ BACKENDS: Dict[str, type] = {
 }
 
 
+#: The backends that take a worker count.
+_POOLED = (ProcessPoolBackend.name, ThreadPoolBackend.name)
+
+
+@dataclass(frozen=True)
+class ExecutionOptions:
+    """Where and how each round's client updates run, each option declared once.
+
+    A field is the option: its name is the ``with_execution`` keyword and
+    (dashed) the ``repro reproduce`` flag, its metadata the flag's help, and
+    ``__post_init__`` its range.  ``backend`` accepts every name registered
+    in :data:`BACKENDS` plus ``None`` / ``"auto"`` (infer from ``workers``);
+    its ``choices`` are what ``repro reproduce`` offers — ``repro serve``
+    sets ``"wire"``.  ``blas_threads=None`` leaves the BLAS pool unmanaged.
+    """
+
+    backend: Optional[str] = field(default=None, metadata={
+        "choices": ("auto", "serial", "process", "thread"),
+        "help": "execution backend for client updates (auto: process when --workers > 1; "
+        "thread overlaps clients via GIL-releasing NumPy kernels with zero pickling)",
+    })
+    workers: Optional[int] = field(default=None, metadata={
+        "help": "workers per round; 1 forces serial execution, >1 fans client "
+        "updates out over the process/thread pool (results are bit-identical)",
+    })
+    blas_threads: BlasPolicy = field(default=BLAS_AUTO, metadata={
+        "type": parse_blas_threads,
+        "metavar": "{auto,N}",
+        "help": "BLAS threads per worker: 'auto' (default) leaves serial runs to "
+        "BLAS's own all-core threading and pins each pool worker to "
+        "cores // workers threads so workers x BLAS-threads never "
+        "oversubscribes; an integer pins every worker exactly",
+    })
+    checkpoint_dir: Optional[str] = field(default=None, metadata={
+        "help": "directory for per-round checkpoints; re-running with the same "
+        "directory resumes interrupted global-state algorithms",
+    })
+
+    def __post_init__(self):
+        check_choice("backend", self.backend, (None, "auto", *BACKENDS))
+        if self.workers is not None:
+            check_positive("workers", self.workers)
+        check_blas_policy(self.blas_threads)
+        if (self.workers or 1) > 1 and self.backend not in (None, "auto", *_POOLED):
+            raise ValueError(
+                f"backend {self.backend!r} cannot use {self.workers} workers (its tasks run "
+                "in-process or in remote joiners); drop the workers option or choose 'process'"
+            )
+
+
 def create_backend(
     name: Optional[str] = None,
     workers: Optional[int] = None,
@@ -818,26 +870,12 @@ def create_backend(
     or ``None`` to leave the BLAS library unmanaged); see
     :class:`ExecutionBackend` and ``--blas-threads`` on the CLI.
     """
-    if name is None or name == "auto":
-        name = ProcessPoolBackend.name if (workers or 1) > 1 else SerialBackend.name
-    key = name.lower()
-    if key not in BACKENDS:
-        raise ValueError(f"unknown execution backend {name!r}; available: {sorted(BACKENDS)}")
-    if key == ProcessPoolBackend.name:
-        return ProcessPoolBackend(workers=workers, blas_threads=blas_threads)
-    if key == ThreadPoolBackend.name:
-        return ThreadPoolBackend(workers=workers, blas_threads=blas_threads)
-    if key == SerialBackend.name:
-        if workers is not None and workers > 1:
-            raise ValueError(
-                f"backend 'serial' cannot use {workers} workers; "
-                "drop --workers or choose the 'process' backend"
-            )
-        return SerialBackend(blas_threads=blas_threads)
-    # Externally registered backends (e.g. "wire" from repro.fl.net) take no
-    # worker count; their own options are wired up by the experiment runner.
-    if workers is not None and workers > 1:
-        raise ValueError(
-            f"backend {key!r} cannot use {workers} workers; drop --workers"
-        )
+    options = ExecutionOptions(name.lower() if name else None, workers, blas_threads)
+    key = options.backend
+    if key is None or key == "auto":
+        key = ProcessPoolBackend.name if (workers or 1) > 1 else SerialBackend.name
+    if key in _POOLED:
+        return BACKENDS[key](workers=workers, blas_threads=blas_threads)
+    # Serial and externally registered backends (e.g. "wire", whose own options the
+    # experiment runner wires up) take no worker count; ExecutionOptions refused one.
     return BACKENDS[key](blas_threads=blas_threads)

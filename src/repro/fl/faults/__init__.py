@@ -17,9 +17,12 @@ first-class, *deterministic* part of the simulation:
     re-dispatch, quorum-gated round commits, and permanent drops with
     recorded weight renormalization.
 
-Build one from flat options with :func:`create_resilience`, which returns
-``None`` at the inert defaults so default runs take the pre-resilience
-code paths bit for bit.
+:class:`ResilienceOptions`
+    The run options behind all of it (quorum, retries, task timeout, the
+    four fault rates), each declared once with its range and CLI help.
+    ``create_resilience(options, seed)`` builds the manager — or ``None``
+    unless ``options.requested``, so default runs take the pre-resilience
+    code paths bit for bit.
 """
 
 from repro.fl.faults.errors import (
@@ -36,9 +39,9 @@ from repro.fl.faults.plan import FAULT_KINDS, FAULT_SEED_TAG, FaultDecision, Fau
 from repro.fl.faults.retry import DEFAULT_MAX_RETRIES, RETRY_SEED_TAG, RetryPolicy
 from repro.fl.faults.supervisor import (
     ResilienceManager,
+    ResilienceOptions,
     ResilienceSummary,
     create_resilience,
-    resilience_requested,
 )
 
 __all__ = [
@@ -50,9 +53,9 @@ __all__ = [
     "FaultPlan",
     "RetryPolicy",
     "ResilienceManager",
+    "ResilienceOptions",
     "ResilienceSummary",
     "create_resilience",
-    "resilience_requested",
     "InjectedFault",
     "InjectedCrash",
     "InjectedException",

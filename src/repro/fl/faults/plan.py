@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
+
+from repro.utils.validation import check_probability
 
 #: Domain-separation tag for fault draws (keeps fault randomness disjoint
 #: from model init, sampling, availability, latency, and retry jitter).
@@ -33,6 +35,17 @@ FAULT_SEED_TAG = 0x4FA7
 
 #: Fault kinds in cumulative-threshold order (the draw walks this order).
 FAULT_KINDS = ("crash", "exception", "timeout", "corruption")
+
+
+def check_rates(label: str, rates: Mapping[str, float]) -> None:
+    """Validate ``{name: rate}``: each a probability, together at most 1.
+
+    One draw injects at most one fault, so the rates share the unit interval.
+    """
+    for name, rate in rates.items():
+        check_probability(name, rate)
+    if sum(rates.values()) > 1.0 + 1e-12:
+        raise ValueError(f"{label} rates must sum to at most 1, got {sum(rates.values()):g}")
 
 
 @dataclass(frozen=True)
@@ -84,13 +97,9 @@ class FaultPlan:
     def _configure(self, rates, seed: int) -> None:
         """Validate one rate per kind (in ``kinds`` order) and zero the counters."""
         self.rates = {kind: float(rate) for kind, rate in zip(self.kinds, rates)}
-        for kind, rate in self.rates.items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{self.label} {kind} rate must be in [0, 1], got {rate}")
-        if sum(self.rates.values()) > 1.0 + 1e-12:
-            raise ValueError(
-                f"{self.label} rates must sum to at most 1, got {sum(self.rates.values()):g}"
-            )
+        check_rates(
+            self.label, {f"{self.label} {kind} rate": rate for kind, rate in self.rates.items()}
+        )
         self.seed = int(seed)
         #: Per-client draw counters (the mutable, checkpointable state).
         self._draws: Dict[str, int] = {}
@@ -168,4 +177,4 @@ def _client_key(client_id) -> int:
     return zlib.crc32(str(client_id).encode("utf-8"))
 
 
-__all__ = ["FAULT_KINDS", "FAULT_SEED_TAG", "FaultDecision", "FaultPlan"]
+__all__ = ["FAULT_KINDS", "FAULT_SEED_TAG", "FaultDecision", "FaultPlan", "check_rates"]

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.fl.faults.plan import _client_key
+from repro.utils.validation import check_positive
 
 #: Domain-separation tag for retry-jitter draws.
 RETRY_SEED_TAG = 0x6B0F
@@ -62,14 +63,13 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.max_retries) < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        check_positive("max_retries", self.max_retries, allow_zero=True)
         if self.backoff_base < 0.0 or self.backoff_factor < 1.0 or self.jitter < 0.0:
             raise ValueError(
                 "backoff_base must be >= 0, backoff_factor >= 1, jitter >= 0"
             )
-        if self.task_timeout is not None and self.task_timeout <= 0.0:
-            raise ValueError(f"task_timeout must be positive, got {self.task_timeout}")
+        if self.task_timeout is not None:
+            check_positive("task_timeout", self.task_timeout)
 
     def backoff_seconds(self, client_id: str, attempt: int) -> float:
         """Virtual seconds to wait before re-dispatching ``attempt`` (1-based)."""

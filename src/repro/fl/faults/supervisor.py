@@ -37,11 +37,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.fl.faults.errors import InjectedFault, QuorumFailure, TaskFailure
-from repro.fl.faults.plan import FaultDecision, FaultPlan
+from repro.fl.faults.plan import FAULT_KINDS, FaultDecision, FaultPlan, check_rates
 from repro.fl.faults.retry import DEFAULT_MAX_RETRIES, RetryPolicy
 from repro.fl.scheduling.clock import VirtualClock
 from repro.fl.transport.codecs import Payload
 from repro.fl.transport.errors import TransportDecodeError
+from repro.utils.validation import check_in_range, check_positive
 
 #: Fault kinds injected before dispatch (the task never runs).
 _PRE_DISPATCH_KINDS = ("crash", "exception", "timeout")
@@ -367,78 +368,92 @@ class ResilienceManager:
         )
 
 
-def resilience_requested(
-    quorum: float = 1.0,
-    max_retries: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    crash_rate: float = 0.0,
-    exception_rate: float = 0.0,
-    timeout_rate: float = 0.0,
-    corruption_rate: float = 0.0,
-) -> bool:
-    """Whether any fault-tolerance option departs from the inert defaults.
+@dataclass(frozen=True)
+class ResilienceOptions:
+    """The fault-tolerance options of a run, each declared once.
 
-    The single source of truth shared by :func:`create_resilience` and the
-    experiment configuration (the same contract ``scheduling_requested``
-    provides for the scheduler), so "a resilience manager exists" and
-    "resilience is reported" can never drift apart.
+    A field is the option: its name is the ``with_resilience`` keyword and
+    (dashed) the ``repro reproduce`` / ``repro serve`` flag, its metadata
+    the flag's help, and ``__post_init__`` its range.  At the defaults
+    nothing is :attr:`requested` and :func:`create_resilience` builds no
+    manager, so the default run takes the unsupervised code path bit for bit.
     """
-    return (
-        quorum != 1.0
-        or max_retries is not None
-        or task_timeout is not None
-        or crash_rate > 0.0
-        or exception_rate > 0.0
-        or timeout_rate > 0.0
-        or corruption_rate > 0.0
-    )
+
+    quorum: float = field(default=1.0, metadata={
+        "help": "fraction of the per-round cohort that must deliver an update "
+        "before the round commits (default 1.0); clients that exhaust their "
+        "retries are dropped permanently with the aggregation weights "
+        "renormalized, and a sub-quorum round checkpoints and aborts",
+    })
+    max_retries: Optional[int] = field(default=None, metadata={
+        "help": "supervised retries per client task before it counts as failed "
+        "(default 2 once any fault-tolerance option is active)",
+    })
+    task_timeout: Optional[float] = field(default=None, metadata={
+        "help": "wall-clock seconds allowed per client task before the "
+        "supervisor abandons and retries it (process/thread/wire backends)",
+    })
+    fault_crash_rate: float = field(default=0.0, metadata={
+        "help": "chaos testing: per-attempt probability of a simulated worker "
+        "crash (deterministic for a given seed)",
+    })
+    fault_exception_rate: float = field(default=0.0, metadata={
+        "help": "chaos testing: per-attempt probability of a simulated client "
+        "exception",
+    })
+    fault_timeout_rate: float = field(default=0.0, metadata={
+        "help": "chaos testing: per-attempt probability of a simulated task "
+        "timeout",
+    })
+    fault_corruption_rate: float = field(default=0.0, metadata={
+        "help": "chaos testing: per-attempt probability of flipping one byte of "
+        "the upload payload (caught by the transport CRC and retried; "
+        "needs --compression for a wire payload to corrupt)",
+    })
+
+    def __post_init__(self):
+        check_in_range("quorum", self.quorum, 0.0, 1.0, "(]")
+        if self.max_retries is not None:
+            check_positive("max_retries", self.max_retries, allow_zero=True)
+        if self.task_timeout is not None:
+            check_positive("task_timeout", self.task_timeout)
+        rates = (f"fault_{kind}_rate" for kind in FAULT_KINDS)
+        check_rates("fault", {name: getattr(self, name) for name in rates})
+
+    @property
+    def requested(self) -> bool:
+        """Whether any option departs from the inert defaults: the one predicate
+        behind "a resilience manager exists" and "resilience is reported"."""
+        return self != ResilienceOptions()
 
 
-def create_resilience(
-    quorum: float = 1.0,
-    max_retries: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    crash_rate: float = 0.0,
-    exception_rate: float = 0.0,
-    timeout_rate: float = 0.0,
-    corruption_rate: float = 0.0,
-    seed: int = 0,
-) -> Optional[ResilienceManager]:
-    """Build a :class:`ResilienceManager` from flat run options.
+def create_resilience(options: ResilienceOptions, seed: int = 0) -> Optional[ResilienceManager]:
+    """Build the :class:`ResilienceManager` a :class:`ResilienceOptions` asks for.
 
-    Returns ``None`` when every option is at its default — no faults,
-    quorum 1.0, no retry/timeout overrides — so the default configuration
-    takes the unsupervised code path and stays bit-identical to
-    pre-resilience behavior.
+    Returns ``None`` unless ``options.requested`` — no faults, quorum 1.0,
+    no retry/timeout overrides take the unsupervised code path.  ``seed`` is
+    the run seed: the fault plan and the retry jitter derive from it.
     """
-    if not resilience_requested(
-        quorum=quorum,
-        max_retries=max_retries,
-        task_timeout=task_timeout,
-        crash_rate=crash_rate,
-        exception_rate=exception_rate,
-        timeout_rate=timeout_rate,
-        corruption_rate=corruption_rate,
-    ):
+    if not options.requested:
         return None
     plan = FaultPlan(
-        crash_rate=crash_rate,
-        exception_rate=exception_rate,
-        timeout_rate=timeout_rate,
-        corruption_rate=corruption_rate,
+        crash_rate=options.fault_crash_rate,
+        exception_rate=options.fault_exception_rate,
+        timeout_rate=options.fault_timeout_rate,
+        corruption_rate=options.fault_corruption_rate,
         seed=seed,
     )
     retry = RetryPolicy(
-        max_retries=DEFAULT_MAX_RETRIES if max_retries is None else int(max_retries),
-        task_timeout=task_timeout,
+        max_retries=DEFAULT_MAX_RETRIES if options.max_retries is None else options.max_retries,
+        task_timeout=options.task_timeout,
         seed=seed,
     )
-    return ResilienceManager(plan=plan, retry=retry, quorum=quorum)
+    return ResilienceManager(plan=plan, retry=retry, quorum=options.quorum)
 
 
 __all__ = [
     "ResilienceManager",
+    "ResilienceOptions",
     "ResilienceSummary",
     "create_resilience",
-    "resilience_requested",
 ]

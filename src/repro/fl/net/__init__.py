@@ -20,7 +20,7 @@ backend registry under the name ``"wire"``.
 """
 
 from repro.fl.execution.backend import BACKENDS
-from repro.fl.net.backend import WireBackend
+from repro.fl.net.backend import WireBackend, WireOptions
 from repro.fl.net.client import FederationClientRunner, JoinReport, run_client
 from repro.fl.net.errors import (
     FrameError,
@@ -55,6 +55,7 @@ __all__ = [
     "WireBackend",
     "WireFailure",
     "WireFaultPlan",
+    "WireOptions",
     "WireProtocolError",
     "encode_frame",
     "run_client",

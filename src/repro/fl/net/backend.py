@@ -27,6 +27,7 @@ import logging
 import pickle
 import threading
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.fl.execution.backend import (
@@ -36,11 +37,76 @@ from repro.fl.execution.backend import (
     _check_one_task_per_client,
 )
 from repro.fl.faults.errors import TaskFailure
-from repro.fl.net.faults import WireFaultPlan
+from repro.fl.faults.plan import check_rates
+from repro.fl.net.faults import WIRE_FAULT_KINDS, WireFaultPlan
 from repro.fl.net.server import FederationServer, WireFailure
 from repro.utils.threadpools import BLAS_AUTO, BlasPolicy
+from repro.utils.validation import check_in_range, check_positive
 
 logger = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class WireOptions:
+    """The federation-server options of a wire run, each declared once.
+
+    A field is the option: its name is the ``with_wire`` keyword and
+    (dashed, or as its ``flag`` metadata spells it) the ``repro serve``
+    flag, its metadata the flag's help, and ``__post_init__`` its range.
+    They take effect only under the ``"wire"`` execution backend;
+    :meth:`WireBackend.from_options` is the one place that consumes them.
+    """
+
+    wire_host: str = field(default="127.0.0.1", metadata={
+        "flag": "--host", "help": "address to bind (default 127.0.0.1)",
+    })
+    wire_port: int = field(default=0, metadata={
+        "flag": "--port",
+        "help": "TCP port to listen on (default 7733; 0 picks a free port, "
+        "printed on the `serving federation` line)",
+    })
+    heartbeat_interval: float = field(default=2.0, metadata={
+        "help": "seconds between liveness probes to each connected joiner (default 2)",
+    })
+    client_timeout: float = field(default=10.0, metadata={
+        "help": "seconds of silence before a joiner counts as lost, and how long "
+        "a lost joiner may take to reconnect before its in-flight tasks fail "
+        "over to the retry machinery (default 10; must exceed the heartbeat "
+        "interval)",
+    })
+    wire_journal_dir: Optional[str] = field(default=None, metadata={
+        "flag": "--journal-dir",
+        "help": "directory for the append-only dispatch journal backing "
+        "reconnect-with-resume (default: a temporary directory)",
+    })
+    wire_fault_disconnect_rate: float = field(default=0.0, metadata={
+        "help": "chaos testing: per-send probability of dropping the connection "
+        "instead of delivering a task frame (seeded; heals via replay)",
+    })
+    wire_fault_delay_rate: float = field(default=0.0, metadata={
+        "help": "chaos testing: per-send probability of withholding a task frame "
+        "for up to --wire-delay-seconds",
+    })
+    wire_fault_corrupt_rate: float = field(default=0.0, metadata={
+        "help": "chaos testing: per-send probability of flipping one byte of a "
+        "task frame (rejected by the peer's CRC check; heals via replay)",
+    })
+    wire_delay_seconds: float = field(default=0.05, metadata={
+        "help": "maximum hold time for injected delays (default 0.05)",
+    })
+
+    def __post_init__(self):
+        check_in_range("wire_port", self.wire_port, 0, 65535)
+        check_positive("heartbeat_interval", self.heartbeat_interval)
+        if not self.client_timeout > self.heartbeat_interval:
+            raise ValueError(
+                f"client_timeout ({self.client_timeout}) must exceed "
+                f"heartbeat_interval ({self.heartbeat_interval}); liveness needs "
+                "at least one missed probe"
+            )
+        check_positive("wire_delay_seconds", self.wire_delay_seconds, allow_zero=True)
+        rates = (f"wire_fault_{kind}_rate" for kind in WIRE_FAULT_KINDS)
+        check_rates("wire fault", {name: getattr(self, name) for name in rates})
 
 
 class WireBackend(ExecutionBackend):
@@ -51,11 +117,12 @@ class WireBackend(ExecutionBackend):
     :meth:`imap_outcomes` call — and stays up across rounds; sessions,
     journal, and counters persist for the whole run.
 
-    Parameters mirror the CLI: ``host``/``port`` to bind (port 0 picks a
-    free one, readable from ``self.port`` after listen), the heartbeat
-    cadence and liveness deadline, an optional on-disk journal directory
-    (a temporary one otherwise), an optional :class:`WireFaultPlan` for
-    chaos runs, and the run-identity ``fingerprint`` joiners must match.
+    Parameters mirror :class:`WireOptions` (see :meth:`from_options`):
+    ``host``/``port`` to bind (port 0 picks a free one, readable from
+    ``self.port`` after listen), the heartbeat cadence and liveness
+    deadline, an on-disk journal directory (a temporary one otherwise), a
+    :class:`WireFaultPlan` for chaos runs, and the run-identity
+    ``fingerprint`` joiners must match.
     """
 
     name = "wire"
@@ -82,6 +149,27 @@ class WireBackend(ExecutionBackend):
         self.server: Optional[FederationServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
+
+    @classmethod
+    def from_options(cls, options: WireOptions, seed: int = 0, **backend) -> "WireBackend":
+        """The backend ``options`` asks for, under a seeded fault plan if any rate is set
+        (``backend``: the ``fingerprint`` / ``blas_threads`` keywords, passed through)."""
+        plan = WireFaultPlan(
+            disconnect_rate=options.wire_fault_disconnect_rate,
+            delay_rate=options.wire_fault_delay_rate,
+            corrupt_rate=options.wire_fault_corrupt_rate,
+            delay_seconds=options.wire_delay_seconds,
+            seed=seed,
+        )
+        return cls(
+            host=options.wire_host,
+            port=options.wire_port,
+            heartbeat_interval=options.heartbeat_interval,
+            client_timeout=options.client_timeout,
+            journal_dir=options.wire_journal_dir,
+            fault_plan=plan if plan.any_faults else None,
+            **backend,
+        )
 
     # -- loop / server lifecycle ---------------------------------------------------
     def _ensure_loop(self) -> asyncio.AbstractEventLoop:
@@ -111,7 +199,7 @@ class WireBackend(ExecutionBackend):
                 raise RuntimeError("WireBackend.listen needs client_ids or a bound roster")
             client_ids = [int(client.client_id) for client in self._clients]
         loop = self._ensure_loop()
-        self.server = FederationServer(
+        server = FederationServer(
             client_ids,
             host=self.host,
             port=self.port,
@@ -121,7 +209,13 @@ class WireBackend(ExecutionBackend):
             fault_plan=self.fault_plan,
             fingerprint=self.fingerprint,
         )
-        self.port = asyncio.run_coroutine_threadsafe(self.server.start(), loop).result()
+        try:
+            self.port = asyncio.run_coroutine_threadsafe(server.start(), loop).result()
+        except OSError:
+            # Release the journal opened before binding; keep no half-started server.
+            asyncio.run_coroutine_threadsafe(server.stop(), loop).result()
+            raise
+        self.server = server
         return self.port
 
     def bind(self, clients: Sequence) -> None:
@@ -240,4 +334,4 @@ class WireBackend(ExecutionBackend):
             )
 
 
-__all__ = ["WireBackend"]
+__all__ = ["WireBackend", "WireOptions"]

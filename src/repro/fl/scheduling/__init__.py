@@ -21,10 +21,12 @@ scheduler (:mod:`~repro.fl.scheduling.scheduler`)
     policies: synchronous barriers, deadline cutoffs with over-selection,
     and FedBuff-style buffered-asynchronous aggregation.
 
-A run without any scheduling options gets no scheduler at all
-(:func:`create_scheduler` returns ``None``) and takes the exact
-pre-scheduling code path — the default configuration is bit-identical to
-the fixed-cohort behavior.
+The run options behind all of it are the fields of
+:class:`SchedulingOptions`, declared once with their ranges and CLI help.
+A run whose options are all at their defaults gets no scheduler at all
+(``create_scheduler(options, seed)`` returns ``None`` unless
+``options.requested``) and takes the exact pre-scheduling code path — the
+default configuration is bit-identical to the fixed-cohort behavior.
 """
 
 from repro.fl.scheduling.availability import (
@@ -58,9 +60,9 @@ from repro.fl.scheduling.scheduler import (
     RoundOutcome,
     RoundPlan,
     RoundScheduler,
+    SchedulingOptions,
     SchedulingSummary,
     create_scheduler,
-    scheduling_requested,
 )
 
 __all__ = [
@@ -88,7 +90,7 @@ __all__ = [
     "RoundPlan",
     "RoundOutcome",
     "RoundScheduler",
+    "SchedulingOptions",
     "SchedulingSummary",
     "create_scheduler",
-    "scheduling_requested",
 ]

@@ -30,13 +30,19 @@ one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.fl.scheduling.availability import AvailabilityModel, create_availability
+from repro.fl.scheduling.availability import (
+    AVAILABILITY_CHOICES,
+    AvailabilityModel,
+    create_availability,
+)
 from repro.fl.scheduling.clock import VirtualClock
-from repro.fl.scheduling.latency import LatencyModel, create_latency
-from repro.fl.scheduling.samplers import ClientSampler, create_sampler
+from repro.fl.scheduling.latency import STRAGGLER_CHOICES, LatencyModel, create_latency
+from repro.fl.scheduling.samplers import SAMPLER_CHOICES, ClientSampler, create_sampler
+from repro.utils.validation import check_choice, check_in_range, check_positive
 
 #: Round policies understood by :func:`create_scheduler` (and the CLI).
 ROUND_POLICY_CHOICES = ("sync", "deadline", "fedbuff")
@@ -124,6 +130,95 @@ class SchedulingSummary:
         }
 
 
+@dataclass(frozen=True)
+class SchedulingOptions:
+    """The client-population options of a run, each declared once.
+
+    A field is the option: its name is the ``with_scheduling`` keyword and
+    (dashed) the ``repro reproduce`` flag, its metadata the flag's help and
+    choices, and ``__post_init__`` its range.  At the defaults nothing is
+    :attr:`requested` and :func:`create_scheduler` builds no scheduler, so
+    the default run takes the pre-scheduling code path bit for bit.
+    """
+
+    participation: Optional[float] = field(default=None, metadata={
+        "help": "fraction of clients sampled per round (partial participation; "
+        "cohorts are seeded from the run seed and bit-reproducible)",
+    })
+    clients_per_round: Optional[int] = field(default=None, metadata={
+        "help": "absolute cohort size per round (alternative to --participation)",
+    })
+    sampler: Optional[str] = field(default=None, metadata={
+        "choices": SAMPLER_CHOICES,
+        "help": "cohort sampling rule: full, uniform, or weighted "
+        "(importance sampling by client sample count)",
+    })
+    availability: Optional[str] = field(default=None, metadata={
+        "choices": AVAILABILITY_CHOICES,
+        "help": "per-client availability model: always (default), bernoulli "
+        "(each query succeeds with --availability-rate), daynight "
+        "(phased duty cycles on the virtual clock)",
+    })
+    availability_rate: float = field(default=0.9, metadata={
+        "help": "bernoulli success probability / daynight duty fraction (default 0.9)",
+    })
+    straggler_model: Optional[str] = field(default=None, metadata={
+        "choices": STRAGGLER_CHOICES,
+        "help": "simulated round-trip latency per dispatched client: none, "
+        "uniform, lognormal, heavytail (Pareto); drives the virtual clock "
+        "and the deadline/fedbuff policies",
+    })
+    round_policy: str = field(default="sync", metadata={
+        "choices": ROUND_POLICY_CHOICES,
+        "help": "what the server does with straggler updates: sync (barrier), "
+        "deadline (drop updates later than --deadline, over-selecting by "
+        "--over-selection), fedbuff (buffered-asynchronous aggregation)",
+    })
+    deadline: Optional[float] = field(default=None, metadata={
+        "help": "round cutoff in virtual seconds for --round-policy deadline",
+    })
+    over_selection: float = field(default=1.0, metadata={
+        "help": "cohort inflation factor under the deadline policy (default 1.0; "
+        "1.3 selects 30%% extra clients expecting drops)",
+    })
+    buffer_size: int = field(default=2, metadata={
+        "help": "updates buffered per aggregation for --round-policy fedbuff (default 2)",
+    })
+
+    def __post_init__(self):
+        if self.participation is not None:
+            check_in_range("participation", self.participation, 0.0, 1.0, "(]")
+        if self.clients_per_round is not None:
+            check_positive("clients_per_round", self.clients_per_round)
+        check_choice("sampler", self.sampler, (None, *SAMPLER_CHOICES))
+        check_choice("availability", self.availability, (None, *AVAILABILITY_CHOICES))
+        check_in_range("availability_rate", self.availability_rate, 0.0, 1.0, "(]")
+        check_choice("straggler_model", self.straggler_model, (None, *STRAGGLER_CHOICES))
+        check_choice("round_policy", self.round_policy, ROUND_POLICY_CHOICES)
+        if self.deadline is not None:
+            check_positive("deadline", self.deadline)
+        elif self.round_policy == "deadline":
+            raise ValueError(
+                "the deadline round policy needs a positive deadline (virtual seconds)"
+            )
+        # Finite: the cohort size is int(ceil(over_selection * cohort)).
+        check_in_range("over_selection", self.over_selection, 1.0, math.inf, "[)")
+        check_positive("buffer_size", self.buffer_size)
+
+    @property
+    def requested(self) -> bool:
+        """Whether any option departs from the scheduler-less defaults: the one
+        predicate behind "a scheduler exists" and "scheduling is reported"."""
+        return (
+            self.participation is not None
+            or self.clients_per_round is not None
+            or self.sampler is not None
+            or (self.availability is not None and self.availability != "always")
+            or (self.straggler_model is not None and self.straggler_model != "none")
+            or self.round_policy != "sync"
+        )
+
+
 class RoundScheduler:
     """Coordinates who trains each round and when their updates land.
 
@@ -138,32 +233,19 @@ class RoundScheduler:
         sampler: ClientSampler,
         availability: AvailabilityModel,
         latency: LatencyModel,
-        policy: str = "sync",
-        deadline: Optional[float] = None,
-        over_selection: float = 1.0,
-        buffer_size: int = 2,
+        options: SchedulingOptions = SchedulingOptions(),
         staleness_exponent: float = 0.5,
         clock: Optional[VirtualClock] = None,
     ):
-        if policy not in ROUND_POLICY_CHOICES:
-            raise ValueError(
-                f"unknown round policy {policy!r}; available: {ROUND_POLICY_CHOICES}"
-            )
-        if policy == "deadline" and (deadline is None or deadline <= 0.0):
-            raise ValueError("the deadline policy needs a positive --deadline (virtual seconds)")
-        if over_selection < 1.0:
-            raise ValueError(f"over_selection must be >= 1, got {over_selection}")
-        if buffer_size < 1:
-            raise ValueError(f"buffer_size must be positive, got {buffer_size}")
-        if staleness_exponent < 0.0:
-            raise ValueError(f"staleness_exponent must be >= 0, got {staleness_exponent}")
+        check_positive("staleness_exponent", staleness_exponent, allow_zero=True)
         self.sampler = sampler
         self.availability = availability
         self.latency = latency
-        self.policy = policy
-        self.deadline = float(deadline) if deadline is not None else None
-        self.over_selection = float(over_selection)
-        self.buffer_size = int(buffer_size)
+        # The policy knobs arrive validated (SchedulingOptions.__post_init__).
+        self.policy = options.round_policy
+        self.deadline = float(options.deadline) if options.deadline is not None else None
+        self.over_selection = float(options.over_selection)
+        self.buffer_size = int(options.buffer_size)
         self.staleness_exponent = float(staleness_exponent)
         self.clock = clock if clock is not None else VirtualClock()
         self._client_ids: List[int] = []
@@ -435,69 +517,24 @@ class RoundScheduler:
         return f"RoundScheduler({self.describe()})"
 
 
-def scheduling_requested(
-    participation: Optional[float] = None,
-    clients_per_round: Optional[int] = None,
-    sampler: Optional[str] = None,
-    availability: Optional[str] = None,
-    straggler: Optional[str] = None,
-    round_policy: str = "sync",
-) -> bool:
-    """Whether any scheduling option departs from the scheduler-less defaults.
+def create_scheduler(options: SchedulingOptions, seed: int = 0) -> Optional[RoundScheduler]:
+    """Build the :class:`RoundScheduler` a :class:`SchedulingOptions` asks for.
 
-    The single source of truth shared by :func:`create_scheduler` and the
-    experiment configuration, so "a scheduler exists" and "scheduling is
-    reported" can never drift apart.
+    Returns ``None`` unless ``options.requested`` — full participation,
+    always-on clients, no stragglers, synchronous rounds take the
+    scheduler-less code path.  ``seed`` is the run seed: sampler,
+    availability and latency streams all derive from it.
     """
-    return (
-        participation is not None
-        or clients_per_round is not None
-        or sampler is not None
-        or (availability is not None and availability != "always")
-        or (straggler is not None and straggler != "none")
-        or round_policy != "sync"
-    )
-
-
-def create_scheduler(
-    participation: Optional[float] = None,
-    clients_per_round: Optional[int] = None,
-    sampler: Optional[str] = None,
-    availability: Optional[str] = None,
-    availability_rate: float = 0.9,
-    straggler: Optional[str] = None,
-    round_policy: str = "sync",
-    deadline: Optional[float] = None,
-    over_selection: float = 1.0,
-    buffer_size: int = 2,
-    staleness_exponent: float = 0.5,
-    seed: int = 0,
-) -> Optional[RoundScheduler]:
-    """Build a :class:`RoundScheduler` from flat run options.
-
-    Returns ``None`` when every option is at its default — full
-    participation, always-on clients, no stragglers, synchronous rounds —
-    so the default configuration takes the scheduler-less code path and
-    stays bit-identical to pre-scheduling behavior.
-    """
-    if not scheduling_requested(
-        participation=participation,
-        clients_per_round=clients_per_round,
-        sampler=sampler,
-        availability=availability,
-        straggler=straggler,
-        round_policy=round_policy,
-    ):
+    if not options.requested:
         return None
     return RoundScheduler(
-        sampler=create_sampler(
-            sampler, fraction=participation, clients_per_round=clients_per_round, seed=seed
+        create_sampler(
+            options.sampler,
+            fraction=options.participation,
+            clients_per_round=options.clients_per_round,
+            seed=seed,
         ),
-        availability=create_availability(availability, rate=availability_rate, seed=seed),
-        latency=create_latency(straggler, seed=seed),
-        policy=round_policy,
-        deadline=deadline,
-        over_selection=over_selection,
-        buffer_size=buffer_size,
-        staleness_exponent=staleness_exponent,
+        create_availability(options.availability, rate=options.availability_rate, seed=seed),
+        create_latency(options.straggler_model, seed=seed),
+        options,
     )

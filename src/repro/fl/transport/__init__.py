@@ -25,6 +25,7 @@ from repro.fl.transport.channel import (
     COMPRESSION_CHOICES,
     Channel,
     ChannelSummary,
+    TransportOptions,
     WireTask,
     create_channel,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "COMPRESSION_CHOICES",
     "Channel",
     "ChannelSummary",
+    "TransportOptions",
     "WireTask",
     "create_channel",
 ]

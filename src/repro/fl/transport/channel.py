@@ -65,6 +65,7 @@ from repro.fl.transport.codecs import (
     QuantizationCodec,
     TopKCodec,
 )
+from repro.utils.validation import check_choice, check_in_range
 
 
 @dataclass
@@ -304,6 +305,37 @@ class Channel:
 
 #: Compression settings understood by :func:`create_channel` (and the CLI).
 COMPRESSION_CHOICES: Tuple[str, ...] = ("none", "float32", "float16", "quantize", "topk")
+
+
+@dataclass(frozen=True)
+class TransportOptions:
+    """The wire-codec options of a run, each declared once.
+
+    A field is the option: its name is the ``with_transport`` keyword and
+    (dashed) the ``repro reproduce`` flag, its metadata the flag's help and
+    choices, and ``__post_init__`` its range.  :func:`create_channel` takes
+    the three fields and tabulates the settings; ``compression=None`` is no
+    channel at all (raw in-process states, nothing measured).
+    """
+
+    compression: Optional[str] = field(default=None, metadata={
+        "choices": COMPRESSION_CHOICES,
+        "help": "route every broadcast/upload through a wire codec and report "
+        "measured bytes: none (bit-exact float64 identity), float32/float16 "
+        "(cast), quantize (packed uniform quantization + DEFLATE, delta "
+        "uploads), topk (sparsified delta uploads with error feedback)",
+    })
+    compression_bits: int = field(default=8, metadata={
+        "help": "bits per value for --compression quantize (1-16, default 8)",
+    })
+    topk_fraction: float = field(default=0.1, metadata={
+        "help": "fraction of entries kept by --compression topk (default 0.1)",
+    })
+
+    def __post_init__(self):
+        check_choice("compression", self.compression, (None, *COMPRESSION_CHOICES))
+        check_in_range("compression_bits", self.compression_bits, 1, 16)
+        check_in_range("topk_fraction", self.topk_fraction, 0.0, 1.0, "(]")
 
 
 def create_channel(

@@ -14,11 +14,11 @@ Number = Union[int, float]
 
 
 def check_positive(name: str, value: Number, allow_zero: bool = False) -> Number:
-    """Validate that ``value`` is positive (or non-negative if ``allow_zero``)."""
+    """Validate ``value > 0`` (``>= 0`` if ``allow_zero``); like every check here, NaN fails."""
     if allow_zero:
-        if value < 0:
+        if not value >= 0:
             raise ValueError(f"{name} must be >= 0, got {value!r}")
-    elif value <= 0:
+    elif not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     return value
 
@@ -30,10 +30,13 @@ def check_probability(name: str, value: Number) -> Number:
     return value
 
 
-def check_in_range(name: str, value: Number, low: Number, high: Number) -> Number:
-    """Validate that ``value`` lies in the closed interval [low, high]."""
-    if not low <= value <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
+def check_in_range(name: str, value: Number, low: Number, high: Number, ends: str = "[]") -> Number:
+    """Validate that ``value`` lies between ``low`` and ``high``; ``ends`` is interval
+    notation (``"(]"`` excludes ``low``; ``"[)"`` up to ``math.inf`` means finite)."""
+    above = value > low if ends[0] == "(" else value >= low
+    below = value < high if ends[1] == ")" else value <= high
+    if not (above and below):
+        raise ValueError(f"{name} must be in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
     return value
 
 
@@ -53,7 +56,7 @@ def check_shape(name: str, array: np.ndarray, expected: Tuple[int, ...]) -> np.n
 
 
 def check_choice(name: str, value: str, choices: Sequence[str]) -> str:
-    """Validate that ``value`` is one of ``choices``."""
+    """Validate that ``value`` is one of ``choices`` (list ``None`` there to allow it)."""
     if value not in choices:
-        raise ValueError(f"{name} must be one of {sorted(choices)}, got {value!r}")
+        raise ValueError(f"{name} must be one of {list(choices)}, got {value!r}")
     return value

@@ -1,5 +1,9 @@
 """Tests for experiment configuration presets and the paper reference tables."""
 
+import dataclasses
+import math
+import typing
+
 import pytest
 
 from repro.experiments import (
@@ -16,7 +20,24 @@ from repro.experiments import (
     smoke,
 )
 from repro.experiments.config import ExperimentConfig
+from repro.fl import FLConfig
 from repro.fl.evaluation import EvaluationRow
+
+
+GROUPS = ("execution", "transport", "scheduling", "resilience", "wire")
+
+
+def numeric_options():
+    """``(group, option)`` for every int/float option the five groups declare."""
+    found = []
+    for group in GROUPS:
+        options = getattr(smoke(), group)
+        annotations = typing.get_type_hints(type(options))
+        for option in dataclasses.fields(options):
+            kinds = typing.get_args(annotations[option.name]) or (annotations[option.name],)
+            if (int in kinds or float in kinds) and str not in kinds:
+                found.append((group, option.name))
+    return found
 
 
 class TestPresets:
@@ -57,40 +78,40 @@ class TestPresets:
     def test_with_execution_keeps_omitted_options(self):
         config = default("flnet").with_execution(checkpoint_dir="ckpt")
         updated = config.with_execution(workers=4)
-        assert updated.workers == 4
-        assert updated.checkpoint_dir == "ckpt"  # omitted -> kept
+        assert updated.execution.workers == 4
+        assert updated.execution.checkpoint_dir == "ckpt"  # omitted -> kept
         cleared = updated.with_execution(checkpoint_dir=None)
-        assert cleared.checkpoint_dir is None  # explicit None -> reset
-        assert cleared.workers == 4
+        assert cleared.execution.checkpoint_dir is None  # explicit None -> reset
+        assert cleared.execution.workers == 4
 
     def test_builders_reject_options_of_another_group(self):
         config = default("flnet")
         with pytest.raises(TypeError, match="unexpected keyword argument 'aggregation'"):
             config.with_population(aggregation="streaming")
-        with pytest.raises(TypeError, match="with_transport.*'workers'"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'workers'"):
             config.with_transport(workers=2)
         with pytest.raises(TypeError, match="'compute_dtype'"):
             config.with_scheduling(compute_dtype="float32")
 
     def test_execution_options_validated(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
+        with pytest.raises(ValueError, match="backend must be one of"):
             default("flnet").with_execution(backend="threads")
-        with pytest.raises(ValueError, match="workers must be positive"):
+        with pytest.raises(ValueError, match="workers must be > 0"):
             default("flnet").with_execution(workers=0)
 
     def test_with_scheduling_keeps_omitted_options(self):
         config = default("flnet").with_scheduling(participation=0.5)
         updated = config.with_scheduling(straggler_model="lognormal")
-        assert updated.participation == 0.5  # omitted -> kept
-        assert updated.straggler_model == "lognormal"
-        assert updated.scheduling_requested
+        assert updated.scheduling.participation == 0.5  # omitted -> kept
+        assert updated.scheduling.straggler_model == "lognormal"
+        assert updated.scheduling.requested
         cleared = updated.with_scheduling(participation=None, straggler_model=None)
-        assert not cleared.scheduling_requested
+        assert not cleared.scheduling.requested
 
     def test_scheduling_options_validated(self):
         with pytest.raises(ValueError, match="participation"):
             default("flnet").with_scheduling(participation=1.5)
-        with pytest.raises(ValueError, match="unknown straggler model"):
+        with pytest.raises(ValueError, match="straggler_model must be one of"):
             default("flnet").with_scheduling(straggler_model="snail")
         with pytest.raises(ValueError, match="deadline"):
             default("flnet").with_scheduling(round_policy="deadline")
@@ -106,7 +127,7 @@ class TestPresets:
         config = default("flnet").with_algorithms(["fedavg", "fedprox"]).with_scheduling(
             round_policy="fedbuff"
         )
-        assert config.round_policy == "fedbuff"
+        assert config.scheduling.round_policy == "fedbuff"
 
     def test_each_preset_targets_all_three_models(self):
         for model in ("flnet", "routenet", "pros"):
@@ -115,9 +136,9 @@ class TestPresets:
     def test_with_wire_keeps_omitted_options(self):
         config = smoke("flnet").with_wire(wire_port=7001, heartbeat_interval=0.5)
         updated = config.with_wire(client_timeout=4.0)
-        assert updated.wire_port == 7001  # omitted -> kept
-        assert updated.heartbeat_interval == 0.5
-        assert updated.client_timeout == 4.0
+        assert updated.wire.wire_port == 7001  # omitted -> kept
+        assert updated.wire.heartbeat_interval == 0.5
+        assert updated.wire.client_timeout == 4.0
 
     def test_wire_options_validated(self):
         with pytest.raises(ValueError, match="port"):
@@ -141,7 +162,40 @@ class TestPresets:
 
     def test_wire_backend_is_registered_with_execution(self):
         config = smoke("flnet").with_execution(backend="wire")
-        assert config.backend == "wire"
+        assert config.execution.backend == "wire"
+
+
+class TestNonFiniteOptions:
+    """The range checks test the accepted side, so NaN never slips through."""
+
+    def test_every_numeric_option_is_covered(self):
+        assert len(numeric_options()) == 23  # of the 33; the rest are names and paths
+        assert ("scheduling", "deadline") in numeric_options()
+        assert ("wire", "wire_delay_seconds") in numeric_options()
+
+    @pytest.mark.parametrize("group, option", numeric_options())
+    def test_nan_rejected(self, group, option):
+        with pytest.raises(ValueError, match=option):
+            getattr(smoke(), f"with_{group}")(**{option: math.nan})
+
+    @pytest.mark.parametrize(
+        "group, option",
+        [("scheduling", "over_selection"), ("wire", "heartbeat_interval")],
+    )
+    def test_infinity_rejected_where_no_finite_run_could_honour_it(self, group, option):
+        # int(ceil(inf * cohort)) overflows; a probe that is never sent
+        # cannot miss.  (An infinite deadline or timeout just never fires.)
+        with pytest.raises(ValueError, match=option):
+            getattr(smoke(), f"with_{group}")(**{option: math.inf})
+
+    def test_population_rejects_nan(self):
+        with pytest.raises(ValueError, match="population"):
+            smoke().with_scheduling(clients_per_round=2).with_population(math.nan)
+
+    @pytest.mark.parametrize("option", ["learning_rate", "weight_decay", "proximal_mu", "alpha"])
+    def test_fl_config_rejects_nan(self, option):
+        with pytest.raises(ValueError, match=option):
+            FLConfig(**{option: math.nan})
 
 
 class TestPaperReferenceTables:

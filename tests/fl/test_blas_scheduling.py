@@ -144,12 +144,12 @@ class TestConfigPlumbing:
 
     def test_with_execution_round_trip(self):
         config = smoke()
-        assert config.blas_threads == "auto"
+        assert config.execution.blas_threads == "auto"
         pinned = config.with_execution(blas_threads=2)
-        assert pinned.blas_threads == 2
+        assert pinned.execution.blas_threads == 2
         # Omitting the option keeps the current value; None resets it.
-        assert pinned.with_execution(workers=2).blas_threads == 2
-        assert pinned.with_execution(blas_threads=None).blas_threads is None
+        assert pinned.with_execution(workers=2).execution.blas_threads == 2
+        assert pinned.with_execution(blas_threads=None).execution.blas_threads is None
 
     def test_runner_hands_policy_to_backend(self):
         config = smoke().with_execution(backend="thread", workers=2, blas_threads=1)

@@ -291,10 +291,10 @@ class TestConfigPlumbing:
         assert config.fl.compute_dtype == "float64"
         fast = config.with_execution(compute_dtype="float32", backend="thread", workers=2)
         assert fast.fl.compute_dtype == "float32"
-        assert fast.backend == "thread"
+        assert fast.execution.backend == "thread"
         reset = fast.with_execution(compute_dtype=None)
         assert reset.fl.compute_dtype == "float64"
-        assert reset.backend == "thread"  # untouched
+        assert reset.execution.backend == "thread"  # untouched
 
     def test_experiment_config_accepts_thread_backend(self):
         from repro.experiments import ExperimentRunner, smoke

@@ -113,7 +113,7 @@ class TestBackendSelection:
             create_backend("serial", workers=8)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
+        with pytest.raises(ValueError, match="backend must be one of"):
             create_backend("threads")
 
     def test_workers_must_be_positive(self):

@@ -37,7 +37,9 @@ from repro.fl import (
     ProcessPoolBackend,
     QuorumFailure,
     ResilienceManager,
+    ResilienceOptions,
     RetryPolicy,
+    SchedulingOptions,
     SeededModelFactory,
     SerialBackend,
     TaskFailure,
@@ -47,7 +49,6 @@ from repro.fl import (
     create_channel,
     create_resilience,
     create_scheduler,
-    resilience_requested,
 )
 from repro.fl.faults.plan import FaultDecision
 from repro.fl.transport.codecs import IdentityCodec, Payload, QuantizationCodec, TopKCodec
@@ -275,12 +276,12 @@ class TestRetryPolicy:
             RetryPolicy(task_timeout=0.0)
 
     def test_factory_gating(self):
-        assert not resilience_requested()
-        assert resilience_requested(quorum=0.5)
-        assert resilience_requested(max_retries=0)
-        assert resilience_requested(crash_rate=0.1)
-        assert create_resilience() is None
-        manager = create_resilience(quorum=0.7, crash_rate=0.1, seed=3)
+        assert not ResilienceOptions().requested
+        assert ResilienceOptions(quorum=0.5).requested
+        assert ResilienceOptions(max_retries=0).requested
+        assert ResilienceOptions(fault_crash_rate=0.1).requested
+        assert create_resilience(ResilienceOptions()) is None
+        manager = create_resilience(ResilienceOptions(quorum=0.7, fault_crash_rate=0.1), seed=3)
         assert isinstance(manager, ResilienceManager)
         assert manager.quorum == 0.7
         assert manager.plan.rates["crash"] == 0.1
@@ -307,7 +308,7 @@ class TestSupervisedParity:
             supervised_clients,
             num_channels,
             backend=backend,
-            resilience=create_resilience(max_retries=2, seed=0),
+            resilience=create_resilience(ResilienceOptions(max_retries=2), seed=0),
         )
 
         assert states_equal(baseline.global_state, supervised.global_state)
@@ -329,7 +330,7 @@ class TestSupervisedParity:
                 make_clients(),
                 make_factory(num_channels),
                 TINY_CONFIG,
-                resilience=create_resilience(max_retries=1, seed=0),
+                resilience=create_resilience(ResilienceOptions(max_retries=1), seed=0),
             )
         assert algorithm.resilience is None
 
@@ -344,9 +345,10 @@ class TestRetryHealing:
         run with no faults at all."""
         _, baseline = run_resilient("fedprox", make_clients(), num_channels)
 
-        manager = create_resilience(
-            crash_rate=0.2, exception_rate=0.2, timeout_rate=0.2, max_retries=8, seed=0
+        options = ResilienceOptions(
+            fault_crash_rate=0.2, fault_exception_rate=0.2, fault_timeout_rate=0.2, max_retries=8
         )
+        manager = create_resilience(options, seed=0)
         supervisor, chaotic = run_resilient(
             "fedprox", make_clients(), num_channels, resilience=manager
         )
@@ -361,7 +363,9 @@ class TestRetryHealing:
         ]
 
     def test_round_history_records_retry_accounting(self, make_clients, num_channels):
-        manager = create_resilience(exception_rate=0.4, max_retries=8, seed=1)
+        manager = create_resilience(
+            ResilienceOptions(fault_exception_rate=0.4, max_retries=8), seed=1
+        )
         _, training = run_resilient(
             "fedavg", make_clients(), num_channels, resilience=manager
         )
@@ -375,7 +379,9 @@ class TestRetryHealing:
             "fedavg", make_clients(), num_channels, channel=create_channel("none")
         )
 
-        manager = create_resilience(corruption_rate=0.5, max_retries=8, seed=0)
+        manager = create_resilience(
+            ResilienceOptions(fault_corruption_rate=0.5, max_retries=8), seed=0
+        )
         supervisor, healed = run_resilient(
             "fedavg",
             make_clients(),
@@ -407,7 +413,9 @@ class TestQuorum:
     def test_sub_quorum_round_raises_typed_failure(
         self, tmp_path, make_clients, num_channels
     ):
-        manager = create_resilience(exception_rate=1.0, max_retries=0, quorum=0.5, seed=0)
+        manager = create_resilience(
+            ResilienceOptions(fault_exception_rate=1.0, max_retries=0, quorum=0.5), seed=0
+        )
         with pytest.raises(QuorumFailure) as excinfo:
             run_resilient(
                 "fedavg",
@@ -474,7 +482,9 @@ class TestQuorum:
             make_clients(),
             make_factory(num_channels),
             TINY_CONFIG,
-            scheduler=create_scheduler(participation=1.0, straggler="lognormal", seed=0),
+            scheduler=create_scheduler(
+                SchedulingOptions(participation=1.0, straggler_model="lognormal"), seed=0
+            ),
             resilience=manager,
         )
         manager._failed = {0, 1}
@@ -498,9 +508,10 @@ class TestChaosResume:
         short_config = replace(TINY_CONFIG, rounds=2)
 
         def chaos():
-            return create_resilience(
-                crash_rate=0.25, exception_rate=0.15, max_retries=6, quorum=0.5, seed=0
+            options = ResilienceOptions(
+                fault_crash_rate=0.25, fault_exception_rate=0.15, max_retries=6, quorum=0.5
             )
+            return create_resilience(options, seed=0)
 
         supervisor, uninterrupted = run_resilient(
             algorithm,
@@ -549,7 +560,9 @@ class TestChaosResume:
             make_clients(),
             num_channels,
             checkpoint=CheckpointManager(tmp_path),
-            resilience=create_resilience(crash_rate=0.2, max_retries=4, seed=0),
+            resilience=create_resilience(
+                ResilienceOptions(fault_crash_rate=0.2, max_retries=4), seed=0
+            ),
         )
         with pytest.raises(ValueError, match="different run"):
             run_resilient(
@@ -557,7 +570,9 @@ class TestChaosResume:
                 make_clients(),
                 num_channels,
                 checkpoint=CheckpointManager(tmp_path),
-                resilience=create_resilience(crash_rate=0.4, max_retries=4, seed=0),
+                resilience=create_resilience(
+                    ResilienceOptions(fault_crash_rate=0.4, max_retries=4), seed=0
+                ),
             )
 
 

@@ -24,6 +24,7 @@ from repro.fl import (
     FederatedServer,
     FLConfig,
     ProcessPoolBackend,
+    SchedulingOptions,
     SerialBackend,
     ThreadPoolBackend,
     create_algorithm,
@@ -182,7 +183,8 @@ def run_population(
 
 
 def sampling_scheduler(clients_per_round=3, **options):
-    return create_scheduler(clients_per_round=clients_per_round, seed=0, **options)
+    options = SchedulingOptions(clients_per_round=clients_per_round, **options)
+    return create_scheduler(options, seed=0)
 
 
 class TestLaziness:
@@ -307,7 +309,7 @@ class TestStreamingParity:
         def scheduler():
             return sampling_scheduler(
                 clients_per_round=5,
-                straggler="lognormal",
+                straggler_model="lognormal",
                 round_policy="deadline",
                 deadline=12.0,
             )
@@ -333,7 +335,7 @@ class TestStreamingParity:
                 clients_per_round=4,
                 round_policy="fedbuff",
                 buffer_size=2,
-                straggler="lognormal",
+                straggler_model="lognormal",
             )
 
         gemv, _ = run_population(
@@ -397,7 +399,7 @@ class TestCheckpointResume:
         def scheduler():
             return sampling_scheduler(
                 clients_per_round=3,
-                straggler="lognormal",
+                straggler_model="lognormal",
                 round_policy="deadline",
                 deadline=12.0,
             )
@@ -445,7 +447,7 @@ class TestCheckpointResume:
                 clients_per_round=3,
                 round_policy="fedbuff",
                 buffer_size=2,
-                straggler="lognormal",
+                straggler_model="lognormal",
             )
 
         def interrupted_then_resumed(server, directory_path):

@@ -25,6 +25,7 @@ from repro.fl import (
     FederatedClient,
     FLConfig,
     ProcessPoolBackend,
+    SchedulingOptions,
     SeededModelFactory,
     SerialBackend,
     create_algorithm,
@@ -307,23 +308,32 @@ class TestVirtualClock:
 
 class TestCreateScheduler:
     def test_defaults_build_no_scheduler(self):
-        assert create_scheduler() is None
-        assert create_scheduler(round_policy="sync", availability="always", straggler="none") is None
+        assert create_scheduler(SchedulingOptions()) is None
+        spelled_out = SchedulingOptions(
+            round_policy="sync", availability="always", straggler_model="none"
+        )
+        assert create_scheduler(spelled_out) is None
 
     def test_any_option_builds_one(self):
-        assert isinstance(create_scheduler(participation=0.5), RoundScheduler)
-        assert isinstance(create_scheduler(straggler="lognormal"), RoundScheduler)
-        assert isinstance(
-            create_scheduler(round_policy="deadline", deadline=10.0), RoundScheduler
-        )
+        for options in (
+            SchedulingOptions(participation=0.5),
+            SchedulingOptions(straggler_model="lognormal"),
+            SchedulingOptions(round_policy="deadline", deadline=10.0),
+        ):
+            assert isinstance(create_scheduler(options), RoundScheduler)
 
     def test_deadline_policy_requires_deadline(self):
         with pytest.raises(ValueError, match="deadline"):
-            create_scheduler(round_policy="deadline")
+            create_scheduler(SchedulingOptions(round_policy="deadline"))
 
     def test_fingerprint_describes_configuration(self):
         scheduler = create_scheduler(
-            participation=0.5, straggler="heavytail", round_policy="deadline", deadline=30.0
+            SchedulingOptions(
+                participation=0.5,
+                straggler_model="heavytail",
+                round_policy="deadline",
+                deadline=30.0,
+            )
         )
         description = scheduler.describe()
         assert description["policy"] == "deadline"
@@ -340,7 +350,7 @@ class TestScheduledRounds:
             "fedavg",
             make_clients(),
             num_channels,
-            scheduler=create_scheduler(sampler="full"),
+            scheduler=create_scheduler(SchedulingOptions(sampler="full")),
         )
         assert states_equal(plain.global_state, scheduled.global_state)
         assert [r.mean_loss for r in plain.history] == [r.mean_loss for r in scheduled.history]
@@ -350,7 +360,9 @@ class TestScheduledRounds:
         self, algorithm, make_clients, num_channels
     ):
         def scheduler():
-            return create_scheduler(participation=0.5, straggler="lognormal", seed=0)
+            return create_scheduler(
+                SchedulingOptions(participation=0.5, straggler_model="lognormal"), seed=0
+            )
 
         serial = run_named(
             algorithm,
@@ -372,7 +384,7 @@ class TestScheduledRounds:
             assert left.extra == right.extra
 
     def test_partial_participation_trains_subset(self, make_clients, num_channels):
-        scheduler = create_scheduler(clients_per_round=1, seed=0)
+        scheduler = create_scheduler(SchedulingOptions(clients_per_round=1), seed=0)
         training = run_named("fedavg", make_clients(), num_channels, scheduler=scheduler)
         for record in training.history:
             assert record.extra["selected"] == 1
@@ -383,7 +395,7 @@ class TestScheduledRounds:
         assert summary.total_dropped == 0
 
     def test_straggler_latency_advances_virtual_clock(self, make_clients, num_channels):
-        scheduler = create_scheduler(straggler="lognormal", seed=0)
+        scheduler = create_scheduler(SchedulingOptions(straggler_model="lognormal"), seed=0)
         training = run_named("fedavg", make_clients(), num_channels, scheduler=scheduler)
         times = [record.extra["simulated_time_s"] for record in training.history]
         assert times == sorted(times)
@@ -397,7 +409,8 @@ class TestScheduledRounds:
 
         config = replace(TINY_CONFIG, rounds=4)
         scheduler = create_scheduler(
-            straggler="heavytail", round_policy="deadline", deadline=10.0, seed=0
+            SchedulingOptions(straggler_model="heavytail", round_policy="deadline", deadline=10.0),
+            seed=0,
         )
         training = run_named(
             "fedavg", make_clients(config), num_channels, config=config, scheduler=scheduler
@@ -421,7 +434,7 @@ class TestScheduledRounds:
                 make_clients(),
                 make_factory(num_channels),
                 TINY_CONFIG,
-                scheduler=create_scheduler(participation=0.5),
+                scheduler=create_scheduler(SchedulingOptions(participation=0.5)),
             )
         assert algorithm.scheduler is None
 
@@ -432,7 +445,7 @@ class TestScheduledRounds:
                 make_clients(),
                 make_factory(num_channels),
                 TINY_CONFIG,
-                scheduler=create_scheduler(round_policy="fedbuff"),
+                scheduler=create_scheduler(SchedulingOptions(round_policy="fedbuff")),
             )
 
 
@@ -440,7 +453,9 @@ class TestFedBuff:
     def test_zero_latency_full_buffer_matches_fedavg(self, make_clients, num_channels):
         """FedBuff with buffer size K and no latency *is* synchronous FedAvg."""
         plain = run_named("fedavg", make_clients(), num_channels)
-        scheduler = create_scheduler(round_policy="fedbuff", buffer_size=2, seed=0)
+        scheduler = create_scheduler(
+            SchedulingOptions(round_policy="fedbuff", buffer_size=2), seed=0
+        )
         buffered = run_named("fedavg", make_clients(), num_channels, scheduler=scheduler)
         assert states_equal(plain.global_state, buffered.global_state)
         assert [r.mean_loss for r in plain.history] == [r.mean_loss for r in buffered.history]
@@ -453,7 +468,8 @@ class TestFedBuff:
 
         config = replace(TINY_CONFIG, rounds=4)
         scheduler = create_scheduler(
-            round_policy="fedbuff", buffer_size=1, straggler="lognormal", seed=0
+            SchedulingOptions(round_policy="fedbuff", buffer_size=1, straggler_model="lognormal"),
+            seed=0,
         )
         training = run_named(
             "fedavg", make_clients(config), num_channels, config=config, scheduler=scheduler
@@ -473,7 +489,9 @@ class TestFedBuff:
         from repro.fl import create_channel
 
         channel = create_channel("none")
-        scheduler = create_scheduler(round_policy="fedbuff", buffer_size=2, seed=0)
+        scheduler = create_scheduler(
+            SchedulingOptions(round_policy="fedbuff", buffer_size=2), seed=0
+        )
         algorithm = create_algorithm(
             "fedavg",
             make_clients(),
@@ -491,7 +509,10 @@ class TestFedBuff:
     def test_fedbuff_identical_across_backends(self, make_clients, num_channels):
         def scheduler():
             return create_scheduler(
-                round_policy="fedbuff", buffer_size=1, straggler="lognormal", seed=0
+                SchedulingOptions(
+                    round_policy="fedbuff", buffer_size=1, straggler_model="lognormal"
+                ),
+                seed=0,
             )
 
         serial = run_named(
@@ -510,8 +531,13 @@ class TestFedBuff:
 class TestScheduledCheckpointResume:
     @pytest.mark.parametrize("algorithm", ["fedavg", "dp_fedprox"])
     @pytest.mark.parametrize("policy_options", [
-        {"participation": 0.5, "straggler": "lognormal"},
-        {"participation": 0.5, "straggler": "heavytail", "round_policy": "deadline", "deadline": 12.0},
+        {"participation": 0.5, "straggler_model": "lognormal"},
+        {
+            "participation": 0.5,
+            "straggler_model": "heavytail",
+            "round_policy": "deadline",
+            "deadline": 12.0,
+        },
     ])
     def test_resume_matches_uninterrupted_run(
         self, algorithm, policy_options, tmp_path, make_clients, num_channels
@@ -529,7 +555,7 @@ class TestScheduledCheckpointResume:
         short_config = replace(TINY_CONFIG, rounds=2)
 
         def scheduler():
-            return create_scheduler(seed=0, **policy_options)
+            return create_scheduler(SchedulingOptions(**policy_options), seed=0)
 
         uninterrupted = run_named(
             algorithm,
@@ -579,7 +605,9 @@ class TestScheduledCheckpointResume:
         short_config = replace(TINY_CONFIG, rounds=2)
 
         def scheduler():
-            return create_scheduler(participation=0.5, straggler="lognormal", seed=0)
+            return create_scheduler(
+                SchedulingOptions(participation=0.5, straggler_model="lognormal"), seed=0
+            )
 
         full_scheduler = scheduler()
         run_named(
@@ -616,7 +644,7 @@ class TestScheduledCheckpointResume:
             make_clients(),
             num_channels,
             checkpoint=CheckpointManager(tmp_path),
-            scheduler=create_scheduler(participation=0.5, seed=0),
+            scheduler=create_scheduler(SchedulingOptions(participation=0.5), seed=0),
         )
         with pytest.raises(ValueError, match="written by a different run"):
             run_named(
@@ -624,7 +652,7 @@ class TestScheduledCheckpointResume:
                 make_clients(),
                 num_channels,
                 checkpoint=CheckpointManager(tmp_path),
-                scheduler=create_scheduler(participation=0.99, seed=0),
+                scheduler=create_scheduler(SchedulingOptions(participation=0.99), seed=0),
             )
 
 
