@@ -407,6 +407,7 @@ def _serve_config(args) -> ExperimentConfig:
 
 def _cmd_serve(args) -> int:
     from repro.experiments import ExperimentRunner, format_rows, resilience_text
+    from repro.experiments.report import wire_line
     from repro.experiments.runner import ExperimentResult
     from repro.fl import QuorumFailure
 
@@ -446,19 +447,7 @@ def _cmd_serve(args) -> int:
         network = backend.network_summary()
         backend.close()
     # One greppable line for the CI wire-smoke job.
-    print(
-        "wire: "
-        f"dispatched={network.get('dispatched', 0)} "
-        f"completed={network.get('completed', 0)} "
-        f"disconnects={network.get('disconnects', 0)} "
-        f"heartbeat_losses={network.get('heartbeat_losses', 0)} "
-        f"reconnects={network.get('reconnects', 0)} "
-        f"replays={network.get('replays', 0)} "
-        f"decode_failures={network.get('decode_failures', 0)} "
-        f"stale_updates={network.get('stale_updates', 0)} "
-        f"bytes_sent={network.get('bytes_sent', 0)} "
-        f"bytes_received={network.get('bytes_received', 0)}"
-    )
+    print(wire_line(network, "bytes_sent", "bytes_received"))
     title = f"ROC AUC over the wire with {args.model} ({args.preset} preset)"
     text = format_rows(result.rows, title=title)
     text += "\n\nFault tolerance (wire runtime):\n"

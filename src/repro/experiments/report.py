@@ -16,6 +16,7 @@ from typing import Dict, List, Mapping, Optional, Union
 
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.tables import PAPER_TABLES, ROW_DISPLAY_NAMES, paper_average
+from repro.fl.net import NETWORK_COUNTER_KEYS
 
 PathLike = Union[str, Path]
 
@@ -248,6 +249,16 @@ def resilience_markdown(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
+def wire_line(network: Mapping[str, int], *extra: str) -> str:
+    """One greppable line per wire run: ``wire: dispatched=N ... reconnects=N ...``.
+
+    Every server counter but the injected-fault ones (they get their own
+    line), then any ``extra`` keys of ``network`` (the byte totals).
+    """
+    keys = [key for key in NETWORK_COUNTER_KEYS if not key.startswith("injected_")]
+    return "wire: " + " ".join(f"{key}={network.get(key, 0)}" for key in (*keys, *extra))
+
+
 def resilience_text(result: ExperimentResult) -> str:
     """Plain-text rendering of the fault-tolerance outcome (CLI output).
 
@@ -275,17 +286,7 @@ def resilience_text(result: ExperimentResult) -> str:
             lines.append(f"{'':<22} injected faults: {injected}")
         if res.network:
             net = res.network
-            # One greppable line per wire run: `wire: reconnects=N ...`.
-            lines.append(
-                f"{'':<22} wire: dispatched={net.get('dispatched', 0)} "
-                f"completed={net.get('completed', 0)} "
-                f"disconnects={net.get('disconnects', 0)} "
-                f"heartbeat_losses={net.get('heartbeat_losses', 0)} "
-                f"reconnects={net.get('reconnects', 0)} "
-                f"replays={net.get('replays', 0)} "
-                f"decode_failures={net.get('decode_failures', 0)} "
-                f"stale_updates={net.get('stale_updates', 0)}"
-            )
+            lines.append(f"{'':<22} {wire_line(net)}")
             injected_wire = {
                 kind: net.get(f"injected_{kind}s", 0)
                 for kind in ("disconnect", "delay", "corruption")

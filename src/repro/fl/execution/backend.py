@@ -77,7 +77,6 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-import pickle
 import traceback as traceback_module
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -87,6 +86,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 from repro.fl.faults.errors import ClientExecutionError, TaskFailure
 from repro.fl.parameters import FlatState, State, flat_pair
 from repro.fl.trainer import StepStatistics
+from repro.fl.transport.envelope import decode_carrier, encode_carrier
 from repro.utils.threadpools import (
     BLAS_AUTO,
     BlasPolicy,
@@ -184,6 +184,23 @@ def run_client_task(client, task: ClientTask):
             target = new_state
         return None, task.wire.up_codec.encode(target), stats
     return new_state, None, stats
+
+
+def encoded_carriers(tasks: Sequence[ClientTask]) -> List[bytes]:
+    """Each task's starting model (raw state or wire envelope) as bytes.
+
+    Broadcast rounds pass the *same* state (or wire envelope) object in
+    every task; each distinct one is encoded once and the tasks that share
+    it share the one ``bytes`` object, instead of re-serializing the full
+    model per client.  Wire envelopes carry an already-encoded payload, so a
+    compressed round ships compressed bytes.
+    """
+    carriers = [task.wire if task.wire is not None else task.state for task in tasks]
+    blobs: Dict[int, bytes] = {}
+    for carrier in carriers:
+        if id(carrier) not in blobs:
+            blobs[id(carrier)] = encode_carrier(carrier)
+    return [blobs[id(carrier)] for carrier in carriers]
 
 
 def _check_one_task_per_client(tasks: Sequence[ClientTask]) -> None:
@@ -380,8 +397,7 @@ def _worker_run_task(payload):
     index, op, blob, is_wire, steps, proximal_mu, rng_state = payload
     client = None
     try:
-        if isinstance(blob, bytes):
-            blob = pickle.loads(blob)
+        blob = decode_carrier(blob)
         client = _WORKER_CLIENTS[index]
         client.rng_state = rng_state
         if is_wire:
@@ -565,28 +581,17 @@ class ProcessPoolBackend(ExecutionBackend):
             pool.shutdown(wait=True, cancel_futures=True)
 
     def _payloads(self, tasks: Sequence[ClientTask]) -> List[tuple]:
-        # Broadcast rounds pass the *same* state (or wire envelope) object in
-        # every task; pickle each distinct one once and ship the blob, instead
-        # of re-serializing the full model per client.  Wire envelopes carry an
-        # already-encoded payload, so a compressed round ships compressed bytes
-        # across the process boundary in both directions.
-        blobs: Dict[int, bytes] = {}
-        for task in tasks:
-            carrier = task.wire if task.wire is not None else task.state
-            key = id(carrier)
-            if key not in blobs:
-                blobs[key] = pickle.dumps(carrier, protocol=pickle.HIGHEST_PROTOCOL)
         return [
             (
                 task.client_index,
                 task.op,
-                blobs[id(task.wire if task.wire is not None else task.state)],
+                blob,
                 task.wire is not None,
                 task.steps,
                 task.proximal_mu,
                 self._clients[task.client_index].rng_state,
             )
-            for task in tasks
+            for task, blob in zip(tasks, encoded_carriers(tasks))
         ]
 
     def _to_update(self, task: ClientTask, raw) -> ClientUpdate:

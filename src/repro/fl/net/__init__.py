@@ -6,8 +6,8 @@ The package splits along the classic transport stack:
 module                  layer
 ======================  ========================================================
 :mod:`.framing`         length-prefixed, CRC-protected frame codec (sans-io)
-:mod:`.messages`        typed message vocabulary + pickle body codec
-:mod:`.journal`         append-only per-client dispatch journal (resume)
+:mod:`.messages`        typed message vocabulary, one envelope schema per message
+:mod:`.journal`         append-only per-client task journals + state journal
 :mod:`.faults`          seeded frame-level fault injection (chaos runs)
 :mod:`.server`          asyncio federation server + supervised connection actors
 :mod:`.client`          the joiner runtime (reconnect-with-resume)

@@ -7,11 +7,13 @@ framed TCP protocol instead of a local pool.  It hosts the asyncio
 :class:`~repro.fl.net.server.FederationServer` on a daemon thread and
 bridges the two worlds with ``concurrent.futures.Future``:
 
-* payloads are the process-pool worker tuples verbatim — each distinct
-  state carrier is pickled **once** per broadcast (the ``_payloads`` dedup)
-  and the client's RNG state rides along, comes back trained, and is
-  written into the roster client — which is what keeps a wire run
-  bit-identical to a serial one;
+* payloads are the process-pool worker tuples — each distinct state
+  carrier is encoded **once** per broadcast (the pool's
+  :func:`~repro.fl.execution.backend.encoded_carriers`) and submitted to
+  the server once, so it is journaled once and crosses each connection
+  once; every task names it by id, and the client's RNG state rides along,
+  comes back trained, and is written into the roster client — which is
+  what keeps a wire run bit-identical to a serial one;
 * a network-level failure (socket death past the liveness deadline,
   heartbeat loss, undecodable stream, backend-side timeout) resolves the
   future to a :class:`~repro.fl.net.server.WireFailure`, which is converted
@@ -23,8 +25,8 @@ bridges the two worlds with ``concurrent.futures.Future``:
 from __future__ import annotations
 
 import asyncio
+import collections
 import logging
-import pickle
 import threading
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
@@ -35,6 +37,7 @@ from repro.fl.execution.backend import (
     ClientUpdate,
     ExecutionBackend,
     _check_one_task_per_client,
+    encoded_carriers,
 )
 from repro.fl.faults.errors import TaskFailure
 from repro.fl.faults.plan import check_rates
@@ -268,22 +271,22 @@ class WireBackend(ExecutionBackend):
             return
         _check_one_task_per_client(tasks)
         self.listen()
-        # The process pool's broadcast dedup: pickle each distinct carrier
-        # once, ship the same blob to every task that references it.
-        blobs: Dict[int, bytes] = {}
-        for task in tasks:
-            carrier = task.wire if task.wire is not None else task.state
-            if id(carrier) not in blobs:
-                blobs[id(carrier)] = pickle.dumps(carrier, protocol=pickle.HIGHEST_PROTOCOL)
+        # The process pool's broadcast dedup: tasks that share a carrier
+        # share one blob object, which the server takes once, with the
+        # number of tasks that will name it.
+        blobs = encoded_carriers(tasks)
+        references = collections.Counter(map(id, blobs))
+        state_ids: Dict[int, int] = {}
         futures = []
-        for task in tasks:
+        for task, blob in zip(tasks, blobs):
             client = self._clients[task.client_index]
-            carrier = task.wire if task.wire is not None else task.state
+            if id(blob) not in state_ids:
+                state_ids[id(blob)] = self.server.submit_state(blob, references[id(blob)])
             futures.append(
                 self.server.submit_task(
                     int(client.client_id),
                     task.op,
-                    blobs[id(carrier)],
+                    state_ids[id(blob)],
                     task.wire is not None,
                     task.steps,
                     task.proximal_mu,

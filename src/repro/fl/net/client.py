@@ -7,11 +7,16 @@ cache the server used) and services the server's task stream:
 * **handshake** — HELLO carries the client ids, protocol version, the run
   fingerprint, and a per-client *cursor* (highest server-acknowledged task
   seq); the server replays everything journaled after it.
+* **states** — a :class:`StateMessage` delivers one encoded state carrier
+  per connection per broadcast; the joiner holds it until an ``Ack`` names
+  it as released, fills it into every :class:`TaskEnvelope` that refers to
+  it, and decodes it once for all the clients it hosts.
 * **execution** — each :class:`TaskEnvelope` is the process-pool worker
-  payload verbatim: set the client's RNG state from the envelope, run
+  payload: set the client's RNG state from the envelope, run
   :func:`~repro.fl.execution.run_client_task`, capture the RNG state, and
-  ship an :class:`UpdateEnvelope` back.  Training runs in a thread-pool
-  executor so the asyncio loop keeps answering heartbeats mid-step.
+  ship an :class:`UpdateEnvelope` back.  Decoding and training run in a
+  thread-pool executor so the asyncio loop keeps answering heartbeats
+  mid-step.
 * **resume without re-training** — computed-but-unacknowledged updates
   stay in an in-memory cache keyed ``(client id, seq)``; when a replayed
   task arrives for a cached seq the cached update is resent as-is
@@ -33,9 +38,9 @@ real client host dying).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import logging
 import os
-import pickle
 import signal
 import traceback as traceback_module
 from dataclasses import dataclass, field
@@ -50,6 +55,7 @@ from repro.fl.net.messages import (
     MSG_GOODBYE,
     MSG_HEARTBEAT,
     MSG_HEARTBEAT_ACK,
+    MSG_STATE,
     MSG_TASK,
     MSG_WELCOME,
     Goodbye,
@@ -60,6 +66,7 @@ from repro.fl.net.messages import (
     decode_message,
     encode_message,
 )
+from repro.fl.transport.envelope import decode_carrier
 
 logger = logging.getLogger(__name__)
 
@@ -81,6 +88,24 @@ class JoinReport:
     bytes_received: int = 0
     drops_simulated: int = 0
     cursors: Dict[int, int] = field(default_factory=dict)
+
+
+class HeldState:
+    """One received state carrier: its bytes, and its decoded form on demand.
+
+    Every task that names the state shares this object, so the carrier is
+    decoded once however many hosted clients start from it — and lives
+    exactly as long as the joiner's state table or a queued task refers to it.
+    """
+
+    def __init__(self, blob: bytes):
+        self.blob = blob
+        self._carrier = None
+
+    def carrier(self):
+        if self._carrier is None:
+            self._carrier = decode_carrier(self.blob)
+        return self._carrier
 
 
 class FederationClientRunner:
@@ -113,6 +138,10 @@ class FederationClientRunner:
         self.report = JoinReport(cursors={cid: 0 for cid in self._by_id})
         #: (client id, seq) -> computed UpdateEnvelope awaiting an ACK.
         self._cache: Dict[Tuple[int, int], UpdateEnvelope] = {}
+        #: state id -> the carrier the server sent under it on this connection.
+        self._states: Dict[int, HeldState] = {}
+        #: Frames that arrived in the same read as WELCOME, for the read loop.
+        self._pending_frames: List[Tuple[int, bytes]] = []
         self._tasks_seen = 0
         self._dropped_once = False
         self._done = False
@@ -177,6 +206,8 @@ class FederationClientRunner:
                     fingerprint=dict(self.fingerprint),
                 )
             )
+            # The server resends every state this connection's tasks name.
+            self._states.clear()
             welcome = await self._expect_welcome(reader, frames)
             self._heartbeat_interval = float(welcome.heartbeat_interval)
             self._client_timeout = float(welcome.client_timeout)
@@ -209,9 +240,9 @@ class FederationClientRunner:
         # heartbeat_interval, so a silence longer than the liveness deadline
         # means the server (or the path to it) is gone.
         timeout = self._client_timeout + self._heartbeat_interval
-        for frame_type, body in getattr(self, "_pending_frames", ()):
+        pending, self._pending_frames = self._pending_frames, []
+        for frame_type, body in pending:
             await self._handle_frame(frame_type, body)
-        self._pending_frames = ()
         while not self._done:
             chunk = await asyncio.wait_for(reader.read(_READ_CHUNK), timeout=timeout)
             if not chunk:
@@ -243,13 +274,26 @@ class FederationClientRunner:
                 self.report.cache_hits += 1
                 await self._send_update(self._cache[key])
                 return
-            await self._queue.put(envelope)
+            held = None
+            if envelope.state_id is not None:
+                held = self._states.get(envelope.state_id)
+                if held is None:
+                    raise MessageDecodeError(
+                        frame_type, reason=f"task names state {envelope.state_id}, which was never sent"
+                    )
+                envelope = dataclasses.replace(envelope, blob=held.blob)
+            await self._queue.put((envelope, held))
+        elif frame_type == MSG_STATE:
+            message = decode_message(frame_type, body)
+            self._states[message.state_id] = HeldState(message.blob)
         elif frame_type == MSG_ACK:
             ack = decode_message(frame_type, body)
             cid, seq = int(ack.client_id), int(ack.seq)
             self.report.acks += 1
             self.report.cursors[cid] = max(self.report.cursors.get(cid, 0), seq)
             self._cache.pop((cid, seq), None)
+            for state_id in ack.released:
+                self._states.pop(state_id, None)
         elif frame_type == MSG_HEARTBEAT:
             probe = decode_message(frame_type, body)
             self.report.heartbeats_answered += 1
@@ -269,36 +313,32 @@ class FederationClientRunner:
         """Sequentially executes queued tasks off the event loop's thread."""
         loop = asyncio.get_event_loop()
         while True:
-            envelope = await self._queue.get()
-            update = await loop.run_in_executor(None, self._execute, envelope)
+            envelope, held = await self._queue.get()
+            update = await loop.run_in_executor(None, self._execute, envelope, held)
             self._cache[(int(envelope.client_id), int(envelope.seq))] = update
             self.report.tasks_run += 1
             await self._send_update(update)
 
-    def _execute(self, envelope: TaskEnvelope) -> UpdateEnvelope:
-        """Run one task; mirrors the process pool's ``_worker_run_task``."""
+    def _execute(self, envelope: TaskEnvelope, held: Optional[HeldState] = None) -> UpdateEnvelope:
+        """Run one task; mirrors the process pool's ``_worker_run_task``.
+
+        ``envelope`` is self-contained (``blob`` filled in); ``held`` is the
+        shared state it was filled from, whose one decoded carrier is used
+        instead of decoding ``blob`` again.
+        """
         client = None
         try:
             client = self._by_id[int(envelope.client_id)]
-            blob = pickle.loads(envelope.blob)
+            carrier = held.carrier() if held is not None else decode_carrier(envelope.blob)
             if envelope.rng_state is not None:
                 client.rng_state = envelope.rng_state
-            if envelope.is_wire:
-                task = ClientTask(
-                    client_index=0,
-                    wire=blob,
-                    op=envelope.op,
-                    steps=envelope.steps,
-                    proximal_mu=envelope.proximal_mu,
-                )
-            else:
-                task = ClientTask(
-                    client_index=0,
-                    state=blob,
-                    op=envelope.op,
-                    steps=envelope.steps,
-                    proximal_mu=envelope.proximal_mu,
-                )
+            task = ClientTask(
+                client_index=0,
+                op=envelope.op,
+                steps=envelope.steps,
+                proximal_mu=envelope.proximal_mu,
+                **{"wire" if envelope.is_wire else "state": carrier},
+            )
             new_state, upload_payload, stats = run_client_task(client, task)
             rng_state = client.rng_state
         except Exception as error:

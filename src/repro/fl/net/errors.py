@@ -22,13 +22,16 @@ class FrameError(WireProtocolError):
     ``"oversized"``, ``"crc mismatch"``, ``"truncated"``) so fuzz tests can
     assert the *class* of failure deterministically; ``offset`` is the
     stream offset (bytes consumed by previously accepted frames included)
-    at which the offending frame started.
+    at which the offending frame started; ``frames`` holds the
+    ``(frame_type, payload)`` pairs the failing ``feed`` call had completed
+    before it (empty when a poisoned reader re-raises).
     """
 
-    def __init__(self, reason: str, *, offset: int = 0, detail: str = ""):
+    def __init__(self, reason: str, *, offset: int = 0, detail: str = "", frames=()):
         self.reason = reason
         self.offset = int(offset)
         self.detail = detail
+        self.frames = list(frames)
         message = f"frame error at byte {offset}: {reason}"
         if detail:
             message += f" ({detail})"
@@ -38,10 +41,10 @@ class FrameError(WireProtocolError):
 class MessageDecodeError(WireProtocolError):
     """A structurally valid frame carried an undecodable message body.
 
-    Raised when the payload fails to unpickle or decodes to an object of
-    the wrong type for its frame-type byte.  The CRC check runs *before*
-    body decoding, so reaching this error means the bytes arrived intact
-    but the peer (or an injected fault) produced garbage.
+    Raised when the body is not a well-formed version-2 envelope of the
+    schema its frame-type byte names (:mod:`repro.fl.net.messages`).  The
+    CRC check runs *before* body decoding, so reaching this error means the
+    bytes arrived intact but the peer produced garbage — or speaks version 1.
     """
 
     def __init__(self, frame_type: int, *, reason: str):
@@ -90,9 +93,10 @@ class JournalError(WireProtocolError):
     """A message journal could not be read or written.
 
     Only *structural* problems raise (an unwritable directory, a record
-    that fails its CRC mid-file); a truncated final record — the normal
-    signature of a crash mid-append — is silently dropped by the loader
-    instead, because the sender never got an acknowledgment for it anyway.
+    whose frame is intact but whose body breaks its schema); a truncated or
+    torn tail — the normal signature of a crash mid-append — is cut off by
+    the loader instead, because the sender never got an acknowledgment for
+    it anyway.
     """
 
     def __init__(self, path: str, reason: str):

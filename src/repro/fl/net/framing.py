@@ -107,13 +107,18 @@ class FrameReader:
         """Bytes fed but not yet consumed by a completed frame."""
         return len(self._buffer)
 
-    def _fail(self, reason: str, detail: str = "") -> FrameError:
-        error = FrameError(reason, offset=self.offset, detail=detail)
-        self._error = error
-        raise error
+    def _fail(self, reason: str, detail: str = "", frames=()) -> None:
+        # The stored copy is what a poisoned reader re-raises: no frames on it.
+        self._error = FrameError(reason, offset=self.offset, detail=detail)
+        raise FrameError(reason, offset=self.offset, detail=detail, frames=frames)
 
     def feed(self, data: bytes) -> List[Tuple[int, bytes]]:
-        """Consume ``data``; return every frame it completed, in order."""
+        """Consume ``data``; return every frame it completed, in order.
+
+        A malformed frame raises; the frames this call completed before it
+        ride on the error (``FrameError.frames``), so one pass over a
+        journal file recovers its clean prefix.
+        """
         if self._error is not None:
             raise self._error
         self._buffer.extend(data)
@@ -124,10 +129,10 @@ class FrameReader:
                 # have already disagrees with it (fail on the first bad
                 # byte, not once a full header happens to arrive).
                 if self._buffer and not MAGIC.startswith(bytes(self._buffer[: len(MAGIC)])):
-                    self._fail("bad magic", detail=f"got 0x{bytes(self._buffer).hex()}")
+                    self._fail("bad magic", f"got 0x{bytes(self._buffer).hex()}", frames)
                 return frames
             if bytes(self._buffer[: len(MAGIC)]) != MAGIC:
-                self._fail("bad magic", detail=f"got 0x{bytes(self._buffer[:len(MAGIC)]).hex()}")
+                self._fail("bad magic", f"got 0x{bytes(self._buffer[:len(MAGIC)]).hex()}", frames)
             if len(self._buffer) < HEADER_BYTES:
                 return frames
             frame_type, length = _HEAD.unpack_from(self._buffer, len(MAGIC))
@@ -137,7 +142,8 @@ class FrameReader:
                 # reader (or ballooning its buffer) forever.
                 self._fail(
                     "oversized",
-                    detail=f"length prefix {length} exceeds the {self.max_payload_bytes}-byte bound",
+                    f"length prefix {length} exceeds the {self.max_payload_bytes}-byte bound",
+                    frames,
                 )
             total = HEADER_BYTES + length + TRAILER_BYTES
             if len(self._buffer) < total:
@@ -146,10 +152,7 @@ class FrameReader:
             (crc,) = struct.unpack_from(">I", self._buffer, HEADER_BYTES + length)
             expected = frame_crc(frame_type, payload)
             if crc != expected:
-                self._fail(
-                    "crc mismatch",
-                    detail=f"expected 0x{expected:08X}, got 0x{crc:08X}",
-                )
+                self._fail("crc mismatch", f"expected 0x{expected:08X}, got 0x{crc:08X}", frames)
             del self._buffer[:total]
             self.offset += total
             self.frames_decoded += 1

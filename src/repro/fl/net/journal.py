@@ -5,42 +5,64 @@ and journals an ACK record once the matching update has been folded.  A
 client that reconnects presents its replay cursor (the highest ``seq`` it
 has seen acknowledged); the journal's pending records after that cursor
 are exactly the tasks the client may have missed, and they are replayed
-byte-for-byte — same pickled carrier, same RNG snapshot — so a resumed
-client computes the identical update the uninterrupted run would have.
+byte-for-byte — same carrier, same RNG snapshot — so a resumed client
+computes the identical update the uninterrupted run would have.
+
+A task body names its state carrier by ``state_id``; the carriers
+themselves live once each in the shared *state journal*, whatever the
+number of clients that start from them.
 
 Records reuse the wire frame codec (:mod:`repro.fl.net.framing`), one
 frame per record, so every record is individually CRC-protected and a
-crash mid-append leaves a *detectably* truncated tail:
+crash mid-append leaves a *detectably* truncated tail; a record's payload
+is a schema'd envelope (:mod:`repro.fl.transport.envelope`), like every
+message body:
 
-* ``TASK`` record — payload ``pickle((seq, task_body_bytes))``
-* ``ACK`` record — payload ``pickle(seq)``
+==================  ==========  ================================================
+file                record      payload
+==================  ==========  ================================================
+``client-<id>``     ``TASK``    ``{seq, body}`` — ``body`` is the task's
+``.journal``                    encoded message body
+..                  ``ACK``     ``{seq}`` — the task left the replay set
+``states.journal``  ``STATE``   ``{state_id, blob}`` — an encoded carrier
+..                  ``ACK``     ``{state_id}`` — the state was released
+==================  ==========  ================================================
 
-Loading scans each ``client-<id>.journal`` file front to back and stops at
-the first undecodable byte, dropping the tail (the record being appended
-when the crash hit was, by construction, never acknowledged to anyone).
+Loading scans each file front to back, keeps the longest cleanly framed
+prefix, and *truncates the file to it*: the record being appended when the
+crash hit was, by construction, never acknowledged to anyone, and cutting
+it off keeps later appends from landing behind a partial frame.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.fl.net.errors import FrameError, JournalError
 from repro.fl.net.framing import FrameReader, encode_frame
-from repro.fl.net.messages import MSG_ACK, MSG_TASK
+from repro.fl.net.messages import MSG_ACK, MSG_STATE, MSG_TASK
+from repro.fl.transport.envelope import BYTES, INT, Schema
+from repro.fl.transport.errors import TransportDecodeError
+
+#: frame type -> record schema, per kind of journal file.
+_CLIENT_RECORDS = {MSG_TASK: Schema(dict, seq=INT, body=BYTES), MSG_ACK: Schema(dict, seq=INT)}
+_STATE_RECORDS = {MSG_STATE: Schema(dict, state_id=INT, blob=BYTES), MSG_ACK: Schema(dict, state_id=INT)}
+
+#: File key of the shared state journal (client journals are keyed by id).
+_STATES = "states"
 
 
 class MessageJournal:
-    """Per-client append-only journals under one directory.
+    """Per-client append-only task journals plus one shared state journal.
 
-    The in-memory pending map (``seq -> task body bytes``, insertion
-    ordered) mirrors the on-disk state and serves replay queries without
-    touching the disk; the files exist so the map survives a server
-    restart.  ``fsync=True`` additionally fsyncs every append (durable
-    against power loss, at a large cost per record — loopback tests and
-    single-host runs don't need it).
+    The in-memory maps (``seq -> task body bytes`` per client, insertion
+    ordered, and ``state_id -> blob``) mirror the on-disk state and serve
+    replay queries without touching the disk; the files exist so the maps
+    survive a server restart.  ``fsync=True`` additionally fsyncs every
+    append (durable against power loss, at a large cost per record —
+    loopback tests and single-host runs don't need it).
     """
 
     def __init__(self, directory, fsync: bool = False):
@@ -50,96 +72,119 @@ class MessageJournal:
         except OSError as error:
             raise JournalError(str(directory), f"cannot create directory: {error}") from error
         self.fsync = bool(fsync)
-        self._files: Dict[int, object] = {}
+        self._files: Dict[object, object] = {}
         #: client id -> {seq: task body bytes}, insertion == dispatch order.
         self._pending: Dict[int, Dict[int, bytes]] = {}
         #: Highest seq ever journaled per client (dispatched or acked).
         self._high: Dict[int, int] = {}
-        #: Bytes dropped from truncated tails at load time (diagnostics).
+        #: state id -> encoded carrier, for every state not yet released.
+        self._states: Dict[int, bytes] = {}
+        #: Highest state id ever journaled (recorded or released).
+        self.high_state_id = 0
+        #: Bytes cut from truncated tails at load time (diagnostics).
         self.truncated_bytes = 0
         self._load()
 
     # -- loading -----------------------------------------------------------------
-    def _path(self, client_id: int) -> Path:
-        return self.directory / f"client-{int(client_id)}.journal"
+    def _path(self, key) -> Path:
+        return self.directory / (f"{_STATES}.journal" if key == _STATES else f"client-{int(key)}.journal")
 
     def _load(self) -> None:
+        states = self._path(_STATES)
+        if states.exists():
+            for frame_type, record in self._records(states, _STATE_RECORDS):
+                state_id = record["state_id"]
+                if frame_type == MSG_STATE:
+                    self._states[state_id] = record["blob"]
+                else:
+                    self._states.pop(state_id, None)
+                self.high_state_id = max(self.high_state_id, state_id)
         for path in sorted(self.directory.glob("client-*.journal")):
             try:
                 client_id = int(path.stem.split("-", 1)[1])
             except (IndexError, ValueError):
                 continue
-            self._load_one(client_id, path)
+            pending = self._pending.setdefault(client_id, {})
+            for frame_type, record in self._records(path, _CLIENT_RECORDS):
+                seq = record["seq"]
+                if frame_type == MSG_TASK:
+                    pending[seq] = record["body"]
+                else:
+                    pending.pop(seq, None)
+                self._high[client_id] = max(self._high.get(client_id, 0), seq)
 
-    def _load_one(self, client_id: int, path: Path) -> None:
+    def _records(self, path: Path, schemas: Dict[int, Schema]):
+        """The decoded records of one file's clean prefix, as ``(frame type, fields)``.
+
+        Whatever follows the prefix — a partial frame, a failed CRC, garbage
+        — is a crash mid-append (or a torn write): it was never acknowledged,
+        so it is cut off the file as well as skipped.
+        """
         try:
             raw = path.read_bytes()
         except OSError as error:
             raise JournalError(str(path), f"cannot read: {error}") from error
         reader = FrameReader()
-        pending = self._pending.setdefault(client_id, {})
         try:
             frames = reader.feed(raw)
-        except FrameError:
-            # Undecodable from some record onward: a crash mid-append (or a
-            # torn write).  Everything before the bad offset parsed clean
-            # and is kept; the tail was never acknowledged, so drop it.
-            reader = FrameReader()
-            frames = self._scan_prefix(reader, raw)
-        self.truncated_bytes += len(raw) - reader.offset
+        except FrameError as error:
+            frames = error.frames
+        if reader.offset < len(raw):
+            self.truncated_bytes += len(raw) - reader.offset
+            try:
+                os.truncate(path, reader.offset)
+            except OSError as error:
+                raise JournalError(str(path), f"cannot truncate a torn tail: {error}") from error
         for frame_type, payload in frames:
+            if frame_type not in schemas:
+                raise JournalError(str(path), f"unexpected record type 0x{frame_type:02X}")
             try:
-                if frame_type == MSG_TASK:
-                    seq, body = pickle.loads(payload)
-                    pending[int(seq)] = bytes(body)
-                    self._high[client_id] = max(self._high.get(client_id, 0), int(seq))
-                elif frame_type == MSG_ACK:
-                    seq = int(pickle.loads(payload))
-                    pending.pop(seq, None)
-                    self._high[client_id] = max(self._high.get(client_id, 0), seq)
-            except Exception as error:
-                raise JournalError(str(path), f"undecodable record: {error!r}") from error
-
-    @staticmethod
-    def _scan_prefix(reader: FrameReader, raw: bytes) -> List[Tuple[int, bytes]]:
-        """Longest cleanly decodable frame prefix of ``raw`` (byte at a time)."""
-        frames: List[Tuple[int, bytes]] = []
-        for position in range(len(raw)):
-            try:
-                frames.extend(reader.feed(raw[position : position + 1]))
-            except FrameError:
-                break
-        return frames
+                yield frame_type, schemas[frame_type].unpack(payload)
+            except TransportDecodeError as error:
+                raise JournalError(str(path), f"undecodable record: {error.reason}") from error
 
     # -- appending ---------------------------------------------------------------
-    def _append(self, client_id: int, frame: bytes) -> None:
-        handle = self._files.get(client_id)
+    def _append(self, key, frame_type: int, fields: dict) -> None:
+        handle = self._files.get(key)
         if handle is None:
             try:
-                handle = open(self._path(client_id), "ab")
+                handle = open(self._path(key), "ab")
             except OSError as error:
-                raise JournalError(str(self._path(client_id)), f"cannot open: {error}") from error
-            self._files[client_id] = handle
-        handle.write(frame)
+                raise JournalError(str(self._path(key)), f"cannot open: {error}") from error
+            self._files[key] = handle
+        schemas = _STATE_RECORDS if key == _STATES else _CLIENT_RECORDS
+        handle.write(encode_frame(frame_type, schemas[frame_type].pack(fields)))
         handle.flush()
         if self.fsync:
             os.fsync(handle.fileno())
 
     def record_task(self, client_id: int, seq: int, body: bytes) -> None:
         """Journal a dispatched task (call *before* sending it anywhere)."""
-        client_id, seq = int(client_id), int(seq)
-        record = pickle.dumps((seq, bytes(body)), protocol=pickle.HIGHEST_PROTOCOL)
-        self._append(client_id, encode_frame(MSG_TASK, record))
-        self._pending.setdefault(client_id, {})[seq] = bytes(body)
+        client_id, seq, body = int(client_id), int(seq), bytes(body)
+        self._append(client_id, MSG_TASK, {"seq": seq, "body": body})
+        self._pending.setdefault(client_id, {})[seq] = body
         self._high[client_id] = max(self._high.get(client_id, 0), seq)
 
     def record_ack(self, client_id: int, seq: int) -> None:
         """Journal that ``seq``'s update is folded; the task leaves replay."""
         client_id, seq = int(client_id), int(seq)
-        record = pickle.dumps(seq, protocol=pickle.HIGHEST_PROTOCOL)
-        self._append(client_id, encode_frame(MSG_ACK, record))
+        self._append(client_id, MSG_ACK, {"seq": seq})
         self._pending.get(client_id, {}).pop(seq, None)
         self._high[client_id] = max(self._high.get(client_id, 0), seq)
+
+    def record_state(self, state_id: int, blob: bytes) -> None:
+        """Journal an encoded state carrier, once, before any task names it."""
+        state_id, blob = int(state_id), bytes(blob)
+        self._append(_STATES, MSG_STATE, {"state_id": state_id, "blob": blob})
+        self._states[state_id] = blob
+        self.high_state_id = max(self.high_state_id, state_id)
+
+    def release_state(self, state_id: int) -> None:
+        """Journal that no pending task names ``state_id`` any more; frees the blob."""
+        state_id = int(state_id)
+        self._append(_STATES, MSG_ACK, {"state_id": state_id})
+        self._states.pop(state_id, None)
+        self.high_state_id = max(self.high_state_id, state_id)
 
     # -- queries -----------------------------------------------------------------
     def pending(self, client_id: int) -> Dict[int, bytes]:
@@ -157,6 +202,10 @@ class MessageJournal:
     def high_seq(self, client_id: int) -> int:
         """Highest seq ever journaled for a client (0 if none)."""
         return self._high.get(int(client_id), 0)
+
+    def state(self, state_id: int) -> Optional[bytes]:
+        """The encoded carrier of a live state (``None`` once released)."""
+        return self._states.get(int(state_id))
 
     def close(self) -> None:
         files, self._files = self._files, {}

@@ -1,13 +1,17 @@
-"""The federation protocol's message vocabulary.
+"""The federation protocol's message vocabulary (protocol version 2).
 
-One dataclass per message, one frame-type byte per dataclass.  Bodies are
-pickled (the payloads they carry — transport envelopes, flat states, RNG
-states — already cross the process-pool boundary as pickles, so the wire
-reuses the exact same serialization and stays bit-identical to it).  The
-frame CRC is checked *before* a body is unpickled, so a flipped byte is
-always a :class:`~repro.fl.net.errors.FrameError`, and only a peer that
-genuinely sent garbage produces a
-:class:`~repro.fl.net.errors.MessageDecodeError`.
+One dataclass per message, one frame-type byte per dataclass, one
+:class:`~repro.fl.transport.envelope.Schema` per dataclass: a body is a
+schema'd envelope — struct header, JSON metadata, raw byte sections — and
+nothing in it is executable.  The first body byte is the protocol version,
+so a version-1 peer (whose bodies were pickles, first byte ``0x80``) is
+recognised and rejected without its bytes ever being interpreted.  The
+frame CRC is checked *before* a body is decoded, so a flipped byte is
+always a :class:`~repro.fl.net.errors.FrameError`; a body that arrives
+intact but breaks its schema — wrong fields, wrong types, lengths that do
+not tile the body, a layout that disagrees with its buffer, an unknown
+codec — is a :class:`~repro.fl.net.errors.MessageDecodeError` and never
+any other exception.
 
 Dispatch flow
 -------------
@@ -18,12 +22,17 @@ message                   direction / meaning
                           fingerprint, and per-client replay cursors
 ``Welcome``               server -> client: session accepted; heartbeat cadence
                           and how many journaled tasks will be replayed
-``TaskEnvelope``          server -> client: one :class:`ClientTask`'s payload
-                          (the process-pool worker tuple, framed)
+``StateMessage``          server -> client: one encoded state carrier under a
+                          ``state_id``, sent once per connection before the
+                          first task that references it
+``TaskEnvelope``          server -> client: one :class:`ClientTask` — op,
+                          options, RNG snapshot, and the ``state_id`` of the
+                          carrier it starts from
 ``UpdateEnvelope``        client -> server: the task's result (state/payload,
                           stats, RNG state) or its failure
 ``Ack``                   server -> client: update received and recorded; the
-                          client may drop its cached copy and move its cursor
+                          client may drop its cached copy, move its cursor,
+                          and free the states the ack names as ``released``
 ``Heartbeat``             server -> client liveness probe
 ``HeartbeatAck``          client -> server liveness reply
 ``ErrorMessage``          either direction: typed, fatal protocol complaint
@@ -33,15 +42,33 @@ message                   direction / meaning
 
 from __future__ import annotations
 
-import pickle
+import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.fl.net.errors import MessageDecodeError
+from repro.fl.trainer import StepStatistics
+from repro.fl.transport.envelope import (
+    BOOL,
+    BYTES,
+    ENVELOPE_VERSION,
+    INT,
+    INT_MAP,
+    INT_TUPLE,
+    NUMBER,
+    OBJECT,
+    PAYLOAD,
+    STATE,
+    STR,
+    Schema,
+    optional,
+)
+from repro.fl.transport.errors import TransportDecodeError
 
-#: Protocol version sent in every HELLO and checked by the server; bump on
-#: any incompatible change to the frame layout or message vocabulary.
-PROTOCOL_VERSION = 1
+#: Protocol version: the first byte of every body, sent again in every HELLO
+#: and checked by the server; bump on any incompatible change to the frame
+#: layout, the envelope or the message vocabulary.
+PROTOCOL_VERSION = ENVELOPE_VERSION
 
 # Frame-type bytes (grouped by role; gaps left for future messages).
 MSG_HELLO = 0x01
@@ -49,6 +76,7 @@ MSG_WELCOME = 0x02
 MSG_TASK = 0x10
 MSG_UPDATE = 0x11
 MSG_ACK = 0x12
+MSG_STATE = 0x13
 MSG_HEARTBEAT = 0x20
 MSG_HEARTBEAT_ACK = 0x21
 MSG_ERROR = 0x7E
@@ -83,14 +111,29 @@ class Welcome:
 
 
 @dataclass(frozen=True)
-class TaskEnvelope:
-    """One dispatched client task, exactly the process-pool worker payload.
+class StateMessage:
+    """Server -> client: one encoded state carrier, named by ``state_id``.
 
-    ``blob`` is the pickled state carrier (raw state or transport wire
-    envelope) — pickled once per distinct carrier on the server, like the
-    process pool's broadcast dedup — and ``rng_state`` is the coordinator's
-    RNG snapshot for the client, whose hand-off is what keeps a wire run
-    bit-identical to a serial one.
+    ``blob`` is :func:`~repro.fl.transport.envelope.encode_carrier` of a raw
+    state or a transport wire envelope.  The server encodes each distinct
+    carrier of a broadcast once, journals it once, and sends it once per
+    connection; every task that starts from it carries only the id.
+    """
+
+    state_id: int
+    blob: bytes
+
+
+@dataclass(frozen=True)
+class TaskEnvelope:
+    """One dispatched client task: the process-pool worker payload, framed.
+
+    The task's state carrier is ``blob`` — on the wire it is empty and
+    ``state_id`` names the :class:`StateMessage` that holds it; the joiner
+    fills ``blob`` in from that message when the task arrives, so whoever
+    executes an envelope sees a self-contained one.  ``rng_state`` is the
+    coordinator's RNG snapshot for the client, whose hand-off is what keeps
+    a wire run bit-identical to a serial one.
     """
 
     client_id: int
@@ -101,6 +144,7 @@ class TaskEnvelope:
     steps: Optional[int] = None
     proximal_mu: Optional[float] = None
     rng_state: Optional[dict] = None
+    state_id: Optional[int] = None
 
 
 @dataclass
@@ -129,6 +173,9 @@ class Ack:
 
     client_id: int
     seq: int
+    #: Ids of states sent on this connection that no un-acked task refers
+    #: to any more; the client frees them.
+    released: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -160,48 +207,83 @@ class Goodbye:
     reason: str = ""
 
 
-#: message class <-> frame-type byte (bijective).
-MESSAGE_TYPES = {
-    Hello: MSG_HELLO,
-    Welcome: MSG_WELCOME,
-    TaskEnvelope: MSG_TASK,
-    UpdateEnvelope: MSG_UPDATE,
-    Ack: MSG_ACK,
-    Heartbeat: MSG_HEARTBEAT,
-    HeartbeatAck: MSG_HEARTBEAT_ACK,
-    ErrorMessage: MSG_ERROR,
-    Goodbye: MSG_GOODBYE,
+_STATS = Schema(StepStatistics, steps=INT, mean_loss=NUMBER, final_loss=NUMBER).kind
+
+#: frame-type byte -> the body's schema (the message class is its factory).
+SCHEMAS: Dict[int, Schema] = {
+    MSG_HELLO: Schema(
+        Hello, client_ids=INT_TUPLE, protocol_version=INT, cursors=INT_MAP, fingerprint=OBJECT
+    ),
+    MSG_WELCOME: Schema(Welcome, heartbeat_interval=NUMBER, client_timeout=NUMBER, replayed=INT_MAP),
+    MSG_STATE: Schema(StateMessage, state_id=INT, blob=BYTES),
+    MSG_TASK: Schema(
+        TaskEnvelope,
+        client_id=INT,
+        seq=INT,
+        op=STR,
+        blob=BYTES,
+        is_wire=BOOL,
+        steps=optional(INT),
+        proximal_mu=optional(NUMBER),
+        rng_state=optional(OBJECT),
+        state_id=optional(INT),
+    ),
+    MSG_UPDATE: Schema(
+        UpdateEnvelope,
+        client_id=INT,
+        seq=INT,
+        state=optional(STATE),
+        payload=optional(PAYLOAD),
+        stats=optional(_STATS),
+        rng_state=optional(OBJECT),
+        error=optional(STR),
+        traceback=optional(STR),
+    ),
+    MSG_ACK: Schema(Ack, client_id=INT, seq=INT, released=INT_TUPLE),
+    MSG_HEARTBEAT: Schema(Heartbeat, seq=INT),
+    MSG_HEARTBEAT_ACK: Schema(HeartbeatAck, seq=INT),
+    MSG_ERROR: Schema(ErrorMessage, code=STR, detail=STR),
+    MSG_GOODBYE: Schema(Goodbye, reason=STR),
 }
-_TYPE_CLASSES = {frame_type: cls for cls, frame_type in MESSAGE_TYPES.items()}
+
+
+#: message class <-> frame-type byte (bijective).
+MESSAGE_TYPES = {schema.factory: frame_type for frame_type, schema in SCHEMAS.items()}
 
 
 def encode_message(message) -> Tuple[int, bytes]:
-    """Pickle ``message``; returns ``(frame_type, body_bytes)``."""
+    """``message`` as an envelope body; returns ``(frame_type, body_bytes)``."""
     frame_type = MESSAGE_TYPES.get(type(message))
     if frame_type is None:
         raise TypeError(f"not a protocol message: {type(message).__name__}")
-    return frame_type, pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    return frame_type, SCHEMAS[frame_type].pack(message)
 
 
 def decode_message(frame_type: int, body: bytes):
-    """Unpickle a frame body, checking it matches its frame-type byte.
+    """Decode a frame body against the schema its frame-type byte names.
 
-    Raises :class:`MessageDecodeError` for unknown type bytes, unpicklable
-    bodies, and type/byte mismatches — never a bare pickle exception.
+    Raises :class:`MessageDecodeError` for unknown type bytes and for every
+    body that is not a well-formed version-2 envelope of that schema —
+    never any other exception, and allocating only in proportion to the
+    bytes the body actually holds, never to what a length or shape claims.
     """
-    cls = _TYPE_CLASSES.get(frame_type)
-    if cls is None:
+    schema = SCHEMAS.get(frame_type)
+    if schema is None:
         raise MessageDecodeError(frame_type, reason="unknown frame type")
     try:
-        message = pickle.loads(body)
-    except Exception as error:
-        raise MessageDecodeError(frame_type, reason=f"unpicklable body: {error!r}") from error
-    if not isinstance(message, cls):
-        raise MessageDecodeError(
-            frame_type,
-            reason=f"body decodes to {type(message).__name__}, expected {cls.__name__}",
-        )
-    return message
+        return schema.unpack(body)
+    except TransportDecodeError as error:
+        raise MessageDecodeError(frame_type, reason=error.reason) from error
+
+
+def canonical_fingerprint(fingerprint: Optional[Dict[str, object]]) -> Dict[str, object]:
+    """A run fingerprint as the peer will see it after the JSON crossing.
+
+    Tuples become lists and keys strings on the wire; comparing a local
+    fingerprint against a received one is only meaningful once the local
+    one has taken the same trip.
+    """
+    return json.loads(json.dumps(fingerprint or {}))
 
 
 __all__ = [
@@ -212,6 +294,7 @@ __all__ = [
     "MSG_HEARTBEAT",
     "MSG_HEARTBEAT_ACK",
     "MSG_HELLO",
+    "MSG_STATE",
     "MSG_TASK",
     "MSG_UPDATE",
     "MSG_WELCOME",
@@ -222,9 +305,12 @@ __all__ = [
     "Heartbeat",
     "HeartbeatAck",
     "Hello",
+    "SCHEMAS",
+    "StateMessage",
     "TaskEnvelope",
     "UpdateEnvelope",
     "Welcome",
+    "canonical_fingerprint",
     "decode_message",
     "encode_message",
 ]

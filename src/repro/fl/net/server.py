@@ -21,9 +21,18 @@ Architecture (gridworks-scada style supervised actors):
   :class:`~repro.fl.faults.TaskFailure` — socket death is just another
   fault kind to retry from the pre-captured RNG snapshot.
 
+State carriers: the backend hands each distinct carrier of a broadcast to
+:meth:`FederationServer.submit_state` once, with the number of tasks that
+start from it.  The server numbers it, journals it once, and each
+connection actor sends it as one ``STATE`` frame ahead of the first task
+that names it — so a model crosses a connection once per round, however
+many clients the connection hosts.  A state lives as long as a task naming
+it is un-acked: the last ack (or abandonment) releases it from the journal,
+and the next ``Ack`` on every connection that carried it says so.
+
 Thread model: everything here runs on one asyncio loop (the wire backend
 hosts it in a daemon thread).  The only thread-safe entry points are
-:meth:`FederationServer.submit_task`, :meth:`abandon`,
+:meth:`FederationServer.submit_state`, :meth:`submit_task`, :meth:`abandon`,
 :meth:`network_summary`, and the start/stop/wait wrappers on the backend.
 """
 
@@ -32,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import contextlib
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,9 +64,11 @@ from repro.fl.net.messages import (
     Heartbeat,
     HeartbeatAck,
     Hello,
+    StateMessage,
     TaskEnvelope,
     UpdateEnvelope,
     Welcome,
+    canonical_fingerprint,
     decode_message,
     encode_message,
 )
@@ -70,6 +82,7 @@ _READ_CHUNK = 1 << 16
 NETWORK_COUNTER_KEYS = (
     "dispatched",
     "completed",
+    "states_sent",
     "reconnects",
     "replays",
     "disconnects",
@@ -107,6 +120,8 @@ class ClientSession:
         self.seq = 0
         #: seq -> concurrent future the backend is waiting on.
         self.pending: Dict[int, concurrent.futures.Future] = {}
+        #: seq -> id of the state the pending task starts from.
+        self.state_ids: Dict[int, int] = {}
         #: The connection actor currently serving this client, if any.
         self.actor: Optional["ConnectionActor"] = None
         #: Whether any connection ever claimed this session (reconnect
@@ -151,7 +166,7 @@ class FederationServer:
         self.client_timeout = float(client_timeout)
         self.journal_dir = journal_dir
         self.fault_plan = fault_plan
-        self.fingerprint = dict(fingerprint) if fingerprint else {}
+        self.fingerprint = canonical_fingerprint(fingerprint)
         self.sessions: Dict[int, ClientSession] = {
             int(client_id): ClientSession(client_id) for client_id in client_ids
         }
@@ -160,6 +175,9 @@ class FederationServer:
         self.bytes_received = 0
         self.journal: Optional[MessageJournal] = None
         self._tmp_journal = None
+        #: state id -> number of un-acked tasks that start from it.
+        self.state_refs: Dict[int, int] = {}
+        self._state_ids = itertools.count(1)
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._claim_event: Optional[asyncio.Event] = None
@@ -178,6 +196,7 @@ class FederationServer:
                 self._tmp_journal = tempfile.TemporaryDirectory(prefix="repro-wire-journal-")
                 journal_dir = self._tmp_journal.name
             self.journal = MessageJournal(journal_dir)
+            self._state_ids = itertools.count(self.journal.high_state_id + 1)
         self._server = await asyncio.start_server(self._on_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         logger.info("federation server listening on %s:%d", self.host, self.port)
@@ -222,20 +241,31 @@ class FederationServer:
                 return False
 
     # -- thread-safe entry points (called from the backend thread) ----------------
+    def submit_state(self, blob: bytes, references: int) -> int:
+        """Register one encoded carrier that ``references`` tasks will start from.
+
+        Returns its ``state_id`` (monotonically increasing) for
+        :meth:`submit_task`; the state is released when that many tasks
+        naming it have been acked, abandoned or reaped.
+        """
+        state_id = next(self._state_ids)
+        self._loop.call_soon_threadsafe(self._register_state, state_id, bytes(blob), int(references))
+        return state_id
+
     def submit_task(
         self,
         client_id: int,
         op: str,
-        blob: bytes,
+        state_id: int,
         is_wire: bool,
         steps: Optional[int],
         proximal_mu: Optional[float],
         rng_state: Optional[dict],
     ) -> concurrent.futures.Future:
-        """Dispatch one task; the future resolves to an
-        :class:`UpdateEnvelope` or a :class:`WireFailure`."""
+        """Dispatch one task starting from a submitted state; the future
+        resolves to an :class:`UpdateEnvelope` or a :class:`WireFailure`."""
         future: concurrent.futures.Future = concurrent.futures.Future()
-        fields = (int(client_id), op, bytes(blob), bool(is_wire), steps, proximal_mu, rng_state)
+        fields = (int(client_id), op, int(state_id), bool(is_wire), steps, proximal_mu, rng_state)
         self._loop.call_soon_threadsafe(self._schedule_dispatch, fields, future)
         return future
 
@@ -261,10 +291,29 @@ class FederationServer:
     def _schedule_dispatch(self, fields: tuple, future: concurrent.futures.Future) -> None:
         self._loop.create_task(self._dispatch(fields, future))
 
+    def _register_state(self, state_id: int, blob: bytes, references: int) -> None:
+        self.journal.record_state(state_id, blob)
+        self.state_refs[state_id] = references
+
+    def _settle(self, session: ClientSession, seq: int) -> None:
+        """A task left the pending set (acked, abandoned or reaped): journal
+        the ack and release its state if it was the last task naming it."""
+        self.journal.record_ack(session.client_id, seq)
+        state_id = session.state_ids.pop(seq, None)
+        if state_id is not None:
+            self._drop_state_reference(state_id)
+
+    def _drop_state_reference(self, state_id: int) -> None:
+        self.state_refs[state_id] -= 1
+        if not self.state_refs[state_id]:
+            del self.state_refs[state_id]
+            self.journal.release_state(state_id)
+
     async def _dispatch(self, fields: tuple, future: concurrent.futures.Future) -> None:
-        client_id, op, blob, is_wire, steps, proximal_mu, rng_state = fields
+        client_id, op, state_id, is_wire, steps, proximal_mu, rng_state = fields
         session = self.sessions.get(client_id)
         if session is None:
+            self._drop_state_reference(state_id)
             future.set_result(WireFailure(kind="disconnect", error=f"unknown client id {client_id}"))
             return
         session.seq += 1
@@ -273,11 +322,12 @@ class FederationServer:
             client_id=client_id,
             seq=seq,
             op=op,
-            blob=blob,
+            blob=b"",
             is_wire=is_wire,
             steps=steps,
             proximal_mu=proximal_mu,
             rng_state=rng_state,
+            state_id=state_id,
         )
         _, body = encode_message(envelope)
         # Journal before any socket touch: once recorded, the task survives
@@ -285,9 +335,10 @@ class FederationServer:
         self.journal.record_task(client_id, seq, body)
         future._wire_ref = (client_id, seq)  # for abandon()
         session.pending[seq] = future
+        session.state_ids[seq] = state_id
         self.counters["dispatched"] += 1
         if session.actor is not None:
-            await session.actor.send_task(client_id, body)
+            await session.actor.send_task(client_id, body, state_id)
         else:
             self._arm_reaper(session)
 
@@ -299,7 +350,7 @@ class FederationServer:
         session = self.sessions.get(client_id)
         if session is not None and session.pending.get(seq) is future:
             session.pending.pop(seq, None)
-            self.journal.record_ack(client_id, seq)
+            self._settle(session, seq)
         if not future.done():
             future.set_result(WireFailure(kind=kind, error=error))
 
@@ -358,7 +409,7 @@ class FederationServer:
         kind = session.loss_kind
         pending, session.pending = session.pending, {}
         for seq, future in sorted(pending.items()):
-            self.journal.record_ack(session.client_id, seq)
+            self._settle(session, seq)
             if not future.done():
                 future.set_result(
                     WireFailure(
@@ -376,8 +427,8 @@ class FederationServer:
         if session is None:
             return
         future = session.pending.pop(update.seq, None)
-        self.journal.record_ack(update.client_id, update.seq)
-        await actor.send_message(Ack(client_id=update.client_id, seq=update.seq))
+        self._settle(session, update.seq)
+        await actor.send_ack(update.client_id, update.seq)
         if future is None:
             # A replayed task whose original result already arrived (or was
             # abandoned): acknowledge so the client drops its cache, fold
@@ -412,20 +463,40 @@ class ConnectionActor:
         self._heartbeat_seq = 0
         self._loss_kind = "disconnect"
         self._send_lock = asyncio.Lock()
+        #: Frames the peer pipelined behind its HELLO, for the read loop.
+        self._early_frames: List[Tuple[int, bytes]] = []
+        #: Ids of the states sent on this connection and not yet announced
+        #: as released: what a task here may name without a STATE frame first.
+        self._states_sent: set = set()
 
     # -- low-level sends -----------------------------------------------------------
-    async def _send_frame(self, frame: bytes) -> None:
+    async def _send_frames(self, *frames: bytes) -> None:
+        # One lock hold for the lot: a STATE frame and the task behind it
+        # reach the peer back to back, in that order.
         async with self._send_lock:
-            self._writer.write(frame)
+            for frame in frames:
+                self._writer.write(frame)
             await self._writer.drain()
-        self.server.bytes_sent += len(frame)
+        self.server.bytes_sent += sum(map(len, frames))
 
     async def send_message(self, message) -> None:
         frame_type, body = encode_message(message)
-        await self._send_frame(encode_frame(frame_type, body))
+        await self._send_frames(encode_frame(frame_type, body))
 
-    async def send_task(self, client_id: int, body: bytes) -> None:
-        """Send one (journaled) task frame, with seeded fault injection."""
+    async def send_ack(self, client_id: int, seq: int) -> None:
+        """ACK one update, naming every state sent here that has since been released."""
+        released = sorted(self._states_sent - self.server.state_refs.keys())
+        self._states_sent.difference_update(released)
+        await self.send_message(Ack(client_id=client_id, seq=seq, released=tuple(released)))
+
+    async def send_task(self, client_id: int, body: bytes, state_id: int) -> None:
+        """Send one (journaled) task frame, with seeded fault injection.
+
+        The task's state goes first, as one STATE frame, unless this
+        connection already carried it.  The fault plan draws once per task
+        and acts on the task frame; a STATE frame lost with the connection
+        is resent by the next one, like the task.
+        """
         plan = self.server.fault_plan
         frame = encode_frame(MSG_TASK, body)
         if plan is not None:
@@ -441,8 +512,18 @@ class ConnectionActor:
             elif decision.kind == "corrupt":
                 self.server.counters["injected_corruptions"] += 1
                 frame = corrupt_frame(frame, decision.salt)
+        frames = [frame]
+        if state_id is not None and state_id not in self._states_sent:
+            blob = self.server.journal.state(state_id)
+            if blob is None:
+                # Settled while this send was held back (or journaled by a
+                # previous server life): nobody is waiting for the task.
+                return
+            self._states_sent.add(state_id)
+            self.server.counters["states_sent"] += 1
+            frames.insert(0, encode_frame(*encode_message(StateMessage(state_id, blob))))
         try:
-            await self._send_frame(frame)
+            await self._send_frames(*frames)
         except (ConnectionError, OSError):
             # The read loop will observe the death and detach; the journal
             # already holds the task for replay.
@@ -507,20 +588,26 @@ class ConnectionActor:
                 if frame_type != MSG_HELLO:
                     raise MessageDecodeError(frame_type, reason="expected HELLO first")
                 # Any pipelined frames after HELLO are handled by the read
-                # loop via the shared FrameReader buffer; with one frame per
-                # feed round-trip in practice this list has length 1.
+                # loop; with one frame per feed round-trip in practice this
+                # list is empty.
                 self._early_frames = frames[1:]
-                return decode_message(frame_type, body)
+                try:
+                    return decode_message(frame_type, body)
+                except MessageDecodeError as error:
+                    # Not a v2 body -- a v1 peer's pickle, most likely.  It is
+                    # told so and dropped; its bytes are never interpreted.
+                    self.server.counters["decode_failures"] += 1
+                    await self._reject_protocol(f"undecodable HELLO ({error.reason})")
+
+    async def _reject_protocol(self, detail: str) -> None:
+        await self.send_message(
+            ErrorMessage(code="protocol", detail=f"server speaks v{PROTOCOL_VERSION}; {detail}")
+        )
+        raise SessionLost("disconnect", f"protocol mismatch: {detail}")
 
     async def _handshake(self, hello: Hello) -> None:
         if hello.protocol_version != PROTOCOL_VERSION:
-            await self.send_message(
-                ErrorMessage(
-                    code="protocol",
-                    detail=f"server speaks v{PROTOCOL_VERSION}, client spoke v{hello.protocol_version}",
-                )
-            )
-            raise SessionLost("disconnect", "protocol version mismatch")
+            await self._reject_protocol(f"client spoke v{hello.protocol_version}")
         if self.server.fingerprint and hello.fingerprint:
             mismatched = sorted(
                 key
@@ -556,10 +643,10 @@ class ConnectionActor:
         )
         for cid, items in replays.items():
             for _seq, body in items:
-                await self.send_task(cid, body)
+                await self.send_task(cid, body, decode_message(MSG_TASK, body).state_id)
 
     async def _read_loop(self) -> None:
-        for frame_type, body in getattr(self, "_early_frames", ()):
+        for frame_type, body in self._early_frames:
             await self._handle_frame(frame_type, body)
         while True:
             chunk = await self._reader.read(_READ_CHUNK)

@@ -30,8 +30,10 @@ counted.  Only the static tensor schema (names and shapes, knowable to both
 endpoints from the model architecture) rides outside the byte count, the
 way a real protocol would negotiate it once per session.
 
-All codecs are deterministic (same state → same bytes), stateless, and
-cheap to pickle, so payloads and codecs can cross process boundaries.
+All codecs are deterministic (same state → same bytes) and stateless, and
+each is fully described by its registry name plus :meth:`Codec.parameters`,
+which is how payloads and codecs cross process and socket boundaries
+(:mod:`repro.fl.transport.envelope`).
 
 Flat-buffer fast paths
 ----------------------
@@ -217,6 +219,11 @@ class Codec:
         """Short human-readable label used in reports (e.g. ``quantize-8b``)."""
         return self.name
 
+    def parameters(self) -> Dict[str, object]:
+        """The constructor keywords that rebuild this codec: JSON values only,
+        so a codec crosses a boundary as ``CODECS[name](**parameters)``."""
+        return {}
+
     def _check_payload(self, payload: Payload) -> None:
         if payload.codec != self.name:
             raise ValueError(
@@ -262,6 +269,9 @@ class IdentityCodec(Codec):
 
     def describe(self) -> str:
         return f"identity-{self.dtype.name}"
+
+    def parameters(self) -> Dict[str, object]:
+        return {"dtype": self.dtype.name}
 
     def encode(self, state: State) -> Payload:
         flat = sorted_state_vector(state)
@@ -319,6 +329,9 @@ class QuantizationCodec(Codec):
     def describe(self) -> str:
         suffix = "+deflate" if self.deflate else ""
         return f"quantize-{self.num_bits}b{suffix}"
+
+    def parameters(self) -> Dict[str, object]:
+        return {"num_bits": self.num_bits, "deflate": self.deflate}
 
     def encode(self, state: State) -> Payload:
         schema = state_schema(state)
@@ -420,6 +433,13 @@ class TopKCodec(Codec):
     def describe(self) -> str:
         suffix = "+deflate" if self.deflate else ""
         return f"topk-{self.keep_fraction:g}-{self.value_dtype.name}{suffix}"
+
+    def parameters(self) -> Dict[str, object]:
+        return {
+            "keep_fraction": self.keep_fraction,
+            "value_dtype": self.value_dtype.name,
+            "deflate": self.deflate,
+        }
 
     def keep_count(self, total: int) -> int:
         """Exactly how many entries survive for a state of ``total`` values."""

@@ -26,7 +26,9 @@ from repro.fl import (
     create_algorithm,
     create_backend,
 )
+from repro.fl.execution.backend import encoded_carriers
 from repro.fl.parameters import flatten_state
+from repro.fl.transport.envelope import decode_carrier
 from repro.models import FLNet
 
 TINY_CONFIG = FLConfig(
@@ -142,6 +144,20 @@ class TestTaskValidation:
         backend = ProcessPoolBackend(workers=2)
         with pytest.raises(RuntimeError, match="before bind"):
             backend.map([ClientTask(client_index=0, state={}, steps=1)])
+
+    def test_shared_carriers_are_encoded_once(self, make_clients):
+        # The broadcast dedup both out-of-process backends rely on: tasks that
+        # share a state share one blob object; a distinct state gets its own.
+        clients = make_clients()
+        shared, own = clients[0].initial_state(), clients[1].initial_state()
+        tasks = [
+            ClientTask(client_index=0, state=shared),
+            ClientTask(client_index=1, state=shared),
+            ClientTask(client_index=2, state=own),
+        ]
+        blobs = encoded_carriers(tasks)
+        assert blobs[0] is blobs[1] and blobs[2] is not blobs[0]
+        assert states_equal(decode_carrier(blobs[0]), shared)
 
     def test_empty_map_is_noop(self):
         backend = ProcessPoolBackend(workers=2)

@@ -2,7 +2,7 @@
 
 The frame layer is the trust boundary of the federation runtime: every
 byte that arrives from a socket passes through :class:`FrameReader`
-before anything is unpickled. The properties under test:
+before anything is decoded. The properties under test:
 
 * encode/decode round-trips bit for bit, regardless of how the byte
   stream is chunked (byte-at-a-time == one-shot),
@@ -14,8 +14,10 @@ before anything is unpickled. The properties under test:
 * an oversized length prefix fails immediately, before any payload
   arrives (no unbounded buffering),
 * a poisoned reader stays poisoned (feeding more bytes re-raises),
-* message encode/decode rejects unknown types and garbage bodies with
-  :class:`MessageDecodeError`, never a bare pickle error.
+* message encode/decode rejects unknown types, garbage bodies, version-1
+  (pickled) bodies and schema violations with :class:`MessageDecodeError`,
+  never any other exception — ``test_net_fuzz.py`` drives the same
+  boundary with generated input.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ import pytest
 
 from repro.fl.net import FrameError, FrameReader, MessageDecodeError, encode_frame
 from repro.fl.net.framing import HEADER_BYTES, MAGIC, MAX_PAYLOAD_BYTES, TRAILER_BYTES
+from repro.fl.parameters import FlatState
+from repro.fl.trainer import StepStatistics
+from repro.fl.transport import IdentityCodec
 from repro.fl.net.messages import (
     Ack,
     Goodbye,
@@ -34,6 +39,9 @@ from repro.fl.net.messages import (
     HeartbeatAck,
     Hello,
     MESSAGE_TYPES,
+    PROTOCOL_VERSION,
+    SCHEMAS,
+    StateMessage,
     TaskEnvelope,
     UpdateEnvelope,
     Welcome,
@@ -214,32 +222,81 @@ class TestMessages:
         "message",
         [
             Hello(client_ids=(1, 2, 3), cursors={1: 4}, fingerprint={"seed": 0}),
-            Welcome(heartbeat_interval=2.0, client_timeout=10.0, replayed=3),
+            Welcome(heartbeat_interval=2.0, client_timeout=10.0, replayed={1: 3}),
             TaskEnvelope(client_id=1, seq=9, op="train", blob=b"blob", is_wire=True, steps=2),
-            UpdateEnvelope(client_id=1, seq=9, stats={"loss": 1.0}),
-            Ack(client_id=2, seq=5),
+            UpdateEnvelope(client_id=1, seq=9, stats=StepStatistics(2, float("inf"), 1.0)),
+            Ack(client_id=2, seq=5, released=(3, 4)),
             Heartbeat(seq=1),
             HeartbeatAck(seq=1),
             Goodbye(reason="done"),
+            StateMessage(state_id=7, blob=b"\x00carrier bytes\xff"),
+            TaskEnvelope(
+                client_id=1, seq=9, op="finetune", blob=b"", is_wire=False, proximal_mu=1e-3,
+                rng_state=np.random.default_rng(5).bit_generator.state, state_id=7,
+            ),
+            UpdateEnvelope(client_id=1, seq=9, error="ValueError('x')", traceback="Traceback ..."),
         ],
     )
     def test_round_trip(self, message):
         frame_type, body = encode_message(message)
         assert decode_message(frame_type, body) == message
 
+    def test_update_state_and_payload_round_trip_bit_exact(self):
+        rng = np.random.default_rng(0)
+        state = FlatState.from_items([("w", rng.normal(size=(3, 4))), ("b", rng.normal(size=4))])
+        state["b"][0] = np.nan
+        payload = IdentityCodec("float32").encode(state)
+        update = UpdateEnvelope(1, 2, state=state, payload=payload, stats=StepStatistics(1, 0.5, 0.25))
+        decoded = decode_message(*encode_message(update))
+        assert decoded.state.layout is state.layout
+        assert decoded.state.vector.tobytes() == state.vector.tobytes()
+        # Caller-owned and writable: one copy off the frame body, not a view of it.
+        assert decoded.state.vector.flags.writeable and decoded.state.vector.flags.owndata
+        assert decoded.payload == payload and decoded.stats == update.stats
+
+    def test_rng_state_survives_the_json_crossing(self):
+        generator = np.random.default_rng(11)
+        generator.random(3)
+        task = TaskEnvelope(1, 1, "train", b"", False, rng_state=generator.bit_generator.state)
+        resumed = np.random.default_rng(0)
+        resumed.bit_generator.state = decode_message(*encode_message(task)).rng_state
+        assert resumed.random(4).tolist() == generator.random(4).tolist()
+
     def test_vocabulary_is_bijective(self):
         assert len(set(MESSAGE_TYPES.values())) == len(MESSAGE_TYPES)
+        assert set(MESSAGE_TYPES.values()) == set(SCHEMAS)
 
     def test_unknown_type_is_typed_error(self):
         with pytest.raises(MessageDecodeError):
-            decode_message(0x5A, pickle.dumps(Ack(client_id=1, seq=1)))
+            decode_message(0x5A, encode_message(Ack(client_id=1, seq=1))[1])
 
     def test_garbage_body_is_typed_error(self):
         frame_type, _ = encode_message(Ack(client_id=1, seq=1))
         with pytest.raises(MessageDecodeError):
-            decode_message(frame_type, b"\x00not a pickle")
+            decode_message(frame_type, b"\x00not an envelope")
 
     def test_wrong_body_for_type_is_typed_error(self):
         frame_type, _ = encode_message(Heartbeat(seq=1))
-        with pytest.raises(MessageDecodeError):
-            decode_message(frame_type, pickle.dumps(Ack(client_id=1, seq=1)))
+        with pytest.raises(MessageDecodeError, match="schema"):
+            decode_message(frame_type, encode_message(Ack(client_id=1, seq=1))[1])
+
+    def test_v1_pickle_body_is_rejected_by_its_first_byte(self):
+        assert PROTOCOL_VERSION == 2
+        frame_type, body = encode_message(Hello(client_ids=(1,)))
+        assert body[0] == PROTOCOL_VERSION
+        with pytest.raises(MessageDecodeError, match="not a v2 envelope"):
+            decode_message(frame_type, pickle.dumps(Hello(client_ids=(1,))))
+
+    def test_failed_feed_hands_back_the_frames_before_the_error(self):
+        good = encode_frame(1, b"one") + encode_frame(2, b"two")
+        broken = bytearray(encode_frame(3, b"three"))
+        broken[-1] ^= 0x01
+        reader = FrameReader()
+        with pytest.raises(FrameError, match="crc mismatch") as excinfo:
+            reader.feed(good + bytes(broken))
+        assert excinfo.value.frames == [(1, b"one"), (2, b"two")]
+        assert reader.offset == len(good)
+        # The poisoned reader re-raises, but never replays those frames.
+        with pytest.raises(FrameError) as again:
+            reader.feed(b"")
+        assert again.value.frames == []

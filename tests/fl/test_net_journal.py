@@ -7,16 +7,23 @@ record once the update is folded. The properties under test:
 * record/ack round-trips and the pending map mirror each other,
 * ``pending_after`` is exactly the replay set for a cursor,
 * state survives a close/reopen cycle (server restart),
-* a torn tail (crash mid-append) is detected, dropped, and accounted
-  in ``truncated_bytes`` — everything before it loads clean,
-* ACKs for tasks never journaled are harmless (abandoned-task acks).
+* a torn tail (crash mid-append) is detected, cut off the file, and
+  accounted in ``truncated_bytes`` — everything before it loads clean, and
+  everything appended after the restart survives the *next* restart,
+* ACKs for tasks never journaled are harmless (abandoned-task acks),
+* state carriers live once each in the shared state journal, until released,
+* a record whose frame is intact but whose body is not an envelope (a
+  version-1 pickle, say) is a typed ``JournalError``, never executed.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
-from repro.fl.net import JournalError, MessageJournal
+from repro.fl.net import JournalError, MessageJournal, encode_frame
+from repro.fl.net.messages import MSG_TASK
 
 
 class TestJournalBasics:
@@ -113,3 +120,77 @@ class TestJournalPersistence:
         target.write_bytes(b"not a directory")
         with pytest.raises(JournalError):
             MessageJournal(target)
+
+    def test_torn_tail_is_cut_off_so_later_appends_survive_a_second_restart(self, tmp_path):
+        """Regression: the tail was dropped in memory but left on disk, so every
+        record appended after the first restart sat behind a partial frame and
+        was silently lost on the second one."""
+        with MessageJournal(tmp_path) as journal:
+            journal.record_task(1, 1, b"x" * 100)
+            journal.record_task(1, 2, b"y" * 100)
+        path = tmp_path / "client-1.journal"
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-30])  # crash mid-append of record 2
+        with MessageJournal(tmp_path) as first_restart:
+            assert sorted(first_restart.pending(1)) == [1]
+            assert first_restart.truncated_bytes == size // 2 - 30
+            assert path.stat().st_size == size // 2  # the partial record is gone from disk
+            first_restart.record_task(1, 2, b"y" * 100)
+            first_restart.record_task(1, 3, b"z" * 100)
+        with MessageJournal(tmp_path) as second_restart:
+            assert sorted(second_restart.pending(1)) == [1, 2, 3]
+            assert second_restart.truncated_bytes == 0
+
+    def test_corrupt_record_mid_file_is_recovered_in_one_pass(self, tmp_path):
+        # A large journal with one flipped byte: the clean prefix comes back
+        # from a single FrameReader pass (this used to re-feed the file a byte
+        # at a time -- minutes at this size).
+        with MessageJournal(tmp_path) as journal:
+            for seq in (1, 2, 3):
+                journal.record_task(1, seq, bytes([seq]) * (1 << 20))
+        path = tmp_path / "client-1.journal"
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0x40  # inside record 2
+        path.write_bytes(bytes(raw))
+        with MessageJournal(tmp_path) as reloaded:
+            assert sorted(reloaded.pending(1)) == [1]
+            assert reloaded.truncated_bytes == 2 * (len(raw) // 3)
+
+    def test_a_pickled_v1_record_is_a_typed_error_and_is_never_loaded(self, tmp_path):
+        with MessageJournal(tmp_path) as journal:
+            journal.record_task(1, 1, b"one")
+        path = tmp_path / "client-1.journal"
+        with open(path, "ab") as handle:
+            handle.write(encode_frame(MSG_TASK, pickle.dumps((2, b"two"))))
+        with pytest.raises(JournalError, match="undecodable record"):
+            MessageJournal(tmp_path)
+
+
+class TestStateJournal:
+    def test_states_are_recorded_once_and_released(self, tmp_path):
+        with MessageJournal(tmp_path) as journal:
+            journal.record_state(1, b"global model, round 0")
+            journal.record_state(2, b"cluster model")
+            assert journal.state(1) == b"global model, round 0"
+            journal.release_state(1)
+            assert journal.state(1) is None
+            assert journal.state(2) == b"cluster model"
+            assert journal.high_state_id == 2
+
+    def test_states_survive_a_restart_and_ids_keep_rising(self, tmp_path):
+        with MessageJournal(tmp_path) as journal:
+            journal.record_state(1, b"released")
+            journal.record_state(2, b"live")
+            journal.release_state(1)
+            journal.record_task(1, 1, b"task naming state 2")
+        with MessageJournal(tmp_path) as reloaded:
+            assert reloaded.state(1) is None
+            assert reloaded.state(2) == b"live"
+            assert reloaded.high_state_id == 2
+            assert reloaded.pending(1) == {1: b"task naming state 2"}
+
+    def test_the_state_journal_is_not_a_client_journal(self, tmp_path):
+        with MessageJournal(tmp_path) as journal:
+            journal.record_state(1, b"blob")
+            journal.record_task(1, 1, b"task")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["client-1.journal", "states.journal"]

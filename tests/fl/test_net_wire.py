@@ -15,11 +15,17 @@ The anchor guarantees of the PR:
   and ``imap_outcomes`` never hangs even with ``timeout=None``,
 * handshake rejections (fingerprint, unknown ids, protocol version) are
   typed and immediate,
-* the resilience summary of a wire run carries the network counters.
+* the resilience summary of a wire run carries the network counters,
+* a broadcast state crosses a connection **once** per round however many
+  clients the connection hosts, is resent exactly once to a connection
+  that replaces a dropped one, and several distinct carriers in one
+  broadcast (clustered / personalized algorithms) each cross once,
+* a version-1 peer is told ``protocol`` and its pickle is never loaded.
 """
 
 from __future__ import annotations
 
+import pickle
 import socket
 import threading
 
@@ -34,6 +40,7 @@ from repro.fl import (
     SeededModelFactory,
     TaskFailure,
     create_algorithm,
+    create_channel,
 )
 from repro.fl.net import (
     FrameError,
@@ -46,8 +53,17 @@ from repro.fl.net import (
     run_client,
 )
 from repro.fl.net.faults import corrupt_frame
-from repro.fl.net.messages import MSG_ERROR, MSG_WELCOME, Hello, decode_message, encode_message
+from repro.fl.net.messages import (
+    MSG_ERROR,
+    MSG_HELLO,
+    MSG_WELCOME,
+    PROTOCOL_VERSION,
+    Hello,
+    decode_message,
+    encode_message,
+)
 from repro.fl.parameters import state_digest
+from repro.fl.transport.envelope import encode_carrier
 from repro.models import FLNet
 
 TINY_CONFIG = FLConfig(
@@ -99,6 +115,19 @@ def make_clients(
     return build
 
 
+@pytest.fixture
+def make_trio(make_clients, tiny_train_dataset, tiny_test_dataset, num_channels):
+    """A fresh 3-client roster: what one joiner hosts on one connection."""
+
+    def build():
+        third = FederatedClient(
+            3, tiny_train_dataset, tiny_test_dataset, make_factory(num_channels), TINY_CONFIG
+        )
+        return [*make_clients(), third]
+
+    return build
+
+
 def states_equal(left, right) -> bool:
     return set(left) == set(right) and all(np.array_equal(left[k], right[k]) for k in left)
 
@@ -117,6 +146,8 @@ def run_over_wire(
     heartbeat=HEARTBEAT,
     timeout=TIMEOUT,
     reconnect_delay=0.05,
+    supervised=True,
+    compression=None,
 ):
     """One wire run: server-side algorithm + an in-thread loopback joiner.
 
@@ -148,7 +179,8 @@ def run_over_wire(
             make_factory(num_channels),
             TINY_CONFIG,
             backend=backend,
-            resilience=ResilienceManager(),
+            resilience=ResilienceManager() if supervised else None,
+            channel=create_channel(compression),
         )
         result = algorithm.run()
         network = backend.network_summary()
@@ -260,6 +292,84 @@ class TestInjectedWireFaults:
             with pytest.raises(FrameError):
                 reader.feed(mangled)
                 reader.finish()
+
+
+class TestStateCrossesOnce:
+    def test_three_clients_on_one_connection_share_one_state_frame(self, make_trio, num_channels):
+        reference = serial_reference(make_trio, num_channels)
+        result, network, report = run_over_wire(make_trio, num_channels)
+        assert states_equal(result.global_state, reference.global_state)
+        rounds = TINY_CONFIG.rounds
+        assert network["dispatched"] == 3 * rounds
+        # One STATE frame per round on the one connection, not one per client...
+        assert network["states_sent"] == rounds
+        # ...so a round's downlink is one state plus task metadata and acks.
+        state_bytes = len(encode_carrier(reference.global_state))
+        assert network["bytes_sent"] / rounds < 2 * state_bytes
+        assert network["bytes_received"] / rounds > 3 * state_bytes
+        assert report.tasks_run == 3 * rounds
+
+    def test_drop_between_state_and_last_task_resends_the_state_exactly_once(
+        self, make_trio, num_channels
+    ):
+        reference = serial_reference(make_trio, num_channels)
+        # The joiner hangs up on receiving round 0's second task: the STATE
+        # frame and task 1 made it, tasks 2 and 3 must be replayed -- to a
+        # new connection, which has to be sent the state again.
+        result, network, report = run_over_wire(make_trio, num_channels, drop_after=2)
+        assert state_digest(result.global_state) == state_digest(reference.global_state)
+        assert report.drops_simulated == 1
+        assert network["reconnects"] >= 1 and network["replays"] >= 2
+        assert network["states_sent"] == TINY_CONFIG.rounds + 1
+
+    @pytest.mark.parametrize("name", ["assigned_clustering", "ifca", "fedprox_finetune"])
+    def test_several_carriers_in_one_broadcast_equal_serial(self, make_clients, num_channels, name):
+        reference = serial_reference(make_clients, num_channels, name=name)
+        # (The clustered algorithms do not take a resilience manager.)
+        result, network, _ = run_over_wire(
+            make_clients, num_channels, name=name, supervised=name == "fedprox_finetune"
+        )
+        assert states_equal(result.global_state, reference.global_state)
+        assert result.client_states.keys() == reference.client_states.keys()
+        for client_id, state in reference.client_states.items():
+            assert states_equal(result.client_states[client_id], state)
+        if name == "assigned_clustering":
+            # Two clusters, one client each: two distinct carriers per round.
+            assert network["states_sent"] == 2 * TINY_CONFIG.rounds
+
+    @pytest.mark.parametrize("compression", ["none", "quantize", "topk"])
+    def test_wire_envelopes_cross_the_socket_bit_exactly(self, make_trio, num_channels, compression):
+        # With a channel the carrier is a WireTask (payload + codecs), rebuilt
+        # on the joiner through the codec registry; uploads come back encoded.
+        reference = create_algorithm(
+            "fedavg", make_trio(), make_factory(num_channels), TINY_CONFIG,
+            channel=create_channel(compression),
+        ).run()
+        result, network, _ = run_over_wire(make_trio, num_channels, name="fedavg", compression=compression)
+        assert states_equal(result.global_state, reference.global_state)
+        assert network["states_sent"] == TINY_CONFIG.rounds
+
+    def test_states_are_released_when_their_last_task_is_acked(self, make_trio, num_channels):
+        backend = WireBackend(port=0, heartbeat_interval=HEARTBEAT, client_timeout=TIMEOUT)
+        server_clients = make_trio()
+        port = backend.listen([client.client_id for client in server_clients])
+        joiner_clients = make_trio()
+        thread = threading.Thread(
+            target=lambda: run_client(joiner_clients, "127.0.0.1", port, reconnect_delay=0.05),
+            daemon=True,
+        )
+        thread.start()
+        try:
+            create_algorithm(
+                "fedavg", server_clients, make_factory(num_channels), TINY_CONFIG, backend=backend
+            ).run()
+            # No knob, no cache: nothing outlives the round that used it.
+            assert backend.server.state_refs == {}
+            assert backend.server.journal._states == {}
+            assert all(not session.state_ids for session in backend.server.sessions.values())
+        finally:
+            backend.close()
+        thread.join(timeout=30)
 
 
 class TestNetworkFailuresAsTaskFailures:
@@ -418,6 +528,62 @@ class TestHandshake:
             error = decode_message(*response)
             assert error.code == "protocol"
         finally:
+            raw.close()
+            backend.close()
+
+    def test_fingerprint_with_tuples_matches_after_the_json_crossing(self, make_clients):
+        # runner.wire_fingerprint holds tuples; JSON delivers lists.  Both
+        # sides must canonicalise alike or every real join is rejected.
+        fingerprint = {"model_kwargs": (("hidden_filters", 8),), "clients": (1, 2), "seed": 0}
+        backend, _, port = self._server(make_clients, fingerprint=fingerprint)
+        thread = threading.Thread(
+            target=lambda: run_client(
+                make_clients(), "127.0.0.1", port, fingerprint=dict(fingerprint), reconnect_delay=0.05
+            ),
+            daemon=True,
+        )
+        thread.start()
+        try:
+            assert backend.wait_for_clients(timeout=10.0)
+        finally:
+            backend.close()
+        thread.join(timeout=10)
+
+    def test_v1_pickled_hello_is_rejected_without_being_unpickled(self, make_clients):
+        assert PROTOCOL_VERSION == 2
+        import builtins
+
+        tripped = builtins._repro_v1_hello_trap = []
+
+        class BoobyTrap:
+            # What a hostile v1 HELLO is: code that runs when unpickled.
+            def __reduce__(self):
+                return (exec, ("import builtins; builtins._repro_v1_hello_trap.append('unpickled')",))
+
+        backend, _, port = self._server(make_clients)
+        raw = socket.create_connection(("127.0.0.1", port))
+        try:
+            body = pickle.dumps(BoobyTrap(), protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.loads(body)  # the trap is live...
+            assert tripped == ["unpickled"]
+            tripped.clear()
+            raw.sendall(encode_frame(MSG_HELLO, body))
+            reader = FrameReader()
+            response = None
+            while response is None:
+                chunk = raw.recv(1 << 16)
+                if not chunk:
+                    break
+                for frame in reader.feed(chunk):
+                    response = frame
+                    break
+            assert response is not None and response[0] == MSG_ERROR
+            error = decode_message(*response)
+            assert error.code == "protocol"
+            assert raw.recv(1 << 16) == b""  # ...and the server hung up
+            assert tripped == []  # ...without ever loading it
+        finally:
+            del builtins._repro_v1_hello_trap
             raw.close()
             backend.close()
 

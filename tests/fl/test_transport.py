@@ -10,7 +10,10 @@ The central guarantees under test:
 * a training run routed through an ``IdentityCodec`` float64 channel is
   bit-identical to one without any channel,
 * serial and process-pool execution stay bit-identical under every codec,
-* top-k sparsified delta uploads with error feedback still converge.
+* top-k sparsified delta uploads with error feedback still converge,
+* the carrier envelope (what crosses the pool pipe, the socket and the
+  journal instead of a pickle) is bit-exact for raw states and for wire
+  tasks under every codec, and refuses what it cannot vouch for.
 """
 
 from __future__ import annotations
@@ -35,8 +38,20 @@ from repro.fl import (
     quantize_state,
     state_bytes,
 )
-from repro.fl.parameters import flatten_state
-from repro.fl.transport import packed_code_bytes, topk_flat_indices
+from repro.fl.parameters import FlatState, flatten_state
+from repro.fl.transport import (
+    CODECS,
+    TransportDecodeError,
+    WireTask,
+    packed_code_bytes,
+    topk_flat_indices,
+)
+from repro.fl.transport.envelope import (
+    decode_carrier,
+    encode_carrier,
+    pack_envelope,
+    unpack_envelope,
+)
 from repro.models import FLNet
 
 TINY_CONFIG = FLConfig(
@@ -319,6 +334,84 @@ class TestChannel:
             clone.down_codec.decode(clone.payload),
             channel.downlink_codec.decode(wire_tasks[0].payload),
         )
+
+
+class TestCarrierEnvelope:
+    def test_raw_state_round_trip_is_bit_exact_and_owned(self):
+        state = FlatState.from_state(_state(21))
+        state["conv.bias"][0] = np.nan
+        state["conv.bias"][1] = -0.0
+        blob = encode_carrier(state)
+        assert b"pickle" not in blob and blob[0] == 2
+        decoded = decode_carrier(blob)
+        assert decoded.layout is state.layout  # re-interned, state order kept
+        assert decoded.vector.tobytes() == state.vector.tobytes()
+        assert decoded.vector.flags.writeable and decoded.vector.flags.owndata
+        decoded["scale"][:] = 0.0  # the caller's to mutate; the blob is not
+        assert decode_carrier(blob)["scale"][0, 0] == 1.25
+
+    def test_plain_dict_states_are_packed_at_the_door(self):
+        state = _state(22)
+        decoded = decode_carrier(encode_carrier(state))
+        assert list(decoded) == list(state)
+        assert states_equal(decoded, state)
+
+    @pytest.mark.parametrize(
+        "codec",
+        [
+            IdentityCodec("float64"),
+            IdentityCodec("float16"),
+            QuantizationCodec(num_bits=5, deflate=False),
+            QuantizationCodec(num_bits=8, deflate=True),
+            TopKCodec(keep_fraction=0.3, value_dtype="float32", deflate=True),
+        ],
+    )
+    def test_wire_task_round_trip_rebuilds_equal_codecs(self, codec):
+        task = WireTask(codec.encode(_state(23)), codec, up_codec=codec, delta_upload=True)
+        clone = decode_carrier(encode_carrier(task))
+        assert clone.payload == task.payload and isinstance(clone.payload.data, bytes)
+        assert type(clone.down_codec) is type(codec)
+        assert clone.down_codec.parameters() == codec.parameters()
+        assert clone.up_codec.describe() == codec.describe() and clone.delta_upload
+        assert states_equal(clone.down_codec.decode(clone.payload), codec.decode(task.payload))
+        assert decode_carrier(encode_carrier(WireTask(task.payload, codec))).up_codec is None
+
+    def test_every_registered_codec_is_rebuilt_by_its_parameters(self):
+        for name, factory in CODECS.items():
+            codec = factory()
+            assert factory(**codec.parameters()).describe() == codec.describe(), name
+
+    @pytest.mark.parametrize(
+        "path, value, reason",
+        [
+            (("state",), [["w", [2**40, 2**40]]], "larger than any array"),
+            (("state",), [["w", [3]]], "layout disagrees with its buffer"),
+            (("state",), [["w", [-1]]], "negative dimension"),
+            (("state",), [["w", [1.5]]], "integer dimension"),
+            (("wire", "down_codec"), {"name": "pickle", "parameters": {}}, "unknown codec"),
+            (("wire", "down_codec"), {"name": "identity", "parameters": {"dtype": "int8"}}, "rejects"),
+            (("wire", "down_codec"), {"name": "topk", "parameters": {"surprise": 1}}, "rejects"),
+            (("wire", "payload", "data"), 2**62, "byte count disagrees"),
+            (("wire", "delta_upload"), 1, "expected a boolean"),
+        ],
+    )
+    def test_lying_metadata_is_a_typed_error(self, path, value, reason):
+        codec = IdentityCodec("float32")
+        carrier = WireTask(codec.encode(_state(24)), codec) if path[0] == "wire" else {"w": np.ones(2)}
+        meta, sections = unpack_envelope(encode_carrier(carrier))
+        target = meta
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(TransportDecodeError, match=reason) as excinfo:
+            decode_carrier(pack_envelope(meta, sections))
+        assert excinfo.value.codec == "envelope"
+
+    def test_a_pickle_is_not_an_envelope(self):
+        with pytest.raises(TransportDecodeError, match="not a v2 envelope"):
+            decode_carrier(pickle.dumps(FlatState.from_state(_state(25))))
+        with pytest.raises(TransportDecodeError, match="exactly one"):
+            decode_carrier(pack_envelope({"state": None, "wire": None}))
 
 
 def run_fedavg(clients, num_channels, backend=None, channel=None, config=TINY_CONFIG):
