@@ -13,11 +13,12 @@ from conftest import write_result
 
 from repro.fl import (
     BYTES_PER_FLOAT32,
-    compression_error,
+    QuantizationCodec,
+    TopKCodec,
     estimate_communication,
-    quantize_state,
     state_bytes,
-    topk_sparsify,
+    state_distance,
+    state_norm,
 )
 from repro.models.registry import available_models, create_model
 
@@ -42,14 +43,15 @@ def run_costs():
         per_model[name] = (state_bytes(state, BYTES_PER_FLOAT32), rows)
 
     flnet_state = create_model("flnet", in_channels=CHANNELS, seed=0).state_dict()
-    compression = {
-        "top-10% sparsification": topk_sparsify(flnet_state, keep_fraction=0.10),
-        "8-bit quantization": quantize_state(flnet_state, num_bits=8),
+    codecs = {
+        "top-10% sparsification": TopKCodec(keep_fraction=0.10, value_dtype="float64"),
+        "8-bit quantization": QuantizationCodec(num_bits=8, deflate=False),
     }
-    compression_rows = {
-        label: (result.compression_ratio, compression_error(flnet_state, result.state))
-        for label, result in compression.items()
-    }
+    compression_rows = {}
+    for label, codec in codecs.items():
+        payload = codec.encode(flnet_state)
+        error = state_distance(flnet_state, codec.decode(payload)) / state_norm(flnet_state)
+        compression_rows[label] = (state_bytes(flnet_state) / payload.num_bytes, error)
     return per_model, compression_rows
 
 

@@ -31,14 +31,15 @@ from repro.fl import (
     FederatedClient,
     FLConfig,
     PrivacyConfig,
+    QuantizationCodec,
     SeededModelFactory,
-    compression_error,
+    TopKCodec,
     create_channel,
     estimate_communication,
     evaluate_result,
-    quantize_state,
     state_bytes,
-    topk_sparsify,
+    state_distance,
+    state_norm,
 )
 from repro.models import FLNet
 from repro.models.registry import available_models, create_model
@@ -105,14 +106,15 @@ def communication_study(num_channels: int) -> None:
 
     print("\n=== Update compression on one FLNet state ===")
     state = create_model("flnet", in_channels=num_channels, seed=0).state_dict()
-    for label, result in (
-        ("top-10% sparsification", topk_sparsify(state, keep_fraction=0.10)),
-        ("8-bit quantization", quantize_state(state, num_bits=8)),
-        ("4-bit quantization", quantize_state(state, num_bits=4)),
+    for label, codec in (
+        ("top-10% sparsification", TopKCodec(keep_fraction=0.10, value_dtype="float64")),
+        ("8-bit quantization", QuantizationCodec(num_bits=8, deflate=False)),
+        ("4-bit quantization", QuantizationCodec(num_bits=4, deflate=False)),
     ):
-        error = compression_error(state, result.state)
+        payload = codec.encode(state)
+        error = state_distance(state, codec.decode(payload)) / state_norm(state)
         print(
-            f"  {label:<24} {result.compression_ratio:>6.1f}x smaller, "
+            f"  {label:<24} {state_bytes(state) / payload.num_bytes:>6.1f}x smaller, "
             f"relative L2 error {error:.4f}"
         )
 

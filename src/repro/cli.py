@@ -565,27 +565,25 @@ def _add_communication(subparsers) -> None:
 
 
 def _cmd_communication(args) -> int:
-    model = create_model(args.model, in_channels=args.channels, seed=0)
-    state = model.state_dict()
+    # Everything that can refuse an argument runs before the first line is
+    # printed, so a bad value never leaves half a table on stdout.
+    try:
+        state = create_model(args.model, in_channels=args.channels, seed=0).state_dict()
+        reports = [
+            estimate_communication(name, state, args.clients, args.rounds)
+            for name in sorted(ALGORITHMS)
+        ]
+    except ValueError as error:
+        print(f"repro communication: error: {error}", file=sys.stderr)
+        return 2
     print(
         f"Communication cost of {args.model} ({args.clients} clients, {args.rounds} rounds)\n"
         f"{'Algorithm':<22} {'Uplink/round':>14} {'Downlink/round':>16} {'Total (MB)':>12}"
     )
-    for name in sorted(ALGORITHMS):
-        if name == "dp_fedprox":
-            report = estimate_communication("fedprox", state, args.clients, args.rounds)
-            report = type(report)(
-                algorithm=name,
-                rounds=report.rounds,
-                num_clients=report.num_clients,
-                uplink_bytes_per_round=report.uplink_bytes_per_round,
-                downlink_bytes_per_round=report.downlink_bytes_per_round,
-            )
-        else:
-            report = estimate_communication(name, state, args.clients, args.rounds)
+    for report in reports:
         total_mb = report.total_bytes / 1e6
         print(
-            f"{name:<22} {report.uplink_bytes_per_round:>14,d} "
+            f"{report.algorithm:<22} {report.uplink_bytes_per_round:>14,d} "
             f"{report.downlink_bytes_per_round:>16,d} {total_mb:>12.2f}"
         )
     return 0

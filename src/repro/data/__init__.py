@@ -11,14 +11,6 @@ from repro.data.clients import (
     build_table2_corpus,
     table2_rows,
 )
-from repro.data.augmentation import (
-    D4_SYMMETRIES,
-    RandomAugmenter,
-    apply_symmetry,
-    augment_dataset,
-    augment_sample,
-    symmetry_name,
-)
 from repro.data.dataset import PlacementSample, RoutabilityDataset
 from repro.data.loader import DataLoader, infinite_batches
 
@@ -27,12 +19,6 @@ __all__ = [
     "RoutabilityDataset",
     "DataLoader",
     "infinite_batches",
-    "D4_SYMMETRIES",
-    "apply_symmetry",
-    "symmetry_name",
-    "augment_sample",
-    "augment_dataset",
-    "RandomAugmenter",
     "ClientSpec",
     "ClientData",
     "CorpusConfig",

@@ -10,17 +10,9 @@ from repro.experiments.config import (
     smoke,
 )
 from repro.experiments.report import (
-    RESULT_DESCRIPTIONS,
-    communication_markdown,
     communication_text,
-    comparison_markdown,
-    load_result_texts,
-    resilience_markdown,
     resilience_text,
-    results_report,
-    scheduling_markdown,
     scheduling_text,
-    write_results_report,
 )
 from repro.experiments.runner import (
     AlgorithmOutcome,
@@ -39,7 +31,6 @@ from repro.experiments.tables import (
     ROW_DISPLAY_NAMES,
     comparison_table,
     format_rows,
-    paper_average,
 )
 
 __all__ = [
@@ -62,18 +53,9 @@ __all__ = [
     "PAPER_TABLE3_FLNET",
     "PAPER_TABLE4_ROUTENET",
     "PAPER_TABLE5_PROS",
-    "paper_average",
     "format_rows",
     "comparison_table",
-    "RESULT_DESCRIPTIONS",
-    "load_result_texts",
-    "comparison_markdown",
-    "communication_markdown",
     "communication_text",
-    "scheduling_markdown",
     "scheduling_text",
-    "resilience_markdown",
     "resilience_text",
-    "results_report",
-    "write_results_report",
 ]

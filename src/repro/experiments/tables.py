@@ -87,12 +87,6 @@ PAPER_TABLE2_SETUP: List[Dict[str, object]] = [
 ]
 
 
-def paper_average(model: str, algorithm: str) -> float:
-    """The paper's reported average AUC for one (model, algorithm) pair."""
-    table = PAPER_TABLES[model.lower()]
-    return table[algorithm][-1]
-
-
 def format_rows(rows: Sequence[EvaluationRow], title: Optional[str] = None, digits: int = 3) -> str:
     """Render evaluation rows as an aligned plain-text table."""
     if not rows:

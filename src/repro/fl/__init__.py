@@ -84,13 +84,9 @@ from repro.fl.communication import (
     BYTES_PER_FLOAT32,
     CommunicationReport,
     CommunicationTracker,
-    CompressionResult,
-    compression_error,
     estimate_communication,
-    quantize_state,
     state_bytes,
     state_num_parameters,
-    topk_sparsify,
 )
 from repro.fl.transport import (
     CODECS,
@@ -170,7 +166,6 @@ from repro.fl.parameters import (
     filter_state,
     flat_model_state,
     flatten_state,
-    interpolate,
     merge_partition,
     state_distance,
     state_norm,
@@ -182,7 +177,6 @@ from repro.fl.privacy import (
     GaussianAccountant,
     PrivacyConfig,
     PrivateUpdateLog,
-    SecureAggregationSession,
     add_gaussian_noise,
     apply_update,
     clip_update,
@@ -390,7 +384,6 @@ __all__ = [
     "PrivacyConfig",
     "GaussianAccountant",
     "PrivateUpdateLog",
-    "SecureAggregationSession",
     "privatize_update",
     "state_update",
     "apply_update",
@@ -401,11 +394,7 @@ __all__ = [
     "state_bytes",
     "CommunicationReport",
     "CommunicationTracker",
-    "CompressionResult",
     "estimate_communication",
-    "topk_sparsify",
-    "quantize_state",
-    "compression_error",
     "SAMPLER_CHOICES",
     "AVAILABILITY_CHOICES",
     "STRAGGLER_CHOICES",
@@ -448,7 +437,6 @@ __all__ = [
     "flat_model_state",
     "state_vector",
     "weighted_average",
-    "interpolate",
     "merge_partition",
     "filter_state",
     "clone_state",

@@ -29,6 +29,7 @@ from repro.fl.parameters import (
     FlatState,
     State,
     StateLayout,
+    as_flat_state,
     check_compatible,
     check_weight,
     state_vector,
@@ -39,11 +40,6 @@ from repro.fl.parameters import (
 #: Every paper table, golden and CI witness folds at most this many updates
 #: per aggregation and is therefore exactly ``weighted_average``.
 PARITY_LIMIT = 32
-
-
-def _layout_of(state: State) -> StateLayout:
-    """The layout updates are folded in (the first update fixes it)."""
-    return state.layout if isinstance(state, FlatState) else StateLayout.from_state(state)
 
 
 def _delta(update: State, dispatch: State, layout: StateLayout) -> np.ndarray:
@@ -80,7 +76,7 @@ class StreamingAccumulator(UpdateAccumulator):
     """One round's sample-weighted average, folded one update at a time."""
 
     def __init__(self):
-        self._pending: List[Tuple[State, float]] = []
+        self._pending: List[Tuple[FlatState, float]] = []
         self._layout: Optional[StateLayout] = None
         self._sum: Optional[np.ndarray] = None
         # The running sum viewed as a state: what a spilled fold validates
@@ -99,6 +95,7 @@ class StreamingAccumulator(UpdateAccumulator):
         return self._count
 
     def fold(self, state: State, weight: float) -> None:
+        state = as_flat_state(state)
         weight = check_weight(weight)
         if self._sum is None and len(self._pending) < PARITY_LIMIT:
             self._pending.append((state, weight))
@@ -114,14 +111,14 @@ class StreamingAccumulator(UpdateAccumulator):
         """Leave the parity buffer: fold the buffered pairs into the running sum."""
         states = [state for state, _ in self._pending]
         check_compatible(states)
-        self._layout = _layout_of(states[0])
+        self._layout = states[0].layout  # the first update fixes the fold order
         self._sum = np.zeros(self._layout.total_size, dtype=np.float64)
         self._sum_state = FlatState(self._layout, self._sum)
         for state, weight in self._pending:
             self._sum += weight * state_vector(state, self._layout)
         self._pending = []
 
-    def result(self) -> State:
+    def result(self) -> FlatState:
         if self._sum is None:
             return weighted_average(
                 [state for state, _ in self._pending],
@@ -158,7 +155,7 @@ class StreamingDeltaAccumulator:
 
     def reset(self) -> None:
         """Start a fresh buffer (called after every aggregation)."""
-        self._pending: List[Tuple[State, State, float, bool]] = []
+        self._pending: List[Tuple[FlatState, FlatState, float, bool]] = []
         self._layout: Optional[StateLayout] = None
         self._delta_sum: Optional[np.ndarray] = None
         self._sum_state: Optional[State] = None
@@ -180,6 +177,7 @@ class StreamingDeltaAccumulator:
         (staleness zero); an all-fresh parity buffer takes the synchronous
         ``weighted_average`` special case.
         """
+        update, dispatch = as_flat_state(update), as_flat_state(dispatch)
         weight = check_weight(weight)
         if self._delta_sum is None and len(self._pending) < PARITY_LIMIT:
             self._pending.append((update, dispatch, weight, fresh))
@@ -195,15 +193,16 @@ class StreamingDeltaAccumulator:
         check_compatible(
             [state for update, dispatch, _, _ in self._pending for state in (update, dispatch)]
         )
-        self._layout = _layout_of(self._pending[0][0])
+        self._layout = self._pending[0][0].layout
         self._delta_sum = np.zeros(self._layout.total_size, dtype=np.float64)
         self._sum_state = FlatState(self._layout, self._delta_sum)
         for update, dispatch, weight, _ in self._pending:
             self._delta_sum += weight * _delta(update, dispatch, self._layout)
         self._pending = []
 
-    def result(self, global_state: State) -> State:
+    def result(self, global_state: State) -> FlatState:
         """The buffered fold applied to ``global_state``."""
+        global_state = as_flat_state(global_state)
         if self._count == 0:
             return global_state
         if self._weight_total <= 0:
@@ -222,8 +221,8 @@ class StreamingDeltaAccumulator:
                 [weight for _, _, weight, _ in self._pending],
             )
         # The exact per-entry fold, in arrival order.
-        layout = _layout_of(global_state)
-        folded = state_vector(global_state, layout).copy()
+        layout = global_state.layout
+        folded = global_state.vector.copy()
         for update, dispatch, weight, _ in self._pending:
             folded += (weight / total) * _delta(update, dispatch, layout)
         return FlatState(layout, folded)

@@ -1,4 +1,4 @@
-"""Communication cost accounting and update compression.
+"""Communication cost accounting.
 
 Decentralized training replaces data movement with parameter movement, so the
 practical cost of every algorithm in this package is measured in bytes per
@@ -10,11 +10,10 @@ round.  This module provides:
   and per training run) for every algorithm in the registry, which the
   communication benchmark turns into a table;
 * a :class:`CommunicationTracker` that records *measured* transfers — the
-  transport channel feeds it real payload byte counts;
-* two classic update-compression schemes — top-k sparsification and uniform
-  quantization — expressed on top of the wire codecs in
-  :mod:`repro.fl.transport.codecs`, so the reported payload bytes are the
-  size of a payload that was actually encoded.
+  transport channel feeds it real payload byte counts.
+
+Update compression itself lives in the wire codecs
+(:mod:`repro.fl.transport.codecs`).
 
 Sizing conventions
 ------------------
@@ -113,7 +112,8 @@ def estimate_communication(
     algorithm:
         One of the registry names (``fedavg``, ``fedprox``, ``fedprox_lg``,
         ``ifca``, ``fedprox_finetune``, ``assigned_clustering``,
-        ``fedprox_alpha``, ``fedbn``, ``fedavgm``, ``local``, ``centralized``).
+        ``fedprox_alpha``, ``fedbn``, ``fedavgm``, ``dp_fedprox``, ``local``,
+        ``centralized``).
     state:
         A representative model state (for its size).
     global_fraction:
@@ -136,7 +136,7 @@ def estimate_communication(
         # Local training never communicates; centralized training ships the
         # data once, not parameters — neither has a per-round parameter cost.
         uplink = downlink = 0
-    elif key in ("fedavg", "fedprox", "fedprox_finetune", "fedprox_alpha", "fedavgm"):
+    elif key in ("fedavg", "fedprox", "fedprox_finetune", "fedprox_alpha", "fedavgm", "dp_fedprox"):
         uplink = size * num_clients
         downlink = size * num_clients
     elif key in ("fedprox_lg", "fedbn"):
@@ -166,9 +166,7 @@ class CommunicationTracker:
     """Records measured parameter transfers during a training run.
 
     The transport channel calls :meth:`record_upload` /
-    :meth:`record_download` with *real payload byte counts*; the
-    state-taking convenience loggers size a state from its actual array
-    ``itemsize`` (an uncompressed float64 wire).
+    :meth:`record_download` with *real payload byte counts*.
     """
 
     def __init__(self):
@@ -188,19 +186,6 @@ class CommunicationTracker:
             raise ValueError("num_bytes must be non-negative")
         self._downlink.append((int(round_index), int(client_id), int(num_bytes)))
 
-    # -- state-taking conveniences ----------------------------------------------
-    def log_upload(self, round_index: int, client_id: int, state: State) -> int:
-        """Log an uncompressed state upload; returns its real byte size."""
-        size = state_bytes(state)
-        self.record_upload(round_index, client_id, size)
-        return size
-
-    def log_download(self, round_index: int, client_id: int, state: State) -> int:
-        """Log an uncompressed state download; returns its real byte size."""
-        size = state_bytes(state)
-        self.record_download(round_index, client_id, size)
-        return size
-
     # -- aggregation --------------------------------------------------------------
     @property
     def total_uplink_bytes(self) -> int:
@@ -210,20 +195,12 @@ class CommunicationTracker:
     def total_downlink_bytes(self) -> int:
         return sum(size for _, _, size in self._downlink)
 
-    @property
-    def total_bytes(self) -> int:
-        return self.total_uplink_bytes + self.total_downlink_bytes
-
     @staticmethod
     def _by_round(records: List[Tuple[int, int, int]]) -> Dict[int, int]:
         totals: Dict[int, int] = {}
         for round_index, _, size in records:
             totals[round_index] = totals.get(round_index, 0) + size
         return totals
-
-    def per_round(self) -> Dict[int, int]:
-        """Total bytes (both directions) per round index."""
-        return self._by_round(self._uplink + self._downlink)
 
     def per_round_uplink(self) -> Dict[int, int]:
         """Uplink bytes per round index."""
@@ -232,84 +209,3 @@ class CommunicationTracker:
     def per_round_downlink(self) -> Dict[int, int]:
         """Downlink bytes per round index."""
         return self._by_round(self._downlink)
-
-    def per_client(self) -> Dict[int, int]:
-        """Total bytes (both directions) per client id."""
-        totals: Dict[int, int] = {}
-        for _, client_id, size in self._uplink + self._downlink:
-            totals[client_id] = totals.get(client_id, 0) + size
-        return totals
-
-
-@dataclass(frozen=True)
-class CompressionResult:
-    """A compressed (and already de-compressed) state plus its wire cost."""
-
-    state: State
-    payload_bytes: int
-    baseline_bytes: int
-
-    @property
-    def compression_ratio(self) -> float:
-        """Baseline bytes divided by compressed bytes (higher is better)."""
-        if self.payload_bytes == 0:
-            return float("inf")
-        return self.baseline_bytes / self.payload_bytes
-
-
-def topk_sparsify(state: State, keep_fraction: float) -> CompressionResult:
-    """Keep exactly the largest-magnitude ``keep_fraction`` of entries.
-
-    A convenience wrapper around
-    :class:`~repro.fl.transport.codecs.TopKCodec` with float64 values, so
-    the surviving entries keep their exact value (the rest become zero) and
-    selection is exact and deterministic: precisely
-    ``max(1, round(keep_fraction * total))`` entries survive, magnitude
-    ties broken toward the lower flat index.  ``payload_bytes`` is the size
-    of the actually encoded (4-byte index, 8-byte value) payload;
-    ``baseline_bytes`` is the state's real uncompressed size.
-    """
-    from repro.fl.transport.codecs import TopKCodec
-
-    codec = TopKCodec(keep_fraction=keep_fraction, value_dtype="float64")
-    payload = codec.encode(state)
-    return CompressionResult(
-        state=codec.decode(payload),
-        payload_bytes=payload.num_bytes,
-        baseline_bytes=state_bytes(state),
-    )
-
-
-def quantize_state(state: State, num_bits: int = 8) -> CompressionResult:
-    """Uniform per-tensor quantization to ``num_bits`` bits.
-
-    A convenience wrapper around
-    :class:`~repro.fl.transport.codecs.QuantizationCodec` (without the
-    DEFLATE stage, so the payload size is deterministic): values are
-    quantized to a uniform grid between each tensor's min and max and the
-    returned state is exactly what the receiver reconstructs from the
-    packed payload — ``num_bits`` per value plus two float64 scales per
-    tensor.
-    """
-    from repro.fl.transport.codecs import QuantizationCodec
-
-    codec = QuantizationCodec(num_bits=num_bits, deflate=False)
-    payload = codec.encode(state)
-    return CompressionResult(
-        state=codec.decode(payload),
-        payload_bytes=payload.num_bytes,
-        baseline_bytes=state_bytes(state),
-    )
-
-
-def compression_error(original: State, compressed: State) -> float:
-    """Relative L2 error introduced by a compression scheme."""
-    num = 0.0
-    denom = 0.0
-    for name in original:
-        diff = np.asarray(original[name]) - np.asarray(compressed[name])
-        num += float(np.sum(diff**2))
-        denom += float(np.sum(np.asarray(original[name]) ** 2))
-    if denom == 0.0:
-        return 0.0
-    return float(np.sqrt(num / denom))

@@ -172,14 +172,9 @@ def run_client_task(client, task: ClientTask):
         raise ValueError(f"unknown client op {task.op!r}")
     if task.wire is not None and task.wire.up_codec is not None:
         if task.wire.delta_upload:
-            # Flat states compute the upload delta on their contiguous
-            # buffers in one pass (bit-identical to the per-name loop).
-            pair = flat_pair(start_state, new_state)
-            if pair is not None:
-                layout, start_vector, new_vector = pair
-                target = FlatState(layout, new_vector - start_vector)
-            else:
-                target = {name: new_state[name] - start_state[name] for name in new_state}
+            # The upload delta, on the contiguous buffers in one pass.
+            layout, start_vector, new_vector = flat_pair(start_state, new_state)
+            target = FlatState(layout, new_vector - start_vector)
         else:
             target = new_state
         return None, task.wire.up_codec.encode(target), stats

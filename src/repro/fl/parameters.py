@@ -1,19 +1,14 @@
 """Operations on model parameter states used by federated aggregation.
 
-A "state" is the flat ``name -> ndarray`` mapping produced by
-:meth:`repro.nn.Module.state_dict`.  Everything the developer ever sees in
-the decentralized setting is one of these states — never raw data — so all
-server-side algorithms (FedAvg/FedProx averaging, FedProx-LG partial
-aggregation, IFCA per-cluster aggregation, alpha-portion sync) are expressed
-as arithmetic over states.
+A "state" is the ``name -> ndarray`` mapping of
+:meth:`repro.nn.Module.state_dict`, held as a :class:`FlatState`.  Everything
+the developer ever sees in the decentralized setting is one of these states —
+never raw data — so all server-side algorithms (FedAvg/FedProx averaging,
+FedProx-LG partial aggregation, IFCA per-cluster aggregation, alpha-portion
+sync) are expressed as arithmetic over states.
 
-The flat-buffer engine
-----------------------
-Server-side arithmetic used to be dict comprehensions over ``name ->
-ndarray``, paying per-tensor Python overhead, ``np.stack`` copies, and dict
-re-materialization on paths that run once per client per round.  The engine
-below makes that whole layer operate on single contiguous buffers:
-
+One representation
+------------------
 :class:`StateLayout`
     A frozen layout — ordered names, shapes, per-entry offsets into one
     flat float64 vector — derived once per distinct architecture and
@@ -21,32 +16,31 @@ below makes that whole layer operate on single contiguous buffers:
 :class:`FlatState`
     A ``dict`` subclass whose values are **zero-copy views** into one
     contiguous 1-D ``vector``.  Algorithms keep indexing ``state[name]``
-    exactly as before (the dict API is the thin view), while the hot
-    arithmetic below reaches straight for ``state.vector``:
-    :func:`weighted_average` becomes one ``(K, P) @ (K,)`` GEMV instead of a
-    per-name stack/tensordot loop, :func:`interpolate`, delta
-    encode/decode, error-feedback folds, and
-    :meth:`~repro.fl.FederatedServer.alpha_portion_sync` become whole-model
+    (the dict API is the thin view), while the arithmetic below reaches
+    straight for ``state.vector``: :func:`weighted_average` is one
+    ``(K, P) @ (K,)`` GEMV, delta encode/decode, error-feedback folds and
+    :meth:`~repro.fl.FederatedServer.alpha_portion_sync` are whole-model
     vector ops, and pickling (:meth:`FlatState.__reduce__`) ships the one
     buffer across process boundaries instead of a dict of arrays.
 
+Every function here, in :mod:`repro.fl.privacy`, :mod:`repro.fl.server`,
+:mod:`repro.fl.aggregation` and the wire codecs takes any ``name ->
+ndarray`` mapping, packs it once at the door (:func:`as_flat_state`, a
+pass-through for a state that already is flat) and has one body, over the
+vector; whatever it returns is a :class:`FlatState`.
+
 Bit-parity rules
 ----------------
-Everything elementwise (interpolate, clone, deltas, folds, noise, clipping
-scale) is **bit-identical** to the per-name dict loops by construction: the
+Everything elementwise (clone, deltas, folds, noise, clipping scale) is
+**bit-identical** to a per-name loop over the tensors by construction: the
 flat vector stores each tensor's elements contiguously in state order, so
 the same IEEE operations run on the same values in the same order.
 :func:`weighted_average` is the one deliberate exception: the single GEMV
-may differ from the per-name ``np.tensordot`` loop at the last ulp (BLAS
-kernel tails), which is why the pre-refactor implementation is kept as
-:func:`reference_weighted_average` and asserted against at ``1e-12``.  Flat
-and plain-dict inputs always produce identical results because both are
-routed through the same packed GEMV.
-
-Flat is the only representation the engine produces: every function here
-that builds a state from a vector returns a :class:`FlatState`.  Plain
-dicts are accepted as *inputs* wherever a state is (packed for the GEMV,
-per-name loops elsewhere).
+may differ from a per-name ``np.tensordot`` loop at the last ulp (BLAS
+kernel tails).  The per-name loops are the test-side oracles in
+``tests/fl/oracles.py``; ``tests/fl/test_state_door.py`` holds every
+function to them for dict, flat, mixed and entry-permuted inputs (``1e-12``
+for the GEMV, bit for bit for the rest).
 
 ``sorted`` vs. state order
 --------------------------
@@ -194,14 +188,7 @@ class StateLayout:
         self._gather_cache[id(other)] = perm
         return perm
 
-    # -- packing ------------------------------------------------------------------
-    def pack(self, state: State, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Copy a state's values into one contiguous float64 vector."""
-        vector = out if out is not None else np.empty(self.total_size, dtype=np.float64)
-        for name, shape, offset, size in self.iter_slots():
-            np.copyto(vector[offset : offset + size].reshape(shape), state[name])
-        return vector
-
+    # -- views --------------------------------------------------------------------
     def view_dict(self, vector: np.ndarray) -> State:
         """A plain dict of zero-copy views into ``vector`` (layout order)."""
         return {
@@ -341,94 +328,72 @@ def flat_model_state(model) -> FlatState:
 def state_vector(state: State, layout: Optional[StateLayout] = None) -> np.ndarray:
     """``state``'s values as one float64 vector in ``layout`` order.
 
-    Zero-copy for a :class:`FlatState` already in that layout; a cached
-    gather for a flat state in a different entry order; a pack for plain
-    dicts.  Callers must treat the result as read-only.
+    Zero-copy for a state already in that layout, a cached gather for one
+    in a different entry order.  Callers must treat the result as read-only.
     """
-    if isinstance(state, FlatState):
-        if layout is None or layout is state.layout:
-            return state.vector
-        return state.vector[layout.gather_from(state.layout)]
-    if layout is None:
-        layout = StateLayout.from_state(state)
-    return layout.pack(state)
+    state = as_flat_state(state)
+    if layout is None or layout is state.layout:
+        return state.vector
+    return state.vector[layout.gather_from(state.layout)]
 
 
-def sorted_state_vector(state: State) -> Optional[np.ndarray]:
-    """The flat vector in sorted name order, or ``None`` for plain dicts.
+def sorted_state_vector(state: State) -> np.ndarray:
+    """The flat vector in sorted name order (the wire order).
 
-    The zero-copy fast path for the wire codecs: a codec-decoded
-    :class:`FlatState` is already in sorted order, so its buffer is returned
-    as-is (read-only).
+    A codec-decoded state is already in sorted order, so its buffer is
+    returned as-is (read-only).
     """
-    if not isinstance(state, FlatState):
-        return None
+    state = as_flat_state(state)
     perm = state.layout.sorted_permutation()
     return state.vector if perm is None else state.vector[perm]
 
 
-def flat_pair(
-    state_a: State, state_b: State
-) -> Optional[Tuple[StateLayout, np.ndarray, np.ndarray]]:
-    """``(layout, vector_a, vector_b)`` when both states can run flat.
+def flat_pair(state_a: State, state_b: State) -> Tuple[StateLayout, np.ndarray, np.ndarray]:
+    """``(layout, vector_a, vector_b)`` of two compatible states.
 
-    The vectors are aligned to ``state_a``'s layout; ``None`` when either
-    input is a plain dict (callers fall back to the per-name loop, which is
-    bit-identical).
+    The vectors are aligned to ``state_a``'s layout; states with different
+    names or shapes raise the ``ValueError`` of :func:`check_compatible`.
     """
-    if isinstance(state_a, FlatState) and isinstance(state_b, FlatState):
-        layout = state_a.layout
-        if state_b.layout is layout:
-            return layout, state_a.vector, state_b.vector
-        if layout.compatible_with(state_b.layout):
-            return layout, state_a.vector, state_b.vector[layout.gather_from(state_b.layout)]
-    return None
+    state_a, state_b = as_flat_state(state_a), as_flat_state(state_b)
+    check_compatible([state_a, state_b])
+    return state_a.layout, state_a.vector, state_vector(state_b, state_a.layout)
 
 
 # -- state arithmetic ------------------------------------------------------------
 
 
-def clone_state(state: State) -> State:
-    """Deep-copy a state dictionary."""
-    if isinstance(state, FlatState):
-        return FlatState(state.layout, state.vector.copy())
-    return {name: np.array(values, copy=True) for name, values in state.items()}
+def clone_state(state: State) -> FlatState:
+    """Deep-copy a state."""
+    return FlatState.from_state(state)
 
 
-def zeros_like_state(state: State) -> State:
+def zeros_like_state(state: State) -> FlatState:
     """A state with the same keys/shapes but all zeros."""
-    if isinstance(state, FlatState):
-        return FlatState(state.layout, np.zeros(state.layout.total_size, dtype=np.float64))
-    return {name: np.zeros_like(values) for name, values in state.items()}
+    layout = as_flat_state(state).layout
+    return FlatState(layout, np.zeros(layout.total_size, dtype=np.float64))
 
 
 def check_compatible(states: Sequence[State]) -> None:
     """Validate that all states share keys and shapes.
 
-    Validation runs once against the first state's frozen layout: flat
-    states sharing that (interned) layout pass with an identity check, and
-    plain dicts are compared through their ``keys()`` views instead of
-    rebuilding a ``set(state)`` per state per call.
+    Validation runs against the first state's frozen layout: states sharing
+    that (interned) layout pass with an identity check, others with one
+    cached set comparison.
     """
     if not states:
         raise ValueError("no states provided")
-    reference = states[0]
-    reference_layout = reference.layout if isinstance(reference, FlatState) else None
-    reference_keys = reference.keys()
+    reference = as_flat_state(states[0]).layout
     for index, state in enumerate(states[1:], start=1):
-        if (
-            reference_layout is not None
-            and isinstance(state, FlatState)
-            and reference_layout.compatible_with(state.layout)
-        ):
+        layout = as_flat_state(state).layout
+        if reference.compatible_with(layout):
             continue
-        if state.keys() != reference_keys:
+        if set(layout.names) != set(reference.names):
             raise ValueError(f"state {index} has different keys than state 0")
-        for name in reference:
-            if state[name].shape != reference[name].shape:
+        shapes = dict(layout.entries)
+        for name, shape in reference.entries:
+            if shapes[name] != shape:
                 raise ValueError(
-                    f"state {index} entry {name!r} has shape {state[name].shape}, "
-                    f"expected {reference[name].shape}"
+                    f"state {index} entry {name!r} has shape {shapes[name]}, expected {shape}"
                 )
 
 
@@ -495,64 +460,26 @@ def _check_weights(states: List[State], weights: np.ndarray) -> np.ndarray:
     return weights / total
 
 
-def reference_weighted_average(states: Sequence[State], weights: Sequence[float]) -> State:
-    """The pre-refactor per-name stack/tensordot aggregation.
-
-    Kept as the parity reference for :func:`weighted_average`; may differ
-    from the flat GEMV at the last ulp.
-    """
-    states = list(states)
-    normalized = _check_weights(states, np.asarray(list(weights), dtype=np.float64))
-    check_compatible(states)
-    result: State = {}
-    for name in states[0]:
-        stacked = np.stack([state[name] for state in states], axis=0)
-        result[name] = np.tensordot(normalized, stacked, axes=(0, 0))
-    return result
-
-
-def weighted_average(states: Sequence[State], weights: Sequence[float]) -> State:
+def weighted_average(states: Sequence[State], weights: Sequence[float]) -> FlatState:
     """Weighted average of states (weights are normalized internally).
 
     This is the server's parameter-aggregation step
     ``W^{r+1} = sum_k (n_k / n) w_k^r`` from Figure 1 of the paper,
     computed as one ``(K,) @ (K, P)`` GEMV over the flat buffers — BLAS
-    speed instead of a per-name Python loop.  Flat and plain-dict inputs
-    produce bit-identical results (both route through the same GEMV).
+    speed instead of a per-name Python loop.  The result is in the first
+    state's entry order.
     """
-    states = list(states)
+    states = [as_flat_state(state) for state in states]
     normalized = _check_weights(states, np.asarray(list(weights), dtype=np.float64))
     check_compatible(states)
-    first = states[0]
-    layout = first.layout if isinstance(first, FlatState) else StateLayout.from_state(first)
+    layout = states[0].layout
     matrix = _aggregation_matrix(len(states), layout.total_size)
     for row, state in enumerate(states):
-        if isinstance(state, FlatState):
-            if state.layout is layout:
-                matrix[row] = state.vector
-            else:
-                matrix[row] = state.vector[layout.gather_from(state.layout)]
-        else:
-            layout.pack(state, out=matrix[row])
+        matrix[row] = state_vector(state, layout)
     return FlatState(layout, normalized @ matrix)
 
 
-def interpolate(state_a: State, state_b: State, weight_a: float) -> State:
-    """``weight_a * state_a + (1 - weight_a) * state_b`` (alpha-portion sync)."""
-    if not 0.0 <= weight_a <= 1.0:
-        raise ValueError(f"weight_a must be in [0, 1], got {weight_a}")
-    check_compatible([state_a, state_b])
-    pair = flat_pair(state_a, state_b)
-    if pair is not None:
-        layout, vector_a, vector_b = pair
-        return FlatState(layout, weight_a * vector_a + (1.0 - weight_a) * vector_b)
-    return {
-        name: weight_a * state_a[name] + (1.0 - weight_a) * state_b[name]
-        for name in state_a
-    }
-
-
-def merge_partition(global_state: State, local_state: State, local_names: Iterable[str]) -> State:
+def merge_partition(global_state: State, local_state: State, local_names: Iterable[str]) -> FlatState:
     """Overlay the ``local_names`` entries of ``local_state`` onto ``global_state``.
 
     Used by FedProx-LG: the developer's aggregate supplies the global part,
@@ -563,24 +490,18 @@ def merge_partition(global_state: State, local_state: State, local_names: Iterab
     if unknown:
         raise ValueError(f"local parameter names not present in state: {sorted(unknown)}")
     merged = clone_state(global_state)
-    if isinstance(merged, FlatState):
-        for name in local_names:
-            merged[name] = local_state[name]  # write-through into the buffer
-    else:
-        for name in local_names:
-            merged[name] = np.array(local_state[name], copy=True)
+    for name in local_names:
+        merged[name] = local_state[name]  # write-through into the buffer
     return merged
 
 
-def filter_state(state: State, names: Iterable[str]) -> State:
+def filter_state(state: State, names: Iterable[str]) -> FlatState:
     """A new state containing only the requested entries."""
     names = list(names)
     missing = [name for name in names if name not in state]
     if missing:
         raise ValueError(f"state does not contain {missing}")
-    if isinstance(state, FlatState):
-        return FlatState.from_items((name, state[name]) for name in names)
-    return {name: np.array(state[name], copy=True) for name in names}
+    return FlatState.from_items((name, state[name]) for name in names)
 
 
 def state_distance(state_a: State, state_b: State) -> float:
@@ -596,19 +517,17 @@ def state_distance(state_a: State, state_b: State) -> float:
 def state_norm(state: State) -> float:
     """Euclidean norm of a state.
 
-    Deliberately accumulated per tensor (not over the whole flat vector) so
-    the value is bit-identical for flat and dict states — DP clipping
-    scales depend on it.
+    Deliberately accumulated per tensor, not over the whole flat vector:
+    DP clipping scales depend on it, and they feed the run digests.
     """
     return float(np.sqrt(sum(float(np.sum(values**2)) for values in state.values())))
 
 
 def flatten_state(state: State) -> np.ndarray:
     """Concatenate all entries into one vector (deterministic key order)."""
+    state = as_flat_state(state)
     flat = sorted_state_vector(state)
-    if flat is not None:
-        return flat.copy() if flat is getattr(state, "vector", None) else flat
-    return np.concatenate([np.asarray(state[name]).ravel() for name in sorted(state)])
+    return flat.copy() if flat is state.vector else flat
 
 
 def state_digest(state: State) -> str:

@@ -10,30 +10,25 @@ framework can be exercised end-to-end under a quantified privacy budget:
   calibrated to that clip norm, the classic DP-FedAvg recipe;
 * a **privacy accountant** that composes the per-round Gaussian mechanism
   through zero-concentrated differential privacy (zCDP) and converts the
-  accumulated budget to an (epsilon, delta) guarantee;
-* a **secure-aggregation simulation**: pairwise additive masks that cancel
-  in the server's sum, so the developer only ever observes the aggregate of
-  the clients' (weighted) updates, never an individual update.
+  accumulated budget to an (epsilon, delta) guarantee.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.fl.parameters import (
     FlatState,
     State,
-    check_compatible,
+    as_flat_state,
     clone_state,
     flat_pair,
     state_norm,
-    zeros_like_state,
 )
-from repro.utils.rng import new_rng
 
 
 @dataclass(frozen=True)
@@ -69,61 +64,49 @@ class PrivacyConfig:
         return self.noise_multiplier > 0
 
 
-def state_update(reference: State, new_state: State) -> State:
+def state_update(reference: State, new_state: State) -> FlatState:
     """The model update ``new_state - reference`` a client would transmit.
 
-    Flat states subtract their contiguous buffers in one pass — the hot
-    path of delta-encoded uploads — and are bit-identical to the per-name
-    dict loop (same elementwise operations, same element order).
+    One subtraction over the contiguous buffers — the hot path of
+    delta-encoded uploads.
     """
-    check_compatible([reference, new_state])
-    pair = flat_pair(reference, new_state)
-    if pair is not None:
-        layout, reference_vector, new_vector = pair
-        return FlatState(layout, new_vector - reference_vector)
-    return {name: new_state[name] - reference[name] for name in reference}
+    layout, reference_vector, new_vector = flat_pair(reference, new_state)
+    return FlatState(layout, new_vector - reference_vector)
 
 
-def apply_update(reference: State, update: State) -> State:
+def apply_update(reference: State, update: State) -> FlatState:
     """Re-apply a (possibly clipped / noisy) update onto the reference state."""
-    check_compatible([reference, update])
-    pair = flat_pair(reference, update)
-    if pair is not None:
-        layout, reference_vector, update_vector = pair
-        return FlatState(layout, reference_vector + update_vector)
-    return {name: reference[name] + update[name] for name in reference}
+    layout, reference_vector, update_vector = flat_pair(reference, update)
+    return FlatState(layout, reference_vector + update_vector)
 
 
-def clip_update(update: State, clip_norm: float) -> Tuple[State, float]:
+def clip_update(update: State, clip_norm: float) -> Tuple[FlatState, float]:
     """Scale ``update`` so its global L2 norm is at most ``clip_norm``.
 
     Returns the clipped update and the pre-clipping norm.
     """
     if clip_norm <= 0:
         raise ValueError(f"clip_norm must be positive, got {clip_norm}")
+    update = as_flat_state(update)
     norm = state_norm(update)
     if norm <= clip_norm or norm == 0.0:
         return clone_state(update), norm
     scale = clip_norm / norm
-    if isinstance(update, FlatState):
-        return FlatState(update.layout, update.vector * scale), norm
-    return {name: values * scale for name, values in update.items()}, norm
+    return FlatState(update.layout, update.vector * scale), norm
 
 
-def add_gaussian_noise(state: State, sigma: float, rng: np.random.Generator) -> State:
+def add_gaussian_noise(state: State, sigma: float, rng: np.random.Generator) -> FlatState:
     """Add element-wise Gaussian noise of standard deviation ``sigma``."""
     if sigma < 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     if sigma == 0:
         return clone_state(state)
-    if isinstance(state, FlatState):
-        # One draw over the contiguous buffer.  ``Generator.normal`` fills
-        # its output sequentially, so this consumes the identical stream as
-        # per-name draws in state order — the dict path below — and the two
-        # stay bit-identical (guarded by a test).
-        noise = rng.normal(0.0, sigma, size=state.layout.total_size)
-        return FlatState(state.layout, state.vector + noise)
-    return {name: values + rng.normal(0.0, sigma, size=values.shape) for name, values in state.items()}
+    state = as_flat_state(state)
+    # One draw over the contiguous buffer.  ``Generator.normal`` fills its
+    # output sequentially, so this consumes the identical stream as one draw
+    # per tensor in state order would (guarded by a test).
+    noise = rng.normal(0.0, sigma, size=state.layout.total_size)
+    return FlatState(state.layout, state.vector + noise)
 
 
 def privatize_update(
@@ -189,72 +172,6 @@ class GaussianAccountant:
             "noise_multiplier": float(self.config.noise_multiplier),
             "clip_norm": float(self.config.clip_norm),
         }
-
-
-class SecureAggregationSession:
-    """Pairwise-mask secure aggregation (simulation).
-
-    Every ordered client pair ``(i, j)`` with ``i < j`` derives a shared mask
-    from a common seed; client ``i`` adds the mask to its weighted update and
-    client ``j`` subtracts it.  Individual masked updates look like noise to
-    the server, but their sum equals the sum of the weighted updates exactly,
-    so the aggregate (and only the aggregate) is recoverable.
-    """
-
-    def __init__(self, client_ids: Sequence[int], template: State, seed: int = 0):
-        if len(set(client_ids)) != len(client_ids):
-            raise ValueError("client ids must be unique")
-        if len(client_ids) < 2:
-            raise ValueError("secure aggregation needs at least two clients")
-        self.client_ids = list(client_ids)
-        self.template = zeros_like_state(template)
-        self.seed = int(seed)
-        self._submitted: Dict[int, State] = {}
-        self._weights: Dict[int, float] = {}
-
-    def _pair_mask(self, low: int, high: int) -> State:
-        rng = new_rng(np.random.SeedSequence([self.seed, low, high, 0x5EC]))
-        return {
-            name: rng.normal(0.0, 1.0, size=values.shape)
-            for name, values in self.template.items()
-        }
-
-    def masked_update(self, client_id: int, update: State, weight: float = 1.0) -> State:
-        """What ``client_id`` sends: its weighted update plus pairwise masks."""
-        if client_id not in self.client_ids:
-            raise ValueError(f"unknown client id {client_id}")
-        if weight <= 0:
-            raise ValueError("weight must be positive")
-        check_compatible([self.template, update])
-        masked = {name: weight * values for name, values in update.items()}
-        for other in self.client_ids:
-            if other == client_id:
-                continue
-            low, high = min(client_id, other), max(client_id, other)
-            mask = self._pair_mask(low, high)
-            sign = 1.0 if client_id == low else -1.0
-            for name in masked:
-                masked[name] = masked[name] + sign * mask[name]
-        return masked
-
-    def submit(self, client_id: int, update: State, weight: float = 1.0) -> State:
-        """Mask, record, and return the client's contribution."""
-        masked = self.masked_update(client_id, update, weight)
-        self._submitted[client_id] = masked
-        self._weights[client_id] = float(weight)
-        return masked
-
-    def aggregate(self) -> State:
-        """The weighted-average update recovered from all masked contributions."""
-        missing = [cid for cid in self.client_ids if cid not in self._submitted]
-        if missing:
-            raise RuntimeError(f"clients {missing} have not submitted; masks would not cancel")
-        total_weight = sum(self._weights.values())
-        summed = zeros_like_state(self.template)
-        for masked in self._submitted.values():
-            for name in summed:
-                summed[name] = summed[name] + masked[name]
-        return {name: values / total_weight for name, values in summed.items()}
 
 
 @dataclass

@@ -19,6 +19,7 @@ from repro.fl.aggregation import (
 from repro.fl.parameters import (
     FlatState,
     State,
+    as_flat_state,
     check_compatible,
     check_weight,
     clone_state,
@@ -113,16 +114,14 @@ class FederatedServer:
         The leave-one-out averages are computed in O(K): the weighted sum
         over *all* clients is formed once and each client's own contribution
         is subtracted, instead of re-averaging the K-1 other states per
-        client.  Flat states run the whole computation on their contiguous
-        buffers (one accumulation pass plus one fused expression per
-        client); the per-name dict loop is kept as the fallback and is
-        bit-identical — the flat path applies the same elementwise
-        operations in the same order.  Agrees with the per-client
-        ``weighted_average`` loop to floating-point accuracy (see the
-        parity test).
+        client.  The whole computation runs on the contiguous buffers (one
+        accumulation pass plus one fused expression per client).  Agrees
+        with the per-client ``weighted_average`` loop to floating-point
+        accuracy (see the parity test).
         """
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+        client_states = {cid: as_flat_state(state) for cid, state in client_states.items()}
         client_ids = list(client_states)
         if len(client_ids) == 1:
             only = client_ids[0]
@@ -130,50 +129,11 @@ class FederatedServer:
         check_compatible([client_states[cid] for cid in client_ids])
         weights = {cid: check_weight(client_weights[cid]) for cid in client_ids}
         total_weight = sum(weights.values())
-        reference = client_states[client_ids[0]]
-        if isinstance(reference, FlatState) and all(
-            isinstance(client_states[cid], FlatState) for cid in client_ids
-        ):
-            return self._alpha_portion_sync_flat(
-                client_ids, client_states, weights, total_weight, alpha
-            )
-        # One pass: sum_k n_k * w_k over every client, per parameter.
-        weighted_sum: State = {
-            name: sum(
-                weights[cid] * client_states[cid][name] for cid in client_ids
-            )
-            for name in reference
-        }
-        result: Dict[int, State] = {}
-        for client_id in client_ids:
-            own = client_states[client_id]
-            remaining = total_weight - weights[client_id]
-            if remaining <= 0:
-                # Every other client has zero weight: nothing to mix in.
-                result[client_id] = clone_state(own)
-                continue
-            result[client_id] = {
-                name: alpha * own[name]
-                + (1.0 - alpha)
-                * ((weighted_sum[name] - weights[client_id] * own[name]) / remaining)
-                for name in own
-            }
-        return result
-
-    def _alpha_portion_sync_flat(
-        self,
-        client_ids: Sequence[int],
-        client_states: Dict[int, State],
-        weights: Dict[int, float],
-        total_weight: float,
-        alpha: float,
-    ) -> Dict[int, State]:
-        """Alpha-portion sync over contiguous buffers (same math, one pass)."""
         layout = client_states[client_ids[0]].layout
         vectors = {cid: state_vector(client_states[cid], layout) for cid in client_ids}
-        # Accumulate sequentially in client order — the same addition order
-        # as the dict path's ``sum(...)`` per name, so results stay
-        # bit-identical.
+        # One pass: sum_k n_k * w_k over every client, accumulated
+        # sequentially in client order (a per-name ``sum(...)`` adds in the
+        # same order, so the two are bit-identical).
         weighted_sum = np.zeros(layout.total_size, dtype=np.float64)
         for cid in client_ids:
             weighted_sum += weights[cid] * vectors[cid]
@@ -182,6 +142,7 @@ class FederatedServer:
             own = vectors[client_id]
             remaining = total_weight - weights[client_id]
             if remaining <= 0:
+                # Every other client has zero weight: nothing to mix in.
                 result[client_id] = clone_state(client_states[client_id])
                 continue
             mixed = alpha * own + (1.0 - alpha) * (

@@ -17,7 +17,6 @@ from repro.fl.transport.codecs import (
     QuantizationCodec,
     TopKCodec,
     packed_code_bytes,
-    state_schema,
     topk_flat_indices,
 )
 from repro.fl.transport.errors import TransportDecodeError
@@ -39,7 +38,6 @@ __all__ = [
     "Payload",
     "TransportDecodeError",
     "packed_code_bytes",
-    "state_schema",
     "topk_flat_indices",
     "COMPRESSION_CHOICES",
     "Channel",

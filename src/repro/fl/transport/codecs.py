@@ -11,11 +11,10 @@ byte string plus the static tensor schema — and back:
     ``float32``/``float16`` are lossy casts.
 :class:`QuantizationCodec`
     Uniform per-tensor quantization: each tensor ships its ``float64``
-    min/max followed by ``num_bits``-wide codes packed into bytes.  Decoding
-    reconstructs exactly the values :func:`repro.fl.communication.quantize_state`
-    used to simulate.  An optional DEFLATE stage losslessly compresses the
-    packed stream (effective on the concentrated code distributions of
-    delta-encoded uploads).
+    min/max followed by ``num_bits``-wide codes packed into bytes.  An
+    optional DEFLATE stage losslessly compresses the packed stream
+    (effective on the concentrated code distributions of delta-encoded
+    uploads).
 :class:`TopKCodec`
     Magnitude top-k sparsification with **exact, deterministic** selection:
     a stable sort keeps precisely ``k`` entries, breaking magnitude ties in
@@ -35,15 +34,14 @@ each is fully described by its registry name plus :meth:`Codec.parameters`,
 which is how payloads and codecs cross process and socket boundaries
 (:mod:`repro.fl.transport.envelope`).
 
-Flat-buffer fast paths
-----------------------
-A :class:`~repro.fl.parameters.FlatState` flattens to the wire's sorted
-name order without a per-tensor concatenation loop (zero-copy when the
-layout already is sorted — the case for every codec-decoded state), and
-every ``decode`` returns a :class:`~repro.fl.parameters.FlatState` built
-directly over one contiguous buffer instead of materializing per-name
-copies.  ``encode`` also accepts plain dict states, flattening them per
-tensor; the produced bytes are identical for the same values.
+Flat buffers
+------------
+``encode`` packs what it is given once (:func:`~repro.fl.parameters.as_flat_state`,
+a pass-through for a flat state) and reads the wire's sorted name order
+straight off the buffer — zero-copy when the layout already is sorted, the
+case for every codec-decoded state — and every ``decode`` returns a
+:class:`~repro.fl.parameters.FlatState` built directly over one contiguous
+buffer.
 """
 
 from __future__ import annotations
@@ -59,6 +57,7 @@ from repro.fl.parameters import (
     FlatState,
     State,
     StateLayout,
+    as_flat_state,
     sorted_state_vector,
 )
 from repro.fl.transport.errors import TransportDecodeError
@@ -95,27 +94,6 @@ class Payload:
     def num_bytes(self) -> int:
         """Measured wire cost of this payload."""
         return len(self.data)
-
-
-def state_schema(state: State) -> Tuple[TensorSpec, ...]:
-    """The static (name, shape) layout of a state, in sorted name order."""
-    if isinstance(state, FlatState):
-        return state.layout.sorted_schema()
-    return tuple((name, tuple(np.asarray(state[name]).shape)) for name in sorted(state))
-
-
-def _flatten_sorted(state: State) -> np.ndarray:
-    """All tensors as one float64 vector in sorted name order.
-
-    Zero-copy for a flat state whose layout is already sorted (callers must
-    treat the result as read-only); one concatenation pass otherwise.
-    """
-    flat = sorted_state_vector(state)
-    if flat is not None:
-        return flat
-    return np.concatenate(
-        [np.asarray(state[name], dtype=np.float64).ravel() for name in sorted(state)]
-    )
 
 
 def _schema_sizes(schema: Tuple[TensorSpec, ...]) -> List[int]:
@@ -274,17 +252,11 @@ class IdentityCodec(Codec):
         return {"dtype": self.dtype.name}
 
     def encode(self, state: State) -> Payload:
+        state = as_flat_state(state)
         flat = sorted_state_vector(state)
-        if flat is not None:
-            # One cast over the contiguous buffer; the bytes equal the
-            # per-tensor concatenation below (same values, same order).
-            data = flat.tobytes() if self.dtype == np.dtype("float64") else flat.astype(self.dtype).tobytes()
-            return Payload(codec=self.name, data=data, schema=state_schema(state))
-        chunks: List[bytes] = []
-        for name in sorted(state):
-            array = np.ascontiguousarray(np.asarray(state[name], dtype=self.dtype))
-            chunks.append(array.tobytes())
-        return Payload(codec=self.name, data=b"".join(chunks), schema=state_schema(state))
+        # One cast over the contiguous buffer.
+        data = flat.tobytes() if self.dtype == np.dtype("float64") else flat.astype(self.dtype).tobytes()
+        return Payload(codec=self.name, data=data, schema=state.layout.sorted_schema())
 
     def decode(self, payload: Payload) -> State:
         self._check_payload(payload)
@@ -307,8 +279,7 @@ class QuantizationCodec(Codec):
     Per tensor (sorted name order) the stream holds the float64 ``low`` and
     ``high`` followed by ``num_bits``-wide codes packed into bytes; a tensor
     whose values are all equal ships scales only.  Decoding evaluates
-    ``low + codes / levels * span`` — exactly the reconstruction
-    :func:`repro.fl.communication.quantize_state` simulates.
+    ``low + codes / levels * span``.
 
     ``deflate=True`` adds a lossless DEFLATE stage over the whole stream;
     the measured payload is the compressed size.
@@ -334,8 +305,9 @@ class QuantizationCodec(Codec):
         return {"num_bits": self.num_bits, "deflate": self.deflate}
 
     def encode(self, state: State) -> Payload:
-        schema = state_schema(state)
-        flat = _flatten_sorted(state)
+        state = as_flat_state(state)
+        schema = state.layout.sorted_schema()
+        flat = sorted_state_vector(state)
         sizes = np.asarray(_schema_sizes(schema), dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         # Per-tensor scales in one reduction pass each (min/max are exact,
@@ -446,7 +418,8 @@ class TopKCodec(Codec):
         return max(int(round(total * self.keep_fraction)), 1)
 
     def encode(self, state: State) -> Payload:
-        flat = _flatten_sorted(state)
+        state = as_flat_state(state)
+        flat = sorted_state_vector(state)
         keep = self.keep_count(flat.size)
         indices = topk_flat_indices(flat, keep)
         values = np.ascontiguousarray(flat[indices].astype(self.value_dtype))
@@ -457,7 +430,7 @@ class TopKCodec(Codec):
         )
         if self.deflate:
             data = zlib.compress(data, 6)
-        return Payload(codec=self.name, data=data, schema=state_schema(state))
+        return Payload(codec=self.name, data=data, schema=state.layout.sorted_schema())
 
     def decode(self, payload: Payload) -> State:
         self._check_payload(payload)

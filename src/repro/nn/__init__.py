@@ -4,8 +4,8 @@ This subpackage replaces PyTorch for the purposes of the reproduction: it
 provides exactly the operators the three routability estimators (FLNet,
 RouteNet, PROS) need — 2-D convolutions with dilation, transposed
 convolutions, batch normalization, pixel shuffle, pooling — together with
-losses, optimizers, learning-rate schedulers, initialization, state-dict
-serialization and numerical gradient checking.
+losses, optimizers, initialization, state-dict serialization and numerical
+gradient checking.
 """
 
 from repro.nn import functional, init
@@ -52,16 +52,6 @@ from repro.nn.optim import (
     clip_grad_value,
     make_optimizer,
 )
-from repro.nn.schedulers import (
-    ConstantLR,
-    CosineAnnealingLR,
-    ExponentialLR,
-    LRScheduler,
-    MultiStepLR,
-    StepLR,
-    WarmupLR,
-    make_scheduler,
-)
 from repro.nn.serialization import load_state_dict, save_state_dict, state_dicts_allclose
 from repro.nn.dtypes import COMPUTE_DTYPE_CHOICES, resolve_compute_dtype
 from repro.nn.parameter import Parameter
@@ -107,14 +97,6 @@ __all__ = [
     "make_optimizer",
     "clip_grad_norm",
     "clip_grad_value",
-    "LRScheduler",
-    "ConstantLR",
-    "StepLR",
-    "MultiStepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
-    "WarmupLR",
-    "make_scheduler",
     "save_state_dict",
     "load_state_dict",
     "state_dicts_allclose",

@@ -15,7 +15,6 @@ from repro.experiments import (
     default,
     format_rows,
     paper,
-    paper_average,
     preset,
     smoke,
 )
@@ -231,8 +230,8 @@ class TestPaperReferenceTables:
         assert flnet["fedprox"][-1] > pros["fedprox"][-1]
 
     def test_paper_average_lookup(self):
-        assert paper_average("flnet", "fedprox") == pytest.approx(0.78)
-        assert paper_average("routenet", "centralized") == pytest.approx(0.83)
+        assert PAPER_TABLES["flnet"]["fedprox"][-1] == pytest.approx(0.78)
+        assert PAPER_TABLES["routenet"]["centralized"][-1] == pytest.approx(0.83)
 
     def test_table1_architecture_constants(self):
         assert PAPER_TABLE1_FLNET_ARCHITECTURE[0]["filters"] == 64

@@ -1,17 +1,7 @@
-"""Tests for the markdown report generator over benchmark results."""
-
-import pytest
+"""Tests for the plain-text run summaries the CLI prints."""
 
 from repro.experiments import smoke
-from repro.experiments.report import (
-    RESULT_DESCRIPTIONS,
-    communication_markdown,
-    communication_text,
-    comparison_markdown,
-    load_result_texts,
-    results_report,
-    write_results_report,
-)
+from repro.experiments.report import communication_text
 from repro.experiments.runner import AlgorithmOutcome, ExperimentResult
 from repro.fl import ChannelSummary, TrainingResult
 from repro.fl.evaluation import EvaluationRow
@@ -33,78 +23,6 @@ def _fake_result(model="flnet"):
     return result
 
 
-@pytest.fixture
-def results_dir(tmp_path):
-    directory = tmp_path / "results"
-    directory.mkdir()
-    (directory / "table3_flnet.txt").write_text("Table 3 body\nrow\n")
-    (directory / "ablation_privacy.txt").write_text("privacy sweep body\n")
-    (directory / "custom_extra.txt").write_text("extra study body\n")
-    return directory
-
-
-class TestLoadResultTexts:
-    def test_loads_every_txt(self, results_dir):
-        texts = load_result_texts(results_dir)
-        assert set(texts) == {"table3_flnet", "ablation_privacy", "custom_extra"}
-        assert texts["table3_flnet"].startswith("Table 3 body")
-
-    def test_missing_directory_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_result_texts(tmp_path / "nope")
-
-
-class TestResultsReport:
-    def test_sections_use_descriptions(self, results_dir):
-        report = results_report(results_dir)
-        assert report.startswith("# Regenerated evaluation artifacts")
-        assert f"## {RESULT_DESCRIPTIONS['table3_flnet']}" in report
-        assert f"## {RESULT_DESCRIPTIONS['ablation_privacy']}" in report
-
-    def test_unknown_files_fall_back_to_stem(self, results_dir):
-        report = results_report(results_dir)
-        assert "## custom_extra" in report
-        assert "extra study body" in report
-
-    def test_bodies_in_code_fences(self, results_dir):
-        report = results_report(results_dir)
-        assert report.count("```text") == 3
-        assert report.count("```") == 6
-
-    def test_empty_directory_message(self, tmp_path):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        report = results_report(empty)
-        assert "No benchmark results found" in report
-
-    def test_write_results_report(self, results_dir, tmp_path):
-        output = write_results_report(results_dir, tmp_path / "report.md", title="My run")
-        text = output.read_text()
-        assert text.startswith("# My run")
-        assert "Table 3 body" in text
-
-
-class TestComparisonMarkdown:
-    def test_paper_rows_get_reference_values(self):
-        table = comparison_markdown("flnet", _fake_result())
-        assert "| Local Average (b1 to b9) | 0.72 | 0.710 |" in table
-        assert "| FedProx | 0.78 | 0.810 |" in table
-
-    def test_extension_rows_get_dash(self):
-        table = comparison_markdown("flnet", _fake_result())
-        assert "| dp_fedprox | — | 0.760 |" in table
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            comparison_markdown("unknown_model", _fake_result())
-
-    def test_header_is_markdown_table(self):
-        table = comparison_markdown("routenet", _fake_result("routenet"))
-        lines = table.splitlines()
-        assert lines[0] == "| Method | Paper avg | Measured avg |"
-        assert lines[1] == "|---|---|---|"
-
-
 def _summary(uplink=1000, downlink=2000, rounds=2):
     return ChannelSummary(
         uplink_codec="quantize-8b+deflate",
@@ -122,18 +40,7 @@ def _summary(uplink=1000, downlink=2000, rounds=2):
 class TestCommunicationReport:
     def test_no_channel_placeholder(self):
         result = _fake_result()
-        assert "No transport channel" in communication_markdown(result)
         assert "nothing was measured" in communication_text(result)
-
-    def test_markdown_lists_measured_algorithms(self):
-        result = _fake_result()
-        result.outcomes[1].communication = _summary()
-        table = communication_markdown(result)
-        lines = table.splitlines()
-        assert lines[0].startswith("| Method | Uplink codec |")
-        assert len(lines) == 3  # header + separator + the one measured row
-        assert "fedprox" in lines[2]
-        assert "quantize-8b+deflate" in lines[2]
 
     def test_text_contains_greppable_totals(self):
         result = _fake_result()

@@ -1,0 +1,96 @@
+"""The per-name references ``tests/fl`` holds the state functions to.
+
+Every public state function in ``src/`` packs what it is given into a
+``FlatState`` and runs one whole-vector body.  These are the plain
+``name -> ndarray`` loops that body must equal bit for bit (``1e-12`` for
+the GEMV of ``weighted_average``): they take dicts, return dicts and are
+reachable from nothing in ``src/``.
+
+Another ``oracles.py`` lives in ``tests/nn``; load this one by path
+(``load_fl_oracles`` in ``test_state_door.py``), not with ``import oracles``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def reference_weighted_average(states, weights):
+    """The per-name stack/tensordot aggregation; may differ from the GEMV at the last ulp."""
+    weights = np.asarray(list(weights), dtype=np.float64)
+    normalized = weights / float(weights.sum())
+    result = {}
+    for name in states[0]:
+        stacked = np.stack([state[name] for state in states], axis=0)
+        result[name] = np.tensordot(normalized, stacked, axes=(0, 0))
+    return result
+
+
+def state_update_oracle(reference, new_state):
+    return {name: new_state[name] - reference[name] for name in reference}
+
+
+def apply_update_oracle(reference, update):
+    return {name: reference[name] + update[name] for name in reference}
+
+
+def state_norm_oracle(state):
+    return float(np.sqrt(sum(float(np.sum(values**2)) for values in state.values())))
+
+
+def clip_update_oracle(update, clip_norm):
+    norm = state_norm_oracle(update)
+    if norm <= clip_norm or norm == 0.0:
+        return {name: np.array(values, copy=True) for name, values in update.items()}, norm
+    scale = clip_norm / norm
+    return {name: values * scale for name, values in update.items()}, norm
+
+
+def add_gaussian_noise_oracle(state, sigma, rng):
+    """One draw per tensor, in state order."""
+    return {name: values + rng.normal(0.0, sigma, size=values.shape) for name, values in state.items()}
+
+
+def alpha_portion_sync_oracle(client_states, client_weights, alpha):
+    """``alpha * w_k + (1 - alpha) * (sum_j n_j w_j - n_k w_k) / (n - n_k)`` per name."""
+    client_ids = list(client_states)
+    total_weight = sum(float(client_weights[cid]) for cid in client_ids)
+    reference = client_states[client_ids[0]]
+    weighted_sum = {
+        name: sum(float(client_weights[cid]) * client_states[cid][name] for cid in client_ids)
+        for name in reference
+    }
+    result = {}
+    for client_id in client_ids:
+        own = client_states[client_id]
+        weight = float(client_weights[client_id])
+        remaining = total_weight - weight
+        if remaining <= 0:
+            result[client_id] = {name: np.array(values, copy=True) for name, values in own.items()}
+            continue
+        result[client_id] = {
+            name: alpha * own[name]
+            + (1.0 - alpha) * ((weighted_sum[name] - weight * own[name]) / remaining)
+            for name in own
+        }
+    return result
+
+
+def merge_partition_oracle(global_state, local_state, local_names):
+    merged = {name: np.array(values, copy=True) for name, values in global_state.items()}
+    for name in local_names:
+        merged[name] = np.array(local_state[name], copy=True)
+    return merged
+
+
+def filter_state_oracle(state, names):
+    return {name: np.array(state[name], copy=True) for name in names}
+
+
+def flatten_state_oracle(state):
+    """Every tensor raveled, in sorted name order (the wire order)."""
+    return np.concatenate([np.asarray(state[name], dtype=np.float64).ravel() for name in sorted(state)])
+
+
+def state_schema_oracle(state):
+    return tuple((name, tuple(np.asarray(state[name]).shape)) for name in sorted(state))

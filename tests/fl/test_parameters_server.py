@@ -12,7 +12,6 @@ from repro.fl.parameters import (
     clone_state,
     filter_state,
     flatten_state,
-    interpolate,
     merge_partition,
     state_distance,
     state_norm,
@@ -58,12 +57,6 @@ class TestStateArithmetic:
             check_compatible([make_state(1.0), {"w": np.zeros((2, 2))}])
         with pytest.raises(ValueError):
             check_compatible([make_state(1.0), {"w": np.zeros((3, 3)), "b": np.zeros(3)}])
-
-    def test_interpolate_endpoints(self):
-        a, b = make_state(1.0), make_state(5.0)
-        assert np.allclose(interpolate(a, b, 1.0)["w"], 1.0)
-        assert np.allclose(interpolate(a, b, 0.0)["w"], 5.0)
-        assert np.allclose(interpolate(a, b, 0.25)["w"], 4.0)
 
     def test_merge_partition(self):
         global_state = make_state(1.0)
@@ -153,13 +146,6 @@ class TestStateArithmetic:
         assert avg["w"].min() >= min(values) - 1e-9
         assert avg["w"].max() <= max(values) + 1e-9
 
-    @given(st.floats(0, 1), st.floats(-5, 5), st.floats(-5, 5))
-    @settings(max_examples=40, deadline=None)
-    def test_interpolate_is_convex_combination(self, alpha, a_value, b_value):
-        result = interpolate(make_state(a_value), make_state(b_value), alpha)
-        expected = alpha * a_value + (1 - alpha) * b_value
-        assert np.allclose(result["w"], expected)
-
 
 class TestFederatedServer:
     def test_aggregate_weighted_by_samples(self):
@@ -223,18 +209,13 @@ class TestFederatedServer:
             fast = server.alpha_portion_sync(states, weights, alpha)
             for cid in client_ids:
                 other_ids = [o for o in client_ids if o != cid]
-                naive = interpolate(
-                    states[cid],
-                    weighted_average(
-                        [states[o] for o in other_ids],
-                        [weights[o] for o in other_ids],
-                    ),
-                    alpha,
+                others = weighted_average(
+                    [states[o] for o in other_ids],
+                    [weights[o] for o in other_ids],
                 )
-                for name in naive:
-                    np.testing.assert_allclose(
-                        fast[cid][name], naive[name], rtol=0, atol=1e-12
-                    )
+                for name in others:
+                    naive = alpha * states[cid][name] + (1.0 - alpha) * others[name]
+                    np.testing.assert_allclose(fast[cid][name], naive, rtol=0, atol=1e-12)
 
     def test_alpha_portion_sync_zero_weight_others(self):
         # When every other client has zero weight there is nothing to mix

@@ -1,16 +1,15 @@
-"""Tests for the differential-privacy and secure-aggregation machinery."""
+"""Tests for the differential-privacy machinery."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl.parameters import state_distance, state_norm, weighted_average
+from repro.fl.parameters import state_distance, state_norm
 from repro.fl.privacy import (
     GaussianAccountant,
     PrivacyConfig,
     PrivateUpdateLog,
-    SecureAggregationSession,
     add_gaussian_noise,
     apply_update,
     clip_update,
@@ -139,43 +138,6 @@ class TestGaussianAccountant:
         accountant.record_round()
         with pytest.raises(ValueError):
             accountant.epsilon(delta=2.0)
-
-
-class TestSecureAggregation:
-    def test_masked_sum_equals_weighted_average(self):
-        updates = {1: _state(11), 2: _state(12), 3: _state(13)}
-        weights = {1: 2.0, 2: 1.0, 3: 3.0}
-        session = SecureAggregationSession([1, 2, 3], template=_state(11), seed=5)
-        for client_id, update in updates.items():
-            session.submit(client_id, update, weight=weights[client_id])
-        aggregate = session.aggregate()
-        expected = weighted_average(list(updates.values()), [weights[c] for c in updates])
-        assert state_distance(aggregate, expected) == pytest.approx(0.0, abs=1e-9)
-
-    def test_individual_submission_is_masked(self):
-        update = _state(14)
-        session = SecureAggregationSession([1, 2], template=update, seed=1)
-        masked = session.masked_update(1, update)
-        assert state_distance(masked, update) > 1.0
-
-    def test_aggregate_requires_all_clients(self):
-        session = SecureAggregationSession([1, 2], template=_state(15), seed=2)
-        session.submit(1, _state(15))
-        with pytest.raises(RuntimeError, match="not submitted"):
-            session.aggregate()
-
-    def test_rejects_duplicate_or_few_clients(self):
-        with pytest.raises(ValueError):
-            SecureAggregationSession([1, 1], template=_state())
-        with pytest.raises(ValueError):
-            SecureAggregationSession([1], template=_state())
-
-    def test_rejects_unknown_client_and_bad_weight(self):
-        session = SecureAggregationSession([1, 2], template=_state(16))
-        with pytest.raises(ValueError):
-            session.masked_update(9, _state(16))
-        with pytest.raises(ValueError):
-            session.masked_update(1, _state(16), weight=0.0)
 
 
 class TestPrivateUpdateLog:

@@ -4,7 +4,7 @@ The central guarantees under test:
 
 * every codec's encode → decode round trip is exact where promised
   (bit-exact for float64 identity, quantization-grid-exact for
-  ``QuantizationCodec`` — matching what ``quantize_state`` simulates —
+  ``QuantizationCodec`` — matching the per-tensor grid formula —
   and exact surviving values for ``TopKCodec``),
 * payload byte counts are real (``len(data)``) and deterministic,
 * a training run routed through an ``IdentityCodec`` float64 channel is
@@ -35,7 +35,6 @@ from repro.fl import (
     TopKCodec,
     create_algorithm,
     create_channel,
-    quantize_state,
     state_bytes,
 )
 from repro.fl.parameters import FlatState, flatten_state
@@ -158,12 +157,16 @@ class TestQuantizationCodec:
     @pytest.mark.parametrize("num_bits", [1, 4, 8, 12, 16])
     @pytest.mark.parametrize("deflate", [False, True])
     def test_decode_matches_simulation_exactly(self, num_bits, deflate):
-        # The codec must reconstruct exactly the values quantize_state
-        # simulated (same grid, same float operations).
+        # The codec must reconstruct exactly the values of the uniform
+        # per-tensor grid (same float operations), packed or deflated.
         state = _state(5)
         codec = QuantizationCodec(num_bits, deflate=deflate)
         decoded = codec.decode(codec.encode(state))
-        simulated = quantize_state(state, num_bits=num_bits).state
+        simulated = {}
+        for name, values in state.items():
+            low, span = values.min(), values.max() - values.min()
+            codes = np.round((values - low) / (span or 1.0) * codec.levels)
+            simulated[name] = low + codes / codec.levels * span
         assert states_equal(decoded, simulated)
 
     def test_error_within_quantization_grid(self):

@@ -1,4 +1,4 @@
-"""Tests for learning-rate schedulers, new losses, gradient clipping, and GroupNorm."""
+"""Tests for the focal / Dice / weighted-MSE losses, gradient clipping, and GroupNorm."""
 
 import numpy as np
 import pytest
@@ -6,125 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import (
-    SGD,
-    Adam,
     BCEWithLogitsLoss,
-    ConstantLR,
-    CosineAnnealingLR,
     DiceLoss,
-    ExponentialLR,
     FocalLoss,
     GroupNorm,
     InstanceNorm2d,
-    MultiStepLR,
     Parameter,
-    StepLR,
-    WarmupLR,
     WeightedMSELoss,
     check_layer_input_gradient,
     check_layer_parameter_gradients,
     clip_grad_norm,
     clip_grad_value,
     make_loss,
-    make_scheduler,
     max_relative_error,
     numerical_gradient,
 )
-
-
-def _optimizer(lr=0.1):
-    return SGD([Parameter(np.zeros(3), name="p")], lr=lr)
-
-
-class TestSchedulers:
-    def test_constant_keeps_rate(self):
-        opt = _optimizer(0.05)
-        sched = ConstantLR(opt)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.05)
-
-    def test_step_lr_decays_at_boundaries(self):
-        opt = _optimizer(1.0)
-        sched = StepLR(opt, step_size=3, gamma=0.5)
-        rates = [sched.step() for _ in range(7)]
-        assert rates[:2] == [1.0, 1.0]
-        assert rates[2] == pytest.approx(0.5)
-        assert rates[5] == pytest.approx(0.25)
-
-    def test_multistep_lr(self):
-        opt = _optimizer(1.0)
-        sched = MultiStepLR(opt, milestones=[2, 5], gamma=0.1)
-        rates = [sched.step() for _ in range(6)]
-        assert rates[0] == pytest.approx(1.0)
-        assert rates[1] == pytest.approx(0.1)
-        assert rates[4] == pytest.approx(0.01)
-
-    def test_exponential_lr(self):
-        opt = _optimizer(1.0)
-        sched = ExponentialLR(opt, gamma=0.9)
-        sched.step()
-        sched.step()
-        assert opt.lr == pytest.approx(0.81)
-
-    def test_cosine_reaches_min_lr(self):
-        opt = _optimizer(1.0)
-        sched = CosineAnnealingLR(opt, total_steps=10, min_lr=0.01)
-        rates = [sched.step() for _ in range(12)]
-        assert rates[0] < 1.0
-        assert rates[9] == pytest.approx(0.01)
-        assert rates[11] == pytest.approx(0.01)
-        assert all(a >= b - 1e-12 for a, b in zip(rates[:-1], rates[1:]))
-
-    def test_warmup_ramps_then_hands_off(self):
-        opt = _optimizer(1.0)
-        sched = WarmupLR(opt, warmup_steps=4)
-        rates = [sched.step() for _ in range(6)]
-        assert rates[0] == pytest.approx(0.25)
-        assert rates[3] == pytest.approx(1.0)
-        assert rates[5] == pytest.approx(1.0)
-
-    def test_warmup_wraps_inner_schedule(self):
-        opt = _optimizer(1.0)
-        inner = StepLR(opt, step_size=2, gamma=0.5)
-        sched = WarmupLR(opt, warmup_steps=2, after=inner)
-        rates = [sched.step() for _ in range(6)]
-        assert rates[1] == pytest.approx(1.0)
-        # After warm-up the StepLR schedule starts from its own step 1.
-        assert rates[3] == pytest.approx(0.5)
-        assert rates[5] == pytest.approx(0.25)
-
-    def test_reset_restores_base_rate(self):
-        opt = _optimizer(1.0)
-        sched = ExponentialLR(opt, gamma=0.5)
-        sched.step()
-        sched.reset()
-        assert opt.lr == pytest.approx(1.0)
-        assert sched.last_step == 0
-
-    def test_factory_and_unknown_name(self):
-        opt = _optimizer()
-        assert isinstance(make_scheduler("cosine", opt, total_steps=5), CosineAnnealingLR)
-        with pytest.raises(ValueError):
-            make_scheduler("plateau", opt)
-
-    def test_invalid_hyperparameters(self):
-        opt = _optimizer()
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
-        with pytest.raises(ValueError):
-            ExponentialLR(opt, gamma=1.5)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(opt, total_steps=5, min_lr=1.0)
-        with pytest.raises(ValueError):
-            MultiStepLR(opt, milestones=[3, 3])
-        with pytest.raises(ValueError):
-            WarmupLR(opt, warmup_steps=0)
-
-    def test_warmup_rejects_foreign_optimizer(self):
-        inner = StepLR(_optimizer(), step_size=2)
-        with pytest.raises(ValueError):
-            WarmupLR(_optimizer(), warmup_steps=2, after=inner)
 
 
 class TestFocalLoss:

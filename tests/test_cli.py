@@ -303,6 +303,14 @@ class TestCommunicationCommand:
         for name in ALGORITHMS:
             assert name in output
 
+    @pytest.mark.parametrize("flag, value", [("--clients", "0"), ("--rounds", "-1"), ("--channels", "0")])
+    def test_a_refused_value_prints_one_line_and_no_table(self, flag, value, capsys):
+        assert main(["communication", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro communication: error: ")
+
 
 class TestReproduceCommand:
     def test_rejects_unknown_algorithm(self, capsys):
