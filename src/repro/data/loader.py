@@ -87,8 +87,8 @@ class DataLoader:
         indices = np.asarray(indices, dtype=np.intp)
         features, labels = self.dataset.packed_arrays(self.dtype)
         feature_batch, label_batch = self._batch_buffers(indices.size)
-        # mode="clip" takes NumPy's direct write-through path (indices are
-        # in range by construction; see repro.nn.functional.im2col).
+        # mode="clip" selects NumPy's unbuffered write-through path; the
+        # indices are in range by construction, so clipping never engages.
         np.take(features, indices, axis=0, out=feature_batch, mode="clip")
         np.take(labels, indices, axis=0, out=label_batch[:, 0], mode="clip")
         return feature_batch, label_batch

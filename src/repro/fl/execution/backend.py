@@ -699,10 +699,9 @@ class ThreadPoolBackend(ExecutionBackend):
     is owned by exactly one client — or, for layer workspaces, lent to it
     for the task from the *worker thread's* scratch pool
     (:mod:`repro.nn.workspace`: one pool per thread, so no buffer is ever
-    handed to two threads).  Shared
-    read-mostly structures (interned :class:`~repro.fl.parameters.StateLayout`
-    objects, memoized im2col indices) are immutable after construction and
-    their caches are race-free (atomic ``setdefault`` / ``lru_cache``).
+    handed to two threads).  The one shared read-mostly structure (interned
+    :class:`~repro.fl.parameters.StateLayout` objects) is immutable after
+    construction and its table is race-free (atomic ``setdefault``).
 
     Results are bit-identical to :class:`SerialBackend`: each client runs
     the identical operation sequence with its own RNG, so scheduling order

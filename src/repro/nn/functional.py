@@ -5,39 +5,35 @@ convolution is lowered to one large matrix multiplication per batch, which is
 the only way to get acceptable throughput out of NumPy.  All functions work on
 ``NCHW`` tensors and support stride, symmetric zero padding, and dilation.
 
-The im2col/col2im gather indices depend only on the layer geometry and the
-input spatial shape — both fixed across a training run — so they are built
-once and memoized (:func:`_im2col_indices`, :func:`_col2im_flat_index`)
-instead of being recomputed on every forward/backward call.  Cached arrays
-are marked read-only; they are only ever used as gather indices.
-
-One gather, one scatter
------------------------
-:func:`im2col` is one flat ``np.take`` into a ``cols`` buffer
-(``mode="clip"`` selects NumPy's unbuffered write-through path; the
-memoized indices are always in range, so clipping never engages), and
-padding is an interior copy into a border-zeroed buffer.  Layers pass
-``out=`` / ``padded_out=`` buffers from their workspace (see
-:mod:`repro.nn.workspace`) so a step stops paying an allocation and page
-faults per call; a caller that passes none gets them allocated and runs the
-same lines.  :func:`col2im` scatters each kernel tap straight into the
-unpadded result.  ``tests/nn`` holds both to a few-line oracle (``np.pad`` +
-fancy-index gather, flattened ordered scatter) bit for bit.
+One copy, one scatter
+---------------------
+:func:`im2col` is one assignment of a strided window view of the padded
+input into a ``cols`` buffer — a pure copy with no index table, so nothing
+is kept per geometry — and padding is an interior copy into a border-zeroed
+buffer.  Layers pass ``out=`` / ``padded_out=`` buffers from their workspace
+(see :mod:`repro.nn.workspace`) so a step stops paying an allocation and
+page faults per call; a caller that passes none gets them allocated and runs
+the same lines.  :func:`col2im` scatters each kernel tap straight into the
+unpadded result, and :func:`one_filter_input_grad` walks the same clipped
+taps (:func:`_clipped_taps`) for a convolution with a single filter, whose
+columns it never materializes.  ``tests/nn`` holds all three to a few-line
+oracle (``np.pad`` + fancy-index gather, flattened ordered scatter) bit for
+bit.
 
 Dtype rules
 -----------
 Everything here is dtype-preserving: float32 inputs produce float32
 outputs (the compute-dtype fast path), float64 stays float64 bit for bit.
-:func:`col2im` accumulates in the columns' own dtype, adding each cell's
-contributions in ascending tap order.
+:func:`col2im` and :func:`one_filter_input_grad` accumulate in the columns'
+own dtype, adding each cell's contributions in ascending tap order.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int, dilation: int = 1) -> int:
@@ -65,58 +61,13 @@ def conv_transpose_output_size(
     return out
 
 
-@lru_cache(maxsize=256)
-def _im2col_indices(
-    channels: int,
-    kernel_h: int,
-    kernel_w: int,
-    out_h: int,
-    out_w: int,
-    stride: int,
-    dilation: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays mapping (channel*kh*kw, out_h*out_w) patch entries to the padded input.
-
-    Memoized on the full geometry key (the output spatial shape stands in
-    for the input shape, which determines it): a training run hits the same
-    few keys on every forward/backward call, so the index construction runs
-    once per distinct layer/input-shape pair.  The cached arrays are
-    read-only.
-    """
-    i0 = np.repeat(np.arange(kernel_h) * dilation, kernel_w)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kernel_w) * dilation, kernel_h * channels)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kernel_h * kernel_w).reshape(-1, 1)
-    for index in (k, i, j):
-        index.setflags(write=False)
-    return k, i, j
-
-
-@lru_cache(maxsize=256)
-def _col2im_flat_index(
-    channels: int,
-    kernel_h: int,
-    kernel_w: int,
-    out_h: int,
-    out_w: int,
-    stride: int,
-    dilation: int,
-    h_padded: int,
-    w_padded: int,
-) -> np.ndarray:
-    """Flattened per-image indices into ``(c, h_padded, w_padded)``.
-
-    :func:`im2col`'s flat gather source — and, the two operations being
-    adjoint, the scatter target of a flattened col2im.  Memoized; read-only.
-    """
-    k, i, j = _im2col_indices(channels, kernel_h, kernel_w, out_h, out_w, stride, dilation)
-    base_index = (k * h_padded + i) * w_padded + j  # (c*kh*kw, out_h*out_w)
-    base_index.setflags(write=False)
-    return base_index
+def _check_buffer(name: str, buffer: np.ndarray, shape: Tuple[int, ...], dtype: np.dtype) -> None:
+    """Refuse an array that NumPy would silently cast or broadcast to fit."""
+    if buffer.shape != shape or buffer.dtype != dtype:
+        raise ValueError(
+            f"{name} must have shape {shape} and dtype {dtype}, "
+            f"got {buffer.shape} and {buffer.dtype}"
+        )
 
 
 def im2col(
@@ -131,6 +82,10 @@ def im2col(
 ) -> np.ndarray:
     """Unfold sliding patches of ``x`` into columns.
 
+    One assignment from a ``(N, C, kernel_h, kernel_w, out_h, out_w)``
+    strided view of the (padded) input: a pure copy, whatever ``x``'s own
+    strides are.
+
     Parameters
     ----------
     x:
@@ -138,38 +93,55 @@ def im2col(
     out:
         Optional persistent C-contiguous destination of shape
         ``(N, C * kernel_h * kernel_w, out_h * out_w)`` and ``x``'s dtype;
-        the gather writes straight into it and returns it.  Allocated when
+        the copy writes straight into it and returns it.  Allocated when
         omitted.
     padded_out:
-        Optional persistent C-contiguous padded-input buffer of shape
-        ``(N, C, H + 2 * padding, W + 2 * padding)`` whose border is
-        already zero (see :meth:`repro.nn.workspace.Workspace.zeros`); only
-        the interior is overwritten with ``x``.  Allocated (zeroed) when
-        omitted and ``padding > 0``.
+        Optional persistent padded-input buffer of shape
+        ``(N, C, H + 2 * padding, W + 2 * padding)`` and ``x``'s dtype whose
+        border is already zero (see
+        :meth:`repro.nn.workspace.Workspace.zeros`); only the interior is
+        overwritten with ``x``.  Allocated (zeroed) when omitted and
+        ``padding > 0``.
 
     Returns
     -------
     numpy.ndarray
         Array of shape ``(N, C * kernel_h * kernel_w, out_h * out_w)``.
+
+    Raises
+    ------
+    ValueError
+        If ``out`` or ``padded_out`` has another shape or dtype (an
+        assignment would cast or broadcast silently), or ``out`` is not
+        C-contiguous.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel_h, stride, padding, dilation)
     out_w = conv_output_size(w, kernel_w, stride, padding, dilation)
     if padding > 0:
+        padded_shape = (n, c, h + 2 * padding, w + 2 * padding)
         if padded_out is None:
-            padded_out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+            padded_out = np.zeros(padded_shape, dtype=x.dtype)
+        else:
+            _check_buffer("im2col padded_out", padded_out, padded_shape, x.dtype)
         # The border is zero and only the interior is ever written: np.pad
         # without the allocation.
         padded_out[:, :, padding : padding + h, padding : padding + w] = x
         x = padded_out
-    elif not x.flags.c_contiguous:
-        x = np.ascontiguousarray(x)  # the flat gather below indexes raw memory order
+    out_shape = (n, c * kernel_h * kernel_w, out_h * out_w)
     if out is None:
-        out = np.empty((n, c * kernel_h * kernel_w, out_h * out_w), dtype=x.dtype)
-    flat_index = _col2im_flat_index(
-        c, kernel_h, kernel_w, out_h, out_w, stride, dilation, h + 2 * padding, w + 2 * padding
-    )
-    np.take(x.reshape(n, -1), flat_index.reshape(-1), axis=1, out=out.reshape(n, -1), mode="clip")
+        out = np.empty(out_shape, dtype=x.dtype)
+    else:
+        _check_buffer("im2col out", out, out_shape, x.dtype)
+        if not out.flags.c_contiguous:
+            raise ValueError("im2col out must be C-contiguous")
+    window = (dilation * (kernel_h - 1) + 1, dilation * (kernel_w - 1) + 1)
+    # (n, c, out_h, out_w, kernel_h, kernel_w): every window position at the
+    # stride, every tap of it at the dilation.
+    patches = sliding_window_view(x, window, axis=(2, 3))[
+        :, :, ::stride, ::stride, ::dilation, ::dilation
+    ]
+    out.reshape(n, c, kernel_h, kernel_w, out_h, out_w)[...] = patches.transpose(0, 1, 4, 5, 2, 3)
     return out
 
 
@@ -188,6 +160,49 @@ def _tap_range(offset: int, stride: int, size: int, out_size: int) -> Tuple[int,
         lo = (-offset + stride - 1) // stride
     hi = min(out_size, (size - 1 - offset) // stride + 1)
     return lo, hi
+
+
+def _axis_taps(
+    kernel: int, stride: int, padding: int, dilation: int, size: int, out_size: int
+) -> Iterator[Tuple[int, slice, slice]]:
+    """``(k, destination slice, output-pixel slice)`` of each kernel position
+    along one axis that reaches the unpadded image, in ascending ``k``."""
+    for k in range(kernel):
+        offset = k * dilation - padding
+        lo, hi = _tap_range(offset, stride, size, out_size)
+        if lo < hi:
+            start = offset + stride * lo
+            stop = offset + stride * (hi - 1) + 1
+            yield k, slice(start, stop, stride), slice(lo, hi)
+
+
+def _clipped_taps(
+    h: int,
+    w: int,
+    out_h: int,
+    out_w: int,
+    kernel_h: int,
+    kernel_w: int,
+    stride: int,
+    padding: int,
+    dilation: int,
+) -> List[Tuple[int, int, slice, slice, slice, slice]]:
+    """The kernel taps of one geometry, clipped to the unpadded ``h x w`` image.
+
+    Each tap is ``(ki, kj, rows, columns, out_rows, out_columns)``, in
+    ascending ``(ki, kj)`` order: output pixels ``[out_rows, out_columns]``
+    of tap ``(ki, kj)`` land on image cells ``[rows, columns]``, and every
+    other output pixel of that tap falls in the padding.  Taps that land
+    nowhere are left out.  This is the one place the scatter geometry is
+    written down; :func:`col2im` and :func:`one_filter_input_grad` both
+    walk it, so they clip alike.
+    """
+    column_taps = list(_axis_taps(kernel_w, stride, padding, dilation, w, out_w))
+    return [
+        (ki, kj, rows, columns, out_rows, out_columns)
+        for ki, rows, out_rows in _axis_taps(kernel_h, stride, padding, dilation, h, out_h)
+        for kj, columns, out_columns in column_taps
+    ]
 
 
 def col2im(
@@ -222,28 +237,97 @@ def col2im(
     if cols.shape != expected:
         raise ValueError(f"col2im expected columns of shape {expected}, got {cols.shape}")
     out = np.zeros((n, c, h, w), dtype=cols.dtype)
-    taps = cols.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
-    for ki in range(kernel_h):
-        row_offset = ki * dilation - padding
-        row_lo, row_hi = _tap_range(row_offset, stride, h, out_h)
-        if row_lo >= row_hi:
-            continue
-        row_start = row_offset + stride * row_lo
-        row_stop = row_offset + stride * (row_hi - 1) + 1
-        for kj in range(kernel_w):
-            col_offset = kj * dilation - padding
-            col_lo, col_hi = _tap_range(col_offset, stride, w, out_w)
-            if col_lo >= col_hi:
-                continue
-            col_start = col_offset + stride * col_lo
-            col_stop = col_offset + stride * (col_hi - 1) + 1
-            out[
-                :,
-                :,
-                row_start:row_stop:stride,
-                col_start:col_stop:stride,
-            ] += taps[:, :, ki, kj, row_lo:row_hi, col_lo:col_hi]
+    patches = cols.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
+    for ki, kj, rows, columns, out_rows, out_columns in _clipped_taps(
+        h, w, out_h, out_w, kernel_h, kernel_w, stride, padding, dilation
+    ):
+        out[:, :, rows, columns] += patches[:, :, ki, kj, out_rows, out_columns]
     return out
+
+
+def one_filter_input_grad(
+    weight: np.ndarray,
+    grad_output: np.ndarray,
+    x_shape: Tuple[int, int, int, int],
+    stride: int = 1,
+    padding: int = 0,
+    dilation: int = 1,
+    product_out: Optional[np.ndarray] = None,
+    accumulator_out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Input gradient of a convolution with **one** filter, without its columns.
+
+    Equal, bit for bit and in either dtype, to
+    ``col2im(weight.reshape(1, -1).T @ grad_output.reshape(N, 1, -1), x_shape, ...)``.
+
+    Why only one filter.  With ``K`` filters the columns' gradient is
+    ``grad_cols[n, (c, ki, kj), l] = sum_k w[k, c, ki, kj] * g[n, k, l]``.
+    For ``K = 1`` that is a single rounded multiply per element: there is no
+    summation inside it whose order could differ, so ``np.multiply`` forms
+    the very numbers the GEMM would have written, and adding them per cell
+    in ascending ``(ki, kj)`` order is exactly what :func:`col2im` does with
+    them.  For ``K > 1`` the sum over ``k`` happens inside BLAS, with fused
+    multiply-adds in an order NumPy cannot reproduce, so every other layer
+    keeps GEMM + :func:`col2im`.
+
+    The one visible difference cannot reach the result: ``np.multiply`` may
+    give ``-0.0`` where the GEMM's ``0 + a * b`` gave ``+0.0``, but every
+    cell starts at ``+0.0``, ``+0 + -0 = +0`` and ``x + ±0 = x``, so a cell
+    never holds ``-0.0`` and never sees the sign of a zero product.
+
+    The taps are folded channels-last — the product of one tap is
+    ``g[n, oy, ox] * w[ki, kj, :]``, a contiguous run over the channels —
+    and the accumulator is transposed into the fresh ``NCHW`` result at the
+    end (a copy, which changes no value).
+
+    Parameters
+    ----------
+    weight:
+        The filter, ``(1, C, kernel_h, kernel_w)``; its dtype is the
+        compute dtype.
+    grad_output:
+        ``(N, 1, out_h, out_w)``, same dtype.
+    product_out, accumulator_out:
+        Optional scratch of shape ``(N, out_h, out_w, C)`` and
+        ``(N, H, W, C)`` in that dtype (a layer passes workspace buffers);
+        both are overwritten.  The returned array never aliases them.
+
+    Raises
+    ------
+    ValueError
+        If an operand has another shape or dtype: NumPy would broadcast or
+        cast it, and a product rounded in another dtype changes the bits.
+    """
+    n, c, h, w = x_shape
+    _, _, kernel_h, kernel_w = weight.shape
+    out_h = conv_output_size(h, kernel_h, stride, padding, dilation)
+    out_w = conv_output_size(w, kernel_w, stride, padding, dilation)
+    dtype = weight.dtype
+    if weight.shape[:2] != (1, c):
+        raise ValueError(
+            f"one_filter_input_grad expected a (1, {c}, kh, kw) filter, got {weight.shape}"
+        )
+    _check_buffer("one_filter_input_grad grad_output", grad_output, (n, 1, out_h, out_w), dtype)
+    product_shape, accumulator_shape = (n, out_h, out_w, c), (n, h, w, c)
+    if product_out is None:
+        product_out = np.empty(product_shape, dtype=dtype)
+    if accumulator_out is None:
+        accumulator_out = np.empty(accumulator_shape, dtype=dtype)
+    _check_buffer("one_filter_input_grad product_out", product_out, product_shape, dtype)
+    _check_buffer("one_filter_input_grad accumulator_out", accumulator_out, accumulator_shape, dtype)
+    accumulator_out.fill(0)
+    tap_weights = np.ascontiguousarray(weight[0].transpose(1, 2, 0))  # (kernel_h, kernel_w, c)
+    grad = grad_output.reshape(n, out_h, out_w, 1)
+    product_flat = product_out.reshape(-1)
+    for ki, kj, rows, columns, out_rows, out_columns in _clipped_taps(
+        h, w, out_h, out_w, kernel_h, kernel_w, stride, padding, dilation
+    ):
+        tap_grad = grad[:, out_rows, out_columns]
+        # A contiguous prefix of the scratch, not a corner of it: ~13% faster.
+        product = product_flat[: tap_grad.size * c].reshape(tap_grad.shape[:3] + (c,))
+        np.multiply(tap_grad, tap_weights[ki, kj], out=product)
+        accumulator_out[:, rows, columns] += product
+    return accumulator_out.transpose(0, 3, 1, 2).copy()
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

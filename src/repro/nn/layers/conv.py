@@ -12,6 +12,7 @@ from repro.nn.functional import (
     conv_output_size,
     conv_transpose_output_size,
     im2col,
+    one_filter_input_grad,
 )
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
@@ -59,13 +60,14 @@ class Conv2d(Module):
     via im2col; the backward pass computes input, weight, and bias gradients
     and returns the input gradient.
 
-    The im2col/col2im gather indices are memoized keyed by the layer
-    geometry and input spatial shape (see
-    :func:`repro.nn.functional._im2col_indices`), and the large per-step
-    temporaries — the padded input, the im2col ``cols`` matrix,
-    ``grad_cols``, and the weight-gradient staging buffer — live in the
-    layer's :class:`~repro.nn.workspace.Workspace`, reused via ``out=`` on
-    every step instead of being reallocated.  The layer holds those buffers
+    The large per-step temporaries — the padded input, the im2col ``cols``
+    matrix, ``grad_cols``, and the weight-gradient staging buffer — live in
+    the layer's :class:`~repro.nn.workspace.Workspace`, reused via ``out=``
+    on every step instead of being reallocated.  A layer with a single
+    filter (the output conv of FLNet, RouteNet and PROS) never forms
+    ``grad_cols``: its input gradient is folded tap by tap, see
+    :func:`repro.nn.functional.one_filter_input_grad`, and the scratch is
+    two image-sized buffers.  The layer holds those buffers
     only until :meth:`~repro.nn.Module.release_workspaces` lends them to the
     thread's pool (and resets ``_cache``, which references ``cols``).
     Workspace buffers are internal scratch only: the layer's outputs and
@@ -158,14 +160,25 @@ class Conv2d(Module):
         if self.use_bias:
             self.bias.grad += grad_flat.sum(axis=(0, 2))
 
+        if self.out_channels == 1:
+            # grad_cols would be an outer product, one rounded multiply per
+            # element: fold those products straight into the image.
+            _, c, h, w = x_shape
+            return one_filter_input_grad(
+                self.weight.data,
+                grad_flat.reshape(n, 1, out_h, out_w),
+                x_shape,
+                self.stride,
+                self.padding,
+                self.dilation,
+                product_out=self._ws.get("tap_product", (n, out_h, out_w, c), dtype),
+                accumulator_out=self._ws.get("grad_input_nhwc", (n, h, w, c), dtype),
+            )
         grad_cols = np.matmul(
             weight_matrix.T, grad_flat, out=self._ws.get("grad_cols", cols.shape, dtype)
         )
         kh, kw = self.kernel_size
-        grad_input = col2im(
-            grad_cols, x_shape, kh, kw, self.stride, self.padding, self.dilation
-        )
-        return grad_input
+        return col2im(grad_cols, x_shape, kh, kw, self.stride, self.padding, self.dilation)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -181,10 +194,9 @@ class ConvTranspose2d(Module):
     following the PyTorch convention.  The forward pass is implemented as the
     adjoint of :class:`Conv2d` via col2im, which makes the layer exactly the
     upsampling operator used by encoder/decoder routability models such as
-    RouteNet.  As with :class:`Conv2d`, the col2im/im2col gather indices are
-    memoized per layer geometry and input spatial shape, and the column
-    matrices are staged in the layer's workspace — held, like
-    :class:`Conv2d`'s, until ``release_workspaces()`` lends it on.
+    RouteNet.  As with :class:`Conv2d`, the column matrices are staged in
+    the layer's workspace — held, like :class:`Conv2d`'s, until
+    ``release_workspaces()`` lends it on.
     """
 
     def __init__(
@@ -219,7 +231,9 @@ class ConvTranspose2d(Module):
         if self.use_bias:
             fan_in = in_channels * kh * kw
             self.bias = Parameter(init.uniform_bias((out_channels,), fan_in, rng), name="bias")
-        self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int]]] = None
+        self._cache: Optional[
+            Tuple[np.ndarray, Tuple[int, int, int, int], Tuple[int, int, int, int]]
+        ] = None
         self._ws = Workspace()
 
     def output_shape(self, height: int, width: int) -> Tuple[int, int]:
@@ -256,13 +270,13 @@ class ConvTranspose2d(Module):
         )
         if self.use_bias:
             out += self.bias.data.reshape(1, -1, 1, 1)
-        self._cache = (x_flat, (n, self.out_channels, out_h, out_w))
+        self._cache = (x_flat, x.shape, (n, self.out_channels, out_h, out_w))
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("ConvTranspose2d.backward called before forward")
-        x_flat, out_shape = self._cache
+        x_flat, x_shape, out_shape = self._cache
         n, _, out_h, out_w = out_shape
         kh, kw = self.kernel_size
         grad_output = np.asarray(grad_output, dtype=self.compute_dtype)
@@ -296,17 +310,7 @@ class ConvTranspose2d(Module):
         if self.use_bias:
             self.bias.grad += grad_output.sum(axis=(0, 2, 3))
 
-        grad_input_flat = np.matmul(weight_matrix, grad_cols)
-        # Recover the original spatial size from the cached flat input.
-        total = x_flat.shape[2]
-        in_h = self._input_height(out_h)
-        in_w = total // in_h
-        grad_input = grad_input_flat.reshape(n, self.in_channels, in_h, in_w)
-        return grad_input
-
-    def _input_height(self, out_h: int) -> int:
-        kh, _ = self.kernel_size
-        return (out_h + 2 * self.padding - kh - self.output_padding) // self.stride + 1
+        return np.matmul(weight_matrix, grad_cols).reshape(x_shape)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

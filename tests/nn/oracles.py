@@ -12,17 +12,33 @@ from repro.nn import functional as F
 from repro.nn.workspace import _POOL
 
 
-def _indices(x_shape, kh, kw, stride, padding, dilation):
-    _, c, h, w = x_shape
-    out_h = F.conv_output_size(h, kh, stride, padding, dilation)
-    out_w = F.conv_output_size(w, kw, stride, padding, dilation)
-    return F._im2col_indices(c, kh, kw, out_h, out_w, stride, dilation)
+def _im2col_indices(x_shape, kernel_h, kernel_w, stride, padding, dilation):
+    """``(k, i, j)``: channel, row and column in the padded input of every
+    ``(channel * kernel_h * kernel_w, out_h * out_w)`` patch entry."""
+    _, channels, h, w = x_shape
+    out_h = F.conv_output_size(h, kernel_h, stride, padding, dilation)
+    out_w = F.conv_output_size(w, kernel_w, stride, padding, dilation)
+    i0 = np.repeat(np.arange(kernel_h) * dilation, kernel_w)
+    i0 = np.tile(i0, channels)
+    i1 = stride * np.repeat(np.arange(out_h), out_w)
+    j0 = np.tile(np.arange(kernel_w) * dilation, kernel_h * channels)
+    j1 = stride * np.tile(np.arange(out_w), out_h)
+    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
+    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
+    k = np.repeat(np.arange(channels), kernel_h * kernel_w).reshape(-1, 1)
+    return k, i, j
 
 
 def im2col_oracle(x, kh, kw, stride=1, padding=0, dilation=1):
-    """``np.pad`` and one fancy-index gather into a fresh array."""
-    k, i, j = _indices(x.shape, kh, kw, stride, padding, dilation)
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))[:, k, i, j]
+    """``np.pad`` and one fancy-index gather into a fresh C-ordered array.
+
+    The gather alone comes back in whatever layout NumPy's fancy indexing
+    picked; a ``matmul`` over that takes another BLAS path than over the
+    engine's C-ordered ``cols`` and lands an ulp away for one-filter layers.
+    """
+    k, i, j = _im2col_indices(x.shape, kh, kw, stride, padding, dilation)
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    return np.ascontiguousarray(padded[:, k, i, j])
 
 
 def col2im_oracle(cols, x_shape, kh, kw, stride=1, padding=0, dilation=1):
@@ -34,7 +50,7 @@ def col2im_oracle(cols, x_shape, kh, kw, stride=1, padding=0, dilation=1):
     accumulates in float64).
     """
     n, c, h, w = x_shape
-    k, i, j = _indices(x_shape, kh, kw, stride, padding, dilation)
+    k, i, j = _im2col_indices(x_shape, kh, kw, stride, padding, dilation)
     padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
     np.add.at(padded, (np.arange(n)[:, None, None], k, i, j), cols)
     return padded[:, :, padding : padding + h, padding : padding + w]

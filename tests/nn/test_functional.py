@@ -1,10 +1,12 @@
 """Tests for im2col / col2im and numerically stable activations."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import col2im_oracle
 
 from repro.nn import functional as F
 
@@ -95,37 +97,48 @@ class TestCol2ImAdjoint:
         assert back[0, 0, 0, 0] == pytest.approx(4.0)
 
 
-class TestGatherIndexCaching:
-    """The im2col/col2im index arrays are memoized per geometry key."""
+class TestIm2colKeepsNothing:
+    """``im2col`` copies a strided view: no index table outlives a call."""
 
-    def test_repeated_calls_hit_the_cache(self):
-        F._im2col_indices.cache_clear()
-        F._col2im_flat_index.cache_clear()
-        x = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
-        first = F.im2col(x, 3, 3, stride=1, padding=1)
-        second = F.im2col(x, 3, 3, stride=1, padding=1)
-        np.testing.assert_array_equal(first, second)
-        # The flat gather index is built once, from one (k, i, j) triple.
-        flat_info = F._col2im_flat_index.cache_info()
-        assert flat_info.hits >= 1 and flat_info.misses == 1
-        assert F._im2col_indices.cache_info().misses == 1
-        # The oracle scatters through the same memoized triple; the
-        # clipped-tap engine must reproduce it bit for bit.
-        cols = np.random.default_rng(1).normal(size=first.shape)
-        reference = col2im_oracle(cols, x.shape, 3, 3, stride=1, padding=1)
-        assert F._im2col_indices.cache_info().hits >= 1
-        engine = F.col2im(cols, x.shape, 3, 3, stride=1, padding=1)
-        np.testing.assert_array_equal(engine, reference)
+    def test_forty_geometries_retain_no_memory(self):
+        x = np.random.default_rng(0).normal(size=(2, 3, 48, 48))
+        F.im2col(x, 3, 3, padding=1)  # imports and one-time setup happen here
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for size in range(8, 48):  # an int64 index table of any of these is > 64 KiB
+                first = F.im2col(x[:, :, :size, :size], 5, 5, padding=2)
+                second = F.im2col(x[:, :, :size, :size], 5, 5, padding=2)
+                np.testing.assert_array_equal(first, second)
+            del first, second
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
 
-    def test_cached_indices_are_read_only(self):
-        for index in F._im2col_indices(2, 3, 3, 4, 4, 1, 1):
-            assert not index.flags.writeable
-        assert not F._col2im_flat_index(2, 3, 3, 4, 4, 1, 1, 6, 6).flags.writeable
+    @pytest.mark.parametrize(
+        "buffer,shape,dtype",
+        [
+            ("out", (2, 27, 63), np.float64),  # one column short
+            ("out", (2, 27 * 64), np.float64),  # right size, wrong shape
+            ("out", (2, 27, 64), np.float32),
+            ("padded_out", (2, 3, 10, 9), np.float64),
+            ("padded_out", (1, 3, 10, 10), np.float64),  # would broadcast
+            ("padded_out", (2, 3, 10, 10), np.float32),
+        ],
+    )
+    def test_mismatched_buffer_raises(self, buffer, shape, dtype):
+        x = np.random.default_rng(1).normal(size=(2, 3, 8, 8))
+        with pytest.raises(ValueError, match=buffer):
+            F.im2col(x, 3, 3, padding=1, **{buffer: np.zeros(shape, dtype=dtype)})
 
-    def test_distinct_geometries_get_distinct_entries(self):
-        small = F._im2col_indices(1, 3, 3, 4, 4, 1, 1)
-        large = F._im2col_indices(1, 3, 3, 6, 6, 1, 1)
-        assert small[1].shape != large[1].shape
+    def test_non_contiguous_out_raises(self):
+        x = np.random.default_rng(2).normal(size=(2, 3, 8, 8))
+        out = np.zeros((2, 64, 27)).transpose(0, 2, 1)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            F.im2col(x, 3, 3, padding=1, out=out)
 
 
 class TestActivations:

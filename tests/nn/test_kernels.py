@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from oracles import (
+    _im2col_indices,
     col2im_oracle,
     conv2d_step_oracle,
     conv_transpose2d_step_oracle,
@@ -28,7 +29,7 @@ from repro.nn import (
     check_layer_parameter_gradients,
     max_relative_error,
 )
-from repro.nn.functional import _col2im_flat_index, col2im, conv_output_size, im2col
+from repro.nn.functional import col2im, conv_output_size, im2col, one_filter_input_grad
 from repro.nn.layers.conv import grad_weight_gemm
 
 
@@ -81,7 +82,8 @@ class TestFusedCol2im:
             cols = rng.standard_normal((n, c * kh * kw, out_h * out_w))
             fused = col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
             hp, wp = h + 2 * padding, w + 2 * padding
-            index = _col2im_flat_index(c, kh, kw, out_h, out_w, stride, dilation, hp, wp)
+            k, i, j = _im2col_indices((n, c, h, w), kh, kw, stride, padding, dilation)
+            index = (k * hp + i) * wp + j
             index = (np.arange(n)[:, None, None] * (c * hp * wp) + index).ravel()
             flat = np.bincount(index, weights=cols.ravel(), minlength=n * c * hp * wp)
             historical = flat.reshape(n, c, hp, wp)[:, :, padding : padding + h, padding : padding + w]
@@ -122,6 +124,81 @@ class TestIm2colGather:
         out = np.full_like(reference, np.nan)
         assert im2col(x, 3, 2, stride=2, padding=0, out=out) is out
         assert np.array_equal(out, reference)
+
+
+def one_filter_geometries(seed: int, count: int):
+    """``random_geometries`` with room for many channels and paddings past k/2."""
+    rng = np.random.default_rng(seed)
+    for n, _, h, w, kh, kw, stride, padding, dilation in random_geometries(seed + 1, count):
+        yield n, int(rng.integers(1, 20)), h, w, kh, kw, stride, padding, dilation
+
+
+class TestOneFilterFold:
+    """``one_filter_input_grad`` is ``col2im`` of the outer-product columns, to the bit."""
+
+    @staticmethod
+    def operands(rng, n, c, h, w, kh, kw, stride, padding, dilation, dtype):
+        out_h = conv_output_size(h, kh, stride, padding, dilation)
+        out_w = conv_output_size(w, kw, stride, padding, dilation)
+        weight = rng.standard_normal((1, c, kh, kw)).astype(dtype)
+        grad = rng.standard_normal((n, 1, out_h, out_w)).astype(dtype)
+        # Exact zeros against both signs: products of either zero sign.
+        weight[rng.random(weight.shape) < 0.2] = 0.0
+        grad[rng.random(grad.shape) < 0.2] = 0.0
+        return weight, grad
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_to_gemm_then_scatter(self, dtype):
+        rng = np.random.default_rng(71)
+        for n, c, h, w, kh, kw, stride, padding, dilation in one_filter_geometries(73, 60):
+            geometry = (kh, kw, stride, padding, dilation)
+            weight, grad = self.operands(rng, n, c, h, w, *geometry, dtype)
+            columns = np.matmul(weight.reshape(1, -1).T, grad.reshape(n, 1, -1))
+            reference = col2im_oracle(columns, (n, c, h, w), *geometry)
+            folded = one_filter_input_grad(weight, grad, (n, c, h, w), stride, padding, dilation)
+            assert folded.dtype == dtype and folded.flags.c_contiguous
+            assert folded.tobytes() == reference.tobytes(), (n, c, h, w, *geometry, dtype)
+
+    def test_scratch_is_overwritten_and_never_returned(self):
+        rng = np.random.default_rng(79)
+        n, c, h, w = 2, 5, 7, 6
+        weight, grad = self.operands(rng, n, c, h, w, 3, 3, 1, 1, 1, np.float64)
+        product = np.full((n, h, w, c), np.nan)
+        accumulator = np.full((n, h, w, c), np.nan)
+        expected = one_filter_input_grad(weight, grad, (n, c, h, w), padding=1)
+        staged = one_filter_input_grad(
+            weight, grad, (n, c, h, w), padding=1, product_out=product, accumulator_out=accumulator
+        )
+        assert staged.tobytes() == expected.tobytes()
+        assert not np.shares_memory(staged, accumulator) and not np.shares_memory(staged, product)
+
+    def test_single_channel_result_is_still_fresh(self):
+        # (n, h, w, 1) and (n, 1, h, w) share a memory layout: the final
+        # transpose must still copy out of the accumulator.
+        weight = np.full((1, 1, 1, 1), 2.0)
+        grad = np.arange(6.0).reshape(2, 1, 1, 3)
+        accumulator = np.empty((2, 1, 3, 1))
+        folded = one_filter_input_grad(weight, grad, (2, 1, 1, 3), accumulator_out=accumulator)
+        assert not np.shares_memory(folded, accumulator)
+        assert np.array_equal(folded, 2.0 * grad)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            dict(weight=np.zeros((2, 3, 3, 3))),  # two filters
+            dict(grad_output=np.zeros((2, 1, 8, 7))),
+            dict(grad_output=np.zeros((2, 1, 8, 8), dtype=np.float32)),
+            dict(product_out=np.zeros((2, 8, 8, 3), dtype=np.float32)),
+            dict(accumulator_out=np.zeros((2, 3, 8, 8))),  # NCHW, not channels-last
+        ],
+    )
+    def test_mismatched_operands_raise(self, override):
+        arguments = dict(
+            weight=np.zeros((1, 3, 3, 3)), grad_output=np.zeros((2, 1, 8, 8)), x_shape=(2, 3, 8, 8)
+        )
+        arguments.update(override)
+        with pytest.raises(ValueError):
+            one_filter_input_grad(padding=1, **arguments)
 
 
 class TestGradWeightGemm:
@@ -166,7 +243,7 @@ def assert_step_matches(layer, x, grad, oracle):
         grad_in = layer.backward(grad)
         for got, want in zip((out, grad_in, layer.weight.grad, layer.bias.grad), expected):
             assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLayerParity:
@@ -178,6 +255,42 @@ class TestLayerParity:
         x = np.random.default_rng(43).standard_normal((batch, 3, 11, 11))
         grad = np.random.default_rng(44).standard_normal(layer(x).shape)
         assert_step_matches(layer, x, grad, conv2d_step_oracle)
+
+    @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "channels,kernel,padding,size",
+        [(64, 9, 4, 16), (16, 3, 1, 16)],
+        ids=["flnet_output_conv", "routenet_output_conv"],
+    )
+    def test_one_filter_output_convs_full_step_bit_identity(
+        self, dtype_name, channels, kernel, padding, size
+    ):
+        layer = Conv2d(channels, 1, kernel, padding=padding, rng=np.random.default_rng(83))
+        layer.set_compute_dtype(dtype_name)
+        x = np.random.default_rng(84).standard_normal((4, channels, size, size))
+        grad = np.random.default_rng(85).standard_normal((4, 1, size, size))
+        assert_step_matches(layer, x, grad, conv2d_step_oracle)
+
+    @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
+    def test_one_filter_random_geometries_full_step_bit_identity(self, dtype_name):
+        seen = set()
+        for n, c, h, w, kh, kw, stride, padding, dilation in one_filter_geometries(89, 60):
+            layer = Conv2d(
+                c, 1, (kh, kw), stride=stride, padding=padding, dilation=dilation,
+                rng=np.random.default_rng(97),
+            )
+            layer.set_compute_dtype(dtype_name)
+            x = np.random.default_rng(98).standard_normal((n, c, h, w))
+            grad = np.random.default_rng(99).standard_normal((n, 1, *layer.output_shape(h, w)))
+            assert_step_matches(layer, x, grad, conv2d_step_oracle)
+            seen |= {
+                ("stride", stride), ("dilation", dilation), ("batch", n), ("square", h == w),
+                ("padding", "none" if padding == 0 else "past_half" if padding > kh // 2 else "some"),
+            }
+        assert seen >= {
+            ("stride", 2), ("dilation", 2), ("batch", 1), ("square", False),
+            ("padding", "none"), ("padding", "past_half"),
+        }
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_conv_transpose2d_full_step_bit_identity(self, batch):

@@ -148,6 +148,19 @@ class TestRecycledValues:
             pooled.release_workspaces()
             lent = pooled_ids()
 
+    def test_one_filter_input_gradient_is_not_the_scratch_it_was_folded_in(self):
+        """A caller may keep a returned gradient across the layer's next step."""
+        x = rng(41).normal(size=(2, CHANNELS, GRID, GRID))
+        first_grad, second_grad = (rng(seed).normal(size=(2, 1, GRID, GRID)) for seed in (42, 43))
+        warm = Conv2d(CHANNELS, 1, 5, padding=2, rng=rng(40))
+        cold = Conv2d(CHANNELS, 1, 5, padding=2, rng=rng(40))
+        warm.forward(x)
+        kept = warm.backward(first_grad)
+        warm.forward(x)
+        warm.backward(second_grad)  # same accumulator, new values
+        reference = on_cold_pool(lambda: (cold.forward(x), cold.backward(first_grad))[1])
+        np.testing.assert_array_equal(kept, reference)
+
     def test_backward_after_release_raises_then_recovers(self):
         x = rng(1).normal(size=(2, CHANNELS, GRID, GRID))
         grad = rng(2).normal(size=(2, 1, GRID, GRID))
