@@ -66,6 +66,7 @@ from repro.fl.algorithms import (
     FedBN,
     FederatedAlgorithm,
     FedProx,
+    GlobalModelAlgorithm,
     LocalOnly,
     ModelFactory,
     RoundRecord,
@@ -265,43 +266,36 @@ def create_algorithm(
         Optional :class:`~repro.fl.scheduling.RoundScheduler` driving
         partial participation, availability, stragglers, and the round
         policy (sync / deadline / fedbuff).  A scheduler is stateful; use a
-        fresh one per algorithm run.  Ignored (with a warning) by the
-        algorithms that still run their full cohort every round.
+        fresh one per algorithm run.
     resilience:
         Optional :class:`~repro.fl.faults.ResilienceManager` enabling the
         fault-tolerant runtime (deterministic fault injection, supervised
         retries with backoff, quorum-gated round commits).  Stateful; use a
         fresh one per algorithm run (or build one from a
         :class:`~repro.fl.faults.ResilienceOptions` via
-        :func:`~repro.fl.faults.create_resilience`).  Ignored (with a
-        warning) by the algorithms whose round loops cannot degrade
-        gracefully yet.
+        :func:`~repro.fl.faults.create_resilience`).
+
+    ``checkpoint``, ``scheduler`` and ``resilience`` are honored by the
+    :class:`GlobalModelAlgorithm` subclasses only; every other algorithm
+    carries per-client state across rounds, so each of the three given to
+    it is dropped with a warning.
     """
     key = name.lower()
     if key not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; available: {sorted(ALGORITHMS)}")
     cls = ALGORITHMS[key]
-    if checkpoint is not None and not cls.supports_checkpointing:
-        warnings.warn(
-            f"algorithm {key!r} does not support per-round checkpointing; "
-            "the checkpoint option is ignored (an interrupted run restarts from round 0)",
-            stacklevel=2,
-        )
-        checkpoint = None
-    if scheduler is not None and not cls.supports_scheduling:
-        warnings.warn(
-            f"algorithm {key!r} does not support client scheduling; the scheduling "
-            "options are ignored (every client participates in every round)",
-            stacklevel=2,
-        )
-        scheduler = None
-    if resilience is not None and not cls.supports_resilience:
-        warnings.warn(
-            f"algorithm {key!r} does not support fault tolerance; the quorum/fault/"
-            "retry options are ignored (a client failure aborts the run)",
-            stacklevel=2,
-        )
-        resilience = None
+    if not issubclass(cls, GlobalModelAlgorithm):
+        for option, unsupported in (
+            (checkpoint, "per-round checkpointing; the checkpoint option is ignored "
+             "(an interrupted run restarts from round 0)"),
+            (scheduler, "client scheduling; the scheduling options are ignored "
+             "(every client participates in every round)"),
+            (resilience, "fault tolerance; the quorum/fault/retry options are ignored "
+             "(a client failure aborts the run)"),
+        ):
+            if option is not None:
+                warnings.warn(f"algorithm {key!r} does not support {unsupported}", stacklevel=2)
+        checkpoint = scheduler = resilience = None
     return cls(
         clients,
         model_factory,
@@ -362,6 +356,7 @@ __all__ = [
     "StepStatistics",
     "predict_dataset",
     "FederatedAlgorithm",
+    "GlobalModelAlgorithm",
     "TrainingResult",
     "RoundRecord",
     "ModelFactory",

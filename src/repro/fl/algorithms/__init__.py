@@ -17,11 +17,15 @@ tables:
 The personalization techniques of Figure 2 live in
 :mod:`repro.fl.personalization`.  Every algorithm subclasses
 :class:`FederatedAlgorithm`, which expresses a round as *map client tasks
-via an execution backend, then aggregate* — see :mod:`repro.fl.execution`.
+via an execution backend, then aggregate* — see :mod:`repro.fl.execution`;
+the five whose cross-round state is one global model (FedAvg, FedProx,
+FedAvgM, DP-FedProx, FedProx + fine-tuning) subclass
+:class:`GlobalModelAlgorithm`, which owns their one round loop.
 """
 
 from repro.fl.algorithms.base import (
     FederatedAlgorithm,
+    GlobalModelAlgorithm,
     ModelFactory,
     RoundRecord,
     SeededModelFactory,
@@ -35,6 +39,7 @@ from repro.fl.algorithms.fedprox import FedAvg, FedProx
 
 __all__ = [
     "FederatedAlgorithm",
+    "GlobalModelAlgorithm",
     "TrainingResult",
     "RoundRecord",
     "ModelFactory",

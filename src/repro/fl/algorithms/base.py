@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from repro.fl.execution import (
     SerialBackend,
 )
 from repro.fl.faults import ResilienceManager
-from repro.fl.parameters import State, clone_state, flat_model_state
-from repro.fl.scheduling import RoundScheduler
+from repro.fl.parameters import State, average_pairwise_distance, flat_model_state
+from repro.fl.scheduling import AlwaysAvailable, FullParticipation, RoundScheduler, ZeroLatency
 from repro.fl.server import FederatedServer
 from repro.fl.transport import Channel
 from repro.models.base import RoutabilityModel
@@ -104,29 +104,10 @@ class FederatedAlgorithm:
     #: Registry / display name, overridden by subclasses.
     name: str = "base"
 
-    #: Whether :meth:`run` honors a :class:`CheckpointManager`.  True for the
-    #: algorithms whose cross-round state is a single global model; the
-    #: personalized algorithms carry per-client state across rounds and
-    #: currently ignore checkpointing.
-    supports_checkpointing: bool = False
-
-    #: Whether :meth:`run` honors a :class:`~repro.fl.scheduling.RoundScheduler`
-    #: (partial participation, stragglers, deadline cutoffs).  True for the
-    #: global-state algorithms whose round loop goes through
-    #: :meth:`_run_scheduled_rounds`; the personalized algorithms still run
-    #: the full cohort every round.
-    supports_scheduling: bool = False
-
     #: Whether :meth:`run` implements the FedBuff buffered-asynchronous
     #: round policy.  Requires delta-style aggregation; only the FedProx
     #: family supports it.
     supports_fedbuff: bool = False
-
-    #: Whether :meth:`run` honors a :class:`~repro.fl.faults.ResilienceManager`
-    #: (fault injection, supervised retries, quorum-gated round commits).
-    #: True for the global-state algorithms whose round loops can degrade
-    #: gracefully; the personalized algorithms currently ignore resilience.
-    supports_resilience: bool = False
 
     def __init__(
         self,
@@ -194,25 +175,43 @@ class FederatedAlgorithm:
         """A fresh global model initialization (packed into a flat buffer)."""
         return flat_model_state(self.model_factory())
 
-    def _prepare_client_tasks(
+    def map_client_updates(
         self,
         states: Union[State, Sequence[State]],
-        steps: Optional[int],
-        proximal_mu: Optional[float],
-        op: str,
-        transport: str,
-        upload_names: Optional[Sequence[str]],
-        cohort: Optional[Sequence[int]],
-    ):
-        """Validate one client pass and build its tasks.
+        steps: Optional[int] = None,
+        proximal_mu: Optional[float] = None,
+        op: str = "train",
+        transport: str = TRANSPORT_BOTH,
+        upload_names: Optional[Sequence[str]] = None,
+        cohort: Optional[Sequence[int]] = None,
+        on_arrival: Optional[Callable[[ClientUpdate], None]] = None,
+    ) -> List[ClientUpdate]:
+        """Run one client-side pass over the participating clients.
 
-        Returns ``(tasks, finish)`` where ``finish(update)`` completes one
-        returned update in the coordinating process (decoding backend-encoded
-        payloads; applying delta references and error feedback; recording
-        measured bytes) — a no-op without a channel.  Shared by the batch
-        (:meth:`map_client_updates`) and per-arrival
-        (:meth:`iter_client_updates`) entry points so both dispatch — and
-        account transport bytes — identically.
+        ``cohort`` is the round's participating roster indices (from a
+        :class:`~repro.fl.scheduling.RoundScheduler` plan); ``None`` means
+        every client participates.  ``states`` is either a single global
+        :data:`State` broadcast to every participant or a sequence aligned
+        with the participants (one personalized starting state each).
+
+        Updates come back in arrival order — participant order on every
+        backend, with retried clients after the wave they failed in under
+        supervision (a :class:`~repro.fl.faults.ResilienceManager` attached;
+        clients that exhaust their retries are absent).  Each update is
+        finished in the coordinating process (decoded; delta references and
+        error feedback applied; measured bytes recorded) as it arrives, then
+        handed to ``on_arrival`` before the next one is awaited, so a round
+        loop can fold and release update ``i`` while ``i+1..`` still train.
+
+        ``transport`` says which directions of this pass are real
+        communication when a channel is attached: ``"both"`` (a normal
+        round: broadcast down, upload back), ``"down"`` (broadcast only —
+        e.g. fine-tuning, whose personalized result stays on the client),
+        or ``"none"`` (no wire at all — e.g. locally created initial
+        states).  ``upload_names`` restricts the upload to a subset of the
+        state (FedBN / FedProx-LG ship only their shared part; the private
+        part returns untouched).  Without a channel both flags are
+        irrelevant: states move raw.
         """
         if transport not in _TRANSPORT_MODES:
             raise ValueError(
@@ -248,110 +247,96 @@ class FederatedAlgorithm:
                 for index, state in zip(indices, per_client)
             ]
 
-            def finish(update: ClientUpdate) -> None:
-                return None
+            def finish(update: ClientUpdate) -> ClientUpdate:
+                return update
 
-            return tasks, finish
-
-        wire_tasks = self.channel.broadcast(
-            per_client,
-            [self.clients[index].client_id for index in indices],
-            expect_upload=transport == TRANSPORT_BOTH,
-            partial_upload=upload_names is not None,
-        )
-        tasks = [
-            ClientTask(
-                client_index=index,
-                wire=wire,
-                op=op,
-                steps=steps,
-                proximal_mu=proximal_mu,
+        else:
+            wire_tasks = self.channel.broadcast(
+                per_client,
+                [self.clients[index].client_id for index in indices],
+                expect_upload=transport == TRANSPORT_BOTH,
+                partial_upload=upload_names is not None,
             )
-            for index, wire in zip(indices, wire_tasks)
-        ]
-
-        def finish(update: ClientUpdate) -> None:
-            if transport == TRANSPORT_BOTH:
-                update.state = self.channel.receive(
-                    update.client_id,
-                    state=update.state,
-                    payload=update.payload,
-                    upload_names=upload_names,
+            tasks = [
+                ClientTask(
+                    client_index=index,
+                    wire=wire,
+                    op=op,
+                    steps=steps,
+                    proximal_mu=proximal_mu,
                 )
-                update.payload = None
+                for index, wire in zip(indices, wire_tasks)
+            ]
 
-        return tasks, finish
+            def finish(update: ClientUpdate) -> ClientUpdate:
+                if transport == TRANSPORT_BOTH:
+                    update.state = self.channel.receive(
+                        update.client_id,
+                        state=update.state,
+                        payload=update.payload,
+                        upload_names=upload_names,
+                    )
+                    update.payload = None
+                return update
 
-    def map_client_updates(
-        self,
-        states: Union[State, Sequence[State]],
-        steps: Optional[int] = None,
-        proximal_mu: Optional[float] = None,
-        op: str = "train",
-        transport: str = TRANSPORT_BOTH,
-        upload_names: Optional[Sequence[str]] = None,
-        cohort: Optional[Sequence[int]] = None,
-    ) -> List[ClientUpdate]:
-        """Run one client-side pass over the participating clients.
-
-        ``cohort`` is the round's participating roster indices (from a
-        :class:`~repro.fl.scheduling.RoundScheduler` plan); ``None`` means
-        every client participates — the pre-scheduling behavior, bit for
-        bit.  ``states`` is either a single global :data:`State` broadcast
-        to every participant or a sequence aligned with the participants
-        (one personalized starting state each).  Results come back in
-        participant order.
-
-        ``transport`` says which directions of this pass are real
-        communication when a channel is attached: ``"both"`` (a normal
-        round: broadcast down, upload back), ``"down"`` (broadcast only —
-        e.g. fine-tuning, whose personalized result stays on the client),
-        or ``"none"`` (no wire at all — e.g. locally created initial
-        states).  ``upload_names`` restricts the upload to a subset of the
-        state (FedBN / FedProx-LG ship only their shared part; the private
-        part returns untouched).  Without a channel both flags are
-        irrelevant: states move raw.
-        """
-        tasks, finish = self._prepare_client_tasks(
-            states, steps, proximal_mu, op, transport, upload_names, cohort
-        )
         if self.resilience is not None:
             # Supervised dispatch: fault injection, retries with backoff,
-            # per-client RNG snapshot/restore.  Clients that exhaust their
-            # retries are simply absent from the returned list.
-            return list(self.resilience.supervise(self.backend, tasks, finish, self.clients))
-        updates = self.backend.map(tasks)
-        for update in updates:
-            finish(update)
+            # per-client RNG snapshot/restore; supervise() finishes each
+            # survivor itself.
+            arrivals = self.resilience.supervise(self.backend, tasks, finish, self.clients)
+        else:
+            arrivals = map(finish, self.backend.imap(tasks))
+        updates: List[ClientUpdate] = []
+        for update in arrivals:
+            if on_arrival is not None:
+                on_arrival(update)
+            updates.append(update)
         return updates
 
-    def iter_client_updates(
+    def _round_record(
         self,
-        states: Union[State, Sequence[State]],
-        steps: Optional[int] = None,
-        proximal_mu: Optional[float] = None,
-        op: str = "train",
-        transport: str = TRANSPORT_BOTH,
-        upload_names: Optional[Sequence[str]] = None,
-        cohort: Optional[Sequence[int]] = None,
-    ):
-        """Per-arrival variant of :meth:`map_client_updates`.
-
-        Yields each :class:`ClientUpdate` in participant order as soon as
-        its computation completes (via the backend's ``imap``), so the
-        scheduled round loop can fold — and release — update ``i`` while
-        updates ``i+1..`` are still training.  Values are identical to the
-        batch entry point; only the delivery is incremental.
-        """
-        tasks, finish = self._prepare_client_tasks(
-            states, steps, proximal_mu, op, transport, upload_names, cohort
+        round_index: int,
+        per_client_loss: Dict[int, float],
+        extra: Optional[Dict[str, object]] = None,
+    ) -> RoundRecord:
+        mean_loss = float(np.mean(list(per_client_loss.values()))) if per_client_loss else float("nan")
+        return RoundRecord(
+            round_index=round_index,
+            mean_loss=mean_loss,
+            per_client_loss=dict(per_client_loss),
+            extra=dict(extra or {}),
         )
-        if self.resilience is not None:
-            yield from self.resilience.supervise(self.backend, tasks, finish, self.clients)
-            return
-        for update in self.backend.imap(tasks):
-            finish(update)
-            yield update
+
+    # -- interface ------------------------------------------------------------------
+    def run(self) -> TrainingResult:
+        raise NotImplementedError
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{self.__class__.__name__}(clients={len(self.clients)})"
+
+
+class GlobalModelAlgorithm(FederatedAlgorithm):
+    """An algorithm whose cross-round state is one global model.
+
+    FedProx, FedAvg, FedAvgM, DP-FedProx and FedProx + fine-tuning.  Being
+    one is the capability fact: only these honor a
+    :class:`CheckpointManager`, a :class:`~repro.fl.scheduling.RoundScheduler`
+    and a :class:`~repro.fl.faults.ResilienceManager` (the personalized
+    algorithms carry per-client state across rounds, and
+    :func:`repro.fl.create_algorithm` warns and drops all three for them).
+
+    :meth:`run` is init → :meth:`load_checkpoint` → the round loop →
+    result, the round loop being :meth:`_run_rounds` (or FedProx's
+    ``_run_fedbuff`` under the fedbuff policy).  A subclass supplies only
+    what differs: how one update enters the round's accumulator
+    (:meth:`_fold_update`), what the server does with the round's average
+    (:meth:`_apply_average`), and the per-run state it keeps beside the
+    global model (:meth:`_begin_run`, :meth:`_checkpoint_extras`).
+    """
+
+    def proximal_mu(self) -> float:
+        """Proximal strength of every client pass; :class:`FedAvg` uses 0."""
+        return self.config.proximal_mu
 
     # -- checkpointing ------------------------------------------------------------
     def checkpoint_fingerprint(self) -> Dict[str, object]:
@@ -372,8 +357,9 @@ class FederatedAlgorithm:
         if self.scheduler is not None:
             # Resuming a partial-participation run under a different sampler,
             # straggler model, or round policy would silently diverge from
-            # the uninterrupted trajectory; channel-less / scheduler-less
-            # runs omit the key so older checkpoints stay resumable.
+            # the uninterrupted trajectory.  A run given no scheduler omits
+            # the key (its loop's inert full-participation scheduler draws
+            # nothing), so older checkpoints stay resumable.
             fingerprint["scheduling"] = self.scheduler.describe()
         if self.channel is not None:
             fingerprint["transport"] = {
@@ -473,16 +459,11 @@ class FederatedAlgorithm:
             )
         return resumed
 
-    def save_checkpoint(
-        self,
-        round_index: int,
-        global_state: State,
-        extra_states: Optional[Dict[str, State]] = None,
-        extra_meta: Optional[Dict[str, object]] = None,
-    ) -> None:
+    def save_checkpoint(self, round_index: int, global_state: State) -> None:
         """Persist one completed round (no-op without a checkpoint manager)."""
         if self.checkpoint is not None:
-            meta = dict(extra_meta or {})
+            extra_states, extra_meta = self._checkpoint_extras()
+            meta = dict(extra_meta)
             meta["fingerprint"] = self.checkpoint_fingerprint()
             if self.scheduler is not None:
                 meta["scheduler_state"] = self.scheduler.state()
@@ -496,25 +477,54 @@ class FederatedAlgorithm:
                 extra_meta=meta,
             )
 
-    def _round_record(
-        self,
-        round_index: int,
-        per_client_loss: Dict[int, float],
-        extra: Optional[Dict[str, object]] = None,
-    ) -> RoundRecord:
-        mean_loss = float(np.mean(list(per_client_loss.values()))) if per_client_loss else float("nan")
-        return RoundRecord(
-            round_index=round_index,
-            mean_loss=mean_loss,
-            per_client_loss=dict(per_client_loss),
-            extra=dict(extra or {}),
-        )
+    # -- what a subclass supplies ---------------------------------------------------
+    def _begin_run(self, global_state: State, resumed: Optional[RoundCheckpoint]) -> None:
+        """Set up the per-run state kept beside the global model.
 
-    # -- scheduled round loop (global-state algorithms) ---------------------------
-    def _local_proximal_mu(self) -> float:
-        """Proximal strength used for the per-round client pass."""
-        return self.config.proximal_mu
+        ``global_state`` is the fresh initialization; ``resumed`` is the
+        checkpoint being resumed (``None`` for a fresh run), whose
+        :meth:`_checkpoint_extras` this restores.
+        """
 
+    def _checkpoint_extras(self) -> Tuple[Dict[str, State], Dict[str, object]]:
+        """``(extra_states, extra_meta)`` a round checkpoint carries for this algorithm."""
+        return {}, {}
+
+    def _fold_update(self, accumulator, global_state: State, update: ClientUpdate) -> None:
+        """Fold one kept update into the round's accumulator, weighted by sample count.
+
+        Called in arrival order — which equals cohort order on every
+        backend — so a sequential server-side RNG stream (DP-FedProx's
+        noise) is backend-independent.
+        """
+        accumulator.fold(update.state, float(self.clients[update.client_index].num_samples))
+
+    def _apply_average(self, global_state: State, average: State) -> State:
+        """The new global state from the round's sample-weighted average."""
+        return average
+
+    def _finalize_round(
+        self, round_index: int, global_state: State, accumulator
+    ) -> Tuple[State, Dict[str, object]]:
+        """Turn the round's accumulator into the new global state and persist the round.
+
+        An empty accumulator (every selected client missed the deadline)
+        leaves the global state unchanged.  The accumulator is read as
+        ``states()`` → client drift → ``result()``.
+        """
+        extra: Dict[str, object] = {}
+        if accumulator.count:
+            client_states = accumulator.states()
+            if client_states is not None:
+                # Drift needs the individual states; a spilled accumulator
+                # no longer holds them, so the diagnostic is simply omitted
+                # at population scale.
+                extra["client_drift"] = average_pairwise_distance(client_states)
+            global_state = self._apply_average(global_state, accumulator.result())
+        self.save_checkpoint(round_index, global_state)
+        return global_state, extra
+
+    # -- the round loop -------------------------------------------------------------
     def _release_client(self, client_index: int) -> None:
         """Free a virtual client's materialized resources (no-op for eager clients)."""
         release = getattr(self.clients[client_index], "release", None)
@@ -532,130 +542,46 @@ class FederatedAlgorithm:
         """
         return str(self.checkpoint.directory) if self.checkpoint is not None else None
 
-    def _fold_update(self, accumulator, global_state: State, update: ClientUpdate) -> None:
-        """Fold one kept update into the round's accumulator.
+    def run(self) -> TrainingResult:
+        result = TrainingResult(algorithm=self.name)
+        global_state = self.initial_state()
+        resumed = self.load_checkpoint(reference_state=global_state)
+        self._begin_run(global_state, resumed)
+        start_round = 0
+        if resumed is not None:
+            start_round = resumed.round_index + 1
+            global_state = resumed.global_state
+        if self.scheduler is not None and self.scheduler.policy == "fedbuff":
+            global_state = self._run_fedbuff(result, global_state, start_round)
+        else:
+            global_state = self._run_rounds(result, global_state, start_round)
+        result.global_state = global_state
+        return result
 
-        The per-algorithm per-update server step: FedProx folds the raw
-        state weighted by sample count, DP-FedProx privatizes it first.
-        Called in arrival order — which equals cohort order on every
-        backend — so sequential server-side RNG streams (DP noise) are
-        backend-independent.
-        """
-        raise NotImplementedError(
-            f"{self.__class__.__name__} does not implement the scheduled round loop"
-        )
+    def _run_rounds(self, result: TrainingResult, global_state: State, start_round: int) -> State:
+        """Barrier rounds (sync / deadline): the one round loop.
 
-    def _finalize_round(
-        self, round_index: int, global_state: State, accumulator
-    ) -> "tuple[State, Dict[str, object]]":
-        """Turn the round's accumulator into the new global state.
-
-        Implementations read ``accumulator.result()`` (when any update was
-        folded — the accumulator may be empty when every selected client
-        missed the deadline, leaving the global state unchanged), persist
-        the round via :meth:`save_checkpoint`, and return the new global
-        state plus extras for the round record.
-        """
-        raise NotImplementedError(
-            f"{self.__class__.__name__} does not implement the scheduled round loop"
-        )
-
-    def _global_round(
-        self, round_index: int, global_state: State, kept: Sequence[ClientUpdate]
-    ) -> "tuple[State, Dict[str, object]]":
-        """Aggregate one round's kept updates into the global state.
-
-        Each update's state is dropped, and its (possibly virtual) client
-        released, as soon as it is folded.
-        """
-        accumulator = self.server.accumulator()
-        for update in kept:
-            self._fold_update(accumulator, global_state, update)
-            update.state = None
-            self._release_client(update.client_index)
-        self.server.record_folds(accumulator.count)
-        return self._finalize_round(round_index, global_state, accumulator)
-
-    def _run_global_rounds(
-        self, result: TrainingResult, global_state: State, start_round: int
-    ) -> State:
-        """The per-round loop of every global-state algorithm.
-
-        Dispatches to the scheduler-driven loop when a round scheduler is
-        attached, and to the historical full-cohort loop (bit-identical to
-        pre-scheduling behavior) otherwise.  Both express the server step
-        through the fold hooks.
-        """
-        if self.scheduler is None:
-            return self._run_unscheduled_rounds(result, global_state, start_round)
-        return self._run_scheduled_rounds(result, global_state, start_round)
-
-    def _run_unscheduled_rounds(
-        self, result: TrainingResult, global_state: State, start_round: int
-    ) -> State:
-        """Full-cohort synchronous rounds (the pre-scheduling behavior).
+        Each round: ask the scheduler for a cohort (sampling over the
+        clients available at the current virtual time), pre-draw the
+        cohort's straggler latencies, and run the cohort's client pass
+        through the execution backend.  Each update is folded — or, past
+        the deadline, discarded — the moment it arrives, and its state and
+        client are released right after, so peak coordinator memory is
+        O(P), independent of the cohort size.  A run given no scheduler
+        goes round an inert full-participation, always-available,
+        zero-latency one that only this loop holds: every client trains
+        every round and nothing is dropped.
 
         With a resilience manager attached the cohort excludes permanently
         failed clients, the round only commits at quorum (raising the typed
         :class:`~repro.fl.faults.QuorumFailure` below it), and clients that
         exhausted their retries this round are dropped for good with a
-        recorded weight renormalization.  Without one, the loop is the
-        pre-resilience code path bit for bit.
-        """
-        mu = self._local_proximal_mu()
-        resilience = self.resilience
-        for round_index in range(start_round, self.config.rounds):
-            if resilience is None:
-                updates = self.map_client_updates(
-                    global_state, steps=self.config.local_steps, proximal_mu=mu
-                )
-            else:
-                resilience.begin_round(round_index)
-                cohort = resilience.active_cohort(range(len(self.clients)))
-                updates = (
-                    self.map_client_updates(
-                        global_state,
-                        steps=self.config.local_steps,
-                        proximal_mu=mu,
-                        cohort=cohort,
-                    )
-                    if cohort
-                    else []
-                )
-                resilience.check_quorum(
-                    round_index,
-                    arrived=len(updates),
-                    cohort_size=len(cohort),
-                    checkpoint_dir=self._auto_checkpoint_dir(),
-                )
-            # Drops commit *before* the aggregation step so the round's
-            # checkpoint (saved inside _finalize_round) already carries the
-            # updated permanent-failure set.
-            commit_extra = resilience.commit_round(self.client_weights()) if resilience else {}
-            global_state, extra = self._global_round(round_index, global_state, updates)
-            extra = {**extra, **commit_extra}
-            per_client_loss = {
-                update.client_id: update.stats.mean_loss for update in updates
-            }
-            result.history.append(
-                self._round_record(round_index, per_client_loss, extra=extra)
-            )
-        return global_state
-
-    def _run_scheduled_rounds(
-        self, result: TrainingResult, global_state: State, start_round: int
-    ) -> State:
-        """Barrier-style (sync / deadline) rounds driven by the scheduler.
-
-        Each round: ask the scheduler for a cohort (sampling over the
-        clients available at the current virtual time), pre-draw the
-        cohort's straggler latencies, and run the cohort's client passes
-        through the execution backend.  Each update is folded — or, past
-        the deadline, discarded — the moment it comes off the backend, and
-        its state and client are released immediately after, so peak
-        coordinator memory is O(P), independent of the cohort size.
+        recorded weight renormalization.
         """
         scheduler = self.scheduler
+        if scheduler is None:
+            scheduler = RoundScheduler(FullParticipation(), AlwaysAvailable(), ZeroLatency())
+            scheduler.bind(self.clients)
         resilience = self.resilience
         deadline = scheduler.deadline if scheduler.policy == "deadline" else None
         for round_index in range(start_round, self.config.rounds):
@@ -668,26 +594,36 @@ class FederatedAlgorithm:
                 plan.cohort = resilience.active_cohort(plan.cohort)
             attempted = len(plan.cohort)
             latencies = scheduler.arrival_schedule(plan)
-            accumulator = self.server.accumulator()
-            updates: List[ClientUpdate] = []
+            # Made at the first arrival, inside the round's client pass:
+            # bench/workload.py starts a cycle, and installs or removes its
+            # tracing wrappers on new accumulators, where map_client_updates
+            # is entered, so a round's accumulator must not predate the call.
+            accumulator = None
             per_client_loss: Dict[int, float] = {}
-            arrivals = (
-                self.iter_client_updates(
-                    global_state,
-                    steps=self.config.local_steps,
-                    proximal_mu=self._local_proximal_mu(),
-                    cohort=plan.cohort,
-                )
-                if plan.cohort
-                else ()
-            )
-            for update in arrivals:
-                updates.append(update)
+
+            def fold(update: ClientUpdate) -> None:
+                nonlocal accumulator
+                if accumulator is None:
+                    accumulator = self.server.accumulator()
                 if deadline is None or latencies[update.client_index] <= deadline:
                     self._fold_update(accumulator, global_state, update)
                     per_client_loss[update.client_id] = update.stats.mean_loss
                 update.state = None
                 self._release_client(update.client_index)
+
+            updates = (
+                self.map_client_updates(
+                    global_state,
+                    steps=self.config.local_steps,
+                    proximal_mu=self.proximal_mu(),
+                    cohort=plan.cohort,
+                    on_arrival=fold,
+                )
+                if plan.cohort
+                else []
+            )
+            if accumulator is None:  # nothing arrived
+                accumulator = self.server.accumulator()
             if resilience is not None:
                 # Clients that exhausted their retries produced no update;
                 # shrink the plan (and its pre-drawn latencies) to the
@@ -715,13 +651,6 @@ class FederatedAlgorithm:
                 )
             )
         return global_state
-
-    # -- interface ------------------------------------------------------------------
-    def run(self) -> TrainingResult:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.__class__.__name__}(clients={len(self.clients)})"
 
 
 class SeededModelFactory:

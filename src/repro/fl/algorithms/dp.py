@@ -11,27 +11,24 @@ the DP ablation benchmark).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fl.algorithms.base import FederatedAlgorithm, ModelFactory, TrainingResult
+from repro.fl.algorithms.base import GlobalModelAlgorithm, ModelFactory
 from repro.fl.client import FederatedClient
 from repro.fl.config import FLConfig
-from repro.fl.execution import ClientUpdate
-from repro.fl.parameters import State, average_pairwise_distance
+from repro.fl.execution import ClientUpdate, RoundCheckpoint
+from repro.fl.parameters import State
 from repro.fl.privacy import GaussianAccountant, PrivacyConfig, PrivateUpdateLog, privatize_update
 from repro.fl.server import FederatedServer
 from repro.utils.rng import new_rng
 
 
-class DPFedProx(FederatedAlgorithm):
+class DPFedProx(GlobalModelAlgorithm):
     """FedProx with clipped, noised client updates and a privacy accountant."""
 
     name = "dp_fedprox"
-    supports_checkpointing = True
-    supports_scheduling = True
-    supports_resilience = True
 
     def __init__(
         self,
@@ -66,57 +63,40 @@ class DPFedProx(FederatedAlgorithm):
             private_state, float(self.clients[update.client_index].num_samples)
         )
 
+    def _begin_run(self, global_state: State, resumed: Optional[RoundCheckpoint]) -> None:
+        self._noise_rng = new_rng(np.random.SeedSequence([self.config.seed, 0xD9]))
+        if resumed is None:
+            return
+        meta = resumed.extra_meta
+        if "noise_rng" in meta:
+            self._noise_rng.bit_generator.state = meta["noise_rng"]
+        if "raw_norms" in meta:
+            self.update_log.raw_norms = [float(v) for v in meta["raw_norms"]]
+            self.update_log.clipped_fraction_hits = int(meta.get("clipped_hits", 0))
+        # Restore the exact mechanism count (a scheduled round may have
+        # released nothing); older checkpoints without the count fall back
+        # to one application per completed round.
+        self.accountant.record_round(int(meta.get("privacy_steps", resumed.round_index + 1)))
+
+    def _checkpoint_extras(self) -> Tuple[Dict[str, State], Dict[str, object]]:
+        return {}, {
+            "noise_rng": self._noise_rng.bit_generator.state,
+            "raw_norms": list(self.update_log.raw_norms),
+            "clipped_hits": self.update_log.clipped_fraction_hits,
+            # The accountant's applied-mechanism count: under a deadline
+            # policy a round can keep zero updates and release nothing, so
+            # it cannot be reconstructed from the round index alone.
+            "privacy_steps": self.accountant.steps,
+        }
+
+    def _apply_average(self, global_state: State, average: State) -> State:
+        self.accountant.record_round()
+        return average
+
     def _finalize_round(
         self, round_index: int, global_state: State, accumulator
     ) -> Tuple[State, Dict[str, object]]:
-        extra: Dict[str, object] = {}
-        if accumulator.count:
-            client_states = accumulator.states()
-            if client_states is not None:
-                extra["client_drift"] = average_pairwise_distance(client_states)
-            global_state = accumulator.result()
-            self.accountant.record_round()
-        self.save_checkpoint(
-            round_index,
-            global_state,
-            extra_meta={
-                "noise_rng": self._noise_rng.bit_generator.state,
-                "raw_norms": list(self.update_log.raw_norms),
-                "clipped_hits": self.update_log.clipped_fraction_hits,
-                # The accountant's applied-mechanism count: under a deadline
-                # policy a round can keep zero updates and release nothing,
-                # so it cannot be reconstructed from the round index alone.
-                "privacy_steps": self.accountant.steps,
-            },
-        )
+        global_state, extra = super()._finalize_round(round_index, global_state, accumulator)
         extra["epsilon"] = self.accountant.epsilon()
         extra["clipped_fraction"] = self.update_log.clipped_fraction
         return global_state, extra
-
-    def run(self) -> TrainingResult:
-        result = TrainingResult(algorithm=self.name)
-        global_state = self.initial_state()
-        self._noise_rng = new_rng(np.random.SeedSequence([self.config.seed, 0xD9]))
-
-        start_round = 0
-        resumed = self.load_checkpoint(reference_state=global_state)
-        if resumed is not None:
-            start_round = resumed.round_index + 1
-            global_state = resumed.global_state
-            if "noise_rng" in resumed.extra_meta:
-                self._noise_rng.bit_generator.state = resumed.extra_meta["noise_rng"]
-            if "raw_norms" in resumed.extra_meta:
-                self.update_log.raw_norms = [float(v) for v in resumed.extra_meta["raw_norms"]]
-                self.update_log.clipped_fraction_hits = int(
-                    resumed.extra_meta.get("clipped_hits", 0)
-                )
-            # Restore the exact mechanism count (a scheduled round may have
-            # released nothing); older checkpoints without the count fall
-            # back to one application per completed round.
-            self.accountant.record_round(
-                int(resumed.extra_meta.get("privacy_steps", start_round))
-            )
-
-        global_state = self._run_global_rounds(result, global_state, start_round)
-        result.global_state = global_state
-        return result

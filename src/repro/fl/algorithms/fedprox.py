@@ -21,9 +21,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.fl.algorithms.base import FederatedAlgorithm, TrainingResult
+from repro.fl.algorithms.base import GlobalModelAlgorithm, TrainingResult, logger
 from repro.fl.execution import ClientUpdate
-from repro.fl.parameters import State, average_pairwise_distance
+from repro.fl.parameters import State
 
 
 @dataclass
@@ -43,60 +43,11 @@ class _InFlight:
     update: ClientUpdate
 
 
-class FedProx(FederatedAlgorithm):
+class FedProx(GlobalModelAlgorithm):
     """The decentralized training loop of Figure 1 with the FedProx objective."""
 
     name = "fedprox"
-    supports_checkpointing = True
-    supports_scheduling = True
     supports_fedbuff = True
-    supports_resilience = True
-
-    def proximal_mu(self) -> float:
-        """Proximal strength; overridden by :class:`FedAvg`."""
-        return self.config.proximal_mu
-
-    def _local_proximal_mu(self) -> float:
-        return self.proximal_mu()
-
-    def _fold_update(self, accumulator, global_state: State, update: ClientUpdate) -> None:
-        accumulator.fold(
-            update.state, float(self.clients[update.client_index].num_samples)
-        )
-
-    def _finalize_round(
-        self, round_index: int, global_state: State, accumulator
-    ) -> Tuple[State, Dict[str, object]]:
-        """Sample-count-weighted averaging over the round's folded updates."""
-        extra: Dict[str, object] = {}
-        if accumulator.count:
-            client_states = accumulator.states()
-            if client_states is not None:
-                # Drift needs the individual states; a spilled accumulator
-                # no longer holds them, so the diagnostic is simply omitted
-                # at population scale.
-                extra["client_drift"] = average_pairwise_distance(client_states)
-            global_state = accumulator.result()
-        self.save_checkpoint(round_index, global_state)
-        return global_state, extra
-
-    def run(self) -> TrainingResult:
-        result = TrainingResult(algorithm=self.name)
-        global_state = self.initial_state()
-
-        start_round = 0
-        resumed = self.load_checkpoint(reference_state=global_state)
-        if resumed is not None:
-            start_round = resumed.round_index + 1
-            global_state = resumed.global_state
-
-        if self.scheduler is not None and self.scheduler.policy == "fedbuff":
-            global_state = self._run_fedbuff(result, global_state, start_round)
-        else:
-            global_state = self._run_global_rounds(result, global_state, start_round)
-
-        result.global_state = global_state
-        return result
 
     # -- buffered-asynchronous aggregation (FedBuff) ------------------------------
     def _run_fedbuff(
@@ -131,15 +82,13 @@ class FedProx(FederatedAlgorithm):
             # In-flight (dispatched, not yet aggregated) work is not part of
             # a round checkpoint; a resumed fedbuff run re-dispatches from
             # the checkpointed model instead of replaying lost flights.
-            from repro.fl.algorithms.base import logger
-
             logger.warning(
                 "%s: fedbuff checkpoints cover aggregations, not in-flight "
                 "updates; a resumed run is deterministic but not bit-identical "
                 "to an uninterrupted one",
                 self.name,
             )
-        mu = self._local_proximal_mu()
+        mu = self.proximal_mu()
         steps = self.config.local_steps
         version = start_round
         heap: List[Tuple[float, int, _InFlight]] = []

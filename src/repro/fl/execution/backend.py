@@ -272,7 +272,7 @@ class ExecutionBackend:
     def imap(self, tasks: Sequence[ClientTask]) -> Iterator[ClientUpdate]:
         """Yield outcomes one at a time, in task order.
 
-        The scheduled round loop folds each update as it is yielded and then
+        The round loop folds each update as it is yielded and then
         releases it, so the coordinating process never holds a whole
         cohort's worth of states.  A failed task raises a
         :class:`~repro.fl.faults.ClientExecutionError` annotated with the

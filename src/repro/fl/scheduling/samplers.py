@@ -88,7 +88,7 @@ def _inflated(size: int, multiplier: float, num_available: int) -> int:
 
 
 class FullParticipation(ClientSampler):
-    """Every available client participates (the pre-scheduling behavior).
+    """Every available client participates (the default cohort rule).
 
     When a caller constrains the cohort size (the buffered-asynchronous
     loop refilling freed slots), clients are taken round-robin from the

@@ -136,9 +136,12 @@ class SchedulingOptions:
 
     A field is the option: its name is the ``with_scheduling`` keyword and
     (dashed) the ``repro reproduce`` flag, its metadata the flag's help and
-    choices, and ``__post_init__`` its range.  At the defaults nothing is
-    :attr:`requested` and :func:`create_scheduler` builds no scheduler, so
-    the default run takes the pre-scheduling code path bit for bit.
+    choices, and ``__post_init__`` its range.  An option that only one round
+    policy or availability model reads is refused under any other rather
+    than silently ignored.  At the defaults nothing is :attr:`requested` and
+    :func:`create_scheduler` builds no scheduler: every client trains every
+    round, and nothing about scheduling is fingerprinted, checkpointed or
+    reported.
     """
 
     participation: Optional[float] = field(default=None, metadata={
@@ -204,10 +207,21 @@ class SchedulingOptions:
         # Finite: the cohort size is int(ceil(over_selection * cohort)).
         check_in_range("over_selection", self.over_selection, 1.0, math.inf, "[)")
         check_positive("buffer_size", self.buffer_size)
+        # An option only one round policy (or availability model) reads is
+        # refused under any other instead of being silently ignored.
+        if self.round_policy != "deadline":
+            if self.deadline is not None:
+                raise ValueError("deadline needs --round-policy deadline")
+            if self.over_selection != 1.0:
+                raise ValueError("over_selection needs --round-policy deadline")
+        if self.round_policy != "fedbuff" and self.buffer_size != 2:
+            raise ValueError("buffer_size needs --round-policy fedbuff")
+        if self.availability not in ("bernoulli", "daynight") and self.availability_rate != 0.9:
+            raise ValueError("availability_rate needs --availability bernoulli or daynight")
 
     @property
     def requested(self) -> bool:
-        """Whether any option departs from the scheduler-less defaults: the one
+        """Whether any option departs from the defaults: the one
         predicate behind "a scheduler exists" and "scheduling is reported"."""
         return (
             self.participation is not None
@@ -520,10 +534,11 @@ class RoundScheduler:
 def create_scheduler(options: SchedulingOptions, seed: int = 0) -> Optional[RoundScheduler]:
     """Build the :class:`RoundScheduler` a :class:`SchedulingOptions` asks for.
 
-    Returns ``None`` unless ``options.requested`` — full participation,
-    always-on clients, no stragglers, synchronous rounds take the
-    scheduler-less code path.  ``seed`` is the run seed: sampler,
-    availability and latency streams all derive from it.
+    Returns ``None`` unless ``options.requested``: full participation,
+    always-on clients, no stragglers and synchronous rounds need no
+    scheduler of their own (the round loop holds an inert one).  ``seed`` is
+    the run seed: sampler, availability and latency streams all derive from
+    it.
     """
     if not options.requested:
         return None

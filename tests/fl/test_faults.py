@@ -5,7 +5,8 @@ The central guarantees under test:
 * a :class:`FaultPlan` is deterministic for a seed and checkpointable
   (state round-trips bit for bit),
 * a fault-free supervised run (quorum 1.0, no injected faults) is
-  **bit-identical** to the unsupervised path on every backend,
+  **bit-identical** to the unsupervised path on every backend (held by the
+  parity matrix in ``test_scheduling.py``),
 * injected pre-dispatch faults are healed by retries with zero effect on
   the trained model (RNG snapshot/restore),
 * payload corruption is caught by the transport CRC and healed by retry,
@@ -288,38 +289,9 @@ class TestRetryPolicy:
 
 
 class TestSupervisedParity:
-    """Quorum 1.0 + zero faults must be bit-identical to the unsupervised path."""
-
-    @pytest.mark.parametrize("algorithm", ["fedavg", "fedprox", "fedavgm", "dp_fedprox"])
-    @pytest.mark.parametrize("backend_name", ["serial", "thread", "process"])
-    def test_fault_free_supervision_is_bit_identical(
-        self, algorithm, backend_name, make_clients, num_channels
-    ):
-        _, baseline = run_resilient(algorithm, make_clients(), num_channels)
-
-        backend = {
-            "serial": SerialBackend,
-            "thread": lambda: ThreadPoolBackend(workers=2),
-            "process": lambda: ProcessPoolBackend(workers=2),
-        }[backend_name]()
-        supervised_clients = make_clients()
-        supervisor, supervised = run_resilient(
-            algorithm,
-            supervised_clients,
-            num_channels,
-            backend=backend,
-            resilience=create_resilience(ResilienceOptions(max_retries=2), seed=0),
-        )
-
-        assert states_equal(baseline.global_state, supervised.global_state)
-        assert [r.mean_loss for r in baseline.history] == [
-            r.mean_loss for r in supervised.history
-        ]
-        summary = supervisor.resilience.summary()
-        assert summary.retries == 0
-        assert summary.gave_up == 0
-        assert summary.dropped_clients == []
-        assert sum(summary.injected.values()) == 0
+    """Fault-free supervision is bit-identical to the unsupervised path on
+    every backend: a cell of ``test_scheduling.py``'s
+    ``test_explicit_full_sync_matches_schedulerless_run``."""
 
     def test_unsupported_algorithm_warns_and_drops_resilience(
         self, make_clients, num_channels
@@ -474,7 +446,7 @@ class TestQuorum:
     def test_scheduled_round_with_an_empty_cohort_keeps_the_model(
         self, make_clients, num_channels
     ):
-        """Every sampled client already dropped for good: the scheduled loop
+        """Every sampled client already dropped for good: the round loop
         dispatches nothing, folds nothing and leaves the model unchanged."""
         manager = ResilienceManager(quorum=0.5)
         algorithm = create_algorithm(
@@ -551,6 +523,49 @@ class TestChaosResume:
         assert resumed_summary.retries == full_summary.retries
         assert resumed_summary.injected == full_summary.injected
         assert resumed_summary.backoff_seconds == full_summary.backoff_seconds
+
+    def test_a_drop_commits_into_its_own_rounds_checkpoint(
+        self, tmp_path, make_clients, num_channels
+    ):
+        """Client 1 gives up in round 0: the round-0 checkpoint already holds
+        it as failed, so a resumed round 1 never re-dispatches it."""
+        from dataclasses import replace
+
+        def manager():
+            return ResilienceManager(
+                plan=AlwaysFailClient1Plan(), retry=RetryPolicy(max_retries=1, seed=0), quorum=0.5
+            )
+
+        long_config = replace(TINY_CONFIG, rounds=2)
+        short_config = replace(TINY_CONFIG, rounds=1)
+        supervisor, uninterrupted = run_resilient(
+            "fedavg", make_clients(long_config), num_channels, config=long_config, resilience=manager()
+        )
+        run_resilient(
+            "fedavg",
+            make_clients(short_config),
+            num_channels,
+            config=short_config,
+            checkpoint=CheckpointManager(tmp_path),
+            resilience=manager(),
+        )
+        saved = CheckpointManager(tmp_path).load_latest()
+        assert saved.extra_meta["resilience_state"]["failed"] == [0]
+        resumed_supervisor, resumed = run_resilient(
+            "fedavg",
+            make_clients(long_config),
+            num_channels,
+            config=long_config,
+            checkpoint=CheckpointManager(tmp_path),
+            resilience=manager(),
+        )
+        assert resumed.history[-1].extra == uninterrupted.history[-1].extra
+        resumed_summary = resumed_supervisor.resilience.summary()
+        full_summary = supervisor.resilience.summary()
+        assert (resumed_summary.gave_up, resumed_summary.retries) == (
+            full_summary.gave_up,
+            full_summary.retries,
+        )
 
     def test_resume_under_a_different_fault_plan_rejected(
         self, tmp_path, make_clients, num_channels

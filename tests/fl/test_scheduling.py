@@ -4,8 +4,12 @@ The central guarantees under test:
 
 * samplers / availability / latency models are deterministic, seeded, and
   checkpointable (state round-trips),
-* a scheduler configured to full-sync / no-straggler behavior is
-  **bit-identical** to running without a scheduler at all,
+* a scheduler configured to full-sync / no-straggler behavior, with or
+  without a fault-free supervisor, on any backend, is **bit-identical** to a
+  serial run without a scheduler at all, for every global-model algorithm,
+* the round loop keeps the contract the bench harness relies on: one
+  client pass per round, the global state first, ``states()`` before
+  ``result()``, and each update folded as it arrives,
 * sampled cohorts are identical across execution backends (serial vs.
   process pool), and across checkpoint resume under partial participation
   with stragglers,
@@ -25,12 +29,16 @@ from repro.fl import (
     FederatedClient,
     FLConfig,
     ProcessPoolBackend,
+    ResilienceManager,
     SchedulingOptions,
     SeededModelFactory,
     SerialBackend,
+    ThreadPoolBackend,
     create_algorithm,
     create_scheduler,
 )
+from repro.fl.parameters import FlatState, flat_model_state, state_digest, weighted_average
+from repro.fl.privacy import PrivacyConfig, privatize_update
 from repro.fl.scheduling import (
     AlwaysAvailable,
     BernoulliAvailability,
@@ -48,6 +56,7 @@ from repro.fl.scheduling import (
     create_sampler,
 )
 from repro.models import FLNet
+from repro.utils.rng import new_rng
 
 TINY_CONFIG = FLConfig(
     rounds=2,
@@ -109,6 +118,7 @@ def run_named(
     backend=None,
     checkpoint=None,
     scheduler=None,
+    resilience=None,
 ):
     algorithm = create_algorithm(
         name,
@@ -118,6 +128,7 @@ def run_named(
         backend=backend,
         checkpoint=checkpoint,
         scheduler=scheduler,
+        resilience=resilience,
     )
     try:
         return algorithm.run()
@@ -342,18 +353,52 @@ class TestCreateScheduler:
         assert "heavytail" in description["straggler"]
 
 
+#: The algorithms whose cross-round state is one global model.
+GLOBAL_MODEL_ALGORITHMS = ["fedavg", "fedprox", "fedavgm", "dp_fedprox", "fedprox_finetune"]
+
+BACKENDS = {
+    "serial": SerialBackend,
+    "thread": lambda: ThreadPoolBackend(workers=2),
+    "process": lambda: ProcessPoolBackend(workers=2),
+}
+
+
+def digests(result):
+    """The global digest and every personalized digest of one training result."""
+    return state_digest(result.global_state), {
+        client_id: state_digest(state) for client_id, state in result.client_states.items()
+    }
+
+
 class TestScheduledRounds:
-    def test_explicit_full_sync_matches_schedulerless_run(self, make_clients, num_channels):
-        """A scheduler at its most trivial must not change a single bit."""
-        plain = run_named("fedavg", make_clients(), num_channels)
+    @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+    @pytest.mark.parametrize("supervised", [False, True], ids=["unsupervised", "supervised"])
+    @pytest.mark.parametrize("algorithm", GLOBAL_MODEL_ALGORITHMS)
+    def test_explicit_full_sync_matches_schedulerless_run(
+        self, algorithm, supervised, backend_name, make_clients, num_channels
+    ):
+        """A scheduler at its most trivial, a fault-free supervisor and any
+        backend must not change a single bit of a serial, scheduler-less,
+        unsupervised run."""
+        plain = run_named(algorithm, make_clients(), num_channels)
+        resilience = ResilienceManager() if supervised else None
         scheduled = run_named(
-            "fedavg",
+            algorithm,
             make_clients(),
             num_channels,
+            backend=BACKENDS[backend_name](),
             scheduler=create_scheduler(SchedulingOptions(sampler="full")),
+            resilience=resilience,
         )
-        assert states_equal(plain.global_state, scheduled.global_state)
-        assert [r.mean_loss for r in plain.history] == [r.mean_loss for r in scheduled.history]
+        assert digests(scheduled) == digests(plain)
+        assert [r.mean_loss for r in scheduled.history] == [r.mean_loss for r in plain.history]
+        assert [r.per_client_loss for r in scheduled.history] == [
+            r.per_client_loss for r in plain.history
+        ]
+        if supervised:
+            summary = resilience.summary()
+            assert (summary.retries, summary.gave_up, summary.dropped_clients) == (0, 0, [])
+            assert sum(summary.injected.values()) == 0
 
     @pytest.mark.parametrize("algorithm", ["fedavg", "fedprox", "fedavgm", "dp_fedprox"])
     def test_sampled_cohorts_identical_across_backends(
@@ -526,6 +571,157 @@ class TestFedBuff:
             scheduler=scheduler(),
         )
         assert states_equal(serial.global_state, parallel.global_state)
+
+
+SCHEDULES = {
+    "none": None,
+    "participation": dict(participation=0.5),
+    "deadline": dict(straggler_model="heavytail", round_policy="deadline", deadline=10.0),
+}
+
+
+class TestRoundLoopContract:
+    """What code outside the package relies on (``bench/workload.py`` first)."""
+
+    @pytest.mark.parametrize("supervised", [False, True], ids=["unsupervised", "supervised"])
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("algorithm", GLOBAL_MODEL_ALGORITHMS)
+    def test_one_client_pass_per_round_and_states_before_result(
+        self, algorithm, schedule, supervised, make_clients, num_channels
+    ):
+        """``map_client_updates``, wrapped on the instance the way the bench
+        harness wraps it, is called once per round with the global state
+        first and returns a sized list; each round's accumulator is made
+        after its pass begins and read as ``states()`` then ``result()``."""
+        from dataclasses import replace
+
+        config = replace(TINY_CONFIG, rounds=3)
+        options = SCHEDULES[schedule]
+        instance = create_algorithm(
+            algorithm,
+            make_clients(config),
+            make_factory(num_channels),
+            config,
+            scheduler=create_scheduler(SchedulingOptions(**options), seed=0) if options else None,
+            # Quorum 0.5: a supervised deadline round that drops a straggler
+            # still commits.
+            resilience=ResilienceManager(quorum=0.5) if supervised else None,
+        )
+        passes, events = [], []
+        wrapped = instance.map_client_updates
+
+        def round_boundary(states, *args, **kwargs):
+            events.append("pass")
+            updates = wrapped(states, *args, **kwargs)
+            passes.append((states, len(updates)))
+            return updates
+
+        instance.map_client_updates = round_boundary
+        reads = []
+        make_accumulator = instance.server.accumulator
+
+        def recording_accumulator():
+            events.append("accumulator")
+            accumulator = make_accumulator()
+            calls = []
+            reads.append(calls)
+            for name in ("states", "result"):
+                method = getattr(accumulator, name)
+
+                def read(method=method, name=name):
+                    calls.append(name)
+                    return method()
+
+                setattr(accumulator, name, read)
+            return accumulator
+
+        instance.server.accumulator = recording_accumulator
+        result = instance.run()
+
+        # fedprox_finetune adds one fine-tuning pass after the rounds.
+        assert len(passes) == config.rounds + (algorithm == "fedprox_finetune")
+        initial = state_digest(flat_model_state(make_factory(num_channels)()))
+        assert state_digest(passes[0][0]) == initial
+        for states, arrived in passes[: config.rounds]:
+            assert isinstance(states, FlatState)
+            assert arrived >= 1
+        assert events[: 2 * config.rounds] == ["pass", "accumulator"] * config.rounds
+        assert events.count("accumulator") == config.rounds
+        assert all(calls in ([], ["states", "result"]) for calls in reads)
+        assert ["states", "result"] in reads
+        assert len(result.history) == len(passes)
+
+    @pytest.mark.parametrize("algorithm", ["fedprox", "dp_fedprox"])
+    def test_one_round_equals_the_figure_1_round_by_hand(
+        self, algorithm, make_clients, num_channels
+    ):
+        """Broadcast W0, train every client from it in roster order, fold the
+        sample-weighted average; DP-FedProx clips and noises each update in
+        arrival order from its one server-side noise stream."""
+        from dataclasses import replace
+
+        config = replace(TINY_CONFIG, rounds=1)
+        trained = create_algorithm(
+            algorithm, make_clients(config), make_factory(num_channels), config
+        )
+        result = trained.run()
+
+        clients = make_clients(config)
+        start = flat_model_state(make_factory(num_channels)())
+        noise = new_rng(np.random.SeedSequence([config.seed, 0xD9]))  # DP-FedProx's stream
+        privacy = PrivacyConfig(clip_norm=1.0, noise_multiplier=0.1)
+        updates, raw_norms = [], []
+        for client in clients:
+            update, _ = client.local_train(start, config.local_steps, config.proximal_mu)
+            if algorithm == "dp_fedprox":
+                update, raw_norm = privatize_update(start, update, privacy, noise)
+                raw_norms.append(raw_norm)
+            updates.append(update)
+        expected = weighted_average(updates, [client.num_samples for client in clients])
+        assert state_digest(result.global_state) == state_digest(expected)
+        if algorithm == "dp_fedprox":
+            assert trained.update_log.raw_norms == raw_norms
+
+    @pytest.mark.parametrize("supervised", [False, True], ids=["unsupervised", "supervised"])
+    def test_each_update_is_folded_before_the_next_client_trains(
+        self, supervised, make_clients, num_channels
+    ):
+        """Server memory stays O(P): the pass hands each update to the loop
+        as it arrives, not after the whole cohort has trained."""
+        clients = make_clients()
+        algorithm = create_algorithm(
+            "fedavg",
+            clients,
+            make_factory(num_channels),
+            TINY_CONFIG,
+            resilience=ResilienceManager() if supervised else None,
+        )
+        events = []
+        for client in clients:
+            train = client.local_train
+
+            def traced(*args, train=train, client_id=client.client_id, **kwargs):
+                events.append(("train", client_id))
+                return train(*args, **kwargs)
+
+            client.local_train = traced
+        make_accumulator = algorithm.server.accumulator
+
+        def tracing_accumulator():
+            accumulator = make_accumulator()
+            fold = accumulator.fold
+
+            def traced(*args, **kwargs):
+                events.append(("fold",))
+                return fold(*args, **kwargs)
+
+            accumulator.fold = traced
+            return accumulator
+
+        algorithm.server.accumulator = tracing_accumulator
+        algorithm.run()
+        one_round = [event for client in clients for event in (("train", client.client_id), ("fold",))]
+        assert events == one_round * TINY_CONFIG.rounds
 
 
 class TestScheduledCheckpointResume:

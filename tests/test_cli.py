@@ -43,12 +43,17 @@ RUN_FLAGS = {
     "--clients-per-round": ("scheduling", "clients_per_round", 2, ()),
     "--sampler": ("scheduling", "sampler", "weighted", ()),
     "--availability": ("scheduling", "availability", "bernoulli", ()),
-    "--availability-rate": ("scheduling", "availability_rate", 0.5, ()),
+    "--availability-rate": ("scheduling", "availability_rate", 0.5, ("--availability", "bernoulli")),
     "--straggler-model": ("scheduling", "straggler_model", "heavytail", ()),
     "--round-policy": ("scheduling", "round_policy", "deadline", ("--deadline", "5")),
-    "--deadline": ("scheduling", "deadline", 7.5, ()),
-    "--over-selection": ("scheduling", "over_selection", 1.5, ()),
-    "--buffer-size": ("scheduling", "buffer_size", 3, ()),
+    "--deadline": ("scheduling", "deadline", 7.5, ("--round-policy", "deadline")),
+    "--over-selection": (
+        "scheduling",
+        "over_selection",
+        1.5,
+        ("--round-policy", "deadline", "--deadline", "5"),
+    ),
+    "--buffer-size": ("scheduling", "buffer_size", 3, ("--round-policy", "fedbuff")),
     "--population": (
         None,
         "population",
@@ -340,6 +345,23 @@ class TestReproduceCommand:
         )
         assert code == 2
         assert "error: deadline must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, needs", [
+        (("--deadline", "5"), "deadline needs --round-policy deadline"),
+        (("--over-selection", "1.3"), "over_selection needs --round-policy deadline"),
+        (("--buffer-size", "4"), "buffer_size needs --round-policy fedbuff"),
+        (("--availability-rate", "0.5"), "availability_rate needs --availability bernoulli or daynight"),
+    ])
+    def test_an_option_its_policy_would_ignore_exits_before_building_anything(
+        self, flags, needs, capsys, tmp_path
+    ):
+        # Each was accepted and silently dropped: no scheduler was built, so
+        # `--deadline 5` alone trained a plain synchronous run.
+        code = main(["reproduce", "--preset", "smoke", "--cache-dir", str(tmp_path), *flags])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith(f"error: {needs}")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.slow
     def test_smoke_preset_runs(self, tmp_path, capsys):
