@@ -5,7 +5,7 @@ decentralized training stable on heterogeneous routability data.  This
 ablation compares FedAvg (mu = 0) against FedProx at the paper's mu and at a
 much stronger mu, all with FLNet on the reduced smoke corpus (three clients,
 one per suite style), and reports the resulting average AUC and the client
-drift (mean pairwise distance between client models before aggregation).
+drift (RMS pairwise distance between client models before aggregation).
 """
 
 from dataclasses import replace
@@ -42,9 +42,9 @@ def test_ablation_fedprox_mu(benchmark):
         assert 0.0 <= auc <= 1.0
 
     lines = ["Ablation: FedAvg vs FedProx proximal strength (FLNet, smoke corpus)", ""]
-    lines.append(f"{'Setting':<22}{'avg AUC':>10}{'client drift':>15}")
+    lines.append(f"{'Setting':<22}{'avg AUC':>10}{'RMS pairwise distance':>24}")
     for label, (auc, drift) in outcomes.items():
-        lines.append(f"{label:<22}{auc:>10.3f}{drift:>15.3f}")
+        lines.append(f"{label:<22}{auc:>10.3f}{drift:>24.3f}")
     text = "\n".join(lines)
     print("\n" + text)
     write_result("ablation_fedprox_mu", text)

@@ -6,7 +6,7 @@ suites, so their feature and label distributions differ.  This ablation
 compares two three-client corpora of identical size — a homogeneous (IID-like)
 split where every client holds ISCAS'89-style designs, and the heterogeneous
 split where each client holds a different suite — and reports, for each, the
-local-baseline AUC, the FedProx AUC, and the client drift (mean pairwise
+local-baseline AUC, the FedProx AUC, and the client drift (RMS pairwise
 distance between client models before aggregation).  Heterogeneity should
 increase drift and shrink FedProx's margin over local training.
 """
@@ -55,10 +55,10 @@ def test_ablation_heterogeneity(benchmark):
         "Ablation: client data heterogeneity (FLNet, 3 clients, smoke corpus)",
         "(heterogeneity is expected to increase client drift)",
         "",
-        f"{'Split':<20}{'local AUC':>11}{'fedprox AUC':>13}{'drift':>9}",
+        f"{'Split':<20}{'local AUC':>11}{'fedprox AUC':>13}{'RMS pairwise distance':>24}",
     ]
     for label, (local_auc, fed_auc, drift) in outcomes.items():
-        lines.append(f"{label:<20}{local_auc:>11.3f}{fed_auc:>13.3f}{drift:>9.3f}")
+        lines.append(f"{label:<20}{local_auc:>11.3f}{fed_auc:>13.3f}{drift:>24.3f}")
     text = "\n".join(lines)
     print("\n" + text)
     write_result("ablation_heterogeneity", text)

@@ -162,7 +162,6 @@ from repro.fl.parameters import (
     State,
     StateLayout,
     as_flat_state,
-    average_pairwise_distance,
     clone_state,
     filter_state,
     flat_model_state,
@@ -439,5 +438,4 @@ __all__ = [
     "state_distance",
     "state_norm",
     "flatten_state",
-    "average_pairwise_distance",
 ]

@@ -19,7 +19,7 @@ from repro.fl.execution import (
     SerialBackend,
 )
 from repro.fl.faults import ResilienceManager
-from repro.fl.parameters import State, average_pairwise_distance, flat_model_state
+from repro.fl.parameters import State, flat_model_state
 from repro.fl.scheduling import AlwaysAvailable, FullParticipation, RoundScheduler, ZeroLatency
 from repro.fl.server import FederatedServer
 from repro.fl.transport import Channel
@@ -510,17 +510,14 @@ class GlobalModelAlgorithm(FederatedAlgorithm):
 
         An empty accumulator (every selected client missed the deadline)
         leaves the global state unchanged.  The accumulator is read as
-        ``states()`` → client drift → ``result()``.
+        ``result()``, then ``spread()`` — the client drift it folded per arrival.
         """
         extra: Dict[str, object] = {}
         if accumulator.count:
-            client_states = accumulator.states()
-            if client_states is not None:
-                # Drift needs the individual states; a spilled accumulator
-                # no longer holds them, so the diagnostic is simply omitted
-                # at population scale.
-                extra["client_drift"] = average_pairwise_distance(client_states)
             global_state = self._apply_average(global_state, accumulator.result())
+            drift = accumulator.spread()
+            if drift is not None:
+                extra["client_drift"] = drift
         self.save_checkpoint(round_index, global_state)
         return global_state, extra
 

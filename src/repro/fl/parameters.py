@@ -548,27 +548,3 @@ def state_digest(state: State) -> str:
         digest.update(values.tobytes())
     return digest.hexdigest()
 
-
-def average_pairwise_distance(states: Sequence[State]) -> float:
-    """Mean pairwise distance between client states (heterogeneity diagnostic).
-
-    Computed from one flattened ``(n_states, n_params)`` matrix: for each
-    anchor state, the differences to every later state are formed in one
-    vectorized block and reduced with a single ``einsum`` — replacing the
-    O(n^2) Python-level :func:`state_distance` calls.  Differences are
-    computed directly (never via the Gram identity
-    ``||x||^2 + ||y||^2 - 2 x.y``), so nearly-identical states — exactly
-    when drift diagnostics matter most — do not suffer catastrophic
-    cancellation.  Agrees with the pairwise loop to floating-point accuracy
-    (see the parity test).
-    """
-    states = list(states)
-    if len(states) < 2:
-        return 0.0
-    check_compatible(states)
-    matrix = np.stack([flatten_state(state) for state in states], axis=0)
-    blocks = []
-    for index in range(len(states) - 1):
-        diff = matrix[index + 1 :] - matrix[index]
-        blocks.append(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
-    return float(np.mean(np.concatenate(blocks)))

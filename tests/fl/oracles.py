@@ -4,7 +4,8 @@ Every public state function in ``src/`` packs what it is given into a
 ``FlatState`` and runs one whole-vector body.  These are the plain
 ``name -> ndarray`` loops that body must equal bit for bit (``1e-12`` for
 the GEMV of ``weighted_average``): they take dicts, return dicts and are
-reachable from nothing in ``src/``.
+reachable from nothing in ``src/``.  The drift oracle is the pairwise loop
+the accumulator's per-arrival spread must equal (``1e-10``).
 
 Another ``oracles.py`` lives in ``tests/nn``; load this one by path
 (``load_fl_oracles`` in ``test_state_door.py``), not with ``import oracles``.
@@ -13,6 +14,8 @@ Another ``oracles.py`` lives in ``tests/nn``; load this one by path
 from __future__ import annotations
 
 import numpy as np
+
+from repro.fl.parameters import state_distance
 
 
 def reference_weighted_average(states, weights):
@@ -94,3 +97,16 @@ def flatten_state_oracle(state):
 
 def state_schema_oracle(state):
     return tuple((name, tuple(np.asarray(state[name]).shape)) for name in sorted(state))
+
+
+def pairwise_rms_distance_oracle(states):
+    """The RMS of ``state_distance`` over every pair ``i < j``; ``0.0`` below two states.
+
+    What ``StreamingAccumulator.spread`` folds per arrival as ``client_drift``.
+    """
+    squares = [
+        state_distance(states[i], states[j]) ** 2
+        for i in range(len(states))
+        for j in range(i + 1, len(states))
+    ]
+    return float(np.sqrt(np.mean(squares))) if squares else 0.0

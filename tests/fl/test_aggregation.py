@@ -12,12 +12,17 @@ states:
 * **spilled accuracy** — once spilled to the running O(P) form, results
   agree with ``weighted_average`` to ``<= 1e-12`` relative error, memory
   stays flat, and inputs are validated exactly as in the parity phase.
+
+The per-arrival ``spread()`` (``client_drift``) is held to the pairwise RMS
+loop in ``oracles.py`` on both sides of the spill.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fl import FederatedServer
 from repro.fl.aggregation import (
@@ -34,6 +39,17 @@ from repro.fl.parameters import (
     weighted_average,
 )
 from repro.fl.privacy import PrivacyConfig, privatize_update
+from test_state_door import load_fl_oracles
+
+pairwise_rms_distance = load_fl_oracles().pairwise_rms_distance_oracle
+
+#: How a state reaches ``fold``: a dict, a flat state, or a flat state whose
+#: entries are stored in the reverse order (folded through a gather).
+INPUT_KINDS = {
+    "dict": dict,
+    "flat": FlatState.from_state,
+    "reversed": lambda state: FlatState.from_items(reversed(list(state.items()))),
+}
 
 
 def random_layout_states(seed, count, dtype=np.float64):
@@ -132,6 +148,32 @@ def test_spilled_fold_agrees_with_gemv(seed, count, kind):
     assert accumulator.spilled
     assert accumulator.count == count
     assert relative_error(result, reference) <= 1e-12
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    count=st.integers(1, PARITY_LIMIT + 8),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_spread_is_the_pairwise_rms_distance(seed, count, data):
+    """``client_drift`` folded per arrival, across the spill: the pairwise
+    RMS loop at 1e-10, whatever the input kinds or fold order, and
+    bit-identical whatever the weights (the spread is unweighted)."""
+    states, _ = random_layout_states(seed, count)
+    kind_lists = st.lists(st.sampled_from(sorted(INPUT_KINDS)), min_size=count, max_size=count)
+    inputs = [INPUT_KINDS[kind](state) for kind, state in zip(data.draw(kind_lists), states)]
+    order = data.draw(st.permutations(range(count)))
+    weight_lists = st.lists(st.floats(0.1, 100.0), min_size=count, max_size=count)
+    spreads = []
+    for weights in (data.draw(weight_lists), [1.0] * count):
+        accumulator = StreamingAccumulator()
+        for index in order:
+            accumulator.fold(inputs[index], weights[index])
+        assert accumulator.spilled == (count > PARITY_LIMIT)
+        spreads.append(accumulator.spread())
+    assert spreads[0] == spreads[1]
+    assert spreads[0] == pytest.approx(pairwise_rms_distance(states), rel=1e-10, abs=0)
 
 
 def test_streaming_memory_is_flat_after_spill():

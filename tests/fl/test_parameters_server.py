@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fl import FederatedServer
+from repro.fl.aggregation import StreamingAccumulator
 from repro.fl.parameters import (
-    average_pairwise_distance,
     check_compatible,
     clone_state,
     filter_state,
@@ -18,10 +18,21 @@ from repro.fl.parameters import (
     weighted_average,
     zeros_like_state,
 )
+from test_state_door import load_fl_oracles
+
+pairwise_rms_distance = load_fl_oracles().pairwise_rms_distance_oracle
 
 
 def make_state(value, shapes=(("w", (2, 2)), ("b", (3,)))):
     return {name: np.full(shape, float(value)) for name, shape in shapes}
+
+
+def folded_spread(states):
+    """``client_drift`` as the round loop reads it: fold each state, read ``spread()``."""
+    accumulator = StreamingAccumulator()
+    for state in states:
+        accumulator.fold(state, 1.0)
+    return accumulator.spread()
 
 
 class TestStateArithmetic:
@@ -85,57 +96,51 @@ class TestStateArithmetic:
         state = {"b": np.array([1.0]), "a": np.array([2.0, 3.0])}
         np.testing.assert_allclose(flatten_state(state), [2.0, 3.0, 1.0])
 
-    def test_average_pairwise_distance(self):
+    def test_spread_of_two_states_is_their_distance(self):
         states = [make_state(0.0), make_state(2.0)]
-        assert average_pairwise_distance(states) == pytest.approx(state_distance(*states))
-        assert average_pairwise_distance(states[:1]) == 0.0
+        assert folded_spread(states) == pytest.approx(state_distance(*states))
+        assert pairwise_rms_distance(states) == pytest.approx(state_distance(*states))
+        assert folded_spread(states[:1]) == 0.0
+        assert pairwise_rms_distance(states[:1]) == 0.0
 
-    def test_average_pairwise_distance_matches_loop(self):
-        # Parity between the vectorized (flattened-matrix, direct-difference)
-        # implementation and the original O(n^2) state_distance loop it
-        # replaced.
+    def test_spread_matches_pairwise_rms_loop(self):
+        # The per-arrival Welford spread equals the O(n^2) state_distance loop.
         rng = np.random.default_rng(17)
         states = [
             {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=4)} for _ in range(6)
         ]
-        loop_distances = [
-            state_distance(states[i], states[j])
-            for i in range(len(states))
-            for j in range(i + 1, len(states))
-        ]
-        expected = float(np.mean(loop_distances))
-        assert average_pairwise_distance(states) == pytest.approx(expected, rel=1e-9)
+        assert folded_spread(states) == pytest.approx(pairwise_rms_distance(states), rel=1e-9, abs=0)
 
-    def test_average_pairwise_distance_no_cancellation(self):
-        # States that differ by ~1e-8 on top of O(10) parameter norms:
-        # a Gram-identity implementation loses the difference to rounding;
-        # direct differencing must agree with the loop at full precision.
+    def test_spread_no_cancellation(self):
+        # States that differ by ~1e-8 on top of O(10) parameter norms: a
+        # Welford fold on the raw states loses the difference to rounding;
+        # shifted by the first state it agrees with the loop at full precision.
+        # (abs=0: the distances are ~1e-7, under approx's default abs.)
         rng = np.random.default_rng(23)
         base = {"w": 10.0 + rng.normal(size=50)}
         states = [
             {"w": base["w"] + 1e-8 * rng.normal(size=50)} for _ in range(3)
         ]
-        loop = float(
-            np.mean(
-                [
-                    state_distance(states[i], states[j])
-                    for i in range(3)
-                    for j in range(i + 1, 3)
-                ]
-            )
-        )
+        loop = pairwise_rms_distance(states)
         assert loop > 0
-        assert average_pairwise_distance(states) == pytest.approx(loop, rel=1e-9)
+        assert folded_spread(states) == pytest.approx(loop, rel=1e-9, abs=0)
 
-    def test_average_pairwise_distance_identical_states(self):
-        # The Gram identity must not produce NaN (negative rounding under
-        # the square root) when every state is identical.
+    def test_spread_of_identical_states_is_exactly_zero(self):
         states = [make_state(1.5) for _ in range(4)]
-        assert average_pairwise_distance(states) == 0.0
+        assert folded_spread(states) == 0.0
+        assert pairwise_rms_distance(states) == 0.0
 
-    def test_average_pairwise_distance_checks_compatibility(self):
+    def test_spread_checks_compatibility(self):
+        # The loop rejects a mismatched pair; the accumulator folds it (the
+        # parity buffer validates at result()), then rejects it there.
+        states = [make_state(0.0), {"other": np.zeros(3)}]
         with pytest.raises(ValueError):
-            average_pairwise_distance([make_state(0.0), {"other": np.zeros(3)}])
+            pairwise_rms_distance(states)
+        accumulator = StreamingAccumulator()
+        for state in states:
+            accumulator.fold(state, 1.0)
+        with pytest.raises(ValueError):
+            accumulator.result()
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=6))
     @settings(max_examples=40, deadline=None)

@@ -34,6 +34,9 @@ from repro.fl import (
 from repro.fl import SeededModelFactory
 from repro.fl.parameters import FlatState, state_vector, weighted_average
 from repro.models import FLNet
+from test_state_door import load_fl_oracles
+
+pairwise_rms_distance = load_fl_oracles().pairwise_rms_distance_oracle
 
 POPULATION_ALGORITHMS = ("fedavg", "fedprox", "fedavgm", "dp_fedprox")
 
@@ -98,7 +101,8 @@ def make_directory(client_data, num_channels):
 
 
 class ReferenceAccumulator:
-    """The test oracle: keep every folded state, average with the GEMV."""
+    """The test oracle: keep every folded state, average with the GEMV,
+    drift from the pairwise loop."""
 
     def __init__(self):
         self.folded = []
@@ -115,6 +119,9 @@ class ReferenceAccumulator:
 
     def result(self):
         return weighted_average(self.states(), [weight for _, weight in self.folded])
+
+    def spread(self):
+        return pairwise_rms_distance(self.states())
 
 
 class ReferenceDeltaAccumulator:
@@ -356,8 +363,8 @@ class TestStreamingParity:
         self, make_directory, num_channels
     ):
         """A 40-client cohort leaves the parity buffer: the fold is the O(P)
-        running sum, within 1e-12 of the GEMV, and clients are still released
-        one by one."""
+        running sum, within 1e-12 of the GEMV, clients are still released one
+        by one, and the per-arrival drift matches the pairwise loop."""
         from repro.fl.aggregation import PARITY_LIMIT
 
         clients_per_round = PARITY_LIMIT + 8
@@ -377,7 +384,10 @@ class TestStreamingParity:
         )
         assert server.folded_updates == TINY_CONFIG.rounds * clients_per_round
         assert directory.peak_materialized < clients_per_round
-        assert "client_drift" not in streamed.history[-1].extra  # spilled: no states kept
+        for reference, record in zip(gemv.history, streamed.history):
+            assert record.extra["client_drift"] == pytest.approx(
+                reference.extra["client_drift"], rel=1e-12
+            )
         assert not states_equal(gemv.global_state, streamed.global_state)
         for name, reference in gemv.global_state.items():
             np.testing.assert_allclose(

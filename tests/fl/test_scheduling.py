@@ -586,13 +586,13 @@ class TestRoundLoopContract:
     @pytest.mark.parametrize("supervised", [False, True], ids=["unsupervised", "supervised"])
     @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
     @pytest.mark.parametrize("algorithm", GLOBAL_MODEL_ALGORITHMS)
-    def test_one_client_pass_per_round_and_states_before_result(
+    def test_one_client_pass_per_round_and_result_before_spread(
         self, algorithm, schedule, supervised, make_clients, num_channels
     ):
         """``map_client_updates``, wrapped on the instance the way the bench
         harness wraps it, is called once per round with the global state
         first and returns a sized list; each round's accumulator is made
-        after its pass begins and read as ``states()`` then ``result()``."""
+        after its pass begins and read as ``result()`` then ``spread()``."""
         from dataclasses import replace
 
         config = replace(TINY_CONFIG, rounds=3)
@@ -625,7 +625,7 @@ class TestRoundLoopContract:
             accumulator = make_accumulator()
             calls = []
             reads.append(calls)
-            for name in ("states", "result"):
+            for name in ("states", "result", "spread"):
                 method = getattr(accumulator, name)
 
                 def read(method=method, name=name):
@@ -647,8 +647,10 @@ class TestRoundLoopContract:
             assert arrived >= 1
         assert events[: 2 * config.rounds] == ["pass", "accumulator"] * config.rounds
         assert events.count("accumulator") == config.rounds
-        assert all(calls in ([], ["states", "result"]) for calls in reads)
-        assert ["states", "result"] in reads
+        # The loop reads the average, then the drift folded per arrival; it
+        # never asks for the individual states.
+        assert all(calls in ([], ["result", "spread"]) for calls in reads)
+        assert ["result", "spread"] in reads
         assert len(result.history) == len(passes)
 
     @pytest.mark.parametrize("algorithm", ["fedprox", "dp_fedprox"])

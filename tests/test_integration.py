@@ -72,8 +72,8 @@ class TestSmokeExperiment:
         for record in outcome.training.history:
             assert np.isfinite(record.mean_loss)
             assert len(record.per_client_loss) == 40
-            # Drift needs the individual states; a spilled fold kept none.
-            assert "client_drift" not in record.extra
+            # Drift is folded per arrival, so a spilled fold still reports it.
+            assert record.extra["client_drift"] > 0
 
 
 class TestUtils:
