@@ -4,10 +4,23 @@ A client owns its private training and testing data.  The only things that
 ever leave the client are model parameter states (and scalar loss summaries),
 which is the privacy contract of the paper's decentralized training setting:
 "the developer can only receive model parameters from its clients".
+
+Lent models: a client is its data and its RNG stream.  Every use of a model
+starts with a strict ``load_state_dict`` (parameters and buffers), and the
+trainer sets the mode and zeroes gradients, so each thread lends one copy
+of a *template* to whichever client computes, as :mod:`repro.nn.workspace`
+lends scratch.  The template is the first model a factory built for a
+compute dtype; it is never computed with.  Each client still calls its
+factory once, at construction (a seeded factory counts its calls), and a
+thread deep-copies the template rather than call it again.  Both tables are
+weakly keyed, and a pickled roster carries its one template.
 """
 
 from __future__ import annotations
 
+import copy
+import threading
+import weakref
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,6 +39,27 @@ ModelFactory = Callable[[], RoutabilityModel]
 #: client id), kept separate from the training RNG the trainer shares.
 _INIT_SEED_TAG = 0x1217
 
+#: factory -> {compute dtype: template}: the first model each factory built per dtype.
+_TEMPLATES = weakref.WeakKeyDictionary()
+
+
+class _LentModels(threading.local):
+    """The calling thread's working copy of each template, by template."""
+
+    def __init__(self):
+        self.models = weakref.WeakKeyDictionary()
+
+
+_LENT = _LentModels()
+
+
+def lent_model(template: RoutabilityModel) -> RoutabilityModel:
+    """The calling thread's copy of ``template``, deep-copied on first use."""
+    model = _LENT.models.get(template)
+    if model is None:
+        model = _LENT.models[template] = copy.deepcopy(template)
+    return model
+
 
 def initial_rng_state(client_id: int) -> dict:
     """The RNG state a fresh :class:`FederatedClient` starts with.
@@ -38,7 +72,7 @@ def initial_rng_state(client_id: int) -> dict:
 
 
 class FederatedClient:
-    """One participant of decentralized training."""
+    """One participant of decentralized training; its model is lent, not owned (see above)."""
 
     def __init__(
         self,
@@ -56,7 +90,10 @@ class FederatedClient:
         self.test_dataset = test_dataset
         self.config = config
         self._model_factory = model_factory
-        self._model = model_factory()
+        # The compute-dtype boundary: a template is switched once, here; loads
+        # cast float64 states down in place, flat_model_state casts back up.
+        model = model_factory().set_compute_dtype(config.compute_dtype)
+        self._template = _TEMPLATES.setdefault(model_factory, {}).setdefault(model.compute_dtype, model)
         self._initial_state: Optional[State] = None
         self._rng = rng if rng is not None else np.random.default_rng(client_id)
         self._trainer = LocalTrainer(
@@ -68,10 +105,6 @@ class FederatedClient:
             rng=self._rng,
             compute_dtype=config.compute_dtype,
         )
-        # Switch the resident model once at construction; afterwards every
-        # load_state_dict casts the incoming float64 state down in place and
-        # every flat_model_state casts back up — the compute-dtype boundary.
-        self._model.set_compute_dtype(config.compute_dtype)
 
     @classmethod
     def from_client_data(
@@ -128,37 +161,41 @@ class FederatedClient:
         """
         steps = steps if steps is not None else self.config.local_steps
         mu = proximal_mu if proximal_mu is not None else self.config.proximal_mu
-        self._model.load_state_dict(initial_state)
+        model = lent_model(self._template)
+        model.load_state_dict(initial_state)
         reference = clone_state(initial_state) if mu > 0 else None
         stats = self._trainer.train_steps(
-            self._model,
+            model,
             self.train_dataset,
             steps=steps,
             proximal_mu=mu,
             proximal_reference=reference,
         )
-        return flat_model_state(self._model), stats
+        return flat_model_state(model), stats
 
     def fine_tune(self, initial_state: State, steps: Optional[int] = None) -> tuple:
         """Personalize ``initial_state`` with plain local steps (no proximal term)."""
         steps = steps if steps is not None else self.config.finetune_steps
-        self._model.load_state_dict(initial_state)
-        stats = self._trainer.train_steps(self._model, self.train_dataset, steps=steps)
-        return flat_model_state(self._model), stats
+        model = lent_model(self._template)
+        model.load_state_dict(initial_state)
+        stats = self._trainer.train_steps(model, self.train_dataset, steps=steps)
+        return flat_model_state(model), stats
 
     def training_loss(self, state: State, max_batches: Optional[int] = None) -> float:
         """Loss of ``state`` on this client's training data (IFCA cluster choice)."""
         max_batches = max_batches if max_batches is not None else self.config.ifca_eval_batches
-        self._model.load_state_dict(state)
-        return self._trainer.evaluate_loss(self._model, self.train_dataset, max_batches=max_batches)
+        model = lent_model(self._template)
+        model.load_state_dict(state)
+        return self._trainer.evaluate_loss(model, self.train_dataset, max_batches=max_batches)
 
     def evaluate_auc(self, state: State, dataset: Optional[RoutabilityDataset] = None) -> float:
         """ROC AUC of ``state`` on this client's (or a given) test dataset."""
         target = dataset if dataset is not None else self.test_dataset
         if len(target) == 0:
             raise ValueError(f"client {self.client_id} has no test data to evaluate on")
-        self._model.load_state_dict(state)
-        scores, labels = predict_dataset(self._model, target, batch_size=max(self.config.batch_size, 8))
+        model = lent_model(self._template)
+        model.load_state_dict(state)
+        scores, labels = predict_dataset(model, target, batch_size=max(self.config.batch_size, 8))
         return roc_auc_score(labels, scores)
 
     def initial_state(self) -> State:

@@ -1,12 +1,12 @@
 """Lazy client virtualization for population-scale federation.
 
 Cross-device federated settings assume populations of tens of thousands of
-clients, of which a sampler selects a small cohort each round.  Eagerly
-instantiating a :class:`~repro.fl.client.FederatedClient` per population
-member — model, trainer, optimizer scratch — is both impossible at that
-scale and pointless: a client that is never sampled never computes
-anything.  (Layer workspaces are not per client: they are lent from one
-pool per thread, see :mod:`repro.nn.workspace`.)
+clients, of which a sampler selects a small cohort each round.  A
+:class:`~repro.fl.client.FederatedClient` holds no model and no scratch
+(both are lent per thread), yet 1e5 eager clients' RNG streams and trainers
+still measured ~106 MB under ``tracemalloc`` and ~7.6 s to build on a
+2-vCPU box, plus one factory call each.  A client that is never sampled
+never computes anything, so the directory stays lazy.
 
 :class:`ClientDirectory` therefore holds only per-client *specs*
 (:class:`VirtualClientSpec`: id, data partition, sample counts) and hands

@@ -20,7 +20,6 @@ from repro.nn.layers import (
     BatchNorm2d,
     Conv2d,
     ConvTranspose2d,
-    Dropout,
     Flatten,
     GroupNorm,
     InstanceNorm2d,
@@ -82,7 +81,6 @@ __all__ = [
     "NearestUpsample2d",
     "Linear",
     "Flatten",
-    "Dropout",
     "Loss",
     "MSELoss",
     "BCELoss",

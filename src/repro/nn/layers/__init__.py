@@ -2,7 +2,6 @@
 
 from repro.nn.layers.activation import LeakyReLU, ReLU, Sigmoid, Tanh
 from repro.nn.layers.conv import Conv2d, ConvTranspose2d
-from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.linear import Flatten, Linear
 from repro.nn.layers.norm import BatchNorm2d, GroupNorm, InstanceNorm2d
 from repro.nn.layers.pooling import AvgPool2d, MaxPool2d
@@ -24,5 +23,4 @@ __all__ = [
     "NearestUpsample2d",
     "Linear",
     "Flatten",
-    "Dropout",
 ]

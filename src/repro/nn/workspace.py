@@ -100,10 +100,11 @@ class Workspace:
     once).  A recycled buffer is therefore re-zeroed: it may come from a
     layer with a different border.
 
-    A workspace intentionally does not survive pickling: models travel to
-    process-pool workers as part of a client, and shipping warm scratch
-    would only bloat the payload.  The receiving side re-grows its own
-    buffers on first use.
+    A workspace intentionally does not survive pickling or copying: a
+    client's model template travels to process-pool workers with the
+    pickled roster, and each thread deep-copies the template into the model
+    it lends (see :mod:`repro.fl.client`); warm scratch would only bloat
+    both.  The receiving side re-grows its own buffers on first use.
     """
 
     __slots__ = ("_buffers",)

@@ -6,6 +6,8 @@ Every public state function in ``src/`` packs what it is given into a
 the GEMV of ``weighted_average``): they take dicts, return dicts and are
 reachable from nothing in ``src/``.  The drift oracle is the pairwise loop
 the accumulator's per-arrival spread must equal (``1e-10``).
+``ResidentModelClient`` is a client with a model of its own for life, which
+a client computing on a lent model must equal bit for bit.
 
 Another ``oracles.py`` lives in ``tests/nn``; load this one by path
 (``load_fl_oracles`` in ``test_state_door.py``), not with ``import oracles``.
@@ -15,7 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fl.parameters import state_distance
+from repro.fl import FederatedClient
+from repro.fl.parameters import clone_state, flat_model_state, state_distance
+from repro.fl.trainer import predict_dataset
+from repro.metrics.roc import roc_auc_score
 
 
 def reference_weighted_average(states, weights):
@@ -110,3 +115,44 @@ def pairwise_rms_distance_oracle(states):
         for j in range(i + 1, len(states))
     ]
     return float(np.sqrt(np.mean(squares))) if squares else 0.0
+
+
+class ResidentModelClient(FederatedClient):
+    """A client with a model of its own for life, as every client had before models were lent.
+
+    The four uses keep the bodies they had then: a strict load into
+    ``self._resident``, which nothing another client does can reach.  Its
+    factory is called twice per client (once by ``FederatedClient``), so
+    give it a factory of its own.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._resident = self._model_factory().set_compute_dtype(self.config.compute_dtype)
+
+    def local_train(self, initial_state, steps=None, proximal_mu=None):
+        steps = steps if steps is not None else self.config.local_steps
+        mu = proximal_mu if proximal_mu is not None else self.config.proximal_mu
+        self._resident.load_state_dict(initial_state)
+        reference = clone_state(initial_state) if mu > 0 else None
+        stats = self._trainer.train_steps(
+            self._resident, self.train_dataset, steps=steps, proximal_mu=mu, proximal_reference=reference
+        )
+        return flat_model_state(self._resident), stats
+
+    def fine_tune(self, initial_state, steps=None):
+        steps = steps if steps is not None else self.config.finetune_steps
+        self._resident.load_state_dict(initial_state)
+        stats = self._trainer.train_steps(self._resident, self.train_dataset, steps=steps)
+        return flat_model_state(self._resident), stats
+
+    def training_loss(self, state, max_batches=None):
+        max_batches = max_batches if max_batches is not None else self.config.ifca_eval_batches
+        self._resident.load_state_dict(state)
+        return self._trainer.evaluate_loss(self._resident, self.train_dataset, max_batches=max_batches)
+
+    def evaluate_auc(self, state, dataset=None):
+        target = dataset if dataset is not None else self.test_dataset
+        self._resident.load_state_dict(state)
+        scores, labels = predict_dataset(self._resident, target, batch_size=max(self.config.batch_size, 8))
+        return roc_auc_score(labels, scores)

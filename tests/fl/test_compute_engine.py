@@ -17,6 +17,8 @@ Pins the PR's cross-layer guarantees:
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from repro.fl import (
     create_algorithm,
     create_channel,
 )
+from repro.fl.client import lent_model
 from repro.fl.parameters import FlatState
 
 from test_execution import (
@@ -69,23 +72,25 @@ def make_clients(
             FederatedClient(2, tiny_train_dataset_itc, tiny_test_dataset_itc, factory, config),
         ]
         if release_each_step:
-            for client in clients:
-                _release_after_backward(client._model)
+            _release_after_backward(clients[0]._template)
         return clients
 
     return build
 
 
-def _release_after_backward(model) -> None:
-    """Make every step of ``model`` a release point: each one re-borrows pooled scratch."""
-    backward = model.backward
+def _release_after_backward(template) -> None:
+    """Make every step a release point: each one re-borrows pooled scratch.
 
-    def backward_then_release(grad_output):
-        grad_input = backward(grad_output)
+    The clients share ``template``, and each worker thread computes on a deep
+    copy of it; a method bound to the template is rebound to every copy.
+    """
+
+    def backward_then_release(model, grad_output):
+        grad_input = type(model).backward(model, grad_output)
         model.release_workspaces()
         return grad_input
 
-    model.backward = backward_then_release
+    template.backward = types.MethodType(backward_then_release, template)
 
 
 class TestWarmPoolLifecycle:
@@ -274,9 +279,10 @@ class TestFloat32Engine:
         """A default-config run never casts: params stay float64 throughout."""
         clients = make_clients()
         run_named("fedavg", clients, num_channels, backend=SerialBackend())
-        model = clients[0]._model
-        assert model.compute_dtype == np.float64
-        assert all(p.data.dtype == np.float64 for p in model.parameters())
+        template = clients[0]._template
+        for model in (template, lent_model(template)):
+            assert model.compute_dtype == np.float64
+            assert all(p.data.dtype == np.float64 for p in model.parameters())
 
 
 class TestConfigPlumbing:

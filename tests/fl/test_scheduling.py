@@ -857,10 +857,10 @@ class TestScheduledCheckpointResume:
 class TestClientInitialState:
     """Satellite: cached, client-RNG-seeded ``FederatedClient.initial_state``."""
 
-    def test_cached_not_rebuilt(self, make_clients):
-        client = make_clients()[0]
+    def test_cached_not_rebuilt(self, tiny_train_dataset, tiny_test_dataset, num_channels):
+        factory = make_factory(num_channels)
+        client = FederatedClient(1, tiny_train_dataset, tiny_test_dataset, factory, TINY_CONFIG)
         calls = {"n": 0}
-        factory = client._model_factory
         original = factory.build_with_seed
 
         def counting(seed):

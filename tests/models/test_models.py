@@ -173,6 +173,19 @@ class TestRegistry:
         with pytest.raises(ValueError):
             register_model("flnet", FLNet)
 
+    @pytest.mark.parametrize("name", available_models())
+    def test_holds_no_rng_stream(self, name):
+        """One lent model computes for every client on a thread: a layer's own
+        generator would be a stream those clients share (see repro.fl.client)."""
+        model = create_model(name, CHANNELS, seed=0)
+        held = [
+            f"{path or name}.{attribute}"
+            for path, module in model.named_modules()
+            for attribute, value in vars(module).items()
+            if isinstance(value, (np.random.Generator, np.random.RandomState))
+        ]
+        assert held == []
+
     def test_kwargs_forwarded(self):
         model = create_model("flnet", CHANNELS, seed=0, hidden_filters=16)
         assert model.hidden_filters == 16

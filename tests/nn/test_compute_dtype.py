@@ -23,7 +23,6 @@ from repro.nn import (
     BatchNorm2d,
     Conv2d,
     ConvTranspose2d,
-    Dropout,
     GroupNorm,
     Linear,
     MaxPool2d,
@@ -280,13 +279,3 @@ class TestFloat32ModelParity:
         assert all(m.dtype == np.float32 for m in optimizer._first_moment.values())
         assert all(v.dtype == np.float32 for v in optimizer._second_moment.values())
         assert all(p.data.dtype == np.float32 for p in model.parameters())
-
-    def test_dropout_mask_consumes_same_rng_stream(self):
-        d64 = Dropout(0.4, rng=np.random.default_rng(3))
-        d32 = Dropout(0.4, rng=np.random.default_rng(3)).set_compute_dtype("float32")
-        x = rng(22).normal(size=(64, 16))
-        out64 = d64.forward(x)
-        out32 = d32.forward(x.astype(np.float32))
-        assert out32.dtype == np.float32
-        # Identical draws => identical zero pattern.
-        np.testing.assert_array_equal(out64 == 0.0, out32 == 0.0)

@@ -8,7 +8,6 @@ from repro.nn import (
     BatchNorm2d,
     Conv2d,
     ConvTranspose2d,
-    Dropout,
     Flatten,
     LeakyReLU,
     Linear,
@@ -233,7 +232,7 @@ class TestUpsampling:
         assert_input_gradient(NearestUpsample2d(2), (1, 2, 3, 3))
 
 
-class TestLinearFlattenDropout:
+class TestLinearFlatten:
     def test_linear_matches_manual(self):
         rng = np.random.default_rng(0)
         layer = Linear(3, 2, rng=rng)
@@ -251,19 +250,3 @@ class TestLinearFlattenDropout:
         assert out.shape == (2, 48)
         grad = flat.backward(out)
         assert grad.shape == x.shape
-
-    def test_dropout_eval_is_identity(self):
-        drop = Dropout(0.5, rng=np.random.default_rng(0))
-        drop.eval()
-        x = np.random.default_rng(1).normal(size=(5, 5))
-        np.testing.assert_allclose(drop(x), x)
-
-    def test_dropout_preserves_expectation(self):
-        drop = Dropout(0.3, rng=np.random.default_rng(0))
-        x = np.ones((200, 200))
-        out = drop(x)
-        assert out.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_dropout_invalid_probability(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)

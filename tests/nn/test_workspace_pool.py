@@ -25,6 +25,7 @@ from repro.fl import (
     ThreadPoolBackend,
     create_algorithm,
 )
+from repro.fl.client import _LENT
 from repro.fl.parameters import state_digest
 from repro.models import FLNet
 from repro.nn import Conv2d
@@ -80,12 +81,13 @@ def one_round(clients, backend):
 
 
 def held_nbytes(clients) -> int:
-    """Scratch bytes the clients' layers still hold (not in any pool)."""
+    """Scratch bytes (not in any pool) held by the clients' templates and by
+    the copies of them lent on the calling thread."""
+    templates = {client._template for client in clients}
+    lent = [_LENT.models.get(template) for template in templates]
+    models = [*templates, *(model for model in lent if model is not None)]
     return sum(
-        module._ws.nbytes
-        for client in clients
-        for _, module in client._model.named_modules()
-        if hasattr(module, "_ws")
+        module._ws.nbytes for model in models for _, module in model.named_modules() if hasattr(module, "_ws")
     )
 
 
@@ -207,7 +209,7 @@ class TestThreads:
 
         def probe():
             together.wait()
-            return threading.get_ident(), pooled_ids()
+            return threading.get_ident(), (pooled_ids(), held_nbytes(clients))
 
         backend = ThreadPoolBackend(workers=2)
         algorithm = create_algorithm(
@@ -216,15 +218,15 @@ class TestThreads:
         try:
             threaded = algorithm.run()
             futures = [backend._executor.submit(probe) for _ in range(2)]
-            pools = dict(future.result(timeout=30) for future in futures)
+            probed = dict(future.result(timeout=30) for future in futures)
         finally:
             backend.close()
-        assert len(pools) == 2 and threading.get_ident() not in pools
-        first, second = pools.values()
+        assert len(probed) == 2 and threading.get_ident() not in probed
+        (first, first_held), (second, second_held) = probed.values()
         assert first and second
         assert not first & second
         assert not (first | second) & pooled_ids()  # nor to the coordinating thread
-        assert held_nbytes(clients) == 0
+        assert first_held == second_held == held_nbytes(clients) == 0
         assert state_digest(threaded.global_state) == state_digest(serial.global_state)
 
     def test_more_threads_than_cores_keep_values_and_buffers_apart(self):
