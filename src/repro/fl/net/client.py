@@ -16,11 +16,16 @@ cache the server used) and services the server's task stream:
   :func:`~repro.fl.execution.run_client_task`, capture the RNG state, and
   ship an :class:`UpdateEnvelope` back.  Decoding and training run in a
   thread-pool executor so the asyncio loop keeps answering heartbeats
-  mid-step.
+  mid-step.  Sending runs behind the compute: a finished update goes to
+  the connection's sender, which encodes, frames and drains the updates
+  one at a time in task order while the next task trains.  A send is
+  bound to the connection it was handed to; if that connection dies
+  first, the update is never written to the next one.
 * **resume without re-training** — computed-but-unacknowledged updates
   stay in an in-memory cache keyed ``(client id, seq)``; when a replayed
   task arrives for a cached seq the cached update is resent as-is
-  (``cache_hits`` counts these).  A task that *does* re-run is harmless
+  (``cache_hits`` counts these).  That is the only way an update cut off
+  by a disconnect comes back.  A task that *does* re-run is harmless
   for bit-parity either way: the envelope carries the RNG snapshot, so a
   re-run reproduces the identical update.
 * **reconnect loop** — connection refused, socket death, frame errors,
@@ -48,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.fl.execution.backend import ClientTask, run_client_task
 from repro.fl.net.errors import FrameError, HandshakeError, MessageDecodeError, SessionLost
-from repro.fl.net.framing import FrameReader, encode_frame
+from repro.fl.net.framing import FrameReader, frame_parts
 from repro.fl.net.messages import (
     MSG_ACK,
     MSG_ERROR,
@@ -108,6 +113,14 @@ class HeldState:
         return self._carrier
 
 
+async def _cancel(task: asyncio.Task) -> None:
+    """Cancel ``task`` and wait it out; an error it had died of is raised here."""
+    task.cancel()
+    await asyncio.wait([task])
+    if not task.cancelled():
+        task.result()
+
+
 class FederationClientRunner:
     """Drives one joiner process until the server says goodbye."""
 
@@ -147,6 +160,9 @@ class FederationClientRunner:
         self._done = False
         self._queue: Optional[asyncio.Queue] = None
         self._writer: Optional[asyncio.StreamWriter] = None
+        #: The live connection's last update send; each send awaits the one
+        #: handed over before it, so this is the tail of an ordered chain.
+        self._sending: Optional[asyncio.Task] = None
         self._heartbeat_interval = 2.0
         self._client_timeout = 10.0
 
@@ -189,7 +205,7 @@ class FederationClientRunner:
                     )
                     await asyncio.sleep(self.reconnect_delay)
         finally:
-            worker.cancel()
+            await _cancel(worker)
             self._close_writer()
         return self.report
 
@@ -214,7 +230,10 @@ class FederationClientRunner:
             self.report.replays_received += sum(welcome.replayed.values())
             await self._read_loop(reader, frames)
         finally:
+            # Writer first: from here on no update is handed to this
+            # connection, and what it still holds is cancelled, not moved.
             self._close_writer()
+            await self._stop_sending()
 
     async def _expect_welcome(self, reader, frames: FrameReader):
         deadline = self._client_timeout
@@ -272,7 +291,7 @@ class FederationClientRunner:
                 # Replayed task whose update we already computed: resume
                 # without re-training.
                 self.report.cache_hits += 1
-                await self._send_update(self._cache[key])
+                self._post_update(self._cache[key])
                 return
             held = None
             if envelope.state_id is not None:
@@ -310,14 +329,19 @@ class FederationClientRunner:
 
     # -- task execution ------------------------------------------------------------
     async def _worker_loop(self) -> None:
-        """Sequentially executes queued tasks off the event loop's thread."""
+        """Sequentially executes queued tasks off the event loop's thread.
+
+        A finished update is handed to the connection's sender and the next
+        task starts at once: update k is encoded, framed and drained while
+        task k + 1 trains.
+        """
         loop = asyncio.get_event_loop()
         while True:
             envelope, held = await self._queue.get()
             update = await loop.run_in_executor(None, self._execute, envelope, held)
             self._cache[(int(envelope.client_id), int(envelope.seq))] = update
             self.report.tasks_run += 1
-            await self._send_update(update)
+            self._post_update(update)
 
     def _execute(self, envelope: TaskEnvelope, held: Optional[HeldState] = None) -> UpdateEnvelope:
         """Run one task; mirrors the process pool's ``_worker_run_task``.
@@ -360,12 +384,31 @@ class FederationClientRunner:
             rng_state=rng_state,
         )
 
-    async def _send_update(self, update: UpdateEnvelope) -> None:
+    # -- sending -------------------------------------------------------------------
+    def _post_update(self, update: UpdateEnvelope) -> None:
+        """Hand ``update`` to the live connection's sender; returns at once.
+
+        The sender sends one update at a time, in the order they were handed
+        over, so at most one encoded update is in flight.  With no live
+        connection the update just stays cached for the replay.
+        """
+        writer = self._writer
+        if writer is None:
+            return
+        self._sending = asyncio.get_running_loop().create_task(
+            self._send_update(update, writer, self._sending)
+        )
+
+    async def _send_update(
+        self, update: UpdateEnvelope, writer: asyncio.StreamWriter, previous: Optional[asyncio.Task]
+    ) -> None:
+        if previous is not None:
+            await previous
         try:
-            await self._send(update)
+            await self._send(update, writer)
         except (ConnectionError, OSError):
-            # Connection died under us; the update stays cached and is
-            # resent when the reconnect replays its task.
+            # The connection died under us.  The update stays cached and is
+            # resent only when the next connection replays its task.
             return
         self.report.updates_sent += 1
         if self.kill_after is not None and self.report.updates_sent >= int(self.kill_after):
@@ -373,15 +416,23 @@ class FederationClientRunner:
             logger.info("SIGKILLing self after %d updates (--kill-after)", self.report.updates_sent)
             os.kill(os.getpid(), signal.SIGKILL)
 
-    async def _send(self, message) -> None:
-        writer = self._writer
+    async def _stop_sending(self) -> None:
+        """Cancel the closed connection's unsent updates (they stay cached)."""
+        sending, self._sending = self._sending, None
+        if sending is not None:
+            # Cancelling the tail cancels the send it awaits, and so on down.
+            await _cancel(sending)
+
+    async def _send(self, message, writer: Optional[asyncio.StreamWriter] = None) -> None:
+        """Frame ``message`` onto ``writer`` (default: the live connection)."""
+        writer = self._writer if writer is None else writer
         if writer is None or writer.is_closing():
             raise ConnectionResetError("no live connection")
-        frame_type, body = encode_message(message)
-        frame = encode_frame(frame_type, body)
-        writer.write(frame)
+        parts = frame_parts(*encode_message(message))
+        for part in parts:
+            writer.write(part)
         await writer.drain()
-        self.report.bytes_sent += len(frame)
+        self.report.bytes_sent += sum(map(len, parts))
 
     def _close_writer(self) -> None:
         writer, self._writer = self._writer, None

@@ -11,7 +11,8 @@ The CRC-32 covers ``type + length + payload`` (everything except the magic,
 whose corruption is caught by the magic check itself), so a flipped byte
 anywhere in a frame is rejected before the payload is ever interpreted.
 
-The codec is *sans-io*: :func:`encode_frame` produces bytes and
+The codec is *sans-io*: :func:`encode_frame` produces bytes (or
+:func:`frame_parts` the same bytes in three pieces, for writers) and
 :class:`FrameReader` consumes arbitrarily chunked bytes, so the same state
 machine serves the asyncio sockets, the on-disk journal, and the fuzz tests.
 Three properties the fuzz suite pins down:
@@ -66,8 +67,14 @@ def frame_crc(frame_type: int, payload: bytes) -> int:
     return zlib.crc32(payload, zlib.crc32(head)) & 0xFFFFFFFF
 
 
-def encode_frame(frame_type: int, payload: bytes, max_payload_bytes: int = MAX_PAYLOAD_BYTES) -> bytes:
-    """Encode one frame; the inverse of what :class:`FrameReader` accepts."""
+def frame_parts(
+    frame_type: int, payload: bytes, max_payload_bytes: int = MAX_PAYLOAD_BYTES
+) -> Tuple[bytes, bytes, bytes]:
+    """One frame as ``(prefix, payload, trailer)``, for writing part by part.
+
+    The three parts back to back are :func:`encode_frame`'s bytes; writing
+    them in turn spares a sender the concatenated copy of the payload.
+    """
     if not 0 <= frame_type <= 0xFF:
         raise ValueError(f"frame type must fit one byte, got {frame_type}")
     payload = bytes(payload)
@@ -78,7 +85,12 @@ def encode_frame(frame_type: int, payload: bytes, max_payload_bytes: int = MAX_P
         )
     head = _HEAD.pack(frame_type, len(payload))
     crc = zlib.crc32(payload, zlib.crc32(head)) & 0xFFFFFFFF
-    return MAGIC + head + payload + struct.pack(">I", crc)
+    return MAGIC + head, payload, struct.pack(">I", crc)
+
+
+def encode_frame(frame_type: int, payload: bytes, max_payload_bytes: int = MAX_PAYLOAD_BYTES) -> bytes:
+    """Encode one frame; the inverse of what :class:`FrameReader` accepts."""
+    return b"".join(frame_parts(frame_type, payload, max_payload_bytes))
 
 
 class FrameReader:
@@ -148,7 +160,11 @@ class FrameReader:
             total = HEADER_BYTES + length + TRAILER_BYTES
             if len(self._buffer) < total:
                 return frames
-            payload = bytes(self._buffer[HEADER_BYTES : HEADER_BYTES + length])
+            # One copy, straight out of the buffer; the view is released
+            # before the buffer shrinks (a bytearray with a live export
+            # cannot be resized).
+            with memoryview(self._buffer) as view:
+                payload = bytes(view[HEADER_BYTES : HEADER_BYTES + length])
             (crc,) = struct.unpack_from(">I", self._buffer, HEADER_BYTES + length)
             expected = frame_crc(frame_type, payload)
             if crc != expected:
@@ -174,4 +190,5 @@ __all__ = [
     "FrameReader",
     "encode_frame",
     "frame_crc",
+    "frame_parts",
 ]

@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.fl.net.errors import FrameError, JournalError
-from repro.fl.net.framing import FrameReader, encode_frame
+from repro.fl.net.framing import FrameReader, frame_parts
 from repro.fl.net.messages import MSG_ACK, MSG_STATE, MSG_TASK
 from repro.fl.transport.envelope import BYTES, INT, Schema
 from repro.fl.transport.errors import TransportDecodeError
@@ -153,7 +153,8 @@ class MessageJournal:
                 raise JournalError(str(self._path(key)), f"cannot open: {error}") from error
             self._files[key] = handle
         schemas = _STATE_RECORDS if key == _STATES else _CLIENT_RECORDS
-        handle.write(encode_frame(frame_type, schemas[frame_type].pack(fields)))
+        for part in frame_parts(frame_type, schemas[frame_type].pack(fields)):
+            handle.write(part)
         handle.flush()
         if self.fsync:
             os.fsync(handle.fileno())

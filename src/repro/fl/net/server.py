@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fl.net.errors import FrameError, MessageDecodeError, SessionLost
 from repro.fl.net.faults import WireFaultPlan, corrupt_frame
-from repro.fl.net.framing import FrameReader, encode_frame
+from repro.fl.net.framing import FrameReader, frame_parts
 from repro.fl.net.journal import MessageJournal
 from repro.fl.net.messages import (
     MSG_GOODBYE,
@@ -470,18 +470,19 @@ class ConnectionActor:
         self._states_sent: set = set()
 
     # -- low-level sends -----------------------------------------------------------
-    async def _send_frames(self, *frames: bytes) -> None:
-        # One lock hold for the lot: a STATE frame and the task behind it
-        # reach the peer back to back, in that order.
+    async def _send_frames(self, *frames: Tuple[bytes, ...]) -> None:
+        # Each frame comes in parts (see frame_parts), written in turn.  One
+        # lock hold for the lot: a STATE frame and the task behind it reach
+        # the peer back to back, in that order.
         async with self._send_lock:
-            for frame in frames:
-                self._writer.write(frame)
+            for parts in frames:
+                for part in parts:
+                    self._writer.write(part)
             await self._writer.drain()
-        self.server.bytes_sent += sum(map(len, frames))
+        self.server.bytes_sent += sum(len(part) for parts in frames for part in parts)
 
     async def send_message(self, message) -> None:
-        frame_type, body = encode_message(message)
-        await self._send_frames(encode_frame(frame_type, body))
+        await self._send_frames(frame_parts(*encode_message(message)))
 
     async def send_ack(self, client_id: int, seq: int) -> None:
         """ACK one update, naming every state sent here that has since been released."""
@@ -498,7 +499,7 @@ class ConnectionActor:
         is resent by the next one, like the task.
         """
         plan = self.server.fault_plan
-        frame = encode_frame(MSG_TASK, body)
+        frame = frame_parts(MSG_TASK, body)
         if plan is not None:
             decision = plan.draw(client_id)
             if decision.kind == "disconnect":
@@ -511,7 +512,7 @@ class ConnectionActor:
                 await asyncio.sleep(plan.hold_seconds(decision))
             elif decision.kind == "corrupt":
                 self.server.counters["injected_corruptions"] += 1
-                frame = corrupt_frame(frame, decision.salt)
+                frame = (corrupt_frame(b"".join(frame), decision.salt),)
         frames = [frame]
         if state_id is not None and state_id not in self._states_sent:
             blob = self.server.journal.state(state_id)
@@ -521,7 +522,7 @@ class ConnectionActor:
                 return
             self._states_sent.add(state_id)
             self.server.counters["states_sent"] += 1
-            frames.insert(0, encode_frame(*encode_message(StateMessage(state_id, blob))))
+            frames.insert(0, frame_parts(*encode_message(StateMessage(state_id, blob))))
         try:
             await self._send_frames(*frames)
         except (ConnectionError, OSError):

@@ -158,17 +158,22 @@ def witness(checkout: Path, work: Path) -> List[str]:
     return lines
 
 
+def check_out(revision: str, into: Path) -> None:
+    """Extract ``revision``'s committed files into ``into`` (nothing is left in ``.git``)."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", revision], cwd=ROOT, check=True, stdout=subprocess.PIPE
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, metavar="REV", help="the revision to compare this tree with")
     args = parser.parse_args(argv)
-    archive = subprocess.run(
-        ["git", "archive", "--format=tar", args.against], cwd=ROOT, check=True, stdout=subprocess.PIPE
-    ).stdout
     with tempfile.TemporaryDirectory(prefix="witness-") as scratch:
         other = Path(scratch) / "against"
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(other)
+        check_out(args.against, other)
         theirs = witness(other, Path(scratch) / "against-work")
         ours = witness(ROOT, Path(scratch) / "here-work")
     differing = 0
