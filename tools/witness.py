@@ -39,6 +39,12 @@ ROWS: Dict[str, Sequence[str]] = {
     "fedprox": ("--algorithms", "fedprox"),
     "extensions": ("--algorithms", "fedavgm", "fedbn", "dp_fedprox"),
     "personalised": ("--algorithms", "fedprox_lg", "ifca", "fedprox_finetune"),
+    "assigned_clustering": ("--algorithms", "assigned_clustering"),
+    "fedprox_alpha": ("--algorithms", "fedprox_alpha"),
+    "personalised routenet topk process2": (
+        "--model", "routenet", "--algorithms", "fedbn", "fedprox_lg", "ifca", "assigned_clustering",
+        "fedprox_alpha", "--backend", "process", "--workers", "2", "--compression", "topk",
+    ),
     "quantize": ("--algorithms", "fedavgm", "--compression", "quantize"),
     "quantize 4 bit": ("--algorithms", "fedprox", "--compression", "quantize", "--compression-bits", "4"),
     "topk process2": (
