@@ -99,13 +99,13 @@ class ExperimentConfig:
         if self.scheduling.round_policy == "fedbuff":
             # Fail at configuration time, not after earlier algorithms of the
             # experiment have already trained for minutes.
-            from repro.fl import ALGORITHMS, GlobalModelAlgorithm
+            from repro.fl import ALGORITHMS, RoundAlgorithm
 
             blocked = [
                 name
                 for name in self.algorithms
                 if name in ALGORITHMS
-                and issubclass(ALGORITHMS[name], GlobalModelAlgorithm)
+                and issubclass(ALGORITHMS[name], RoundAlgorithm)
                 and not ALGORITHMS[name].supports_fedbuff
             ]
             if blocked:

@@ -15,10 +15,9 @@ clients and local computation
     local training (:class:`LocalTrainer`); only parameter states and scalar
     loss summaries ever leave a client.
 server-side aggregation
-    :class:`FederatedServer` implements every aggregation rule used by the
-    paper (weighted averaging, per-cluster, per-partition, alpha-portion);
-    the global model is folded one update at a time
-    (:mod:`repro.fl.aggregation`).
+    :class:`FederatedServer` hands out the per-round accumulators every
+    round loop folds updates into one at a time (:mod:`repro.fl.aggregation`)
+    and computes alpha-portion sync's per-client mixes.
 training algorithms
     :data:`ALGORITHMS` maps a configuration name to an algorithm class; see
     the table below for which paper result each one reproduces.  Instantiate
@@ -55,7 +54,6 @@ name                    reproduces
 ======================  =====================================================
 """
 
-import warnings
 from typing import Dict, Optional, Type
 
 from repro.fl.algorithms import (
@@ -66,9 +64,9 @@ from repro.fl.algorithms import (
     FedBN,
     FederatedAlgorithm,
     FedProx,
-    GlobalModelAlgorithm,
     LocalOnly,
     ModelFactory,
+    RoundAlgorithm,
     RoundRecord,
     SeededModelFactory,
     TrainingResult,
@@ -256,7 +254,7 @@ def create_algorithm(
         :func:`create_backend`) to parallelize rounds across processes.
     checkpoint:
         Optional :class:`CheckpointManager` enabling per-round
-        checkpoint/resume for the global-state algorithms.
+        checkpoint/resume.
     channel:
         Optional transport :class:`Channel` every broadcast and upload of
         the run passes through (wire codec + measured byte accounting).  A
@@ -274,26 +272,15 @@ def create_algorithm(
         :class:`~repro.fl.faults.ResilienceOptions` via
         :func:`~repro.fl.faults.create_resilience`).
 
-    ``checkpoint``, ``scheduler`` and ``resilience`` are honored by the
-    :class:`GlobalModelAlgorithm` subclasses only; every other algorithm
-    carries per-client state across rounds, so each of the three given to
-    it is dropped with a warning.
+    ``checkpoint``, ``scheduler`` and ``resilience`` drive the round loop
+    every :class:`RoundAlgorithm` runs; the round-less ``local`` and
+    ``centralized`` baselines are handed none of them.
     """
     key = name.lower()
     if key not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; available: {sorted(ALGORITHMS)}")
     cls = ALGORITHMS[key]
-    if not issubclass(cls, GlobalModelAlgorithm):
-        for option, unsupported in (
-            (checkpoint, "per-round checkpointing; the checkpoint option is ignored "
-             "(an interrupted run restarts from round 0)"),
-            (scheduler, "client scheduling; the scheduling options are ignored "
-             "(every client participates in every round)"),
-            (resilience, "fault tolerance; the quorum/fault/retry options are ignored "
-             "(a client failure aborts the run)"),
-        ):
-            if option is not None:
-                warnings.warn(f"algorithm {key!r} does not support {unsupported}", stacklevel=2)
+    if not issubclass(cls, RoundAlgorithm):
         checkpoint = scheduler = resilience = None
     return cls(
         clients,
@@ -355,7 +342,7 @@ __all__ = [
     "StepStatistics",
     "predict_dataset",
     "FederatedAlgorithm",
-    "GlobalModelAlgorithm",
+    "RoundAlgorithm",
     "TrainingResult",
     "RoundRecord",
     "ModelFactory",

@@ -18,15 +18,17 @@ The personalization techniques of Figure 2 live in
 :mod:`repro.fl.personalization`.  Every algorithm subclasses
 :class:`FederatedAlgorithm`, which expresses a round as *map client tasks
 via an execution backend, then aggregate* — see :mod:`repro.fl.execution`;
-the five whose cross-round state is one global model (FedAvg, FedProx,
-FedAvgM, DP-FedProx, FedProx + fine-tuning) subclass
-:class:`GlobalModelAlgorithm`, which owns their one round loop.
+every one that trains in rounds — all but the two baselines — subclasses
+:class:`RoundAlgorithm`, which owns the one round loop.  FedBN and
+FedProx-LG share
+:class:`~repro.fl.algorithms.partitioned.PartitionedAlgorithm`: a shared
+part the server averages, a private part each client keeps.
 """
 
 from repro.fl.algorithms.base import (
     FederatedAlgorithm,
-    GlobalModelAlgorithm,
     ModelFactory,
+    RoundAlgorithm,
     RoundRecord,
     SeededModelFactory,
     TrainingResult,
@@ -39,7 +41,7 @@ from repro.fl.algorithms.fedprox import FedAvg, FedProx
 
 __all__ = [
     "FederatedAlgorithm",
-    "GlobalModelAlgorithm",
+    "RoundAlgorithm",
     "TrainingResult",
     "RoundRecord",
     "ModelFactory",

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.fl.aggregation import UpdateAccumulator
 from repro.fl.client import FederatedClient
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
@@ -315,24 +317,35 @@ class FederatedAlgorithm:
         return f"{self.__class__.__name__}(clients={len(self.clients)})"
 
 
-class GlobalModelAlgorithm(FederatedAlgorithm):
-    """An algorithm whose cross-round state is one global model.
+class RoundAlgorithm(FederatedAlgorithm):
+    """An algorithm that trains in communication rounds, on the one round loop.
 
-    FedProx, FedAvg, FedAvgM, DP-FedProx and FedProx + fine-tuning.  Being
-    one is the capability fact: only these honor a
-    :class:`CheckpointManager`, a :class:`~repro.fl.scheduling.RoundScheduler`
-    and a :class:`~repro.fl.faults.ResilienceManager` (the personalized
-    algorithms carry per-client state across rounds, and
-    :func:`repro.fl.create_algorithm` warns and drops all three for them).
+    Every federated row, global-model and personalised.  Being one is the
+    capability fact: only these honor a :class:`CheckpointManager`, a
+    :class:`~repro.fl.scheduling.RoundScheduler` and a
+    :class:`~repro.fl.faults.ResilienceManager`; the round-less baselines
+    are handed none.
 
     :meth:`run` is init → :meth:`load_checkpoint` → the round loop →
-    result, the round loop being :meth:`_run_rounds` (or FedProx's
-    ``_run_fedbuff`` under the fedbuff policy).  A subclass supplies only
-    what differs: how one update enters the round's accumulator
-    (:meth:`_fold_update`), what the server does with the round's average
-    (:meth:`_apply_average`), and the per-run state it keeps beside the
-    global model (:meth:`_begin_run`, :meth:`_checkpoint_extras`).
+    :meth:`_finish`, the round loop being :meth:`_run_rounds` (or FedProx's
+    ``_run_fedbuff`` under the fedbuff policy).  The loop carries one state
+    across rounds — the global model, or what stands for it in a
+    checkpoint; whatever else the server keeps lives on the instance.  A
+    subclass supplies only what differs: each participant's start state
+    (:meth:`_start_states`); what a kept update folds into, and the
+    per-client record the server keeps from it (:meth:`_new_accumulators`,
+    :meth:`_fold_update` — a client outside the cohort or past the deadline
+    keeps its record); the new state from the round's folds
+    (:meth:`_server_step`, by default :meth:`_apply_average`); and the
+    per-run state kept beside it (:meth:`_begin_run`,
+    :meth:`_checkpoint_extras`).
     """
+
+    #: The entries every upload ships (``None``: the whole state).
+    _upload_names: Optional[List[str]] = None
+
+    #: The ``FLConfig`` fields the server rule reads; each is fingerprinted.
+    server_rule_config: Tuple[str, ...] = ()
 
     def proximal_mu(self) -> float:
         """Proximal strength of every client pass; :class:`FedAvg` uses 0."""
@@ -395,6 +408,7 @@ class GlobalModelAlgorithm(FederatedAlgorithm):
             "loss": self.config.loss,
             "client_ids": [client.client_id for client in self.clients],
         })
+        fingerprint.update((name, getattr(self.config, name)) for name in self.server_rule_config)
         return fingerprint
 
     def load_checkpoint(self, reference_state: Optional[State] = None) -> Optional[RoundCheckpoint]:
@@ -412,7 +426,8 @@ class GlobalModelAlgorithm(FederatedAlgorithm):
         if resumed is None:
             return None
         recorded = resumed.extra_meta.get("fingerprint")
-        expected = self.checkpoint_fingerprint()
+        # Compared as it was stored: JSON turns tuples into lists.
+        expected = json.loads(json.dumps(self.checkpoint_fingerprint()))
         if recorded is not None and recorded != expected:
             raise ValueError(
                 f"checkpoint in {self.checkpoint.directory} was written by a different "
@@ -479,7 +494,7 @@ class GlobalModelAlgorithm(FederatedAlgorithm):
 
     # -- what a subclass supplies ---------------------------------------------------
     def _begin_run(self, global_state: State, resumed: Optional[RoundCheckpoint]) -> None:
-        """Set up the per-run state kept beside the global model.
+        """Set up the per-run state kept beside the loop's state.
 
         ``global_state`` is the fresh initialization; ``resumed`` is the
         checkpoint being resumed (``None`` for a fresh run), whose
@@ -490,36 +505,50 @@ class GlobalModelAlgorithm(FederatedAlgorithm):
         """``(extra_states, extra_meta)`` a round checkpoint carries for this algorithm."""
         return {}, {}
 
-    def _fold_update(self, accumulator, global_state: State, update: ClientUpdate) -> None:
-        """Fold one kept update into the round's accumulator, weighted by sample count.
+    def _start_states(self, global_state: State, cohort: Sequence[int]) -> Union[State, List[State]]:
+        """What the cohort trains from: by default the global state, broadcast."""
+        return global_state
+
+    def _new_accumulators(self) -> List[UpdateAccumulator]:
+        """The round's fold targets, made at its first arrival: one global average."""
+        return [self.server.accumulator()]
+
+    def _weight(self, update: ClientUpdate) -> float:
+        """An update's aggregation weight ``n_k`` (its client's sample count)."""
+        return float(self.clients[update.client_index].num_samples)
+
+    def _fold_update(self, accumulators, global_state: State, update: ClientUpdate) -> None:
+        """Fold one kept update, and record what the server keeps of its client.
 
         Called in arrival order — which equals cohort order on every
         backend — so a sequential server-side RNG stream (DP-FedProx's
         noise) is backend-independent.
         """
-        accumulator.fold(update.state, float(self.clients[update.client_index].num_samples))
+        accumulators[0].fold(update.state, self._weight(update))
 
     def _apply_average(self, global_state: State, average: State) -> State:
         """The new global state from the round's sample-weighted average."""
         return average
 
-    def _finalize_round(
-        self, round_index: int, global_state: State, accumulator
-    ) -> Tuple[State, Dict[str, object]]:
-        """Turn the round's accumulator into the new global state and persist the round.
+    def _server_step(self, global_state: State, accumulators) -> Tuple[State, Dict[str, object]]:
+        """The new state from the round's folds, and the round record's extras.
 
         An empty accumulator (every selected client missed the deadline)
         leaves the global state unchanged.  The accumulator is read as
         ``result()``, then ``spread()`` — the client drift it folded per arrival.
         """
+        accumulator = accumulators[0]
         extra: Dict[str, object] = {}
         if accumulator.count:
             global_state = self._apply_average(global_state, accumulator.result())
             drift = accumulator.spread()
             if drift is not None:
                 extra["client_drift"] = drift
-        self.save_checkpoint(round_index, global_state)
         return global_state, extra
+
+    def _finish(self, result: TrainingResult, global_state: State) -> None:
+        """Fill the result from the final state and what the server kept."""
+        result.global_state = global_state
 
     # -- the round loop -------------------------------------------------------------
     def _release_client(self, client_index: int) -> None:
@@ -552,7 +581,7 @@ class GlobalModelAlgorithm(FederatedAlgorithm):
             global_state = self._run_fedbuff(result, global_state, start_round)
         else:
             global_state = self._run_rounds(result, global_state, start_round)
-        result.global_state = global_state
+        self._finish(result, global_state)
         return result
 
     def _run_rounds(self, result: TrainingResult, global_state: State, start_round: int) -> State:
@@ -563,8 +592,8 @@ class GlobalModelAlgorithm(FederatedAlgorithm):
         cohort's straggler latencies, and run the cohort's client pass
         through the execution backend.  Each update is folded — or, past
         the deadline, discarded — the moment it arrives, and its state and
-        client are released right after, so peak coordinator memory is
-        O(P), independent of the cohort size.  A run given no scheduler
+        client are released right after, so a round holds O(P) per
+        accumulator, independent of the cohort size.  A run given no scheduler
         goes round an inert full-participation, always-available,
         zero-latency one that only this loop holds: every client trains
         every round and nothing is dropped.
@@ -594,33 +623,34 @@ class GlobalModelAlgorithm(FederatedAlgorithm):
             # Made at the first arrival, inside the round's client pass:
             # bench/workload.py starts a cycle, and installs or removes its
             # tracing wrappers on new accumulators, where map_client_updates
-            # is entered, so a round's accumulator must not predate the call.
-            accumulator = None
-            per_client_loss: Dict[int, float] = {}
+            # is entered, so a round's accumulators must not predate the call.
+            accumulators = None
+            per_client_loss: Dict[int, float] = {}  # one entry per kept update
 
             def fold(update: ClientUpdate) -> None:
-                nonlocal accumulator
-                if accumulator is None:
-                    accumulator = self.server.accumulator()
+                nonlocal accumulators
+                if accumulators is None:
+                    accumulators = self._new_accumulators()
                 if deadline is None or latencies[update.client_index] <= deadline:
-                    self._fold_update(accumulator, global_state, update)
+                    self._fold_update(accumulators, global_state, update)
                     per_client_loss[update.client_id] = update.stats.mean_loss
                 update.state = None
                 self._release_client(update.client_index)
 
             updates = (
                 self.map_client_updates(
-                    global_state,
+                    self._start_states(global_state, plan.cohort),
                     steps=self.config.local_steps,
                     proximal_mu=self.proximal_mu(),
+                    upload_names=self._upload_names,
                     cohort=plan.cohort,
                     on_arrival=fold,
                 )
                 if plan.cohort
                 else []
             )
-            if accumulator is None:  # nothing arrived
-                accumulator = self.server.accumulator()
+            if accumulators is None:  # nothing arrived
+                accumulators = self._new_accumulators()
             if resilience is not None:
                 # Clients that exhausted their retries produced no update;
                 # shrink the plan (and its pre-drawn latencies) to the
@@ -630,16 +660,17 @@ class GlobalModelAlgorithm(FederatedAlgorithm):
                 latencies = {index: latencies[index] for index in plan.cohort}
                 resilience.check_quorum(
                     round_index,
-                    arrived=accumulator.count,
+                    arrived=len(per_client_loss),
                     cohort_size=attempted,
                     checkpoint_dir=self._auto_checkpoint_dir(),
                 )
             outcome = scheduler.complete_round(plan, updates, latencies=latencies)
-            # Drops commit *before* _finalize_round so the round's checkpoint
-            # already carries the updated permanent-failure set.
+            # Drops commit *before* the checkpoint so it already carries the
+            # updated permanent-failure set.
             commit_extra = resilience.commit_round(self.client_weights()) if resilience else {}
-            self.server.record_folds(accumulator.count)
-            global_state, extra = self._finalize_round(round_index, global_state, accumulator)
+            self.server.record_folds(len(per_client_loss))
+            global_state, extra = self._server_step(global_state, accumulators)
+            self.save_checkpoint(round_index, global_state)
             result.history.append(
                 self._round_record(
                     round_index,

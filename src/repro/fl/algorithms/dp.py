@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fl.algorithms.base import GlobalModelAlgorithm, ModelFactory
+from repro.fl.algorithms.base import RoundAlgorithm, ModelFactory
 from repro.fl.client import FederatedClient
 from repro.fl.config import FLConfig
 from repro.fl.execution import ClientUpdate, RoundCheckpoint
@@ -25,7 +25,7 @@ from repro.fl.server import FederatedServer
 from repro.utils.rng import new_rng
 
 
-class DPFedProx(GlobalModelAlgorithm):
+class DPFedProx(RoundAlgorithm):
     """FedProx with clipped, noised client updates and a privacy accountant."""
 
     name = "dp_fedprox"
@@ -50,7 +50,7 @@ class DPFedProx(GlobalModelAlgorithm):
         fingerprint["noise_multiplier"] = self.privacy.noise_multiplier
         return fingerprint
 
-    def _fold_update(self, accumulator, global_state: State, update: ClientUpdate) -> None:
+    def _fold_update(self, accumulators, global_state: State, update: ClientUpdate) -> None:
         # The clipping + noising of each returned update happens on the
         # server side with one sequential RNG stream, in fold (= cohort)
         # order, so the noise draws are identical under any execution
@@ -59,9 +59,7 @@ class DPFedProx(GlobalModelAlgorithm):
             global_state, update.state, self.privacy, self._noise_rng
         )
         self.update_log.record(raw_norm, self.privacy.clip_norm)
-        accumulator.fold(
-            private_state, float(self.clients[update.client_index].num_samples)
-        )
+        accumulators[0].fold(private_state, self._weight(update))
 
     def _begin_run(self, global_state: State, resumed: Optional[RoundCheckpoint]) -> None:
         self._noise_rng = new_rng(np.random.SeedSequence([self.config.seed, 0xD9]))
@@ -93,10 +91,8 @@ class DPFedProx(GlobalModelAlgorithm):
         self.accountant.record_round()
         return average
 
-    def _finalize_round(
-        self, round_index: int, global_state: State, accumulator
-    ) -> Tuple[State, Dict[str, object]]:
-        global_state, extra = super()._finalize_round(round_index, global_state, accumulator)
+    def _server_step(self, global_state: State, accumulators) -> Tuple[State, Dict[str, object]]:
+        global_state, extra = super()._server_step(global_state, accumulators)
         extra["epsilon"] = self.accountant.epsilon()
         extra["clipped_fraction"] = self.update_log.clipped_fraction
         return global_state, extra

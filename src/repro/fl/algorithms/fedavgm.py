@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.fl.algorithms.base import GlobalModelAlgorithm
+from repro.fl.algorithms.base import RoundAlgorithm
 from repro.fl.execution import RoundCheckpoint
 from repro.fl.parameters import FlatState, State, state_vector, zeros_like_state
 
 
-class FedAvgM(GlobalModelAlgorithm):
+class FedAvgM(RoundAlgorithm):
     """Federated averaging with server momentum (and optional proximal term)."""
 
     name = "fedavgm"

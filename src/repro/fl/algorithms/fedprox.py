@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.fl.algorithms.base import GlobalModelAlgorithm, TrainingResult, logger
+from repro.fl.algorithms.base import RoundAlgorithm, TrainingResult, logger
 from repro.fl.execution import ClientUpdate
 from repro.fl.parameters import State
 
@@ -43,7 +43,7 @@ class _InFlight:
     update: ClientUpdate
 
 
-class FedProx(GlobalModelAlgorithm):
+class FedProx(RoundAlgorithm):
     """The decentralized training loop of Figure 1 with the FedProx objective."""
 
     name = "fedprox"

@@ -7,7 +7,8 @@ persists, after every communication round:
 * the round index,
 * the aggregated global :data:`~repro.fl.parameters.State` (as an ``.npz``
   archive via :mod:`repro.nn.serialization`),
-* optional named extra states (e.g. FedAvgM's server momentum buffer),
+* optional named extra states (e.g. FedAvgM's server momentum buffer, each
+  client's private part, the cluster models),
 * every client's RNG state plus optional algorithm-specific JSON metadata
   (in a sidecar ``.json`` file).
 
@@ -15,11 +16,10 @@ Restoring the client RNG states is what makes a resumed run **bit-identical**
 to an uninterrupted one: each client's batch-shuffling RNG continues exactly
 where it stopped.
 
-Checkpointing is supported by the algorithms whose cross-round state is a
-single global model (FedAvg, FedProx, FedAvgM, DP-FedProx, and the federated
-stage of FedProx+fine-tuning).  Personalized algorithms that carry per-client
-state across rounds (FedBN, FedProx-LG, IFCA, alpha-portion sync) currently
-ignore the checkpointer.
+Every algorithm that trains in rounds (:class:`~repro.fl.algorithms.RoundAlgorithm`:
+all the federated rows, personalized ones included) checkpoints its round
+state and what its server keeps per client; the round-less local and
+centralized baselines are given no checkpointer.
 """
 
 from __future__ import annotations

@@ -182,6 +182,8 @@ class FederationServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._claim_event: Optional[asyncio.Event] = None
         self._closing = False
+        #: Every live connection's actor and the task running it.
+        self._connections: Dict["ConnectionActor", asyncio.Task] = {}
 
     # -- lifecycle (loop-side) ----------------------------------------------------
     async def start(self) -> int:
@@ -203,7 +205,7 @@ class FederationServer:
         return self.port
 
     async def stop(self) -> None:
-        """Orderly shutdown: GOODBYE to every live peer, then close."""
+        """Orderly shutdown: GOODBYE to every live peer, close, await every connection's task."""
         self._closing = True
         for session in self.sessions.values():
             if session.reaper is not None:
@@ -212,10 +214,14 @@ class FederationServer:
         actors = {session.actor for session in self.sessions.values() if session.actor}
         for actor in actors:
             await actor.say_goodbye("run complete")
+        for actor in set(self._connections) - actors:
+            actor.kill()  # still in its handshake, or already rejected
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        if self._connections:
+            await asyncio.wait(list(self._connections.values()), timeout=self.client_timeout)
         if self.journal is not None:
             self.journal.close()
         if self._tmp_journal is not None:
@@ -446,7 +452,11 @@ class FederationServer:
     # -- connection acceptance ------------------------------------------------------
     async def _on_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         actor = ConnectionActor(self, reader, writer)
-        await actor.run()
+        self._connections[actor] = asyncio.current_task()
+        try:
+            await actor.run()
+        finally:
+            del self._connections[actor]
 
 
 class ConnectionActor:

@@ -1,13 +1,14 @@
 """The federated server (the "model developer" of the paper).
 
-The server never sees data.  It collects parameter states from clients,
-aggregates them (globally, per cluster, per partition, or per client for
-alpha-portion sync), and redistributes the results.
+The server never sees data.  It hands each round loop the accumulators
+client updates fold into (one global average, one per cluster, or the
+shared part of a partitioned model) and computes alpha-portion sync's
+per-client mixes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -23,8 +24,6 @@ from repro.fl.parameters import (
     check_compatible,
     check_weight,
     clone_state,
-    filter_state,
-    merge_partition,
     state_vector,
     weighted_average,
 )
@@ -33,8 +32,8 @@ from repro.fl.parameters import (
 class FederatedServer:
     """Parameter-aggregation logic used by every algorithm in this package.
 
-    Round loops fold the global model one update at a time through
-    :meth:`accumulator` (see :mod:`repro.fl.aggregation`): up to 32 updates
+    Round loops fold updates one at a time through :meth:`accumulator`
+    (see :mod:`repro.fl.aggregation`): up to 32 updates
     are buffered and averaged by ``weighted_average`` bit for bit, beyond
     that the fold is an O(P) running sum, and each client is released as
     soon as its update is folded.
@@ -44,7 +43,7 @@ class FederatedServer:
         self.folded_updates = 0
 
     def accumulator(self) -> UpdateAccumulator:
-        """A fresh per-round accumulator for the global aggregation."""
+        """A fresh per-round accumulator: one sample-weighted average."""
         return StreamingAccumulator()
 
     def delta_accumulator(self) -> StreamingDeltaAccumulator:
@@ -52,52 +51,12 @@ class FederatedServer:
         return StreamingDeltaAccumulator()
 
     def record_folds(self, count: int) -> None:
-        """Count updates folded into the global model (for run summaries)."""
+        """Count the updates a round kept (for run summaries)."""
         self.folded_updates += int(count)
 
     def aggregate(self, states: Sequence[State], weights: Sequence[float]) -> State:
         """Sample-count-weighted average: ``W^{r+1} = sum_k (n_k / n) w_k^r``."""
         return weighted_average(states, weights)
-
-    def aggregate_partition(
-        self,
-        states: Sequence[State],
-        weights: Sequence[float],
-        global_names: Iterable[str],
-    ) -> State:
-        """Aggregate only the ``global_names`` entries (FedProx-LG).
-
-        Returns a state containing only the global part.
-        """
-        partial_states = [filter_state(state, global_names) for state in states]
-        return weighted_average(partial_states, weights)
-
-    def merge_global_local(self, global_part: State, full_local_state: State) -> State:
-        """Combine the aggregated global part with one client's full state."""
-        merged = clone_state(full_local_state)
-        for name, values in global_part.items():
-            merged[name] = values.copy()
-        return merged
-
-    def aggregate_clusters(
-        self,
-        cluster_states: Dict[int, State],
-        member_states: Dict[int, List[State]],
-        member_weights: Dict[int, List[float]],
-    ) -> Dict[int, State]:
-        """Per-cluster aggregation (IFCA / assigned clustering).
-
-        Clusters with no members this round keep their previous state.
-        """
-        updated: Dict[int, State] = {}
-        for cluster_id, previous in cluster_states.items():
-            states = member_states.get(cluster_id, [])
-            weights = member_weights.get(cluster_id, [])
-            if states:
-                updated[cluster_id] = weighted_average(states, weights)
-            else:
-                updated[cluster_id] = clone_state(previous)
-        return updated
 
     def alpha_portion_sync(
         self,
@@ -150,7 +109,3 @@ class FederatedServer:
             )
             result[client_id] = FlatState(layout, mixed)
         return result
-
-    def partition_merge(self, global_state: State, local_state: State, local_names: Iterable[str]) -> State:
-        """Overlay a client's private local part onto the shared global state."""
-        return merge_partition(global_state, local_state, local_names)

@@ -5,7 +5,10 @@ Every public state function in ``src/`` packs what it is given into a
 ``name -> ndarray`` loops that body must equal bit for bit (``1e-12`` for
 the GEMV of ``weighted_average``): they take dicts, return dicts and are
 reachable from nothing in ``src/``.  The drift oracle is the pairwise loop
-the accumulator's per-arrival spread must equal (``1e-10``).
+the accumulator's per-arrival spread must equal (``1e-10``).  The three
+server rules the personalised rows used before they folded into the round
+loop's accumulators (partition, merge, per-cluster) are what two rounds of
+FedProx-LG and IFCA must equal bit for bit.
 ``ResidentModelClient`` is a client with a model of its own for life, which
 a client computing on a lent model must equal bit for bit.
 
@@ -18,7 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fl import FederatedClient
-from repro.fl.parameters import clone_state, flat_model_state, state_distance
+from repro.fl.parameters import (
+    clone_state,
+    filter_state,
+    flat_model_state,
+    state_distance,
+    weighted_average,
+)
 from repro.fl.trainer import predict_dataset
 from repro.metrics.roc import roc_auc_score
 
@@ -93,6 +102,29 @@ def merge_partition_oracle(global_state, local_state, local_names):
 
 def filter_state_oracle(state, names):
     return {name: np.array(state[name], copy=True) for name in names}
+
+
+def aggregate_partition_oracle(states, weights, shared_names):
+    """The sample-weighted average of the ``shared_names`` entries only (FedProx-LG)."""
+    return weighted_average([filter_state(state, shared_names) for state in states], weights)
+
+
+def merge_global_local_oracle(global_part, full_local_state):
+    """One client's full state with the aggregated global part written over it."""
+    merged = clone_state(full_local_state)
+    for name, values in global_part.items():
+        merged[name] = values.copy()
+    return merged
+
+
+def aggregate_clusters_oracle(cluster_states, member_states, member_weights):
+    """Per-cluster averages (IFCA); a cluster with no members keeps its state."""
+    return {
+        cluster_id: weighted_average(member_states[cluster_id], member_weights[cluster_id])
+        if member_states.get(cluster_id)
+        else clone_state(previous)
+        for cluster_id, previous in cluster_states.items()
+    }
 
 
 def flatten_state_oracle(state):

@@ -11,6 +11,8 @@ The central guarantees under test:
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from repro.fl import (
     create_backend,
 )
 from repro.fl.execution.backend import encoded_carriers
-from repro.fl.parameters import flatten_state
+from repro.fl.parameters import flatten_state, state_digest
 from repro.fl.transport.envelope import decode_carrier
 from repro.models import FLNet
 
@@ -81,6 +83,18 @@ def make_clients(
 def states_equal(left, right) -> bool:
     """Bit-exact equality of two state dictionaries."""
     return set(left) == set(right) and all(np.array_equal(left[k], right[k]) for k in left)
+
+
+def digests(result):
+    """The global digest (``None`` when there is none) and every client's digest."""
+    global_state = result.global_state
+    return None if global_state is None else state_digest(global_state), {
+        client_id: state_digest(state) for client_id, state in result.client_states.items()
+    }
+
+
+#: The algorithms that joined the one round loop last: every personalised row.
+PERSONALISED = ["fedbn", "fedprox_lg", "ifca", "assigned_clustering", "fedprox_alpha"]
 
 
 def run_named(name, clients, num_channels, config=TINY_CONFIG, backend=None, checkpoint=None):
@@ -279,7 +293,7 @@ class TestCheckpointManager:
 
 
 class TestCheckpointResume:
-    @pytest.mark.parametrize("algorithm", ["fedavg", "fedavgm", "dp_fedprox"])
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fedavgm", "dp_fedprox", *PERSONALISED])
     def test_resume_matches_uninterrupted_run(self, algorithm, tmp_path, make_clients, num_channels):
         from dataclasses import replace
 
@@ -307,22 +321,56 @@ class TestCheckpointResume:
             checkpoint=CheckpointManager(tmp_path),
         )
 
-        assert states_equal(uninterrupted.global_state, resumed.global_state)
+        assert digests(resumed) == digests(uninterrupted)
         assert [r.round_index for r in resumed.history] == [2, 3]
         losses = {r.round_index: r.mean_loss for r in uninterrupted.history}
         for record in resumed.history:
             assert record.mean_loss == losses[record.round_index]
 
-    def test_completed_run_resumes_to_final_state(self, tmp_path, make_clients, num_channels):
+    @pytest.mark.parametrize("algorithm", ["fedavg", *PERSONALISED])
+    def test_completed_run_resumes_to_final_state(
+        self, algorithm, tmp_path, make_clients, num_channels
+    ):
         manager = CheckpointManager(tmp_path)
-        finished = run_named(
-            "fedavg", make_clients(), num_channels, checkpoint=manager
-        )
+        finished = run_named(algorithm, make_clients(), num_channels, checkpoint=manager)
         reloaded = run_named(
-            "fedavg", make_clients(), num_channels, checkpoint=CheckpointManager(tmp_path)
+            algorithm, make_clients(), num_channels, checkpoint=CheckpointManager(tmp_path)
         )
-        assert states_equal(finished.global_state, reloaded.global_state)
+        # Global state and every client's state, from the checkpoint alone.
+        assert digests(reloaded) == digests(finished)
         assert reloaded.history == []  # nothing left to train
+
+    def test_resuming_under_a_changed_alpha_fails_loudly(self, tmp_path, make_clients, num_channels):
+        from dataclasses import replace
+
+        run_named("fedprox_alpha", make_clients(), num_channels, checkpoint=CheckpointManager(tmp_path))
+        with pytest.raises(ValueError, match="written by a different run"):
+            run_named(
+                "fedprox_alpha",
+                make_clients(),
+                num_channels,
+                config=replace(TINY_CONFIG, alpha=0.25),
+                checkpoint=CheckpointManager(tmp_path),
+            )
+
+    @pytest.mark.parametrize("algorithm, own", [
+        ("fedbn", set()),
+        ("fedprox_lg", set()),
+        ("ifca", {"num_clusters", "ifca_eval_batches"}),
+        ("assigned_clustering", {"num_clusters", "assigned_clusters"}),
+        ("fedprox_alpha", {"alpha"}),
+    ])
+    def test_a_personalised_fingerprint_adds_only_what_its_server_rule_reads(
+        self, algorithm, own, make_clients, num_channels
+    ):
+        def fingerprint(name):
+            return create_algorithm(
+                name, make_clients(), make_factory(num_channels), TINY_CONFIG
+            ).checkpoint_fingerprint()
+
+        shared, personalised = fingerprint("fedprox"), fingerprint(algorithm)
+        assert set(personalised) - set(shared) == own
+        assert {key: personalised[key] for key in shared} == {**shared, "algorithm": algorithm}
 
     def test_foreign_checkpoint_rejected(self, tmp_path, make_clients, num_channels):
         # A checkpoint directory written by a different run (here: another
@@ -351,18 +399,19 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="different model"):
             algorithm.run()
 
-    def test_unsupported_algorithm_warns_and_ignores_checkpoint(
+    def test_a_round_algorithm_holds_the_checkpoint_and_local_none(
         self, tmp_path, make_clients, num_channels
     ):
-        with pytest.warns(UserWarning, match="does not support per-round checkpointing"):
-            algorithm = create_algorithm(
-                "fedprox_lg",
-                make_clients(),
-                make_factory(num_channels),
-                TINY_CONFIG,
-                checkpoint=CheckpointManager(tmp_path),
-            )
-        assert algorithm.checkpoint is None
+        manager = CheckpointManager(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            held = {
+                name: create_algorithm(
+                    name, make_clients(), make_factory(num_channels), TINY_CONFIG, checkpoint=manager
+                ).checkpoint
+                for name in ("fedprox_lg", "local")
+            }
+        assert held == {"fedprox_lg": manager, "local": None}
 
     def test_parallel_resume_matches_serial(self, tmp_path, make_clients, num_channels):
         from dataclasses import replace

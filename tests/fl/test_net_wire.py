@@ -20,11 +20,16 @@ The anchor guarantees of the PR:
   clients the connection hosts, is resent exactly once to a connection
   that replaces a dropped one, and several distinct carriers in one
   broadcast (clustered / personalized algorithms) each cross once,
-* a version-1 peer is told ``protocol`` and its pickle is never loaded.
+* a version-1 peer is told ``protocol`` and its pickle is never loaded,
+* closing the backend awaits every connection task, so none is left
+  pending for asyncio to destroy.
 """
 
 from __future__ import annotations
 
+import asyncio
+import gc
+import logging
 import pickle
 import socket
 import threading
@@ -322,20 +327,26 @@ class TestStateCrossesOnce:
         assert network["reconnects"] >= 1 and network["replays"] >= 2
         assert network["states_sent"] == TINY_CONFIG.rounds + 1
 
-    @pytest.mark.parametrize("name", ["assigned_clustering", "ifca", "fedprox_finetune"])
-    def test_several_carriers_in_one_broadcast_equal_serial(self, make_clients, num_channels, name):
-        reference = serial_reference(make_clients, num_channels, name=name)
-        # (The clustered algorithms do not take a resilience manager.)
-        result, network, _ = run_over_wire(
-            make_clients, num_channels, name=name, supervised=name == "fedprox_finetune"
-        )
-        assert states_equal(result.global_state, reference.global_state)
+    @pytest.mark.parametrize("name", ["assigned_clustering", "ifca", "fedprox_finetune", "fedprox_alpha"])
+    def test_several_carriers_in_one_broadcast_equal_serial(
+        self, make_clients, make_trio, num_channels, name
+    ):
+        roster = make_trio if name == "fedprox_alpha" else make_clients
+        reference = serial_reference(roster, num_channels, name=name)
+        result, network, _ = run_over_wire(roster, num_channels, name=name)
+        if reference.global_state is None:
+            assert result.global_state is None
+        else:
+            assert states_equal(result.global_state, reference.global_state)
         assert result.client_states.keys() == reference.client_states.keys()
         for client_id, state in reference.client_states.items():
             assert states_equal(result.client_states[client_id], state)
         if name == "assigned_clustering":
             # Two clusters, one client each: two distinct carriers per round.
             assert network["states_sent"] == 2 * TINY_CONFIG.rounds
+        if name == "fedprox_alpha":
+            # One customized mix per client: three distinct carriers per round.
+            assert network["states_sent"] == 3 * TINY_CONFIG.rounds
 
     @pytest.mark.parametrize("compression", ["none", "quantize", "topk"])
     def test_wire_envelopes_cross_the_socket_bit_exactly(self, make_trio, num_channels, compression):
@@ -370,6 +381,47 @@ class TestStateCrossesOnce:
         finally:
             backend.close()
         thread.join(timeout=30)
+
+
+class TestShutdown:
+    def test_close_leaves_no_connection_task_pending(self, make_trio, num_channels, caplog):
+        """Stop awaits the connection actors it says goodbye to: each one's
+        connection task and its cancelled heartbeat watchdog are done before
+        the loop closes, so collecting the loop destroys nothing pending."""
+        gc.collect()  # earlier runs' loops are not this test's business
+        backend = WireBackend(port=0, heartbeat_interval=HEARTBEAT, client_timeout=TIMEOUT)
+        server_clients = make_trio()
+        port = backend.listen([client.client_id for client in server_clients])
+        joiner_clients = make_trio()
+        thread = threading.Thread(
+            target=lambda: run_client(joiner_clients, "127.0.0.1", port, reconnect_delay=0.05),
+            daemon=True,
+        )
+        thread.start()
+        loop = backend._loop
+
+        async def stop_then_look():
+            await backend.server.stop()
+            return {task for task in asyncio.all_tasks() if task is not asyncio.current_task()}
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            try:
+                create_algorithm(
+                    "fedavg", server_clients, make_factory(num_channels), TINY_CONFIG, backend=backend
+                ).run()
+                pending = asyncio.run_coroutine_threadsafe(stop_then_look(), loop).result(timeout=10)
+            finally:
+                backend.close()
+            thread.join(timeout=30)
+            del loop
+            gc.collect()
+        assert pending == set()
+        destroyed = [
+            record.getMessage()
+            for record in caplog.records
+            if "Task was destroyed but it is pending" in record.getMessage()
+        ]
+        assert destroyed == []
 
 
 class TestNetworkFailuresAsTaskFailures:

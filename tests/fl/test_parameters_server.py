@@ -158,27 +158,6 @@ class TestFederatedServer:
         avg = server.aggregate([make_state(0.0), make_state(1.0)], [100, 300])
         assert np.allclose(avg["w"], 0.75)
 
-    def test_aggregate_partition_only_touches_global(self):
-        server = FederatedServer()
-        partial = server.aggregate_partition([make_state(0.0), make_state(2.0)], [1, 1], ["w"])
-        assert set(partial) == {"w"}
-        assert np.allclose(partial["w"], 1.0)
-
-    def test_merge_global_local(self):
-        server = FederatedServer()
-        merged = server.merge_global_local({"w": np.full((2, 2), 7.0)}, make_state(1.0))
-        assert np.all(merged["w"] == 7.0)
-        assert np.all(merged["b"] == 1.0)
-
-    def test_aggregate_clusters_keeps_empty_clusters(self):
-        server = FederatedServer()
-        previous = {0: make_state(1.0), 1: make_state(5.0)}
-        updated = server.aggregate_clusters(
-            previous, {0: [make_state(3.0)]}, {0: [2.0]}
-        )
-        assert np.allclose(updated[0]["w"], 3.0)
-        assert np.allclose(updated[1]["w"], 5.0)
-
     def test_alpha_portion_sync_formula(self):
         server = FederatedServer()
         states = {1: make_state(0.0), 2: make_state(4.0), 3: make_state(8.0)}

@@ -21,6 +21,8 @@ The central guarantees under test:
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,13 @@ from repro.fl import (
     create_algorithm,
     create_scheduler,
 )
-from repro.fl.parameters import FlatState, flat_model_state, state_digest, weighted_average
+from repro.fl.parameters import (
+    FlatState,
+    filter_state,
+    flat_model_state,
+    state_digest,
+    weighted_average,
+)
 from repro.fl.privacy import PrivacyConfig, privatize_update
 from repro.fl.scheduling import (
     AlwaysAvailable,
@@ -57,6 +65,9 @@ from repro.fl.scheduling import (
 )
 from repro.models import FLNet
 from repro.utils.rng import new_rng
+from test_state_door import load_fl_oracles
+
+O = load_fl_oracles()
 
 TINY_CONFIG = FLConfig(
     rounds=2,
@@ -355,6 +366,9 @@ class TestCreateScheduler:
 
 #: The algorithms whose cross-round state is one global model.
 GLOBAL_MODEL_ALGORITHMS = ["fedavg", "fedprox", "fedavgm", "dp_fedprox", "fedprox_finetune"]
+#: The personalised rows, on the same loop: what the server keeps is theirs.
+PERSONALISED = ["fedbn", "fedprox_lg", "ifca", "assigned_clustering", "fedprox_alpha"]
+ROUND_ALGORITHMS = GLOBAL_MODEL_ALGORITHMS + PERSONALISED
 
 BACKENDS = {
     "serial": SerialBackend,
@@ -364,8 +378,9 @@ BACKENDS = {
 
 
 def digests(result):
-    """The global digest and every personalized digest of one training result."""
-    return state_digest(result.global_state), {
+    """The global digest (``None`` when there is none) and every personalized digest."""
+    global_state = result.global_state
+    return None if global_state is None else state_digest(global_state), {
         client_id: state_digest(state) for client_id, state in result.client_states.items()
     }
 
@@ -373,7 +388,7 @@ def digests(result):
 class TestScheduledRounds:
     @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
     @pytest.mark.parametrize("supervised", [False, True], ids=["unsupervised", "supervised"])
-    @pytest.mark.parametrize("algorithm", GLOBAL_MODEL_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", ROUND_ALGORITHMS)
     def test_explicit_full_sync_matches_schedulerless_run(
         self, algorithm, supervised, backend_name, make_clients, num_channels
     ):
@@ -470,18 +485,22 @@ class TestScheduledRounds:
             # The dropped client's loss is not part of the round record.
             assert len(record.per_client_loss) == record.extra["arrived"]
 
-    def test_unsupported_algorithm_warns_and_ignores_scheduler(
+    def test_a_round_algorithm_holds_the_scheduler_and_local_none(
         self, make_clients, num_channels
     ):
-        with pytest.warns(UserWarning, match="does not support client scheduling"):
-            algorithm = create_algorithm(
-                "local",
-                make_clients(),
-                make_factory(num_channels),
-                TINY_CONFIG,
-                scheduler=create_scheduler(SchedulingOptions(participation=0.5)),
-            )
-        assert algorithm.scheduler is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            held = {
+                name: create_algorithm(
+                    name,
+                    make_clients(),
+                    make_factory(num_channels),
+                    TINY_CONFIG,
+                    scheduler=create_scheduler(SchedulingOptions(participation=0.5)),
+                ).scheduler
+                for name in ("ifca", "local")
+            }
+        assert held["ifca"] is not None and held["local"] is None
 
     def test_fedbuff_rejected_for_non_delta_algorithms(self, make_clients, num_channels):
         with pytest.raises(ValueError, match="fedbuff"):
@@ -585,14 +604,16 @@ class TestRoundLoopContract:
 
     @pytest.mark.parametrize("supervised", [False, True], ids=["unsupervised", "supervised"])
     @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
-    @pytest.mark.parametrize("algorithm", GLOBAL_MODEL_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", ROUND_ALGORITHMS)
     def test_one_client_pass_per_round_and_result_before_spread(
         self, algorithm, schedule, supervised, make_clients, num_channels
     ):
         """``map_client_updates``, wrapped on the instance the way the bench
-        harness wraps it, is called once per round with the global state
-        first and returns a sized list; each round's accumulator is made
-        after its pass begins and read as ``result()`` then ``spread()``."""
+        harness wraps it, is called once per round — with the global state
+        first for a global-model algorithm, one start state per participant
+        for a personalised one — and returns a sized list; each round's
+        accumulators are made after its pass begins, and a global average is
+        read as ``result()`` then ``spread()``."""
         from dataclasses import replace
 
         config = replace(TINY_CONFIG, rounds=3)
@@ -640,18 +661,73 @@ class TestRoundLoopContract:
 
         # fedprox_finetune adds one fine-tuning pass after the rounds.
         assert len(passes) == config.rounds + (algorithm == "fedprox_finetune")
-        initial = state_digest(flat_model_state(make_factory(num_channels)()))
-        assert state_digest(passes[0][0]) == initial
+        global_model = algorithm in GLOBAL_MODEL_ALGORITHMS
+        if global_model:
+            initial = state_digest(flat_model_state(make_factory(num_channels)()))
+            assert state_digest(passes[0][0]) == initial
         for states, arrived in passes[: config.rounds]:
-            assert isinstance(states, FlatState)
+            assert isinstance(states, FlatState if global_model else list)
             assert arrived >= 1
-        assert events[: 2 * config.rounds] == ["pass", "accumulator"] * config.rounds
-        assert events.count("accumulator") == config.rounds
-        # The loop reads the average, then the drift folded per arrival; it
-        # never asks for the individual states.
-        assert all(calls in ([], ["result", "spread"]) for calls in reads)
-        assert ["result", "spread"] in reads
+        # One global average, one per cluster, or none for alpha-portion sync.
+        made = {"ifca": config.num_clusters, "assigned_clustering": config.num_clusters, "fedprox_alpha": 0}
+        one_round = ["pass"] + ["accumulator"] * made.get(algorithm, 1)
+        assert events[: len(one_round) * config.rounds] == one_round * config.rounds
+        assert events.count("accumulator") == (len(one_round) - 1) * config.rounds
+        # The loop reads the average (then, for a global model, the drift
+        # folded per arrival); it never asks for the individual states.
+        read = ["result", "spread"] if global_model else ["result"]
+        assert all(calls in ([], read) for calls in reads)
+        assert read in reads or algorithm == "fedprox_alpha"
         assert len(result.history) == len(passes)
+
+    @pytest.mark.parametrize("schedule", ["participation", "deadline"])
+    @pytest.mark.parametrize("algorithm", ["fedprox_lg", "ifca", "assigned_clustering", "fedprox_alpha"])
+    def test_a_client_that_kept_no_update_keeps_its_server_record(
+        self, algorithm, schedule, make_clients, num_channels
+    ):
+        """Outside the cohort or past the deadline, a client's private part,
+        cluster assignment or alpha state is what it was before the round."""
+        from dataclasses import replace
+
+        config = replace(TINY_CONFIG, rounds=4)
+        instance = create_algorithm(
+            algorithm,
+            make_clients(config),
+            make_factory(num_channels),
+            config,
+            scheduler=create_scheduler(SchedulingOptions(**SCHEDULES[schedule]), seed=0),
+        )
+        records = []
+        save_checkpoint = instance.save_checkpoint
+
+        def snapshot(round_index, global_state):
+            # What a checkpoint of this round would carry for each client.
+            states, meta = instance._checkpoint_extras()
+            assignment = meta.get("assignment", {})
+            records.append({
+                client.client_id: [
+                    assignment.get(str(client.client_id)),
+                    *(
+                        state_digest(states[name])
+                        for name in (f"private_{client.client_id}", f"client_{client.client_id}")
+                        if name in states
+                    ),
+                ]
+                for client in instance.clients
+            })
+            save_checkpoint(round_index, global_state)
+
+        instance.save_checkpoint = snapshot
+        result = instance.run()
+
+        assert len(records) == len(result.history) == config.rounds
+        idle = 0
+        for before, record, after in zip(records, result.history[1:], records[1:]):
+            for client_id in after:
+                if client_id not in record.per_client_loss:
+                    idle += 1
+                    assert after[client_id] == before[client_id]
+        assert idle > 0
 
     @pytest.mark.parametrize("algorithm", ["fedprox", "dp_fedprox"])
     def test_one_round_equals_the_figure_1_round_by_hand(
@@ -683,6 +759,66 @@ class TestRoundLoopContract:
         assert state_digest(result.global_state) == state_digest(expected)
         if algorithm == "dp_fedprox":
             assert trained.update_log.raw_norms == raw_norms
+
+    def test_two_fedprox_lg_rounds_equal_the_partition_rules_by_hand(self, make_clients, num_channels):
+        """Each client trains the aggregated shared part written over its own
+        full state; the server averages the shared part only."""
+        result = create_algorithm(
+            "fedprox_lg", make_clients(), make_factory(num_channels), TINY_CONFIG
+        ).run()
+
+        clients = make_clients()
+        template = make_factory(num_channels)()
+        local = set(template.local_parameter_names())
+        initial = flat_model_state(template)
+        shared = [name for name in initial if name not in local]
+        global_part = filter_state(initial, shared)
+        full = {client.client_id: initial for client in clients}
+        weights = [client.num_samples for client in clients]
+        for _ in range(TINY_CONFIG.rounds):
+            for client in clients:
+                start = O.merge_global_local_oracle(global_part, full[client.client_id])
+                full[client.client_id], _ = client.local_train(
+                    start, TINY_CONFIG.local_steps, TINY_CONFIG.proximal_mu
+                )
+            global_part = O.aggregate_partition_oracle(list(full.values()), weights, shared)
+        assert result.global_state is None
+        assert digests(result)[1] == {
+            client_id: state_digest(O.merge_global_local_oracle(global_part, state))
+            for client_id, state in full.items()
+        }
+
+    def test_two_ifca_rounds_equal_the_cluster_rules_by_hand(self, make_clients, num_channels):
+        """Every client probes each cluster in roster order, trains the best
+        one; the server averages per cluster and keeps an unchosen one."""
+        result = create_algorithm("ifca", make_clients(), make_factory(num_channels), TINY_CONFIG).run()
+
+        clients = make_clients()
+        factory = make_factory(num_channels)
+        clusters = {cluster: flat_model_state(factory()) for cluster in range(TINY_CONFIG.num_clusters)}
+        assignment = {}
+        for _ in range(TINY_CONFIG.rounds):
+            for client in clients:
+                losses = {
+                    cluster: client.training_loss(state, max_batches=TINY_CONFIG.ifca_eval_batches)
+                    for cluster, state in clusters.items()
+                }
+                assignment[client.client_id] = min(losses, key=losses.get)
+            members, member_weights = {}, {}
+            for client in clients:
+                cluster = assignment[client.client_id]
+                update, _ = client.local_train(
+                    clusters[cluster], TINY_CONFIG.local_steps, TINY_CONFIG.proximal_mu
+                )
+                members.setdefault(cluster, []).append(update)
+                member_weights.setdefault(cluster, []).append(client.num_samples)
+            clusters = O.aggregate_clusters_oracle(clusters, members, member_weights)
+        average = weighted_average(list(clusters.values()), np.ones(len(clusters)))
+        assert digests(result) == (
+            state_digest(average),
+            {client_id: state_digest(clusters[cluster]) for client_id, cluster in assignment.items()},
+        )
+        assert result.history[-1].extra["assignment"] == assignment
 
     @pytest.mark.parametrize("supervised", [False, True], ids=["unsupervised", "supervised"])
     def test_each_update_is_folded_before_the_next_client_trains(

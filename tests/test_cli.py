@@ -53,7 +53,10 @@ RUN_FLAGS = {
         1.5,
         ("--round-policy", "deadline", "--deadline", "5"),
     ),
-    "--buffer-size": ("scheduling", "buffer_size", 3, ("--round-policy", "fedbuff")),
+    # fedbuff runs only the FedProx family; the default table has personalised rows.
+    "--buffer-size": (
+        "scheduling", "buffer_size", 3, ("--round-policy", "fedbuff", "--algorithms", "fedprox"),
+    ),
     "--population": (
         None,
         "population",
@@ -361,6 +364,21 @@ class TestReproduceCommand:
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.endswith(f"error: {needs}")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("algorithm", ["fedbn", "fedprox_lg", "ifca", "assigned_clustering", "fedprox_alpha"])
+    def test_fedbuff_with_a_personalised_algorithm_exits_before_building_anything(
+        self, algorithm, capsys, tmp_path
+    ):
+        # It used to warn, drop the scheduler and train a synchronous run.
+        code = main([
+            "reproduce", "--preset", "smoke", "--cache-dir", str(tmp_path),
+            "--algorithms", algorithm, "--round-policy", "fedbuff",
+        ])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "error: round policy 'fedbuff' is not supported by" in line
+        assert repr(algorithm) in line
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.slow
