@@ -45,6 +45,14 @@ ROWS: Dict[str, Sequence[str]] = {
         "--model", "routenet", "--algorithms", "fedbn", "fedprox_lg", "ifca", "assigned_clustering",
         "fedprox_alpha", "--backend", "process", "--workers", "2", "--compression", "topk",
     ),
+    "personalised participation": (
+        "--algorithms", "fedbn", "fedprox_lg", "ifca", "assigned_clustering", "fedprox_alpha",
+        "--participation", "0.67",
+    ),
+    "personalised chaos": (
+        "--algorithms", "fedbn", "fedprox_lg", "ifca", "assigned_clustering", "fedprox_alpha",
+        "--fault-crash-rate", "0.3", "--quorum", "0.7", "--max-retries", "2",
+    ),
     "quantize": ("--algorithms", "fedavgm", "--compression", "quantize"),
     "quantize 4 bit": ("--algorithms", "fedprox", "--compression", "quantize", "--compression-bits", "4"),
     "topk process2": (
