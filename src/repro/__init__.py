@@ -24,7 +24,7 @@ contribution:
     FedAvg, FedProx, and personalization (FedProx-LG, IFCA, fine-tuning,
     assigned clustering, alpha-portion sync).
 ``repro.metrics``
-    ROC AUC and related classification metrics.
+    ROC AUC, the metric of Tables 3-5.
 ``repro.experiments``
     Configurations and runners that regenerate the paper's tables.
 ``repro.cli``
@@ -46,5 +46,4 @@ __all__ = [
     "metrics",
     "experiments",
     "utils",
-    "__version__",
 ]

@@ -36,7 +36,7 @@ import dataclasses
 import logging
 import sys
 import typing
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.eda.benchmarks import generate_design, suite_names
 from repro.eda.global_router import GlobalRouterConfig, route_placement

@@ -8,7 +8,6 @@ from repro.data.clients import (
     ClientSpec,
     CorpusBuilder,
     CorpusConfig,
-    build_table2_corpus,
     table2_rows,
 )
 from repro.data.dataset import PlacementSample, RoutabilityDataset
@@ -26,6 +25,5 @@ __all__ = [
     "TABLE2_CLIENTS",
     "PAPER_TOTAL_DESIGNS",
     "PAPER_TOTAL_PLACEMENTS",
-    "build_table2_corpus",
     "table2_rows",
 ]

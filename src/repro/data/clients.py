@@ -177,10 +177,6 @@ class CorpusBuilder:
         self._extractor = FeatureExtractor(self.config.features, self.config.normalization)
         self._labeler = DrcHotspotLabeler(label_seed=self.config.label_seed)
 
-    @property
-    def feature_extractor(self) -> FeatureExtractor:
-        return self._extractor
-
     def build_design_samples(
         self,
         suite: str,
@@ -286,15 +282,6 @@ class CorpusBuilder:
         train_path, test_path = self._cache_paths(client.spec, cache_dir)
         client.train.save(train_path)
         client.test.save(test_path)
-
-
-def build_table2_corpus(
-    config: Optional[CorpusConfig] = None,
-    specs: Optional[Sequence[ClientSpec]] = None,
-    cache_dir: Optional[PathLike] = None,
-) -> List[ClientData]:
-    """Build the 9-client corpus of Table 2 under ``config``."""
-    return CorpusBuilder(config).build_all(specs, cache_dir)
 
 
 def table2_rows(clients: Sequence[ClientData]) -> List[Dict[str, object]]:

@@ -11,87 +11,46 @@ from repro.eda.benchmarks import (
     SUITES,
     Design,
     DrcSensitivity,
-    SuiteStyle,
     generate_design,
-    generate_suite_designs,
     suite_names,
 )
-from repro.eda.drc import DrcHotspotLabeler, DrcResult, label_hotspots
-from repro.eda.global_router import (
-    GlobalRouter,
-    GlobalRouterConfig,
-    NetRoute,
-    RoutingGrid,
-    RoutingResult,
-    route_placement,
-)
+from repro.eda.drc import DrcHotspotLabeler
+from repro.eda.global_router import GlobalRouterConfig, RoutingResult, route_placement
 from repro.eda.io import (
     apply_positions,
     read_bookshelf_pl,
     read_design,
-    read_netlist_verilog,
     read_placement_def,
     write_bookshelf_pl,
     write_design,
-    write_netlist_verilog,
     write_placement_def,
 )
-from repro.eda.legalizer import (
-    LegalizationReport,
-    Legalizer,
-    legalize_placement,
-    perturb_placement,
-)
+from repro.eda.legalizer import legalize_placement, perturb_placement
 from repro.eda.maps import (
     all_maps,
     cell_density_map,
-    flyline_map,
     macro_map,
     net_bounding_boxes,
     pin_density_map,
-    rudy_maps,
 )
-from repro.eda.netlist import Cell, Net, Netlist, Pin, merge_statistics
+from repro.eda.netlist import Cell, Net, Netlist, Pin
 from repro.eda.placement import Placement, PlacementConfig, Placer, sweep_placements
-from repro.eda.quality import (
-    PlacementQualityReport,
-    RoutingQualityReport,
-    compare_placements,
-    net_wirelengths,
-    placement_quality,
-    quality_table,
-    routing_quality,
-    total_hpwl,
-    total_steiner_wirelength,
-)
-from repro.eda.routing import CongestionEstimator, CongestionModelConfig, estimate_congestion
-from repro.eda.steiner import (
-    SteinerTree,
-    decompose_to_two_pin,
-    hpwl,
-    manhattan_distance,
-    rectilinear_mst,
-    rsmt_length_estimate,
-    single_trunk_steiner,
-    tree_length,
-)
-from repro.eda.technology import RoutingLayer, Technology, nangate45
+from repro.eda.quality import placement_quality, quality_table, routing_quality
+from repro.eda.routing import CongestionModelConfig, estimate_congestion
+from repro.eda.steiner import decompose_to_two_pin, rsmt_length_estimate
+from repro.eda.technology import Technology, nangate45
 
 __all__ = [
     "Cell",
     "Pin",
     "Net",
     "Netlist",
-    "merge_statistics",
     "Technology",
-    "RoutingLayer",
     "nangate45",
-    "SuiteStyle",
     "DrcSensitivity",
     "SUITES",
     "Design",
     "generate_design",
-    "generate_suite_designs",
     "suite_names",
     "PlacementConfig",
     "Placement",
@@ -100,41 +59,19 @@ __all__ = [
     "cell_density_map",
     "macro_map",
     "pin_density_map",
-    "rudy_maps",
-    "flyline_map",
     "net_bounding_boxes",
     "all_maps",
     "CongestionModelConfig",
-    "CongestionEstimator",
     "estimate_congestion",
     "DrcHotspotLabeler",
-    "DrcResult",
-    "label_hotspots",
     "GlobalRouterConfig",
-    "GlobalRouter",
-    "RoutingGrid",
-    "NetRoute",
     "RoutingResult",
     "route_placement",
-    "hpwl",
-    "manhattan_distance",
-    "rectilinear_mst",
     "decompose_to_two_pin",
-    "single_trunk_steiner",
-    "SteinerTree",
     "rsmt_length_estimate",
-    "tree_length",
-    "net_wirelengths",
-    "total_hpwl",
-    "total_steiner_wirelength",
     "placement_quality",
-    "PlacementQualityReport",
     "routing_quality",
-    "RoutingQualityReport",
-    "compare_placements",
     "quality_table",
-    "write_netlist_verilog",
-    "read_netlist_verilog",
     "write_design",
     "read_design",
     "write_placement_def",
@@ -142,8 +79,6 @@ __all__ = [
     "write_bookshelf_pl",
     "read_bookshelf_pl",
     "apply_positions",
-    "Legalizer",
-    "LegalizationReport",
     "legalize_placement",
     "perturb_placement",
 ]

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.eda.netlist import Cell, Net, Netlist, Pin
-from repro.utils.rng import hash_str, new_rng
+from repro.utils.rng import new_rng
 from repro.utils.validation import check_positive, check_probability
 
 
@@ -311,24 +311,6 @@ def generate_design(
 
     netlist.validate()
     return Design(name=name, suite=suite, netlist=netlist, seed=int(seed))
-
-
-def generate_suite_designs(
-    suite: str,
-    count: int,
-    base_seed: int = 0,
-    name_prefix: Optional[str] = None,
-) -> List[Design]:
-    """Generate ``count`` designs of one suite with deterministic, distinct seeds."""
-    check_positive("count", count)
-    prefix = name_prefix if name_prefix is not None else suite
-    designs = []
-    for index in range(count):
-        seed = int(
-            np.random.SeedSequence([base_seed, index, hash_str(suite) % (2**31)]).generate_state(1)[0]
-        )
-        designs.append(generate_design(suite, f"{prefix}_{index:03d}", seed))
-    return designs
 
 
 def suite_names() -> Sequence[str]:

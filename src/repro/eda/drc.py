@@ -17,7 +17,7 @@ label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 from scipy import ndimage
@@ -144,12 +144,3 @@ class DrcHotspotLabeler:
             analysis_maps=analysis,
         )
 
-
-def label_hotspots(
-    placement: Placement,
-    sensitivity: Optional[DrcSensitivity] = None,
-    label_seed: int = 0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Convenience wrapper returning ``(score, hotspot_map)`` for a placement."""
-    result = DrcHotspotLabeler(label_seed=label_seed).label(placement, sensitivity)
-    return result.score, result.hotspots

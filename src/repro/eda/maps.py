@@ -168,6 +168,12 @@ def net_bounding_boxes(placement: Placement) -> Tuple[np.ndarray, List[str]]:
 
 
 def _rudy_maps(placement: Placement, boxes: np.ndarray) -> Dict[str, np.ndarray]:
+    """RUDY wire-density maps.
+
+    RUDY (Rectangular Uniform wire DensitY) spreads each net's estimated
+    wirelength uniformly over its bounding box.  Returns the combined map and
+    the horizontal / vertical splits used by the congestion model.
+    """
     x0, y0, x1, y1 = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
     # Degenerate (single-bin) boxes are widened to one bin so they still
     # contribute local demand.
@@ -192,17 +198,8 @@ def _rudy_maps(placement: Placement, boxes: np.ndarray) -> Dict[str, np.ndarray]
     }
 
 
-def rudy_maps(placement: Placement) -> Dict[str, np.ndarray]:
-    """RUDY wire-density maps.
-
-    RUDY (Rectangular Uniform wire DensitY) spreads each net's estimated
-    wirelength uniformly over its bounding box.  Returns the combined map and
-    the horizontal / vertical splits used by the congestion model.
-    """
-    return _rudy_maps(placement, net_bounding_boxes(placement)[0])
-
-
 def _flyline_map(placement: Placement, boxes: np.ndarray) -> np.ndarray:
+    """Number of net bounding boxes covering each bin (fly-line crossing count)."""
     grid_h, grid_w = placement.grid_shape
     col_lo = _bin_index(boxes[:, 0], placement.bin_width_um, grid_w)
     col_hi = _bin_index(boxes[:, 2], placement.bin_width_um, grid_w) + 1
@@ -218,11 +215,6 @@ def _flyline_map(placement: Placement, boxes: np.ndarray) -> np.ndarray:
     delta = np.bincount(corners, weights=signs, minlength=(grid_h + 1) * stride)
     counts = delta.reshape(grid_h + 1, stride).cumsum(axis=0).cumsum(axis=1)
     return np.ascontiguousarray(counts[:grid_h, :grid_w])
-
-
-def flyline_map(placement: Placement) -> np.ndarray:
-    """Number of net bounding boxes covering each bin (fly-line crossing count)."""
-    return _flyline_map(placement, net_bounding_boxes(placement)[0])
 
 
 def all_maps(placement: Placement) -> Dict[str, np.ndarray]:

@@ -10,7 +10,7 @@ cluster analysis and placement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -190,10 +190,6 @@ class Netlist:
     def num_pins(self) -> int:
         return sum(net.degree for net in self._nets.values())
 
-    def total_cell_area_sites(self) -> int:
-        """Sum of cell footprints in site units."""
-        return sum(cell.area_sites for cell in self._cells.values())
-
     def average_net_degree(self) -> float:
         if not self._nets:
             return 0.0
@@ -269,18 +265,3 @@ class Netlist:
             f"macros={self.num_macros})"
         )
 
-
-def merge_statistics(netlists: Iterable[Netlist]) -> Dict[str, float]:
-    """Aggregate summary statistics over several netlists (used in reports)."""
-    netlists = list(netlists)
-    if not netlists:
-        return {"designs": 0, "cells": 0, "nets": 0, "macros": 0, "avg_net_degree": 0.0}
-    total_pins = sum(n.num_pins for n in netlists)
-    total_nets = sum(n.num_nets for n in netlists)
-    return {
-        "designs": len(netlists),
-        "cells": sum(n.num_cells for n in netlists),
-        "nets": total_nets,
-        "macros": sum(n.num_macros for n in netlists),
-        "avg_net_degree": total_pins / total_nets if total_nets else 0.0,
-    }

@@ -12,7 +12,7 @@ benchmark harness, and the corpus statistics in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -31,11 +31,6 @@ def net_wirelengths(placement: Placement, steiner: bool = False) -> Dict[str, fl
     rows, table = placement.net_cell_rows()
     points = placement.centers_um()[rows]
     return {name: float(rsmt_length_estimate(points[start:stop])) for name, start, stop in table.spans()}
-
-
-def total_hpwl(placement: Placement) -> float:
-    """Total half-perimeter wirelength of a placement in microns."""
-    return float(sum(net_wirelengths(placement, steiner=False).values()))
 
 
 def total_steiner_wirelength(placement: Placement) -> float:
@@ -148,12 +143,6 @@ def routing_quality(result: RoutingResult, congestion_threshold: float = 0.9) ->
         congested_bin_fraction=float((congestion >= congestion_threshold).mean()) if congestion.size else 0.0,
         ripup_iterations=result.iterations,
     )
-
-
-def compare_placements(placements: List[Placement]) -> List[Tuple[str, PlacementQualityReport]]:
-    """Quality reports for a set of placements, sorted by total HPWL (best first)."""
-    reports = [(p.design.name, placement_quality(p)) for p in placements]
-    return sorted(reports, key=lambda item: item[1].total_hpwl_um)
 
 
 def quality_table(reports: List[PlacementQualityReport]) -> str:

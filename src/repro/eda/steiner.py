@@ -8,8 +8,8 @@ used by placement and global routing:
 * the rectilinear minimum spanning tree (RMST) built with Prim's algorithm in
   Manhattan distance, whose edges are the two-pin connections handed to the
   router;
-* a single-trunk Steiner tree heuristic and an RSMT length estimate that
-  corrects HPWL for pin count, used by wirelength reporting.
+* an RSMT length estimate that corrects HPWL for pin count, used by
+  wirelength reporting.
 
 All functions operate on integer or floating-point point sets of shape
 ``(n, 2)`` in ``(x, y)`` order; the units (microns or grid bins) are the
@@ -18,7 +18,6 @@ caller's choice and are preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -49,11 +48,6 @@ def _as_points(points: Sequence[Sequence[float]]) -> np.ndarray:
     if array.ndim != 2 or array.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {array.shape}")
     return array
-
-
-def manhattan_distance(p: Sequence[float], q: Sequence[float]) -> float:
-    """Manhattan (L1) distance between two points."""
-    return float(abs(p[0] - q[0]) + abs(p[1] - q[1]))
 
 
 def hpwl(points: Sequence[Sequence[float]]) -> float:
@@ -120,81 +114,6 @@ def decompose_to_two_pin(points: Sequence[Sequence[float]]) -> List[Tuple[int, i
     return edges
 
 
-@dataclass(frozen=True)
-class SteinerTree:
-    """A rectilinear Steiner tree: original pins plus added Steiner points.
-
-    Attributes
-    ----------
-    pins:
-        The input pin coordinates, shape ``(n, 2)``.
-    steiner_points:
-        Added branching points, shape ``(m, 2)`` (possibly empty).
-    edges:
-        Index pairs into the concatenation ``[pins; steiner_points]``.
-    length:
-        Total Manhattan length of all edges.
-    """
-
-    pins: np.ndarray
-    steiner_points: np.ndarray
-    edges: Tuple[Tuple[int, int], ...]
-    length: float
-
-    @property
-    def all_points(self) -> np.ndarray:
-        if self.steiner_points.size == 0:
-            return self.pins
-        return np.vstack([self.pins, self.steiner_points])
-
-
-def single_trunk_steiner(points: Sequence[Sequence[float]]) -> SteinerTree:
-    """Single-trunk Steiner tree heuristic.
-
-    A horizontal or vertical trunk is placed at the median of the pins'
-    off-axis coordinate, and every pin connects to the trunk with a straight
-    branch.  The cheaper of the two trunk orientations is returned.  For two
-    pins this degenerates to an L-shaped connection; for one pin the tree is
-    empty.
-    """
-    array = _as_points(points)
-    n = array.shape[0]
-    if n < 2:
-        return SteinerTree(pins=array, steiner_points=np.zeros((0, 2)), edges=(), length=0.0)
-
-    def build(trunk_axis: int) -> SteinerTree:
-        # trunk_axis == 0: horizontal trunk at median y, branches are vertical.
-        off_axis = 1 - trunk_axis
-        trunk_coord = float(np.median(array[:, off_axis]))
-        lo = float(array[:, trunk_axis].min())
-        hi = float(array[:, trunk_axis].max())
-        trunk_length = hi - lo
-        branch_length = float(np.abs(array[:, off_axis] - trunk_coord).sum())
-
-        steiner: List[Tuple[float, float]] = []
-        edges: List[Tuple[int, int]] = []
-        for index in range(n):
-            drop = [0.0, 0.0]
-            drop[trunk_axis] = float(array[index, trunk_axis])
-            drop[off_axis] = trunk_coord
-            steiner.append((drop[0], drop[1]))
-            edges.append((index, n + index))
-        # Chain the Steiner points along the trunk in sorted order.
-        order = np.argsort(array[:, trunk_axis])
-        for left, right in zip(order[:-1], order[1:]):
-            edges.append((n + int(left), n + int(right)))
-        return SteinerTree(
-            pins=array,
-            steiner_points=np.asarray(steiner, dtype=np.float64),
-            edges=tuple(edges),
-            length=trunk_length + branch_length,
-        )
-
-    horizontal = build(trunk_axis=0)
-    vertical = build(trunk_axis=1)
-    return horizontal if horizontal.length <= vertical.length else vertical
-
-
 def rsmt_length_estimate(points: Sequence[Sequence[float]]) -> float:
     """Estimated rectilinear Steiner minimal tree length.
 
@@ -221,11 +140,3 @@ def rsmt_length_estimate(points: Sequence[Sequence[float]]) -> float:
             factor = (1 - weight) * _RSMT_CORRECTION[lower] + weight * _RSMT_CORRECTION[upper]
     return base * factor
 
-
-def tree_length(points: Sequence[Sequence[float]], edges: Sequence[Tuple[int, int]]) -> float:
-    """Total Manhattan length of a tree given as point indices."""
-    array = _as_points(points)
-    total = 0.0
-    for i, j in edges:
-        total += manhattan_distance(array[i], array[j])
-    return total

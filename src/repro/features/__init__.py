@@ -1,15 +1,8 @@
 """Routability feature extraction."""
 
-from repro.features.extraction import (
-    DEFAULT_FEATURES,
-    FEATURE_BUILDERS,
-    FeatureExtractor,
-    available_features,
-)
+from repro.features.extraction import DEFAULT_FEATURES, FeatureExtractor
 
 __all__ = [
     "FeatureExtractor",
     "DEFAULT_FEATURES",
-    "FEATURE_BUILDERS",
-    "available_features",
 ]

@@ -67,10 +67,8 @@ from repro.fl.algorithms import (
     LocalOnly,
     ModelFactory,
     RoundAlgorithm,
-    RoundRecord,
     SeededModelFactory,
     TrainingResult,
-    normalization_parameter_names,
 )
 from repro.fl.aggregation import (
     StreamingAccumulator,
@@ -78,18 +76,15 @@ from repro.fl.aggregation import (
     UpdateAccumulator,
 )
 from repro.fl.client import FederatedClient, initial_rng_state
-from repro.fl.population import ClientDirectory, ClientHandle, VirtualClientSpec
+from repro.fl.population import ClientDirectory
 from repro.fl.communication import (
     BYTES_PER_FLOAT32,
-    CommunicationReport,
     CommunicationTracker,
     estimate_communication,
     state_bytes,
-    state_num_parameters,
 )
 from repro.fl.transport import (
     CODECS,
-    COMPRESSION_CHOICES,
     Channel,
     ChannelSummary,
     Codec,
@@ -103,7 +98,6 @@ from repro.fl.transport import (
 )
 from repro.fl.scheduling import (
     AVAILABILITY_CHOICES,
-    ROUND_POLICY_CHOICES,
     SAMPLER_CHOICES,
     STRAGGLER_CHOICES,
     AvailabilityModel,
@@ -113,15 +107,13 @@ from repro.fl.scheduling import (
     RoundScheduler,
     SchedulingOptions,
     SchedulingSummary,
-    UniformSampler,
     VirtualClock,
-    WeightedSampler,
     create_availability,
     create_latency,
     create_sampler,
     create_scheduler,
 )
-from repro.fl.config import PAPER_ASSIGNED_CLUSTERS, FLConfig, paper_fl_config, scaled_fl_config
+from repro.fl.config import FLConfig
 from repro.fl.execution import (
     BACKENDS,
     CheckpointManager,
@@ -134,12 +126,10 @@ from repro.fl.execution import (
     RoundCheckpoint,
     SerialBackend,
     create_backend,
-    default_worker_count,
 )
 from repro.fl.faults import (
     ClientExecutionError,
     FaultPlan,
-    InjectedFault,
     QuorumFailure,
     ResilienceManager,
     ResilienceOptions,
@@ -148,13 +138,7 @@ from repro.fl.faults import (
     TaskFailure,
     create_resilience,
 )
-from repro.fl.evaluation import (
-    EvaluationRow,
-    evaluate_cross_client,
-    evaluate_result,
-    local_average_row,
-    rows_to_table,
-)
+from repro.fl.evaluation import EvaluationRow, evaluate_result
 from repro.fl.parameters import (
     FlatState,
     State,
@@ -175,9 +159,7 @@ from repro.fl.privacy import (
     GaussianAccountant,
     PrivacyConfig,
     PrivateUpdateLog,
-    add_gaussian_noise,
     apply_update,
-    clip_update,
     privatize_update,
     state_update,
 )
@@ -194,9 +176,7 @@ from repro.fl.trainer import LocalTrainer, StepStatistics, predict_dataset
 # Imported after repro.fl.execution so the import side effect can register
 # the "wire" backend into BACKENDS.
 from repro.fl.net import (
-    FederationClientRunner,
     FederationServer as WireFederationServer,
-    JoinReport,
     WireBackend,
     WireFaultPlan,
     WireOptions,
@@ -305,13 +285,10 @@ __all__ = [
     "ClientTask",
     "ClientUpdate",
     "create_backend",
-    "default_worker_count",
     "WireBackend",
     "WireFaultPlan",
     "WireOptions",
     "WireFederationServer",
-    "FederationClientRunner",
-    "JoinReport",
     "run_client",
     "FaultPlan",
     "RetryPolicy",
@@ -319,22 +296,16 @@ __all__ = [
     "ResilienceOptions",
     "ResilienceSummary",
     "create_resilience",
-    "InjectedFault",
     "TaskFailure",
     "ClientExecutionError",
     "QuorumFailure",
     "CheckpointManager",
     "RoundCheckpoint",
     "FLConfig",
-    "paper_fl_config",
-    "scaled_fl_config",
-    "PAPER_ASSIGNED_CLUSTERS",
     "FederatedClient",
     "FederatedServer",
     "initial_rng_state",
     "ClientDirectory",
-    "ClientHandle",
-    "VirtualClientSpec",
     "UpdateAccumulator",
     "StreamingAccumulator",
     "StreamingDeltaAccumulator",
@@ -344,7 +315,6 @@ __all__ = [
     "FederatedAlgorithm",
     "RoundAlgorithm",
     "TrainingResult",
-    "RoundRecord",
     "ModelFactory",
     "SeededModelFactory",
     "LocalOnly",
@@ -358,7 +328,6 @@ __all__ = [
     "AlphaPortionSync",
     "FedAvgM",
     "FedBN",
-    "normalization_parameter_names",
     "DPFedProx",
     "ALGORITHMS",
     "create_algorithm",
@@ -368,22 +337,15 @@ __all__ = [
     "privatize_update",
     "state_update",
     "apply_update",
-    "clip_update",
-    "add_gaussian_noise",
     "BYTES_PER_FLOAT32",
-    "state_num_parameters",
     "state_bytes",
-    "CommunicationReport",
     "CommunicationTracker",
     "estimate_communication",
     "SAMPLER_CHOICES",
     "AVAILABILITY_CHOICES",
     "STRAGGLER_CHOICES",
-    "ROUND_POLICY_CHOICES",
     "ClientSampler",
     "FullParticipation",
-    "UniformSampler",
-    "WeightedSampler",
     "AvailabilityModel",
     "LatencyModel",
     "VirtualClock",
@@ -395,7 +357,6 @@ __all__ = [
     "create_latency",
     "create_scheduler",
     "CODECS",
-    "COMPRESSION_CHOICES",
     "Codec",
     "IdentityCodec",
     "QuantizationCodec",
@@ -408,9 +369,6 @@ __all__ = [
     "create_channel",
     "EvaluationRow",
     "evaluate_result",
-    "evaluate_cross_client",
-    "local_average_row",
-    "rows_to_table",
     "State",
     "FlatState",
     "StateLayout",

@@ -29,21 +29,19 @@ from repro.fl.algorithms.base import (
     FederatedAlgorithm,
     ModelFactory,
     RoundAlgorithm,
-    RoundRecord,
     SeededModelFactory,
     TrainingResult,
 )
 from repro.fl.algorithms.baselines import Centralized, LocalOnly
 from repro.fl.algorithms.dp import DPFedProx
 from repro.fl.algorithms.fedavgm import FedAvgM
-from repro.fl.algorithms.fedbn import FedBN, normalization_parameter_names
+from repro.fl.algorithms.fedbn import FedBN
 from repro.fl.algorithms.fedprox import FedAvg, FedProx
 
 __all__ = [
     "FederatedAlgorithm",
     "RoundAlgorithm",
     "TrainingResult",
-    "RoundRecord",
     "ModelFactory",
     "SeededModelFactory",
     "LocalOnly",
@@ -52,6 +50,5 @@ __all__ = [
     "FedProx",
     "FedAvgM",
     "FedBN",
-    "normalization_parameter_names",
     "DPFedProx",
 ]

@@ -29,7 +29,7 @@ from repro.data.clients import ClientData
 from repro.data.dataset import RoutabilityDataset
 from repro.fl.config import FLConfig
 from repro.fl.parameters import State, clone_state, flat_model_state
-from repro.fl.trainer import LocalTrainer, StepStatistics, predict_dataset
+from repro.fl.trainer import LocalTrainer, predict_dataset
 from repro.metrics.roc import roc_auc_score
 from repro.models.base import RoutabilityModel
 

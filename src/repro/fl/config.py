@@ -9,7 +9,7 @@ alpha-portion sync, C=4 clusters for IFCA, and the assigned clustering
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.nn.dtypes import COMPUTE_DTYPE_CHOICES
@@ -117,30 +117,3 @@ class FLConfig:
         """The assigned-clustering mapping as a dictionary."""
         return dict(self.assigned_clusters)
 
-
-def paper_fl_config(seed: int = 0) -> FLConfig:
-    """The exact hyper-parameters of Section 5.1."""
-    return FLConfig(seed=seed)
-
-
-def scaled_fl_config(
-    rounds: int = 6,
-    local_steps: int = 10,
-    finetune_steps: int = 60,
-    batch_size: int = 4,
-    seed: int = 0,
-    learning_rate: float = 2e-3,
-) -> FLConfig:
-    """A laptop-scale configuration preserving the structure of the paper's setup.
-
-    The learning rate is raised (2e-3 instead of 2e-4) because the scaled
-    configuration takes two orders of magnitude fewer gradient steps.
-    """
-    return FLConfig(
-        rounds=rounds,
-        local_steps=local_steps,
-        finetune_steps=finetune_steps,
-        batch_size=batch_size,
-        learning_rate=learning_rate,
-        seed=seed,
-    )

@@ -9,7 +9,7 @@ held-out testing designs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -43,41 +43,3 @@ def evaluate_result(result: TrainingResult, clients: Sequence[FederatedClient]) 
         state = result.state_for_client(client.client_id)
         row.per_client_auc[client.client_id] = client.evaluate_auc(state)
     return row
-
-
-def evaluate_cross_client(
-    result: TrainingResult, clients: Sequence[FederatedClient]
-) -> Dict[int, Dict[int, float]]:
-    """Evaluate every per-client model on every client's test data.
-
-    Returns ``{model_owner: {test_client: auc}}``; useful for diagnosing how
-    transferable local models are across benchmark suites (the heterogeneity
-    the paper describes in Section 3).
-    """
-    matrix: Dict[int, Dict[int, float]] = {}
-    for owner in clients:
-        state = result.state_for_client(owner.client_id)
-        matrix[owner.client_id] = {
-            tester.client_id: tester.evaluate_auc(state) for tester in clients
-        }
-    return matrix
-
-
-def local_average_row(
-    local_result: TrainingResult, clients: Sequence[FederatedClient], label: str = "local"
-) -> EvaluationRow:
-    """The "Local Average (b1 to b9)" row: client ``k`` deploys its own ``b_k``."""
-    row = evaluate_result(local_result, clients)
-    row.algorithm = label
-    return row
-
-
-def rows_to_table(rows: List[EvaluationRow], digits: int = 2) -> List[Dict[str, object]]:
-    """Render evaluation rows as printable dictionaries (rounded)."""
-    table = []
-    for row in rows:
-        entry: Dict[str, object] = {"method": row.algorithm}
-        for key, value in row.as_dict().items():
-            entry[key] = round(float(value), digits)
-        table.append(entry)
-    return table

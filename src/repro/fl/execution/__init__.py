@@ -15,9 +15,7 @@ from repro.fl.execution.backend import (
     ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
-    clamp_workers,
     create_backend,
-    default_worker_count,
     run_client_task,
 )
 from repro.fl.execution.checkpoint import CheckpointManager, RoundCheckpoint
@@ -34,9 +32,7 @@ __all__ = [
     "SerialBackend",
     "ProcessPoolBackend",
     "ThreadPoolBackend",
-    "clamp_workers",
     "create_backend",
-    "default_worker_count",
     "run_client_task",
     "CheckpointManager",
     "RoundCheckpoint",

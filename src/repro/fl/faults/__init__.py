@@ -25,18 +25,9 @@ first-class, *deterministic* part of the simulation:
     code paths bit for bit.
 """
 
-from repro.fl.faults.errors import (
-    ClientExecutionError,
-    InjectedCorruption,
-    InjectedCrash,
-    InjectedException,
-    InjectedFault,
-    InjectedTimeout,
-    QuorumFailure,
-    TaskFailure,
-)
-from repro.fl.faults.plan import FAULT_KINDS, FAULT_SEED_TAG, FaultDecision, FaultPlan
-from repro.fl.faults.retry import DEFAULT_MAX_RETRIES, RETRY_SEED_TAG, RetryPolicy
+from repro.fl.faults.errors import ClientExecutionError, QuorumFailure, TaskFailure
+from repro.fl.faults.plan import FAULT_KINDS, FaultDecision, FaultPlan
+from repro.fl.faults.retry import DEFAULT_MAX_RETRIES, RetryPolicy
 from repro.fl.faults.supervisor import (
     ResilienceManager,
     ResilienceOptions,
@@ -46,8 +37,6 @@ from repro.fl.faults.supervisor import (
 
 __all__ = [
     "FAULT_KINDS",
-    "FAULT_SEED_TAG",
-    "RETRY_SEED_TAG",
     "DEFAULT_MAX_RETRIES",
     "FaultDecision",
     "FaultPlan",
@@ -56,11 +45,6 @@ __all__ = [
     "ResilienceOptions",
     "ResilienceSummary",
     "create_resilience",
-    "InjectedFault",
-    "InjectedCrash",
-    "InjectedException",
-    "InjectedTimeout",
-    "InjectedCorruption",
     "TaskFailure",
     "ClientExecutionError",
     "QuorumFailure",

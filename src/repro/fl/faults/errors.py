@@ -3,57 +3,20 @@
 This module is dependency-free so every layer (backends, supervisor, round
 loops, CLI) can import the exception types without cycles.
 
-Two families live here:
-
-Injected faults
-    :class:`InjectedFault` subclasses raised (or simulated) by the
-    deterministic :class:`~repro.fl.faults.FaultPlan`.  They model a client
-    crashing, raising, timing out, or corrupting its upload.
-
-Runtime failures
-    :class:`ClientExecutionError` wraps any per-task failure with the
-    client id, round number, and backend context before it reaches the
-    caller; :class:`QuorumFailure` is the typed, recoverable signal that a
-    round fell below its commit quorum.  :class:`TaskFailure` is the
-    *value* (not exception) a backend yields for a failed task so streaming
-    iterators survive individual task deaths.
+:class:`ClientExecutionError` wraps any per-task failure with the client id,
+round number, and backend context before it reaches the caller;
+:class:`QuorumFailure` is the typed, recoverable signal that a round fell
+below its commit quorum.  :class:`TaskFailure` is the *value* (not
+exception) a backend yields for a failed task so streaming iterators survive
+individual task deaths.  Injected faults are not exceptions at all: the
+:class:`~repro.fl.faults.FaultPlan` decides them and the supervisor counts
+them as failed attempts of the matching kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-
-class InjectedFault(RuntimeError):
-    """Base class for all deterministically injected client faults."""
-
-    #: Short registry name of the fault kind (``crash``/``exception``/...).
-    kind: str = "fault"
-
-
-class InjectedCrash(InjectedFault):
-    """The client process died before producing an update."""
-
-    kind = "crash"
-
-
-class InjectedException(InjectedFault):
-    """The client raised mid-training (bad batch, numerical blow-up, ...)."""
-
-    kind = "exception"
-
-
-class InjectedTimeout(InjectedFault):
-    """The client exceeded its task deadline and was abandoned."""
-
-    kind = "timeout"
-
-
-class InjectedCorruption(InjectedFault):
-    """The client's upload arrived with flipped bytes."""
-
-    kind = "corruption"
 
 
 @dataclass
@@ -147,11 +110,6 @@ class QuorumFailure(RuntimeError):
 
 
 __all__ = [
-    "InjectedFault",
-    "InjectedCrash",
-    "InjectedException",
-    "InjectedTimeout",
-    "InjectedCorruption",
     "TaskFailure",
     "ClientExecutionError",
     "QuorumFailure",

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.fl.faults.errors import InjectedFault, QuorumFailure, TaskFailure
+from repro.fl.faults.errors import QuorumFailure, TaskFailure
 from repro.fl.faults.plan import FAULT_KINDS, FaultDecision, FaultPlan, check_rates
 from repro.fl.faults.retry import DEFAULT_MAX_RETRIES, RetryPolicy
 from repro.fl.scheduling.clock import VirtualClock
@@ -156,11 +156,6 @@ class ResilienceManager:
     def active_cohort(self, cohort: Iterable[int]) -> List[int]:
         """``cohort`` minus the permanently failed clients."""
         return [int(index) for index in cohort if int(index) not in self._failed]
-
-    @property
-    def failed_indices(self) -> List[int]:
-        """Roster indices permanently dropped so far (sorted)."""
-        return sorted(self._failed)
 
     def quorum_required(self, cohort_size: int) -> int:
         """Updates needed to commit a round over ``cohort_size`` clients."""

@@ -21,14 +21,13 @@ backend registry under the name ``"wire"``.
 
 from repro.fl.execution.backend import BACKENDS
 from repro.fl.net.backend import WireBackend, WireOptions
-from repro.fl.net.client import FederationClientRunner, JoinReport, run_client
+from repro.fl.net.client import run_client
 from repro.fl.net.errors import (
     FrameError,
     HandshakeError,
     JournalError,
     MessageDecodeError,
     SessionLost,
-    WireProtocolError,
 )
 from repro.fl.net.faults import WIRE_FAULT_KINDS, WireFaultPlan
 from repro.fl.net.framing import FrameReader, encode_frame
@@ -39,12 +38,10 @@ from repro.fl.net.server import NETWORK_COUNTER_KEYS, FederationServer, WireFail
 BACKENDS.setdefault(WireBackend.name, WireBackend)
 
 __all__ = [
-    "FederationClientRunner",
     "FederationServer",
     "FrameError",
     "FrameReader",
     "HandshakeError",
-    "JoinReport",
     "JournalError",
     "MessageDecodeError",
     "MessageJournal",
@@ -56,7 +53,6 @@ __all__ = [
     "WireFailure",
     "WireFaultPlan",
     "WireOptions",
-    "WireProtocolError",
     "encode_frame",
     "run_client",
 ]

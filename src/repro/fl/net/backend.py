@@ -30,7 +30,7 @@ import logging
 import threading
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, Optional, Sequence, Union
 
 from repro.fl.execution.backend import (
     ClientTask,

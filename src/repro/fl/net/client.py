@@ -63,7 +63,6 @@ from repro.fl.net.messages import (
     MSG_STATE,
     MSG_TASK,
     MSG_WELCOME,
-    Goodbye,
     HeartbeatAck,
     Hello,
     TaskEnvelope,

@@ -8,8 +8,6 @@ resilience layer can dispatch on *what* failed without parsing strings.
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class WireProtocolError(ValueError):
     """Base class for every wire-protocol violation."""

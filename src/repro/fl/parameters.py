@@ -54,6 +54,8 @@ cached gather indices between the two orders.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,6 +75,9 @@ class StateLayout:
     interned (:meth:`of`), so every state of the same architecture shares
     one layout object and compatibility checks reduce to an identity (or
     cached set-equality) test instead of rebuilding ``set(state)`` per call.
+    The intern table holds its layouts weakly: a layout lives as long as a
+    state (or a caller) uses it, so a peer sending states with ever-new
+    tensor names cannot grow the table without bound.
     """
 
     __slots__ = (
@@ -86,9 +91,14 @@ class StateLayout:
         "_sorted_perm",
         "_sorted_schema",
         "_gather_cache",
+        "_hash",
+        "__weakref__",
     )
 
-    _interned: Dict[Tuple[LayoutEntry, ...], "StateLayout"] = {}
+    _interned: "weakref.WeakValueDictionary[Tuple[LayoutEntry, ...], StateLayout]" = (
+        weakref.WeakValueDictionary()
+    )
+    _intern_lock = threading.Lock()
 
     def __init__(self, entries: Tuple[LayoutEntry, ...]):
         names = tuple(name for name, _ in entries)
@@ -108,7 +118,11 @@ class StateLayout:
         self.entry_set = frozenset(entries)
         self._sorted_perm: Optional[np.ndarray] = None
         self._sorted_schema: Optional[Tuple[LayoutEntry, ...]] = None
-        self._gather_cache: Dict[int, np.ndarray] = {}
+        # Keyed weakly by the source layout, which may die before this one.
+        self._gather_cache: "weakref.WeakKeyDictionary[StateLayout, np.ndarray]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._hash = hash(entries)
 
     # -- construction -----------------------------------------------------------
     @classmethod
@@ -117,10 +131,13 @@ class StateLayout:
         key = tuple((str(name), tuple(int(dim) for dim in shape)) for name, shape in entries)
         layout = cls._interned.get(key)
         if layout is None:
-            # setdefault keeps interning atomic under the thread-pool
-            # execution backend: two clients racing to intern the same
-            # architecture agree on a single canonical layout object.
-            layout = cls._interned.setdefault(key, cls(key))
+            # The lock keeps interning atomic under the thread-pool execution
+            # backend: two clients racing to intern the same architecture
+            # agree on a single canonical layout object.
+            with cls._intern_lock:
+                layout = cls._interned.get(key)
+                if layout is None:
+                    layout = cls._interned[key] = cls(key)
         return layout
 
     @classmethod
@@ -170,9 +187,9 @@ class StateLayout:
         """Indices ``p`` such that ``other_vector[p]`` is in *this* order.
 
         Requires :meth:`compatible_with`; the permutation is cached per
-        source layout (layouts are interned, so ``id`` is a stable key).
+        source layout for as long as that layout lives.
         """
-        cached = self._gather_cache.get(id(other))
+        cached = self._gather_cache.get(other)
         if cached is not None:
             return cached
         if not self.compatible_with(other):
@@ -185,7 +202,7 @@ class StateLayout:
             chunks.append(np.arange(offset, offset + size, dtype=np.int64))
         perm = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
         perm.setflags(write=False)
-        self._gather_cache[id(other)] = perm
+        self._gather_cache[other] = perm
         return perm
 
     # -- views --------------------------------------------------------------------
@@ -202,7 +219,11 @@ class StateLayout:
         )
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return self._hash
+
+    def __reduce__(self):
+        # Re-interned on the receiving side; the caches are not shipped.
+        return (StateLayout.of, (self.entries,))
 
     def __len__(self) -> int:
         return len(self.entries)

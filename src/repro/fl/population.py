@@ -237,11 +237,6 @@ class ClientDirectory:
         self.materialized_count -= 1
         self.total_releases += 1
 
-    def release_all(self) -> None:
-        """Release every materialized client (end of an experiment)."""
-        for handle in self.handles:
-            handle.release()
-
     def __getstate__(self):
         # The directory rides along with every pickled handle; ship the
         # construction inputs, not the counters (workers count their own).

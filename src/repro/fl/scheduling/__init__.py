@@ -34,32 +34,17 @@ from repro.fl.scheduling.availability import (
     AVAILABILITY_CHOICES,
     AlwaysAvailable,
     AvailabilityModel,
-    BernoulliAvailability,
-    DayNightAvailability,
     create_availability,
 )
 from repro.fl.scheduling.clock import VirtualClock
-from repro.fl.scheduling.latency import (
-    STRAGGLER_CHOICES,
-    LatencyModel,
-    LogNormalLatency,
-    ParetoLatency,
-    UniformLatency,
-    ZeroLatency,
-    create_latency,
-)
+from repro.fl.scheduling.latency import STRAGGLER_CHOICES, LatencyModel, ZeroLatency, create_latency
 from repro.fl.scheduling.samplers import (
     SAMPLER_CHOICES,
     ClientSampler,
     FullParticipation,
-    UniformSampler,
-    WeightedSampler,
     create_sampler,
 )
 from repro.fl.scheduling.scheduler import (
-    ROUND_POLICY_CHOICES,
-    RoundOutcome,
-    RoundPlan,
     RoundScheduler,
     SchedulingOptions,
     SchedulingSummary,
@@ -70,26 +55,16 @@ __all__ = [
     "SAMPLER_CHOICES",
     "ClientSampler",
     "FullParticipation",
-    "UniformSampler",
-    "WeightedSampler",
     "create_sampler",
     "AVAILABILITY_CHOICES",
     "AvailabilityModel",
     "AlwaysAvailable",
-    "BernoulliAvailability",
-    "DayNightAvailability",
     "create_availability",
     "STRAGGLER_CHOICES",
     "LatencyModel",
     "ZeroLatency",
-    "UniformLatency",
-    "LogNormalLatency",
-    "ParetoLatency",
     "create_latency",
     "VirtualClock",
-    "ROUND_POLICY_CHOICES",
-    "RoundPlan",
-    "RoundOutcome",
     "RoundScheduler",
     "SchedulingOptions",
     "SchedulingSummary",

@@ -16,12 +16,9 @@ from repro.fl.transport.codecs import (
     Payload,
     QuantizationCodec,
     TopKCodec,
-    packed_code_bytes,
-    topk_flat_indices,
 )
 from repro.fl.transport.errors import TransportDecodeError
 from repro.fl.transport.channel import (
-    COMPRESSION_CHOICES,
     Channel,
     ChannelSummary,
     TransportOptions,
@@ -37,9 +34,6 @@ __all__ = [
     "TopKCodec",
     "Payload",
     "TransportDecodeError",
-    "packed_code_bytes",
-    "topk_flat_indices",
-    "COMPRESSION_CHOICES",
     "Channel",
     "ChannelSummary",
     "TransportOptions",

@@ -1,20 +1,5 @@
 """Evaluation metrics."""
 
-from repro.metrics.classification import (
-    accuracy_score,
-    confusion_matrix,
-    f1_score,
-    precision_score,
-    recall_score,
-)
-from repro.metrics.roc import roc_auc_score, roc_curve
+from repro.metrics.roc import roc_auc_score
 
-__all__ = [
-    "roc_auc_score",
-    "roc_curve",
-    "confusion_matrix",
-    "accuracy_score",
-    "precision_score",
-    "recall_score",
-    "f1_score",
-]
+__all__ = ["roc_auc_score"]

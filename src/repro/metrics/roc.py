@@ -8,8 +8,6 @@ average ranks, which handles tied scores exactly.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 from scipy import stats
 
@@ -54,46 +52,3 @@ def roc_auc_score(labels: np.ndarray, scores: np.ndarray) -> float:
     u_statistic = rank_sum_positive - n_positive * (n_positive + 1) / 2.0
     return u_statistic / (n_positive * n_negative)
 
-
-def roc_curve(labels: np.ndarray, scores: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compute the ROC curve.
-
-    Returns
-    -------
-    (fpr, tpr, thresholds):
-        False-positive rates, true-positive rates, and the score thresholds
-        at which they are achieved (descending).
-    """
-    labels = _validate_binary_labels(labels)
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if labels.shape != scores.shape:
-        raise ValueError("labels and scores must have the same number of elements")
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-
-    # Keep one point per distinct threshold.
-    distinct = np.where(np.diff(sorted_scores))[0]
-    threshold_idxs = np.concatenate([distinct, [labels.size - 1]])
-
-    true_positives = np.cumsum(sorted_labels)[threshold_idxs]
-    false_positives = 1 + threshold_idxs - true_positives
-
-    n_positive = labels.sum()
-    n_negative = labels.size - n_positive
-    if n_positive == 0 or n_negative == 0:
-        raise ValueError("ROC curve is undefined when only one class is present")
-
-    tpr = np.concatenate([[0.0], true_positives / n_positive])
-    fpr = np.concatenate([[0.0], false_positives / n_negative])
-    thresholds = np.concatenate([[np.inf], sorted_scores[threshold_idxs]])
-    return fpr, tpr, thresholds
-
-
-def auc_from_curve(fpr: np.ndarray, tpr: np.ndarray) -> float:
-    """Trapezoidal area under a (fpr, tpr) curve."""
-    fpr = np.asarray(fpr, dtype=np.float64)
-    tpr = np.asarray(tpr, dtype=np.float64)
-    order = np.argsort(fpr, kind="mergesort")
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz  # NumPy 2.0 rename
-    return float(trapezoid(tpr[order], fpr[order]))

@@ -346,10 +346,3 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def log_sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable ``log(sigmoid(x))`` (dtype-preserving for floats)."""
     return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis`` (dtype-preserving)."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)

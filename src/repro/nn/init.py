@@ -8,64 +8,26 @@ from typing import Tuple
 import numpy as np
 
 
-def _fan_in_fan_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
-    """Compute fan-in / fan-out for dense and convolutional weight shapes.
+def _fan_in(shape: Tuple[int, ...]) -> int:
+    """Fan-in of a convolutional weight shape.
 
-    Dense weights are ``(out_features, in_features)``; convolutional weights
-    are ``(out_channels, in_channels, kh, kw)`` and transposed-convolution
-    weights are ``(in_channels, out_channels, kh, kw)`` — for initialization
-    purposes the distinction does not matter, only the receptive-field size.
+    Convolutional weights are ``(out_channels, in_channels, kh, kw)`` and
+    transposed-convolution weights are ``(in_channels, out_channels, kh, kw)``
+    — for initialization purposes the distinction does not matter, only the
+    receptive-field size.
     """
-    if len(shape) == 2:
-        fan_out, fan_in = shape
-    elif len(shape) == 4:
-        receptive = shape[2] * shape[3]
-        fan_in = shape[1] * receptive
-        fan_out = shape[0] * receptive
-    else:
+    if len(shape) != 4:
         raise ValueError(f"unsupported weight shape for fan computation: {shape}")
-    return fan_in, fan_out
+    return shape[1] * shape[2] * shape[3]
 
 
 def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = math.sqrt(2.0)) -> np.ndarray:
     """He/Kaiming uniform initialization (default gain for ReLU networks)."""
-    fan_in, _ = _fan_in_fan_out(shape)
-    bound = gain * math.sqrt(3.0 / fan_in)
+    bound = gain * math.sqrt(3.0 / _fan_in(shape))
     return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_normal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = math.sqrt(2.0)) -> np.ndarray:
-    """He/Kaiming normal initialization."""
-    fan_in, _ = _fan_in_fan_out(shape)
-    std = gain / math.sqrt(fan_in)
-    return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform initialization."""
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialization."""
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
 
 
 def uniform_bias(shape: Tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
     """PyTorch-style bias initialization: uniform in ``±1/sqrt(fan_in)``."""
     bound = 1.0 / math.sqrt(max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape)
-
-
-def zeros(shape: Tuple[int, ...]) -> np.ndarray:
-    """All-zeros initialization."""
-    return np.zeros(shape, dtype=np.float64)
-
-
-def ones(shape: Tuple[int, ...]) -> np.ndarray:
-    """All-ones initialization."""
-    return np.ones(shape, dtype=np.float64)

@@ -6,7 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.functional import sigmoid
 from repro.nn.module import Module
 
 
@@ -26,58 +25,3 @@ class ReLU(Module):
         if self._mask is None:
             raise RuntimeError("ReLU.backward called before forward")
         return np.where(self._mask, grad_output, 0.0)
-
-
-class LeakyReLU(Module):
-    """Leaky rectified linear unit with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        if negative_slope < 0:
-            raise ValueError(f"negative_slope must be non-negative, got {negative_slope}")
-        self.negative_slope = float(negative_slope)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=self.compute_dtype)
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("LeakyReLU.backward called before forward")
-        return np.where(self._mask, grad_output, self.negative_slope * grad_output)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def __init__(self):
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = sigmoid(np.asarray(x, dtype=self.compute_dtype))
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("Sigmoid.backward called before forward")
-        return grad_output * self._output * (1.0 - self._output)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self):
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(np.asarray(x, dtype=self.compute_dtype))
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("Tanh.backward called before forward")
-        return grad_output * (1.0 - self._output**2)

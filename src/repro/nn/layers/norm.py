@@ -164,13 +164,3 @@ class GroupNorm(Module):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GroupNorm({self.num_groups}, {self.num_channels}, eps={self.eps})"
-
-
-class InstanceNorm2d(GroupNorm):
-    """Instance normalization: group normalization with one group per channel."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5):
-        super().__init__(num_groups=num_features, num_channels=num_features, eps=eps)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"InstanceNorm2d({self.num_channels}, eps={self.eps})"

@@ -1,4 +1,8 @@
-"""Spatial pooling layers."""
+"""Spatial resampling layers: max pooling down, pixel shuffle up.
+
+Pixel shuffle is the sub-pixel upsampling block used by PROS-style
+routability estimators.
+"""
 
 from __future__ import annotations
 
@@ -55,43 +59,37 @@ class MaxPool2d(Module):
         return grad_reshaped.reshape(n, c, h, w)
 
 
-class AvgPool2d(Module):
-    """Average pooling with a square window."""
+class PixelShuffle(Module):
+    """Rearranges ``(N, C*r^2, H, W)`` into ``(N, C, H*r, W*r)``."""
 
-    def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0):
+    def __init__(self, upscale_factor: int):
         super().__init__()
-        if kernel_size <= 0:
-            raise ValueError(f"kernel_size must be positive, got {kernel_size}")
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride) if stride is not None else int(kernel_size)
-        self.padding = int(padding)
-        self._cache = None
-
-    def output_shape(self, height: int, width: int) -> Tuple[int, int]:
-        out_h = conv_output_size(height, self.kernel_size, self.stride, self.padding)
-        out_w = conv_output_size(width, self.kernel_size, self.stride, self.padding)
-        return out_h, out_w
+        if upscale_factor <= 0:
+            raise ValueError(f"upscale_factor must be positive, got {upscale_factor}")
+        self.upscale_factor = int(upscale_factor)
+        self._input_shape: Optional[Tuple[int, int, int, int]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.compute_dtype)
         n, c, h, w = x.shape
-        out_h, out_w = self.output_shape(h, w)
-        reshaped = x.reshape(n * c, 1, h, w)
-        cols = im2col(reshaped, self.kernel_size, self.kernel_size, self.stride, self.padding)
-        out = cols.mean(axis=1).reshape(n, c, out_h, out_w)
-        self._cache = (cols.shape, x.shape)
-        return out
+        r = self.upscale_factor
+        if c % (r * r) != 0:
+            raise ValueError(
+                f"PixelShuffle requires channels divisible by {r * r}, got {c}"
+            )
+        self._input_shape = x.shape
+        c_out = c // (r * r)
+        x = x.reshape(n, c_out, r, r, h, w)
+        x = x.transpose(0, 1, 4, 2, 5, 3)
+        return x.reshape(n, c_out, h * r, w * r)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("AvgPool2d.backward called before forward")
-        cols_shape, x_shape = self._cache
-        n, c, h, w = x_shape
-        window = self.kernel_size * self.kernel_size
+        if self._input_shape is None:
+            raise RuntimeError("PixelShuffle.backward called before forward")
+        n, c, h, w = self._input_shape
+        r = self.upscale_factor
+        c_out = c // (r * r)
         grad_output = np.asarray(grad_output, dtype=self.compute_dtype)
-        flat_grad = grad_output.reshape(n * c, 1, -1) / window
-        grad_cols = np.broadcast_to(flat_grad, cols_shape).copy()
-        grad_reshaped = col2im(
-            grad_cols, (n * c, 1, h, w), self.kernel_size, self.kernel_size, self.stride, self.padding
-        )
-        return grad_reshaped.reshape(n, c, h, w)
+        grad = grad_output.reshape(n, c_out, h, r, w, r)
+        grad = grad.transpose(0, 1, 3, 5, 2, 4)
+        return grad.reshape(n, c, h, w)

@@ -13,7 +13,7 @@ by the optimizer parity test and the pre-refactor seeded regression).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -172,35 +172,6 @@ class Adam(Optimizer):
         self._step_count = 0
         self._first_moment.clear()
         self._second_moment.clear()
-
-
-def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
-    """Scale gradients in place so their global L2 norm is at most ``max_norm``.
-
-    Returns the norm before clipping.  Used by differentially-private local
-    training (update clipping) and as a general stabilizer for the deeper
-    estimators under federated aggregation.
-    """
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    parameters = list(parameters)
-    total = 0.0
-    for param in parameters:
-        total += float(np.sum(param.grad**2))
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for param in parameters:
-            param.grad *= scale
-    return norm
-
-
-def clip_grad_value(parameters: Sequence[Parameter], max_value: float) -> None:
-    """Clamp every gradient element into ``[-max_value, max_value]`` in place."""
-    if max_value <= 0:
-        raise ValueError(f"max_value must be positive, got {max_value}")
-    for param in parameters:
-        np.clip(param.grad, -max_value, max_value, out=param.grad)
 
 
 def make_optimizer(

@@ -42,11 +42,3 @@ def load_state_dict(path: PathLike) -> Dict[str, np.ndarray]:
     with np.load(path) as archive:
         return {key: archive[key].copy() for key in archive.files}
 
-
-def state_dicts_allclose(
-    left: Dict[str, np.ndarray], right: Dict[str, np.ndarray], atol: float = 1e-10
-) -> bool:
-    """Whether two state dictionaries contain the same keys and close values."""
-    if set(left) != set(right):
-        return False
-    return all(np.allclose(left[key], right[key], atol=atol) for key in left)

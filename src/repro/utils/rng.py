@@ -9,7 +9,7 @@ tests construct independent streams cheaply.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -30,53 +30,6 @@ def new_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
-    """Spawn ``count`` statistically independent generators from ``seed``.
-
-    Useful to hand one independent stream to each federated client.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Derive child seeds from the generator itself so repeated calls with
-        # the same generator advance its state (and therefore differ).
-        children = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(child)) for child in children]
-    sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
-
-
-class SeedSequenceFactory:
-    """Deterministically mints named sub-seeds from one root seed.
-
-    The factory guarantees that the generator obtained for a given name is a
-    pure function of ``(root_seed, name)``, so adding a new consumer of
-    randomness does not perturb existing ones.
-    """
-
-    def __init__(self, root_seed: int = 0):
-        self._root_seed = int(root_seed)
-
-    @property
-    def root_seed(self) -> int:
-        return self._root_seed
-
-    def seed_for(self, name: str) -> int:
-        """Return a stable 63-bit integer seed for ``name``."""
-        digest = np.random.SeedSequence(
-            [self._root_seed, abs(hash_str(name)) % (2**32)]
-        ).generate_state(1)[0]
-        return int(digest)
-
-    def rng_for(self, name: str) -> np.random.Generator:
-        """Return a generator dedicated to ``name``."""
-        return np.random.default_rng(self.seed_for(name))
-
-    def spawn(self, name: str, count: int) -> List[np.random.Generator]:
-        """Return ``count`` independent generators for ``name``."""
-        return spawn_rngs(self.seed_for(name), count)
-
-
 def hash_str(text: str) -> int:
     """A stable (process-independent) string hash based on FNV-1a."""
     value = 0xCBF29CE484222325
@@ -85,7 +38,3 @@ def hash_str(text: str) -> int:
         value = (value * 0x100000001B3) % (2**64)
     return value
 
-
-def ensure_seed(seed: Optional[int], default: int = 0) -> int:
-    """Coerce an optional seed into a concrete integer."""
-    return default if seed is None else int(seed)

@@ -6,9 +6,7 @@ call sites stay one line long and error messages stay uniform.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
-
-import numpy as np
+from typing import Sequence, Union
 
 Number = Union[int, float]
 
@@ -38,21 +36,6 @@ def check_in_range(name: str, value: Number, low: Number, high: Number, ends: st
     if not (above and below):
         raise ValueError(f"{name} must be in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
     return value
-
-
-def check_shape(name: str, array: np.ndarray, expected: Tuple[int, ...]) -> np.ndarray:
-    """Validate an array's shape; ``-1`` entries in ``expected`` are wildcards."""
-    actual = np.asarray(array).shape
-    if len(actual) != len(expected):
-        raise ValueError(
-            f"{name} must have {len(expected)} dimensions {expected}, got shape {actual}"
-        )
-    for axis, (got, want) in enumerate(zip(actual, expected)):
-        if want != -1 and got != want:
-            raise ValueError(
-                f"{name} has shape {actual}, expected {expected} (mismatch at axis {axis})"
-            )
-    return array
 
 
 def check_choice(name: str, value: str, choices: Sequence[str]) -> str:

@@ -9,7 +9,6 @@ from repro.data.clients import (
     ClientSpec,
     CorpusBuilder,
     CorpusConfig,
-    build_table2_corpus,
     table2_rows,
 )
 
@@ -77,7 +76,7 @@ SMALL_CONFIG = CorpusConfig(
 class TestCorpusBuilder:
     @pytest.fixture(scope="class")
     def corpus(self):
-        return build_table2_corpus(SMALL_CONFIG, specs=SMALL_SPECS)
+        return CorpusBuilder(SMALL_CONFIG).build_all(SMALL_SPECS)
 
     def test_builds_every_client(self, corpus):
         assert [c.client_id for c in corpus] == [1, 2]

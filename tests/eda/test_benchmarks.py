@@ -6,7 +6,6 @@ import pytest
 from repro.eda.benchmarks import (
     SUITES,
     generate_design,
-    generate_suite_designs,
     suite_names,
 )
 
@@ -80,25 +79,3 @@ class TestGenerateDesign:
     def test_design_style_property(self):
         design = generate_design("itc99", "d", seed=0, cell_count=700)
         assert design.style is SUITES["itc99"]
-
-
-class TestGenerateSuiteDesigns:
-    def test_count_and_unique_names(self):
-        designs = generate_suite_designs("iscas89", count=3, base_seed=9)
-        assert len(designs) == 3
-        assert len({d.name for d in designs}) == 3
-
-    def test_deterministic_across_calls(self):
-        first = generate_suite_designs("iscas89", count=2, base_seed=1)
-        second = generate_suite_designs("iscas89", count=2, base_seed=1)
-        for a, b in zip(first, second):
-            assert a.netlist.num_cells == b.netlist.num_cells
-
-    def test_designs_are_distinct(self):
-        designs = generate_suite_designs("iscas89", count=3, base_seed=1)
-        sizes = [d.netlist.num_cells for d in designs]
-        assert len(set(sizes)) > 1
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            generate_suite_designs("iscas89", count=0)

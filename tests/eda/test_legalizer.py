@@ -9,7 +9,7 @@ from repro.eda.legalizer import (
     legalize_placement,
     perturb_placement,
 )
-from repro.eda.quality import total_hpwl
+from repro.eda.quality import placement_quality
 
 
 def _assert_no_std_cell_overlap(placement, tolerance=1e-6):
@@ -137,7 +137,8 @@ class TestPerturbPlacement:
 
     def test_perturbation_changes_hpwl(self, small_placement):
         variant = perturb_placement(small_placement, magnitude=0.2, fraction=0.8, seed=5)
-        assert total_hpwl(variant) != pytest.approx(total_hpwl(small_placement), rel=1e-6)
+        before = placement_quality(small_placement).total_hpwl_um
+        assert placement_quality(variant).total_hpwl_um != pytest.approx(before, rel=1e-6)
 
     def test_legalize_flag_produces_row_aligned_variant(self, small_placement):
         variant = perturb_placement(small_placement, magnitude=0.1, fraction=0.5, seed=4, legalize=True)

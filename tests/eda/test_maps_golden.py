@@ -143,9 +143,9 @@ class TestRectBinOverlapMatchesLoop:
 
     def test_real_nets_cross_block_boundaries(self, macro_placement):
         """A whole design's RUDY rectangles, split into many blocks, still add up in rectangle order."""
-        want = map_ext.rudy_maps(macro_placement)
+        want = map_ext.all_maps(macro_placement)
         with mock.patch.object(map_ext, "_BLOCK_ENTRIES", 1000):
-            got = map_ext.rudy_maps(macro_placement)
+            got = map_ext.all_maps(macro_placement)
         for key in want:
             assert got[key].tobytes() == want[key].tobytes()
 

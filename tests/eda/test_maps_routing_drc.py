@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eda import maps as map_ext
-from repro.eda.drc import DrcHotspotLabeler, label_hotspots
+from repro.eda.drc import DrcHotspotLabeler
 from repro.eda.routing import CongestionModelConfig, estimate_congestion
 
 
@@ -50,20 +50,21 @@ class TestMacroAndPinMaps:
 
 class TestRudyAndFlylines:
     def test_rudy_keys_and_shapes(self, small_placement):
-        rudy = map_ext.rudy_maps(small_placement)
+        maps = map_ext.all_maps(small_placement)
+        rudy = {key: values for key, values in maps.items() if key.startswith("rudy")}
         assert set(rudy) == {"rudy", "rudy_horizontal", "rudy_vertical"}
         for values in rudy.values():
             assert values.shape == small_placement.grid_shape
             assert np.all(values >= 0)
 
     def test_combined_rudy_is_sum_of_directions(self, small_placement):
-        rudy = map_ext.rudy_maps(small_placement)
+        maps = map_ext.all_maps(small_placement)
         np.testing.assert_allclose(
-            rudy["rudy"], rudy["rudy_horizontal"] + rudy["rudy_vertical"], rtol=1e-9
+            maps["rudy"], maps["rudy_horizontal"] + maps["rudy_vertical"], rtol=1e-9
         )
 
     def test_flyline_counts_bounded_by_net_count(self, small_placement):
-        flylines = map_ext.flyline_map(small_placement)
+        flylines = map_ext.all_maps(small_placement)["flylines"]
         boxes, _ = map_ext.net_bounding_boxes(small_placement)
         assert flylines.max() <= boxes.shape[0]
         assert flylines.min() >= 0
@@ -151,7 +152,8 @@ class TestCongestionModel:
 
 class TestDrcLabeler:
     def test_label_shapes_and_binary(self, small_placement):
-        score, hotspots = label_hotspots(small_placement)
+        result = DrcHotspotLabeler().label(small_placement)
+        score, hotspots = result.score, result.hotspots
         assert score.shape == small_placement.grid_shape
         assert hotspots.shape == small_placement.grid_shape
         assert set(np.unique(hotspots)).issubset({0.0, 1.0})

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.eda import Cell, Net, Netlist, Pin, RoutingLayer, Technology, merge_statistics, nangate45
+from repro.eda import Cell, Net, Netlist, Pin, Technology, nangate45
+from repro.eda.technology import RoutingLayer
 
 
 class TestCellPinNet:
@@ -92,12 +93,6 @@ class TestNetlist:
         assert set(graph.nodes) == {"a", "b", "c"}
         assert graph.has_edge("a", "b")
         assert graph.has_edge("b", "c")
-
-    def test_merge_statistics(self):
-        stats = merge_statistics([self.make_netlist(), self.make_netlist()])
-        assert stats["designs"] == 2
-        assert stats["cells"] == 6
-        assert merge_statistics([])["designs"] == 0
 
 
 class TestTechnology:

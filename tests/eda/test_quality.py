@@ -6,12 +6,10 @@ import pytest
 from repro.eda.global_router import route_placement
 from repro.eda.placement import PlacementConfig, Placer
 from repro.eda.quality import (
-    compare_placements,
     net_wirelengths,
     placement_quality,
     quality_table,
     routing_quality,
-    total_hpwl,
     total_steiner_wirelength,
 )
 from repro.eda.steiner import hpwl
@@ -48,13 +46,11 @@ class TestNetWirelengths:
                     expected[net.name] = hpwl(centers[[placement.cell_index(n) for n in names]])
             lengths = net_wirelengths(placement)
             assert list(lengths.items()) == list(expected.items())
-            assert total_hpwl(placement) == float(sum(expected.values()))
 
     def test_totals_are_sums(self, small_placement):
-        assert total_hpwl(small_placement) == pytest.approx(
-            sum(net_wirelengths(small_placement).values())
-        )
-        assert total_steiner_wirelength(small_placement) >= total_hpwl(small_placement)
+        total_hpwl = placement_quality(small_placement).total_hpwl_um
+        assert total_hpwl == pytest.approx(sum(net_wirelengths(small_placement).values()))
+        assert total_steiner_wirelength(small_placement) >= total_hpwl
 
 
 class TestPlacementQuality:
@@ -114,16 +110,6 @@ class TestRoutingQuality:
 
 
 class TestComparisonHelpers:
-    def test_compare_placements_sorted_by_hpwl(self, small_design):
-        placer = Placer()
-        placements = [
-            placer.place(small_design, PlacementConfig(grid_width=16, grid_height=16, utilization=u, seed=s))
-            for u, s in ((0.8, 1), (0.5, 2), (0.65, 3))
-        ]
-        ranked = compare_placements(placements)
-        hpwls = [report.total_hpwl_um for _, report in ranked]
-        assert hpwls == sorted(hpwls)
-
     def test_quality_table_renders_rows(self, small_placement, macro_placement):
         reports = [placement_quality(small_placement), placement_quality(macro_placement)]
         table = quality_table(reports)

@@ -1,4 +1,4 @@
-"""Tests for HPWL, rectilinear spanning trees, and Steiner-tree heuristics."""
+"""Tests for HPWL, rectilinear spanning trees, and the RSMT length estimate."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from repro.eda.steiner import (
     decompose_to_two_pin,
     hpwl,
-    manhattan_distance,
     rectilinear_mst,
     rsmt_length_estimate,
-    single_trunk_steiner,
-    tree_length,
 )
 
 points_strategy = st.lists(
@@ -47,14 +44,6 @@ class TestHpwl:
         assert hpwl(array) == pytest.approx(hpwl(shifted), abs=1e-6)
 
 
-class TestManhattanDistance:
-    def test_basic(self):
-        assert manhattan_distance((1, 2), (4, 6)) == 7.0
-
-    def test_symmetry(self):
-        assert manhattan_distance((0, 0), (5, -3)) == manhattan_distance((5, -3), (0, 0))
-
-
 class TestRectilinearMst:
     def test_two_points_single_edge(self):
         edges, length = rectilinear_mst([(0, 0), (3, 4)])
@@ -83,7 +72,9 @@ class TestRectilinearMst:
             assert parent in touched
             touched.add(child)
         assert touched == set(range(n))
-        assert length == pytest.approx(tree_length(points, edges), rel=1e-9)
+        array = np.asarray(points)
+        edge_lengths = [np.abs(array[i] - array[j]).sum() for i, j in edges]
+        assert length == pytest.approx(float(sum(edge_lengths)), rel=1e-9)
 
     @given(points_strategy)
     @settings(max_examples=50, deadline=None)
@@ -109,39 +100,6 @@ class TestDecomposeToTwoPin:
 
     def test_empty_for_single_pin(self):
         assert decompose_to_two_pin([(2, 2)]) == []
-
-
-class TestSingleTrunkSteiner:
-    def test_two_pins_is_l_shape(self):
-        tree = single_trunk_steiner([(0, 0), (4, 3)])
-        assert tree.length == pytest.approx(7.0)
-
-    def test_single_pin_empty_tree(self):
-        tree = single_trunk_steiner([(1, 1)])
-        assert tree.length == 0.0
-        assert tree.edges == ()
-
-    def test_cross_topology_beats_mst(self):
-        """A plus-sign pin set is where Steiner points pay off."""
-        points = [(0, 5), (10, 5), (5, 0), (5, 10)]
-        tree = single_trunk_steiner(points)
-        _, mst_length = rectilinear_mst(points)
-        assert tree.length <= mst_length + 1e-9
-
-    @given(points_strategy)
-    @settings(max_examples=50, deadline=None)
-    def test_never_shorter_than_hpwl_longest_span(self, points):
-        """The trunk alone spans the on-axis extent, so length >= max span."""
-        tree = single_trunk_steiner(points)
-        array = np.asarray(points)
-        spans = array.max(axis=0) - array.min(axis=0)
-        assert tree.length >= float(spans.min()) - 1e-9
-
-    @given(points_strategy)
-    @settings(max_examples=50, deadline=None)
-    def test_all_points_shape(self, points):
-        tree = single_trunk_steiner(points)
-        assert tree.all_points.shape[0] == len(points) + tree.steiner_points.shape[0]
 
 
 class TestRsmtEstimate:

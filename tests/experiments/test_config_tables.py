@@ -9,16 +9,14 @@ import pytest
 from repro.experiments import (
     PAPER_TABLE1_FLNET_ARCHITECTURE,
     PAPER_TABLE2_SETUP,
-    PAPER_TABLES,
-    TABLE_ALGORITHMS,
     comparison_table,
     default,
     format_rows,
-    paper,
     preset,
     smoke,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import TABLE_ALGORITHMS, ExperimentConfig, paper
+from repro.experiments.tables import PAPER_TABLES
 from repro.fl import FLConfig
 from repro.fl.evaluation import EvaluationRow
 

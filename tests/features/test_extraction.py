@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.features import DEFAULT_FEATURES, FeatureExtractor, available_features
+from repro.features import DEFAULT_FEATURES, FeatureExtractor
+from repro.features.extraction import available_features
 
 
 class TestFeatureExtractor:

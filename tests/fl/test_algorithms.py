@@ -23,10 +23,7 @@ from repro.fl import (
     LocalOnly,
     SeededModelFactory,
     create_algorithm,
-    evaluate_cross_client,
     evaluate_result,
-    local_average_row,
-    rows_to_table,
 )
 from repro.fl.parameters import state_distance
 from repro.models import FLNet
@@ -214,22 +211,6 @@ class TestEvaluation:
         with pytest.raises(KeyError):
             TrainingResult(algorithm="empty").state_for_client(1)
 
-    def test_local_average_row_label(self, two_clients, factory):
-        result = LocalOnly(two_clients, factory, TINY_CONFIG).run()
-        row = local_average_row(result, two_clients, label="local")
-        assert row.algorithm == "local"
-
-    def test_cross_client_matrix(self, two_clients, factory):
-        result = LocalOnly(two_clients, factory, TINY_CONFIG).run()
-        matrix = evaluate_cross_client(result, two_clients)
-        assert set(matrix) == {1, 2}
-        assert set(matrix[1]) == {1, 2}
-
-    def test_rows_to_table_rounding(self, two_clients, factory):
-        result = FedProx(two_clients, factory, TINY_CONFIG).run()
-        table = rows_to_table([evaluate_result(result, two_clients)], digits=2)
-        assert table[0]["method"] == "fedprox"
-        assert isinstance(table[0]["average"], float)
 
 
 class TestSeededModelFactory:

@@ -14,9 +14,8 @@ import pytest
 
 from repro.experiments import ExperimentRunner, smoke
 from repro.fl import ProcessPoolBackend, SerialBackend, ThreadPoolBackend, create_backend
-from repro.fl.execution import clamp_workers
 from repro.fl.execution import backend as backend_module
-from repro.fl.execution.backend import ClientTask, _init_worker
+from repro.fl.execution.backend import ClientTask, _init_worker, clamp_workers
 from repro.utils.threadpools import blas_info, get_blas_threads, set_blas_threads
 
 

@@ -14,8 +14,8 @@ from repro.fl import (
     SeededModelFactory,
     create_algorithm,
     evaluate_result,
-    normalization_parameter_names,
 )
+from repro.fl.algorithms.fedbn import normalization_parameter_names
 from repro.fl.parameters import state_distance
 from repro.models import FLNet, RouteNet
 

@@ -14,7 +14,11 @@ is ``test_state_door.py``'s.
 
 from __future__ import annotations
 
+import gc
 import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -38,6 +42,7 @@ from repro.fl.parameters import (
     zeros_like_state,
 )
 from repro.fl.transport.codecs import IdentityCodec, QuantizationCodec, TopKCodec
+from repro.fl.transport.envelope import decode_carrier, encode_carrier
 from repro.models import FLNet
 from test_state_door import load_fl_oracles
 
@@ -88,6 +93,50 @@ class TestStateLayout:
         b = StateLayout.of([("w", (4,))])
         with pytest.raises(ValueError, match="different names/shapes"):
             a.gather_from(b)
+
+    def test_decoded_layouts_die_with_their_states(self):
+        # A peer sending small states under ever-new tensor names: the
+        # decoded layouts must not stay interned once their states are gone.
+        template = encode_carrier(FlatState.from_items([("t0000", np.zeros(6))]))
+        gc.collect()
+        before = len(StateLayout._interned)
+        for index in range(1000):
+            state = decode_carrier(template.replace(b"t0000", f"t{index:04d}".encode()))
+            assert list(state) == [f"t{index:04d}"]
+        del state
+        gc.collect()
+        assert len(StateLayout._interned) == before
+
+    def test_gather_cache_does_not_keep_its_source_alive(self):
+        target = StateLayout.of([("a", (2,)), ("b", (3,))])
+        source = StateLayout.of([("b", (3,)), ("a", (2,))])
+        target.gather_from(source)
+        assert len(target._gather_cache) == 1
+        del source
+        gc.collect()
+        assert len(target._gather_cache) == 0
+
+    def test_racing_threads_intern_one_layout(self):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(20):
+                entries = [(f"racing{attempt}.weight", (3, 3)), (f"racing{attempt}.bias", (3,))]
+                barrier = threading.Barrier(8, timeout=10)
+
+                def intern(_):
+                    barrier.wait()
+                    return StateLayout.of(entries)
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    layouts = list(pool.map(intern, range(8)))
+                assert all(layout is layouts[0] for layout in layouts)
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_pickled_layout_is_reinterned(self):
+        layout = StateLayout.from_state(random_state(5))
+        assert pickle.loads(pickle.dumps(layout)) is layout
 
 
 class TestFlatState:

@@ -24,7 +24,8 @@ from collections import Counter
 import pytest
 
 from repro.fl import FederatedClient, FLConfig, ResilienceManager, SeededModelFactory, create_algorithm
-from repro.fl.net import FederationClientRunner, FrameReader, WireBackend
+from repro.fl.net import FrameReader, WireBackend
+from repro.fl.net.client import FederationClientRunner
 from repro.fl.net.framing import frame_parts
 from repro.fl.net.messages import (
     MSG_HELLO,

@@ -49,20 +49,17 @@ from repro.fl.parameters import (
 from repro.fl.privacy import PrivacyConfig, privatize_update
 from repro.fl.scheduling import (
     AlwaysAvailable,
-    BernoulliAvailability,
-    DayNightAvailability,
     FullParticipation,
-    LogNormalLatency,
-    ParetoLatency,
     RoundScheduler,
-    UniformSampler,
     VirtualClock,
-    WeightedSampler,
     ZeroLatency,
     create_availability,
     create_latency,
     create_sampler,
 )
+from repro.fl.scheduling.availability import BernoulliAvailability, DayNightAvailability
+from repro.fl.scheduling.latency import LogNormalLatency, ParetoLatency
+from repro.fl.scheduling.samplers import UniformSampler, WeightedSampler
 from repro.models import FLNet
 from repro.utils.rng import new_rng
 from test_state_door import load_fl_oracles

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.fl import FLConfig, FederatedClient, LocalTrainer, predict_dataset, scaled_fl_config
-from repro.fl.config import PAPER_ASSIGNED_CLUSTERS, paper_fl_config
+from repro.fl import FLConfig, FederatedClient, LocalTrainer, predict_dataset
+from repro.fl.config import PAPER_ASSIGNED_CLUSTERS
 from repro.fl.parameters import state_distance
 from repro.models import FLNet
 
@@ -27,7 +27,7 @@ def small_flnet_factory(num_channels):
 
 class TestFLConfig:
     def test_paper_defaults(self):
-        config = paper_fl_config()
+        config = FLConfig()
         assert config.rounds == 50
         assert config.local_steps == 100
         assert config.finetune_steps == 5000
@@ -39,7 +39,7 @@ class TestFLConfig:
         assert config.optimizer == "adam"
 
     def test_paper_assigned_clusters(self):
-        mapping = paper_fl_config().assigned_cluster_map()
+        mapping = FLConfig().assigned_cluster_map()
         assert mapping == PAPER_ASSIGNED_CLUSTERS
         assert mapping[1] == mapping[2] == mapping[3]
         assert mapping[9] not in (mapping[1], mapping[4], mapping[7])
@@ -52,11 +52,6 @@ class TestFLConfig:
         overridden = FLConfig(rounds=5, local_steps=10, centralized_steps=7, local_steps_total=9)
         assert overridden.effective_centralized_steps == 7
         assert overridden.effective_local_steps == 9
-
-    def test_scaled_config_is_valid(self):
-        config = scaled_fl_config()
-        assert config.rounds < 50
-        assert config.learning_rate > 2e-4
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -38,13 +38,8 @@ from repro.fl import (
     state_bytes,
 )
 from repro.fl.parameters import FlatState, flatten_state
-from repro.fl.transport import (
-    CODECS,
-    TransportDecodeError,
-    WireTask,
-    packed_code_bytes,
-    topk_flat_indices,
-)
+from repro.fl.transport import CODECS, TransportDecodeError, WireTask
+from repro.fl.transport.codecs import packed_code_bytes, topk_flat_indices
 from repro.fl.transport.envelope import (
     decode_carrier,
     encode_carrier,
@@ -514,7 +509,8 @@ class TestChannelTrainingIntegration:
         # reconstructed from real payloads, but each client's private
         # normalization statistics must come back bit-exact — they never
         # leave the client, so the codec must never touch them.
-        from repro.fl import normalization_parameter_names, state_bytes
+        from repro.fl import state_bytes
+        from repro.fl.algorithms.fedbn import normalization_parameter_names
         from repro.models import RouteNet
 
         factory = SeededModelFactory(

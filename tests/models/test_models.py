@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models import FLNet, PROS, RouteNet, available_models, create_model, register_model
-from repro.nn import MSELoss
+from repro.nn.losses import MSELoss
 
 CHANNELS = 7
 GRID = 16
@@ -33,7 +33,7 @@ class TestCommonModelBehaviour:
         assert np.any(grad != 0)
 
     def test_training_reduces_loss(self, model_cls):
-        from repro.nn import Adam
+        from repro.nn.optim import Adam
 
         model = model_cls(CHANNELS, seed=1)
         x, y = random_batch(seed=3)

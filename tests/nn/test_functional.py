@@ -155,11 +155,6 @@ class TestActivations:
         x = np.linspace(-30, 30, 61)
         np.testing.assert_allclose(F.log_sigmoid(x), np.log(F.sigmoid(x) + 1e-300), atol=1e-9)
 
-    def test_softmax_sums_to_one(self):
-        x = np.random.default_rng(0).normal(size=(4, 7)) * 50
-        probs = F.softmax(x, axis=1)
-        np.testing.assert_allclose(probs.sum(axis=1), np.ones(4), atol=1e-12)
-
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=20))
     @settings(max_examples=50, deadline=None)
     def test_sigmoid_monotone(self, values):

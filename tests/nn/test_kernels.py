@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from gradcheck import check_layer_input_gradient, check_layer_parameter_gradients, max_relative_error
 from oracles import (
     _im2col_indices,
     col2im_oracle,
@@ -22,13 +23,7 @@ from oracles import (
     im2col_oracle,
 )
 
-from repro.nn import (
-    Conv2d,
-    ConvTranspose2d,
-    check_layer_input_gradient,
-    check_layer_parameter_gradients,
-    max_relative_error,
-)
+from repro.nn import Conv2d, ConvTranspose2d
 from repro.nn.functional import col2im, conv_output_size, im2col, one_filter_input_grad
 from repro.nn.layers.conv import grad_weight_gemm
 

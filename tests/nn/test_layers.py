@@ -3,25 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.nn import (
-    AvgPool2d,
-    BatchNorm2d,
-    Conv2d,
-    ConvTranspose2d,
-    Flatten,
-    LeakyReLU,
-    Linear,
-    MaxPool2d,
-    NearestUpsample2d,
-    PixelShuffle,
-    ReLU,
-    Sigmoid,
-    Tanh,
-)
-from repro.nn.gradcheck import (
+from gradcheck import (
     check_layer_input_gradient,
     check_layer_parameter_gradients,
     max_relative_error,
+)
+
+from repro.nn import (
+    BatchNorm2d,
+    Conv2d,
+    ConvTranspose2d,
+    MaxPool2d,
+    PixelShuffle,
+    ReLU,
 )
 
 TOLERANCE = 1e-5
@@ -159,21 +153,12 @@ class TestBatchNorm2d:
 
 
 class TestActivations:
-    @pytest.mark.parametrize("layer", [ReLU(), LeakyReLU(0.1), Sigmoid(), Tanh()])
-    def test_input_gradients(self, layer):
-        assert_input_gradient(layer, (3, 2, 4, 4))
+    def test_input_gradients(self):
+        assert_input_gradient(ReLU(), (3, 2, 4, 4))
 
     def test_relu_zeroes_negatives(self):
         out = ReLU()(np.array([[-1.0, 2.0]]))
         np.testing.assert_allclose(out, [[0.0, 2.0]])
-
-    def test_leaky_relu_scales_negatives(self):
-        out = LeakyReLU(0.2)(np.array([[-10.0, 5.0]]))
-        np.testing.assert_allclose(out, [[-2.0, 5.0]])
-
-    def test_sigmoid_range(self):
-        out = Sigmoid()(np.linspace(-100, 100, 11))
-        assert np.all((out >= 0) & (out <= 1))
 
 
 class TestPooling:
@@ -182,16 +167,8 @@ class TestPooling:
         out = MaxPool2d(2)(x)
         np.testing.assert_allclose(out[0, 0], [[5, 7], [13, 15]])
 
-    def test_avgpool_values(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = AvgPool2d(2)(x)
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
     def test_maxpool_gradient(self):
         assert_input_gradient(MaxPool2d(2), (2, 3, 6, 6), seed=5)
-
-    def test_avgpool_gradient(self):
-        assert_input_gradient(AvgPool2d(2), (2, 3, 6, 6), seed=6)
 
     def test_maxpool_routes_gradient_to_argmax(self):
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
@@ -221,32 +198,3 @@ class TestUpsampling:
     def test_pixel_shuffle_rejects_bad_channels(self):
         with pytest.raises(ValueError):
             PixelShuffle(2)(np.zeros((1, 3, 4, 4)))
-
-    def test_nearest_upsample_values(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        out = NearestUpsample2d(2)(x)
-        np.testing.assert_allclose(out[0, 0, :2, :2], np.ones((2, 2)))
-        assert out.shape == (1, 1, 4, 4)
-
-    def test_nearest_upsample_gradient(self):
-        assert_input_gradient(NearestUpsample2d(2), (1, 2, 3, 3))
-
-
-class TestLinearFlatten:
-    def test_linear_matches_manual(self):
-        rng = np.random.default_rng(0)
-        layer = Linear(3, 2, rng=rng)
-        x = rng.normal(size=(4, 3))
-        np.testing.assert_allclose(layer(x), x @ layer.weight.data.T + layer.bias.data)
-
-    def test_linear_gradients(self):
-        assert_parameter_gradients(Linear(3, 2, rng=np.random.default_rng(1)), (4, 3))
-        assert_input_gradient(Linear(3, 2, rng=np.random.default_rng(2)), (4, 3))
-
-    def test_flatten_round_trip(self):
-        flat = Flatten()
-        x = np.random.default_rng(0).normal(size=(2, 3, 4, 4))
-        out = flat(x)
-        assert out.shape == (2, 48)
-        grad = flat.backward(out)
-        assert grad.shape == x.shape

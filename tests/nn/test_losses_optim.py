@@ -2,25 +2,14 @@
 
 import numpy as np
 import pytest
+from gradcheck import numerical_gradient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import (
-    SGD,
-    Adam,
-    BCELoss,
-    BCEWithLogitsLoss,
-    Linear,
-    MSELoss,
-    Parameter,
-    load_state_dict,
-    make_loss,
-    make_optimizer,
-    save_state_dict,
-    state_dicts_allclose,
-)
+from repro.nn import Conv2d, Parameter, load_state_dict, make_loss, make_optimizer, save_state_dict
 from repro.nn import init as nn_init
-from repro.nn.gradcheck import numerical_gradient
+from repro.nn.losses import BCELoss, BCEWithLogitsLoss, MSELoss
+from repro.nn.optim import SGD, Adam
 
 
 class TestMSELoss:
@@ -246,39 +235,29 @@ class TestInit:
         bound = np.sqrt(2.0) * np.sqrt(3.0 / (16 * 9))
         assert np.all(np.abs(weights) <= bound + 1e-12)
 
-    def test_xavier_normal_std(self):
-        rng = np.random.default_rng(0)
-        weights = nn_init.xavier_normal((200, 100), rng)
-        expected_std = np.sqrt(2.0 / 300)
-        assert weights.std() == pytest.approx(expected_std, rel=0.1)
-
     def test_unsupported_shape(self):
         with pytest.raises(ValueError):
             nn_init.kaiming_uniform((3,), np.random.default_rng(0))
 
-    @given(st.integers(1, 64), st.integers(1, 64))
+    @given(st.integers(1, 16), st.integers(1, 16), st.integers(1, 5), st.integers(1, 5))
     @settings(max_examples=25, deadline=None)
-    def test_fan_computation_consistency(self, fan_out, fan_in):
+    def test_fan_computation_consistency(self, out_channels, in_channels, kh, kw):
         rng = np.random.default_rng(0)
-        weights = nn_init.xavier_uniform((fan_out, fan_in), rng)
-        assert weights.shape == (fan_out, fan_in)
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        weights = nn_init.kaiming_uniform((out_channels, in_channels, kh, kw), rng)
+        assert weights.shape == (out_channels, in_channels, kh, kw)
+        bound = np.sqrt(2.0) * np.sqrt(3.0 / (in_channels * kh * kw))
         assert np.all(np.abs(weights) <= bound + 1e-12)
 
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        layer = Linear(4, 3, rng=np.random.default_rng(0))
-        path = save_state_dict(layer.state_dict(), tmp_path / "model")
+        state = Conv2d(4, 3, 1, rng=np.random.default_rng(0)).state_dict()
+        path = save_state_dict(state, tmp_path / "model")
         restored = load_state_dict(path)
-        assert state_dicts_allclose(layer.state_dict(), restored)
+        assert restored.keys() == state.keys()
+        for key, value in state.items():
+            np.testing.assert_array_equal(restored[key], value)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_state_dict(tmp_path / "nope.npz")
-
-    def test_allclose_detects_difference(self):
-        a = {"w": np.zeros(3)}
-        b = {"w": np.ones(3)}
-        assert not state_dicts_allclose(a, b)
-        assert not state_dicts_allclose(a, {"v": np.zeros(3)})

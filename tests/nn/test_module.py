@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2d, Identity, Linear, Module, Parameter, ReLU, Sequential
-from repro.nn.layers import BatchNorm2d
+from repro.nn import BatchNorm2d, Conv2d, Identity, Module, Parameter, ReLU, Sequential
 
 
 class TinyNet(Module):
+    """Two 1x1 convolutions around a ReLU: a dense net over the channel axis."""
+
     def __init__(self):
         super().__init__()
-        self.fc1 = Linear(4, 8, rng=np.random.default_rng(0))
+        self.fc1 = Conv2d(4, 8, 1, rng=np.random.default_rng(0))
         self.act = ReLU()
-        self.fc2 = Linear(8, 2, rng=np.random.default_rng(1))
+        self.fc2 = Conv2d(8, 2, 1, rng=np.random.default_rng(1))
 
     def forward(self, x):
         return self.fc2(self.act(self.fc1(x)))
@@ -96,7 +97,7 @@ class TestTrainEval:
 
     def test_zero_grad_resets_all(self):
         net = TinyNet()
-        x = np.random.default_rng(0).normal(size=(3, 4))
+        x = np.random.default_rng(0).normal(size=(3, 4, 1, 1))
         out = net(x)
         net.backward(np.ones_like(out))
         assert any(np.any(p.grad != 0) for p in net.parameters())
@@ -125,8 +126,8 @@ class TestSequential:
 
     def test_backward_reverses_order(self):
         rng = np.random.default_rng(0)
-        seq = Sequential(Linear(4, 4, rng=rng), ReLU(), Linear(4, 2, rng=rng))
-        x = rng.normal(size=(3, 4))
+        seq = Sequential(Conv2d(4, 4, 1, rng=rng), ReLU(), Conv2d(4, 2, 1, rng=rng))
+        x = rng.normal(size=(3, 4, 1, 1))
         out = seq(x)
         grad_in = seq.backward(np.ones_like(out))
         assert grad_in.shape == x.shape

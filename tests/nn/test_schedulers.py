@@ -1,26 +1,16 @@
-"""Tests for the focal / Dice / weighted-MSE losses, gradient clipping, and GroupNorm."""
+"""Tests for the focal / Dice / weighted-MSE losses and GroupNorm."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.nn import (
-    BCEWithLogitsLoss,
-    DiceLoss,
-    FocalLoss,
-    GroupNorm,
-    InstanceNorm2d,
-    Parameter,
-    WeightedMSELoss,
+from gradcheck import (
     check_layer_input_gradient,
     check_layer_parameter_gradients,
-    clip_grad_norm,
-    clip_grad_value,
-    make_loss,
     max_relative_error,
     numerical_gradient,
 )
+
+from repro.nn import GroupNorm, make_loss
+from repro.nn.losses import BCEWithLogitsLoss, DiceLoss, FocalLoss, WeightedMSELoss
 
 
 class TestFocalLoss:
@@ -132,45 +122,6 @@ class TestWeightedMSELoss:
         assert isinstance(make_loss("weighted_mse", pos_weight=2.0), WeightedMSELoss)
 
 
-class TestGradientClipping:
-    def test_clip_grad_norm_scales_down(self):
-        params = [Parameter(np.zeros(4), name="a"), Parameter(np.zeros(4), name="b")]
-        params[0].grad += 3.0
-        params[1].grad += 4.0
-        norm = clip_grad_norm(params, max_norm=1.0)
-        assert norm == pytest.approx(10.0)
-        total = np.sqrt(sum(float(np.sum(p.grad**2)) for p in params))
-        assert total == pytest.approx(1.0)
-
-    def test_clip_grad_norm_noop_when_small(self):
-        param = Parameter(np.zeros(2), name="a")
-        param.grad += 0.1
-        clip_grad_norm([param], max_norm=5.0)
-        np.testing.assert_allclose(param.grad, 0.1)
-
-    def test_clip_grad_value(self):
-        param = Parameter(np.zeros(3), name="a")
-        param.grad[:] = [-2.0, 0.5, 7.0]
-        clip_grad_value([param], max_value=1.0)
-        np.testing.assert_allclose(param.grad, [-1.0, 0.5, 1.0])
-
-    def test_invalid_arguments(self):
-        param = Parameter(np.zeros(1), name="a")
-        with pytest.raises(ValueError):
-            clip_grad_norm([param], max_norm=0.0)
-        with pytest.raises(ValueError):
-            clip_grad_value([param], max_value=-1.0)
-
-    @given(st.floats(min_value=0.1, max_value=10.0))
-    @settings(max_examples=25, deadline=None)
-    def test_clipped_norm_never_exceeds_bound(self, max_norm):
-        rng = np.random.default_rng(0)
-        params = [Parameter(np.zeros(6), name="p")]
-        params[0].grad += rng.normal(scale=5.0, size=6)
-        clip_grad_norm(params, max_norm=max_norm)
-        assert np.sqrt(float(np.sum(params[0].grad ** 2))) <= max_norm + 1e-9
-
-
 class TestGroupNorm:
     def test_output_normalized_per_group(self):
         rng = np.random.default_rng(0)
@@ -198,10 +149,10 @@ class TestGroupNorm:
         for analytic, numeric in results.values():
             assert max_relative_error(analytic, numeric) < 1e-4
 
-    def test_instance_norm_is_per_channel(self):
+    def test_one_group_per_channel_normalizes_each_channel(self):
         rng = np.random.default_rng(3)
         x = rng.normal(loc=-1.0, scale=3.0, size=(2, 3, 6, 6))
-        out = InstanceNorm2d(3).forward(x)
+        out = GroupNorm(3, 3).forward(x)
         assert np.allclose(out.mean(axis=(2, 3)), 0.0, atol=1e-6)
 
     def test_invalid_configuration(self):

@@ -9,14 +9,31 @@ minute.
 import numpy as np
 import pytest
 
-from repro.experiments import ExperimentRunner, format_rows, smoke
-from repro.utils.rng import SeedSequenceFactory, hash_str, new_rng, spawn_rngs
-from repro.utils.validation import check_choice, check_in_range, check_positive, check_probability, check_shape
+from repro.experiments import ExperimentRunner, format_rows, run_experiment, smoke
+from repro.utils.rng import hash_str, new_rng
+from repro.utils.validation import check_choice, check_in_range, check_positive, check_probability
 
 
 @pytest.fixture(scope="module")
 def smoke_runner():
     return ExperimentRunner(smoke("flnet"))
+
+
+@pytest.fixture(scope="session")
+def corpus_cache(tmp_path_factory):
+    """One directory the smoke corpus is cached in for the whole session."""
+    return tmp_path_factory.mktemp("corpus_cache")
+
+
+@pytest.mark.slow
+def test_readme_python_snippet(corpus_cache):
+    """README's documented entry point: ``run_experiment`` then ``as_table``."""
+    result = run_experiment(smoke("flnet"), algorithms=["fedavg"], cache_dir=corpus_cache)
+    table = result.as_table()
+    assert [row["method"] for row in table] == ["fedavg"]
+    clients = [f"client{spec.client_id}" for spec in result.config.client_specs]
+    assert all(0.0 <= table[0][key] <= 1.0 for key in clients + ["average"])
+    assert any(corpus_cache.rglob("*.npz"))
 
 
 @pytest.mark.slow
@@ -81,19 +98,6 @@ class TestUtils:
         rng = np.random.default_rng(0)
         assert new_rng(rng) is rng
 
-    def test_spawn_rngs_independent(self):
-        streams = spawn_rngs(0, 3)
-        values = [s.random() for s in streams]
-        assert len(set(values)) == 3
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_seed_sequence_factory_stable(self):
-        factory = SeedSequenceFactory(42)
-        assert factory.seed_for("clients") == SeedSequenceFactory(42).seed_for("clients")
-        assert factory.seed_for("clients") != factory.seed_for("designs")
-        assert factory.rng_for("x").random() == SeedSequenceFactory(42).rng_for("x").random()
-
     def test_hash_str_is_stable(self):
         assert hash_str("fedprox") == hash_str("fedprox")
         assert hash_str("fedprox") != hash_str("fedavg")
@@ -112,9 +116,3 @@ class TestUtils:
         assert check_choice("c", "a", ["a", "b"]) == "a"
         with pytest.raises(ValueError):
             check_choice("c", "z", ["a", "b"])
-        arr = np.zeros((2, 3))
-        assert check_shape("arr", arr, (2, -1)) is arr
-        with pytest.raises(ValueError):
-            check_shape("arr", arr, (3, 3))
-        with pytest.raises(ValueError):
-            check_shape("arr", arr, (2, 3, 1))
