@@ -1,5 +1,7 @@
 """Tests for grid map extraction, the congestion model, and DRC labeling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,29 @@ class TestCellDensityMap:
     def test_mean_density_tracks_utilization(self, small_placement):
         density = map_ext.cell_density_map(small_placement)
         assert density.mean() == pytest.approx(small_placement.config.utilization, rel=0.1)
+
+
+class TestCellCenterBins:
+    def test_each_cell_lands_in_the_bin_holding_its_center(self, small_placement):
+        rows, cols = map_ext.cell_center_bins(small_placement)
+        centers = small_placement.centers_um()
+        grid_h, grid_w = small_placement.grid_shape
+        assert rows.shape == cols.shape == (small_placement.num_cells,)
+        assert np.all((rows >= 0) & (rows < grid_h) & (cols >= 0) & (cols < grid_w))
+        assert np.all(rows * small_placement.bin_height_um <= centers[:, 1])
+        assert np.all(centers[:, 1] < (rows + 1) * small_placement.bin_height_um)
+        assert np.all(cols * small_placement.bin_width_um <= centers[:, 0])
+        assert np.all(centers[:, 0] < (cols + 1) * small_placement.bin_width_um)
+
+    def test_centers_off_the_die_clamp_onto_border_bins(self, small_placement):
+        positions = small_placement.positions_um.copy()
+        positions[0] = (-50.0, -50.0)
+        positions[1] = (small_placement.die_width_um, small_placement.die_height_um)
+        moved = dataclasses.replace(small_placement, positions_um=positions)
+        rows, cols = map_ext.cell_center_bins(moved)
+        grid_h, grid_w = moved.grid_shape
+        assert (rows[0], cols[0]) == (0, 0)
+        assert (rows[1], cols[1]) == (grid_h - 1, grid_w - 1)
 
 
 class TestMacroAndPinMaps:

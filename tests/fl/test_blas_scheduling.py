@@ -15,7 +15,7 @@ import pytest
 from repro.experiments import ExperimentRunner, smoke
 from repro.fl import ProcessPoolBackend, SerialBackend, ThreadPoolBackend, create_backend
 from repro.fl.execution import backend as backend_module
-from repro.fl.execution.backend import ClientTask, _init_worker, clamp_workers
+from repro.fl.execution.backend import ClientTask, _init_worker, clamp_workers, default_worker_count
 from repro.utils.threadpools import blas_info, get_blas_threads, set_blas_threads
 
 
@@ -54,6 +54,18 @@ class TestWorkerClamp:
         # The request stays visible; the pool size is clamped.
         assert backend.workers == 6
         assert backend.effective_workers == 2
+
+    @pytest.mark.parametrize("cores, expected", [(3, 3), (None, 1)])
+    def test_default_worker_count_is_the_core_count(self, monkeypatch, cores, expected):
+        # os.cpu_count() may return None when the count is unknown.
+        monkeypatch.setattr(backend_module.os, "cpu_count", lambda: cores)
+        assert default_worker_count() == expected
+
+    @pytest.mark.parametrize("backend_cls", [ProcessPoolBackend, ThreadPoolBackend])
+    def test_unrequested_workers_default_to_the_cores(self, monkeypatch, backend_cls):
+        monkeypatch.setattr(backend_module.os, "cpu_count", lambda: 3)
+        backend = backend_cls()
+        assert backend.workers == backend.effective_workers == 3
 
 
 class TestPolicyResolution:

@@ -52,7 +52,7 @@ from repro.fl import (
     create_resilience,
     create_scheduler,
 )
-from repro.fl.faults.plan import FaultDecision
+from repro.fl.faults.plan import FaultDecision, check_rates
 from repro.fl.parameters import state_digest
 from repro.fl.transport.codecs import IdentityCodec, Payload, QuantizationCodec, TopKCodec
 from repro.models import FLNet
@@ -260,6 +260,25 @@ class TestFaultPlan:
             FaultPlan(crash_rate=1.5)
         with pytest.raises(ValueError, match="sum to at most 1"):
             FaultPlan(crash_rate=0.6, exception_rate=0.6)
+
+    @pytest.mark.parametrize(
+        "rates",
+        [{}, {"crash": 0.0}, {"crash": 0.3, "exception": 0.7}, {"crash": 0.1, "timeout": 0.2, "corruption": 0.7}],
+    )
+    def test_check_rates_accepts_rates_sharing_the_unit_interval(self, rates):
+        assert check_rates("fault", rates) is None
+
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            ({"crash": -0.1}, "crash must be in \\[0, 1\\]"),
+            ({"timeout": 1.5}, "timeout must be in \\[0, 1\\]"),
+            ({"crash": 0.6, "timeout": 0.6}, "wire rates must sum to at most 1, got 1.2"),
+        ],
+    )
+    def test_check_rates_rejects(self, rates, message):
+        with pytest.raises(ValueError, match=message):
+            check_rates("wire", rates)
 
     def test_corruption_draws_carry_a_salt(self):
         plan = FaultPlan(corruption_rate=1.0, seed=0)

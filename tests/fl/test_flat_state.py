@@ -339,6 +339,30 @@ class TestEngineHelpers:
             aligned, np.concatenate([state[n].ravel() for n, _ in reversed_layout.entries])
         )
 
+    def test_flat_pair_aligns_the_second_state_to_the_first(self):
+        state_a, state_b = random_state(32), random_state(33)
+        reordered_b = {name: state_b[name] for name in reversed(list(state_b))}
+        layout, vector_a, vector_b = P.flat_pair(state_a, reordered_b)
+        assert layout is as_flat_state(state_a).layout
+        np.testing.assert_array_equal(vector_a, FlatState.from_state(state_a).vector)
+        np.testing.assert_array_equal(vector_b, FlatState.from_state(state_b).vector)
+
+    def test_flat_pair_rejects_incompatible_states(self):
+        state_a, state_b = random_state(34), random_state(35)
+        del state_b["alpha"]
+        with pytest.raises(ValueError, match="different keys"):
+            P.flat_pair(state_a, state_b)
+
+    @pytest.mark.parametrize("weight", [0, 1, 2.5, np.float32(3.0)])
+    def test_check_weight_accepts_finite_non_negative(self, weight):
+        checked = P.check_weight(weight)
+        assert type(checked) is float and checked == float(weight)
+
+    @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_check_weight_rejects(self, weight):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            P.check_weight(weight)
+
     def test_as_flat_state_packs_dicts_and_passes_flat_through(self):
         state = random_state(31)
         flat = as_flat_state(state)

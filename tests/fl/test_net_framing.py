@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.fl.net import FrameError, FrameReader, MessageDecodeError, encode_frame
-from repro.fl.net.framing import HEADER_BYTES, MAGIC, MAX_PAYLOAD_BYTES, TRAILER_BYTES
+from repro.fl.net.framing import HEADER_BYTES, MAGIC, MAX_PAYLOAD_BYTES, TRAILER_BYTES, frame_crc
 from repro.fl.parameters import FlatState
 from repro.fl.trainer import StepStatistics
 from repro.fl.transport import IdentityCodec
@@ -45,6 +45,7 @@ from repro.fl.net.messages import (
     TaskEnvelope,
     UpdateEnvelope,
     Welcome,
+    canonical_fingerprint,
     decode_message,
     encode_message,
 )
@@ -92,6 +93,17 @@ class TestRoundTrip:
     def test_encode_rejects_oversized_payload(self):
         with pytest.raises(FrameError, match="oversized"):
             encode_frame(1, b"x", max_payload_bytes=0)
+
+    @pytest.mark.parametrize("frame_type, payload", [(0, b""), (0x10, b"hello federation"), (0xFF, bytes(range(256)))])
+    def test_frame_crc_is_the_trailer(self, frame_type, payload):
+        frame = encode_frame(frame_type, payload)
+        assert frame[-TRAILER_BYTES:] == frame_crc(frame_type, payload).to_bytes(4, "big")
+
+    def test_frame_crc_covers_type_and_length(self):
+        crc = frame_crc(1, b"abc")
+        assert crc != frame_crc(2, b"abc")
+        assert crc != frame_crc(1, b"abcd")
+        assert frame_crc(0x101, b"abc") == crc  # only the type's low byte goes on the wire
 
     def test_encode_rejects_bad_type(self):
         with pytest.raises(ValueError):
@@ -240,6 +252,17 @@ class TestMessages:
     def test_round_trip(self, message):
         frame_type, body = encode_message(message)
         assert decode_message(frame_type, body) == message
+
+    def test_canonical_fingerprint_is_what_the_peer_sees(self):
+        local = {"seed": 0, "clients": (1, 2), "shapes": {3: (4, 5)}, "model": "flnet"}
+        canonical = canonical_fingerprint(local)
+        assert canonical == {"seed": 0, "clients": [1, 2], "shapes": {"3": [4, 5]}, "model": "flnet"}
+        hello = decode_message(*encode_message(Hello(client_ids=(1,), cursors={}, fingerprint=local)))
+        assert hello.fingerprint == canonical
+        assert canonical_fingerprint(canonical) == canonical
+
+    def test_canonical_fingerprint_of_none_is_empty(self):
+        assert canonical_fingerprint(None) == {}
 
     def test_update_state_and_payload_round_trip_bit_exact(self):
         rng = np.random.default_rng(0)

@@ -58,7 +58,7 @@ from repro.fl.scheduling import (
     create_sampler,
 )
 from repro.fl.scheduling.availability import BernoulliAvailability, DayNightAvailability
-from repro.fl.scheduling.latency import LogNormalLatency, ParetoLatency
+from repro.fl.scheduling.latency import LogNormalLatency, ParetoLatency, UniformLatency
 from repro.fl.scheduling.samplers import UniformSampler, WeightedSampler
 from repro.models import FLNet
 from repro.utils.rng import new_rng
@@ -296,8 +296,35 @@ class TestLatency:
         model.set_state(snapshot)
         assert [model.sample(i, i) for i in range(10)] == first
 
+    def test_uniform_within_bounds_and_deterministic(self):
+        draws_a = [UniformLatency(low=2.0, high=3.0, seed=5).sample(0, 0) for _ in range(3)]
+        model = UniformLatency(low=2.0, high=3.0, seed=5)
+        draws_b = [model.sample(i, i) for i in range(200)]
+        assert draws_a == [draws_b[0]] * 3
+        assert all(2.0 <= d <= 3.0 for d in draws_b)
+        assert len(set(draws_b)) == len(draws_b)
+
+    @pytest.mark.parametrize("low, high", [(-1.0, 5.0), (10.0, 5.0)])
+    def test_uniform_rejects_bad_range(self, low, high):
+        with pytest.raises(ValueError, match="need 0 <= low <= high"):
+            UniformLatency(low=low, high=high)
+
+    def test_uniform_degenerate_range_is_constant(self):
+        model = UniformLatency(low=7.0, high=7.0, seed=1)
+        assert [model.sample(i, i) for i in range(5)] == [7.0] * 5
+        assert model.describe() == "uniform[7, 7]"
+
+    def test_uniform_state_roundtrip(self):
+        model = UniformLatency(seed=3)
+        snapshot = model.state()
+        first = [model.sample(i, i) for i in range(10)]
+        model.set_state(snapshot)
+        assert [model.sample(i, i) for i in range(10)] == first
+
     def test_create_latency(self):
         assert isinstance(create_latency(None), ZeroLatency)
+        assert isinstance(create_latency("Uniform"), UniformLatency)
+        assert create_latency("uniform", seed=4).sample(0, 0) == UniformLatency(seed=4).sample(0, 0)
         assert isinstance(create_latency("lognormal"), LogNormalLatency)
         assert isinstance(create_latency("heavytail"), ParetoLatency)
         with pytest.raises(ValueError, match="unknown straggler"):

@@ -239,6 +239,17 @@ class TestInit:
         with pytest.raises(ValueError):
             nn_init.kaiming_uniform((3,), np.random.default_rng(0))
 
+    def test_uniform_bias_bound(self):
+        bias = nn_init.uniform_bias((1000,), fan_in=16 * 9, rng=np.random.default_rng(0))
+        bound = 1.0 / np.sqrt(16 * 9)
+        assert bias.shape == (1000,)
+        assert np.all(np.abs(bias) <= bound)
+        assert np.abs(bias).max() > 0.9 * bound  # fills the interval, not a narrower one
+
+    def test_uniform_bias_zero_fan_in_is_bounded_by_one(self):
+        bias = nn_init.uniform_bias((200,), fan_in=0, rng=np.random.default_rng(1))
+        assert np.all(np.isfinite(bias)) and np.all(np.abs(bias) <= 1.0)
+
     @given(st.integers(1, 16), st.integers(1, 16), st.integers(1, 5), st.integers(1, 5))
     @settings(max_examples=25, deadline=None)
     def test_fan_computation_consistency(self, out_channels, in_channels, kh, kw):
