@@ -42,6 +42,11 @@ class RoutabilityModel(Module):
             self.train(was_training)
         return output
 
+    def backward(self, grad_output: np.ndarray) -> None:
+        """Accumulate every parameter's gradient; the features' gradient is never formed
+        (the first conv runs only ``Conv2d.accumulate_grads``)."""
+        raise NotImplementedError
+
     def local_parameter_names(self) -> List[str]:
         """Parameter names of the output layer (the FedProx-LG local part)."""
         names = [name for name, _ in self.named_parameters() if name.startswith("output_conv")]

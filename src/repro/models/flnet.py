@@ -61,10 +61,9 @@ class FLNet(RoutabilityModel):
         hidden = self.relu(self.input_conv(x))
         return self.output_conv(hidden)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> None:
         grad = self.output_conv.backward(grad_output)
-        grad = self.relu.backward(grad)
-        return self.input_conv.backward(grad)
+        self.input_conv.accumulate_grads(self.relu.backward(grad))
 
     def architecture_table(self) -> list:
         """The rows of the paper's Table 1 for this instance."""

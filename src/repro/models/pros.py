@@ -79,6 +79,8 @@ class PROS(RoutabilityModel):
             )
         return self.output_conv(self.body(x))
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> None:
         grad = self.output_conv.backward(grad_output)
-        return self.body.backward(grad)
+        for index in range(len(self.body) - 1, 0, -1):
+            grad = self.body[index].backward(grad)
+        self.body[0].accumulate_grads(grad)

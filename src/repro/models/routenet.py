@@ -111,7 +111,7 @@ class RouteNet(RoutabilityModel):
         decoded = self.decoder(upsampled + skip)
         return self.output_conv(decoded)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> None:
         grad = self.output_conv.backward(grad_output)
         grad = self.decoder.backward(grad)
         # The decoder input was (upsampled + skip): the gradient flows into
@@ -121,7 +121,7 @@ class RouteNet(RoutabilityModel):
         grad_mid = self.middle.backward(grad_up)
         grad_encoded = self.pool.backward(grad_mid) + grad_skip
         grad_stem = self.encoder.backward(grad_encoded)
-        return self.stem.backward(grad_stem)
+        self.stem[0].accumulate_grads(self.stem[1].backward(grad_stem))
 
 
 def RouteNetGN(

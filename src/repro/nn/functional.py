@@ -5,26 +5,28 @@ convolution is lowered to one large matrix multiplication per batch, which is
 the only way to get acceptable throughput out of NumPy.  All functions work on
 ``NCHW`` tensors and support stride, symmetric zero padding, and dilation.
 
-One copy, one scatter
----------------------
+One copy, one fold per tap
+--------------------------
 :func:`im2col` is one assignment of a strided window view of the padded
 input into a ``cols`` buffer — a pure copy with no index table, so nothing
 is kept per geometry — and padding is an interior copy into a border-zeroed
 buffer.  Layers pass ``out=`` / ``padded_out=`` buffers from their workspace
 (see :mod:`repro.nn.workspace`) so a step stops paying an allocation and
 page faults per call; a caller that passes none gets them allocated and runs
-the same lines.  :func:`col2im` scatters each kernel tap straight into the
-unpadded result, and :func:`one_filter_input_grad` walks the same clipped
-taps (:func:`_clipped_taps`) for a convolution with a single filter, whose
-columns it never materializes.  ``tests/nn`` holds all three to a few-line
-oracle (``np.pad`` + fancy-index gather, flattened ordered scatter) bit for
-bit.
+the same lines.  A convolution's input gradient (and a transposed
+convolution's forward pass) never forms columns: :func:`conv_input_grad`
+multiplies the output gradient by one kernel tap's filters at a time into
+image-sized channels-last scratch and adds it over the tap's clipped range
+(:func:`_clipped_taps`).  :func:`col2im`, which scatters given columns
+tap by tap over the same ranges, is left to max pooling.  ``tests/nn``
+holds all three to a few-line oracle (``np.pad`` + fancy-index gather,
+GEMM + flattened ordered scatter) bit for bit.
 
 Dtype rules
 -----------
 Everything here is dtype-preserving: float32 inputs produce float32
 outputs (the compute-dtype fast path), float64 stays float64 bit for bit.
-:func:`col2im` and :func:`one_filter_input_grad` accumulate in the columns'
+:func:`col2im` and :func:`conv_input_grad` accumulate in the operands'
 own dtype, adding each cell's contributions in ascending tap order.
 """
 
@@ -194,7 +196,7 @@ def _clipped_taps(
     of tap ``(ki, kj)`` land on image cells ``[rows, columns]``, and every
     other output pixel of that tap falls in the padding.  Taps that land
     nowhere are left out.  This is the one place the scatter geometry is
-    written down; :func:`col2im` and :func:`one_filter_input_grad` both
+    written down; :func:`col2im` and :func:`conv_input_grad` both
     walk it, so they clip alike.
     """
     column_taps = list(_axis_taps(kernel_w, stride, padding, dilation, w, out_w))
@@ -216,10 +218,10 @@ def col2im(
 ) -> np.ndarray:
     """Fold columns back into an image, accumulating overlapping patches.
 
-    This is the adjoint of :func:`im2col`; it is used both for convolution
-    backward passes and for the forward pass of transposed convolutions.
-    The result has ``cols``'s dtype and is always freshly allocated (it is
-    a layer's returned value, never workspace scratch).
+    This is the adjoint of :func:`im2col`; max pooling's backward pass
+    scatters its one-hot columns with it.  The result has ``cols``'s dtype
+    and is always freshly allocated (it is a layer's returned value, never
+    workspace scratch).
 
     Each kernel tap is one vectorized ``+=`` straight into the unpadded
     result, over the output range clipped to the rows and columns that do
@@ -245,7 +247,7 @@ def col2im(
     return out
 
 
-def one_filter_input_grad(
+def conv_input_grad(
     weight: np.ndarray,
     grad_output: np.ndarray,
     x_shape: Tuple[int, int, int, int],
@@ -255,42 +257,34 @@ def one_filter_input_grad(
     product_out: Optional[np.ndarray] = None,
     accumulator_out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Input gradient of a convolution with **one** filter, without its columns.
+    """Input gradient of a convolution with ``K`` filters, without its columns.
 
-    Equal, bit for bit and in either dtype, to
-    ``col2im(weight.reshape(1, -1).T @ grad_output.reshape(N, 1, -1), x_shape, ...)``.
+    Equal, bit for bit and in either dtype, to ``col2im(W.T @ g, x_shape, ...)``
+    with ``W = weight.reshape(K, -1)`` and ``g = grad_output.reshape(N, K, -1)``.
+    For each clipped tap (:func:`_clipped_taps`), in ascending ``(ki, kj)``
+    order as :func:`col2im` adds them, the tap's products are formed
+    channels-last in ``(N, out_h, out_w, C)`` scratch and added into an
+    ``(N, H, W, C)`` accumulator, which is transposed into the fresh ``NCHW``
+    result at the end.  The products are the GEMM's own numbers:
 
-    Why only one filter.  With ``K`` filters the columns' gradient is
-    ``grad_cols[n, (c, ki, kj), l] = sum_k w[k, c, ki, kj] * g[n, k, l]``.
-    For ``K = 1`` that is a single rounded multiply per element: there is no
-    summation inside it whose order could differ, so ``np.multiply`` forms
-    the very numbers the GEMM would have written, and adding them per cell
-    in ascending ``(ki, kj)`` order is exactly what :func:`col2im` does with
-    them.  For ``K > 1`` the sum over ``k`` happens inside BLAS, with fused
-    multiply-adds in an order NumPy cannot reproduce, so every other layer
-    keeps GEMM + :func:`col2im`.
+    * ``K = 1``: one rounded multiply each, so ``np.multiply`` forms them
+      (over the clipped range only).  Its ``-0.0`` where the GEMM's
+      ``0 + a * b`` gave ``+0.0`` cannot reach the result: every cell starts
+      at ``+0.0``, ``+0 + -0 = +0`` and ``x + ±0 = x``.
+    * ``K > 1``: one ``np.matmul(g.T, w[:, :, ki, kj])`` per tap.  BLAS forms
+      each element as the same length-``K`` dot product over the same operand
+      pairs, the transposed operand on the same side as in ``W.T @ g``; only
+      the tile it falls in changes.  NumPy hands a product with a unit
+      dimension to gemv, which sums in another order; so for a single
+      channel or a single output pixel the whole kernel's product is one
+      ``matmul``, its columns in ``W.T @ g``'s ``(c, ki, kj)`` order.
 
-    The one visible difference cannot reach the result: ``np.multiply`` may
-    give ``-0.0`` where the GEMM's ``0 + a * b`` gave ``+0.0``, but every
-    cell starts at ``+0.0``, ``+0 + -0 = +0`` and ``x + ±0 = x``, so a cell
-    never holds ``-0.0`` and never sees the sign of a zero product.
-
-    The taps are folded channels-last — the product of one tap is
-    ``g[n, oy, ox] * w[ki, kj, :]``, a contiguous run over the channels —
-    and the accumulator is transposed into the fresh ``NCHW`` result at the
-    end (a copy, which changes no value).
-
-    Parameters
-    ----------
-    weight:
-        The filter, ``(1, C, kernel_h, kernel_w)``; its dtype is the
-        compute dtype.
-    grad_output:
-        ``(N, 1, out_h, out_w)``, same dtype.
-    product_out, accumulator_out:
-        Optional scratch of shape ``(N, out_h, out_w, C)`` and
-        ``(N, H, W, C)`` in that dtype (a layer passes workspace buffers);
-        both are overwritten.  The returned array never aliases them.
+    A transposed convolution's forward pass is this computation, with the
+    weight's in-channels as the filters.  ``weight`` is ``(K, C, kh, kw)``
+    in the compute dtype and ``grad_output`` ``(N, K, out_h, out_w)``.
+    ``product_out`` / ``accumulator_out`` are optional scratch of the shapes
+    above (a layer passes workspace buffers), both overwritten; the returned
+    array never aliases them.
 
     Raises
     ------
@@ -299,33 +293,43 @@ def one_filter_input_grad(
         cast it, and a product rounded in another dtype changes the bits.
     """
     n, c, h, w = x_shape
-    _, _, kernel_h, kernel_w = weight.shape
+    filters, _, kernel_h, kernel_w = weight.shape
     out_h = conv_output_size(h, kernel_h, stride, padding, dilation)
     out_w = conv_output_size(w, kernel_w, stride, padding, dilation)
     dtype = weight.dtype
-    if weight.shape[:2] != (1, c):
-        raise ValueError(
-            f"one_filter_input_grad expected a (1, {c}, kh, kw) filter, got {weight.shape}"
-        )
-    _check_buffer("one_filter_input_grad grad_output", grad_output, (n, 1, out_h, out_w), dtype)
+    if weight.shape[1] != c:
+        raise ValueError(f"conv_input_grad expected (K, {c}, kh, kw) filters, got {weight.shape}")
+    _check_buffer("conv_input_grad grad_output", grad_output, (n, filters, out_h, out_w), dtype)
     product_shape, accumulator_shape = (n, out_h, out_w, c), (n, h, w, c)
     if product_out is None:
         product_out = np.empty(product_shape, dtype=dtype)
     if accumulator_out is None:
         accumulator_out = np.empty(accumulator_shape, dtype=dtype)
-    _check_buffer("one_filter_input_grad product_out", product_out, product_shape, dtype)
-    _check_buffer("one_filter_input_grad accumulator_out", accumulator_out, accumulator_shape, dtype)
+    _check_buffer("conv_input_grad product_out", product_out, product_shape, dtype)
+    _check_buffer("conv_input_grad accumulator_out", accumulator_out, accumulator_shape, dtype)
     accumulator_out.fill(0)
-    tap_weights = np.ascontiguousarray(weight[0].transpose(1, 2, 0))  # (kernel_h, kernel_w, c)
-    grad = grad_output.reshape(n, out_h, out_w, 1)
+    # (N, L, K): a transposed view, as W.T is in the GEMM.
+    grad = grad_output.reshape(n, filters, out_h * out_w).transpose(0, 2, 1)
+    tap_weights = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))  # (kernel_h, kernel_w, K, C)
     product_flat = product_out.reshape(-1)
+    kernel_products = None
+    if filters > 1 and (c == 1 or out_h * out_w == 1):
+        kernel_products = np.matmul(grad, weight.reshape(filters, -1)).reshape(
+            n, out_h, out_w, c, kernel_h, kernel_w
+        )
     for ki, kj, rows, columns, out_rows, out_columns in _clipped_taps(
         h, w, out_h, out_w, kernel_h, kernel_w, stride, padding, dilation
     ):
-        tap_grad = grad[:, out_rows, out_columns]
-        # A contiguous prefix of the scratch, not a corner of it: ~13% faster.
-        product = product_flat[: tap_grad.size * c].reshape(tap_grad.shape[:3] + (c,))
-        np.multiply(tap_grad, tap_weights[ki, kj], out=product)
+        if kernel_products is not None:
+            product = kernel_products[:, out_rows, out_columns, :, ki, kj]
+        elif filters == 1:
+            tap_grad = grad.reshape(n, out_h, out_w, 1)[:, out_rows, out_columns]
+            # A contiguous prefix of the scratch, not a corner of it: ~13% faster.
+            product = product_flat[: tap_grad.size * c].reshape(tap_grad.shape[:3] + (c,))
+            np.multiply(tap_grad, tap_weights[ki, kj], out=product)
+        else:
+            np.matmul(grad, tap_weights[ki, kj], out=product_flat.reshape(n, out_h * out_w, c))
+            product = product_out[:, out_rows, out_columns]
         accumulator_out[:, rows, columns] += product
     return accumulator_out.transpose(0, 3, 1, 2).copy()
 

@@ -8,11 +8,10 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.functional import (
-    col2im,
+    conv_input_grad,
     conv_output_size,
     conv_transpose_output_size,
     im2col,
-    one_filter_input_grad,
 )
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
@@ -41,10 +40,10 @@ def grad_weight_gemm(grad_flat: np.ndarray, cols: np.ndarray, stage: np.ndarray)
     The batch-1 result aliases ``stage`` and must be consumed before the
     owning layer's next step (the standard workspace contract).
 
-    This contraction runs over ``L`` while the ``grad_cols`` product of the
-    same backward contracts over ``O``; no stacking of operands turns the
+    This contraction runs over ``L`` while the input gradient of the same
+    backward contracts over the filters; no stacking of operands turns the
     two into one batched matmul without zero-padding one of them, and
-    padding changes the GEMM's reduction tree — so they stay two GEMMs.
+    padding changes the GEMM's reduction tree — so they stay apart.
     """
     if grad_flat.shape[0] == 1:
         return np.matmul(grad_flat[0], cols[0].transpose(), out=stage[0])
@@ -57,17 +56,17 @@ class Conv2d(Module):
 
     The weight has shape ``(out_channels, in_channels, kernel_h, kernel_w)``.
     The forward pass lowers the convolution to a batched matrix multiplication
-    via im2col; the backward pass computes input, weight, and bias gradients
-    and returns the input gradient.
+    via im2col.  :meth:`accumulate_grads` adds the weight and bias gradients
+    of a step; :meth:`backward` does that and returns the input gradient,
+    folded tap by tap without ever forming its columns (see
+    :func:`repro.nn.functional.conv_input_grad`).  A model's first conv,
+    whose input gradient nobody reads, calls only :meth:`accumulate_grads`.
 
-    The large per-step temporaries — the padded input, the im2col ``cols``
-    matrix, ``grad_cols``, and the weight-gradient staging buffer — live in
-    the layer's :class:`~repro.nn.workspace.Workspace`, reused via ``out=``
-    on every step instead of being reallocated.  A layer with a single
-    filter (the output conv of FLNet, RouteNet and PROS) never forms
-    ``grad_cols``: its input gradient is folded tap by tap, see
-    :func:`repro.nn.functional.one_filter_input_grad`, and the scratch is
-    two image-sized buffers.  The layer holds those buffers
+    The per-step temporaries — the padded input, the im2col ``cols``
+    matrix, the weight-gradient staging buffer and the input gradient's two
+    image-sized channels-last buffers — live in the layer's
+    :class:`~repro.nn.workspace.Workspace`, reused via ``out=`` on every
+    step instead of being reallocated.  The layer holds those buffers
     only until :meth:`~repro.nn.Module.release_workspaces` lends them to the
     thread's pool (and resets ``_cache``, which references ``cols``).
     Workspace buffers are internal scratch only: the layer's outputs and
@@ -144,41 +143,33 @@ class Conv2d(Module):
         self._cache = (cols, x.shape, (out_h, out_w))
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def accumulate_grads(self, grad_output: np.ndarray) -> None:
+        """Add the step's weight and bias gradients; form no input gradient."""
         if self._cache is None:
             raise RuntimeError("Conv2d.backward called before forward")
         cols, x_shape, (out_h, out_w) = self._cache
         n = x_shape[0]
         grad_output = np.asarray(grad_output, dtype=self.compute_dtype)
         grad_flat = grad_output.reshape(n, self.out_channels, out_h * out_w)
-        weight_matrix = self.weight.data.reshape(self.out_channels, -1)
-        dtype = cols.dtype
-
-        stage = self._ws.get("grad_weight_stage", (n,) + weight_matrix.shape, dtype)
-        grad_weight = grad_weight_gemm(grad_flat, cols, stage)
-        self.weight.grad += grad_weight.reshape(self.weight.data.shape)
+        stage = self._ws.get("grad_weight_stage", (n, self.out_channels, cols.shape[1]), cols.dtype)
+        self.weight.grad += grad_weight_gemm(grad_flat, cols, stage).reshape(self.weight.data.shape)
         if self.use_bias:
             self.bias.grad += grad_flat.sum(axis=(0, 2))
 
-        if self.out_channels == 1:
-            # grad_cols would be an outer product, one rounded multiply per
-            # element: fold those products straight into the image.
-            _, c, h, w = x_shape
-            return one_filter_input_grad(
-                self.weight.data,
-                grad_flat.reshape(n, 1, out_h, out_w),
-                x_shape,
-                self.stride,
-                self.padding,
-                self.dilation,
-                product_out=self._ws.get("tap_product", (n, out_h, out_w, c), dtype),
-                accumulator_out=self._ws.get("grad_input_nhwc", (n, h, w, c), dtype),
-            )
-        grad_cols = np.matmul(
-            weight_matrix.T, grad_flat, out=self._ws.get("grad_cols", cols.shape, dtype)
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.accumulate_grads(grad_output)
+        _, (n, c, h, w), (out_h, out_w) = self._cache
+        grad = np.asarray(grad_output, dtype=self.compute_dtype)
+        return conv_input_grad(
+            self.weight.data,
+            grad.reshape(n, self.out_channels, out_h, out_w),
+            (n, c, h, w),
+            self.stride,
+            self.padding,
+            self.dilation,
+            product_out=self._ws.get("tap_product", (n, out_h, out_w, c), grad.dtype),
+            accumulator_out=self._ws.get("grad_input_nhwc", (n, h, w, c), grad.dtype),
         )
-        kh, kw = self.kernel_size
-        return col2im(grad_cols, x_shape, kh, kw, self.stride, self.padding, self.dilation)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -191,12 +182,15 @@ class ConvTranspose2d(Module):
     """2-D transposed (fractionally-strided) convolution over NCHW inputs.
 
     The weight has shape ``(in_channels, out_channels, kernel_h, kernel_w)``
-    following the PyTorch convention.  The forward pass is implemented as the
-    adjoint of :class:`Conv2d` via col2im, which makes the layer exactly the
-    upsampling operator used by encoder/decoder routability models such as
-    RouteNet.  As with :class:`Conv2d`, the column matrices are staged in
-    the layer's workspace — held, like :class:`Conv2d`'s, until
-    ``release_workspaces()`` lends it on.
+    following the PyTorch convention.  The forward pass is the adjoint of
+    :class:`Conv2d` — the input gradient of a convolution whose filters are
+    this weight's in-channels, folded tap by tap by
+    :func:`repro.nn.functional.conv_input_grad` — which makes the layer
+    exactly the upsampling operator used by encoder/decoder routability
+    models such as RouteNet.  As with :class:`Conv2d`, the scratch (two
+    channels-last image-sized buffers forward, the im2col columns of the
+    output gradient backward) is staged in the layer's workspace — held,
+    like :class:`Conv2d`'s, until ``release_workspaces()`` lends it on.
     """
 
     def __init__(
@@ -250,23 +244,16 @@ class ConvTranspose2d(Module):
                 f"ConvTranspose2d expected input of shape (N, {self.in_channels}, H, W), got {x.shape}"
             )
         n, _, h, w = x.shape
-        kh, kw = self.kernel_size
         out_h, out_w = self.output_shape(h, w)
         x_flat = x.reshape(n, self.in_channels, h * w)
-        weight_matrix = self.weight.data.reshape(self.in_channels, -1)
-        cols = np.matmul(
-            weight_matrix.T,
-            x_flat,
-            out=self._ws.get("cols", (n, weight_matrix.shape[1], h * w), x.dtype),
-        )
-        out = col2im(
-            cols,
+        out = conv_input_grad(
+            self.weight.data,
+            x,
             (n, self.out_channels, out_h, out_w),
-            kh,
-            kw,
             self.stride,
             self.padding,
-            dilation=1,
+            product_out=self._ws.get("tap_product", (n, h, w, self.out_channels), x.dtype),
+            accumulator_out=self._ws.get("out_nhwc", (n, out_h, out_w, self.out_channels), x.dtype),
         )
         if self.use_bias:
             out += self.bias.data.reshape(1, -1, 1, 1)

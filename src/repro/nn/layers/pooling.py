@@ -15,20 +15,19 @@ from repro.nn.module import Module
 
 
 class MaxPool2d(Module):
-    """Max pooling with a square window."""
+    """Max pooling with a square window, unpadded."""
 
-    def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0):
+    def __init__(self, kernel_size: int, stride: Optional[int] = None):
         super().__init__()
         if kernel_size <= 0:
             raise ValueError(f"kernel_size must be positive, got {kernel_size}")
         self.kernel_size = int(kernel_size)
         self.stride = int(stride) if stride is not None else int(kernel_size)
-        self.padding = int(padding)
         self._cache = None
 
     def output_shape(self, height: int, width: int) -> Tuple[int, int]:
-        out_h = conv_output_size(height, self.kernel_size, self.stride, self.padding)
-        out_w = conv_output_size(width, self.kernel_size, self.stride, self.padding)
+        out_h = conv_output_size(height, self.kernel_size, self.stride, 0)
+        out_w = conv_output_size(width, self.kernel_size, self.stride, 0)
         return out_h, out_w
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -37,7 +36,7 @@ class MaxPool2d(Module):
         out_h, out_w = self.output_shape(h, w)
         # Pool each channel independently by treating channels as batch items.
         reshaped = x.reshape(n * c, 1, h, w)
-        cols = im2col(reshaped, self.kernel_size, self.kernel_size, self.stride, self.padding)
+        cols = im2col(reshaped, self.kernel_size, self.kernel_size, self.stride)
         argmax = cols.argmax(axis=1)
         out = np.take_along_axis(cols, argmax[:, None, :], axis=1).squeeze(1)
         out = out.reshape(n, c, out_h, out_w)
@@ -54,7 +53,7 @@ class MaxPool2d(Module):
         flat_grad = grad_output.reshape(n * c, 1, -1)
         np.put_along_axis(grad_cols, argmax[:, None, :], flat_grad, axis=1)
         grad_reshaped = col2im(
-            grad_cols, (n * c, 1, h, w), self.kernel_size, self.kernel_size, self.stride, self.padding
+            grad_cols, (n * c, 1, h, w), self.kernel_size, self.kernel_size, self.stride
         )
         return grad_reshaped.reshape(n, c, h, w)
 

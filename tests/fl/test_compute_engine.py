@@ -86,9 +86,8 @@ def _release_after_backward(template) -> None:
     """
 
     def backward_then_release(model, grad_output):
-        grad_input = type(model).backward(model, grad_output)
+        type(model).backward(model, grad_output)
         model.release_workspaces()
-        return grad_input
 
     template.backward = types.MethodType(backward_then_release, template)
 

@@ -1,5 +1,8 @@
 """Tests for FLNet, RouteNet, PROS, and the model registry."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,34 @@ from repro.nn.losses import MSELoss
 
 CHANNELS = 7
 GRID = 16
+#: The conv each model's input enters: it computes only parameter gradients.
+FIRST_CONV = {FLNet: "input_conv", RouteNet: "stem.0", PROS: "body.0"}
+
+
+def load_nn_oracles():
+    """``tests/nn/oracles.py`` by path: ``tests/fl`` has a module of the same name."""
+    path = Path(__file__).parents[1] / "nn" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("nn_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_batch(batch=2, channels=CHANNELS, grid=GRID, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(batch, channels, grid, grid)), rng.random((batch, 1, grid, grid))
+
+
+def loss_step(model, seed=0):
+    """One forward and backward pass; what ``backward`` returned."""
+    x, y = random_batch(seed=seed)
+    loss = MSELoss()
+    loss.forward(model(x), y)
+    return model.backward(loss.backward())
+
+
+def first_conv(model):
+    return dict(model.named_modules())[FIRST_CONV[type(model)]]
 
 
 @pytest.mark.parametrize("model_cls", [FLNet, RouteNet, PROS])
@@ -22,15 +48,44 @@ class TestCommonModelBehaviour:
         x, _ = random_batch()
         assert model(x).shape == (2, 1, GRID, GRID)
 
-    def test_backward_returns_input_gradient(self, model_cls):
+    def test_backward_returns_nothing(self, model_cls):
         model = model_cls(CHANNELS, seed=0)
-        x, y = random_batch()
-        out = model(x)
-        loss = MSELoss()
-        loss.forward(out, y)
-        grad = model.backward(loss.backward())
-        assert grad.shape == x.shape
-        assert np.any(grad != 0)
+        assert loss_step(model) is None
+        assert all(np.any(param.grad != 0) for param in model.parameters())
+
+    def test_gradients_equal_a_full_first_conv_backward(self, model_cls):
+        """Skipping the first conv's input gradient changes no parameter gradient."""
+        model, full = model_cls(CHANNELS, seed=0), model_cls(CHANNELS, seed=0)
+        conv, full_conv = first_conv(model), first_conv(full)
+        seen = {}
+        forward, accumulate = conv.forward, conv.accumulate_grads
+        conv.forward = lambda x: forward(seen.setdefault("x", x))
+        conv.accumulate_grads = lambda grad: accumulate(seen.setdefault("grad", grad))
+
+        def full_backward(grad):
+            del full_conv.accumulate_grads  # the class method, for backward to call
+            try:
+                seen["grad_input"] = full_conv.backward(grad)
+            finally:
+                full_conv.accumulate_grads = full_backward
+
+        full_conv.accumulate_grads = full_backward
+        loss_step(model)
+        loss_step(full)
+        assert seen["grad_input"].shape == seen["x"].shape
+        for (name, param), (_, twin) in zip(model.named_parameters(), full.named_parameters()):
+            assert param.grad.tobytes() == twin.grad.tobytes(), name
+        oracle = load_nn_oracles().conv2d_step_oracle(conv, seen["x"], seen["grad"])
+        assert conv.weight.grad.tobytes() == oracle[2].tobytes()
+        assert conv.bias.grad.tobytes() == oracle[3].tobytes()
+
+    def test_first_conv_holds_no_input_gradient_scratch(self, model_cls):
+        model = model_cls(CHANNELS, seed=0)
+        loss_step(model)
+        held = {tag for tag, _, _ in first_conv(model)._ws._buffers}
+        assert held == {"padded", "cols", "grad_weight_stage"}
+        held_by_output = {tag for tag, _, _ in model.output_conv._ws._buffers}
+        assert held_by_output >= {"tap_product", "grad_input_nhwc"}
 
     def test_training_reduces_loss(self, model_cls):
         from repro.nn.optim import Adam

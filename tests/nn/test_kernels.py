@@ -1,12 +1,15 @@
 """Parity suite for the convolution kernels.
 
-``functional.im2col`` / ``col2im`` and the conv layers' weight-gradient GEMM
-are held **bit for bit** — float64 and float32 — to the few-line references
-in ``oracles.py``: the clipped-tap scatter never reassociates an IEEE
-operation, it only skips buffer traffic, and the single-image GEMM collapse
-is the same BLAS call without the reduction pass.  Pinned across seeded
-random geometries (stride/padding/dilation/odd shapes), both dtypes,
-batch 1 / n, whole layer steps, and a numerical gradcheck.
+``functional.im2col`` / ``col2im`` / ``conv_input_grad`` and the conv
+layers' weight-gradient GEMM are held **bit for bit** — float64 and
+float32 — to the few-line references in ``oracles.py``: the clipped-tap
+scatter never reassociates an IEEE operation, it only skips buffer
+traffic; the per-tap input-gradient fold forms the GEMM's very products;
+and the single-image GEMM collapse is the same BLAS call without the
+reduction pass.  Pinned across seeded random geometries
+(filters/channels/stride/padding/dilation/odd shapes), every conv of the
+three models, both dtypes, batch 1 / n, whole layer steps, and a numerical
+gradcheck.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from oracles import (
 )
 
 from repro.nn import Conv2d, ConvTranspose2d
-from repro.nn.functional import col2im, conv_output_size, im2col, one_filter_input_grad
+from repro.models import PROS, FLNet, RouteNet
+from repro.nn.functional import col2im, conv_input_grad, conv_output_size, im2col
 from repro.nn.layers.conv import grad_weight_gemm
 
 
@@ -128,72 +132,166 @@ def one_filter_geometries(seed: int, count: int):
         yield n, int(rng.integers(1, 20)), h, w, kh, kw, stride, padding, dilation
 
 
-class TestOneFilterFold:
-    """``one_filter_input_grad`` is ``col2im`` of the outer-product columns, to the bit."""
+def input_grad_geometries(seed: int, count: int):
+    """Seeded ``(filters, n, c, h, w, kh, kw, stride, padding, dilation)``.
 
-    @staticmethod
-    def operands(rng, n, c, h, w, kh, kw, stride, padding, dilation, dtype):
-        out_h = conv_output_size(h, kh, stride, padding, dilation)
-        out_w = conv_output_size(w, kw, stride, padding, dilation)
-        weight = rng.standard_normal((1, c, kh, kw)).astype(dtype)
-        grad = rng.standard_normal((n, 1, out_h, out_w)).astype(dtype)
-        # Exact zeros against both signs: products of either zero sign.
-        weight[rng.random(weight.shape) < 0.2] = 0.0
-        grad[rng.random(grad.shape) < 0.2] = 0.0
-        return weight, grad
+    Filters in {1, 2, 3, 64}, channels in {1, 3, 32}, kernels 1-9, stride
+    1-2, padding 0-4, dilation 1-2, batch 1-4: the one-filter multiply, the
+    per-tap GEMM, and the unit dimensions NumPy hands to gemv.
+    """
+    rng = np.random.default_rng(seed)
+    produced = 0
+    while produced < count:
+        filters = int(rng.choice([1, 2, 3, 64]))
+        c = int(rng.choice([1, 3, 32]))
+        kh, kw = (int(v) for v in rng.integers(1, 10, 2))
+        stride, dilation = (int(v) for v in rng.integers(1, 3, 2))
+        padding = int(rng.integers(0, 5))
+        n = int(rng.integers(1, 5))
+        h, w = (int(v) for v in rng.integers(1, 13, 2))
+        try:
+            conv_output_size(h, kh, stride, padding, dilation)
+            conv_output_size(w, kw, stride, padding, dilation)
+        except ValueError:
+            continue
+        produced += 1
+        yield filters, n, c, h, w, kh, kw, stride, padding, dilation
+    # A single output pixel is rare at random: the GEMM is then a gemv too.
+    yield from [
+        (64, 2, 32, 3, 3, 3, 3, 1, 0, 1),
+        (2, 4, 3, 5, 4, 5, 4, 2, 0, 1),
+        (3, 1, 1, 9, 9, 9, 9, 1, 0, 1),
+        (64, 3, 3, 1, 1, 1, 1, 1, 0, 1),
+        (2, 2, 32, 1, 1, 3, 3, 1, 1, 1),
+    ]
+
+
+def input_grad_operands(rng, filters, n, c, h, w, kh, kw, stride, padding, dilation, dtype):
+    out_h = conv_output_size(h, kh, stride, padding, dilation)
+    out_w = conv_output_size(w, kw, stride, padding, dilation)
+    weight = rng.standard_normal((filters, c, kh, kw)).astype(dtype)
+    grad = rng.standard_normal((n, filters, out_h, out_w)).astype(dtype)
+    # Exact zeros against both signs: products of either zero sign.
+    weight[rng.random(weight.shape) < 0.2] = 0.0
+    grad[rng.random(grad.shape) < 0.2] = 0.0
+    return weight, grad
+
+
+def gemm_then_scatter(weight, grad, x_shape, stride, padding, dilation):
+    """The input gradient as ``W.T @ g`` columns scattered by the oracle."""
+    filters, _, kh, kw = weight.shape
+    columns = np.matmul(weight.reshape(filters, -1).T, grad.reshape(len(grad), filters, -1))
+    return col2im_oracle(columns, x_shape, kh, kw, stride, padding, dilation)
+
+
+def model_conv_geometries():
+    """``(name, layer, input shape)`` of every conv of FLNet, RouteNet and PROS
+    at grids 8 and 16, as a forward pass meets them."""
+    met = []
+    for model_cls in (FLNet, RouteNet, PROS):
+        for grid, batch in ((8, 2), (16, 4)):
+            model = model_cls(6, seed=0)
+            for name, layer in model.named_modules():
+                if isinstance(layer, (Conv2d, ConvTranspose2d)):
+                    def record(x, layer=layer, name=name, forward=layer.forward):
+                        met.append((f"{model_cls.__name__}{grid}.{name}", layer, x.shape))
+                        return forward(x)
+
+                    layer.forward = record
+            model.forward(np.zeros((batch, 6, grid, grid)))
+    return met
+
+
+class TestConvInputGrad:
+    """``conv_input_grad`` is ``col2im`` of the ``W.T @ g`` columns, to the bit."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bit_identical_to_gemm_then_scatter(self, dtype):
         rng = np.random.default_rng(71)
-        for n, c, h, w, kh, kw, stride, padding, dilation in one_filter_geometries(73, 60):
-            geometry = (kh, kw, stride, padding, dilation)
-            weight, grad = self.operands(rng, n, c, h, w, *geometry, dtype)
-            columns = np.matmul(weight.reshape(1, -1).T, grad.reshape(n, 1, -1))
-            reference = col2im_oracle(columns, (n, c, h, w), *geometry)
-            folded = one_filter_input_grad(weight, grad, (n, c, h, w), stride, padding, dilation)
+        seen = set()
+        for filters, n, c, h, w, *geometry in input_grad_geometries(73, 120):
+            kh, kw, stride, padding, dilation = geometry
+            weight, grad = input_grad_operands(rng, filters, n, c, h, w, *geometry, dtype)
+            reference = gemm_then_scatter(weight, grad, (n, c, h, w), stride, padding, dilation)
+            folded = conv_input_grad(weight, grad, (n, c, h, w), stride, padding, dilation)
             assert folded.dtype == dtype and folded.flags.c_contiguous
-            assert folded.tobytes() == reference.tobytes(), (n, c, h, w, *geometry, dtype)
+            assert folded.tobytes() == reference.tobytes(), (filters, n, c, h, w, *geometry, dtype)
+            seen |= {("filters", filters), ("channels", c), ("stride", stride)}
+            seen |= {("dilation", dilation), ("batch", n), ("pixels", min(grad[0, 0].size, 2))}
+        assert seen >= {("filters", k) for k in (1, 2, 3, 64)}
+        assert seen >= {("channels", c) for c in (1, 3, 32)}
+        assert seen >= {("stride", 2), ("dilation", 2), ("batch", 1), ("batch", 4), ("pixels", 1)}
 
-    def test_scratch_is_overwritten_and_never_returned(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_model_conv_geometries(self, dtype):
+        """Every conv the three models run, transposed convs with their
+        in-channels as the filters: the GEMM-layout argument on real shapes."""
+        rng = np.random.default_rng(75)
+        for name, layer, (n, _, h, w) in model_conv_geometries():
+            weight = layer.weight.data.astype(dtype)
+            if isinstance(layer, ConvTranspose2d):
+                x_shape = (n, layer.out_channels, *layer.output_shape(h, w))
+                geometry = (layer.stride, layer.padding, 1)
+                grad = rng.standard_normal((n, layer.in_channels, h, w)).astype(dtype)
+            else:
+                x_shape = (n, layer.in_channels, h, w)
+                geometry = (layer.stride, layer.padding, layer.dilation)
+                grad = rng.standard_normal((n, layer.out_channels, *layer.output_shape(h, w)))
+                grad = grad.astype(dtype)
+            reference = gemm_then_scatter(weight, grad, x_shape, *geometry)
+            folded = conv_input_grad(weight, grad, x_shape, *geometry)
+            assert folded.tobytes() == reference.tobytes(), (name, dtype)
+
+    @pytest.mark.parametrize("filters", [1, 4])
+    def test_scratch_is_overwritten_and_never_returned(self, filters):
         rng = np.random.default_rng(79)
         n, c, h, w = 2, 5, 7, 6
-        weight, grad = self.operands(rng, n, c, h, w, 3, 3, 1, 1, 1, np.float64)
+        weight, grad = input_grad_operands(rng, filters, n, c, h, w, 3, 3, 1, 1, 1, np.float64)
         product = np.full((n, h, w, c), np.nan)
         accumulator = np.full((n, h, w, c), np.nan)
-        expected = one_filter_input_grad(weight, grad, (n, c, h, w), padding=1)
-        staged = one_filter_input_grad(
+        expected = conv_input_grad(weight, grad, (n, c, h, w), padding=1)
+        staged = conv_input_grad(
             weight, grad, (n, c, h, w), padding=1, product_out=product, accumulator_out=accumulator
         )
         assert staged.tobytes() == expected.tobytes()
         assert not np.shares_memory(staged, accumulator) and not np.shares_memory(staged, product)
 
-    def test_single_channel_result_is_still_fresh(self):
+    @pytest.mark.parametrize("filters", [1, 3])
+    def test_single_channel_result_is_still_fresh(self, filters):
         # (n, h, w, 1) and (n, 1, h, w) share a memory layout: the final
         # transpose must still copy out of the accumulator.
-        weight = np.full((1, 1, 1, 1), 2.0)
-        grad = np.arange(6.0).reshape(2, 1, 1, 3)
+        weight = np.full((filters, 1, 1, 1), 2.0)
+        grad = np.arange(6.0 * filters).reshape(2, filters, 1, 3)
         accumulator = np.empty((2, 1, 3, 1))
-        folded = one_filter_input_grad(weight, grad, (2, 1, 1, 3), accumulator_out=accumulator)
+        folded = conv_input_grad(weight, grad, (2, 1, 1, 3), accumulator_out=accumulator)
         assert not np.shares_memory(folded, accumulator)
-        assert np.array_equal(folded, 2.0 * grad)
+        assert np.array_equal(folded, 2.0 * grad.sum(axis=1, keepdims=True))
 
+    @pytest.mark.parametrize("filters", [1, 2])
     @pytest.mark.parametrize(
         "override",
         [
-            dict(weight=np.zeros((2, 3, 3, 3))),  # two filters
+            dict(weight=np.zeros((2, 4, 3, 3))),  # four channels, not three
+            dict(grad_output=np.zeros((2, 3, 8, 8))),  # three filters' gradient
             dict(grad_output=np.zeros((2, 1, 8, 7))),
             dict(grad_output=np.zeros((2, 1, 8, 8), dtype=np.float32)),
             dict(product_out=np.zeros((2, 8, 8, 3), dtype=np.float32)),
             dict(accumulator_out=np.zeros((2, 3, 8, 8))),  # NCHW, not channels-last
         ],
+        ids=["channels", "filters", "shape", "grad_dtype", "product_dtype", "nchw"],
     )
-    def test_mismatched_operands_raise(self, override):
+    def test_mismatched_operands_raise(self, override, filters):
         arguments = dict(
-            weight=np.zeros((1, 3, 3, 3)), grad_output=np.zeros((2, 1, 8, 8)), x_shape=(2, 3, 8, 8)
+            weight=np.zeros((filters, 3, 3, 3)),
+            grad_output=np.zeros((2, filters, 8, 8)),
+            x_shape=(2, 3, 8, 8),
         )
-        arguments.update(override)
+        for name, value in override.items():
+            if name == "grad_output" and value.shape[1] == 1:
+                value = np.zeros((2, filters) + value.shape[2:], dtype=value.dtype)
+            arguments[name] = value
         with pytest.raises(ValueError):
-            one_filter_input_grad(padding=1, **arguments)
+            conv_input_grad(padding=1, **arguments)
 
 
 class TestGradWeightGemm:
@@ -287,11 +385,21 @@ class TestLayerParity:
             ("padding", "none"), ("padding", "past_half"),
         }
 
+    @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
+    @pytest.mark.parametrize("output_padding", [0, 1])
+    @pytest.mark.parametrize("in_channels", [4, 1])
     @pytest.mark.parametrize("batch", [1, 3])
-    def test_conv_transpose2d_full_step_bit_identity(self, batch):
-        layer = ConvTranspose2d(4, 2, 4, stride=2, padding=1, rng=np.random.default_rng(47))
-        x = np.random.default_rng(48).standard_normal((batch, 4, 6, 6))
+    def test_conv_transpose2d_full_step_bit_identity(
+        self, batch, in_channels, output_padding, dtype_name
+    ):
+        layer = ConvTranspose2d(
+            in_channels, 2, 4, stride=2, padding=1, output_padding=output_padding,
+            rng=np.random.default_rng(47),
+        )
+        layer.set_compute_dtype(dtype_name)
+        x = np.random.default_rng(48).standard_normal((batch, in_channels, 6, 5))
         grad = np.random.default_rng(49).standard_normal(layer(x).shape)
+        assert grad.shape == (batch, 2, 12 + output_padding, 10 + output_padding)
         assert_step_matches(layer, x, grad, conv_transpose2d_step_oracle)
 
     def test_gradcheck_through_fused_path(self):

@@ -181,6 +181,12 @@ class TestPooling:
             expected[idx // 4, idx % 4] = 1.0
         np.testing.assert_allclose(grad[0, 0], expected)
 
+    def test_maxpool_takes_no_padding(self):
+        # Zero padding made every border window of a negative map read 0;
+        # no model pads its pooling, so the option is gone.
+        with pytest.raises(TypeError):
+            MaxPool2d(2, padding=1)
+
 
 class TestUpsampling:
     def test_pixel_shuffle_shape(self):
