@@ -9,13 +9,12 @@ pools are *warm*: workers are spawned once per backend lifetime
 (``spawn_count``, asserted here too), so only steady-state rounds are
 measured.
 
-Since the compute-saturation engine, every backend also carries a BLAS
-thread policy (default ``auto``): serial lets NumPy's BLAS spread one
-client's GEMMs across every core, while each pool worker is pinned to
-``cores // workers`` BLAS threads, so the workers x BLAS-threads product —
-recorded per row as ``effective_parallelism`` — never oversubscribes the
-machine.  Pre-pinning, the pools and the BLAS pool fought over the same
-cores and "parallel" could lose to serial.
+Every backend also carries a BLAS thread policy (default ``auto``), which
+leaves NumPy's BLAS at its own thread count on every backend: BLAS sums a
+long contraction in an order that depends on its thread count, so pinning
+pool workers below a serial run's count would break bit-identity.  The
+workers x BLAS-threads product each backend deploys is recorded per row as
+``effective_parallelism``.
 
 The 9 clients use synthetic feature/label grids rather than the EDA corpus:
 the benchmark measures the execution engine, not data generation, and the
@@ -159,7 +158,7 @@ def test_execution_backend_speedup(benchmark):
         "",
         "bit-identical global state across all backends: True",
         "warm pools: workers spawned once per backend (asserted)",
-        "BLAS policy auto: workers x BLAS-threads never exceeds the cores",
+        "BLAS policy auto: every backend keeps BLAS's own thread count",
     ]
     text = "\n".join(lines)
     print("\n" + text)
@@ -179,9 +178,8 @@ def test_execution_backend_speedup(benchmark):
     )
 
     if cores >= 4:
-        # With BLAS pinning, the pools own disjoint cores: the 9-way round
-        # must come out ahead of the sequential scan even after IPC
-        # overhead, for both pool flavors.
+        # The 9-way round must come out ahead of the sequential scan even
+        # after IPC overhead, for both pool flavors.
         assert speedups["process"] > 1.2, (
             f"expected parallel speedup on {cores} cores, got {speedups['process']:.2f}x"
         )

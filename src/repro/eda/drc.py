@@ -12,6 +12,13 @@ bins), suite-specific sensitivities (the source of client heterogeneity), and
 a small amount of noise (DRC outcomes are not perfectly predictable from
 placement-stage features).  The top quantile of the score becomes the hotspot
 label.
+
+The two neighbourhood operations are NumPy kernels that give the bits of the
+SciPy calls they replace, so every label (and so every corpus digest) is the
+one SciPy produced: :func:`_dilate_cross` is
+``scipy.ndimage.binary_dilation(mask, iterations=1)`` and
+:func:`_smooth_nearest` is ``scipy.ndimage.gaussian_filter(values, sigma,
+mode="nearest")``.
 """
 
 from __future__ import annotations
@@ -20,13 +27,59 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import ndimage
 
 from repro.eda import maps as map_ext
 from repro.eda.benchmarks import DrcSensitivity
 from repro.eda.placement import Placement
 from repro.eda.routing import CongestionModelConfig, estimate_congestion
 from repro.utils.rng import new_rng
+
+
+def _dilate_cross(mask: np.ndarray) -> np.ndarray:
+    """A boolean map OR-ed with its four edge neighbours, outside the map False.
+
+    ``scipy.ndimage.binary_dilation(mask, iterations=1)`` with its default
+    cross structure and zero border: a boolean OR has no rounding, so the
+    bits agree.
+    """
+    grown = mask.copy()
+    grown[1:, :] |= mask[:-1, :]
+    grown[:-1, :] |= mask[1:, :]
+    grown[:, 1:] |= mask[:, :-1]
+    grown[:, :-1] |= mask[:, 1:]
+    return grown
+
+
+def _smooth_nearest(values: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian smoothing of a 2-D map, edge values repeated outward.
+
+    The bits of ``scipy.ndimage.gaussian_filter(values, sigma,
+    mode="nearest")``: the weights come from the expression of SciPy's
+    ``_gaussian_kernel1d`` with radius ``int(4.0 * sigma + 0.5)``, axis 0 is
+    filtered before axis 1, and each output adds exactly what ndimage's
+    symmetric ``correlate1d`` adds, in its order -- the centre times the
+    middle weight, then each mirrored pair's sum times its weight, outermost
+    pair first.  ``sigma <= 1e-15`` returns a copy, as SciPy does.
+    """
+    if sigma <= 1e-15:
+        return np.array(values, dtype=np.float64)
+    smoothed = np.asarray(values, dtype=np.float64)
+    radius = int(4.0 * float(sigma) + 0.5)
+    sigma2 = sigma * sigma
+    offsets = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / sigma2 * offsets ** 2)
+    weights = weights / weights.sum()
+    for axis in (0, 1):
+        lines = np.moveaxis(smoothed, axis, 0)
+        size = lines.shape[0]
+        padded = np.pad(lines, ((radius, radius), (0, 0)), mode="edge")
+        acc = padded[radius : radius + size] * weights[radius]
+        for step in range(radius, 0, -1):
+            left = padded[radius - step : radius - step + size]
+            right = padded[radius + step : radius + step + size]
+            acc += (left + right) * weights[radius - step]
+        smoothed = np.moveaxis(acc, 0, axis)
+    return smoothed
 
 
 @dataclass
@@ -100,9 +153,8 @@ class DrcHotspotLabeler:
 
         # Macro boundary: bins adjacent to (but not inside) macros suffer from
         # blockage-related violations.
-        macro_presence = (macro > 0.25).astype(np.float64)
-        dilated = ndimage.binary_dilation(macro_presence, iterations=1).astype(np.float64)
-        macro_boundary = np.clip(dilated - macro_presence, 0.0, 1.0)
+        macro_presence = macro > 0.25
+        macro_boundary = (_dilate_cross(macro_presence) & ~macro_presence).astype(np.float64)
 
         # Nonlinear combination with interactions; squared terms make dense
         # bins disproportionately risky, and products couple congestion with
@@ -119,7 +171,7 @@ class DrcHotspotLabeler:
         # Violations spill into neighbouring bins: smooth the score so the
         # label depends on a spatial neighbourhood, rewarding models with a
         # large receptive field (the paper's motivation for FLNet's 9x9 kernels).
-        score = ndimage.gaussian_filter(score, sigma=coeffs.smoothing_sigma, mode="nearest")
+        score = _smooth_nearest(score, coeffs.smoothing_sigma)
 
         rng = new_rng(
             np.random.SeedSequence(

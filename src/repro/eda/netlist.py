@@ -2,9 +2,8 @@
 
 The model is deliberately small — the synthetic flow only needs connectivity,
 cell geometry, and a macro flag — but it is a real netlist: every net refers
-to concrete pins on concrete cells, the container validates referential
-integrity, and a connectivity graph can be exported to ``networkx`` for
-cluster analysis and placement.
+to concrete pins on concrete cells, and the container validates referential
+integrity.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.validation import check_positive
@@ -240,24 +238,6 @@ class Netlist:
                 f"netlist {self.name!r} has {isolated} unconnected cells; "
                 "generation likely went wrong"
             )
-
-    # -- graph export ---------------------------------------------------------------
-    def connectivity_graph(self) -> nx.Graph:
-        """Cell-level connectivity graph (clique model per net, weighted)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self._cells)
-        table = self.net_membership()
-        cell_names = list(self._cells)
-        for _, start, stop in table.spans():
-            members = [cell_names[i] for i in table.cells[start:stop].tolist()]
-            weight = 2.0 / len(members)
-            for index, left in enumerate(members):
-                for right in members[index + 1 :]:
-                    if graph.has_edge(left, right):
-                        graph[left][right]["weight"] += weight
-                    else:
-                        graph.add_edge(left, right, weight=weight)
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

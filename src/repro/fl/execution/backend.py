@@ -215,13 +215,13 @@ class ExecutionBackend:
     BLAS thread policy
     ------------------
     Every backend carries a ``blas_threads`` policy (default ``"auto"``, see
-    :func:`repro.utils.threadpools.resolve_blas_threads`): serial execution
-    leaves the BLAS pool alone — one client's GEMMs already spread across
-    every core — while the pooled backends pin each of W workers to
-    ``cores // W`` BLAS threads so the workers x BLAS-threads product never
-    oversubscribes the machine (the pre-PR records where "parallel" lost to
-    serial were exactly this oversubscription).  An integer pins every
-    worker to that count; ``None`` disables BLAS management entirely.
+    :func:`repro.utils.threadpools.resolve_blas_threads`).  ``"auto"`` and
+    ``None`` leave the BLAS pool at its own thread count on every backend:
+    BLAS sums a long contraction in an order that depends on its thread
+    count, so a pool that pinned fewer threads than a serial run would not
+    reproduce it bit for bit.  An integer pins a serial round and every pool
+    worker to that count alike, which is how to keep ``workers x BLAS
+    threads`` within the machine.
     """
 
     #: Registry / CLI name, overridden by subclasses.
@@ -323,10 +323,9 @@ class SerialBackend(ExecutionBackend):
         # ``timeout`` is ignored: by the time a serial task could be
         # checked against a deadline it has already finished.
         _check_one_task_per_client(tasks)
-        # Under the default "auto" policy this resolves to None (a no-op):
-        # serial execution wants BLAS spreading one client's GEMMs across
-        # every core, which is its out-of-the-box behavior.  An explicit
-        # integer policy pins the round and restores the prior count after.
+        # Under the default "auto" policy this resolves to None (a no-op).
+        # An explicit integer policy pins the round and restores the prior
+        # count after.
         with blas_thread_limit(self.resolved_blas_threads(1)):
             for position, task in enumerate(tasks):
                 client = self._clients[task.client_index]
@@ -426,12 +425,7 @@ def _worker_run_task(payload):
 
 
 def default_worker_count() -> int:
-    """Worker count used when none is requested (the machine's CPU count).
-
-    Under the default ``blas_threads="auto"`` policy this is core-aware
-    rather than oversubscribing: each of the N workers is pinned to
-    ``cores // N = 1`` BLAS thread, so the pool uses exactly the machine.
-    """
+    """Worker count used when none is requested (the machine's CPU count)."""
     return max(1, os.cpu_count() or 1)
 
 
@@ -710,9 +704,9 @@ class ThreadPoolBackend(ExecutionBackend):
     spawns, exactly like the process pool).
 
     The BLAS thread count is process-global state shared by every pool
-    thread, so the policy is applied as a context manager **around** each
-    ``map``/``imap`` call (pin to ``cores // pool_size`` for the round,
-    restore after) rather than per task.
+    thread, so an explicit policy is applied as a context manager
+    **around** each ``map``/``imap`` call (pin for the round, restore after)
+    rather than per task.
     """
 
     name = "thread"
@@ -830,10 +824,9 @@ class ExecutionOptions:
     blas_threads: BlasPolicy = field(default=BLAS_AUTO, metadata={
         "type": parse_blas_threads,
         "metavar": "{auto,N}",
-        "help": "BLAS threads per worker: 'auto' (default) leaves serial runs to "
-        "BLAS's own all-core threading and pins each pool worker to "
-        "cores // workers threads so workers x BLAS-threads never "
-        "oversubscribes; an integer pins every worker exactly",
+        "help": "BLAS threads per worker: 'auto' (default) leaves every backend "
+        "at BLAS's own thread count, so pools stay bit-identical to serial; "
+        "an integer pins serial rounds and every pool worker exactly",
     })
     checkpoint_dir: Optional[str] = field(default=None, metadata={
         "help": "directory for per-round checkpoints; re-running with the same "

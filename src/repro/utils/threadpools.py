@@ -29,10 +29,9 @@ This module gives the execution layer the knob it needs:
   thread backends scope their policy to one ``map`` call.
 * :func:`resolve_blas_threads` turns the user-facing policy (``"auto"`` or
   an explicit count, see ``--blas-threads``) into a concrete per-worker
-  thread count: ``auto`` leaves a serial run alone (BLAS already uses every
-  core by default) and pins each of W pool workers to ``cores // W``
-  threads (at least 1) so the workers*threads product never exceeds the
-  machine.
+  thread count: ``auto`` leaves the library at its own count on every
+  backend, so a pool computes the same bits as a serial run, and an
+  explicit count pins serial runs and every pool worker alike.
 
 Everything here is best-effort by design: on an exotic platform every probe
 fails closed (``controllable=False``), the setters return ``False``, and
@@ -55,8 +54,8 @@ logger = logging.getLogger(__name__)
 BLAS_AUTO = "auto"
 
 #: A BLAS thread policy: ``None`` (leave the library alone), ``"auto"``
-#: (core-aware resolution, see :func:`resolve_blas_threads`), or an exact
-#: positive count.
+#: (the default; also leaves it alone, see :func:`resolve_blas_threads`),
+#: or an exact positive count.
 BlasPolicy = Optional[Union[int, str]]
 
 # -- library detection -----------------------------------------------------------
@@ -311,23 +310,20 @@ def resolve_blas_threads(
 ) -> Optional[int]:
     """Resolve a policy into a concrete per-worker BLAS thread count.
 
-    ``None`` means "leave the BLAS library alone" and resolves to ``None``
-    everywhere.  An integer pins every worker to that count.  ``"auto"``
-    is the core-aware rule:
+    ``None`` and ``"auto"`` resolve to ``None`` — leave the BLAS library at
+    its own thread count, which also keeps any limit set through the
+    environment — for every ``workers`` and ``cores``.  An integer pins every
+    worker, a serial run's included, to that count.
 
-    * ``workers <= 1`` (serial execution): ``None`` — BLAS already spreads
-      one client's GEMMs across every core by default, and not touching the
-      pool preserves any limit the user set via environment variables.
-    * ``workers > 1``: ``max(1, cores // workers)`` — the pool's
-      ``workers * blas_threads`` product never exceeds the machine, which
-      is the whole point (see the module docstring).
+    ``"auto"`` does not divide the cores among pool workers: OpenBLAS splits
+    a long contraction (a conv weight gradient's sum over output pixels, a
+    large dot product) across its threads and adds the partial sums, so a
+    worker pinned below a serial run's thread count adds in another order,
+    and the pools would no longer reproduce serial results bit for bit.  To
+    cap ``workers x BLAS threads``, pin an explicit count: it applies to
+    serial runs too, so every backend still agrees.
     """
     check_blas_policy(policy)
-    if policy is None:
+    if policy is None or policy == BLAS_AUTO:
         return None
-    if policy != BLAS_AUTO:
-        return int(policy)
-    if workers <= 1:
-        return None
-    cores = cores if cores is not None else (os.cpu_count() or 1)
-    return max(1, cores // max(1, workers))
+    return int(policy)

@@ -88,12 +88,6 @@ class TestNetlist:
         with pytest.raises(ValueError):
             netlist.validate()
 
-    def test_connectivity_graph(self):
-        graph = self.make_netlist().connectivity_graph()
-        assert set(graph.nodes) == {"a", "b", "c"}
-        assert graph.has_edge("a", "b")
-        assert graph.has_edge("b", "c")
-
 
 class TestTechnology:
     def test_nangate45_layers(self):

@@ -72,14 +72,6 @@ class TestPolicyResolution:
     def test_serial_auto_leaves_blas_alone(self):
         assert SerialBackend().resolved_blas_threads(1) is None
 
-    def test_pools_divide_cores_across_workers(self, monkeypatch):
-        monkeypatch.setattr(backend_module.os, "cpu_count", lambda: 8)
-        backend = ProcessPoolBackend(workers=4)
-        assert backend.effective_workers == 4
-        # resolve uses the real machine's cores; patch the resolver's view too.
-        monkeypatch.setattr("repro.utils.threadpools.os.cpu_count", lambda: 8)
-        assert backend.resolved_blas_threads(4) == 2
-
     def test_explicit_policy_pins_exactly(self):
         backend = ThreadPoolBackend(workers=2, blas_threads=3)
         assert backend.resolved_blas_threads(2) == 3
@@ -128,6 +120,20 @@ class TestRuntimePinning:
         backend.map([ClientTask(client_index=0, state={})])
         assert probe.observed == 2
         assert get_blas_threads() == previous
+
+    def test_thread_pool_auto_keeps_the_serial_thread_count(self):
+        """A pool that pinned fewer BLAS threads than serial would sum differently."""
+        previous = get_blas_threads()
+        probes = [ProbeClient(1), ProbeClient(2)]
+        backend = ThreadPoolBackend(workers=2)
+        backend.bind(probes)
+        try:
+            backend.map(
+                [ClientTask(client_index=0, state={}), ClientTask(client_index=1, state={})]
+            )
+        finally:
+            backend.close()
+        assert [probe.observed for probe in probes] == [previous, previous]
 
     def test_thread_pool_pins_during_map_and_restores(self):
         if not controllable():

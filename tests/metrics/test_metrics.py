@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import roc_auc_score
+from repro.metrics.roc import _average_ranks
 
 
 class TestRocAuc:
@@ -79,3 +80,42 @@ class TestRocAuc:
             labels[0] = 1 - labels[0]
         scores = rng.normal(size=40)
         assert roc_auc_score(labels, scores) + roc_auc_score(labels, -scores) == pytest.approx(1.0)
+
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(roc_auc_score(np.array([0, 1, 1]), np.array([0.2, np.nan, 0.7])))
+
+
+class TestAverageRanks:
+    """``_average_ranks`` holds ``scipy.stats.rankdata``'s values (method "average")."""
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([3.0, 1.0, 2.0], [3.0, 1.0, 2.0]),
+            ([0.5, 0.2, 0.5, 0.2, 0.9, 0.5], [4.0, 1.5, 4.0, 1.5, 6.0, 4.0]),
+            ([0.0, -0.0, 1.0], [1.5, 1.5, 3.0]),
+            ([np.inf, -np.inf, np.inf, 7.0], [3.5, 1.0, 3.5, 2.0]),
+            ([4.0], [1.0]),
+        ],
+    )
+    def test_pinned_ranks(self, values, expected):
+        ranks = _average_ranks(np.array(values))
+        assert ranks.dtype == np.float64
+        assert ranks.tobytes() == np.array(expected).tobytes()
+
+    def test_any_nan_gives_all_nan(self):
+        ranks = _average_ranks(np.array([1.0, np.nan, 0.0, 1.0]))
+        assert ranks.shape == (4,) and np.isnan(ranks).all()
+
+    def test_seeded_sweep_is_bit_identical_to_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(32)
+        for trial in range(300):
+            size = int(rng.integers(1, 2000))
+            if trial % 3 == 0:
+                values = rng.normal(size=size)
+            else:  # few distinct values: long runs of ties, signed zeros included
+                values = rng.integers(-3, 4, size=size) * rng.choice([0.5, -0.0, 1.0], size=size)
+            if trial % 5 == 0:
+                values[rng.integers(0, size)] = np.nan
+            assert _average_ranks(values).tobytes() == stats.rankdata(values).tobytes(), trial
