@@ -96,7 +96,7 @@ def parallelism_fields(backend) -> dict:
             "effective_parallelism": blas_threads,
         }
     pool_size = max(1, min(backend.effective_workers, BENCH_NUM_CLIENTS))
-    per_worker = backend.resolved_blas_threads(pool_size)
+    per_worker = backend.resolved_blas_threads()
     if per_worker is None:
         per_worker = blas_info().max_threads or 1
     return {

@@ -234,9 +234,9 @@ class ExecutionBackend:
         #: task (always 0 for the in-process backends).
         self.respawns = 0
 
-    def resolved_blas_threads(self, pool_size: int) -> Optional[int]:
-        """Per-worker BLAS thread count for a pool of ``pool_size`` workers."""
-        return resolve_blas_threads(self.blas_threads, pool_size)
+    def resolved_blas_threads(self) -> Optional[int]:
+        """BLAS thread count each worker pins, or ``None`` to leave it alone."""
+        return resolve_blas_threads(self.blas_threads)
 
     def bind(self, clients: Sequence) -> None:
         """Attach the client roster tasks will index into.
@@ -326,7 +326,7 @@ class SerialBackend(ExecutionBackend):
         # Under the default "auto" policy this resolves to None (a no-op).
         # An explicit integer policy pins the round and restores the prior
         # count after.
-        with blas_thread_limit(self.resolved_blas_threads(1)):
+        with blas_thread_limit(self.resolved_blas_threads()):
             for position, task in enumerate(tasks):
                 client = self._clients[task.client_index]
                 try:
@@ -535,7 +535,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 max_workers=processes,
                 mp_context=context,
                 initializer=_init_worker,
-                initargs=(self._clients, self.resolved_blas_threads(processes)),
+                initargs=(self._clients, self.resolved_blas_threads()),
             )
             self.spawn_count += 1
         return self._pool
@@ -757,7 +757,7 @@ class ThreadPoolBackend(ExecutionBackend):
         # ``timeout`` is best-effort here: the coordinator stops *waiting*
         # for a late task, but an in-process thread cannot be reclaimed —
         # it runs to completion in the background.
-        with blas_thread_limit(self.resolved_blas_threads(self._pool_size())):
+        with blas_thread_limit(self.resolved_blas_threads()):
             futures = [executor.submit(self._run_one, task) for task in tasks]
             for position, (task, future) in enumerate(zip(tasks, futures)):
                 client = self._clients[task.client_index]

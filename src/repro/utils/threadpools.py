@@ -3,11 +3,12 @@
 NumPy links against a threaded BLAS (OpenBLAS on most wheels, MKL or BLIS
 elsewhere) whose GEMM kernels already fan out across every core.  That is
 exactly right for serial execution — one client's conv/GEMM saturates the
-machine — and exactly wrong for the process/thread execution backends: P
-workers each running a T-thread GEMM oversubscribe the cores P*T-fold, and
-the context-switch thrash can make the "parallel" backends *slower* than
-serial (the pre-PR ``benchmarks/results/execution_backends.json`` records
-show exactly this).
+machine — and can be wrong for the process/thread execution backends: P
+workers each running a T-thread GEMM oversubscribe the cores P*T-fold.
+Capping T changes the bits, though: BLAS splits a long contraction across
+its threads and adds the partial sums, so a run pinned to fewer threads
+adds in another order.  The cap is therefore an explicit count that applies
+to serial and pooled runs alike, never an automatic per-pool division.
 
 This module gives the execution layer the knob it needs:
 
@@ -28,10 +29,10 @@ This module gives the execution layer the knob it needs:
   region and restores the previous value, which is how the serial and
   thread backends scope their policy to one ``map`` call.
 * :func:`resolve_blas_threads` turns the user-facing policy (``"auto"`` or
-  an explicit count, see ``--blas-threads``) into a concrete per-worker
-  thread count: ``auto`` leaves the library at its own count on every
-  backend, so a pool computes the same bits as a serial run, and an
-  explicit count pins serial runs and every pool worker alike.
+  an explicit count, see ``--blas-threads``) into the count to pin:
+  ``auto`` leaves the library at its own count on every backend, so a pool
+  computes the same bits as a serial run, and an explicit count pins serial
+  runs and every pool worker alike.
 
 Everything here is best-effort by design: on an exotic platform every probe
 fails closed (``controllable=False``), the setters return ``False``, and
@@ -305,23 +306,13 @@ def check_blas_policy(policy: BlasPolicy) -> BlasPolicy:
     return policy
 
 
-def resolve_blas_threads(
-    policy: BlasPolicy, workers: int, cores: Optional[int] = None
-) -> Optional[int]:
-    """Resolve a policy into a concrete per-worker BLAS thread count.
+def resolve_blas_threads(policy: BlasPolicy) -> Optional[int]:
+    """Resolve a policy into the BLAS thread count to pin, or ``None``.
 
-    ``None`` and ``"auto"`` resolve to ``None`` — leave the BLAS library at
+    ``None`` and ``"auto"`` resolve to ``None``: leave the BLAS library at
     its own thread count, which also keeps any limit set through the
-    environment — for every ``workers`` and ``cores``.  An integer pins every
-    worker, a serial run's included, to that count.
-
-    ``"auto"`` does not divide the cores among pool workers: OpenBLAS splits
-    a long contraction (a conv weight gradient's sum over output pixels, a
-    large dot product) across its threads and adds the partial sums, so a
-    worker pinned below a serial run's thread count adds in another order,
-    and the pools would no longer reproduce serial results bit for bit.  To
-    cap ``workers x BLAS threads``, pin an explicit count: it applies to
-    serial runs too, so every backend still agrees.
+    environment.  An integer pins every worker, a serial run's included, to
+    that count, so every backend sums in the same order.
     """
     check_blas_policy(policy)
     if policy is None or policy == BLAS_AUTO:

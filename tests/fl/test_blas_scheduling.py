@@ -70,15 +70,20 @@ class TestWorkerClamp:
 
 class TestPolicyResolution:
     def test_serial_auto_leaves_blas_alone(self):
-        assert SerialBackend().resolved_blas_threads(1) is None
+        assert SerialBackend().resolved_blas_threads() is None
+
+    @pytest.mark.parametrize("backend_cls", [ProcessPoolBackend, ThreadPoolBackend])
+    def test_pools_auto_leave_blas_alone(self, backend_cls):
+        # A worker pinned below a serial run's count would sum in another order.
+        assert backend_cls(workers=4).resolved_blas_threads() is None
 
     def test_explicit_policy_pins_exactly(self):
         backend = ThreadPoolBackend(workers=2, blas_threads=3)
-        assert backend.resolved_blas_threads(2) == 3
+        assert backend.resolved_blas_threads() == 3
 
     def test_none_policy_disables_management(self):
         backend = ThreadPoolBackend(workers=2, blas_threads=None)
-        assert backend.resolved_blas_threads(2) is None
+        assert backend.resolved_blas_threads() is None
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):

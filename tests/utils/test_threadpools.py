@@ -46,22 +46,14 @@ class TestPolicyParsing:
 
 class TestResolution:
     def test_none_never_manages(self):
-        assert resolve_blas_threads(None, 1, 16) is None
-        assert resolve_blas_threads(None, 8, 16) is None
+        assert resolve_blas_threads(None) is None
 
     def test_auto_leaves_serial_alone(self):
-        # Serial execution keeps BLAS's own all-core default.
-        assert resolve_blas_threads(BLAS_AUTO, 1, 16) is None
-        assert resolve_blas_threads(BLAS_AUTO, 0, 16) is None
-
-    def test_auto_leaves_pools_alone(self):
-        # Pinning a pool below a serial run's count would change the bits.
-        assert resolve_blas_threads(BLAS_AUTO, 4, 16) is None
-        assert resolve_blas_threads(BLAS_AUTO, 16, 1) is None
+        # Serial runs, and pools with them, keep BLAS's own count.
+        assert resolve_blas_threads(BLAS_AUTO) is None
 
     def test_explicit_count_pins_exactly(self):
-        assert resolve_blas_threads(2, 1, 16) == 2
-        assert resolve_blas_threads(2, 8, 16) == 2
+        assert resolve_blas_threads(2) == 2
 
 
 class TestDetectionAndControl:
