@@ -61,7 +61,10 @@ downlink payload is decoded where the task runs, and — when the envelope
 requests it — the resulting state is encoded before it is returned.  For
 the process pool this means only compressed payloads cross the process
 boundary.  The decode/encode operations are pure functions of the payload,
-so the bit-identity contract above extends to every codec.
+so the bit-identity contract above extends to every codec.  In the
+coordinating process a broadcast is decoded once, however many serial or
+thread-pool tasks start from it; a pool worker or a joiner decodes the
+envelope it receives.
 
 Flat-buffer hand-off
 --------------------
@@ -82,6 +85,8 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolEx
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.fl.faults.errors import ClientExecutionError, TaskFailure
 from repro.fl.parameters import FlatState, State, flat_pair
@@ -153,13 +158,15 @@ def run_client_task(client, task: ClientTask):
 
     Shared by every backend so serial and parallel execution dispatch (and
     transport encode/decode) identically.  For a wire task, the starting
-    state is decoded from the envelope's payload here; when the envelope
-    requests backend-side upload encoding, the resulting state is encoded
-    (as a delta against the decoded start when ``delta_upload`` is set) and
-    returned as ``payload`` with ``new_state=None``.
+    state is the envelope's read-only decoded state, decoded once per
+    process (:meth:`~repro.fl.transport.WireTask.start_state`); when the
+    envelope requests backend-side upload encoding, the resulting state is
+    encoded (as a delta against the decoded start when ``delta_upload`` is
+    set, written into the new state's own buffer) and returned as
+    ``payload`` with ``new_state=None``.
     """
     if task.wire is not None:
-        start_state = task.wire.down_codec.decode(task.wire.payload)
+        start_state = task.wire.start_state()
     else:
         start_state = task.state
     if task.op == TRAIN:
@@ -172,9 +179,11 @@ def run_client_task(client, task: ClientTask):
         raise ValueError(f"unknown client op {task.op!r}")
     if task.wire is not None and task.wire.up_codec is not None:
         if task.wire.delta_upload:
-            # The upload delta, on the contiguous buffers in one pass.
+            # The upload delta, in one pass into the fresh new state's buffer
+            # (or its gather into the start's order, a copy of its own).
             layout, start_vector, new_vector = flat_pair(start_state, new_state)
-            target = FlatState(layout, new_vector - start_vector)
+            np.subtract(new_vector, start_vector, out=new_vector)
+            target = FlatState(layout, new_vector)
         else:
             target = new_state
         return None, task.wire.up_codec.encode(target), stats

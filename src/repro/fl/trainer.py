@@ -17,7 +17,7 @@ the client boundary stay ``float64`` either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +28,33 @@ from repro.models.base import RoutabilityModel
 from repro.nn.dtypes import resolve_compute_dtype
 from repro.nn.losses import Loss, make_loss
 from repro.nn.optim import make_optimizer
+from repro.nn.parameter import Parameter
 from repro.utils.validation import check_positive
+
+
+def proximal_terms(model: RoutabilityModel, reference: State) -> List[Tuple[Parameter, np.ndarray, np.ndarray]]:
+    """``(param, reference tensor, scratch view)`` per parameter ``reference`` names.
+
+    The views share one scratch buffer sized to the largest parameter, in
+    the parameters' dtype.
+    """
+    named = [(param, reference[name]) for name, param in model.named_parameters() if name in reference]
+    if not named:
+        return []
+    scratch = np.empty(max(param.data.size for param, _ in named), dtype=named[0][0].data.dtype)
+    return [(param, ref, scratch[: param.data.size].reshape(param.data.shape)) for param, ref in named]
+
+
+def add_proximal_gradient(terms: List[Tuple[Parameter, np.ndarray, np.ndarray]], mu: float) -> None:
+    """``grad += 2.0 * mu * (data - reference)`` per term, through its scratch view.
+
+    The same IEEE operations in the same order as the expression form.
+    """
+    coefficient = 2.0 * mu
+    for param, reference, scratch in terms:
+        np.subtract(param.data, reference, out=scratch)
+        np.multiply(scratch, coefficient, out=scratch)
+        np.add(param.grad, scratch, out=param.grad)
 
 
 @dataclass
@@ -117,7 +143,7 @@ class LocalTrainer:
                 name: np.asarray(value, dtype=self.compute_dtype)
                 for name, value in reference.items()
             }
-        named_params = dict(model.named_parameters()) if reference is not None else {}
+        proximal = proximal_terms(model, reference) if reference is not None else []
 
         model.train()
         losses = np.zeros(steps, dtype=np.float64)
@@ -126,8 +152,7 @@ class LocalTrainer:
             predictions = model.forward(features)
             losses[step] = loss_fn.forward(predictions, labels)
             model.backward(loss_fn.backward())
-            if reference is not None:
-                self._add_proximal_gradient(named_params, reference, proximal_mu)
+            add_proximal_gradient(proximal, proximal_mu)
             optimizer.step()
         # Local computation is over: lend the scratch to whoever trains next
         # on this thread (see repro.nn.workspace).
@@ -137,14 +162,6 @@ class LocalTrainer:
             mean_loss=float(losses.mean()),
             final_loss=float(losses[-1]),
         )
-
-    @staticmethod
-    def _add_proximal_gradient(
-        named_params: Dict[str, object], reference: State, mu: float
-    ) -> None:
-        for name, param in named_params.items():
-            if name in reference:
-                param.grad += 2.0 * mu * (param.data - reference[name])
 
     def evaluate_loss(
         self,

@@ -32,7 +32,12 @@ Backend hand-off
 :meth:`Channel.broadcast` returns one picklable :class:`WireTask` per
 client; execution backends decode it where the client computation runs (in
 the worker process for :class:`~repro.fl.execution.ProcessPoolBackend`, so
-only compressed payloads cross the process boundary).  When the channel
+only compressed payloads cross the process boundary).  In any one process a
+broadcast is decoded once: the channel's decode of a delta reference is also
+the start state of every serial and thread-pool task that carries the
+envelope, and without delta uploads the first such task decodes it
+(:meth:`WireTask.start_state`).  That shared state is read-only; a worker or
+a joiner decodes the envelope it receives.  When the channel
 needs no server-side state for the upload (no error feedback), the wire
 task also instructs the backend to encode the upload at the worker, so the
 return trip is compressed too; with error feedback, workers return raw
@@ -45,18 +50,27 @@ Every state the channel touches is backed by the flat-buffer engine of
 :class:`~repro.fl.parameters.FlatState` views over one contiguous vector,
 so delta encoding, error-feedback residual folds, and reference updates are
 single whole-model vector operations rather than per-name dict loops (and
-bit-identical to them).
+bit-identical to them).  A delta upload's reconstruction is added into the
+freshly decoded delta's own buffer.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.fl.communication import CommunicationTracker
-from repro.fl.parameters import State, filter_state, merge_partition, zeros_like_state
+from repro.fl.parameters import (
+    FlatState,
+    State,
+    filter_state,
+    flat_pair,
+    merge_partition,
+    zeros_like_state,
+)
 from repro.fl.privacy import apply_update, state_update
 from repro.fl.transport.codecs import (
     Codec,
@@ -68,6 +82,10 @@ from repro.fl.transport.codecs import (
 from repro.utils.validation import check_choice, check_in_range
 
 
+#: Serialises the first decode of a wire task shared by pool threads.
+_DECODE_LOCK = threading.Lock()
+
+
 @dataclass
 class WireTask:
     """The transport envelope one client task carries across a backend.
@@ -77,12 +95,30 @@ class WireTask:
     task's resulting state before returning it (as a delta against the
     decoded downlink state when ``delta_upload`` is set); when ``None``,
     the raw state comes back and the channel finishes the upload itself.
+
+    ``decoded`` is the decoded downlink state, set once per process (by
+    :meth:`Channel.broadcast` or the first :meth:`start_state` call) and
+    shared read-only by every task that carries this envelope.  It is not
+    part of the envelope schema: a worker or a joiner that receives the
+    envelope decodes the payload again.
     """
 
     payload: Payload
     down_codec: Codec
     up_codec: Optional[Codec] = None
     delta_upload: bool = False
+    decoded: Optional[FlatState] = field(default=None, compare=False, repr=False)
+
+    def start_state(self) -> FlatState:
+        """The decoded downlink state; writing into it raises ``ValueError``."""
+        if self.decoded is None:
+            with _DECODE_LOCK:
+                if self.decoded is None:
+                    decoded = self.down_codec.decode(self.payload)
+                    # Views made from a read-only buffer are read-only too.
+                    decoded.vector.setflags(write=False)
+                    self.decoded = FlatState(decoded.layout, decoded.vector)
+        return self.decoded
 
 
 @dataclass(frozen=True)
@@ -116,6 +152,14 @@ class ChannelSummary:
             "uplink_bytes_per_round": dict(self.uplink_bytes_per_round),
             "downlink_bytes_per_round": dict(self.downlink_bytes_per_round),
         }
+
+
+def _reconstruct(reference: State, decoded: FlatState) -> FlatState:
+    """``reference + decoded`` (:func:`~repro.fl.privacy.apply_update`'s bits),
+    written into the freshly decoded delta's buffer."""
+    layout, reference_vector, update_vector = flat_pair(reference, decoded)
+    np.add(reference_vector, update_vector, out=update_vector)
+    return FlatState(layout, update_vector)
 
 
 class Channel:
@@ -176,28 +220,25 @@ class Channel:
         encode_at_backend = expect_upload and not self.error_feedback and not partial_upload
         up_codec = self.uplink_codec if encode_at_backend else None
         # Delta uploads need the server-side copy of what each client decoded
-        # (the reference the delta is applied back onto); without them the
-        # decode would be redundant here — every client decodes its own.
+        # (the reference the delta is applied back onto).  That one decode is
+        # also the task's start state in this process; without delta uploads
+        # the first in-process task decodes it (WireTask.start_state).
         keep_references = self.delta_upload
         tasks_by_state: Dict[int, WireTask] = {}
-        decoded_by_state: Dict[int, State] = {}
         wire_tasks: List[WireTask] = []
         for state, client_id in zip(states, client_ids):
             key = id(state)
             if key not in tasks_by_state:
-                payload = self.downlink_codec.encode(state)
                 tasks_by_state[key] = WireTask(
-                    payload=payload,
+                    payload=self.downlink_codec.encode(state),
                     down_codec=self.downlink_codec,
                     up_codec=up_codec,
                     delta_upload=self.delta_upload,
                 )
-                if keep_references:
-                    decoded_by_state[key] = self.downlink_codec.decode(payload)
             task = tasks_by_state[key]
             self.tracker.record_download(self._round, client_id, task.payload.num_bytes)
             if keep_references:
-                self._references[int(client_id)] = decoded_by_state[key]
+                self._references[int(client_id)] = task.start_state()
             wire_tasks.append(task)
         return wire_tasks
 
@@ -243,7 +284,7 @@ class Channel:
                 )
             self.tracker.record_upload(self._round, client_id, payload.num_bytes)
             decoded = self.uplink_codec.decode(payload)
-            return apply_update(reference, decoded) if self.delta_upload else decoded
+            return _reconstruct(reference, decoded) if self.delta_upload else decoded
 
         if upload_names is None:
             shared = state
@@ -267,7 +308,7 @@ class Channel:
         if self.error_feedback:
             self._residuals[client_id] = state_update(decoded, target)
         reconstructed = (
-            apply_update(shared_reference, decoded) if self.delta_upload else decoded
+            _reconstruct(shared_reference, decoded) if self.delta_upload else decoded
         )
         if upload_names is None:
             return reconstructed

@@ -38,10 +38,15 @@ Flat buffers
 ------------
 ``encode`` packs what it is given once (:func:`~repro.fl.parameters.as_flat_state`,
 a pass-through for a flat state) and reads the wire's sorted name order
-straight off the buffer — zero-copy when the layout already is sorted, the
-case for every codec-decoded state — and every ``decode`` returns a
+straight off the buffer, and every ``decode`` returns a
 :class:`~repro.fl.parameters.FlatState` built directly over one contiguous
-buffer.
+buffer.  The identity and top-k codecs read a sorted vector (zero-copy when
+the layout already is sorted, the case for every codec-decoded state).
+:class:`QuantizationCodec` makes no state-sized temporary either way: it
+reads each tensor at its own offset in sorted name order, computes its
+codes in one work buffer reused for every tensor, casts 8- and 16-bit
+codes straight into the one preallocated stream, and decodes each tensor
+in place into the output buffer from a view of its codes.
 """
 
 from __future__ import annotations
@@ -106,18 +111,17 @@ def _state_from_flat(flat: np.ndarray, schema: Tuple[TensorSpec, ...]) -> State:
     return FlatState(StateLayout.of(schema), flat)
 
 
-def _pack_codes(codes: np.ndarray, num_bits: int) -> bytes:
-    """Pack non-negative integer codes (< 2**num_bits) at num_bits per value.
+#: Byte-aligned code widths and the dtype their codes are cast to on the wire
+#: (big-endian, so the bytes equal the MSB-first bit packing).
+_BYTE_CODES = {8: np.dtype(np.uint8), 16: np.dtype(">u2")}
 
-    Byte-aligned widths take the direct big-endian cast (bit-identical to
-    the generic MSB-first bit packing, orders of magnitude cheaper).
+
+def _pack_codes(codes: np.ndarray, num_bits: int) -> bytes:
+    """Pack non-negative integer codes (< 2**num_bits) MSB first at num_bits per value.
+
+    Only for the widths :data:`_BYTE_CODES` does not cover; those are cast
+    straight into the stream.
     """
-    if codes.size == 0:
-        return b""
-    if num_bits == 8:
-        return codes.astype(np.uint8).tobytes()
-    if num_bits == 16:
-        return codes.astype(">u2").tobytes()
     values = codes.astype(np.int64)
     shifts = np.arange(num_bits - 1, -1, -1, dtype=np.int64)
     bits = ((values[:, None] >> shifts) & 1).astype(np.uint8)
@@ -126,12 +130,6 @@ def _pack_codes(codes: np.ndarray, num_bits: int) -> bytes:
 
 def _unpack_codes(data: bytes, num_bits: int, count: int) -> np.ndarray:
     """Invert :func:`_pack_codes`; returns int64 codes of length ``count``."""
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    if num_bits == 8:
-        return np.frombuffer(data, dtype=np.uint8, count=count).astype(np.int64)
-    if num_bits == 16:
-        return np.frombuffer(data, dtype=">u2", count=count).astype(np.int64)
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[: count * num_bits]
     weights = np.left_shift(1, np.arange(num_bits - 1, -1, -1, dtype=np.int64))
     return bits.reshape(count, num_bits).astype(np.int64) @ weights
@@ -278,7 +276,9 @@ class QuantizationCodec(Codec):
 
     Per tensor (sorted name order) the stream holds the float64 ``low`` and
     ``high`` followed by ``num_bits``-wide codes packed into bytes; a tensor
-    whose values are all equal ships scales only.  Decoding evaluates
+    whose values are all equal ships scales only, and an empty tensor ships
+    scales ``(0.0, 0.0)``.  Encoding evaluates
+    ``round((x - low) / span * levels)``, decoding
     ``low + codes / levels * span``.
 
     ``deflate=True`` adds a lossless DEFLATE stage over the whole stream;
@@ -306,40 +306,51 @@ class QuantizationCodec(Codec):
 
     def encode(self, state: State) -> Payload:
         state = as_flat_state(state)
-        schema = state.layout.sorted_schema()
-        flat = sorted_state_vector(state)
-        sizes = np.asarray(_schema_sizes(schema), dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        # Per-tensor scales in one reduction pass each (min/max are exact,
-        # so the segment reductions match per-array ``.min()``/``.max()``),
-        # then every tensor's codes in one fused elementwise pass over the
-        # whole buffer.
-        lows = np.minimum.reduceat(flat, offsets)
-        highs = np.maximum.reduceat(flat, offsets)
-        spans = highs - lows
-        span_per_value = np.repeat(spans, sizes)
-        low_per_value = np.repeat(lows, sizes)
-        nonzero = span_per_value != 0.0
-        codes = np.zeros(flat.size, dtype=np.float64)
-        codes[nonzero] = np.round(
-            (flat[nonzero] - low_per_value[nonzero]) / span_per_value[nonzero] * self.levels
+        layout, vector = state.layout, state.vector
+        schema = layout.sorted_schema()
+        # Each tensor is read where it lies, in sorted name order: no gather
+        # of a model-order state into wire order.
+        slots = dict(zip(layout.names, zip(layout.offsets, layout.sizes)))
+        segments = [vector[offset : offset + size] for offset, size in (slots[name] for name, _ in schema)]
+        # The scales first, so the stream is allocated once at its final
+        # length.  An empty tensor ships (0.0, 0.0) and no codes.
+        scales = [(segment.min(), segment.max()) if segment.size else (0.0, 0.0) for segment in segments]
+        stream = bytearray(
+            sum(
+                16 + (packed_code_bytes(segment.size, self.num_bits) if high - low != 0.0 else 0)
+                for segment, (low, high) in zip(segments, scales)
+            )
         )
-        sections: List[bytes] = []
-        for index in range(len(schema)):
-            sections.append(struct.pack("<dd", float(lows[index]), float(highs[index])))
-            if spans[index] == 0.0:
+        code_dtype = _BYTE_CODES.get(self.num_bits)
+        work = np.empty(max((segment.size for segment in segments), default=0), dtype=np.float64)
+        position = 0
+        for segment, (low, high) in zip(segments, scales):
+            struct.pack_into("<dd", stream, position, low, high)
+            position += 16
+            span = high - low
+            if span == 0.0:
                 continue
-            start = int(offsets[index])
-            sections.append(_pack_codes(codes[start : start + int(sizes[index])], self.num_bits))
-        data = b"".join(sections)
-        if self.deflate:
-            data = zlib.compress(data, 6)
+            # round((x - low) / span * levels), one tensor at a time in one
+            # reused buffer.
+            codes = work[: segment.size]
+            np.subtract(segment, low, out=codes)
+            np.divide(codes, span, out=codes)
+            np.multiply(codes, self.levels, out=codes)
+            np.round(codes, out=codes)
+            nbytes = packed_code_bytes(segment.size, self.num_bits)
+            if code_dtype is None:
+                stream[position : position + nbytes] = _pack_codes(codes, self.num_bits)
+            else:
+                target = np.frombuffer(stream, dtype=code_dtype, count=segment.size, offset=position)
+                np.copyto(target, codes, casting="unsafe")
+            position += nbytes
+        data = zlib.compress(stream, 6) if self.deflate else bytes(stream)
         return Payload(codec=self.name, data=data, schema=schema)
 
     def decode(self, payload: Payload) -> State:
         self._check_payload(payload)
         data = self._inflate(payload.data) if self.deflate else payload.data
-        levels = self.levels
+        code_dtype = _BYTE_CODES.get(self.num_bits)
         sizes = _schema_sizes(payload.schema)
         flat = np.empty(sum(sizes), dtype=np.float64)
         offset = 0
@@ -368,9 +379,15 @@ class QuantizationCodec(Codec):
                     actual_bytes=len(data),
                     reason="truncated codes",
                 )
-            codes = _unpack_codes(data[offset : offset + nbytes], self.num_bits, size)
+            if code_dtype is None:
+                codes = _unpack_codes(data[offset : offset + nbytes], self.num_bits, size)
+            else:
+                codes = np.frombuffer(data, dtype=code_dtype, count=size, offset=offset)
             offset += nbytes
-            segment[:] = low + codes.astype(np.float64) / levels * span
+            # low + codes / levels * span, in place in the output.
+            np.divide(codes, self.levels, out=segment)
+            np.multiply(segment, span, out=segment)
+            np.add(segment, low, out=segment)
         return _state_from_flat(flat, payload.schema)
 
 

@@ -3,8 +3,9 @@ L2 regularization (weight decay), matching the paper's training setup
 (Adam, learning rate 2e-4, L2 strength 1e-5).
 
 Every ``step()`` updates in place (``np.multiply``/``np.add``/... with
-``out=``) into the parameter buffers, the persistent moment buffers, and a
-small set of per-parameter scratch buffers, so a training step allocates no
+``out=``) into the parameter buffers, the persistent moment buffers, and
+one pair of scratch buffers per optimizer (each sized to the largest
+parameter, viewed per parameter), so a training step allocates no
 per-parameter temporaries after the first call.  The in-place formulations
 apply the identical IEEE operations in the identical order as the original
 expression forms, so the produced parameters are **bit-identical** (guarded
@@ -13,7 +14,7 @@ by the optimizer parity test and the pre-refactor seeded regression).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +34,10 @@ class Optimizer:
             raise ValueError("optimizer needs at least one parameter")
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self._scratch: Dict[int, np.ndarray] = {}
+        #: The two work buffers every parameter's step shares, and each
+        #: parameter's pair of views into them (built on first use).
+        self._scratch: Tuple[np.ndarray, ...] = ()
+        self._scratch_views: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def zero_grad(self) -> None:
         for param in self.parameters:
@@ -42,13 +46,18 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
-    def _scratch_for(self, key: int, param: Parameter) -> np.ndarray:
-        """A persistent work buffer shaped like ``param`` (lazy, reused)."""
-        buffer = self._scratch.get(key)
-        if buffer is None or buffer.shape != param.data.shape:
-            buffer = np.empty_like(param.data)
-            self._scratch[key] = buffer
-        return buffer
+    def _scratch_for(self, key: int, param: Parameter) -> Tuple[np.ndarray, np.ndarray]:
+        """Two work views shaped like ``param`` into the optimizer's shared pair."""
+        views = self._scratch_views.get(key)
+        data = param.data
+        if views is None or views[0].shape != data.shape or views[0].dtype != data.dtype:
+            if not self._scratch or self._scratch[0].dtype != data.dtype or self._scratch[0].size < data.size:
+                size = max(p.data.size for p in self.parameters)
+                self._scratch = (np.empty(size, dtype=data.dtype), np.empty(size, dtype=data.dtype))
+                self._scratch_views.clear()
+            views = tuple(buffer[: data.size].reshape(data.shape) for buffer in self._scratch)
+            self._scratch_views[key] = views
+        return views
 
     def _regularized_grad(self, param: Parameter, out: np.ndarray) -> np.ndarray:
         """``grad + weight_decay * data`` without temporaries.
@@ -82,7 +91,7 @@ class SGD(Optimizer):
 
     def step(self) -> None:
         for index, param in enumerate(self.parameters):
-            scratch = self._scratch_for(index, param)
+            scratch, _ = self._scratch_for(index, param)
             grad = self._regularized_grad(param, out=scratch)
             if self.momentum:
                 velocity = self._velocity.get(index)
@@ -122,14 +131,6 @@ class Adam(Optimizer):
         self._step_count = 0
         self._first_moment: Dict[int, np.ndarray] = {}
         self._second_moment: Dict[int, np.ndarray] = {}
-        self._scratch2: Dict[int, np.ndarray] = {}
-
-    def _scratch2_for(self, key: int, param: Parameter) -> np.ndarray:
-        buffer = self._scratch2.get(key)
-        if buffer is None or buffer.shape != param.data.shape:
-            buffer = np.empty_like(param.data)
-            self._scratch2[key] = buffer
-        return buffer
 
     def step(self) -> None:
         self._step_count += 1
@@ -137,8 +138,7 @@ class Adam(Optimizer):
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
         for index, param in enumerate(self.parameters):
-            work = self._scratch_for(index, param)
-            work2 = self._scratch2_for(index, param)
+            work, work2 = self._scratch_for(index, param)
             grad = self._regularized_grad(param, out=work)
             m = self._first_moment.get(index)
             v = self._second_moment.get(index)

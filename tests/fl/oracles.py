@@ -10,7 +10,11 @@ server rules the personalised rows used before they folded into the round
 loop's accumulators (partition, merge, per-cluster) are what two rounds of
 FedProx-LG and IFCA must equal bit for bit.
 ``ResidentModelClient`` is a client with a model of its own for life, which
-a client computing on a lent model must equal bit for bit.
+a client computing on a lent model must equal bit for bit.  The quantize
+oracles are the vectorised encode (``reduceat`` scales, full-length
+``repeat``s, a boolean mask) and the per-tensor decode over int64 codes
+that ``QuantizationCodec``'s in-place per-tensor passes must equal byte for
+byte and bit for bit; the proximal oracle is FedProx's expression form.
 
 Another ``oracles.py`` lives in ``tests/nn``; load this one by path
 (``load_fl_oracles`` in ``test_state_door.py``), not with ``import oracles``.
@@ -18,17 +22,23 @@ Another ``oracles.py`` lives in ``tests/nn``; load this one by path
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
 
 from repro.fl import FederatedClient
 from repro.fl.parameters import (
     clone_state,
     filter_state,
+    as_flat_state,
     flat_model_state,
+    sorted_state_vector,
     state_distance,
     weighted_average,
 )
 from repro.fl.trainer import predict_dataset
+from repro.fl.transport.codecs import Payload, packed_code_bytes
 from repro.metrics.roc import roc_auc_score
 
 
@@ -147,6 +157,88 @@ def pairwise_rms_distance_oracle(states):
         for j in range(i + 1, len(states))
     ]
     return float(np.sqrt(np.mean(squares))) if squares else 0.0
+
+
+def _pack_codes_oracle(codes, num_bits):
+    if codes.size == 0:
+        return b""
+    if num_bits == 8:
+        return codes.astype(np.uint8).tobytes()
+    if num_bits == 16:
+        return codes.astype(">u2").tobytes()
+    values = codes.astype(np.int64)
+    shifts = np.arange(num_bits - 1, -1, -1, dtype=np.int64)
+    bits = ((values[:, None] >> shifts) & 1).astype(np.uint8)
+    return np.packbits(bits.ravel()).tobytes()
+
+
+def _unpack_codes_oracle(data, num_bits, count):
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    if num_bits == 8:
+        return np.frombuffer(data, dtype=np.uint8, count=count).astype(np.int64)
+    if num_bits == 16:
+        return np.frombuffer(data, dtype=">u2", count=count).astype(np.int64)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[: count * num_bits]
+    weights = np.left_shift(1, np.arange(num_bits - 1, -1, -1, dtype=np.int64))
+    return bits.reshape(count, num_bits).astype(np.int64) @ weights
+
+
+def quantize_encode_oracle(codec, state):
+    """``QuantizationCodec.encode`` as one vectorised pass over the sorted vector.
+
+    Wrong for an empty tensor (``reduceat`` reads the next tensor's first
+    value, or raises when it is the last).
+    """
+    state = as_flat_state(state)
+    schema = state.layout.sorted_schema()
+    flat = sorted_state_vector(state)
+    sizes = np.asarray([int(np.prod(shape, dtype=np.int64)) if shape else 1 for _, shape in schema], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    lows = np.minimum.reduceat(flat, offsets)
+    highs = np.maximum.reduceat(flat, offsets)
+    spans = highs - lows
+    span_per_value = np.repeat(spans, sizes)
+    low_per_value = np.repeat(lows, sizes)
+    nonzero = span_per_value != 0.0
+    codes = np.zeros(flat.size, dtype=np.float64)
+    codes[nonzero] = np.round((flat[nonzero] - low_per_value[nonzero]) / span_per_value[nonzero] * codec.levels)
+    sections = []
+    for index in range(len(schema)):
+        sections.append(struct.pack("<dd", float(lows[index]), float(highs[index])))
+        if spans[index] == 0.0:
+            continue
+        start = int(offsets[index])
+        sections.append(_pack_codes_oracle(codes[start : start + int(sizes[index])], codec.num_bits))
+    data = b"".join(sections)
+    if codec.deflate:
+        data = zlib.compress(data, 6)
+    return Payload(codec=codec.name, data=data, schema=schema)
+
+
+def quantize_decode_oracle(codec, payload):
+    """``low + codes.astype(float64) / levels * span`` per tensor, as a name -> array dict."""
+    data = zlib.decompress(payload.data) if codec.deflate else payload.data
+    result = {}
+    offset = 0
+    for name, shape in payload.schema:
+        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        low, high = struct.unpack_from("<dd", data, offset)
+        offset += 16
+        span = high - low
+        if span == 0.0:
+            result[name] = np.full(shape, low, dtype=np.float64)
+            continue
+        nbytes = packed_code_bytes(size, codec.num_bits)
+        codes = _unpack_codes_oracle(data[offset : offset + nbytes], codec.num_bits, size)
+        offset += nbytes
+        result[name] = (low + codes.astype(np.float64) / codec.levels * span).reshape(shape)
+    return result
+
+
+def proximal_gradient_oracle(grad, data, reference, mu):
+    """FedProx's term in expression form: ``grad + 2.0 * mu * (data - reference)``."""
+    return grad + 2.0 * mu * (data - reference)
 
 
 class ResidentModelClient(FederatedClient):

@@ -6,7 +6,11 @@ import pytest
 from repro.fl import FLConfig, FederatedClient, LocalTrainer, predict_dataset
 from repro.fl.config import PAPER_ASSIGNED_CLUSTERS
 from repro.fl.parameters import state_distance
-from repro.models import FLNet
+from repro.fl.trainer import add_proximal_gradient, proximal_terms
+from repro.models import FLNet, RouteNet
+from test_state_door import load_fl_oracles
+
+proximal_gradient_oracle = load_fl_oracles().proximal_gradient_oracle
 
 
 SMALL_FL_CONFIG = FLConfig(
@@ -93,6 +97,34 @@ class TestLocalTrainer:
             return state_distance(model.state_dict(), reference)
 
         assert train_with_mu(10.0) < train_with_mu(0.0)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_in_place_proximal_term_equals_the_expression_form(self, dtype):
+        # grad += 2 mu (data - ref) through one shared scratch buffer, bit
+        # for bit the expression form; names the reference lacks are skipped.
+        generator = np.random.default_rng(7)
+        model = RouteNet(3, seed=2).set_compute_dtype(dtype)
+        named = dict(model.named_parameters())
+        reference = {
+            name: (param.data + generator.normal(scale=1e-2, size=param.data.shape)).astype(dtype)
+            for name, param in named.items()
+            if not name.endswith("bias")
+        }
+        for param in named.values():
+            param.grad[...] = generator.normal(size=param.data.shape)
+        expected = {
+            name: proximal_gradient_oracle(param.grad, param.data, reference[name], 0.37)
+            if name in reference
+            else param.grad.copy()
+            for name, param in named.items()
+        }
+        terms = proximal_terms(model, reference)
+        assert len(terms) == len(reference) < len(named)
+        assert len({id(view.base) for _, _, view in terms}) == 1
+        add_proximal_gradient(terms, 0.37)
+        for name, param in named.items():
+            assert param.grad.dtype == np.dtype(dtype)
+            assert param.grad.tobytes() == expected[name].tobytes(), name
 
     def test_proximal_requires_reference(self, tiny_train_dataset, num_channels):
         trainer = LocalTrainer(batch_size=2)

@@ -13,12 +13,18 @@ The central guarantees under test:
 * top-k sparsified delta uploads with error feedback still converge,
 * the carrier envelope (what crosses the pool pipe, the socket and the
   journal instead of a pickle) is bit-exact for raw states and for wire
-  tasks under every codec, and refuses what it cannot vouch for.
+  tasks under every codec, and refuses what it cannot vouch for,
+* the quantize codec's in-place per-tensor passes give the bytes and bits
+  of the vectorised oracle in ``tests/fl/oracles.py``,
+* a broadcast is decoded once per round in the coordinating process and
+  shared read-only by its serial and thread-pool tasks.
 """
 
 from __future__ import annotations
 
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -32,12 +38,14 @@ from repro.fl import (
     QuantizationCodec,
     SeededModelFactory,
     SerialBackend,
+    ThreadPoolBackend,
     TopKCodec,
     create_algorithm,
     create_channel,
     state_bytes,
 )
-from repro.fl.parameters import FlatState, flatten_state
+from repro.fl.parameters import FlatState, flat_model_state, flatten_state
+from repro.fl.privacy import state_update
 from repro.fl.transport import CODECS, TransportDecodeError, WireTask
 from repro.fl.transport.codecs import packed_code_bytes, topk_flat_indices
 from repro.fl.transport.envelope import (
@@ -46,7 +54,11 @@ from repro.fl.transport.envelope import (
     pack_envelope,
     unpack_envelope,
 )
-from repro.models import FLNet
+from repro.fl.trainer import LocalTrainer
+from repro.models import FLNet, RouteNet
+from test_state_door import load_fl_oracles
+
+O = load_fl_oracles()
 
 TINY_CONFIG = FLConfig(
     rounds=2,
@@ -191,6 +203,29 @@ class TestQuantizationCodec:
         assert payload.num_bytes == 16
         np.testing.assert_array_equal(codec.decode(payload)["w"], state["w"])
 
+    @pytest.mark.parametrize("num_bits", [3, 8, 16])
+    @pytest.mark.parametrize("position", ["middle", "trailing"])
+    def test_empty_tensor_ships_zero_scales(self, num_bits, position):
+        # An empty tensor ships scales (0.0, 0.0) and no codes wherever it
+        # sorts, and decodes to an empty array; its neighbours are untouched.
+        state = _state(9)
+        name = "conv.empty" if position == "middle" else "zz.empty"
+        state[name] = np.zeros((0, 3))
+        codec = QuantizationCodec(num_bits, deflate=False)
+        payload = codec.encode(state)
+        decoded = codec.decode(payload)
+        assert decoded[name].shape == (0, 3)
+        full = {key: values for key, values in state.items() if key != name}
+        expected = codec.decode(codec.encode(full))
+        assert all(decoded[key].tobytes() == expected[key].tobytes() for key in full)
+        assert payload.num_bytes == codec.encode(full).num_bytes + 16
+        names = [entry for entry, _ in payload.schema]
+        stream, offset = payload.data, 0
+        for entry in names[: names.index(name)]:
+            size = int(np.prod(state[entry].shape))
+            offset += 16 + (packed_code_bytes(size, num_bits) if np.ptp(state[entry]) else 0)
+        assert np.frombuffer(stream, dtype="<f8", count=2, offset=offset).tolist() == [0.0, 0.0]
+
     def test_encode_is_deterministic(self):
         state = _state(8)
         codec = QuantizationCodec(8, deflate=True)
@@ -201,6 +236,67 @@ class TestQuantizationCodec:
             QuantizationCodec(0)
         with pytest.raises(ValueError):
             QuantizationCodec(17)
+
+
+def _half_grid(num_bits: int, low: float = -0.37, high: float = 1.93) -> np.ndarray:
+    """Every midpoint of the ``num_bits`` grid and its two neighbouring floats.
+
+    Where ``round`` is decided by the last bit, so a reassociated encode
+    (``(x - low) * (levels / span)``) lands on other codes for some of them.
+    """
+    levels = 2**num_bits - 1
+    mid = low + (np.arange(levels) + 0.5) / levels * (high - low)
+    return np.concatenate([[low, high], np.nextafter(mid, -np.inf), mid, np.nextafter(mid, np.inf)])
+
+
+def _synthetic_state(num_bits: int, sort: bool) -> FlatState:
+    """Random, constant, single-element and half-grid tensors, in model or sorted order."""
+    rng = np.random.default_rng(num_bits)
+    items = [
+        ("grid.mid", _half_grid(num_bits)),
+        ("conv.weight", rng.normal(size=(4, 3, 3, 3))),
+        ("conv.bias", rng.normal(scale=1e-3, size=4)),
+        ("scale", np.full((2, 2), 1.25)),
+        ("alpha", np.array(0.75)),
+        ("head.bias", rng.normal(size=1)),
+        ("bn.running_var", rng.uniform(0.5, 2.0, size=7)),
+    ]
+    return FlatState.from_items(sorted(items) if sort else items)
+
+
+@pytest.fixture(scope="module")
+def routenet_states(tiny_train_dataset, num_channels):
+    """A RouteNet full state (model order) and the delta two FedProx steps made."""
+    model = RouteNet(num_channels, seed=3)
+    before = flat_model_state(model)
+    LocalTrainer(batch_size=2, rng=np.random.default_rng(4)).train_steps(
+        model, tiny_train_dataset, steps=2, proximal_mu=1e-3, proximal_reference=before
+    )
+    after = flat_model_state(model)
+    return {"routenet_full": after, "routenet_delta": state_update(before, after)}
+
+
+class TestQuantizationOracle:
+    """The in-place per-tensor codec against the vectorised oracle: same bytes, same bits."""
+
+    @pytest.mark.parametrize("num_bits", [1, 2, 3, 5, 7, 8, 12, 16])
+    @pytest.mark.parametrize("deflate", [False, True])
+    @pytest.mark.parametrize("case", ["sorted", "model_order", "routenet_full", "routenet_delta"])
+    def test_bytes_and_bits_equal_the_oracle(self, num_bits, deflate, case, routenet_states):
+        if case in routenet_states:
+            state = routenet_states[case]
+        else:
+            state = _synthetic_state(num_bits, sort=case == "sorted")
+        codec = QuantizationCodec(num_bits, deflate=deflate)
+        payload = codec.encode(state)
+        expected = O.quantize_encode_oracle(codec, state)
+        assert payload.schema == expected.schema
+        assert payload.data == expected.data
+        decoded = codec.decode(payload)
+        reference = O.quantize_decode_oracle(codec, payload)
+        assert list(decoded) == list(reference)
+        for name, values in reference.items():
+            assert decoded[name].tobytes() == values.tobytes(), name
 
 
 class TestTopKCodec:
@@ -332,6 +428,116 @@ class TestChannel:
             clone.down_codec.decode(clone.payload),
             channel.downlink_codec.decode(wire_tasks[0].payload),
         )
+
+
+class CountingQuantization(QuantizationCodec):
+    """The quantize codec (same registry name) counting its decodes in this process."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.decodes = []
+
+    def decode(self, payload):
+        self.decodes.append(payload)
+        return super().decode(payload)
+
+
+class CountingIdentity(IdentityCodec):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.decodes = []
+
+    def decode(self, payload):
+        self.decodes.append(payload)
+        return super().decode(payload)
+
+
+def _counting_channel(delta: bool) -> Channel:
+    """A channel whose downlink codec counts; the uplink codec is another object."""
+    if delta:
+        return Channel(QuantizationCodec(8), downlink_codec=CountingQuantization(8), delta_upload=True)
+    return Channel(IdentityCodec("float64"), downlink_codec=CountingIdentity("float64"))
+
+
+class TestBroadcastDecode:
+    """One decode per broadcast in the coordinating process, shared read-only."""
+
+    @pytest.mark.parametrize("delta", [True, False], ids=["quantize_delta", "identity"])
+    def test_each_broadcast_is_decoded_once_per_round(self, delta, make_clients, num_channels):
+        runs = {}
+        for name, backend in (
+            ("serial", SerialBackend()),
+            ("thread", ThreadPoolBackend(workers=2)),
+            ("process", ProcessPoolBackend(workers=2)),
+        ):
+            channel = _counting_channel(delta)
+            runs[name] = run_fedavg(make_clients(), num_channels, backend=backend, channel=channel)
+            decodes = channel.downlink_codec.decodes
+            if name == "process":
+                # The workers decode their own envelopes; here only the
+                # channel's delta reference is decoded.
+                assert len(decodes) == (TINY_CONFIG.rounds if delta else 0)
+            else:
+                # Two clients a round: the parent decoded 2 + 1 (delta) or 2.
+                assert len(decodes) == TINY_CONFIG.rounds
+            assert len({id(payload) for payload in decodes}) == len(decodes)
+        for name in ("thread", "process"):
+            assert states_equal(runs[name].global_state, runs["serial"].global_state), name
+            assert [r.mean_loss for r in runs[name].history] == [r.mean_loss for r in runs["serial"].history]
+
+    @pytest.mark.parametrize("delta", [True, False], ids=["quantize_delta", "identity"])
+    def test_start_state_is_shared_and_read_only(self, delta):
+        channel = _counting_channel(delta)
+        state = _state(31)
+        tasks = channel.broadcast([state, state], [1, 2])
+        assert tasks[0] is tasks[1]
+        start = tasks[0].start_state()
+        assert tasks[1].start_state() is start
+        assert len(channel.downlink_codec.decodes) == 1
+        with pytest.raises(ValueError):
+            start["conv.bias"][0] = 1.0
+        with pytest.raises(ValueError):
+            start["scale"] = np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            start.vector[:] = 0.0
+        assert states_equal(start, channel.downlink_codec.decode(tasks[0].payload))
+
+    def test_racing_threads_decode_a_shared_task_once(self):
+        # More threads than cores, switching every microsecond: the first
+        # decode is check-then-act on the shared task, so a lost race would
+        # decode twice and hand threads different states.
+        channel = _counting_channel(False)
+        task = channel.broadcast([_state(33)], [1])[0]
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def consume():
+            barrier.wait(timeout=10)
+            seen.append(task.start_state())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=consume) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 and all(state is seen[0] for state in seen)
+        assert len(channel.downlink_codec.decodes) == 1
+
+    def test_decoded_state_stays_out_of_the_envelope(self):
+        channel = _counting_channel(True)
+        task = channel.broadcast([_state(32)], [1])[0]
+        assert task.decoded is not None
+        blob = encode_carrier(task)
+        assert blob == encode_carrier(WireTask(task.payload, task.down_codec, task.up_codec, task.delta_upload))
+        clone = decode_carrier(blob)
+        assert clone.decoded is None and clone.payload == task.payload
+        assert states_equal(clone.start_state(), task.decoded)
 
 
 class TestCarrierEnvelope:

@@ -273,4 +273,9 @@ class TestFloat32ModelParity:
         optimizer.step()
         assert all(m.dtype == np.float32 for m in optimizer._first_moment.values())
         assert all(v.dtype == np.float32 for v in optimizer._second_moment.values())
+        scratch = optimizer._scratch
+        largest = max(p.data.size for p in model.parameters())
+        assert len(scratch) == 2 and all(s.dtype == np.float32 and s.shape == (largest,) for s in scratch)
+        optimizer.step()
+        assert all(mine is theirs for mine, theirs in zip(optimizer._scratch, scratch))
         assert all(p.data.dtype == np.float32 for p in model.parameters())

@@ -216,16 +216,27 @@ class TestInPlaceStepBitIdentity:
 
     def test_step_allocates_no_new_state_after_first_call(self):
         initial, grads = self._make_problem(seed=2)
-        params = [Parameter(values.copy()) for values in initial]
-        adam = Adam(params, lr=1e-3)
-        for param, grad in zip(params, grads[0]):
-            param.grad[...] = grad
-        adam.step()
-        moments_before = [adam._first_moment[i] for i in range(len(params))]
-        scratch_before = [adam._scratch[i] for i in range(len(params))]
-        adam.step()
-        assert all(adam._first_moment[i] is m for i, m in enumerate(moments_before))
-        assert all(adam._scratch[i] is s for i, s in enumerate(scratch_before))
+        for build in (lambda p: Adam(p, lr=1e-3, weight_decay=1e-5), lambda p: SGD(p, lr=0.01, momentum=0.9)):
+            params = [Parameter(values.copy()) for values in initial]
+            optimizer = build(params)
+            for param, grad in zip(params, grads[0]):
+                param.grad[...] = grad
+            optimizer.step()
+            moments = getattr(optimizer, "_first_moment", None) or optimizer._velocity
+            moments_before = [moments[i] for i in range(len(params))]
+            scratch_before = optimizer._scratch
+            # One pair for the whole optimizer, each sized to the largest parameter.
+            assert len(scratch_before) == 2 and scratch_before[0] is not scratch_before[1]
+            assert all(buffer.shape == (max(p.data.size for p in params),) for buffer in scratch_before)
+            for _ in range(2):
+                optimizer.step()
+                assert all(moments[i] is m for i, m in enumerate(moments_before))
+                assert all(mine is theirs for mine, theirs in zip(optimizer._scratch, scratch_before))
+            # Every parameter's two views lie in that pair.
+            for index, param in enumerate(params):
+                views = optimizer._scratch_views[index]
+                assert all(view.shape == param.data.shape for view in views)
+                assert all(np.shares_memory(view, buffer) for view, buffer in zip(views, scratch_before))
 
 
 class TestInit:
