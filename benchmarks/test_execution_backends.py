@@ -1,11 +1,11 @@
-"""Benchmark: serial vs. warm process-pool vs. warm thread-pool execution.
+"""Benchmark: serial vs. warm local joiners vs. warm thread-pool execution.
 
 The execution engine's promise is twofold: the parallel backends must be
 **bit-identical** to ``SerialBackend`` for the same seed (asserted
 unconditionally), and on a multi-core machine they must turn the 9-client
 round from a sequential scan into a parallel map that actually beats
 serial (asserted when enough cores are available, always reported).  Both
-pools are *warm*: workers are spawned once per backend lifetime
+are *warm*: joiners and threads are spawned once per backend lifetime
 (``spawn_count``, asserted here too), so only steady-state rounds are
 measured.
 
@@ -67,9 +67,9 @@ def run_round(backend):
     )
     try:
         if isinstance(backend, ProcessPoolBackend):
-            # Pay pool spin-up outside the timed region: the pool persists
+            # Pay joiner spin-up outside the timed region: the joiners persist
             # across rounds in a real run, so only steady-state is measured.
-            backend._ensure_pool()
+            backend.wait_for_clients()
         elif isinstance(backend, ThreadPoolBackend):
             backend._ensure_executor()
         start = time.perf_counter()

@@ -42,8 +42,8 @@ class ModelBuilder:
     """Builds one registry model from a seed.
 
     A module-level class (rather than a closure) so model factories — and the
-    federated clients holding them — stay picklable, which the process-pool
-    execution backend requires under the ``spawn`` start method.
+    federated clients holding them — stay picklable, which the process
+    backend's joiners require under the ``spawn`` start method.
     """
 
     model: str
@@ -197,9 +197,9 @@ class ExperimentRunner:
 
         The caller owns the returned backend and should ``close()`` it (or
         use it as a context manager) once training is done; the serial
-        backend holds no resources, the process-pool backend holds workers,
-        and the wire backend holds the federation server (listening socket,
-        journal, client sessions).
+        backend holds no resources, and the wire and process backends hold
+        the federation server (listening socket, journal, client sessions) —
+        the process backend its local joiner processes too.
         """
         execution = self.config.execution
         if execution.backend == "wire":
@@ -272,7 +272,7 @@ class ExperimentRunner:
 
         When ``backend`` is ``None``, one is created from the configuration
         for this run and closed afterwards; a provided backend is left open
-        so callers can reuse its worker pool across algorithms.
+        so callers can reuse its workers across algorithms.
         """
         clients = list(clients) if clients is not None else self.federated_clients()
         owns_backend = backend is None
@@ -346,7 +346,7 @@ class ExperimentRunner:
     def run(self, algorithms: Optional[Sequence[str]] = None) -> ExperimentResult:
         """Run every algorithm of the configuration and collect the table.
 
-        One execution backend (and, for the process backend, one worker pool)
+        One execution backend (and, for the process backend, one set of joiners)
         is shared by every algorithm of the experiment.
         """
         names = tuple(algorithms) if algorithms is not None else self.config.algorithms

@@ -24,7 +24,7 @@ training algorithms
     via :func:`create_algorithm`.
 execution
     :mod:`repro.fl.execution` decides where one round's client updates run
-    (serial, or fanned out over worker processes) and checkpoints rounds so
+    (serial, threads, or local joiner processes) and checkpoints rounds so
     long runs survive interruption.  Backends are bit-identical to each
     other by contract.
 scheduling
@@ -121,7 +121,6 @@ from repro.fl.execution import (
     ClientUpdate,
     ExecutionBackend,
     ExecutionOptions,
-    ProcessPoolBackend,
     ThreadPoolBackend,
     RoundCheckpoint,
     SerialBackend,
@@ -174,9 +173,10 @@ from repro.fl.server import FederatedServer
 from repro.fl.trainer import LocalTrainer, StepStatistics, predict_dataset
 
 # Imported after repro.fl.execution so the import side effect can register
-# the "wire" backend into BACKENDS.
+# the "wire" and "process" backends into BACKENDS.
 from repro.fl.net import (
     FederationServer as WireFederationServer,
+    ProcessPoolBackend,
     WireBackend,
     WireFaultPlan,
     WireOptions,
@@ -231,7 +231,8 @@ def create_algorithm(
     backend:
         Execution backend running the per-round client updates; defaults to
         :class:`SerialBackend`.  Pass :class:`ProcessPoolBackend` (or use
-        :func:`create_backend`) to parallelize rounds across processes.
+        :func:`create_backend`) to parallelize rounds across local joiner
+        processes.
     checkpoint:
         Optional :class:`CheckpointManager` enabling per-round
         checkpoint/resume.

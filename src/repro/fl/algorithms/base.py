@@ -93,7 +93,7 @@ class FederatedAlgorithm:
     starting states and call :meth:`map_client_updates`, which delegates the
     client-side computation to an :class:`~repro.fl.execution.ExecutionBackend`
     (serial by default, process-parallel with
-    :class:`~repro.fl.execution.ProcessPoolBackend`).
+    :class:`~repro.fl.net.backend.ProcessPoolBackend`'s local joiners).
 
     When a :class:`~repro.fl.transport.Channel` is attached, every broadcast
     (server → client) and upload (client → server) of the round passes

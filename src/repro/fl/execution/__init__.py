@@ -12,7 +12,6 @@ from repro.fl.execution.backend import (
     ClientUpdate,
     ExecutionBackend,
     ExecutionOptions,
-    ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
     create_backend,
@@ -30,7 +29,6 @@ __all__ = [
     "ExecutionBackend",
     "ExecutionOptions",
     "SerialBackend",
-    "ProcessPoolBackend",
     "ThreadPoolBackend",
     "create_backend",
     "run_client_task",

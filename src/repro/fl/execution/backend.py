@@ -10,18 +10,17 @@ computation runs:
     Runs every task in the calling process, in task order.  This is exactly
     the behavior of the original inline training loops, bit for bit.
 
-:class:`ProcessPoolBackend`
-    Fans the tasks of one round out across a pool of worker processes.
-    Workers cache a pickled copy of the client roster once, so each task only
-    ships ``(initial state, options, RNG state)`` in and
-    ``(new state, statistics, RNG state)`` out.  The pool is spawned once,
-    on the first ``map``, and stays **warm** across rounds (``spawn_count``
-    is the regression-tested witness).
-
 :class:`ThreadPoolBackend`
     Runs the tasks on a warm thread pool in the calling process.  NumPy
     releases the GIL inside the conv/GEMM kernels, so client steps overlap
     with zero pickling; bit-identical to serial by construction.
+
+Tasks that run in other processes go over the wire
+(:mod:`repro.fl.net`): ``"wire"`` serves remote joiners, and ``"process"``
+(:class:`~repro.fl.net.backend.ProcessPoolBackend`) forks N local joiners,
+each hosting a slice of the roster, and serves them over loopback TCP.
+Each task ships ``(initial state, options, RNG state)`` in and
+``(new state, statistics, RNG state)`` out as schema'd envelopes.
 
 Backend contract
 ----------------
@@ -39,7 +38,7 @@ determinism
     produce **bit-identical** states.
 state ownership
     Task input states are never mutated.  Returned states are fresh arrays
-    owned by the caller (workers return pickled copies; the serial backend
+    owned by the caller (joiners return decoded copies; the serial backend
     returns whatever the client's ``local_train`` returns, which is the
     original inline-loop behavior).
 one task per client
@@ -59,39 +58,37 @@ A task may carry a wire envelope (``ClientTask.wire``, built by
 :class:`repro.fl.transport.Channel`) instead of a raw state: the encoded
 downlink payload is decoded where the task runs, and — when the envelope
 requests it — the resulting state is encoded before it is returned.  For
-the process pool this means only compressed payloads cross the process
-boundary.  The decode/encode operations are pure functions of the payload,
-so the bit-identity contract above extends to every codec.  In the
-coordinating process a broadcast is decoded once, however many serial or
-thread-pool tasks start from it; a pool worker or a joiner decodes the
-envelope it receives.
+a joiner this means only compressed payloads cross the process boundary.
+The decode/encode operations are pure functions of the payload, so the
+bit-identity contract above extends to every codec.  In the coordinating
+process a broadcast is decoded once, however many serial or thread-pool
+tasks start from it; a joiner decodes the envelope it receives once for
+all the clients it hosts.
 
 Flat-buffer hand-off
 --------------------
 Raw (uncompressed) states are :class:`~repro.fl.parameters.FlatState`
-objects whose custom pickling ships **one contiguous buffer** plus a tiny
-``(name, shape)`` key per state — not a dict of per-tensor arrays — so an
-uncompressed round crosses the process boundary as a single block each way.
+objects, encoded as **one contiguous buffer** plus a tiny ``(name, shape)``
+layout — not a dict of per-tensor arrays — so an uncompressed round
+crosses the process boundary as a single block each way.
 Delta uploads are computed as one vector subtraction over those buffers.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import traceback as traceback_module
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.fl.faults.errors import ClientExecutionError, TaskFailure
 from repro.fl.parameters import FlatState, State, flat_pair
 from repro.fl.trainer import StepStatistics
-from repro.fl.transport.envelope import decode_carrier, encode_carrier
 from repro.utils.threadpools import (
     BLAS_AUTO,
     BlasPolicy,
@@ -99,7 +96,6 @@ from repro.utils.threadpools import (
     check_blas_policy,
     parse_blas_threads,
     resolve_blas_threads,
-    set_blas_threads,
 )
 from repro.utils.validation import check_choice, check_positive
 
@@ -190,23 +186,6 @@ def run_client_task(client, task: ClientTask):
     return new_state, None, stats
 
 
-def encoded_carriers(tasks: Sequence[ClientTask]) -> List[bytes]:
-    """Each task's starting model (raw state or wire envelope) as bytes.
-
-    Broadcast rounds pass the *same* state (or wire envelope) object in
-    every task; each distinct one is encoded once and the tasks that share
-    it share the one ``bytes`` object, instead of re-serializing the full
-    model per client.  Wire envelopes carry an already-encoded payload, so a
-    compressed round ships compressed bytes.
-    """
-    carriers = [task.wire if task.wire is not None else task.state for task in tasks]
-    blobs: Dict[int, bytes] = {}
-    for carrier in carriers:
-        if id(carrier) not in blobs:
-            blobs[id(carrier)] = encode_carrier(carrier)
-    return [blobs[id(carrier)] for carrier in carriers]
-
-
 def _check_one_task_per_client(tasks: Sequence[ClientTask]) -> None:
     seen = set()
     for task in tasks:
@@ -224,13 +203,13 @@ class ExecutionBackend:
     BLAS thread policy
     ------------------
     Every backend carries a ``blas_threads`` policy (default ``"auto"``, see
-    :func:`repro.utils.threadpools.resolve_blas_threads`).  ``"auto"`` and
-    ``None`` leave the BLAS pool at its own thread count on every backend:
+    :func:`repro.utils.threadpools.resolve_blas_threads`).  ``"auto"``
+    leaves the BLAS pool at its own thread count on every backend:
     BLAS sums a long contraction in an order that depends on its thread
     count, so a pool that pinned fewer threads than a serial run would not
     reproduce it bit for bit.  An integer pins a serial round and every pool
-    worker to that count alike, which is how to keep ``workers x BLAS
-    threads`` within the machine.
+    worker or local joiner to that count alike, which is how to keep
+    ``workers x BLAS threads`` within the machine.
     """
 
     #: Registry / CLI name, overridden by subclasses.
@@ -239,9 +218,6 @@ class ExecutionBackend:
     def __init__(self, blas_threads: BlasPolicy = BLAS_AUTO):
         self._clients: List = []
         self.blas_threads = check_blas_policy(blas_threads)
-        #: Worker-pool respawns after a detected worker death or abandoned
-        #: task (always 0 for the in-process backends).
-        self.respawns = 0
 
     def resolved_blas_threads(self) -> Optional[int]:
         """BLAS thread count each worker pins, or ``None`` to leave it alone."""
@@ -266,12 +242,12 @@ class ExecutionBackend:
         """Yield one outcome per task, in task order, **never raising** per task.
 
         The supervised-execution primitive every backend implements: a task
-        that fails (worker exception, dead worker process, exceeded
+        that fails (client exception, dead joiner process, exceeded
         ``timeout``) yields a :class:`~repro.fl.faults.TaskFailure` *value*
         in its slot instead of killing the iterator, so the resilience
         layer can retry individual clients while the rest of the wave keeps
         streaming.  ``timeout`` is a best-effort per-task wall-clock bound:
-        the process pool abandons (and respawns around) a late task, the
+        the process backend abandons a late task and restarts its joiner, the
         thread pool stops waiting (the thread itself cannot be reclaimed),
         and the serial backend ignores it — a task it runs has, by
         construction, already finished when it could be checked.
@@ -285,8 +261,7 @@ class ExecutionBackend:
         releases it, so the coordinating process never holds a whole
         cohort's worth of states.  A failed task raises a
         :class:`~repro.fl.faults.ClientExecutionError` annotated with the
-        client id and backend (instead of a bare worker traceback or
-        ``BrokenProcessPool``).
+        client id and backend (instead of a bare remote traceback).
         """
         for outcome in self.imap_outcomes(tasks):
             if isinstance(outcome, TaskFailure):
@@ -359,94 +334,18 @@ class SerialBackend(ExecutionBackend):
                 )
 
 
-# -- process-pool worker plumbing ------------------------------------------------
-#
-# Workers cache the client roster in a module-level global (set once by the
-# pool initializer) so per-task payloads stay small.  Each payload carries the
-# parent's current RNG state for the client, and each result carries the RNG
-# state after training; the parent writes it back into its own client object.
-# That hand-off is what makes parallel runs bit-identical to serial ones.
+def pool_size(workers: Optional[int]) -> Tuple[int, int]:
+    """A pooled backend's ``(requested, effective)`` worker counts.
 
-_WORKER_CLIENTS: Optional[List] = None
-
-
-def _init_worker(clients: List, blas_threads: Optional[int] = None) -> None:
-    global _WORKER_CLIENTS
-    _WORKER_CLIENTS = clients
-    if blas_threads is not None:
-        # Post-fork/post-spawn BLAS pinning: each worker limits its own copy
-        # of the BLAS pool so the workers x BLAS-threads product stays within
-        # the machine (see the ExecutionBackend docstring).
-        set_blas_threads(blas_threads)
-
-
-@dataclass
-class _WorkerFailure:
-    """A worker-side task failure, shipped back as a picklable value.
-
-    Raising inside a pool worker would cross the process boundary as an
-    opaque re-raised traceback (or, for unpicklable exceptions, kill the
-    pool); returning this value instead keeps the pool healthy and lets
-    the parent attach client/backend/round context.
+    The request defaults to the machine's core count.  More workers than
+    cores add no parallelism, only scheduling thrash and memory for extra
+    rosters, so the effective count is clamped to the cores, with a warning;
+    the request stays visible as ``backend.workers``.
     """
-
-    client_index: int
-    op: str
-    error: str
-    traceback: str
-
-
-def _worker_run_task(payload):
-    index, op, blob, is_wire, steps, proximal_mu, rng_state = payload
-    client = None
-    try:
-        blob = decode_carrier(blob)
-        client = _WORKER_CLIENTS[index]
-        client.rng_state = rng_state
-        if is_wire:
-            task = ClientTask(client_index=index, wire=blob, op=op, steps=steps, proximal_mu=proximal_mu)
-        else:
-            task = ClientTask(client_index=index, state=blob, op=op, steps=steps, proximal_mu=proximal_mu)
-        new_state, upload_payload, stats = run_client_task(client, task)
-        rng_state = client.rng_state
-    except Exception as error:
-        # Free the (possibly virtual) client on the failure path too, then
-        # ship the failure back as a value — see _WorkerFailure.
-        release = getattr(client, "release", None)
-        if release is not None:
-            try:
-                release()
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
-        return _WorkerFailure(
-            client_index=index,
-            op=op,
-            error=repr(error),
-            traceback=traceback_module.format_exc(),
-        )
-    # Virtual client handles (population runs) free the materialized client
-    # between tasks so worker memory stays bounded by the in-flight task,
-    # not the roster; the captured RNG state is what the parent needs.
-    release = getattr(client, "release", None)
-    if release is not None:
-        release()
-    return new_state, upload_payload, stats, rng_state
-
-
-def default_worker_count() -> int:
-    """Worker count used when none is requested (the machine's CPU count)."""
-    return max(1, os.cpu_count() or 1)
-
-
-def clamp_workers(requested: int) -> int:
-    """Clamp a requested worker count to the machine's cores, with a warning.
-
-    More pool workers than cores cannot add parallelism — they only add
-    scheduling thrash (and, for the process pool, memory for extra rosters).
-    The *requested* value stays visible on ``backend.workers``; this clamp
-    applies to the effective pool size only.
-    """
-    cores = os.cpu_count() or 1
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    cores = max(1, os.cpu_count() or 1)
+    requested = cores if workers is None else int(workers)
     if requested > cores:
         logger.warning(
             "requested %d workers but only %d core%s available; clamping the pool to %d",
@@ -455,236 +354,7 @@ def clamp_workers(requested: int) -> int:
             "" if cores == 1 else "s are",
             cores,
         )
-        return cores
-    return requested
-
-
-class ProcessPoolBackend(ExecutionBackend):
-    """Fans one round's client tasks out across worker processes.
-
-    The pool is created lazily on the first :meth:`map` call and the bound
-    client roster is shipped to every worker once (via the pool initializer).
-    Each task then only transfers the initial state in and the updated state,
-    step statistics, and RNG state out.
-
-    The pool is a ``concurrent.futures.ProcessPoolExecutor``, which —
-    unlike ``multiprocessing.Pool`` — *detects* a worker process dying
-    (``BrokenProcessPool``) instead of hanging the round.  On a detected
-    death the backend respawns the pool (``respawns`` counts these;
-    ``spawn_count`` still witnesses warm-pool reuse for healthy runs) and
-    re-dispatches the in-flight tasks from their original payloads, whose
-    pre-captured RNG states make the re-run bit-identical.  A task whose
-    worker dies repeatedly, or that exceeds the per-task ``timeout``,
-    yields a :class:`~repro.fl.faults.TaskFailure` in its slot.
-
-    Parameters
-    ----------
-    workers:
-        Number of worker processes (default: the machine's CPU count).  The
-        effective pool size is additionally clamped to the core count (with
-        a logged warning, see :func:`clamp_workers`) and capped by the
-        roster size; the requested value stays visible as ``self.workers``,
-        the clamped one as ``self.effective_workers``.
-    start_method:
-        ``multiprocessing`` start method.  Defaults to ``"fork"`` where
-        available (cheap, and tolerates non-picklable model factories) and
-        ``"spawn"`` elsewhere; under ``"spawn"`` the bound clients must be
-        picklable.
-    blas_threads:
-        BLAS thread policy (see :class:`ExecutionBackend`); each worker pins
-        its own BLAS pool in the initializer, i.e. post-fork.
-    """
-
-    name = "process"
-
-    #: Consecutive worker deaths tolerated per task position within one
-    #: ``imap_outcomes`` call before the task yields a crash failure.
-    MAX_REDISPATCHES = 2
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        blas_threads: BlasPolicy = BLAS_AUTO,
-    ):
-        super().__init__(blas_threads=blas_threads)
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        self.workers = int(workers) if workers is not None else default_worker_count()
-        self.effective_workers = clamp_workers(self.workers)
-        if start_method is None:
-            start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        self.start_method = start_method
-        self._pool: Optional[ProcessPoolExecutor] = None
-        #: Number of worker-pool spawns over this backend's lifetime.  A
-        #: multi-round run must report exactly 1 (the warm-pool guarantee,
-        #: regression-tested): workers are spawned lazily on the first
-        #: ``map`` and reused by every subsequent round until ``close()``
-        #: or a re-``bind`` with a different roster.
-        self.spawn_count = 0
-
-    def bind(self, clients: Sequence) -> None:
-        roster = list(clients)
-        same_roster = len(roster) == len(self._clients) and all(
-            new is old for new, old in zip(roster, self._clients)
-        )
-        if self._pool is not None and not same_roster:
-            # Workers cache the roster they were initialized with; a new
-            # roster needs a new pool.
-            self.close()
-        super().bind(roster)
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            if not self._clients:
-                raise RuntimeError("ProcessPoolBackend.map called before bind()")
-            context = multiprocessing.get_context(self.start_method)
-            processes = max(1, min(self.effective_workers, len(self._clients)))
-            self._pool = ProcessPoolExecutor(
-                max_workers=processes,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(self._clients, self.resolved_blas_threads()),
-            )
-            self.spawn_count += 1
-        return self._pool
-
-    def _respawn(self) -> ProcessPoolExecutor:
-        """Replace a broken/abandoned pool with a fresh one."""
-        self._shutdown_pool(kill=True)
-        self.respawns += 1
-        logger.warning(
-            "process pool lost a worker; respawning (respawn #%d)", self.respawns
-        )
-        return self._ensure_pool()
-
-    def _shutdown_pool(self, kill: bool = False) -> None:
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        if kill:
-            # A worker may be dead or wedged on an abandoned task; don't
-            # wait on it.  Terminate the worker processes the way
-            # multiprocessing.Pool.terminate() did, then reap without
-            # blocking.
-            pool.shutdown(wait=False, cancel_futures=True)
-            # _processes may already be None once the executor has fully
-            # shut down (e.g. every worker died and reaping finished).
-            for process in list((getattr(pool, "_processes", None) or {}).values()):
-                try:
-                    process.terminate()
-                except Exception:  # pragma: no cover - best-effort cleanup
-                    pass
-        else:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def _payloads(self, tasks: Sequence[ClientTask]) -> List[tuple]:
-        return [
-            (
-                task.client_index,
-                task.op,
-                blob,
-                task.wire is not None,
-                task.steps,
-                task.proximal_mu,
-                self._clients[task.client_index].rng_state,
-            )
-            for task, blob in zip(tasks, encoded_carriers(tasks))
-        ]
-
-    def _to_update(self, task: ClientTask, raw) -> ClientUpdate:
-        state, upload_payload, stats, rng_state = raw
-        client = self._clients[task.client_index]
-        client.rng_state = rng_state
-        return ClientUpdate(
-            client_index=task.client_index,
-            client_id=client.client_id,
-            state=state,
-            stats=stats,
-            payload=upload_payload,
-        )
-
-    def _resubmit(self, pool, futures, payloads, start: int) -> None:
-        """Re-dispatch positions >= ``start`` that have no usable result.
-
-        Futures that completed before the pool broke keep their results;
-        everything else is resubmitted from its *original* payload, whose
-        pre-captured RNG state makes the re-run bit-identical.
-        """
-        for position in range(start, len(payloads)):
-            future = futures[position]
-            done_ok = future.done() and not future.cancelled() and future.exception() is None
-            if not done_ok:
-                futures[position] = pool.submit(_worker_run_task, payloads[position])
-
-    def imap_outcomes(
-        self, tasks: Sequence[ClientTask], timeout: Optional[float] = None
-    ) -> Iterator[Union[ClientUpdate, TaskFailure]]:
-        if not tasks:
-            return
-        _check_one_task_per_client(tasks)
-        pool = self._ensure_pool()
-        payloads = self._payloads(tasks)
-        futures = [pool.submit(_worker_run_task, payload) for payload in payloads]
-        redispatches = [0] * len(tasks)
-        position = 0
-        # Futures are drained in submission order, so the coordinator folds
-        # update i while updates i+1.. are still training (pool.imap's
-        # streaming behavior, with failure detection on top).
-        while position < len(tasks):
-            task = tasks[position]
-            client = self._clients[task.client_index]
-            try:
-                raw = futures[position].result(timeout=timeout)
-            except BrokenExecutor as error:
-                # A worker died; every pending future is lost.  Respawn and
-                # re-dispatch the in-flight tasks, giving the victim a
-                # bounded number of fresh chances.
-                pool = self._respawn()
-                redispatches[position] += 1
-                if redispatches[position] > self.MAX_REDISPATCHES:
-                    yield TaskFailure(
-                        task_index=position,
-                        client_index=task.client_index,
-                        client_id=client.client_id,
-                        kind="crash",
-                        error=(
-                            f"worker process died {redispatches[position]} times "
-                            f"running this task ({error!r})"
-                        ),
-                    )
-                    position += 1
-                self._resubmit(pool, futures, payloads, position)
-                continue
-            except FuturesTimeoutError:
-                # The worker is still running an abandoned task; it cannot
-                # be trusted to pick up new work, so the pool is respawned.
-                yield TaskFailure(
-                    task_index=position,
-                    client_index=task.client_index,
-                    client_id=client.client_id,
-                    kind="timeout",
-                    error=f"task exceeded the {timeout:g}s per-task timeout",
-                )
-                pool = self._respawn()
-                position += 1
-                self._resubmit(pool, futures, payloads, position)
-                continue
-            if isinstance(raw, _WorkerFailure):
-                yield TaskFailure(
-                    task_index=position,
-                    client_index=task.client_index,
-                    client_id=client.client_id,
-                    kind="exception",
-                    error=raw.error,
-                    traceback=raw.traceback,
-                )
-            else:
-                yield self._to_update(task, raw)
-            position += 1
-
-    def close(self) -> None:
-        self._shutdown_pool(kill=False)
+    return requested, min(requested, cores)
 
 
 class ThreadPoolBackend(ExecutionBackend):
@@ -710,7 +380,7 @@ class ThreadPoolBackend(ExecutionBackend):
     the identical operation sequence with its own RNG, so scheduling order
     cannot influence any value.  The executor is spawned lazily on the
     first ``map`` and stays warm across rounds (``spawn_count`` counts
-    spawns, exactly like the process pool).
+    spawns, exactly like the process backend's joiners).
 
     The BLAS thread count is process-global state shared by every pool
     thread, so an explicit policy is applied as a context manager
@@ -722,22 +392,16 @@ class ThreadPoolBackend(ExecutionBackend):
 
     def __init__(self, workers: Optional[int] = None, blas_threads: BlasPolicy = BLAS_AUTO):
         super().__init__(blas_threads=blas_threads)
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        self.workers = int(workers) if workers is not None else default_worker_count()
-        self.effective_workers = clamp_workers(self.workers)
+        self.workers, self.effective_workers = pool_size(workers)
         self._executor: Optional[ThreadPoolExecutor] = None
         self.spawn_count = 0
-
-    def _pool_size(self) -> int:
-        return max(1, min(self.effective_workers, len(self._clients)))
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
         if self._executor is None:
             if not self._clients:
                 raise RuntimeError("ThreadPoolBackend.map called before bind()")
             self._executor = ThreadPoolExecutor(
-                max_workers=self._pool_size(),
+                max_workers=max(1, min(self.effective_workers, len(self._clients))),
                 thread_name_prefix="repro-client",
             )
             self.spawn_count += 1
@@ -797,16 +461,16 @@ class ThreadPoolBackend(ExecutionBackend):
             self._executor = None
 
 
-#: Registry of execution backends, keyed by their CLI name.
+#: Registry of execution backends, keyed by their CLI name.  Importing
+#: :mod:`repro.fl.net` registers ``"wire"`` and ``"process"`` (local joiners).
 BACKENDS: Dict[str, type] = {
     SerialBackend.name: SerialBackend,
-    ProcessPoolBackend.name: ProcessPoolBackend,
     ThreadPoolBackend.name: ThreadPoolBackend,
 }
 
 
 #: The backends that take a worker count.
-_POOLED = (ProcessPoolBackend.name, ThreadPoolBackend.name)
+_POOLED = ("process", ThreadPoolBackend.name)
 
 
 @dataclass(frozen=True)
@@ -818,7 +482,7 @@ class ExecutionOptions:
     ``__post_init__`` its range.  ``backend`` accepts every name registered
     in :data:`BACKENDS` plus ``None`` / ``"auto"`` (infer from ``workers``);
     its ``choices`` are what ``repro reproduce`` offers — ``repro serve``
-    sets ``"wire"``.  ``blas_threads=None`` leaves the BLAS pool unmanaged.
+    sets ``"wire"``.  ``blas_threads="auto"`` leaves the BLAS pool unmanaged.
     """
 
     backend: Optional[str] = field(default=None, metadata={
@@ -862,19 +526,19 @@ def create_backend(
     """Instantiate an execution backend by name.
 
     With ``name=None`` (or ``"auto"``) the backend is chosen from ``workers``:
-    more than one worker selects the process pool, otherwise serial — so
+    more than one worker selects the process backend, otherwise serial — so
     ``--workers N`` alone is enough to opt into parallel execution, and
     ``--workers 1`` is guaranteed to reproduce serial results.  The thread
     backend is never auto-selected; ask for it with ``--backend thread``.
 
-    ``blas_threads`` is the BLAS thread policy (``"auto"``, an exact count,
-    or ``None`` to leave the BLAS library unmanaged); see
+    ``blas_threads`` is the BLAS thread policy (``"auto"``, which leaves the
+    BLAS library unmanaged, or an exact count); see
     :class:`ExecutionBackend` and ``--blas-threads`` on the CLI.
     """
     options = ExecutionOptions(name.lower() if name else None, workers, blas_threads)
     key = options.backend
     if key is None or key == "auto":
-        key = ProcessPoolBackend.name if (workers or 1) > 1 else SerialBackend.name
+        key = "process" if (workers or 1) > 1 else SerialBackend.name
     if key in _POOLED:
         return BACKENDS[key](workers=workers, blas_threads=blas_threads)
     # Serial and externally registered backends (e.g. "wire", whose own options the

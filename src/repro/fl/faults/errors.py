@@ -40,7 +40,7 @@ class TaskFailure:
 class ClientExecutionError(RuntimeError):
     """A client task failed, annotated with full execution context.
 
-    Replaces bare worker tracebacks / ``BrokenProcessPool`` with the client
+    Replaces bare remote tracebacks and dropped connections with the client
     id, backend name, round number, and attempt count.  The original cause
     is chained (``raise ... from original``) when it is available in the
     raising process.

@@ -48,7 +48,7 @@ class RetryPolicy:
         seeded counter-based RNG (deterministic per client and attempt).
     task_timeout:
         Optional per-task wall-clock timeout in seconds, enforced by the
-        backends that can abandon a running task (the process pool; the
+        backends that can abandon a running task (process and wire; the
         thread pool stops *waiting* but cannot reclaim the thread; the
         serial backend ignores it — a task it runs has already finished).
     seed:

@@ -1,16 +1,16 @@
-"""The ``wire`` execution backend: client tasks run in remote joiner processes.
+"""The ``wire`` and ``process`` execution backends: client tasks run in joiner processes.
 
 :class:`WireBackend` conforms to the :class:`~repro.fl.execution.backend
 .ExecutionBackend` contract (``imap_outcomes`` yields one outcome per task
 in task order, never raising per task) but dispatches every task over the
-framed TCP protocol instead of a local pool.  It hosts the asyncio
+framed TCP protocol to joiners (:mod:`repro.fl.net.client`), remote ones
+under ``"wire"`` and forked local ones under ``"process"``
+(:class:`ProcessPoolBackend`).  It hosts the asyncio
 :class:`~repro.fl.net.server.FederationServer` on a daemon thread and
 bridges the two worlds with ``concurrent.futures.Future``:
 
-* payloads are the process-pool worker tuples — each distinct state
-  carrier is encoded **once** per broadcast (the pool's
-  :func:`~repro.fl.execution.backend.encoded_carriers`) and submitted to
-  the server once, so it is journaled once and crosses each connection
+* each distinct state carrier is encoded **once** per broadcast and
+  submitted to the server once, so it is journaled once and crosses each connection
   once; every task names it by id, and the client's RNG state rides along,
   comes back trained, and is written into the roster client — which is
   what keeps a wire run bit-identical to a serial one;
@@ -18,8 +18,8 @@ bridges the two worlds with ``concurrent.futures.Future``:
   heartbeat loss, undecodable stream, backend-side timeout) resolves the
   future to a :class:`~repro.fl.net.server.WireFailure`, which is converted
   here into a :class:`~repro.fl.faults.TaskFailure` of the same ``kind`` —
-  so the PR 9 resilience machinery retries socket death from its
-  pre-captured RNG snapshot exactly like a worker crash.
+  so the resilience machinery retries socket death from its pre-captured
+  RNG snapshot like any other failed task.
 """
 
 from __future__ import annotations
@@ -27,23 +27,30 @@ from __future__ import annotations
 import asyncio
 import collections
 import logging
+import multiprocessing
+import operator
+import os
 import threading
+import time
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.fl.execution.backend import (
     ClientTask,
     ClientUpdate,
     ExecutionBackend,
     _check_one_task_per_client,
-    encoded_carriers,
+    pool_size,
 )
 from repro.fl.faults.errors import TaskFailure
 from repro.fl.faults.plan import check_rates
+from repro.fl.net.client import run_client
 from repro.fl.net.faults import WIRE_FAULT_KINDS, WireFaultPlan
 from repro.fl.net.server import FederationServer, WireFailure
-from repro.utils.threadpools import BLAS_AUTO, BlasPolicy
+from repro.fl.transport.envelope import encode_carrier
+from repro.utils.threadpools import BLAS_AUTO, BlasPolicy, set_blas_threads
 from repro.utils.validation import check_in_range, check_positive
 
 logger = logging.getLogger(__name__)
@@ -271,22 +278,23 @@ class WireBackend(ExecutionBackend):
             return
         _check_one_task_per_client(tasks)
         self.listen()
-        # The process pool's broadcast dedup: tasks that share a carrier
-        # share one blob object, which the server takes once, with the
-        # number of tasks that will name it.
-        blobs = encoded_carriers(tasks)
-        references = collections.Counter(map(id, blobs))
+        # A broadcast's tasks share one carrier (raw state or wire envelope),
+        # encoded once and taken by the server once, with the number of tasks
+        # that will name it.
+        carriers = [task.wire if task.wire is not None else task.state for task in tasks]
+        references = collections.Counter(map(id, carriers))
         state_ids: Dict[int, int] = {}
         futures = []
-        for task, blob in zip(tasks, blobs):
+        for task, carrier in zip(tasks, carriers):
             client = self._clients[task.client_index]
-            if id(blob) not in state_ids:
-                state_ids[id(blob)] = self.server.submit_state(blob, references[id(blob)])
+            if id(carrier) not in state_ids:
+                blob = encode_carrier(carrier)
+                state_ids[id(carrier)] = self.server.submit_state(blob, references[id(carrier)])
             futures.append(
                 self.server.submit_task(
                     int(client.client_id),
                     task.op,
-                    state_ids[id(blob)],
+                    state_ids[id(carrier)],
                     task.wire is not None,
                     task.steps,
                     task.proximal_mu,
@@ -300,17 +308,16 @@ class WireBackend(ExecutionBackend):
         for position, (task, future) in enumerate(zip(tasks, futures)):
             client = self._clients[task.client_index]
             try:
-                raw = future.result(timeout=timeout)
+                raw = self._wait(future, timeout)
             except FuturesTimeoutError:
-                self.server.abandon(
-                    future, "timeout", f"task exceeded the {timeout:g}s per-task timeout"
-                )
+                error = f"task exceeded the {timeout:g}s per-task timeout"
+                self._give_up(task, future, error)
                 yield TaskFailure(
                     task_index=position,
                     client_index=task.client_index,
                     client_id=client.client_id,
                     kind="timeout",
-                    error=f"task exceeded the {timeout:g}s per-task timeout",
+                    error=error,
                 )
                 continue
             if isinstance(raw, WireFailure):
@@ -324,8 +331,8 @@ class WireBackend(ExecutionBackend):
                 )
                 continue
             # A successful UpdateEnvelope: write the joiner's post-training
-            # RNG state back into the roster client (the process pool's
-            # _to_update hand-off — this is what keeps wire == serial).
+            # RNG state back into the roster client (this is what keeps
+            # wire == serial).
             if raw.rng_state is not None:
                 client.rng_state = raw.rng_state
             yield ClientUpdate(
@@ -336,5 +343,142 @@ class WireBackend(ExecutionBackend):
                 payload=raw.payload,
             )
 
+    def _wait(self, future: Future, timeout: Optional[float]):
+        """One task's raw outcome; raises ``FuturesTimeoutError`` past ``timeout``."""
+        return future.result(timeout=timeout)
 
-__all__ = ["WireBackend", "WireOptions"]
+    def _give_up(self, task: ClientTask, future: Future, error: str) -> None:
+        """Abandon a task that exceeded the per-task timeout."""
+        self.server.abandon(future, "timeout", error)
+
+
+def _serve_joiner(clients, host: str, port: int, blas_threads: Optional[int]) -> None:
+    """A local joiner process: pin its own BLAS pool, then serve ``clients``."""
+    if blas_threads is not None:
+        set_blas_threads(blas_threads)
+    run_client(clients, host, port)
+
+
+#: Fork where the platform has it (cheap, and the roster need not pickle).
+_FORK = multiprocessing.get_context("fork" if hasattr(os, "fork") else "spawn")
+
+
+class ProcessPoolBackend(WireBackend):
+    """``--backend process``: the wire backend serving N forked local joiners.
+
+    The first :meth:`listen` (the first :meth:`imap_outcomes`) after
+    :meth:`bind` forks ``min(effective_workers, roster)`` joiners; joiner *j*
+    serves roster clients ``j::N`` and pins its BLAS pool first.  They stay
+    up across rounds (``spawn_count`` counts launches) until :meth:`close`
+    or a re-``bind`` to a different roster.  A dead joiner is restarted at
+    once (``respawns``) and the journal replays its pending tasks; a task
+    that heads that replay through ``MAX_REDISPATCHES + 1`` deaths in a row
+    becomes a ``crash`` failure.  A task past the per-task timeout is
+    abandoned and its joiner restarted.
+    """
+
+    name = "process"
+
+    #: Restarts a task may head before it is abandoned as a crash.
+    MAX_REDISPATCHES = 2
+
+    #: Seconds between joiner liveness checks while a task is awaited.
+    POLL_SECONDS = 0.1
+
+    def __init__(self, workers: Optional[int] = None, blas_threads: BlasPolicy = BLAS_AUTO):
+        super().__init__(blas_threads=blas_threads)
+        self.workers, self.effective_workers = pool_size(workers)
+        self.spawn_count = self.respawns = 0
+        self._joiners: List = []
+        #: Per joiner: the task heading its replay at its last death, and its deaths in a row.
+        self._deaths: List[Tuple[Optional[Future], int]] = []
+
+    def bind(self, clients: Sequence) -> None:
+        roster = list(clients)
+        if len(roster) != len(self._clients) or not all(map(operator.is_, roster, self._clients)):
+            self.close()  # the joiners host the roster they were forked with
+        super().bind(roster)
+
+    def listen(self, client_ids: Optional[Sequence[int]] = None) -> int:
+        """Start the server and fork the joiners on first use; restart any that died since."""
+        if not self._clients:
+            raise RuntimeError("ProcessPoolBackend used before bind()")
+        port = super().listen(client_ids)
+        if not self._joiners:
+            count = max(1, min(self.effective_workers, len(self._clients)))
+            self._joiners = [self._fork(index, count) for index in range(count)]
+            self._deaths = [(None, 0)] * count
+            self.spawn_count += 1
+        self._restart_dead()
+        return port
+
+    def _fork(self, index: int, count: int):
+        hosted = self._clients[index::count]
+        args = (hosted, self.host, self.port, self.resolved_blas_threads())
+        process = _FORK.Process(target=_serve_joiner, args=args, name=f"repro-joiner-{index}", daemon=True)
+        # The server's loop thread is parked between two callbacks while the
+        # child is forked, so the child inherits no lock that thread held.
+        parked, resume = threading.Event(), threading.Event()
+        self._loop.call_soon_threadsafe(lambda: (parked.set(), resume.wait()))
+        parked.wait()
+        try:
+            process.start()
+        finally:
+            resume.set()
+        return process
+
+    def _restart(self, index: int) -> None:
+        _stop(self._joiners[index])
+        self._joiners[index] = self._fork(index, len(self._joiners))
+        self.respawns += 1
+        logger.warning("local joiner %d lost; restarting it (respawn #%d)", index, self.respawns)
+
+    def _restart_dead(self) -> None:
+        for index, process in enumerate(self._joiners):
+            if process.exitcode is None:
+                continue
+            # A restarted joiner replays its clients in id order, each in seq order.
+            hosted = self._clients[index :: len(self._joiners)]
+            pending = (self.server.sessions[i].pending for i in sorted(int(c.client_id) for c in hosted))
+            head = next((tasks.get(min(tasks, default=0)) for tasks in pending if tasks), None)
+            last, deaths = self._deaths[index]
+            deaths = deaths + 1 if head is not None and head is last else 1
+            self._deaths[index] = (head, deaths)
+            if head is not None and deaths > self.MAX_REDISPATCHES:
+                # Abandoned before the restart, so the new joiner's replay drops it.
+                error = f"local joiner died {deaths} times running this task "
+                error += f"(exit code {process.exitcode})"
+                self.server.abandon(head, "crash", error)
+                self._deaths[index] = (None, 0)
+            self._restart(index)
+
+    def _wait(self, future: Future, timeout: Optional[float]):
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            left = self.POLL_SECONDS if deadline is None else deadline - time.monotonic()
+            try:
+                return future.result(timeout=max(0.0, min(self.POLL_SECONDS, left)))
+            except FuturesTimeoutError:
+                if deadline is not None and left <= self.POLL_SECONDS:
+                    raise
+                self._restart_dead()
+
+    def _give_up(self, task: ClientTask, future: Future, error: str) -> None:
+        super()._give_up(task, future, error)
+        self._restart(task.client_index % len(self._joiners))  # it still runs the task
+
+    def close(self) -> None:
+        super().close()  # goodbye to every connected joiner; any still up is then killed
+        joiners, self._joiners = self._joiners, []
+        for process in joiners:
+            _stop(process)
+
+
+def _stop(process) -> None:
+    """Kill a joiner (a no-op once it has exited) and reap it."""
+    process.kill()
+    process.join()
+    process.close()
+
+
+__all__ = ["ProcessPoolBackend", "WireBackend", "WireOptions"]

@@ -11,16 +11,16 @@ cache the server used) and services the server's task stream:
   per connection per broadcast; the joiner holds it until an ``Ack`` names
   it as released, fills it into every :class:`TaskEnvelope` that refers to
   it, and decodes it once for all the clients it hosts.
-* **execution** — each :class:`TaskEnvelope` is the process-pool worker
-  payload: set the client's RNG state from the envelope, run
-  :func:`~repro.fl.execution.run_client_task`, capture the RNG state, and
-  ship an :class:`UpdateEnvelope` back.  Decoding and training run in a
-  thread-pool executor so the asyncio loop keeps answering heartbeats
-  mid-step.  Sending runs behind the compute: a finished update goes to
-  the connection's sender, which encodes, frames and drains the updates
-  one at a time in task order while the next task trains.  A send is
-  bound to the connection it was handed to; if that connection dies
-  first, the update is never written to the next one.
+* **execution** — each :class:`TaskEnvelope` is one client task: set the
+  client's RNG state from the envelope, run
+  :func:`~repro.fl.execution.run_client_task`, capture the RNG state,
+  release a virtual client, and ship an :class:`UpdateEnvelope` back.
+  Decoding and training run in a thread-pool executor so the asyncio loop
+  keeps answering heartbeats mid-step.  Sending runs behind the compute:
+  a finished update goes to the connection's sender, which encodes, frames
+  and drains the updates one at a time in task order while the next task
+  trains.  A send is bound to the connection it was handed to; if that
+  connection dies first, the update is never written to the next one.
 * **resume without re-training** — computed-but-unacknowledged updates
   stay in an in-memory cache keyed ``(client id, seq)``; when a replayed
   task arrives for a cached seq the cached update is resent as-is
@@ -32,6 +32,8 @@ cache the server used) and services the server's task stream:
   and liveness silence all funnel into one retry loop with a fixed delay;
   only a typed server rejection (protocol / fingerprint / unknown ids) is
   permanent.
+
+It serves ``repro join`` and the local joiners of ``--backend process``.
 
 Test/chaos knobs: ``drop_after=N`` closes the transport once, upon
 receiving the N-th task (a seeded "network blip" the CI wire-smoke job
@@ -343,7 +345,7 @@ class FederationClientRunner:
             self._post_update(update)
 
     def _execute(self, envelope: TaskEnvelope, held: Optional[HeldState] = None) -> UpdateEnvelope:
-        """Run one task; mirrors the process pool's ``_worker_run_task``.
+        """Run one task and release its client, whether it trained or failed.
 
         ``envelope`` is self-contained (``blob`` filled in); ``held`` is the
         shared state it was filled from, whose one decoded carrier is used
@@ -365,15 +367,21 @@ class FederationClientRunner:
             new_state, upload_payload, stats = run_client_task(client, task)
             rng_state = client.rng_state
         except Exception as error:
-            # Ship the failure back as data (the _WorkerFailure idiom): a
-            # client-side exception must reach the supervisor as a typed
-            # TaskFailure, not as a dead connection.
+            # Ship the failure back as data: a client-side exception must
+            # reach the supervisor as a typed TaskFailure, not as a dead
+            # connection.
             return UpdateEnvelope(
                 client_id=int(envelope.client_id),
                 seq=int(envelope.seq),
                 error=repr(error),
                 traceback=traceback_module.format_exc(),
             )
+        finally:
+            # A virtual client handle drops its materialised client (its RNG state is in
+            # the update already): a joiner's memory is bounded by its task, not its roster.
+            release = getattr(client, "release", None)
+            if release is not None:
+                release()
         return UpdateEnvelope(
             client_id=int(envelope.client_id),
             seq=int(envelope.seq),

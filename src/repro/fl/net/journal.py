@@ -1,4 +1,4 @@
-"""Append-only on-disk message journal backing reconnect-with-resume.
+"""Append-only, self-compacting on-disk message journal backing reconnect-with-resume.
 
 The server journals every dispatched task *before* putting it on a socket,
 and journals an ACK record once the matching update has been folded.  A
@@ -32,6 +32,13 @@ Loading scans each file front to back, keeps the longest cleanly framed
 prefix, and *truncates the file to it*: the record being appended when the
 crash hit was, by construction, never acknowledged to anyone, and cutting
 it off keeps later appends from landing behind a partial frame.
+
+Compaction keeps the files from growing with the run: when a file's replay
+set becomes empty (a client's last pending task is acked, or the last live
+state is released), it is rewritten as one ``ACK`` of its high-water mark
+(``high_seq`` or ``high_state_id``), written to ``<file>.tmp`` and moved
+over the file with ``os.replace``: a crash leaves the old file or the new
+one, and the loader never reads a ``.tmp`` file.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ _STATES = "states"
 
 
 class MessageJournal:
-    """Per-client append-only task journals plus one shared state journal.
+    """Per-client task journals plus one shared state journal, each compacting.
 
     The in-memory maps (``seq -> task body bytes`` per client, insertion
     ordered, and ``state_id -> blob``) mirror the on-disk state and serve
@@ -144,20 +151,35 @@ class MessageJournal:
                 raise JournalError(str(path), f"undecodable record: {error.reason}") from error
 
     # -- appending ---------------------------------------------------------------
-    def _append(self, key, frame_type: int, fields: dict) -> None:
-        handle = self._files.get(key)
-        if handle is None:
-            try:
-                handle = open(self._path(key), "ab")
-            except OSError as error:
-                raise JournalError(str(self._path(key)), f"cannot open: {error}") from error
-            self._files[key] = handle
+    def _write(self, handle, key, frame_type: int, fields: dict) -> None:
         schemas = _STATE_RECORDS if key == _STATES else _CLIENT_RECORDS
         for part in frame_parts(frame_type, schemas[frame_type].pack(fields)):
             handle.write(part)
         handle.flush()
         if self.fsync:
             os.fsync(handle.fileno())
+
+    def _append(self, key, frame_type: int, fields: dict) -> None:
+        if key not in self._files:
+            try:
+                self._files[key] = open(self._path(key), "ab")
+            except OSError as error:
+                raise JournalError(str(self._path(key)), f"cannot open: {error}") from error
+        self._write(self._files[key], key, frame_type, fields)
+
+    def _compact(self, key, fields: dict) -> None:
+        """Replace a file whose replay set is empty by one ACK of its high-water mark."""
+        handle = self._files.pop(key, None)
+        if handle is not None:
+            handle.close()
+        path = self._path(key)
+        temp = path.with_name(path.name + ".tmp")
+        try:
+            with open(temp, "wb") as handle:
+                self._write(handle, key, MSG_ACK, fields)
+            os.replace(temp, path)
+        except OSError as error:
+            raise JournalError(str(path), f"cannot compact: {error}") from error
 
     def record_task(self, client_id: int, seq: int, body: bytes) -> None:
         """Journal a dispatched task (call *before* sending it anywhere)."""
@@ -167,11 +189,16 @@ class MessageJournal:
         self._high[client_id] = max(self._high.get(client_id, 0), seq)
 
     def record_ack(self, client_id: int, seq: int) -> None:
-        """Journal that ``seq``'s update is folded; the task leaves replay."""
+        """Journal that ``seq``'s update is folded; the task leaves replay (the last compacts)."""
         client_id, seq = int(client_id), int(seq)
-        self._append(client_id, MSG_ACK, {"seq": seq})
-        self._pending.get(client_id, {}).pop(seq, None)
-        self._high[client_id] = max(self._high.get(client_id, 0), seq)
+        pending = self._pending.setdefault(client_id, {})
+        high = max(self._high.get(client_id, 0), seq)
+        if pending.keys() <= {seq}:
+            self._compact(client_id, {"seq": high})
+        else:
+            self._append(client_id, MSG_ACK, {"seq": seq})
+        pending.pop(seq, None)
+        self._high[client_id] = high
 
     def record_state(self, state_id: int, blob: bytes) -> None:
         """Journal an encoded state carrier, once, before any task names it."""
@@ -181,11 +208,15 @@ class MessageJournal:
         self.high_state_id = max(self.high_state_id, state_id)
 
     def release_state(self, state_id: int) -> None:
-        """Journal that no pending task names ``state_id`` any more; frees the blob."""
+        """Journal that no pending task names ``state_id`` any more (the last compacts)."""
         state_id = int(state_id)
-        self._append(_STATES, MSG_ACK, {"state_id": state_id})
+        high = max(self.high_state_id, state_id)
+        if self._states.keys() <= {state_id}:
+            self._compact(_STATES, {"state_id": high})
+        else:
+            self._append(_STATES, MSG_ACK, {"state_id": state_id})
         self._states.pop(state_id, None)
-        self.high_state_id = max(self.high_state_id, state_id)
+        self.high_state_id = high
 
     # -- queries -----------------------------------------------------------------
     def pending(self, client_id: int) -> Dict[int, bytes]:

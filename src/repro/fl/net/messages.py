@@ -126,7 +126,7 @@ class StateMessage:
 
 @dataclass(frozen=True)
 class TaskEnvelope:
-    """One dispatched client task: the process-pool worker payload, framed.
+    """One dispatched client task, framed.
 
     The task's state carrier is ``blob`` — on the wire it is empty and
     ``state_id`` names the :class:`StateMessage` that holds it; the joiner
@@ -152,9 +152,9 @@ class UpdateEnvelope:
     """The client's reply to one :class:`TaskEnvelope`.
 
     Either a result (``state`` or encoded ``payload``, plus ``stats`` and
-    the post-training ``rng_state``) or a failure (``error`` set, mirroring
-    the process pool's ``_WorkerFailure`` value semantics: a client-side
-    exception travels back as data, never as a broken connection).
+    the post-training ``rng_state``) or a failure (``error`` set: a
+    client-side exception travels back as data, never as a broken
+    connection).
     """
 
     client_id: int

@@ -99,11 +99,11 @@ NETWORK_COUNTER_KEYS = (
 class WireFailure:
     """A network-level task failure, resolved into the pending future.
 
-    The wire analogue of the process pool's ``_WorkerFailure``: a *value*,
-    not an exception, so the backend's ``imap_outcomes`` can convert it to
-    a :class:`~repro.fl.faults.TaskFailure` of the same ``kind`` without
-    ever letting a socket event kill the iterator.  Kinds: ``disconnect``,
-    ``heartbeat``, ``decode``, ``timeout``, ``exception``.
+    A *value*, not an exception, so the backend's ``imap_outcomes`` can
+    convert it to a :class:`~repro.fl.faults.TaskFailure` of the same
+    ``kind`` without ever letting a socket event kill the iterator.  Kinds:
+    ``disconnect``, ``heartbeat``, ``decode``, ``timeout``, ``exception``,
+    and ``crash`` (a local joiner that kept dying on the task).
     """
 
     kind: str

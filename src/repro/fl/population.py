@@ -137,10 +137,10 @@ class ClientHandle:
     def initial_state(self):
         return self.materialize().initial_state()
 
-    # -- pickling (process backend) ------------------------------------------------
+    # -- pickling (spawned local joiners) -------------------------------------------
     def __getstate__(self):
-        # A handle crosses the process boundary (pool initializer roster)
-        # as its spec + RNG stream only; the worker materializes on demand.
+        # A handle crosses the process boundary (a spawned joiner's roster)
+        # as its spec + RNG stream only; the joiner materializes on demand.
         return {
             "directory": self._directory,
             "spec": self.spec,
@@ -164,7 +164,7 @@ class ClientDirectory:
     ``base`` supplies the data partitions; population client ``k`` (0-based
     position) gets ``client_id = k + 1`` and the partition of base client
     ``k % len(base)``.  Materialization counters cover *this process only*
-    (worker processes track their own); ``eager_clients`` is the number of
+    (joiner processes track their own); ``eager_clients`` is the number of
     clients currently materialized, the quantity the population smoke test
     asserts is zero before sampling.
     """
@@ -239,7 +239,7 @@ class ClientDirectory:
 
     def __getstate__(self):
         # The directory rides along with every pickled handle; ship the
-        # construction inputs, not the counters (workers count their own).
+        # construction inputs, not the counters (joiners count their own).
         return {
             "base": self._base,
             "model_factory": self._model_factory,

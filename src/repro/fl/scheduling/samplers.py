@@ -12,7 +12,7 @@ Determinism contract
 Samplers draw from a private :class:`numpy.random.Generator` seeded from the
 run seed.  Selection happens exactly once per round in the coordinating
 process, so the cohort sequence is bit-reproducible across execution
-backends (serial vs. process pool) and across checkpoint resume — the
+backends (serial vs. local joiners) and across checkpoint resume — the
 sampler's full RNG state is exposed via :meth:`ClientSampler.state` and
 restored via :meth:`ClientSampler.set_state`.  Returned cohorts are sorted
 by roster index so the order in which client tasks are dispatched (and

@@ -31,18 +31,18 @@ Backend hand-off
 ----------------
 :meth:`Channel.broadcast` returns one picklable :class:`WireTask` per
 client; execution backends decode it where the client computation runs (in
-the worker process for :class:`~repro.fl.execution.ProcessPoolBackend`, so
-only compressed payloads cross the process boundary).  In any one process a
+the joiner process for the ``process`` and ``wire`` backends, so only
+compressed payloads cross the process boundary).  In any one process a
 broadcast is decoded once: the channel's decode of a delta reference is also
 the start state of every serial and thread-pool task that carries the
 envelope, and without delta uploads the first such task decodes it
-(:meth:`WireTask.start_state`).  That shared state is read-only; a worker or
-a joiner decodes the envelope it receives.  When the channel
-needs no server-side state for the upload (no error feedback), the wire
-task also instructs the backend to encode the upload at the worker, so the
-return trip is compressed too; with error feedback, workers return raw
-states and the channel encodes in the coordinating process (the residual
-lives there).  Both paths apply identical float operations, so serial and
+(:meth:`WireTask.start_state`).  That shared state is read-only; a joiner
+decodes the envelope it receives once for all the clients it hosts.  When
+the channel needs no server-side state for the upload (no error feedback),
+the wire task also instructs the backend to encode the upload where the
+task runs, so the return trip is compressed too; with error feedback,
+joiners return raw states and the channel encodes in the coordinating
+process (the residual lives there).  Both paths apply identical float operations, so serial and
 process execution stay bit-identical under every codec.
 
 Every state the channel touches is backed by the flat-buffer engine of
@@ -99,8 +99,8 @@ class WireTask:
     ``decoded`` is the decoded downlink state, set once per process (by
     :meth:`Channel.broadcast` or the first :meth:`start_state` call) and
     shared read-only by every task that carries this envelope.  It is not
-    part of the envelope schema: a worker or a joiner that receives the
-    envelope decodes the payload again.
+    part of the envelope schema: a joiner that receives the envelope
+    decodes the payload again.
     """
 
     payload: Payload

@@ -1,7 +1,7 @@
 """The schema'd envelope: how structured values cross a process or a socket.
 
-Everything that leaves the coordinating process — a state carrier handed
-to a pool worker, a protocol message put on a socket, a journal record
+Everything that leaves the coordinating process — a state carrier sent to
+a joiner, a protocol message put on a socket, a journal record
 appended to disk — is one *envelope*::
 
     +---------+----------+-------------+---------------------+----------+----------+

@@ -23,8 +23,8 @@ wherever local computation ends (``LocalTrainer.train_steps`` /
 ``evaluate_loss``, ``predict_dataset``) — hands every buffer back.  Nine
 clients trained one after another therefore share one client's worth of
 warm pages instead of keeping nine.  The pool is thread-local state of this
-module: one per worker thread on the thread backend, one per worker process
-on the process backend.  It holds at most one buffer per distinct
+module: one per worker thread on the thread backend, one per joiner
+process on the process backend.  It holds at most one buffer per distinct
 ``(shape, dtype)`` per simultaneous holder, and is never trimmed.
 
 Aliasing rules (see ``docs/performance.md``)
@@ -102,8 +102,8 @@ class Workspace:
     layer with a different border.
 
     A workspace intentionally does not survive pickling or copying: a
-    client's model template travels to process-pool workers with the
-    pickled roster, and each thread deep-copies the template into the model
+    client's model template travels to forked or spawned joiners with the
+    roster, and each thread deep-copies the template into the model
     it lends (see :mod:`repro.fl.client`); warm scratch would only bloat
     both.  The receiving side re-grows its own buffers on first use.
     """

@@ -54,10 +54,9 @@ logger = logging.getLogger(__name__)
 #: string is also accepted and pins the count exactly).
 BLAS_AUTO = "auto"
 
-#: A BLAS thread policy: ``None`` (leave the library alone), ``"auto"``
-#: (the default; also leaves it alone, see :func:`resolve_blas_threads`),
-#: or an exact positive count.
-BlasPolicy = Optional[Union[int, str]]
+#: A BLAS thread policy: ``"auto"`` (the default; leaves the library alone,
+#: see :func:`resolve_blas_threads`) or an exact positive count.
+BlasPolicy = Union[int, str]
 
 # -- library detection -----------------------------------------------------------
 #
@@ -294,12 +293,12 @@ def parse_blas_threads(text: str) -> BlasPolicy:
 
 
 def check_blas_policy(policy: BlasPolicy) -> BlasPolicy:
-    """Validate a BLAS thread policy value (``None``, ``"auto"``, or int >= 1)."""
-    if policy is None or policy == BLAS_AUTO:
+    """Validate a BLAS thread policy value (``"auto"`` or int >= 1)."""
+    if policy == BLAS_AUTO:
         return policy
     if isinstance(policy, bool) or not isinstance(policy, int):
         raise ValueError(
-            f"invalid BLAS thread policy {policy!r}: expected None, 'auto', or a positive integer"
+            f"invalid BLAS thread policy {policy!r}: expected 'auto' or a positive integer"
         )
     if policy < 1:
         raise ValueError(f"BLAS thread count must be positive, got {policy}")
@@ -309,12 +308,12 @@ def check_blas_policy(policy: BlasPolicy) -> BlasPolicy:
 def resolve_blas_threads(policy: BlasPolicy) -> Optional[int]:
     """Resolve a policy into the BLAS thread count to pin, or ``None``.
 
-    ``None`` and ``"auto"`` resolve to ``None``: leave the BLAS library at
-    its own thread count, which also keeps any limit set through the
-    environment.  An integer pins every worker, a serial run's included, to
-    that count, so every backend sums in the same order.
+    ``"auto"`` resolves to ``None``: leave the BLAS library at its own
+    thread count, which also keeps any limit set through the environment.
+    An integer pins every worker, a serial run's included, to that count,
+    so every backend sums in the same order.
     """
     check_blas_policy(policy)
-    if policy is None or policy == BLAS_AUTO:
+    if policy == BLAS_AUTO:
         return None
     return int(policy)

@@ -2,7 +2,7 @@
 
 Covers the worker-count clamp (requested > cores must not silently
 oversubscribe), the per-backend BLAS policy resolution, the post-fork
-worker pinning hook, and the config/runner/CLI plumbing of
+pinning in every local joiner, and the config/runner/CLI plumbing of
 ``--blas-threads``.
 """
 
@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import logging
 
+import numpy as np
 import pytest
 
 from repro.experiments import ExperimentRunner, smoke
 from repro.fl import ProcessPoolBackend, SerialBackend, ThreadPoolBackend, create_backend
 from repro.fl.execution import backend as backend_module
-from repro.fl.execution.backend import ClientTask, _init_worker, clamp_workers, default_worker_count
-from repro.utils.threadpools import blas_info, get_blas_threads, set_blas_threads
+from repro.fl.execution.backend import ClientTask, pool_size
+from repro.utils.threadpools import blas_info, get_blas_threads
 
 
 def controllable() -> bool:
@@ -24,7 +25,12 @@ def controllable() -> bool:
 
 
 class ProbeClient:
-    """Stub client recording the BLAS thread count its training step saw."""
+    """Stub client recording the BLAS thread count its training step saw.
+
+    The count is also the returned state, so it comes back from a joiner.
+    """
+
+    rng_state = None
 
     def __init__(self, client_id: int = 1):
         self.client_id = client_id
@@ -32,19 +38,30 @@ class ProbeClient:
 
     def local_train(self, state, steps=None, proximal_mu=None):
         self.observed = get_blas_threads()
-        return state, None
+        return {"threads": np.array([float(self.observed)])}, None
+
+
+def joiner_blas_threads(policy) -> int:
+    """The BLAS thread count a local joiner's training step sees under ``policy``."""
+    backend = ProcessPoolBackend(workers=1, blas_threads=policy)
+    backend.bind([ProbeClient()])
+    try:
+        (update,) = backend.map([ClientTask(client_index=0, state={"threads": np.zeros(1)})])
+    finally:
+        backend.close()
+    return int(update.state["threads"][0])
 
 
 class TestWorkerClamp:
     def test_within_cores_unchanged(self, monkeypatch):
         monkeypatch.setattr(backend_module.os, "cpu_count", lambda: 8)
-        assert clamp_workers(4) == 4
-        assert clamp_workers(8) == 8
+        assert pool_size(4) == (4, 4)
+        assert pool_size(8) == (8, 8)
 
     def test_above_cores_clamped_with_warning(self, monkeypatch, caplog):
         monkeypatch.setattr(backend_module.os, "cpu_count", lambda: 4)
         with caplog.at_level(logging.WARNING, logger="repro.fl.execution.backend"):
-            assert clamp_workers(16) == 4
+            assert pool_size(16) == (16, 4)
         assert any("clamping" in record.message for record in caplog.records)
 
     @pytest.mark.parametrize("backend_cls", [ProcessPoolBackend, ThreadPoolBackend])
@@ -59,7 +76,7 @@ class TestWorkerClamp:
     def test_default_worker_count_is_the_core_count(self, monkeypatch, cores, expected):
         # os.cpu_count() may return None when the count is unknown.
         monkeypatch.setattr(backend_module.os, "cpu_count", lambda: cores)
-        assert default_worker_count() == expected
+        assert pool_size(None) == (expected, expected)
 
     @pytest.mark.parametrize("backend_cls", [ProcessPoolBackend, ThreadPoolBackend])
     def test_unrequested_workers_default_to_the_cores(self, monkeypatch, backend_cls):
@@ -81,9 +98,10 @@ class TestPolicyResolution:
         backend = ThreadPoolBackend(workers=2, blas_threads=3)
         assert backend.resolved_blas_threads() == 3
 
-    def test_none_policy_disables_management(self):
-        backend = ThreadPoolBackend(workers=2, blas_threads=None)
-        assert backend.resolved_blas_threads() is None
+    def test_none_is_not_a_policy(self):
+        # "auto" is the one value that leaves BLAS alone.
+        with pytest.raises(ValueError, match="expected 'auto' or a positive integer"):
+            ThreadPoolBackend(workers=2, blas_threads=None)
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -94,26 +112,22 @@ class TestPolicyResolution:
     def test_create_backend_plumbs_policy(self):
         assert create_backend("serial", blas_threads=2).blas_threads == 2
         assert create_backend("process", workers=2, blas_threads=1).blas_threads == 1
-        assert create_backend("thread", workers=2, blas_threads=None).blas_threads is None
+        assert create_backend("thread", workers=2, blas_threads="auto").blas_threads == "auto"
         # Default stays auto.
         assert create_backend("process", workers=2).blas_threads == "auto"
 
 
 class TestRuntimePinning:
-    def test_worker_initializer_pins_blas(self):
+    def test_joiners_pin_blas_after_the_fork(self):
         if not controllable():
             pytest.skip("BLAS library exposes no runtime thread setter")
         previous = get_blas_threads()
-        try:
-            _init_worker([], blas_threads=2)
-            assert get_blas_threads() == 2
-        finally:
-            set_blas_threads(previous)
+        pinned = 1 if previous != 1 else 2
+        assert joiner_blas_threads(pinned) == pinned
+        assert get_blas_threads() == previous  # the coordinator's pool is untouched
 
-    def test_worker_initializer_none_leaves_blas(self):
-        before = get_blas_threads()
-        _init_worker([], blas_threads=None)
-        assert get_blas_threads() == before
+    def test_joiners_auto_leave_blas(self):
+        assert joiner_blas_threads("auto") == get_blas_threads()
 
     def test_serial_explicit_policy_pins_round_and_restores(self):
         if not controllable():
@@ -169,9 +183,11 @@ class TestConfigPlumbing:
         assert config.execution.blas_threads == "auto"
         pinned = config.with_execution(blas_threads=2)
         assert pinned.execution.blas_threads == 2
-        # Omitting the option keeps the current value; None resets it.
+        # Omitting the option keeps the current value; "auto" resets it.
         assert pinned.with_execution(workers=2).execution.blas_threads == 2
-        assert pinned.with_execution(blas_threads=None).execution.blas_threads is None
+        assert pinned.with_execution(blas_threads="auto").execution.blas_threads == "auto"
+        with pytest.raises(ValueError):
+            pinned.with_execution(blas_threads=None)
 
     def test_runner_hands_policy_to_backend(self):
         config = smoke().with_execution(backend="thread", workers=2, blas_threads=1)

@@ -28,9 +28,7 @@ from repro.fl import (
     create_algorithm,
     create_backend,
 )
-from repro.fl.execution.backend import encoded_carriers
 from repro.fl.parameters import flatten_state, state_digest
-from repro.fl.transport.envelope import decode_carrier
 from repro.models import FLNet
 
 TINY_CONFIG = FLConfig(
@@ -160,18 +158,22 @@ class TestTaskValidation:
             backend.map([ClientTask(client_index=0, state={}, steps=1)])
 
     def test_shared_carriers_are_encoded_once(self, make_clients):
-        # The broadcast dedup both out-of-process backends rely on: tasks that
-        # share a state share one blob object; a distinct state gets its own.
+        # The broadcast dedup of the joiner backends: tasks that share a state
+        # submit it once; a distinct state is submitted on its own.
         clients = make_clients()
         shared, own = clients[0].initial_state(), clients[1].initial_state()
-        tasks = [
-            ClientTask(client_index=0, state=shared),
-            ClientTask(client_index=1, state=shared),
-            ClientTask(client_index=2, state=own),
-        ]
-        blobs = encoded_carriers(tasks)
-        assert blobs[0] is blobs[1] and blobs[2] is not blobs[0]
-        assert states_equal(decode_carrier(blobs[0]), shared)
+        backend = ProcessPoolBackend(workers=1)
+        backend.bind(clients)
+        try:
+            backend.map([ClientTask(client_index=0, state=shared, steps=1),
+                         ClientTask(client_index=1, state=shared, steps=1)])
+            assert backend.server.journal.high_state_id == 1
+            backend.map([ClientTask(client_index=0, state=shared, steps=1),
+                         ClientTask(client_index=1, state=own, steps=1)])
+            assert backend.server.journal.high_state_id == 3
+            assert backend.network_summary()["states_sent"] == 3
+        finally:
+            backend.close()
 
     def test_empty_map_is_noop(self):
         backend = ProcessPoolBackend(workers=2)

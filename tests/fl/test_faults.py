@@ -147,16 +147,20 @@ def run_resilient(
 
 
 class KamikazeClient(FederatedClient):
-    """A client that kills its whole worker process exactly once.
+    """A client that kills its whole host process: once, or on every attempt.
 
     The marker file makes the death exactly-once across process boundaries:
     the first ``local_train`` call writes it and hard-exits the hosting
-    process; every later call (in the respawned pool) trains normally.
+    process; every later call (in the restarted joiner) trains normally.
+    With ``every_attempt`` set instead, every call hard-exits (a crash loop).
     """
 
     marker_path = None
+    every_attempt = False
 
     def local_train(self, *args, **kwargs):
+        if self.every_attempt:
+            os._exit(1)
         if self.marker_path is not None and not os.path.exists(self.marker_path):
             with open(self.marker_path, "w", encoding="utf-8") as handle:
                 handle.write("boom")
@@ -177,10 +181,7 @@ class SleepyClient:
     def __init__(self, client_id: int, delay: float):
         self.client_id = client_id
         self.delay = delay
-
-    @property
-    def rng_state(self):
-        return {}
+        self.rng_state = {}
 
     def local_train(self, state, steps=None, proximal_mu=None):
         time.sleep(self.delay)
@@ -651,6 +652,69 @@ class TestProcessPoolResilience:
         finally:
             backend.close()
         assert states_equal(baseline.global_state, training.global_state)
+
+    def crash_loop(self, make_clients, workers=2):
+        """A process backend whose first client hard-exits its joiner on every attempt."""
+        clients = make_clients(client_class=KamikazeClient)
+        clients[0].every_attempt = True
+        backend = ProcessPoolBackend(workers=workers)
+        backend.bind(clients)
+        state = clients[0].initial_state()
+        tasks = [
+            ClientTask(client_index=index, state=state, steps=1, proximal_mu=0.0)
+            for index in range(len(clients))
+        ]
+        return backend, tasks
+
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_crash_loop_yields_a_crash_failure_after_bounded_restarts(self, make_clients, workers):
+        backend, tasks = self.crash_loop(make_clients, workers)
+        started = time.monotonic()
+        try:
+            outcomes = list(backend.imap_outcomes(tasks))
+        finally:
+            backend.close()
+        elapsed = time.monotonic() - started
+        assert isinstance(outcomes[0], TaskFailure)
+        assert outcomes[0].kind == "crash"
+        assert outcomes[0].client_index == 0
+        # The other client trains (with one joiner, from each restart's replay).
+        assert not any(isinstance(outcome, TaskFailure) for outcome in outcomes[1:])
+        # The original run and MAX_REDISPATCHES replays each killed the joiner.
+        assert backend.respawns == ProcessPoolBackend.MAX_REDISPATCHES + 1
+        # Restarts, not the liveness deadline, ended the task.
+        assert elapsed < backend.client_timeout / 2
+
+    def test_unsupervised_crash_loop_raises_client_execution_error(self, make_clients):
+        backend, tasks = self.crash_loop(make_clients)
+        try:
+            with pytest.raises(ClientExecutionError) as excinfo:
+                backend.map(tasks)
+        finally:
+            backend.close()
+        assert excinfo.value.backend == "process"
+        assert excinfo.value.kind == "crash"
+        assert excinfo.value.client_index == 0
+
+    def test_process_timeout_abandons_the_task_and_restarts_its_joiner(self):
+        backend = ProcessPoolBackend(workers=2)
+        backend.bind([SleepyClient(1, delay=0.0), SleepyClient(2, delay=60.0)])
+        state = {"w": np.zeros(3)}
+        tasks = [
+            ClientTask(client_index=0, state=state, steps=1, proximal_mu=0.0),
+            ClientTask(client_index=1, state=state, steps=1, proximal_mu=0.0),
+        ]
+        started = time.monotonic()
+        try:
+            outcomes = list(backend.imap_outcomes(tasks, timeout=1.0))
+            # The sleeper's joiner was killed and forked again.
+            assert backend.respawns == 1
+        finally:
+            backend.close()
+        assert not isinstance(outcomes[0], TaskFailure)
+        assert isinstance(outcomes[1], TaskFailure)
+        assert outcomes[1].kind == "timeout"
+        assert time.monotonic() - started < 30.0
 
     def test_worker_exception_carries_client_context(self, make_clients, num_channels):
         """Satellite: unsupervised failures surface as ClientExecutionError

@@ -1,4 +1,4 @@
-"""Tests for the append-only message journal behind reconnect-with-resume.
+"""Tests for the self-compacting message journal behind reconnect-with-resume.
 
 The journal is the server's source of truth for "what might a client
 have missed": a TASK record is written before any socket send, an ACK
@@ -13,7 +13,10 @@ record once the update is folded. The properties under test:
 * ACKs for tasks never journaled are harmless (abandoned-task acks),
 * state carriers live once each in the shared state journal, until released,
 * a record whose frame is intact but whose body is not an envelope (a
-  version-1 pickle, say) is a typed ``JournalError``, never executed.
+  version-1 pickle, say) is a typed ``JournalError``, never executed,
+* a file whose replay set empties is compacted to one ACK of its
+  high-water mark, so file sizes do not grow with the rounds, and a stray
+  ``.tmp`` from a crash mid-compaction is ignored.
 """
 
 from __future__ import annotations
@@ -194,3 +197,67 @@ class TestStateJournal:
             journal.record_state(1, b"blob")
             journal.record_task(1, 1, b"task")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["client-1.journal", "states.journal"]
+
+
+def run_rounds(directory, rounds: int) -> None:
+    """``rounds`` federated rounds: one broadcast state, two client tasks, acks, release."""
+    with MessageJournal(directory) as journal:
+        for round_index in range(1, rounds + 1):
+            journal.record_state(round_index, b"s" * 4096)
+            for client_id in (1, 2):
+                journal.record_task(client_id, round_index, b"t" * 512)
+            for client_id in (1, 2):
+                journal.record_ack(client_id, round_index)
+            journal.release_state(round_index)
+
+
+class TestJournalCompaction:
+    def test_file_sizes_do_not_grow_with_rounds(self, tmp_path):
+        sizes = {}
+        for rounds in (3, 8):
+            run_rounds(tmp_path / str(rounds), rounds)
+            sizes[rounds] = {path.name: path.stat().st_size for path in (tmp_path / str(rounds)).iterdir()}
+        assert sorted(sizes[3]) == ["client-1.journal", "client-2.journal", "states.journal"]
+        assert sizes[3] == sizes[8]
+        # One ACK record each: far below a single state or task record.
+        assert max(sizes[8].values()) < 512
+
+    def test_reload_keeps_high_water_marks_and_an_empty_replay_set(self, tmp_path):
+        run_rounds(tmp_path, 5)
+        with MessageJournal(tmp_path) as reloaded:
+            assert reloaded.high_seq(1) == reloaded.high_seq(2) == 5
+            assert reloaded.high_state_id == 5
+            assert reloaded.pending_after(1, 0) == reloaded.pending_after(2, 0) == []
+            assert reloaded.state(5) is None
+            assert reloaded.truncated_bytes == 0
+
+    def test_a_file_with_pending_work_is_not_compacted(self, tmp_path):
+        with MessageJournal(tmp_path) as journal:
+            journal.record_state(1, b"live")
+            journal.record_state(2, b"released")
+            journal.record_task(1, 1, b"one")
+            journal.record_task(1, 2, b"two")
+            journal.record_ack(1, 1)
+            journal.release_state(2)
+        with MessageJournal(tmp_path) as reloaded:
+            assert reloaded.pending(1) == {2: b"two"}
+            assert reloaded.state(1) == b"live"
+            assert reloaded.high_state_id == 2
+
+    def test_a_stray_temp_file_from_a_crash_is_ignored(self, tmp_path):
+        with MessageJournal(tmp_path) as journal:
+            journal.record_state(1, b"live")
+            journal.record_task(1, 1, b"one")
+        # A crash between writing the temp file and os.replace leaves both.
+        (tmp_path / "client-1.journal.tmp").write_bytes(b"\x00half a compacted rec")
+        (tmp_path / "states.journal.tmp").write_bytes(b"")
+        with MessageJournal(tmp_path) as reloaded:
+            assert reloaded.pending(1) == {1: b"one"}
+            assert reloaded.state(1) == b"live"
+            assert reloaded.truncated_bytes == 0
+            reloaded.record_ack(1, 1)
+            reloaded.release_state(1)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["client-1.journal", "states.journal"]
+        with MessageJournal(tmp_path) as compacted:
+            assert compacted.pending(1) == {}
+            assert (compacted.high_seq(1), compacted.high_state_id) == (1, 1)

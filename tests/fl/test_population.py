@@ -521,3 +521,44 @@ class TestHandleTransport:
         assert clone.population == 6
         assert clone.eager_clients == 0
         assert clone.total_materializations == 0
+
+
+class TestJoinerRelease:
+    """A joiner releases a virtual client after every task, as the coordinator does."""
+
+    def envelope(self, state, seq=1):
+        from repro.fl.net.messages import TaskEnvelope
+        from repro.fl.transport.envelope import encode_carrier
+
+        return TaskEnvelope(
+            client_id=1, seq=seq, op="train", blob=encode_carrier(state), is_wire=False,
+            steps=1, proximal_mu=0.0, rng_state=initial_rng_state(1),
+        )
+
+    def test_a_trained_handle_is_released(self, make_directory):
+        from repro.fl.net.client import FederationClientRunner
+
+        directory = make_directory(3)
+        handle = directory[0]
+        state = handle.initial_state()
+        handle.release()
+        runner = FederationClientRunner([handle], "127.0.0.1", 1)
+        update = runner._execute(self.envelope(state))
+        assert update.error is None and update.state is not None
+        assert not handle.is_materialized
+        assert directory.eager_clients == 0
+        # The post-training stream is what the update carries, and the handle keeps it.
+        assert handle.rng_state == update.rng_state != initial_rng_state(1)
+
+    def test_a_failed_task_releases_its_handle_too(self, make_directory):
+        from repro.fl.net.client import FederationClientRunner
+
+        directory = make_directory(3)
+        handle = directory[0]
+        runner = FederationClientRunner([handle], "127.0.0.1", 1)
+        wrong = FlatState.from_state({"not.a.layer": np.zeros(3)})
+        update = runner._execute(self.envelope(wrong))
+        assert update.error is not None
+        assert directory.total_materializations == 1  # it trained far enough to build the client
+        assert not handle.is_materialized
+        assert directory.eager_clients == 0

@@ -35,18 +35,20 @@ class TestPolicyParsing:
             parse_blas_threads(bad)
 
     def test_check_policy_accepts_valid(self):
-        for policy in (None, BLAS_AUTO, 1, 8):
+        for policy in (BLAS_AUTO, 1, 8):
             assert check_blas_policy(policy) == policy
 
-    @pytest.mark.parametrize("bad", [0, -1, True, 2.0, "four", "Auto"])
+    @pytest.mark.parametrize("bad", [None, 0, -1, True, 2.0, "four", "Auto"])
     def test_check_policy_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             check_blas_policy(bad)
 
 
 class TestResolution:
-    def test_none_never_manages(self):
-        assert resolve_blas_threads(None) is None
+    def test_none_is_not_a_policy(self):
+        # "auto" is the one value that leaves BLAS alone.
+        with pytest.raises(ValueError):
+            resolve_blas_threads(None)
 
     def test_auto_leaves_serial_alone(self):
         # Serial runs, and pools with them, keep BLAS's own count.
