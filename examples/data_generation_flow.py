@@ -50,7 +50,7 @@ def describe_suite(suite: str, seed: int) -> dict:
         "cells": netlist.num_cells,
         "nets": netlist.num_nets,
         "macros": netlist.num_macros,
-        "avg_net_degree": netlist.average_net_degree(),
+        "avg_net_degree": netlist.num_pins / netlist.num_nets,
         "die_um": f"{placement.die_width_um:.0f}x{placement.die_height_um:.0f}",
         "utilization": placement.utilization_achieved(),
         "peak_congestion": float(congestion["congestion"].max()),

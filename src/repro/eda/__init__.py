@@ -33,7 +33,7 @@ from repro.eda.maps import (
     net_bounding_boxes,
     pin_density_map,
 )
-from repro.eda.netlist import Cell, Net, Netlist, Pin
+from repro.eda.netlist import Netlist
 from repro.eda.placement import Placement, PlacementConfig, Placer, sweep_placements
 from repro.eda.quality import placement_quality, quality_table, routing_quality
 from repro.eda.routing import CongestionModelConfig, estimate_congestion
@@ -41,9 +41,6 @@ from repro.eda.steiner import decompose_to_two_pin, rsmt_length_estimate
 from repro.eda.technology import Technology, nangate45
 
 __all__ = [
-    "Cell",
-    "Pin",
-    "Net",
     "Netlist",
     "Technology",
     "nangate45",

@@ -21,11 +21,12 @@ heterogeneity that the paper's federated-learning experiments hinge on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.eda.netlist import Cell, Net, Netlist, Pin
+from repro.eda.netlist import Netlist
 from repro.utils.rng import new_rng
 from repro.utils.validation import check_positive, check_probability
 
@@ -194,6 +195,12 @@ class Design:
         return f"Design(name={self.name!r}, suite={self.suite!r}, cells={self.netlist.num_cells})"
 
 
+@lru_cache(maxsize=128)
+def _pin_names(prefix: str, count: int) -> Tuple[str, ...]:
+    """``prefix0 .. prefix{count-1}``, built once per length."""
+    return tuple(f"{prefix}{k}" for k in range(count))
+
+
 def _sample_fanout(rng: np.random.Generator, avg_fanout: float, max_fanout: int = 12) -> int:
     """Draw a net sink count from a shifted geometric distribution."""
     mean_extra = max(avg_fanout - 1.0, 0.1)
@@ -230,7 +237,6 @@ def generate_design(
     n_cells = int(cell_count) if cell_count is not None else int(rng.integers(lo, hi + 1))
     check_positive("cell_count", n_cells)
 
-    netlist = Netlist(name)
     n_clusters = max(1, n_cells // style.cluster_size)
     # Cluster sizes are intentionally uneven (Dirichlet weights) so designs
     # have both dense hot regions and sparse regions.
@@ -242,73 +248,85 @@ def generate_design(
         n_macros = int(rng.integers(style.macro_count_range[0], style.macro_count_range[1] + 1))
     macro_indices = set(rng.choice(n_cells, size=n_macros, replace=False).tolist()) if n_macros else set()
 
-    cells: List[Cell] = []
+    widths = [1] * n_cells
+    heights = [1] * n_cells
+    is_sequential = [False] * n_cells
     for index in range(n_cells):
-        is_macro = index in macro_indices
-        if is_macro:
-            width = int(rng.integers(10, 25))
-            height = int(rng.integers(4, 9))
-            is_sequential = False
+        if index in macro_indices:
+            widths[index] = int(rng.integers(10, 25))
+            heights[index] = int(rng.integers(4, 9))
         else:
-            is_sequential = bool(rng.random() < style.sequential_fraction)
-            wide = rng.random() < style.wide_cell_fraction
-            width = int(rng.integers(2, 5)) if wide else 1
-            height = 1
-        cell = Cell(
-            name=f"u{index}",
-            width_sites=width,
-            height_rows=height,
-            is_macro=is_macro,
-            is_sequential=is_sequential,
-            cluster=int(cluster_of_cell[index]),
-        )
-        cells.append(cell)
-        netlist.add_cell(cell)
+            is_sequential[index] = bool(rng.random() < style.sequential_fraction)
+            if rng.random() < style.wide_cell_fraction:
+                widths[index] = int(rng.integers(2, 5))
 
+    clusters = cluster_of_cell.tolist()
     cluster_members: Dict[int, List[int]] = {c: [] for c in range(n_clusters)}
-    for index, cluster in enumerate(cluster_of_cell):
-        cluster_members[int(cluster)].append(index)
+    for index, cluster in enumerate(clusters):
+        cluster_members[cluster].append(index)
+
+    # The pin table is built as flat lists; every net's first pin is its driver "o".
+    net_names: List[str] = []
+    pin_offsets = [0]
+    pin_cells: List[int] = []
+    pin_names: List[str] = []
+
+    def add_net(net: str, driver: int, sinks: Sequence[int], sink_pins: Sequence[str]) -> None:
+        net_names.append(net)
+        pin_cells.append(driver)
+        pin_cells.extend(sinks)
+        pin_names.append("o")
+        pin_names.extend(sink_pins)
+        pin_offsets.append(len(pin_cells))
 
     # Ordinary nets: each cell drives one net whose sinks are mostly local.
-    net_id = 0
     for driver_index in range(n_cells):
         if rng.random() > 0.92:
             continue
         fanout = _sample_fanout(rng, style.avg_fanout)
-        driver_cluster = int(cluster_of_cell[driver_index])
-        local = cluster_members[driver_cluster]
+        local = cluster_members[clusters[driver_index]]
+        n_local = len(local)
         sinks: List[int] = []
         for _ in range(fanout):
-            if len(local) > 1 and rng.random() < style.locality:
-                sink = local[int(rng.integers(0, len(local)))]
+            if n_local > 1 and rng.random() < style.locality:
+                sink = local[int(rng.integers(0, n_local))]
             else:
                 sink = int(rng.integers(0, n_cells))
             if sink != driver_index:
                 sinks.append(sink)
-        if not sinks:
-            continue
-        pins = [Pin(cells[driver_index].name, "o", "output")]
-        pins.extend(Pin(cells[s].name, f"i{k}", "input") for k, s in enumerate(dict.fromkeys(sinks)))
-        netlist.add_net(Net(name=f"n{net_id}", pins=pins))
-        net_id += 1
+        if sinks:
+            distinct = list(dict.fromkeys(sinks))
+            add_net(f"n{len(net_names)}", driver_index, distinct, _pin_names("i", len(distinct)))
 
     # Global nets (clock / reset style): span many clusters with high fanout.
-    sequential_indices = [i for i, cell in enumerate(cells) if cell.is_sequential]
+    # A sink pin is named after its draw, so a drawn driver leaves a gap.
+    sequential_indices = [i for i, sequential in enumerate(is_sequential) if sequential]
     for g in range(style.global_net_count):
         if len(sequential_indices) < 4:
             break
         driver_index = int(rng.integers(0, n_cells))
         n_sinks = min(len(sequential_indices), int(rng.integers(8, 40)))
-        sink_indices = rng.choice(sequential_indices, size=n_sinks, replace=False)
-        pins = [Pin(cells[driver_index].name, "o", "output")]
-        pins.extend(
-            Pin(cells[int(s)].name, f"g{k}", "input")
-            for k, s in enumerate(sink_indices)
-            if int(s) != driver_index
-        )
-        if len(pins) >= 2:
-            netlist.add_net(Net(name=f"gn{g}", pins=pins))
+        sink_indices = rng.choice(sequential_indices, size=n_sinks, replace=False).tolist()
+        kept = [(s, pin) for s, pin in zip(sink_indices, _pin_names("g", n_sinks)) if s != driver_index]
+        if kept:
+            add_net(f"gn{g}", driver_index, *zip(*kept))
 
+    pin_is_output = np.zeros(len(pin_cells), dtype=bool)
+    pin_is_output[pin_offsets[:-1]] = True
+    netlist = Netlist(
+        name,
+        cell_names=[f"u{index}" for index in range(n_cells)],
+        width_sites=widths,
+        height_rows=heights,
+        is_macro=[index in macro_indices for index in range(n_cells)],
+        is_sequential=is_sequential,
+        cluster=cluster_of_cell,
+        net_names=net_names,
+        pin_offsets=pin_offsets,
+        pin_cells=pin_cells,
+        pin_names=pin_names,
+        pin_is_output=pin_is_output,
+    )
     netlist.validate()
     return Design(name=name, suite=suite, netlist=netlist, seed=int(seed))
 

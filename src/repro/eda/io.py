@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.eda.benchmarks import Design, SUITES
-from repro.eda.netlist import Cell, Net, Netlist, Pin
-from repro.eda.placement import Placement, PlacementConfig
+from repro.eda.netlist import Netlist
+from repro.eda.placement import Placement, PlacementConfig, cell_sizes_um
 from repro.eda.technology import Technology, nangate45
 
 PathLike = Union[str, Path]
@@ -50,79 +50,103 @@ def write_netlist_verilog(netlist: Netlist, path: PathLike, suite: Optional[str]
     can reconstruct an identical :class:`~repro.eda.netlist.Netlist`.
     """
     path = Path(path)
-    lines: List[str] = []
-    lines.append(f"// repro:design name={netlist.name} suite={suite or 'unknown'} seed={seed}")
-    lines.append(f"module {netlist.name} ();")
-    for cell in netlist.iter_cells():
+    lines = [
+        f"// repro:design name={netlist.name} suite={suite or 'unknown'} seed={seed}",
+        f"module {netlist.name} ();",
+    ]
+    cells = zip(
+        netlist.cell_names,
+        netlist.width_sites.tolist(),
+        netlist.height_rows.tolist(),
+        netlist.is_macro.tolist(),
+        netlist.is_sequential.tolist(),
+        netlist.cluster.tolist(),
+    )
+    for name, width, height, macro, sequential, cluster in cells:
         lines.append(
             "  // repro:cell "
-            f"name={cell.name} width={cell.width_sites} height={cell.height_rows} "
-            f"macro={int(cell.is_macro)} seq={int(cell.is_sequential)} cluster={cell.cluster}"
+            f"name={name} width={width} height={height} "
+            f"macro={int(macro)} seq={int(sequential)} cluster={cluster}"
         )
-    for net in netlist.iter_nets():
-        lines.append(f"  wire {net.name};")
-    for net in netlist.iter_nets():
-        for pin in net.pins:
-            lines.append(
-                f"  // repro:pin net={net.name} cell={pin.cell_name} pin={pin.pin_name} dir={pin.direction}"
-            )
+    lines.extend(f"  wire {net};" for net in netlist.net_names)
+    pin_nets, pin_cells = netlist.pin_nets().tolist(), netlist.pin_cells.tolist()
+    for net, cell, pin, output in zip(pin_nets, pin_cells, netlist.pin_names, netlist.pin_is_output.tolist()):
+        lines.append(
+            f"  // repro:pin net={netlist.net_names[net]} cell={netlist.cell_names[cell]} "
+            f"pin={pin} dir={'output' if output else 'input'}"
+        )
     lines.append("endmodule")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
 def read_netlist_verilog(path: PathLike) -> Tuple[Netlist, str, int]:
-    """Read a netlist written by :func:`write_netlist_verilog`.
+    """Read and validate a netlist written by :func:`write_netlist_verilog`.
 
-    Returns ``(netlist, suite, seed)``.
+    Returns ``(netlist, suite, seed)``.  Malformed input raises
+    ``ValueError`` naming the file and line.
     """
     path = Path(path)
     name = path.stem
     suite = "unknown"
     seed = 0
-    cells: List[Cell] = []
-    pins_by_net: Dict[str, List[Pin]] = {}
-    net_order: List[str] = []
+    cell_index: Dict[str, int] = {}
+    cell_columns: Tuple[List[int], ...] = ([], [], [], [], [])
+    pins_by_net: Dict[str, List[Tuple[int, str, bool]]] = {}
 
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
+        where = f"{path}:{lineno}"
         if line.startswith("// repro:design"):
             attrs = _parse_pragma(line)
             name = attrs.get("name", name)
             suite = attrs.get("suite", suite)
-            seed = int(attrs.get("seed", seed))
+            seed = _number_attr(attrs, "seed", where, default=seed)
         elif line.startswith("// repro:cell"):
             attrs = _parse_pragma(line)
-            cells.append(
-                Cell(
-                    name=attrs["name"],
-                    width_sites=int(attrs["width"]),
-                    height_rows=int(attrs["height"]),
-                    is_macro=bool(int(attrs["macro"])),
-                    is_sequential=bool(int(attrs["seq"])),
-                    cluster=int(attrs["cluster"]),
-                )
-            )
+            cell = _attr(attrs, "name", where)
+            if cell in cell_index:
+                raise ValueError(f"{where}: duplicate cell name {cell!r}")
+            cell_index[cell] = len(cell_index)
+            for column, key in zip(cell_columns, ("width", "height", "macro", "seq", "cluster")):
+                column.append(_number_attr(attrs, key, where))
         elif line.startswith("wire "):
-            net_name = line[len("wire ") :].rstrip(";").strip()
-            if net_name not in pins_by_net:
-                pins_by_net[net_name] = []
-                net_order.append(net_name)
+            pins_by_net.setdefault(line[len("wire ") :].rstrip(";").strip(), [])
         elif line.startswith("// repro:pin"):
             attrs = _parse_pragma(line)
-            pins_by_net.setdefault(attrs["net"], []).append(
-                Pin(cell_name=attrs["cell"], pin_name=attrs["pin"], direction=attrs["dir"])
+            cell = _attr(attrs, "cell", where)
+            if cell not in cell_index:
+                raise ValueError(f"{where}: pin references unknown cell {cell!r}")
+            direction = _attr(attrs, "dir", where)
+            if direction not in ("input", "output"):
+                raise ValueError(f"{where}: pin direction must be input/output, got {direction!r}")
+            pins_by_net.setdefault(_attr(attrs, "net", where), []).append(
+                (cell_index[cell], _attr(attrs, "pin", where), direction == "output")
             )
-            if attrs["net"] not in net_order:
-                net_order.append(attrs["net"])
         elif line.startswith("module "):
             name = line[len("module ") :].split()[0].rstrip("();")
 
-    netlist = Netlist(name)
-    for cell in cells:
-        netlist.add_cell(cell)
-    for net_name in net_order:
-        netlist.add_net(Net(name=net_name, pins=list(pins_by_net.get(net_name, []))))
+    widths, heights, macros, sequentials, clusters = cell_columns
+    pins = [pin for net_pins in pins_by_net.values() for pin in net_pins]
+    pin_cells, pin_names, pin_is_output = zip(*pins) if pins else ((), (), ())
+    try:
+        netlist = Netlist(
+            name,
+            cell_names=list(cell_index),
+            width_sites=widths,
+            height_rows=heights,
+            is_macro=np.array(macros) != 0,
+            is_sequential=np.array(sequentials) != 0,
+            cluster=clusters,
+            net_names=list(pins_by_net),
+            pin_offsets=np.cumsum([0] + [len(net_pins) for net_pins in pins_by_net.values()]),
+            pin_cells=pin_cells,
+            pin_names=pin_names,
+            pin_is_output=pin_is_output,
+        )
+        netlist.validate()
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from error
     return netlist, suite, seed
 
 
@@ -148,6 +172,28 @@ def _parse_pragma(line: str) -> Dict[str, str]:
             key, _, value = token.partition("=")
             attrs[key] = value
     return attrs
+
+
+def _attr(attrs: Dict[str, str], key: str, where: str) -> str:
+    """``attrs[key]``, or a ``ValueError`` naming ``where`` (``file:line``)."""
+    if key not in attrs:
+        raise ValueError(f"{where}: pragma is missing {key}=")
+    return attrs[key]
+
+
+def _number_attr(attrs: Dict[str, str], key: str, where: str, cast=int, default=None):
+    """``cast(attrs[key])`` (``default`` when absent and given), or a ``ValueError``."""
+    if default is not None and key not in attrs:
+        return default
+    return _number(_attr(attrs, key, where), cast, f"{key}=", where)
+
+
+def _number(token: str, cast, what: str, where: str):
+    """``cast(token)``, or a ``ValueError`` naming ``where`` and ``what``."""
+    try:
+        return cast(token)
+    except ValueError:
+        raise ValueError(f"{where}: {what} is not a valid {cast.__name__}: {token!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -206,31 +252,39 @@ def read_placement_def(
     technology = technology if technology is not None else nangate45()
     units = DEF_UNITS_PER_MICRON
     config_attrs: Dict[str, str] = {}
+    config_where = str(path)
     die_width_um = 0.0
     die_height_um = 0.0
     positions: Dict[str, Tuple[float, float]] = {}
     design_name = design.name
 
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
+        where = f"{path}:{lineno}"
         if line.startswith("DESIGN "):
             design_name = line.split()[1]
         elif line.startswith("UNITS DISTANCE MICRONS"):
-            units = int(line.split()[3])
+            tokens = line.split()
+            units = _number(tokens[3] if len(tokens) > 3 else "", int, "UNITS DISTANCE MICRONS", where)
         elif line.startswith("# repro:placement"):
-            config_attrs = _parse_pragma(line)
+            config_attrs, config_where = _parse_pragma(line), where
         elif line.startswith("DIEAREA"):
             tokens = line.replace("(", " ").replace(")", " ").split()
-            numbers = [t for t in tokens if _is_int(t)]
-            die_width_um = int(numbers[2]) / units
-            die_height_um = int(numbers[3]) / units
+            numbers = [int(t) for t in tokens if t.lstrip("-").isdigit()]
+            if len(numbers) < 4:
+                raise ValueError(f"{where}: DIEAREA needs four integers, got {len(numbers)}")
+            die_width_um = numbers[2] / units
+            die_height_um = numbers[3] / units
         elif line.startswith("- "):
             tokens = line.replace("(", " ").replace(")", " ").split()
-            name = tokens[1]
+            if "PLACED" not in tokens:
+                raise ValueError(f"{where}: component {tokens[1]!r} has no PLACED location")
             placed = tokens.index("PLACED")
-            x = int(tokens[placed + 1]) / units
-            y = int(tokens[placed + 2]) / units
-            positions[name] = (x, y)
+            coords = tokens[placed + 1 : placed + 3]
+            if len(coords) < 2:
+                raise ValueError(f"{where}: PLACED needs an x and a y")
+            x, y = (_number(token, int, "a PLACED coordinate", where) / units for token in coords)
+            positions[tokens[1]] = (x, y)
 
     if design_name != design.name:
         raise ValueError(
@@ -238,50 +292,31 @@ def read_placement_def(
         )
     if not config_attrs:
         raise ValueError(f"{path} is missing the repro placement pragma")
-    missing = [name for name in design.netlist.cells if name not in positions]
+    netlist = design.netlist
+    missing = [name for name in netlist.cell_names if name not in positions]
     if missing:
         raise ValueError(f"DEF file is missing placements for {len(missing)} cells (e.g. {missing[0]!r})")
 
     config = PlacementConfig(
-        grid_width=int(config_attrs["grid_width"]),
-        grid_height=int(config_attrs["grid_height"]),
-        utilization=float(config_attrs["utilization"]),
-        aspect_ratio=float(config_attrs["aspect_ratio"]),
-        cluster_noise=float(config_attrs["cluster_noise"]),
-        seed=int(config_attrs["seed"]),
+        grid_width=_number_attr(config_attrs, "grid_width", config_where),
+        grid_height=_number_attr(config_attrs, "grid_height", config_where),
+        utilization=_number_attr(config_attrs, "utilization", config_where, float),
+        aspect_ratio=_number_attr(config_attrs, "aspect_ratio", config_where, float),
+        cluster_noise=_number_attr(config_attrs, "cluster_noise", config_where, float),
+        seed=_number_attr(config_attrs, "seed", config_where),
     )
-
-    cell_names = list(design.netlist.cells)
-    cells = [design.netlist.cells[name] for name in cell_names]
-    sizes = np.array(
-        [
-            (c.width_sites * technology.site_width_um, c.height_rows * technology.site_height_um)
-            for c in cells
-        ],
-        dtype=np.float64,
-    )
-    coords = np.array([positions[name] for name in cell_names], dtype=np.float64)
-    is_macro = np.array([c.is_macro for c in cells], dtype=bool)
 
     return Placement(
         design=design,
         config=config,
         technology=technology,
-        cell_names=cell_names,
-        positions_um=coords,
-        sizes_um=sizes,
-        is_macro=is_macro,
+        cell_names=list(netlist.cell_names),
+        positions_um=np.array([positions[name] for name in netlist.cell_names], dtype=np.float64),
+        sizes_um=cell_sizes_um(netlist, technology),
+        is_macro=netlist.is_macro.copy(),
         die_width_um=die_width_um,
         die_height_um=die_height_um,
     )
-
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

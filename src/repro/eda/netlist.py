@@ -1,103 +1,20 @@
-"""Netlist data model: cells, pins, nets, and the netlist container.
+"""Netlist data model: cells as parallel arrays, nets as one CSR pin table.
 
 The model is deliberately small — the synthetic flow only needs connectivity,
 cell geometry, and a macro flag — but it is a real netlist: every net refers
-to concrete pins on concrete cells, and the container validates referential
-integrity.
+to concrete pins on concrete cells, and the container checks referential
+integrity when it is built.  A cell is an index into the cell arrays; net
+``k``'s pins are rows ``pin_offsets[k]:pin_offsets[k + 1]`` of the pin table.
+A netlist is immutable once built, so the tables derived from it are cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.utils.validation import check_positive
-
-
-@dataclass
-class Cell:
-    """A placeable instance (standard cell or macro).
-
-    Attributes
-    ----------
-    name:
-        Unique instance name within the netlist.
-    width_sites / height_rows:
-        Footprint in placement sites horizontally and in rows vertically.
-        Standard cells have ``height_rows == 1``; macros are larger in both
-        dimensions.
-    is_macro:
-        Whether the instance is a macro (placed first, acts as a routing
-        blockage for the congestion model).
-    is_sequential:
-        Whether the instance is a flip-flop/latch; sequential cells anchor
-        clusters during netlist generation.
-    cluster:
-        Logical-cluster index assigned by the generator, used by the placer
-        to keep tightly connected cells together.
-    """
-
-    name: str
-    width_sites: int = 1
-    height_rows: int = 1
-    is_macro: bool = False
-    is_sequential: bool = False
-    cluster: int = 0
-
-    def __post_init__(self):
-        check_positive("width_sites", self.width_sites)
-        check_positive("height_rows", self.height_rows)
-
-    @property
-    def area_sites(self) -> int:
-        """Footprint area in site units."""
-        return self.width_sites * self.height_rows
-
-
-@dataclass(frozen=True)
-class Pin:
-    """A pin: a (cell, pin-name) pair with a direction."""
-
-    cell_name: str
-    pin_name: str
-    direction: str = "input"
-
-    def __post_init__(self):
-        if self.direction not in ("input", "output"):
-            raise ValueError(f"pin direction must be input/output, got {self.direction!r}")
-
-    @property
-    def full_name(self) -> str:
-        return f"{self.cell_name}/{self.pin_name}"
-
-
-@dataclass
-class Net:
-    """A net connecting one driver pin to one or more sink pins."""
-
-    name: str
-    pins: List[Pin] = field(default_factory=list)
-
-    @property
-    def driver(self) -> Optional[Pin]:
-        for pin in self.pins:
-            if pin.direction == "output":
-                return pin
-        return None
-
-    @property
-    def sinks(self) -> List[Pin]:
-        return [pin for pin in self.pins if pin.direction == "input"]
-
-    @property
-    def degree(self) -> int:
-        return len(self.pins)
-
-    def cell_names(self) -> List[str]:
-        """Names of the distinct cells touched by this net."""
-        return list(dict.fromkeys(pin.cell_name for pin in self.pins))
 
 
 @dataclass(frozen=True)
@@ -121,117 +38,137 @@ class NetMembership:
         return zip(self.names, bounds[:-1], bounds[1:])
 
 
-class Netlist:
-    """A container of cells and nets with referential-integrity checks."""
+def _column(values, dtype, length: int, what: str) -> np.ndarray:
+    """``values`` as a read-only 1-D array of ``length`` entries."""
+    array = np.array(values, dtype=dtype)
+    if array.shape != (length,):
+        raise ValueError(f"{what} has shape {array.shape}, expected ({length},)")
+    array.flags.writeable = False
+    return array
 
-    def __init__(self, name: str):
+
+class Netlist:
+    """Cells and nets of one design.
+
+    Cell attributes are parallel arrays indexed by a cell's position in
+    ``cell_names``:
+
+    ``width_sites`` / ``height_rows``
+        Footprint in placement sites horizontally and in rows vertically
+        (positive).  Standard cells have ``height_rows == 1``; macros are
+        larger in both dimensions.
+    ``is_macro``
+        Macros are placed first and act as routing blockages.
+    ``is_sequential``
+        Flip-flops/latches; they anchor the generator's global nets.
+    ``cluster``
+        Logical-cluster index assigned by the generator, used by the placer
+        to keep tightly connected cells together.
+
+    Nets are ``net_names`` plus one pin table in CSR form: net ``k``'s pins
+    are rows ``pin_offsets[k]:pin_offsets[k + 1]`` of ``pin_cells`` (cell
+    index), ``pin_names`` (name on the cell) and ``pin_is_output`` (``True``
+    for a driver pin, ``False`` for a sink).
+    """
+
+    def __init__(
+        self,
+        name: str,
+        cell_names: Sequence[str],
+        width_sites,
+        height_rows,
+        is_macro,
+        is_sequential,
+        cluster,
+        net_names: Sequence[str],
+        pin_offsets,
+        pin_cells,
+        pin_names: Sequence[str],
+        pin_is_output,
+    ):
         self.name = name
-        self._cells: Dict[str, Cell] = {}
-        self._nets: Dict[str, Net] = {}
+        self.cell_names: List[str] = list(cell_names)
+        self.net_names: List[str] = list(net_names)
+        self.pin_names: List[str] = list(pin_names)
+        n_cells, n_pins = len(self.cell_names), len(self.pin_names)
+        self.width_sites = _column(width_sites, np.int64, n_cells, "width_sites")
+        self.height_rows = _column(height_rows, np.int64, n_cells, "height_rows")
+        self.is_macro = _column(is_macro, bool, n_cells, "is_macro")
+        self.is_sequential = _column(is_sequential, bool, n_cells, "is_sequential")
+        self.cluster = _column(cluster, np.int64, n_cells, "cluster")
+        self.pin_offsets = _column(pin_offsets, np.intp, len(self.net_names) + 1, "pin_offsets")
+        self.pin_cells = _column(pin_cells, np.intp, n_pins, "pin_cells")
+        self.pin_is_output = _column(pin_is_output, bool, n_pins, "pin_is_output")
         self._membership: Optional[NetMembership] = None
 
-    # -- construction --------------------------------------------------------
-    def add_cell(self, cell: Cell) -> Cell:
-        if cell.name in self._cells:
-            raise ValueError(f"duplicate cell name {cell.name!r} in netlist {self.name!r}")
-        self._cells[cell.name] = cell
-        self._membership = None
-        return cell
-
-    def add_net(self, net: Net) -> Net:
-        if net.name in self._nets:
-            raise ValueError(f"duplicate net name {net.name!r} in netlist {self.name!r}")
-        for pin in net.pins:
-            if pin.cell_name not in self._cells:
+        for kind, names in (("cell", self.cell_names), ("net", self.net_names)):
+            if len(set(names)) < len(names):
+                duplicate = next(item for item, count in Counter(names).items() if count > 1)
+                raise ValueError(f"duplicate {kind} name {duplicate!r} in netlist {name!r}")
+        for what, sizes in (("width_sites", self.width_sites), ("height_rows", self.height_rows)):
+            bad = np.flatnonzero(sizes <= 0)
+            if bad.size:
                 raise ValueError(
-                    f"net {net.name!r} references unknown cell {pin.cell_name!r}"
+                    f"{what} must be positive, got {int(sizes[bad[0]])} for cell {self.cell_names[bad[0]]!r}"
                 )
-        self._nets[net.name] = net
-        self._membership = None
-        return net
-
-    # -- access ----------------------------------------------------------------
-    @property
-    def cells(self) -> Dict[str, Cell]:
-        return self._cells
-
-    @property
-    def nets(self) -> Dict[str, Net]:
-        return self._nets
-
-    def cell(self, name: str) -> Cell:
-        return self._cells[name]
-
-    def net(self, name: str) -> Net:
-        return self._nets[name]
-
-    def iter_cells(self) -> Iterator[Cell]:
-        return iter(self._cells.values())
-
-    def iter_nets(self) -> Iterator[Net]:
-        return iter(self._nets.values())
+        offsets = self.pin_offsets
+        if offsets[0] != 0 or offsets[-1] != n_pins or np.any(np.diff(offsets) < 0):
+            raise ValueError(f"pin_offsets must rise from 0 to {n_pins} in netlist {name!r}")
+        unknown = np.flatnonzero((self.pin_cells < 0) | (self.pin_cells >= n_cells))
+        if unknown.size:
+            net = int(np.searchsorted(offsets, unknown[0], side="right")) - 1
+            raise ValueError(
+                f"net {self.net_names[net]!r} references unknown cell index {int(self.pin_cells[unknown[0]])}"
+            )
 
     # -- statistics --------------------------------------------------------------
     @property
     def num_cells(self) -> int:
-        return len(self._cells)
+        return len(self.cell_names)
 
     @property
     def num_nets(self) -> int:
-        return len(self._nets)
+        return len(self.net_names)
 
     @property
     def num_macros(self) -> int:
-        return sum(1 for cell in self._cells.values() if cell.is_macro)
+        return int(self.is_macro.sum())
 
     @property
     def num_pins(self) -> int:
-        return sum(net.degree for net in self._nets.values())
+        return len(self.pin_names)
 
-    def average_net_degree(self) -> float:
-        if not self._nets:
-            return 0.0
-        return self.num_pins / self.num_nets
+    def pin_nets(self) -> np.ndarray:
+        """Net index of every pin."""
+        return np.repeat(np.arange(self.num_nets, dtype=np.intp), np.diff(self.pin_offsets))
 
     def net_membership(self) -> NetMembership:
-        """The :class:`NetMembership` table, built once and cached.
-
-        ``add_cell`` / ``add_net`` drop the cache; editing ``Net.pins`` in
-        place after the net was added is not seen.
-        """
+        """The :class:`NetMembership` table, built once and cached."""
         if self._membership is None:
-            index = {name: i for i, name in enumerate(self._cells)}
-            names: List[str] = []
-            members: List[int] = []
-            offsets = [0]
-            pin_cells: List[int] = []
-            for net in self._nets.values():
-                cells = [index[pin.cell_name] for pin in net.pins]
-                pin_cells.extend(cells)
-                distinct = dict.fromkeys(cells)
-                if len(distinct) >= 2:
-                    names.append(net.name)
-                    members.extend(distinct)
-                    offsets.append(len(members))
+            pin_nets = self.pin_nets()
+            # A pin is a member when no earlier pin of its net sits on the same cell.
+            keys = pin_nets * self.num_cells + self.pin_cells
+            first = np.zeros(keys.size, dtype=bool)
+            first[np.unique(keys, return_index=True)[1]] = True
+            distinct = np.bincount(pin_nets[first], minlength=self.num_nets)
+            listed = distinct >= 2
             self._membership = NetMembership(
-                names=names,
-                cells=np.asarray(members, dtype=np.intp),
-                offsets=np.asarray(offsets, dtype=np.intp),
-                pin_counts=np.bincount(np.asarray(pin_cells, dtype=np.intp), minlength=len(index)),
+                names=[self.net_names[k] for k in np.flatnonzero(listed).tolist()],
+                cells=self.pin_cells[first & listed[pin_nets]],
+                offsets=np.concatenate([[0], np.cumsum(distinct[listed])]).astype(np.intp),
+                pin_counts=np.bincount(self.pin_cells, minlength=self.num_cells),
             )
         return self._membership
 
-    def pin_counts_per_cell(self) -> Dict[str, int]:
-        """Number of net pins landing on each cell."""
-        return dict(zip(self._cells, self.net_membership().pin_counts.tolist()))
-
     def validate(self) -> None:
         """Raise ``ValueError`` if the netlist violates basic structural rules."""
-        for net in self._nets.values():
-            if net.degree < 2:
-                raise ValueError(f"net {net.name!r} has fewer than 2 pins")
-            if net.driver is None:
-                raise ValueError(f"net {net.name!r} has no driver pin")
+        degree = np.diff(self.pin_offsets)
+        drivers = np.bincount(self.pin_nets()[self.pin_is_output], minlength=self.num_nets)
+        bad = np.flatnonzero((degree < 2) | (drivers == 0))
+        if bad.size:
+            net = int(bad[0])
+            problem = "has fewer than 2 pins" if degree[net] < 2 else "has no driver pin"
+            raise ValueError(f"net {self.net_names[net]!r} {problem}")
         isolated = int((self.net_membership().pin_counts == 0).sum())
         if isolated > max(2, self.num_cells // 10):
             raise ValueError(
@@ -244,4 +181,3 @@ class Netlist:
             f"Netlist(name={self.name!r}, cells={self.num_cells}, nets={self.num_nets}, "
             f"macros={self.num_macros})"
         )
-

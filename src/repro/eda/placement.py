@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.eda.benchmarks import Design
-from repro.eda.netlist import NetMembership
+from repro.eda.netlist import NetMembership, Netlist
 from repro.eda.technology import Technology, nangate45
 from repro.utils.rng import new_rng
 from repro.utils.validation import check_positive, check_probability
@@ -108,7 +108,9 @@ class Placement:
         ``cell_names`` may be any permutation of the netlist's cells, so code
         indexing by :class:`~repro.eda.netlist.NetMembership` goes through this.
         """
-        names = self.design.netlist.cells
+        names = self.design.netlist.cell_names
+        if self.cell_names == names:
+            return np.arange(len(names), dtype=np.intp)
         return np.fromiter(map(self._name_to_index.__getitem__, names), dtype=np.intp, count=len(names))
 
     def net_cell_rows(self) -> Tuple[np.ndarray, NetMembership]:
@@ -139,6 +141,14 @@ class Placement:
         )
 
 
+def cell_sizes_um(netlist: Netlist, technology: Technology) -> np.ndarray:
+    """``(n_cells, 2)`` widths and heights of the netlist's cells in microns."""
+    return np.stack(
+        [netlist.width_sites * technology.site_width_um, netlist.height_rows * technology.site_height_um],
+        axis=1,
+    )
+
+
 class Placer:
     """Cluster-aware constructive placer."""
 
@@ -151,20 +161,16 @@ class Placer:
         tech = self.technology
         netlist = design.netlist
 
-        cell_names = list(netlist.cells)
-        cells = [netlist.cells[name] for name in cell_names]
-        widths = np.array([c.width_sites * tech.site_width_um for c in cells])
-        heights = np.array([c.height_rows * tech.site_height_um for c in cells])
-        sizes = np.stack([widths, heights], axis=1)
-        is_macro = np.array([c.is_macro for c in cells], dtype=bool)
-        clusters = np.array([c.cluster for c in cells], dtype=int)
+        sizes = cell_sizes_um(netlist, tech)
+        widths, heights = sizes[:, 0], sizes[:, 1]
+        is_macro = netlist.is_macro.copy()
 
         total_area = float((widths * heights).sum())
         core_area = total_area / config.utilization
         die_width = float(np.sqrt(core_area * config.aspect_ratio))
         die_height = float(core_area / die_width)
 
-        positions = np.zeros((len(cells), 2), dtype=np.float64)
+        positions = np.zeros((netlist.num_cells, 2), dtype=np.float64)
 
         macro_indices = np.flatnonzero(is_macro)
         self._place_macros(positions, sizes, macro_indices, die_width, die_height, rng)
@@ -173,7 +179,7 @@ class Placer:
         self._place_standard_cells(
             positions,
             sizes,
-            clusters,
+            netlist.cluster,
             std_indices,
             die_width,
             die_height,
@@ -189,7 +195,7 @@ class Placer:
             design=design,
             config=config,
             technology=tech,
-            cell_names=cell_names,
+            cell_names=list(netlist.cell_names),
             positions_um=positions,
             sizes_um=sizes,
             is_macro=is_macro,

@@ -1,9 +1,15 @@
 """Round-trip tests for the netlist / placement interchange formats."""
 
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.eda.benchmarks import generate_design
+from repro.eda.benchmarks import SUITES, generate_design
 from repro.eda.io import (
     DEF_UNITS_PER_MICRON,
     apply_positions,
@@ -19,40 +25,98 @@ from repro.eda.io import (
 from repro.eda.placement import PlacementConfig, Placer
 
 
+CELL_ARRAYS = ("width_sites", "height_rows", "is_macro", "is_sequential", "cluster")
+PIN_ARRAYS = ("pin_offsets", "pin_cells", "pin_is_output")
+
+
+def assert_same_netlist(loaded, original):
+    """Every name list and every cell and pin array is equal, dtype and bytes."""
+    assert loaded.name == original.name
+    assert loaded.cell_names == original.cell_names
+    assert loaded.net_names == original.net_names
+    assert loaded.pin_names == original.pin_names
+    for attr in CELL_ARRAYS + PIN_ARRAYS:
+        got, want = getattr(loaded, attr), getattr(original, attr)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+
+
 class TestNetlistVerilogRoundTrip:
-    def test_cells_and_nets_preserved(self, small_design, tmp_path):
+    def test_round_trip_is_exact(self, small_design, tmp_path):
         path = write_netlist_verilog(small_design.netlist, tmp_path / "design.v", suite=small_design.suite)
         netlist, suite, _ = read_netlist_verilog(path)
-        original = small_design.netlist
         assert suite == small_design.suite
-        assert netlist.name == original.name
-        assert set(netlist.cells) == set(original.cells)
-        assert set(netlist.nets) == set(original.nets)
+        assert_same_netlist(netlist, small_design.netlist)
 
-    def test_cell_attributes_preserved(self, small_design, tmp_path):
-        path = write_netlist_verilog(small_design.netlist, tmp_path / "design.v")
-        netlist, _, _ = read_netlist_verilog(path)
-        for name, cell in small_design.netlist.cells.items():
-            loaded = netlist.cells[name]
-            assert loaded.width_sites == cell.width_sites
-            assert loaded.height_rows == cell.height_rows
-            assert loaded.is_macro == cell.is_macro
-            assert loaded.is_sequential == cell.is_sequential
-            assert loaded.cluster == cell.cluster
+    def test_macro_design_round_trip(self, macro_placement, tmp_path):
+        original = macro_placement.design.netlist
+        path = write_netlist_verilog(original, tmp_path / "macro.v")
+        assert_same_netlist(read_netlist_verilog(path)[0], original)
 
-    def test_pin_connectivity_preserved(self, small_design, tmp_path):
-        path = write_netlist_verilog(small_design.netlist, tmp_path / "design.v")
-        netlist, _, _ = read_netlist_verilog(path)
-        for name, net in small_design.netlist.nets.items():
-            loaded = netlist.nets[name]
-            assert {(p.cell_name, p.pin_name, p.direction) for p in loaded.pins} == {
-                (p.cell_name, p.pin_name, p.direction) for p in net.pins
-            }
+    @given(
+        suite=st.sampled_from(sorted(SUITES)),
+        seed=st.integers(0, 2**16),
+        cell_count=st.integers(20, 200),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_design_round_trip_property(self, suite, seed, cell_count):
+        design = generate_design(suite, f"prop_{suite}_{seed}", seed, cell_count=cell_count)
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = read_design(write_design(design, Path(tmp) / f"{design.name}.v"))
+        assert (loaded.name, loaded.suite, loaded.seed) == (design.name, design.suite, design.seed)
+        assert_same_netlist(loaded.netlist, design.netlist)
+        got, want = loaded.netlist.net_membership(), design.netlist.net_membership()
+        assert got.names == want.names
+        for attr in ("cells", "offsets", "pin_counts"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
 
-    def test_loaded_netlist_validates(self, small_design, tmp_path):
-        path = write_netlist_verilog(small_design.netlist, tmp_path / "design.v")
-        netlist, _, _ = read_netlist_verilog(path)
-        netlist.validate()
+
+def _write(tmp_path, name, lines):
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+NETLIST_LINES = [
+    "// repro:design name=tiny suite=iscas89 seed=0",
+    "module tiny ();",
+    "  // repro:cell name=a width=1 height=1 macro=0 seq=0 cluster=0",
+    "  // repro:cell name=b width=1 height=1 macro=0 seq=0 cluster=0",
+    "  wire n0;",
+    "  // repro:pin net=n0 cell=a pin=o dir=output",
+    "  // repro:pin net=n0 cell=b pin=i0 dir=input",
+    "endmodule",
+]
+
+
+class TestMalformedNetlistVerilog:
+    def test_well_formed_text_reads(self, tmp_path):
+        netlist, suite, seed = read_netlist_verilog(_write(tmp_path, "tiny.v", NETLIST_LINES))
+        assert (netlist.cell_names, netlist.net_names, suite, seed) == (["a", "b"], ["n0"], "iscas89", 0)
+
+    @pytest.mark.parametrize(
+        "line,text,message",
+        [
+            (1, "// repro:design name=tiny suite=iscas89 seed=zero", "seed= is not a valid int: 'zero'"),
+            (3, "  // repro:cell name=a height=1 macro=0 seq=0 cluster=0", "pragma is missing width="),
+            (3, "  // repro:cell name=a width=wide height=1 macro=0 seq=0 cluster=0", "width= is not a valid int"),
+            (4, "  // repro:cell name=b width=1 height=1 macro=0 seq=0", "pragma is missing cluster="),
+            (4, "  // repro:cell name=a width=1 height=1 macro=0 seq=0 cluster=0", "duplicate cell name 'a'"),
+            (7, "  // repro:pin cell=b pin=i0 dir=input", "pragma is missing net="),
+            (7, "  // repro:pin net=n0 cell=zz pin=i0 dir=input", "unknown cell 'zz'"),
+            (7, "  // repro:pin net=n0 cell=b pin=i0 dir=bidir", "must be input/output"),
+        ],
+    )
+    def test_malformed_pragma_names_file_and_line(self, tmp_path, line, text, message):
+        lines = list(NETLIST_LINES)
+        lines[line - 1] = text
+        with pytest.raises(ValueError, match=f"tiny.v:{line}: .*{re.escape(message)}"):
+            read_netlist_verilog(_write(tmp_path, "tiny.v", lines))
+
+    def test_read_netlist_is_validated(self, tmp_path):
+        lines = list(NETLIST_LINES)
+        lines[5] = "  // repro:pin net=n0 cell=a pin=o dir=input"
+        with pytest.raises(ValueError, match="tiny.v: net 'n0' has no driver pin"):
+            read_netlist_verilog(_write(tmp_path, "tiny.v", lines))
 
 
 class TestDesignRoundTrip:
@@ -106,6 +170,27 @@ class TestPlacementDefRoundTrip:
         )
         path.write_text(stripped)
         with pytest.raises(ValueError, match="pragma"):
+            read_placement_def(path, small_placement.design)
+
+
+class TestMalformedPlacementDef:
+    @pytest.mark.parametrize(
+        "prefix,text,message",
+        [
+            ("DIEAREA", "DIEAREA ( 0 0 ) ( 4000 ) ;", "DIEAREA needs four integers, got 3"),
+            ("  - ", "  - u0 DIST + ( 10 20 ) N ;", "component 'u0' has no PLACED location"),
+            ("  - ", "  - u0 DIST + PLACED ( 10", "PLACED needs an x and a y"),
+            ("  - ", "  - u0 DIST + PLACED ( 10 up ) N ;", "a PLACED coordinate is not a valid int: 'up'"),
+            ("UNITS", "UNITS DISTANCE MICRONS many ;", "UNITS DISTANCE MICRONS is not a valid int"),
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, small_placement, tmp_path, prefix, text, message):
+        path = write_placement_def(small_placement, tmp_path / "design.def")
+        lines = path.read_text().splitlines()
+        line = next(i for i, old in enumerate(lines, start=1) if old.startswith(prefix))
+        lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"design.def:{line}: {re.escape(message)}"):
             read_placement_def(path, small_placement.design)
 
 

@@ -1,92 +1,112 @@
 """Tests for the netlist data model and technology abstraction."""
 
+import numpy as np
 import pytest
 
-from repro.eda import Cell, Net, Netlist, Pin, Technology, nangate45
+from repro.eda import Netlist, Technology, nangate45
 from repro.eda.technology import RoutingLayer
 
 
-class TestCellPinNet:
-    def test_cell_area(self):
-        assert Cell("a", width_sites=3, height_rows=2).area_sites == 6
+def make_netlist(cells=("a", "b", "c"), nets=None, **overrides):
+    """A netlist from cell names and ``{net: [(cell, pin, direction), ...]}``.
 
-    def test_cell_rejects_non_positive_size(self):
-        with pytest.raises(ValueError):
-            Cell("a", width_sites=0)
-
-    def test_pin_direction_validation(self):
-        with pytest.raises(ValueError):
-            Pin("a", "x", direction="bidir")
-
-    def test_net_driver_and_sinks(self):
-        net = Net("n", [Pin("a", "o", "output"), Pin("b", "i", "input"), Pin("c", "i", "input")])
-        assert net.driver.cell_name == "a"
-        assert [p.cell_name for p in net.sinks] == ["b", "c"]
-        assert net.degree == 3
-
-    def test_net_cell_names_deduplicated(self):
-        net = Net("n", [Pin("a", "o", "output"), Pin("a", "i0", "input"), Pin("b", "i", "input")])
-        assert net.cell_names() == ["a", "b"]
+    A pin on a cell not in ``cells`` gets the out-of-range index ``len(cells)``.
+    """
+    if nets is None:
+        nets = {
+            "n1": [("a", "o", "output"), ("b", "i", "input")],
+            "n2": [("b", "o", "output"), ("c", "i", "input"), ("a", "i2", "input")],
+        }
+    index = {name: i for i, name in enumerate(cells)}
+    pins = [pin for net_pins in nets.values() for pin in net_pins]
+    columns = dict(
+        cell_names=list(cells),
+        width_sites=[1] * len(cells),
+        height_rows=[1] * len(cells),
+        is_macro=[False] * len(cells),
+        is_sequential=[False] * len(cells),
+        cluster=[0] * len(cells),
+        net_names=list(nets),
+        pin_offsets=np.cumsum([0] + [len(net_pins) for net_pins in nets.values()]),
+        pin_cells=[index.get(cell, len(cells)) for cell, _, _ in pins],
+        pin_names=[pin for _, pin, _ in pins],
+        pin_is_output=[direction == "output" for _, _, direction in pins],
+    )
+    columns.update(overrides)
+    return Netlist("top", **columns)
 
 
 class TestNetlist:
-    def make_netlist(self):
-        netlist = Netlist("top")
-        for name in ("a", "b", "c"):
-            netlist.add_cell(Cell(name))
-        netlist.add_net(Net("n1", [Pin("a", "o", "output"), Pin("b", "i", "input")]))
-        netlist.add_net(Net("n2", [Pin("b", "o", "output"), Pin("c", "i", "input"), Pin("a", "i2", "input")]))
-        return netlist
-
     def test_counts(self):
-        netlist = self.make_netlist()
+        netlist = make_netlist()
         assert netlist.num_cells == 3
         assert netlist.num_nets == 2
         assert netlist.num_pins == 5
-        assert netlist.average_net_degree() == pytest.approx(2.5)
+        assert netlist.num_macros == 0
 
     def test_duplicate_cell_rejected(self):
-        netlist = self.make_netlist()
-        with pytest.raises(ValueError):
-            netlist.add_cell(Cell("a"))
+        with pytest.raises(ValueError, match="duplicate cell name 'a'"):
+            make_netlist(cells=("a", "b", "c", "a"))
+
+    def test_duplicate_net_rejected(self):
+        with pytest.raises(ValueError, match="duplicate net name 'n1'"):
+            make_netlist(net_names=["n1", "n1"])
 
     def test_net_referencing_unknown_cell_rejected(self):
-        netlist = self.make_netlist()
-        with pytest.raises(ValueError):
-            netlist.add_net(Net("bad", [Pin("zz", "o", "output"), Pin("a", "i", "input")]))
+        nets = {
+            "n1": [("a", "o", "output"), ("b", "i", "input")],
+            "bad": [("zz", "o", "output"), ("a", "i", "input")],
+        }
+        with pytest.raises(ValueError, match="net 'bad' references unknown cell"):
+            make_netlist(nets=nets)
 
-    def test_pin_counts_per_cell(self):
-        counts = self.make_netlist().pin_counts_per_cell()
-        assert counts == {"a": 2, "b": 2, "c": 1}
+    def test_non_positive_size_rejected(self):
+        with pytest.raises(ValueError, match="width_sites must be positive"):
+            make_netlist(width_sites=[1, 0, 1])
+        with pytest.raises(ValueError, match="height_rows must be positive"):
+            make_netlist(height_rows=[1, 1, -2])
+
+    def test_malformed_pin_table_rejected(self):
+        with pytest.raises(ValueError, match="pin_offsets"):
+            make_netlist(pin_offsets=[0, 3, 2])
+        with pytest.raises(ValueError, match="pin_cells has shape"):
+            make_netlist(pin_cells=[0, 1, 1, 2])
+
+    def test_arrays_are_read_only(self):
+        netlist = make_netlist()
+        with pytest.raises(ValueError):
+            netlist.pin_cells[0] = 2
 
     def test_net_membership_table(self):
-        """Distinct cells per multi-cell net; pins (not cells) counted; dropped by add_cell/add_net."""
-        netlist = self.make_netlist()
-        netlist.add_net(Net("loop", [Pin("c", "o", "output"), Pin("c", "i", "input")]))
-        netlist.add_net(Net("twice", [Pin("a", "o", "output"), Pin("c", "i0", "input"), Pin("c", "i1", "input")]))
+        """Distinct cells per multi-cell net; pins (not cells) counted."""
+        nets = {
+            "n1": [("a", "o", "output"), ("b", "i", "input")],
+            "n2": [("b", "o", "output"), ("c", "i", "input"), ("a", "i2", "input")],
+            "loop": [("c", "o", "output"), ("c", "i", "input")],
+            "twice": [("a", "o", "output"), ("c", "i0", "input"), ("c", "i1", "input")],
+            "n3": [("d", "o", "output"), ("a", "i3", "input")],
+        }
+        netlist = make_netlist(cells=("a", "b", "c", "d"), nets=nets)
         table = netlist.net_membership()
         assert table is netlist.net_membership()
-        assert table.names == ["n1", "n2", "twice"]
-        assert table.offsets.tolist() == [0, 2, 5, 7]
-        assert table.cells.tolist() == [0, 1, 1, 2, 0, 0, 2]
-        assert table.pin_counts.tolist() == [3, 2, 5]
-        assert list(table.spans()) == [("n1", 0, 2), ("n2", 2, 5), ("twice", 5, 7)]
-        netlist.add_cell(Cell("d"))
-        assert netlist.net_membership().pin_counts.tolist() == [3, 2, 5, 0]
-        netlist.add_net(Net("n3", [Pin("d", "o", "output"), Pin("a", "i3", "input")]))
-        assert netlist.net_membership().names[-1] == "n3"
-        assert netlist.pin_counts_per_cell() == {"a": 4, "b": 2, "c": 5, "d": 1}
+        assert table.names == ["n1", "n2", "twice", "n3"]
+        assert table.offsets.tolist() == [0, 2, 5, 7, 9]
+        assert table.cells.tolist() == [0, 1, 1, 2, 0, 0, 2, 3, 0]
+        assert table.pin_counts.tolist() == [4, 2, 5, 1]
+        assert list(table.spans()) == [("n1", 0, 2), ("n2", 2, 5), ("twice", 5, 7), ("n3", 7, 9)]
 
     def test_validate_accepts_good_netlist(self):
-        self.make_netlist().validate()
+        make_netlist().validate()
 
     def test_validate_rejects_driverless_net(self):
-        netlist = Netlist("bad")
-        netlist.add_cell(Cell("a"))
-        netlist.add_cell(Cell("b"))
-        netlist.add_net(Net("n", [Pin("a", "i", "input"), Pin("b", "i", "input")]))
-        with pytest.raises(ValueError):
-            netlist.validate()
+        nets = {"n": [("a", "i", "input"), ("b", "i", "input")]}
+        with pytest.raises(ValueError, match="no driver"):
+            make_netlist(cells=("a", "b"), nets=nets).validate()
+
+    def test_validate_rejects_single_pin_net(self):
+        nets = {"n1": [("a", "o", "output"), ("b", "i", "input")], "stub": [("c", "o", "output")]}
+        with pytest.raises(ValueError, match="'stub' has fewer than 2 pins"):
+            make_netlist(nets=nets).validate()
 
 
 class TestTechnology:
