@@ -21,7 +21,6 @@ heterogeneity that the paper's federated-learning experiments hinge on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -195,12 +194,6 @@ class Design:
         return f"Design(name={self.name!r}, suite={self.suite!r}, cells={self.netlist.num_cells})"
 
 
-@lru_cache(maxsize=128)
-def _pin_names(prefix: str, count: int) -> Tuple[str, ...]:
-    """``prefix0 .. prefix{count-1}``, built once per length."""
-    return tuple(f"{prefix}{k}" for k in range(count))
-
-
 def _sample_fanout(rng: np.random.Generator, avg_fanout: float, max_fanout: int = 12) -> int:
     """Draw a net sink count from a shifted geometric distribution."""
     mean_extra = max(avg_fanout - 1.0, 0.1)
@@ -296,7 +289,7 @@ def generate_design(
                 sinks.append(sink)
         if sinks:
             distinct = list(dict.fromkeys(sinks))
-            add_net(f"n{len(net_names)}", driver_index, distinct, _pin_names("i", len(distinct)))
+            add_net(f"n{len(net_names)}", driver_index, distinct, [f"i{k}" for k in range(len(distinct))])
 
     # Global nets (clock / reset style): span many clusters with high fanout.
     # A sink pin is named after its draw, so a drawn driver leaves a gap.
@@ -307,7 +300,7 @@ def generate_design(
         driver_index = int(rng.integers(0, n_cells))
         n_sinks = min(len(sequential_indices), int(rng.integers(8, 40)))
         sink_indices = rng.choice(sequential_indices, size=n_sinks, replace=False).tolist()
-        kept = [(s, pin) for s, pin in zip(sink_indices, _pin_names("g", n_sinks)) if s != driver_index]
+        kept = [(s, pin) for s, pin in zip(sink_indices, (f"g{k}" for k in range(n_sinks))) if s != driver_index]
         if kept:
             add_net(f"gn{g}", driver_index, *zip(*kept))
 

@@ -92,7 +92,7 @@ def read_netlist_verilog(path: PathLike) -> Tuple[Netlist, str, int]:
     seed = 0
     cell_index: Dict[str, int] = {}
     cell_columns: Tuple[List[int], ...] = ([], [], [], [], [])
-    pins_by_net: Dict[str, List[Tuple[int, str, bool]]] = {}
+    pins_by_net: Dict[str, List[Tuple[str, str, bool, str]]] = {}
 
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -115,20 +115,23 @@ def read_netlist_verilog(path: PathLike) -> Tuple[Netlist, str, int]:
         elif line.startswith("// repro:pin"):
             attrs = _parse_pragma(line)
             cell = _attr(attrs, "cell", where)
-            if cell not in cell_index:
-                raise ValueError(f"{where}: pin references unknown cell {cell!r}")
             direction = _attr(attrs, "dir", where)
             if direction not in ("input", "output"):
                 raise ValueError(f"{where}: pin direction must be input/output, got {direction!r}")
             pins_by_net.setdefault(_attr(attrs, "net", where), []).append(
-                (cell_index[cell], _attr(attrs, "pin", where), direction == "output")
+                (cell, _attr(attrs, "pin", where), direction == "output", where)
             )
         elif line.startswith("module "):
             name = line[len("module ") :].split()[0].rstrip("();")
 
     widths, heights, macros, sequentials, clusters = cell_columns
     pins = [pin for net_pins in pins_by_net.values() for pin in net_pins]
-    pin_cells, pin_names, pin_is_output = zip(*pins) if pins else ((), (), ())
+    for cell, _, _, where in pins:
+        if cell not in cell_index:
+            raise ValueError(f"{where}: pin references unknown cell {cell!r}")
+    pin_cells = [cell_index[cell] for cell, _, _, _ in pins]
+    pin_names = [pin for _, pin, _, _ in pins]
+    pin_is_output = [output for _, _, output, _ in pins]
     try:
         netlist = Netlist(
             name,
@@ -266,13 +269,15 @@ def read_placement_def(
         elif line.startswith("UNITS DISTANCE MICRONS"):
             tokens = line.split()
             units = _number(tokens[3] if len(tokens) > 3 else "", int, "UNITS DISTANCE MICRONS", where)
+            if units <= 0:
+                raise ValueError(f"{where}: UNITS DISTANCE MICRONS must be positive, got {units}")
         elif line.startswith("# repro:placement"):
             config_attrs, config_where = _parse_pragma(line), where
         elif line.startswith("DIEAREA"):
-            tokens = line.replace("(", " ").replace(")", " ").split()
-            numbers = [int(t) for t in tokens if t.lstrip("-").isdigit()]
-            if len(numbers) < 4:
-                raise ValueError(f"{where}: DIEAREA needs four integers, got {len(numbers)}")
+            tokens = [t for t in line.replace("(", " ").replace(")", " ").split()[1:] if t != ";"]
+            if len(tokens) < 4:
+                raise ValueError(f"{where}: DIEAREA needs four integers, got {len(tokens)}")
+            numbers = [_number(token, int, "a DIEAREA coordinate", where) for token in tokens]
             die_width_um = numbers[2] / units
             die_height_um = numbers[3] / units
         elif line.startswith("- "):

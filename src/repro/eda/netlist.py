@@ -69,6 +69,9 @@ class Netlist:
     are rows ``pin_offsets[k]:pin_offsets[k + 1]`` of ``pin_cells`` (cell
     index), ``pin_names`` (name on the cell) and ``pin_is_output`` (``True``
     for a driver pin, ``False`` for a sink).
+
+    Name columns are tuples and array columns are read-only, so a built
+    netlist cannot change and :meth:`net_membership` can be cached.
     """
 
     def __init__(
@@ -87,9 +90,9 @@ class Netlist:
         pin_is_output,
     ):
         self.name = name
-        self.cell_names: List[str] = list(cell_names)
-        self.net_names: List[str] = list(net_names)
-        self.pin_names: List[str] = list(pin_names)
+        self.cell_names: Tuple[str, ...] = tuple(cell_names)
+        self.net_names: Tuple[str, ...] = tuple(net_names)
+        self.pin_names: Tuple[str, ...] = tuple(pin_names)
         n_cells, n_pins = len(self.cell_names), len(self.pin_names)
         self.width_sites = _column(width_sites, np.int64, n_cells, "width_sites")
         self.height_rows = _column(height_rows, np.int64, n_cells, "height_rows")

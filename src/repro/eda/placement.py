@@ -109,8 +109,6 @@ class Placement:
         indexing by :class:`~repro.eda.netlist.NetMembership` goes through this.
         """
         names = self.design.netlist.cell_names
-        if self.cell_names == names:
-            return np.arange(len(names), dtype=np.intp)
         return np.fromiter(map(self._name_to_index.__getitem__, names), dtype=np.intp, count=len(names))
 
     def net_cell_rows(self) -> Tuple[np.ndarray, NetMembership]:

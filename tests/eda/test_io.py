@@ -91,7 +91,7 @@ NETLIST_LINES = [
 class TestMalformedNetlistVerilog:
     def test_well_formed_text_reads(self, tmp_path):
         netlist, suite, seed = read_netlist_verilog(_write(tmp_path, "tiny.v", NETLIST_LINES))
-        assert (netlist.cell_names, netlist.net_names, suite, seed) == (["a", "b"], ["n0"], "iscas89", 0)
+        assert (netlist.cell_names, netlist.net_names, suite, seed) == (("a", "b"), ("n0",), "iscas89", 0)
 
     @pytest.mark.parametrize(
         "line,text,message",
@@ -111,6 +111,12 @@ class TestMalformedNetlistVerilog:
         lines[line - 1] = text
         with pytest.raises(ValueError, match=f"tiny.v:{line}: .*{re.escape(message)}"):
             read_netlist_verilog(_write(tmp_path, "tiny.v", lines))
+
+    def test_pin_before_its_cell_reads(self, tmp_path):
+        lines = list(NETLIST_LINES)
+        lines.append(lines.pop(3))
+        netlist, _, _ = read_netlist_verilog(_write(tmp_path, "tiny.v", lines))
+        assert (netlist.cell_names, netlist.pin_cells.tolist()) == (("a", "b"), [0, 1])
 
     def test_read_netlist_is_validated(self, tmp_path):
         lines = list(NETLIST_LINES)
@@ -181,7 +187,10 @@ class TestMalformedPlacementDef:
             ("  - ", "  - u0 DIST + ( 10 20 ) N ;", "component 'u0' has no PLACED location"),
             ("  - ", "  - u0 DIST + PLACED ( 10", "PLACED needs an x and a y"),
             ("  - ", "  - u0 DIST + PLACED ( 10 up ) N ;", "a PLACED coordinate is not a valid int: 'up'"),
+            ("DIEAREA", "DIEAREA ( 0 0 ) ( --5 4000 ) ;", "a DIEAREA coordinate is not a valid int: '--5'"),
+            ("DIEAREA", "DIEAREA ( 0 0 ) ( \u00b2 4000 ) ;", "a DIEAREA coordinate is not a valid int: '\u00b2'"),
             ("UNITS", "UNITS DISTANCE MICRONS many ;", "UNITS DISTANCE MICRONS is not a valid int"),
+            ("UNITS", "UNITS DISTANCE MICRONS 0 ;", "UNITS DISTANCE MICRONS must be positive, got 0"),
         ],
     )
     def test_malformed_line_names_file_and_line(self, small_placement, tmp_path, prefix, text, message):
@@ -189,7 +198,7 @@ class TestMalformedPlacementDef:
         lines = path.read_text().splitlines()
         line = next(i for i, old in enumerate(lines, start=1) if old.startswith(prefix))
         lines[line - 1] = text
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"design.def:{line}: {re.escape(message)}"):
             read_placement_def(path, small_placement.design)
 
