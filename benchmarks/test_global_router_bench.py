@@ -4,9 +4,9 @@ Routes one synthetic design from each benchmark-suite style on a 24x24 grid
 and reports wirelength, overflow before/after negotiated rip-up-and-reroute,
 and the correlation between the router's bin-level congestion and the fast
 probabilistic congestion model used for bulk dataset generation.  This is a
-substrate benchmark (the paper's tables do not include it); it documents
-that the "router" label source produces congestion consistent with the
-"model" source the corpora are built with.
+substrate benchmark (the paper's tables do not include it); it documents how
+far the router's congestion agrees with the model that labels every corpus.
+The router itself labels nothing.
 """
 
 import numpy as np

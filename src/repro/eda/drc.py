@@ -31,7 +31,7 @@ import numpy as np
 from repro.eda import maps as map_ext
 from repro.eda.benchmarks import DrcSensitivity
 from repro.eda.placement import Placement
-from repro.eda.routing import CongestionModelConfig, estimate_congestion
+from repro.eda.routing import estimate_congestion
 from repro.utils.rng import new_rng
 
 
@@ -91,38 +91,17 @@ class DrcResult:
     hotspot_fraction: float
     analysis_maps: Dict[str, np.ndarray]
 
-    @property
-    def num_hotspots(self) -> int:
-        return int(self.hotspots.sum())
-
 
 class DrcHotspotLabeler:
     """Generates ground-truth DRC hotspot maps from placements."""
 
-    def __init__(
-        self,
-        congestion_config: Optional[CongestionModelConfig] = None,
-        label_seed: int = 0,
-        congestion_source: str = "model",
-        router_config: Optional["GlobalRouterConfig"] = None,
-    ):
-        """Create a labeler.
+    def __init__(self, label_seed: int = 0):
+        """Create a labeler whose label noise is seeded by ``label_seed``.
 
-        ``congestion_source`` selects where congestion maps come from:
-        ``"model"`` uses the fast probabilistic estimator (the default used
-        for bulk dataset generation), ``"router"`` runs the capacity-aware
-        global router of :mod:`repro.eda.global_router` and labels from its
-        actual per-bin utilization — slower but produces labels grounded in a
-        real routing solution.
+        Congestion comes from the probabilistic model of
+        :mod:`repro.eda.routing`, the one source the corpus is labelled with.
         """
-        if congestion_source not in ("model", "router"):
-            raise ValueError(
-                f"congestion_source must be 'model' or 'router', got {congestion_source!r}"
-            )
-        self.congestion_config = congestion_config if congestion_config is not None else CongestionModelConfig()
         self.label_seed = int(label_seed)
-        self.congestion_source = congestion_source
-        self.router_config = router_config
 
     def label(
         self,
@@ -135,13 +114,7 @@ class DrcHotspotLabeler:
         coeffs = sensitivity if sensitivity is not None else style.drc
 
         analysis = precomputed_maps if precomputed_maps is not None else map_ext.all_maps(placement)
-        if self.congestion_source == "router":
-            from repro.eda.global_router import route_placement
-
-            routed = route_placement(placement, self.router_config, analysis_maps=analysis)
-            congestion = routed.congestion_maps()
-        else:
-            congestion = estimate_congestion(placement, self.congestion_config, analysis)
+        congestion = estimate_congestion(placement, precomputed_maps=analysis)
 
         overflow = congestion["overflow"]
         congestion_ratio = congestion["congestion"]

@@ -13,23 +13,25 @@ Routing proceeds PathFinder-style:
 
 1. an initial pass routes every connection with the cheaper of its two
    L-shaped patterns, falling back to congestion-aware maze routing (Dijkstra
-   on the grid graph) when both patterns would overflow;
+   on the grid graph) when the cheaper pattern would overflow;
 2. negotiated rip-up and reroute iterations then rip up every net crossing an
    over-capacity edge, raise those edges' history cost, and reroute the net
    with the maze router until no overflow remains or the iteration budget is
    exhausted.
 
 The result exposes per-edge usage, bin-level congestion/overflow maps that
-are drop-in compatible with :func:`repro.eda.routing.estimate_congestion`
-(same dictionary keys), wirelength and via statistics, and the per-net
-routes, so it can both label DRC hotspots and be inspected on its own.
+are key-compatible with :func:`repro.eda.routing.estimate_congestion`,
+wirelength and via statistics, and the per-net routes.  It feeds the
+``repro route`` reports and the router benchmark; DRC hotspot labels come
+from the probabilistic model alone (:mod:`repro.eda.drc`).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,8 +43,6 @@ from repro.utils.validation import check_positive
 
 #: A gcell coordinate as (row, col).
 GridNode = Tuple[int, int]
-#: An undirected grid edge as a pair of gcell coordinates.
-GridEdge = Tuple[GridNode, GridNode]
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,6 @@ class GlobalRouterConfig:
         straighter (cheaper to detail-route) shapes.
     max_ripup_iterations:
         Maximum number of negotiated rip-up and reroute passes.
-    maze_fallback:
-        Whether the initial pass may use maze routing when both L-shapes
-        overflow; when ``False`` the cheaper L-shape is always taken.
     """
 
     macro_blockage_factor: float = 0.85
@@ -78,7 +75,6 @@ class GlobalRouterConfig:
     history_increment: float = 0.5
     bend_penalty: float = 0.15
     max_ripup_iterations: int = 4
-    maze_fallback: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.macro_blockage_factor <= 1.0:
@@ -97,105 +93,108 @@ class GlobalRouterConfig:
 class RoutingGrid:
     """The routing-grid graph: per-edge capacity, usage, and history cost.
 
-    Horizontal edges connect ``(r, c)`` to ``(r, c + 1)`` and are stored in
-    arrays of shape ``(H, W - 1)``; vertical edges connect ``(r, c)`` to
-    ``(r + 1, c)`` and are stored in arrays of shape ``(H - 1, W)``.
+    Every edge has one flat id.  The horizontal edge from ``(r, c)`` to
+    ``(r, c + 1)`` is ``r * (W - 1) + c``; the vertical edges follow, the one
+    from ``(r, c)`` to ``(r + 1, c)`` at ``H * (W - 1) + r * W + c``.
+    ``capacity``, ``usage`` and ``history`` are flat arrays over those ids,
+    and ``*_h`` (shape ``(H, W - 1)``) and ``*_v`` (shape ``(H - 1, W)``) are
+    views of their two parts.  Gcell ``(r, c)`` is node ``r * W + c``;
+    ``adjacency[node]`` lists its ``(neighbour, edge)`` pairs right, left,
+    down, up.
     """
 
-    def __init__(
-        self,
-        placement: Placement,
-        config: Optional[GlobalRouterConfig] = None,
-        analysis_maps: Optional[Dict[str, np.ndarray]] = None,
-    ):
+    def __init__(self, placement: Placement, config: Optional[GlobalRouterConfig] = None):
         self.config = config if config is not None else GlobalRouterConfig()
         self.height, self.width = placement.grid_shape
         if self.height < 1 or self.width < 1:
             raise ValueError("routing grid needs at least one bin in each dimension")
         self.placement = placement
 
-        analysis = analysis_maps if analysis_maps is not None else {}
-        macro = analysis.get("macro")
-        if macro is None:
-            macro = map_ext.macro_map(placement)
-        pin_density = analysis.get("pin_density")
-        if pin_density is None:
-            pin_density = map_ext.pin_density_map(placement)
-
         technology: Technology = placement.technology
         capacity_h = technology.horizontal_capacity(placement.bin_height_um)
         capacity_v = technology.vertical_capacity(placement.bin_width_um)
 
-        blockage = self.config.macro_blockage_factor * macro
-        pin_penalty = self.config.pin_access_cost * pin_density
+        blockage = self.config.macro_blockage_factor * map_ext.macro_map(placement)
+        pin_penalty = self.config.pin_access_cost * map_ext.pin_density_map(placement)
         available_h = np.maximum(capacity_h * (1.0 - blockage) - pin_penalty, 1.0)
         available_v = np.maximum(capacity_v * (1.0 - blockage) - pin_penalty, 1.0)
 
         # An edge's capacity is limited by the tighter of its two bins.
-        self.capacity_h = np.minimum(available_h[:, :-1], available_h[:, 1:])
-        self.capacity_v = np.minimum(available_v[:-1, :], available_v[1:, :])
-        self.usage_h = np.zeros_like(self.capacity_h)
-        self.usage_v = np.zeros_like(self.capacity_v)
-        self.history_h = np.zeros_like(self.capacity_h)
-        self.history_v = np.zeros_like(self.capacity_v)
+        self.capacity = np.concatenate(
+            [
+                np.minimum(available_h[:, :-1], available_h[:, 1:]).ravel(),
+                np.minimum(available_v[:-1, :], available_v[1:, :]).ravel(),
+            ]
+        )
+        self.usage = np.zeros_like(self.capacity)
+        self.history = np.zeros_like(self.capacity)
+        self.capacity_h, self.capacity_v = self._split(self.capacity)
+        self.usage_h, self.usage_v = self._split(self.usage)
+        self.history_h, self.history_v = self._split(self.history)
+        self.adjacency = self._adjacency()
+
+    def _split(self, flat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The horizontal and vertical parts of a per-edge array, as views."""
+        split = self.height * (self.width - 1)
+        return (
+            flat[:split].reshape(self.height, self.width - 1),
+            flat[split:].reshape(self.height - 1, self.width),
+        )
+
+    def _adjacency(self) -> List[Tuple[Tuple[int, int], ...]]:
+        height, width = self.height, self.width
+        first_vertical = height * (width - 1)
+        table = []
+        for r in range(height):
+            for c in range(width):
+                node = r * width + c
+                pairs = []
+                if c + 1 < width:
+                    pairs.append((node + 1, r * (width - 1) + c))
+                if c > 0:
+                    pairs.append((node - 1, r * (width - 1) + c - 1))
+                if r + 1 < height:
+                    pairs.append((node + width, first_vertical + node))
+                if r > 0:
+                    pairs.append((node - width, first_vertical + node - width))
+                table.append(tuple(pairs))
+        return table
 
     # -- edge bookkeeping -----------------------------------------------------------
-    @staticmethod
-    def edge_between(a: GridNode, b: GridNode) -> GridEdge:
-        """Canonical (sorted) form of the edge between two adjacent gcells."""
-        return (a, b) if a <= b else (b, a)
+    def edge_id(self, a: GridNode, b: GridNode) -> int:
+        """Flat id of the edge between two adjacent gcells, in either order."""
+        (r0, c0), (r1, c1) = (a, b) if a <= b else (b, a)
+        if r0 == r1 and c1 - c0 == 1:
+            return r0 * (self.width - 1) + c0
+        if c0 == c1 and r1 - r0 == 1:
+            return self.height * (self.width - 1) + r0 * self.width + c0
+        raise ValueError(f"{a} and {b} are not adjacent gcells")
 
-    def _edge_arrays(self, edge: GridEdge) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int]]:
-        (r0, c0), (r1, c1) = edge
-        if r0 == r1 and abs(c0 - c1) == 1:
-            return self.capacity_h, self.usage_h, self.history_h, (r0, min(c0, c1))
-        if c0 == c1 and abs(r0 - r1) == 1:
-            return self.capacity_v, self.usage_v, self.history_v, (min(r0, r1), c0)
-        raise ValueError(f"{edge} is not an adjacent gcell pair")
+    def edge_costs(self) -> List[float]:
+        """Negotiated-congestion cost of one more track through each edge, by id.
 
-    def edge_capacity(self, edge: GridEdge) -> float:
-        capacity, _, _, index = self._edge_arrays(edge)
-        return float(capacity[index])
+        ``(1 + history) * (1 + overflow_penalty * max(usage + 1 - capacity, 0))``
+        element by element, so every entry has the bits of that scalar sum.
+        """
+        over = np.maximum(self.usage + 1.0 - self.capacity, 0.0)
+        return ((1.0 + self.history) * (1.0 + self.config.overflow_penalty * over)).tolist()
 
-    def edge_usage(self, edge: GridEdge) -> float:
-        _, usage, _, index = self._edge_arrays(edge)
-        return float(usage[index])
+    def occupy(self, edges: Sequence[int]) -> None:
+        """Add one track of usage per listed edge id (repeats add again)."""
+        np.add.at(self.usage, edges, 1.0)
 
-    def edge_cost(self, edge: GridEdge, extra_demand: float = 1.0) -> float:
-        """Negotiated-congestion cost of pushing ``extra_demand`` through an edge."""
-        capacity, usage, history, index = self._edge_arrays(edge)
-        over = max(usage[index] + extra_demand - capacity[index], 0.0)
-        congestion_factor = 1.0 + self.config.overflow_penalty * over
-        return float((1.0 + history[index]) * congestion_factor)
-
-    def add_usage(self, edge: GridEdge, amount: float = 1.0) -> None:
-        _, usage, _, index = self._edge_arrays(edge)
-        usage[index] += amount
-
-    def remove_usage(self, edge: GridEdge, amount: float = 1.0) -> None:
-        _, usage, _, index = self._edge_arrays(edge)
-        usage[index] = max(usage[index] - amount, 0.0)
+    def release(self, edges: Sequence[int]) -> None:
+        """Remove one track per listed edge id; usage stops at zero."""
+        np.subtract.at(self.usage, edges, 1.0)
+        np.maximum(self.usage, 0.0, out=self.usage)
 
     def bump_history(self) -> int:
         """Raise history cost on every over-capacity edge; returns their count."""
-        over_h = self.usage_h > self.capacity_h
-        over_v = self.usage_v > self.capacity_v
-        self.history_h[over_h] += self.config.history_increment
-        self.history_v[over_v] += self.config.history_increment
-        return int(over_h.sum() + over_v.sum())
+        over = self.usage > self.capacity
+        self.history[over] += self.config.history_increment
+        return int(over.sum())
 
     # -- aggregate views -------------------------------------------------------------
-    def overflow_edges(self) -> List[GridEdge]:
-        """Every edge whose usage currently exceeds its capacity."""
-        edges: List[GridEdge] = []
-        rows, cols = np.nonzero(self.usage_h > self.capacity_h)
-        for r, c in zip(rows, cols):
-            edges.append(((int(r), int(c)), (int(r), int(c) + 1)))
-        rows, cols = np.nonzero(self.usage_v > self.capacity_v)
-        for r, c in zip(rows, cols):
-            edges.append(((int(r), int(c)), (int(r) + 1, int(c))))
-        return edges
-
     def total_overflow(self) -> float:
         """Sum of (usage - capacity) over all over-capacity edges."""
         over_h = np.maximum(self.usage_h - self.capacity_h, 0.0)
@@ -219,18 +218,16 @@ class RoutingGrid:
             "overflow": np.maximum(congestion - 1.0, 0.0),
         }
 
-    def neighbors(self, node: GridNode) -> List[GridNode]:
-        r, c = node
-        result: List[GridNode] = []
-        if c + 1 < self.width:
-            result.append((r, c + 1))
-        if c - 1 >= 0:
-            result.append((r, c - 1))
-        if r + 1 < self.height:
-            result.append((r + 1, c))
-        if r - 1 >= 0:
-            result.append((r - 1, c))
-        return result
+
+def _bends(path: Sequence[GridNode]) -> int:
+    """Direction changes along a gcell path (a via-count proxy)."""
+    bends = 0
+    for previous, current, following in zip(path[:-2], path[1:-1], path[2:]):
+        first = (current[0] - previous[0], current[1] - previous[1])
+        second = (following[0] - current[0], following[1] - current[1])
+        if first != second:
+            bends += 1
+    return bends
 
 
 def _project_edges_to_bins(usage: np.ndarray, capacity: np.ndarray, axis: int) -> np.ndarray:
@@ -275,34 +272,22 @@ class NetRoute:
         Distinct gcells containing the net's pins.
     segments:
         One gcell path per two-pin connection of the net's decomposition.
+    edges:
+        The flat edge ids of every segment, in path order (with multiplicity).
     """
 
     net_name: str
     pin_bins: Tuple[GridNode, ...]
     segments: List[List[GridNode]] = field(default_factory=list)
-
-    def edges(self) -> List[GridEdge]:
-        """Every grid edge used by this net (with multiplicity)."""
-        result: List[GridEdge] = []
-        for path in self.segments:
-            for a, b in zip(path[:-1], path[1:]):
-                result.append(RoutingGrid.edge_between(a, b))
-        return result
+    edges: List[int] = field(default_factory=list)
 
     def wirelength_bins(self) -> int:
         """Total routed length in grid-edge units."""
-        return sum(max(len(path) - 1, 0) for path in self.segments)
+        return len(self.edges)
 
     def bend_count(self) -> int:
         """Number of direction changes over all segments (a via-count proxy)."""
-        bends = 0
-        for path in self.segments:
-            for previous, current, following in zip(path[:-2], path[1:-1], path[2:]):
-                first = (current[0] - previous[0], current[1] - previous[1])
-                second = (following[0] - current[0], following[1] - current[1])
-                if first != second:
-                    bends += 1
-        return bends
+        return sum(_bends(path) for path in self.segments)
 
 
 @dataclass
@@ -334,7 +319,7 @@ class RoutingResult:
 
     @property
     def num_overflow_edges(self) -> int:
-        return len(self.grid.overflow_edges())
+        return int(np.count_nonzero(self.grid.usage > self.grid.capacity))
 
     def congestion_maps(self) -> Dict[str, np.ndarray]:
         """Bin-level congestion maps, key-compatible with the probabilistic model."""
@@ -362,39 +347,13 @@ class GlobalRouter:
         self.config = config if config is not None else GlobalRouterConfig()
 
     # -- public API -----------------------------------------------------------------
-    def route(
-        self,
-        placement: Placement,
-        analysis_maps: Optional[Dict[str, np.ndarray]] = None,
-        max_nets: Optional[int] = None,
-    ) -> RoutingResult:
-        """Route every net of ``placement`` on the analysis grid.
-
-        Parameters
-        ----------
-        placement:
-            The placement to route.
-        analysis_maps:
-            Optional precomputed output of :func:`repro.eda.maps.all_maps`
-            (avoids recomputing macro / pin-density maps).
-        max_nets:
-            Route only the ``max_nets`` largest-HPWL nets (useful to bound
-            runtime on huge designs); ``None`` routes everything.
-        """
-        grid = RoutingGrid(placement, self.config, analysis_maps)
-        net_pins = self._net_pin_bins(placement, grid)
-        if max_nets is not None and max_nets < len(net_pins):
-            net_pins = dict(
-                sorted(
-                    net_pins.items(),
-                    key=lambda item: -self._pin_spread(item[1]),
-                )[:max_nets]
-            )
-
-        routes: Dict[str, NetRoute] = {}
-        for net_name, pin_bins in net_pins.items():
-            routes[net_name] = self._route_net(net_name, pin_bins, grid, allow_maze=self.config.maze_fallback)
-
+    def route(self, placement: Placement) -> RoutingResult:
+        """Route every net of ``placement`` on the analysis grid."""
+        grid = RoutingGrid(placement, self.config)
+        routes = {
+            net_name: self._route_net(net_name, pin_bins, grid)
+            for net_name, pin_bins in self._net_pin_bins(placement).items()
+        }
         initial_overflow = grid.total_overflow()
         iterations = self._negotiate(routes, grid)
         return RoutingResult(
@@ -407,13 +366,7 @@ class GlobalRouter:
 
     # -- net preparation -------------------------------------------------------------
     @staticmethod
-    def _pin_spread(pin_bins: Sequence[GridNode]) -> int:
-        rows = [bin_[0] for bin_ in pin_bins]
-        cols = [bin_[1] for bin_ in pin_bins]
-        return (max(rows) - min(rows)) + (max(cols) - min(cols))
-
-    @staticmethod
-    def _net_pin_bins(placement: Placement, grid: RoutingGrid) -> Dict[str, Tuple[GridNode, ...]]:
+    def _net_pin_bins(placement: Placement) -> Dict[str, Tuple[GridNode, ...]]:
         """Map every routable net to the distinct gcells containing its pins."""
         cell_rows, table = placement.net_cell_rows()
         bin_rows, bin_cols = map_ext.cell_center_bins(placement)
@@ -426,52 +379,31 @@ class GlobalRouter:
         return result
 
     # -- single-net routing -----------------------------------------------------------
-    def _route_net(
-        self,
-        net_name: str,
-        pin_bins: Tuple[GridNode, ...],
-        grid: RoutingGrid,
-        allow_maze: bool,
-    ) -> NetRoute:
+    def _route_net(self, net_name: str, pin_bins: Tuple[GridNode, ...], grid: RoutingGrid) -> NetRoute:
         route = NetRoute(net_name=net_name, pin_bins=pin_bins)
         points = np.asarray([(col, row) for row, col in pin_bins], dtype=np.float64)
-        connections = decompose_to_two_pin(points)
-        for i, j in connections:
-            source = pin_bins[i]
-            target = pin_bins[j]
-            path = self._route_connection(source, target, grid, allow_maze)
-            for a, b in zip(path[:-1], path[1:]):
-                grid.add_usage(grid.edge_between(a, b))
+        for i, j in decompose_to_two_pin(points):
+            path = self._route_connection(pin_bins[i], pin_bins[j], grid)
+            edges = [grid.edge_id(a, b) for a, b in zip(path[:-1], path[1:])]
+            grid.occupy(edges)
             route.segments.append(path)
+            route.edges.extend(edges)
         return route
 
-    def _route_connection(
-        self,
-        source: GridNode,
-        target: GridNode,
-        grid: RoutingGrid,
-        allow_maze: bool,
-    ) -> List[GridNode]:
+    def _route_connection(self, source: GridNode, target: GridNode, grid: RoutingGrid) -> List[GridNode]:
+        """The cheaper L-shape, or the maze route when that L-shape overflows."""
         if source == target:
             return [source]
-        candidates = self._l_shape_paths(source, target)
-        best_path: Optional[List[GridNode]] = None
-        best_cost = float("inf")
+        costs = grid.edge_costs()
+        best_path: List[GridNode] = []
+        best_cost = math.inf
         best_overflows = True
-        for path in candidates:
-            cost, overflows = self._path_cost(path, grid)
+        for path in self._l_shape_paths(source, target):
+            cost, overflows = self._path_cost(path, grid, costs)
             if cost < best_cost:
                 best_path, best_cost, best_overflows = path, cost, overflows
-        if best_path is None:
-            # source and target share a row or column: a straight path.
-            best_path = self._straight_path(source, target)
-            _, best_overflows = self._path_cost(best_path, grid)
-        if best_overflows and allow_maze:
-            maze_path = self._maze_route(source, target, grid)
-            if maze_path is not None:
-                maze_cost, _ = self._path_cost(maze_path, grid)
-                if maze_cost < best_cost or best_overflows:
-                    return maze_path
+        if best_overflows:
+            return self._maze_route(source, target, grid, costs)
         return best_path
 
     @staticmethod
@@ -502,85 +434,76 @@ class GlobalRouter:
         path_b = self._straight_path(source, corner_b)[:-1] + self._straight_path(corner_b, target)
         return [path_a, path_b]
 
-    def _path_cost(self, path: List[GridNode], grid: RoutingGrid) -> Tuple[float, bool]:
-        """Cost of a path under current usage, and whether it adds overflow."""
+    def _path_cost(self, path: List[GridNode], grid: RoutingGrid, costs: List[float]) -> Tuple[float, bool]:
+        """Cost of a path under ``grid.edge_costs()``, and whether it adds overflow.
+
+        The edge costs are added one by one in path order, never summed as
+        an array, so the total has the bits of the scalar loop.
+        """
         cost = 0.0
         overflows = False
         for a, b in zip(path[:-1], path[1:]):
-            edge = grid.edge_between(a, b)
-            cost += grid.edge_cost(edge)
-            if grid.edge_usage(edge) + 1.0 > grid.edge_capacity(edge):
+            edge = grid.edge_id(a, b)
+            cost += costs[edge]
+            if grid.usage[edge] + 1.0 > grid.capacity[edge]:
                 overflows = True
-        bends = 0
-        for previous, current, following in zip(path[:-2], path[1:-1], path[2:]):
-            first = (current[0] - previous[0], current[1] - previous[1])
-            second = (following[0] - current[0], following[1] - current[1])
-            if first != second:
-                bends += 1
-        return cost + self.config.bend_penalty * bends, overflows
+        return cost + self.config.bend_penalty * _bends(path), overflows
 
-    def _maze_route(
-        self,
-        source: GridNode,
-        target: GridNode,
-        grid: RoutingGrid,
-    ) -> Optional[List[GridNode]]:
-        """Dijkstra shortest path under the negotiated-congestion edge cost."""
-        distances: Dict[GridNode, float] = {source: 0.0}
-        parents: Dict[GridNode, GridNode] = {}
-        visited: Set[GridNode] = set()
-        heap: List[Tuple[float, GridNode]] = [(0.0, source)]
+    @staticmethod
+    def _maze_route(source: GridNode, target: GridNode, grid: RoutingGrid, costs: List[float]) -> List[GridNode]:
+        """Dijkstra shortest path under ``costs``, one entry per edge id.
+
+        The heap holds ``(distance, node id)``; node ids order as their
+        ``(row, col)`` gcells do, so equal distances pop in gcell order.
+        """
+        width, adjacency = grid.width, grid.adjacency
+        heappop, heappush = heapq.heappop, heapq.heappush
+        start = source[0] * width + source[1]
+        goal = target[0] * width + target[1]
+        distances = [math.inf] * len(adjacency)
+        parents = [-1] * len(adjacency)
+        visited = [False] * len(adjacency)
+        distances[start] = 0.0
+        heap: List[Tuple[float, int]] = [(0.0, start)]
         while heap:
-            dist, node = heapq.heappop(heap)
-            if node in visited:
+            dist, node = heappop(heap)
+            if visited[node]:
                 continue
-            visited.add(node)
-            if node == target:
+            visited[node] = True
+            if node == goal:
                 break
-            for neighbor in grid.neighbors(node):
-                if neighbor in visited:
+            for neighbor, edge in adjacency[node]:
+                if visited[neighbor]:
                     continue
-                edge = grid.edge_between(node, neighbor)
-                candidate = dist + grid.edge_cost(edge)
-                if candidate < distances.get(neighbor, float("inf")):
+                candidate = dist + costs[edge]
+                if candidate < distances[neighbor]:
                     distances[neighbor] = candidate
                     parents[neighbor] = node
-                    heapq.heappush(heap, (candidate, neighbor))
-        if target not in visited:
-            return None
-        path = [target]
-        while path[-1] != source:
+                    heappush(heap, (candidate, neighbor))
+        path = [goal]
+        while path[-1] != start:
             path.append(parents[path[-1]])
-        path.reverse()
-        return path
+        return [divmod(node, width) for node in reversed(path)]
 
     # -- negotiated rip-up and reroute --------------------------------------------------
     def _negotiate(self, routes: Dict[str, NetRoute], grid: RoutingGrid) -> int:
         iterations = 0
         for _ in range(self.config.max_ripup_iterations):
-            overflow_edges = set(grid.overflow_edges())
-            if not overflow_edges:
+            overflowing = (grid.usage > grid.capacity).tolist()
+            if not any(overflowing):
                 break
             iterations += 1
             grid.bump_history()
             offenders = [
-                name
-                for name, route in routes.items()
-                if any(edge in overflow_edges for edge in route.edges())
+                name for name, route in routes.items() if any(overflowing[edge] for edge in route.edges)
             ]
             for name in offenders:
                 old_route = routes[name]
-                for edge in old_route.edges():
-                    grid.remove_usage(edge)
-                routes[name] = self._route_net(name, old_route.pin_bins, grid, allow_maze=True)
+                grid.release(old_route.edges)
+                routes[name] = self._route_net(name, old_route.pin_bins, grid)
         return iterations
 
 
-def route_placement(
-    placement: Placement,
-    config: Optional[GlobalRouterConfig] = None,
-    analysis_maps: Optional[Dict[str, np.ndarray]] = None,
-    max_nets: Optional[int] = None,
-) -> RoutingResult:
+def route_placement(placement: Placement, config: Optional[GlobalRouterConfig] = None) -> RoutingResult:
     """Convenience wrapper: route ``placement`` with a fresh :class:`GlobalRouter`."""
-    return GlobalRouter(config).route(placement, analysis_maps=analysis_maps, max_nets=max_nets)
+    return GlobalRouter(config).route(placement)

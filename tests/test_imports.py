@@ -42,7 +42,7 @@ BLOCKED_PROGRAM = textwrap.dedent(
     assert 0.0 <= auc <= 1.0, auc
     loaded = sorted(name for name in sys.modules if name.split(".")[0] in BLOCKED)
     assert not loaded, loaded
-    print("ok", result.num_hotspots, auc)
+    print("ok", int(result.hotspots.sum()), auc)
     """
 )
 
