@@ -157,19 +157,18 @@ class FederatedClient:
         """Train locally starting from ``initial_state``.
 
         Returns ``(new_state, statistics)``.  The proximal reference is the
-        received state, per FedProx.
+        received state itself, per FedProx: training only reads it.
         """
         steps = steps if steps is not None else self.config.local_steps
         mu = proximal_mu if proximal_mu is not None else self.config.proximal_mu
         model = lent_model(self._template)
         model.load_state_dict(initial_state)
-        reference = clone_state(initial_state) if mu > 0 else None
         stats = self._trainer.train_steps(
             model,
             self.train_dataset,
             steps=steps,
             proximal_mu=mu,
-            proximal_reference=reference,
+            proximal_reference=initial_state,
         )
         return flat_model_state(model), stats
 

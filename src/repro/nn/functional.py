@@ -15,12 +15,16 @@ buffer.  Layers pass ``out=`` / ``padded_out=`` buffers from their workspace
 page faults per call; a caller that passes none gets them allocated and runs
 the same lines.  A convolution's input gradient (and a transposed
 convolution's forward pass) never forms columns: :func:`conv_input_grad`
-multiplies the output gradient by one kernel tap's filters at a time into
-image-sized channels-last scratch and adds it over the tap's clipped range
-(:func:`_clipped_taps`).  :func:`col2im`, which scatters given columns
-tap by tap over the same ranges, is left to max pooling.  ``tests/nn``
-holds all three to a few-line oracle (``np.pad`` + fancy-index gather,
-GEMM + flattened ordered scatter) bit for bit.
+adds one kernel tap's products at a time into image-sized scratch.  With
+one filter they are formed channels-first, as the outer product of the
+tap's weights with the output gradient spread once onto the cells the tap
+reaches (zero elsewhere): every pass runs over all ``N * H * W`` pixels.
+With more, a GEMM with the tap's filters forms them channels-last, added
+over the tap's clipped range.  :func:`_clipped_taps` is where both read
+the geometry.  :func:`col2im`, which scatters given columns tap by tap
+over the same ranges, is left to max pooling.  ``tests/nn`` holds all
+three to a few-line oracle (``np.pad`` + fancy-index gather, GEMM +
+flattened ordered scatter) bit for bit.
 
 Dtype rules
 -----------
@@ -256,25 +260,39 @@ def conv_input_grad(
     dilation: int = 1,
     product_out: Optional[np.ndarray] = None,
     accumulator_out: Optional[np.ndarray] = None,
+    spread_out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Input gradient of a convolution with ``K`` filters, without its columns.
 
     Equal, bit for bit and in either dtype, to ``col2im(W.T @ g, x_shape, ...)``
-    with ``W = weight.reshape(K, -1)`` and ``g = grad_output.reshape(N, K, -1)``.
-    For each clipped tap (:func:`_clipped_taps`), in ascending ``(ki, kj)``
-    order as :func:`col2im` adds them, the tap's products are formed
-    channels-last in ``(N, out_h, out_w, C)`` scratch and added into an
-    ``(N, H, W, C)`` accumulator, which is transposed into the fresh ``NCHW``
-    result at the end.  The products are the GEMM's own numbers:
+    with ``W = weight.reshape(K, -1)`` and ``g = grad_output.reshape(N, K, -1)``,
+    for finite operands.  For each clipped tap (:func:`_clipped_taps`), in
+    ascending ``(ki, kj)`` order as :func:`col2im` adds them, the tap's
+    products are formed in scratch and added into an accumulator that starts
+    at ``+0.0``; one transpose-copy turns it into the fresh ``NCHW`` result.
+    The products are the GEMM's own numbers:
 
-    * ``K = 1``: one rounded multiply each, so ``np.multiply`` forms them
-      (over the clipped range only).  Its ``-0.0`` where the GEMM's
-      ``0 + a * b`` gave ``+0.0`` cannot reach the result: every cell starts
-      at ``+0.0``, ``+0 + -0 = +0`` and ``x + ±0 = x``.
-    * ``K > 1``: one ``np.matmul(g.T, w[:, :, ki, kj])`` per tap.  BLAS forms
-      each element as the same length-``K`` dot product over the same operand
-      pairs, the transposed operand on the same side as in ``W.T @ g``; only
-      the tile it falls in changes.  NumPy hands a product with a unit
+    * ``K = 1``: one rounded multiply each, formed channels-first.  The
+      output gradient is scattered once per tap into plane ``ki * kw + kj``
+      of a zero-bordered ``(kh * kw, N, H, W)`` ``spread`` (each tap's
+      output pixels on the image cells they land on), and
+      ``np.einsum("c,p->cp", w[0, :, ki, kj], spread[tap])`` forms the tap's
+      ``(C, N * H * W)`` outer product, added whole into a ``(C, N * H * W)``
+      accumulator: inner runs of ``N * H * W`` elements, not ``C``.  Every
+      cell gets a product from every tap, ``±0`` where the tap misses it,
+      and a product may be ``-0.0`` where the GEMM's ``0 + a * b`` gave
+      ``+0.0``.  Neither changes a sum that starts at ``+0.0``: it is never
+      ``-0.0`` (``+0 + -0 = +0``), and ``x + ±0 = x``.  Hence "for finite
+      operands": a non-finite weight also reaches the missed cells, as NaN.
+      No BLAS call is made, so the bits do not depend on its kernels.
+    * ``K > 1``: one ``np.matmul(g.T, w[:, :, ki, kj])`` per tap, formed
+      channels-last in ``(N, out_h, out_w, C)`` scratch and added into an
+      ``(N, H, W, C)`` accumulator over the tap's clipped range.  Under
+      OpenBLAS's SkylakeX kernels each element is the same length-``K`` dot
+      product as in ``W.T @ g``, the transposed operand on the same side.
+      Under its Haswell and Zen kernels a tap's GEMM can sum otherwise than
+      the full one, so there the fold is not bit-identical to it (see
+      ``docs/performance.md``).  NumPy hands a product with a unit
       dimension to gemv, which sums in another order; so for a single
       channel or a single output pixel the whole kernel's product is one
       ``matmul``, its columns in ``W.T @ g``'s ``(c, ki, kj)`` order.
@@ -283,14 +301,19 @@ def conv_input_grad(
     weight's in-channels as the filters.  ``weight`` is ``(K, C, kh, kw)``
     in the compute dtype and ``grad_output`` ``(N, K, out_h, out_w)``.
     ``product_out`` / ``accumulator_out`` are optional scratch of the shapes
-    above (a layer passes workspace buffers), both overwritten; the returned
-    array never aliases them.
+    of ``K``'s branch above (a layer passes workspace buffers), both
+    overwritten; the returned array never aliases them.  ``spread_out``
+    (``K = 1`` only) is the optional ``spread``, zero wherever this geometry
+    does not write (see :meth:`repro.nn.workspace.Workspace.zeros`): every
+    call rewrites the same cells, so the rest stays zero.  Each is
+    allocated when omitted.
 
     Raises
     ------
     ValueError
         If an operand has another shape or dtype: NumPy would broadcast or
         cast it, and a product rounded in another dtype changes the bits.
+        If ``spread_out`` is not C-contiguous (the fold reads it as rows).
     """
     n, c, h, w = x_shape
     filters, _, kernel_h, kernel_w = weight.shape
@@ -300,7 +323,18 @@ def conv_input_grad(
     if weight.shape[1] != c:
         raise ValueError(f"conv_input_grad expected (K, {c}, kh, kw) filters, got {weight.shape}")
     _check_buffer("conv_input_grad grad_output", grad_output, (n, filters, out_h, out_w), dtype)
-    product_shape, accumulator_shape = (n, out_h, out_w, c), (n, h, w, c)
+    if filters == 1:
+        product_shape = accumulator_shape = (c, n * h * w)
+        spread_shape = (kernel_h * kernel_w, n, h, w)
+        if spread_out is None:
+            spread_out = np.zeros(spread_shape, dtype=dtype)
+        _check_buffer("conv_input_grad spread_out", spread_out, spread_shape, dtype)
+        if not spread_out.flags.c_contiguous:
+            raise ValueError("conv_input_grad spread_out must be C-contiguous")
+    else:
+        product_shape, accumulator_shape = (n, out_h, out_w, c), (n, h, w, c)
+        if spread_out is not None:
+            raise ValueError("conv_input_grad spread_out is scratch of the one-filter fold only")
     if product_out is None:
         product_out = np.empty(product_shape, dtype=dtype)
     if accumulator_out is None:
@@ -308,27 +342,29 @@ def conv_input_grad(
     _check_buffer("conv_input_grad product_out", product_out, product_shape, dtype)
     _check_buffer("conv_input_grad accumulator_out", accumulator_out, accumulator_shape, dtype)
     accumulator_out.fill(0)
+    taps = _clipped_taps(h, w, out_h, out_w, kernel_h, kernel_w, stride, padding, dilation)
+    if filters == 1:
+        grad = grad_output.reshape(n, out_h, out_w)
+        spread_rows = spread_out.reshape(kernel_h * kernel_w, n * h * w)
+        for ki, kj, rows, columns, out_rows, out_columns in taps:
+            tap = ki * kernel_w + kj
+            spread_out[tap, :, rows, columns] = grad[:, out_rows, out_columns]
+            np.einsum("c,p->cp", weight[0, :, ki, kj], spread_rows[tap], out=product_out)
+            accumulator_out += product_out
+        return accumulator_out.reshape(c, n, h, w).transpose(1, 0, 2, 3).copy()
     # (N, L, K): a transposed view, as W.T is in the GEMM.
     grad = grad_output.reshape(n, filters, out_h * out_w).transpose(0, 2, 1)
     tap_weights = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))  # (kernel_h, kernel_w, K, C)
-    product_flat = product_out.reshape(-1)
     kernel_products = None
-    if filters > 1 and (c == 1 or out_h * out_w == 1):
+    if c == 1 or out_h * out_w == 1:
         kernel_products = np.matmul(grad, weight.reshape(filters, -1)).reshape(
             n, out_h, out_w, c, kernel_h, kernel_w
         )
-    for ki, kj, rows, columns, out_rows, out_columns in _clipped_taps(
-        h, w, out_h, out_w, kernel_h, kernel_w, stride, padding, dilation
-    ):
+    for ki, kj, rows, columns, out_rows, out_columns in taps:
         if kernel_products is not None:
             product = kernel_products[:, out_rows, out_columns, :, ki, kj]
-        elif filters == 1:
-            tap_grad = grad.reshape(n, out_h, out_w, 1)[:, out_rows, out_columns]
-            # A contiguous prefix of the scratch, not a corner of it: ~13% faster.
-            product = product_flat[: tap_grad.size * c].reshape(tap_grad.shape[:3] + (c,))
-            np.multiply(tap_grad, tap_weights[ki, kj], out=product)
         else:
-            np.matmul(grad, tap_weights[ki, kj], out=product_flat.reshape(n, out_h * out_w, c))
+            np.matmul(grad, tap_weights[ki, kj], out=product_out.reshape(n, out_h * out_w, c))
             product = product_out[:, out_rows, out_columns]
         accumulator_out[:, rows, columns] += product
     return accumulator_out.transpose(0, 3, 1, 2).copy()

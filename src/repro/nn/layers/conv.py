@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,6 +51,35 @@ def grad_weight_gemm(grad_flat: np.ndarray, cols: np.ndarray, stage: np.ndarray)
     return stage.sum(axis=0)
 
 
+def _input_grad_scratch(
+    workspace: Workspace,
+    weight: np.ndarray,
+    x_shape: Tuple[int, int, int, int],
+    out_hw: Tuple[int, int],
+) -> Dict[str, np.ndarray]:
+    """The scratch of one :func:`~repro.nn.functional.conv_input_grad` call,
+    held in ``workspace`` under the shapes of the ``K`` filters' branch.
+
+    One filter folds channels-first, with a zero-bordered ``spread`` of the
+    output gradient per kernel tap; more filters fold channels-last.  The
+    spread keeps ``N``, ``H`` and ``W`` apart in its shape, the buffer's
+    key: inputs of as many pixels in another shape leave other cells zero.
+    """
+    filters, c, kh, kw = weight.shape
+    n, _, h, w = x_shape
+    if filters == 1:
+        pixels = n * h * w
+        return dict(
+            product_out=workspace.get("tap_product", (c, pixels), weight.dtype),
+            accumulator_out=workspace.get("grad_input_cnhw", (c, pixels), weight.dtype),
+            spread_out=workspace.zeros("tap_spread", (kh * kw, n, h, w), weight.dtype),
+        )
+    return dict(
+        product_out=workspace.get("tap_product", (n, *out_hw, c), weight.dtype),
+        accumulator_out=workspace.get("grad_input_nhwc", (n, h, w, c), weight.dtype),
+    )
+
+
 class Conv2d(Module):
     """2-D convolution over NCHW inputs with stride, padding, and dilation.
 
@@ -63,8 +92,9 @@ class Conv2d(Module):
     whose input gradient nobody reads, calls only :meth:`accumulate_grads`.
 
     The per-step temporaries — the padded input, the im2col ``cols``
-    matrix, the weight-gradient staging buffer and the input gradient's two
-    image-sized channels-last buffers — live in the layer's
+    matrix, the weight-gradient staging buffer and the input gradient's
+    image-sized product and accumulator (channels-first, plus the
+    per-tap ``spread``, for one filter) — live in the layer's
     :class:`~repro.nn.workspace.Workspace`, reused via ``out=`` on every
     step instead of being reallocated.  The layer holds those buffers
     only until :meth:`~repro.nn.Module.release_workspaces` lends them to the
@@ -167,8 +197,7 @@ class Conv2d(Module):
             self.stride,
             self.padding,
             self.dilation,
-            product_out=self._ws.get("tap_product", (n, out_h, out_w, c), grad.dtype),
-            accumulator_out=self._ws.get("grad_input_nhwc", (n, h, w, c), grad.dtype),
+            **_input_grad_scratch(self._ws, self.weight.data, (n, c, h, w), (out_h, out_w)),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -187,9 +216,9 @@ class ConvTranspose2d(Module):
     this weight's in-channels, folded tap by tap by
     :func:`repro.nn.functional.conv_input_grad` — which makes the layer
     exactly the upsampling operator used by encoder/decoder routability
-    models such as RouteNet.  As with :class:`Conv2d`, the scratch (two
-    channels-last image-sized buffers forward, the im2col columns of the
-    output gradient backward) is staged in the layer's workspace — held,
+    models such as RouteNet.  As with :class:`Conv2d`, the scratch (the
+    fold's image-sized buffers forward, the im2col columns of the output
+    gradient backward) is staged in the layer's workspace — held,
     like :class:`Conv2d`'s, until ``release_workspaces()`` lends it on.
     """
 
@@ -246,18 +275,18 @@ class ConvTranspose2d(Module):
         n, _, h, w = x.shape
         out_h, out_w = self.output_shape(h, w)
         x_flat = x.reshape(n, self.in_channels, h * w)
+        out_shape = (n, self.out_channels, out_h, out_w)
         out = conv_input_grad(
             self.weight.data,
             x,
-            (n, self.out_channels, out_h, out_w),
+            out_shape,
             self.stride,
             self.padding,
-            product_out=self._ws.get("tap_product", (n, h, w, self.out_channels), x.dtype),
-            accumulator_out=self._ws.get("out_nhwc", (n, out_h, out_w, self.out_channels), x.dtype),
+            **_input_grad_scratch(self._ws, self.weight.data, out_shape, (h, w)),
         )
         if self.use_bias:
             out += self.bias.data.reshape(1, -1, 1, 1)
-        self._cache = (x_flat, x.shape, (n, self.out_channels, out_h, out_w))
+        self._cache = (x_flat, x.shape, out_shape)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Layer workspaces for the training hot path, lent from one scratch pool per thread.
 
 Every training step used to reallocate the same large temporaries — the
-padded input, the im2col ``cols`` matrix, the input gradient's
-channels-last tap product and accumulator, matmul staging buffers — once
+padded input, the im2col ``cols`` matrix, the input gradient's tap
+product and accumulator, matmul staging buffers — once
 per layer per step.  For the model sizes of the paper those
 allocations dominate the step wall-clock (fresh multi-megabyte buffers are
 served by the allocator as new pages, so the first write of every step pays

@@ -1,5 +1,7 @@
 """Tests for the local trainer, the federated client, and the FL config."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,31 @@ class TestFederatedClient:
         assert set(state) == set(initial)
         assert state_distance(state, initial) > 0
         assert stats.steps == 2
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_proximal_reference_is_only_read(
+        self, tiny_train_dataset, tiny_test_dataset, num_channels, dtype
+    ):
+        # FedProx trains against the received state itself, never a copy:
+        # a read-only state trains to the bits of a writable one.
+        client = FederatedClient(
+            client_id=1,
+            train_dataset=tiny_train_dataset,
+            test_dataset=tiny_test_dataset,
+            model_factory=small_flnet_factory(num_channels),
+            config=dataclasses.replace(SMALL_FL_CONFIG, proximal_mu=0.5, compute_dtype=dtype),
+        )
+        initial = small_flnet_factory(num_channels)().state_dict()
+        frozen = {name: value.copy() for name, value in initial.items()}
+        for value in frozen.values():
+            value.setflags(write=False)
+        rng_state = client.rng_state
+        writable_state, _ = client.local_train(initial, steps=3)
+        client.rng_state = rng_state
+        frozen_state, _ = client.local_train(frozen, steps=3)
+        assert state_distance(frozen_state, frozen) > 0
+        assert all(frozen_state[name].tobytes() == writable_state[name].tobytes() for name in initial)
+        assert all(frozen[name].tobytes() == initial[name].tobytes() for name in initial)
 
     def test_fine_tune_moves_parameters(self, client, num_channels):
         initial = small_flnet_factory(num_channels)().state_dict()

@@ -85,7 +85,8 @@ class TestCommonModelBehaviour:
         held = {tag for tag, _, _ in first_conv(model)._ws._buffers}
         assert held == {"padded", "cols", "grad_weight_stage"}
         held_by_output = {tag for tag, _, _ in model.output_conv._ws._buffers}
-        assert held_by_output >= {"tap_product", "grad_input_nhwc"}
+        # One filter: the channels-first fold and its per-tap spread.
+        assert held_by_output >= {"tap_product", "grad_input_cnhw", "tap_spread"}
 
     def test_training_reduces_loss(self, model_cls):
         from repro.nn.optim import Adam

@@ -28,7 +28,7 @@ from oracles import (
 
 from repro.nn import Conv2d, ConvTranspose2d
 from repro.models import PROS, FLNet, RouteNet
-from repro.nn.functional import col2im, conv_input_grad, conv_output_size, im2col
+from repro.nn.functional import _clipped_taps, col2im, conv_input_grad, conv_output_size, im2col
 from repro.nn.layers.conv import grad_weight_gemm
 
 
@@ -242,27 +242,67 @@ class TestConvInputGrad:
             folded = conv_input_grad(weight, grad, x_shape, *geometry)
             assert folded.tobytes() == reference.tobytes(), (name, dtype)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_filter_signed_zeros(self, dtype):
+        """The one-filter fold also adds the ``±0`` products of every cell a
+        tap misses; a sum that starts at ``+0.0`` absorbs them, whatever the
+        zeros' signs, so it still equals the GEMM and the ordered scatter."""
+        rng = np.random.default_rng(81)
+        # (n, c, h, w, kernel, stride, padding, dilation)
+        geometries = [
+            (2, 5, 6, 7, 3, 1, 1, 1),
+            (2, 3, 4, 4, 5, 2, 5, 2),  # padding past half: 9 of 25 taps land nowhere
+            (3, 4, 7, 6, 3, 2, 1, 1),
+            (2, 8, 8, 8, 9, 1, 4, 1),  # FLNet's output conv
+        ]
+        landing = []
+        for n, c, h, w, kernel, stride, padding, dilation in geometries:
+            out_h = conv_output_size(h, kernel, stride, padding, dilation)
+            out_w = conv_output_size(w, kernel, stride, padding, dilation)
+            taps = _clipped_taps(h, w, out_h, out_w, kernel, kernel, stride, padding, dilation)
+            landing.append(len(taps) / kernel**2)
+            weight = rng.standard_normal((1, c, kernel, kernel)).astype(dtype)
+            weight[rng.random(weight.shape) < 0.25] = -0.0
+            weight[rng.random(weight.shape) < 0.1] = 0.0
+            weight[0, -1] = -0.0  # every product of this channel is a zero
+            grad = rng.standard_normal((n, 1, out_h, out_w)).astype(dtype)
+            draw = rng.random(grad.shape)
+            grad[draw < 0.2] = -0.0
+            grad[draw > 0.8] = 0.0
+            grad[0, 0, 0] = -0.0
+            grad[0, 0, -1] = 0.0
+            grad[-1] = 0.0  # so is every product of this image: -0.0 on that channel
+            assert np.signbit(weight[weight == 0]).any() and np.signbit(grad[grad == 0]).any()
+            assert not np.signbit(grad[grad == 0]).all()
+            reference = gemm_then_scatter(weight, grad, (n, c, h, w), stride, padding, dilation)
+            folded = conv_input_grad(weight, grad, (n, c, h, w), stride, padding, dilation)
+            assert folded.tobytes() == reference.tobytes(), (n, c, h, w, kernel, stride, padding)
+        assert landing[1] == 16 / 25
+
     @pytest.mark.parametrize("filters", [1, 4])
     def test_scratch_is_overwritten_and_never_returned(self, filters):
         rng = np.random.default_rng(79)
         n, c, h, w = 2, 5, 7, 6
         weight, grad = input_grad_operands(rng, filters, n, c, h, w, 3, 3, 1, 1, 1, np.float64)
-        product = np.full((n, h, w, c), np.nan)
-        accumulator = np.full((n, h, w, c), np.nan)
+        # One filter folds channels-first, with a zero-bordered spread that
+        # every call of the geometry rewrites in the same cells.
+        scratch_shape = (c, n * h * w) if filters == 1 else (n, h, w, c)
+        scratch = {name: np.full(scratch_shape, np.nan) for name in ("product_out", "accumulator_out")}
+        if filters == 1:
+            scratch["spread_out"] = np.zeros((9, n, h, w))
         expected = conv_input_grad(weight, grad, (n, c, h, w), padding=1)
-        staged = conv_input_grad(
-            weight, grad, (n, c, h, w), padding=1, product_out=product, accumulator_out=accumulator
-        )
-        assert staged.tobytes() == expected.tobytes()
-        assert not np.shares_memory(staged, accumulator) and not np.shares_memory(staged, product)
+        for _ in range(2):
+            staged = conv_input_grad(weight, grad, (n, c, h, w), padding=1, **scratch)
+            assert staged.tobytes() == expected.tobytes()
+            assert not any(np.shares_memory(staged, buffer) for buffer in scratch.values())
 
     @pytest.mark.parametrize("filters", [1, 3])
     def test_single_channel_result_is_still_fresh(self, filters):
-        # (n, h, w, 1) and (n, 1, h, w) share a memory layout: the final
-        # transpose must still copy out of the accumulator.
+        # (n, h, w, 1), (1, n * h * w) and (n, 1, h, w) share a memory
+        # layout: the final transpose must still copy out of the accumulator.
         weight = np.full((filters, 1, 1, 1), 2.0)
         grad = np.arange(6.0 * filters).reshape(2, filters, 1, 3)
-        accumulator = np.empty((2, 1, 3, 1))
+        accumulator = np.empty((1, 6) if filters == 1 else (2, 1, 3, 1))
         folded = conv_input_grad(weight, grad, (2, 1, 1, 3), accumulator_out=accumulator)
         assert not np.shares_memory(folded, accumulator)
         assert np.array_equal(folded, 2.0 * grad.sum(axis=1, keepdims=True))
@@ -277,8 +317,10 @@ class TestConvInputGrad:
             dict(grad_output=np.zeros((2, 1, 8, 8), dtype=np.float32)),
             dict(product_out=np.zeros((2, 8, 8, 3), dtype=np.float32)),
             dict(accumulator_out=np.zeros((2, 3, 8, 8))),  # NCHW, not channels-last
+            dict(spread_out=np.zeros((9, 2, 8, 8), dtype=np.float32)),
+            dict(spread_out=np.zeros((9, 2, 8, 16))[..., ::2]),  # not C-contiguous
         ],
-        ids=["channels", "filters", "shape", "grad_dtype", "product_dtype", "nchw"],
+        ids=["channels", "filters", "shape", "grad_dtype", "product_dtype", "nchw", "spread", "strided"],
     )
     def test_mismatched_operands_raise(self, override, filters):
         arguments = dict(
@@ -384,6 +426,16 @@ class TestLayerParity:
             ("stride", 2), ("dilation", 2), ("batch", 1), ("square", False),
             ("padding", "none"), ("padding", "past_half"),
         }
+
+    def test_one_filter_layer_across_input_shapes(self):
+        # 4 x 8 x 8 and 1 x 16 x 16 inputs have as many pixels; the spread
+        # of one must not leave cells behind that the other's taps miss.
+        layer = Conv2d(3, 1, 3, padding=1, rng=np.random.default_rng(101))
+        rng = np.random.default_rng(103)
+        for shape in ((4, 3, 8, 8), (1, 3, 16, 16), (4, 3, 8, 8)):
+            x = rng.standard_normal(shape)
+            grad = rng.standard_normal((shape[0], 1, *shape[2:]))
+            assert_step_matches(layer, x, grad, conv2d_step_oracle)
 
     @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
     @pytest.mark.parametrize("output_padding", [0, 1])
