@@ -7,7 +7,8 @@ K client updates (P = 20,000 parameters) into a
 measures the peak traced allocation of each round:
 
 * **flat memory** — the peak must stay within 1.5x across the whole sweep
-  (the parity buffer plus one running sum dominate, both independent of K);
+  (the (32, P) parity matrix plus one running sum dominate, both
+  independent of K);
 * **near-linear time** — per-fold cost must not grow with K (each fold is
   one axpy);
 * **contrast** — the reference ``weighted_average`` GEMV, called directly,
@@ -45,7 +46,7 @@ from repro.fl import (
 from repro.fl.parameters import (
     FlatState,
     StateLayout,
-    release_aggregation_scratch,
+    empty_matrix_pool,
     weighted_average,
 )
 
@@ -87,19 +88,21 @@ def fold_round(mode: str, cohort: int) -> Dict[str, object]:
         # Deterministic per-client variation without per-fold RNG cost.
         return base * (1.0 + 1e-6 * index) + 1e-3 * index
 
-    release_aggregation_scratch()
+    # Each round lends its matrix cold, inside the probe: a matrix parked by
+    # the previous measurement would hide this round's from the peak.
+    empty_matrix_pool()
     with MemoryProbe() as probe:
         start = time.perf_counter()
         if mode == "gemv":
             states = [FlatState(layout, make_update(k)) for k in range(cohort)]
             result = weighted_average(states, [1.0 + (k % 7) for k in range(cohort)])
         else:
-            accumulator = StreamingAccumulator()
+            accumulator = StreamingAccumulator(cohort)
             for k in range(cohort):
                 accumulator.fold(FlatState(layout, make_update(k)), 1.0 + (k % 7))
             result = accumulator.result()
         seconds = time.perf_counter() - start
-    release_aggregation_scratch()
+    empty_matrix_pool()
     assert result.vector.shape == (MODEL_SIZE,)
     return {
         "op": "aggregate_round",

@@ -225,8 +225,8 @@ def create_algorithm(
         ``folded_updates`` counter afterwards); defaults to a fresh server.
         There is one aggregation: each update is folded into a per-round
         accumulator and its client released right after; up to 32 updates
-        are buffered and averaged by ``weighted_average`` bit for bit,
-        beyond that the fold is an O(P) running sum (see
+        are written into matrix rows and averaged by ``weighted_average``'s
+        GEMV bit for bit, beyond that the fold is an O(P) running sum (see
         :mod:`repro.fl.aggregation`).
     backend:
         Execution backend running the per-round client updates; defaults to

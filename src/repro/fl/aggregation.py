@@ -13,10 +13,21 @@ Summation-order rules
 and computes ``(w / total) @ matrix`` over a (K, P) work matrix.  A running
 fold computes ``sum(w_k * v_k) / total`` — sum-then-normalize — which
 differs in the last few ulps.  The first :data:`PARITY_LIMIT` updates are
-therefore *buffered* and ``result()`` delegates to ``weighted_average``,
-bit for bit; update ``PARITY_LIMIT + 1`` spills the buffer into one O(P)
-running sum that agrees with the (K, P) product to ~1e-12 relative error
-and whose memory no longer depends on the cohort size.
+therefore written into the rows of such a matrix and ``result()`` is
+``weighted_average``'s GEMV over them, bit for bit; update
+``PARITY_LIMIT + 1`` spills the rows into one O(P) running sum that agrees
+with the (K, P) product to ~1e-12 relative error and whose memory no longer
+depends on the cohort size.
+
+Server memory
+-------------
+A round holds each update once: the first fold lends a (min(cohort,
+PARITY_LIMIT), P) matrix (:func:`~repro.fl.parameters.lend_matrix`; sized
+by the dispatched cohort, as NumPy gives arrays of 4 MB and up huge pages
+that an over-sized matrix would fault in), each fold copies its state into
+a row and the caller drops it, and ``result()`` or the spill hands the
+matrix back.  A K-update round peaks at one (K, P) matrix plus a few
+P-vectors, not the K held updates plus their (K, P) copy.
 
 Client drift
 ------------
@@ -40,11 +51,14 @@ from repro.fl.parameters import (
     as_flat_state,
     check_compatible,
     check_weight,
+    hand_back_matrix,
+    lend_matrix,
+    normalized_weights,
     state_vector,
     weighted_average,
 )
 
-#: Updates buffered before an accumulator spills into its running O(P) form.
+#: Updates folded into rows before an accumulator spills into its running O(P) form.
 #: Every paper table, golden and CI witness folds at most this many updates
 #: per aggregation and is therefore exactly ``weighted_average``.
 PARITY_LIMIT = 32
@@ -71,10 +85,10 @@ class UpdateAccumulator:
         raise NotImplementedError
 
     def states(self) -> Optional[List[State]]:
-        """The individual folded states, or ``None`` once they are gone.
+        """Always ``None``: an accumulator keeps no folded state.
 
-        A spilled accumulator returns ``None``: that is the price of O(P)
-        memory.  The round loop never reads them (drift is :meth:`spread`).
+        Nothing in the package reads it; it stays because
+        ``bench/workload.py``'s tracing wraps it on every accumulator.
         """
         return None
 
@@ -87,58 +101,73 @@ class UpdateAccumulator:
 
 
 class StreamingAccumulator(UpdateAccumulator):
-    """One round's sample-weighted average, folded one update at a time."""
+    """One round's sample-weighted average of at most ``rows`` updates (its
+    cohort), folded one at a time; ``result()`` ends it."""
 
-    def __init__(self):
-        self._pending: List[Tuple[FlatState, float]] = []
+    def __init__(self, rows: int):
+        self._rows = int(rows)
+        self._matrix: Optional[np.ndarray] = None
+        self._weights: List[float] = []
         self._layout: Optional[StateLayout] = None
         self._sum: Optional[np.ndarray] = None
-        # The running sum viewed as a state: what a spilled fold validates
-        # each incoming state against.
-        self._sum_state: Optional[State] = None
+        # What each fold's state must match: row 0, then the running sum.
+        self._reference: Optional[State] = None
         self._weight_total = 0.0
         self._count = 0
-        # Welford's spread of ``state - first state``: running mean and M2.
-        self._origin: Optional[FlatState] = None
+        self._closed = False
+        # Welford's spread of ``state - first state``: origin (row 0), mean, M2.
+        self._origin: Optional[np.ndarray] = None
         self._mean: Optional[np.ndarray] = None
         self._m2 = 0.0
 
     @property
     def spilled(self) -> bool:
-        """Whether the accumulator has left the exact-parity buffer."""
+        """Whether the accumulator has left the exact-parity rows."""
         return self._sum is not None
 
     @property
     def count(self) -> int:
         return self._count
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ValueError("this accumulator's result was read; start a new one")
+
     def fold(self, state: State, weight: float) -> None:
+        """Check ``state`` against the first one, then copy it into its row."""
+        self._check_open()
         state = as_flat_state(state)
         weight = check_weight(weight)
-        if self._sum is None and len(self._pending) < PARITY_LIMIT:
-            self._pending.append((state, weight))
+        if self._reference is not None:
+            check_compatible([self._reference, state])
+        if self._count == self._rows:
+            raise ValueError(f"fold {self._count + 1} past the {self._rows} updates this accumulator expects")
+        if self._layout is None:
+            self._layout = state.layout  # the first update fixes the fold order
+            self._matrix = lend_matrix(min(self._rows, PARITY_LIMIT), self._layout.total_size)
+            self._reference = FlatState(self._layout, self._matrix[0])
+        vector = state_vector(state, self._layout)
+        if self._count == PARITY_LIMIT:
+            self._spill()
+        if self._sum is None:
+            self._matrix[self._count] = vector
+            self._weights.append(weight)
         else:
-            if self._sum is None:
-                self._spill()
-            check_compatible([self._sum_state, state])
-            self._sum += weight * state_vector(state, self._layout)
-        self._fold_spread(state)
+            self._sum += weight * vector
+        self._fold_spread(vector)
         self._count += 1
         self._weight_total += weight
 
-    def _fold_spread(self, state: FlatState) -> None:
+    def _fold_spread(self, vector: np.ndarray) -> None:
         """Welford's update on ``state - first state``; weights never enter it.
 
         Nearby states subtract exactly (Sterbenz), so nearly identical states
         keep their spread instead of losing it to cancellation.
         """
         if self._origin is None:
-            self._origin, self._mean = state, np.zeros(state.layout.total_size)
+            self._origin, self._mean = self._matrix[0], np.zeros(vector.size)
             return
-        if not self._origin.layout.compatible_with(state.layout):
-            self._m2 = math.nan  # result() raises weighted_average's error for it
-            return
-        delta = state_vector(state, self._origin.layout) - self._origin.vector
+        delta = vector - self._origin
         delta -= self._mean
         count = self._count + 1
         # einsum, not BLAS: a 2-thread OpenBLAS ddot took 8 ms on a 2.9 MB state.
@@ -147,30 +176,29 @@ class StreamingAccumulator(UpdateAccumulator):
         self._mean += delta
 
     def _spill(self) -> None:
-        """Leave the parity buffer: fold the buffered pairs into the running sum."""
-        states = [state for state, _ in self._pending]
-        check_compatible(states)
-        self._layout = states[0].layout  # the first update fixes the fold order
+        """Leave the parity rows: fold them into the running sum, hand the matrix back."""
         self._sum = np.zeros(self._layout.total_size, dtype=np.float64)
-        self._sum_state = FlatState(self._layout, self._sum)
-        for state, weight in self._pending:
-            self._sum += weight * state_vector(state, self._layout)
-        self._pending = []
+        for row, weight in zip(self._matrix, self._weights):
+            self._sum += weight * row
+        self._origin = self._matrix[0].copy()
+        self._reference = FlatState(self._layout, self._sum)
+        hand_back_matrix(self._matrix)
+        self._matrix, self._weights = None, []
 
     def result(self) -> FlatState:
-        if self._sum is None:
-            return weighted_average(
-                [state for state, _ in self._pending],
-                [weight for _, weight in self._pending],
-            )
-        if self._weight_total <= 0:
-            raise ValueError("weights must not all be zero")
-        return FlatState(self._layout, self._sum / self._weight_total)
-
-    def states(self) -> Optional[List[State]]:
+        self._check_open()
         if self._sum is not None:
-            return None
-        return [state for state, _ in self._pending]
+            if self._weight_total <= 0:
+                raise ValueError("weights must not all be zero")
+            average = self._sum / self._weight_total
+        else:
+            # weighted_average's normalization and GEMV, over the filled rows.
+            normalized = normalized_weights(np.asarray(self._weights, dtype=np.float64))
+            average = normalized @ self._matrix[: self._count]
+            hand_back_matrix(self._matrix)
+            self._matrix = None
+        self._closed = True
+        return FlatState(self._layout, average)
 
     def spread(self) -> float:
         return math.sqrt(2.0 * self._m2 / (self._count - 1)) if self._count > 1 else 0.0

@@ -619,6 +619,7 @@ class RoundAlgorithm(FederatedAlgorithm):
                 # clients that cannot participate.
                 plan.cohort = resilience.active_cohort(plan.cohort)
             attempted = len(plan.cohort)
+            self.server.begin_round(attempted)
             latencies = scheduler.arrival_schedule(plan)
             # Made at the first arrival, inside the round's client pass:
             # bench/workload.py starts a cycle, and installs or removes its

@@ -418,44 +418,42 @@ def check_compatible(states: Sequence[State]) -> None:
                 )
 
 
-# The (K, P) aggregation matrix is reused across rounds: the server
+# The (K, P) aggregation matrices are lent from one free list: the server
 # aggregates the same cohort-size/model-size shape every round, and
-# re-touching a freshly allocated multi-megabyte buffer each call costs
-# more in page faults than the GEMV itself.  A single buffer is kept and
-# sliced to the requested row count; it is reallocated when the column
-# count changes or the requested rows fall outside [rows, 2*rows] of the
-# allocation, so the scratch cannot stay pinned at a stale cohort size
-# after the round policy drops stragglers (K shrinks).
-_MATRIX_SCRATCH: Optional[np.ndarray] = None
-_MATRIX_SCRATCH_MAX_BYTES = 1 << 28  # 256 MiB
+# re-touching a freshly allocated multi-megabyte buffer each round costs
+# more in page faults than the GEMV itself.  A matrix is either in exactly
+# one holder's hands (a ``weighted_average`` call, or a streaming
+# accumulator between its first fold and its result or spill) or parked
+# here.  Handing one back drops the parked matrices of the same width and
+# another row count, so a pool never stays pinned at a stale cohort size.
+_FREE_MATRICES: List[np.ndarray] = []
+_FREE_MATRICES_LOCK = threading.Lock()
 
 
-def _aggregation_matrix(rows: int, columns: int) -> np.ndarray:
-    """A reusable (rows, columns) float64 work matrix for weighted averaging."""
-    global _MATRIX_SCRATCH
-    if rows * columns * 8 > _MATRIX_SCRATCH_MAX_BYTES:
-        return np.empty((rows, columns), dtype=np.float64)
-    scratch = _MATRIX_SCRATCH
-    if (
-        scratch is None
-        or scratch.shape[1] != columns
-        or not rows <= scratch.shape[0] <= 2 * rows
-    ):
-        scratch = np.empty((rows, columns), dtype=np.float64)
-        _MATRIX_SCRATCH = scratch
-    return scratch[:rows]
+def lend_matrix(rows: int, columns: int) -> np.ndarray:
+    """A (rows, columns) float64 matrix the caller holds alone until it
+    calls :func:`hand_back_matrix`; its contents are undefined."""
+    with _FREE_MATRICES_LOCK:
+        for index, matrix in enumerate(_FREE_MATRICES):
+            if matrix.shape == (rows, columns):
+                return _FREE_MATRICES.pop(index)
+    return np.empty((rows, columns), dtype=np.float64)
 
 
-def aggregation_scratch_bytes() -> int:
-    """Bytes currently held by the cached aggregation work matrix."""
-    scratch = _MATRIX_SCRATCH
-    return 0 if scratch is None else int(scratch.nbytes)
+def hand_back_matrix(matrix: np.ndarray) -> None:
+    """Park a lent matrix for the next :func:`lend_matrix` of its shape."""
+    rows, columns = matrix.shape
+    with _FREE_MATRICES_LOCK:
+        _FREE_MATRICES[:] = [
+            parked for parked in _FREE_MATRICES if parked.shape[1] != columns or parked.shape[0] == rows
+        ]
+        _FREE_MATRICES.append(matrix)
 
 
-def release_aggregation_scratch() -> None:
-    """Drop the cached aggregation work matrix (e.g. between experiments)."""
-    global _MATRIX_SCRATCH
-    _MATRIX_SCRATCH = None
+def empty_matrix_pool() -> None:
+    """Drop every parked matrix, so a memory measurement sees its lends allocated."""
+    with _FREE_MATRICES_LOCK:
+        _FREE_MATRICES.clear()
 
 
 def check_weight(weight: float) -> float:
@@ -470,9 +468,9 @@ def check_weight(weight: float) -> float:
     return weight
 
 
-def _check_weights(states: List[State], weights: np.ndarray) -> np.ndarray:
-    if len(states) != weights.size:
-        raise ValueError(f"got {len(states)} states but {weights.size} weights")
+def normalized_weights(weights: np.ndarray) -> np.ndarray:
+    """``weights / weights.sum()``, after rejecting any weight
+    :func:`check_weight` refuses and an all-zero total."""
     for weight in weights:
         check_weight(weight)
     total = float(weights.sum())
@@ -487,17 +485,22 @@ def weighted_average(states: Sequence[State], weights: Sequence[float]) -> FlatS
     This is the server's parameter-aggregation step
     ``W^{r+1} = sum_k (n_k / n) w_k^r`` from Figure 1 of the paper,
     computed as one ``(K,) @ (K, P)`` GEMV over the flat buffers — BLAS
-    speed instead of a per-name Python loop.  The result is in the first
-    state's entry order.
+    speed instead of a per-name Python loop, over a lent matrix.  The result
+    is in the first state's entry order.
     """
     states = [as_flat_state(state) for state in states]
-    normalized = _check_weights(states, np.asarray(list(weights), dtype=np.float64))
+    weights = np.asarray(list(weights), dtype=np.float64)
+    if len(states) != weights.size:
+        raise ValueError(f"got {len(states)} states but {weights.size} weights")
+    normalized = normalized_weights(weights)
     check_compatible(states)
     layout = states[0].layout
-    matrix = _aggregation_matrix(len(states), layout.total_size)
+    matrix = lend_matrix(len(states), layout.total_size)
     for row, state in enumerate(states):
         matrix[row] = state_vector(state, layout)
-    return FlatState(layout, normalized @ matrix)
+    average = normalized @ matrix
+    hand_back_matrix(matrix)
+    return FlatState(layout, average)
 
 
 def merge_partition(global_state: State, local_state: State, local_names: Iterable[str]) -> FlatState:

@@ -33,18 +33,24 @@ class FederatedServer:
     """Parameter-aggregation logic used by every algorithm in this package.
 
     Round loops fold updates one at a time through :meth:`accumulator`
-    (see :mod:`repro.fl.aggregation`): up to 32 updates
-    are buffered and averaged by ``weighted_average`` bit for bit, beyond
-    that the fold is an O(P) running sum, and each client is released as
-    soon as its update is folded.
+    (see :mod:`repro.fl.aggregation`): up to 32 updates are written into
+    the rows of one lent matrix and averaged by ``weighted_average``'s GEMV
+    bit for bit, beyond that the fold is an O(P) running sum, and each
+    client is released as soon as its update is folded.
     """
 
     def __init__(self):
         self.folded_updates = 0
+        self._cohort_size = 0
+
+    def begin_round(self, cohort_size: int) -> None:
+        """Size the next accumulators by the cohort a round is dispatched to."""
+        self._cohort_size = int(cohort_size)
 
     def accumulator(self) -> UpdateAccumulator:
-        """A fresh per-round accumulator: one sample-weighted average."""
-        return StreamingAccumulator()
+        """A fresh accumulator for the current round: one sample-weighted
+        average of at most its cohort's updates."""
+        return StreamingAccumulator(self._cohort_size)
 
     def delta_accumulator(self) -> StreamingDeltaAccumulator:
         """A fresh delta accumulator (FedBuff staleness folds)."""

@@ -67,6 +67,9 @@ from repro.fl.parameters import (
 )
 from repro.fl.transport.errors import TransportDecodeError
 
+#: Bytes an inflate asks zlib for per call: one output block, returned uncopied.
+_INFLATE_STEP = 1 << 15
+
 #: Static per-tensor schema entry: (name, shape).
 TensorSpec = Tuple[str, Tuple[int, ...]]
 
@@ -213,14 +216,30 @@ class Codec:
                 reason="crc mismatch",
             )
 
-    def _inflate(self, data: bytes) -> bytes:
-        """DEFLATE-decompress ``data`` with a typed error on corruption."""
+    def _inflate(self, data: bytes, limit: int) -> bytearray:
+        """DEFLATE-decompress ``data`` into at most ``limit`` bytes, the
+        schema's longest legal stream, in steps that keep the peak near
+        ``limit``; corruption, output past it and a stream that never ends
+        raise the typed error."""
+        inflater = zlib.decompressobj()
+        inflated = bytearray()
+        pending = data
         try:
-            return zlib.decompress(data)
+            while not inflater.eof and len(inflated) <= limit:
+                step = inflater.decompress(pending, min(_INFLATE_STEP, limit + 1 - len(inflated)))
+                if not step and not inflater.eof:
+                    raise TransportDecodeError(self.name, actual_bytes=len(data), reason="deflate: truncated stream")
+                inflated += step
+                pending = inflater.unconsumed_tail
         except zlib.error as error:
             raise TransportDecodeError(
                 self.name, actual_bytes=len(data), reason=f"deflate: {error}"
             ) from error
+        if len(inflated) > limit:
+            raise TransportDecodeError(
+                self.name, expected_bytes=limit, actual_bytes=len(inflated), reason="deflate: inflates past the schema"
+            )
+        return inflated
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.__class__.__name__}({self.describe()!r})"
@@ -349,9 +368,10 @@ class QuantizationCodec(Codec):
 
     def decode(self, payload: Payload) -> State:
         self._check_payload(payload)
-        data = self._inflate(payload.data) if self.deflate else payload.data
-        code_dtype = _BYTE_CODES.get(self.num_bits)
         sizes = _schema_sizes(payload.schema)
+        limit = sum(16 + packed_code_bytes(size, self.num_bits) for size in sizes)
+        data = self._inflate(payload.data, limit) if self.deflate else payload.data
+        code_dtype = _BYTE_CODES.get(self.num_bits)
         flat = np.empty(sum(sizes), dtype=np.float64)
         offset = 0
         position = 0
@@ -451,7 +471,9 @@ class TopKCodec(Codec):
 
     def decode(self, payload: Payload) -> State:
         self._check_payload(payload)
-        data = self._inflate(payload.data) if self.deflate else payload.data
+        total = sum(_schema_sizes(payload.schema))
+        limit = 4 + total * (4 + self.value_dtype.itemsize)
+        data = self._inflate(payload.data, limit) if self.deflate else payload.data
         if len(data) < 4:
             raise TransportDecodeError(
                 self.name, expected_bytes=4, actual_bytes=len(data), reason="truncated header"
@@ -469,7 +491,6 @@ class TopKCodec(Codec):
         values = np.frombuffer(
             data, dtype=self.value_dtype, count=count, offset=4 + 4 * count
         ).astype(np.float64)
-        total = sum(_schema_sizes(payload.schema))
         if count and (indices.max() >= total or indices.min() < 0):
             raise TransportDecodeError(
                 self.name,

@@ -5,7 +5,8 @@ Every public state function in ``src/`` packs what it is given into a
 ``name -> ndarray`` loops that body must equal bit for bit (``1e-12`` for
 the GEMV of ``weighted_average``): they take dicts, return dicts and are
 reachable from nothing in ``src/``.  The drift oracle is the pairwise loop
-the accumulator's per-arrival spread must equal (``1e-10``).  The three
+the accumulator's per-arrival spread must equal (``1e-10``), and
+``folded_states`` reads the rows an accumulator has folded its states into.  The three
 server rules the personalised rows used before they folded into the round
 loop's accumulators (partition, merge, per-cluster) are what two rounds of
 FedProx-LG and IFCA must equal bit for bit.
@@ -29,6 +30,7 @@ import numpy as np
 
 from repro.fl import FederatedClient
 from repro.fl.parameters import (
+    FlatState,
     clone_state,
     filter_state,
     as_flat_state,
@@ -144,6 +146,16 @@ def flatten_state_oracle(state):
 
 def state_schema_oracle(state):
     return tuple((name, tuple(np.asarray(state[name]).shape)) for name in sorted(state))
+
+
+def folded_states(accumulator):
+    """Copies of the states a ``StreamingAccumulator`` holds in its matrix
+    rows, in fold order, as flat states in the first fold's layout; ``None``
+    once a spill or ``result()`` has handed the rows back."""
+    if accumulator._matrix is None:
+        return None if accumulator.count else []
+    rows = accumulator._matrix[: accumulator.count]
+    return [FlatState(accumulator._layout, row.copy()) for row in rows]
 
 
 def pairwise_rms_distance_oracle(states):

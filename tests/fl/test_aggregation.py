@@ -5,19 +5,28 @@ The accumulators' contract has two halves, and both are asserted here over
 seeded random layouts, weights, cohort sizes, input dtypes and dict/flat
 states:
 
-* **exact parity** — while an accumulator is inside its parity buffer
+* **exact parity** — while an accumulator folds into its matrix rows
   (``count <= PARITY_LIMIT``), its result is bit-identical (0 ulp) to
   ``weighted_average``, including through the DP privatize-then-fold and
-  FedAvgM momentum compositions, and for an all-fresh FedBuff buffer;
+  FedAvgM momentum compositions, with several accumulators alive at once,
+  and for an all-fresh FedBuff buffer;
 * **spilled accuracy** — once spilled to the running O(P) form, results
   agree with ``weighted_average`` to ``<= 1e-12`` relative error, memory
   stays flat, and inputs are validated exactly as in the parity phase.
 
-The per-arrival ``spread()`` (``client_drift``) is held to the pairwise RMS
-loop in ``oracles.py`` on both sides of the spill.
+Server memory is counted with ``tracemalloc`` (NumPy reports its buffers to
+it), so the bounds hold exactly on any machine: a round holds one (K, P)
+matrix plus a few P-vectors, and a matrix goes back to the pool at the
+result or the spill.  The per-arrival ``spread()`` (``client_drift``) is
+held to the pairwise RMS loop in ``oracles.py`` on both sides of the spill.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,15 +42,18 @@ from repro.fl.aggregation import (
 from repro.fl.parameters import (
     FlatState,
     StateLayout,
-    aggregation_scratch_bytes,
-    release_aggregation_scratch,
+    empty_matrix_pool,
+    hand_back_matrix,
+    lend_matrix,
     state_vector,
     weighted_average,
 )
 from repro.fl.privacy import PrivacyConfig, privatize_update
+from repro.models.registry import create_model
 from test_state_door import load_fl_oracles
 
-pairwise_rms_distance = load_fl_oracles().pairwise_rms_distance_oracle
+O = load_fl_oracles()
+pairwise_rms_distance = O.pairwise_rms_distance_oracle
 
 #: How a state reaches ``fold``: a dict, a flat state, or a flat state whose
 #: entries are stored in the reverse order (folded through a gather).
@@ -80,29 +92,37 @@ def relative_error(left, right):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(a)), 1e-30)
 
 
-def fold_all(kind, states, weights):
-    """Fold a cohort through one accumulator kind; returns (accumulator, result).
+def fold_into(kind, states, weights):
+    """A fresh accumulator of one kind with a cohort folded into it.
 
     ``streaming`` is the barrier accumulator; ``delta`` is the FedBuff delta
     accumulator fed an all-fresh buffer (every update dispatched from the
     current global model), which must reduce to the synchronous average.
     """
     if kind == "streaming":
-        accumulator = StreamingAccumulator()
+        accumulator = StreamingAccumulator(len(states))
         for state, weight in zip(states, weights):
             accumulator.fold(state, weight)
-        return accumulator, accumulator.result()
+        return accumulator
     global_state = FlatState.from_state(states[0])
     accumulator = StreamingDeltaAccumulator()
     for state, weight in zip(states, weights):
         accumulator.fold(state, global_state, weight, fresh=True)
-    return accumulator, accumulator.result(global_state)
+    return accumulator
+
+
+def fold_all(kind, states, weights):
+    """Fold a cohort through one accumulator kind; returns (accumulator, result)."""
+    accumulator = fold_into(kind, states, weights)
+    if kind == "streaming":
+        return accumulator, accumulator.result()
+    return accumulator, accumulator.result(FlatState.from_state(states[0]))
 
 
 def spilled(kind, states, weights):
-    """An accumulator of ``kind`` pushed past the parity buffer."""
+    """An accumulator of ``kind`` pushed past the parity rows, its result unread."""
     assert len(states) > PARITY_LIMIT
-    accumulator, _ = fold_all(kind, states, weights)
+    accumulator = fold_into(kind, states, weights)
     assert accumulator.spilled
     return accumulator
 
@@ -167,7 +187,7 @@ def test_spread_is_the_pairwise_rms_distance(seed, count, data):
     weight_lists = st.lists(st.floats(0.1, 100.0), min_size=count, max_size=count)
     spreads = []
     for weights in (data.draw(weight_lists), [1.0] * count):
-        accumulator = StreamingAccumulator()
+        accumulator = StreamingAccumulator(count)
         for index in order:
             accumulator.fold(inputs[index], weights[index])
         assert accumulator.spilled == (count > PARITY_LIMIT)
@@ -176,14 +196,36 @@ def test_spread_is_the_pairwise_rms_distance(seed, count, data):
     assert spreads[0] == pytest.approx(pairwise_rms_distance(states), rel=1e-10, abs=0)
 
 
+def traced_peak(action):
+    """``(action(), bytes still held, peak bytes)`` of what ``action`` allocates."""
+    tracemalloc.start()
+    try:
+        value = action()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, current, peak
+
+
 def test_streaming_memory_is_flat_after_spill():
-    """The running form holds one O(P) vector regardless of fold count."""
-    states, weights = random_layout_states(2, 40)
-    accumulator = spilled("streaming", states, weights)
-    layout = StateLayout.from_state(states[0])
-    assert accumulator.states() is None  # the buffered inputs are gone
-    assert accumulator._pending == []
-    assert accumulator._sum.nbytes == layout.total_size * 8
+    """The running form holds O(P) whatever the fold count: past the spill a
+    fold keeps nothing, and its transients are two P-vectors."""
+    layout = StateLayout.from_state({"dense.weight": np.zeros(20_000)})
+    states = [FlatState(layout, np.full(layout.total_size, 1.0 + k)) for k in range(40)]
+    accumulator = StreamingAccumulator(len(states))
+    for state in states[: PARITY_LIMIT + 1]:
+        accumulator.fold(state, 2.0)
+    assert accumulator.spilled
+    assert O.folded_states(accumulator) is None  # the rows went back with the matrix
+
+    def fold_the_rest():
+        for state in states[PARITY_LIMIT + 1 :]:
+            accumulator.fold(state, 2.0)
+
+    _, held, peak = traced_peak(fold_the_rest)
+    state_bytes = layout.total_size * 8
+    assert held < state_bytes // 8
+    assert peak <= 2 * state_bytes + (1 << 16)
     assert accumulator.count == 40
 
 
@@ -211,7 +253,7 @@ def _privatized_cohort(seed, count):
 def test_dp_privatize_then_fold_parity(count, exact):
     private, weights = _privatized_cohort(17, count)
     reference = weighted_average(private, weights)
-    accumulator = StreamingAccumulator()
+    accumulator = StreamingAccumulator(count)
     for state, weight in zip(private, weights):
         accumulator.fold(state, weight)
     if exact:
@@ -234,7 +276,7 @@ def test_fedavgm_momentum_fold_parity(count, exact):
         return FlatState(layout, state_vector(global_state, layout) - new_velocity)
 
     reference = momentum_step(weighted_average(states, weights))
-    accumulator = StreamingAccumulator()
+    accumulator = StreamingAccumulator(count)
     for state, weight in zip(states, weights):
         accumulator.fold(state, weight)
     streamed = momentum_step(accumulator.result())
@@ -330,7 +372,7 @@ def accumulators_in(phase, seed):
     """Both accumulator kinds in ``phase``, plus the layout's states."""
     states, weights = random_layout_states(seed, PARITY_LIMIT + 1)
     if phase == "parity":
-        return [StreamingAccumulator(), StreamingDeltaAccumulator()], states
+        return [StreamingAccumulator(len(states)), StreamingDeltaAccumulator()], states
     return [spilled(kind, states, weights) for kind in ("streaming", "delta")], states
 
 
@@ -379,7 +421,8 @@ def test_mismatched_states_and_weights_are_rejected():
 @pytest.mark.parametrize("phase", PHASES)
 @pytest.mark.parametrize("defect", ["missing entry", "extra entry", "wrong shape"])
 def test_mismatched_state_layouts_are_rejected(defect, phase):
-    """Spilled folds validate exactly like ``weighted_average`` does."""
+    """Every fold validates its state against the first one exactly like
+    ``weighted_average`` does, and a refused fold leaves no trace."""
     states, weights = random_layout_states(73, PARITY_LIMIT + 1)
     name = next(iter(states[0]))
     bad = dict(states[0])
@@ -392,12 +435,14 @@ def test_mismatched_state_layouts_are_rejected(defect, phase):
     with pytest.raises(ValueError) as reference:
         weighted_average([states[0], bad], [1.0, 1.0])
     if phase == "parity":
-        accumulator = StreamingAccumulator()
-        accumulator.fold(states[0], 1.0)
-        accumulator.fold(bad, 1.0)
+        accumulator = StreamingAccumulator(len(states))
+        for state, weight in zip(states[:3], weights):
+            accumulator.fold(state, weight)
         with pytest.raises(ValueError) as raised:
-            accumulator.result()
+            accumulator.fold(bad, 1.0)
         assert str(raised.value) == str(reference.value)
+        assert accumulator.count == 3
+        assert vectors_equal(accumulator.result(), weighted_average(states[:3], weights[:3]))
     else:
         for accumulator in accumulators_in("spilled", 73)[0]:
             with pytest.raises(ValueError) as raised:
@@ -406,41 +451,147 @@ def test_mismatched_state_layouts_are_rejected(defect, phase):
 
 
 # ---------------------------------------------------------------------------
-# GEMV scratch right-sizing (the latent over-allocation fix)
+# server memory: one lent (K, P) matrix per live accumulator, counted
 # ---------------------------------------------------------------------------
 
+#: The clients of the RouteNet workloads: nine (and sixteen on the wire).
+ROUTENET_COHORT = 9
 
-def test_aggregation_scratch_shrinks_when_the_cohort_shrinks():
-    release_aggregation_scratch()
+
+def routenet_layout() -> StateLayout:
+    return StateLayout.from_state(create_model("routenet", 6, seed=0).state_dict())
+
+
+def test_a_round_is_held_once():
+    """Nine RouteNet-sized updates, each dropped after its fold: the round
+    peaks at one (K, P) matrix plus O(P), not the 2 K P of holding every
+    update and copying them for the GEMV."""
+    layout = routenet_layout()
+    size = layout.total_size
+    weights = [1.0 + k for k in range(ROUTENET_COHORT)]
+
+    def update(k):
+        return FlatState(layout, np.full(size, 0.25 * k - 1.0))
+
+    def one_round():
+        accumulator = StreamingAccumulator(ROUTENET_COHORT)
+        for k, weight in enumerate(weights):
+            accumulator.fold(update(k), weight)  # the update is dropped here
+        return accumulator.result()
+
+    empty_matrix_pool()
+    result, _, peak = traced_peak(one_round)
+    state_bytes = size * 8
+    # The matrix, then: the arriving update, the drift's mean and delta, and
+    # the result.
+    assert peak <= (ROUTENET_COHORT + 4) * state_bytes + (1 << 16)
+    reference = weighted_average([update(k) for k in range(ROUTENET_COHORT)], weights)
+    assert result.vector.tobytes() == reference.vector.tobytes()
+
+
+def test_interleaved_accumulators_each_equal_their_own_average():
+    """IFCA and assigned clustering keep one accumulator per cluster alive at
+    once, each sized by the whole cohort and filled part way."""
+    states, weights = random_layout_states(83, 11)
+    members = ([0, 2, 3, 5, 8, 9], [1, 4, 6, 7, 10])
+    accumulators = [StreamingAccumulator(len(states)) for _ in members]
+    for index, (state, weight) in enumerate(zip(states, weights)):
+        accumulators[0 if index in members[0] else 1].fold(state, weight)
+    for accumulator, indices in zip(accumulators, members):
+        reference = weighted_average([states[i] for i in indices], [weights[i] for i in indices])
+        assert accumulator.result().vector.tobytes() == reference.vector.tobytes()
+
+
+@pytest.mark.parametrize("spill", [False, True])
+def test_an_accumulator_hands_its_matrix_back(spill):
+    """At the spill or at the result, the matrix goes back to the pool: the
+    next lend of its shape allocates nothing."""
+    layout = StateLayout.from_state({"dense.weight": np.zeros(20_000)})
+    count = PARITY_LIMIT + 1 if spill else 5
+    states = [FlatState(layout, np.full(layout.total_size, float(k))) for k in range(count)]
+    empty_matrix_pool()
+    accumulator = StreamingAccumulator(count)
+    for state in states:
+        accumulator.fold(state, 1.0)
+    assert accumulator.spilled == spill
+    if not spill:
+        accumulator.result()
+    rows = min(count, PARITY_LIMIT)
+    matrix, _, peak = traced_peak(lambda: lend_matrix(rows, layout.total_size))
+    assert peak < layout.total_size * 8
+    hand_back_matrix(matrix)
+
+
+def test_a_matrix_is_sized_by_the_cohort_not_the_parity_limit():
+    layout = StateLayout.from_state({"dense.weight": np.zeros(20_000)})
+    state = FlatState(layout, np.ones(layout.total_size))
+    empty_matrix_pool()
+    for cohort, rows in ((3, 3), (1_000, PARITY_LIMIT)):
+        accumulator = StreamingAccumulator(cohort)
+        _, held, _ = traced_peak(lambda: accumulator.fold(state, 1.0))
+        assert rows * layout.total_size * 8 <= held < (rows + 2) * layout.total_size * 8
+
+
+def test_folds_past_the_cohort_or_after_the_result_are_refused():
+    states, weights = random_layout_states(89, 4)
+    server = FederatedServer()
+    server.begin_round(3)
+    accumulator = server.accumulator()
+    for state, weight in zip(states[:3], weights):
+        accumulator.fold(state, weight)
+    with pytest.raises(ValueError, match="past the 3 updates this accumulator expects"):
+        accumulator.fold(states[3], 1.0)
+    accumulator.result()
+    for late in (lambda: accumulator.fold(states[3], 1.0), accumulator.result):
+        with pytest.raises(ValueError, match="result was read"):
+            late()
+
+
+def test_the_pool_lends_each_matrix_to_one_holder():
+    empty_matrix_pool()
+    first, second = lend_matrix(4, 10), lend_matrix(4, 10)
+    assert first is not second
+    hand_back_matrix(first)
+    hand_back_matrix(second)
+    again = [lend_matrix(4, 10), lend_matrix(4, 10)]
+    assert {id(matrix) for matrix in again} == {id(first), id(second)}
+    assert lend_matrix(4, 10) is not first and lend_matrix(4, 10) is not second
+
+
+def test_the_pool_lends_each_matrix_to_one_thread_at_a_time():
+    """Threads lending and handing back one shape at once: each holder's
+    writes stay its own until it hands the matrix back."""
+    empty_matrix_pool()
+    clashes, switch = [], sys.getswitchinterval()
+
+    def hold(tag):
+        for _ in range(300):
+            matrix = lend_matrix(2, 64)
+            matrix.fill(tag)
+            time.sleep(0)
+            if not (matrix == tag).all():
+                clashes.append(tag)
+            hand_back_matrix(matrix)
+
+    sys.setswitchinterval(1e-6)
     try:
-        big_states, big_weights = random_layout_states(73, 64)
-        layout = StateLayout.from_state(big_states[0])
-        weighted_average(big_states, big_weights)
-        big_bytes = aggregation_scratch_bytes()
-        assert big_bytes == 64 * layout.total_size * 8
-        # A much smaller cohort must not keep the (64, P) scratch alive.
-        small_states, small_weights = (big_states[:4], big_weights[:4])
-        weighted_average(small_states, small_weights)
-        small_bytes = aggregation_scratch_bytes()
-        assert small_bytes == 4 * layout.total_size * 8
-        assert small_bytes < big_bytes
+        threads = [threading.Thread(target=hold, args=(float(tag),)) for tag in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
     finally:
-        release_aggregation_scratch()
-    assert aggregation_scratch_bytes() == 0
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert clashes == []
 
 
-def test_aggregation_scratch_reuses_within_headroom():
-    release_aggregation_scratch()
-    try:
-        states, weights = random_layout_states(79, 8)
-        layout = StateLayout.from_state(states[0])
-        weighted_average(states, weights)
-        assert aggregation_scratch_bytes() == 8 * layout.total_size * 8
-        # 4..8 rows fit the 2x headroom window of an 8-row scratch: no realloc.
-        weighted_average(states[:4], weights[:4])
-        assert aggregation_scratch_bytes() == 8 * layout.total_size * 8
-        # 3 rows fall below the window: right-sized down.
-        weighted_average(states[:3], weights[:3])
-        assert aggregation_scratch_bytes() == 3 * layout.total_size * 8
-    finally:
-        release_aggregation_scratch()
+def test_the_pool_forgets_a_stale_cohort_size():
+    """A round policy that shrinks the cohort must not keep the old matrix."""
+    empty_matrix_pool()
+    big = lend_matrix(8, 10)
+    hand_back_matrix(big)
+    small = lend_matrix(3, 10)
+    hand_back_matrix(small)
+    assert lend_matrix(8, 10) is not big
+    assert lend_matrix(3, 10) is small

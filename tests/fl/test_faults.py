@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import time
+import tracemalloc
 import warnings
 import zlib
 
@@ -826,6 +827,61 @@ class TestTransportFraming:
         bad = Payload(codec=payload.codec, data=garbage, schema=payload.schema)
         with pytest.raises(TransportDecodeError, match="deflate"):
             codec.decode(bad)
+
+    #: A 3-entry schema of 1 048 832 values: 1 048 880 bytes of 8-bit stream.
+    BOMB_SCHEMA = (("a", (512, 1024)), ("b", (524288,)), ("c", (16, 16)))
+
+    @staticmethod
+    def deflate_bomb(megabytes=64):
+        """About 64 KB of DEFLATE that inflates to ``megabytes`` MB of zeros,
+        compressed a megabyte at a time (the zeros never exist at once)."""
+        compressor = zlib.compressobj(9)
+        chunk = bytes(1 << 20)
+        parts = [compressor.compress(chunk) for _ in range(megabytes)]
+        return b"".join(parts) + compressor.flush()
+
+    @pytest.mark.parametrize(
+        "codec, limit",
+        [
+            (QuantizationCodec(num_bits=8, deflate=True), 3 * 16 + 1048832),
+            (TopKCodec(keep_fraction=0.5, value_dtype="float32", deflate=True), 4 + 1048832 * 8),
+        ],
+        ids=["quantize", "topk"],
+    )
+    def test_a_deflate_bomb_stops_at_the_schema_bound(self, codec, limit):
+        bomb = self.deflate_bomb()
+        assert len(bomb) < 100_000
+        payload = Payload(codec=codec.name, data=bomb, schema=self.BOMB_SCHEMA)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TransportDecodeError, match="inflates past the schema") as excinfo:
+                codec.decode(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.expected_bytes == limit
+        assert excinfo.value.actual_bytes == limit + 1
+        assert peak < 2 * limit
+
+    def test_a_stream_that_never_ends_is_typed(self):
+        codec = QuantizationCodec(num_bits=8, deflate=True)
+        payload = codec.encode(self.small_state())
+        cut = Payload(codec=payload.codec, data=payload.data[:-4], schema=payload.schema)
+        with pytest.raises(TransportDecodeError, match="truncated stream"):
+            codec.decode(cut)
+
+    def test_a_stream_at_the_schema_bound_decodes(self):
+        """A stream as long as the schema allows (no constant tensor) is legal."""
+        state = self.small_state()
+        inflating = QuantizationCodec(num_bits=8, deflate=True)
+        plain = QuantizationCodec(num_bits=8, deflate=False)
+        payload = inflating.encode(state)
+        stream = zlib.decompress(payload.data)
+        assert stream == plain.encode(state).data
+        assert len(stream) == sum(16 + np.size(values) for values in state.values())
+        decoded = inflating.decode(payload)
+        expected = plain.decode(plain.encode(state))
+        assert all(decoded[name].tobytes() == expected[name].tobytes() for name in state)
 
     def test_payload_crc_is_computed_at_construction(self):
         payload = Payload(codec="identity", data=b"hello", schema=())

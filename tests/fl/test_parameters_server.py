@@ -29,7 +29,7 @@ def make_state(value, shapes=(("w", (2, 2)), ("b", (3,)))):
 
 def folded_spread(states):
     """``client_drift`` as the round loop reads it: fold each state, read ``spread()``."""
-    accumulator = StreamingAccumulator()
+    accumulator = StreamingAccumulator(len(states))
     for state in states:
         accumulator.fold(state, 1.0)
     return accumulator.spread()
@@ -131,16 +131,16 @@ class TestStateArithmetic:
         assert pairwise_rms_distance(states) == 0.0
 
     def test_spread_checks_compatibility(self):
-        # The loop rejects a mismatched pair; the accumulator folds it (the
-        # parity buffer validates at result()), then rejects it there.
+        # The loop rejects a mismatched pair; the accumulator refuses the
+        # second state at its fold.
         states = [make_state(0.0), {"other": np.zeros(3)}]
         with pytest.raises(ValueError):
             pairwise_rms_distance(states)
-        accumulator = StreamingAccumulator()
-        for state in states:
-            accumulator.fold(state, 1.0)
+        accumulator = StreamingAccumulator(len(states))
+        accumulator.fold(states[0], 1.0)
         with pytest.raises(ValueError):
-            accumulator.result()
+            accumulator.fold(states[1], 1.0)
+        assert accumulator.spread() == 0.0
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=6))
     @settings(max_examples=40, deadline=None)

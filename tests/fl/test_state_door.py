@@ -101,10 +101,12 @@ def _alpha_sync_oracle(states):
 
 
 def _accumulate(states):
-    accumulator = StreamingAccumulator()
+    accumulator = StreamingAccumulator(len(states))
     for state, weight in zip(states, WEIGHTS):
         accumulator.fold(state, weight)
-    assert all(isinstance(state, FlatState) for state in accumulator.states())
+    held = O.folded_states(accumulator)
+    assert all(isinstance(state, FlatState) for state in held)
+    assert all(row.vector.tobytes() == state_vector(state, row.layout).tobytes() for row, state in zip(held, states))
     return accumulator.result()
 
 
@@ -315,11 +317,11 @@ def test_incompatible_states_are_refused_at_the_door(damage, message, kind):
 
 
 def test_a_spilled_fold_refuses_and_packs_like_a_buffered_one():
-    accumulator = StreamingAccumulator()
+    accumulator = StreamingAccumulator(PARITY_LIMIT + 3)
     for seed in range(PARITY_LIMIT + 1):
         accumulator.fold(random_state(seed), 1.0)
     assert accumulator.spilled
     accumulator.fold(permuted(random_state(99)), 2.0)
-    assert isinstance(accumulator.result(), FlatState)
     with pytest.raises(ValueError, match="state 1 has different keys than state 0"):
         accumulator.fold(_missing_key(random_state(100)), 1.0)
+    assert isinstance(accumulator.result(), FlatState)
