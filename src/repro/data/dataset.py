@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -166,45 +166,6 @@ class RoutabilityDataset:
         if not self._samples:
             return 0.0
         return float(np.mean([sample.hotspot_fraction for sample in self._samples]))
-
-    # -- splitting ------------------------------------------------------------
-    def subset(self, indices: Sequence[int], name: Optional[str] = None) -> "RoutabilityDataset":
-        """A new dataset containing only the given sample indices."""
-        picked = [self._samples[i] for i in indices]
-        return RoutabilityDataset(picked, name=name or f"{self.name}/subset")
-
-    def filter_designs(self, design_names: Sequence[str], name: Optional[str] = None) -> "RoutabilityDataset":
-        """A new dataset containing only samples of the given designs."""
-        wanted = set(design_names)
-        picked = [sample for sample in self._samples if sample.design_name in wanted]
-        return RoutabilityDataset(picked, name=name or f"{self.name}/designs")
-
-    def split_by_design(
-        self,
-        train_fraction: float,
-        rng: np.random.Generator,
-        name_prefix: Optional[str] = None,
-    ) -> Tuple["RoutabilityDataset", "RoutabilityDataset"]:
-        """Design-disjoint split: no design contributes to both sides.
-
-        Mirrors the paper's protocol where testing designs are completely
-        unseen during training.
-        """
-        if not 0.0 < train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-        designs = self.design_names()
-        if len(designs) < 2:
-            raise ValueError("need at least two designs for a design-disjoint split")
-        shuffled = list(designs)
-        rng.shuffle(shuffled)
-        n_train = max(1, min(len(shuffled) - 1, int(round(train_fraction * len(shuffled)))))
-        train_designs = shuffled[:n_train]
-        test_designs = shuffled[n_train:]
-        prefix = name_prefix or self.name
-        return (
-            self.filter_designs(train_designs, name=f"{prefix}/train"),
-            self.filter_designs(test_designs, name=f"{prefix}/test"),
-        )
 
     # -- persistence -------------------------------------------------------------
     def save(self, path: PathLike) -> Path:

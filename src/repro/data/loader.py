@@ -40,7 +40,6 @@ class DataLoader:
         dataset: RoutabilityDataset,
         batch_size: int,
         shuffle: bool = True,
-        drop_last: bool = False,
         rng: Optional[np.random.Generator] = None,
         dtype=None,
     ):
@@ -50,27 +49,21 @@ class DataLoader:
         self.dataset = dataset
         self.batch_size = int(batch_size)
         self.shuffle = bool(shuffle)
-        self.drop_last = bool(drop_last)
         self.dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
         self._rng = rng if rng is not None else new_rng(0)
         self._feature_buffer: Optional[np.ndarray] = None
         self._label_buffer: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        full, remainder = divmod(len(self.dataset), self.batch_size)
-        if remainder and not self.drop_last:
-            return full + 1
-        return full
+        """Batches per epoch; the last one may be short."""
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         indices = np.arange(len(self.dataset))
         if self.shuffle:
             self._rng.shuffle(indices)
         for start in range(0, len(indices), self.batch_size):
-            batch_indices = indices[start : start + self.batch_size]
-            if self.drop_last and batch_indices.size < self.batch_size:
-                break
-            yield self._collate(batch_indices)
+            yield self._collate(indices[start : start + self.batch_size])
 
     def _batch_buffers(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
         """Views of the persistent batch buffers for a batch of ``size``."""
@@ -93,19 +86,8 @@ class DataLoader:
         np.take(labels, indices, axis=0, out=label_batch[:, 0], mode="clip")
         return feature_batch, label_batch
 
-    def sample_batch(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Draw one random batch (used for single-step training loops)."""
-        size = min(self.batch_size, len(self.dataset))
-        indices = self._rng.choice(len(self.dataset), size=size, replace=False)
-        return self._collate(indices)
-
 
 def infinite_batches(loader: DataLoader) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Yield batches forever, reshuffling at each epoch boundary."""
-    if len(loader) == 0:
-        raise ValueError(
-            f"batch_size {loader.batch_size} with drop_last leaves no full batch "
-            f"in a dataset of {len(loader.dataset)} samples"
-        )
     while True:
         yield from loader

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.eda.placement import Placement
 from repro.utils.rng import new_rng
-from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -71,23 +70,14 @@ def _overlap_estimate(placement: Placement, positions: np.ndarray) -> float:
 class Legalizer:
     """Tetris-style row legalizer for standard cells."""
 
-    def __init__(self, row_spacing_um: Optional[float] = None):
-        """``row_spacing_um`` defaults to the technology's site (row) height."""
-        if row_spacing_um is not None:
-            check_positive("row_spacing_um", row_spacing_um)
-        self.row_spacing_um = row_spacing_um
-
     def legalize(self, placement: Placement) -> Tuple[Placement, LegalizationReport]:
         """Legalize ``placement``; returns the legal placement and a report.
 
-        Macros are treated as fixed blockages: standard cells are packed into
-        the free intervals of each row around them.
+        Rows are the technology's sites, one site height apart.  Macros are
+        treated as fixed blockages: standard cells are packed into the free
+        intervals of each row around them.
         """
-        row_height = (
-            self.row_spacing_um
-            if self.row_spacing_um is not None
-            else placement.technology.site_height_um
-        )
+        row_height = placement.technology.site_height_um
         die_w = placement.die_width_um
         die_h = placement.die_height_um
         num_rows = max(int(die_h // row_height), 1)
@@ -211,9 +201,9 @@ class Legalizer:
         return best
 
 
-def legalize_placement(placement: Placement, row_spacing_um: Optional[float] = None) -> Tuple[Placement, LegalizationReport]:
+def legalize_placement(placement: Placement) -> Tuple[Placement, LegalizationReport]:
     """Convenience wrapper around :class:`Legalizer`."""
-    return Legalizer(row_spacing_um).legalize(placement)
+    return Legalizer().legalize(placement)
 
 
 def perturb_placement(

@@ -136,10 +136,9 @@ def _cell_area_per_bin(placement: Placement, mask: np.ndarray) -> np.ndarray:
     return covered / (placement.bin_width_um * placement.bin_height_um)
 
 
-def cell_density_map(placement: Placement, include_macros: bool = False) -> np.ndarray:
+def cell_density_map(placement: Placement) -> np.ndarray:
     """Standard-cell area per bin, normalized by bin area (0 = empty, 1 = full)."""
-    mask = np.ones(placement.num_cells, dtype=bool) if include_macros else ~placement.is_macro
-    return _cell_area_per_bin(placement, mask)
+    return _cell_area_per_bin(placement, ~placement.is_macro)
 
 
 def macro_map(placement: Placement) -> np.ndarray:

@@ -116,12 +116,6 @@ class Placement:
         table = self.design.netlist.net_membership()
         return self.netlist_rows()[table.cells], table
 
-    def cell_center_um(self, name: str) -> Tuple[float, float]:
-        index = self.cell_index(name)
-        x, y = self.positions_um[index]
-        w, h = self.sizes_um[index]
-        return (float(x + w / 2.0), float(y + h / 2.0))
-
     def centers_um(self) -> np.ndarray:
         """Centers of all cells, shape (n_cells, 2)."""
         return self.positions_um + self.sizes_um / 2.0

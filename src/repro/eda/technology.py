@@ -84,10 +84,6 @@ class Technology:
         """Total vertical routing tracks available across a bin of given width."""
         return sum(layer.tracks_in(bin_width_um) for layer in self.vertical_layers)
 
-    def site_area_um2(self) -> float:
-        """Area of a single placement site in square microns."""
-        return self.site_width_um * self.site_height_um
-
 
 def nangate45() -> Technology:
     """A NanGate-45nm-like technology with a six-layer routing stack.

@@ -193,15 +193,6 @@ class ExperimentConfig:
         """
         return replace(self, population=population)
 
-    def with_model(self, model: str, **model_kwargs) -> "ExperimentConfig":
-        """A copy of this configuration targeting a different estimator."""
-        return replace(
-            self,
-            name=f"{self.name.split(':')[0]}:{model}",
-            model=model,
-            model_kwargs=dict(model_kwargs) if model_kwargs else dict(self.model_kwargs),
-        )
-
     def with_algorithms(self, algorithms: Sequence[str]) -> "ExperimentConfig":
         """A copy of this configuration running only the given algorithms."""
         return replace(self, algorithms=tuple(algorithms))

@@ -87,7 +87,7 @@ PAPER_TABLE2_SETUP: List[Dict[str, object]] = [
 ]
 
 
-def format_rows(rows: Sequence[EvaluationRow], title: Optional[str] = None, digits: int = 3) -> str:
+def format_rows(rows: Sequence[EvaluationRow], title: Optional[str] = None) -> str:
     """Render evaluation rows as an aligned plain-text table."""
     if not rows:
         return "(no rows)"
@@ -96,8 +96,8 @@ def format_rows(rows: Sequence[EvaluationRow], title: Optional[str] = None, digi
     lines: List[List[str]] = [headers]
     for row in rows:
         display = ROW_DISPLAY_NAMES.get(row.algorithm, row.algorithm)
-        values = [f"{row.per_client_auc[cid]:.{digits}f}" for cid in client_ids]
-        lines.append([display] + values + [f"{row.average_auc:.{digits}f}"])
+        values = [f"{row.per_client_auc[cid]:.3f}" for cid in client_ids]
+        lines.append([display] + values + [f"{row.average_auc:.3f}"])
     widths = [max(len(line[col]) for line in lines) for col in range(len(headers))]
     rendered = []
     if title:
@@ -109,11 +109,7 @@ def format_rows(rows: Sequence[EvaluationRow], title: Optional[str] = None, digi
     return "\n".join(rendered)
 
 
-def comparison_table(
-    model: str,
-    measured: Mapping[str, float],
-    digits: int = 3,
-) -> str:
+def comparison_table(model: str, measured: Mapping[str, float]) -> str:
     """Side-by-side "paper vs. measured" average-AUC table for one model."""
     table = PAPER_TABLES[model.lower()]
     lines = [f"{'Method':<32} {'paper avg':>10} {'measured avg':>13}"]
@@ -123,6 +119,6 @@ def comparison_table(
             continue
         display = ROW_DISPLAY_NAMES.get(algorithm, algorithm)
         lines.append(
-            f"{display:<32} {values[-1]:>10.2f} {measured[algorithm]:>13.{digits}f}"
+            f"{display:<32} {values[-1]:>10.2f} {measured[algorithm]:>13.3f}"
         )
     return "\n".join(lines)

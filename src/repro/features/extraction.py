@@ -11,7 +11,7 @@ convolutional models in :mod:`repro.models`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,13 +116,6 @@ class FeatureExtractor:
             raw = np.asarray(FEATURE_BUILDERS[name](placement, analysis), dtype=np.float64)
             channels.append(self._normalize(raw))
         return np.stack(channels, axis=0)
-
-    def extract_batch(self, placements: Iterable[Placement]) -> np.ndarray:
-        """Extract features for several placements, shape ``(N, C, H, W)``."""
-        tensors = [self.extract(placement) for placement in placements]
-        if not tensors:
-            raise ValueError("extract_batch received no placements")
-        return np.stack(tensors, axis=0)
 
     def _normalize(self, channel: np.ndarray) -> np.ndarray:
         if self.normalization == "none":

@@ -121,11 +121,6 @@ class StreamingAccumulator(UpdateAccumulator):
         self._m2 = 0.0
 
     @property
-    def spilled(self) -> bool:
-        """Whether the accumulator has left the exact-parity rows."""
-        return self._sum is not None
-
-    @property
     def count(self) -> int:
         return self._count
 
@@ -231,10 +226,6 @@ class StreamingDeltaAccumulator:
         self._sum_state: Optional[State] = None
         self._weight_total = 0.0
         self._count = 0
-
-    @property
-    def spilled(self) -> bool:
-        return self._delta_sum is not None
 
     @property
     def count(self) -> int:

@@ -74,10 +74,6 @@ class TrainingResult:
             f"client {client_id} nor a global state"
         )
 
-    @property
-    def is_personalized(self) -> bool:
-        return bool(self.client_states)
-
     def final_loss(self) -> float:
         """Mean loss of the final recorded round (NaN when no history exists)."""
         if not self.history:

@@ -81,7 +81,6 @@ class FederatedClient:
         test_dataset: RoutabilityDataset,
         model_factory: ModelFactory,
         config: FLConfig,
-        rng: Optional[np.random.Generator] = None,
     ):
         if len(train_dataset) == 0:
             raise ValueError(f"client {client_id} has no training data")
@@ -95,7 +94,7 @@ class FederatedClient:
         model = model_factory().set_compute_dtype(config.compute_dtype)
         self._template = _TEMPLATES.setdefault(model_factory, {}).setdefault(model.compute_dtype, model)
         self._initial_state: Optional[State] = None
-        self._rng = rng if rng is not None else np.random.default_rng(client_id)
+        self._rng = np.random.default_rng(client_id)
         self._trainer = LocalTrainer(
             loss=config.loss,
             optimizer=config.optimizer,
@@ -112,7 +111,6 @@ class FederatedClient:
         data: ClientData,
         model_factory: ModelFactory,
         config: FLConfig,
-        rng: Optional[np.random.Generator] = None,
     ) -> "FederatedClient":
         """Build a federated client from a Table 2 client's data."""
         return cls(
@@ -121,7 +119,6 @@ class FederatedClient:
             test_dataset=data.test,
             model_factory=model_factory,
             config=config,
-            rng=rng,
         )
 
     # -- data facts the server is allowed to know --------------------------------
@@ -201,26 +198,20 @@ class FederatedClient:
         """This client's own model initialization (lazy, cached, reproducible).
 
         Built at most once per client, on first call — not rebuilt on every
-        call — and returned as a fresh copy thereafter.  When the factory
-        supports explicit seeding (``build_with_seed``, as
-        :class:`~repro.fl.SeededModelFactory` does), the seed comes from a
-        dedicated per-client stream (derived from the client id), so the
-        initialization is a deterministic function of the client —
-        independent of how many models anyone else has pulled from the
-        shared factory, and without consuming a draw from the training RNG
-        the trainer shares (calling this must never perturb batch
-        shuffling).  Legacy factories fall back to one plain (lazy) factory
-        call.
+        call — and returned as a fresh copy thereafter.  The factory is a
+        :class:`~repro.fl.SeededModelFactory`; the seed comes from a dedicated
+        per-client stream (derived from the client id) through its
+        ``build_with_seed``, so the initialization is a deterministic function
+        of the client — independent of how many models anyone else has pulled
+        from the shared factory, and without consuming a draw from the
+        training RNG the trainer shares (calling this must never perturb
+        batch shuffling).
         """
         if self._initial_state is None:
-            seeded_builder = getattr(self._model_factory, "build_with_seed", None)
-            if seeded_builder is not None:
-                init_rng = np.random.default_rng(
-                    np.random.SeedSequence([self.client_id, _INIT_SEED_TAG])
-                )
-                model = seeded_builder(int(init_rng.integers(0, 2**31 - 1)))
-            else:
-                model = self._model_factory()
+            init_rng = np.random.default_rng(
+                np.random.SeedSequence([self.client_id, _INIT_SEED_TAG])
+            )
+            model = self._model_factory.build_with_seed(int(init_rng.integers(0, 2**31 - 1)))
             self._initial_state = flat_model_state(model)
         return clone_state(self._initial_state)
 

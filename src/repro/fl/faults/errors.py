@@ -3,8 +3,8 @@
 This module is dependency-free so every layer (backends, supervisor, round
 loops, CLI) can import the exception types without cycles.
 
-:class:`ClientExecutionError` wraps any per-task failure with the client id,
-round number, and backend context before it reaches the caller;
+:class:`ClientExecutionError` wraps any per-task failure with the client id
+and backend context before it reaches the caller;
 :class:`QuorumFailure` is the typed, recoverable signal that a round fell
 below its commit quorum.  :class:`TaskFailure` is the *value* (not
 exception) a backend yields for a failed task so streaming iterators survive
@@ -41,9 +41,8 @@ class ClientExecutionError(RuntimeError):
     """A client task failed, annotated with full execution context.
 
     Replaces bare remote tracebacks and dropped connections with the client
-    id, backend name, round number, and attempt count.  The original cause
-    is chained (``raise ... from original``) when it is available in the
-    raising process.
+    id, its roster index, the backend name and the failure kind, and carries
+    the remote traceback when one crossed a process boundary.
     """
 
     def __init__(
@@ -53,23 +52,15 @@ class ClientExecutionError(RuntimeError):
         client_id: str,
         client_index: int,
         backend: str,
-        round_index: Optional[int] = None,
-        attempt: int = 0,
         kind: str = "exception",
         remote_traceback: Optional[str] = None,
     ):
         self.client_id = str(client_id)
         self.client_index = int(client_index)
         self.backend = str(backend)
-        self.round_index = None if round_index is None else int(round_index)
-        self.attempt = int(attempt)
         self.kind = str(kind)
         self.remote_traceback = remote_traceback
         where = f"client {self.client_id!r} (index {self.client_index}) on backend {self.backend!r}"
-        if self.round_index is not None:
-            where += f", round {self.round_index}"
-        if self.attempt:
-            where += f", attempt {self.attempt}"
         detail = f"{message} [{where}]"
         if remote_traceback:
             detail += f"\n--- remote traceback ---\n{remote_traceback}"

@@ -114,11 +114,6 @@ class FrameReader:
         self.frames_decoded = 0
         self._error: Optional[FrameError] = None
 
-    @property
-    def buffered_bytes(self) -> int:
-        """Bytes fed but not yet consumed by a completed frame."""
-        return len(self._buffer)
-
     def _fail(self, reason: str, detail: str = "", frames=()) -> None:
         # The stored copy is what a poisoned reader re-raises: no frames on it.
         self._error = FrameError(reason, offset=self.offset, detail=detail)

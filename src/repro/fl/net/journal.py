@@ -36,9 +36,9 @@ it off keeps later appends from landing behind a partial frame.
 Compaction keeps the files from growing with the run: when a file's replay
 set becomes empty (a client's last pending task is acked, or the last live
 state is released), it is rewritten as one ``ACK`` of its high-water mark
-(``high_seq`` or ``high_state_id``), written to ``<file>.tmp`` and moved
-over the file with ``os.replace``: a crash leaves the old file or the new
-one, and the loader never reads a ``.tmp`` file.
+(a client's highest seq, or ``high_state_id``), written to ``<file>.tmp``
+and moved over the file with ``os.replace``: a crash leaves the old file or
+the new one, and the loader never reads a ``.tmp`` file.
 """
 
 from __future__ import annotations
@@ -230,10 +230,6 @@ class MessageJournal:
             ((seq, body) for seq, body in pending.items() if seq > int(cursor)),
             key=lambda item: item[0],
         )
-
-    def high_seq(self, client_id: int) -> int:
-        """Highest seq ever journaled for a client (0 if none)."""
-        return self._high.get(int(client_id), 0)
 
     def state(self, state_id: int) -> Optional[bytes]:
         """The encoded carrier of a live state (``None`` once released)."""

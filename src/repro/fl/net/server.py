@@ -434,20 +434,24 @@ class FederationServer:
             return
         future = session.pending.pop(update.seq, None)
         self._settle(session, update.seq)
-        await actor.send_ack(update.client_id, update.seq)
         if future is None:
             # A replayed task whose original result already arrived (or was
             # abandoned): acknowledge so the client drops its cache, fold
             # nothing.
             self.counters["stale_updates"] += 1
-            return
-        self.counters["completed"] += 1
-        if update.error is not None:
-            future.set_result(
-                WireFailure(kind="exception", error=update.error, traceback=update.traceback)
-            )
         else:
-            future.set_result(update)
+            self.counters["completed"] += 1
+            if update.error is not None:
+                future.set_result(
+                    WireFailure(kind="exception", error=update.error, traceback=update.traceback)
+                )
+            else:
+                future.set_result(update)
+        # The ack goes out last.  The task already left the pending set and
+        # the journal's replay set, so a peer that died right after sending
+        # its update (the ack write fails) must not take the result with it:
+        # nothing would ever resolve the future again.
+        await actor.send_ack(update.client_id, update.seq)
 
     # -- connection acceptance ------------------------------------------------------
     async def _on_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:

@@ -85,10 +85,6 @@ class ClientHandle:
         return self.spec.num_samples
 
     @property
-    def is_materialized(self) -> bool:
-        return self._client is not None
-
-    @property
     def rng_state(self) -> dict:
         if self._client is not None:
             return self._client.rng_state

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -152,16 +152,13 @@ class GaussianAccountant:
         self.rho += rounds * 1.0 / (2.0 * z * z)
         self.steps += rounds
 
-    def epsilon(self, delta: Optional[float] = None) -> float:
-        """Epsilon after the recorded rounds (``inf`` when noise is disabled)."""
-        delta = delta if delta is not None else self.config.delta
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {delta}")
+    def epsilon(self) -> float:
+        """Epsilon at the configured delta after the recorded rounds (``inf`` when noise is disabled)."""
         if self.steps == 0:
             return 0.0
         if not self.config.enabled:
             return float("inf")
-        return self.rho + 2.0 * math.sqrt(self.rho * math.log(1.0 / delta))
+        return self.rho + 2.0 * math.sqrt(self.rho * math.log(1.0 / self.config.delta))
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -187,16 +184,7 @@ class PrivateUpdateLog:
             self.clipped_fraction_hits += 1
 
     @property
-    def num_updates(self) -> int:
-        return len(self.raw_norms)
-
-    @property
     def clipped_fraction(self) -> float:
         if not self.raw_norms:
             return 0.0
         return self.clipped_fraction_hits / len(self.raw_norms)
-
-    def median_norm(self) -> float:
-        if not self.raw_norms:
-            return 0.0
-        return float(np.median(self.raw_norms))

@@ -125,7 +125,6 @@ class DayNightAvailability(AvailabilityModel):
 def create_availability(
     name: Optional[str],
     rate: float = 0.9,
-    period: float = 86_400.0,
     seed: int = 0,
 ) -> AvailabilityModel:
     """Instantiate an availability model by name (``None`` = always on)."""
@@ -135,5 +134,5 @@ def create_availability(
     if key == "bernoulli":
         return BernoulliAvailability(rate=rate, seed=seed)
     if key == "daynight":
-        return DayNightAvailability(duty_fraction=rate, period=period)
+        return DayNightAvailability(duty_fraction=rate)
     raise ValueError(f"unknown availability model {name!r}; available: {AVAILABILITY_CHOICES}")

@@ -19,10 +19,8 @@ from typing import Dict
 class VirtualClock:
     """Monotonic simulated time in seconds."""
 
-    def __init__(self, start: float = 0.0):
-        if start < 0.0:
-            raise ValueError(f"start time must be non-negative, got {start}")
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     @property
     def now(self) -> float:

@@ -53,6 +53,9 @@ IDLE_WAIT_SECONDS = 60.0
 #: Consecutive idle waits tolerated before the scheduler declares deadlock.
 MAX_IDLE_WAITS = 100_000
 
+#: FedBuff's staleness down-weighting exponent: ``(1 + staleness) ** -0.5``.
+STALENESS_EXPONENT = 0.5
+
 
 @dataclass
 class RoundPlan:
@@ -248,10 +251,8 @@ class RoundScheduler:
         availability: AvailabilityModel,
         latency: LatencyModel,
         options: SchedulingOptions = SchedulingOptions(),
-        staleness_exponent: float = 0.5,
         clock: Optional[VirtualClock] = None,
     ):
-        check_positive("staleness_exponent", staleness_exponent, allow_zero=True)
         self.sampler = sampler
         self.availability = availability
         self.latency = latency
@@ -260,7 +261,6 @@ class RoundScheduler:
         self.deadline = float(options.deadline) if options.deadline is not None else None
         self.over_selection = float(options.over_selection)
         self.buffer_size = int(options.buffer_size)
-        self.staleness_exponent = float(staleness_exponent)
         self.clock = clock if clock is not None else VirtualClock()
         self._client_ids: List[int] = []
         self._idle_waits = 0
@@ -324,7 +324,6 @@ class RoundScheduler:
         round_index: int,
         exclude: Sequence[int] = (),
         size: Optional[int] = None,
-        multiplier: float = 1.0,
     ) -> List[int]:
         """One cohort draw over the currently available clients.
 
@@ -334,7 +333,7 @@ class RoundScheduler:
         """
         if size is not None and int(size) <= 0:
             return []
-        cohort, _ = self._select(round_index, exclude=exclude, size=size, multiplier=multiplier)
+        cohort, _ = self._select(round_index, exclude=exclude, size=size)
         return cohort
 
     def wait_for_clients(self) -> None:
@@ -433,7 +432,7 @@ class RoundScheduler:
     # -- fedbuff bookkeeping -------------------------------------------------------
     def staleness_weight(self, staleness: int) -> float:
         """FedBuff down-weighting: ``(1 + staleness) ** -exponent``."""
-        return float((1.0 + max(0, int(staleness))) ** (-self.staleness_exponent))
+        return float((1.0 + max(0, int(staleness))) ** (-STALENESS_EXPONENT))
 
     def record_dispatch(self, count: int) -> None:
         self._selected += int(count)
@@ -471,7 +470,7 @@ class RoundScheduler:
             description["deadline"] = self.deadline
         if self.policy == "fedbuff":
             description["buffer_size"] = self.buffer_size
-            description["staleness_exponent"] = self.staleness_exponent
+            description["staleness_exponent"] = STALENESS_EXPONENT
         return description
 
     def state(self) -> Dict[str, object]:

@@ -176,13 +176,12 @@ class Channel:
         downlink_codec: Optional[Codec] = None,
         delta_upload: bool = False,
         error_feedback: bool = False,
-        tracker: Optional[CommunicationTracker] = None,
     ):
         self.uplink_codec = codec
         self.downlink_codec = downlink_codec if downlink_codec is not None else codec
         self.delta_upload = bool(delta_upload)
         self.error_feedback = bool(error_feedback)
-        self.tracker = tracker if tracker is not None else CommunicationTracker()
+        self.tracker = CommunicationTracker()
         self._references: Dict[int, State] = {}
         self._residuals: Dict[int, State] = {}
         self._round = -1
@@ -315,13 +314,6 @@ class Channel:
         return merge_partition(state, reconstructed, upload_names)
 
     # -- introspection ----------------------------------------------------------
-    def residual_norm(self, client_id: int) -> float:
-        """L2 norm of one client's error-feedback residual (0 when absent)."""
-        residual = self._residuals.get(int(client_id))
-        if residual is None:
-            return 0.0
-        return float(np.sqrt(sum(float(np.sum(v**2)) for v in residual.values())))
-
     def summary(self) -> ChannelSummary:
         """Measured totals and per-round breakdowns of this run so far."""
         return ChannelSummary(

@@ -57,11 +57,6 @@ class RoutabilityModel(Module):
             )
         return names
 
-    def global_parameter_names(self) -> List[str]:
-        """Parameter names shared with the developer under FedProx-LG."""
-        local = set(self.local_parameter_names())
-        return [name for name, _ in self.named_parameters() if name not in local]
-
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.compute_dtype)
         if x.ndim != 4 or x.shape[1] != self.in_channels:

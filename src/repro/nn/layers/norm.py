@@ -28,15 +28,13 @@ class BatchNorm2d(Module):
     as the paper describes).
     """
 
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, num_features: int):
         super().__init__()
         if num_features <= 0:
             raise ValueError(f"num_features must be positive, got {num_features}")
-        if not 0.0 < momentum <= 1.0:
-            raise ValueError(f"momentum must be in (0, 1], got {momentum}")
         self.num_features = int(num_features)
-        self.eps = float(eps)
-        self.momentum = float(momentum)
+        self.eps = 1e-5
+        self.momentum = 0.1
         self.weight = Parameter(np.ones(num_features), name="weight")
         self.bias = Parameter(np.zeros(num_features), name="bias")
         self.register_buffer("running_mean", np.zeros(num_features))
@@ -95,7 +93,7 @@ class BatchNorm2d(Module):
         return grad_input
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BatchNorm2d({self.num_features}, eps={self.eps}, momentum={self.momentum})"
+        return f"BatchNorm2d({self.num_features})"
 
 
 class GroupNorm(Module):
@@ -109,7 +107,7 @@ class GroupNorm(Module):
     over (C, H, W).
     """
 
-    def __init__(self, num_groups: int, num_channels: int, eps: float = 1e-5):
+    def __init__(self, num_groups: int, num_channels: int):
         super().__init__()
         if num_groups <= 0 or num_channels <= 0:
             raise ValueError("num_groups and num_channels must be positive")
@@ -119,7 +117,7 @@ class GroupNorm(Module):
             )
         self.num_groups = int(num_groups)
         self.num_channels = int(num_channels)
-        self.eps = float(eps)
+        self.eps = 1e-5
         self.weight = Parameter(np.ones(num_channels), name="weight")
         self.bias = Parameter(np.zeros(num_channels), name="bias")
         self._cache: Optional[Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]] = None
@@ -163,4 +161,4 @@ class GroupNorm(Module):
         return grad_input.reshape(n, c, h, w)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GroupNorm({self.num_groups}, {self.num_channels}, eps={self.eps})"
+        return f"GroupNorm({self.num_groups}, {self.num_channels})"

@@ -51,12 +51,6 @@ class Module:
             self._modules[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, param: Parameter) -> Parameter:
-        """Explicitly register a parameter (equivalent to attribute assignment)."""
-        self._parameters[name] = param
-        object.__setattr__(self, name, param)
-        return param
-
     def register_buffer(self, name: str, array: np.ndarray) -> np.ndarray:
         """Register a non-trainable persistent array (e.g. BatchNorm running stats)."""
         array = np.asarray(array, dtype=self.compute_dtype)
@@ -213,23 +207,23 @@ class Module:
             state[name] = np.array(buf, dtype=np.float64, copy=True)
         return state
 
-    def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load parameter and buffer values from a flat mapping."""
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Load parameter and buffer values from a flat mapping with exactly these keys."""
         own_params = dict(self.named_parameters())
         own_buffer_owners = self._buffer_owners()
         missing = []
         for name, param in own_params.items():
             if name in state:
                 param.copy_(state[name])
-            elif strict:
+            else:
                 missing.append(name)
         for name, (owner, local_name) in own_buffer_owners.items():
             if name in state:
                 owner.set_buffer(local_name, state[name])
-            elif strict:
+            else:
                 missing.append(name)
         unexpected = [key for key in state if key not in own_params and key not in own_buffer_owners]
-        if strict and (missing or unexpected):
+        if missing or unexpected:
             raise KeyError(
                 f"state dict mismatch: missing keys {missing}, unexpected keys {unexpected}"
             )

@@ -117,17 +117,12 @@ class Adam(Optimizer):
         self,
         parameters: Sequence[Parameter],
         lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         super().__init__(parameters, lr, weight_decay)
-        beta1, beta2 = betas
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError(f"betas must be in [0, 1), got {betas}")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+        self.beta1 = 0.9
+        self.beta2 = 0.999
+        self.eps = 1e-8
         self._step_count = 0
         self._first_moment: Dict[int, np.ndarray] = {}
         self._second_moment: Dict[int, np.ndarray] = {}
@@ -167,24 +162,17 @@ class Adam(Optimizer):
             np.divide(work, work2, out=work)
             np.subtract(param.data, work, out=param.data)
 
-    def reset_state(self) -> None:
-        """Drop accumulated moments (used when a fresh round re-initializes training)."""
-        self._step_count = 0
-        self._first_moment.clear()
-        self._second_moment.clear()
-
 
 def make_optimizer(
     name: str,
     parameters: Sequence[Parameter],
     lr: float,
     weight_decay: float = 0.0,
-    momentum: float = 0.9,
 ) -> Optimizer:
-    """Factory mapping configuration strings to optimizer instances."""
+    """Factory mapping configuration strings to optimizer instances (SGD with momentum 0.9)."""
     name = name.lower()
     if name == "sgd":
-        return SGD(parameters, lr=lr, momentum=momentum, weight_decay=weight_decay)
+        return SGD(parameters, lr=lr, momentum=0.9, weight_decay=weight_decay)
     if name == "adam":
         return Adam(parameters, lr=lr, weight_decay=weight_decay)
     raise ValueError(f"unknown optimizer {name!r}; expected 'sgd' or 'adam'")

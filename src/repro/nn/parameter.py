@@ -68,9 +68,5 @@ class Parameter:
             )
         np.copyto(self.data, values, casting="same_kind")
 
-    def clone(self) -> np.ndarray:
-        """Return a defensive copy of the parameter values."""
-        return self.data.copy()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"

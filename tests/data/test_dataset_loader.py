@@ -61,34 +61,6 @@ class TestRoutabilityDataset:
         with pytest.raises(ValueError):
             dataset.add(make_sample(grid=16))
 
-    def test_filter_designs(self):
-        dataset = make_dataset()
-        subset = dataset.filter_designs(["d0", "d2"])
-        assert len(subset) == 6
-        assert set(subset.design_names()) == {"d0", "d2"}
-
-    def test_subset_by_indices(self):
-        dataset = make_dataset()
-        subset = dataset.subset([0, 5, 7])
-        assert len(subset) == 3
-
-    def test_split_by_design_is_disjoint(self):
-        dataset = make_dataset(n_designs=6)
-        train, test = dataset.split_by_design(0.7, np.random.default_rng(0))
-        assert set(train.design_names()).isdisjoint(set(test.design_names()))
-        assert len(train) + len(test) == len(dataset)
-        assert len(train) > 0 and len(test) > 0
-
-    def test_split_requires_two_designs(self):
-        dataset = make_dataset(n_designs=1)
-        with pytest.raises(ValueError):
-            dataset.split_by_design(0.5, np.random.default_rng(0))
-
-    def test_split_fraction_validation(self):
-        dataset = make_dataset()
-        with pytest.raises(ValueError):
-            dataset.split_by_design(1.5, np.random.default_rng(0))
-
     def test_save_and_load_round_trip(self, tmp_path):
         dataset = make_dataset()
         path = dataset.save(tmp_path / "ds")
@@ -130,7 +102,6 @@ class TestDataLoader:
     def test_number_of_batches(self):
         dataset = make_dataset()  # 12 samples
         assert len(DataLoader(dataset, batch_size=5)) == 3
-        assert len(DataLoader(dataset, batch_size=5, drop_last=True)) == 2
         assert len(DataLoader(dataset, batch_size=4)) == 3
 
     def test_covers_all_samples(self):
@@ -147,12 +118,6 @@ class TestDataLoader:
         features_b, _ = next(iter(loader_b))
         assert not np.allclose(features_a, features_b)
 
-    def test_sample_batch(self):
-        dataset = make_dataset()
-        loader = DataLoader(dataset, batch_size=4, rng=np.random.default_rng(0))
-        features, labels = loader.sample_batch()
-        assert features.shape[0] == 4 and labels.shape[0] == 4
-
     def test_infinite_batches_wraps_around(self):
         dataset = make_dataset()
         loader = DataLoader(dataset, batch_size=6, rng=np.random.default_rng(0))
@@ -160,13 +125,19 @@ class TestDataLoader:
         batches = [next(iterator) for _ in range(5)]
         assert len(batches) == 5
 
-    def test_infinite_batches_rejects_a_loader_without_a_full_batch(self):
-        # Used to spin forever, reshuffling an epoch that yields nothing.
-        dataset = make_dataset(n_designs=1)  # 3 samples
-        loader = DataLoader(dataset, batch_size=8, drop_last=True)
-        assert len(loader) == 0
-        with pytest.raises(ValueError, match="batch_size 8 .* 3 samples"):
-            next(infinite_batches(loader))
+    def test_infinite_batches_serve_each_short_final_batch(self):
+        dataset = make_dataset()  # 12 samples
+        iterator = infinite_batches(DataLoader(dataset, batch_size=5, rng=np.random.default_rng(0)))
+        sizes = [next(iterator)[0].shape[0] for _ in range(6)]
+        assert sizes == [5, 5, 2, 5, 5, 2]
+
+    def test_batch_larger_than_dataset_is_one_short_batch(self):
+        dataset = make_dataset()  # 12 samples
+        loader = DataLoader(dataset, batch_size=20, shuffle=False)
+        assert len(loader) == 1
+        batches = list(loader)
+        assert len(batches) == 1
+        np.testing.assert_array_equal(batches[0][0], dataset.packed_arrays()[0])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -253,15 +224,6 @@ class TestCollateParity:
         for (fa, ya), (fb, yb) in zip(fast_batches, slow_batches):
             np.testing.assert_array_equal(fa, fb)
             np.testing.assert_array_equal(ya, yb)
-
-    def test_sample_batch_matches_stacked_reference(self):
-        dataset = make_dataset()
-        fast = DataLoader(dataset, batch_size=4, rng=np.random.default_rng(9))
-        slow = StackedLoader(dataset, batch_size=4, rng=np.random.default_rng(9))
-        f_fast, y_fast = fast.sample_batch()
-        f_slow, y_slow = slow.sample_batch()
-        np.testing.assert_array_equal(f_fast, f_slow)
-        np.testing.assert_array_equal(y_fast, y_slow)
 
     def test_batches_reuse_buffers(self):
         dataset = make_dataset()

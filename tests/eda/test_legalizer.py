@@ -84,10 +84,6 @@ class TestLegalizer:
         die_span = small_placement.die_width_um + small_placement.die_height_um
         assert report.max_displacement_um <= die_span
 
-    def test_rejects_bad_row_spacing(self):
-        with pytest.raises(ValueError):
-            Legalizer(row_spacing_um=0.0)
-
     def test_convenience_wrapper(self, small_placement):
         placement, report = legalize_placement(small_placement)
         assert placement.num_cells == small_placement.num_cells

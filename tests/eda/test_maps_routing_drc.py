@@ -28,6 +28,14 @@ class TestCellDensityMap:
         total_cell_area = float(np.prod(small_placement.sizes_um[mask], axis=1).sum())
         assert density.sum() * bin_area == pytest.approx(total_cell_area, rel=1e-6)
 
+    def test_macros_are_left_out(self, macro_placement):
+        density = map_ext.cell_density_map(macro_placement)
+        bin_area = macro_placement.bin_width_um * macro_placement.bin_height_um
+        areas = np.prod(macro_placement.sizes_um, axis=1)
+        std_area = float(areas[~macro_placement.is_macro].sum())
+        assert macro_placement.is_macro.any()
+        assert density.sum() * bin_area == pytest.approx(std_area, rel=1e-6)
+
     def test_mean_density_tracks_utilization(self, small_placement):
         density = map_ext.cell_density_map(small_placement)
         assert density.mean() == pytest.approx(small_placement.config.utilization, rel=0.1)

@@ -114,7 +114,6 @@ class TestTechnology:
         tech = nangate45()
         assert len(tech.horizontal_layers) == 3
         assert len(tech.vertical_layers) == 3
-        assert tech.site_area_um2() > 0
 
     def test_capacity_scales_with_span(self):
         tech = nangate45()

@@ -79,7 +79,7 @@ class TestPlacer:
         name = placement.cell_names[0]
         index = placement.cell_index(name)
         assert index == 0
-        cx, cy = placement.cell_center_um(name)
+        cx, cy = placement.centers_um()[index]
         assert 0 <= cx <= placement.die_width_um
         assert 0 <= cy <= placement.die_height_um
 

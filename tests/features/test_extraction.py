@@ -59,15 +59,6 @@ class TestFeatureExtractor:
         with pytest.raises(ValueError):
             FeatureExtractor(normalization="zscore")
 
-    def test_extract_batch(self, small_placement):
-        extractor = FeatureExtractor()
-        batch = extractor.extract_batch([small_placement, small_placement])
-        assert batch.shape == (2, extractor.num_channels) + small_placement.grid_shape
-
-    def test_extract_batch_empty_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureExtractor().extract_batch([])
-
     def test_available_features_superset_of_defaults(self):
         assert set(DEFAULT_FEATURES).issubset(set(available_features()))
 

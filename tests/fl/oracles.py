@@ -5,8 +5,9 @@ Every public state function in ``src/`` packs what it is given into a
 ``name -> ndarray`` loops that body must equal bit for bit (``1e-12`` for
 the GEMV of ``weighted_average``): they take dicts, return dicts and are
 reachable from nothing in ``src/``.  The drift oracle is the pairwise loop
-the accumulator's per-arrival spread must equal (``1e-10``), and
-``folded_states`` reads the rows an accumulator has folded its states into.  The three
+the accumulator's per-arrival spread must equal (``1e-10``),
+``folded_states`` reads the rows an accumulator has folded its states into
+and ``has_spilled`` whether it has left them for its running sum.  The three
 server rules the personalised rows used before they folded into the round
 loop's accumulators (partition, merge, per-cluster) are what two rounds of
 FedProx-LG and IFCA must equal bit for bit.
@@ -156,6 +157,13 @@ def folded_states(accumulator):
         return None if accumulator.count else []
     rows = accumulator._matrix[: accumulator.count]
     return [FlatState(accumulator._layout, row.copy()) for row in rows]
+
+
+def has_spilled(accumulator):
+    """Whether a streaming (or streaming-delta) accumulator has left its
+    exact-parity rows for the running O(P) sum."""
+    running = accumulator._sum if hasattr(accumulator, "_sum") else accumulator._delta_sum
+    return running is not None
 
 
 def pairwise_rms_distance_oracle(states):

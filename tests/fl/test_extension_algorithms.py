@@ -205,5 +205,5 @@ class TestDPFedProx:
             privacy=PrivacyConfig(clip_norm=1e-4, noise_multiplier=0.0),
         )
         algorithm.run()
-        assert algorithm.update_log.num_updates == TINY_CONFIG.rounds * len(two_clients_flnet)
+        assert len(algorithm.update_log.raw_norms) == TINY_CONFIG.rounds * len(two_clients_flnet)
         assert algorithm.update_log.clipped_fraction == 1.0

@@ -919,3 +919,26 @@ class TestAtomicCheckpointWrites:
         assert written.suffix == ".npz"
         assert not list(tmp_path.glob("*.tmp"))
         assert states_equal(load_state_dict(written), {"w": np.ones(3)})
+
+
+class TestClientExecutionErrorMessage:
+    def test_message_names_the_client_index_and_backend(self):
+        error = ClientExecutionError("boom", client_id=7, client_index=2, backend="thread")
+        assert str(error) == "boom [client '7' (index 2) on backend 'thread']"
+        assert error.kind == "exception"
+        assert error.remote_traceback is None
+
+    def test_remote_traceback_follows_the_message(self):
+        error = ClientExecutionError(
+            "lost",
+            client_id="3",
+            client_index=0,
+            backend="process",
+            kind="crash",
+            remote_traceback="Traceback: ValueError",
+        )
+        assert str(error) == (
+            "lost [client '3' (index 0) on backend 'process']"
+            "\n--- remote traceback ---\nTraceback: ValueError"
+        )
+        assert error.kind == "crash"

@@ -220,7 +220,7 @@ class TestOversizedAndPoison:
         reader.feed(frame)
         assert reader.frames_decoded == 1
         assert reader.offset == len(frame)
-        assert reader.buffered_bytes == 0
+        assert len(reader._buffer) == 0
 
     def test_header_trailer_constants(self):
         # The frame layout documented in docs/deployment.md.

@@ -29,6 +29,11 @@ from repro.fl.net import JournalError, MessageJournal, encode_frame
 from repro.fl.net.messages import MSG_TASK
 
 
+def high_seq(journal, client_id):
+    """The highest seq ever journaled for a client (0 if none)."""
+    return journal._high.get(client_id, 0)
+
+
 class TestJournalBasics:
     def test_record_and_ack(self, tmp_path):
         with MessageJournal(tmp_path) as journal:
@@ -37,7 +42,7 @@ class TestJournalBasics:
             assert journal.pending(1) == {1: b"task-one", 2: b"task-two"}
             journal.record_ack(1, 1)
             assert journal.pending(1) == {2: b"task-two"}
-            assert journal.high_seq(1) == 2
+            assert high_seq(journal, 1) == 2
 
     def test_clients_are_independent(self, tmp_path):
         with MessageJournal(tmp_path) as journal:
@@ -64,13 +69,13 @@ class TestJournalBasics:
         with MessageJournal(tmp_path) as journal:
             journal.record_ack(3, 9)
             assert journal.pending(3) == {}
-            assert journal.high_seq(3) == 9
+            assert high_seq(journal, 3) == 9
 
     def test_unknown_client_queries_are_empty(self, tmp_path):
         with MessageJournal(tmp_path) as journal:
             assert journal.pending(99) == {}
             assert journal.pending_after(99, 0) == []
-            assert journal.high_seq(99) == 0
+            assert high_seq(journal, 99) == 0
 
 
 class TestJournalPersistence:
@@ -81,7 +86,7 @@ class TestJournalPersistence:
             journal.record_ack(1, 1)
         with MessageJournal(tmp_path) as reloaded:
             assert reloaded.pending(1) == {2: b"two"}
-            assert reloaded.high_seq(1) == 2
+            assert high_seq(reloaded, 1) == 2
             assert reloaded.truncated_bytes == 0
 
     def test_append_after_reload(self, tmp_path):
@@ -225,7 +230,7 @@ class TestJournalCompaction:
     def test_reload_keeps_high_water_marks_and_an_empty_replay_set(self, tmp_path):
         run_rounds(tmp_path, 5)
         with MessageJournal(tmp_path) as reloaded:
-            assert reloaded.high_seq(1) == reloaded.high_seq(2) == 5
+            assert high_seq(reloaded, 1) == high_seq(reloaded, 2) == 5
             assert reloaded.high_state_id == 5
             assert reloaded.pending_after(1, 0) == reloaded.pending_after(2, 0) == []
             assert reloaded.state(5) is None
@@ -260,4 +265,4 @@ class TestJournalCompaction:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["client-1.journal", "states.journal"]
         with MessageJournal(tmp_path) as compacted:
             assert compacted.pending(1) == {}
-            assert (compacted.high_seq(1), compacted.high_state_id) == (1, 1)
+            assert (high_seq(compacted, 1), compacted.high_state_id) == (1, 1)

@@ -28,6 +28,7 @@ The anchor guarantees of the PR:
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import gc
 import logging
 import pickle
@@ -48,6 +49,7 @@ from repro.fl import (
     create_channel,
 )
 from repro.fl.net import (
+    FederationServer,
     FrameError,
     FrameReader,
     HandshakeError,
@@ -64,6 +66,7 @@ from repro.fl.net.messages import (
     MSG_WELCOME,
     PROTOCOL_VERSION,
     Hello,
+    UpdateEnvelope,
     decode_message,
     encode_message,
 )
@@ -500,6 +503,38 @@ class TestNetworkFailuresAsTaskFailures:
         with pytest.raises(ValueError):
             list(backend.imap_outcomes(tasks))
         backend.close()
+
+    def test_update_whose_ack_cannot_be_sent_still_resolves_its_task(self, tmp_path):
+        """A joiner SIGKILLed right after sending an update: the ack write
+        fails, and the update must still reach the round, or it waits forever
+        (the task has already left the pending set and the journal)."""
+
+        class DeadPeer:
+            async def send_ack(self, client_id, seq):
+                raise ConnectionResetError("Connection lost")
+
+        async def scenario():
+            server = FederationServer(
+                [1], heartbeat_interval=0.1, client_timeout=0.4, journal_dir=tmp_path
+            )
+            await server.start()
+            try:
+                future = concurrent.futures.Future()
+                server._register_state(1, b"carrier", 1)
+                await server._dispatch((1, "train", 1, False, 1, 0.0, None), future)
+                update = UpdateEnvelope(client_id=1, seq=1, stats={"loss": 0.5})
+                with pytest.raises(ConnectionResetError):
+                    await server.handle_update(DeadPeer(), update)
+                return future, dict(server.counters), dict(server.state_refs)
+            finally:
+                await server.stop()
+
+        future, counters, state_refs = asyncio.run(scenario())
+        assert future.done() and future.result(timeout=0) == UpdateEnvelope(
+            client_id=1, seq=1, stats={"loss": 0.5}
+        )
+        assert counters["completed"] == 1
+        assert state_refs == {}
 
 
 class TestHandshake:

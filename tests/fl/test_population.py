@@ -204,7 +204,7 @@ class TestLaziness:
         assert handle.client_id == 4322
         assert handle.num_samples == directory[4321 % 2].num_samples
         assert handle.rng_state == initial_rng_state(4322)
-        assert not handle.is_materialized
+        assert handle._client is None
         assert directory.eager_clients == 0
         assert directory.total_materializations == 0
 
@@ -233,7 +233,7 @@ class TestLaziness:
         advanced = client.rng_state
         handle.release()
         assert directory.eager_clients == 0
-        assert not handle.is_materialized
+        assert handle._client is None
         assert handle.rng_state == advanced  # captured, not reset
         rebuilt = handle.materialize()
         assert rebuilt is not client  # a genuinely fresh client...
@@ -507,7 +507,7 @@ class TestHandleTransport:
         client._rng.standard_normal(5)
         expected_rng = client.rng_state
         clone = pickle.loads(pickle.dumps(handle))
-        assert not clone.is_materialized  # ships virtual, rebuilt on demand
+        assert clone._client is None  # ships virtual, rebuilt on demand
         assert clone.client_id == handle.client_id
         assert clone.rng_state == expected_rng
         handle.release()
@@ -545,7 +545,7 @@ class TestJoinerRelease:
         runner = FederationClientRunner([handle], "127.0.0.1", 1)
         update = runner._execute(self.envelope(state))
         assert update.error is None and update.state is not None
-        assert not handle.is_materialized
+        assert handle._client is None
         assert directory.eager_clients == 0
         # The post-training stream is what the update carries, and the handle keeps it.
         assert handle.rng_state == update.rng_state != initial_rng_state(1)
@@ -560,5 +560,5 @@ class TestJoinerRelease:
         update = runner._execute(self.envelope(wrong))
         assert update.error is not None
         assert directory.total_materializations == 1  # it trained far enough to build the client
-        assert not handle.is_materialized
+        assert handle._client is None
         assert directory.eager_clients == 0

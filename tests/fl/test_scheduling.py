@@ -268,6 +268,15 @@ class TestAvailability:
         with pytest.raises(ValueError, match="unknown availability"):
             create_availability("weekends")
 
+    def test_create_daynight_cycles_over_one_day_at_the_rate(self):
+        model = create_availability("daynight", rate=0.25)
+        assert model.duty_fraction == 0.25
+        assert model.period == 86_400.0
+        # Client 0 has phase 0: on for the first quarter of each day.
+        assert model.available(0, 1, 21_599.0)
+        assert not model.available(0, 1, 21_601.0)
+        assert model.available(0, 1, 86_400.0 + 10.0)
+
 
 class TestLatency:
     def test_zero(self):
@@ -386,6 +395,19 @@ class TestCreateScheduler:
         assert description["deadline"] == 30.0
         assert "uniform" in description["sampler"]
         assert "heavytail" in description["straggler"]
+
+    def test_fedbuff_down_weights_by_inverse_square_root_of_staleness(self):
+        scheduler = create_scheduler(SchedulingOptions(round_policy="fedbuff", buffer_size=2))
+        weights = [scheduler.staleness_weight(s) for s in range(4)]
+        assert weights == [1.0, 2.0**-0.5, 3.0**-0.5, 0.5]
+        assert scheduler.staleness_weight(-3) == 1.0
+
+    def test_fedbuff_fingerprint_records_the_staleness_exponent(self):
+        scheduler = create_scheduler(SchedulingOptions(round_policy="fedbuff", buffer_size=2))
+        description = scheduler.describe()
+        assert description["policy"] == "fedbuff"
+        assert description["buffer_size"] == 2
+        assert description["staleness_exponent"] == 0.5
 
 
 #: The algorithms whose cross-round state is one global model.

@@ -320,7 +320,7 @@ def test_a_spilled_fold_refuses_and_packs_like_a_buffered_one():
     accumulator = StreamingAccumulator(PARITY_LIMIT + 3)
     for seed in range(PARITY_LIMIT + 1):
         accumulator.fold(random_state(seed), 1.0)
-    assert accumulator.spilled
+    assert O.has_spilled(accumulator)
     accumulator.fold(permuted(random_state(99)), 2.0)
     with pytest.raises(ValueError, match="state 1 has different keys than state 0"):
         accumulator.fold(_missing_key(random_state(100)), 1.0)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.fl import FLConfig, FederatedClient, LocalTrainer, predict_dataset
+from repro.fl import FLConfig, FederatedClient, LocalTrainer, SeededModelFactory, predict_dataset
 from repro.fl.config import PAPER_ASSIGNED_CLUSTERS
 from repro.fl.parameters import state_distance
 from repro.fl.trainer import add_proximal_gradient, proximal_terms
@@ -28,7 +28,9 @@ SMALL_FL_CONFIG = FLConfig(
 
 
 def small_flnet_factory(num_channels):
-    return lambda: FLNet(num_channels, hidden_filters=8, kernel_size=5, seed=0)
+    return SeededModelFactory(
+        lambda seed: FLNet(num_channels, hidden_filters=8, kernel_size=5, seed=seed), base_seed=0
+    )
 
 
 class TestFLConfig:

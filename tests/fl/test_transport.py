@@ -73,6 +73,14 @@ TINY_CONFIG = FLConfig(
 )
 
 
+def residual_norm(channel, client_id):
+    """L2 norm of one client's error-feedback residual (0 when absent)."""
+    residual = channel._residuals.get(client_id)
+    if residual is None:
+        return 0.0
+    return float(np.sqrt(sum(float(np.sum(v**2)) for v in residual.values())))
+
+
 def _state(seed=0):
     rng = np.random.default_rng(seed)
     return {
@@ -368,6 +376,14 @@ class TestChannel:
         with pytest.raises(RuntimeError, match="broadcast reference"):
             channel.receive(1, state=_state())
 
+    def test_each_channel_measures_its_own_traffic(self):
+        first = create_channel("none")
+        second = create_channel("none")
+        assert first.tracker is not second.tracker
+        first.broadcast([_state()], [1])
+        assert first.tracker.total_downlink_bytes > 0
+        assert second.tracker.total_downlink_bytes == 0
+
     def test_delta_upload_reconstruction(self):
         state = _state(13)
         channel = Channel(QuantizationCodec(8, deflate=False), delta_upload=True)
@@ -390,7 +406,7 @@ class TestChannel:
         rng = np.random.default_rng(3)
         new_state = {k: v + 0.1 * rng.normal(size=np.shape(v)) for k, v in state.items()}
         channel.receive(1, state=new_state)
-        first_residual = channel.residual_norm(1)
+        first_residual = residual_norm(channel, 1)
         assert first_residual > 0.0  # the codec dropped something
 
         # Round 2: upload an unchanged state.  Without error feedback the
@@ -399,7 +415,7 @@ class TestChannel:
         # from round 1 get through and the residual shrinks.
         channel.broadcast([state], [1])
         channel.receive(1, state=state)
-        assert channel.residual_norm(1) < first_residual
+        assert residual_norm(channel, 1) < first_residual
 
     def test_summary_reports_per_round(self):
         state = _state(15)
@@ -813,4 +829,4 @@ class TestChannelTrainingIntegration:
         assert np.all(np.isfinite(losses))
         assert losses[-1] < losses[0]
         # The codec genuinely dropped something along the way.
-        assert any(channel.residual_norm(cid) > 0 for cid in (1, 2))
+        assert any(residual_norm(channel, cid) > 0 for cid in (1, 2))

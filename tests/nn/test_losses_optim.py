@@ -67,12 +67,10 @@ class TestBCELosses:
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(3, 3))
         target = (rng.random((3, 3)) > 0.5).astype(float)
-        loss = BCEWithLogitsLoss(pos_weight=2.0)
+        loss = BCEWithLogitsLoss()
         loss.forward(logits, target)
         analytic = loss.backward()
-        numeric = numerical_gradient(
-            lambda p: BCEWithLogitsLoss(pos_weight=2.0).forward(p, target), logits.copy()
-        )
+        numeric = numerical_gradient(lambda p: BCEWithLogitsLoss().forward(p, target), logits.copy())
         np.testing.assert_allclose(analytic, numeric, atol=1e-6)
 
     def test_factory(self):
@@ -81,6 +79,28 @@ class TestBCELosses:
         assert isinstance(make_loss("bce_logits"), BCEWithLogitsLoss)
         with pytest.raises(ValueError):
             make_loss("hinge")
+
+    @pytest.mark.parametrize("name", ["focal", "dice", "weighted_mse"])
+    def test_factory_refuses_losses_no_config_selects(self, name):
+        with pytest.raises(ValueError, match="unknown loss"):
+            make_loss(name)
+
+    def test_factory_takes_no_loss_options(self):
+        with pytest.raises(TypeError):
+            make_loss("bce", eps=1e-3)
+
+    def test_bce_clips_saturated_probabilities_at_1e_7(self):
+        value = BCELoss().forward(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        assert value == pytest.approx(-np.log(1e-7))
+
+    def test_bce_logits_gradient_is_probability_minus_target(self):
+        from repro.nn.functional import sigmoid
+
+        logits = np.array([[-2.0, 0.0], [1.5, 4.0]])
+        target = np.array([[0.0, 1.0], [1.0, 0.0]])
+        loss = BCEWithLogitsLoss()
+        loss.forward(logits, target)
+        np.testing.assert_allclose(loss.backward(), (sigmoid(logits) - target) / 4, rtol=1e-15)
 
 
 def quadratic_problem(seed=0):
@@ -116,14 +136,37 @@ class TestOptimizers:
             optimizer.step()
         assert np.all(np.abs(param.data) < 10.0)
 
-    def test_adam_step_count_and_reset(self):
+    def test_adam_step_count(self):
         param = Parameter(np.ones(2))
         adam = Adam([param], lr=0.1)
         param.grad = np.ones(2)
         adam.step()
         assert adam._step_count == 1
-        adam.reset_state()
-        assert adam._step_count == 0
+
+    def test_adam_steps_with_the_standard_constants(self):
+        grads = [np.array([0.5, -2.0, 1e-3]), np.array([-1.0, 3.0, 0.0])]
+        param = Parameter(np.array([1.0, -1.0, 0.25]))
+        adam = Adam([param], lr=0.01)
+        expected = param.data.copy()
+        m = np.zeros(3)
+        v = np.zeros(3)
+        for t, grad in enumerate(grads, start=1):
+            param.grad = grad.copy()
+            adam.step()
+            m = 0.9 * m + 0.1 * grad
+            v = 0.999 * v + 0.001 * grad**2
+            expected -= 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+            np.testing.assert_allclose(param.data, expected, rtol=1e-12, atol=1e-15)
+
+    def test_factory_sgd_carries_momentum_0_9(self):
+        param = Parameter(np.zeros(2))
+        sgd = make_optimizer("sgd", [param], lr=0.1)
+        assert sgd.momentum == 0.9
+        for _ in range(2):
+            param.grad = np.ones(2)
+            sgd.step()
+        # velocity 1 then 1.9: the parameter moved by 0.1 * (1 + 1.9).
+        np.testing.assert_allclose(param.data, -0.29, rtol=1e-12)
 
     def test_factory(self):
         param = Parameter(np.zeros(2))

@@ -37,11 +37,6 @@ class TestRegistration:
         state = bn.state_dict()
         assert "running_mean" in state and "running_var" in state
 
-    def test_explicit_register_parameter(self):
-        module = Module()
-        param = module.register_parameter("p", Parameter(np.zeros(3)))
-        assert module.parameters() == [param]
-
 
 class TestStateDict:
     def test_round_trip(self):
@@ -70,13 +65,6 @@ class TestStateDict:
         state["bogus"] = np.zeros(1)
         with pytest.raises(KeyError):
             net.load_state_dict(state)
-
-    def test_non_strict_load_ignores_mismatch(self):
-        net = TinyNet()
-        state = net.state_dict()
-        del state["fc2.bias"]
-        state["bogus"] = np.zeros(1)
-        net.load_state_dict(state, strict=False)
 
     def test_buffer_round_trip(self):
         bn = BatchNorm2d(2)
@@ -138,9 +126,3 @@ class TestParameter:
         param = Parameter(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             param.copy_(np.zeros(3))
-
-    def test_clone_is_independent(self):
-        param = Parameter(np.ones(3))
-        cloned = param.clone()
-        cloned[:] = 5.0
-        np.testing.assert_allclose(param.data, np.ones(3))

@@ -62,7 +62,7 @@ class TestSmokeExperiment:
     def test_personalized_algorithm_runs(self, smoke_runner):
         result = smoke_runner.run(["fedprox_finetune"])
         outcome = result.outcomes[0]
-        assert outcome.training.is_personalized
+        assert outcome.training.client_states
         assert set(outcome.evaluation.per_client_auc) == {1, 2, 3}
 
     def test_experiment_result_accessors(self, smoke_runner):
