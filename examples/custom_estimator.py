@@ -22,7 +22,6 @@ from repro.data import CorpusConfig
 from repro.data.clients import ClientSpec, CorpusBuilder
 from repro.experiments import format_rows
 from repro.fl import FederatedClient, FLConfig, SeededModelFactory, create_algorithm, evaluate_result
-from repro.models import FLNet
 from repro.models.base import RoutabilityModel
 from repro.models.registry import available_models, create_model, register_model
 from repro.nn import Conv2d, GroupNorm, ReLU, Sequential

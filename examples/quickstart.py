@@ -28,7 +28,7 @@ except ImportError:  # fresh checkout without `pip install -e .`
 
 import numpy as np
 
-from repro.data import DataLoader, PlacementSample, RoutabilityDataset
+from repro.data import PlacementSample, RoutabilityDataset
 from repro.eda import DrcHotspotLabeler, all_maps, generate_design, sweep_placements
 from repro.features import FeatureExtractor
 from repro.fl import LocalTrainer, predict_dataset

@@ -62,8 +62,8 @@ class ExperimentConfig:
     plumbing".  Read an option as ``config.scheduling.deadline``; change one
     with the matching ``with_<group>(**options)`` builder, whose keywords
     are the group's field names.  All groups default to "off": the default
-    configuration runs the full cohort synchronously, in-process and
-    unsupervised.  The groups validate their own fields; only the rules
+    configuration runs the full cohort synchronously and in-process, and
+    its first failed client task raises.  The groups validate their own fields; only the rules
     that span groups live here.  The local-training arithmetic dtype is
     ``fl.compute_dtype`` (``with_execution(compute_dtype="float32")`` opts
     into the fast path).

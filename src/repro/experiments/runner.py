@@ -19,6 +19,7 @@ from repro.fl import (
     FederatedServer,
     ResilienceManager,
     ResilienceSummary,
+    RoundAlgorithm,
     RoundScheduler,
     SchedulingSummary,
     SeededModelFactory,
@@ -64,16 +65,17 @@ class AlgorithmOutcome:
     runtime_seconds: float
     #: Measured transport bytes (None when no compression channel was used).
     communication: Optional[ChannelSummary] = None
-    #: Participation / simulated-time / staleness totals (None when the run
-    #: used no round scheduler, or the algorithm ignores scheduling).
+    #: Participation / simulated-time / staleness totals (None unless
+    #: scheduling was requested and the algorithm trains in rounds).
     scheduling: Optional[SchedulingSummary] = None
     #: Population-scale accounting (None without a virtualized population):
     #: eager clients before sampling, peak concurrently materialized
     #: clients, total materializations/releases, folded updates.
     population: Optional[Dict[str, object]] = None
-    #: Fault-tolerance accounting (None when the run used no resilience
-    #: manager, or the algorithm ignores it): retries, give-ups, pool
-    #: respawns, dropped clients, injected fault counts.
+    #: Fault-tolerance accounting (None unless fault tolerance was requested
+    #: or the run is on the wire, and the algorithm trains in rounds):
+    #: retries, give-ups, pool respawns, dropped clients, injected fault
+    #: counts.
     resilience: Optional[ResilienceSummary] = None
 
 
@@ -217,7 +219,7 @@ class ExperimentRunner:
         """A fresh transport channel for one algorithm run (or ``None``).
 
         Channels are stateful (per-client delta references, error-feedback
-        residuals, and the measured-byte tracker), so every algorithm run
+        residuals, and the measured byte totals), so every algorithm run
         gets its own.
         """
         transport = self.config.transport
@@ -227,8 +229,8 @@ class ExperimentRunner:
             topk_fraction=transport.topk_fraction,
         )
 
-    def round_scheduler(self) -> Optional[RoundScheduler]:
-        """A fresh round scheduler for one algorithm run (or ``None``).
+    def round_scheduler(self) -> RoundScheduler:
+        """A fresh round scheduler for one algorithm run.
 
         Schedulers are stateful (sampler / availability / latency RNGs, the
         virtual clock, and participation counters), so every algorithm run
@@ -238,8 +240,8 @@ class ExperimentRunner:
         """
         return create_scheduler(self.config.scheduling, seed=self.config.seed)
 
-    def resilience_manager(self) -> Optional[ResilienceManager]:
-        """A fresh resilience manager for one algorithm run (or ``None``).
+    def resilience_manager(self) -> ResilienceManager:
+        """A fresh resilience manager for one algorithm run.
 
         Managers are stateful (the fault plan's per-client draw counters,
         retry/backoff accounting, and the permanent-failure set), so every
@@ -247,15 +249,12 @@ class ExperimentRunner:
         injected faults identical across algorithms, execution backends,
         and checkpoint resume.
         """
-        manager = create_resilience(self.config.resilience, seed=self.config.seed)
-        if manager is None and self.config.execution.backend == "wire":
-            # A wire run always gets a supervisor: network faults (socket
-            # death, heartbeat loss, decode failure) are TaskFailures that
-            # should retry from pre-captured RNG snapshots, not abort the
-            # run.  A supervised fault-free pass is bit-identical to the
-            # unsupervised path, so this costs nothing in parity.
-            manager = ResilienceManager()
-        return manager
+        if not self.config.resilience.requested and self.config.execution.backend == "wire":
+            # A wire run retries by default: network faults (socket death,
+            # heartbeat loss, decode failure) are TaskFailures that should
+            # retry from pre-captured RNG snapshots, not abort the run.
+            return ResilienceManager()
+        return create_resilience(self.config.resilience, seed=self.config.seed)
 
     def _checkpoint_manager(self, algorithm: str) -> Optional[CheckpointManager]:
         """Per-algorithm checkpoint manager under the configured directory."""
@@ -314,10 +313,10 @@ class ExperimentRunner:
                 handle.release()
         else:
             evaluation = evaluate_result(training, clients)
-        # create_algorithm drops the scheduler for algorithms that ignore
-        # scheduling; report only what actually drove the run.
-        effective_scheduler = getattr(algorithm, "scheduler", None)
-        effective_resilience = getattr(algorithm, "resilience", None)
+        # The round-less baselines hold the inert defaults whatever was
+        # requested; report only what drove the run.
+        rounds = isinstance(algorithm, RoundAlgorithm)
+        wire = self.config.execution.backend == "wire"
         population_summary = None
         if directory is not None:
             population_summary = {
@@ -334,11 +333,15 @@ class ExperimentRunner:
             training=training,
             runtime_seconds=runtime,
             communication=channel.summary() if channel is not None else None,
-            scheduling=effective_scheduler.summary() if effective_scheduler is not None else None,
+            scheduling=(
+                algorithm.scheduler.summary()
+                if rounds and self.config.scheduling.requested
+                else None
+            ),
             population=population_summary,
             resilience=(
-                effective_resilience.summary(backend)
-                if effective_resilience is not None
+                algorithm.resilience.summary(backend)
+                if rounds and (self.config.resilience.requested or wire)
                 else None
             ),
         )

@@ -79,7 +79,6 @@ from repro.fl.client import FederatedClient, initial_rng_state
 from repro.fl.population import ClientDirectory
 from repro.fl.communication import (
     BYTES_PER_FLOAT32,
-    CommunicationTracker,
     estimate_communication,
     state_bytes,
 )
@@ -243,19 +242,22 @@ def create_algorithm(
     scheduler:
         Optional :class:`~repro.fl.scheduling.RoundScheduler` driving
         partial participation, availability, stragglers, and the round
-        policy (sync / deadline / fedbuff).  A scheduler is stateful; use a
-        fresh one per algorithm run.
+        policy (sync / deadline / fedbuff); defaults to the inert one (every
+        client, every round).  A scheduler is stateful; use a fresh one per
+        algorithm run.
     resilience:
-        Optional :class:`~repro.fl.faults.ResilienceManager` enabling the
-        fault-tolerant runtime (deterministic fault injection, supervised
-        retries with backoff, quorum-gated round commits).  Stateful; use a
-        fresh one per algorithm run (or build one from a
+        Optional :class:`~repro.fl.faults.ResilienceManager` supervising
+        every client pass (deterministic fault injection, retries with
+        backoff, quorum-gated round commits); defaults to one that absorbs
+        nothing, so the first failed client task raises
+        :class:`ClientExecutionError`.  Stateful; use a fresh one per
+        algorithm run (or build one from a
         :class:`~repro.fl.faults.ResilienceOptions` via
         :func:`~repro.fl.faults.create_resilience`).
 
     ``checkpoint``, ``scheduler`` and ``resilience`` drive the round loop
     every :class:`RoundAlgorithm` runs; the round-less ``local`` and
-    ``centralized`` baselines are handed none of them.
+    ``centralized`` baselines hold the inert defaults whatever is passed.
     """
     key = name.lower()
     if key not in ALGORITHMS:
@@ -340,7 +342,6 @@ __all__ = [
     "apply_update",
     "BYTES_PER_FLOAT32",
     "state_bytes",
-    "CommunicationTracker",
     "estimate_communication",
     "SAMPLER_CHOICES",
     "AVAILABILITY_CHOICES",

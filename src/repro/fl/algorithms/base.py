@@ -20,9 +20,9 @@ from repro.fl.execution import (
     RoundCheckpoint,
     SerialBackend,
 )
-from repro.fl.faults import ResilienceManager
+from repro.fl.faults import ResilienceManager, ResilienceOptions, create_resilience
 from repro.fl.parameters import State, flat_model_state
-from repro.fl.scheduling import AlwaysAvailable, FullParticipation, RoundScheduler, ZeroLatency
+from repro.fl.scheduling import RoundScheduler, SchedulingOptions, create_scheduler
 from repro.fl.server import FederatedServer
 from repro.fl.transport import Channel
 from repro.models.base import RoutabilityModel
@@ -95,8 +95,13 @@ class FederatedAlgorithm:
     (server → client) and upload (client → server) of the round passes
     through its wire codec: clients train from the decoded downlink payload
     and the server aggregates the decoded uploads, with every payload's real
-    byte size recorded by the channel's tracker.  Without a channel, states
+    byte size recorded by the channel.  Without a channel, states
     move raw and in-process (the pre-transport behavior).
+
+    Every algorithm holds a :class:`~repro.fl.scheduling.RoundScheduler` and
+    a :class:`~repro.fl.faults.ResilienceManager`; one not handed in is the
+    inert default of its options (every client, every round; the first
+    failed client task raises).
     """
 
     #: Registry / display name, overridden by subclasses.
@@ -129,27 +134,23 @@ class FederatedAlgorithm:
         self.backend.bind(self.clients)
         self.checkpoint = checkpoint
         self.channel = channel
-        self.scheduler = scheduler
-        self.resilience = resilience
-        if scheduler is not None:
-            scheduler.bind(self.clients)
-            if scheduler.policy == "fedbuff" and not self.supports_fedbuff:
+        self.scheduler = scheduler or create_scheduler(SchedulingOptions())
+        self.resilience = resilience or create_resilience(ResilienceOptions())
+        self.scheduler.bind(self.clients)
+        if self.scheduler.policy == "fedbuff":
+            if not self.supports_fedbuff:
                 raise ValueError(
                     f"algorithm {self.name!r} does not support the fedbuff round "
                     "policy; choose sync or deadline (or run fedavg/fedprox)"
                 )
-        if resilience is not None:
-            if scheduler is not None and scheduler.policy == "fedbuff":
+            if self.resilience.absorbs_failures:
                 raise ValueError(
                     "fault tolerance (quorum/faults/retries) is not supported under "
                     "the fedbuff round policy yet; choose sync or deadline"
                 )
-            # Retry backoff elapses on the scheduler's virtual clock when
-            # one exists, so waits and straggler latencies share a timeline.
-            resilience.bind(
-                self.clients,
-                clock=scheduler.clock if scheduler is not None else None,
-            )
+        # Retry backoff elapses on the scheduler's virtual clock, so waits
+        # and straggler latencies share a timeline.
+        self.resilience.bind(self.clients, clock=self.scheduler.clock)
         if channel is not None and checkpoint is not None:
             if channel.error_feedback:
                 logger.warning(
@@ -158,7 +159,7 @@ class FederatedAlgorithm:
                     self.name,
                 )
             logger.warning(
-                "%s: the transport channel's measured-byte tracker is not "
+                "%s: the transport channel's measured byte totals are not "
                 "checkpointed; after a resume, reported communication covers "
                 "only the rounds trained in this process",
                 self.name,
@@ -193,9 +194,9 @@ class FederatedAlgorithm:
         with the participants (one personalized starting state each).
 
         Updates come back in arrival order — participant order on every
-        backend, with retried clients after the wave they failed in under
-        supervision (a :class:`~repro.fl.faults.ResilienceManager` attached;
-        clients that exhaust their retries are absent).  Each update is
+        backend, with retried clients after the wave they failed in (clients
+        that exhaust their retries are absent; see
+        :meth:`~repro.fl.faults.ResilienceManager.supervise`).  Each update is
         finished in the coordinating process (decoded; delta references and
         error feedback applied; measured bytes recorded) as it arrives, then
         handed to ``on_arrival`` before the next one is awaited, so a round
@@ -277,15 +278,11 @@ class FederatedAlgorithm:
                     update.payload = None
                 return update
 
-        if self.resilience is not None:
-            # Supervised dispatch: fault injection, retries with backoff,
-            # per-client RNG snapshot/restore; supervise() finishes each
-            # survivor itself.
-            arrivals = self.resilience.supervise(self.backend, tasks, finish, self.clients)
-        else:
-            arrivals = map(finish, self.backend.imap(tasks))
+        # Supervised dispatch: fault injection, retries with backoff,
+        # per-client RNG snapshot/restore; supervise() finishes each survivor
+        # itself.
         updates: List[ClientUpdate] = []
-        for update in arrivals:
+        for update in self.resilience.supervise(self.backend, tasks, finish, self.clients):
             if on_arrival is not None:
                 on_arrival(update)
             updates.append(update)
@@ -318,9 +315,9 @@ class RoundAlgorithm(FederatedAlgorithm):
 
     Every federated row, global-model and personalised.  Being one is the
     capability fact: only these honor a :class:`CheckpointManager`, a
-    :class:`~repro.fl.scheduling.RoundScheduler` and a
+    requested :class:`~repro.fl.scheduling.RoundScheduler` and a requested
     :class:`~repro.fl.faults.ResilienceManager`; the round-less baselines
-    are handed none.
+    hold the inert defaults.
 
     :meth:`run` is init → :meth:`load_checkpoint` → the round loop →
     :meth:`_finish`, the round loop being :meth:`_run_rounds` (or FedProx's
@@ -363,12 +360,12 @@ class RoundAlgorithm(FederatedAlgorithm):
         stay resumable.
         """
         fingerprint: Dict[str, object] = {}
-        if self.scheduler is not None:
+        if not self.scheduler.inert:
             # Resuming a partial-participation run under a different sampler,
             # straggler model, or round policy would silently diverge from
-            # the uninterrupted trajectory.  A run given no scheduler omits
-            # the key (its loop's inert full-participation scheduler draws
-            # nothing), so older checkpoints stay resumable.
+            # the uninterrupted trajectory.  An inert scheduler draws
+            # nothing, so its run omits the key and older checkpoints stay
+            # resumable.
             fingerprint["scheduling"] = self.scheduler.describe()
         if self.channel is not None:
             fingerprint["transport"] = {
@@ -383,11 +380,11 @@ class RoundAlgorithm(FederatedAlgorithm):
             # (float64) runs omit the key so pre-engine checkpoints stay
             # resumable.
             fingerprint["compute_dtype"] = self.config.compute_dtype
-        if self.resilience is not None and self.resilience.plan.any_faults:
+        if self.resilience.plan.any_faults:
             # Resuming a chaos run under a different fault plan would
-            # silently change which clients fail; fault-free (or
-            # resilience-less) runs omit the key so their checkpoints stay
-            # interchangeable with pre-resilience ones.  Quorum and the
+            # silently change which clients fail; fault-free runs omit the
+            # key so their checkpoints stay interchangeable with
+            # pre-resilience ones.  Quorum and the
             # retry policy are deliberately *excluded*: they are
             # operational knobs a resume may legitimately relax (e.g.
             # lowering --quorum to get past the round that failed).
@@ -442,13 +439,15 @@ class RoundAlgorithm(FederatedAlgorithm):
                     "clear the directory or point the checkpoint option elsewhere"
                 )
         self.checkpoint.restore_clients(self.clients, resumed)
-        if self.scheduler is not None and "scheduler_state" in resumed.extra_meta:
+        # Checkpoints of default runs written before every run was scheduled
+        # and supervised carry neither state.
+        if "scheduler_state" in resumed.extra_meta:
             # Restore sampler/availability/latency RNGs, the virtual clock,
             # and the participation counters, so the resumed run draws the
             # same cohorts and reports the same totals as an uninterrupted
             # one.
             self.scheduler.set_state(resumed.extra_meta["scheduler_state"])
-        if self.resilience is not None and "resilience_state" in resumed.extra_meta:
+        if "resilience_state" in resumed.extra_meta:
             # Restore the fault plan's draw counters, the permanent-failure
             # set, and the retry accounting, so the resumed chaos run
             # replays the exact fault/retry sequence of an uninterrupted
@@ -476,10 +475,8 @@ class RoundAlgorithm(FederatedAlgorithm):
             extra_states, extra_meta = self._checkpoint_extras()
             meta = dict(extra_meta)
             meta["fingerprint"] = self.checkpoint_fingerprint()
-            if self.scheduler is not None:
-                meta["scheduler_state"] = self.scheduler.state()
-            if self.resilience is not None:
-                meta["resilience_state"] = self.resilience.state()
+            meta["scheduler_state"] = self.scheduler.state()
+            meta["resilience_state"] = self.resilience.state()
             self.checkpoint.save(
                 round_index,
                 global_state,
@@ -573,7 +570,7 @@ class RoundAlgorithm(FederatedAlgorithm):
         if resumed is not None:
             start_round = resumed.round_index + 1
             global_state = resumed.global_state
-        if self.scheduler is not None and self.scheduler.policy == "fedbuff":
+        if self.scheduler.policy == "fedbuff":
             global_state = self._run_fedbuff(result, global_state, start_round)
         else:
             global_state = self._run_rounds(result, global_state, start_round)
@@ -589,31 +586,26 @@ class RoundAlgorithm(FederatedAlgorithm):
         through the execution backend.  Each update is folded — or, past
         the deadline, discarded — the moment it arrives, and its state and
         client are released right after, so a round holds O(P) per
-        accumulator, independent of the cohort size.  A run given no scheduler
-        goes round an inert full-participation, always-available,
-        zero-latency one that only this loop holds: every client trains
-        every round and nothing is dropped.
+        accumulator, independent of the cohort size.  Under the inert
+        scheduler every client trains every round and nothing is dropped.
 
-        With a resilience manager attached the cohort excludes permanently
-        failed clients, the round only commits at quorum (raising the typed
+        The cohort excludes permanently failed clients, the round only
+        commits at quorum (raising the typed
         :class:`~repro.fl.faults.QuorumFailure` below it), and clients that
         exhausted their retries this round are dropped for good with a
-        recorded weight renormalization.
+        recorded weight renormalization — all of it a no-op under the
+        default resilience manager, which absorbs no failure.
         """
         scheduler = self.scheduler
-        if scheduler is None:
-            scheduler = RoundScheduler(FullParticipation(), AlwaysAvailable(), ZeroLatency())
-            scheduler.bind(self.clients)
         resilience = self.resilience
         deadline = scheduler.deadline if scheduler.policy == "deadline" else None
         for round_index in range(start_round, self.config.rounds):
             plan = scheduler.begin_round(round_index)
-            if resilience is not None:
-                resilience.begin_round(round_index)
-                # Permanently failed clients leave the cohort *before* any
-                # latency draw, so the latency RNG never spends entropy on
-                # clients that cannot participate.
-                plan.cohort = resilience.active_cohort(plan.cohort)
+            resilience.begin_round(round_index)
+            # Permanently failed clients leave the cohort *before* any
+            # latency draw, so the latency RNG never spends entropy on
+            # clients that cannot participate.
+            plan.cohort = resilience.active_cohort(plan.cohort)
             attempted = len(plan.cohort)
             self.server.begin_round(attempted)
             latencies = scheduler.arrival_schedule(plan)
@@ -648,23 +640,22 @@ class RoundAlgorithm(FederatedAlgorithm):
             )
             if accumulators is None:  # nothing arrived
                 accumulators = self._new_accumulators()
-            if resilience is not None:
-                # Clients that exhausted their retries produced no update;
-                # shrink the plan (and its pre-drawn latencies) to the
-                # arrivals so the scheduler's alignment contract holds, and
-                # gate the commit on the number of updates actually *folded*.
-                plan.cohort = [update.client_index for update in updates]
-                latencies = {index: latencies[index] for index in plan.cohort}
-                resilience.check_quorum(
-                    round_index,
-                    arrived=len(per_client_loss),
-                    cohort_size=attempted,
-                    checkpoint_dir=self._auto_checkpoint_dir(),
-                )
+            # Clients that exhausted their retries produced no update; shrink
+            # the plan (and its pre-drawn latencies) to the arrivals so the
+            # scheduler's alignment contract holds, and gate the commit on
+            # the number of updates actually *folded*.
+            plan.cohort = [update.client_index for update in updates]
+            latencies = {index: latencies[index] for index in plan.cohort}
+            resilience.check_quorum(
+                round_index,
+                arrived=len(per_client_loss),
+                cohort_size=attempted,
+                checkpoint_dir=self._auto_checkpoint_dir(),
+            )
             outcome = scheduler.complete_round(plan, updates, latencies=latencies)
             # Drops commit *before* the checkpoint so it already carries the
             # updated permanent-failure set.
-            commit_extra = resilience.commit_round(self.client_weights()) if resilience else {}
+            commit_extra = resilience.commit_round(self.client_weights())
             self.server.record_folds(len(per_client_loss))
             global_state, extra = self._server_step(global_state, accumulators)
             self.save_checkpoint(round_index, global_state)
@@ -695,17 +686,6 @@ class SeededModelFactory:
         model = self._builder(self._base_seed + self._calls)
         self._calls += 1
         return model
-
-    def build_with_seed(self, seed: int) -> RoutabilityModel:
-        """Build one model from an explicit seed *without* advancing the
-        factory's call counter.
-
-        Used by :meth:`repro.fl.FederatedClient.initial_state`: per-client
-        initializations are seeded from the client's own RNG, so they stay
-        reproducible regardless of how many models other clients (or the
-        coordinating process) have built from the shared factory.
-        """
-        return self._builder(int(seed))
 
     def reset(self) -> None:
         """Restart the seed sequence (a fresh factory for a fresh experiment)."""

@@ -28,16 +28,12 @@ import numpy as np
 from repro.data.clients import ClientData
 from repro.data.dataset import RoutabilityDataset
 from repro.fl.config import FLConfig
-from repro.fl.parameters import State, clone_state, flat_model_state
+from repro.fl.parameters import State, flat_model_state
 from repro.fl.trainer import LocalTrainer, predict_dataset
 from repro.metrics.roc import roc_auc_score
 from repro.models.base import RoutabilityModel
 
 ModelFactory = Callable[[], RoutabilityModel]
-
-#: Seed-stream tag for per-client model initializations (mixed with the
-#: client id), kept separate from the training RNG the trainer shares.
-_INIT_SEED_TAG = 0x1217
 
 #: factory -> {compute dtype: template}: the first model each factory built per dtype.
 _TEMPLATES = weakref.WeakKeyDictionary()
@@ -88,12 +84,10 @@ class FederatedClient:
         self.train_dataset = train_dataset
         self.test_dataset = test_dataset
         self.config = config
-        self._model_factory = model_factory
         # The compute-dtype boundary: a template is switched once, here; loads
         # cast float64 states down in place, flat_model_state casts back up.
         model = model_factory().set_compute_dtype(config.compute_dtype)
         self._template = _TEMPLATES.setdefault(model_factory, {}).setdefault(model.compute_dtype, model)
-        self._initial_state: Optional[State] = None
         self._rng = np.random.default_rng(client_id)
         self._trainer = LocalTrainer(
             loss=config.loss,
@@ -193,27 +187,6 @@ class FederatedClient:
         model.load_state_dict(state)
         scores, labels = predict_dataset(model, target, batch_size=max(self.config.batch_size, 8))
         return roc_auc_score(labels, scores)
-
-    def initial_state(self) -> State:
-        """This client's own model initialization (lazy, cached, reproducible).
-
-        Built at most once per client, on first call — not rebuilt on every
-        call — and returned as a fresh copy thereafter.  The factory is a
-        :class:`~repro.fl.SeededModelFactory`; the seed comes from a dedicated
-        per-client stream (derived from the client id) through its
-        ``build_with_seed``, so the initialization is a deterministic function
-        of the client — independent of how many models anyone else has pulled
-        from the shared factory, and without consuming a draw from the
-        training RNG the trainer shares (calling this must never perturb
-        batch shuffling).
-        """
-        if self._initial_state is None:
-            init_rng = np.random.default_rng(
-                np.random.SeedSequence([self.client_id, _INIT_SEED_TAG])
-            )
-            model = self._model_factory.build_with_seed(int(init_rng.integers(0, 2**31 - 1)))
-            self._initial_state = flat_model_state(model)
-        return clone_state(self._initial_state)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

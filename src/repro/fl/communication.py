@@ -8,9 +8,10 @@ round.  This module provides:
   and bytes at an explicitly chosen wire precision);
 * an analytic per-algorithm communication model (uplink/downlink per round
   and per training run) for every algorithm in the registry, which the
-  communication benchmark turns into a table;
-* a :class:`CommunicationTracker` that records *measured* transfers — the
-  transport channel feeds it real payload byte counts.
+  communication benchmark turns into a table.
+
+Measured transfers are the transport channel's own byte totals
+(:meth:`repro.fl.transport.Channel.summary`).
 
 Update compression itself lives in the wire codecs
 (:mod:`repro.fl.transport.codecs`).
@@ -28,7 +29,7 @@ paper's; measured numbers come from real payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -160,52 +161,3 @@ def estimate_communication(
         uplink_bytes_per_round=int(uplink),
         downlink_bytes_per_round=int(downlink),
     )
-
-
-class CommunicationTracker:
-    """Records measured parameter transfers during a training run.
-
-    The transport channel calls :meth:`record_upload` /
-    :meth:`record_download` with *real payload byte counts*.
-    """
-
-    def __init__(self):
-        self._uplink: List[Tuple[int, int, int]] = []  # (round, client, bytes)
-        self._downlink: List[Tuple[int, int, int]] = []
-
-    # -- measured payload bytes -------------------------------------------------
-    def record_upload(self, round_index: int, client_id: int, num_bytes: int) -> None:
-        """Log one client → server transfer of ``num_bytes`` payload bytes."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        self._uplink.append((int(round_index), int(client_id), int(num_bytes)))
-
-    def record_download(self, round_index: int, client_id: int, num_bytes: int) -> None:
-        """Log one server → client transfer of ``num_bytes`` payload bytes."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        self._downlink.append((int(round_index), int(client_id), int(num_bytes)))
-
-    # -- aggregation --------------------------------------------------------------
-    @property
-    def total_uplink_bytes(self) -> int:
-        return sum(size for _, _, size in self._uplink)
-
-    @property
-    def total_downlink_bytes(self) -> int:
-        return sum(size for _, _, size in self._downlink)
-
-    @staticmethod
-    def _by_round(records: List[Tuple[int, int, int]]) -> Dict[int, int]:
-        totals: Dict[int, int] = {}
-        for round_index, _, size in records:
-            totals[round_index] = totals.get(round_index, 0) + size
-        return totals
-
-    def per_round_uplink(self) -> Dict[int, int]:
-        """Uplink bytes per round index."""
-        return self._by_round(self._uplink)
-
-    def per_round_downlink(self) -> Dict[int, int]:
-        """Downlink bytes per round index."""
-        return self._by_round(self._downlink)

@@ -24,12 +24,17 @@ Each task ships ``(initial state, options, RNG state)`` in and
 
 Backend contract
 ----------------
-Implementations must guarantee, for a single :meth:`ExecutionBackend.map`
-call:
+Implementations must guarantee, for a single
+:meth:`ExecutionBackend.imap_outcomes` call:
 
 ordering
-    The returned list is aligned with the task list: ``results[i]`` is the
-    outcome of ``tasks[i]``, regardless of completion order.
+    Outcomes are yielded in task order: the ``i``-th is the outcome of
+    ``tasks[i]``, regardless of completion order.
+failure as a value
+    A task that fails yields a :class:`~repro.fl.faults.TaskFailure` in its
+    slot instead of raising, so the rest of the call keeps streaming; the
+    :class:`~repro.fl.faults.ResilienceManager` that supervises every pass
+    decides whether to retry it, drop it, or raise.
 determinism
     A task's outcome depends only on the owning client's fields (datasets,
     configuration, trainer) and its RNG state at submission time.  Backends
@@ -42,11 +47,11 @@ state ownership
     returns whatever the client's ``local_train`` returns, which is the
     original inline-loop behavior).
 one task per client
-    A single ``map`` call may contain at most one task per client; chaining
+    A single call may contain at most one task per client; chaining
     two updates of the same client within one call would make the RNG
     hand-off ambiguous.  Backends raise ``ValueError`` otherwise.
 cohort dispatch
-    A ``map`` call need not cover the bound roster: under partial
+    A call need not cover the bound roster: under partial
     participation (see :mod:`repro.fl.scheduling`) it carries tasks only
     for the round's cohort, in roster order.  Clients outside the cohort
     are untouched — their RNG state does not advance — so sampled runs stay
@@ -86,7 +91,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.fl.faults.errors import ClientExecutionError, TaskFailure
+from repro.fl.faults.errors import TaskFailure
 from repro.fl.parameters import FlatState, State, flat_pair
 from repro.fl.trainer import StepStatistics
 from repro.utils.threadpools import (
@@ -191,7 +196,7 @@ def _check_one_task_per_client(tasks: Sequence[ClientTask]) -> None:
     for task in tasks:
         if task.client_index in seen:
             raise ValueError(
-                f"duplicate task for client index {task.client_index}: a backend map() "
+                f"duplicate task for client index {task.client_index}: one backend "
                 "call may contain at most one task per client"
             )
         seen.add(task.client_index)
@@ -241,43 +246,19 @@ class ExecutionBackend:
     ) -> Iterator[Union[ClientUpdate, TaskFailure]]:
         """Yield one outcome per task, in task order, **never raising** per task.
 
-        The supervised-execution primitive every backend implements: a task
-        that fails (client exception, dead joiner process, exceeded
-        ``timeout``) yields a :class:`~repro.fl.faults.TaskFailure` *value*
-        in its slot instead of killing the iterator, so the resilience
-        layer can retry individual clients while the rest of the wave keeps
-        streaming.  ``timeout`` is a best-effort per-task wall-clock bound:
+        The one dispatch primitive every backend implements.  It streams,
+        so the round loop folds and releases each update before the next
+        arrives.  A task that fails (client exception, dead joiner process,
+        exceeded ``timeout``) yields a :class:`~repro.fl.faults.TaskFailure`
+        *value* in its slot instead of killing the iterator, so the
+        resilience layer can retry or raise for individual clients while the
+        rest of the wave keeps streaming.  ``timeout`` is a best-effort per-task wall-clock bound:
         the process backend abandons a late task and restarts its joiner, the
         thread pool stops waiting (the thread itself cannot be reclaimed),
         and the serial backend ignores it — a task it runs has, by
         construction, already finished when it could be checked.
         """
         raise NotImplementedError
-
-    def imap(self, tasks: Sequence[ClientTask]) -> Iterator[ClientUpdate]:
-        """Yield outcomes one at a time, in task order.
-
-        The round loop folds each update as it is yielded and then
-        releases it, so the coordinating process never holds a whole
-        cohort's worth of states.  A failed task raises a
-        :class:`~repro.fl.faults.ClientExecutionError` annotated with the
-        client id and backend (instead of a bare remote traceback).
-        """
-        for outcome in self.imap_outcomes(tasks):
-            if isinstance(outcome, TaskFailure):
-                raise ClientExecutionError(
-                    outcome.error,
-                    client_id=outcome.client_id,
-                    client_index=outcome.client_index,
-                    backend=self.name,
-                    kind=outcome.kind,
-                    remote_traceback=outcome.traceback,
-                )
-            yield outcome
-
-    def map(self, tasks: Sequence[ClientTask]) -> List[ClientUpdate]:
-        """Execute every task and return outcomes aligned with ``tasks``."""
-        return list(self.imap(tasks))
 
     def close(self) -> None:
         """Release any worker resources; the backend may be re-used after."""
@@ -367,7 +348,7 @@ class ThreadPoolBackend(ExecutionBackend):
     boundary.
 
     Safety rests on the roster invariants the backend contract already
-    guarantees: at most one task per client per ``map`` call, and every
+    guarantees: at most one task per client per call, and every
     mutable object a task touches (model, trainer, optimizer scratch, RNG)
     is owned by exactly one client — or, for layer workspaces, lent to it
     for the task from the *worker thread's* scratch pool
@@ -379,12 +360,12 @@ class ThreadPoolBackend(ExecutionBackend):
     Results are bit-identical to :class:`SerialBackend`: each client runs
     the identical operation sequence with its own RNG, so scheduling order
     cannot influence any value.  The executor is spawned lazily on the
-    first ``map`` and stays warm across rounds (``spawn_count`` counts
+    first call and stays warm across rounds (``spawn_count`` counts
     spawns, exactly like the process backend's joiners).
 
     The BLAS thread count is process-global state shared by every pool
     thread, so an explicit policy is applied as a context manager
-    **around** each ``map``/``imap`` call (pin for the round, restore after)
+    **around** each ``imap_outcomes`` call (pin for the round, restore after)
     rather than per task.
     """
 
@@ -399,7 +380,7 @@ class ThreadPoolBackend(ExecutionBackend):
     def _ensure_executor(self) -> ThreadPoolExecutor:
         if self._executor is None:
             if not self._clients:
-                raise RuntimeError("ThreadPoolBackend.map called before bind()")
+                raise RuntimeError("ThreadPoolBackend used before bind()")
             self._executor = ThreadPoolExecutor(
                 max_workers=max(1, min(self.effective_workers, len(self._clients))),
                 thread_name_prefix="repro-client",

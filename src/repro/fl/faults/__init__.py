@@ -20,9 +20,9 @@ first-class, *deterministic* part of the simulation:
 :class:`ResilienceOptions`
     The run options behind all of it (quorum, retries, task timeout, the
     four fault rates), each declared once with its range and CLI help.
-    ``create_resilience(options, seed)`` builds the manager — or ``None``
-    unless ``options.requested``, so default runs take the pre-resilience
-    code paths bit for bit.
+    ``create_resilience(options, seed)`` builds the manager; at the
+    defaults it absorbs nothing, so a failed client task raises
+    :class:`ClientExecutionError`.
 """
 
 from repro.fl.faults.errors import ClientExecutionError, QuorumFailure, TaskFailure

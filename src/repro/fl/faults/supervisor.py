@@ -19,9 +19,13 @@ execution backend.  Each client pass becomes a sequence of *waves*:
    (:class:`~repro.fl.faults.RetryPolicy`), until it succeeds or exhausts
    its retries (``gave_up``).
 
-A fault-free supervised pass is exactly one wave in task order with zero
-extra RNG draws, so it is bit-identical to the unsupervised path — the
-contract the parity tests pin down.
+Every client pass of every algorithm runs through :meth:`supervise`.  A
+fault-free pass is exactly one wave in task order with zero extra RNG
+draws.  The default manager (:func:`create_resilience` of the default
+options) absorbs nothing — no retries, quorum 1.0, no injected faults — so
+its first failed task raises a
+:class:`~repro.fl.faults.ClientExecutionError` naming the client, the
+backend and the remote traceback.
 
 Round-level degradation lives here too: :meth:`active_cohort` filters
 permanently failed clients out of future cohorts, :meth:`check_quorum`
@@ -36,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.fl.faults.errors import QuorumFailure, TaskFailure
+from repro.fl.faults.errors import ClientExecutionError, QuorumFailure, TaskFailure
 from repro.fl.faults.plan import FAULT_KINDS, FaultDecision, FaultPlan, check_rates
 from repro.fl.faults.retry import DEFAULT_MAX_RETRIES, RetryPolicy
 from repro.fl.scheduling.clock import VirtualClock
@@ -152,6 +156,13 @@ class ResilienceManager:
         if clock is not None:
             self.clock = clock
 
+    @property
+    def absorbs_failures(self) -> bool:
+        """Whether a failed task can be survived: retried, or dropped under a
+        quorum below 1.0.  A manager that absorbs nothing raises the first
+        failure as a :class:`~repro.fl.faults.ClientExecutionError`."""
+        return self.retry.max_retries > 0 or self.quorum < 1.0
+
     # -- cohort filtering / quorum -------------------------------------------------
     def active_cohort(self, cohort: Iterable[int]) -> List[int]:
         """``cohort`` minus the permanently failed clients."""
@@ -170,7 +181,14 @@ class ResilienceManager:
         cohort_size: int,
         checkpoint_dir: Optional[str] = None,
     ) -> None:
-        """Raise the typed :class:`QuorumFailure` when too few updates fold."""
+        """Raise the typed :class:`QuorumFailure` when too few updates fold.
+
+        A manager that absorbs nothing gates nothing: its failed tasks have
+        already raised, and a deadline's dropped stragglers are the round
+        policy at work, not failures.
+        """
+        if not self.absorbs_failures:
+            return
         required = self.quorum_required(cohort_size)
         if arrived < required:
             raise QuorumFailure(
@@ -236,18 +254,32 @@ class ResilienceManager:
         Yields each successful :class:`~repro.fl.execution.ClientUpdate` as
         soon as it survives ``finish`` (decode + channel accounting).
         Clients that exhaust their retries yield nothing; they are recorded
-        as ``gave_up`` for :meth:`commit_round` to drop.
+        as ``gave_up`` for :meth:`commit_round` to drop.  When the manager
+        absorbs nothing, the first failure raises
+        :class:`~repro.fl.faults.ClientExecutionError` instead.
         """
+        def failed(entry: _Attempt, kind: str, error: str, remote_traceback=None) -> None:
+            if not self.absorbs_failures:
+                raise ClientExecutionError(
+                    error,
+                    client_id=clients[entry.task.client_index].client_id,
+                    client_index=entry.task.client_index,
+                    backend=backend.name,
+                    kind=kind,
+                    remote_traceback=remote_traceback,
+                )
+            failures.append(entry)
+
         pending = [_Attempt(task=task) for task in tasks]
         while pending:
-            failures: List[tuple] = []
+            failures: List[_Attempt] = []
             dispatch: List[_Attempt] = []
             for entry in pending:
                 client = clients[entry.task.client_index]
                 entry.rng_snapshot = client.rng_state
                 entry.decision = self.plan.draw(client.client_id)
                 if entry.decision.kind in _PRE_DISPATCH_KINDS:
-                    failures.append((entry, entry.decision.kind))
+                    failed(entry, entry.decision.kind, f"injected {entry.decision.kind} fault")
                 else:
                     dispatch.append(entry)
             if dispatch:
@@ -257,7 +289,7 @@ class ResilienceManager:
                 )
                 for entry, outcome in zip(dispatch, outcomes):
                     if isinstance(outcome, TaskFailure):
-                        failures.append((entry, outcome.kind))
+                        failed(entry, outcome.kind, outcome.error, outcome.traceback)
                         continue
                     update = outcome
                     if entry.decision.kind == "corruption":
@@ -265,21 +297,21 @@ class ResilienceManager:
                         if corrupted is None:
                             # Nothing on the wire to corrupt (raw in-process
                             # state): the fault degenerates to an exception.
-                            failures.append((entry, "corruption"))
+                            failed(entry, "corruption", "injected corruption fault")
                             continue
                         update.payload = corrupted
                     try:
                         finish(update)
-                    except TransportDecodeError:
-                        failures.append((entry, "corruption"))
+                    except TransportDecodeError as error:
+                        failed(entry, "corruption", repr(error))
                         continue
                     yield update
             pending = self._next_wave(failures, clients)
 
-    def _next_wave(self, failures: List[tuple], clients: Sequence) -> List[_Attempt]:
+    def _next_wave(self, failures: List[_Attempt], clients: Sequence) -> List[_Attempt]:
         """Restore RNG snapshots and schedule the retried attempts."""
         next_wave: List[_Attempt] = []
-        for entry, _kind in failures:
+        for entry in failures:
             client = clients[entry.task.client_index]
             if entry.rng_snapshot is not None:
                 client.rng_state = entry.rng_snapshot
@@ -370,8 +402,8 @@ class ResilienceOptions:
     A field is the option: its name is the ``with_resilience`` keyword and
     (dashed) the ``repro reproduce`` / ``repro serve`` flag, its metadata
     the flag's help, and ``__post_init__`` its range.  At the defaults
-    nothing is :attr:`requested` and :func:`create_resilience` builds no
-    manager, so the default run takes the unsupervised code path bit for bit.
+    nothing is :attr:`requested` and :func:`create_resilience` builds a
+    manager that absorbs nothing: the first failed client task raises.
     """
 
     quorum: float = field(default=1.0, metadata={
@@ -417,20 +449,23 @@ class ResilienceOptions:
 
     @property
     def requested(self) -> bool:
-        """Whether any option departs from the inert defaults: the one predicate
-        behind "a resilience manager exists" and "resilience is reported"."""
+        """Whether any option departs from the inert defaults: the predicate
+        behind "resilience is reported"."""
         return self != ResilienceOptions()
 
 
-def create_resilience(options: ResilienceOptions, seed: int = 0) -> Optional[ResilienceManager]:
+def create_resilience(options: ResilienceOptions, seed: int = 0) -> ResilienceManager:
     """Build the :class:`ResilienceManager` a :class:`ResilienceOptions` asks for.
 
-    Returns ``None`` unless ``options.requested`` — no faults, quorum 1.0,
-    no retry/timeout overrides take the unsupervised code path.  ``seed`` is
-    the run seed: the fault plan and the retry jitter derive from it.
+    At the defaults the manager absorbs nothing: no faults, quorum 1.0 and
+    no retries, so the first failed client task raises.  Any requested
+    option brings :data:`~repro.fl.faults.retry.DEFAULT_MAX_RETRIES` retries
+    unless ``max_retries`` says otherwise.  ``seed`` is the run seed: the
+    fault plan and the retry jitter derive from it.
     """
-    if not options.requested:
-        return None
+    max_retries = options.max_retries
+    if max_retries is None:
+        max_retries = DEFAULT_MAX_RETRIES if options.requested else 0
     plan = FaultPlan(
         crash_rate=options.fault_crash_rate,
         exception_rate=options.fault_exception_rate,
@@ -439,7 +474,7 @@ def create_resilience(options: ResilienceOptions, seed: int = 0) -> Optional[Res
         seed=seed,
     )
     retry = RetryPolicy(
-        max_retries=DEFAULT_MAX_RETRIES if options.max_retries is None else options.max_retries,
+        max_retries=max_retries,
         task_timeout=options.task_timeout,
         seed=seed,
     )

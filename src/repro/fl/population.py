@@ -130,9 +130,6 @@ class ClientHandle:
     def evaluate_auc(self, *args, **kwargs):
         return self.materialize().evaluate_auc(*args, **kwargs)
 
-    def initial_state(self):
-        return self.materialize().initial_state()
-
     # -- pickling (spawned local joiners) -------------------------------------------
     def __getstate__(self):
         # A handle crosses the process boundary (a spawned joiner's roster)

@@ -23,11 +23,10 @@ scheduler (:mod:`~repro.fl.scheduling.scheduler`)
 
 The run options behind all of it are the fields of
 :class:`SchedulingOptions`, declared once with their ranges and CLI help.
-A run whose options are all at their defaults gets no scheduler
-(``create_scheduler(options, seed)`` returns ``None`` unless
-``options.requested``); its round loop then goes round an inert
-full-participation, always-available, zero-latency scheduler of its own, so
-every client trains every round and nothing is dropped.
+Every round runs through a scheduler: a run whose options are all at their
+defaults gets the inert one from ``create_scheduler(options, seed)`` —
+full participation, always available, zero latency — so every client
+trains every round and nothing is dropped.
 """
 
 from repro.fl.scheduling.availability import (

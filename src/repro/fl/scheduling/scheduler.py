@@ -36,12 +36,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fl.scheduling.availability import (
     AVAILABILITY_CHOICES,
+    AlwaysAvailable,
     AvailabilityModel,
     create_availability,
 )
 from repro.fl.scheduling.clock import VirtualClock
-from repro.fl.scheduling.latency import STRAGGLER_CHOICES, LatencyModel, create_latency
-from repro.fl.scheduling.samplers import SAMPLER_CHOICES, ClientSampler, create_sampler
+from repro.fl.scheduling.latency import (
+    STRAGGLER_CHOICES,
+    LatencyModel,
+    ZeroLatency,
+    create_latency,
+)
+from repro.fl.scheduling.samplers import (
+    SAMPLER_CHOICES,
+    ClientSampler,
+    FullParticipation,
+    create_sampler,
+)
 from repro.utils.validation import check_choice, check_in_range, check_positive
 
 #: Round policies understood by :func:`create_scheduler` (and the CLI).
@@ -142,9 +153,9 @@ class SchedulingOptions:
     choices, and ``__post_init__`` its range.  An option that only one round
     policy or availability model reads is refused under any other rather
     than silently ignored.  At the defaults nothing is :attr:`requested` and
-    :func:`create_scheduler` builds no scheduler: every client trains every
-    round, and nothing about scheduling is fingerprinted, checkpointed or
-    reported.
+    :func:`create_scheduler` builds the :attr:`~RoundScheduler.inert`
+    scheduler: every client trains every round, and nothing about scheduling
+    is fingerprinted or reported.
     """
 
     participation: Optional[float] = field(default=None, metadata={
@@ -224,8 +235,8 @@ class SchedulingOptions:
 
     @property
     def requested(self) -> bool:
-        """Whether any option departs from the defaults: the one
-        predicate behind "a scheduler exists" and "scheduling is reported"."""
+        """Whether any option departs from the defaults: the predicate
+        behind "scheduling is reported"."""
         return (
             self.participation is not None
             or self.clients_per_round is not None
@@ -282,6 +293,19 @@ class RoundScheduler:
         self.sampler.bind(
             len(self._client_ids),
             weights=[float(client.num_samples) for client in clients],
+        )
+
+    @property
+    def inert(self) -> bool:
+        """Whether every client trains every round at no simulated cost: full
+        participation, always-on clients, zero latency, synchronous rounds.
+        Such a run draws nothing, so its checkpoints carry no scheduling
+        fingerprint."""
+        return (
+            isinstance(self.sampler, FullParticipation)
+            and isinstance(self.availability, AlwaysAvailable)
+            and isinstance(self.latency, ZeroLatency)
+            and self.policy == "sync"
         )
 
     @property
@@ -530,17 +554,14 @@ class RoundScheduler:
         return f"RoundScheduler({self.describe()})"
 
 
-def create_scheduler(options: SchedulingOptions, seed: int = 0) -> Optional[RoundScheduler]:
+def create_scheduler(options: SchedulingOptions, seed: int = 0) -> RoundScheduler:
     """Build the :class:`RoundScheduler` a :class:`SchedulingOptions` asks for.
 
-    Returns ``None`` unless ``options.requested``: full participation,
-    always-on clients, no stragglers and synchronous rounds need no
-    scheduler of their own (the round loop holds an inert one).  ``seed`` is
-    the run seed: sampler, availability and latency streams all derive from
-    it.
+    At the defaults it is the :attr:`~RoundScheduler.inert` scheduler: full
+    participation, always-on clients, no stragglers and synchronous rounds.
+    ``seed`` is the run seed: sampler, availability and latency streams all
+    derive from it.
     """
-    if not options.requested:
-        return None
     return RoundScheduler(
         create_sampler(
             options.sampler,

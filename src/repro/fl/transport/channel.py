@@ -62,7 +62,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fl.communication import CommunicationTracker
 from repro.fl.parameters import (
     FlatState,
     State,
@@ -166,8 +165,8 @@ class Channel:
     """Transport for one training run: codecs + measured byte accounting.
 
     A channel is stateful (per-client references, error-feedback residuals,
-    a round counter, and the tracker), so use one fresh channel per
-    algorithm run.
+    a round counter, and the measured payload bytes per round), so use one
+    fresh channel per algorithm run.
     """
 
     def __init__(
@@ -181,7 +180,9 @@ class Channel:
         self.downlink_codec = downlink_codec if downlink_codec is not None else codec
         self.delta_upload = bool(delta_upload)
         self.error_feedback = bool(error_feedback)
-        self.tracker = CommunicationTracker()
+        # Measured payload bytes per round index, one total per direction.
+        self._uplink_bytes: Dict[int, int] = {}
+        self._downlink_bytes: Dict[int, int] = {}
         self._references: Dict[int, State] = {}
         self._residuals: Dict[int, State] = {}
         self._round = -1
@@ -235,7 +236,7 @@ class Channel:
                     delta_upload=self.delta_upload,
                 )
             task = tasks_by_state[key]
-            self.tracker.record_download(self._round, client_id, task.payload.num_bytes)
+            self._bill(self._downlink_bytes, task.payload.num_bytes)
             if keep_references:
                 self._references[int(client_id)] = task.start_state()
             wire_tasks.append(task)
@@ -281,7 +282,7 @@ class Channel:
                     "upload_names requires the raw state; announce the partial upload "
                     "via Channel.broadcast(partial_upload=True) so the backend returns it"
                 )
-            self.tracker.record_upload(self._round, client_id, payload.num_bytes)
+            self._bill(self._uplink_bytes, payload.num_bytes)
             decoded = self.uplink_codec.decode(payload)
             return _reconstruct(reference, decoded) if self.delta_upload else decoded
 
@@ -302,7 +303,7 @@ class Channel:
                 residual = zeros_like_state(target)
             target = apply_update(target, residual)
         encoded = self.uplink_codec.encode(target)
-        self.tracker.record_upload(self._round, client_id, encoded.num_bytes)
+        self._bill(self._uplink_bytes, encoded.num_bytes)
         decoded = self.uplink_codec.decode(encoded)
         if self.error_feedback:
             self._residuals[client_id] = state_update(decoded, target)
@@ -314,6 +315,10 @@ class Channel:
         return merge_partition(state, reconstructed, upload_names)
 
     # -- introspection ----------------------------------------------------------
+    def _bill(self, totals: Dict[int, int], num_bytes: int) -> None:
+        """Add one payload's bytes to this round's total in ``totals``."""
+        totals[self._round] = totals.get(self._round, 0) + num_bytes
+
     def summary(self) -> ChannelSummary:
         """Measured totals and per-round breakdowns of this run so far."""
         return ChannelSummary(
@@ -322,10 +327,10 @@ class Channel:
             delta_upload=self.delta_upload,
             error_feedback=self.error_feedback,
             rounds=self._round + 1,
-            total_uplink_bytes=self.tracker.total_uplink_bytes,
-            total_downlink_bytes=self.tracker.total_downlink_bytes,
-            uplink_bytes_per_round=self.tracker.per_round_uplink(),
-            downlink_bytes_per_round=self.tracker.per_round_downlink(),
+            total_uplink_bytes=sum(self._uplink_bytes.values()),
+            total_downlink_bytes=sum(self._downlink_bytes.values()),
+            uplink_bytes_per_round=dict(self._uplink_bytes),
+            downlink_bytes_per_round=dict(self._downlink_bytes),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

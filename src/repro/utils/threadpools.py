@@ -27,7 +27,7 @@ This module gives the execution layer the knob it needs:
   execution backends care about.
 * :func:`blas_thread_limit` is a context manager that pins the count for a
   region and restores the previous value, which is how the serial and
-  thread backends scope their policy to one ``map`` call.
+  thread backends scope their policy to one ``imap_outcomes`` call.
 * :func:`resolve_blas_threads` turns the user-facing policy (``"auto"`` or
   an explicit count, see ``--blas-threads``) into the count to pin:
   ``auto`` leaves the library at its own count on every backend, so a pool

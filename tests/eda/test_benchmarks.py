@@ -1,6 +1,5 @@
 """Tests for the synthetic benchmark-suite generators."""
 
-import numpy as np
 import pytest
 
 from repro.eda.benchmarks import (

@@ -22,7 +22,6 @@ from repro.eda.io import (
     write_netlist_verilog,
     write_placement_def,
 )
-from repro.eda.placement import PlacementConfig, Placer
 
 
 CELL_ARRAYS = ("width_sites", "height_rows", "is_macro", "is_sequential", "cluster")

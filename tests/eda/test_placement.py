@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.eda.benchmarks import generate_design
-from repro.eda.placement import Placement, PlacementConfig, Placer, sweep_placements
+from repro.eda.placement import PlacementConfig, Placer, sweep_placements
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,5 @@
 """Tests for placement and routing quality metrics."""
 
-import numpy as np
 import pytest
 
 from repro.eda.global_router import route_placement

@@ -17,6 +17,8 @@ oracles are the vectorised encode (``reduceat`` scales, full-length
 ``repeat``s, a boolean mask) and the per-tensor decode over int64 codes
 that ``QuantizationCodec``'s in-place per-tensor passes must equal byte for
 byte and bit for bit; the proximal oracle is FedProx's expression form.
+``map_tasks`` drives a backend directly, as ``ExecutionBackend.map`` did
+before every client pass went through the resilience manager.
 
 Another ``oracles.py`` lives in ``tests/nn``; load this one by path
 (``load_fl_oracles`` in ``test_state_door.py``), not with ``import oracles``.
@@ -27,9 +29,11 @@ from __future__ import annotations
 import struct
 import zlib
 
+import copy
+
 import numpy as np
 
-from repro.fl import FederatedClient
+from repro.fl import FederatedClient, TaskFailure
 from repro.fl.parameters import (
     FlatState,
     clone_state,
@@ -265,14 +269,13 @@ class ResidentModelClient(FederatedClient):
     """A client with a model of its own for life, as every client had before models were lent.
 
     The four uses keep the bodies they had then: a strict load into
-    ``self._resident``, which nothing another client does can reach.  Its
-    factory is called twice per client (once by ``FederatedClient``), so
-    give it a factory of its own.
+    ``self._resident``, which nothing another client does can reach.  The
+    resident starts as a copy of the template: every use loads over it.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._resident = self._model_factory().set_compute_dtype(self.config.compute_dtype)
+        self._resident = copy.deepcopy(self._template)
 
     def local_train(self, initial_state, steps=None, proximal_mu=None):
         steps = steps if steps is not None else self.config.local_steps
@@ -300,3 +303,16 @@ class ResidentModelClient(FederatedClient):
         self._resident.load_state_dict(state)
         scores, labels = predict_dataset(self._resident, target, batch_size=max(self.config.batch_size, 8))
         return roc_auc_score(labels, scores)
+
+
+def map_tasks(backend, tasks):
+    """Every task's update from ``backend``, in task order; a failed task fails the test."""
+    updates = []
+    for outcome in backend.imap_outcomes(tasks):
+        if isinstance(outcome, TaskFailure):
+            raise AssertionError(
+                f"client {outcome.client_id} failed ({outcome.kind}): {outcome.error}\n"
+                f"{outcome.traceback or ''}"
+            )
+        updates.append(outcome)
+    return updates

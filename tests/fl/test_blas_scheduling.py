@@ -18,6 +18,9 @@ from repro.fl import ProcessPoolBackend, SerialBackend, ThreadPoolBackend, creat
 from repro.fl.execution import backend as backend_module
 from repro.fl.execution.backend import ClientTask, pool_size
 from repro.utils.threadpools import blas_info, get_blas_threads
+from test_state_door import load_fl_oracles
+
+map_tasks = load_fl_oracles().map_tasks
 
 
 def controllable() -> bool:
@@ -46,7 +49,7 @@ def joiner_blas_threads(policy) -> int:
     backend = ProcessPoolBackend(workers=1, blas_threads=policy)
     backend.bind([ProbeClient()])
     try:
-        (update,) = backend.map([ClientTask(client_index=0, state={"threads": np.zeros(1)})])
+        (update,) = map_tasks(backend, [ClientTask(client_index=0, state={"threads": np.zeros(1)})])
     finally:
         backend.close()
     return int(update.state["threads"][0])
@@ -136,7 +139,7 @@ class TestRuntimePinning:
         probe = ProbeClient()
         backend = SerialBackend(blas_threads=2)
         backend.bind([probe])
-        backend.map([ClientTask(client_index=0, state={})])
+        map_tasks(backend, [ClientTask(client_index=0, state={})])
         assert probe.observed == 2
         assert get_blas_threads() == previous
 
@@ -147,8 +150,8 @@ class TestRuntimePinning:
         backend = ThreadPoolBackend(workers=2)
         backend.bind(probes)
         try:
-            backend.map(
-                [ClientTask(client_index=0, state={}), ClientTask(client_index=1, state={})]
+            map_tasks(
+                backend, [ClientTask(client_index=0, state={}), ClientTask(client_index=1, state={})]
             )
         finally:
             backend.close()
@@ -162,8 +165,8 @@ class TestRuntimePinning:
         backend = ThreadPoolBackend(workers=2, blas_threads=1)
         backend.bind(probes)
         try:
-            backend.map(
-                [ClientTask(client_index=0, state={}), ClientTask(client_index=1, state={})]
+            map_tasks(
+                backend, [ClientTask(client_index=0, state={}), ClientTask(client_index=1, state={})]
             )
         finally:
             backend.close()

@@ -6,7 +6,6 @@ import pytest
 from repro.fl import ALGORITHMS
 from repro.fl.communication import (
     BYTES_PER_FLOAT32,
-    CommunicationTracker,
     estimate_communication,
     state_bytes,
     state_num_parameters,
@@ -115,20 +114,6 @@ class TestEstimateCommunication:
         data = report.to_dict()
         assert data["algorithm"] == "fedavg"
         assert data["total_bytes"] == report.total_bytes
-
-
-class TestCommunicationTracker:
-    def test_measured_payload_records(self):
-        tracker = CommunicationTracker()
-        tracker.record_upload(0, 1, 100)
-        tracker.record_upload(1, 1, 150)
-        tracker.record_download(0, 2, 70)
-        assert tracker.total_uplink_bytes == 250
-        assert tracker.total_downlink_bytes == 70
-        assert tracker.per_round_uplink() == {0: 100, 1: 150}
-        assert tracker.per_round_downlink() == {0: 70}
-        with pytest.raises(ValueError):
-            tracker.record_upload(0, 1, -1)
 
 
 class TestTopkSparsify:

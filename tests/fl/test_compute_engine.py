@@ -34,11 +34,12 @@ from repro.fl import (
     create_channel,
 )
 from repro.fl.client import lent_model
-from repro.fl.parameters import FlatState
+from repro.fl.parameters import FlatState, flat_model_state
 
 from test_execution import (
     TINY_CONFIG,
     make_factory,
+    map_tasks,
     run_named,
     states_equal,
 )
@@ -104,11 +105,11 @@ class TestWarmPoolLifecycle:
         backend = ProcessPoolBackend(workers=2)
         clients = make_clients()
         backend.bind(clients)
-        state = clients[0].initial_state()
+        state = flat_model_state(make_factory(num_channels)())
         with backend:
             for _ in range(3):
-                backend.map(
-                    [ClientTask(client_index=i, state=state, steps=1) for i in range(2)]
+                map_tasks(
+                    backend, [ClientTask(client_index=i, state=state, steps=1) for i in range(2)]
                 )
             assert backend.spawn_count == 1
 
@@ -116,11 +117,11 @@ class TestWarmPoolLifecycle:
         backend = ProcessPoolBackend(workers=2)
         clients = make_clients()
         backend.bind(clients)
-        state = clients[0].initial_state()
+        state = flat_model_state(make_factory(num_channels)())
         try:
-            backend.map([ClientTask(client_index=0, state=state, steps=1)])
+            map_tasks(backend, [ClientTask(client_index=0, state=state, steps=1)])
             backend.close()
-            backend.map([ClientTask(client_index=0, state=state, steps=1)])
+            map_tasks(backend, [ClientTask(client_index=0, state=state, steps=1)])
             assert backend.spawn_count == 2
         finally:
             backend.close()
@@ -129,14 +130,14 @@ class TestWarmPoolLifecycle:
         backend = ProcessPoolBackend(workers=2)
         clients = make_clients()
         backend.bind(clients)
-        state = clients[0].initial_state()
+        state = flat_model_state(make_factory(num_channels)())
         try:
-            backend.map([ClientTask(client_index=0, state=state, steps=1)])
+            map_tasks(backend, [ClientTask(client_index=0, state=state, steps=1)])
             backend.bind(clients)  # identical roster: the warm pool survives
-            backend.map([ClientTask(client_index=0, state=state, steps=1)])
+            map_tasks(backend, [ClientTask(client_index=0, state=state, steps=1)])
             assert backend.spawn_count == 1
             backend.bind(list(reversed(clients)))  # different roster: recycle
-            backend.map([ClientTask(client_index=0, state=state, steps=1)])
+            map_tasks(backend, [ClientTask(client_index=0, state=state, steps=1)])
             assert backend.spawn_count == 2
         finally:
             backend.close()
@@ -148,11 +149,11 @@ class TestWarmPoolLifecycle:
 
     def test_thread_pool_context_manager(self, make_clients, num_channels):
         clients = make_clients()
-        state = clients[0].initial_state()
+        state = flat_model_state(make_factory(num_channels)())
         with ThreadPoolBackend(workers=2) as backend:
             backend.bind(clients)
-            updates = backend.map(
-                [ClientTask(client_index=i, state=state, steps=1) for i in range(2)]
+            updates = map_tasks(
+                backend, [ClientTask(client_index=i, state=state, steps=1) for i in range(2)]
             )
             assert [update.client_index for update in updates] == [0, 1]
         assert backend._executor is None

@@ -28,8 +28,11 @@ from repro.fl import (
     create_algorithm,
     create_backend,
 )
-from repro.fl.parameters import flatten_state, state_digest
+from repro.fl.parameters import flat_model_state, flatten_state, state_digest
 from repro.models import FLNet
+from test_state_door import load_fl_oracles
+
+map_tasks = load_fl_oracles().map_tasks
 
 TINY_CONFIG = FLConfig(
     rounds=2,
@@ -140,36 +143,37 @@ class TestTaskValidation:
         with pytest.raises(ValueError, match="unknown client op"):
             ClientTask(client_index=0, state={}, op="evaluate")
 
-    def test_duplicate_client_rejected(self, make_clients):
+    def test_duplicate_client_rejected(self, make_clients, num_channels):
         clients = make_clients()
         backend = SerialBackend()
         backend.bind(clients)
-        state = clients[0].initial_state()
+        state = flat_model_state(make_factory(num_channels)())
         tasks = [
             ClientTask(client_index=0, state=state, steps=1, proximal_mu=0.0),
             ClientTask(client_index=0, state=state, steps=1, proximal_mu=0.0),
         ]
         with pytest.raises(ValueError, match="at most one task per client"):
-            backend.map(tasks)
+            map_tasks(backend, tasks)
 
     def test_map_before_bind_rejected(self):
         backend = ProcessPoolBackend(workers=2)
         with pytest.raises(RuntimeError, match="before bind"):
-            backend.map([ClientTask(client_index=0, state={}, steps=1)])
+            map_tasks(backend, [ClientTask(client_index=0, state={}, steps=1)])
 
-    def test_shared_carriers_are_encoded_once(self, make_clients):
+    def test_shared_carriers_are_encoded_once(self, make_clients, num_channels):
         # The broadcast dedup of the joiner backends: tasks that share a state
         # submit it once; a distinct state is submitted on its own.
         clients = make_clients()
-        shared, own = clients[0].initial_state(), clients[1].initial_state()
+        factory = make_factory(num_channels)
+        shared, own = flat_model_state(factory()), flat_model_state(factory())
         backend = ProcessPoolBackend(workers=1)
         backend.bind(clients)
         try:
-            backend.map([ClientTask(client_index=0, state=shared, steps=1),
-                         ClientTask(client_index=1, state=shared, steps=1)])
+            map_tasks(backend, [ClientTask(client_index=0, state=shared, steps=1),
+                                ClientTask(client_index=1, state=shared, steps=1)])
             assert backend.server.journal.high_state_id == 1
-            backend.map([ClientTask(client_index=0, state=shared, steps=1),
-                         ClientTask(client_index=1, state=own, steps=1)])
+            map_tasks(backend, [ClientTask(client_index=0, state=shared, steps=1),
+                                ClientTask(client_index=1, state=own, steps=1)])
             assert backend.server.journal.high_state_id == 3
             assert backend.network_summary()["states_sent"] == 3
         finally:
@@ -177,7 +181,7 @@ class TestTaskValidation:
 
     def test_empty_map_is_noop(self):
         backend = ProcessPoolBackend(workers=2)
-        assert backend.map([]) == []
+        assert map_tasks(backend, []) == []
 
 
 class TestSerialParallelEquivalence:
@@ -255,13 +259,14 @@ class TestCheckpointManager:
         assert set(loaded.client_rng_states) == {1, 2}
         assert loaded.client_rng_states[1] == clients[0].rng_state
 
-    def test_restore_clients_rewinds_rng(self, tmp_path, make_clients):
+    def test_restore_clients_rewinds_rng(self, tmp_path, make_clients, num_channels):
         clients = make_clients()
         manager = CheckpointManager(tmp_path)
         manager.save(0, self.make_state(0.0), clients)
         before = [client.rng_state for client in clients]
+        state = flat_model_state(make_factory(num_channels)())
         for client in clients:  # advance every stream
-            client.local_train(client.initial_state(), steps=1, proximal_mu=0.0)
+            client.local_train(state, steps=1, proximal_mu=0.0)
         assert [client.rng_state for client in clients] != before
         manager.restore_clients(clients, manager.load_latest())
         assert [client.rng_state for client in clients] == before
@@ -328,6 +333,41 @@ class TestCheckpointResume:
         losses = {r.round_index: r.mean_loss for r in uninterrupted.history}
         for record in resumed.history:
             assert record.mean_loss == losses[record.round_index]
+
+    def test_a_default_checkpoint_without_scheduler_or_resilience_state_resumes(
+        self, tmp_path, make_clients, num_channels
+    ):
+        """A default run's checkpoint fingerprints no scheduling and no faults;
+        one written before every run held a scheduler and a resilience manager
+        carries neither's state, and still resumes bit for bit."""
+        import json
+        from dataclasses import replace
+
+        long_config = replace(TINY_CONFIG, rounds=4)
+        short_config = replace(TINY_CONFIG, rounds=2)
+        uninterrupted = run_named("fedavgm", make_clients(long_config), num_channels, config=long_config)
+        run_named(
+            "fedavgm",
+            make_clients(short_config),
+            num_channels,
+            config=short_config,
+            checkpoint=CheckpointManager(tmp_path),
+        )
+        for path in tmp_path.glob("round_*.json"):
+            meta = json.loads(path.read_text(encoding="utf-8"))
+            extra = meta["extra_meta"]
+            assert not {"scheduling", "faults"} & set(extra["fingerprint"])
+            del extra["scheduler_state"], extra["resilience_state"]
+            path.write_text(json.dumps(meta), encoding="utf-8")
+        resumed = run_named(
+            "fedavgm",
+            make_clients(long_config),
+            num_channels,
+            config=long_config,
+            checkpoint=CheckpointManager(tmp_path),
+        )
+        assert digests(resumed) == digests(uninterrupted)
+        assert [r.round_index for r in resumed.history] == [2, 3]
 
     @pytest.mark.parametrize("algorithm", ["fedavg", *PERSONALISED])
     def test_completed_run_resumes_to_final_state(

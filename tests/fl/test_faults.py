@@ -4,9 +4,12 @@ The central guarantees under test:
 
 * a :class:`FaultPlan` is deterministic for a seed and checkpointable
   (state round-trips bit for bit),
-* a fault-free supervised run (quorum 1.0, no injected faults) is
-  **bit-identical** to the unsupervised path on every backend (held by the
-  parity matrix in ``test_scheduling.py``),
+* every client pass is supervised; the default manager absorbs nothing,
+  so a run's first failed client task raises :class:`ClientExecutionError`
+  with its client, backend and remote traceback, and a fault-free pass
+  under a tolerant manager is **bit-identical** to one under the default
+  manager on every backend (held by the parity matrix in
+  ``test_scheduling.py``),
 * injected pre-dispatch faults are healed by retries with zero effect on
   the trained model (RNG snapshot/restore),
 * payload corruption is caught by the transport CRC and healed by retry,
@@ -44,17 +47,17 @@ from repro.fl import (
     RetryPolicy,
     SchedulingOptions,
     SeededModelFactory,
-    SerialBackend,
     TaskFailure,
     ThreadPoolBackend,
     TransportDecodeError,
     create_algorithm,
+    create_backend,
     create_channel,
     create_resilience,
     create_scheduler,
 )
 from repro.fl.faults.plan import FaultDecision, check_rates
-from repro.fl.parameters import state_digest
+from repro.fl.parameters import flat_model_state, state_digest
 from repro.fl.transport.codecs import IdentityCodec, Payload, QuantizationCodec, TopKCodec
 from repro.models import FLNet
 from repro.nn.serialization import load_state_dict, save_state_dict
@@ -170,10 +173,12 @@ class KamikazeClient(FederatedClient):
 
 
 class ExplodingClient(FederatedClient):
-    """A client whose training always raises (satellite: error context)."""
+    """A client whose training raises when it is client 2; client 1 trains."""
 
     def local_train(self, *args, **kwargs):
-        raise ValueError("numerical blow-up in conv2")
+        if self.client_id == 2:
+            raise ValueError("numerical blow-up in conv2")
+        return super().local_train(*args, **kwargs)
 
 
 class SleepyClient:
@@ -312,7 +317,10 @@ class TestRetryPolicy:
         assert ResilienceOptions(quorum=0.5).requested
         assert ResilienceOptions(max_retries=0).requested
         assert ResilienceOptions(fault_crash_rate=0.1).requested
-        assert create_resilience(ResilienceOptions()) is None
+        inert = create_resilience(ResilienceOptions())
+        assert inert.retry.max_retries == 0 and inert.quorum == 1.0
+        assert not inert.plan.any_faults and not inert.absorbs_failures
+        assert create_resilience(ResilienceOptions(fault_crash_rate=0.1)).absorbs_failures
         manager = create_resilience(ResilienceOptions(quorum=0.7, fault_crash_rate=0.1), seed=3)
         assert isinstance(manager, ResilienceManager)
         assert manager.quorum == 0.7
@@ -320,11 +328,11 @@ class TestRetryPolicy:
 
 
 class TestSupervisedParity:
-    """Fault-free supervision is bit-identical to the unsupervised path on
-    every backend: a cell of ``test_scheduling.py``'s
-    ``test_explicit_full_sync_matches_schedulerless_run``."""
+    """A fault-free pass under a tolerant manager is bit-identical to one
+    under the default manager on every backend: a cell of
+    ``test_scheduling.py``'s ``test_explicit_full_sync_matches_default_run``."""
 
-    def test_a_round_algorithm_holds_the_resilience_manager_and_local_none(
+    def test_a_round_algorithm_holds_the_resilience_manager_and_local_an_inert_one(
         self, make_clients, num_channels
     ):
         with warnings.catch_warnings():
@@ -339,7 +347,8 @@ class TestSupervisedParity:
                 ).resilience
                 for name in ("fedprox_alpha", "local")
             }
-        assert held["fedprox_alpha"] is not None and held["local"] is None
+        assert held["fedprox_alpha"].retry.max_retries == 1
+        assert not held["local"].absorbs_failures
 
 
 class TestRetryHealing:
@@ -654,22 +663,20 @@ class TestProcessPoolResilience:
             backend.close()
         assert states_equal(baseline.global_state, training.global_state)
 
-    def crash_loop(self, make_clients, workers=2):
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_crash_loop_yields_a_crash_failure_after_bounded_restarts(
+        self, make_clients, num_channels, workers
+    ):
         """A process backend whose first client hard-exits its joiner on every attempt."""
         clients = make_clients(client_class=KamikazeClient)
         clients[0].every_attempt = True
         backend = ProcessPoolBackend(workers=workers)
         backend.bind(clients)
-        state = clients[0].initial_state()
+        state = flat_model_state(make_factory(num_channels)())
         tasks = [
             ClientTask(client_index=index, state=state, steps=1, proximal_mu=0.0)
             for index in range(len(clients))
         ]
-        return backend, tasks
-
-    @pytest.mark.parametrize("workers", [2, 1])
-    def test_crash_loop_yields_a_crash_failure_after_bounded_restarts(self, make_clients, workers):
-        backend, tasks = self.crash_loop(make_clients, workers)
         started = time.monotonic()
         try:
             outcomes = list(backend.imap_outcomes(tasks))
@@ -686,11 +693,15 @@ class TestProcessPoolResilience:
         # Restarts, not the liveness deadline, ended the task.
         assert elapsed < backend.client_timeout / 2
 
-    def test_unsupervised_crash_loop_raises_client_execution_error(self, make_clients):
-        backend, tasks = self.crash_loop(make_clients)
+    def test_default_run_raises_client_execution_error_on_a_crash_loop(
+        self, make_clients, num_channels
+    ):
+        clients = make_clients(client_class=KamikazeClient)
+        clients[0].every_attempt = True
+        backend = ProcessPoolBackend(workers=2)
         try:
             with pytest.raises(ClientExecutionError) as excinfo:
-                backend.map(tasks)
+                run_resilient("fedavg", clients, num_channels, backend=backend)
         finally:
             backend.close()
         assert excinfo.value.backend == "process"
@@ -717,37 +728,45 @@ class TestProcessPoolResilience:
         assert outcomes[1].kind == "timeout"
         assert time.monotonic() - started < 30.0
 
-    def test_worker_exception_carries_client_context(self, make_clients, num_channels):
-        """Satellite: unsupervised failures surface as ClientExecutionError
-        with the client id, backend name, and remote traceback attached."""
-        clients = make_clients(client_class=ExplodingClient)
-        backend = ProcessPoolBackend(workers=2)
-        backend.bind(clients)
-        task = ClientTask(
-            client_index=0, state=clients[0].initial_state(), steps=1, proximal_mu=0.0
-        )
+    @pytest.mark.parametrize("backend_name", ["serial", "process"])
+    @pytest.mark.parametrize("algorithm", ["fedprox", "local"])
+    def test_default_run_raises_client_execution_error(
+        self, algorithm, backend_name, make_clients, num_channels
+    ):
+        """The default manager absorbs nothing: a run's first failed client
+        task raises ClientExecutionError with the client id, backend name and
+        remote traceback attached."""
+        backend = create_backend(backend_name, workers=2 if backend_name == "process" else None)
         try:
             with pytest.raises(ClientExecutionError) as excinfo:
-                backend.map([task])
+                run_resilient(
+                    algorithm,
+                    make_clients(client_class=ExplodingClient),
+                    num_channels,
+                    backend=backend,
+                )
         finally:
             backend.close()
         error = excinfo.value
-        assert error.client_id == "1"
-        assert error.client_index == 0
-        assert error.backend == "process"
+        assert error.client_id == "2"
+        assert error.client_index == 1
+        assert error.backend == backend_name
         assert error.kind == "exception"
         assert "numerical blow-up" in str(error)
         assert "ValueError" in (error.remote_traceback or "")
 
-    def test_serial_exception_carries_client_context(self, make_clients, num_channels):
-        clients = make_clients(client_class=ExplodingClient)
-        backend = SerialBackend()
-        backend.bind(clients)
-        task = ClientTask(
-            client_index=1, state=clients[1].initial_state(), steps=1, proximal_mu=0.0
-        )
+    def test_max_retries_zero_alone_absorbs_nothing(self, make_clients, num_channels):
+        """No retries at quorum 1.0 cannot survive a failure: the failed task
+        raises ClientExecutionError, not QuorumFailure."""
+        manager = create_resilience(ResilienceOptions(max_retries=0), seed=0)
+        assert not manager.absorbs_failures
         with pytest.raises(ClientExecutionError) as excinfo:
-            backend.map([task])
+            run_resilient(
+                "fedavg",
+                make_clients(client_class=ExplodingClient),
+                num_channels,
+                resilience=manager,
+            )
         assert excinfo.value.client_id == "2"
         assert excinfo.value.backend == "serial"
 

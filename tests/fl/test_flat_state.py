@@ -29,7 +29,6 @@ from repro.fl import (
     FLConfig,
     FlatState,
     SeededModelFactory,
-    SerialBackend,
     StateLayout,
     create_algorithm,
 )

@@ -128,8 +128,7 @@ class TestLentEqualsResident:
     def test_any_interleaving_is_bit_identical(self, builder, dtypes, ops):
         lent = make_roster(SeededModelFactory(builder, base_seed=0), dtypes)
         resident = make_roster(SeededModelFactory(builder, base_seed=0), dtypes, cls=ResidentModelClient)
-        states = [client.initial_state() for client in lent]
-        assert [state_digest(s) for s in states] == [state_digest(c.initial_state()) for c in resident]
+        states = [flat_model_state(builder(client.client_id)) for client in lent]
         for op, index, pick in ops:
             state = states[pick % len(states)]
             got = getattr(lent[index], op)(state)
@@ -226,7 +225,7 @@ class TestOwnership:
     def test_a_dropped_roster_frees_its_template_and_lent_model(self):
         def train_and_forget():
             (client,) = make_roster(SeededModelFactory(FLNetBuilder(), base_seed=0), ["float64"])
-            client.local_train(client.initial_state())
+            client.local_train(flat_model_state(FLNetBuilder()(client.client_id)))
             return weakref.ref(client._template), weakref.ref(lent_here()[client._template])
 
         template, lent = train_and_forget()
@@ -245,7 +244,10 @@ class TestOwnership:
             ]
 
         def train(clients):
-            return [state_digest(client.local_train(client.initial_state())[0]) for client in clients]
+            return [
+                state_digest(client.local_train(flat_model_state(FLNetBuilder()(client.client_id)))[0])
+                for client in clients
+            ]
 
         expected = [train(build(SeededModelFactory(FLNetBuilder(), base_seed=0), client_ids)) for client_ids in ids]
         factory = CountingFactory(FLNetBuilder())

@@ -70,7 +70,7 @@ from repro.fl.net.messages import (
     decode_message,
     encode_message,
 )
-from repro.fl.parameters import state_digest
+from repro.fl.parameters import flat_model_state, state_digest
 from repro.fl.transport.envelope import encode_carrier
 from repro.models import FLNet
 
@@ -428,14 +428,14 @@ class TestShutdown:
 
 
 class TestNetworkFailuresAsTaskFailures:
-    def test_unconnected_client_reaps_to_disconnect_failure(self, make_clients):
+    def test_unconnected_client_reaps_to_disconnect_failure(self, make_clients, num_channels):
         """No joiner ever connects: the dispatch must fail, not hang."""
         clients = make_clients()
         backend = WireBackend(port=0, heartbeat_interval=0.1, client_timeout=0.4)
         backend.bind(clients)
         backend.listen([client.client_id for client in clients])
         try:
-            state = clients[0].initial_state()
+            state = flat_model_state(make_factory(num_channels)())
             outcomes = list(
                 backend.imap_outcomes([ClientTask(client_index=0, state=state)], timeout=None)
             )
@@ -447,7 +447,7 @@ class TestNetworkFailuresAsTaskFailures:
         assert failure.kind == "disconnect"
         assert failure.client_id == clients[0].client_id
 
-    def test_silent_connection_is_reaped_as_heartbeat_loss(self, make_clients):
+    def test_silent_connection_is_reaped_as_heartbeat_loss(self, make_clients, num_channels):
         """A peer that handshakes then goes silent trips the liveness deadline."""
         clients = make_clients()
         backend = WireBackend(port=0, heartbeat_interval=0.1, client_timeout=0.4)
@@ -466,7 +466,7 @@ class TestNetworkFailuresAsTaskFailures:
                         welcome = decode_message(received_type, received_body)
             assert welcome.heartbeat_interval == backend.heartbeat_interval
             # Never answer anything again; dispatch and await the reaper.
-            state = clients[0].initial_state()
+            state = flat_model_state(make_factory(num_channels)())
             outcomes = list(
                 backend.imap_outcomes([ClientTask(client_index=0, state=state)], timeout=None)
             )
@@ -479,13 +479,13 @@ class TestNetworkFailuresAsTaskFailures:
         assert outcomes[0].kind == "heartbeat"
         assert network["heartbeat_losses"] >= 1
 
-    def test_per_task_timeout_yields_timeout_failure(self, make_clients):
+    def test_per_task_timeout_yields_timeout_failure(self, make_clients, num_channels):
         clients = make_clients()
         backend = WireBackend(port=0, heartbeat_interval=1.0, client_timeout=30.0)
         backend.bind(clients)
         backend.listen([client.client_id for client in clients])
         try:
-            state = clients[0].initial_state()
+            state = flat_model_state(make_factory(num_channels)())
             outcomes = list(
                 backend.imap_outcomes([ClientTask(client_index=0, state=state)], timeout=0.2)
             )
@@ -494,11 +494,11 @@ class TestNetworkFailuresAsTaskFailures:
         assert isinstance(outcomes[0], TaskFailure)
         assert outcomes[0].kind == "timeout"
 
-    def test_one_task_per_client_is_enforced(self, make_clients):
+    def test_one_task_per_client_is_enforced(self, make_clients, num_channels):
         clients = make_clients()
         backend = WireBackend(port=0, heartbeat_interval=0.1, client_timeout=0.4)
         backend.bind(clients)
-        state = clients[0].initial_state()
+        state = flat_model_state(make_factory(num_channels)())
         tasks = [ClientTask(client_index=0, state=state), ClientTask(client_index=0, state=state)]
         with pytest.raises(ValueError):
             list(backend.imap_outcomes(tasks))

@@ -32,7 +32,7 @@ from repro.fl import (
     initial_rng_state,
 )
 from repro.fl import SeededModelFactory
-from repro.fl.parameters import FlatState, state_vector, weighted_average
+from repro.fl.parameters import FlatState, flat_model_state, state_vector, weighted_average
 from repro.models import FLNet
 from test_state_door import load_fl_oracles
 
@@ -535,13 +535,12 @@ class TestJoinerRelease:
             steps=1, proximal_mu=0.0, rng_state=initial_rng_state(1),
         )
 
-    def test_a_trained_handle_is_released(self, make_directory):
+    def test_a_trained_handle_is_released(self, make_directory, num_channels):
         from repro.fl.net.client import FederationClientRunner
 
         directory = make_directory(3)
         handle = directory[0]
-        state = handle.initial_state()
-        handle.release()
+        state = flat_model_state(make_factory(num_channels)())
         runner = FederationClientRunner([handle], "127.0.0.1", 1)
         update = runner._execute(self.envelope(state))
         assert update.error is None and update.state is not None

@@ -4,9 +4,10 @@ The central guarantees under test:
 
 * samplers / availability / latency models are deterministic, seeded, and
   checkpointable (state round-trips),
-* a scheduler configured to full-sync / no-straggler behavior, with or
-  without a fault-free supervisor, on any backend, is **bit-identical** to a
-  serial run without a scheduler at all, for every global-model algorithm,
+* a scheduler configured to full-sync / no-straggler behavior, under the
+  default or a fault-free tolerant supervisor, on any backend, is
+  **bit-identical** to a serial run on the default scheduler and manager,
+  for every round algorithm,
 * the round loop keeps the contract the bench harness relies on: one
   client pass per round, the global state first, ``states()`` before
   ``result()``, and each update folded as it arrives,
@@ -362,12 +363,12 @@ class TestVirtualClock:
 
 
 class TestCreateScheduler:
-    def test_defaults_build_no_scheduler(self):
-        assert create_scheduler(SchedulingOptions()) is None
+    def test_defaults_build_the_inert_scheduler(self):
+        assert create_scheduler(SchedulingOptions()).inert
         spelled_out = SchedulingOptions(
             round_policy="sync", availability="always", straggler_model="none"
         )
-        assert create_scheduler(spelled_out) is None
+        assert create_scheduler(spelled_out).inert
 
     def test_any_option_builds_one(self):
         for options in (
@@ -433,16 +434,16 @@ def digests(result):
 
 class TestScheduledRounds:
     @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
-    @pytest.mark.parametrize("supervised", [False, True], ids=["unsupervised", "supervised"])
+    @pytest.mark.parametrize("tolerant", [False, True], ids=["inert", "tolerant"])
     @pytest.mark.parametrize("algorithm", ROUND_ALGORITHMS)
-    def test_explicit_full_sync_matches_schedulerless_run(
-        self, algorithm, supervised, backend_name, make_clients, num_channels
+    def test_explicit_full_sync_matches_default_run(
+        self, algorithm, tolerant, backend_name, make_clients, num_channels
     ):
-        """A scheduler at its most trivial, a fault-free supervisor and any
-        backend must not change a single bit of a serial, scheduler-less,
-        unsupervised run."""
+        """A scheduler at its most trivial, a fault-free tolerant supervisor
+        and any backend must not change a single bit of a serial run on the
+        default scheduler and manager."""
         plain = run_named(algorithm, make_clients(), num_channels)
-        resilience = ResilienceManager() if supervised else None
+        resilience = ResilienceManager() if tolerant else None
         scheduled = run_named(
             algorithm,
             make_clients(),
@@ -456,7 +457,7 @@ class TestScheduledRounds:
         assert [r.per_client_loss for r in scheduled.history] == [
             r.per_client_loss for r in plain.history
         ]
-        if supervised:
+        if tolerant:
             summary = resilience.summary()
             assert (summary.retries, summary.gave_up, summary.dropped_clients) == (0, 0, [])
             assert sum(summary.injected.values()) == 0
@@ -531,7 +532,7 @@ class TestScheduledRounds:
             # The dropped client's loss is not part of the round record.
             assert len(record.per_client_loss) == record.extra["arrived"]
 
-    def test_a_round_algorithm_holds_the_scheduler_and_local_none(
+    def test_a_round_algorithm_holds_the_scheduler_and_local_an_inert_one(
         self, make_clients, num_channels
     ):
         with warnings.catch_warnings():
@@ -546,7 +547,7 @@ class TestScheduledRounds:
                 ).scheduler
                 for name in ("ifca", "local")
             }
-        assert held["ifca"] is not None and held["local"] is None
+        assert not held["ifca"].inert and held["local"].inert
 
     def test_fedbuff_rejected_for_non_delta_algorithms(self, make_clients, num_channels):
         with pytest.raises(ValueError, match="fedbuff"):
@@ -648,11 +649,11 @@ SCHEDULES = {
 class TestRoundLoopContract:
     """What code outside the package relies on (``bench/workload.py`` first)."""
 
-    @pytest.mark.parametrize("supervised", [False, True], ids=["unsupervised", "supervised"])
+    @pytest.mark.parametrize("tolerant", [False, True], ids=["inert", "tolerant"])
     @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
     @pytest.mark.parametrize("algorithm", ROUND_ALGORITHMS)
     def test_one_client_pass_per_round_and_result_before_spread(
-        self, algorithm, schedule, supervised, make_clients, num_channels
+        self, algorithm, schedule, tolerant, make_clients, num_channels
     ):
         """``map_client_updates``, wrapped on the instance the way the bench
         harness wraps it, is called once per round — with the global state
@@ -670,9 +671,9 @@ class TestRoundLoopContract:
             make_factory(num_channels),
             config,
             scheduler=create_scheduler(SchedulingOptions(**options), seed=0) if options else None,
-            # Quorum 0.5: a supervised deadline round that drops a straggler
+            # Quorum 0.5: a tolerant deadline round that drops a straggler
             # still commits.
-            resilience=ResilienceManager(quorum=0.5) if supervised else None,
+            resilience=ResilienceManager(quorum=0.5) if tolerant else None,
         )
         passes, events = [], []
         wrapped = instance.map_client_updates
@@ -866,9 +867,9 @@ class TestRoundLoopContract:
         )
         assert result.history[-1].extra["assignment"] == assignment
 
-    @pytest.mark.parametrize("supervised", [False, True], ids=["unsupervised", "supervised"])
+    @pytest.mark.parametrize("tolerant", [False, True], ids=["inert", "tolerant"])
     def test_each_update_is_folded_before_the_next_client_trains(
-        self, supervised, make_clients, num_channels
+        self, tolerant, make_clients, num_channels
     ):
         """Server memory stays O(P): the pass hands each update to the loop
         as it arrives, not after the whole cohort has trained."""
@@ -878,7 +879,7 @@ class TestRoundLoopContract:
             clients,
             make_factory(num_channels),
             TINY_CONFIG,
-            resilience=ResilienceManager() if supervised else None,
+            resilience=ResilienceManager() if tolerant else None,
         )
         events = []
         for client in clients:
@@ -1034,59 +1035,3 @@ class TestScheduledCheckpointResume:
                 checkpoint=CheckpointManager(tmp_path),
                 scheduler=create_scheduler(SchedulingOptions(participation=0.99), seed=0),
             )
-
-
-class TestClientInitialState:
-    """Satellite: cached, client-RNG-seeded ``FederatedClient.initial_state``."""
-
-    def test_cached_not_rebuilt(self, tiny_train_dataset, tiny_test_dataset, num_channels):
-        factory = make_factory(num_channels)
-        client = FederatedClient(1, tiny_train_dataset, tiny_test_dataset, factory, TINY_CONFIG)
-        calls = {"n": 0}
-        original = factory.build_with_seed
-
-        def counting(seed):
-            calls["n"] += 1
-            return original(seed)
-
-        factory.build_with_seed = counting
-        try:
-            first = client.initial_state()
-            second = client.initial_state()
-        finally:
-            factory.build_with_seed = original
-        assert calls["n"] == 1
-        assert states_equal(first, second)
-        # Returned copies are independent: mutating one leaves the cache alone.
-        name = next(iter(first))
-        first[name] += 1.0
-        assert states_equal(second, client.initial_state())
-
-    def test_seeded_from_client_rng(self, make_clients):
-        roster_a = make_clients()
-        roster_b = make_clients()
-        # Same client (same RNG stream) -> same initialization...
-        assert states_equal(roster_a[0].initial_state(), roster_b[0].initial_state())
-        # ...different clients -> different initializations.
-        assert not states_equal(roster_a[0].initial_state(), roster_a[1].initial_state())
-
-    def test_does_not_consume_training_rng(self, make_clients):
-        # The init seed comes from a dedicated per-client stream; calling
-        # initial_state must never perturb the batch-shuffling RNG the
-        # trainer shares.
-        client = make_clients()[0]
-        before = client.rng_state
-        client.initial_state()
-        assert client.rng_state == before
-
-    def test_independent_of_factory_counter(
-        self, tiny_train_dataset, tiny_test_dataset, num_channels
-    ):
-        # Pulling extra models from the shared factory must not perturb a
-        # client's own initialization.
-        factory_a = make_factory(num_channels)
-        client_a = FederatedClient(1, tiny_train_dataset, tiny_test_dataset, factory_a, TINY_CONFIG)
-        factory_b = make_factory(num_channels)
-        client_b = FederatedClient(1, tiny_train_dataset, tiny_test_dataset, factory_b, TINY_CONFIG)
-        factory_b()  # advance the shared counter
-        assert states_equal(client_a.initial_state(), client_b.initial_state())

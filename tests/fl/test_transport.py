@@ -358,10 +358,25 @@ class TestChannel:
         assert wire_tasks[0] is wire_tasks[1]
         # ...but bytes are billed once per receiving client.
         size = state_bytes(state)
-        assert channel.tracker.total_downlink_bytes == 2 * size
+        assert channel.summary().total_downlink_bytes == 2 * size
         received = channel.receive(1, state=state)
         assert states_equal(received, state)
-        assert channel.tracker.total_uplink_bytes == size
+        assert channel.summary().total_uplink_bytes == size
+
+    def test_bytes_are_totalled_per_round(self):
+        state = _state(12)
+        size = state_bytes(state)
+        channel = create_channel("none")
+        channel.broadcast([state, state], [1, 2])
+        channel.receive(1, state=state)
+        channel.broadcast([state], [1])
+        channel.receive(1, state=state)
+        channel.broadcast([state], [2], expect_upload=False)
+        summary = channel.summary()
+        assert summary.rounds == 3
+        assert summary.downlink_bytes_per_round == {0: 2 * size, 1: size, 2: size}
+        assert summary.uplink_bytes_per_round == {0: size, 1: size}
+        assert (summary.total_downlink_bytes, summary.total_uplink_bytes) == (4 * size, 2 * size)
 
     def test_receive_argument_validation(self):
         channel = create_channel("none")
@@ -379,10 +394,9 @@ class TestChannel:
     def test_each_channel_measures_its_own_traffic(self):
         first = create_channel("none")
         second = create_channel("none")
-        assert first.tracker is not second.tracker
         first.broadcast([_state()], [1])
-        assert first.tracker.total_downlink_bytes > 0
-        assert second.tracker.total_downlink_bytes == 0
+        assert first.summary().total_downlink_bytes > 0
+        assert second.summary().total_downlink_bytes == 0
 
     def test_delta_upload_reconstruction(self):
         state = _state(13)
@@ -789,7 +803,7 @@ class TestChannelTrainingIntegration:
         expected = QuantizationCodec(2, deflate=False).encode(
             {"conv.weight": new_state["conv.weight"]}
         ).num_bytes
-        assert channel.tracker.total_uplink_bytes == expected
+        assert channel.summary().total_uplink_bytes == expected
 
     def test_checkpoint_refuses_different_transport(self, tmp_path, make_clients, num_channels):
         # A checkpoint written under a lossy codec must not silently resume

@@ -26,7 +26,7 @@ from repro.fl import (
     create_algorithm,
 )
 from repro.fl.client import _LENT
-from repro.fl.parameters import state_digest
+from repro.fl.parameters import flat_model_state, state_digest
 from repro.models import FLNet, RouteNet
 from repro.nn import Conv2d
 from repro.nn.workspace import _POOL, pool_nbytes
@@ -117,7 +117,7 @@ class TestPoolBound:
 
     def test_evaluation_releases_too(self):
         (client,) = roster(1)
-        state = client.initial_state()
+        state = flat_model_state(Builder()(0))
         client.evaluate_auc(state)
         client.training_loss(state)
         assert held_nbytes([client]) == 0
