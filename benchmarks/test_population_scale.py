@@ -35,7 +35,6 @@ from conftest import MemoryProbe, synthetic_dataset, write_records, write_result
 from repro.data.clients import ClientData, ClientSpec
 from repro.fl import (
     ClientDirectory,
-    FederatedServer,
     FLConfig,
     SchedulingOptions,
     SeededModelFactory,
@@ -137,7 +136,6 @@ def population_round_loop() -> Dict[str, object]:
     ]
     factory = SeededModelFactory(PopulationModelBuilder(), base_seed=0)
     directory = ClientDirectory(base, factory, POPULATION_CONFIG, population=POPULATION)
-    server = FederatedServer()
     eager_before = directory.eager_clients
     with MemoryProbe() as probe:
         start = time.perf_counter()
@@ -146,7 +144,6 @@ def population_round_loop() -> Dict[str, object]:
             list(directory.handles),
             factory,
             POPULATION_CONFIG,
-            server=server,
             scheduler=create_scheduler(SchedulingOptions(clients_per_round=COHORT), seed=0),
         )
         training = algorithm.run()
@@ -164,7 +161,7 @@ def population_round_loop() -> Dict[str, object]:
         "peak_materialized": directory.peak_materialized,
         "total_materializations": directory.total_materializations,
         "total_releases": directory.total_releases,
-        "folded_updates": server.folded_updates,
+        "folded_updates": algorithm.ledger.folded,
         **probe.record(),
     }
     return record

@@ -16,7 +16,6 @@ from repro.fl import (
     EvaluationRow,
     ExecutionBackend,
     FederatedClient,
-    FederatedServer,
     ResilienceManager,
     ResilienceSummary,
     RoundAlgorithm,
@@ -232,8 +231,8 @@ class ExperimentRunner:
     def round_scheduler(self) -> RoundScheduler:
         """A fresh round scheduler for one algorithm run.
 
-        Schedulers are stateful (sampler / availability / latency RNGs, the
-        virtual clock, and participation counters), so every algorithm run
+        Schedulers are stateful (sampler / availability / latency RNGs and
+        the virtual clock), so every algorithm run
         gets its own — seeded from the run seed, which makes cohorts
         identical across algorithms, execution backends, and checkpoint
         resume.
@@ -278,7 +277,6 @@ class ExperimentRunner:
         backend = backend if backend is not None else self.execution_backend()
         channel = self.transport_channel()
         scheduler = self.round_scheduler()
-        server = FederatedServer()
         directory = self.client_directory()
         # The witness the population smoke test asserts: nothing has been
         # built before the sampler selected anything.
@@ -289,7 +287,6 @@ class ExperimentRunner:
                 clients,
                 self.model_factory(),
                 self.config.fl,
-                server=server,
                 backend=backend,
                 checkpoint=self._checkpoint_manager(name),
                 channel=channel,
@@ -325,7 +322,7 @@ class ExperimentRunner:
                 "peak_materialized": directory.peak_materialized,
                 "total_materializations": directory.total_materializations,
                 "total_releases": directory.total_releases,
-                "folded_updates": server.folded_updates,
+                "folded_updates": algorithm.ledger.folded,
             }
         return AlgorithmOutcome(
             algorithm=name,
@@ -334,13 +331,13 @@ class ExperimentRunner:
             runtime_seconds=runtime,
             communication=channel.summary() if channel is not None else None,
             scheduling=(
-                algorithm.scheduler.summary()
+                algorithm.ledger.scheduling_summary()
                 if rounds and self.config.scheduling.requested
                 else None
             ),
             population=population_summary,
             resilience=(
-                algorithm.resilience.summary(backend)
+                algorithm.ledger.resilience_summary(backend)
                 if rounds and (self.config.resilience.requested or wire)
                 else None
             ),

@@ -220,8 +220,7 @@ def create_algorithm(
     clients / model_factory / config:
         Forwarded to the algorithm constructor.
     server:
-        Optional :class:`FederatedServer` (pass one to read its
-        ``folded_updates`` counter afterwards); defaults to a fresh server.
+        Optional :class:`FederatedServer`; defaults to a fresh server.
         There is one aggregation: each update is folded into a per-round
         accumulator and its client released right after; up to 32 updates
         are written into matrix rows and averaged by ``weighted_average``'s

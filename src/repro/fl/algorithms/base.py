@@ -21,6 +21,7 @@ from repro.fl.execution import (
     SerialBackend,
 )
 from repro.fl.faults import ResilienceManager, ResilienceOptions, create_resilience
+from repro.fl.ledger import RoundLedger
 from repro.fl.parameters import State, flat_model_state
 from repro.fl.scheduling import RoundScheduler, SchedulingOptions, create_scheduler
 from repro.fl.server import FederatedServer
@@ -101,7 +102,8 @@ class FederatedAlgorithm:
     Every algorithm holds a :class:`~repro.fl.scheduling.RoundScheduler` and
     a :class:`~repro.fl.faults.ResilienceManager`; one not handed in is the
     inert default of its options (every client, every round; the first
-    failed client task raises).
+    failed client task raises).  Its :class:`~repro.fl.ledger.RoundLedger`
+    records who folded, who was late and who failed.
     """
 
     #: Registry / display name, overridden by subclasses.
@@ -150,7 +152,8 @@ class FederatedAlgorithm:
                 )
         # Retry backoff elapses on the scheduler's virtual clock, so waits
         # and straggler latencies share a timeline.
-        self.resilience.bind(self.clients, clock=self.scheduler.clock)
+        self.resilience.clock = self.scheduler.clock
+        self.ledger = RoundLedger(self.clients, self.scheduler, self.resilience)
         if channel is not None and checkpoint is not None:
             if channel.error_feedback:
                 logger.warning(
@@ -442,17 +445,18 @@ class RoundAlgorithm(FederatedAlgorithm):
         # Checkpoints of default runs written before every run was scheduled
         # and supervised carry neither state.
         if "scheduler_state" in resumed.extra_meta:
-            # Restore sampler/availability/latency RNGs, the virtual clock,
-            # and the participation counters, so the resumed run draws the
-            # same cohorts and reports the same totals as an uninterrupted
-            # one.
+            # Restore sampler/availability/latency RNGs and the virtual
+            # clock, so the resumed run draws the same cohorts as an
+            # uninterrupted one.
             self.scheduler.set_state(resumed.extra_meta["scheduler_state"])
         if "resilience_state" in resumed.extra_meta:
-            # Restore the fault plan's draw counters, the permanent-failure
-            # set, and the retry accounting, so the resumed chaos run
-            # replays the exact fault/retry sequence of an uninterrupted
-            # one and reports the same totals.
+            # Restore the fault plan's draw counters and the retry
+            # accounting, so the resumed chaos run replays the exact
+            # fault/retry sequence of an uninterrupted one.
             self.resilience.set_state(resumed.extra_meta["resilience_state"])
+        # The failed clients and the participation totals, so the resumed
+        # run leaves out the same clients and reports the same totals.
+        self.ledger.set_state(resumed.extra_meta)
         logger.info(
             "%s: resuming from checkpoint round %d in %s",
             self.name,
@@ -477,6 +481,7 @@ class RoundAlgorithm(FederatedAlgorithm):
             meta["fingerprint"] = self.checkpoint_fingerprint()
             meta["scheduler_state"] = self.scheduler.state()
             meta["resilience_state"] = self.resilience.state()
+            meta["ledger_state"] = self.ledger.state()
             self.checkpoint.save(
                 round_index,
                 global_state,
@@ -580,91 +585,63 @@ class RoundAlgorithm(FederatedAlgorithm):
     def _run_rounds(self, result: TrainingResult, global_state: State, start_round: int) -> State:
         """Barrier rounds (sync / deadline): the one round loop.
 
-        Each round: ask the scheduler for a cohort (sampling over the
-        clients available at the current virtual time), pre-draw the
-        cohort's straggler latencies, and run the cohort's client pass
-        through the execution backend.  Each update is folded — or, past
-        the deadline, discarded — the moment it arrives, and its state and
-        client are released right after, so a round holds O(P) per
-        accumulator, independent of the cohort size.  Under the inert
-        scheduler every client trains every round and nothing is dropped.
+        Each round: the ledger opens it — the scheduler's cohort (sampled
+        over the clients available at the current virtual time) without the
+        permanently failed, and its pre-drawn straggler latencies — and the
+        cohort's client pass runs through the execution backend.  Each
+        update is folded — or, past the deadline, discarded as late — the
+        moment it arrives, and its state and client are released right
+        after, so a round holds O(P) per accumulator, independent of the
+        cohort size.  Under the inert scheduler every client trains every
+        round and nothing is late.
 
-        The cohort excludes permanently failed clients, the round only
-        commits at quorum (raising the typed
-        :class:`~repro.fl.faults.QuorumFailure` below it), and clients that
-        exhausted their retries this round are dropped for good with a
-        recorded weight renormalization — all of it a no-op under the
-        default resilience manager, which absorbs no failure.
+        The ledger then commits the round: a cohort member that never
+        arrived exhausted its retries and failed, the round only commits
+        while the failed leave quorum intact (raising the typed
+        :class:`~repro.fl.faults.QuorumFailure` otherwise), and the failed
+        are dropped for good with a recorded weight renormalization — none
+        of which can happen under the default resilience manager, whose
+        first failed task raises.
         """
-        scheduler = self.scheduler
-        resilience = self.resilience
-        deadline = scheduler.deadline if scheduler.policy == "deadline" else None
+        ledger = self.ledger
         for round_index in range(start_round, self.config.rounds):
-            plan = scheduler.begin_round(round_index)
-            resilience.begin_round(round_index)
-            # Permanently failed clients leave the cohort *before* any
-            # latency draw, so the latency RNG never spends entropy on
-            # clients that cannot participate.
-            plan.cohort = resilience.active_cohort(plan.cohort)
-            attempted = len(plan.cohort)
-            self.server.begin_round(attempted)
-            latencies = scheduler.arrival_schedule(plan)
+            cohort = ledger.begin(round_index)
+            self.server.begin_round(len(cohort))
             # Made at the first arrival, inside the round's client pass:
             # bench/workload.py starts a cycle, and installs or removes its
             # tracing wrappers on new accumulators, where map_client_updates
             # is entered, so a round's accumulators must not predate the call.
             accumulators = None
-            per_client_loss: Dict[int, float] = {}  # one entry per kept update
+            per_client_loss: Dict[int, float] = {}  # one entry per folded update
 
             def fold(update: ClientUpdate) -> None:
                 nonlocal accumulators
                 if accumulators is None:
                     accumulators = self._new_accumulators()
-                if deadline is None or latencies[update.client_index] <= deadline:
+                if ledger.arrive(update.client_index):
                     self._fold_update(accumulators, global_state, update)
                     per_client_loss[update.client_id] = update.stats.mean_loss
                 update.state = None
                 self._release_client(update.client_index)
 
-            updates = (
+            if cohort:
                 self.map_client_updates(
-                    self._start_states(global_state, plan.cohort),
+                    self._start_states(global_state, cohort),
                     steps=self.config.local_steps,
                     proximal_mu=self.proximal_mu(),
                     upload_names=self._upload_names,
-                    cohort=plan.cohort,
+                    cohort=cohort,
                     on_arrival=fold,
                 )
-                if plan.cohort
-                else []
-            )
             if accumulators is None:  # nothing arrived
                 accumulators = self._new_accumulators()
-            # Clients that exhausted their retries produced no update; shrink
-            # the plan (and its pre-drawn latencies) to the arrivals so the
-            # scheduler's alignment contract holds, and gate the commit on
-            # the number of updates actually *folded*.
-            plan.cohort = [update.client_index for update in updates]
-            latencies = {index: latencies[index] for index in plan.cohort}
-            resilience.check_quorum(
-                round_index,
-                arrived=len(per_client_loss),
-                cohort_size=attempted,
-                checkpoint_dir=self._auto_checkpoint_dir(),
-            )
-            outcome = scheduler.complete_round(plan, updates, latencies=latencies)
             # Drops commit *before* the checkpoint so it already carries the
             # updated permanent-failure set.
-            commit_extra = resilience.commit_round(self.client_weights())
-            self.server.record_folds(len(per_client_loss))
+            participation = ledger.commit(self._auto_checkpoint_dir())
             global_state, extra = self._server_step(global_state, accumulators)
             self.save_checkpoint(round_index, global_state)
             result.history.append(
-                self._round_record(
-                    round_index,
-                    per_client_loss,
-                    extra={**extra, **outcome.record_extra, **commit_extra},
-                )
+                self._round_record(round_index, per_client_loss, extra={**extra, **participation})
             )
         return global_state
 

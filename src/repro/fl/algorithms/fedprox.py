@@ -78,6 +78,7 @@ class FedProx(RoundAlgorithm):
         the virtual clock.
         """
         scheduler = self.scheduler
+        ledger = self.ledger
         if self.checkpoint is not None:
             # In-flight (dispatched, not yet aggregated) work is not part of
             # a round checkpoint; a resumed fedbuff run re-dispatches from
@@ -102,7 +103,7 @@ class FedProx(RoundAlgorithm):
             updates = self.map_client_updates(
                 global_state, steps=steps, proximal_mu=mu, cohort=indices
             )
-            scheduler.record_dispatch(len(indices))
+            ledger.selected += len(indices)
             for index, update in zip(indices, updates):
                 arrival = scheduler.clock.now + scheduler.draw_latency(index)
                 entry = _InFlight(
@@ -156,7 +157,7 @@ class FedProx(RoundAlgorithm):
                 ) * scheduler.staleness_weight(staleness)
                 buffered_staleness.append(staleness)
                 buffer_losses[entry.update.client_id] = entry.update.stats.mean_loss
-                scheduler.record_buffered(staleness)
+                ledger.buffer(staleness)
                 # Fresh at fold time stays fresh at aggregation time: the
                 # global model only rebinds at an aggregation, which also
                 # resets the buffer and the accumulator.
@@ -170,10 +171,9 @@ class FedProx(RoundAlgorithm):
                 if len(buffered_staleness) >= scheduler.buffer_size:
                     global_state = delta_accumulator.result(global_state)
                     delta_accumulator.reset()
-                    self.server.record_folds(len(buffered_staleness))
                     round_index = version
                     version += 1
-                    scheduler.record_aggregation()
+                    ledger.rounds += 1
                     self.save_checkpoint(round_index, global_state)
                     result.history.append(
                         self._round_record(
@@ -199,10 +199,10 @@ class FedProx(RoundAlgorithm):
             dispatch(refill)
 
         # The run stops at the aggregation budget; in-flight work that never
-        # arrived is discarded, like a server draining at shutdown.  (Updates
-        # already sitting in the buffer arrived and were counted as such;
-        # they are simply never folded in.)
-        scheduler.record_discarded(len(heap))
+        # arrived is discarded, like a server draining at shutdown, and
+        # counts as late.  (The buffer is empty here: the loop only stops
+        # right after an aggregation.)
+        ledger.late += len(heap)
         return global_state
 
 

@@ -13,9 +13,10 @@ first-class, *deterministic* part of the simulation:
     that elapses on the virtual clock.
 :class:`ResilienceManager`
     The supervisor wiring both into the execution backends and the round
-    loops: RNG-snapshot/restore around failed attempts, wave-based
-    re-dispatch, quorum-gated round commits, and permanent drops with
-    recorded weight renormalization.
+    loops: RNG-snapshot/restore around failed attempts and wave-based
+    re-dispatch.  A client that exhausts its retries fails; quorum and the
+    permanent drops with recorded weight renormalization are the round
+    ledger's (:mod:`repro.fl.ledger`).
 
 :class:`ResilienceOptions`
     The run options behind all of it (quorum, retries, task timeout, the

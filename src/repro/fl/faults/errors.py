@@ -68,7 +68,10 @@ class ClientExecutionError(RuntimeError):
 
 
 class QuorumFailure(RuntimeError):
-    """A round could not gather enough client updates to commit.
+    """Too many of a round's cohort failed for the round to commit.
+
+    ``arrived`` counts the cohort members that did not fail: their update
+    arrived, in time or (past a deadline) late.
 
     Raised *after* the previous round's checkpoint is already on disk (the
     checkpoint manager saves eagerly every round), so the run is resumable:

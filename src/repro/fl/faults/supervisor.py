@@ -1,4 +1,4 @@
-"""The resilience manager: supervised dispatch, retries, quorum, drops.
+"""The resilience manager: supervised dispatch, injected faults, retries.
 
 :class:`ResilienceManager` sits between an algorithm's round loop and its
 execution backend.  Each client pass becomes a sequence of *waves*:
@@ -27,20 +27,18 @@ its first failed task raises a
 :class:`~repro.fl.faults.ClientExecutionError` naming the client, the
 backend and the remote traceback.
 
-Round-level degradation lives here too: :meth:`active_cohort` filters
-permanently failed clients out of future cohorts, :meth:`check_quorum`
-raises the typed :class:`~repro.fl.faults.QuorumFailure` when too few
-updates fold, and :meth:`commit_round` converts this round's ``gave_up``
-clients into permanent drops with a recorded weight renormalization.
+Round-level degradation — quorum, permanent drops and the recorded weight
+renormalization — is the algorithm's :class:`~repro.fl.ledger.RoundLedger`:
+a client that exhausts its retries produces no update, and the ledger
+counts it as failed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.fl.faults.errors import ClientExecutionError, QuorumFailure, TaskFailure
+from repro.fl.faults.errors import ClientExecutionError, TaskFailure
 from repro.fl.faults.plan import FAULT_KINDS, FaultDecision, FaultPlan, check_rates
 from repro.fl.faults.retry import DEFAULT_MAX_RETRIES, RetryPolicy
 from repro.fl.scheduling.clock import VirtualClock
@@ -54,7 +52,8 @@ _PRE_DISPATCH_KINDS = ("crash", "exception", "timeout")
 
 @dataclass(frozen=True)
 class ResilienceSummary:
-    """Fault-tolerance totals of one run (surfaced through the report)."""
+    """Fault-tolerance totals of one run (surfaced through the report): a
+    view over its :class:`~repro.fl.ledger.RoundLedger` and manager."""
 
     quorum: float
     retries: int
@@ -112,12 +111,13 @@ def _corrupt_payload(payload: Optional[Payload], salt: int) -> Optional[Payload]
 
 
 class ResilienceManager:
-    """Supervised execution with deterministic faults, retries, and quorum.
+    """Supervised execution with deterministic faults and retries.
 
     One manager is stateful for one algorithm run (like a scheduler or a
-    channel): it owns the fault plan's draw counters, the permanent-failure
-    set, and the retry accounting, all of which round-trip through
-    :meth:`state`/:meth:`set_state` for checkpoint resume.
+    channel): it owns the fault plan's draw counters and the retry
+    accounting, both of which round-trip through :meth:`state` /
+    :meth:`set_state` for checkpoint resume.  ``quorum`` is read by the
+    run's :class:`~repro.fl.ledger.RoundLedger`.
     """
 
     def __init__(
@@ -125,7 +125,6 @@ class ResilienceManager:
         plan: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
         quorum: float = 1.0,
-        clock: Optional[VirtualClock] = None,
     ):
         if not 0.0 < quorum <= 1.0:
             raise ValueError(f"quorum must be in (0, 1], got {quorum}")
@@ -133,28 +132,13 @@ class ResilienceManager:
         self.retry = retry if retry is not None else RetryPolicy()
         self.quorum = float(quorum)
         #: Virtual clock backoff elapses on.  Replaced by the scheduler's
-        #: clock at bind time so retry waits and straggler latencies share
-        #: one timeline.
-        self.clock = clock if clock is not None else VirtualClock()
+        #: clock by ``FederatedAlgorithm`` so retry waits and straggler
+        #: latencies share one timeline.
+        self.clock = VirtualClock()
         # Run totals.
         self.retries = 0
         self.gave_up = 0
         self.backoff_seconds = 0.0
-        # Roster indices permanently dropped from future cohorts.
-        self._failed: set = set()
-        self._renormalizations: List[Dict[str, object]] = []
-        # Per-round scratch.
-        self._round_index: Optional[int] = None
-        self._round_gave_up: List[int] = []
-        self._round_retries = 0
-        self._clients: Sequence = ()
-
-    # -- wiring -------------------------------------------------------------------
-    def bind(self, clients: Sequence, clock: Optional[VirtualClock] = None) -> None:
-        """Attach the roster (and, when scheduled, the scheduler's clock)."""
-        self._clients = clients
-        if clock is not None:
-            self.clock = clock
 
     @property
     def absorbs_failures(self) -> bool:
@@ -163,85 +147,7 @@ class ResilienceManager:
         failure as a :class:`~repro.fl.faults.ClientExecutionError`."""
         return self.retry.max_retries > 0 or self.quorum < 1.0
 
-    # -- cohort filtering / quorum -------------------------------------------------
-    def active_cohort(self, cohort: Iterable[int]) -> List[int]:
-        """``cohort`` minus the permanently failed clients."""
-        return [int(index) for index in cohort if int(index) not in self._failed]
-
-    def quorum_required(self, cohort_size: int) -> int:
-        """Updates needed to commit a round over ``cohort_size`` clients."""
-        if cohort_size <= 0:
-            return 0
-        return int(math.ceil(self.quorum * cohort_size))
-
-    def check_quorum(
-        self,
-        round_index: int,
-        arrived: int,
-        cohort_size: int,
-        checkpoint_dir: Optional[str] = None,
-    ) -> None:
-        """Raise the typed :class:`QuorumFailure` when too few updates fold.
-
-        A manager that absorbs nothing gates nothing: its failed tasks have
-        already raised, and a deadline's dropped stragglers are the round
-        policy at work, not failures.
-        """
-        if not self.absorbs_failures:
-            return
-        required = self.quorum_required(cohort_size)
-        if arrived < required:
-            raise QuorumFailure(
-                round_index,
-                arrived=arrived,
-                required=required,
-                cohort_size=cohort_size,
-                checkpoint_dir=checkpoint_dir,
-            )
-
-    # -- round lifecycle -----------------------------------------------------------
-    def begin_round(self, round_index: int) -> None:
-        """Reset the per-round scratch state."""
-        self._round_index = int(round_index)
-        self._round_gave_up = []
-        self._round_retries = 0
-
-    def commit_round(self, weights: Sequence[float]) -> Dict[str, object]:
-        """Commit a round: permanently drop its ``gave_up`` clients.
-
-        ``weights`` are the full-roster aggregation weights ``n_k``; the
-        recorded renormalization says how much aggregation weight the run
-        lost (weighted averaging renormalizes over participants implicitly,
-        so recording — not rescaling — is the correct bookkeeping).
-        Returns extras for the round's history record.
-        """
-        extra: Dict[str, object] = {}
-        if self._round_retries:
-            extra["retries"] = self._round_retries
-        if self._round_gave_up:
-            dropped = sorted(set(self._round_gave_up))
-            self._failed.update(dropped)
-            total = float(sum(weights))
-            remaining = float(
-                sum(weight for index, weight in enumerate(weights) if index not in self._failed)
-            )
-            record: Dict[str, object] = {
-                "round": self._round_index,
-                "dropped_indices": dropped,
-                "dropped_ids": [
-                    getattr(self._clients[index], "client_id", index) for index in dropped
-                ],
-                "dropped_weight": total - remaining if total else 0.0,
-                "remaining_weight_fraction": (remaining / total) if total else 1.0,
-            }
-            self._renormalizations.append(record)
-            extra["dropped_clients"] = list(record["dropped_ids"])
-            extra["remaining_weight_fraction"] = record["remaining_weight_fraction"]
-        self._round_gave_up = []
-        self._round_retries = 0
-        return extra
-
-    # -- supervised dispatch -------------------------------------------------------
+    # -- supervised dispatch ---------------------------------------------------
     def supervise(
         self,
         backend,
@@ -253,8 +159,8 @@ class ResilienceManager:
 
         Yields each successful :class:`~repro.fl.execution.ClientUpdate` as
         soon as it survives ``finish`` (decode + channel accounting).
-        Clients that exhaust their retries yield nothing; they are recorded
-        as ``gave_up`` for :meth:`commit_round` to drop.  When the manager
+        Clients that exhaust their retries yield nothing (and count as
+        ``gave_up``); the round ledger records them as failed.  When the manager
         absorbs nothing, the first failure raises
         :class:`~repro.fl.faults.ClientExecutionError` instead.
         """
@@ -318,10 +224,8 @@ class ResilienceManager:
             entry.attempt += 1
             if entry.attempt > self.retry.max_retries:
                 self.gave_up += 1
-                self._round_gave_up.append(int(entry.task.client_index))
                 continue
             self.retries += 1
-            self._round_retries += 1
             wait = self.retry.backoff_seconds(client.client_id, entry.attempt)
             if wait > 0.0:
                 self.clock.advance(wait)
@@ -329,64 +233,30 @@ class ResilienceManager:
             next_wave.append(entry)
         return next_wave
 
-    # -- state / summary -----------------------------------------------------------
+    # -- state -----------------------------------------------------------------
     def state(self) -> Dict[str, object]:
-        """Everything needed to resume supervision bit-identically."""
+        """Everything needed to resume supervision bit-identically (the
+        clock is the scheduler's, checkpointed with it)."""
         return {
             "plan": self.plan.state(),
-            "failed": sorted(self._failed),
-            "renormalizations": [dict(record) for record in self._renormalizations],
             "counters": {
                 "retries": self.retries,
                 "gave_up": self.gave_up,
                 "backoff_seconds": self.backoff_seconds,
             },
-            "clock": self.clock.state(),
         }
 
     def set_state(self, state: Dict[str, object]) -> None:
         """Restore a snapshot produced by :meth:`state` (checkpoint resume)."""
         self.plan.set_state(state["plan"])
-        self._failed = set(int(index) for index in state.get("failed", []))
-        self._renormalizations = [dict(record) for record in state.get("renormalizations", [])]
         counters = state.get("counters", {})
         self.retries = int(counters.get("retries", 0))
         self.gave_up = int(counters.get("gave_up", 0))
         self.backoff_seconds = float(counters.get("backoff_seconds", 0.0))
-        if "clock" in state:
-            self.clock.set_state(state["clock"])
 
     def describe(self) -> Dict[str, object]:
         """Static identity of the fault model (checkpoint fingerprint)."""
         return self.plan.describe()
-
-    def summary(self, backend=None) -> ResilienceSummary:
-        """Fault-tolerance totals, including the backend's respawn count.
-
-        A backend exposing ``network_summary()`` (the wire backend) also
-        contributes its network accounting — disconnects, heartbeat losses,
-        reconnects, replayed messages — so wire runs are greppable from the
-        same resilience report as in-process ones.
-        """
-        network = None
-        network_summary = getattr(backend, "network_summary", None)
-        if callable(network_summary):
-            network = dict(network_summary()) or None
-        return ResilienceSummary(
-            network=network,
-            quorum=self.quorum,
-            retries=self.retries,
-            gave_up=self.gave_up,
-            respawns=int(getattr(backend, "respawns", 0)) if backend is not None else 0,
-            dropped_clients=[
-                getattr(self._clients[index], "client_id", index) if self._clients else index
-                for index in sorted(self._failed)
-            ],
-            injected=self.plan.injected_counts(),
-            backoff_seconds=self.backoff_seconds,
-            renormalizations=[dict(record) for record in self._renormalizations],
-            retry_policy=self.retry.describe(),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -407,10 +277,11 @@ class ResilienceOptions:
     """
 
     quorum: float = field(default=1.0, metadata={
-        "help": "fraction of the per-round cohort that must deliver an update "
-        "before the round commits (default 1.0); clients that exhaust their "
-        "retries are dropped permanently with the aggregation weights "
-        "renormalized, and a sub-quorum round checkpoints and aborts",
+        "help": "fraction of the per-round cohort that must not fail before the "
+        "round commits (default 1.0); a client fails when it exhausts its "
+        "retries and is then dropped permanently with the aggregation weights "
+        "renormalized, a straggler the deadline drops is late, not failed, and "
+        "a sub-quorum round checkpoints and aborts",
     })
     max_retries: Optional[int] = field(default=None, metadata={
         "help": "supervised retries per client task before it counts as failed "

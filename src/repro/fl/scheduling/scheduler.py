@@ -18,14 +18,15 @@ policies an algorithm can run under:
     server does), and the round lasts at most the deadline.
 ``fedbuff``
     Buffered-asynchronous aggregation (Nguyen et al., 2022).  The scheduler
-    supplies sampling, latency draws, the clock, and staleness bookkeeping;
+    supplies sampling, latency draws, the clock, and the staleness weight;
     the event loop itself lives in the algorithm (it owns model versions
     and aggregation).
 
-Everything stochastic lives in seeded private RNGs whose states are exposed
-through :meth:`RoundScheduler.state` / :meth:`RoundScheduler.set_state`, so
-a resumed run replays the exact cohort/latency sequence of an uninterrupted
-one.
+Who folded, who was late and who failed is kept by the algorithm's
+:class:`~repro.fl.ledger.RoundLedger`, not here.  Everything stochastic lives
+in seeded private RNGs whose states are exposed through
+:meth:`RoundScheduler.state` / :meth:`RoundScheduler.set_state`, so a resumed
+run replays the exact cohort/latency sequence of an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -68,49 +69,11 @@ MAX_IDLE_WAITS = 100_000
 STALENESS_EXPONENT = 0.5
 
 
-@dataclass
-class RoundPlan:
-    """One round's dispatch decision, made before any client computes."""
-
-    round_index: int
-    #: Sorted roster indices selected for this round (may be empty).
-    cohort: List[int]
-    #: Virtual time at which the cohort was dispatched.
-    start_time: float
-    #: Roster indices that were available when the cohort was drawn.
-    available: List[int] = field(default_factory=list)
-
-
-@dataclass
-class RoundOutcome:
-    """What actually came back from one barrier-style round."""
-
-    plan: RoundPlan
-    #: Client updates kept by the policy, in cohort (roster) order.
-    kept: List[object]
-    #: Roster indices whose updates missed the deadline (discarded).
-    dropped: List[int]
-    #: Simulated round-trip duration per cohort roster index.
-    latencies: Dict[int, float]
-    #: Simulated duration of the round (the barrier wait).
-    duration: float
-
-    @property
-    def record_extra(self) -> Dict[str, object]:
-        """Per-round extras merged into the algorithm's history record."""
-        return {
-            "selected": len(self.plan.cohort),
-            "arrived": len(self.kept),
-            "dropped": len(self.dropped),
-            "dropped_indices": list(self.dropped),
-            "round_duration_s": self.duration,
-            "simulated_time_s": self.plan.start_time + self.duration,
-        }
-
-
 @dataclass(frozen=True)
 class SchedulingSummary:
-    """Participation / simulated-time / staleness totals of one run."""
+    """Participation / simulated-time / staleness totals of one run: a view
+    over its :class:`~repro.fl.ledger.RoundLedger`, where ``total_selected``
+    is ``total_arrived + total_dropped`` plus the clients that failed."""
 
     policy: str
     sampler: str
@@ -250,9 +213,9 @@ class SchedulingOptions:
 class RoundScheduler:
     """Coordinates who trains each round and when their updates land.
 
-    A scheduler is stateful (sampler/availability/latency RNGs, the virtual
-    clock, and participation counters); use one fresh scheduler per
-    algorithm run, and :meth:`bind` it to the roster before the first round
+    A scheduler is stateful (sampler/availability/latency RNGs and the
+    virtual clock); use one fresh scheduler per algorithm run, and
+    :meth:`bind` it to the roster before the first round
     (``FederatedAlgorithm`` does this on construction).
     """
 
@@ -275,16 +238,6 @@ class RoundScheduler:
         self.clock = clock if clock is not None else VirtualClock()
         self._client_ids: List[int] = []
         self._idle_waits = 0
-        # Participation counters (part of the checkpointed state so a
-        # resumed run reports the same totals as an uninterrupted one).
-        self._rounds = 0
-        self._selected = 0
-        self._arrived = 0
-        self._dropped = 0
-        self._aggregations = 0
-        self._buffered = 0
-        self._staleness_sum = 0.0
-        self._staleness_max = 0
 
     # -- roster ------------------------------------------------------------------
     def bind(self, clients: Sequence) -> None:
@@ -376,8 +329,9 @@ class RoundScheduler:
         return max(0.0, float(self.latency.sample(index, self._client_ids[index])))
 
     # -- barrier round policies (sync / deadline) ---------------------------------
-    def begin_round(self, round_index: int) -> RoundPlan:
-        """Select this round's cohort at the current virtual time.
+    def begin_round(self, round_index: int) -> List[int]:
+        """Select this round's cohort (sorted roster indices, maybe empty) at
+        the current virtual time.
 
         When nobody is available the clock advances one idle quantum and
         selection is retried, so a day/night availability trough delays the
@@ -387,95 +341,15 @@ class RoundScheduler:
         while True:
             cohort, available = self._select(round_index, multiplier=multiplier)
             if available:
-                return RoundPlan(
-                    round_index=round_index,
-                    cohort=cohort,
-                    start_time=self.clock.now,
-                    available=available,
-                )
+                return cohort
             self.wait_for_clients()
 
-    def arrival_schedule(self, plan: RoundPlan) -> Dict[int, float]:
-        """Pre-draw the cohort's latencies, in cohort order.
-
-        The round loop needs each client's arrival time *before* its update
-        is folded (to apply the deadline policy one update at a time).
-        Drawing here consumes the latency RNG in exactly the order
-        :meth:`complete_round` would on its own, so passing the result back
-        via its ``latencies=`` parameter leaves every drawn value — and all
-        later RNG consumption — unchanged.
-        """
-        return {index: self.draw_latency(index) for index in plan.cohort}
-
-    def complete_round(
-        self,
-        plan: RoundPlan,
-        updates: Sequence[object],
-        latencies: Optional[Dict[int, float]] = None,
-    ) -> RoundOutcome:
-        """Apply the round policy to the cohort's computed updates.
-
-        ``updates`` is aligned with ``plan.cohort``.  Latencies are drawn in
-        cohort order (or taken from a pre-drawn ``latencies`` mapping from
-        :meth:`arrival_schedule`); under the deadline policy, updates
-        arriving late are dropped (their computation is discarded, exactly
-        like a production server ignoring a straggler's upload).  Advances
-        the virtual clock by the round's duration and updates the
-        participation counters.
-        """
-        if len(updates) != len(plan.cohort):
-            raise ValueError(
-                f"got {len(updates)} updates for a cohort of {len(plan.cohort)}"
-            )
-        if latencies is None:
-            latencies = self.arrival_schedule(plan)
-        elif set(latencies) != set(plan.cohort):
-            raise ValueError("latencies= must cover exactly the round's cohort")
-        if self.policy == "deadline":
-            kept = [
-                update
-                for index, update in zip(plan.cohort, updates)
-                if latencies[index] <= self.deadline
-            ]
-            dropped = [index for index in plan.cohort if latencies[index] > self.deadline]
-            kept_latencies = [value for value in latencies.values() if value <= self.deadline]
-            duration = self.deadline if dropped else (max(kept_latencies) if kept_latencies else 0.0)
-        else:
-            kept = list(updates)
-            dropped = []
-            duration = max(latencies.values()) if latencies else 0.0
-        self.clock.advance(duration)
-        self._rounds += 1
-        self._selected += len(plan.cohort)
-        self._arrived += len(kept)
-        self._dropped += len(dropped)
-        return RoundOutcome(
-            plan=plan, kept=kept, dropped=dropped, latencies=latencies, duration=duration
-        )
-
-    # -- fedbuff bookkeeping -------------------------------------------------------
+    # -- fedbuff ------------------------------------------------------------------
     def staleness_weight(self, staleness: int) -> float:
         """FedBuff down-weighting: ``(1 + staleness) ** -exponent``."""
         return float((1.0 + max(0, int(staleness))) ** (-STALENESS_EXPONENT))
 
-    def record_dispatch(self, count: int) -> None:
-        self._selected += int(count)
-
-    def record_buffered(self, staleness: int) -> None:
-        self._arrived += 1
-        self._buffered += 1
-        self._staleness_sum += float(staleness)
-        self._staleness_max = max(self._staleness_max, int(staleness))
-
-    def record_aggregation(self) -> None:
-        self._rounds += 1
-        self._aggregations += 1
-
-    def record_discarded(self, count: int) -> None:
-        """In-flight updates thrown away when the run stops (never aggregated)."""
-        self._dropped += int(count)
-
-    # -- state / summary -----------------------------------------------------------
+    # -- state --------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:
         """Stable fingerprint of the scheduling configuration.
 
@@ -504,16 +378,6 @@ class RoundScheduler:
             "sampler": self.sampler.state(),
             "availability": self.availability.state(),
             "latency": self.latency.state(),
-            "counters": {
-                "rounds": self._rounds,
-                "selected": self._selected,
-                "arrived": self._arrived,
-                "dropped": self._dropped,
-                "aggregations": self._aggregations,
-                "buffered": self._buffered,
-                "staleness_sum": self._staleness_sum,
-                "staleness_max": self._staleness_max,
-            },
         }
 
     def set_state(self, state: Dict[str, object]) -> None:
@@ -522,33 +386,6 @@ class RoundScheduler:
         self.sampler.set_state(state.get("sampler", {}))
         self.availability.set_state(state.get("availability", {}))
         self.latency.set_state(state.get("latency", {}))
-        counters = state.get("counters", {})
-        self._rounds = int(counters.get("rounds", 0))
-        self._selected = int(counters.get("selected", 0))
-        self._arrived = int(counters.get("arrived", 0))
-        self._dropped = int(counters.get("dropped", 0))
-        self._aggregations = int(counters.get("aggregations", 0))
-        self._buffered = int(counters.get("buffered", 0))
-        self._staleness_sum = float(counters.get("staleness_sum", 0.0))
-        self._staleness_max = int(counters.get("staleness_max", 0))
-
-    def summary(self) -> SchedulingSummary:
-        mean_staleness = self._staleness_sum / self._buffered if self._buffered else 0.0
-        return SchedulingSummary(
-            policy=self.policy,
-            sampler=self.sampler.describe(),
-            availability=self.availability.describe(),
-            straggler=self.latency.describe(),
-            rounds=self._rounds,
-            total_selected=self._selected,
-            total_arrived=self._arrived,
-            total_dropped=self._dropped,
-            simulated_seconds=self.clock.now,
-            buffered_aggregations=self._aggregations,
-            updates_buffered=self._buffered,
-            mean_staleness=mean_staleness,
-            max_staleness=self._staleness_max,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RoundScheduler({self.describe()})"

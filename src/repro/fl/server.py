@@ -40,7 +40,6 @@ class FederatedServer:
     """
 
     def __init__(self):
-        self.folded_updates = 0
         self._cohort_size = 0
 
     def begin_round(self, cohort_size: int) -> None:
@@ -55,10 +54,6 @@ class FederatedServer:
     def delta_accumulator(self) -> StreamingDeltaAccumulator:
         """A fresh delta accumulator (FedBuff staleness folds)."""
         return StreamingDeltaAccumulator()
-
-    def record_folds(self, count: int) -> None:
-        """Count the updates a round kept (for run summaries)."""
-        self.folded_updates += int(count)
 
     def aggregate(self, states: Sequence[State], weights: Sequence[float]) -> State:
         """Sample-count-weighted average: ``W^{r+1} = sum_k (n_k / n) w_k^r``."""

@@ -357,7 +357,7 @@ class TestCheckpointResume:
             meta = json.loads(path.read_text(encoding="utf-8"))
             extra = meta["extra_meta"]
             assert not {"scheduling", "faults"} & set(extra["fingerprint"])
-            del extra["scheduler_state"], extra["resilience_state"]
+            del extra["scheduler_state"], extra["resilience_state"], extra["ledger_state"]
             path.write_text(json.dumps(meta), encoding="utf-8")
         resumed = run_named(
             "fedavgm",

@@ -29,6 +29,7 @@ import time
 import tracemalloc
 import warnings
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,10 +58,14 @@ from repro.fl import (
     create_scheduler,
 )
 from repro.fl.faults.plan import FaultDecision, check_rates
+from repro.fl.ledger import RoundLedger
 from repro.fl.parameters import flat_model_state, state_digest
 from repro.fl.transport.codecs import IdentityCodec, Payload, QuantizationCodec, TopKCodec
 from repro.models import FLNet
 from repro.nn.serialization import load_state_dict, save_state_dict
+
+#: Heavy-tailed stragglers against a 2 s deadline: most updates arrive late.
+TIGHT_DEADLINE = SchedulingOptions(straggler_model="heavytail", round_policy="deadline", deadline=2.0)
 
 TINY_CONFIG = FLConfig(
     rounds=2,
@@ -97,13 +102,15 @@ def make_clients(
     tiny_test_dataset_itc,
     num_channels,
 ):
-    """A callable producing a *fresh* 2-client roster (fresh RNG streams)."""
+    """A callable producing a *fresh* roster (fresh RNG streams): two clients
+    by default, ``count`` alternating over the two datasets."""
 
-    def build(config: FLConfig = TINY_CONFIG, client_class=FederatedClient):
+    def build(config: FLConfig = TINY_CONFIG, client_class=FederatedClient, count=2):
         factory = make_factory(num_channels)
+        datasets = [(tiny_train_dataset, tiny_test_dataset), (tiny_train_dataset_itc, tiny_test_dataset_itc)]
         return [
-            client_class(1, tiny_train_dataset, tiny_test_dataset, factory, config),
-            client_class(2, tiny_train_dataset_itc, tiny_test_dataset_itc, factory, config),
+            client_class(client_id, *datasets[(client_id - 1) % 2], factory, config)
+            for client_id in range(1, count + 1)
         ]
 
     return build
@@ -131,6 +138,7 @@ def run_resilient(
     checkpoint=None,
     channel=None,
     resilience=None,
+    scheduler=None,
 ):
     """Run one algorithm and return ``(algorithm, training_result)``."""
     algorithm = create_algorithm(
@@ -142,6 +150,7 @@ def run_resilient(
         checkpoint=checkpoint,
         channel=channel,
         resilience=resilience,
+        scheduler=scheduler,
     )
     try:
         return algorithm, algorithm.run()
@@ -372,7 +381,7 @@ class TestRetryHealing:
         supervisor, chaotic = run_resilient(
             algorithm, make_clients(), num_channels, resilience=manager
         )
-        summary = supervisor.resilience.summary()
+        summary = supervisor.ledger.resilience_summary()
         assert summary.retries > 0, "the seeded plan injected nothing; raise the rates"
         assert summary.gave_up == 0
         assert summary.backoff_seconds > 0.0
@@ -410,7 +419,7 @@ class TestRetryHealing:
             channel=create_channel("none"),
             resilience=manager,
         )
-        summary = supervisor.resilience.summary()
+        summary = supervisor.ledger.resilience_summary()
         assert summary.injected["corruption"] > 0, "no corruption was injected; re-seed"
         assert summary.retries > 0
         assert summary.gave_up == 0
@@ -419,11 +428,29 @@ class TestRetryHealing:
 
 class TestQuorum:
     def test_quorum_required_math(self):
-        manager = ResilienceManager(quorum=0.7)
-        assert manager.quorum_required(10) == 7
-        assert manager.quorum_required(9) == 7  # ceil(6.3)
-        assert manager.quorum_required(0) == 0
-        manager.check_quorum(0, arrived=7, cohort_size=10)  # exactly at quorum: no raise
+        """A round needs ``ceil(quorum * cohort)`` members that did not fail."""
+
+        def open_round(size, failed=()):
+            clients = [SimpleNamespace(client_id=index, num_samples=1) for index in range(size)]
+            scheduler = create_scheduler(SchedulingOptions())
+            scheduler.bind(clients)
+            ledger = RoundLedger(clients, scheduler, ResilienceManager(quorum=0.7))
+            ledger.set_state({"ledger_state": {"counters": {}, "failed": list(failed)}})
+            return ledger, ledger.begin(0)
+
+        for size, delivered in ((10, 7), (9, 7)):  # 9: ceil(6.3)
+            ledger, cohort = open_round(size)
+            for index in cohort[:delivered]:
+                ledger.arrive(index)
+            ledger.commit()  # exactly at quorum: no raise
+            ledger, cohort = open_round(size)
+            for index in cohort[: delivered - 1]:
+                ledger.arrive(index)
+            with pytest.raises(QuorumFailure) as excinfo:
+                ledger.commit()
+            assert (excinfo.value.arrived, excinfo.value.required) == (delivered - 1, 7)
+        ledger, cohort = open_round(3, failed=range(3))
+        assert cohort == [] and ledger.commit()["selected"] == 0  # nothing required
 
     def test_invalid_quorum_rejected(self):
         with pytest.raises(ValueError, match="quorum"):
@@ -468,7 +495,7 @@ class TestQuorum:
         supervisor, training = run_resilient(
             "fedavg", clients, num_channels, resilience=manager
         )
-        summary = supervisor.resilience.summary()
+        summary = supervisor.ledger.resilience_summary()
         assert summary.gave_up == 1
         assert summary.dropped_clients == [1]
         assert len(summary.renormalizations) == 1
@@ -508,14 +535,81 @@ class TestQuorum:
             ),
             resilience=manager,
         )
-        manager._failed = {0, 1}
+        algorithm.ledger._failed = {0, 1}
         initial = create_algorithm(
             "fedavg", make_clients(), make_factory(num_channels), TINY_CONFIG
         ).initial_state()
         training = algorithm.run()
         assert states_equal(training.global_state, initial)
-        assert algorithm.server.folded_updates == 0
+        assert algorithm.ledger.folded == 0
         assert [r.per_client_loss for r in training.history] == [{}] * TINY_CONFIG.rounds
+
+
+    def test_a_late_client_is_not_a_failure(self, make_clients, num_channels):
+        """A deadline's late stragglers leave quorum intact: a tolerant run at
+        quorum 1.0 commits every round, counts them as late, and trains what
+        the same schedule trains under the default manager."""
+        from dataclasses import replace
+
+        config = replace(TINY_CONFIG, rounds=3)
+
+        def run(resilience=None):
+            return run_resilient(
+                "fedavg",
+                make_clients(config, count=4),
+                num_channels,
+                config=config,
+                scheduler=create_scheduler(TIGHT_DEADLINE, seed=0),
+                resilience=resilience,
+            )
+
+        _, plain = run()
+        supervisor, tolerant = run(create_resilience(ResilienceOptions(max_retries=2), seed=0))
+        assert len(tolerant.history) == config.rounds
+        summary = supervisor.ledger.scheduling_summary()
+        assert summary.total_dropped > 0
+        assert summary.total_selected == summary.total_arrived + summary.total_dropped
+        assert supervisor.ledger.resilience_summary().dropped_clients == []
+        assert [r.extra for r in tolerant.history] == [r.extra for r in plain.history]
+        assert digests(tolerant) == digests(plain)
+
+    def test_a_failed_client_under_a_deadline_still_breaks_quorum(self, make_clients, num_channels):
+        """The mirror case: under the same deadline, a client that exhausts
+        its retries is a failure, and quorum 1.0 refuses the round."""
+        manager = ResilienceManager(plan=AlwaysFailClient1Plan(), retry=RetryPolicy(max_retries=2, seed=0))
+        with pytest.raises(QuorumFailure) as excinfo:
+            run_resilient(
+                "fedavg",
+                make_clients(count=4),
+                num_channels,
+                scheduler=create_scheduler(TIGHT_DEADLINE, seed=0),
+                resilience=manager,
+            )
+        failure = excinfo.value
+        assert (failure.round_index, failure.arrived, failure.required, failure.cohort_size) == (0, 3, 4, 4)
+
+    def test_selected_counts_the_clients_that_gave_up(self, make_clients, num_channels):
+        """Every cohort member ends a round folded, late or failed, so the
+        totals obey ``selected == arrived + dropped + failed``."""
+        manager = ResilienceManager(
+            plan=AlwaysFailClient1Plan(), retry=RetryPolicy(max_retries=1, seed=0), quorum=0.5
+        )
+        supervisor, training = run_resilient(
+            "fedavg",
+            make_clients(count=4),
+            num_channels,
+            scheduler=create_scheduler(
+                SchedulingOptions(straggler_model="heavytail", round_policy="deadline", deadline=10.0),
+                seed=0,
+            ),
+            resilience=manager,
+        )
+        summary = supervisor.ledger.scheduling_summary()
+        failed = supervisor.ledger.resilience_summary().dropped_clients
+        assert failed == [1] and manager.gave_up == 1
+        assert [r.extra["selected"] for r in training.history] == [4, 3]
+        assert summary.total_selected == 7
+        assert summary.total_selected == summary.total_arrived + summary.total_dropped + len(failed)
 
 
 class TestChaosResume:
@@ -541,7 +635,7 @@ class TestChaosResume:
             config=long_config,
             resilience=chaos(),
         )
-        full_summary = supervisor.resilience.summary()
+        full_summary = supervisor.ledger.resilience_summary()
         assert full_summary.retries > 0, "the seeded plan injected nothing; raise the rates"
 
         # Phase 1: half the rounds with checkpointing, then "crash".
@@ -568,7 +662,7 @@ class TestChaosResume:
         for record in resumed.history:
             assert record.mean_loss == losses[record.round_index]
         # The restored fault/retry accounting matches the uninterrupted run.
-        resumed_summary = resumed_supervisor.resilience.summary()
+        resumed_summary = resumed_supervisor.ledger.resilience_summary()
         assert resumed_summary.retries == full_summary.retries
         assert resumed_summary.injected == full_summary.injected
         assert resumed_summary.backoff_seconds == full_summary.backoff_seconds
@@ -599,7 +693,7 @@ class TestChaosResume:
             resilience=manager(),
         )
         saved = CheckpointManager(tmp_path).load_latest()
-        assert saved.extra_meta["resilience_state"]["failed"] == [0]
+        assert saved.extra_meta["ledger_state"]["failed"] == [0]
         resumed_supervisor, resumed = run_resilient(
             "fedavg",
             make_clients(long_config),
@@ -609,12 +703,72 @@ class TestChaosResume:
             resilience=manager(),
         )
         assert resumed.history[-1].extra == uninterrupted.history[-1].extra
-        resumed_summary = resumed_supervisor.resilience.summary()
-        full_summary = supervisor.resilience.summary()
+        resumed_summary = resumed_supervisor.ledger.resilience_summary()
+        full_summary = supervisor.ledger.resilience_summary()
         assert (resumed_summary.gave_up, resumed_summary.retries) == (
             full_summary.gave_up,
             full_summary.retries,
         )
+
+    def test_a_checkpoint_with_split_participation_state_resumes(
+        self, tmp_path, make_clients, num_channels
+    ):
+        """A checkpoint written before the round ledger keeps the totals in
+        its ``scheduler_state`` counters (``selected`` without the clients
+        that gave up), the failed clients in its ``resilience_state`` and
+        the clock in both; it resumes to the uninterrupted digest and
+        totals."""
+        import json
+        from dataclasses import replace
+
+        long_config = replace(TINY_CONFIG, rounds=4)
+        short_config = replace(TINY_CONFIG, rounds=2)
+
+        def run(config, checkpoint=None):
+            return run_resilient(
+                "fedavg",
+                make_clients(config, count=4),
+                num_channels,
+                config=config,
+                checkpoint=checkpoint,
+                scheduler=create_scheduler(
+                    SchedulingOptions(straggler_model="heavytail", round_policy="deadline", deadline=10.0),
+                    seed=0,
+                ),
+                resilience=ResilienceManager(
+                    plan=AlwaysFailClient1Plan(), retry=RetryPolicy(max_retries=1, seed=0), quorum=0.5
+                ),
+            )
+
+        full, uninterrupted = run(long_config)
+        run(short_config, CheckpointManager(tmp_path))
+        for path in tmp_path.glob("round_*.json"):
+            meta = json.loads(path.read_text(encoding="utf-8"))
+            extra = meta["extra_meta"]
+            ledger = extra.pop("ledger_state")
+            counters = ledger["counters"]
+            extra["scheduler_state"]["counters"] = {
+                "rounds": counters["rounds"],
+                "selected": counters["selected"] - len(ledger["failed"]),
+                "arrived": counters["folded"],
+                "dropped": counters["late"],
+                "aggregations": 0,
+                "buffered": 0,
+                "staleness_sum": 0.0,
+                "staleness_max": 0,
+            }
+            extra["resilience_state"].update(
+                failed=ledger["failed"],
+                renormalizations=ledger["renormalizations"],
+                clock=extra["scheduler_state"]["clock"],
+            )
+            path.write_text(json.dumps(meta), encoding="utf-8")
+        resumed, training = run(long_config, CheckpointManager(tmp_path))
+        assert [r.round_index for r in training.history] == [2, 3]
+        assert digests(training) == digests(uninterrupted)
+        assert resumed.ledger.scheduling_summary() == full.ledger.scheduling_summary()
+        assert resumed.ledger.resilience_summary() == full.ledger.resilience_summary()
+        assert full.ledger.resilience_summary().dropped_clients == [1]
 
     def test_resume_under_a_different_fault_plan_rejected(
         self, tmp_path, make_clients, num_channels

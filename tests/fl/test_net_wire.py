@@ -253,7 +253,7 @@ class TestReconnectResume:
                 resilience=manager,
             )
             algorithm.run()
-            summary = manager.summary(backend)
+            summary = algorithm.ledger.resilience_summary(backend)
         finally:
             backend.close()
         thread.join(timeout=30)

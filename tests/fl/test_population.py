@@ -170,8 +170,7 @@ def run_population(
     checkpoint=None,
     scheduler=None,
 ):
-    """One algorithm run over a virtualized population; returns (training, server)."""
-    server = server if server is not None else FederatedServer()
+    """One algorithm run over a virtualized population; returns (training, ledger)."""
     algorithm = create_algorithm(
         name,
         list(directory.handles),
@@ -183,7 +182,7 @@ def run_population(
         scheduler=scheduler,
     )
     try:
-        return algorithm.run(), server
+        return algorithm.run(), algorithm.ledger
     finally:
         if backend is not None:
             backend.close()
@@ -250,7 +249,7 @@ class TestLaziness:
 
     def test_streaming_run_bounds_materialization(self, make_directory, num_channels):
         directory = make_directory(10_000)
-        training, server = run_population(
+        training, ledger = run_population(
             "fedavg",
             directory,
             num_channels,
@@ -261,7 +260,7 @@ class TestLaziness:
         assert directory.eager_clients == 0
         assert directory.peak_materialized <= 3
         assert directory.total_materializations == directory.total_releases
-        assert server.folded_updates == TINY_CONFIG.rounds * 3
+        assert ledger.folded == TINY_CONFIG.rounds * 3
 
 
 class TestStreamingParity:
@@ -328,11 +327,11 @@ class TestStreamingParity:
             server=reference_server(),
             scheduler=scheduler(),
         )
-        streamed, server = run_population(
+        streamed, ledger = run_population(
             "fedavg", make_directory(50), num_channels, scheduler=scheduler()
         )
         assert states_equal(gemv.global_state, streamed.global_state)
-        assert 0 < server.folded_updates < TINY_CONFIG.rounds * 5  # some were dropped
+        assert 0 < ledger.folded < TINY_CONFIG.rounds * 5  # some were dropped
 
     def test_streaming_matches_gemv_under_fedbuff(self, make_directory, num_channels):
         """The staleness-weighted delta fold agrees at parity buffer sizes."""
@@ -376,13 +375,13 @@ class TestStreamingParity:
             scheduler=sampling_scheduler(clients_per_round=clients_per_round),
         )
         directory = make_directory(10_000)
-        streamed, server = run_population(
+        streamed, ledger = run_population(
             "fedavg",
             directory,
             num_channels,
             scheduler=sampling_scheduler(clients_per_round=clients_per_round),
         )
-        assert server.folded_updates == TINY_CONFIG.rounds * clients_per_round
+        assert ledger.folded == TINY_CONFIG.rounds * clients_per_round
         assert directory.peak_materialized < clients_per_round
         for reference, record in zip(gemv.history, streamed.history):
             assert record.extra["client_drift"] == pytest.approx(

@@ -33,6 +33,7 @@ from repro.fl import (
     FLConfig,
     ProcessPoolBackend,
     ResilienceManager,
+    RetryPolicy,
     SchedulingOptions,
     SeededModelFactory,
     SerialBackend,
@@ -119,7 +120,7 @@ def states_equal(left, right) -> bool:
     return set(left) == set(right) and all(np.array_equal(left[k], right[k]) for k in left)
 
 
-def run_named(
+def build_named(
     name,
     clients,
     num_channels,
@@ -129,7 +130,7 @@ def run_named(
     scheduler=None,
     resilience=None,
 ):
-    algorithm = create_algorithm(
+    return create_algorithm(
         name,
         clients,
         make_factory(num_channels),
@@ -139,6 +140,10 @@ def run_named(
         scheduler=scheduler,
         resilience=resilience,
     )
+
+
+def run_named(name, clients, num_channels, backend=None, **options):
+    algorithm = build_named(name, clients, num_channels, backend=backend, **options)
     try:
         return algorithm.run()
     finally:
@@ -443,22 +448,26 @@ class TestScheduledRounds:
         and any backend must not change a single bit of a serial run on the
         default scheduler and manager."""
         plain = run_named(algorithm, make_clients(), num_channels)
-        resilience = ResilienceManager() if tolerant else None
-        scheduled = run_named(
+        backend = BACKENDS[backend_name]()
+        instance = build_named(
             algorithm,
             make_clients(),
             num_channels,
-            backend=BACKENDS[backend_name](),
+            backend=backend,
             scheduler=create_scheduler(SchedulingOptions(sampler="full")),
-            resilience=resilience,
+            resilience=ResilienceManager() if tolerant else None,
         )
+        try:
+            scheduled = instance.run()
+        finally:
+            backend.close()
         assert digests(scheduled) == digests(plain)
         assert [r.mean_loss for r in scheduled.history] == [r.mean_loss for r in plain.history]
         assert [r.per_client_loss for r in scheduled.history] == [
             r.per_client_loss for r in plain.history
         ]
         if tolerant:
-            summary = resilience.summary()
+            summary = instance.ledger.resilience_summary()
             assert (summary.retries, summary.gave_up, summary.dropped_clients) == (0, 0, [])
             assert sum(summary.injected.values()) == 0
 
@@ -492,22 +501,24 @@ class TestScheduledRounds:
 
     def test_partial_participation_trains_subset(self, make_clients, num_channels):
         scheduler = create_scheduler(SchedulingOptions(clients_per_round=1), seed=0)
-        training = run_named("fedavg", make_clients(), num_channels, scheduler=scheduler)
+        instance = build_named("fedavg", make_clients(), num_channels, scheduler=scheduler)
+        training = instance.run()
         for record in training.history:
             assert record.extra["selected"] == 1
             assert record.extra["arrived"] == 1
             assert len(record.per_client_loss) == 1
-        summary = scheduler.summary()
+        summary = instance.ledger.scheduling_summary()
         assert summary.total_selected == 2
         assert summary.total_dropped == 0
 
     def test_straggler_latency_advances_virtual_clock(self, make_clients, num_channels):
         scheduler = create_scheduler(SchedulingOptions(straggler_model="lognormal"), seed=0)
-        training = run_named("fedavg", make_clients(), num_channels, scheduler=scheduler)
+        instance = build_named("fedavg", make_clients(), num_channels, scheduler=scheduler)
+        training = instance.run()
         times = [record.extra["simulated_time_s"] for record in training.history]
         assert times == sorted(times)
         assert times[-1] > 0.0
-        assert scheduler.summary().simulated_seconds == times[-1]
+        assert instance.ledger.scheduling_summary().simulated_seconds == times[-1]
 
     def test_deadline_drops_stragglers(self, make_clients, num_channels):
         # The heavy tail guarantees some draw exceeds a tight deadline over
@@ -519,10 +530,11 @@ class TestScheduledRounds:
             SchedulingOptions(straggler_model="heavytail", round_policy="deadline", deadline=10.0),
             seed=0,
         )
-        training = run_named(
+        instance = build_named(
             "fedavg", make_clients(config), num_channels, config=config, scheduler=scheduler
         )
-        summary = scheduler.summary()
+        training = instance.run()
+        summary = instance.ledger.scheduling_summary()
         assert summary.total_selected == summary.total_arrived + summary.total_dropped
         assert summary.total_dropped > 0
         assert summary.simulated_seconds <= 4 * 10.0 + 1e-9
@@ -567,10 +579,11 @@ class TestFedBuff:
         scheduler = create_scheduler(
             SchedulingOptions(round_policy="fedbuff", buffer_size=2), seed=0
         )
-        buffered = run_named("fedavg", make_clients(), num_channels, scheduler=scheduler)
+        instance = build_named("fedavg", make_clients(), num_channels, scheduler=scheduler)
+        buffered = instance.run()
         assert states_equal(plain.global_state, buffered.global_state)
         assert [r.mean_loss for r in plain.history] == [r.mean_loss for r in buffered.history]
-        summary = scheduler.summary()
+        summary = instance.ledger.scheduling_summary()
         assert summary.buffered_aggregations == TINY_CONFIG.rounds
         assert summary.mean_staleness == 0.0
 
@@ -582,10 +595,11 @@ class TestFedBuff:
             SchedulingOptions(round_policy="fedbuff", buffer_size=1, straggler_model="lognormal"),
             seed=0,
         )
-        training = run_named(
+        instance = build_named(
             "fedavg", make_clients(config), num_channels, config=config, scheduler=scheduler
         )
-        summary = scheduler.summary()
+        training = instance.run()
+        summary = instance.ledger.scheduling_summary()
         assert summary.buffered_aggregations == 4
         assert summary.updates_buffered == 4
         # Buffer size 1 with two concurrent clients: the second arrival of
@@ -671,9 +685,8 @@ class TestRoundLoopContract:
             make_factory(num_channels),
             config,
             scheduler=create_scheduler(SchedulingOptions(**options), seed=0) if options else None,
-            # Quorum 0.5: a tolerant deadline round that drops a straggler
-            # still commits.
-            resilience=ResilienceManager(quorum=0.5) if tolerant else None,
+            # At quorum 1.0: a deadline's late straggler is not a failure.
+            resilience=ResilienceManager(retry=RetryPolicy(max_retries=2)) if tolerant else None,
         )
         passes, events = [], []
         wrapped = instance.map_client_updates
@@ -990,14 +1003,14 @@ class TestScheduledCheckpointResume:
                 SchedulingOptions(participation=0.5, straggler_model="lognormal"), seed=0
             )
 
-        full_scheduler = scheduler()
-        run_named(
+        full = build_named(
             "fedavg",
             make_clients(long_config),
             num_channels,
             config=long_config,
-            scheduler=full_scheduler,
+            scheduler=scheduler(),
         )
+        full.run()
         run_named(
             "fedavg",
             make_clients(short_config),
@@ -1006,16 +1019,16 @@ class TestScheduledCheckpointResume:
             checkpoint=CheckpointManager(tmp_path),
             scheduler=scheduler(),
         )
-        resumed_scheduler = scheduler()
-        run_named(
+        resumed = build_named(
             "fedavg",
             make_clients(long_config),
             num_channels,
             config=long_config,
             checkpoint=CheckpointManager(tmp_path),
-            scheduler=resumed_scheduler,
+            scheduler=scheduler(),
         )
-        assert resumed_scheduler.summary() == full_scheduler.summary()
+        resumed.run()
+        assert resumed.ledger.scheduling_summary() == full.ledger.scheduling_summary()
 
     def test_different_scheduling_fingerprint_rejected(
         self, tmp_path, make_clients, num_channels
