@@ -216,10 +216,6 @@ class StreamingDeltaAccumulator:
     """
 
     def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        """Start a fresh buffer (called after every aggregation)."""
         self._pending: List[Tuple[FlatState, FlatState, float, bool]] = []
         self._layout: Optional[StateLayout] = None
         self._delta_sum: Optional[np.ndarray] = None

@@ -150,6 +150,16 @@ class FederatedAlgorithm:
                     "fault tolerance (quorum/faults/retries) is not supported under "
                     "the fedbuff round policy yet; choose sync or deadline"
                 )
+            if checkpoint is not None:
+                # In-flight (dispatched, not yet aggregated) work is not part
+                # of a round checkpoint; a resumed fedbuff run re-dispatches
+                # from the checkpointed model instead of replaying lost flights.
+                logger.warning(
+                    "%s: fedbuff checkpoints cover aggregations, not in-flight "
+                    "updates; a resumed run is deterministic but not bit-identical "
+                    "to an uninterrupted one",
+                    self.name,
+                )
         # Retry backoff elapses on the scheduler's virtual clock, so waits
         # and straggler latencies share a timeline.
         self.resilience.clock = self.scheduler.clock
@@ -322,12 +332,11 @@ class RoundAlgorithm(FederatedAlgorithm):
     :class:`~repro.fl.faults.ResilienceManager`; the round-less baselines
     hold the inert defaults.
 
-    :meth:`run` is init → :meth:`load_checkpoint` → the round loop →
-    :meth:`_finish`, the round loop being :meth:`_run_rounds` (or FedProx's
-    ``_run_fedbuff`` under the fedbuff policy).  The loop carries one state
-    across rounds — the global model, or what stands for it in a
-    checkpoint; whatever else the server keeps lives on the instance.  A
-    subclass supplies only what differs: each participant's start state
+    :meth:`run` is init → :meth:`load_checkpoint` → :meth:`_run_rounds`,
+    the one round loop of every round policy → :meth:`_finish`.  The loop
+    carries one state across rounds — the global model, or what stands for
+    it in a checkpoint; whatever else the server keeps lives on the
+    instance.  A subclass supplies only what differs: each participant's start state
     (:meth:`_start_states`); what a kept update folds into, and the
     per-client record the server keeps from it (:meth:`_new_accumulators`,
     :meth:`_fold_update` — a client outside the cohort or past the deadline
@@ -575,38 +584,28 @@ class RoundAlgorithm(FederatedAlgorithm):
         if resumed is not None:
             start_round = resumed.round_index + 1
             global_state = resumed.global_state
-        if self.scheduler.policy == "fedbuff":
-            global_state = self._run_fedbuff(result, global_state, start_round)
-        else:
-            global_state = self._run_rounds(result, global_state, start_round)
+        global_state = self._run_rounds(result, global_state, start_round)
         self._finish(result, global_state)
         return result
 
     def _run_rounds(self, result: TrainingResult, global_state: State, start_round: int) -> State:
-        """Barrier rounds (sync / deadline): the one round loop.
+        """The one round loop, under every round policy.
 
-        Each round: the ledger opens it — the scheduler's cohort (sampled
-        over the clients available at the current virtual time) without the
-        permanently failed, and its pre-drawn straggler latencies — and the
-        cohort's client pass runs through the execution backend.  Each
-        update is folded — or, past the deadline, discarded as late — the
-        moment it arrives, and its state and client are released right
-        after, so a round holds O(P) per accumulator, independent of the
-        cohort size.  Under the inert scheduler every client trains every
-        round and nothing is late.
-
-        The ledger then commits the round: a cohort member that never
-        arrived exhausted its retries and failed, the round only commits
-        while the failed leave quorum intact (raising the typed
-        :class:`~repro.fl.faults.QuorumFailure` otherwise), and the failed
-        are dropped for good with a recorded weight renormalization — none
-        of which can happen under the default resilience manager, whose
-        first failed task raises.
+        Each round the ledger runs the scheduler's policy
+        (:meth:`~repro.fl.ledger.RoundLedger.round`) over two callbacks:
+        ``dispatch`` runs a cohort's client pass through the execution
+        backend from :meth:`_start_states` of the round's state, and
+        ``fold`` takes each update the moment it arrives — a kept one is
+        folded, a late one discarded — and releases its state and client
+        right after, so a round holds O(P) per accumulator, independent of
+        the cohort size.  A barrier round (``sync`` / ``deadline``)
+        dispatches its cohort once and commits it (failures, quorum and
+        permanent drops; see :meth:`~repro.fl.ledger.RoundLedger.commit`); a
+        FedBuff round refills the clients in flight and folds arrivals until
+        its buffer is full.  What is still in flight at the end counts as late.
         """
         ledger = self.ledger
         for round_index in range(start_round, self.config.rounds):
-            cohort = ledger.begin(round_index)
-            self.server.begin_round(len(cohort))
             # Made at the first arrival, inside the round's client pass:
             # bench/workload.py starts a cycle, and installs or removes its
             # tracing wrappers on new accumulators, where map_client_updates
@@ -614,35 +613,42 @@ class RoundAlgorithm(FederatedAlgorithm):
             accumulators = None
             per_client_loss: Dict[int, float] = {}  # one entry per folded update
 
-            def fold(update: ClientUpdate) -> None:
-                nonlocal accumulators
-                if accumulators is None:
-                    accumulators = self._new_accumulators()
-                if ledger.arrive(update.client_index):
-                    self._fold_update(accumulators, global_state, update)
-                    per_client_loss[update.client_id] = update.stats.mean_loss
-                update.state = None
-                self._release_client(update.client_index)
-
-            if cohort:
-                self.map_client_updates(
+            def dispatch(cohort, on_arrival) -> List[ClientUpdate]:
+                self.server.begin_round(len(cohort))
+                if not cohort:
+                    return []
+                return self.map_client_updates(
                     self._start_states(global_state, cohort),
                     steps=self.config.local_steps,
                     proximal_mu=self.proximal_mu(),
                     upload_names=self._upload_names,
                     cohort=cohort,
-                    on_arrival=fold,
+                    on_arrival=on_arrival,
                 )
-            if accumulators is None:  # nothing arrived
-                accumulators = self._new_accumulators()
+
+            def fold(update: ClientUpdate, kept: bool) -> None:
+                nonlocal accumulators
+                if accumulators is None:
+                    accumulators = self._new_accumulators()
+                if kept:
+                    self._fold_update(accumulators, global_state, update)
+                    per_client_loss[update.client_id] = update.stats.mean_loss
+                update.state = None
+                self._release_client(update.client_index)
+
             # Drops commit *before* the checkpoint so it already carries the
             # updated permanent-failure set.
-            participation = ledger.commit(self._auto_checkpoint_dir())
+            participation = ledger.round(
+                round_index, global_state, dispatch, fold, self._auto_checkpoint_dir()
+            )
+            if accumulators is None:  # nothing arrived
+                accumulators = self._new_accumulators()
             global_state, extra = self._server_step(global_state, accumulators)
             self.save_checkpoint(round_index, global_state)
             result.history.append(
                 self._round_record(round_index, per_client_loss, extra={**extra, **participation})
             )
+        ledger.close()
         return global_state
 
 

@@ -3,7 +3,9 @@
 A :class:`FaultPlan` decides — reproducibly — whether a given client task
 fails this attempt, and how.  Each decision is drawn from a counter-based
 RNG keyed ``[seed, FAULT_SEED_TAG, client_id, per-client draw counter]``,
-the same :class:`numpy.random.SeedSequence` idiom the latency model uses:
+the :class:`numpy.random.SeedSequence` idiom of the retry jitter (the
+latency, availability and sampler models each draw from one sequential
+stream instead):
 
 * **order-independent** — the decision for client ``c``'s ``n``-th draw is
   the same no matter which backend ran the round or how tasks interleaved,

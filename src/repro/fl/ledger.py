@@ -1,4 +1,4 @@
-"""The round ledger: where every cohort member of a round ends up.
+"""The round ledger: where every cohort member ends up, under every round policy.
 
 The federation does not control its clients, so each member of a barrier
 round's cohort ends the round in exactly one of three states:
@@ -14,9 +14,14 @@ round's cohort ends the round in exactly one of three states:
 
 Quorum counts only the failed: a round commits while ``cohort - failed``
 reaches ``ceil(quorum * cohort)`` and raises the typed
-:class:`~repro.fl.faults.QuorumFailure` below it.  The run totals obey
-``selected == folded + late + failed``; FedBuff counts its dispatches,
-buffered arrivals, aggregations and shutdown discards into the same totals.
+:class:`~repro.fl.faults.QuorumFailure` below it.
+
+Under ``fedbuff`` the ledger also runs FedBuff's event queue: it keeps a
+fixed number of clients in flight, folds their updates in simulated-arrival
+order and ends a round when the buffer is full.  A dispatched update is
+``folded`` when it arrives, and ``late`` when the run ends (or is resumed)
+before it arrives.  Either way the run totals obey
+``selected == folded + late + failed``.
 :class:`~repro.fl.scheduling.SchedulingSummary`,
 :class:`~repro.fl.faults.ResilienceSummary` and each round record's
 participation extras are views over them.
@@ -24,10 +29,12 @@ participation extras are views over them.
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.fl.faults import QuorumFailure, ResilienceManager, ResilienceSummary
+from repro.fl.parameters import State
 from repro.fl.scheduling import RoundScheduler, SchedulingSummary
 
 
@@ -62,6 +69,43 @@ class RoundLedger:
         self._latencies: Dict[int, float] = {}
         self._arrived: Dict[int, bool] = {}  # roster index -> in time, in arrival order
         self._retries_before = 0
+        # FedBuff's event queue: (arrival, dispatch number, roster index,
+        # round dispatched in, dispatch state, update) per update in flight.
+        self._in_flight: List[Tuple[float, int, int, int, State, object]] = []
+        self._concurrency: Optional[int] = None  # fixed by the first cohort
+        self._refill_due = False  # the last arrival instant has ended
+        self._arriving: Tuple[Optional[State], int] = (None, 0)
+
+    def round(
+        self,
+        round_index: int,
+        global_state: State,
+        dispatch: Callable,
+        fold: Callable,
+        checkpoint_dir: Optional[str] = None,
+    ) -> Dict[str, object]:
+        """Run one round of the scheduler's policy; returns its participation extras.
+
+        ``dispatch(cohort, on_arrival)`` trains ``cohort`` from
+        ``global_state`` and returns its updates, handing each to
+        ``on_arrival`` (if given) as it arrives; ``fold(update, kept)``
+        takes one arrived update.  A barrier round (``sync`` / ``deadline``)
+        is :meth:`begin`, one ``dispatch`` whose arrivals fold, the late
+        with ``kept=False``, and :meth:`commit`.  A FedBuff round is
+        :meth:`_buffered_round`.
+        """
+        if self._scheduler.policy == "fedbuff":
+            return self._buffered_round(round_index, global_state, dispatch, fold)
+        cohort = self.begin(round_index)
+        dispatch(cohort, lambda update: fold(update, self.arrive(update.client_index)))
+        return self.commit(checkpoint_dir)
+
+    def close(self) -> None:
+        """End the run: FedBuff's updates still in flight are discarded, like
+        a server draining at shutdown, and count as late."""
+        self.late += len(self._in_flight)
+        self._in_flight, self._concurrency, self._refill_due = [], None, False
+        self._arriving = (None, 0)
 
     # -- a barrier round -------------------------------------------------------
     def begin(self, round_index: int) -> List[int]:
@@ -150,11 +194,70 @@ class RoundLedger:
         return extra
 
     # -- FedBuff ---------------------------------------------------------------
-    def buffer(self, staleness: int) -> None:
-        """Count one FedBuff arrival, ``staleness`` aggregations after its dispatch."""
-        self.folded += 1
-        self._staleness_sum += float(staleness)
-        self._staleness_max = max(self._staleness_max, int(staleness))
+    def _buffered_round(
+        self, round_index: int, global_state: State, dispatch: Callable, fold: Callable
+    ) -> Dict[str, object]:
+        """One FedBuff aggregation (Nguyen et al., 2022): fold arrivals until
+        the buffer holds ``buffer_size`` updates.
+
+        The ledger keeps the first cohort's size in flight.  Each dispatched
+        update arrives a drawn latency after its dispatch; arrivals fold in
+        simulated-time order (dispatch order breaks ties), each
+        ``staleness`` aggregations after its dispatch.  Once every arrival
+        of an instant has folded, the in-flight set is refilled, from the
+        round's state, before the next arrival — so a refill owed by the
+        instant that filled the buffer trains from the next round's state.
+        With nobody in flight the ledger samples again, and the clock waits
+        while nobody is available.
+        """
+        scheduler = self._scheduler
+        in_flight = self._in_flight
+
+        def sample() -> List[int]:
+            busy = [entry[2] for entry in in_flight]
+            size = None if self._concurrency is None else self._concurrency - len(busy)
+            return scheduler.sample_clients(round_index, exclude=busy, size=size)
+
+        def send(cohort: List[int]) -> None:
+            updates = dispatch(cohort, None)
+            for index, update in zip(cohort, updates):
+                self.selected += 1
+                arrival = scheduler.clock.now + scheduler.draw_latency(index)
+                heapq.heappush(in_flight, (arrival, self.selected, index, round_index, global_state, update))
+
+        staleness: List[int] = []
+        while len(staleness) < scheduler.buffer_size:
+            if self._refill_due:
+                self._refill_due = False
+                send(sample())
+            while not in_flight:
+                cohort = sample()
+                if not cohort:
+                    scheduler.wait_for_clients()
+                    continue
+                if self._concurrency is None:
+                    self._concurrency = len(cohort)
+                send(cohort)
+            arrival, _, _, dispatched_in, dispatch_state, update = heapq.heappop(in_flight)
+            scheduler.clock.advance_to(arrival)
+            staleness.append(round_index - dispatched_in)
+            self._arriving = (dispatch_state, staleness[-1])
+            self.folded += 1
+            self._staleness_sum += float(staleness[-1])
+            self._staleness_max = max(self._staleness_max, staleness[-1])
+            fold(update, True)
+            self._refill_due = not in_flight or in_flight[0][0] != arrival
+        self.rounds += 1
+        return {
+            "buffered_updates": len(staleness),
+            "mean_staleness": float(sum(staleness) / len(staleness)),
+            "max_staleness": int(max(staleness)),
+            "simulated_time_s": scheduler.clock.now,
+        }
+
+    def dispatched(self) -> Tuple[State, int]:
+        """The FedBuff update being folded: its dispatch state and its staleness."""
+        return self._arriving
 
     # -- views -----------------------------------------------------------------
     def scheduling_summary(self) -> SchedulingSummary:
@@ -247,3 +350,8 @@ class RoundLedger:
         self._staleness_max = int(counters.get("staleness_max", 0))
         self._failed = set(int(index) for index in state.get("failed", []))
         self._renormalizations = [dict(record) for record in state.get("renormalizations", [])]
+        if self._scheduler.policy == "fedbuff":
+            # A checkpoint keeps no update in flight: the resumed run
+            # re-dispatches, so those dispatches are discarded and count as
+            # late, as at shutdown.  (FedBuff runs fail no client.)
+            self.late = self.selected - self.folded

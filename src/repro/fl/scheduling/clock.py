@@ -3,9 +3,9 @@
 Simulated federated runs report *simulated wall-clock time* — how long the
 deployment would have taken with real devices — not just round counts.  The
 :class:`VirtualClock` is the single time authority: round policies advance
-it by each round's duration (slowest kept client, or the deadline), the
-buffered-asynchronous loop advances it to each update's arrival instant,
-and availability models read it to decide who is reachable.
+it by each round's duration (slowest kept client, or the deadline), a
+FedBuff round advances it to each update's arrival instant, and
+availability models read it to decide who is reachable.
 
 The clock is plain state (no RNG, no wall-clock reads), so it is trivially
 deterministic and checkpointable.

@@ -19,8 +19,9 @@ policies an algorithm can run under:
 ``fedbuff``
     Buffered-asynchronous aggregation (Nguyen et al., 2022).  The scheduler
     supplies sampling, latency draws, the clock, and the staleness weight;
-    the event loop itself lives in the algorithm (it owns model versions
-    and aggregation).
+    the event queue lives in the algorithm's
+    :class:`~repro.fl.ledger.RoundLedger`, which runs every policy's rounds,
+    and the delta fold in the algorithm.
 
 Who folded, who was late and who failed is kept by the algorithm's
 :class:`~repro.fl.ledger.RoundLedger`, not here.  Everything stochastic lives

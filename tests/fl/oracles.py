@@ -19,6 +19,9 @@ that ``QuantizationCodec``'s in-place per-tensor passes must equal byte for
 byte and bit for bit; the proximal oracle is FedProx's expression form.
 ``map_tasks`` drives a backend directly, as ``ExecutionBackend.map`` did
 before every client pass went through the resilience manager.
+``fedbuff_oracle`` is FedBuff's event loop as it ran beside the round loop,
+with counts of its own: what the one loop must equal bit for bit under the
+``fedbuff`` policy.
 
 Another ``oracles.py`` lives in ``tests/nn``; load this one by path
 (``load_fl_oracles`` in ``test_state_door.py``), not with ``import oracles``.
@@ -26,14 +29,15 @@ Another ``oracles.py`` lives in ``tests/nn``; load this one by path
 
 from __future__ import annotations
 
+import copy
+import heapq
 import struct
 import zlib
 
-import copy
-
 import numpy as np
 
-from repro.fl import FederatedClient, TaskFailure
+from repro.fl import FederatedClient, SchedulingSummary, TaskFailure
+from repro.fl.algorithms.base import TrainingResult
 from repro.fl.parameters import (
     FlatState,
     clone_state,
@@ -316,3 +320,108 @@ def map_tasks(backend, tasks):
             )
         updates.append(outcome)
     return updates
+
+
+def fedbuff_oracle(algorithm):
+    """A fresh FedBuff run of ``algorithm`` (FedAvg or FedProx) on its own event loop.
+
+    Returns ``(result, summary)``: the ``TrainingResult`` and the
+    ``SchedulingSummary`` of the run, counted here, not by the ledger.  The
+    loop keeps the first cohort's size training at once, draws each
+    dispatch's latencies in cohort order after its client pass, pops
+    arrivals in ``(arrival, dispatch order)`` order, aggregates whenever
+    ``buffer_size`` updates are buffered, refills once every arrival of an
+    instant is in, samples before it waits when nothing is in flight, and
+    discards what is still in flight at the round budget as late.
+    """
+    scheduler = algorithm.scheduler
+    config = algorithm.config
+    result = TrainingResult(algorithm=algorithm.name)
+    global_state = algorithm.initial_state()
+    version = 0
+    heap, in_flight = [], set()
+    selected = folded = 0
+    staleness_sum, staleness_max = 0.0, 0
+
+    def dispatch(indices):
+        nonlocal selected
+        if not indices:
+            return
+        updates = algorithm.map_client_updates(
+            global_state, steps=config.local_steps, proximal_mu=algorithm.proximal_mu(), cohort=indices
+        )
+        for index, update in zip(indices, updates):
+            arrival = scheduler.clock.now + scheduler.draw_latency(index)
+            heapq.heappush(heap, (arrival, selected, index, version, global_state, update))
+            in_flight.add(index)
+            selected += 1
+
+    initial = scheduler.sample_clients(version, exclude=())
+    while not initial:
+        scheduler.wait_for_clients()
+        initial = scheduler.sample_clients(version, exclude=())
+    concurrency = len(initial)
+    dispatch(initial)
+
+    accumulator = algorithm.server.delta_accumulator()
+    buffered, losses = [], {}
+    while version < config.rounds:
+        if not heap:
+            refill = scheduler.sample_clients(version, exclude=in_flight, size=concurrency - len(in_flight))
+            if not refill:
+                scheduler.wait_for_clients()
+                continue
+            dispatch(refill)
+            continue
+        batch_time = heap[0][0]
+        scheduler.clock.advance_to(batch_time)
+        while heap and heap[0][0] == batch_time and version < config.rounds:
+            _, _, index, dispatched_in, dispatch_state, update = heapq.heappop(heap)
+            in_flight.discard(index)
+            staleness = version - dispatched_in
+            weight = float(algorithm.clients[index].num_samples) * scheduler.staleness_weight(staleness)
+            buffered.append(staleness)
+            losses[update.client_id] = update.stats.mean_loss
+            folded += 1
+            staleness_sum += float(staleness)
+            staleness_max = max(staleness_max, staleness)
+            accumulator.fold(
+                update.state,
+                dispatch_state,
+                weight,
+                fresh=staleness == 0 and dispatch_state is global_state,
+            )
+            algorithm._release_client(index)
+            if len(buffered) >= scheduler.buffer_size:
+                global_state = accumulator.result(global_state)
+                accumulator = algorithm.server.delta_accumulator()
+                extra = {
+                    "buffered_updates": len(buffered),
+                    "mean_staleness": float(sum(buffered) / len(buffered)),
+                    "max_staleness": int(max(buffered)),
+                    "simulated_time_s": scheduler.clock.now,
+                }
+                result.history.append(algorithm._round_record(version, losses, extra=extra))
+                version += 1
+                buffered, losses = [], {}
+        if version >= config.rounds:
+            break
+        dispatch(scheduler.sample_clients(version, exclude=in_flight, size=concurrency - len(in_flight)))
+    result.global_state = global_state
+
+    summary = SchedulingSummary(
+        policy=scheduler.policy,
+        sampler=scheduler.sampler.describe(),
+        availability=scheduler.availability.describe(),
+        straggler=scheduler.latency.describe(),
+        rounds=version,
+        total_selected=selected,
+        total_arrived=folded,
+        total_dropped=len(heap),
+        simulated_seconds=scheduler.clock.now,
+        buffered_aggregations=version,
+        updates_buffered=folded,
+        mean_staleness=staleness_sum / folded if folded else 0.0,
+        max_staleness=staleness_max,
+    )
+    return result, summary

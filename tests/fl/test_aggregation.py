@@ -351,16 +351,6 @@ def test_delta_accumulator_empty_returns_global_unchanged():
     assert accumulator.result(global_state) is global_state
 
 
-def test_delta_accumulator_reset_clears_the_buffer():
-    global_state, _, updates, dispatches, weights = _delta_cohort(47, 3)
-    accumulator = StreamingDeltaAccumulator()
-    for update, dispatch, weight in zip(updates, dispatches, weights):
-        accumulator.fold(update, dispatch, weight, fresh=False)
-    accumulator.reset()
-    assert accumulator.count == 0
-    assert accumulator.result(global_state) is global_state
-
-
 # ---------------------------------------------------------------------------
 # error paths: the same rejections inside the parity buffer and after a spill
 # ---------------------------------------------------------------------------

@@ -128,9 +128,6 @@ class ReferenceDeltaAccumulator:
     """The FedBuff oracle: the buffered fold written out entry by entry."""
 
     def __init__(self):
-        self.reset()
-
-    def reset(self):
         self.folded = []
 
     def fold(self, update, dispatch, weight, fresh):

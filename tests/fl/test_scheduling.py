@@ -17,7 +17,8 @@ The central guarantees under test:
 * the deadline policy drops stragglers (recorded, discarded) and aggregates
   only the survivors,
 * FedBuff with buffer size K and zero latency is bit-identical to
-  synchronous FedAvg over the same cohort.
+  synchronous FedAvg over the same cohort, and the one round loop equals
+  FedBuff's own event loop (``fedbuff_oracle``) bit for bit.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.data.clients import ClientData, ClientSpec
 from repro.fl import (
     CheckpointManager,
+    ClientDirectory,
     FederatedClient,
     FLConfig,
     ProcessPoolBackend,
@@ -653,6 +656,74 @@ class TestFedBuff:
         assert states_equal(serial.global_state, parallel.global_state)
 
 
+#: name -> (algorithm, scheduling options, virtual population or None for
+#: the two-client roster) of the one-loop / event-loop parity runs.
+FEDBUFF_CASES = {
+    **{
+        f"buffer{size}-{latency}": ("fedavg", dict(buffer_size=size, straggler_model=latency), None)
+        for size in (1, 2, 3)
+        for latency in ("none", "lognormal", "heavytail")
+    },
+    "bernoulli-0.4": (
+        "fedavg",
+        dict(buffer_size=2, straggler_model="lognormal", availability="bernoulli", availability_rate=0.4),
+        None,
+    ),
+    "daynight": ("fedavg", dict(buffer_size=2, straggler_model="uniform", availability="daynight"), None),
+    "one-per-round": ("fedavg", dict(buffer_size=2, clients_per_round=1, straggler_model="lognormal"), None),
+    "population-fedprox": (
+        "fedprox",
+        dict(buffer_size=3, clients_per_round=5, sampler="weighted", straggler_model="heavytail"),
+        40,
+    ),
+}
+
+
+class TestFedBuffOracle:
+    @pytest.mark.parametrize("case", sorted(FEDBUFF_CASES))
+    def test_the_one_loop_equals_the_event_loop(
+        self,
+        case,
+        make_clients,
+        num_channels,
+        tiny_train_dataset,
+        tiny_test_dataset,
+        tiny_train_dataset_itc,
+        tiny_test_dataset_itc,
+    ):
+        """Under ``fedbuff`` the round loop equals FedBuff's own event loop
+        bit for bit: the final state, every round record and the scheduling
+        summary."""
+        from dataclasses import replace
+
+        algorithm, options, population = FEDBUFF_CASES[case]
+        config = replace(TINY_CONFIG, rounds=4)
+        data = [
+            ClientData(ClientSpec(1, "iscas89", 2, 2, 6, 4), tiny_train_dataset, tiny_test_dataset),
+            ClientData(ClientSpec(2, "itc99", 2, 1, 6, 2), tiny_train_dataset_itc, tiny_test_dataset_itc),
+        ]
+
+        def build():
+            if population is None:
+                clients = make_clients(config)
+            else:
+                factory = make_factory(num_channels)
+                clients = ClientDirectory(data, factory, config, population=population).handles
+            scheduler = create_scheduler(SchedulingOptions(round_policy="fedbuff", **options), seed=0)
+            return build_named(algorithm, list(clients), num_channels, config=config, scheduler=scheduler)
+
+        instance = build()
+        training = instance.run()
+        oracle, summary = O.fedbuff_oracle(build())
+        assert states_equal(training.global_state, oracle.global_state)
+        assert [r.round_index for r in training.history] == list(range(config.rounds))
+        assert [(r.per_client_loss, r.extra) for r in training.history] == [
+            (r.per_client_loss, r.extra) for r in oracle.history
+        ]
+        assert instance.ledger.scheduling_summary() == summary
+        assert summary.total_selected == summary.total_arrived + summary.total_dropped
+
+
 SCHEDULES = {
     "none": None,
     "participation": dict(participation=0.5),
@@ -1029,6 +1100,45 @@ class TestScheduledCheckpointResume:
         )
         resumed.run()
         assert resumed.ledger.scheduling_summary() == full.ledger.scheduling_summary()
+
+    def test_a_resumed_fedbuff_run_keeps_selected_equal_to_folded_plus_late(
+        self, tmp_path, make_clients, num_channels
+    ):
+        """A checkpoint keeps no FedBuff update in flight.  Resuming a finished
+        run dispatches nothing and reports the uninterrupted totals; resuming
+        mid-run counts the checkpoint's in-flight dispatches as late."""
+        from dataclasses import replace
+
+        long_config = replace(TINY_CONFIG, rounds=4)
+        short_config = replace(TINY_CONFIG, rounds=2)
+
+        def run(config, directory):
+            scheduler = create_scheduler(
+                SchedulingOptions(round_policy="fedbuff", buffer_size=1, straggler_model="lognormal"),
+                seed=0,
+            )
+            instance = build_named(
+                "fedavg",
+                make_clients(config),
+                num_channels,
+                config=config,
+                checkpoint=CheckpointManager(directory),
+                scheduler=scheduler,
+            )
+            return instance.run(), instance.ledger.scheduling_summary()
+
+        uninterrupted, full = run(long_config, tmp_path / "full")
+        assert full.total_dropped > 0  # a client was in flight at the budget
+        again, resumed = run(long_config, tmp_path / "full")
+        assert states_equal(uninterrupted.global_state, again.global_state)
+        assert again.history == []
+        assert resumed == full
+
+        run(short_config, tmp_path / "half")
+        _, midway = run(long_config, tmp_path / "half")
+        assert midway.rounds == 4
+        assert midway.total_selected == midway.total_arrived + midway.total_dropped
+        assert midway.total_dropped > full.total_dropped
 
     def test_different_scheduling_fingerprint_rejected(
         self, tmp_path, make_clients, num_channels
