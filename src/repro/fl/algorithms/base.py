@@ -602,7 +602,8 @@ class RoundAlgorithm(FederatedAlgorithm):
         dispatches its cohort once and commits it (failures, quorum and
         permanent drops; see :meth:`~repro.fl.ledger.RoundLedger.commit`); a
         FedBuff round refills the clients in flight and folds arrivals until
-        its buffer is full.  What is still in flight at the end counts as late.
+        its buffer is full.  What is still in flight at the end counts as
+        late, and its clients are released too.
         """
         ledger = self.ledger
         for round_index in range(start_round, self.config.rounds):
@@ -648,7 +649,8 @@ class RoundAlgorithm(FederatedAlgorithm):
             result.history.append(
                 self._round_record(round_index, per_client_loss, extra={**extra, **participation})
             )
-        ledger.close()
+        for client_index in ledger.close():
+            self._release_client(client_index)
         return global_state
 
 

@@ -100,12 +100,18 @@ class RoundLedger:
         dispatch(cohort, lambda update: fold(update, self.arrive(update.client_index)))
         return self.commit(checkpoint_dir)
 
-    def close(self) -> None:
+    def close(self) -> List[int]:
         """End the run: FedBuff's updates still in flight are discarded, like
-        a server draining at shutdown, and count as late."""
-        self.late += len(self._in_flight)
+        a server draining at shutdown, and count as late.
+
+        Returns the discarded updates' roster indices, whose clients the
+        caller releases: a discarded update is never folded.
+        """
+        discarded = [entry[2] for entry in self._in_flight]
+        self.late += len(discarded)
         self._in_flight, self._concurrency, self._refill_due = [], None, False
         self._arriving = (None, 0)
+        return discarded
 
     # -- a barrier round -------------------------------------------------------
     def begin(self, round_index: int) -> List[int]:

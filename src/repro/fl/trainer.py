@@ -27,22 +27,26 @@ from repro.fl.parameters import State
 from repro.models.base import RoutabilityModel
 from repro.nn.dtypes import resolve_compute_dtype
 from repro.nn.losses import Loss, make_loss
-from repro.nn.optim import make_optimizer
+from repro.nn.optim import Optimizer, make_optimizer
 from repro.nn.parameter import Parameter
+from repro.nn.workspace import release_scratch
 from repro.utils.validation import check_positive
 
 
-def proximal_terms(model: RoutabilityModel, reference: State) -> List[Tuple[Parameter, np.ndarray, np.ndarray]]:
+def proximal_terms(
+    model: RoutabilityModel, reference: State, optimizer: Optimizer
+) -> List[Tuple[Parameter, np.ndarray, np.ndarray]]:
     """``(param, reference tensor, scratch view)`` per parameter ``reference`` names.
 
-    The views share one scratch buffer sized to the largest parameter, in
-    the parameters' dtype.
+    Each scratch view is the first of ``optimizer``'s work views of that
+    parameter: the proximal term is consumed before ``step()`` overwrites
+    it, so it allocates nothing of its own.
     """
-    named = [(param, reference[name]) for name, param in model.named_parameters() if name in reference]
-    if not named:
-        return []
-    scratch = np.empty(max(param.data.size for param, _ in named), dtype=named[0][0].data.dtype)
-    return [(param, ref, scratch[: param.data.size].reshape(param.data.shape)) for param, ref in named]
+    return [
+        (param, reference[name], optimizer.work_views(param)[0])
+        for name, param in model.named_parameters()
+        if name in reference
+    ]
 
 
 def add_proximal_gradient(terms: List[Tuple[Parameter, np.ndarray, np.ndarray]], mu: float) -> None:
@@ -143,7 +147,7 @@ class LocalTrainer:
                 name: np.asarray(value, dtype=self.compute_dtype)
                 for name, value in reference.items()
             }
-        proximal = proximal_terms(model, reference) if reference is not None else []
+        proximal = proximal_terms(model, reference, optimizer) if reference is not None else []
 
         model.train()
         losses = np.zeros(steps, dtype=np.float64)
@@ -154,9 +158,10 @@ class LocalTrainer:
             model.backward(loss_fn.backward())
             add_proximal_gradient(proximal, proximal_mu)
             optimizer.step()
-        # Local computation is over: lend the scratch to whoever trains next
-        # on this thread (see repro.nn.workspace).
+        # Local computation is over: lend the scratch and the optimizer's
+        # state to whoever trains next on this thread (see repro.nn.workspace).
         model.release_workspaces()
+        release_scratch(optimizer)
         return StepStatistics(
             steps=steps,
             mean_loss=float(losses.mean()),

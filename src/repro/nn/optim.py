@@ -2,23 +2,31 @@
 L2 regularization (weight decay), matching the paper's training setup
 (Adam, learning rate 2e-4, L2 strength 1e-5).
 
+An optimizer allocates nothing itself: its state is lent from the calling
+thread's scratch pool (:mod:`repro.nn.workspace`) the way a layer's scratch
+is.  Its :class:`~repro.nn.workspace.Workspace` holds one zero-filled
+buffer per parameter for each moment (Adam's two, SGD's velocity) and one
+pair of work buffers sized to the largest parameter, viewed per parameter;
+``release_scratch(optimizer)``, wherever its run ends
+(``LocalTrainer.train_steps``), hands them back for the next client on the
+thread, so an optimizer is built per run and not stepped after its release.
+
 Every ``step()`` updates in place (``np.multiply``/``np.add``/... with
-``out=``) into the parameter buffers, the persistent moment buffers, and
-one pair of scratch buffers per optimizer (each sized to the largest
-parameter, viewed per parameter), so a training step allocates no
-per-parameter temporaries after the first call.  The in-place formulations
-apply the identical IEEE operations in the identical order as the original
-expression forms, so the produced parameters are **bit-identical** (guarded
-by the optimizer parity test and the pre-refactor seeded regression).
+``out=``) into the parameter buffers, the moment buffers and the work
+pair.  The in-place formulations apply the identical IEEE operations in
+the identical order as the original expression forms, so the produced
+parameters are **bit-identical** (guarded by the optimizer parity test and
+the pre-refactor seeded regression).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.parameter import Parameter
+from repro.nn.workspace import Workspace
 
 
 class Optimizer:
@@ -34,10 +42,9 @@ class Optimizer:
             raise ValueError("optimizer needs at least one parameter")
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        #: The two work buffers every parameter's step shares, and each
-        #: parameter's pair of views into them (built on first use).
-        self._scratch: Tuple[np.ndarray, ...] = ()
-        self._scratch_views: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        #: The lent state: per-parameter moments and the shared work pair.
+        self._ws = Workspace()
+        self._largest = max(param.data.size for param in self.parameters)
 
     def zero_grad(self) -> None:
         for param in self.parameters:
@@ -46,18 +53,19 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
-    def _scratch_for(self, key: int, param: Parameter) -> Tuple[np.ndarray, np.ndarray]:
-        """Two work views shaped like ``param`` into the optimizer's shared pair."""
-        views = self._scratch_views.get(key)
+    def work_views(self, param: Parameter) -> Tuple[np.ndarray, np.ndarray]:
+        """Two work views shaped like ``param`` into the optimizer's lent pair.
+
+        Each buffer of the pair is sized to the largest parameter.  Between
+        steps the first holds nothing: a value consumed before ``step()``
+        (FedProx's proximal term) may be staged in it.
+        """
         data = param.data
-        if views is None or views[0].shape != data.shape or views[0].dtype != data.dtype:
-            if not self._scratch or self._scratch[0].dtype != data.dtype or self._scratch[0].size < data.size:
-                size = max(p.data.size for p in self.parameters)
-                self._scratch = (np.empty(size, dtype=data.dtype), np.empty(size, dtype=data.dtype))
-                self._scratch_views.clear()
-            views = tuple(buffer[: data.size].reshape(data.shape) for buffer in self._scratch)
-            self._scratch_views[key] = views
-        return views
+        size, shape = data.size, data.shape
+        return (
+            self._ws.get("work", (self._largest,), data.dtype)[:size].reshape(shape),
+            self._ws.get("work2", (self._largest,), data.dtype)[:size].reshape(shape),
+        )
 
     def _regularized_grad(self, param: Parameter, out: np.ndarray) -> np.ndarray:
         """``grad + weight_decay * data`` without temporaries.
@@ -87,17 +95,13 @@ class SGD(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
-        self._velocity: Dict[int, np.ndarray] = {}
 
     def step(self) -> None:
         for index, param in enumerate(self.parameters):
-            scratch, _ = self._scratch_for(index, param)
+            scratch, _ = self.work_views(param)
             grad = self._regularized_grad(param, out=scratch)
             if self.momentum:
-                velocity = self._velocity.get(index)
-                if velocity is None:
-                    velocity = np.zeros_like(param.data)
-                    self._velocity[index] = velocity
+                velocity = self._ws.zeros(f"velocity{index}", param.data.shape, param.data.dtype)
                 # velocity = momentum * velocity + grad, in place.
                 np.multiply(velocity, self.momentum, out=velocity)
                 np.add(velocity, grad, out=velocity)
@@ -124,24 +128,19 @@ class Adam(Optimizer):
         self.beta2 = 0.999
         self.eps = 1e-8
         self._step_count = 0
-        self._first_moment: Dict[int, np.ndarray] = {}
-        self._second_moment: Dict[int, np.ndarray] = {}
 
     def step(self) -> None:
         self._step_count += 1
         t = self._step_count
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
+        ws = self._ws
         for index, param in enumerate(self.parameters):
-            work, work2 = self._scratch_for(index, param)
+            work, work2 = self.work_views(param)
             grad = self._regularized_grad(param, out=work)
-            m = self._first_moment.get(index)
-            v = self._second_moment.get(index)
-            if m is None:
-                m = np.zeros_like(param.data)
-                v = np.zeros_like(param.data)
-                self._first_moment[index] = m
-                self._second_moment[index] = v
+            shape, dtype = param.data.shape, param.data.dtype
+            m = ws.zeros(f"m{index}", shape, dtype)
+            v = ws.zeros(f"v{index}", shape, dtype)
             # m = beta1 * m + (1 - beta1) * grad, in place.
             np.multiply(m, self.beta1, out=m)
             np.multiply(grad, 1.0 - self.beta1, out=work2)

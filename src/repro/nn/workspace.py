@@ -1,4 +1,4 @@
-"""Layer workspaces for the training hot path, lent from one scratch pool per thread.
+"""Layer and optimizer workspaces for the training hot path, lent from one scratch pool per thread.
 
 Every training step used to reallocate the same large temporaries — the
 padded input, the im2col ``cols`` matrix, the input gradient's tap
@@ -8,10 +8,10 @@ allocations dominate the step wall-clock (fresh multi-megabyte buffers are
 served by the allocator as new pages, so the first write of every step pays
 page faults).
 
-A :class:`Workspace` is a layer's (or loss's) set of named scratch buffers
-keyed by ``(tag, shape, dtype)``.  Because the batch shape is fixed across
-a training run, every step after the first reuses the same warm pages via
-``out=`` kwargs instead of reallocating.
+A :class:`Workspace` is a layer's (or loss's, or optimizer's) set of named
+scratch buffers keyed by ``(tag, shape, dtype)``.  Because the batch shape
+is fixed across a training run, every step after the first reuses the same
+warm pages via ``out=`` kwargs instead of reallocating.
 
 Lend and release
 ----------------
@@ -27,6 +27,13 @@ module: one per worker thread on the thread backend, one per joiner
 process on the process backend.  It holds at most one buffer per distinct
 ``(shape, dtype)`` per simultaneous holder, and is never trimmed.
 
+The optimizer of a local run (:mod:`repro.nn.optim`) borrows the same way:
+each moment (Adam's two, SGD's velocity) is a zero-filled buffer per
+parameter, and its work pair two buffers sized to the largest parameter
+(FedProx's proximal term is staged in the first).  ``train_steps`` hands
+them back with ``release_scratch(optimizer)`` next to the model's release,
+so a warm client task allocates only the state it returns.
+
 Aliasing rules (see ``docs/performance.md``)
 --------------------------------------------
 * A workspace buffer is **internal scratch**: it may be handed out only for
@@ -37,6 +44,9 @@ Aliasing rules (see ``docs/performance.md``)
   freshly allocated — callers may keep them across steps (e.g.
   ``predict_dataset`` collects per-batch outputs), so they must never alias
   a workspace.
+* An optimizer's moments are the one lent state kept *across* steps, and
+  only between the two release points of one run.  They are acquired with
+  ``zeros``, so a recycled moment carries nothing from its last holder.
 * Between two release points a layer owns its buffers exclusively: a buffer
   is either in exactly one workspace or in exactly one thread's pool, and a
   release also forgets the owner's backward cache, so nothing keeps reading
@@ -78,15 +88,17 @@ def pool_nbytes() -> int:
 def release_scratch(owner, pool: bool = True) -> None:
     """End ``owner``'s hold on its scratch: buffers pooled (or dropped), cache reset.
 
-    ``owner`` is a module; one without a ``_ws`` workspace is left alone.
-    Its ``_cache`` may reference the buffers just given away, so it
-    is reset: a ``backward`` without a new ``forward`` raises the usual
-    "called before forward" error instead of reading lent-on memory.
+    ``owner`` is a module or an optimizer; one without a ``_ws`` workspace
+    is left alone.  A module's ``_cache`` may reference the buffers just
+    given away, so it is reset: a ``backward`` without a new ``forward``
+    raises the usual "called before forward" error instead of reading
+    lent-on memory.
     """
     workspace = getattr(owner, "_ws", None)
     if workspace is not None:
         workspace.clear(pool=pool)
-        owner._cache = None
+        if hasattr(owner, "_cache"):
+            owner._cache = None
 
 
 class Workspace:

@@ -13,6 +13,8 @@ Lazy client virtualization (:mod:`repro.fl.population`) promises two things:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,26 @@ class TestLaziness:
         assert directory.peak_materialized <= 3
         assert directory.total_materializations == directory.total_releases
         assert ledger.folded == TINY_CONFIG.rounds * 3
+
+    def test_fedbuff_releases_the_updates_still_in_flight(self, make_directory, num_channels):
+        """The updates a FedBuff run discards at its end were never folded;
+        their clients are released all the same."""
+        directory = make_directory(30)
+        _, ledger = run_population(
+            "fedavg",
+            directory,
+            num_channels,
+            config=dataclasses.replace(TINY_CONFIG, rounds=3),
+            scheduler=sampling_scheduler(
+                clients_per_round=6,
+                round_policy="fedbuff",
+                buffer_size=2,
+                straggler_model="lognormal",
+            ),
+        )
+        assert ledger.late > 0  # some were in flight when the run ended
+        assert directory.materialized_count == 0
+        assert directory.total_materializations == directory.total_releases
 
 
 class TestStreamingParity:

@@ -10,6 +10,7 @@ from repro.fl.config import PAPER_ASSIGNED_CLUSTERS
 from repro.fl.parameters import state_distance
 from repro.fl.trainer import add_proximal_gradient, proximal_terms
 from repro.models import FLNet, RouteNet
+from repro.nn.optim import Adam
 from test_state_door import load_fl_oracles
 
 proximal_gradient_oracle = load_fl_oracles().proximal_gradient_oracle
@@ -104,7 +105,7 @@ class TestLocalTrainer:
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_in_place_proximal_term_equals_the_expression_form(self, dtype):
-        # grad += 2 mu (data - ref) through one shared scratch buffer, bit
+        # grad += 2 mu (data - ref) through the optimizer's work buffer, bit
         # for bit the expression form; names the reference lacks are skipped.
         generator = np.random.default_rng(7)
         model = RouteNet(3, seed=2).set_compute_dtype(dtype)
@@ -122,9 +123,12 @@ class TestLocalTrainer:
             else param.grad.copy()
             for name, param in named.items()
         }
-        terms = proximal_terms(model, reference)
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        terms = proximal_terms(model, reference, optimizer)
         assert len(terms) == len(reference) < len(named)
+        # Every view lies in the optimizer's first work buffer: no scratch of its own.
         assert len({id(view.base) for _, _, view in terms}) == 1
+        assert all(np.shares_memory(view, optimizer.work_views(param)[0]) for param, _, view in terms)
         add_proximal_gradient(terms, 0.37)
         for name, param in named.items():
             assert param.grad.dtype == np.dtype(dtype)

@@ -271,11 +271,13 @@ class TestFloat32ModelParity:
         loss.forward(out, np.zeros_like(out))
         model.backward(loss.backward())
         optimizer.step()
-        assert all(m.dtype == np.float32 for m in optimizer._first_moment.values())
-        assert all(v.dtype == np.float32 for v in optimizer._second_moment.values())
-        scratch = optimizer._scratch
+        held = dict(optimizer._ws._buffers)
+        moments = [buffer for (tag, _, _), buffer in held.items() if tag not in ("work", "work2")]
+        assert len(moments) == 2 * len(model.parameters())
+        assert all(m.dtype == np.float32 for m in moments)
+        scratch = [buffer for (tag, _, _), buffer in held.items() if tag in ("work", "work2")]
         largest = max(p.data.size for p in model.parameters())
         assert len(scratch) == 2 and all(s.dtype == np.float32 and s.shape == (largest,) for s in scratch)
         optimizer.step()
-        assert all(mine is theirs for mine, theirs in zip(optimizer._scratch, scratch))
+        assert all(optimizer._ws._buffers[key] is buffer for key, buffer in held.items())
         assert all(p.data.dtype == np.float32 for p in model.parameters())

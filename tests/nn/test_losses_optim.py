@@ -259,27 +259,35 @@ class TestInPlaceStepBitIdentity:
 
     def test_step_allocates_no_new_state_after_first_call(self):
         initial, grads = self._make_problem(seed=2)
-        for build in (lambda p: Adam(p, lr=1e-3, weight_decay=1e-5), lambda p: SGD(p, lr=0.01, momentum=0.9)):
+        largest = max(int(np.prod(shape)) for shape in self.SHAPES)
+        for build, moments_per_param in (
+            (lambda p: Adam(p, lr=1e-3, weight_decay=1e-5), 2),
+            (lambda p: SGD(p, lr=0.01, momentum=0.9), 1),
+        ):
             params = [Parameter(values.copy()) for values in initial]
             optimizer = build(params)
             for param, grad in zip(params, grads[0]):
                 param.grad[...] = grad
             optimizer.step()
-            moments = getattr(optimizer, "_first_moment", None) or optimizer._velocity
-            moments_before = [moments[i] for i in range(len(params))]
-            scratch_before = optimizer._scratch
+            # Everything the optimizer holds is lent from its workspace.
+            held = dict(optimizer._ws._buffers)
+            pair = [buffer for (tag, _, _), buffer in held.items() if tag in ("work", "work2")]
+            moments = [buffer for (tag, _, _), buffer in held.items() if tag not in ("work", "work2")]
+            # One buffer per parameter and moment, shaped like its parameter.
+            assert len(moments) == moments_per_param * len(params)
+            assert sorted(m.shape for m in moments) == sorted(p.data.shape for p in params for _ in range(moments_per_param))
             # One pair for the whole optimizer, each sized to the largest parameter.
-            assert len(scratch_before) == 2 and scratch_before[0] is not scratch_before[1]
-            assert all(buffer.shape == (max(p.data.size for p in params),) for buffer in scratch_before)
+            assert len(pair) == 2 and pair[0] is not pair[1]
+            assert all(buffer.shape == (largest,) for buffer in pair)
             for _ in range(2):
                 optimizer.step()
-                assert all(moments[i] is m for i, m in enumerate(moments_before))
-                assert all(mine is theirs for mine, theirs in zip(optimizer._scratch, scratch_before))
+                assert optimizer._ws._buffers.keys() == held.keys()
+                assert all(optimizer._ws._buffers[key] is buffer for key, buffer in held.items())
             # Every parameter's two views lie in that pair.
-            for index, param in enumerate(params):
-                views = optimizer._scratch_views[index]
+            for param in params:
+                views = optimizer.work_views(param)
                 assert all(view.shape == param.data.shape for view in views)
-                assert all(np.shares_memory(view, buffer) for view, buffer in zip(views, scratch_before))
+                assert all(np.shares_memory(view, buffer) for view, buffer in zip(views, pair))
 
 
 class TestInit:

@@ -4,7 +4,7 @@ Workspace buffers are lent: a layer holds them between two release points
 and ``release_workspaces()`` parks them in the calling thread's free pool
 for whichever model computes next.  These tests pin what that must never
 change — values, ownership — and what it must achieve: one client's worth
-of scratch however many clients train.
+of scratch, the optimizer's state included, however many clients train.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from repro.fl import (
 from repro.fl.client import _LENT
 from repro.fl.parameters import flat_model_state, state_digest
 from repro.models import FLNet, RouteNet
-from repro.nn import Conv2d
-from repro.nn.workspace import _POOL, pool_nbytes
+from repro.nn import Conv2d, Parameter
+from repro.nn.optim import SGD, Adam
+from repro.nn.workspace import _POOL, pool_nbytes, release_scratch
 
 CHANNELS = 3
 GRID = 8
@@ -104,15 +105,30 @@ def empty_pool():
 
 
 class TestPoolBound:
-    def test_nine_serial_clients_hold_one_clients_scratch(self):
+    def test_nine_serial_clients_hold_one_clients_scratch(self, monkeypatch):
+        released = []  # per optimizer release: the lent buffers' ids and bytes
+
+        def recording_release(owner, pool=True):
+            released.append({id(buffer): buffer.nbytes for buffer in owner._ws._buffers.values()})
+            release_scratch(owner, pool)
+
+        monkeypatch.setattr("repro.fl.trainer.release_scratch", recording_release)
         one_round(roster(1), SerialBackend())
         one_set = pool_nbytes()
         assert one_set > 0
+        # The optimizer's state is in that set: Adam's two moments and the work pair.
+        (state,) = released
+        sizes = [param.nbytes for param in flat_model_state(Builder()(0)).values()]
+        assert sum(state.values()) == 2 * sum(sizes) + 2 * max(sizes)
+        assert set(state) <= pooled_ids()
         _POOL.free.clear()
+        released.clear()
 
         clients = roster(9)
         one_round(clients, SerialBackend())
+        assert len(released) == 9
         assert held_nbytes(clients) == 0
+        assert set().union(*released) <= pooled_ids()
         assert pool_nbytes() == one_set
 
     def test_evaluation_releases_too(self):
@@ -149,6 +165,36 @@ class TestRecycledValues:
             np.testing.assert_array_equal(pooled.weight.grad, cold.weight.grad)
             pooled.release_workspaces()
             lent = pooled_ids()
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda p: Adam(p, lr=1e-2, weight_decay=1e-5), lambda p: SGD(p, lr=1e-2, momentum=0.9)],
+        ids=["adam", "sgd"],
+    )
+    def test_optimizer_state_from_a_dirty_pool_trains_like_a_cold_one(self, build):
+        """Moments recycled from another run are re-zeroed: the same steps, bit for bit."""
+        shapes = [(4, CHANNELS, 5, 5), (4,), (1, 4, 5, 5), (1,)]
+
+        def run(seed: int):
+            draw = rng(seed)
+            params = [Parameter(draw.normal(size=shape)) for shape in shapes]
+            optimizer = build(params)
+            for _ in range(3):
+                for param in params:
+                    param.grad[...] = draw.normal(size=param.data.shape)
+                optimizer.step()
+            return optimizer, [param.data for param in params]
+
+        dirty, _ = run(50)
+        assert all(np.any(buffer) for buffer in dirty._ws._buffers.values())
+        release_scratch(dirty)
+        lent = pooled_ids()
+        warm, warm_params = run(51)
+        assert {id(buffer) for buffer in warm._ws._buffers.values()} == lent  # all recycled
+        cold, cold_params = on_cold_pool(lambda: run(51))
+        assert not {id(buffer) for buffer in cold._ws._buffers.values()} & lent
+        for mine, theirs in zip(warm_params, cold_params, strict=True):
+            assert mine.tobytes() == theirs.tobytes()
 
     def test_one_filter_input_gradient_is_not_the_scratch_it_was_folded_in(self):
         """A caller may keep a returned gradient across the layer's next step."""
