@@ -284,7 +284,7 @@ class WireBackend(ExecutionBackend):
         carriers = [task.wire if task.wire is not None else task.state for task in tasks]
         references = collections.Counter(map(id, carriers))
         state_ids: Dict[int, int] = {}
-        futures = []
+        futures = collections.deque()
         for task, carrier in zip(tasks, carriers):
             client = self._clients[task.client_index]
             if id(carrier) not in state_ids:
@@ -302,46 +302,54 @@ class WireBackend(ExecutionBackend):
                 )
             )
         # Drain in submission order (streaming, like every other backend).
-        # Even with timeout=None every future resolves eventually: a session
-        # that loses its connection and is not re-claimed within the
-        # liveness deadline is reaped into a WireFailure.
-        for position, (task, future) in enumerate(zip(tasks, futures)):
-            client = self._clients[task.client_index]
-            try:
-                raw = self._wait(future, timeout)
-            except FuturesTimeoutError:
-                error = f"task exceeded the {timeout:g}s per-task timeout"
-                self._give_up(task, future, error)
-                yield TaskFailure(
-                    task_index=position,
-                    client_index=task.client_index,
-                    client_id=client.client_id,
-                    kind="timeout",
-                    error=error,
-                )
-                continue
-            if isinstance(raw, WireFailure):
-                yield TaskFailure(
-                    task_index=position,
-                    client_index=task.client_index,
-                    client_id=client.client_id,
-                    kind=raw.kind,
-                    error=raw.error,
-                    traceback=raw.traceback,
-                )
-                continue
-            # A successful UpdateEnvelope: write the joiner's post-training
-            # RNG state back into the roster client (this is what keeps
-            # wire == serial).
-            if raw.rng_state is not None:
-                client.rng_state = raw.rng_state
-            yield ClientUpdate(
+        # Each future leaves the queue before its outcome is yielded and no
+        # local outlives the yield, so once the caller has folded an update
+        # nothing here keeps it: a round holds O(P), not one update per task.
+        for position, task in enumerate(tasks):
+            yield self._outcome(position, task, futures.popleft(), timeout)
+
+    def _outcome(
+        self, position: int, task: ClientTask, future: Future, timeout: Optional[float]
+    ) -> Union[ClientUpdate, TaskFailure]:
+        """Task ``position``'s outcome, once ``future`` resolves.
+
+        Even with timeout=None every future resolves eventually: a session
+        that loses its connection and is not re-claimed within the liveness
+        deadline is reaped into a WireFailure.
+        """
+        client = self._clients[task.client_index]
+        try:
+            raw = self._wait(future, timeout)
+        except FuturesTimeoutError:
+            error = f"task exceeded the {timeout:g}s per-task timeout"
+            self._give_up(task, future, error)
+            return TaskFailure(
+                task_index=position,
                 client_index=task.client_index,
                 client_id=client.client_id,
-                state=raw.state,
-                stats=raw.stats,
-                payload=raw.payload,
+                kind="timeout",
+                error=error,
             )
+        if isinstance(raw, WireFailure):
+            return TaskFailure(
+                task_index=position,
+                client_index=task.client_index,
+                client_id=client.client_id,
+                kind=raw.kind,
+                error=raw.error,
+                traceback=raw.traceback,
+            )
+        # A successful UpdateEnvelope: write the joiner's post-training RNG
+        # state back into the roster client (this is what keeps wire == serial).
+        if raw.rng_state is not None:
+            client.rng_state = raw.rng_state
+        return ClientUpdate(
+            client_index=task.client_index,
+            client_id=client.client_id,
+            state=raw.state,
+            stats=raw.stats,
+            payload=raw.payload,
+        )
 
     def _wait(self, future: Future, timeout: Optional[float]):
         """One task's raw outcome; raises ``FuturesTimeoutError`` past ``timeout``."""

@@ -15,8 +15,11 @@ cache the server used) and services the server's task stream:
   client's RNG state from the envelope, run
   :func:`~repro.fl.execution.run_client_task`, capture the RNG state,
   release a virtual client, and ship an :class:`UpdateEnvelope` back.
-  Decoding and training run in a thread-pool executor so the asyncio loop
-  keeps answering heartbeats mid-step.  Sending runs behind the compute:
+  Decoding and training run one task at a time on the joiner's one worker
+  thread, made when :meth:`FederationClientRunner.run` starts and kept
+  across reconnects, so the asyncio loop keeps answering heartbeats
+  mid-step and the joiner holds one lent model and one scratch pool
+  however many tasks it runs.  Sending runs behind the compute:
   a finished update goes to the connection's sender, which encodes, frames
   and drains the updates one at a time in task order while the next task
   trains.  A send is bound to the connection it was handed to; if that
@@ -50,6 +53,7 @@ import logging
 import os
 import signal
 import traceback as traceback_module
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -171,7 +175,10 @@ class FederationClientRunner:
     async def run(self) -> JoinReport:
         """Serve the federation until GOODBYE; returns the join report."""
         self._queue = asyncio.Queue()
-        worker = asyncio.get_event_loop().create_task(self._worker_loop())
+        # One thread runs every task: a model and a scratch pool are lent per
+        # thread, so a second thread would hold a second set of each.
+        executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-join-task")
+        worker = asyncio.get_event_loop().create_task(self._worker_loop(executor))
         attempts = 0
         try:
             while not self._done:
@@ -206,8 +213,11 @@ class FederationClientRunner:
                     )
                     await asyncio.sleep(self.reconnect_delay)
         finally:
-            await _cancel(worker)
-            self._close_writer()
+            try:
+                await _cancel(worker)
+                self._close_writer()
+            finally:
+                executor.shutdown(wait=True)  # a task it is still running ends first
         return self.report
 
     # -- one connection ------------------------------------------------------------
@@ -329,8 +339,8 @@ class FederationClientRunner:
             raise MessageDecodeError(frame_type, reason="unexpected frame type mid-session")
 
     # -- task execution ------------------------------------------------------------
-    async def _worker_loop(self) -> None:
-        """Sequentially executes queued tasks off the event loop's thread.
+    async def _worker_loop(self, executor: ThreadPoolExecutor) -> None:
+        """Sequentially executes queued tasks on ``executor``'s one thread.
 
         A finished update is handed to the connection's sender and the next
         task starts at once: update k is encoded, framed and drained while
@@ -339,7 +349,7 @@ class FederationClientRunner:
         loop = asyncio.get_event_loop()
         while True:
             envelope, held = await self._queue.get()
-            update = await loop.run_in_executor(None, self._execute, envelope, held)
+            update = await loop.run_in_executor(executor, self._execute, envelope, held)
             self._cache[(int(envelope.client_id), int(envelope.seq))] = update
             self.report.tasks_run += 1
             self._post_update(update)

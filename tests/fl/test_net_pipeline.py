@@ -9,7 +9,9 @@
   from the cache, the server sees no stale update, and the run equals
   serial;
 * **clean goodbye** — a GOODBYE that arrives with a send in flight leaves
-  no pending joiner task and no "Task was destroyed" warning.
+  no pending joiner task and no "Task was destroyed" warning;
+* **one worker thread** — every task of a run trains on the same thread,
+  which has ended by the time the run returns.
 """
 
 from __future__ import annotations
@@ -198,6 +200,28 @@ class TestPipeline:
         assert not any(on_cut for _, on_cut in delivered)
         assert sum(delivered.values()) == CONFIG.rounds
         assert digest == serial_digest(make_roster, 1)
+
+    def test_every_task_trains_on_one_thread(self, make_roster):
+        # A model and a scratch pool are lent per thread: a second thread
+        # would make the joiner hold two of each.
+        threads = []
+
+        def patch(runner, loop):
+            execute = runner._execute
+
+            def recorded_execute(envelope, held=None):
+                threads.append(threading.current_thread())
+                return execute(envelope, held)
+
+            runner._execute = recorded_execute
+
+        digest, _, report = serve_and_join(make_roster, 32, patch)
+        assert report.tasks_run == len(threads) == 32 * CONFIG.rounds
+        distinct = set(threads)
+        assert len(distinct) == 1, sorted(thread.name for thread in distinct)
+        (thread,) = distinct
+        assert thread is not threading.main_thread() and not thread.is_alive()
+        assert digest == serial_digest(make_roster, 32)
 
     def test_goodbye_with_a_send_in_flight_leaves_no_task_behind(self, caplog):
         async def scenario():

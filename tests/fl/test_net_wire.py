@@ -22,7 +22,9 @@ The anchor guarantees of the PR:
   broadcast (clustered / personalized algorithms) each cross once,
 * a version-1 peer is told ``protocol`` and its pickle is never loaded,
 * closing the backend awaits every connection task, so none is left
-  pending for asyncio to destroy.
+  pending for asyncio to destroy,
+* a wire round holds each update once: by the time the next update
+  arrives, the backend keeps no reference to an update it has yielded.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import logging
 import pickle
 import socket
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -220,6 +223,70 @@ class TestLoopbackParity:
         for key in NETWORK_COUNTER_KEYS:
             assert key in network
         assert network["bytes_sent"] > 0 and network["bytes_received"] > 0
+
+
+class TestRoundMemory:
+    def test_a_wire_round_holds_each_update_once(
+        self,
+        tiny_train_dataset,
+        tiny_test_dataset,
+        tiny_train_dataset_itc,
+        tiny_test_dataset_itc,
+        num_channels,
+    ):
+        data = [(tiny_train_dataset, tiny_test_dataset), (tiny_train_dataset_itc, tiny_test_dataset_itc)]
+
+        def make_eight():
+            factory = make_factory(num_channels)
+            return [
+                FederatedClient(index + 1, *data[index % 2], factory, TINY_CONFIG)
+                for index in range(8)
+            ]
+
+        #: Per arrival: how many of its round's earlier updates are still alive.
+        alive = []
+
+        def watch(algorithm):
+            map_client_updates = algorithm.map_client_updates
+
+            def watched_map(*args, on_arrival, **kwargs):
+                earlier = []
+
+                def watched_arrival(update):
+                    gc.collect()
+                    alive.append(sum(ref() is not None for ref in earlier))
+                    earlier.append(weakref.ref(update.state.vector))
+                    on_arrival(update)
+
+                return map_client_updates(*args, on_arrival=watched_arrival, **kwargs)
+
+            algorithm.map_client_updates = watched_map
+
+        reference = serial_reference(make_eight, num_channels, name="fedavg")
+        backend = WireBackend(port=0, heartbeat_interval=HEARTBEAT, client_timeout=TIMEOUT)
+        server_clients = make_eight()
+        port = backend.listen([client.client_id for client in server_clients])
+        joiner_clients = make_eight()
+        thread = threading.Thread(
+            target=lambda: run_client(joiner_clients, "127.0.0.1", port, reconnect_delay=0.05),
+            daemon=True,
+        )
+        thread.start()
+        try:
+            algorithm = create_algorithm(
+                "fedavg", server_clients, make_factory(num_channels), TINY_CONFIG, backend=backend
+            )
+            watch(algorithm)
+            result = algorithm.run()
+        finally:
+            backend.close()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(alive) == 8 * TINY_CONFIG.rounds
+        # The round loop folds and drops each update as it arrives; a drain
+        # that kept its futures would show 0, 1, ..., 7 here.
+        assert max(alive) <= 1, alive
+        assert states_equal(result.global_state, reference.global_state)
 
 
 class TestReconnectResume:
