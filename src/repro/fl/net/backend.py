@@ -398,8 +398,10 @@ class ProcessPoolBackend(WireBackend):
         self.workers, self.effective_workers = pool_size(workers)
         self.spawn_count = self.respawns = 0
         self._joiners: List = []
-        #: Per joiner: the task heading its replay at its last death, and its deaths in a row.
-        self._deaths: List[Tuple[Optional[Future], int]] = []
+        #: Per joiner: the ``(client id, seq)`` of the task heading its replay
+        #: at its last death, and its deaths in a row.  A key, not the task's
+        #: future, so a resolved update is not kept past its round.
+        self._deaths: List[Tuple[Optional[Tuple[int, int]], int]] = []
 
     def bind(self, clients: Sequence) -> None:
         roster = list(clients)
@@ -447,16 +449,22 @@ class ProcessPoolBackend(WireBackend):
                 continue
             # A restarted joiner replays its clients in id order, each in seq order.
             hosted = self._clients[index :: len(self._joiners)]
-            pending = (self.server.sessions[i].pending for i in sorted(int(c.client_id) for c in hosted))
-            head = next((tasks.get(min(tasks, default=0)) for tasks in pending if tasks), None)
+            head = future = None
+            for client_id in sorted(int(c.client_id) for c in hosted):
+                tasks = self.server.sessions[client_id].pending
+                seq = min(tasks, default=0)
+                future = tasks.get(seq)
+                if future is not None:
+                    head = (client_id, seq)
+                    break
             last, deaths = self._deaths[index]
-            deaths = deaths + 1 if head is not None and head is last else 1
+            deaths = deaths + 1 if head is not None and head == last else 1
             self._deaths[index] = (head, deaths)
             if head is not None and deaths > self.MAX_REDISPATCHES:
                 # Abandoned before the restart, so the new joiner's replay drops it.
                 error = f"local joiner died {deaths} times running this task "
                 error += f"(exit code {process.exitcode})"
-                self.server.abandon(head, "crash", error)
+                self.server.abandon(future, "crash", error)
                 self._deaths[index] = (None, 0)
             self._restart(index)
 
@@ -477,7 +485,7 @@ class ProcessPoolBackend(WireBackend):
 
     def close(self) -> None:
         super().close()  # goodbye to every connected joiner; any still up is then killed
-        joiners, self._joiners = self._joiners, []
+        joiners, self._joiners, self._deaths = self._joiners, [], []
         for process in joiners:
             _stop(process)
 

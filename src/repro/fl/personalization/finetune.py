@@ -33,6 +33,7 @@ class FedProxFineTuning(FedProx):
         for update in updates:
             result.client_states[update.client_id] = update.state
             per_client_loss[update.client_id] = update.stats.mean_loss
+            self._release_client(update.client_index)
         result.history.append(
             self._round_record(self.config.rounds, per_client_loss, extra={"stage": "fine_tuning"})
         )

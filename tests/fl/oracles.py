@@ -21,7 +21,9 @@ byte and bit for bit; the proximal oracle is FedProx's expression form.
 before every client pass went through the resilience manager.
 ``fedbuff_oracle`` is FedBuff's event loop as it ran beside the round loop,
 with counts of its own: what the one loop must equal bit for bit under the
-``fedbuff`` policy.
+``fedbuff`` policy.  ``watch_updates`` weak-references every update an
+algorithm receives, and ``count_alive`` counts the live ones, for the checks
+that nothing of a round outlives ``run()`` or the next arrival.
 
 Another ``oracles.py`` lives in ``tests/nn``; load this one by path
 (``load_fl_oracles`` in ``test_state_door.py``), not with ``import oracles``.
@@ -30,8 +32,10 @@ Another ``oracles.py`` lives in ``tests/nn``; load this one by path
 from __future__ import annotations
 
 import copy
+import gc
 import heapq
 import struct
+import weakref
 import zlib
 
 import numpy as np
@@ -425,3 +429,37 @@ def fedbuff_oracle(algorithm):
         max_staleness=staleness_max,
     )
     return result, summary
+
+
+def count_alive(refs):
+    """How many of the weak references ``refs`` are alive, collecting garbage first only if one seems to be."""
+    if any(ref() is not None for ref in refs):
+        gc.collect()
+    return sum(ref() is not None for ref in refs)
+
+
+def watch_updates(algorithm, alive=None):
+    """A list that gets a weak reference to each arriving update's state vector.
+
+    Reaches the arrivals through ``map_client_updates`` on the instance, as
+    ``bench/workload.py`` does; a pass without ``on_arrival`` is watched too.
+    With ``alive`` given, each arrival first appends to it how many of its
+    pass's earlier updates are still alive.
+    """
+    watched = []
+    map_client_updates = algorithm.map_client_updates
+
+    def watched_map(*args, on_arrival=None, **kwargs):
+        start = len(watched)
+
+        def arrive(update):
+            if alive is not None:
+                alive.append(count_alive(watched[start:]))
+            watched.append(weakref.ref(update.state.vector))
+            if on_arrival is not None:
+                on_arrival(update)
+
+        return map_client_updates(*args, on_arrival=arrive, **kwargs)
+
+    algorithm.map_client_updates = watched_map
+    return watched

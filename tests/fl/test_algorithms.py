@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.fl import (
+    FLConfig,
     ALGORITHMS,
     AlphaPortionSync,
     AssignedClustering,
@@ -18,7 +19,6 @@ from repro.fl import (
     FedProxFineTuning,
     FedProxLG,
     FederatedClient,
-    FLConfig,
     IFCA,
     LocalOnly,
     SeededModelFactory,
@@ -27,27 +27,13 @@ from repro.fl import (
 )
 from repro.fl.parameters import state_distance
 from repro.models import FLNet
-
-TINY_CONFIG = FLConfig(
-    rounds=2,
-    local_steps=2,
-    finetune_steps=3,
-    learning_rate=3e-3,
-    batch_size=2,
-    num_clusters=2,
-    assigned_clusters=((1, 0), (2, 1)),
-    ifca_eval_batches=1,
-    proximal_mu=1e-3,
-)
+from conftest import TINY_CONFIG, make_factory
 
 
 @pytest.fixture(scope="module")
 def model_factory_builder():
     def build(num_channels):
-        return SeededModelFactory(
-            lambda seed: FLNet(num_channels, hidden_filters=8, kernel_size=5, seed=seed),
-            base_seed=0,
-        )
+        return make_factory(num_channels)
 
     return build
 
@@ -209,7 +195,6 @@ class TestEvaluation:
 
         with pytest.raises(KeyError):
             TrainingResult(algorithm="empty").state_for_client(1)
-
 
 
 class TestSeededModelFactory:

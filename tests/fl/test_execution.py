@@ -2,16 +2,20 @@
 
 The central guarantees under test:
 
-* ``ProcessPoolBackend`` produces **bit-identical** results to
-  ``SerialBackend`` for the same seed (the backend contract),
-* checkpoint/resume reproduces an uninterrupted run bit for bit,
+* a backend reused across two runs over one roster keeps the serial bits,
+* a checkpoint resumes only the run that wrote it, and a finished run
+  resumes to its final states,
 * the refactored serial path matches the recorded pre-refactor seeded
   results (``--workers 1`` regression).
+
+That every backend and a mid-run resume train the serial bits is the parity
+matrix's (``test_parity_matrix.py``).
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,92 +25,18 @@ from repro.fl import (
     CheckpointManager,
     ClientTask,
     FederatedClient,
-    FLConfig,
     ProcessPoolBackend,
     SeededModelFactory,
     SerialBackend,
     create_algorithm,
     create_backend,
 )
-from repro.fl.parameters import flat_model_state, flatten_state, state_digest
+from repro.fl.parameters import flat_model_state, flatten_state
 from repro.models import FLNet
+from conftest import PERSONALISED, TINY_CONFIG, build_named, digests, make_factory, run_named, states_equal
 from test_state_door import load_fl_oracles
 
 map_tasks = load_fl_oracles().map_tasks
-
-TINY_CONFIG = FLConfig(
-    rounds=2,
-    local_steps=2,
-    finetune_steps=3,
-    learning_rate=3e-3,
-    batch_size=2,
-    num_clusters=2,
-    assigned_clusters=((1, 0), (2, 1)),
-    ifca_eval_batches=1,
-    proximal_mu=1e-3,
-)
-
-
-class TinyModelBuilder:
-    """Module-level builder so clients stay picklable for the process pool."""
-
-    def __init__(self, channels: int):
-        self.channels = channels
-
-    def __call__(self, seed: int) -> FLNet:
-        return FLNet(self.channels, hidden_filters=8, kernel_size=5, seed=seed)
-
-
-def make_factory(num_channels: int) -> SeededModelFactory:
-    return SeededModelFactory(TinyModelBuilder(num_channels), base_seed=0)
-
-
-@pytest.fixture
-def make_clients(
-    tiny_train_dataset,
-    tiny_test_dataset,
-    tiny_train_dataset_itc,
-    tiny_test_dataset_itc,
-    num_channels,
-):
-    """A callable producing a *fresh* 2-client roster (fresh RNG streams)."""
-
-    def build(config: FLConfig = TINY_CONFIG):
-        factory = make_factory(num_channels)
-        return [
-            FederatedClient(1, tiny_train_dataset, tiny_test_dataset, factory, config),
-            FederatedClient(2, tiny_train_dataset_itc, tiny_test_dataset_itc, factory, config),
-        ]
-
-    return build
-
-
-def states_equal(left, right) -> bool:
-    """Bit-exact equality of two state dictionaries."""
-    return set(left) == set(right) and all(np.array_equal(left[k], right[k]) for k in left)
-
-
-def digests(result):
-    """The global digest (``None`` when there is none) and every client's digest."""
-    global_state = result.global_state
-    return None if global_state is None else state_digest(global_state), {
-        client_id: state_digest(state) for client_id, state in result.client_states.items()
-    }
-
-
-#: The algorithms that joined the one round loop last: every personalised row.
-PERSONALISED = ["fedbn", "fedprox_lg", "ifca", "assigned_clustering", "fedprox_alpha"]
-
-
-def run_named(name, clients, num_channels, config=TINY_CONFIG, backend=None, checkpoint=None):
-    algorithm = create_algorithm(
-        name, clients, make_factory(num_channels), config, backend=backend, checkpoint=checkpoint
-    )
-    try:
-        return algorithm.run()
-    finally:
-        if backend is not None:
-            backend.close()
 
 
 class TestBackendSelection:
@@ -185,46 +115,14 @@ class TestTaskValidation:
 
 
 class TestSerialParallelEquivalence:
-    def test_fedavg_bit_identical(self, make_clients, num_channels):
-        serial_clients = make_clients()
-        serial = run_named("fedavg", serial_clients, num_channels, backend=SerialBackend())
-
-        parallel_clients = make_clients()
-        parallel = run_named(
-            "fedavg", parallel_clients, num_channels, backend=ProcessPoolBackend(workers=2)
-        )
-
-        assert states_equal(serial.global_state, parallel.global_state)
-        assert [r.mean_loss for r in serial.history] == [r.mean_loss for r in parallel.history]
-        # The RNG hand-off leaves the rosters in identical states, so any
-        # later round would stay identical too.
-        for left, right in zip(serial_clients, parallel_clients):
-            assert left.rng_state == right.rng_state
-
-    def test_finetuned_personalized_states_bit_identical(self, make_clients, num_channels):
-        # fedprox_finetune exercises both task ops: per-round training and
-        # the final fine-tuning pass.
-        serial = run_named("fedprox_finetune", make_clients(), num_channels, backend=SerialBackend())
-        parallel = run_named(
-            "fedprox_finetune", make_clients(), num_channels, backend=ProcessPoolBackend(workers=2)
-        )
-        assert states_equal(serial.global_state, parallel.global_state)
-        assert set(serial.client_states) == set(parallel.client_states)
-        for client_id in serial.client_states:
-            assert states_equal(serial.client_states[client_id], parallel.client_states[client_id])
-
     def test_pool_survives_rebinding_same_roster(self, make_clients, num_channels):
         # One backend reused across two algorithm runs over the same roster
         # (as ExperimentRunner.run does) must keep producing serial results.
         clients = make_clients()
         backend = ProcessPoolBackend(workers=2)
         try:
-            first = create_algorithm(
-                "fedavg", clients, make_factory(num_channels), TINY_CONFIG, backend=backend
-            ).run()
-            second = create_algorithm(
-                "fedavg", clients, make_factory(num_channels), TINY_CONFIG, backend=backend
-            ).run()
+            first = build_named("fedavg", clients, num_channels, backend=backend).run()
+            second = build_named("fedavg", clients, num_channels, backend=backend).run()
         finally:
             backend.close()
 
@@ -300,40 +198,6 @@ class TestCheckpointManager:
 
 
 class TestCheckpointResume:
-    @pytest.mark.parametrize("algorithm", ["fedavg", "fedavgm", "dp_fedprox", *PERSONALISED])
-    def test_resume_matches_uninterrupted_run(self, algorithm, tmp_path, make_clients, num_channels):
-        from dataclasses import replace
-
-        long_config = replace(TINY_CONFIG, rounds=4)
-        short_config = replace(TINY_CONFIG, rounds=2)
-
-        uninterrupted = run_named(
-            algorithm, make_clients(long_config), num_channels, config=long_config
-        )
-
-        # Phase 1: train half the rounds with checkpointing, then "crash".
-        run_named(
-            algorithm,
-            make_clients(short_config),
-            num_channels,
-            config=short_config,
-            checkpoint=CheckpointManager(tmp_path),
-        )
-        # Phase 2: a fresh process resumes from the checkpoint directory.
-        resumed = run_named(
-            algorithm,
-            make_clients(long_config),
-            num_channels,
-            config=long_config,
-            checkpoint=CheckpointManager(tmp_path),
-        )
-
-        assert digests(resumed) == digests(uninterrupted)
-        assert [r.round_index for r in resumed.history] == [2, 3]
-        losses = {r.round_index: r.mean_loss for r in uninterrupted.history}
-        for record in resumed.history:
-            assert record.mean_loss == losses[record.round_index]
-
     def test_a_default_checkpoint_without_scheduler_or_resilience_state_resumes(
         self, tmp_path, make_clients, num_channels
     ):
@@ -341,7 +205,6 @@ class TestCheckpointResume:
         one written before every run held a scheduler and a resilience manager
         carries neither's state, and still resumes bit for bit."""
         import json
-        from dataclasses import replace
 
         long_config = replace(TINY_CONFIG, rounds=4)
         short_config = replace(TINY_CONFIG, rounds=2)
@@ -383,8 +246,6 @@ class TestCheckpointResume:
         assert reloaded.history == []  # nothing left to train
 
     def test_resuming_under_a_changed_alpha_fails_loudly(self, tmp_path, make_clients, num_channels):
-        from dataclasses import replace
-
         run_named("fedprox_alpha", make_clients(), num_channels, checkpoint=CheckpointManager(tmp_path))
         with pytest.raises(ValueError, match="written by a different run"):
             run_named(
@@ -406,9 +267,7 @@ class TestCheckpointResume:
         self, algorithm, own, make_clients, num_channels
     ):
         def fingerprint(name):
-            return create_algorithm(
-                name, make_clients(), make_factory(num_channels), TINY_CONFIG
-            ).checkpoint_fingerprint()
+            return build_named(name, make_clients(), num_channels).checkpoint_fingerprint()
 
         shared, personalised = fingerprint("fedprox"), fingerprint(algorithm)
         assert set(personalised) - set(shared) == own
@@ -448,37 +307,10 @@ class TestCheckpointResume:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             held = {
-                name: create_algorithm(
-                    name, make_clients(), make_factory(num_channels), TINY_CONFIG, checkpoint=manager
-                ).checkpoint
+                name: build_named(name, make_clients(), num_channels, checkpoint=manager).checkpoint
                 for name in ("fedprox_lg", "local")
             }
         assert held == {"fedprox_lg": manager, "local": None}
-
-    def test_parallel_resume_matches_serial(self, tmp_path, make_clients, num_channels):
-        from dataclasses import replace
-
-        long_config = replace(TINY_CONFIG, rounds=3)
-        short_config = replace(TINY_CONFIG, rounds=1)
-        uninterrupted = run_named(
-            "fedavg", make_clients(long_config), num_channels, config=long_config
-        )
-        run_named(
-            "fedavg",
-            make_clients(short_config),
-            num_channels,
-            config=short_config,
-            checkpoint=CheckpointManager(tmp_path),
-        )
-        resumed = run_named(
-            "fedavg",
-            make_clients(long_config),
-            num_channels,
-            config=long_config,
-            backend=ProcessPoolBackend(workers=2),
-            checkpoint=CheckpointManager(tmp_path),
-        )
-        assert states_equal(uninterrupted.global_state, resumed.global_state)
 
 
 class TestPreRefactorRegression:

@@ -9,7 +9,6 @@ from repro.fl import (
     FedAvgM,
     FedBN,
     FederatedClient,
-    FLConfig,
     PrivacyConfig,
     SeededModelFactory,
     create_algorithm,
@@ -18,25 +17,12 @@ from repro.fl import (
 from repro.fl.algorithms.fedbn import normalization_parameter_names
 from repro.fl.parameters import state_distance
 from repro.models import FLNet, RouteNet
-
-TINY_CONFIG = FLConfig(
-    rounds=2,
-    local_steps=2,
-    finetune_steps=3,
-    learning_rate=3e-3,
-    batch_size=2,
-    num_clusters=2,
-    assigned_clusters=((1, 0), (2, 1)),
-    ifca_eval_batches=1,
-    proximal_mu=1e-3,
-)
+from conftest import TINY_CONFIG, make_factory
 
 
 @pytest.fixture(scope="module")
 def flnet_factory(num_channels):
-    return SeededModelFactory(
-        lambda seed: FLNet(num_channels, hidden_filters=8, kernel_size=5, seed=seed), base_seed=0
-    )
+    return make_factory(num_channels)
 
 
 @pytest.fixture(scope="module")

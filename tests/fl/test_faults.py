@@ -6,29 +6,27 @@ The central guarantees under test:
   (state round-trips bit for bit),
 * every client pass is supervised; the default manager absorbs nothing,
   so a run's first failed client task raises :class:`ClientExecutionError`
-  with its client, backend and remote traceback, and a fault-free pass
-  under a tolerant manager is **bit-identical** to one under the default
-  manager on every backend (held by the parity matrix in
-  ``test_scheduling.py``),
-* injected pre-dispatch faults are healed by retries with zero effect on
-  the trained model (RNG snapshot/restore),
-* payload corruption is caught by the transport CRC and healed by retry,
+  with its client, backend and remote traceback,
+* retries are accounted per round, and payload corruption is caught by the
+  transport CRC and healed by retry,
 * sub-quorum rounds raise the typed :class:`QuorumFailure`,
 * clients that exhaust their retries are dropped with a recorded weight
   renormalization and the run degrades instead of dying,
 * an interrupted chaos run resumes bit-identically (fault draws, retry
   counters, and drops all round-trip through the checkpoint),
-* a *real* worker death (``os._exit`` inside a pool worker) is survived by
-  respawning the pool and re-dispatching, still bit-identical to serial.
+* a joiner process that dies on every attempt is a bounded ``crash``.
+
+That retries, injected faults and a killed joiner leave the trained bits
+alone is the parity matrix's (``test_parity_matrix.py``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 import tracemalloc
 import warnings
 import zlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,18 +38,15 @@ from repro.fl import (
     ClientTask,
     FaultPlan,
     FederatedClient,
-    FLConfig,
     ProcessPoolBackend,
     QuorumFailure,
     ResilienceManager,
     ResilienceOptions,
     RetryPolicy,
     SchedulingOptions,
-    SeededModelFactory,
     TaskFailure,
     ThreadPoolBackend,
     TransportDecodeError,
-    create_algorithm,
     create_backend,
     create_channel,
     create_resilience,
@@ -59,126 +54,22 @@ from repro.fl import (
 )
 from repro.fl.faults.plan import FaultDecision, check_rates
 from repro.fl.ledger import RoundLedger
-from repro.fl.parameters import flat_model_state, state_digest
+from repro.fl.parameters import flat_model_state
 from repro.fl.transport.codecs import IdentityCodec, Payload, QuantizationCodec, TopKCodec
-from repro.models import FLNet
 from repro.nn.serialization import load_state_dict, save_state_dict
+from conftest import TINY_CONFIG, KamikazeClient, build_named, digests, make_factory, scheduled, states_equal
 
 #: Heavy-tailed stragglers against a 2 s deadline: most updates arrive late.
 TIGHT_DEADLINE = SchedulingOptions(straggler_model="heavytail", round_policy="deadline", deadline=2.0)
 
-TINY_CONFIG = FLConfig(
-    rounds=2,
-    local_steps=2,
-    finetune_steps=3,
-    learning_rate=3e-3,
-    batch_size=2,
-    num_clusters=2,
-    assigned_clusters=((1, 0), (2, 1)),
-    ifca_eval_batches=1,
-    proximal_mu=1e-3,
-)
 
-
-class TinyModelBuilder:
-    """Module-level builder so clients stay picklable for the process pool."""
-
-    def __init__(self, channels: int):
-        self.channels = channels
-
-    def __call__(self, seed: int) -> FLNet:
-        return FLNet(self.channels, hidden_filters=8, kernel_size=5, seed=seed)
-
-
-def make_factory(num_channels: int) -> SeededModelFactory:
-    return SeededModelFactory(TinyModelBuilder(num_channels), base_seed=0)
-
-
-@pytest.fixture
-def make_clients(
-    tiny_train_dataset,
-    tiny_test_dataset,
-    tiny_train_dataset_itc,
-    tiny_test_dataset_itc,
-    num_channels,
-):
-    """A callable producing a *fresh* roster (fresh RNG streams): two clients
-    by default, ``count`` alternating over the two datasets."""
-
-    def build(config: FLConfig = TINY_CONFIG, client_class=FederatedClient, count=2):
-        factory = make_factory(num_channels)
-        datasets = [(tiny_train_dataset, tiny_test_dataset), (tiny_train_dataset_itc, tiny_test_dataset_itc)]
-        return [
-            client_class(client_id, *datasets[(client_id - 1) % 2], factory, config)
-            for client_id in range(1, count + 1)
-        ]
-
-    return build
-
-
-def states_equal(left, right) -> bool:
-    """Bit-exact equality of two state dictionaries."""
-    return set(left) == set(right) and all(np.array_equal(left[k], right[k]) for k in left)
-
-
-def digests(result):
-    """The global digest (``None`` when there is none) and every client's digest."""
-    global_state = result.global_state
-    return None if global_state is None else state_digest(global_state), {
-        client_id: state_digest(state) for client_id, state in result.client_states.items()
-    }
-
-
-def run_resilient(
-    name,
-    clients,
-    num_channels,
-    config=TINY_CONFIG,
-    backend=None,
-    checkpoint=None,
-    channel=None,
-    resilience=None,
-    scheduler=None,
-):
+def run_resilient(name, clients, num_channels, config=TINY_CONFIG, **options):
     """Run one algorithm and return ``(algorithm, training_result)``."""
-    algorithm = create_algorithm(
-        name,
-        clients,
-        make_factory(num_channels),
-        config,
-        backend=backend,
-        checkpoint=checkpoint,
-        channel=channel,
-        resilience=resilience,
-        scheduler=scheduler,
-    )
+    algorithm = build_named(name, clients, num_channels, config, **options)
     try:
         return algorithm, algorithm.run()
     finally:
-        if backend is not None:
-            backend.close()
-
-
-class KamikazeClient(FederatedClient):
-    """A client that kills its whole host process: once, or on every attempt.
-
-    The marker file makes the death exactly-once across process boundaries:
-    the first ``local_train`` call writes it and hard-exits the hosting
-    process; every later call (in the restarted joiner) trains normally.
-    With ``every_attempt`` set instead, every call hard-exits (a crash loop).
-    """
-
-    marker_path = None
-    every_attempt = False
-
-    def local_train(self, *args, **kwargs):
-        if self.every_attempt:
-            os._exit(1)
-        if self.marker_path is not None and not os.path.exists(self.marker_path):
-            with open(self.marker_path, "w", encoding="utf-8") as handle:
-                handle.write("boom")
-            os._exit(1)
-        return super().local_train(*args, **kwargs)
+        algorithm.backend.close()
 
 
 class ExplodingClient(FederatedClient):
@@ -337,9 +228,7 @@ class TestRetryPolicy:
 
 
 class TestSupervisedParity:
-    """A fault-free pass under a tolerant manager is bit-identical to one
-    under the default manager on every backend: a cell of
-    ``test_scheduling.py``'s ``test_explicit_full_sync_matches_default_run``."""
+    """That a tolerant manager trains the default one's bits is the parity matrix's."""
 
     def test_a_round_algorithm_holds_the_resilience_manager_and_local_an_inert_one(
         self, make_clients, num_channels
@@ -347,11 +236,8 @@ class TestSupervisedParity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             held = {
-                name: create_algorithm(
-                    name,
-                    make_clients(),
-                    make_factory(num_channels),
-                    TINY_CONFIG,
+                name: build_named(
+                    name, make_clients(), num_channels,
                     resilience=create_resilience(ResilienceOptions(max_retries=1), seed=0),
                 ).resilience
                 for name in ("fedprox_alpha", "local")
@@ -361,46 +247,18 @@ class TestSupervisedParity:
 
 
 class TestRetryHealing:
-    @pytest.mark.parametrize("algorithm", [
-        "fedprox", "fedbn", "fedprox_lg", "ifca", "assigned_clustering", "fedprox_alpha",
-    ])
-    def test_pre_dispatch_faults_heal_to_the_fault_free_result(
-        self, algorithm, make_clients, num_channels
-    ):
-        """Crashes/exceptions/timeouts before dispatch never touch client RNG,
-        and retried successes restore their snapshots — so as long as nobody
-        exhausts the retry budget, the trained model is *bit-identical* to a
-        run with no faults at all.  (IFCA's loss probe runs before dispatch,
-        so the snapshot a retry restores is the one taken after it.)"""
-        _, baseline = run_resilient(algorithm, make_clients(), num_channels)
-
-        options = ResilienceOptions(
-            fault_crash_rate=0.2, fault_exception_rate=0.2, fault_timeout_rate=0.2, max_retries=8
-        )
-        manager = create_resilience(options, seed=0)
-        supervisor, chaotic = run_resilient(
-            algorithm, make_clients(), num_channels, resilience=manager
-        )
-        summary = supervisor.ledger.resilience_summary()
-        assert summary.retries > 0, "the seeded plan injected nothing; raise the rates"
-        assert summary.gave_up == 0
-        assert summary.backoff_seconds > 0.0
-        assert sum(summary.injected.values()) == summary.retries
-        # Two clients: a retried client folding after the other is the same sum.
-        assert digests(chaotic) == digests(baseline)
-        assert [r.mean_loss for r in baseline.history] == [
-            r.mean_loss for r in chaotic.history
-        ]
-
     def test_round_history_records_retry_accounting(self, make_clients, num_channels):
         manager = create_resilience(
             ResilienceOptions(fault_exception_rate=0.4, max_retries=8), seed=1
         )
-        _, training = run_resilient(
+        supervisor, training = run_resilient(
             "fedavg", make_clients(), num_channels, resilience=manager
         )
         recorded = sum(record.extra.get("retries", 0) for record in training.history)
         assert recorded == manager.retries > 0
+        summary = supervisor.ledger.resilience_summary()
+        assert summary.gave_up == 0 and summary.backoff_seconds > 0.0
+        assert sum(summary.injected.values()) == summary.retries
 
     def test_corruption_is_caught_by_crc_and_healed(self, make_clients, num_channels):
         """A flipped upload byte keeps the original CRC, fails the framing
@@ -513,9 +371,7 @@ class TestQuorum:
         assert len(training.history) == TINY_CONFIG.rounds
 
         # The surviving trajectory equals training client 2 alone.
-        solo = create_algorithm(
-            "fedavg", [make_clients()[1]], make_factory(num_channels), TINY_CONFIG
-        ).run()
+        solo = build_named("fedavg", [make_clients()[1]], num_channels).run()
         assert states_equal(training.global_state, solo.global_state)
 
 
@@ -525,20 +381,12 @@ class TestQuorum:
         """Every sampled client already dropped for good: the round loop
         dispatches nothing, folds nothing and leaves the model unchanged."""
         manager = ResilienceManager(quorum=0.5)
-        algorithm = create_algorithm(
-            "fedavg",
-            make_clients(),
-            make_factory(num_channels),
-            TINY_CONFIG,
-            scheduler=create_scheduler(
-                SchedulingOptions(participation=1.0, straggler_model="lognormal"), seed=0
-            ),
-            resilience=manager,
+        algorithm = build_named(
+            "fedavg", make_clients(), num_channels,
+            scheduler=scheduled(participation=1.0, straggler_model="lognormal"), resilience=manager,
         )
         algorithm.ledger._failed = {0, 1}
-        initial = create_algorithm(
-            "fedavg", make_clients(), make_factory(num_channels), TINY_CONFIG
-        ).initial_state()
+        initial = build_named("fedavg", make_clients(), num_channels).initial_state()
         training = algorithm.run()
         assert states_equal(training.global_state, initial)
         assert algorithm.ledger.folded == 0
@@ -549,8 +397,6 @@ class TestQuorum:
         """A deadline's late stragglers leave quorum intact: a tolerant run at
         quorum 1.0 commits every round, counts them as late, and trains what
         the same schedule trains under the default manager."""
-        from dataclasses import replace
-
         config = replace(TINY_CONFIG, rounds=3)
 
         def run(resilience=None):
@@ -598,10 +444,7 @@ class TestQuorum:
             "fedavg",
             make_clients(count=4),
             num_channels,
-            scheduler=create_scheduler(
-                SchedulingOptions(straggler_model="heavytail", round_policy="deadline", deadline=10.0),
-                seed=0,
-            ),
+            scheduler=scheduled(straggler_model="heavytail", round_policy="deadline", deadline=10.0),
             resilience=manager,
         )
         summary = supervisor.ledger.scheduling_summary()
@@ -617,8 +460,6 @@ class TestChaosResume:
     def test_interrupted_chaos_run_resumes_bit_identically(
         self, algorithm, tmp_path, make_clients, num_channels
     ):
-        from dataclasses import replace
-
         long_config = replace(TINY_CONFIG, rounds=4)
         short_config = replace(TINY_CONFIG, rounds=2)
 
@@ -672,8 +513,6 @@ class TestChaosResume:
     ):
         """Client 1 gives up in round 0: the round-0 checkpoint already holds
         it as failed, so a resumed round 1 never re-dispatches it."""
-        from dataclasses import replace
-
         def manager():
             return ResilienceManager(
                 plan=AlwaysFailClient1Plan(), retry=RetryPolicy(max_retries=1, seed=0), quorum=0.5
@@ -719,7 +558,6 @@ class TestChaosResume:
         the clock in both; it resumes to the uninterrupted digest and
         totals."""
         import json
-        from dataclasses import replace
 
         long_config = replace(TINY_CONFIG, rounds=4)
         short_config = replace(TINY_CONFIG, rounds=2)
@@ -731,10 +569,7 @@ class TestChaosResume:
                 num_channels,
                 config=config,
                 checkpoint=checkpoint,
-                scheduler=create_scheduler(
-                    SchedulingOptions(straggler_model="heavytail", round_policy="deadline", deadline=10.0),
-                    seed=0,
-                ),
+                scheduler=scheduled(straggler_model="heavytail", round_policy="deadline", deadline=10.0),
                 resilience=ResilienceManager(
                     plan=AlwaysFailClient1Plan(), retry=RetryPolicy(max_retries=1, seed=0), quorum=0.5
                 ),
@@ -795,28 +630,6 @@ class TestChaosResume:
 
 
 class TestProcessPoolResilience:
-    def test_real_worker_death_respawns_and_recovers(
-        self, tmp_path, make_clients, num_channels
-    ):
-        """One worker hard-exits mid-round; the pool is respawned, the lost
-        task re-dispatched from its original payload, and the result stays
-        bit-identical to serial execution."""
-        _, baseline = run_resilient("fedavg", make_clients(), num_channels)
-
-        clients = make_clients(client_class=KamikazeClient)
-        clients[0].marker_path = str(tmp_path / "died-once")
-        backend = ProcessPoolBackend(workers=2)
-        algorithm = create_algorithm(
-            "fedavg", clients, make_factory(num_channels), TINY_CONFIG, backend=backend
-        )
-        try:
-            training = algorithm.run()
-            assert backend.respawns >= 1
-            assert os.path.exists(clients[0].marker_path)
-        finally:
-            backend.close()
-        assert states_equal(baseline.global_state, training.global_state)
-
     @pytest.mark.parametrize("workers", [2, 1])
     def test_crash_loop_yields_a_crash_failure_after_bounded_restarts(
         self, make_clients, num_channels, workers
@@ -852,12 +665,8 @@ class TestProcessPoolResilience:
     ):
         clients = make_clients(client_class=KamikazeClient)
         clients[0].every_attempt = True
-        backend = ProcessPoolBackend(workers=2)
-        try:
-            with pytest.raises(ClientExecutionError) as excinfo:
-                run_resilient("fedavg", clients, num_channels, backend=backend)
-        finally:
-            backend.close()
+        with pytest.raises(ClientExecutionError) as excinfo:
+            run_resilient("fedavg", clients, num_channels, backend=ProcessPoolBackend(workers=2))
         assert excinfo.value.backend == "process"
         assert excinfo.value.kind == "crash"
         assert excinfo.value.client_index == 0
@@ -891,16 +700,10 @@ class TestProcessPoolResilience:
         task raises ClientExecutionError with the client id, backend name and
         remote traceback attached."""
         backend = create_backend(backend_name, workers=2 if backend_name == "process" else None)
-        try:
-            with pytest.raises(ClientExecutionError) as excinfo:
-                run_resilient(
-                    algorithm,
-                    make_clients(client_class=ExplodingClient),
-                    num_channels,
-                    backend=backend,
-                )
-        finally:
-            backend.close()
+        with pytest.raises(ClientExecutionError) as excinfo:
+            run_resilient(
+                algorithm, make_clients(client_class=ExplodingClient), num_channels, backend=backend
+            )
         error = excinfo.value
         assert error.client_id == "2"
         assert error.client_index == 1

@@ -25,10 +25,7 @@ import pytest
 
 from repro.fl import (
     CheckpointManager,
-    FederatedClient,
-    FLConfig,
     FlatState,
-    SeededModelFactory,
     StateLayout,
     create_algorithm,
 )
@@ -43,6 +40,7 @@ from repro.fl.parameters import (
 from repro.fl.transport.codecs import IdentityCodec, QuantizationCodec, TopKCodec
 from repro.fl.transport.envelope import decode_carrier, encode_carrier
 from repro.models import FLNet
+from conftest import TINY_CONFIG, make_factory
 from test_state_door import load_fl_oracles
 
 reference_weighted_average = load_fl_oracles().reference_weighted_average
@@ -219,43 +217,6 @@ class TestCodecFlatParity:
         assert isinstance(decoded, FlatState)
         # Sorted wire order: the decoded layout is already in sorted order.
         assert decoded.layout.sorted_permutation() is None
-
-
-TINY_CONFIG = FLConfig(
-    rounds=2,
-    local_steps=2,
-    finetune_steps=2,
-    learning_rate=3e-3,
-    batch_size=2,
-    num_clusters=2,
-    assigned_clusters=((1, 0), (2, 1)),
-    ifca_eval_batches=1,
-    proximal_mu=1e-3,
-)
-
-
-class TinyModelBuilder:
-    def __init__(self, channels: int):
-        self.channels = channels
-
-    def __call__(self, seed: int) -> FLNet:
-        return FLNet(self.channels, hidden_filters=8, kernel_size=5, seed=seed)
-
-
-def make_factory(num_channels: int) -> SeededModelFactory:
-    return SeededModelFactory(TinyModelBuilder(num_channels), base_seed=0)
-
-
-@pytest.fixture
-def make_clients(tiny_train_dataset, tiny_test_dataset, tiny_train_dataset_itc, tiny_test_dataset_itc, num_channels):
-    def build(config: FLConfig = TINY_CONFIG):
-        factory = make_factory(num_channels)
-        return [
-            FederatedClient(1, tiny_train_dataset, tiny_test_dataset, factory, config),
-            FederatedClient(2, tiny_train_dataset_itc, tiny_test_dataset_itc, factory, config),
-        ]
-
-    return build
 
 
 def run_algorithm(name, make_clients, num_channels, backend=None, channel=None, checkpoint=None, config=TINY_CONFIG):

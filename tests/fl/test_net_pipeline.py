@@ -25,7 +25,7 @@ from collections import Counter
 
 import pytest
 
-from repro.fl import FederatedClient, FLConfig, ResilienceManager, SeededModelFactory, create_algorithm
+from repro.fl import ResilienceManager, create_algorithm
 from repro.fl.net import FrameReader, WireBackend
 from repro.fl.net.client import FederationClientRunner
 from repro.fl.net.framing import frame_parts
@@ -38,41 +38,22 @@ from repro.fl.net.messages import (
     encode_message,
 )
 from repro.fl.parameters import state_digest
-from repro.models import FLNet
-
-CONFIG = FLConfig(rounds=2, local_steps=2, learning_rate=3e-3, batch_size=2, proximal_mu=1e-3)
+from conftest import TINY_CONFIG, make_factory
 
 #: How long a held send waits for the next task before giving up (so a
 #: joiner that does not overlap fails the test instead of hanging it).
 HOLD_S = 3.0
 
 
-class TinyModelBuilder:
-    def __init__(self, channels: int):
-        self.channels = channels
-
-    def __call__(self, seed: int) -> FLNet:
-        return FLNet(self.channels, hidden_filters=8, kernel_size=5, seed=seed)
-
-
 @pytest.fixture
-def make_roster(tiny_train_dataset, tiny_test_dataset, tiny_train_dataset_itc, tiny_test_dataset_itc, num_channels):
-    """``make_roster(n)``: a fresh n-client roster (fresh RNG streams) and its factory."""
-
-    def build(count: int):
-        factory = SeededModelFactory(TinyModelBuilder(num_channels), base_seed=0)
-        data = [(tiny_train_dataset, tiny_test_dataset), (tiny_train_dataset_itc, tiny_test_dataset_itc)]
-        clients = [
-            FederatedClient(index + 1, *data[index % 2], factory, CONFIG) for index in range(count)
-        ]
-        return clients, factory
-
-    return build
+def make_roster(make_clients, num_channels):
+    """``make_roster(n)``: a fresh n-client roster (fresh RNG streams) and its algorithm's factory."""
+    return lambda count: (make_clients(TINY_CONFIG, count), make_factory(num_channels))
 
 
 def serial_digest(make_roster, count: int) -> str:
     clients, factory = make_roster(count)
-    return state_digest(create_algorithm("fedavg", clients, factory, CONFIG).run().global_state)
+    return state_digest(create_algorithm("fedavg", clients, factory, TINY_CONFIG).run().global_state)
 
 
 def serve_and_join(make_roster, count: int, patch):
@@ -94,7 +75,7 @@ def serve_and_join(make_roster, count: int, patch):
     thread.start()
     try:
         algorithm = create_algorithm(
-            "fedavg", server_clients, factory, CONFIG, backend=backend, resilience=ResilienceManager()
+            "fedavg", server_clients, factory, TINY_CONFIG, backend=backend, resilience=ResilienceManager()
         )
         digest = state_digest(algorithm.run().global_state)
         network = backend.network_summary()
@@ -165,7 +146,7 @@ class TestPipeline:
             runner._send, runner._execute = recorded_send, recorded_execute
 
         digest, network, report = serve_and_join(make_roster, 8, patch)
-        assert len(executed) == 8 * CONFIG.rounds
+        assert len(executed) == 8 * TINY_CONFIG.rounds
         assert delivered == executed
         assert report.cache_hits == 0 and network["stale_updates"] == 0
         assert digest == serial_digest(make_roster, 8)
@@ -198,7 +179,7 @@ class TestPipeline:
         # Delivered once, on the next connection, as the replay's cache hit.
         assert delivered[key, False] == 1
         assert not any(on_cut for _, on_cut in delivered)
-        assert sum(delivered.values()) == CONFIG.rounds
+        assert sum(delivered.values()) == TINY_CONFIG.rounds
         assert digest == serial_digest(make_roster, 1)
 
     def test_every_task_trains_on_one_thread(self, make_roster):
@@ -216,7 +197,7 @@ class TestPipeline:
             runner._execute = recorded_execute
 
         digest, _, report = serve_and_join(make_roster, 32, patch)
-        assert report.tasks_run == len(threads) == 32 * CONFIG.rounds
+        assert report.tasks_run == len(threads) == 32 * TINY_CONFIG.rounds
         distinct = set(threads)
         assert len(distinct) == 1, sorted(thread.name for thread in distinct)
         (thread,) = distinct

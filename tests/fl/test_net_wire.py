@@ -2,14 +2,9 @@
 
 The anchor guarantees of the PR:
 
-* a full wire run (server + joiner over a real TCP loopback socket,
-  identity codec, no faults) is **bit-for-bit identical** to the serial
-  backend — the wire is a transparent transport,
 * a client that disconnects mid-round reconnects, replays its journal
   cursor, and resumes to the *same* final model (cached updates are
   resent without retraining),
-* injected wire faults (disconnects, delays, frame corruption) heal to
-  the fault-free model,
 * network-level failures surface as first-class ``TaskFailure`` kinds
   (``disconnect``, ``heartbeat``) that the resilience machinery retries,
   and ``imap_outcomes`` never hangs even with ``timeout=None``,
@@ -25,6 +20,9 @@ The anchor guarantees of the PR:
   pending for asyncio to destroy,
 * a wire round holds each update once: by the time the next update
   arrives, the backend keeps no reference to an update it has yielded.
+
+That a fault-free or fault-injected wire run trains the serial bits, under
+every codec and algorithm, is the parity matrix's (``test_parity_matrix.py``).
 """
 
 from __future__ import annotations
@@ -35,22 +33,11 @@ import gc
 import logging
 import pickle
 import socket
-import threading
-import weakref
 
 import numpy as np
 import pytest
 
-from repro.fl import (
-    ClientTask,
-    FederatedClient,
-    FLConfig,
-    ResilienceManager,
-    SeededModelFactory,
-    TaskFailure,
-    create_algorithm,
-    create_channel,
-)
+from repro.fl import ClientTask, ResilienceManager, TaskFailure, create_channel
 from repro.fl.net import (
     FederationServer,
     FrameError,
@@ -75,275 +62,94 @@ from repro.fl.net.messages import (
 )
 from repro.fl.parameters import flat_model_state, state_digest
 from repro.fl.transport.envelope import encode_carrier
-from repro.models import FLNet
+from conftest import TINY_CONFIG, build_named, make_factory, wire_joiner
+from test_state_door import load_fl_oracles
 
-TINY_CONFIG = FLConfig(
-    rounds=2,
-    local_steps=2,
-    finetune_steps=3,
-    learning_rate=3e-3,
-    batch_size=2,
-    num_clusters=2,
-    assigned_clusters=((1, 0), (2, 1)),
-    ifca_eval_batches=1,
-    proximal_mu=1e-3,
-)
+watch_updates = load_fl_oracles().watch_updates
 
 # Short deadlines keep the loopback tests fast; loopback latency is tiny.
 HEARTBEAT = 0.2
 TIMEOUT = 1.5
 
 
-class TinyModelBuilder:
-    def __init__(self, channels: int):
-        self.channels = channels
-
-    def __call__(self, seed: int) -> FLNet:
-        return FLNet(self.channels, hidden_filters=8, kernel_size=5, seed=seed)
-
-
-def make_factory(num_channels: int) -> SeededModelFactory:
-    return SeededModelFactory(TinyModelBuilder(num_channels), base_seed=0)
-
-
-@pytest.fixture
-def make_clients(
-    tiny_train_dataset,
-    tiny_test_dataset,
-    tiny_train_dataset_itc,
-    tiny_test_dataset_itc,
-    num_channels,
-):
-    """A callable producing a *fresh* 2-client roster (fresh RNG streams)."""
-
-    def build():
-        factory = make_factory(num_channels)
-        return [
-            FederatedClient(1, tiny_train_dataset, tiny_test_dataset, factory, TINY_CONFIG),
-            FederatedClient(2, tiny_train_dataset_itc, tiny_test_dataset_itc, factory, TINY_CONFIG),
-        ]
-
-    return build
-
-
-@pytest.fixture
-def make_trio(make_clients, tiny_train_dataset, tiny_test_dataset, num_channels):
-    """A fresh 3-client roster: what one joiner hosts on one connection."""
-
-    def build():
-        third = FederatedClient(
-            3, tiny_train_dataset, tiny_test_dataset, make_factory(num_channels), TINY_CONFIG
-        )
-        return [*make_clients(), third]
-
-    return build
-
-
-def states_equal(left, right) -> bool:
-    return set(left) == set(right) and all(np.array_equal(left[k], right[k]) for k in left)
-
-
-def serial_reference(make_clients, num_channels, name="fedprox"):
-    algorithm = create_algorithm(name, make_clients(), make_factory(num_channels), TINY_CONFIG)
-    return algorithm.run()
-
-
-def run_over_wire(
-    make_clients,
-    num_channels,
-    name="fedprox",
-    fault_plan=None,
-    drop_after=None,
-    heartbeat=HEARTBEAT,
-    timeout=TIMEOUT,
-    reconnect_delay=0.05,
-    supervised=True,
-    compression=None,
-):
+def run_over_wire(make_clients, num_channels, name="fedprox", codec=None, drop_after=None, watch=None):
     """One wire run: server-side algorithm + an in-thread loopback joiner.
 
-    Returns ``(training_result, network_summary, join_report)``.
+    ``watch(algorithm)`` sees the algorithm before it runs.  Returns
+    ``(training_result, network_summary, join_report)``.
     """
-    backend = WireBackend(
-        port=0, heartbeat_interval=heartbeat, client_timeout=timeout, fault_plan=fault_plan
-    )
+    backend = WireBackend(port=0, heartbeat_interval=HEARTBEAT, client_timeout=TIMEOUT)
     server_clients = make_clients()
-    port = backend.listen([client.client_id for client in server_clients])
-    joiner_clients = make_clients()
-    holder = {}
-
-    def join():
-        holder["report"] = run_client(
-            joiner_clients,
-            "127.0.0.1",
-            port,
-            reconnect_delay=reconnect_delay,
-            drop_after=drop_after,
+    with wire_joiner(backend, server_clients, make_clients(), reconnect_delay=0.05, drop_after=drop_after) as joined:
+        algorithm = build_named(
+            name, server_clients, num_channels, backend=backend, resilience=ResilienceManager(),
+            channel=create_channel(codec),
         )
-
-    thread = threading.Thread(target=join, daemon=True)
-    thread.start()
-    try:
-        algorithm = create_algorithm(
-            name,
-            server_clients,
-            make_factory(num_channels),
-            TINY_CONFIG,
-            backend=backend,
-            resilience=ResilienceManager() if supervised else None,
-            channel=create_channel(compression),
-        )
+        if watch is not None:
+            watch(algorithm)
         result = algorithm.run()
         network = backend.network_summary()
-    finally:
-        backend.close()
-    thread.join(timeout=30)
-    assert not thread.is_alive(), "joiner thread failed to wind down after GOODBYE"
-    return result, network, holder["report"]
+    return result, network, joined["report"]
 
 
-class TestLoopbackParity:
-    def test_fault_free_wire_run_is_bit_identical_to_serial(self, make_clients, num_channels):
-        reference = serial_reference(make_clients, num_channels)
-        result, network, report = run_over_wire(make_clients, num_channels)
-        assert states_equal(result.global_state, reference.global_state)
-        assert state_digest(result.global_state) == state_digest(reference.global_state)
+def first_frame(raw):
+    """The first frame the server sends on socket ``raw``, or ``None`` if it hangs up first."""
+    reader = FrameReader()
+    while True:
+        chunk = raw.recv(1 << 16)
+        if not chunk:
+            return None
+        frames = reader.feed(chunk)
+        if frames:
+            return frames[0]
+
+
+class TestLoopbackCounters:
+    def test_network_summary_has_every_counter(self, make_clients, num_channels):
+        _, network, report = run_over_wire(make_clients, num_channels)
+        for key in NETWORK_COUNTER_KEYS:
+            assert key in network
+        assert network["bytes_sent"] > 0 and network["bytes_received"] > 0
         assert network["dispatched"] == network["completed"] > 0
         assert network["disconnects"] == network["heartbeat_losses"] == 0
         assert report.tasks_run == network["dispatched"]
         assert report.acks == report.updates_sent
 
-    def test_wire_parity_holds_for_fedavg(self, make_clients, num_channels):
-        reference = serial_reference(make_clients, num_channels, name="fedavg")
-        result, _, _ = run_over_wire(make_clients, num_channels, name="fedavg")
-        assert states_equal(result.global_state, reference.global_state)
-
-    def test_network_summary_has_every_counter(self, make_clients, num_channels):
-        _, network, _ = run_over_wire(make_clients, num_channels)
-        for key in NETWORK_COUNTER_KEYS:
-            assert key in network
-        assert network["bytes_sent"] > 0 and network["bytes_received"] > 0
-
 
 class TestRoundMemory:
-    def test_a_wire_round_holds_each_update_once(
-        self,
-        tiny_train_dataset,
-        tiny_test_dataset,
-        tiny_train_dataset_itc,
-        tiny_test_dataset_itc,
-        num_channels,
-    ):
-        data = [(tiny_train_dataset, tiny_test_dataset), (tiny_train_dataset_itc, tiny_test_dataset_itc)]
-
-        def make_eight():
-            factory = make_factory(num_channels)
-            return [
-                FederatedClient(index + 1, *data[index % 2], factory, TINY_CONFIG)
-                for index in range(8)
-            ]
-
+    def test_a_wire_round_holds_each_update_once(self, make_clients, num_channels):
         #: Per arrival: how many of its round's earlier updates are still alive.
         alive = []
-
-        def watch(algorithm):
-            map_client_updates = algorithm.map_client_updates
-
-            def watched_map(*args, on_arrival, **kwargs):
-                earlier = []
-
-                def watched_arrival(update):
-                    gc.collect()
-                    alive.append(sum(ref() is not None for ref in earlier))
-                    earlier.append(weakref.ref(update.state.vector))
-                    on_arrival(update)
-
-                return map_client_updates(*args, on_arrival=watched_arrival, **kwargs)
-
-            algorithm.map_client_updates = watched_map
-
-        reference = serial_reference(make_eight, num_channels, name="fedavg")
-        backend = WireBackend(port=0, heartbeat_interval=HEARTBEAT, client_timeout=TIMEOUT)
-        server_clients = make_eight()
-        port = backend.listen([client.client_id for client in server_clients])
-        joiner_clients = make_eight()
-        thread = threading.Thread(
-            target=lambda: run_client(joiner_clients, "127.0.0.1", port, reconnect_delay=0.05),
-            daemon=True,
-        )
-        thread.start()
-        try:
-            algorithm = create_algorithm(
-                "fedavg", server_clients, make_factory(num_channels), TINY_CONFIG, backend=backend
-            )
-            watch(algorithm)
-            result = algorithm.run()
-        finally:
-            backend.close()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert len(alive) == 8 * TINY_CONFIG.rounds
+        watch = lambda algorithm: watch_updates(algorithm, alive)
+        _, network, _ = run_over_wire(lambda: make_clients(TINY_CONFIG, 8), num_channels, name="fedavg", watch=watch)
+        assert network["dispatched"] == len(alive) == 8 * TINY_CONFIG.rounds
         # The round loop folds and drops each update as it arrives; a drain
         # that kept its futures would show 0, 1, ..., 7 here.
         assert max(alive) <= 1, alive
-        assert states_equal(result.global_state, reference.global_state)
 
 
 class TestReconnectResume:
-    def test_mid_round_disconnect_heals_bit_identically(self, make_clients, num_channels):
-        reference = serial_reference(make_clients, num_channels)
-        result, network, report = run_over_wire(make_clients, num_channels, drop_after=2)
-        assert states_equal(result.global_state, reference.global_state)
-        assert report.drops_simulated == 1
-        assert report.reconnects >= 1
-        assert network["reconnects"] >= 1
-        assert network["replays"] >= 1
-
     def test_resilience_summary_carries_network_counters(self, make_clients, num_channels):
-        algorithm_clients = make_clients()
-        backend = WireBackend(port=0, heartbeat_interval=HEARTBEAT, client_timeout=TIMEOUT)
-        port = backend.listen([client.client_id for client in algorithm_clients])
-        joiner_clients = make_clients()
-        thread = threading.Thread(
-            target=lambda: run_client(joiner_clients, "127.0.0.1", port, reconnect_delay=0.05),
-            daemon=True,
-        )
-        thread.start()
-        manager = ResilienceManager()
-        try:
-            algorithm = create_algorithm(
-                "fedprox",
-                algorithm_clients,
-                make_factory(num_channels),
-                TINY_CONFIG,
-                backend=backend,
-                resilience=manager,
-            )
-            algorithm.run()
-            summary = algorithm.ledger.resilience_summary(backend)
-        finally:
-            backend.close()
-        thread.join(timeout=30)
+        held = []
+
+        def watch(algorithm):
+            run = algorithm.run
+
+            def run_then_summarize():  # while the server is still up
+                result = run()
+                held.append(algorithm.ledger.resilience_summary(algorithm.backend))
+                return result
+
+            algorithm.run = run_then_summarize
+
+        run_over_wire(make_clients, num_channels, watch=watch)
+        summary = held[0]
         assert summary.network is not None
         assert summary.network["completed"] == summary.network["dispatched"]
         assert "network" in summary.to_dict()
 
 
 class TestInjectedWireFaults:
-    def test_chaos_run_heals_to_the_fault_free_model(self, make_clients, num_channels):
-        reference = serial_reference(make_clients, num_channels)
-        plan = WireFaultPlan(
-            disconnect_rate=0.25, corrupt_rate=0.2, delay_rate=0.1, delay_seconds=0.01, seed=3
-        )
-        result, network, _ = run_over_wire(make_clients, num_channels, fault_plan=plan)
-        assert states_equal(result.global_state, reference.global_state)
-        injected = (
-            network["injected_disconnects"]
-            + network["injected_delays"]
-            + network["injected_corruptions"]
-        )
-        assert injected >= 1
-
     def test_fault_plan_is_deterministic_for_a_seed(self):
         draws = []
         for _ in range(2):
@@ -370,87 +176,46 @@ class TestInjectedWireFaults:
 
 
 class TestStateCrossesOnce:
-    def test_three_clients_on_one_connection_share_one_state_frame(self, make_trio, num_channels):
-        reference = serial_reference(make_trio, num_channels)
-        result, network, report = run_over_wire(make_trio, num_channels)
-        assert states_equal(result.global_state, reference.global_state)
+    @pytest.mark.parametrize("codec", [None, "none", "quantize", "topk"])
+    def test_three_clients_on_one_connection_share_one_state_frame(self, make_trio, num_channels, codec):
+        # With a channel the carrier is a WireTask (payload + codecs), built once per round.
+        result, network, report = run_over_wire(make_trio, num_channels, name="fedavg", codec=codec)
         rounds = TINY_CONFIG.rounds
-        assert network["dispatched"] == 3 * rounds
+        assert network["dispatched"] == report.tasks_run == 3 * rounds
         # One STATE frame per round on the one connection, not one per client...
         assert network["states_sent"] == rounds
-        # ...so a round's downlink is one state plus task metadata and acks.
-        state_bytes = len(encode_carrier(reference.global_state))
-        assert network["bytes_sent"] / rounds < 2 * state_bytes
-        assert network["bytes_received"] / rounds > 3 * state_bytes
-        assert report.tasks_run == 3 * rounds
+        if codec is None:
+            # ...so a round's downlink is one state plus task metadata and acks.
+            state_bytes = len(encode_carrier(result.global_state))
+            assert network["bytes_sent"] / rounds < 2 * state_bytes
+            assert network["bytes_received"] / rounds > 3 * state_bytes
 
     def test_drop_between_state_and_last_task_resends_the_state_exactly_once(
         self, make_trio, num_channels
     ):
-        reference = serial_reference(make_trio, num_channels)
         # The joiner hangs up on receiving round 0's second task: the STATE
         # frame and task 1 made it, tasks 2 and 3 must be replayed -- to a
         # new connection, which has to be sent the state again.
-        result, network, report = run_over_wire(make_trio, num_channels, drop_after=2)
-        assert state_digest(result.global_state) == state_digest(reference.global_state)
+        _, network, report = run_over_wire(make_trio, num_channels, drop_after=2)
         assert report.drops_simulated == 1
         assert network["reconnects"] >= 1 and network["replays"] >= 2
         assert network["states_sent"] == TINY_CONFIG.rounds + 1
 
-    @pytest.mark.parametrize("name", ["assigned_clustering", "ifca", "fedprox_finetune", "fedprox_alpha"])
-    def test_several_carriers_in_one_broadcast_equal_serial(
-        self, make_clients, make_trio, num_channels, name
-    ):
-        roster = make_trio if name == "fedprox_alpha" else make_clients
-        reference = serial_reference(roster, num_channels, name=name)
-        result, network, _ = run_over_wire(roster, num_channels, name=name)
-        if reference.global_state is None:
-            assert result.global_state is None
-        else:
-            assert states_equal(result.global_state, reference.global_state)
-        assert result.client_states.keys() == reference.client_states.keys()
-        for client_id, state in reference.client_states.items():
-            assert states_equal(result.client_states[client_id], state)
-        if name == "assigned_clustering":
-            # Two clusters, one client each: two distinct carriers per round.
-            assert network["states_sent"] == 2 * TINY_CONFIG.rounds
-        if name == "fedprox_alpha":
-            # One customized mix per client: three distinct carriers per round.
-            assert network["states_sent"] == 3 * TINY_CONFIG.rounds
-
-    @pytest.mark.parametrize("compression", ["none", "quantize", "topk"])
-    def test_wire_envelopes_cross_the_socket_bit_exactly(self, make_trio, num_channels, compression):
-        # With a channel the carrier is a WireTask (payload + codecs), rebuilt
-        # on the joiner through the codec registry; uploads come back encoded.
-        reference = create_algorithm(
-            "fedavg", make_trio(), make_factory(num_channels), TINY_CONFIG,
-            channel=create_channel(compression),
-        ).run()
-        result, network, _ = run_over_wire(make_trio, num_channels, name="fedavg", compression=compression)
-        assert states_equal(result.global_state, reference.global_state)
-        assert network["states_sent"] == TINY_CONFIG.rounds
+    @pytest.mark.parametrize("name, carriers", [("assigned_clustering", 2), ("fedprox_alpha", 3)])
+    def test_several_carriers_in_one_broadcast_each_cross_once(self, make_trio, num_channels, name, carriers):
+        # Two clusters (the third client is in none), or one customized mix per client.
+        _, network, _ = run_over_wire(make_trio, num_channels, name=name)
+        assert network["states_sent"] == carriers * TINY_CONFIG.rounds
 
     def test_states_are_released_when_their_last_task_is_acked(self, make_trio, num_channels):
         backend = WireBackend(port=0, heartbeat_interval=HEARTBEAT, client_timeout=TIMEOUT)
         server_clients = make_trio()
-        port = backend.listen([client.client_id for client in server_clients])
-        joiner_clients = make_trio()
-        thread = threading.Thread(
-            target=lambda: run_client(joiner_clients, "127.0.0.1", port, reconnect_delay=0.05),
-            daemon=True,
-        )
-        thread.start()
-        try:
-            create_algorithm(
-                "fedavg", server_clients, make_factory(num_channels), TINY_CONFIG, backend=backend
-            ).run()
+        with wire_joiner(backend, server_clients, make_trio(), reconnect_delay=0.05):
+            build_named("fedavg", server_clients, num_channels, backend=backend).run()
             # No knob, no cache: nothing outlives the round that used it.
             assert backend.server.state_refs == {}
             assert backend.server.journal._states == {}
             assert all(not session.state_ids for session in backend.server.sessions.values())
-        finally:
-            backend.close()
-        thread.join(timeout=30)
 
 
 class TestShutdown:
@@ -461,28 +226,16 @@ class TestShutdown:
         gc.collect()  # earlier runs' loops are not this test's business
         backend = WireBackend(port=0, heartbeat_interval=HEARTBEAT, client_timeout=TIMEOUT)
         server_clients = make_trio()
-        port = backend.listen([client.client_id for client in server_clients])
-        joiner_clients = make_trio()
-        thread = threading.Thread(
-            target=lambda: run_client(joiner_clients, "127.0.0.1", port, reconnect_delay=0.05),
-            daemon=True,
-        )
-        thread.start()
-        loop = backend._loop
 
         async def stop_then_look():
             await backend.server.stop()
             return {task for task in asyncio.all_tasks() if task is not asyncio.current_task()}
 
         with caplog.at_level(logging.ERROR, logger="asyncio"):
-            try:
-                create_algorithm(
-                    "fedavg", server_clients, make_factory(num_channels), TINY_CONFIG, backend=backend
-                ).run()
+            with wire_joiner(backend, server_clients, make_trio(), reconnect_delay=0.05):
+                loop = backend._loop
+                build_named("fedavg", server_clients, num_channels, backend=backend).run()
                 pending = asyncio.run_coroutine_threadsafe(stop_then_look(), loop).result(timeout=10)
-            finally:
-                backend.close()
-            thread.join(timeout=30)
             del loop
             gc.collect()
         assert pending == set()
@@ -524,14 +277,9 @@ class TestNetworkFailuresAsTaskFailures:
         try:
             frame_type, body = encode_message(Hello(client_ids=(1, 2)))
             raw.sendall(encode_frame(frame_type, body))
-            reader = FrameReader()
-            welcome = None
-            while welcome is None:
-                frames = reader.feed(raw.recv(1 << 16))
-                for received_type, received_body in frames:
-                    if received_type == MSG_WELCOME:
-                        welcome = decode_message(received_type, received_body)
-            assert welcome.heartbeat_interval == backend.heartbeat_interval
+            frame_type, body = first_frame(raw)
+            assert frame_type == MSG_WELCOME
+            assert decode_message(frame_type, body).heartbeat_interval == backend.heartbeat_interval
             # Never answer anything again; dispatch and await the reaper.
             state = flat_model_state(make_factory(num_channels)())
             outcomes = list(
@@ -610,8 +358,7 @@ class TestHandshake:
         backend = WireBackend(
             port=0, heartbeat_interval=HEARTBEAT, client_timeout=TIMEOUT, fingerprint=fingerprint
         )
-        port = backend.listen([client.client_id for client in clients])
-        return backend, clients, port
+        return backend, clients, backend.listen([client.client_id for client in clients])
 
     def test_fingerprint_mismatch_is_rejected(self, make_clients):
         backend, _, port = self._server(make_clients, fingerprint={"seed": 0, "model": "flnet"})
@@ -629,21 +376,14 @@ class TestHandshake:
         finally:
             backend.close()
 
+    def _joins(self, make_clients, fingerprint):
+        """Whether a joiner presenting ``fingerprint`` to a server expecting it gets in."""
+        backend, clients, _ = self._server(make_clients, fingerprint=fingerprint)
+        with wire_joiner(backend, clients, make_clients(), fingerprint=dict(fingerprint), reconnect_delay=0.05):
+            return backend.wait_for_clients(timeout=10.0)
+
     def test_matching_fingerprint_is_accepted(self, make_clients, num_channels):
-        fingerprint = {"seed": 0, "model": "flnet"}
-        backend, clients, port = self._server(make_clients, fingerprint=fingerprint)
-        thread = threading.Thread(
-            target=lambda: run_client(
-                make_clients(), "127.0.0.1", port, fingerprint=fingerprint, reconnect_delay=0.05
-            ),
-            daemon=True,
-        )
-        thread.start()
-        try:
-            assert backend.wait_for_clients(timeout=10.0)
-        finally:
-            backend.close()
-        thread.join(timeout=10)
+        assert self._joins(make_clients, {"seed": 0, "model": "flnet"})
 
     def test_unknown_client_ids_are_rejected(self, make_clients, num_channels):
         backend, _, port = self._server(make_clients)
@@ -668,15 +408,7 @@ class TestHandshake:
         try:
             frame_type, body = encode_message(Hello(client_ids=(1,), protocol_version=99))
             raw.sendall(encode_frame(frame_type, body))
-            reader = FrameReader()
-            response = None
-            while response is None:
-                chunk = raw.recv(1 << 16)
-                if not chunk:
-                    break
-                for received_type, received_body in reader.feed(chunk):
-                    response = (received_type, received_body)
-                    break
+            response = first_frame(raw)
             assert response is not None
             assert response[0] == MSG_ERROR
             error = decode_message(*response)
@@ -689,19 +421,7 @@ class TestHandshake:
         # runner.wire_fingerprint holds tuples; JSON delivers lists.  Both
         # sides must canonicalise alike or every real join is rejected.
         fingerprint = {"model_kwargs": (("hidden_filters", 8),), "clients": (1, 2), "seed": 0}
-        backend, _, port = self._server(make_clients, fingerprint=fingerprint)
-        thread = threading.Thread(
-            target=lambda: run_client(
-                make_clients(), "127.0.0.1", port, fingerprint=dict(fingerprint), reconnect_delay=0.05
-            ),
-            daemon=True,
-        )
-        thread.start()
-        try:
-            assert backend.wait_for_clients(timeout=10.0)
-        finally:
-            backend.close()
-        thread.join(timeout=10)
+        assert self._joins(make_clients, fingerprint)
 
     def test_v1_pickled_hello_is_rejected_without_being_unpickled(self, make_clients):
         assert PROTOCOL_VERSION == 2
@@ -722,15 +442,7 @@ class TestHandshake:
             assert tripped == ["unpickled"]
             tripped.clear()
             raw.sendall(encode_frame(MSG_HELLO, body))
-            reader = FrameReader()
-            response = None
-            while response is None:
-                chunk = raw.recv(1 << 16)
-                if not chunk:
-                    break
-                for frame in reader.feed(chunk):
-                    response = frame
-                    break
+            response = first_frame(raw)
             assert response is not None and response[0] == MSG_ERROR
             error = decode_message(*response)
             assert error.code == "protocol"

@@ -7,13 +7,15 @@ Lazy client virtualization (:mod:`repro.fl.population`) promises two things:
   folded, so peak materialization is bounded by the cohort;
 * **bit-parity** — a sampled run over a virtualized population folds to the
   *identical* global state as averaging each cohort with the reference
-  ``weighted_average`` GEMV, across execution backends and through
-  checkpoint resume (the parity buffer covers every small cohort).
+  ``weighted_average`` GEMV (the parity buffer covers every small cohort).
+
+That a directory roster trains the eager roster's bits on every backend and
+through a resume is the parity matrix's (``test_parity_matrix.py``).
 """
 
 from __future__ import annotations
 
-import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,82 +26,15 @@ from repro.fl import (
     ClientDirectory,
     FederatedClient,
     FederatedServer,
-    FLConfig,
-    ProcessPoolBackend,
-    SchedulingOptions,
-    SerialBackend,
-    ThreadPoolBackend,
-    create_algorithm,
-    create_scheduler,
     initial_rng_state,
 )
-from repro.fl import SeededModelFactory
 from repro.fl.parameters import FlatState, flat_model_state, state_vector, weighted_average
-from repro.models import FLNet
+from conftest import TINY_CONFIG, build_named, make_factory, scheduled, states_equal
 from test_state_door import load_fl_oracles
 
 pairwise_rms_distance = load_fl_oracles().pairwise_rms_distance_oracle
 
 POPULATION_ALGORITHMS = ("fedavg", "fedprox", "fedavgm", "dp_fedprox")
-
-TINY_CONFIG = FLConfig(
-    rounds=2,
-    local_steps=2,
-    finetune_steps=3,
-    learning_rate=3e-3,
-    batch_size=2,
-    num_clusters=2,
-    assigned_clusters=((1, 0), (2, 1)),
-    ifca_eval_batches=1,
-    proximal_mu=1e-3,
-)
-
-
-class TinyModelBuilder:
-    """Module-level builder so handles stay picklable for the process pool."""
-
-    def __init__(self, channels: int):
-        self.channels = channels
-
-    def __call__(self, seed: int) -> FLNet:
-        return FLNet(self.channels, hidden_filters=8, kernel_size=5, seed=seed)
-
-
-def make_factory(num_channels: int) -> SeededModelFactory:
-    return SeededModelFactory(TinyModelBuilder(num_channels), base_seed=0)
-
-
-def states_equal(left, right) -> bool:
-    """Bit-exact equality of two state dictionaries."""
-    return set(left) == set(right) and all(np.array_equal(left[k], right[k]) for k in left)
-
-
-@pytest.fixture
-def client_data(
-    tiny_train_dataset,
-    tiny_test_dataset,
-    tiny_train_dataset_itc,
-    tiny_test_dataset_itc,
-):
-    """Two base data partitions the population cycles through."""
-    return [
-        ClientData(
-            ClientSpec(1, "iscas89", 2, 2, 6, 4), tiny_train_dataset, tiny_test_dataset
-        ),
-        ClientData(
-            ClientSpec(2, "itc99", 2, 1, 6, 2), tiny_train_dataset_itc, tiny_test_dataset_itc
-        ),
-    ]
-
-
-@pytest.fixture
-def make_directory(client_data, num_channels):
-    def build(population, config=TINY_CONFIG):
-        return ClientDirectory(
-            client_data, make_factory(num_channels), config, population=population
-        )
-
-    return build
 
 
 class ReferenceAccumulator:
@@ -159,37 +94,17 @@ def reference_server():
     return server
 
 
-def run_population(
-    name,
-    directory,
-    num_channels,
-    config=TINY_CONFIG,
-    server=None,
-    backend=None,
-    checkpoint=None,
-    scheduler=None,
-):
+def run_population(name, directory, num_channels, config=TINY_CONFIG, **options):
     """One algorithm run over a virtualized population; returns (training, ledger)."""
-    algorithm = create_algorithm(
-        name,
-        list(directory.handles),
-        make_factory(num_channels),
-        config,
-        server=server,
-        backend=backend,
-        checkpoint=checkpoint,
-        scheduler=scheduler,
-    )
+    algorithm = build_named(name, list(directory.handles), num_channels, config, **options)
     try:
         return algorithm.run(), algorithm.ledger
     finally:
-        if backend is not None:
-            backend.close()
+        algorithm.backend.close()
 
 
 def sampling_scheduler(clients_per_round=3, **options):
-    options = SchedulingOptions(clients_per_round=clients_per_round, **options)
-    return create_scheduler(options, seed=0)
+    return scheduled(clients_per_round=clients_per_round, **options)
 
 
 class TestLaziness:
@@ -269,7 +184,7 @@ class TestLaziness:
             "fedavg",
             directory,
             num_channels,
-            config=dataclasses.replace(TINY_CONFIG, rounds=3),
+            config=replace(TINY_CONFIG, rounds=3),
             scheduler=sampling_scheduler(
                 clients_per_round=6,
                 round_policy="fedbuff",
@@ -303,28 +218,6 @@ class TestStreamingParity:
         )
         assert states_equal(gemv.global_state, streamed.global_state)
         assert [r.mean_loss for r in gemv.history] == [r.mean_loss for r in streamed.history]
-
-    @pytest.mark.parametrize(
-        "backend_factory", [ThreadPoolBackend, lambda: ProcessPoolBackend(workers=2)]
-    )
-    def test_streaming_identical_across_backends(
-        self, backend_factory, make_directory, num_channels
-    ):
-        serial, _ = run_population(
-            "fedavg",
-            make_directory(200),
-            num_channels,
-            backend=SerialBackend(),
-            scheduler=sampling_scheduler(clients_per_round=5),
-        )
-        parallel, _ = run_population(
-            "fedavg",
-            make_directory(200),
-            num_channels,
-            backend=backend_factory(),
-            scheduler=sampling_scheduler(clients_per_round=5),
-        )
-        assert states_equal(serial.global_state, parallel.global_state)
 
     def test_streaming_matches_gemv_under_deadline_policy(
         self, make_directory, num_channels
@@ -414,50 +307,6 @@ class TestStreamingParity:
 
 
 class TestCheckpointResume:
-    def test_streaming_resume_is_bit_identical(
-        self, tmp_path, make_directory, num_channels
-    ):
-        """Interrupt a deadline-policy population run; resume must match the
-        uninterrupted run."""
-        from dataclasses import replace
-
-        long_config = replace(TINY_CONFIG, rounds=4)
-        short_config = replace(TINY_CONFIG, rounds=2)
-
-        def scheduler():
-            return sampling_scheduler(
-                clients_per_round=3,
-                straggler_model="lognormal",
-                round_policy="deadline",
-                deadline=12.0,
-            )
-
-        uninterrupted, _ = run_population(
-            "fedavg",
-            make_directory(50, long_config),
-            num_channels,
-            config=long_config,
-            scheduler=scheduler(),
-        )
-        run_population(
-            "fedavg",
-            make_directory(50, short_config),
-            num_channels,
-            config=short_config,
-            checkpoint=CheckpointManager(tmp_path),
-            scheduler=scheduler(),
-        )
-        resumed, _ = run_population(
-            "fedavg",
-            make_directory(50, long_config),
-            num_channels,
-            config=long_config,
-            checkpoint=CheckpointManager(tmp_path),
-            scheduler=scheduler(),
-        )
-        assert states_equal(uninterrupted.global_state, resumed.global_state)
-        assert [r.round_index for r in resumed.history] == [2, 3]
-
     def test_fedbuff_resume_parity_between_modes(
         self, tmp_path, make_directory, num_channels
     ):
@@ -465,8 +314,6 @@ class TestCheckpointResume:
         interrupted half matches the uninterrupted run bit for bit, and the
         resumed half re-dispatches from the checkpoint — deterministically,
         landing exactly where the reference fold does."""
-        from dataclasses import replace
-
         long_config = replace(TINY_CONFIG, rounds=4)
         short_config = replace(TINY_CONFIG, rounds=2)
 

@@ -4,43 +4,33 @@ The central guarantees under test:
 
 * samplers / availability / latency models are deterministic, seeded, and
   checkpointable (state round-trips),
-* a scheduler configured to full-sync / no-straggler behavior, under the
-  default or a fault-free tolerant supervisor, on any backend, is
-  **bit-identical** to a serial run on the default scheduler and manager,
-  for every round algorithm,
 * the round loop keeps the contract the bench harness relies on: one
   client pass per round, the global state first, ``states()`` before
   ``result()``, and each update folded as it arrives,
-* sampled cohorts are identical across execution backends (serial vs.
-  process pool), and across checkpoint resume under partial participation
-  with stragglers,
+* a resumed run reports the uninterrupted run's scheduling totals,
 * the deadline policy drops stragglers (recorded, discarded) and aggregates
   only the survivors,
 * FedBuff with buffer size K and zero latency is bit-identical to
   synchronous FedAvg over the same cohort, and the one round loop equals
   FedBuff's own event loop (``fedbuff_oracle``) bit for bit.
+
+That every policy trains the serial bits on every backend, roster, fault
+plan and resume is the parity matrix's (``test_parity_matrix.py``).
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.data.clients import ClientData, ClientSpec
 from repro.fl import (
     CheckpointManager,
-    ClientDirectory,
-    FederatedClient,
-    FLConfig,
-    ProcessPoolBackend,
     ResilienceManager,
     RetryPolicy,
     SchedulingOptions,
-    SeededModelFactory,
-    SerialBackend,
-    ThreadPoolBackend,
     create_algorithm,
     create_scheduler,
 )
@@ -65,93 +55,21 @@ from repro.fl.scheduling import (
 from repro.fl.scheduling.availability import BernoulliAvailability, DayNightAvailability
 from repro.fl.scheduling.latency import LogNormalLatency, ParetoLatency, UniformLatency
 from repro.fl.scheduling.samplers import UniformSampler, WeightedSampler
-from repro.models import FLNet
 from repro.utils.rng import new_rng
+from conftest import (
+    GLOBAL_MODEL_ALGORITHMS,
+    ROUND_ALGORITHMS,
+    TINY_CONFIG,
+    build_named,
+    digests,
+    make_factory,
+    run_named,
+    scheduled,
+    states_equal,
+)
 from test_state_door import load_fl_oracles
 
 O = load_fl_oracles()
-
-TINY_CONFIG = FLConfig(
-    rounds=2,
-    local_steps=2,
-    finetune_steps=3,
-    learning_rate=3e-3,
-    batch_size=2,
-    num_clusters=2,
-    assigned_clusters=((1, 0), (2, 1)),
-    ifca_eval_batches=1,
-    proximal_mu=1e-3,
-)
-
-
-class TinyModelBuilder:
-    """Module-level builder so clients stay picklable for the process pool."""
-
-    def __init__(self, channels: int):
-        self.channels = channels
-
-    def __call__(self, seed: int) -> FLNet:
-        return FLNet(self.channels, hidden_filters=8, kernel_size=5, seed=seed)
-
-
-def make_factory(num_channels: int) -> SeededModelFactory:
-    return SeededModelFactory(TinyModelBuilder(num_channels), base_seed=0)
-
-
-@pytest.fixture
-def make_clients(
-    tiny_train_dataset,
-    tiny_test_dataset,
-    tiny_train_dataset_itc,
-    tiny_test_dataset_itc,
-    num_channels,
-):
-    """A callable producing a *fresh* 2-client roster (fresh RNG streams)."""
-
-    def build(config: FLConfig = TINY_CONFIG):
-        factory = make_factory(num_channels)
-        return [
-            FederatedClient(1, tiny_train_dataset, tiny_test_dataset, factory, config),
-            FederatedClient(2, tiny_train_dataset_itc, tiny_test_dataset_itc, factory, config),
-        ]
-
-    return build
-
-
-def states_equal(left, right) -> bool:
-    """Bit-exact equality of two state dictionaries."""
-    return set(left) == set(right) and all(np.array_equal(left[k], right[k]) for k in left)
-
-
-def build_named(
-    name,
-    clients,
-    num_channels,
-    config=TINY_CONFIG,
-    backend=None,
-    checkpoint=None,
-    scheduler=None,
-    resilience=None,
-):
-    return create_algorithm(
-        name,
-        clients,
-        make_factory(num_channels),
-        config,
-        backend=backend,
-        checkpoint=checkpoint,
-        scheduler=scheduler,
-        resilience=resilience,
-    )
-
-
-def run_named(name, clients, num_channels, backend=None, **options):
-    algorithm = build_named(name, clients, num_channels, backend=backend, **options)
-    try:
-        return algorithm.run()
-    finally:
-        if backend is not None:
-            backend.close()
 
 
 class TestSamplers:
@@ -419,91 +337,9 @@ class TestCreateScheduler:
         assert description["staleness_exponent"] == 0.5
 
 
-#: The algorithms whose cross-round state is one global model.
-GLOBAL_MODEL_ALGORITHMS = ["fedavg", "fedprox", "fedavgm", "dp_fedprox", "fedprox_finetune"]
-#: The personalised rows, on the same loop: what the server keeps is theirs.
-PERSONALISED = ["fedbn", "fedprox_lg", "ifca", "assigned_clustering", "fedprox_alpha"]
-ROUND_ALGORITHMS = GLOBAL_MODEL_ALGORITHMS + PERSONALISED
-
-BACKENDS = {
-    "serial": SerialBackend,
-    "thread": lambda: ThreadPoolBackend(workers=2),
-    "process": lambda: ProcessPoolBackend(workers=2),
-}
-
-
-def digests(result):
-    """The global digest (``None`` when there is none) and every personalized digest."""
-    global_state = result.global_state
-    return None if global_state is None else state_digest(global_state), {
-        client_id: state_digest(state) for client_id, state in result.client_states.items()
-    }
-
-
 class TestScheduledRounds:
-    @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
-    @pytest.mark.parametrize("tolerant", [False, True], ids=["inert", "tolerant"])
-    @pytest.mark.parametrize("algorithm", ROUND_ALGORITHMS)
-    def test_explicit_full_sync_matches_default_run(
-        self, algorithm, tolerant, backend_name, make_clients, num_channels
-    ):
-        """A scheduler at its most trivial, a fault-free tolerant supervisor
-        and any backend must not change a single bit of a serial run on the
-        default scheduler and manager."""
-        plain = run_named(algorithm, make_clients(), num_channels)
-        backend = BACKENDS[backend_name]()
-        instance = build_named(
-            algorithm,
-            make_clients(),
-            num_channels,
-            backend=backend,
-            scheduler=create_scheduler(SchedulingOptions(sampler="full")),
-            resilience=ResilienceManager() if tolerant else None,
-        )
-        try:
-            scheduled = instance.run()
-        finally:
-            backend.close()
-        assert digests(scheduled) == digests(plain)
-        assert [r.mean_loss for r in scheduled.history] == [r.mean_loss for r in plain.history]
-        assert [r.per_client_loss for r in scheduled.history] == [
-            r.per_client_loss for r in plain.history
-        ]
-        if tolerant:
-            summary = instance.ledger.resilience_summary()
-            assert (summary.retries, summary.gave_up, summary.dropped_clients) == (0, 0, [])
-            assert sum(summary.injected.values()) == 0
-
-    @pytest.mark.parametrize("algorithm", ["fedavg", "fedprox", "fedavgm", "dp_fedprox"])
-    def test_sampled_cohorts_identical_across_backends(
-        self, algorithm, make_clients, num_channels
-    ):
-        def scheduler():
-            return create_scheduler(
-                SchedulingOptions(participation=0.5, straggler_model="lognormal"), seed=0
-            )
-
-        serial = run_named(
-            algorithm,
-            make_clients(),
-            num_channels,
-            backend=SerialBackend(),
-            scheduler=scheduler(),
-        )
-        parallel = run_named(
-            algorithm,
-            make_clients(),
-            num_channels,
-            backend=ProcessPoolBackend(workers=2),
-            scheduler=scheduler(),
-        )
-        assert states_equal(serial.global_state, parallel.global_state)
-        for left, right in zip(serial.history, parallel.history):
-            assert left.mean_loss == right.mean_loss
-            assert left.extra == right.extra
-
     def test_partial_participation_trains_subset(self, make_clients, num_channels):
-        scheduler = create_scheduler(SchedulingOptions(clients_per_round=1), seed=0)
+        scheduler = scheduled(clients_per_round=1)
         instance = build_named("fedavg", make_clients(), num_channels, scheduler=scheduler)
         training = instance.run()
         for record in training.history:
@@ -515,7 +351,7 @@ class TestScheduledRounds:
         assert summary.total_dropped == 0
 
     def test_straggler_latency_advances_virtual_clock(self, make_clients, num_channels):
-        scheduler = create_scheduler(SchedulingOptions(straggler_model="lognormal"), seed=0)
+        scheduler = scheduled(straggler_model="lognormal")
         instance = build_named("fedavg", make_clients(), num_channels, scheduler=scheduler)
         training = instance.run()
         times = [record.extra["simulated_time_s"] for record in training.history]
@@ -526,13 +362,8 @@ class TestScheduledRounds:
     def test_deadline_drops_stragglers(self, make_clients, num_channels):
         # The heavy tail guarantees some draw exceeds a tight deadline over
         # a few rounds; dropped stragglers are recorded and discarded.
-        from dataclasses import replace
-
         config = replace(TINY_CONFIG, rounds=4)
-        scheduler = create_scheduler(
-            SchedulingOptions(straggler_model="heavytail", round_policy="deadline", deadline=10.0),
-            seed=0,
-        )
+        scheduler = scheduled(straggler_model="heavytail", round_policy="deadline", deadline=10.0)
         instance = build_named(
             "fedavg", make_clients(config), num_channels, config=config, scheduler=scheduler
         )
@@ -553,11 +384,8 @@ class TestScheduledRounds:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             held = {
-                name: create_algorithm(
-                    name,
-                    make_clients(),
-                    make_factory(num_channels),
-                    TINY_CONFIG,
+                name: build_named(
+                    name, make_clients(), num_channels,
                     scheduler=create_scheduler(SchedulingOptions(participation=0.5)),
                 ).scheduler
                 for name in ("ifca", "local")
@@ -566,11 +394,8 @@ class TestScheduledRounds:
 
     def test_fedbuff_rejected_for_non_delta_algorithms(self, make_clients, num_channels):
         with pytest.raises(ValueError, match="fedbuff"):
-            create_algorithm(
-                "fedavgm",
-                make_clients(),
-                make_factory(num_channels),
-                TINY_CONFIG,
+            build_named(
+                "fedavgm", make_clients(), num_channels,
                 scheduler=create_scheduler(SchedulingOptions(round_policy="fedbuff")),
             )
 
@@ -579,9 +404,7 @@ class TestFedBuff:
     def test_zero_latency_full_buffer_matches_fedavg(self, make_clients, num_channels):
         """FedBuff with buffer size K and no latency *is* synchronous FedAvg."""
         plain = run_named("fedavg", make_clients(), num_channels)
-        scheduler = create_scheduler(
-            SchedulingOptions(round_policy="fedbuff", buffer_size=2), seed=0
-        )
+        scheduler = scheduled(round_policy="fedbuff", buffer_size=2)
         instance = build_named("fedavg", make_clients(), num_channels, scheduler=scheduler)
         buffered = instance.run()
         assert states_equal(plain.global_state, buffered.global_state)
@@ -591,13 +414,8 @@ class TestFedBuff:
         assert summary.mean_staleness == 0.0
 
     def test_stragglers_produce_staleness(self, make_clients, num_channels):
-        from dataclasses import replace
-
         config = replace(TINY_CONFIG, rounds=4)
-        scheduler = create_scheduler(
-            SchedulingOptions(round_policy="fedbuff", buffer_size=1, straggler_model="lognormal"),
-            seed=0,
-        )
+        scheduler = scheduled(round_policy="fedbuff", buffer_size=1, straggler_model="lognormal")
         instance = build_named(
             "fedavg", make_clients(config), num_channels, config=config, scheduler=scheduler
         )
@@ -617,44 +435,13 @@ class TestFedBuff:
         from repro.fl import create_channel
 
         channel = create_channel("none")
-        scheduler = create_scheduler(
-            SchedulingOptions(round_policy="fedbuff", buffer_size=2), seed=0
-        )
-        algorithm = create_algorithm(
-            "fedavg",
-            make_clients(),
-            make_factory(num_channels),
-            TINY_CONFIG,
-            channel=channel,
-            scheduler=scheduler,
-        )
+        scheduler = scheduled(round_policy="fedbuff", buffer_size=2)
+        algorithm = build_named("fedavg", make_clients(), num_channels, channel=channel, scheduler=scheduler)
         training = algorithm.run()
         assert training.global_state is not None
         summary = channel.summary()
         assert summary.total_uplink_bytes > 0
         assert summary.total_downlink_bytes > 0
-
-    def test_fedbuff_identical_across_backends(self, make_clients, num_channels):
-        def scheduler():
-            return create_scheduler(
-                SchedulingOptions(
-                    round_policy="fedbuff", buffer_size=1, straggler_model="lognormal"
-                ),
-                seed=0,
-            )
-
-        serial = run_named(
-            "fedavg", make_clients(), num_channels, backend=SerialBackend(), scheduler=scheduler()
-        )
-        parallel = run_named(
-            "fedavg",
-            make_clients(),
-            num_channels,
-            backend=ProcessPoolBackend(workers=2),
-            scheduler=scheduler(),
-        )
-        assert states_equal(serial.global_state, parallel.global_state)
-
 
 #: name -> (algorithm, scheduling options, virtual population or None for
 #: the two-client roster) of the one-loop / event-loop parity runs.
@@ -681,35 +468,16 @@ FEDBUFF_CASES = {
 
 class TestFedBuffOracle:
     @pytest.mark.parametrize("case", sorted(FEDBUFF_CASES))
-    def test_the_one_loop_equals_the_event_loop(
-        self,
-        case,
-        make_clients,
-        num_channels,
-        tiny_train_dataset,
-        tiny_test_dataset,
-        tiny_train_dataset_itc,
-        tiny_test_dataset_itc,
-    ):
+    def test_the_one_loop_equals_the_event_loop(self, case, make_clients, make_directory, num_channels):
         """Under ``fedbuff`` the round loop equals FedBuff's own event loop
         bit for bit: the final state, every round record and the scheduling
         summary."""
-        from dataclasses import replace
-
         algorithm, options, population = FEDBUFF_CASES[case]
         config = replace(TINY_CONFIG, rounds=4)
-        data = [
-            ClientData(ClientSpec(1, "iscas89", 2, 2, 6, 4), tiny_train_dataset, tiny_test_dataset),
-            ClientData(ClientSpec(2, "itc99", 2, 1, 6, 2), tiny_train_dataset_itc, tiny_test_dataset_itc),
-        ]
 
         def build():
-            if population is None:
-                clients = make_clients(config)
-            else:
-                factory = make_factory(num_channels)
-                clients = ClientDirectory(data, factory, config, population=population).handles
-            scheduler = create_scheduler(SchedulingOptions(round_policy="fedbuff", **options), seed=0)
+            clients = make_clients(config) if population is None else make_directory(population, config).handles
+            scheduler = scheduled(round_policy="fedbuff", **options)
             return build_named(algorithm, list(clients), num_channels, config=config, scheduler=scheduler)
 
         instance = build()
@@ -746,8 +514,6 @@ class TestRoundLoopContract:
         for a personalised one — and returns a sized list; each round's
         accumulators are made after its pass begins, and a global average is
         read as ``result()`` then ``spread()``."""
-        from dataclasses import replace
-
         config = replace(TINY_CONFIG, rounds=3)
         options = SCHEDULES[schedule]
         instance = create_algorithm(
@@ -755,7 +521,7 @@ class TestRoundLoopContract:
             make_clients(config),
             make_factory(num_channels),
             config,
-            scheduler=create_scheduler(SchedulingOptions(**options), seed=0) if options else None,
+            scheduler=scheduled(**options) if options else None,
             # At quorum 1.0: a deadline's late straggler is not a failure.
             resilience=ResilienceManager(retry=RetryPolicy(max_retries=2)) if tolerant else None,
         )
@@ -818,15 +584,9 @@ class TestRoundLoopContract:
     ):
         """Outside the cohort or past the deadline, a client's private part,
         cluster assignment or alpha state is what it was before the round."""
-        from dataclasses import replace
-
         config = replace(TINY_CONFIG, rounds=4)
-        instance = create_algorithm(
-            algorithm,
-            make_clients(config),
-            make_factory(num_channels),
-            config,
-            scheduler=create_scheduler(SchedulingOptions(**SCHEDULES[schedule]), seed=0),
+        instance = build_named(
+            algorithm, make_clients(config), num_channels, config, scheduler=scheduled(**SCHEDULES[schedule]),
         )
         records = []
         save_checkpoint = instance.save_checkpoint
@@ -867,12 +627,8 @@ class TestRoundLoopContract:
         """Broadcast W0, train every client from it in roster order, fold the
         sample-weighted average; DP-FedProx clips and noises each update in
         arrival order from its one server-side noise stream."""
-        from dataclasses import replace
-
         config = replace(TINY_CONFIG, rounds=1)
-        trained = create_algorithm(
-            algorithm, make_clients(config), make_factory(num_channels), config
-        )
+        trained = build_named(algorithm, make_clients(config), num_channels, config)
         result = trained.run()
 
         clients = make_clients(config)
@@ -894,9 +650,7 @@ class TestRoundLoopContract:
     def test_two_fedprox_lg_rounds_equal_the_partition_rules_by_hand(self, make_clients, num_channels):
         """Each client trains the aggregated shared part written over its own
         full state; the server averages the shared part only."""
-        result = create_algorithm(
-            "fedprox_lg", make_clients(), make_factory(num_channels), TINY_CONFIG
-        ).run()
+        result = build_named("fedprox_lg", make_clients(), num_channels).run()
 
         clients = make_clients()
         template = make_factory(num_channels)()
@@ -922,7 +676,7 @@ class TestRoundLoopContract:
     def test_two_ifca_rounds_equal_the_cluster_rules_by_hand(self, make_clients, num_channels):
         """Every client probes each cluster in roster order, trains the best
         one; the server averages per cluster and keeps an unchosen one."""
-        result = create_algorithm("ifca", make_clients(), make_factory(num_channels), TINY_CONFIG).run()
+        result = build_named("ifca", make_clients(), num_channels).run()
 
         clients = make_clients()
         factory = make_factory(num_channels)
@@ -958,12 +712,8 @@ class TestRoundLoopContract:
         """Server memory stays O(P): the pass hands each update to the loop
         as it arrives, not after the whole cohort has trained."""
         clients = make_clients()
-        algorithm = create_algorithm(
-            "fedavg",
-            clients,
-            make_factory(num_channels),
-            TINY_CONFIG,
-            resilience=ResilienceManager() if tolerant else None,
+        algorithm = build_named(
+            "fedavg", clients, num_channels, resilience=ResilienceManager() if tolerant else None,
         )
         events = []
         for client in clients:
@@ -994,85 +744,14 @@ class TestRoundLoopContract:
 
 
 class TestScheduledCheckpointResume:
-    @pytest.mark.parametrize("algorithm", ["fedavg", "dp_fedprox"])
-    @pytest.mark.parametrize("policy_options", [
-        {"participation": 0.5, "straggler_model": "lognormal"},
-        {
-            "participation": 0.5,
-            "straggler_model": "heavytail",
-            "round_policy": "deadline",
-            "deadline": 12.0,
-        },
-    ])
-    def test_resume_matches_uninterrupted_run(
-        self, algorithm, policy_options, tmp_path, make_clients, num_channels
-    ):
-        """Interrupt a sampled, straggling run; the resume must be bit-identical.
-
-        Extends the RNG-state resume guarantee to the scheduler: the
-        sampler / latency RNG states and the virtual clock are restored
-        from the checkpoint, so the resumed run draws the same cohorts and
-        latencies as an uninterrupted one.
-        """
-        from dataclasses import replace
-
-        long_config = replace(TINY_CONFIG, rounds=4)
-        short_config = replace(TINY_CONFIG, rounds=2)
-
-        def scheduler():
-            return create_scheduler(SchedulingOptions(**policy_options), seed=0)
-
-        uninterrupted = run_named(
-            algorithm,
-            make_clients(long_config),
-            num_channels,
-            config=long_config,
-            scheduler=scheduler(),
-        )
-        # Phase 1: half the rounds with checkpointing, then "crash".
-        interrupted_scheduler = scheduler()
-        run_named(
-            algorithm,
-            make_clients(short_config),
-            num_channels,
-            config=short_config,
-            checkpoint=CheckpointManager(tmp_path),
-            scheduler=interrupted_scheduler,
-        )
-        # Phase 2: a fresh process resumes from the checkpoint directory
-        # with a *fresh* scheduler whose state comes from the checkpoint.
-        resumed_scheduler = scheduler()
-        resumed = run_named(
-            algorithm,
-            make_clients(long_config),
-            num_channels,
-            config=long_config,
-            checkpoint=CheckpointManager(tmp_path),
-            scheduler=resumed_scheduler,
-        )
-
-        assert states_equal(uninterrupted.global_state, resumed.global_state)
-        assert [r.round_index for r in resumed.history] == [2, 3]
-        reference = {r.round_index: r for r in uninterrupted.history}
-        for record in resumed.history:
-            expected = reference[record.round_index]
-            # A round whose every selected client missed the deadline has no
-            # losses (NaN mean); NaN != NaN, so compare per-client dicts.
-            assert record.per_client_loss == expected.per_client_loss
-            assert record.extra == expected.extra
-
     def test_resumed_summary_matches_uninterrupted(
         self, tmp_path, make_clients, num_channels
     ):
-        from dataclasses import replace
-
         long_config = replace(TINY_CONFIG, rounds=4)
         short_config = replace(TINY_CONFIG, rounds=2)
 
         def scheduler():
-            return create_scheduler(
-                SchedulingOptions(participation=0.5, straggler_model="lognormal"), seed=0
-            )
+            return scheduled(participation=0.5, straggler_model="lognormal")
 
         full = build_named(
             "fedavg",
@@ -1107,16 +786,11 @@ class TestScheduledCheckpointResume:
         """A checkpoint keeps no FedBuff update in flight.  Resuming a finished
         run dispatches nothing and reports the uninterrupted totals; resuming
         mid-run counts the checkpoint's in-flight dispatches as late."""
-        from dataclasses import replace
-
         long_config = replace(TINY_CONFIG, rounds=4)
         short_config = replace(TINY_CONFIG, rounds=2)
 
         def run(config, directory):
-            scheduler = create_scheduler(
-                SchedulingOptions(round_policy="fedbuff", buffer_size=1, straggler_model="lognormal"),
-                seed=0,
-            )
+            scheduler = scheduled(round_policy="fedbuff", buffer_size=1, straggler_model="lognormal")
             instance = build_named(
                 "fedavg",
                 make_clients(config),
@@ -1148,7 +822,7 @@ class TestScheduledCheckpointResume:
             make_clients(),
             num_channels,
             checkpoint=CheckpointManager(tmp_path),
-            scheduler=create_scheduler(SchedulingOptions(participation=0.5), seed=0),
+            scheduler=scheduled(participation=0.5),
         )
         with pytest.raises(ValueError, match="written by a different run"):
             run_named(
@@ -1156,5 +830,5 @@ class TestScheduledCheckpointResume:
                 make_clients(),
                 num_channels,
                 checkpoint=CheckpointManager(tmp_path),
-                scheduler=create_scheduler(SchedulingOptions(participation=0.99), seed=0),
+                scheduler=scheduled(participation=0.99),
             )

@@ -5,33 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.fl import FLConfig, FederatedClient, LocalTrainer, SeededModelFactory, predict_dataset
+from repro.fl import FLConfig, FederatedClient, LocalTrainer, predict_dataset
 from repro.fl.config import PAPER_ASSIGNED_CLUSTERS
 from repro.fl.parameters import state_distance
 from repro.fl.trainer import add_proximal_gradient, proximal_terms
-from repro.models import FLNet, RouteNet
+from repro.models import RouteNet
 from repro.nn.optim import Adam
+from conftest import TINY_CONFIG, make_factory
 from test_state_door import load_fl_oracles
 
 proximal_gradient_oracle = load_fl_oracles().proximal_gradient_oracle
-
-
-SMALL_FL_CONFIG = FLConfig(
-    rounds=2,
-    local_steps=2,
-    finetune_steps=3,
-    learning_rate=3e-3,
-    batch_size=2,
-    num_clusters=2,
-    assigned_clusters=((1, 0), (2, 1)),
-    ifca_eval_batches=1,
-)
-
-
-def small_flnet_factory(num_channels):
-    return SeededModelFactory(
-        lambda seed: FLNet(num_channels, hidden_filters=8, kernel_size=5, seed=seed), base_seed=0
-    )
 
 
 class TestFLConfig:
@@ -74,7 +57,7 @@ class TestFLConfig:
 class TestLocalTrainer:
     def test_training_reduces_loss(self, tiny_train_dataset, num_channels):
         trainer = LocalTrainer(learning_rate=3e-3, batch_size=2, rng=np.random.default_rng(0))
-        model = small_flnet_factory(num_channels)()
+        model = make_factory(num_channels)()
         before = trainer.evaluate_loss(model, tiny_train_dataset)
         trainer.train_steps(model, tiny_train_dataset, steps=12)
         after = trainer.evaluate_loss(model, tiny_train_dataset)
@@ -82,14 +65,14 @@ class TestLocalTrainer:
 
     def test_step_statistics(self, tiny_train_dataset, num_channels):
         trainer = LocalTrainer(batch_size=2, rng=np.random.default_rng(0))
-        model = small_flnet_factory(num_channels)()
+        model = make_factory(num_channels)()
         stats = trainer.train_steps(model, tiny_train_dataset, steps=3)
         assert stats.steps == 3
         assert np.isfinite(stats.mean_loss) and np.isfinite(stats.final_loss)
 
     def test_proximal_term_limits_drift(self, tiny_train_dataset, num_channels):
         """A huge proximal mu keeps the trained model near the reference."""
-        factory = small_flnet_factory(num_channels)
+        factory = make_factory(num_channels)
         reference = factory().state_dict()
 
         def train_with_mu(mu):
@@ -136,18 +119,18 @@ class TestLocalTrainer:
 
     def test_proximal_requires_reference(self, tiny_train_dataset, num_channels):
         trainer = LocalTrainer(batch_size=2)
-        model = small_flnet_factory(num_channels)()
+        model = make_factory(num_channels)()
         with pytest.raises(ValueError):
             trainer.train_steps(model, tiny_train_dataset, steps=1, proximal_mu=0.1)
 
     def test_invalid_steps(self, tiny_train_dataset, num_channels):
         trainer = LocalTrainer(batch_size=2)
-        model = small_flnet_factory(num_channels)()
+        model = make_factory(num_channels)()
         with pytest.raises(ValueError):
             trainer.train_steps(model, tiny_train_dataset, steps=0)
 
     def test_predict_dataset_shapes(self, tiny_test_dataset, num_channels):
-        model = small_flnet_factory(num_channels)()
+        model = make_factory(num_channels)()
         scores, labels = predict_dataset(model, tiny_test_dataset, batch_size=3)
         expected = len(tiny_test_dataset) * np.prod(tiny_test_dataset.grid_shape)
         assert scores.shape == labels.shape == (expected,)
@@ -160,15 +143,15 @@ class TestFederatedClient:
             client_id=1,
             train_dataset=tiny_train_dataset,
             test_dataset=tiny_test_dataset,
-            model_factory=small_flnet_factory(num_channels),
-            config=SMALL_FL_CONFIG,
+            model_factory=make_factory(num_channels),
+            config=TINY_CONFIG,
         )
 
     def test_num_samples(self, client, tiny_train_dataset):
         assert client.num_samples == len(tiny_train_dataset)
 
     def test_local_train_returns_new_state(self, client, num_channels):
-        initial = small_flnet_factory(num_channels)().state_dict()
+        initial = make_factory(num_channels)().state_dict()
         state, stats = client.local_train(initial, steps=2)
         assert set(state) == set(initial)
         assert state_distance(state, initial) > 0
@@ -184,10 +167,10 @@ class TestFederatedClient:
             client_id=1,
             train_dataset=tiny_train_dataset,
             test_dataset=tiny_test_dataset,
-            model_factory=small_flnet_factory(num_channels),
-            config=dataclasses.replace(SMALL_FL_CONFIG, proximal_mu=0.5, compute_dtype=dtype),
+            model_factory=make_factory(num_channels),
+            config=dataclasses.replace(TINY_CONFIG, proximal_mu=0.5, compute_dtype=dtype),
         )
-        initial = small_flnet_factory(num_channels)().state_dict()
+        initial = make_factory(num_channels)().state_dict()
         frozen = {name: value.copy() for name, value in initial.items()}
         for value in frozen.values():
             value.setflags(write=False)
@@ -200,16 +183,16 @@ class TestFederatedClient:
         assert all(frozen[name].tobytes() == initial[name].tobytes() for name in initial)
 
     def test_fine_tune_moves_parameters(self, client, num_channels):
-        initial = small_flnet_factory(num_channels)().state_dict()
+        initial = make_factory(num_channels)().state_dict()
         state, _ = client.fine_tune(initial, steps=2)
         assert state_distance(state, initial) > 0
 
     def test_training_loss_finite(self, client, num_channels):
-        initial = small_flnet_factory(num_channels)().state_dict()
+        initial = make_factory(num_channels)().state_dict()
         assert np.isfinite(client.training_loss(initial))
 
     def test_evaluate_auc_in_unit_interval(self, client, num_channels):
-        initial = small_flnet_factory(num_channels)().state_dict()
+        initial = make_factory(num_channels)().state_dict()
         auc = client.evaluate_auc(initial)
         assert 0.0 <= auc <= 1.0
 
@@ -221,8 +204,8 @@ class TestFederatedClient:
                 client_id=2,
                 train_dataset=RoutabilityDataset(),
                 test_dataset=tiny_test_dataset,
-                model_factory=small_flnet_factory(num_channels),
-                config=SMALL_FL_CONFIG,
+                model_factory=make_factory(num_channels),
+                config=TINY_CONFIG,
             )
 
     def test_from_client_data(self, tiny_train_dataset, tiny_test_dataset, num_channels):
@@ -234,6 +217,6 @@ class TestFederatedClient:
             test=tiny_test_dataset,
         )
         client = FederatedClient.from_client_data(
-            data, small_flnet_factory(num_channels), SMALL_FL_CONFIG
+            data, make_factory(num_channels), TINY_CONFIG
         )
         assert client.client_id == 4

@@ -25,14 +25,15 @@ from __future__ import annotations
 import pickle
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.fl import (
     Channel,
+    CheckpointManager,
     FederatedClient,
-    FLConfig,
     IdentityCodec,
     ProcessPoolBackend,
     QuantizationCodec,
@@ -55,22 +56,11 @@ from repro.fl.transport.envelope import (
     unpack_envelope,
 )
 from repro.fl.trainer import LocalTrainer
-from repro.models import FLNet, RouteNet
+from repro.models import RouteNet
+from conftest import TINY_CONFIG, build_named, make_factory, run_named, states_equal
 from test_state_door import load_fl_oracles
 
 O = load_fl_oracles()
-
-TINY_CONFIG = FLConfig(
-    rounds=2,
-    local_steps=2,
-    finetune_steps=3,
-    learning_rate=3e-3,
-    batch_size=2,
-    num_clusters=2,
-    assigned_clusters=((1, 0), (2, 1)),
-    ifca_eval_batches=1,
-    proximal_mu=1e-3,
-)
 
 
 def residual_norm(channel, client_id):
@@ -88,44 +78,6 @@ def _state(seed=0):
         "conv.bias": rng.normal(size=4),
         "scale": np.full((2, 2), 1.25),
     }
-
-
-def states_equal(left, right) -> bool:
-    return set(left) == set(right) and all(np.array_equal(left[k], right[k]) for k in left)
-
-
-class TinyModelBuilder:
-    """Module-level builder so clients stay picklable for the process pool."""
-
-    def __init__(self, channels: int):
-        self.channels = channels
-
-    def __call__(self, seed: int) -> FLNet:
-        return FLNet(self.channels, hidden_filters=8, kernel_size=5, seed=seed)
-
-
-def make_factory(num_channels: int) -> SeededModelFactory:
-    return SeededModelFactory(TinyModelBuilder(num_channels), base_seed=0)
-
-
-@pytest.fixture
-def make_clients(
-    tiny_train_dataset,
-    tiny_test_dataset,
-    tiny_train_dataset_itc,
-    tiny_test_dataset_itc,
-    num_channels,
-):
-    """A callable producing a *fresh* 2-client roster (fresh RNG streams)."""
-
-    def build(config: FLConfig = TINY_CONFIG):
-        factory = make_factory(num_channels)
-        return [
-            FederatedClient(1, tiny_train_dataset, tiny_test_dataset, factory, config),
-            FederatedClient(2, tiny_train_dataset_itc, tiny_test_dataset_itc, factory, config),
-        ]
-
-    return build
 
 
 class TestIdentityCodec:
@@ -501,7 +453,7 @@ class TestBroadcastDecode:
             ("process", ProcessPoolBackend(workers=2)),
         ):
             channel = _counting_channel(delta)
-            runs[name] = run_fedavg(make_clients(), num_channels, backend=backend, channel=channel)
+            runs[name] = run_named("fedavg", make_clients(), num_channels, backend=backend, channel=channel)
             decodes = channel.downlink_codec.decodes
             if name == "process":
                 # The workers decode their own envelopes; here only the
@@ -648,58 +600,26 @@ class TestCarrierEnvelope:
             decode_carrier(pack_envelope({"state": None, "wire": None}))
 
 
-def run_fedavg(clients, num_channels, backend=None, channel=None, config=TINY_CONFIG):
-    algorithm = create_algorithm(
-        "fedavg",
-        clients,
-        make_factory(num_channels),
-        config,
-        backend=backend,
-        channel=channel,
-    )
-    try:
-        return algorithm.run()
-    finally:
-        if backend is not None:
-            backend.close()
-
-
 class TestChannelTrainingIntegration:
-    def test_identity_channel_is_bit_identical_to_no_channel(self, make_clients, num_channels):
-        # The float64 identity codec must be invisible: same states, same
-        # losses, bit for bit, as a run without any transport layer.
-        bare = run_fedavg(make_clients(), num_channels)
-        routed = run_fedavg(make_clients(), num_channels, channel=create_channel("none"))
-        assert states_equal(bare.global_state, routed.global_state)
-        assert [r.mean_loss for r in bare.history] == [r.mean_loss for r in routed.history]
-
     def test_identity_channel_measures_real_bytes(self, make_clients, num_channels):
         channel = create_channel("none")
         clients = make_clients()
-        run_fedavg(clients, num_channels, channel=channel)
+        run_named("fedavg", clients, num_channels, channel=channel)
         summary = channel.summary()
         state_size = state_bytes(make_factory(num_channels)().state_dict())
         rounds, n_clients = TINY_CONFIG.rounds, len(clients)
         assert summary.total_downlink_bytes == rounds * n_clients * state_size
         assert summary.total_uplink_bytes == rounds * n_clients * state_size
 
-    @pytest.mark.parametrize(
-        "compression", ["none", "float16", "quantize", "topk"]
-    )
+    @pytest.mark.parametrize("compression", ["float16"])
     def test_serial_and_process_bit_identical_under_every_codec(
         self, compression, make_clients, num_channels
     ):
-        serial = run_fedavg(
-            make_clients(),
-            num_channels,
-            backend=SerialBackend(),
-            channel=create_channel(compression, topk_fraction=0.25),
-        )
-        parallel = run_fedavg(
-            make_clients(),
-            num_channels,
-            backend=ProcessPoolBackend(workers=2),
-            channel=create_channel(compression, topk_fraction=0.25),
+        """The codecs of the parity matrix's codec axis are its cells'."""
+        serial, parallel = (
+            run_named("fedavg", make_clients(), num_channels, backend=backend,
+                      channel=create_channel(compression, topk_fraction=0.25))
+            for backend in (SerialBackend(), ProcessPoolBackend(workers=2))
         )
         assert states_equal(serial.global_state, parallel.global_state)
         assert [r.mean_loss for r in serial.history] == [r.mean_loss for r in parallel.history]
@@ -707,10 +627,7 @@ class TestChannelTrainingIntegration:
     def test_local_baseline_measures_zero_bytes(self, make_clients, num_channels):
         # Locally created initial states never cross the wire.
         channel = create_channel("none")
-        algorithm = create_algorithm(
-            "local", make_clients(), make_factory(num_channels), TINY_CONFIG, channel=channel
-        )
-        algorithm.run()
+        build_named("local", make_clients(), num_channels, channel=channel).run()
         assert channel.summary().total_bytes == 0
 
     def test_finetune_stage_is_downlink_only(self, make_clients, num_channels):
@@ -718,14 +635,7 @@ class TestChannelTrainingIntegration:
         # fine-tuning pass only downloads (the personalized model stays on
         # the client).
         channel = create_channel("none")
-        algorithm = create_algorithm(
-            "fedprox_finetune",
-            make_clients(),
-            make_factory(num_channels),
-            TINY_CONFIG,
-            channel=channel,
-        )
-        algorithm.run()
+        build_named("fedprox_finetune", make_clients(), num_channels, channel=channel).run()
         summary = channel.summary()
         assert summary.rounds == TINY_CONFIG.rounds + 1
         uplink_rounds = set(summary.uplink_bytes_per_round)
@@ -733,35 +643,21 @@ class TestChannelTrainingIntegration:
         assert downlink_rounds == set(range(TINY_CONFIG.rounds + 1))
         assert uplink_rounds == set(range(TINY_CONFIG.rounds))
 
-    def test_fedbn_private_parameters_never_cross_the_codec(
-        self,
-        tiny_train_dataset,
-        tiny_test_dataset,
-        tiny_train_dataset_itc,
-        tiny_test_dataset_itc,
-        num_channels,
-    ):
+    def test_fedbn_private_parameters_never_cross_the_codec(self, client_data, num_channels):
         # FedBN under a lossy wire: the shared part is billed and
         # reconstructed from real payloads, but each client's private
         # normalization statistics must come back bit-exact — they never
         # leave the client, so the codec must never touch them.
-        from repro.fl import state_bytes
         from repro.fl.algorithms.fedbn import normalization_parameter_names
-        from repro.models import RouteNet
 
         factory = SeededModelFactory(
             lambda seed: RouteNet(num_channels, base_filters=4, seed=seed), base_seed=0
         )
-        clients = [
-            FederatedClient(1, tiny_train_dataset, tiny_test_dataset, factory, TINY_CONFIG),
-            FederatedClient(2, tiny_train_dataset_itc, tiny_test_dataset_itc, factory, TINY_CONFIG),
-        ]
+        clients = [FederatedClient(k, data.train, data.test, factory, TINY_CONFIG) for k, data in enumerate(client_data, 1)]
         norm_names = normalization_parameter_names(factory())
 
         channel = create_channel("float16")
-        lossy = create_algorithm(
-            "fedbn", clients, factory, TINY_CONFIG, channel=channel
-        ).run()
+        lossy = create_algorithm("fedbn", clients, factory, TINY_CONFIG, channel=channel).run()
 
         # If the private normalization statistics had passed through the
         # float16 wire, every value would be exactly float16-representable;
@@ -808,23 +704,11 @@ class TestChannelTrainingIntegration:
     def test_checkpoint_refuses_different_transport(self, tmp_path, make_clients, num_channels):
         # A checkpoint written under a lossy codec must not silently resume
         # into a run with different (or no) transport settings.
-        from repro.fl import CheckpointManager
-
-        create_algorithm(
-            "fedavg",
-            make_clients(),
-            make_factory(num_channels),
-            TINY_CONFIG,
-            checkpoint=CheckpointManager(tmp_path),
+        run_named(
+            "fedavg", make_clients(), num_channels, checkpoint=CheckpointManager(tmp_path),
             channel=create_channel("quantize"),
-        ).run()
-        resumed = create_algorithm(
-            "fedavg",
-            make_clients(),
-            make_factory(num_channels),
-            TINY_CONFIG,
-            checkpoint=CheckpointManager(tmp_path),
         )
+        resumed = build_named("fedavg", make_clients(), num_channels, checkpoint=CheckpointManager(tmp_path))
         with pytest.raises(ValueError, match="written by a different run"):
             resumed.run()
 
@@ -832,13 +716,9 @@ class TestChannelTrainingIntegration:
         # A seeded FedAvg run with sparsified delta uploads + error feedback
         # must still train: the final round's mean loss improves on the
         # first round's.
-        from dataclasses import replace
-
         config = replace(TINY_CONFIG, rounds=4)
         channel = create_channel("topk", topk_fraction=0.25)
-        training = run_fedavg(
-            make_clients(config), num_channels, channel=channel, config=config
-        )
+        training = run_named("fedavg", make_clients(config), num_channels, config, channel=channel)
         losses = [record.mean_loss for record in training.history]
         assert np.all(np.isfinite(losses))
         assert losses[-1] < losses[0]
