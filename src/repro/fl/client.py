@@ -14,6 +14,11 @@ compute dtype; it is never computed with.  Each client still calls its
 factory once, at construction (a seeded factory counts its calls), and a
 thread deep-copies the template rather than call it again.  Both tables are
 weakly keyed, and a pickled roster carries its one template.
+
+A model is one vector (:mod:`repro.nn.module`): the copy a thread lends is
+packed like its template, so a task loads the received state with one copy
+of its vector (entry by entry when it arrives in sorted wire order), and
+exports the trained state with one cast copy (``flat_model_state``).
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ _LENT = _LentModels()
 
 
 def lent_model(template: RoutabilityModel) -> RoutabilityModel:
-    """The calling thread's copy of ``template``, deep-copied on first use."""
+    """The calling thread's copy of ``template``, deep-copied (vectors and all) on first use."""
     model = _LENT.models.get(template)
     if model is None:
         model = _LENT.models[template] = copy.deepcopy(template)
@@ -84,8 +89,9 @@ class FederatedClient:
         self.train_dataset = train_dataset
         self.test_dataset = test_dataset
         self.config = config
-        # The compute-dtype boundary: a template is switched once, here; loads
-        # cast float64 states down in place, flat_model_state casts back up.
+        # The compute-dtype boundary: a template is switched (packed anew) once,
+        # here; loads cast float64 states down into the model's vector, and
+        # flat_model_state casts it back up.
         model = model_factory().set_compute_dtype(config.compute_dtype)
         self._template = _TEMPLATES.setdefault(model_factory, {}).setdefault(model.compute_dtype, model)
         self._rng = np.random.default_rng(client_id)

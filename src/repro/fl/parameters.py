@@ -334,16 +334,31 @@ def as_flat_state(state: State) -> FlatState:
 
 
 def flat_model_state(model) -> FlatState:
-    """A model's ``state_dict`` packed straight into a flat buffer.
+    """A model's state as a flat state: one (cast) copy of its packed vector.
 
-    One copy from the parameters/buffers into the contiguous vector —
-    instead of ``state_dict()``'s per-tensor copies followed by a pack.
-    Value-identical to :meth:`repro.nn.Module.state_dict` (same names, same
-    order, same float64 values).
+    The model's ``[parameters | buffers]`` vector (:attr:`repro.nn.Module.flat`)
+    is laid out in ``state_dict`` order, so this is value-identical to
+    :meth:`repro.nn.Module.state_dict` (same names, same order, same
+    float64 values).
     """
-    pairs = [(name, param.data) for name, param in model.named_parameters()]
-    pairs += [(name, np.asarray(buf)) for name, buf in model.named_buffers()]
-    return FlatState.from_items(pairs)
+    return FlatState(model_layout(model), model.flat.vector.astype(np.float64))
+
+
+#: packed vectors -> their layout, held as long as the model's packing lives.
+_MODEL_LAYOUTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def model_layout(model) -> StateLayout:
+    """The layout of ``model``'s packed vector, ``state_dict`` order.
+
+    The model's packing holds it, so a lent model's layout (and the gather
+    caches it carries) outlives the states it exports.
+    """
+    flat = model.flat
+    layout = _MODEL_LAYOUTS.get(flat)
+    if layout is None:
+        layout = _MODEL_LAYOUTS[flat] = StateLayout.of(flat.entries)
+    return layout
 
 
 def state_vector(state: State, layout: Optional[StateLayout] = None) -> np.ndarray:

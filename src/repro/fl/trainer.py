@@ -17,48 +17,59 @@ the client boundary stay ``float64`` either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.data.dataset import RoutabilityDataset
 from repro.data.loader import DataLoader, infinite_batches
-from repro.fl.parameters import State
+from repro.fl.parameters import State, as_flat_state, model_layout
 from repro.models.base import RoutabilityModel
 from repro.nn.dtypes import resolve_compute_dtype
 from repro.nn.losses import Loss, make_loss
 from repro.nn.optim import Optimizer, make_optimizer
-from repro.nn.parameter import Parameter
 from repro.nn.workspace import release_scratch
 from repro.utils.validation import check_positive
 
 
-def proximal_terms(
-    model: RoutabilityModel, reference: State, optimizer: Optimizer
-) -> List[Tuple[Parameter, np.ndarray, np.ndarray]]:
-    """``(param, reference tensor, scratch view)`` per parameter ``reference`` names.
+def reference_run(model: RoutabilityModel, reference: State) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(vector, index)``: where :func:`add_proximal_gradient` reads FedProx's reference.
 
-    Each scratch view is the first of ``optimizer``'s work views of that
-    parameter: the proximal term is consumed before ``step()`` overwrites
-    it, so it allocates nothing of its own.
+    The reference of the parameter run's block ``span`` is
+    ``vector[span]`` when ``reference`` is in the model's own layout, else
+    ``vector[index[span]]`` (a cached gather, e.g. from sorted wire order).
+    ``vector`` is in the model's compute dtype: a float32 model's reference
+    is cast once per call, so the term runs entirely in float32.
     """
-    return [
-        (param, reference[name], optimizer.work_views(param)[0])
-        for name, param in model.named_parameters()
-        if name in reference
-    ]
+    reference = as_flat_state(reference)
+    num_params = model.flat.grad.size
+    vector = reference.vector.astype(model.flat.grad.dtype, copy=False)
+    layout = model_layout(model)
+    if reference.layout is layout:
+        return vector, None
+    return vector, layout.gather_from(reference.layout)[:num_params]
 
 
-def add_proximal_gradient(terms: List[Tuple[Parameter, np.ndarray, np.ndarray]], mu: float) -> None:
-    """``grad += 2.0 * mu * (data - reference)`` per term, through its scratch view.
+def add_proximal_gradient(
+    optimizer: Optimizer, reference: np.ndarray, index: Optional[np.ndarray], mu: float
+) -> None:
+    """``grad += 2.0 * mu * (data - reference)`` over the optimizer's blocks.
 
-    The same IEEE operations in the same order as the expression form.
+    A block's reference is gathered into the first work buffer, which
+    ``step()`` overwrites only after the term is consumed, so this
+    allocates nothing of its own.  The same IEEE operations on the same
+    values as the expression form.
     """
     coefficient = 2.0 * mu
-    for param, reference, scratch in terms:
-        np.subtract(param.data, reference, out=scratch)
-        np.multiply(scratch, coefficient, out=scratch)
-        np.add(param.grad, scratch, out=param.grad)
+    for span, data, grad, work, _ in optimizer.blocks():
+        if index is None:
+            values = reference[span]
+        else:
+            # Indices are in range by construction; "clip" skips take's buffering of out.
+            values = np.take(reference, index[span], out=work, mode="clip")
+        np.subtract(data, values, out=work)
+        np.multiply(work, coefficient, out=work)
+        np.add(grad, work, out=grad)
 
 
 @dataclass
@@ -139,15 +150,7 @@ class LocalTrainer:
             lr=self.learning_rate,
             weight_decay=self.weight_decay,
         )
-        reference = proximal_reference if proximal_mu > 0 else None
-        if reference is not None and self.compute_dtype != np.dtype(np.float64):
-            # One cast per call instead of one upcast per parameter per step:
-            # the proximal arithmetic then runs entirely in the compute dtype.
-            reference = {
-                name: np.asarray(value, dtype=self.compute_dtype)
-                for name, value in reference.items()
-            }
-        proximal = proximal_terms(model, reference, optimizer) if reference is not None else []
+        proximal = reference_run(model, proximal_reference) if proximal_mu > 0 else None
 
         model.train()
         losses = np.zeros(steps, dtype=np.float64)
@@ -156,7 +159,8 @@ class LocalTrainer:
             predictions = model.forward(features)
             losses[step] = loss_fn.forward(predictions, labels)
             model.backward(loss_fn.backward())
-            add_proximal_gradient(proximal, proximal_mu)
+            if proximal is not None:
+                add_proximal_gradient(optimizer, *proximal, proximal_mu)
             optimizer.step()
         # Local computation is over: lend the scratch and the optimizer's
         # state to whoever trains next on this thread (see repro.nn.workspace).

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,27 +19,23 @@ class Parameter:
         carries them — and the matching ``grad`` buffers — as ``float32``
         for the duration of local training.
     grad:
-        Accumulated gradient of the loss with respect to ``data``.  It is
-        always allocated with the same shape and dtype as ``data`` and reset
-        to zero by :meth:`zero_grad` (called by optimizers / modules between
-        steps).
+        Accumulated gradient of the loss with respect to ``data``, of the
+        same shape and dtype.  Layers accumulate into it in place.
     name:
         Optional dotted name assigned when the parameter is registered in a
         module hierarchy; used for state dicts and per-parameter policies
         (e.g. FedProx-LG global/local partitioning).
+
+    Inside a model, ``data`` and ``grad`` are views into the model's packed
+    vectors (:meth:`repro.nn.Module.pack`): write them in place, never
+    rebind them.  A parameter built on its own holds arrays of its own until
+    an optimizer or a module packs it.
     """
 
     def __init__(self, data: np.ndarray, name: Optional[str] = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data)
         self.name = name
-
-    def to_dtype(self, dtype) -> None:
-        """Cast ``data`` and ``grad`` to ``dtype`` in place (no-op when equal)."""
-        dtype = np.dtype(dtype)
-        if self.data.dtype != dtype:
-            self.data = self.data.astype(dtype)
-            self.grad = self.grad.astype(dtype)
 
     @property
     def shape(self):
@@ -49,24 +45,67 @@ class Parameter:
     def size(self) -> int:
         return int(self.data.size)
 
-    def zero_grad(self) -> None:
-        """Reset the gradient buffer to zeros in place."""
-        self.grad.fill(0.0)
+    @property
+    def packed(self) -> bool:
+        """Whether ``data`` and ``grad`` are views into packed vectors."""
+        return self.grad.base is not None
 
-    def copy_(self, values: np.ndarray) -> None:
-        """Copy ``values`` into the parameter in place (shape-checked).
+    # -- pickling: a packed parameter's values travel in its model's vectors ----
+    def __getstate__(self) -> Dict[str, object]:
+        """Everything but a packed parameter's views, which its model rebinds on load.
 
-        Values are cast to the parameter's own dtype: this is the single
-        downcast a float32 model performs when loading a float64 state
-        (``load_state_dict`` is the compute-dtype boundary).
+        So a packed parameter is pickled (or deep-copied) with its model,
+        never on its own.
         """
-        values = np.asarray(values)
-        if values.shape != self.data.shape:
-            raise ValueError(
-                f"cannot copy array of shape {values.shape} into parameter "
-                f"{self.name or '<unnamed>'} of shape {self.data.shape}"
-            )
-        np.copyto(self.data, values, casting="same_kind")
+        if not self.packed:
+            return self.__dict__.copy()
+        return {key: value for key, value in self.__dict__.items() if key not in ("data", "grad")}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"
+
+
+def bind_parameter(param: Parameter, data: np.ndarray, grad: np.ndarray, offset: int, shape) -> int:
+    """Point ``param`` at its slot of the vectors ``data`` / ``grad``; returns the slot's end."""
+    end = offset + int(np.prod(shape, dtype=np.int64))
+    param.data = data[offset:end].reshape(shape)
+    param.grad = grad[offset:end].reshape(shape)
+    return end
+
+
+def parameter_run(parameters: Sequence[Parameter]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(data, grad)``: the 1-D runs that ``parameters`` are the slots of.
+
+    A packed model's parameters (in any order) are the whole parameter run
+    of its vectors, which is returned as it is.  Parameters that own their
+    values (built one by one) are packed here into a fresh pair of vectors,
+    in the given order.  Anything else — a subset of a model's parameters,
+    or parameters of two models — is refused: packing those anew would cut
+    them off from their model.
+    """
+    params = list(parameters)
+    dtype = params[0].data.dtype
+    total = sum(param.size for param in params)
+    if all(param.packed for param in params):
+        grad_base = params[0].grad.base
+        data_base = params[0].data.base
+        whole = (
+            grad_base.ndim == 1
+            and grad_base.size == total
+            and len({id(param) for param in params}) == len(params)
+            and all(param.grad.base is grad_base and param.data.base is data_base for param in params)
+        )
+        if whole:
+            return data_base[:total], grad_base
+    if any(param.packed for param in params):
+        raise ValueError("parameters are views of a packed model but not all of its parameters")
+    data = np.empty(total, dtype=dtype)
+    grad = np.empty(total, dtype=dtype)
+    offset = 0
+    for param in params:
+        values, gradient = param.data, param.grad
+        end = bind_parameter(param, data, grad, offset, values.shape)
+        np.copyto(param.data, values)
+        np.copyto(param.grad, gradient)
+        offset = end
+    return data, grad

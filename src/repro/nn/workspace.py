@@ -27,12 +27,14 @@ module: one per worker thread on the thread backend, one per joiner
 process on the process backend.  It holds at most one buffer per distinct
 ``(shape, dtype)`` per simultaneous holder, and is never trimmed.
 
-The optimizer of a local run (:mod:`repro.nn.optim`) borrows the same way:
-each moment (Adam's two, SGD's velocity) is a zero-filled buffer per
-parameter, and its work pair two buffers sized to the largest parameter
-(FedProx's proximal term is staged in the first).  ``train_steps`` hands
-them back with ``release_scratch(optimizer)`` next to the model's release,
-so a warm client task allocates only the state it returns.
+The optimizer of a local run (:mod:`repro.nn.optim`) borrows the same way.
+It steps the model's packed parameter run (:mod:`repro.nn.module`) in
+blocks: each moment (Adam's two, SGD's velocity) is one buffer as long as
+the run, and its work pair two buffers of one block each (FedProx's
+proximal term is staged in the first).  For RouteNet that is 2 × 2.9 MB +
+2 × 128 KiB per thread.  ``train_steps`` hands them back with
+``release_scratch(optimizer)`` next to the model's release, so a warm
+client task allocates only the state it returns.
 
 Aliasing rules (see ``docs/performance.md``)
 --------------------------------------------
@@ -45,8 +47,8 @@ Aliasing rules (see ``docs/performance.md``)
   ``predict_dataset`` collects per-batch outputs), so they must never alias
   a workspace.
 * An optimizer's moments are the one lent state kept *across* steps, and
-  only between the two release points of one run.  They are acquired with
-  ``zeros``, so a recycled moment carries nothing from its last holder.
+  only between the two release points of one run.  Its first step writes
+  them whole, so a recycled moment carries nothing from its last holder.
 * Between two release points a layer owns its buffers exclusively: a buffer
   is either in exactly one workspace or in exactly one thread's pool, and a
   release also forgets the owner's backward cache, so nothing keeps reading

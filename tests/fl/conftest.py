@@ -10,6 +10,7 @@ different numbers.  Test modules import the plain values with
 
 from __future__ import annotations
 
+import asyncio
 import os
 import threading
 from contextlib import contextmanager
@@ -27,7 +28,7 @@ from repro.fl import (
     create_algorithm,
     create_scheduler,
 )
-from repro.fl.net import run_client
+from repro.fl.net.client import FederationClientRunner
 from repro.fl.parameters import state_digest
 from repro.models import FLNet
 
@@ -84,19 +85,27 @@ def scheduled(**options):
 
 
 @contextmanager
-def wire_joiner(backend, server_clients, joiner_clients, **join_options):
+def wire_joiner(backend, server_clients, joiner_clients, patch=None, **join_options):
     """Serve ``server_clients`` on ``backend`` to an in-thread loopback joiner of ``joiner_clients``.
 
     Yields a dict that holds the joiner's report once it has said goodbye;
-    ``join_options`` go to ``run_client``.  On leaving, the backend closes,
-    and the joiner must have wound down with a report: one that raised (lost
-    its session, gave up reconnecting) fails the caller.
+    ``join_options`` go to the ``FederationClientRunner``, and
+    ``patch(runner, loop)``, when given, edits the runner on the joiner's
+    event loop before it connects.  On leaving, the backend closes, and the
+    joiner must have wound down with a report: one that raised (lost its
+    session, gave up reconnecting) fails the caller.
     """
     port = backend.listen([client.client_id for client in server_clients])
+    runner = FederationClientRunner(joiner_clients, "127.0.0.1", port, **join_options)
     holder = {}
 
+    async def run():
+        if patch is not None:
+            patch(runner, asyncio.get_running_loop())
+        return await runner.run()
+
     def join():
-        holder["report"] = run_client(joiner_clients, "127.0.0.1", port, **join_options)
+        holder["report"] = asyncio.run(run())
 
     thread = threading.Thread(target=join, daemon=True)
     thread.start()

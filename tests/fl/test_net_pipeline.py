@@ -38,7 +38,7 @@ from repro.fl.net.messages import (
     encode_message,
 )
 from repro.fl.parameters import state_digest
-from conftest import TINY_CONFIG, make_factory
+from conftest import TINY_CONFIG, make_factory, wire_joiner
 
 #: How long a held send waits for the next task before giving up (so a
 #: joiner that does not overlap fails the test instead of hanging it).
@@ -60,30 +60,18 @@ def serve_and_join(make_roster, count: int, patch):
     """One FedAvg run over loopback with a joiner whose runner ``patch`` edits.
 
     ``patch(runner, loop)`` runs on the joiner's event loop before it
-    connects.  Returns ``(final digest, network summary, join report)``.
+    connects; a joiner that raises fails the test (``conftest.wire_joiner``).
+    Returns ``(final digest, network summary, join report)``.
     """
     backend = WireBackend(port=0, heartbeat_interval=0.2, client_timeout=1.5)
     server_clients, factory = make_roster(count)
-    port = backend.listen([client.client_id for client in server_clients])
-    runner = FederationClientRunner(make_roster(count)[0], "127.0.0.1", port, reconnect_delay=0.05)
-
-    async def join():
-        patch(runner, asyncio.get_running_loop())
-        return await runner.run()
-
-    thread = threading.Thread(target=lambda: asyncio.run(join()), daemon=True)
-    thread.start()
-    try:
+    with wire_joiner(backend, server_clients, make_roster(count)[0], patch=patch, reconnect_delay=0.05) as joined:
         algorithm = create_algorithm(
             "fedavg", server_clients, factory, TINY_CONFIG, backend=backend, resilience=ResilienceManager()
         )
         digest = state_digest(algorithm.run().global_state)
         network = backend.network_summary()
-    finally:
-        backend.close()
-    thread.join(timeout=30)
-    assert not thread.is_alive(), "the joiner did not wind down after GOODBYE"
-    return digest, network, runner.report
+    return digest, network, joined["report"]
 
 
 def update_key(message):

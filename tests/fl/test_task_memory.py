@@ -1,4 +1,4 @@
-"""What a warm client task allocates, counted in states.
+"""What a warm client task, and each per-model pass in it, allocates, counted in states.
 
 A client task trains a lent model (:mod:`repro.fl.client`) whose layer
 scratch and optimizer state are borrowed from the thread's pool
@@ -8,9 +8,15 @@ parameters besides.  ``tracemalloc`` sees every NumPy buffer, so the peak
 above the baseline of a warm second ``local_train`` catches a state-sized
 temporary however it is spelled; it counts the same on any box.
 
-Measured: 1.06 states for RouteNet 8x8 under FedAvg (2.98 while every
-task built its optimizer's moments and work pair afresh) and 1.70 for
+Measured: 1.05 states for RouteNet 8x8 under FedAvg (2.98 while every
+task built its optimizer's moments and work pair afresh) and 1.69 for
 RouteNet 16x16 under FedProx (5.06 with a proximal scratch of its own too).
+
+The passes over a packed model (:mod:`repro.nn.module`) are counted one by
+one: exporting the state allocates the one state it returns, a load in the
+model's own order or in sorted (wire) order allocates next to nothing, and
+a warm ``Adam.step`` no buffer, only the few Python objects of its views
+(about 2 KB).
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ import pytest
 
 from repro.data.dataset import PlacementSample, RoutabilityDataset
 from repro.fl import FederatedClient, FLConfig, SeededModelFactory
-from repro.fl.parameters import flat_model_state
+from repro.fl.parameters import FlatState, flat_model_state
 from repro.models import RouteNet
+from repro.nn.optim import Adam
 
 CHANNELS = 6
 
@@ -74,3 +81,43 @@ def test_a_warm_task_allocates_about_the_state_it_returns(grid, steps, batch_siz
     states = peak / state.vector.nbytes
     assert returned.vector.nbytes == state.vector.nbytes
     assert 1.0 <= states <= bound, f"a warm task peaked at {states:.2f} states"
+
+
+def traced_peak(action) -> int:
+    """Bytes ``action()`` held at its peak above what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        action()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_exporting_the_state_allocates_the_one_state():
+    model = Builder()(0)
+    state = flat_model_state(model)
+    states = traced_peak(lambda: flat_model_state(model)) / state.vector.nbytes
+    assert 1.0 <= states < 1.05, f"flat_model_state peaked at {states:.3f} states"
+
+
+@pytest.mark.parametrize("order", ["model", "sorted"])
+def test_a_load_allocates_no_state(order):
+    model = Builder()(0)
+    state = flat_model_state(Builder()(1))
+    if order == "sorted":
+        state = FlatState.from_items(sorted(state.items()))
+    model.load_state_dict(state)
+    states = traced_peak(lambda: model.load_state_dict(state)) / state.vector.nbytes
+    assert states < 0.05, f"a {order}-order load peaked at {states:.3f} states"
+    assert model.flat.vector.tobytes() == flat_model_state(Builder()(1)).vector.tobytes()
+
+
+def test_a_warm_adam_step_allocates_nothing():
+    model = Builder()(0)
+    model.flat.grad[...] = np.random.default_rng(0).normal(size=model.flat.grad.size)
+    optimizer = Adam(model.parameters(), lr=1e-3, weight_decay=1e-5)
+    optimizer.step()  # acquires the moments and the work pair
+    peak = traced_peak(optimizer.step)
+    assert peak < 4096, f"a warm Adam step peaked at {peak} bytes"

@@ -7,10 +7,10 @@ import pytest
 
 from repro.fl import FLConfig, FederatedClient, LocalTrainer, predict_dataset
 from repro.fl.config import PAPER_ASSIGNED_CLUSTERS
-from repro.fl.parameters import state_distance
-from repro.fl.trainer import add_proximal_gradient, proximal_terms
+from repro.fl.parameters import FlatState, flat_model_state, state_distance
+from repro.fl.trainer import add_proximal_gradient, reference_run
 from repro.models import RouteNet
-from repro.nn.optim import Adam
+from repro.nn.optim import BLOCK, Adam
 from conftest import TINY_CONFIG, make_factory
 from test_state_door import load_fl_oracles
 
@@ -88,34 +88,27 @@ class TestLocalTrainer:
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_in_place_proximal_term_equals_the_expression_form(self, dtype):
-        # grad += 2 mu (data - ref) through the optimizer's work buffer, bit
-        # for bit the expression form; names the reference lacks are skipped.
+        # grad += 2 mu (data - ref) over the optimizer's blocks, bit for bit the
+        # expression form on the reference cast to the compute dtype, whether
+        # the reference is in the model's order or in sorted (wire) order.
         generator = np.random.default_rng(7)
         model = RouteNet(3, seed=2).set_compute_dtype(dtype)
+        state = flat_model_state(model)
+        reference = FlatState(state.layout, state.vector + generator.normal(scale=1e-2, size=state.vector.size))
+        wire_order = FlatState.from_items(sorted(reference.items()))
+        assert model.flat.grad.size > BLOCK  # more than one block
         named = dict(model.named_parameters())
-        reference = {
-            name: (param.data + generator.normal(scale=1e-2, size=param.data.shape)).astype(dtype)
-            for name, param in named.items()
-            if not name.endswith("bias")
-        }
-        for param in named.values():
-            param.grad[...] = generator.normal(size=param.data.shape)
-        expected = {
-            name: proximal_gradient_oracle(param.grad, param.data, reference[name], 0.37)
-            if name in reference
-            else param.grad.copy()
-            for name, param in named.items()
-        }
-        optimizer = Adam(model.parameters(), lr=1e-3)
-        terms = proximal_terms(model, reference, optimizer)
-        assert len(terms) == len(reference) < len(named)
-        # Every view lies in the optimizer's first work buffer: no scratch of its own.
-        assert len({id(view.base) for _, _, view in terms}) == 1
-        assert all(np.shares_memory(view, optimizer.work_views(param)[0]) for param, _, view in terms)
-        add_proximal_gradient(terms, 0.37)
-        for name, param in named.items():
-            assert param.grad.dtype == np.dtype(dtype)
-            assert param.grad.tobytes() == expected[name].tobytes(), name
+        for source in (reference, wire_order):
+            model.flat.grad[...] = generator.normal(size=model.flat.grad.size)
+            expected = {
+                name: proximal_gradient_oracle(param.grad, param.data, reference[name].astype(dtype), 0.37)
+                for name, param in named.items()
+            }
+            optimizer = Adam(model.parameters(), lr=1e-3)
+            add_proximal_gradient(optimizer, *reference_run(model, source), 0.37)
+            for name, param in named.items():
+                assert param.grad.dtype == np.dtype(dtype)
+                assert param.grad.tobytes() == expected[name].tobytes(), name
 
     def test_proximal_requires_reference(self, tiny_train_dataset, num_channels):
         trainer = LocalTrainer(batch_size=2)

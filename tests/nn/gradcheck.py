@@ -83,9 +83,9 @@ def check_layer_parameter_gradients(
     for name, param in layer.named_parameters():
         def scalarized(values: np.ndarray, target_param=param) -> float:
             original = target_param.data.copy()
-            target_param.data = values.reshape(original.shape)
+            target_param.data[...] = values.reshape(original.shape)
             out = float(np.sum(layer.forward(x) * seed_grad))
-            target_param.data = original
+            target_param.data[...] = original
             return out
 
         numeric = numerical_gradient(scalarized, param.data.copy().reshape(-1), eps=eps)

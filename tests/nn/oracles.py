@@ -99,3 +99,42 @@ def on_cold_pool(compute):
         return compute()
     finally:
         _POOL.free = parked
+
+
+class SGDOracle:
+    """SGD in expression form, one parameter at a time: the loop a packed run replaced."""
+
+    def __init__(self, parameters, lr, momentum=0.0, weight_decay=0.0):
+        self.parameters = list(parameters)
+        self.lr, self.momentum, self.weight_decay = lr, momentum, weight_decay
+        self.velocity = [np.zeros_like(param.data) for param in self.parameters]
+
+    def step(self):
+        for index, param in enumerate(self.parameters):
+            grad = param.grad + self.weight_decay * param.data if self.weight_decay else param.grad
+            if self.momentum:
+                self.velocity[index] = self.momentum * self.velocity[index] + grad
+                grad = self.velocity[index]
+            param.data -= self.lr * grad
+
+
+class AdamOracle:
+    """Adam in expression form, one parameter at a time: the loop a packed run replaced."""
+
+    def __init__(self, parameters, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.parameters = list(parameters)
+        self.lr, self.weight_decay = lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.first = [np.zeros_like(param.data) for param in self.parameters]
+        self.second = [np.zeros_like(param.data) for param in self.parameters]
+        self.t = 0
+
+    def step(self):
+        self.t += 1
+        bias1 = 1.0 - self.beta1**self.t
+        bias2 = 1.0 - self.beta2**self.t
+        for index, param in enumerate(self.parameters):
+            grad = param.grad + self.weight_decay * param.data if self.weight_decay else param.grad
+            m = self.first[index] = self.beta1 * self.first[index] + (1.0 - self.beta1) * grad
+            v = self.second[index] = self.beta2 * self.second[index] + (1.0 - self.beta2) * grad**2
+            param.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)

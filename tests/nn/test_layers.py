@@ -49,7 +49,7 @@ class TestConv2d:
 
     def test_known_value_identity_kernel(self):
         conv = Conv2d(1, 1, 1, bias=False, rng=np.random.default_rng(0))
-        conv.weight.copy_(np.ones((1, 1, 1, 1)) * 2.0)
+        conv.weight.data[...] = 2.0
         x = np.arange(9, dtype=float).reshape(1, 1, 3, 3)
         np.testing.assert_allclose(conv(x), 2.0 * x)
 

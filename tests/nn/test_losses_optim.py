@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 from gradcheck import numerical_gradient
+from oracles import AdamOracle, SGDOracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Conv2d, Parameter, load_state_dict, make_loss, make_optimizer, save_state_dict
 from repro.nn import init as nn_init
 from repro.nn.losses import BCELoss, BCEWithLogitsLoss, MSELoss
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import BLOCK, SGD, Adam
 
 
 class TestMSELoss:
@@ -111,7 +112,7 @@ def quadratic_problem(seed=0):
 
     def loss_and_grad():
         diff = param.data - target
-        param.grad = 2.0 * diff
+        param.grad[...] = 2.0 * diff
         return float(np.sum(diff**2))
 
     return param, target, loss_and_grad
@@ -139,7 +140,7 @@ class TestOptimizers:
     def test_adam_step_count(self):
         param = Parameter(np.ones(2))
         adam = Adam([param], lr=0.1)
-        param.grad = np.ones(2)
+        param.grad[...] = 1.0
         adam.step()
         assert adam._step_count == 1
 
@@ -151,7 +152,7 @@ class TestOptimizers:
         m = np.zeros(3)
         v = np.zeros(3)
         for t, grad in enumerate(grads, start=1):
-            param.grad = grad.copy()
+            param.grad[...] = grad
             adam.step()
             m = 0.9 * m + 0.1 * grad
             v = 0.999 * v + 0.001 * grad**2
@@ -163,7 +164,7 @@ class TestOptimizers:
         sgd = make_optimizer("sgd", [param], lr=0.1)
         assert sgd.momentum == 0.9
         for _ in range(2):
-            param.grad = np.ones(2)
+            param.grad[...] = 1.0
             sgd.step()
         # velocity 1 then 1.9: the parameter moved by 0.1 * (1 + 1.9).
         np.testing.assert_allclose(param.data, -0.29, rtol=1e-12)
@@ -206,61 +207,52 @@ class TestInPlaceStepBitIdentity:
         ]
         return initial, grads
 
-    @staticmethod
-    def _reference_sgd(datas, grads, lr, momentum, weight_decay):
-        velocity = {}
-        for step_grads in grads:
-            for index, data in enumerate(datas):
-                grad = step_grads[index] + weight_decay * data if weight_decay else step_grads[index]
-                if momentum:
-                    v = velocity.get(index, np.zeros_like(data))
-                    v = momentum * v + grad
-                    velocity[index] = v
-                    update = v
-                else:
-                    update = grad
-                datas[index] = data - lr * update
-
-    @staticmethod
-    def _reference_adam(datas, grads, lr, beta1, beta2, eps, weight_decay):
-        first, second = {}, {}
-        for t, step_grads in enumerate(grads, start=1):
-            bias1 = 1.0 - beta1**t
-            bias2 = 1.0 - beta2**t
-            for index, data in enumerate(datas):
-                grad = step_grads[index] + weight_decay * data if weight_decay else step_grads[index]
-                m = first.get(index, np.zeros_like(data))
-                v = second.get(index, np.zeros_like(data))
-                m = beta1 * m + (1.0 - beta1) * grad
-                v = beta2 * v + (1.0 - beta2) * grad**2
-                first[index], second[index] = m, v
-                data -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
-
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
     def test_sgd_matches_expression_form(self, momentum, weight_decay):
         initial, grads = self._make_problem()
         params = [Parameter(values.copy()) for values in initial]
         self._run(SGD(params, lr=0.01, momentum=momentum, weight_decay=weight_decay), params, grads)
-        reference = [values.copy() for values in initial]
-        self._reference_sgd(reference, grads, 0.01, momentum, weight_decay)
+        reference = [Parameter(values.copy()) for values in initial]
+        self._run(SGDOracle(reference, lr=0.01, momentum=momentum, weight_decay=weight_decay), reference, grads)
         for param, expected in zip(params, reference):
-            np.testing.assert_array_equal(param.data, expected)
+            np.testing.assert_array_equal(param.data, expected.data)
 
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-5])
     def test_adam_matches_expression_form(self, weight_decay):
         initial, grads = self._make_problem(seed=1)
         params = [Parameter(values.copy()) for values in initial]
         self._run(Adam(params, lr=2e-4, weight_decay=weight_decay), params, grads)
-        reference = [values.copy() for values in initial]
-        self._reference_adam(reference, grads, 2e-4, 0.9, 0.999, 1e-8, weight_decay)
+        reference = [Parameter(values.copy()) for values in initial]
+        self._run(AdamOracle(reference, lr=2e-4, weight_decay=weight_decay), reference, grads)
         for param, expected in zip(params, reference):
-            np.testing.assert_array_equal(param.data, expected)
+            np.testing.assert_array_equal(param.data, expected.data)
+
+    @pytest.mark.parametrize("build", ["adam", "sgd"])
+    def test_first_step_keeps_the_bits_of_a_zeroed_moment(self, build):
+        """The first step writes a moment whole: ``-0`` still becomes ``+0``, as from zeros."""
+        grad = np.array([-0.0, 0.0, -1e-300, 2.5, -3.0, np.inf, -np.inf])
+        param, twin = Parameter(np.arange(7.0)), Parameter(np.arange(7.0))
+        if build == "adam":
+            optimizer, oracle = Adam([param], lr=1e-3), AdamOracle([twin], lr=1e-3)
+            tags, moments = ("m", "v"), (oracle.first, oracle.second)
+        else:
+            optimizer, oracle = SGD([param], lr=1e-3, momentum=0.9), SGDOracle([twin], lr=1e-3, momentum=0.9)
+            tags, moments = ("velocity",), (oracle.velocity,)
+        for step in range(2):
+            param.grad[...] = twin.grad[...] = grad
+            with np.errstate(invalid="ignore"):
+                optimizer.step()
+                oracle.step()
+            held = {tag: buffer for (tag, _, _), buffer in optimizer._ws._buffers.items()}
+            for tag, (expected,) in zip(tags, moments):
+                assert held[tag].tobytes() == expected.tobytes(), (step, tag)
+            assert param.data.tobytes() == twin.data.tobytes(), step
 
     def test_step_allocates_no_new_state_after_first_call(self):
         initial, grads = self._make_problem(seed=2)
-        largest = max(int(np.prod(shape)) for shape in self.SHAPES)
-        for build, moments_per_param in (
+        total = sum(int(np.prod(shape)) for shape in self.SHAPES)
+        for build, moments in (
             (lambda p: Adam(p, lr=1e-3, weight_decay=1e-5), 2),
             (lambda p: SGD(p, lr=0.01, momentum=0.9), 1),
         ):
@@ -272,22 +264,19 @@ class TestInPlaceStepBitIdentity:
             # Everything the optimizer holds is lent from its workspace.
             held = dict(optimizer._ws._buffers)
             pair = [buffer for (tag, _, _), buffer in held.items() if tag in ("work", "work2")]
-            moments = [buffer for (tag, _, _), buffer in held.items() if tag not in ("work", "work2")]
-            # One buffer per parameter and moment, shaped like its parameter.
-            assert len(moments) == moments_per_param * len(params)
-            assert sorted(m.shape for m in moments) == sorted(p.data.shape for p in params for _ in range(moments_per_param))
-            # One pair for the whole optimizer, each sized to the largest parameter.
+            state = [buffer for (tag, _, _), buffer in held.items() if tag not in ("work", "work2")]
+            # One buffer per moment, as long as the parameter run.
+            assert len(state) == moments and all(buffer.shape == (total,) for buffer in state)
+            # One pair for the whole optimizer, each one block long.
             assert len(pair) == 2 and pair[0] is not pair[1]
-            assert all(buffer.shape == (largest,) for buffer in pair)
+            assert all(buffer.shape == (min(total, BLOCK),) for buffer in pair)
             for _ in range(2):
                 optimizer.step()
                 assert optimizer._ws._buffers.keys() == held.keys()
                 assert all(optimizer._ws._buffers[key] is buffer for key, buffer in held.items())
-            # Every parameter's two views lie in that pair.
-            for param in params:
-                views = optimizer.work_views(param)
-                assert all(view.shape == param.data.shape for view in views)
-                assert all(np.shares_memory(view, buffer) for view, buffer in zip(views, pair))
+            # The parameters were packed into the run the optimizer steps.
+            assert all(np.shares_memory(param.data, optimizer.data) for param in params)
+            assert all(np.shares_memory(param.grad, optimizer.grad) for param in params)
 
 
 class TestInit:

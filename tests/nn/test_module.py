@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import BatchNorm2d, Conv2d, Identity, Module, Parameter, ReLU, Sequential
+from repro.models import FLNet
+from repro.nn import BatchNorm2d, Conv2d, Identity, Module, ReLU, Sequential
 
 
 class TinyNet(Module):
@@ -66,6 +67,25 @@ class TestStateDict:
         with pytest.raises(KeyError):
             net.load_state_dict(state)
 
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda state: state.update(bogus=np.zeros(1)), KeyError),
+            (lambda state: state.pop("output_conv.bias"), KeyError),
+            (lambda state: state.update({"input_conv.bias": np.zeros(3)}), ValueError),
+        ],
+        ids=["extra_key", "missing_key", "wrong_shape"],
+    )
+    def test_refused_load_writes_nothing(self, edit, error):
+        model = FLNet(3, hidden_filters=4, kernel_size=3, seed=0)
+        before = model.state_dict()
+        state = dict(FLNet(3, hidden_filters=4, kernel_size=3, seed=1).state_dict())
+        edit(state)
+        with pytest.raises(error):
+            model.load_state_dict(state)
+        after = model.state_dict()
+        assert all(after[name].tobytes() == values.tobytes() for name, values in before.items())
+
     def test_buffer_round_trip(self):
         bn = BatchNorm2d(2)
         bn.forward(np.random.default_rng(0).normal(size=(4, 2, 3, 3)))
@@ -119,10 +139,3 @@ class TestSequential:
         out = seq(x)
         grad_in = seq.backward(np.ones_like(out))
         assert grad_in.shape == x.shape
-
-
-class TestParameter:
-    def test_copy_checks_shape(self):
-        param = Parameter(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            param.copy_(np.zeros(3))

@@ -29,7 +29,7 @@ from repro.fl.client import _LENT
 from repro.fl.parameters import flat_model_state, state_digest
 from repro.models import FLNet, RouteNet
 from repro.nn import Conv2d, Parameter
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import BLOCK, SGD, Adam
 from repro.nn.workspace import _POOL, pool_nbytes, release_scratch
 
 CHANNELS = 3
@@ -118,8 +118,8 @@ class TestPoolBound:
         assert one_set > 0
         # The optimizer's state is in that set: Adam's two moments and the work pair.
         (state,) = released
-        sizes = [param.nbytes for param in flat_model_state(Builder()(0)).values()]
-        assert sum(state.values()) == 2 * sum(sizes) + 2 * max(sizes)
+        run = Builder()(0).flat.grad
+        assert sum(state.values()) == 2 * run.nbytes + 2 * min(run.size, BLOCK) * run.itemsize
         assert set(state) <= pooled_ids()
         _POOL.free.clear()
         released.clear()
