@@ -70,11 +70,7 @@ from repro.fl.algorithms import (
     SeededModelFactory,
     TrainingResult,
 )
-from repro.fl.aggregation import (
-    StreamingAccumulator,
-    StreamingDeltaAccumulator,
-    UpdateAccumulator,
-)
+from repro.fl.aggregation import StreamingAccumulator, StreamingDeltaAccumulator
 from repro.fl.client import FederatedClient, initial_rng_state
 from repro.fl.population import ClientDirectory
 from repro.fl.communication import (
@@ -308,7 +304,6 @@ __all__ = [
     "FederatedServer",
     "initial_rng_state",
     "ClientDirectory",
-    "UpdateAccumulator",
     "StreamingAccumulator",
     "StreamingDeltaAccumulator",
     "LocalTrainer",

@@ -68,39 +68,7 @@ def _delta(update: State, dispatch: State, layout: StateLayout) -> np.ndarray:
     return state_vector(update, layout) - state_vector(dispatch, layout)
 
 
-class UpdateAccumulator:
-    """What a round loop needs from a per-round fold target."""
-
-    def fold(self, state: State, weight: float) -> None:
-        """Fold one client's state with aggregation weight ``n_k``."""
-        raise NotImplementedError
-
-    def result(self) -> State:
-        """The weighted average of everything folded so far."""
-        raise NotImplementedError
-
-    @property
-    def count(self) -> int:
-        """Number of updates folded so far."""
-        raise NotImplementedError
-
-    def states(self) -> Optional[List[State]]:
-        """Always ``None``: an accumulator keeps no folded state.
-
-        Nothing in the package reads it; it stays because
-        ``bench/workload.py``'s tracing wraps it on every accumulator.
-        """
-        return None
-
-    def spread(self) -> Optional[float]:
-        """RMS pairwise distance between the folded states (``client_drift``).
-
-        ``0.0`` below two folds; ``None`` when the accumulator keeps no spread.
-        """
-        return None
-
-
-class StreamingAccumulator(UpdateAccumulator):
+class StreamingAccumulator:
     """One round's sample-weighted average of at most ``rows`` updates (its
     cohort), folded one at a time; ``result()`` ends it."""
 
@@ -122,14 +90,24 @@ class StreamingAccumulator(UpdateAccumulator):
 
     @property
     def count(self) -> int:
+        """Number of updates folded so far."""
         return self._count
+
+    def states(self) -> None:
+        """Always ``None``: an accumulator keeps no folded state.
+
+        Nothing in the package reads it; it stays because
+        ``bench/workload.py``'s tracing wraps it on every accumulator.
+        """
+        return None
 
     def _check_open(self) -> None:
         if self._closed:
             raise ValueError("this accumulator's result was read; start a new one")
 
     def fold(self, state: State, weight: float) -> None:
-        """Check ``state`` against the first one, then copy it into its row."""
+        """Fold one client's state with aggregation weight ``n_k``: check it
+        against the first one, then copy it into its row."""
         self._check_open()
         state = as_flat_state(state)
         weight = check_weight(weight)
@@ -181,6 +159,7 @@ class StreamingAccumulator(UpdateAccumulator):
         self._matrix, self._weights = None, []
 
     def result(self) -> FlatState:
+        """The weighted average of everything folded; the accumulator ends here."""
         self._check_open()
         if self._sum is not None:
             if self._weight_total <= 0:
@@ -196,6 +175,7 @@ class StreamingAccumulator(UpdateAccumulator):
         return FlatState(self._layout, average)
 
     def spread(self) -> float:
+        """RMS pairwise distance between the folded states (``client_drift``); ``0.0`` below two folds."""
         return math.sqrt(2.0 * self._m2 / (self._count - 1)) if self._count > 1 else 0.0
 
 

@@ -9,7 +9,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.fl.aggregation import UpdateAccumulator
+from repro.fl.aggregation import StreamingAccumulator
 from repro.fl.client import FederatedClient
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
@@ -22,7 +22,7 @@ from repro.fl.execution import (
 )
 from repro.fl.faults import ResilienceManager, ResilienceOptions, create_resilience
 from repro.fl.ledger import RoundLedger
-from repro.fl.parameters import State, flat_model_state
+from repro.fl.parameters import State
 from repro.fl.scheduling import RoundScheduler, SchedulingOptions, create_scheduler
 from repro.fl.server import FederatedServer
 from repro.fl.transport import Channel
@@ -185,7 +185,7 @@ class FederatedAlgorithm:
 
     def initial_state(self) -> State:
         """A fresh global model initialization (packed into a flat buffer)."""
-        return flat_model_state(self.model_factory())
+        return self.model_factory().state_dict()
 
     def map_client_updates(
         self,
@@ -516,7 +516,7 @@ class RoundAlgorithm(FederatedAlgorithm):
         """What the cohort trains from: by default the global state, broadcast."""
         return global_state
 
-    def _new_accumulators(self) -> List[UpdateAccumulator]:
+    def _new_accumulators(self) -> List[StreamingAccumulator]:
         """The round's fold targets, made at its first arrival: one global average."""
         return [self.server.accumulator()]
 
@@ -548,9 +548,7 @@ class RoundAlgorithm(FederatedAlgorithm):
         extra: Dict[str, object] = {}
         if accumulator.count:
             global_state = self._apply_average(global_state, accumulator.result())
-            drift = accumulator.spread()
-            if drift is not None:
-                extra["client_drift"] = drift
+            extra["client_drift"] = accumulator.spread()
         return global_state, extra
 
     def _finish(self, result: TrainingResult, global_state: State) -> None:

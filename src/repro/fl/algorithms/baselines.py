@@ -12,7 +12,6 @@ from typing import Dict
 
 from repro.data.dataset import RoutabilityDataset
 from repro.fl.algorithms.base import FederatedAlgorithm, TrainingResult
-from repro.fl.parameters import flat_model_state
 from repro.fl.trainer import LocalTrainer
 
 
@@ -28,7 +27,7 @@ class LocalOnly(FederatedAlgorithm):
         # factory's seed sequence is independent of the execution backend.
         # The initial states are created locally on each client, so nothing
         # crosses the wire (transport="none" keeps measured bytes at zero).
-        initials = [flat_model_state(self.model_factory()) for _ in self.clients]
+        initials = [self.model_factory().state_dict() for _ in self.clients]
         updates = self.map_client_updates(initials, steps=steps, proximal_mu=0.0, transport="none")
         per_client_loss: Dict[int, float] = {}
         for update in updates:
@@ -64,7 +63,7 @@ class Centralized(FederatedAlgorithm):
         )
         model = self.model_factory()
         stats = trainer.train_steps(model, pooled, steps=config.effective_centralized_steps)
-        result.global_state = flat_model_state(model)
+        result.global_state = model.state_dict()
         result.history.append(
             self._round_record(0, {0: stats.mean_loss}, extra={"pooled_samples": len(pooled)})
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Set
 
 from repro.fl.algorithms.partitioned import PartitionedAlgorithm
-from repro.fl.parameters import State, flat_model_state
+from repro.fl.parameters import State
 from repro.models.base import RoutabilityModel
 from repro.nn.layers.norm import BatchNorm2d, GroupNorm
 
@@ -29,7 +29,7 @@ def normalization_parameter_names(model: RoutabilityModel) -> Set[str]:
         if isinstance(module, (BatchNorm2d, GroupNorm))
     ]
     names: Set[str] = set()
-    for key in model.state_dict():
+    for key in model.flat.layout.names:
         for prefix in prefixes:
             if key == prefix or key.startswith(prefix + "."):
                 names.add(key)
@@ -49,4 +49,4 @@ class FedBN(PartitionedAlgorithm):
         # The template only names the private part: FedBN initializes from
         # the factory's next model.
         super().initial_state()
-        return flat_model_state(self.model_factory())
+        return self.model_factory().state_dict()

@@ -16,9 +16,9 @@ each arrival as a staleness-weighted update delta.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
-from repro.fl.aggregation import UpdateAccumulator
+from repro.fl.aggregation import StreamingAccumulator, StreamingDeltaAccumulator
 from repro.fl.algorithms.base import RoundAlgorithm
 from repro.fl.execution import ClientUpdate
 from repro.fl.parameters import State
@@ -39,7 +39,7 @@ class FedProx(RoundAlgorithm):
     name = "fedprox"
     supports_fedbuff = True
 
-    def _new_accumulators(self) -> List[UpdateAccumulator]:
+    def _new_accumulators(self) -> List[Union[StreamingAccumulator, StreamingDeltaAccumulator]]:
         if self.scheduler.policy != "fedbuff":
             return super()._new_accumulators()
         return [self.server.delta_accumulator()]

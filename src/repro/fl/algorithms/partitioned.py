@@ -15,7 +15,7 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.fl.algorithms.base import RoundAlgorithm, TrainingResult
 from repro.fl.execution import ClientUpdate, RoundCheckpoint
-from repro.fl.parameters import State, filter_state, flat_model_state, merge_partition
+from repro.fl.parameters import State, filter_state, merge_partition
 from repro.models.base import RoutabilityModel
 
 
@@ -36,7 +36,7 @@ class PartitionedAlgorithm(RoundAlgorithm):
     def initial_state(self) -> State:
         template = self.model_factory()
         private = set(self.private_names(template))
-        initial = flat_model_state(template)
+        initial = template.state_dict()
         self._private_names: List[str] = [name for name in initial if name in private]
         self._shared_names: List[str] = [name for name in initial if name not in private]
         self._upload_names = self._shared_names if private else None

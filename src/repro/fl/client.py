@@ -18,7 +18,8 @@ weakly keyed, and a pickled roster carries its one template.
 A model is one vector (:mod:`repro.nn.module`): the copy a thread lends is
 packed like its template, so a task loads the received state with one copy
 of its vector (entry by entry when it arrives in sorted wire order), and
-exports the trained state with one cast copy (``flat_model_state``).
+exports the trained state with one cast copy (``model.state_dict()``, the
+one export, in the template's own interned layout).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from repro.data.clients import ClientData
 from repro.data.dataset import RoutabilityDataset
 from repro.fl.config import FLConfig
-from repro.fl.parameters import State, flat_model_state
+from repro.fl.parameters import State
 from repro.fl.trainer import LocalTrainer, predict_dataset
 from repro.metrics.roc import roc_auc_score
 from repro.models.base import RoutabilityModel
@@ -91,7 +92,7 @@ class FederatedClient:
         self.config = config
         # The compute-dtype boundary: a template is switched (packed anew) once,
         # here; loads cast float64 states down into the model's vector, and
-        # flat_model_state casts it back up.
+        # state_dict() casts it back up.
         model = model_factory().set_compute_dtype(config.compute_dtype)
         self._template = _TEMPLATES.setdefault(model_factory, {}).setdefault(model.compute_dtype, model)
         self._rng = np.random.default_rng(client_id)
@@ -167,7 +168,7 @@ class FederatedClient:
             proximal_mu=mu,
             proximal_reference=initial_state,
         )
-        return flat_model_state(model), stats
+        return model.state_dict(), stats
 
     def fine_tune(self, initial_state: State, steps: Optional[int] = None) -> tuple:
         """Personalize ``initial_state`` with plain local steps (no proximal term)."""
@@ -175,7 +176,7 @@ class FederatedClient:
         model = lent_model(self._template)
         model.load_state_dict(initial_state)
         stats = self._trainer.train_steps(model, self.train_dataset, steps=steps)
-        return flat_model_state(model), stats
+        return model.state_dict(), stats
 
     def training_loss(self, state: State, max_batches: Optional[int] = None) -> float:
         """Loss of ``state`` on this client's training data (IFCA cluster choice)."""

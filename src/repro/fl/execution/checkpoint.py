@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.fl.parameters import State, as_flat_state
+from repro.fl.parameters import State
 from repro.nn.serialization import load_state_dict, save_state_dict
 
 PathLike = Union[str, Path]
@@ -134,13 +134,12 @@ class CheckpointManager:
         if not meta_path.exists():
             raise FileNotFoundError(f"no checkpoint for round {round_index} in {self.directory}")
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        # States re-enter the flat-buffer engine on load, so a checkpoint
-        # written before the engine existed (plain per-tensor archives)
-        # resumes onto the flat hot paths unchanged.
-        global_state = as_flat_state(load_state_dict(self._state_path(round_index)))
+        # Archives load as flat states (packed once, in archive order), so a
+        # checkpoint written before the engine existed resumes onto the flat
+        # hot paths unchanged.
+        global_state = load_state_dict(self._state_path(round_index))
         extra_states = {
-            name: as_flat_state(load_state_dict(self._extra_path(round_index, name)))
-            for name in meta.get("extra_states", [])
+            name: load_state_dict(self._extra_path(round_index, name)) for name in meta.get("extra_states", [])
         }
         return RoundCheckpoint(
             round_index=int(meta["round_index"]),

@@ -18,7 +18,7 @@ import numpy as np
 from repro.fl.algorithms.base import RoundAlgorithm, TrainingResult
 from repro.fl.client import FederatedClient
 from repro.fl.execution import ClientUpdate, RoundCheckpoint
-from repro.fl.parameters import State, flat_model_state
+from repro.fl.parameters import State
 
 
 class IFCA(RoundAlgorithm):
@@ -44,7 +44,7 @@ class IFCA(RoundAlgorithm):
 
     def initial_state(self) -> State:
         self._clusters = [
-            flat_model_state(self.model_factory()) for _ in range(self.config.num_clusters)
+            self.model_factory().state_dict() for _ in range(self.config.num_clusters)
         ]
         return self._average()
 

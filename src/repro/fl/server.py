@@ -12,11 +12,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.fl.aggregation import (
-    StreamingAccumulator,
-    StreamingDeltaAccumulator,
-    UpdateAccumulator,
-)
+from repro.fl.aggregation import StreamingAccumulator, StreamingDeltaAccumulator
 from repro.fl.parameters import (
     FlatState,
     State,
@@ -46,7 +42,7 @@ class FederatedServer:
         """Size the next accumulators by the cohort a round is dispatched to."""
         self._cohort_size = int(cohort_size)
 
-    def accumulator(self) -> UpdateAccumulator:
+    def accumulator(self) -> StreamingAccumulator:
         """A fresh accumulator for the current round: one sample-weighted
         average of at most its cohort's updates."""
         return StreamingAccumulator(self._cohort_size)

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.data.dataset import RoutabilityDataset
 from repro.data.loader import DataLoader, infinite_batches
-from repro.fl.parameters import State, as_flat_state, model_layout
+from repro.fl.parameters import State, as_flat_state
 from repro.models.base import RoutabilityModel
 from repro.nn.dtypes import resolve_compute_dtype
 from repro.nn.losses import Loss, make_loss
@@ -41,13 +41,11 @@ def reference_run(model: RoutabilityModel, reference: State) -> Tuple[np.ndarray
     ``vector`` is in the model's compute dtype: a float32 model's reference
     is cast once per call, so the term runs entirely in float32.
     """
-    reference = as_flat_state(reference)
-    num_params = model.flat.grad.size
-    vector = reference.vector.astype(model.flat.grad.dtype, copy=False)
-    layout = model_layout(model)
-    if reference.layout is layout:
+    reference, flat = as_flat_state(reference), model.flat
+    vector = reference.vector.astype(flat.grad.dtype, copy=False)
+    if reference.layout is flat.layout:
         return vector, None
-    return vector, layout.gather_from(reference.layout)[:num_params]
+    return vector, flat.layout.gather_from(reference.layout)[: flat.grad.size]
 
 
 def add_proximal_gradient(

@@ -10,11 +10,13 @@ path: it halves the memory bandwidth of the im2col/GEMM hot loop, which is
 where the memory-bound client step spends its time.
 
 The dtype is a property of *local computation only*.  Everything that
-crosses the client boundary — ``state_dict`` / ``flat_model_state``
-parameter states, server aggregation, wire codecs, checkpoints — stays
-``float64``: a float32 model loads a float64 state by casting down once at
-``load_state_dict`` time and exports by casting up once at the
-``state_dict`` boundary.  See ``docs/performance.md``.
+crosses the client boundary — the parameter states of
+:meth:`~repro.nn.Module.state_dict`, a model's one export, server
+aggregation, wire codecs, checkpoints — stays ``float64``: a float32 model
+loads a float64 state by casting down once at ``load_state_dict`` time and
+exports by casting up once into a ``float64``
+:class:`~repro.nn.state.FlatState` in the model's own
+:class:`~repro.nn.state.StateLayout`.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations

@@ -12,14 +12,16 @@ A model is one vector
 Every module is **packed** as its constructor returns (:meth:`Module.pack`;
 the layers a model builds in its own constructor are packed with it):
 its parameters and buffers are copied into one contiguous
-``[parameters | buffers]`` vector of the compute dtype, in ``state_dict``
-order (the order of :func:`repro.fl.parameters.flat_model_state`), and the
-gradients into one matching ``(P,)`` vector.  Every ``Parameter.data``,
+``[parameters | buffers]`` vector of the compute dtype, laid out by an
+interned :class:`~repro.nn.state.StateLayout` (``Module.flat.layout``), and
+the gradients into one matching ``(P,)`` vector.  Every ``Parameter.data``,
 every ``.grad`` and every buffer is a view into these two vectors
-(:attr:`Module.flat`), so a client task's per-model bookkeeping is a few
-passes over them: ``zero_grad`` is one fill, ``load_state_dict`` one copy
-(entry by entry for a state in another order), the exported state one
-cast copy, and an optimizer steps the parameter run in cache-sized blocks
+(:attr:`Module.flat`), at its slot of the layout, so a client task's
+per-model bookkeeping is a few passes over them: ``zero_grad`` is one fill,
+``load_state_dict`` one copy (entry by entry for a state in another
+layout), :meth:`Module.state_dict` — the one export — one cast copy into a
+:class:`~repro.nn.state.FlatState` in that same layout object, and an
+optimizer steps the parameter run in cache-sized blocks
 (:mod:`repro.nn.optim`).  An enclosing module packs its children anew, so
 only the outermost module (the model) holds vectors; a layer of it has
 none and refuses the whole-model operations.
@@ -40,34 +42,33 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from repro.nn.dtypes import resolve_compute_dtype
-from repro.nn.parameter import Parameter, bind_parameter
+from repro.nn.parameter import Parameter
+from repro.nn.state import FlatState, State, StateLayout
 from repro.nn.workspace import release_scratch
-
-#: One packed entry: ``(name, shape)``.
-Entry = Tuple[str, Tuple[int, ...]]
 
 
 class FlatModel:
     """A packed model's two vectors.
 
-    ``vector`` holds the parameters then the buffers, one entry after the
-    other in ``entries`` order; ``grad`` holds the parameters' gradients
-    (its size is the parameter count ``P``, and ``vector[:P]`` is the
-    parameter run).  ``views`` are the entries' views into ``vector``.
-    Pickling ships the entries and the two vectors; the model that holds
-    them rebuilds the views.
+    ``vector`` holds the parameters then the buffers, laid out by
+    ``layout`` (the interned :class:`StateLayout` its exported states
+    carry); ``grad`` holds the parameters' gradients (its size is the
+    parameter count ``P``, and ``vector[:P]`` is the parameter run).
+    ``views`` are the layout's slots of ``vector``.  Pickling ships the
+    layout and the two vectors; the model that holds them rebuilds the
+    views.
     """
 
-    __slots__ = ("entries", "vector", "grad", "views", "__weakref__")
+    __slots__ = ("layout", "vector", "grad", "views")
 
-    def __init__(self, entries: Tuple[Entry, ...], vector: np.ndarray, grad: np.ndarray, views=()):
-        self.entries = entries
+    def __init__(self, layout: StateLayout, vector: np.ndarray, grad: np.ndarray, views=()):
+        self.layout = layout
         self.vector = vector
         self.grad = grad
         self.views = tuple(views)
 
     def __reduce__(self):
-        return (FlatModel, (self.entries, self.vector, self.grad))
+        return (FlatModel, (self.layout, self.vector, self.grad))
 
 
 class _Builds(threading.local):
@@ -244,15 +245,15 @@ class Module(metaclass=_PackedOnBuild):
         named = list(self.named_parameters())
         slots = list(self._buffer_slots())
         buffers = [owner._buffers[local] for owner, local, _ in slots]
-        entries = tuple((name, param.data.shape) for name, param in named) + tuple(
-            (name, buffer.shape) for (_, _, name), buffer in zip(slots, buffers)
+        layout = StateLayout.of(
+            [(name, param.data.shape) for name, param in named]
+            + [(name, buffer.shape) for (_, _, name), buffer in zip(slots, buffers)]
         )
         values = [param.data for _, param in named] + buffers
         grads = [param.grad for _, param in named]
         num_params = sum(param.size for _, param in named)
-        total = num_params + sum(buffer.size for buffer in buffers)
         dtype = self.compute_dtype
-        self._bind(entries, np.empty(total, dtype=dtype), np.zeros(num_params, dtype=dtype))
+        self._bind(layout, np.empty(layout.total_size, dtype=dtype), np.zeros(num_params, dtype=dtype))
         for view, old in zip(self._flat.views, values):
             np.copyto(view, old, casting="same_kind")
         for (_, param), old in zip(named, grads):
@@ -260,24 +261,20 @@ class Module(metaclass=_PackedOnBuild):
                 np.copyto(param.grad, old, casting="same_kind")
         return self
 
-    def _bind(self, entries: Tuple[Entry, ...], vector: np.ndarray, grad: np.ndarray) -> None:
-        """Point every parameter, gradient and buffer at its slot of ``vector`` / ``grad``."""
-        named = list(self.named_parameters())
-        views = []
-        offset = 0
-        for (_, param), (_, shape) in zip(named, entries):
-            offset = bind_parameter(param, vector, grad, offset, shape)
-            views.append(param.data)
-        for (owner, local, _), (_, shape) in zip(self._buffer_slots(), entries[len(named) :]):
-            end = offset + int(np.prod(shape, dtype=np.int64))
-            view = vector[offset:end].reshape(shape)
+    def _bind(self, layout: StateLayout, vector: np.ndarray, grad: np.ndarray) -> None:
+        """Point every parameter, gradient and buffer at its ``layout`` slot of ``vector`` / ``grad``."""
+        params = self.parameters()
+        slots = list(layout.iter_slots())
+        views = [vector[offset : offset + size].reshape(shape) for _, shape, offset, size in slots]
+        for param, view, (_, shape, offset, size) in zip(params, views, slots):
+            param.data = view
+            param.grad = grad[offset : offset + size].reshape(shape)
+        for (owner, local, _), view in zip(self._buffer_slots(), views[len(params) :]):
             owner._buffers[local] = view
             object.__setattr__(owner, local, view)
-            views.append(view)
-            offset = end
         for _, module in self.named_modules():
             object.__setattr__(module, "_flat", None)
-        object.__setattr__(self, "_flat", FlatModel(entries, vector, grad, views))
+        object.__setattr__(self, "_flat", FlatModel(layout, vector, grad, views))
 
     def release_workspaces(self) -> None:
         """Hand every layer's scratch back to the calling thread's pool.
@@ -313,7 +310,7 @@ class Module(metaclass=_PackedOnBuild):
         self.__dict__.update(state)
         flat = self._flat
         if flat is not None:
-            self._bind(flat.entries, flat.vector, flat.grad)
+            self._bind(flat.layout, flat.vector, flat.grad)
 
     # -- training state ------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
@@ -332,48 +329,47 @@ class Module(metaclass=_PackedOnBuild):
         self.flat.grad.fill(0.0)
 
     # -- state dict -----------------------------------------------------------
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Return a flat ``name -> array copy`` mapping of parameters and buffers.
+    def state_dict(self) -> FlatState:
+        """The model's parameters and buffers: one cast copy of its vector, in its layout.
 
-        States are always ``float64``, whatever the module's compute dtype:
-        everything that leaves the model — aggregation, wire codecs,
-        checkpoints — speaks float64, and a float32 model casts up exactly
-        once here (and back down once in :meth:`load_state_dict`).
+        The one export of a model: a :class:`~repro.nn.state.FlatState`
+        whose ``layout`` is ``self.flat.layout`` itself.  States are always
+        ``float64``, whatever the module's compute dtype: everything that
+        leaves the model — aggregation, wire codecs, checkpoints — speaks
+        float64, and a float32 model casts up exactly once here (and back
+        down once in :meth:`load_state_dict`).
         """
         flat = self.flat
-        return OrderedDict(
-            (name, np.array(view, dtype=np.float64)) for (name, _), view in zip(flat.entries, flat.views)
-        )
+        return FlatState(flat.layout, flat.vector.astype(np.float64))
 
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+    def load_state_dict(self, state: State) -> None:
         """Load every parameter and buffer from a mapping with exactly these names and shapes.
 
         The mapping is checked in full before anything is written: a missing
         or unexpected name raises ``KeyError``, a wrong shape ``ValueError``,
         and the model is left as it was.  A flat state in this model's own
-        layout (a :class:`repro.fl.parameters.FlatState` carries ``layout``
-        and ``vector``) loads with one copy of its vector; any other mapping
-        — a flat state in sorted (wire) order, a plain dict — entry by entry,
+        layout (its ``layout`` *is* ``self.flat.layout``: layouts are
+        interned) loads with one copy of its vector; any other mapping — a
+        flat state in sorted (wire) order, a plain dict — entry by entry,
         with no state-sized temporary.  Values are cast to the compute dtype.
         """
         flat = self.flat
-        layout = getattr(state, "layout", None)
-        if layout is not None and layout.entries == flat.entries:
+        if getattr(state, "layout", None) is flat.layout:
             np.copyto(flat.vector, state.vector, casting="same_kind")
             return
-        expected = dict(flat.entries)
+        expected = dict(flat.layout.entries)
         missing = [name for name in expected if name not in state]
         unexpected = [name for name in state if name not in expected]
         if missing or unexpected:
             raise KeyError(f"state dict mismatch: missing keys {missing}, unexpected keys {unexpected}")
         wrong = [
             f"{name} {np.shape(state[name])} != {shape}"
-            for name, shape in flat.entries
+            for name, shape in flat.layout.entries
             if np.shape(state[name]) != shape
         ]
         if wrong:
             raise ValueError(f"state dict shape mismatch: {', '.join(wrong)}")
-        for (name, _), view in zip(flat.entries, flat.views):
+        for name, view in zip(flat.layout.names, flat.views):
             np.copyto(view, state[name], casting="same_kind")
 
     def _buffer_slots(self, prefix: str = "") -> Iterator[Tuple["Module", str, str]]:

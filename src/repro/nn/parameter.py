@@ -65,14 +65,6 @@ class Parameter:
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"
 
 
-def bind_parameter(param: Parameter, data: np.ndarray, grad: np.ndarray, offset: int, shape) -> int:
-    """Point ``param`` at its slot of the vectors ``data`` / ``grad``; returns the slot's end."""
-    end = offset + int(np.prod(shape, dtype=np.int64))
-    param.data = data[offset:end].reshape(shape)
-    param.grad = grad[offset:end].reshape(shape)
-    return end
-
-
 def parameter_run(parameters: Sequence[Parameter]) -> Tuple[np.ndarray, np.ndarray]:
     """``(data, grad)``: the 1-D runs that ``parameters`` are the slots of.
 
@@ -103,8 +95,9 @@ def parameter_run(parameters: Sequence[Parameter]) -> Tuple[np.ndarray, np.ndarr
     grad = np.empty(total, dtype=dtype)
     offset = 0
     for param in params:
-        values, gradient = param.data, param.grad
-        end = bind_parameter(param, data, grad, offset, values.shape)
+        values, gradient, end = param.data, param.grad, offset + param.size
+        param.data = data[offset:end].reshape(values.shape)
+        param.grad = grad[offset:end].reshape(values.shape)
         np.copyto(param.data, values)
         np.copyto(param.grad, gradient)
         offset = end

@@ -1,8 +1,9 @@
 """Saving and loading model state dictionaries.
 
-State dictionaries are flat ``name -> ndarray`` mappings (see
+State dictionaries are ``name -> ndarray`` mappings (see
 :meth:`repro.nn.Module.state_dict`), stored as ``.npz`` archives so they stay
-portable and dependency-free.
+portable and dependency-free; they load back as a
+:class:`~repro.nn.state.FlatState`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import Dict, Union
 
 import numpy as np
 
+from repro.nn.state import FlatState
 from repro.utils.files import atomic_write
 
 PathLike = Union[str, Path]
@@ -34,11 +36,15 @@ def save_state_dict(state: Dict[str, np.ndarray], path: PathLike) -> Path:
     return path
 
 
-def load_state_dict(path: PathLike) -> Dict[str, np.ndarray]:
-    """Read a state dictionary previously written by :func:`save_state_dict`."""
+def load_state_dict(path: PathLike) -> FlatState:
+    """Read a state dictionary previously written by :func:`save_state_dict`.
+
+    The archive's arrays are packed straight into one flat state, in
+    archive order (one copy each).
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no state dict found at {path}")
     with np.load(path) as archive:
-        return {key: archive[key].copy() for key in archive.files}
+        return FlatState.from_items((key, archive[key]) for key in archive.files)
 

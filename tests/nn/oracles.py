@@ -6,6 +6,8 @@ and these say what that body must compute, bit for bit.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
 from repro.nn import functional as F
@@ -138,3 +140,13 @@ class AdamOracle:
             m = self.first[index] = self.beta1 * self.first[index] + (1.0 - self.beta1) * grad
             v = self.second[index] = self.beta2 * self.second[index] + (1.0 - self.beta2) * grad**2
             param.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+
+
+def per_entry_state_dict(model):
+    """A model's state as one float64 array copy per entry: the export a flat state replaced.
+
+    Parameters then buffers, in registration order, read from the modules
+    rather than from the model's vectors.
+    """
+    entries = [(name, param.data) for name, param in model.named_parameters()] + list(model.named_buffers())
+    return OrderedDict((name, np.array(values, dtype=np.float64)) for name, values in entries)

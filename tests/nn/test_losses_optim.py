@@ -11,6 +11,7 @@ from repro.nn import Conv2d, Parameter, load_state_dict, make_loss, make_optimiz
 from repro.nn import init as nn_init
 from repro.nn.losses import BCELoss, BCEWithLogitsLoss, MSELoss
 from repro.nn.optim import BLOCK, SGD, Adam
+from repro.nn.state import FlatState
 
 
 class TestMSELoss:
@@ -319,6 +320,15 @@ class TestSerialization:
         assert restored.keys() == state.keys()
         for key, value in state.items():
             np.testing.assert_array_equal(restored[key], value)
+
+    def test_loads_one_flat_state_in_archive_order(self, tmp_path):
+        layer = Conv2d(4, 3, 1, rng=np.random.default_rng(0))
+        path = save_state_dict(layer.state_dict(), tmp_path / "model")
+        restored = load_state_dict(path)
+        assert isinstance(restored, FlatState)
+        assert list(restored) == ["weight", "bias"]  # archive order, not sorted
+        assert restored.layout is layer.flat.layout
+        assert restored.vector.tobytes() == layer.flat.vector.tobytes()
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

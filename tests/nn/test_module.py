@@ -55,14 +55,14 @@ class TestStateDict:
 
     def test_strict_load_rejects_missing_keys(self):
         net = TinyNet()
-        state = net.state_dict()
+        state = dict(net.state_dict())
         del state["fc2.bias"]
         with pytest.raises(KeyError):
             net.load_state_dict(state)
 
     def test_strict_load_rejects_unexpected_keys(self):
         net = TinyNet()
-        state = net.state_dict()
+        state = dict(net.state_dict())
         state["bogus"] = np.zeros(1)
         with pytest.raises(KeyError):
             net.load_state_dict(state)

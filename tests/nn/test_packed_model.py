@@ -4,7 +4,7 @@
   trip, ``set_compute_dtype`` there and back, a BatchNorm training forward,
   and loads from a model-order flat state, a sorted-order flat state and a
   plain dict, every ``data``, ``grad`` and buffer is its slot of the
-  model's vectors, in ``flat_model_state`` order;
+  model's vectors, at its slot of the model's ``StateLayout``;
 * **parity** — Adam, SGD and FedProx train a packed model bit for bit as
   the per-parameter expression forms (``oracles.py``) train the same model
   with every tensor in an array of its own, for three steps on every
@@ -21,10 +21,11 @@ import pickle
 
 import numpy as np
 import pytest
-from oracles import AdamOracle, SGDOracle
+from oracles import AdamOracle, SGDOracle, per_entry_state_dict
 
 from repro.fl import LocalTrainer
-from repro.fl.parameters import FlatState, flat_model_state
+from repro.fl.client import lent_model
+from repro.fl.parameters import FlatState
 from repro.fl.trainer import add_proximal_gradient, reference_run
 from repro.data.dataset import PlacementSample, RoutabilityDataset
 from repro.models import create_model
@@ -40,9 +41,9 @@ def assert_one_vector(model):
     slots = [(param.data, param.grad) for _, param in model.named_parameters()]
     slots += [(buffer, None) for _, buffer in model.named_buffers()]
     names = [name for name, _ in model.named_parameters()] + [name for name, _ in model.named_buffers()]
-    assert [name for name, _ in flat.entries] == names
+    assert list(flat.layout.names) == names
     offset = 0
-    for (name, shape), (data, grad) in zip(flat.entries, slots, strict=True):
+    for (name, shape), (data, grad) in zip(flat.layout.entries, slots, strict=True):
         size = int(np.prod(shape, dtype=np.int64))
         assert data.shape == shape and data.dtype == flat.vector.dtype, name
         assert data.base is flat.vector, name
@@ -53,14 +54,14 @@ def assert_one_vector(model):
         offset += size
     assert offset == flat.vector.size
     assert flat.grad.size == sum(param.size for param in model.parameters())
-    exported = flat_model_state(model)
-    assert exported.layout.entries == flat.entries
+    exported = model.state_dict()
+    assert exported.layout is flat.layout
     assert exported.vector.tobytes() == flat.vector.astype(np.float64).tobytes()
 
 
 def sample_state(seed: int, order: str):
     """Another RouteNet's state: model order, sorted (wire) order, or a plain dict."""
-    state = flat_model_state(create_model("routenet", CHANNELS, seed=seed))
+    state = create_model("routenet", CHANNELS, seed=seed).state_dict()
     if order == "sorted":
         return FlatState.from_items(sorted(state.items()))
     if order == "dict":
@@ -134,6 +135,24 @@ def test_every_tensor_is_a_view_of_the_model_vectors(change):
         assert model.flat.grad.tobytes() == grads.tobytes()
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("model_name", ["routenet", "flnet", "pros"])
+def test_state_dict_is_one_flat_state_in_the_model_layout(model_name, dtype):
+    model = create_model(model_name, CHANNELS, seed=0).set_compute_dtype(dtype)
+    forward_backward(model, seed=1)  # running statistics off their initial values
+    state = model.state_dict()
+    assert isinstance(state, FlatState)
+    assert state.layout is model.flat.layout
+    reference = per_entry_state_dict(model)
+    assert list(state) == list(reference)
+    for name, values in reference.items():
+        assert state[name].dtype == values.dtype and state[name].tobytes() == values.tobytes(), name
+    for copied in (copy.deepcopy(model), pickle.loads(pickle.dumps(model)), lent_model(model)):
+        assert copied is not model
+        assert copied.flat.layout is model.flat.layout
+        assert copied.state_dict().layout is model.flat.layout
+
+
 def test_a_layer_of_a_model_refuses_whole_model_operations():
     model = create_model("flnet", CHANNELS, seed=0)
     with pytest.raises(RuntimeError, match="layer of a packed model"):
@@ -193,7 +212,7 @@ def test_parity_packed_trains_as_unpacked(optimizer, model_name, dtype):
     data = dataset(grid)
     packed = create_model(name, CHANNELS, seed=0).set_compute_dtype(dtype)
     unpacked = unpack(copy.deepcopy(packed))
-    initial = flat_model_state(packed)
+    initial = packed.state_dict()
     noise = np.random.default_rng(5).normal(scale=1e-2, size=initial.vector.size)
     # A sorted (wire) order reference: the term gathers it block by block.
     reference = FlatState.from_items(sorted(FlatState(initial.layout, initial.vector + noise).items()))

@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 ROWS = [
-    (r"isinstance\([^)]*FlatState", ["src"], {"src/repro/fl/parameters.py": 2},
+    (r"isinstance\([^)]*FlatState", ["src"], {"src/repro/nn/state.py": 2},
      "a state is a FlatState: only as_flat_state and FlatState.from_state ask 'dict or flat?'", 22,
      "if isinstance(state, FlatState):"),
     (r"def (iter_client_updates|_run_unscheduled_rounds|_run_scheduled_rounds|_global_round|_local_proximal_mu"
@@ -64,6 +64,9 @@ ROWS = [
      "one edge representation: flat arrays over edge ids", 36, "    def neighbors(self, node):"),
     (r"^\s*(import|from) pickle|pickle\.(loads|dumps)", ["src/repro/fl/net"], {},
      "no pickle on the wire, in the journal, or anywhere under repro.fl.net", 21, "import pickle"),
+    (r"def model_layout|_MODEL_LAYOUTS|class UpdateAccumulator|^Entry =", ["src"], {},
+     "one layout from model to wire: a packed model's layout is its StateLayout", 48,
+     "_MODEL_LAYOUTS = weakref.WeakKeyDictionary()"),
 ]
 
 
