@@ -1,21 +1,22 @@
 """Low-level tensor operations shared by the convolutional layers.
 
 The implementation follows the classic im2col / col2im formulation: a
-convolution is lowered to one large matrix multiplication per batch, which is
-the only way to get acceptable throughput out of NumPy.  All functions work on
+convolution is lowered to matrix multiplications over columns, which is the
+only way to get acceptable throughput out of NumPy.  All functions work on
 ``NCHW`` tensors and support stride, symmetric zero padding, and dilation.
 
 One copy, one fold per tap
 --------------------------
-:func:`im2col` is one assignment of a strided window view of the padded
-input into a ``cols`` buffer — a pure copy with no index table, so nothing
-is kept per geometry — and padding is an interior copy into a border-zeroed
-buffer.  Layers pass ``out=`` / ``padded_out=`` buffers from their workspace
-(see :mod:`repro.nn.workspace`) so a step stops paying an allocation and
-page faults per call; a caller that passes none gets them allocated and runs
-the same lines.  A convolution's input gradient (and a transposed
-convolution's forward pass) never forms columns: :func:`conv_input_grad`
-adds one kernel tap's products at a time into image-sized scratch.  With
+:func:`conv_windows` is a strided window view of a padded input, with no
+index table, so nothing is kept per geometry; a copy of one image's
+windows is that image's columns.  The conv layers pad the batch once into
+a border-zeroed workspace buffer (see :mod:`repro.nn.workspace`) and copy
+one image's windows at a time into one image-sized ``cols`` buffer, so
+their scratch does not grow with the batch; :func:`im2col` is the
+allocating whole-batch copy max pooling uses.  A convolution's input
+gradient (and a transposed convolution's forward pass) never forms
+columns: :func:`conv_input_grad` adds one kernel tap's products at a time
+into image-sized scratch.  With
 one filter they are formed channels-first, as the outer product of the
 tap's weights with the output gradient spread once onto the cells the tap
 reaches (zero elsewhere): every pass runs over all ``N * H * W`` pixels.
@@ -76,6 +77,26 @@ def _check_buffer(name: str, buffer: np.ndarray, shape: Tuple[int, ...], dtype: 
         )
 
 
+def conv_windows(
+    padded: np.ndarray, kernel_h: int, kernel_w: int, stride: int = 1, dilation: int = 1
+) -> np.ndarray:
+    """The ``(N, C, kernel_h, kernel_w, out_h, out_w)`` window view of an
+    already padded ``(N, C, H, W)`` input.
+
+    No copy: element ``[i, c, ki, kj, oh, ow]`` is the input cell tap
+    ``(ki, kj)`` of output pixel ``(oh, ow)`` reads, so ``windows[i]``,
+    copied into a C-contiguous ``(C * kernel_h * kernel_w, out_h * out_w)``
+    buffer, is image ``i``'s columns.
+    """
+    window = (dilation * (kernel_h - 1) + 1, dilation * (kernel_w - 1) + 1)
+    # (n, c, out_h, out_w, kernel_h, kernel_w): every window position at the
+    # stride, every tap of it at the dilation.
+    patches = sliding_window_view(padded, window, axis=(2, 3))[
+        :, :, ::stride, ::stride, ::dilation, ::dilation
+    ]
+    return patches.transpose(0, 1, 4, 5, 2, 3)
+
+
 def im2col(
     x: np.ndarray,
     kernel_h: int,
@@ -83,72 +104,30 @@ def im2col(
     stride: int = 1,
     padding: int = 0,
     dilation: int = 1,
-    out: Optional[np.ndarray] = None,
-    padded_out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Unfold sliding patches of ``x`` into columns.
+    """Unfold sliding patches of ``x`` into fresh columns.
 
-    One assignment from a ``(N, C, kernel_h, kernel_w, out_h, out_w)``
-    strided view of the (padded) input: a pure copy, whatever ``x``'s own
-    strides are.
+    One copy of the :func:`conv_windows` view of the zero-padded input, in
+    C order, whatever ``x``'s own strides are.
 
     Parameters
     ----------
     x:
         Input of shape ``(N, C, H, W)``.
-    out:
-        Optional persistent C-contiguous destination of shape
-        ``(N, C * kernel_h * kernel_w, out_h * out_w)`` and ``x``'s dtype;
-        the copy writes straight into it and returns it.  Allocated when
-        omitted.
-    padded_out:
-        Optional persistent padded-input buffer of shape
-        ``(N, C, H + 2 * padding, W + 2 * padding)`` and ``x``'s dtype whose
-        border is already zero (see
-        :meth:`repro.nn.workspace.Workspace.zeros`); only the interior is
-        overwritten with ``x``.  Allocated (zeroed) when omitted and
-        ``padding > 0``.
 
     Returns
     -------
     numpy.ndarray
-        Array of shape ``(N, C * kernel_h * kernel_w, out_h * out_w)``.
-
-    Raises
-    ------
-    ValueError
-        If ``out`` or ``padded_out`` has another shape or dtype (an
-        assignment would cast or broadcast silently), or ``out`` is not
-        C-contiguous.
+        C-contiguous array of shape ``(N, C * kernel_h * kernel_w, out_h * out_w)``
+        and ``x``'s dtype.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel_h, stride, padding, dilation)
     out_w = conv_output_size(w, kernel_w, stride, padding, dilation)
     if padding > 0:
-        padded_shape = (n, c, h + 2 * padding, w + 2 * padding)
-        if padded_out is None:
-            padded_out = np.zeros(padded_shape, dtype=x.dtype)
-        else:
-            _check_buffer("im2col padded_out", padded_out, padded_shape, x.dtype)
-        # The border is zero and only the interior is ever written: np.pad
-        # without the allocation.
-        padded_out[:, :, padding : padding + h, padding : padding + w] = x
-        x = padded_out
-    out_shape = (n, c * kernel_h * kernel_w, out_h * out_w)
-    if out is None:
-        out = np.empty(out_shape, dtype=x.dtype)
-    else:
-        _check_buffer("im2col out", out, out_shape, x.dtype)
-        if not out.flags.c_contiguous:
-            raise ValueError("im2col out must be C-contiguous")
-    window = (dilation * (kernel_h - 1) + 1, dilation * (kernel_w - 1) + 1)
-    # (n, c, out_h, out_w, kernel_h, kernel_w): every window position at the
-    # stride, every tap of it at the dilation.
-    patches = sliding_window_view(x, window, axis=(2, 3))[
-        :, :, ::stride, ::stride, ::dilation, ::dilation
-    ]
-    out.reshape(n, c, kernel_h, kernel_w, out_h, out_w)[...] = patches.transpose(0, 1, 4, 5, 2, 3)
-    return out
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = conv_windows(x, kernel_h, kernel_w, stride, dilation)
+    return windows.copy().reshape(n, c * kernel_h * kernel_w, out_h * out_w)
 
 
 def _tap_range(offset: int, stride: int, size: int, out_size: int) -> Tuple[int, int]:

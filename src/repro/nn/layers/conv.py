@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from repro.nn.functional import (
     conv_input_grad,
     conv_output_size,
     conv_transpose_output_size,
-    im2col,
+    conv_windows,
 )
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
@@ -26,29 +26,47 @@ def _pair(value: KernelSize) -> Tuple[int, int]:
     return int(value), int(value)
 
 
-def grad_weight_gemm(grad_flat: np.ndarray, cols: np.ndarray, stage: np.ndarray) -> np.ndarray:
-    """The conv weight-gradient contraction ``sum_i grad_flat[i] @ cols[i].T``.
+def _pad_into(workspace: Workspace, tag: str, x: np.ndarray, padding: int) -> np.ndarray:
+    """``x`` copied into the interior of the workspace's border-zeroed ``tag`` buffer."""
+    n, c, h, w = x.shape
+    padded = workspace.zeros(tag, (n, c, h + 2 * padding, w + 2 * padding), x.dtype)
+    padded[:, :, padding : padding + h, padding : padding + w] = x
+    return padded
 
-    One batched matmul into ``stage``, the layer's ``(n, rows, cols)``
-    workspace buffer, then a ``sum(axis=0)`` reduction pass.  When the batch
-    holds a single image the reduction is the identity and the whole thing
-    is one 2-D GEMM over the same operands — same BLAS call, same IEEE
-    sequence, no reduction pass.  Larger batches are not collapsed: that
-    would reassociate the per-image partial sums, and flattened single-GEMM
-    reformulations drift in the last ulp on some shapes under OpenBLAS.
 
-    The batch-1 result aliases ``stage`` and must be consumed before the
-    owning layer's next step (the standard workspace contract).
+def _image_columns(
+    workspace: Workspace, tag: str, windows: np.ndarray
+) -> Tuple[np.ndarray, Callable[[int], np.ndarray]]:
+    """The workspace's one ``(C * kh * kw, out_h * out_w)`` column buffer, and
+    ``form(i)``, which copies image ``i``'s ``windows``
+    (:func:`~repro.nn.functional.conv_windows`) into it."""
+    channels, kh, kw, out_h, out_w = windows.shape[1:]
+    cols = workspace.get(tag, (channels * kh * kw, out_h * out_w), windows.dtype)
+    image_windows = cols.reshape(windows.shape[1:])
 
-    This contraction runs over ``L`` while the input gradient of the same
-    backward contracts over the filters; no stacking of operands turns the
-    two into one batched matmul without zero-padding one of them, and
-    padding changes the GEMM's reduction tree — so they stay apart.
+    def form(image: int) -> np.ndarray:
+        image_windows[...] = windows[image]
+        return cols
+
+    return cols, form
+
+
+def _add_product(
+    total: np.ndarray, partial: Optional[np.ndarray], image: int, a: np.ndarray, cols: np.ndarray
+) -> None:
+    """Add image ``image``'s weight-gradient product ``a @ cols.T`` into ``total``.
+
+    Image 0's product is formed in ``total`` itself and each later one in
+    ``partial``, then added: called in image order, ``total`` ends as
+    ``np.matmul(A, C.transpose(0, 2, 1)).sum(axis=0)`` over the stacked
+    operands, bit for bit.  That is the same 2-D BLAS call per image, and
+    that sum adds whole products one after another (unless a product has a
+    single element: NumPy then sums the stack pairwise).
     """
-    if grad_flat.shape[0] == 1:
-        return np.matmul(grad_flat[0], cols[0].transpose(), out=stage[0])
-    np.matmul(grad_flat, cols.transpose(0, 2, 1), out=stage)
-    return stage.sum(axis=0)
+    if image == 0:
+        np.matmul(a, cols.T, out=total)
+    else:
+        total += np.matmul(a, cols.T, out=partial)
 
 
 def _input_grad_scratch(
@@ -84,24 +102,31 @@ class Conv2d(Module):
     """2-D convolution over NCHW inputs with stride, padding, and dilation.
 
     The weight has shape ``(out_channels, in_channels, kernel_h, kernel_w)``.
-    The forward pass lowers the convolution to a batched matrix multiplication
-    via im2col.  :meth:`accumulate_grads` adds the weight and bias gradients
-    of a step; :meth:`backward` does that and returns the input gradient,
-    folded tap by tap without ever forming its columns (see
-    :func:`repro.nn.functional.conv_input_grad`).  A model's first conv,
-    whose input gradient nobody reads, calls only :meth:`accumulate_grads`.
+    The forward pass copies the batch into the layer's own zero-bordered
+    ``padded`` buffer, then lowers the convolution to one GEMM per image:
+    each image's im2col columns are copied from that buffer's window view
+    (:func:`~repro.nn.functional.conv_windows`) into one image-sized
+    ``cols`` buffer, so the layer's scratch does not grow with the batch.
+    :meth:`accumulate_grads` adds the weight and bias gradients of a step,
+    re-forming each image's columns from ``padded`` (never from the
+    caller's input, which it may have overwritten) except the last image's,
+    which forward leaves in ``cols``; :meth:`backward` does that and
+    returns the input gradient, folded tap by tap without ever forming its
+    columns (see :func:`repro.nn.functional.conv_input_grad`).  A model's
+    first conv, whose input gradient nobody reads, calls only
+    :meth:`accumulate_grads`.
 
-    The per-step temporaries — the padded input, the im2col ``cols``
-    matrix, the weight-gradient staging buffer and the input gradient's
-    image-sized product and accumulator (channels-first, plus the
-    per-tap ``spread``, for one filter) — live in the layer's
-    :class:`~repro.nn.workspace.Workspace`, reused via ``out=`` on every
-    step instead of being reallocated.  The layer holds those buffers
-    only until :meth:`~repro.nn.Module.release_workspaces` lends them to the
-    thread's pool (and resets ``_cache``, which references ``cols``).
-    Workspace buffers are internal scratch only: the layer's outputs and
-    input gradients are always freshly allocated, so callers may hold them
-    across steps.
+    The per-step temporaries — ``padded``, ``cols``, the weight-sized
+    weight-gradient products and the input gradient's image-sized product
+    and accumulator (channels-first, plus the per-tap ``spread``, for one
+    filter) — live in the layer's :class:`~repro.nn.workspace.Workspace`,
+    reused via ``out=`` on every step instead of being reallocated.  The
+    layer holds those buffers only until
+    :meth:`~repro.nn.Module.release_workspaces` lends them to the thread's
+    pool (and resets ``_cache``, which holds a view of ``padded``).  Workspace
+    buffers are internal scratch only: the layer's outputs and input
+    gradients are always freshly allocated, so callers may hold them across
+    steps.
     """
 
     def __init__(
@@ -134,7 +159,9 @@ class Conv2d(Module):
         if self.use_bias:
             fan_in = in_channels * kh * kw
             self.bias = Parameter(init.uniform_bias((out_channels,), fan_in, rng), name="bias")
-        self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int], Tuple[int, int]]] = None
+        self._cache: Optional[
+            Tuple[np.ndarray, Tuple[int, int, int, int], Tuple[int, int], int]
+        ] = None
         self._ws = Workspace()
 
     def output_shape(self, height: int, width: int) -> Tuple[int, int]:
@@ -151,44 +178,48 @@ class Conv2d(Module):
                 f"Conv2d expected input of shape (N, {self.in_channels}, H, W), got {x.shape}"
             )
         n, _, h, w = x.shape
-        kh, kw = self.kernel_size
         out_h, out_w = self.output_shape(h, w)
-        dtype = x.dtype
-        padded = (
-            self._ws.zeros(
-                "padded", (n, self.in_channels, h + 2 * self.padding, w + 2 * self.padding), dtype
-            )
-            if self.padding > 0
-            else None
-        )
-        cols_buf = self._ws.get("cols", (n, self.in_channels * kh * kw, out_h * out_w), dtype)
-        cols = im2col(
-            x, kh, kw, self.stride, self.padding, self.dilation, out=cols_buf, padded_out=padded
-        )
+        padded = _pad_into(self._ws, "padded", x, self.padding)
+        windows = conv_windows(padded, *self.kernel_size, self.stride, self.dilation)
+        _, form = _image_columns(self._ws, "cols", windows)
         weight_matrix = self.weight.data.reshape(self.out_channels, -1)
-        out = np.matmul(weight_matrix, cols)
+        out = np.empty((n, self.out_channels, out_h * out_w), dtype=x.dtype)
+        for image in range(n):
+            np.matmul(weight_matrix, form(image), out=out[image])
         out = out.reshape(n, self.out_channels, out_h, out_w)
         if self.use_bias:
             out += self.bias.data.reshape(1, -1, 1, 1)
-        self._cache = (cols, x.shape, (out_h, out_w))
+        # The last field: the image whose columns ``cols`` holds.
+        self._cache = (windows, x.shape, (out_h, out_w), n - 1)
         return out
 
     def accumulate_grads(self, grad_output: np.ndarray) -> None:
         """Add the step's weight and bias gradients; form no input gradient."""
         if self._cache is None:
             raise RuntimeError("Conv2d.backward called before forward")
-        cols, x_shape, (out_h, out_w) = self._cache
+        windows, x_shape, (out_h, out_w), held = self._cache
         n = x_shape[0]
         grad_output = np.asarray(grad_output, dtype=self.compute_dtype)
         grad_flat = grad_output.reshape(n, self.out_channels, out_h * out_w)
-        stage = self._ws.get("grad_weight_stage", (n, self.out_channels, cols.shape[1]), cols.dtype)
-        self.weight.grad += grad_weight_gemm(grad_flat, cols, stage).reshape(self.weight.data.shape)
+        cols, form = _image_columns(self._ws, "cols", windows)
+        shape, dtype = (self.out_channels, cols.shape[0]), cols.dtype
+        # The last image's product first, from the columns forward left behind.
+        total = last = self._ws.get("grad_weight_last", shape, dtype)
+        np.matmul(grad_flat[n - 1], (cols if held == n - 1 else form(n - 1)).T, out=last)
+        if n > 1:
+            total = self._ws.get("grad_weight_sum", shape, dtype)
+            partial = self._ws.get("grad_weight_stage", shape, dtype) if n > 2 else None
+            for image in range(n - 1):
+                _add_product(total, partial, image, grad_flat[image], form(image))
+            total += last
+            self._cache = (windows, x_shape, (out_h, out_w), n - 2)
+        self.weight.grad += total.reshape(self.weight.data.shape)
         if self.use_bias:
             self.bias.grad += grad_flat.sum(axis=(0, 2))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self.accumulate_grads(grad_output)
-        _, (n, c, h, w), (out_h, out_w) = self._cache
+        _, (n, c, h, w), (out_h, out_w), _ = self._cache
         grad = np.asarray(grad_output, dtype=self.compute_dtype)
         return conv_input_grad(
             self.weight.data,
@@ -216,10 +247,15 @@ class ConvTranspose2d(Module):
     this weight's in-channels, folded tap by tap by
     :func:`repro.nn.functional.conv_input_grad` — which makes the layer
     exactly the upsampling operator used by encoder/decoder routability
-    models such as RouteNet.  As with :class:`Conv2d`, the scratch (the
-    fold's image-sized buffers forward, the im2col columns of the output
-    gradient backward) is staged in the layer's workspace — held,
-    like :class:`Conv2d`'s, until ``release_workspaces()`` lends it on.
+    models such as RouteNet.  Its backward pass copies the output gradient
+    into a zero-bordered ``grad_padded`` buffer and forms one image's im2col
+    columns of it at a time in one image-sized ``grad_cols`` buffer, making
+    both GEMMs of that image (input gradient and weight-gradient product)
+    before the next.  As with :class:`Conv2d`, the scratch (the fold's
+    image-sized buffers forward, those backward) is staged in the layer's
+    workspace — held until ``release_workspaces()`` lends it on.  The
+    weight gradient reads the forward input, which the layer keeps a
+    reference to (not a copy) until its next step.
     """
 
     def __init__(
@@ -254,9 +290,7 @@ class ConvTranspose2d(Module):
         if self.use_bias:
             fan_in = in_channels * kh * kw
             self.bias = Parameter(init.uniform_bias((out_channels,), fan_in, rng), name="bias")
-        self._cache: Optional[
-            Tuple[np.ndarray, Tuple[int, int, int, int], Tuple[int, int, int, int]]
-        ] = None
+        self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int]]] = None
         self._ws = Workspace()
 
     def output_shape(self, height: int, width: int) -> Tuple[int, int]:
@@ -286,47 +320,30 @@ class ConvTranspose2d(Module):
         )
         if self.use_bias:
             out += self.bias.data.reshape(1, -1, 1, 1)
-        self._cache = (x_flat, x.shape, out_shape)
+        self._cache = (x_flat, x.shape)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("ConvTranspose2d.backward called before forward")
-        x_flat, x_shape, out_shape = self._cache
-        n, _, out_h, out_w = out_shape
-        kh, kw = self.kernel_size
+        x_flat, x_shape = self._cache
         grad_output = np.asarray(grad_output, dtype=self.compute_dtype)
-        dtype = grad_output.dtype
-        grad_cols_shape = (n, self.out_channels * kh * kw, x_flat.shape[2])
-        grad_cols_buf = self._ws.get("grad_cols", grad_cols_shape, dtype)
-        grad_padded = (
-            self._ws.zeros(
-                "grad_padded",
-                (n, self.out_channels, out_h + 2 * self.padding, out_w + 2 * self.padding),
-                dtype,
-            )
-            if self.padding > 0
-            else None
-        )
-        grad_cols = im2col(
-            grad_output,
-            kh,
-            kw,
-            self.stride,
-            self.padding,
-            dilation=1,
-            out=grad_cols_buf,
-            padded_out=grad_padded,
-        )
-
+        padded = _pad_into(self._ws, "grad_padded", grad_output, self.padding)
+        windows = conv_windows(padded, *self.kernel_size, self.stride)
+        grad_cols, form = _image_columns(self._ws, "grad_cols", windows)
         weight_matrix = self.weight.data.reshape(self.in_channels, -1)
-        stage = self._ws.get("grad_weight_stage", (n,) + weight_matrix.shape, dtype)
-        grad_weight = grad_weight_gemm(x_flat, grad_cols, stage)
-        self.weight.grad += grad_weight.reshape(self.weight.data.shape)
+        shape, dtype = weight_matrix.shape, grad_output.dtype
+        total = self._ws.get("grad_weight_sum", shape, dtype)
+        partial = self._ws.get("grad_weight_stage", shape, dtype) if len(x_flat) > 1 else None
+        grad_input = np.empty(x_flat.shape, dtype=dtype)
+        for image in range(len(x_flat)):
+            form(image)
+            _add_product(total, partial, image, x_flat[image], grad_cols)
+            np.matmul(weight_matrix, grad_cols, out=grad_input[image])
+        self.weight.grad += total.reshape(self.weight.data.shape)
         if self.use_bias:
             self.bias.grad += grad_output.sum(axis=(0, 2, 3))
-
-        return np.matmul(weight_matrix, grad_cols).reshape(x_shape)
+        return grad_input.reshape(x_shape)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,8 +1,8 @@
 """Layer and optimizer workspaces for the training hot path, lent from one scratch pool per thread.
 
 Every training step used to reallocate the same large temporaries — the
-padded input, the im2col ``cols`` matrix, the input gradient's tap
-product and accumulator, matmul staging buffers — once
+padded input, one image's im2col ``cols`` matrix, the input gradient's
+tap product and accumulator, matmul staging buffers — once
 per layer per step.  For the model sizes of the paper those
 allocations dominate the step wall-clock (fresh multi-megabyte buffers are
 served by the allocator as new pages, so the first write of every step pays
@@ -40,8 +40,8 @@ Aliasing rules (see ``docs/performance.md``)
 --------------------------------------------
 * A workspace buffer is **internal scratch**: it may be handed out only for
   values that are consumed before the owning layer's next ``forward`` /
-  ``backward`` call (the im2col cache consumed by ``backward``, matmul
-  staging, the padded input).
+  ``backward`` call (the layer's padded copy of its input, from which
+  ``backward`` re-forms the im2col columns, matmul staging, the columns).
 * Arrays **returned** from a layer (outputs, input gradients) are always
   freshly allocated — callers may keep them across steps (e.g.
   ``predict_dataset`` collects per-batch outputs), so they must never alias

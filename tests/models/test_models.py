@@ -83,7 +83,7 @@ class TestCommonModelBehaviour:
         model = model_cls(CHANNELS, seed=0)
         loss_step(model)
         held = {tag for tag, _, _ in first_conv(model)._ws._buffers}
-        assert held == {"padded", "cols", "grad_weight_stage"}
+        assert held == {"padded", "cols", "grad_weight_last", "grad_weight_sum"}
         held_by_output = {tag for tag, _, _ in model.output_conv._ws._buffers}
         # One filter: the channels-first fold and its per-tap spread.
         assert held_by_output >= {"tap_product", "grad_input_cnhw", "tap_spread"}

@@ -118,28 +118,6 @@ class TestIm2colKeepsNothing:
             tracemalloc.stop()
         assert retained < 64 * 1024
 
-    @pytest.mark.parametrize(
-        "buffer,shape,dtype",
-        [
-            ("out", (2, 27, 63), np.float64),  # one column short
-            ("out", (2, 27 * 64), np.float64),  # right size, wrong shape
-            ("out", (2, 27, 64), np.float32),
-            ("padded_out", (2, 3, 10, 9), np.float64),
-            ("padded_out", (1, 3, 10, 10), np.float64),  # would broadcast
-            ("padded_out", (2, 3, 10, 10), np.float32),
-        ],
-    )
-    def test_mismatched_buffer_raises(self, buffer, shape, dtype):
-        x = np.random.default_rng(1).normal(size=(2, 3, 8, 8))
-        with pytest.raises(ValueError, match=buffer):
-            F.im2col(x, 3, 3, padding=1, **{buffer: np.zeros(shape, dtype=dtype)})
-
-    def test_non_contiguous_out_raises(self):
-        x = np.random.default_rng(2).normal(size=(2, 3, 8, 8))
-        out = np.zeros((2, 64, 27)).transpose(0, 2, 1)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            F.im2col(x, 3, 3, padding=1, out=out)
-
 
 class TestActivations:
     def test_sigmoid_symmetry(self):

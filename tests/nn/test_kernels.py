@@ -5,8 +5,9 @@ layers' weight-gradient GEMM are held **bit for bit** — float64 and
 float32 — to the few-line references in ``oracles.py``: the clipped-tap
 scatter never reassociates an IEEE operation, it only skips buffer
 traffic; the per-tap input-gradient fold forms the GEMM's very products;
-and the single-image GEMM collapse is the same BLAS call without the
-reduction pass.  Pinned across seeded random geometries
+and the layers' one-image-at-a-time column GEMMs are the BLAS calls a
+batched matmul makes, their weight-gradient products added in image order
+as its ``sum(axis=0)`` adds them.  Pinned across seeded random geometries
 (filters/channels/stride/padding/dilation/odd shapes), every conv of the
 three models, both dtypes, batch 1 / n, whole layer steps, and a numerical
 gradcheck.
@@ -28,8 +29,15 @@ from oracles import (
 
 from repro.nn import Conv2d, ConvTranspose2d
 from repro.models import PROS, FLNet, RouteNet
-from repro.nn.functional import _clipped_taps, col2im, conv_input_grad, conv_output_size, im2col
-from repro.nn.layers.conv import grad_weight_gemm
+from repro.nn.functional import (
+    _clipped_taps,
+    col2im,
+    conv_input_grad,
+    conv_output_size,
+    conv_windows,
+    im2col,
+)
+from repro.nn.layers.conv import _add_product
 
 
 def random_geometries(seed: int, count: int):
@@ -99,6 +107,19 @@ class TestFusedCol2im:
         assert np.array_equal(fused, col2im_oracle(cols, (n, c, h, w), kh, kw, 1, 0, 1))
 
 
+def columns_image_by_image(x, kh, kw, stride, padding, dilation):
+    """The layers' path: pad once, then copy each image's windows into one reused buffer."""
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = conv_windows(padded, kh, kw, stride, dilation)
+    n, c, _, _, out_h, out_w = windows.shape
+    buffer = np.full((c * kh * kw, out_h * out_w), np.nan, dtype=x.dtype)
+    images = []
+    for image in range(n):
+        buffer.reshape(windows.shape[1:])[...] = windows[image]
+        images.append(buffer.copy())
+    return np.stack(images)
+
+
 class TestIm2colGather:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_with_and_without_buffers_match_the_oracle(self, dtype):
@@ -107,10 +128,8 @@ class TestIm2colGather:
             x = rng.standard_normal((n, c, h, w)).astype(dtype)
             reference = im2col_oracle(x, kh, kw, stride, padding, dilation)
             allocated = im2col(x, kh, kw, stride, padding, dilation)
-            out = np.full_like(reference, np.nan)
-            padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)
-            staged = im2col(x, kh, kw, stride, padding, dilation, out=out, padded_out=padded)
-            assert staged is out and allocated.dtype == dtype
+            staged = columns_image_by_image(x, kh, kw, stride, padding, dilation)
+            assert allocated.dtype == staged.dtype == dtype and allocated.flags.c_contiguous
             assert np.array_equal(allocated, reference)
             assert np.array_equal(staged, reference)
 
@@ -120,9 +139,14 @@ class TestIm2colGather:
         x = base[:, :, ::-1] if view == "reversed" else base.transpose(0, 1, 3, 2)
         assert not x.flags.c_contiguous
         reference = im2col_oracle(x, 3, 2, stride=2)
-        out = np.full_like(reference, np.nan)
-        assert im2col(x, 3, 2, stride=2, padding=0, out=out) is out
-        assert np.array_equal(out, reference)
+        assert np.array_equal(im2col(x, 3, 2, stride=2), reference)
+        assert np.array_equal(columns_image_by_image(x, 3, 2, 2, 0, 1), reference)
+
+    def test_one_by_one_columns_are_a_copy(self):
+        # A 1x1 window view is contiguous: the columns must still not alias x.
+        x = np.random.default_rng(71).standard_normal((2, 3, 4, 4))
+        cols = im2col(x, 1, 1)
+        assert not np.shares_memory(cols, x) and cols.flags.writeable
 
 
 def one_filter_geometries(seed: int, count: int):
@@ -336,37 +360,48 @@ class TestConvInputGrad:
             conv_input_grad(padding=1, **arguments)
 
 
-class TestGradWeightGemm:
+def per_image_grad_weight(grad_flat, cols, total, partial):
+    """The layers' weight gradient: one GEMM per image, added in image order."""
+    for image in range(len(grad_flat)):
+        _add_product(total, partial, image, grad_flat[image], cols[image])
+    return total
+
+
+class TestGradWeightPerImage:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_single_image_collapse_is_bit_identical(self, dtype):
+    def test_single_image_is_one_gemm(self, dtype):
         rng = np.random.default_rng(23)
         for out_channels, ck, length in ((4, 18, 25), (1, 1, 1), (7, 150, 196)):
             grad_flat = rng.standard_normal((1, out_channels, length)).astype(dtype)
             cols = rng.standard_normal((1, ck, length)).astype(dtype)
-            stage = np.empty((1, out_channels, ck), dtype=dtype)
-            collapsed = grad_weight_gemm(grad_flat, cols, stage)
-            assert collapsed.shape == (out_channels, ck) and collapsed.dtype == dtype
-            assert np.array_equal(collapsed, grad_weight_oracle(grad_flat, cols))
+            total = np.empty((out_channels, ck), dtype=dtype)
+            summed = per_image_grad_weight(grad_flat, cols, total, None)
+            assert summed.dtype == dtype
+            assert np.array_equal(summed, grad_weight_oracle(grad_flat, cols))
 
-    def test_staged_variant_matches_unstaged(self):
-        # Whatever the stage buffer held before, the result is that of the
+    def test_stale_stages_do_not_leak(self):
+        # Whatever the stage buffers held before, the result is that of the
         # allocating expression.
         rng = np.random.default_rng(29)
         for n in (1, 3):
             grad_flat = rng.standard_normal((n, 4, 10))
             cols = rng.standard_normal((n, 6, 10))
-            stage = np.full((n, 4, 6), np.nan)
-            staged = grad_weight_gemm(grad_flat, cols, stage)
-            assert np.array_equal(staged, grad_weight_oracle(grad_flat, cols))
+            total, partial = np.full((4, 6), np.nan), np.full((4, 6), np.nan)
+            summed = per_image_grad_weight(grad_flat, cols, total, partial)
+            assert np.array_equal(summed, grad_weight_oracle(grad_flat, cols))
 
-    def test_multi_image_batches_keep_reference_form(self):
-        # Batches larger than one must not be collapsed (that would
-        # reassociate the per-image partial sums).
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_products_add_in_image_order(self, dtype):
+        # The whole-batch form's sum(axis=0) adds the stacked products one
+        # after another, so the per-image sum keeps its bits at any batch.
         rng = np.random.default_rng(31)
-        grad_flat = rng.standard_normal((4, 5, 12))
-        cols = rng.standard_normal((4, 9, 12))
-        staged = grad_weight_gemm(grad_flat, cols, np.empty((4, 5, 9)))
-        assert np.array_equal(staged, grad_weight_oracle(grad_flat, cols))
+        for out_channels, ck, length in ((5, 9, 12), (1, 5184, 64), (16, 72, 16)):
+            for n in range(2, 18):
+                grad_flat = rng.standard_normal((n, out_channels, length)).astype(dtype)
+                cols = rng.standard_normal((n, ck, length)).astype(dtype)
+                stages = [np.empty((out_channels, ck), dtype=dtype) for _ in range(2)]
+                summed = per_image_grad_weight(grad_flat, cols, *stages)
+                assert np.array_equal(summed, grad_weight_oracle(grad_flat, cols)), (n, ck)
 
 
 def assert_step_matches(layer, x, grad, oracle):
@@ -464,3 +499,74 @@ class TestLayerParity:
         assert max_relative_error(analytic, numeric) < 1e-6
         for name, (analytic, numeric) in check_layer_parameter_gradients(layer, x).items():
             assert max_relative_error(analytic, numeric) < 1e-6, name
+
+
+#: ``(in, out, kernel, stride, padding, dilation)``: every conv geometry of
+#: the three models, plus a stride-2 and a dilation-2 one.
+CONV_GEOMETRIES = {
+    "9x9p4": (3, 4, 9, 1, 4, 1),
+    "9x9p4_one_filter": (8, 1, 9, 1, 4, 1),
+    "7x7p3": (4, 6, 7, 1, 3, 1),
+    "5x5p2": (4, 2, 5, 1, 2, 1),
+    "3x3p1": (4, 5, 3, 1, 1, 1),
+    "3x3p1_one_filter": (4, 1, 3, 1, 1, 1),
+    "1x1p0": (6, 3, 1, 1, 0, 1),
+    "3x3p1_stride2": (3, 5, 3, 2, 1, 1),
+    "3x3p2_dilation2": (3, 5, 3, 1, 2, 2),
+}
+
+
+class TestPerImageColumns:
+    """Forming one image's columns at a time keeps the whole-batch bits."""
+
+    @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("geometry", list(CONV_GEOMETRIES), ids=list(CONV_GEOMETRIES))
+    def test_conv2d_equals_the_whole_batch_oracle(self, geometry, batch, dtype_name):
+        in_channels, out_channels, kernel, stride, padding, dilation = CONV_GEOMETRIES[geometry]
+        layer = Conv2d(
+            in_channels, out_channels, kernel, stride=stride, padding=padding,
+            dilation=dilation, rng=np.random.default_rng(107),
+        )
+        layer.set_compute_dtype(dtype_name)
+        x = np.random.default_rng(108).standard_normal((batch, in_channels, 10, 9))
+        grad = np.random.default_rng(109).standard_normal((batch, out_channels, *layer.output_shape(10, 9)))
+        assert_step_matches(layer, x, grad, conv2d_step_oracle)
+
+    @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4, 8])
+    def test_conv_transpose2d_equals_the_whole_batch_oracle(self, batch, dtype_name):
+        layer = ConvTranspose2d(4, 3, 4, stride=2, padding=1, rng=np.random.default_rng(113))
+        layer.set_compute_dtype(dtype_name)
+        x = np.random.default_rng(114).standard_normal((batch, 4, 5, 4))
+        grad = np.random.default_rng(115).standard_normal((batch, 3, 10, 8))
+        assert_step_matches(layer, x, grad, conv_transpose2d_step_oracle)
+
+    @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
+    @pytest.mark.parametrize("padding", [0, 2])
+    def test_overwriting_the_input_before_backward_changes_no_gradient(self, padding, dtype_name):
+        # Backward re-forms columns from the layer's own padded copy of the
+        # input, never from the caller's array.
+        layer = Conv2d(3, 4, 5, padding=padding, rng=np.random.default_rng(127))
+        layer.set_compute_dtype(dtype_name)
+        x = np.random.default_rng(128).standard_normal((3, 3, 8, 8)).astype(layer.compute_dtype)
+        grad = np.random.default_rng(129).standard_normal((3, 4, *layer.output_shape(8, 8)))
+        _, *expected = conv2d_step_oracle(layer, x.copy(), grad)
+        layer(x)
+        x[...] = np.nan
+        got = (layer.backward(grad), layer.weight.grad, layer.bias.grad)
+        for mine, theirs in zip(got, expected, strict=True):
+            assert mine.tobytes() == theirs.tobytes()
+
+    def test_a_second_backward_re_forms_the_last_image(self):
+        # Backward leaves another image's columns in the buffer; a second
+        # backward of the same forward must not take them for the last one's.
+        layer = Conv2d(3, 4, 3, padding=1, rng=np.random.default_rng(131))
+        x = np.random.default_rng(132).standard_normal((3, 3, 6, 6))
+        grad = np.random.default_rng(133).standard_normal((3, 4, 6, 6))
+        weight_grad = conv2d_step_oracle(layer, x, grad)[2]
+        layer(x)
+        layer.backward(grad)
+        layer.zero_grad()
+        layer.backward(grad)
+        assert layer.weight.grad.tobytes() == weight_grad.tobytes()

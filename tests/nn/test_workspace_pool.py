@@ -28,7 +28,7 @@ from repro.fl import (
 from repro.fl.client import _LENT
 from repro.fl.parameters import flat_model_state, state_digest
 from repro.models import FLNet, RouteNet
-from repro.nn import Conv2d, Parameter
+from repro.nn import Conv2d, ConvTranspose2d, Parameter
 from repro.nn.optim import BLOCK, SGD, Adam
 from repro.nn.workspace import _POOL, pool_nbytes, release_scratch
 
@@ -246,19 +246,62 @@ class TestScratchShapes:
         upsample = model.upsample[0]
         model.forward(x)
         # The transposed conv's forward folds taps into image-sized scratch.
-        n, h, w = 2, GRID // 2, GRID // 2
+        h, w = GRID // 2, GRID // 2
         kh, kw = upsample.kernel_size
-        transposed_columns = (n, upsample.out_channels * kh * kw, h * w)
-        assert transposed_columns not in {shape for _, shape, _ in upsample._ws._buffers}
+        transposed_columns = (upsample.out_channels * kh * kw, h * w)
+        assert transposed_columns not in {shape[-2:] for _, shape, _ in upsample._ws._buffers}
         model.backward(np.ones((2, 1, GRID, GRID)))
         convs = [layer for _, layer in model.named_modules() if isinstance(layer, Conv2d)]
         assert len(convs) == 7
         for conv in convs:
             shapes = {tag: shape for tag, shape, _ in conv._ws._buffers}
             assert [tag for tag, shape in shapes.items() if shape == shapes["cols"]] == ["cols"]
-        # Backward, the output gradient's im2col columns are the only ones.
-        held = [tag for tag, shape, _ in upsample._ws._buffers if shape == transposed_columns]
-        assert held == ["grad_cols"]
+        # Backward, one image's columns of the output gradient are the only ones.
+        held = [(tag, shape) for tag, shape, _ in upsample._ws._buffers if shape[-2:] == transposed_columns]
+        assert held == [("grad_cols", transposed_columns)]
+
+    @pytest.mark.parametrize(
+        "build", [lambda: RouteNet(CHANNELS, base_filters=8, seed=5), lambda: Builder()(5)],
+        ids=["routenet", "flnet"],
+    )
+    def test_columns_do_not_grow_with_the_batch(self, build):
+        """Trained at batch 4, then predicting at 2 and at a partial batch of 3:
+        each conv holds one image's columns, and the pool gains no more."""
+        model = build()
+        convs = [layer for _, layer in model.named_modules() if isinstance(layer, (Conv2d, ConvTranspose2d))]
+        x = rng(6).normal(size=(4, CHANNELS, GRID, GRID))
+        model.forward(x)
+        model.backward(np.ones((4, 1, GRID, GRID)))
+        columns = {}  # one image's (C * kh * kw, out_h * out_w), per conv
+        for conv in convs:
+            _, channels, h, w = conv._cache[1]
+            kh, kw = conv.kernel_size
+            if isinstance(conv, Conv2d):
+                columns[conv] = (channels * kh * kw, int(np.prod(conv.output_shape(h, w))))
+            else:  # backward's columns of the output gradient, one per input pixel
+                columns[conv] = (conv.out_channels * kh * kw, h * w)
+
+        def held_columns(conv):
+            return [shape for _, shape, _ in conv._ws._buffers if shape[-2:] == columns[conv]]
+
+        def pooled_columns():
+            shapes = set(columns.values())
+            return sorted(
+                (shape, sum(buffer.nbytes for buffer in free))
+                for (shape, _), free in _POOL.free.items()
+                if shape[-2:] in shapes
+            )
+
+        assert all(held_columns(conv) == [columns[conv]] for conv in convs)
+        model.release_workspaces()
+        trained = pooled_columns()
+        assert sorted(shape for shape, _ in trained) == sorted(set(columns.values()))
+        for batch in (2, 3):
+            model.predict(x[:batch])
+            for conv in convs:  # a transposed conv's forward forms no columns
+                assert held_columns(conv) == ([columns[conv]] if isinstance(conv, Conv2d) else [])
+            model.release_workspaces()
+        assert pooled_columns() == trained
 
 
 class TestThreads:
